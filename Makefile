@@ -26,7 +26,10 @@ race:
 # lint under a 30-second runtime budget (the dataflow checks must stay
 # cheap enough to gate every push), race tests, and a SARIF report for
 # the code-scanning artifact. nrmi-vet.sarif is written even on a clean
-# run (zero results) so the upload step never misses it.
+# run (zero results) so the upload step never misses it. benchmark/ is its
+# own module, which ./... does not reach: it is built and smoke-tested here
+# so that a core/wire signature change that breaks benchmark/layers.go is
+# caught before a benchmark run is.
 ci: build
 	@start=$$(date +%s); \
 	$(GO) run ./cmd/nrmi-vet ./... || exit 1; \
@@ -38,6 +41,7 @@ ci: build
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestV3|TestV2Client|TestQuickRemoteEqualsLocal' ./internal/wire/ ./internal/core/ ./internal/rmi/
 	$(GO) test -race -count=1 -run 'TestAsync|TestOneWay|TestBatch' ./internal/rmi/
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/nrmi-vet -format sarif ./... > nrmi-vet.sarif
 	@echo "wrote nrmi-vet.sarif"
 

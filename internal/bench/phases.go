@@ -61,9 +61,9 @@ var phaseOrder = []obs.Phase{
 
 // clientPhases are the phases whose means sum to (roughly) the whole call
 // as the client experiences it; PhaseTransport already contains the server
-// pipeline and the network.
+// pipeline and the network, and PhaseEncode contains PhaseMapWalk.
 var clientPhases = []obs.Phase{
-	obs.PhaseEncode, obs.PhaseMapWalk, obs.PhaseTransport,
+	obs.PhaseEncode, obs.PhaseTransport,
 	obs.PhaseDecodeReply, obs.PhaseRestoreCommit,
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 	"sync"
 
 	"nrmi/internal/graph"
@@ -25,28 +24,33 @@ type Call struct {
 	// commit — record their spans on it.
 	oc *obs.Call
 
-	// restorableRoots records the root values of restorable parameters, in
-	// encode order, for diagnostics and tests.
+	// restorableRoots records the non-nil root values of restorable
+	// parameters, in encode order: what set walks if it escaped.
 	restorableRoots []reflect.Value
-	numRestorable   int
-	finished        bool
+	// set is the restore set, read off the encoder's object table as the
+	// restorable arguments are encoded and fixed by Finish — before the
+	// request leaves, so nothing that happens to the caller's graph between
+	// issue and apply (another promise's commit) can change it.
+	set           restoreSet
+	numRestorable int
+	finished      bool
 	// pooled records that enc came from the codec pool and must go back.
 	pooled bool
 
-	// commitMu, when set, is held for the whole response apply: map
-	// re-walk, validate, and commit. The walk and validation *read* the
-	// caller's argument graph, and two concurrently consumed calls may
-	// share objects in that graph — so reads must not interleave with
-	// another call's commit writes, and commits must not interleave with
-	// each other. Promise layers install one lock per client; whole calls
-	// then apply serially, in consumption order.
+	// commitMu, when set, is held for the whole response apply: decode,
+	// validate, and commit. Validation *reads* the caller's argument graph
+	// (slice lengths), and two concurrently consumed calls may share
+	// objects in that graph — so reads must not interleave with another
+	// call's commit writes, and commits must not interleave with each
+	// other. Promise layers install one lock per client; whole calls then
+	// apply serially, in consumption order.
 	commitMu sync.Locker
 }
 
 // SetCommitLock installs a lock serializing this call's response apply
-// (graph walk, validation, restore commit) against other calls sharing
-// the same lock. A call that carries no restorable arguments does not
-// need it: it neither re-reads nor overwrites caller state.
+// (decode, validation, restore commit) against other calls sharing the
+// same lock. A call that carries no restorable arguments does not need
+// it: it neither re-reads nor overwrites caller state.
 func (c *Call) SetCommitLock(mu sync.Locker) { c.commitMu = mu }
 
 // NumRestorable reports how many restorable arguments were encoded — the
@@ -108,10 +112,14 @@ func (c *Call) EncodeRestorable(v any) error {
 	if v != nil && !graph.IsIdentityKind(rv.Kind()) {
 		return fmt.Errorf("core: restorable argument must be a pointer, map, or slice, got %T", v)
 	}
+	lo := len(c.enc.Objects())
 	if err := c.enc.Encode(v); err != nil {
 		return err
 	}
-	c.restorableRoots = append(c.restorableRoots, rv)
+	c.set.add(lo, len(c.enc.Objects()), c.enc.LowestRef())
+	if v != nil {
+		c.restorableRoots = append(c.restorableRoots, rv)
+	}
 	c.numRestorable++
 	return nil
 }
@@ -124,12 +132,22 @@ func (c *Call) EncodeUint(v uint64) error { return c.enc.EncodeUint(v) }
 // the request stream.
 func (c *Call) EncodeString(s string) error { return c.enc.EncodeString(s) }
 
-// Finish flushes the request stream. After Finish the Call waits for
-// ApplyResponse. Under Options.ShipLinearMap it first appends the explicit
-// linear-map section (an object count followed by one entry per object)
-// that optimization 1 normally makes redundant.
+// Finish fixes the restore set and flushes the request stream. After
+// Finish the Call waits for ApplyResponse. Under Options.ShipLinearMap it
+// first appends the explicit linear-map section (an object count followed
+// by one entry per object) that optimization 1 normally makes redundant.
+// The map-walk span covers fixing the set: no walk unless it escaped.
 func (c *Call) Finish() error {
 	c.finished = true
+	sp := c.oc.Start(obs.PhaseMapWalk)
+	var err error
+	if c.set.escaped {
+		err = c.set.walk(c.opts, c.opts.Access, c.restorableRoots, c.enc.IDOf)
+	}
+	sp.EndN(0, int64(c.set.len()))
+	if err != nil {
+		return err
+	}
 	if c.opts.ShipLinearMap {
 		objs := c.enc.Objects()
 		if err := c.enc.EncodeUint(uint64(len(objs))); err != nil {
@@ -164,41 +182,6 @@ type Response struct {
 	BytesReceived int64
 }
 
-// restorableSet walks the restorable argument roots and returns the stream
-// IDs of every reachable object, ascending: the same set the server's
-// Prepare computes, so the two endpoints agree on the restore-protocol
-// object numbering without exchanging it. Only this subset is seeded into
-// the response decoder: by-copy argument objects must decode as fresh
-// copies, exactly as under plain RMI.
-func (c *Call) restorableSet() ([]int, error) {
-	var w *graph.Walker
-	if c.opts.kernelsEnabled() {
-		w = graph.AcquireWalker(c.opts.Access)
-		defer graph.ReleaseWalker(w)
-	} else {
-		w = graph.NewWalker(c.opts.Access)
-		w.NoKernels = true
-	}
-	for _, root := range c.restorableRoots {
-		if !root.IsValid() {
-			continue
-		}
-		if err := w.RootValue(root); err != nil {
-			return nil, fmt.Errorf("core: walking restorable arguments: %w", err)
-		}
-	}
-	ids := make([]int, 0, w.LinearMap().Len())
-	for _, obj := range w.LinearMap().Objects() {
-		id, ok := c.enc.IDOf(obj.Ref)
-		if !ok {
-			return nil, fmt.Errorf("%w: restorable object missing from request table", ErrBadResponse)
-		}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
-}
-
 // pendingRestore pairs a seeded original with its validated "modified
 // version". Under engines V1/V2 that is a decoded staging temporary (tmp);
 // under engine V3 it is a zero-copy content record (flat) still sitting in
@@ -214,7 +197,7 @@ type pendingRestore struct {
 // and performs the in-place restore: afterwards every client-side alias of
 // every pre-call object observes the server's mutations. It implements
 // steps 4–6 of the paper's algorithm in a single pass, recording the
-// map-walk, decode, and commit phases on the attached collector.
+// decode and commit phases on the attached collector.
 func (c *Call) ApplyResponse(r io.Reader) (*Response, error) {
 	kernels := c.opts.kernelsEnabled()
 	var dec *wire.Decoder
@@ -247,23 +230,20 @@ func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
 
 func (c *Call) apply(dec *wire.Decoder, kernels bool) (*Response, error) {
 	if c.commitMu != nil {
-		// See the commitMu field comment: the map walk and validation read
-		// objects a concurrently applying call may be committing into, so
-		// the whole apply serializes, not just the overwrite phase.
+		// See the commitMu field comment: validation reads objects a
+		// concurrently applying call may be committing into, so the whole
+		// apply serializes, not just the overwrite phase.
 		c.commitMu.Lock()
 		defer c.commitMu.Unlock()
 	}
-	sp := c.oc.Start(obs.PhaseMapWalk)
-	set, err := c.restorableSet()
-	sp.EndN(0, int64(len(set)))
-	if err != nil {
-		dec.ReleaseArena()
-		return nil, err
-	}
-
-	sp = c.oc.Start(obs.PhaseDecodeReply)
-	updates, rets, numSeeded, err := c.decodeReply(dec, set)
+	sp := c.oc.Start(obs.PhaseDecodeReply)
+	updates, rets, err := c.decodeReply(dec)
 	sp.EndN(dec.BytesRead(), int64(len(updates)))
+	if err == nil {
+		sp = c.oc.Start(obs.PhaseRestoreCommit)
+		err = commitUpdates(kernels, updates)
+		sp.EndN(0, int64(len(updates)))
+	}
 	if err != nil {
 		// Abandon the response with the caller's graph untouched: drop the
 		// pending zero-copy records and the arena, each released exactly
@@ -274,19 +254,10 @@ func (c *Call) apply(dec *wire.Decoder, kernels bool) (*Response, error) {
 		return nil, err
 	}
 
-	sp = c.oc.Start(obs.PhaseRestoreCommit)
-	err = commitUpdates(kernels, updates)
-	sp.EndN(0, int64(len(updates)))
-	if err != nil {
-		releaseFlats(updates)
-		dec.ReleaseArena()
-		return nil, err
-	}
-
 	resp := &Response{
 		Returns:       rets,
 		Restored:      len(updates),
-		NewObjects:    len(dec.Objects()) - numSeeded,
+		NewObjects:    len(dec.Objects()) - dec.NumSeeded(),
 		BytesReceived: dec.BytesRead(),
 	}
 	if kernels {
@@ -307,36 +278,32 @@ func releaseFlats(updates []pendingRestore) {
 
 // decodeReply seeds the response decoder and consumes the restore section
 // and return values, leaving the commit to the caller.
-func (c *Call) decodeReply(dec *wire.Decoder, set []int) (updates []pendingRestore, rets []any, numSeeded int, err error) {
-	// Seed the response decoder with the restorable subset of the request
+func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []any, err error) {
+	// Seed the response decoder with the restore set's cells of the request
 	// object table, in ascending stream-ID order: references to those IDs
 	// must resolve to the original client objects, while everything else
 	// (including returned by-copy argument data) materializes fresh.
-	seeded := make([]reflect.Value, 0, len(set))
-	for _, id := range set {
-		obj := c.enc.Objects()[id]
-		if _, err := dec.SeedObject(obj); err != nil {
-			return nil, nil, 0, err
-		}
-		seeded = append(seeded, obj)
+	for _, r := range c.set.runs {
+		dec.SeedDetached(c.enc.Objects()[r.lo:r.hi])
 	}
-	numSeeded = dec.NumSeeded()
+	numSeeded := dec.NumSeeded()
+	seeded := dec.Objects()[:numSeeded]
 
 	n, err := dec.DecodeUint()
 	if err != nil {
-		return nil, nil, numSeeded, fmt.Errorf("core: reading restore count: %w", err)
+		return nil, nil, fmt.Errorf("core: reading restore count: %w", err)
 	}
 	if n > uint64(numSeeded) {
-		return nil, nil, numSeeded, fmt.Errorf("%w: %d content records for %d objects", ErrBadResponse, n, numSeeded)
+		return nil, nil, fmt.Errorf("%w: %d content records for %d objects", ErrBadResponse, n, numSeeded)
 	}
 	updates = make([]pendingRestore, 0, n)
 	for i := uint64(0); i < n; i++ {
 		id, err := dec.DecodeUint()
 		if err != nil {
-			return updates, nil, numSeeded, fmt.Errorf("core: reading restore id: %w", err)
+			return updates, nil, fmt.Errorf("core: reading restore id: %w", err)
 		}
 		if id >= uint64(numSeeded) {
-			return updates, nil, numSeeded, fmt.Errorf("%w: content record for unknown object %d", ErrBadResponse, id)
+			return updates, nil, fmt.Errorf("%w: content record for unknown object %d", ErrBadResponse, id)
 		}
 		if dec.Engine() == wire.EngineV3 {
 			// Zero-copy restore: validate the record in place and retain it
@@ -345,14 +312,14 @@ func (c *Call) decodeReply(dec *wire.Decoder, set []int) (updates []pendingResto
 			// two-phase bit-identical-on-failure guarantee is unchanged.
 			fc, err := dec.DecodeSeededFlat(int(id))
 			if err != nil {
-				return updates, nil, numSeeded, fmt.Errorf("core: decoding content for object %d: %w", id, err)
+				return updates, nil, fmt.Errorf("core: decoding content for object %d: %w", id, err)
 			}
 			updates = append(updates, pendingRestore{orig: seeded[id], flat: fc})
 			continue
 		}
 		tmp, err := dec.DecodeSeededContent(int(id))
 		if err != nil {
-			return updates, nil, numSeeded, fmt.Errorf("core: decoding content for object %d: %w", id, err)
+			return updates, nil, fmt.Errorf("core: decoding content for object %d: %w", id, err)
 		}
 		updates = append(updates, pendingRestore{orig: seeded[id], tmp: tmp})
 	}
@@ -361,17 +328,17 @@ func (c *Call) decodeReply(dec *wire.Decoder, set []int) (updates []pendingResto
 	// returned data and restored parameters is preserved.
 	nret, err := dec.DecodeUint()
 	if err != nil {
-		return updates, nil, numSeeded, fmt.Errorf("core: reading return count: %w", err)
+		return updates, nil, fmt.Errorf("core: reading return count: %w", err)
 	}
 	rets = make([]any, 0, nret)
 	for i := uint64(0); i < nret; i++ {
 		v, err := dec.Decode()
 		if err != nil {
-			return updates, nil, numSeeded, fmt.Errorf("core: decoding return value %d: %w", i, err)
+			return updates, nil, fmt.Errorf("core: decoding return value %d: %w", i, err)
 		}
 		rets = append(rets, v)
 	}
-	return updates, rets, numSeeded, nil
+	return updates, rets, nil
 }
 
 // commitUpdates performs step 5: overwrite each original, in place. Every

@@ -9,14 +9,18 @@
 //     in first-encounter order — IS the linear map (step 1). Because the
 //     decoder reconstructs the table in the same order, the map never
 //     crosses the wire (the paper's optimization 1, Section 5.2.4).
-//  2. The server decodes the arguments (step 2) and, before invoking the
-//     method, walks the restorable roots to fix the set of "old" objects.
+//  2. The server decodes the arguments (step 2). The set of "old" objects
+//     — everything reachable from a restorable argument before the method
+//     runs — is the run of table entries each such argument added, so
+//     both endpoints read it off their tables (restoreSet) and walk the
+//     graph only when a restorable argument reaches into a by-copy one
+//     encoded before it.
 //  3. The method runs at full native speed: no read/write barriers, no
 //     network traffic (the paper's central efficiency claim).
-//  4. The server encodes a response whose encoder is seeded with the full
-//     decode-time object table, then ships one content record per old
-//     object — even objects the method unlinked — plus, inline, any new
-//     objects now referenced (step 3).
+//  4. The server encodes a response whose encoder is seeded with the old
+//     objects, then ships one content record per old object — even
+//     objects the method unlinked — plus, inline, any new objects now
+//     referenced (step 3).
 //  5. The client decodes each content record into a temporary "modified
 //     version"; references to old IDs resolve directly to the client's
 //     original objects, performing the map match-up (step 4) and the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sort"
 
 	"nrmi/internal/graph"
 	"nrmi/internal/obs"
@@ -25,12 +24,11 @@ type ServerCall struct {
 
 	restorableRoots []reflect.Value
 
-	// restoreIDs is the pre-call set of object IDs reachable from the
-	// restorable roots, ascending — the server's linear map subset.
-	restoreIDs []int
-	// identToID maps decode-time object identity to stream ID.
-	identToID map[graph.Ident]int
-	prepared  bool
+	// set is the pre-call restore set — the server's linear map subset —
+	// read off the decoder's object table as the restorable arguments are
+	// decoded and fixed by Prepare.
+	set      restoreSet
+	prepared bool
 
 	// snapshot pairs pre-call object identities with deep-copied snapshots
 	// when delta encoding is on.
@@ -38,62 +36,7 @@ type ServerCall struct {
 
 	// pooled records that dec came from the codec pool and must go back.
 	pooled bool
-
-	// batch, when set, supplies shared prepare-phase scratch state (walker
-	// + identity map) reused across the calls of one server-side batch
-	// dispatch; see Batch.
-	batch *Batch
 }
-
-// Batch holds the prepare-phase scratch state — a reachability walker and
-// an identity-to-stream-ID map — reused across a run of ServerCalls
-// dispatched back to back, amortizing the per-call linear-map capture
-// cost that motivates server-side call coalescing. A Batch serializes
-// nothing itself: it must only be attached to calls executed strictly one
-// at a time, each finishing EncodeResponse before the next call's
-// Prepare.
-type Batch struct {
-	w         *graph.Walker
-	identToID map[graph.Ident]int
-	calls     int
-}
-
-// NewBatch returns an empty batch. Release it when the run is over.
-func NewBatch() *Batch {
-	return &Batch{identToID: make(map[graph.Ident]int)}
-}
-
-// Release returns the batch's pooled walker. Safe on nil.
-func (b *Batch) Release() {
-	if b == nil {
-		return
-	}
-	if b.w != nil {
-		graph.ReleaseWalker(b.w)
-		b.w = nil
-	}
-	b.identToID = nil
-}
-
-// Calls reports how many prepares ran against this batch.
-func (b *Batch) Calls() int { return b.calls }
-
-// walker returns the batch's walker reset for a fresh traversal under the
-// given mode. The first use acquires it from the pool; Release parks it.
-func (b *Batch) walker(mode graph.AccessMode, kernels bool) *graph.Walker {
-	if b.w == nil {
-		b.w = graph.AcquireWalker(mode)
-	} else {
-		b.w.Reset()
-	}
-	b.w.Access = mode
-	b.w.NoKernels = !kernels
-	return b.w
-}
-
-// SetBatch attaches shared prepare scratch state; call it before Prepare.
-// The ServerCall borrows the batch — Release leaves it untouched.
-func (s *ServerCall) SetBatch(b *Batch) { s.batch = b }
 
 // AcceptCall starts decoding a request from r.
 func AcceptCall(r io.Reader, opts Options) *ServerCall {
@@ -140,10 +83,7 @@ func (s *ServerCall) Release() {
 	s.dec = nil
 	s.oc = nil
 	s.restorableRoots = nil
-	s.restoreIDs = nil
-	s.identToID = nil
 	s.snapshot = nil
-	s.batch = nil
 }
 
 // DecodeCopy decodes a call-by-copy argument.
@@ -154,10 +94,12 @@ func (s *ServerCall) DecodeCopy() (any, error) {
 // DecodeRestorable decodes a call-by-copy-restore argument and remembers
 // its root for the restore phase.
 func (s *ServerCall) DecodeRestorable() (any, error) {
+	lo := len(s.dec.Objects())
 	v, err := s.dec.Decode()
 	if err != nil {
 		return nil, err
 	}
+	s.set.add(lo, len(s.dec.Objects()), s.dec.LowestRef())
 	if v != nil {
 		s.restorableRoots = append(s.restorableRoots, reflect.ValueOf(v))
 	}
@@ -187,18 +129,19 @@ func (s *ServerCall) SetObs(oc *obs.Call) { s.oc = oc }
 
 // Prepare fixes the pre-call object set: every object reachable from the
 // restorable parameters right now, before the method body runs (paper,
-// Section 3: the linear map of "old" objects). It must be called after all
-// arguments are decoded and before the method executes. With Options.Delta
-// it additionally snapshots the restorable subgraph for change detection.
-// The srv-prepare span covers the whole step; the srv-snapshot span nested
-// inside it isolates the delta deep copy.
+// Section 3: the linear map of "old" objects). Decoding already delimited
+// it, so nothing is walked unless the set escaped (see restoreSet). It must
+// be called after all arguments are decoded and before the method executes.
+// With Options.Delta it additionally snapshots the restorable subgraph for
+// change detection. The srv-prepare span covers the whole step; the
+// srv-snapshot span nested inside it isolates the delta deep copy.
 func (s *ServerCall) Prepare() error {
 	if s.prepared {
 		return nil
 	}
 	sp := s.oc.Start(obs.PhaseSrvPrepare)
 	err := s.prepare()
-	sp.EndN(0, int64(len(s.restoreIDs)))
+	sp.EndN(0, int64(s.set.len()))
 	return err
 }
 
@@ -222,25 +165,13 @@ func (s *ServerCall) prepare() error {
 		}
 	}
 	access := s.effectiveAccess()
-	if s.batch != nil {
-		// Reuse the batch's identity map (cleared, capacity kept) instead
-		// of allocating one per call.
-		clear(s.batch.identToID)
-		s.identToID = s.batch.identToID
-		s.batch.calls++
-	} else {
-		s.identToID = make(map[graph.Ident]int, len(s.dec.Objects()))
-	}
-	for id, obj := range s.dec.Objects() {
-		if ident, ok := graph.IdentOf(obj); ok {
-			s.identToID[ident] = id
+	if s.set.escaped {
+		// Only now is the whole decode table indexed by identity.
+		err := s.set.walk(s.opts, access, s.restorableRoots, indexByIdent(s.dec.Objects()))
+		if err != nil {
+			return err
 		}
 	}
-	set, err := s.reachableIDs(access, false)
-	if err != nil {
-		return err
-	}
-	s.restoreIDs = set
 	if s.opts.Delta {
 		sp := s.oc.Start(obs.PhaseSrvSnapshot)
 		err := s.takeSnapshot(access)
@@ -273,48 +204,6 @@ func (s *ServerCall) effectiveAccess() graph.AccessMode {
 		return s.dec.Access()
 	}
 	return s.opts.Access
-}
-
-// reachableIDs walks the restorable roots and returns the stream IDs of
-// every reachable object, ascending. With allowNew, objects absent from the
-// decode table (allocated by the method body, so only possible on the
-// post-call walk) are skipped; without it their presence is an internal
-// error, since the pre-call roots came from the table itself.
-func (s *ServerCall) reachableIDs(access graph.AccessMode, allowNew bool) ([]int, error) {
-	var w *graph.Walker
-	switch {
-	case s.batch != nil:
-		// Batched dispatch: every walk in the batch shares one walker,
-		// reset between uses; the leader releases it with the batch.
-		w = s.batch.walker(access, s.opts.kernelsEnabled())
-	case s.opts.kernelsEnabled():
-		// Only plain stream IDs leave this function, so the pooled walker's
-		// no-retention contract holds.
-		w = graph.AcquireWalker(access)
-		defer graph.ReleaseWalker(w)
-	default:
-		w = graph.NewWalker(access)
-		w.NoKernels = true
-	}
-	for _, root := range s.restorableRoots {
-		if err := w.RootValue(root); err != nil {
-			return nil, fmt.Errorf("core: walking restorable parameters: %w", err)
-		}
-	}
-	var ids []int
-	for _, obj := range w.LinearMap().Objects() {
-		ident, _ := graph.IdentOf(obj.Ref)
-		id, ok := s.identToID[ident]
-		if !ok {
-			if allowNew {
-				continue
-			}
-			return nil, fmt.Errorf("%w: reachable object missing from decode table", ErrBadResponse)
-		}
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids, nil
 }
 
 // ResponseStats reports what a response encoding shipped, for metrics and
@@ -355,37 +244,50 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	} else {
 		enc = wire.NewEncoder(w, sendOpts.wireOptions())
 	}
-	// Seed the response encoder with the restorable subset of the decode
-	// table, in ascending stream-ID order — the exact set and order the
-	// client's ApplyResponse reconstructs independently. Objects outside
-	// the subset (by-copy argument data referenced from return values)
-	// encode as fresh objects, preserving plain-RMI copy semantics for
-	// them.
-	subsetIdx := make(map[int]int, len(s.restoreIDs))
-	for i, sid := range s.restoreIDs {
-		if _, err := enc.SeedObject(s.dec.Objects()[sid]); err != nil {
-			return nil, err
+	// Seed the response encoder with the restore set's objects of the
+	// decode table, in ascending stream-ID order — the exact set and order
+	// the client's ApplyResponse seeds independently — so an old object's ID
+	// on the response stream is its position in the set. Objects outside it
+	// (by-copy argument data referenced from return values) encode as fresh
+	// objects, preserving plain-RMI copy semantics for them.
+	for _, r := range s.set.runs {
+		for _, obj := range s.dec.Objects()[r.lo:r.hi] {
+			if _, err := enc.SeedObject(obj); err != nil {
+				return nil, err
+			}
 		}
-		subsetIdx[sid] = i
+	}
+	n := s.set.len()
+	if len(enc.Objects()) != n {
+		// Two decoded objects share an identity (zero-size pointees or
+		// empty slices, which no honest encoder lists twice).
+		return nil, fmt.Errorf("%w: %d distinct objects in a restore set of %d", ErrBadResponse, len(enc.Objects()), n)
 	}
 
-	include, err := s.filterIDs(access)
-	if err != nil {
+	// Plain PolicyFull ships every old object; DCE and delta pick positions.
+	sent := n
+	var include []int
+	filtered := s.opts.Policy == PolicyDCE || s.snapshot != nil
+	if filtered {
+		var err error
+		if include, err = s.filterOld(access, enc.Objects()[:n]); err != nil {
+			return nil, err
+		}
+		sent = len(include)
+	}
+	if err := enc.EncodeUint(uint64(sent)); err != nil {
 		return nil, err
 	}
-	if err := enc.EncodeUint(uint64(len(include))); err != nil {
-		return nil, err
-	}
-	for _, sid := range include {
-		idx, ok := subsetIdx[sid]
-		if !ok {
-			return nil, fmt.Errorf("%w: restore id %d outside restorable set", ErrBadResponse, sid)
+	for i := 0; i < sent; i++ {
+		idx := i
+		if filtered {
+			idx = include[i]
 		}
 		if err := enc.EncodeUint(uint64(idx)); err != nil {
 			return nil, err
 		}
 		if err := enc.EncodeSeededContent(idx); err != nil {
-			return nil, fmt.Errorf("core: encoding content for object %d: %w", sid, err)
+			return nil, fmt.Errorf("core: encoding content for object %d: %w", idx, err)
 		}
 	}
 	if err := enc.EncodeUint(uint64(len(rets))); err != nil {
@@ -400,8 +302,8 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 		return nil, err
 	}
 	stats := &ResponseStats{
-		OldTotal:  len(s.restoreIDs),
-		OldSent:   len(include),
+		OldTotal:  n,
+		OldSent:   sent,
 		BytesSent: enc.BytesWritten(),
 	}
 	if kernels {
@@ -410,55 +312,41 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	return stats, nil
 }
 
-// filterIDs applies the restore policy and delta filtering to the pre-call
-// object set.
-func (s *ServerCall) filterIDs(access graph.AccessMode) ([]int, error) {
-	include := s.restoreIDs
+// filterOld applies the restore policy and delta filtering to the pre-call
+// objects old and returns the positions to ship, ascending.
+func (s *ServerCall) filterOld(access graph.AccessMode, old []reflect.Value) ([]int, error) {
+	include := make([]int, 0, len(old))
 	if s.opts.Policy == PolicyDCE {
 		// DCE RPC semantics: only objects still reachable from the
 		// parameters after the call are restored (paper, Figure 9).
-		post, err := s.reachableIDs(access, true)
+		var err error
+		include, err = reachableIDs(s.opts, access, s.restorableRoots, indexByIdent(old), true)
 		if err != nil {
 			return nil, err
 		}
-		postSet := make(map[int]bool, len(post))
-		for _, id := range post {
-			postSet[id] = true
+	} else {
+		for i := range old {
+			include = append(include, i)
 		}
-		var filtered []int
-		for _, id := range include {
-			if postSet[id] {
-				filtered = append(filtered, id)
-			}
-		}
-		include = filtered
 	}
-	if s.opts.Delta && s.snapshot != nil {
-		var filtered []int
-		for _, id := range include {
-			cur := s.dec.Objects()[id]
-			snap, ok := s.snapshot.Copied(cur)
-			if !ok {
-				// Not snapshotted (should not happen for pre-call set);
-				// ship it to be safe.
-				filtered = append(filtered, id)
+	if s.snapshot == nil {
+		return include, nil
+	}
+	changed := include[:0]
+	for _, i := range include {
+		cur := old[i]
+		// Ship whatever cannot be compared: an object that was not
+		// snapshotted (should not happen for the pre-call set) or is not
+		// diffable (e.g. a map with identity-bearing keys). Delta is an
+		// optimization and must never turn a restorable call into an error.
+		if snap, ok := s.snapshot.Copied(cur); ok {
+			if eq, err := graph.ShallowEqualObject(access, cur, snap, s.pairSnapshot); err == nil && eq {
 				continue
 			}
-			eq, err := graph.ShallowEqualObject(access, cur, snap, s.pairSnapshot)
-			if err != nil {
-				// Not diffable (e.g. a map with identity-bearing keys):
-				// fall back to shipping it. Delta is an optimization and
-				// must never turn a restorable call into an error.
-				filtered = append(filtered, id)
-				continue
-			}
-			if !eq {
-				filtered = append(filtered, id)
-			}
 		}
-		include = filtered
+		changed = append(changed, i)
 	}
-	return include, nil
+	return changed, nil
 }
 
 // pairSnapshot reports whether snapshot reference b is the snapshot

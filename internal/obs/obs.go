@@ -39,9 +39,10 @@ const (
 	// PhaseEncode is the client-side argument serialization (graph walk +
 	// wire encode, fused in this implementation's single encoder pass).
 	PhaseEncode Phase = iota
-	// PhaseMapWalk is the client-side linear-map walk: re-deriving the
-	// restorable object set from the request encoder's table before the
-	// reply is applied (the paper's step 4 bookkeeping).
+	// PhaseMapWalk is the client fixing the restore set when the request is
+	// finished, inside PhaseEncode. The set is read off the request
+	// encoder's table, so this is a graph walk only when a restorable
+	// argument reaches into a by-copy argument encoded before it.
 	PhaseMapWalk
 	// PhaseTransport is the full transport round trip as observed by the
 	// client: request write, network, server processing, reply read. It
@@ -59,8 +60,9 @@ const (
 	// and method name strings).
 	PhaseSrvDecode
 	// PhaseSrvPrepare fixes the server's pre-call object set: consuming a
-	// shipped linear map (ablation protocol only) and walking the
-	// restorable roots. Includes PhaseSrvSnapshot when delta is on.
+	// shipped linear map (ablation protocol only) and, under the condition
+	// given at PhaseMapWalk, walking the restorable roots. Includes
+	// PhaseSrvSnapshot when delta is on.
 	PhaseSrvPrepare
 	// PhaseSrvSnapshot is the delta optimization's deep copy of the
 	// restorable subgraph. It runs inside PhaseSrvPrepare, so its time is

@@ -305,7 +305,11 @@ func TestAllocSampling(t *testing.T) {
 	o := New(Config{AllocSampling: true})
 	c := Begin(o, "s", "m")
 	allocSink = allocSink[:0]
-	for i := 0; i < 100; i++ { // guarantee observable heap allocations
+	// The runtime publishes a size class's allocation count when the
+	// allocating P swaps that class's span out (128 of these per 8 KiB
+	// span), so allocate through many spans: 100 objects can all land in
+	// one and stay invisible.
+	for i := 0; i < 4096; i++ {
 		allocSink = append(allocSink, new([64]byte))
 	}
 	c.Finish(nil)

@@ -51,6 +51,40 @@ func (s *AsyncService) Add(a, b int) int {
 	return a + b
 }
 
+// The reshape mutators change which nodes the root reaches, after the
+// chaosMutate data pass (which ends by swapping the root's children):
+// unlinkLeft drops a two-node subtree, attachLeft splices a new node in,
+// replaceLeaf swaps one leaf for a new node (node count unchanged).
+func unlinkLeft(t *RTree, k int) int {
+	n := chaosMutate(t, k)
+	t.Left = nil
+	return n
+}
+
+func attachLeft(t *RTree, k int) int {
+	n := chaosMutate(t, k)
+	t.Left = &RTree{Data: k, Left: t.Left}
+	return n
+}
+
+func replaceLeaf(t *RTree, k int) int {
+	n := chaosMutate(t, k)
+	t.Left.Right = &RTree{Data: k}
+	return n
+}
+
+// touchOne changes a single node, so that under delta its content record
+// is the only one in the reply.
+func touchOne(t *RTree, k int) int {
+	t.Right.Right.Data += k
+	return 1
+}
+
+func (s *AsyncService) Unlink(t *RTree, k int) int  { return unlinkLeft(t, k) }
+func (s *AsyncService) Attach(t *RTree, k int) int  { return attachLeft(t, k) }
+func (s *AsyncService) Replace(t *RTree, k int) int { return replaceLeaf(t, k) }
+func (s *AsyncService) Touch(t *RTree, k int) int   { return touchOne(t, k) }
+
 // Fail always errors.
 func (s *AsyncService) Fail() error { return errors.New("deliberate failure") }
 
@@ -141,6 +175,140 @@ func TestAsyncPipelinedRestore(t *testing.T) {
 	// Settled promises keep answering without further effect.
 	if rets, err := ps[0].Wait(ctx); err != nil || rets[0].(int) != 5 {
 		t.Fatalf("re-Wait: %v %v", rets, err)
+	}
+}
+
+// treeNodes lists the nodes root reaches, in DFS order.
+func treeNodes(root *RTree) []*RTree {
+	var out []*RTree
+	seen := make(map[*RTree]bool)
+	var walk func(n *RTree)
+	walk = func(n *RTree) {
+		if n == nil || seen[n] {
+			return
+		}
+		seen[n] = true
+		out = append(out, n)
+		walk(n.Left)
+		walk(n.Right)
+	}
+	walk(root)
+	return out
+}
+
+// TestAsyncPipelinedSharedRoot: two promises issued back to back on ONE
+// root. Each request carries the graph as it was at issue, so the second
+// reply restores exactly the objects of that graph — whatever the first
+// commit has meanwhile unlinked from, or attached to, the root. After both
+// Waits every issue-time node, including one the caller can now reach only
+// through its own alias, holds what the second call alone would have left
+// in it.
+func TestAsyncPipelinedSharedRoot(t *testing.T) {
+	for _, tc := range []struct {
+		first   string
+		firstFn func(*RTree, int) int
+	}{
+		{"Unlink", unlinkLeft},
+		{"Attach", attachLeft},
+		{"Replace", replaceLeaf},
+	} {
+		for _, eng := range []wire.Engine{wire.EngineV2, wire.EngineV3} {
+			t.Run(fmt.Sprintf("%s/%s", tc.first, eng), func(t *testing.T) {
+				cl, _, _ := newAsyncEnv(t, func(o *Options) { o.Core.Engine = eng })
+				stub := cl.Stub("server", "async")
+				ctx := context.Background()
+
+				root := chaosTree()
+				aliases := treeNodes(root)
+				afterFirst := snapshotTree(t, root)
+				afterSecond := snapshotTree(t, root)
+				wantNodes := treeNodes(afterSecond)
+
+				p1, err := stub.CallAsync(ctx, tc.first, root, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p2, err := stub.CallAsync(ctx, "Scale", root, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p1.Wait(ctx); err != nil {
+					t.Fatalf("first Wait: %v", err)
+				}
+				tc.firstFn(afterFirst, 3)
+				if !treesEqual(t, root, afterFirst) {
+					t.Fatal("first commit restored the wrong graph")
+				}
+				if _, err := p2.Wait(ctx); err != nil {
+					t.Fatalf("second Wait: %v", err)
+				}
+				chaosMutate(afterSecond, 10)
+				if !treesEqual(t, root, afterSecond) {
+					t.Fatal("final graph is not the second call's result on the issue-time graph")
+				}
+				pos := make(map[*RTree]int)
+				for i, n := range wantNodes {
+					pos[n] = i
+				}
+				child := func(n *RTree) int {
+					if i, ok := pos[n]; ok {
+						return i
+					}
+					return -1 // nil, or a node the method allocated
+				}
+				alias := func(n *RTree) int {
+					for i, a := range aliases {
+						if a == n {
+							return i
+						}
+					}
+					return -1
+				}
+				for i, a := range aliases {
+					w := wantNodes[i]
+					if a.Data != w.Data || alias(a.Left) != child(w.Left) || alias(a.Right) != child(w.Right) {
+						t.Fatalf("issue-time node %d = {%d L%d R%d}, want {%d L%d R%d}", i,
+							a.Data, alias(a.Left), alias(a.Right), w.Data, child(w.Left), child(w.Right))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestAsyncPipelinedSharedRootDelta: under delta a reply names the one
+// object it changed by its position in the restore set. The first commit
+// unlinks that object from the root; its record must still land on it —
+// through the caller's alias — and on no other node.
+func TestAsyncPipelinedSharedRootDelta(t *testing.T) {
+	cl, _, _ := newAsyncEnv(t, func(o *Options) { o.Core.Delta = true })
+	stub := cl.Stub("server", "async")
+	ctx := context.Background()
+
+	root := chaosTree()
+	leaf := root.Right.Right
+	afterFirst := snapshotTree(t, root)
+	unlinkLeft(afterFirst, 3)
+
+	p1, err := stub.CallAsync(ctx, "Unlink", root, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := stub.CallAsync(ctx, "Touch", root, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p1.Wait(ctx); err != nil {
+		t.Fatalf("first Wait: %v", err)
+	}
+	if _, err := p2.Wait(ctx); err != nil {
+		t.Fatalf("second Wait: %v", err)
+	}
+	if leaf.Data != 9+10 {
+		t.Fatalf("unlinked leaf holds %d, want the second call's %d", leaf.Data, 9+10)
+	}
+	if !treesEqual(t, root, afterFirst) {
+		t.Fatal("the second call's one record landed on a node still linked to the root")
 	}
 }
 

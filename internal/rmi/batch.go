@@ -1,10 +1,8 @@
 // Server-side batch dispatch (Options.BatchCalls): when several calls to
 // the same export are in flight at once, the first becomes the batch
 // leader and executes the queued followers back to back on its own
-// goroutine, attaching one core.Batch so the prepare-phase scratch set
-// (graph walker + identity map) is acquired once and Reset between calls
-// instead of re-acquired per call — the server-side analog of the
-// pipelined client amortizing round trips.
+// goroutine — the server-side analog of the pipelined client amortizing
+// round trips.
 //
 // Coalescing is opportunistic and bounded: a call finding a live leader
 // for its export enqueues only while the leader's enrollment budget
@@ -72,12 +70,12 @@ func newBatcher() *batcher { return &batcher{q: make(map[string]*batchQueue)} }
 func (s *Server) dispatchMsgCall(ctx context.Context, payload []byte) ([]byte, error) {
 	b := s.batcher
 	if b == nil {
-		return s.handleCall(ctx, payload, nil)
+		return s.handleCall(ctx, payload)
 	}
 	objKey, ok := s.peekObjectKey(payload)
 	if !ok {
 		// Undecodable header: let the normal path produce the real error.
-		return s.handleCall(ctx, payload, nil)
+		return s.handleCall(ctx, payload)
 	}
 	b.mu.Lock()
 	q := b.q[objKey]
@@ -96,7 +94,7 @@ func (s *Server) dispatchMsgCall(ctx context.Context, payload []byte) ([]byte, e
 		}
 		b.mu.Unlock()
 		// Leader's budget is spent: run unbatched and concurrent.
-		return s.handleCall(ctx, payload, nil)
+		return s.handleCall(ctx, payload)
 	}
 	q.live = true
 	q.enrolled = 0
@@ -105,12 +103,10 @@ func (s *Server) dispatchMsgCall(ctx context.Context, payload []byte) ([]byte, e
 }
 
 // leadBatch runs the leader's own call and then drains the follower queue
-// to empty, all under one core.Batch. The leader's reply is returned to
-// its own caller; each follower's reply goes out on its channel.
+// to empty. The leader's reply is returned to its own caller; each
+// follower's reply goes out on its channel.
 func (s *Server) leadBatch(ctx context.Context, payload []byte, q *batchQueue) ([]byte, error) {
-	cb := core.NewBatch()
-	defer cb.Release()
-	out, err := s.handleCall(ctx, payload, cb)
+	out, err := s.handleCall(ctx, payload)
 	followers := 0
 	for {
 		s.batcher.mu.Lock()
@@ -130,7 +126,7 @@ func (s *Server) leadBatch(ctx context.Context, payload []byte, q *batchQueue) (
 			r.done <- batchResult{err: fmt.Errorf("rmi: batched call abandoned: %w", cerr)}
 			continue
 		}
-		fout, ferr := s.handleCall(r.ctx, r.payload, cb)
+		fout, ferr := s.handleCall(r.ctx, r.payload)
 		r.done <- batchResult{out: fout, err: ferr}
 	}
 	if followers > 0 {
@@ -141,8 +137,7 @@ func (s *Server) leadBatch(ctx context.Context, payload []byte, q *batchQueue) (
 }
 
 // peekObjectKey decodes just the dispatch key from a call payload, the
-// batcher's coalescing key. The full handler re-decodes it; the double
-// decode is one string against a saved walker acquisition per follower.
+// batcher's coalescing key. The full handler re-decodes it.
 func (s *Server) peekObjectKey(payload []byte) (string, bool) {
 	sc := core.AcceptCallBytes(payload, s.opts.Core)
 	defer sc.Release()

@@ -627,10 +627,8 @@ var errType = reflect.TypeOf((*error)(nil)).Elem()
 // receive it, and methods declaring context.Context as their first
 // parameter get it injected, so long-running handlers can stop when the
 // client has already given up. The body runs under a per-call
-// observability collector keyed by (object, method). cb, when non-nil, is
-// the batch scratch set shared across a leader-driven batch run (see
-// batch.go); it must be attached before Prepare runs.
-func (s *Server) handleCall(ctx context.Context, payload []byte, cb *core.Batch) (out []byte, err error) {
+// observability collector keyed by (object, method).
+func (s *Server) handleCall(ctx context.Context, payload []byte) (out []byte, err error) {
 	// The payload stays valid for the whole handler (the transport releases
 	// it after handleCall returns — for a batched follower, not before the
 	// leader has delivered on its channel), so the decoder may slice it in
@@ -639,9 +637,6 @@ func (s *Server) handleCall(ctx context.Context, payload []byte, cb *core.Batch)
 	// Decoded argument objects outlive the release (the pool only drops its
 	// references to them), so this is safe on every exit path.
 	defer sc.Release()
-	if cb != nil {
-		sc.SetBatch(cb)
-	}
 	objKey, err := sc.DecodeString()
 	if err != nil {
 		return nil, fmt.Errorf("rmi: reading object key: %w", err)

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 
 	"nrmi/internal/graph"
@@ -43,6 +44,10 @@ type Decoder struct {
 	// never pin payload bytes or user objects.
 	frameFree []*flatFrame
 	fcFree    []*FlatContent
+
+	// lowRef is the lowest object ID the current top-level Decode read as a
+	// back-reference; see LowestRef.
+	lowRef int
 }
 
 // NewDecoder returns a Decoder reading from r. The engine and access mode
@@ -50,7 +55,7 @@ type Decoder struct {
 // limits.
 func NewDecoder(r io.Reader, opts Options) *Decoder {
 	o := opts.withDefaults()
-	return &Decoder{r: newReader(r, o.MaxElems), opts: o}
+	return &Decoder{r: newReader(r, o.MaxElems), opts: o, lowRef: math.MaxInt}
 }
 
 // NewDecoderBytes returns a Decoder reading from an in-memory message.
@@ -59,7 +64,7 @@ func NewDecoder(r io.Reader, opts Options) *Decoder {
 // decoding — including any pending FlatContent commits — has finished.
 func NewDecoderBytes(data []byte, opts Options) *Decoder {
 	o := opts.withDefaults()
-	d := &Decoder{r: newReader(nil, o.MaxElems), opts: o}
+	d := &Decoder{r: newReader(nil, o.MaxElems), opts: o, lowRef: math.MaxInt}
 	d.r.resetBytes(data, o.MaxElems)
 	return d
 }
@@ -82,6 +87,10 @@ func (d *Decoder) Engine() Engine { return d.engine }
 // valid after the first decode call.
 func (d *Decoder) Access() graph.AccessMode { return d.access }
 
+// LowestRef is Encoder.LowestRef for the most recent Decode or DecodeValue:
+// both ends of a stream report the same value for the same argument.
+func (d *Decoder) LowestRef() int { return d.lowRef }
+
 // SeedObject pre-assigns the next object ID to an existing local object.
 // References to that ID decode to this exact object rather than a fresh
 // copy. The restore protocol seeds the client's original objects before
@@ -94,6 +103,14 @@ func (d *Decoder) SeedObject(ref reflect.Value) (int, error) {
 	d.table = append(d.table, graph.StableRef(ref))
 	d.numSeeded++
 	return id, nil
+}
+
+// SeedDetached is SeedObject for a run of reference cells that are already
+// detached (an Encoder's Objects()): they join the table as they are. The
+// cells must stay untouched until decoding has finished.
+func (d *Decoder) SeedDetached(cells []reflect.Value) {
+	d.table = append(d.table, cells...)
+	d.numSeeded += len(cells)
 }
 
 // header consumes the stream header exactly once.
@@ -151,6 +168,7 @@ func (d *Decoder) Decode() (any, error) {
 // DecodeValue reads one value as a reflect.Value. An invalid Value denotes
 // an encoded nil.
 func (d *Decoder) DecodeValue() (reflect.Value, error) {
+	d.lowRef = math.MaxInt
 	if err := d.header(); err != nil {
 		return reflect.Value{}, err
 	}
@@ -203,6 +221,13 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 			return reflect.Value{}, fmt.Errorf("%w: content kind ptr for %s object", ErrBadStream, orig.Kind())
 		}
 		tmp := reflect.New(orig.Type().Elem())
+		if d.kernels {
+			// As under tagPtr: the staging cell exists, decode into it.
+			if err := d.decodeValueInto(tmp.Elem(), 0); err != nil {
+				return reflect.Value{}, err
+			}
+			return tmp, nil
+		}
 		elem, err := d.decodeValue(0)
 		if err != nil {
 			return reflect.Value{}, err
@@ -325,6 +350,7 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		if id >= len(d.table) {
 			return reflect.Value{}, fmt.Errorf("%w: reference to unknown object %d", ErrBadStream, id)
 		}
+		d.lowRef = min(d.lowRef, id)
 		return d.table[id], nil
 
 	case tagPtr:

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 
 	"nrmi/internal/graph"
@@ -30,6 +31,9 @@ type Encoder struct {
 	// flat is the engine-V3 frame-assembly scratch state (flat.go), created
 	// lazily and retained across frames and pooled reuse.
 	flat *flatEnc
+	// lowRef is the lowest object ID the current top-level Encode named by
+	// back-reference; see LowestRef.
+	lowRef int
 }
 
 // NewEncoder returns an Encoder writing to w.
@@ -42,6 +46,7 @@ func NewEncoder(w io.Writer, opts Options) *Encoder {
 		typeTable: make(map[reflect.Type]int),
 		strTable:  make(map[string]int),
 		kernels:   o.kernelsEnabled(),
+		lowRef:    math.MaxInt,
 	}
 }
 
@@ -58,6 +63,22 @@ func (e *Encoder) IDOf(ref reflect.Value) (int, bool) {
 	}
 	id, ok := e.ids[ident]
 	return id, ok
+}
+
+// LowestRef returns the lowest object ID that the most recent Encode or
+// EncodeValue named by reference rather than by content, or math.MaxInt if
+// it named none. Objects first met during that call have IDs at or above
+// the table length before it, so a lower value means the value shares
+// structure with something encoded earlier on this stream.
+func (e *Encoder) LowestRef() int { return e.lowRef }
+
+// writeRef emits a back-reference to object id.
+func (e *Encoder) writeRef(id int) error {
+	e.lowRef = min(e.lowRef, id)
+	if err := e.w.writeByte(tagRef); err != nil {
+		return err
+	}
+	return e.w.writeUint(uint64(id))
 }
 
 // BytesWritten returns the number of payload bytes produced so far.
@@ -87,21 +108,12 @@ func (e *Encoder) header() error {
 }
 
 // Encode serializes one value (and everything reachable from it).
-func (e *Encoder) Encode(v any) error {
-	if e.opts.Engine == EngineV3 {
-		return e.flatEncodeRoot(reflect.ValueOf(v))
-	}
-	if err := e.header(); err != nil {
-		return err
-	}
-	if v == nil {
-		return e.w.writeByte(tagNil)
-	}
-	return e.encodeValue(reflect.ValueOf(v), 0)
-}
+func (e *Encoder) Encode(v any) error { return e.EncodeValue(reflect.ValueOf(v)) }
 
-// EncodeValue is Encode for callers holding reflect.Values.
+// EncodeValue is Encode for callers holding reflect.Values; the invalid
+// Value encodes as nil.
 func (e *Encoder) EncodeValue(v reflect.Value) error {
+	e.lowRef = math.MaxInt
 	if e.opts.Engine == EngineV3 {
 		return e.flatEncodeRoot(v)
 	}
@@ -223,10 +235,7 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int) error {
 		}
 		ident, _ := graph.IdentOf(v)
 		if id, ok := e.ids[ident]; ok {
-			if err := e.w.writeByte(tagRef); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(id))
+			return e.writeRef(id)
 		}
 		e.registerObj(ident, v)
 		if err := e.w.writeByte(tagPtr); err != nil {
@@ -243,10 +252,7 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int) error {
 		}
 		ident, _ := graph.IdentOf(v)
 		if id, ok := e.ids[ident]; ok {
-			if err := e.w.writeByte(tagRef); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(id))
+			return e.writeRef(id)
 		}
 		e.registerObj(ident, v)
 		if err := e.w.writeByte(tagMap); err != nil {
@@ -268,10 +274,7 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int) error {
 				return fmt.Errorf("%w: lengths %d and %d share storage",
 					graph.ErrSliceOverlap, prev.Len(), v.Len())
 			}
-			if err := e.w.writeByte(tagRef); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(id))
+			return e.writeRef(id)
 		}
 		e.registerObj(ident, v)
 		if err := e.w.writeByte(tagSlice); err != nil {

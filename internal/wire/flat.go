@@ -228,7 +228,7 @@ func (e *Encoder) flatValue(b []byte, v reflect.Value, depth int) ([]byte, error
 		}
 		return e.flatValue(b, v.Elem(), depth+1)
 
-	case reflect.Ptr, reflect.Map:
+	case reflect.Ptr, reflect.Map, reflect.Slice:
 		if v.IsNil() {
 			return append(b, fNil), nil
 		}
@@ -237,26 +237,11 @@ func (e *Encoder) flatValue(b []byte, v reflect.Value, depth int) ([]byte, error
 		if !ok {
 			id = len(e.objs)
 			e.registerObj(ident, v)
+		} else if prev := e.objs[id]; prev.Kind() == reflect.Slice && prev.Len() != v.Len() {
+			return b, fmt.Errorf("%w: lengths %d and %d share storage",
+				graph.ErrSliceOverlap, prev.Len(), v.Len())
 		}
-		b = append(b, fRef)
-		return putU32(b, uint32(id)), nil
-
-	case reflect.Slice:
-		if v.IsNil() {
-			return append(b, fNil), nil
-		}
-		ident, _ := graph.IdentOf(v)
-		id, ok := e.ids[ident]
-		if ok {
-			prev := e.objs[id]
-			if prev.Kind() == reflect.Slice && prev.Len() != v.Len() {
-				return b, fmt.Errorf("%w: lengths %d and %d share storage",
-					graph.ErrSliceOverlap, prev.Len(), v.Len())
-			}
-		} else {
-			id = len(e.objs)
-			e.registerObj(ident, v)
-		}
+		e.lowRef = min(e.lowRef, id)
 		b = append(b, fRef)
 		return putU32(b, uint32(id)), nil
 

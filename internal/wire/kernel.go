@@ -166,10 +166,7 @@ func compileEncPtr(k *encKernel, t reflect.Type, mode graph.AccessMode, session 
 		}
 		ident, _ := graph.IdentOf(v)
 		if id, ok := e.ids[ident]; ok {
-			if err := e.w.writeByte(tagRef); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(id))
+			return e.writeRef(id)
 		}
 		e.registerObj(ident, v)
 		if err := e.w.writeByte(tagPtr); err != nil {
@@ -212,10 +209,7 @@ func compileEncMap(k *encKernel, t reflect.Type, mode graph.AccessMode, session 
 		}
 		ident, _ := graph.IdentOf(v)
 		if id, ok := e.ids[ident]; ok {
-			if err := e.w.writeByte(tagRef); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(id))
+			return e.writeRef(id)
 		}
 		e.registerObj(ident, v)
 		if err := e.w.writeByte(tagMap); err != nil {
@@ -244,10 +238,7 @@ func compileEncSlice(k *encKernel, t reflect.Type, mode graph.AccessMode, sessio
 				return fmt.Errorf("%w: lengths %d and %d share storage",
 					graph.ErrSliceOverlap, prev.Len(), v.Len())
 			}
-			if err := e.w.writeByte(tagRef); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(id))
+			return e.writeRef(id)
 		}
 		e.registerObj(ident, v)
 		if err := e.w.writeByte(tagSlice); err != nil {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"io"
+	"math"
 	"reflect"
 	"sync"
 )
@@ -40,6 +41,7 @@ func AcquireEncoder(w io.Writer, opts Options) *Encoder {
 	e.opts = o
 	e.headerDone = false
 	e.kernels = o.kernelsEnabled()
+	e.lowRef = math.MaxInt
 	return e
 }
 
@@ -77,13 +79,20 @@ func AcquireDecoder(r io.Reader, opts Options) *Decoder {
 	}
 	o := opts.withDefaults()
 	d.r.reset(r, o.MaxElems)
+	d.reuse(o)
+	return d
+}
+
+// reuse resets the per-stream state of a pooled decoder whose reader has
+// been pointed at a new stream.
+func (d *Decoder) reuse(o Options) {
 	d.opts = o
 	d.headerDone = false
 	d.engine = 0
 	d.access = 0
 	d.kernels = false
 	d.numSeeded = 0
-	return d
+	d.lowRef = math.MaxInt
 }
 
 // AcquireDecoderBytes returns a pooled Decoder reading an in-memory
@@ -97,12 +106,7 @@ func AcquireDecoderBytes(data []byte, opts Options) *Decoder {
 	}
 	o := opts.withDefaults()
 	d.r.resetBytes(data, o.MaxElems)
-	d.opts = o
-	d.headerDone = false
-	d.engine = 0
-	d.access = 0
-	d.kernels = false
-	d.numSeeded = 0
+	d.reuse(o)
 	return d
 }
 
