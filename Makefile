@@ -29,8 +29,13 @@ race:
 # run (zero results) so the upload step never misses it. benchmark/ is its
 # own module, which ./... does not reach: it is built and smoke-tested here
 # so that a core/wire signature change that breaks benchmark/layers.go is
-# caught before a benchmark run is.
+# caught before a benchmark run is. An unformatted file anywhere (gofmt
+# walks into benchmark/ as well) fails the pipeline first.
 ci: build
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 	@start=$$(date +%s); \
 	$(GO) run ./cmd/nrmi-vet ./... || exit 1; \
 	elapsed=$$(( $$(date +%s) - start )); \

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -39,6 +40,11 @@ func runObsSmoke(maxOverheadPct float64) error {
 		return fmt.Errorf("obs-smoke: workload: %w", err)
 	}
 	callNs := cell.Millis * 1e6
+	// The promise phases (async-issue, async-await) only exist on the
+	// CallAsync path: issue a few on the same stub, outside the timed cell.
+	if err := asyncCalls(e, spec, 3); err != nil {
+		return fmt.Errorf("obs-smoke: async workload: %w", err)
+	}
 
 	// Serve the observer on a real listener and scrape it over TCP, the
 	// way an operator would.
@@ -74,6 +80,29 @@ func runObsSmoke(maxOverheadPct float64) error {
 		obs.MetricsPath, len(snap.Methods), obs.TracesPath, len(traces))
 	if overhead > maxOverheadPct {
 		return fmt.Errorf("obs-smoke: disabled-path overhead %.3f%% exceeds the %.1f%% gate", overhead, maxOverheadPct)
+	}
+	return nil
+}
+
+// asyncCalls runs n scenario calls through CallAsync + Wait, verified like
+// the synchronous ones.
+func asyncCalls(e *bench.Env, spec bench.RunSpec, n int) error {
+	stub := e.Client.Stub(bench.ServerAddr, "nrmi")
+	ctx := context.Background()
+	for i := 0; i < n; i++ {
+		seed := spec.Seed + int64(i)
+		w, script := bench.NewWorld(spec.Scenario, seed, spec.Size)
+		rw := bench.ToRWorld(w)
+		p, err := stub.CallAsync(ctx, "Apply", rw.Root, script)
+		if err != nil {
+			return err
+		}
+		if _, err := p.Wait(ctx); err != nil {
+			return err
+		}
+		if err := bench.Verify(rw.ToWorld(), bench.Expected(spec.Scenario, seed, spec.Size, script)); err != nil {
+			return err
+		}
 	}
 	return nil
 }

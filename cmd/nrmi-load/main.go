@@ -144,16 +144,16 @@ type fleetCapacity struct {
 
 // capacityReport is the BENCH_5.json schema.
 type capacityReport struct {
-	Tag          string          `json:"tag"`
-	Policy       string          `json:"policy"`
-	SLOP99Ms     float64         `json:"slo_p99_ms"`
-	MaxErrorRate float64         `json:"max_error_rate"`
-	WarmupMs     float64         `json:"warmup_ms"`
-	WindowMs     float64         `json:"window_ms"`
-	Workers      int             `json:"workers"`
-	ServiceMs    float64         `json:"service_ms"`
-	ConcPerSrv   int             `json:"conc_per_server"`
-	Seed         int64           `json:"seed"`
+	Tag          string  `json:"tag"`
+	Policy       string  `json:"policy"`
+	SLOP99Ms     float64 `json:"slo_p99_ms"`
+	MaxErrorRate float64 `json:"max_error_rate"`
+	WarmupMs     float64 `json:"warmup_ms"`
+	WindowMs     float64 `json:"window_ms"`
+	Workers      int     `json:"workers"`
+	ServiceMs    float64 `json:"service_ms"`
+	ConcPerSrv   int     `json:"conc_per_server"`
+	Seed         int64   `json:"seed"`
 	// SingleHost records that every fleet shares one machine's cores with
 	// the load generator, so multi-server points measure the balancer and
 	// admission control, not linear hardware scaling.

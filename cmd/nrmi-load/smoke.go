@@ -86,9 +86,9 @@ func runLoadSmoke(cfg harnessConfig) error {
 			ErrorRateAtMax: rep.ErrorRate(),
 			Probes: []probeResult{{
 				RPS: rps, AchievedRPS: rep.AchievedRPS,
-				P99Ms:  float64(rep.Latency.P99) / 1e6,
-				P999Ms: float64(rep.Latency.Quantile(0.999)) / 1e6,
-				MaxMs:  float64(rep.Latency.Max) / 1e6,
+				P99Ms:     float64(rep.Latency.P99) / 1e6,
+				P999Ms:    float64(rep.Latency.Quantile(0.999)) / 1e6,
+				MaxMs:     float64(rep.Latency.Max) / 1e6,
 				ErrorRate: rep.ErrorRate(), LateStarts: rep.LateStarts, OK: true,
 			}},
 		}},

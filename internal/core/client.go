@@ -296,6 +296,7 @@ func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []
 	if n > uint64(numSeeded) {
 		return nil, nil, fmt.Errorf("%w: %d content records for %d objects", ErrBadResponse, n, numSeeded)
 	}
+	dec.ExpectContents(int(n))
 	updates = make([]pendingRestore, 0, n)
 	for i := uint64(0); i < n; i++ {
 		id, err := dec.DecodeUint()
@@ -360,15 +361,24 @@ func commitUpdates(kernels bool, updates []pendingRestore) error {
 		return nil
 	}
 	if kernels {
-		// Compiled restore programs: kind dispatch resolved once per type,
-		// map commits via Clear + pooled iterator.
-		for _, u := range updates {
-			if err := restoreKernelFor(u.orig.Type()).validate(u.orig, u.tmp); err != nil {
+		// Compiled restore programs: kind dispatch resolved once per type
+		// and looked up once per run of equal types, map commits via Clear
+		// + pooled iterator.
+		var k *restoreKernel
+		var kt reflect.Type
+		kernelOf := func(orig reflect.Value) *restoreKernel {
+			if t := orig.Type(); t != kt {
+				k, kt = restoreKernelFor(t), t
+			}
+			return k
+		}
+		for i := range updates {
+			if err := kernelOf(updates[i].orig).validate(updates[i].orig, updates[i].tmp); err != nil {
 				return err
 			}
 		}
-		for _, u := range updates {
-			restoreKernelFor(u.orig.Type()).commit(u.orig, u.tmp)
+		for i := range updates {
+			kernelOf(updates[i].orig).commit(updates[i].orig, updates[i].tmp)
 		}
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"nrmi/internal/graph"
@@ -408,9 +409,9 @@ func TestForgedReplyNumbersByRequestStream(t *testing.T) {
 }
 
 // TestApplyAllocsSteadyState: applying a 256-node scenario-III reply costs
-// one allocation per restored node (its staging temporary) and per new
-// node, plus a constant — no second staging value per record, no detached
-// cell per seeded object, no per-call ID set.
+// one allocation per new node plus a constant — the staging temporaries of
+// the restored nodes share a slab; no second staging value per record, no
+// detached cell per seeded object, no per-call ID set.
 func TestApplyAllocsSteadyState(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
@@ -452,10 +453,81 @@ func TestApplyAllocsSteadyState(t *testing.T) {
 		t.Fatalf("restored %d new %d: not the scenario this budget is for", res.Restored, res.NewObjects)
 	}
 	avg := testing.AllocsPerRun(20, apply)
-	budget := float64(res.Restored + res.NewObjects + 8)
+	budget := float64(res.NewObjects + 16)
 	if avg > budget {
 		t.Fatalf("ApplyResponseBytes: %.1f allocs/op for %d restored + %d new objects, budget %.0f",
 			avg, res.Restored, res.NewObjects, budget)
 	}
 	t.Logf("ApplyResponseBytes: %.1f allocs/op (%d restored, %d new)", avg, res.Restored, res.NewObjects)
+}
+
+// TestStagingSlabBytes: on a tree16-sized reply the shared staging slab
+// allocates no more bytes than one cell per record would — what a decoder
+// that was not told how many records follow still does — in fewer pieces.
+func TestStagingSlabBytes(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
+	}
+	const size = 16
+	opts := testOptions(t)
+	call, req := encodeArgs(t, opts, []setArg{{genWorld(1, size).Root, true}})
+	defer call.Release()
+	if err := call.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	srv := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
+	if err := srv.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	var resp bytes.Buffer
+	if _, err := srv.EncodeResponse(&resp, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv.Release()
+
+	stage := func(announce bool) func() {
+		return func() {
+			dec := wire.AcquireDecoderBytes(resp.Bytes(), opts.wireOptions())
+			dec.SeedDetached(call.Objects())
+			n, err := dec.DecodeUint()
+			if err != nil || n != size {
+				t.Fatalf("%d content records (%v), want %d", n, err, size)
+			}
+			if announce {
+				dec.ExpectContents(int(n))
+			}
+			for i := uint64(0); i < n; i++ {
+				id, err := dec.DecodeUint()
+				if err == nil {
+					_, err = dec.DecodeSeededContent(int(id))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			wire.ReleaseDecoder(dec)
+		}
+	}
+	measure := func(f func()) (allocs, bytes float64) {
+		const runs = 50
+		for i := 0; i < 5; i++ {
+			f()
+		}
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&b)
+		return float64(b.Mallocs-a.Mallocs) / runs, float64(b.TotalAlloc-a.TotalAlloc) / runs
+	}
+	cellAllocs, cellBytes := measure(stage(false))
+	slabAllocs, slabBytes := measure(stage(true))
+	if cellAllocs < size {
+		t.Fatalf("per-record staging made %.1f allocations for %d records: not the baseline this test compares with", cellAllocs, size)
+	}
+	if slabBytes > cellBytes || slabAllocs > cellAllocs-size+2 {
+		t.Fatalf("slab staging: %.1f allocs, %.0f B; per-record cells: %.1f allocs, %.0f B", slabAllocs, slabBytes, cellAllocs, cellBytes)
+	}
+	t.Logf("slab staging: %.1f allocs, %.0f B; per-record cells: %.1f allocs, %.0f B", slabAllocs, slabBytes, cellAllocs, cellBytes)
 }

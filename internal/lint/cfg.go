@@ -21,14 +21,14 @@ import (
 //   - *ast.IfStmt:        its Init statement and Cond expression
 //   - *ast.ForStmt:       Init / Cond / Post in their own blocks
 //   - *ast.RangeStmt:     the RangeStmt itself, meaning only the header
-//                         binding (Key, Value := range X) — never the body
+//     binding (Key, Value := range X) — never the body
 //   - *ast.SwitchStmt:    Init, the Tag expression, and each case's
-//                         comparison expressions at the top of its block
+//     comparison expressions at the top of its block
 //   - *ast.TypeSwitchStmt: Init and the Assign statement
 //   - *ast.SelectStmt:    each clause's Comm statement at the top of its
-//                         case block
+//     case block
 //   - *ast.ReturnStmt:    the statement itself (results are evaluated),
-//                         followed by an edge to Exit
+//     followed by an edge to Exit
 //
 // A call to the predeclared panic terminates its path with no successor
 // edge: the function never reaches Exit that way, so must-reach-exit

@@ -184,8 +184,8 @@ after()`,
 }
 after()`,
 			verify: func(t *testing.T, g *CFG, fset *token.FileSet) {
-				brk := blockWith(t, g, fset, "a()")   // condition before break
-				cnt := blockWith(t, g, fset, "b()")   // condition before continue
+				brk := blockWith(t, g, fset, "a()") // condition before break
+				cnt := blockWith(t, g, fset, "b()") // condition before continue
 				after := blockWith(t, g, fset, "after()")
 				c := blockWith(t, g, fset, "c()")
 				if !pathExists(brk, after) {

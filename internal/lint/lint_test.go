@@ -108,15 +108,17 @@ func runCleanTest(t *testing.T, checkID, pkg string) {
 	}
 }
 
-func TestRestorableClosure(t *testing.T)     { runCheckTest(t, "restorable-closure", "restorable") }
-func TestRegistryCoverage(t *testing.T)      { runCheckTest(t, "registry-coverage", "registrycov") }
-func TestInterceptorDiscipline(t *testing.T) { runCheckTest(t, "interceptor-discipline", "interceptor") }
-func TestGuardedEscape(t *testing.T)         { runCheckTest(t, "guarded-escape", "guarded") }
-func TestPoolReset(t *testing.T)             { runCheckTest(t, "pool-reset", "poolreset") }
-func TestSpanEnd(t *testing.T)               { runCheckTest(t, "span-end", "spanend") }
-func TestPayloadOwnership(t *testing.T)      { runCheckTest(t, "payload-ownership", "payloadown") }
-func TestCtxPropagation(t *testing.T)        { runCheckTest(t, "ctx-propagation", "ctxprop") }
-func TestAtomicDiscipline(t *testing.T)      { runCheckTest(t, "atomic-discipline", "atomicfield") }
+func TestRestorableClosure(t *testing.T) { runCheckTest(t, "restorable-closure", "restorable") }
+func TestRegistryCoverage(t *testing.T)  { runCheckTest(t, "registry-coverage", "registrycov") }
+func TestInterceptorDiscipline(t *testing.T) {
+	runCheckTest(t, "interceptor-discipline", "interceptor")
+}
+func TestGuardedEscape(t *testing.T)    { runCheckTest(t, "guarded-escape", "guarded") }
+func TestPoolReset(t *testing.T)        { runCheckTest(t, "pool-reset", "poolreset") }
+func TestSpanEnd(t *testing.T)          { runCheckTest(t, "span-end", "spanend") }
+func TestPayloadOwnership(t *testing.T) { runCheckTest(t, "payload-ownership", "payloadown") }
+func TestCtxPropagation(t *testing.T)   { runCheckTest(t, "ctx-propagation", "ctxprop") }
+func TestAtomicDiscipline(t *testing.T) { runCheckTest(t, "atomic-discipline", "atomicfield") }
 
 func TestPayloadOwnershipClean(t *testing.T) { runCleanTest(t, "payload-ownership", "payloadclean") }
 func TestCtxPropagationClean(t *testing.T)   { runCleanTest(t, "ctx-propagation", "ctxpropclean") }

@@ -40,5 +40,5 @@ func BumpFree() int64 {
 // pair uses sync/atomic consistently on a package variable.
 var epoch uint64
 
-func NextEpoch() uint64   { return atomic.AddUint64(&epoch, 1) }
+func NextEpoch() uint64    { return atomic.AddUint64(&epoch, 1) }
 func CurrentEpoch() uint64 { return atomic.LoadUint64(&epoch) }

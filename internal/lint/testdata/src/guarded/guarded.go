@@ -61,7 +61,7 @@ func Clean(g *Guarded[*Roster]) {
 	g.With(func(r *Roster) {
 		alias := r // new local: stays inside the closure
 		alias.Members = append(alias.Members, "x")
-		r.Head = r // in-graph mutation is what the lock is for
+		r.Head = r             // in-graph mutation is what the lock is for
 		count = len(r.Members) // scalar snapshot, not an escape
 	})
 	_ = count

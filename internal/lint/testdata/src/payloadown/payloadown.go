@@ -32,8 +32,8 @@ func readFrame(r io.Reader) (frame, error) {
 // ReleasePayload mirrors the transport release entry point.
 func ReleasePayload(p []byte) { bufpool.Put(p) }
 
-func work(p []byte) bool   { return len(p) > 0 }
-func consume(p []byte)     { _ = p }
+func work(p []byte) bool      { return len(p) > 0 }
+func consume(p []byte)        { _ = p }
 func inflate(p []byte) []byte { return append([]byte(nil), p...) }
 
 // LeakOnError forgets the buffer on the error return — the classic

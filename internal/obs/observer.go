@@ -123,13 +123,13 @@ type PhaseSnapshot struct {
 
 // MethodSnapshot is the exported aggregate of one (service, method) key.
 type MethodSnapshot struct {
-	Service     string       `json:"service"`
-	Method      string       `json:"method"`
-	Calls       int64        `json:"calls"`
-	Errors      int64        `json:"errors"`
-	KernelCalls int64        `json:"kernel_calls"`
-	BytesIn     int64        `json:"bytes_in"`
-	BytesOut    int64        `json:"bytes_out"`
+	Service     string `json:"service"`
+	Method      string `json:"method"`
+	Calls       int64  `json:"calls"`
+	Errors      int64  `json:"errors"`
+	KernelCalls int64  `json:"kernel_calls"`
+	BytesIn     int64  `json:"bytes_in"`
+	BytesOut    int64  `json:"bytes_out"`
 	// TotalNs is the whole-call latency histogram (nanoseconds).
 	TotalNs HistSnapshot `json:"total_ns"`
 	// Allocs is the per-call heap-allocation histogram; only populated

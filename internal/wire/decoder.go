@@ -19,7 +19,7 @@ type Decoder struct {
 	opts       Options
 	table      []reflect.Value
 	numSeeded  int
-	typeTable  []reflect.Type
+	typeTable  []typeEntry
 	strTable   []string
 	headerDone bool
 
@@ -27,9 +27,14 @@ type Decoder struct {
 	engine Engine
 	access graph.AccessMode
 
-	// kernels routes struct decoding through the compiled field programs
-	// (kernel.go); decided at header time, when the engine is known.
+	// kernels routes value decoding through the compiled per-type programs
+	// (kernel.into); decided at header time, when the engine is known. memo
+	// resolves the types met outside the type table (seeded originals).
 	kernels bool
+	memo    kernelMemo
+
+	// stage is the slab DecodeSeededContent carves its staging cells from.
+	stage stageSlab
 
 	// arena batch-allocates the objects materialized by engine-V3 frames
 	// (arena.go). Lazily created on the first V3 frame; released when the
@@ -77,7 +82,7 @@ func (d *Decoder) Objects() []reflect.Value { return d.table }
 func (d *Decoder) NumSeeded() int { return d.numSeeded }
 
 // BytesRead returns the number of payload bytes consumed so far.
-func (d *Decoder) BytesRead() int64 { return d.r.count }
+func (d *Decoder) BytesRead() int64 { return d.r.bytesRead() }
 
 // Engine returns the engine announced by the stream header; valid after the
 // first decode call.
@@ -215,60 +220,112 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 	if err != nil {
 		return reflect.Value{}, err
 	}
-	switch kind {
-	case contentPtr:
-		if orig.Kind() != reflect.Ptr {
-			return reflect.Value{}, fmt.Errorf("%w: content kind ptr for %s object", ErrBadStream, orig.Kind())
+	var k *kernel
+	if d.kernels {
+		// The original's own kernel leads to its contents' kernels; a run
+		// of records of one type costs one lookup.
+		k = d.memo.of(orig.Type(), d.access)
+	}
+	if kind < contentPtr || kind > contentSlice {
+		return reflect.Value{}, fmt.Errorf("%w: unknown content kind 0x%02x", ErrBadStream, kind)
+	}
+	if want := contentKinds[kind-contentPtr]; orig.Kind() != want {
+		return reflect.Value{}, fmt.Errorf("%w: content kind %s for %s object", ErrBadStream, want, orig.Kind())
+	}
+	if kind == contentPtr {
+		if k != nil {
+			// As under tagPtr: the staging cell exists, decode into it.
+			tmp := d.stagingCell(k, id)
+			return tmp, k.elem.into(d, tmp.Elem(), 0)
 		}
 		tmp := reflect.New(orig.Type().Elem())
-		if d.kernels {
-			// As under tagPtr: the staging cell exists, decode into it.
-			if err := d.decodeValueInto(tmp.Elem(), 0); err != nil {
-				return reflect.Value{}, err
-			}
-			return tmp, nil
-		}
 		elem, err := d.decodeValue(0)
 		if err != nil {
 			return reflect.Value{}, err
 		}
-		if err := setDecoded(tmp.Elem(), elem); err != nil {
-			return reflect.Value{}, err
-		}
-		return tmp, nil
-	case contentMap:
-		if orig.Kind() != reflect.Map {
-			return reflect.Value{}, fmt.Errorf("%w: content kind map for %s object", ErrBadStream, orig.Kind())
-		}
-		n, err := d.r.readLen()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		tmp := reflect.MakeMapWithSize(orig.Type(), n)
-		if err := d.decodeMapEntriesInto(tmp, n); err != nil {
-			return reflect.Value{}, err
-		}
-		return tmp, nil
-	case contentSlice:
-		if orig.Kind() != reflect.Slice {
-			return reflect.Value{}, fmt.Errorf("%w: content kind slice for %s object", ErrBadStream, orig.Kind())
-		}
-		n, err := d.r.readLen()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if n != orig.Len() {
-			return reflect.Value{}, fmt.Errorf("%w: slice object resized %d -> %d; slices are fixed-length array objects",
-				ErrBadStream, orig.Len(), n)
-		}
-		tmp := reflect.MakeSlice(orig.Type(), n, n)
-		if err := d.decodeSliceElemsInto(tmp); err != nil {
-			return reflect.Value{}, err
-		}
-		return tmp, nil
-	default:
-		return reflect.Value{}, fmt.Errorf("%w: unknown content kind 0x%02x", ErrBadStream, kind)
+		return tmp, setDecoded(tmp.Elem(), elem)
 	}
+	n, err := d.r.readLen()
+	if err != nil {
+		return reflect.Value{}, err
+	}
+	if kind == contentMap {
+		tmp := reflect.MakeMapWithSize(orig.Type(), n)
+		if k != nil {
+			return tmp, k.fillMap(d, tmp, n)
+		}
+		return tmp, d.decodeMapEntriesInto(tmp, n)
+	}
+	if n != orig.Len() {
+		return reflect.Value{}, fmt.Errorf("%w: slice object resized %d -> %d; slices are fixed-length array objects",
+			ErrBadStream, orig.Len(), n)
+	}
+	tmp := reflect.MakeSlice(orig.Type(), n, n)
+	if k != nil {
+		return tmp, k.fillElems(d, tmp, 0)
+	}
+	return tmp, d.decodeSliceElemsInto(tmp)
+}
+
+// contentKinds lists, from contentPtr on, the kind of object each content
+// record kind restores.
+var contentKinds = [...]reflect.Kind{reflect.Ptr, reflect.Map, reflect.Slice}
+
+// maxStageSlab caps the cells of one staging slab.
+const maxStageSlab = 256
+
+// stageSlab hands out the contentPtr staging cells of one reply. The cells
+// are private to the apply and dead once it commits, so a run of records
+// of one type shares one allocation — unlike decoded objects, which escape
+// to the application one by one and so are allocated one by one. cells is
+// a settable []pointee whose header stays with a pooled decoder (its
+// backing array does not: drop); left is the number of cells that may still
+// be reserved: the records to come (ExpectContents) less the cells of the
+// slabs made so far, so a reply never gets more cells than it has records,
+// however its types alternate.
+type stageSlab struct {
+	k     *kernel // pointer kernel whose pointees cells holds
+	cells reflect.Value
+	next  int
+	left  int
+}
+
+// drop forgets the current slab; cells already handed out keep it alive.
+func (s *stageSlab) drop() {
+	if s.k != nil {
+		s.cells.SetZero()
+	}
+	s.next, s.left = 0, 0
+}
+
+// ExpectContents announces that n DecodeSeededContent records follow.
+func (d *Decoder) ExpectContents(n int) { d.stage.left = n }
+
+// stagingCell returns a zeroed pointee cell for the content record of
+// seeded pointer id, whose kernel is k. A new slab is sized by the run of
+// seeded objects of the same type that starts at id — the records that will
+// use it, when the peer ships them in ascending order.
+func (d *Decoder) stagingCell(k *kernel, id int) reflect.Value {
+	s := &d.stage
+	if s.k != k || s.next == s.cells.Len() {
+		run, most := 1, min(s.left, maxStageSlab, d.numSeeded-id)
+		for run < most && d.table[id+run].Type() == k.t {
+			run++
+		}
+		s.left -= run
+		if run == 1 {
+			return reflect.New(k.elem.t)
+		}
+		if s.k != k {
+			s.k, s.cells = k, reflect.New(k.cells).Elem()
+		}
+		s.cells.SetZero()
+		s.cells.Grow(run)
+		s.cells.SetLen(run)
+		s.next = 0
+	}
+	s.next++
+	return s.cells.Index(s.next - 1).Addr()
 }
 
 const maxDecodeDepth = 10000
@@ -284,57 +341,17 @@ func (d *Decoder) decodeValue(depth int) (reflect.Value, error) {
 	return d.decodeTagged(tag, depth)
 }
 
-// decodeValueInto decodes the next value directly into dst when the wire
-// form allows it — a scalar payload or struct body of dst's exact type —
-// skipping the intermediate reflect.New staging value of the generic path.
-// Every other tag (nil, refs, pointers, interface-typed destinations, …)
-// falls back to decodeValue + setDecoded, so behavior and errors are
-// identical. Only the compiled-kernel paths call this; the generic and
-// ablation paths keep their original allocation profile.
-func (d *Decoder) decodeValueInto(dst reflect.Value, depth int) error {
-	if depth > maxDecodeDepth {
-		return graph.ErrDepthExceeded
-	}
-	tag, err := d.r.readByte()
+// decodeRef reads the operand of a tagRef.
+func (d *Decoder) decodeRef() (reflect.Value, error) {
+	id, err := d.r.readLen()
 	if err != nil {
-		return err
+		return reflect.Value{}, err
 	}
-	switch tag {
-	case tagScalar:
-		st, err := d.decodeType()
-		if err != nil {
-			return err
-		}
-		if st == dst.Type() {
-			return d.scalarPayloadInto(dst)
-		}
-		fv, err := d.decodeScalarPayload(st)
-		if err != nil {
-			return err
-		}
-		return setDecoded(dst, fv)
-	case tagStruct:
-		st, err := d.decodeType()
-		if err != nil {
-			return err
-		}
-		if st.Kind() != reflect.Struct {
-			return fmt.Errorf("%w: tagStruct with non-struct type %s", ErrBadStream, st)
-		}
-		if st == dst.Type() {
-			return d.decodeStructInto(dst, depth)
-		}
-		fv, err := d.decodeStruct(st, depth)
-		if err != nil {
-			return err
-		}
-		return setDecoded(dst, fv)
+	if id >= len(d.table) {
+		return reflect.Value{}, fmt.Errorf("%w: reference to unknown object %d", ErrBadStream, id)
 	}
-	fv, err := d.decodeTagged(tag, depth)
-	if err != nil {
-		return err
-	}
-	return setDecoded(dst, fv)
+	d.lowRef = min(d.lowRef, id)
+	return d.table[id], nil
 }
 
 func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
@@ -343,16 +360,12 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		return reflect.Value{}, nil
 
 	case tagRef:
-		id, err := d.r.readLen()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if id >= len(d.table) {
-			return reflect.Value{}, fmt.Errorf("%w: reference to unknown object %d", ErrBadStream, id)
-		}
-		d.lowRef = min(d.lowRef, id)
-		return d.table[id], nil
-
+		return d.decodeRef()
+	}
+	if d.kernels {
+		return d.decodeKernel(tag, depth)
+	}
+	switch tag {
 	case tagPtr:
 		elemT, err := d.decodeType()
 		if err != nil {
@@ -360,14 +373,6 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		}
 		pv := reflect.New(elemT)
 		d.table = append(d.table, pv) // register before content: cycles resolve
-		if d.kernels {
-			// The pointee cell already exists; decode its content in place
-			// rather than staging it through a second allocation.
-			if err := d.decodeValueInto(pv.Elem(), depth+1); err != nil {
-				return reflect.Value{}, err
-			}
-			return pv, nil
-		}
 		elem, err := d.decodeValue(depth + 1)
 		if err != nil {
 			return reflect.Value{}, err
@@ -391,10 +396,7 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		}
 		mv := reflect.MakeMapWithSize(mt, n)
 		d.table = append(d.table, mv)
-		if err := d.decodeMapEntriesInto(mv, n); err != nil {
-			return reflect.Value{}, err
-		}
-		return mv, nil
+		return mv, d.decodeMapEntriesInto(mv, n)
 
 	case tagSlice:
 		st, err := d.decodeType()
@@ -410,10 +412,7 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		}
 		sv := reflect.MakeSlice(st, n, n)
 		d.table = append(d.table, sv)
-		if err := d.decodeSliceElemsInto(sv); err != nil {
-			return reflect.Value{}, err
-		}
-		return sv, nil
+		return sv, d.decodeSliceElemsInto(sv)
 
 	case tagStruct:
 		st, err := d.decodeType()
@@ -423,7 +422,8 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		if st.Kind() != reflect.Struct {
 			return reflect.Value{}, fmt.Errorf("%w: tagStruct with non-struct type %s", ErrBadStream, st)
 		}
-		return d.decodeStruct(st, depth)
+		sv := reflect.New(st).Elem()
+		return sv, d.decodeStructInto(sv, depth)
 
 	case tagArray:
 		at, err := d.decodeType()
@@ -450,7 +450,8 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		if err != nil {
 			return reflect.Value{}, err
 		}
-		return d.decodeScalarPayload(st)
+		v := reflect.New(st).Elem()
+		return v, d.scalarPayloadInto(v)
 
 	default:
 		return reflect.Value{}, fmt.Errorf("%w: unknown value tag 0x%02x", ErrBadStream, tag)
@@ -493,14 +494,6 @@ func (d *Decoder) decodeSliceElemsInto(sv reflect.Value) error {
 	return nil
 }
 
-func (d *Decoder) decodeStruct(st reflect.Type, depth int) (reflect.Value, error) {
-	sv := reflect.New(st).Elem()
-	if err := d.decodeStructInto(sv, depth); err != nil {
-		return reflect.Value{}, err
-	}
-	return sv, nil
-}
-
 // decodeStructInto decodes a struct body into sv, which must be an
 // addressable value of the encoded type.
 func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
@@ -539,23 +532,6 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 		}
 		return nil
 	}
-	if d.kernels {
-		// Compiled field program: plan order with the fieldForWrite accessor
-		// decision (direct vs. laundered) resolved once per type. sv is
-		// always addressable here, so fields decode in place.
-		k := decKernelFor(st, d.access)
-		for i := range k.fields {
-			f := &k.fields[i]
-			dst := sv.Field(f.index)
-			if f.launder {
-				dst = graph.Launder(dst)
-			}
-			if err := d.decodeValueInto(dst, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	p := planFor(st, d.access, !d.opts.DisablePlanCache)
 	for _, pf := range p.fields {
 		fv, err := d.decodeValue(depth + 1)
@@ -576,19 +552,10 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 	return nil
 }
 
-func (d *Decoder) decodeScalarPayload(t reflect.Type) (reflect.Value, error) {
-	v := reflect.New(t).Elem()
-	if err := d.scalarPayloadInto(v); err != nil {
-		return reflect.Value{}, err
-	}
-	return v, nil
-}
-
 // scalarPayloadInto reads a scalar payload directly into v, which must be a
 // settable value of the encoded scalar type.
 func (d *Decoder) scalarPayloadInto(v reflect.Value) error {
-	t := v.Type()
-	switch t.Kind() {
+	switch v.Kind() {
 	case reflect.Bool:
 		b, err := d.r.readByte()
 		if err != nil {
@@ -601,7 +568,7 @@ func (d *Decoder) scalarPayloadInto(v reflect.Value) error {
 			return err
 		}
 		if v.OverflowInt(i) {
-			return fmt.Errorf("%w: %d overflows %s", ErrBadStream, i, t)
+			return fmt.Errorf("%w: %d overflows %s", ErrBadStream, i, v.Type())
 		}
 		v.SetInt(i)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
@@ -610,7 +577,7 @@ func (d *Decoder) scalarPayloadInto(v reflect.Value) error {
 			return err
 		}
 		if v.OverflowUint(u) {
-			return fmt.Errorf("%w: %d overflows %s", ErrBadStream, u, t)
+			return fmt.Errorf("%w: %d overflows %s", ErrBadStream, u, v.Type())
 		}
 		v.SetUint(u)
 	case reflect.Float32, reflect.Float64:
@@ -636,7 +603,7 @@ func (d *Decoder) scalarPayloadInto(v reflect.Value) error {
 		}
 		v.SetString(s)
 	default:
-		return fmt.Errorf("%w: scalar descriptor with kind %s", ErrBadStream, t.Kind())
+		return fmt.Errorf("%w: scalar descriptor with kind %s", ErrBadStream, v.Kind())
 	}
 	return nil
 }

@@ -113,34 +113,72 @@ func (e *Encoder) encodeTypeBody(t reflect.Type) error {
 	}
 }
 
+// typeEntry is one slot of the decoder's stream type table: the type, and
+// its kernel for the stream's access mode once a value of the type has been
+// decoded (engine V3: once a struct of the type has been).
+type typeEntry struct {
+	t reflect.Type
+	k *kernel
+}
+
 // decodeType reads one type descriptor.
 func (d *Decoder) decodeType() (reflect.Type, error) {
+	t, _, err := d.decodeTypeSlot()
+	return t, err
+}
+
+// decodeTypeSlot reads one type descriptor and also returns the type's
+// index in the stream type table, or -1 for a type spelled out in place.
+func (d *Decoder) decodeTypeSlot() (reflect.Type, int, error) {
 	b, err := d.r.readByte()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	switch b {
 	case dTableRef:
 		idx, err := d.r.readLen()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if idx >= len(d.typeTable) || d.typeTable[idx] == nil {
-			return nil, fmt.Errorf("%w: type table index %d out of range", ErrBadStream, idx)
+		if idx >= len(d.typeTable) || d.typeTable[idx].t == nil {
+			return nil, 0, fmt.Errorf("%w: type table index %d out of range", ErrBadStream, idx)
 		}
-		return d.typeTable[idx], nil
+		return d.typeTable[idx].t, idx, nil
 	case dTableDef:
 		idx := len(d.typeTable)
-		d.typeTable = append(d.typeTable, nil)
+		d.typeTable = append(d.typeTable, typeEntry{})
 		t, err := d.decodeTypeBody()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		d.typeTable[idx] = t
-		return t, nil
+		d.typeTable[idx].t = t
+		return t, idx, nil
 	default:
-		return d.decodeTypeBodyWithLead(b)
+		t, err := d.decodeTypeBodyWithLead(b)
+		return t, -1, err
 	}
+}
+
+// decodeKernelType reads one type descriptor and returns the type's kernel,
+// resolved once per stream-level type.
+func (d *Decoder) decodeKernelType() (*kernel, error) {
+	t, slot, err := d.decodeTypeSlot()
+	if err != nil {
+		return nil, err
+	}
+	if slot < 0 {
+		return d.memo.of(t, d.access), nil
+	}
+	return d.kernelAt(slot), nil
+}
+
+// kernelAt returns the kernel of type table entry slot.
+func (d *Decoder) kernelAt(slot int) *kernel {
+	e := &d.typeTable[slot]
+	if e.k == nil {
+		e.k = kernelFor(e.t, d.access)
+	}
+	return e.k
 }
 
 func (d *Decoder) decodeTypeBody() (reflect.Type, error) {

@@ -28,6 +28,12 @@ type Encoder struct {
 	// kernels routes value encoding through the compiled per-type programs
 	// (kernel.go); derived from opts, cached here for the hot path.
 	kernels bool
+	// memo resolves the types this stream meets dynamically; dense maps a
+	// kernel's sequence number to 1 + its type's index in this stream's
+	// type table (0: not met yet), touched lists the slots to clear.
+	memo    kernelMemo
+	dense   []int32
+	touched []int32
 	// flat is the engine-V3 frame-assembly scratch state (flat.go), created
 	// lazily and retained across frames and pooled reuse.
 	flat *flatEnc
@@ -75,17 +81,14 @@ func (e *Encoder) LowestRef() int { return e.lowRef }
 // writeRef emits a back-reference to object id.
 func (e *Encoder) writeRef(id int) error {
 	e.lowRef = min(e.lowRef, id)
-	if err := e.w.writeByte(tagRef); err != nil {
-		return err
-	}
-	return e.w.writeUint(uint64(id))
+	return e.w.writeTagged(tagRef, uint64(id))
 }
 
 // BytesWritten returns the number of payload bytes produced so far.
 func (e *Encoder) BytesWritten() int64 { return e.w.bytesWritten() }
 
 // Flush pushes buffered output to the underlying writer.
-func (e *Encoder) Flush() error { return e.w.flush() }
+func (e *Encoder) Flush() error { return e.w.spill() }
 
 // header emits the stream header exactly once. Misconfigured engines fail
 // here with the typed error rather than producing a stream no decoder can
@@ -177,18 +180,27 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 		return fmt.Errorf("wire: EncodeSeededContent(%d): no such object", id)
 	}
 	obj := e.objs[id]
+	var k *kernel
+	if e.kernels {
+		// The object's own kernel leads to its contents' kernels; a run of
+		// records of one type costs one lookup.
+		k = e.memo.of(obj.Type(), e.opts.Access)
+	}
 	switch obj.Kind() {
 	case reflect.Ptr:
 		if err := e.w.writeByte(contentPtr); err != nil {
 			return err
+		}
+		if k != nil {
+			return k.elem.enc(e, obj.Elem(), 0)
 		}
 		return e.encodeValue(obj.Elem(), 0)
 	case reflect.Map:
 		if err := e.w.writeByte(contentMap); err != nil {
 			return err
 		}
-		if e.kernels {
-			return encKernelFor(obj.Type(), e.opts.Access).encElems(e, obj, 0)
+		if k != nil {
+			return k.encElems(e, obj, 0)
 		}
 		return e.encodeMapEntries(obj, 0)
 	case reflect.Slice:
@@ -198,8 +210,8 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 		if err := e.w.writeUint(uint64(obj.Len())); err != nil {
 			return err
 		}
-		if e.kernels {
-			return encKernelFor(obj.Type(), e.opts.Access).encElems(e, obj, 0)
+		if k != nil {
+			return k.encElems(e, obj, 0)
 		}
 		return e.encodeSliceElems(obj, 0)
 	default:
@@ -217,10 +229,10 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int) error {
 		return e.w.writeByte(tagNil)
 	}
 	if e.kernels {
-		// Compiled fast path: one cache load here, straight-line per-field
-		// ops below it, byte-identical output. The generic switch below is
-		// the V1 / ablation reference path.
-		return encKernelFor(v.Type(), e.opts.Access).enc(e, v, depth)
+		// Compiled fast path: one memo probe for the root, straight-line
+		// per-field ops below it, byte-identical output. The generic switch
+		// below is the V1 / ablation reference path.
+		return e.memo.of(v.Type(), e.opts.Access).enc(e, v, depth)
 	}
 	switch v.Kind() {
 	case reflect.Interface:

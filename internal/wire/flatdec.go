@@ -124,12 +124,13 @@ func (d *Decoder) arenaFor() *Arena {
 	return d.arena
 }
 
-// ReleaseArena releases the decoder's arena (dropping its slab references)
-// without recycling the decoder itself. The core layer calls it on failed
-// restores, where the decoder must be abandoned but the arena's lifetime
-// contract — released exactly once per call — still holds. Objects already
-// handed out survive through ordinary GC reachability.
+// ReleaseArena releases the decoder's arena and its staging slab (dropping
+// the slab references) without recycling the decoder itself. The core layer
+// calls it on failed restores, where the decoder must be abandoned but the
+// arena's lifetime contract — released exactly once per call — still holds.
+// Objects already handed out survive through ordinary GC reachability.
 func (d *Decoder) ReleaseArena() {
+	d.stage.drop()
 	if d.arena != nil {
 		d.arena.Release()
 		d.arena = nil
@@ -249,11 +250,11 @@ func (d *Decoder) flatTypeDef(c *flatCur) error {
 		if err != nil {
 			return nil, err
 		}
-		if int(idx) >= len(d.typeTable) || d.typeTable[idx] == nil {
+		if int(idx) >= len(d.typeTable) || d.typeTable[idx].t == nil {
 			return nil, fmt.Errorf("%w: type def references index %d of %d",
 				ErrBadStream, idx, len(d.typeTable))
 		}
-		return d.typeTable[idx], nil
+		return d.typeTable[idx].t, nil
 	}
 	var t reflect.Type
 	switch lead {
@@ -321,15 +322,15 @@ func (d *Decoder) flatTypeDef(c *flatCur) error {
 		}
 		t = kt
 	}
-	d.typeTable = append(d.typeTable, t)
+	d.typeTable = append(d.typeTable, typeEntry{t: t})
 	return nil
 }
 
 func (d *Decoder) flatTypeAt(idx uint32) (reflect.Type, error) {
-	if int(idx) >= len(d.typeTable) || d.typeTable[idx] == nil {
+	if int(idx) >= len(d.typeTable) || d.typeTable[idx].t == nil {
 		return nil, fmt.Errorf("%w: type index %d of %d", ErrBadStream, idx, len(d.typeTable))
 	}
-	return d.typeTable[idx], nil
+	return d.typeTable[idx].t, nil
 }
 
 // flatShell materializes an empty object from a record header: pointers and
@@ -509,13 +510,13 @@ func (d *Decoder) flatFillValue(c *flatCur, dst reflect.Value, depth int) error 
 			return fmt.Errorf("%w: struct value with non-struct type %s", ErrBadStream, st)
 		}
 		if st == dst.Type() {
-			return d.flatFillStruct(c, dst, depth)
+			return d.flatFillStruct(c, d.kernelAt(int(idx)), dst, depth)
 		}
 		if !st.AssignableTo(dst.Type()) {
 			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, st, dst.Type())
 		}
 		v := reflect.New(st).Elem()
-		if err := d.flatFillStruct(c, v, depth); err != nil {
+		if err := d.flatFillStruct(c, d.kernelAt(int(idx)), v, depth); err != nil {
 			return err
 		}
 		dst.Set(v)
@@ -558,11 +559,10 @@ func (d *Decoder) flatFillValue(c *flatCur, dst reflect.Value, depth int) error 
 	}
 }
 
-// flatFillStruct fills a struct body into sv (an addressable value of the
-// encoded type), in plan order, laundering unexported fields exactly like
-// the V2 in-place kernel path.
-func (d *Decoder) flatFillStruct(c *flatCur, sv reflect.Value, depth int) error {
-	k := decKernelFor(sv.Type(), d.access)
+// flatFillStruct fills a struct body into sv (an addressable value of k's
+// type, the encoded one), in plan order, laundering unexported fields
+// exactly like the V2 in-place kernel path.
+func (d *Decoder) flatFillStruct(c *flatCur, k *kernel, sv reflect.Value, depth int) error {
 	for i := range k.fields {
 		f := &k.fields[i]
 		dst := sv.Field(f.index)
@@ -700,7 +700,7 @@ func (d *Decoder) flatAnyValue(c *flatCur, depth int) (reflect.Value, error) {
 			if t.Kind() != reflect.Struct {
 				return reflect.Value{}, fmt.Errorf("%w: struct value with non-struct type %s", ErrBadStream, t)
 			}
-			err = d.flatFillStruct(c, v, depth)
+			err = d.flatFillStruct(c, d.kernelAt(int(idx)), v, depth)
 		case fArray:
 			if t.Kind() != reflect.Array {
 				return reflect.Value{}, fmt.Errorf("%w: array value with non-array type %s", ErrBadStream, t)
@@ -1007,9 +1007,9 @@ func (d *Decoder) flatCheckValue(c *flatCur, t reflect.Type, depth int) error {
 		if st != t && !st.AssignableTo(t) {
 			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, st, t)
 		}
-		k := decKernelFor(st, d.access)
+		k := d.kernelAt(int(idx))
 		for i := range k.fields {
-			if err := d.flatCheckValue(c, st.Field(k.fields[i].index).Type, depth+1); err != nil {
+			if err := d.flatCheckValue(c, k.fields[i].k.t, depth+1); err != nil {
 				return err
 			}
 		}

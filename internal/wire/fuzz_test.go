@@ -66,23 +66,51 @@ func FuzzDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder(bytes.NewReader(data), Options{Registry: reg, MaxElems: 1 << 12})
+		// The zero-copy bytes-mode decoder parses the payload in place; it
+		// must be exactly as junk-proof as the staging stream reader, and
+		// the two must agree: same outcome at every value, equal graphs.
+		opts := Options{Registry: reg, MaxElems: 1 << 12}
+		dec := NewDecoder(bytes.NewReader(data), opts)
+		decB := NewDecoderBytes(data, opts)
+		defer dec.ReleaseArena()
+		defer decB.ReleaseArena()
 		for i := 0; i < 4; i++ {
-			if _, err := dec.Decode(); err != nil {
+			v, err := dec.Decode()
+			vB, errB := decB.Decode()
+			if errClass(err) != errClass(errB) {
+				t.Fatalf("value %d: stream mode: %v; bytes mode: %v", i, err, errB)
+			}
+			if err != nil {
 				break // errors are the expected outcome for junk
 			}
-		}
-		dec.ReleaseArena()
-		// The zero-copy bytes-mode decoder slices the payload directly; it
-		// must be exactly as junk-proof as the staging stream reader.
-		decB := NewDecoderBytes(data, Options{Registry: reg, MaxElems: 1 << 12})
-		for i := 0; i < 4; i++ {
-			if _, err := decB.Decode(); err != nil {
-				break
+			if dec.BytesRead() != decB.BytesRead() {
+				t.Fatalf("value %d: stream mode read %d bytes, bytes mode %d", i, dec.BytesRead(), decB.BytesRead())
+			}
+			if !sameGraph(t, reg, v, vB) {
+				t.Fatalf("value %d: the two modes decoded different graphs: %#v vs %#v", i, v, vB)
 			}
 		}
-		decB.ReleaseArena()
 	})
+}
+
+// sameGraph reports whether a and b are graph.Equal — or, where Equal's
+// float comparison cannot say so (NaN payloads), encode to the same bytes.
+func sameGraph(t *testing.T, reg *Registry, a, b any) bool {
+	if eq, err := graph.Equal(graph.AccessExported, a, b); err == nil && eq {
+		return true
+	}
+	encode := func(v any) []byte {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf, Options{Registry: reg})
+		if err := enc.Encode(v); err != nil {
+			t.Fatalf("re-encoding a decoded value: %v", err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	return bytes.Equal(encode(a), encode(b))
 }
 
 // FuzzRoundTrip mutates a tree-describing byte string into tree shapes and

@@ -10,97 +10,168 @@ import (
 	"nrmi/internal/bufpool"
 )
 
+// writerBufSize is the spill threshold of the buffered engines' writer.
+const writerBufSize = 4096
+
 // writer is the byte-emission layer. Engine V1 uses an unbuffered,
 // fixed-width implementation (every primitive is a separate small Write to
 // the underlying stream, like the layered JDK 1.3 path); engines V2 and V3
-// buffer and use varints for the raw protocol primitives (V3's value
-// payloads live inside flat frames and never reach writeUint).
+// append to buf — a fixed-capacity slice that stays with a pooled Encoder —
+// and spill it to the destination whenever it fills, using varints for the
+// raw protocol primitives (V3's value payloads live inside flat frames and
+// never reach writeUint). Under V1 buf is nil, so every fast path below
+// fails its room check and lands in the slow function that owns the V1 form.
 type writer struct {
 	raw     io.Writer
-	buf     *bufio.Writer // non-nil for V2/V3
+	buf     []byte // V2/V3: pending bytes, cap writerBufSize
 	engine  Engine
-	scratch [binary.MaxVarintLen64]byte
-	count   int64
+	scratch [8]byte // V1 fixed-width staging
+	flushed int64   // bytes handed to raw so far
+	err     error   // first spill failure; sticky, as bufio's was
 }
 
 func newWriter(w io.Writer, engine Engine) *writer {
-	wr := &writer{raw: w, engine: engine}
-	if engine != EngineV1 {
-		wr.buf = bufio.NewWriterSize(w, 4096)
-	}
+	wr := &writer{}
+	wr.reset(w, engine)
 	return wr
 }
 
 // reset re-arms a pooled writer onto a new destination, reusing the
-// buffered engines' bufio buffer.
+// buffered engines' buffer.
 func (w *writer) reset(dst io.Writer, engine Engine) {
 	w.raw = dst
 	w.engine = engine
-	w.count = 0
-	if engine != EngineV1 {
-		if w.buf == nil {
-			w.buf = bufio.NewWriterSize(dst, 4096)
-		} else {
-			w.buf.Reset(dst)
-		}
-	} else {
+	w.flushed = 0
+	w.err = nil
+	switch {
+	case engine == EngineV1:
 		w.buf = nil
+	case w.buf == nil:
+		w.buf = make([]byte, 0, writerBufSize)
+	default:
+		w.buf = w.buf[:0]
 	}
 }
 
 // bytesWritten returns the number of payload bytes emitted so far,
-// including bytes still sitting in the V2 buffer.
-func (w *writer) bytesWritten() int64 { return w.count }
+// including bytes still sitting in the buffer.
+func (w *writer) bytesWritten() int64 { return w.flushed + int64(len(w.buf)) }
+
+// spill hands the pending bytes to the destination. A failure leaves the
+// buffer full, so every later write reaches a slow path and reports the
+// same error.
+func (w *writer) spill() error {
+	if w.err == nil && len(w.buf) > 0 {
+		if _, w.err = w.raw.Write(w.buf); w.err != nil {
+			w.buf = w.buf[:cap(w.buf)]
+			return w.err
+		}
+		w.flushed += int64(len(w.buf))
+		w.buf = w.buf[:0]
+	}
+	return w.err
+}
+
+// room makes sure n more bytes (n <= writerBufSize) fit the buffer.
+func (w *writer) room(n int) error {
+	if w.err != nil || cap(w.buf)-len(w.buf) < n {
+		return w.spill()
+	}
+	return nil
+}
 
 func (w *writer) write(p []byte) error {
-	var err error
-	if w.buf != nil {
-		_, err = w.buf.Write(p)
-	} else {
-		_, err = w.raw.Write(p)
+	if w.engine != EngineV1 && len(p) < writerBufSize {
+		if err := w.room(len(p)); err != nil {
+			return err
+		}
+		w.buf = append(w.buf, p...)
+		return nil
 	}
-	if err == nil {
-		w.count += int64(len(p))
+	// V1, or a block that would never fit: straight to the destination.
+	if err := w.spill(); err != nil {
+		return err
+	}
+	n, err := w.raw.Write(p)
+	w.flushed += int64(n)
+	if w.engine != EngineV1 {
+		w.err = err
 	}
 	return err
 }
 
 func (w *writer) writeByte(b byte) error {
-	if w.buf != nil {
-		if err := w.buf.WriteByte(b); err != nil {
-			return err
-		}
-		w.count++
+	if len(w.buf) < cap(w.buf) {
+		w.buf = append(w.buf, b)
 		return nil
 	}
-	return w.write([]byte{b})
+	return w.writeByteSlow(b)
+}
+
+func (w *writer) writeByteSlow(b byte) error {
+	if w.engine == EngineV1 {
+		return w.write([]byte{b})
+	}
+	if err := w.spill(); err != nil {
+		return err
+	}
+	w.buf = append(w.buf, b)
+	return nil
+}
+
+// writeTagged emits a lead byte followed by an unsigned integer: the shape
+// of a back-reference and of a type-table reference.
+func (w *writer) writeTagged(tag byte, v uint64) error {
+	if v < 0x80 && cap(w.buf)-len(w.buf) >= 2 {
+		w.buf = append(w.buf, tag, byte(v))
+		return nil
+	}
+	if err := w.writeByte(tag); err != nil {
+		return err
+	}
+	return w.writeUint(v)
 }
 
 // writeUint emits an unsigned integer: uvarint under V2/V3, fixed 8 bytes
 // big-endian under V1.
 func (w *writer) writeUint(v uint64) error {
-	if w.engine != EngineV1 {
-		n := binary.PutUvarint(w.scratch[:], v)
-		return w.write(w.scratch[:n])
+	if v < 0x80 && len(w.buf) < cap(w.buf) {
+		w.buf = append(w.buf, byte(v))
+		return nil
 	}
-	binary.BigEndian.PutUint64(w.scratch[:8], v)
-	return w.write(w.scratch[:8])
+	return w.writeUintSlow(v)
+}
+
+func (w *writer) writeUintSlow(v uint64) error {
+	if w.engine == EngineV1 {
+		binary.BigEndian.PutUint64(w.scratch[:8], v)
+		return w.write(w.scratch[:8])
+	}
+	if err := w.room(binary.MaxVarintLen64); err != nil {
+		return err
+	}
+	w.buf = binary.AppendUvarint(w.buf, v)
+	return nil
 }
 
 // writeInt emits a signed integer: zigzag varint under V2, fixed 8 bytes
 // under V1.
 func (w *writer) writeInt(v int64) error {
-	if w.engine != EngineV1 {
-		n := binary.PutVarint(w.scratch[:], v)
-		return w.write(w.scratch[:n])
+	if w.engine == EngineV1 {
+		return w.writeUintSlow(uint64(v))
 	}
-	binary.BigEndian.PutUint64(w.scratch[:8], uint64(v))
-	return w.write(w.scratch[:8])
+	return w.writeUint(uint64(v)<<1 ^ uint64(v>>63))
 }
 
 func (w *writer) writeFloat(v float64) error {
-	binary.BigEndian.PutUint64(w.scratch[:8], math.Float64bits(v))
-	return w.write(w.scratch[:8])
+	if w.engine == EngineV1 {
+		return w.writeUintSlow(math.Float64bits(v))
+	}
+	if err := w.room(8); err != nil {
+		return err
+	}
+	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
+	return nil
 }
 
 func (w *writer) writeString(s string) error {
@@ -116,15 +187,14 @@ func (w *writer) writeString(s string) error {
 		}
 		return nil
 	}
-	// V2 writes straight from the string, avoiding the []byte(s) copy.
-	n, err := w.buf.WriteString(s)
-	w.count += int64(n)
-	return err
-}
-
-func (w *writer) flush() error {
-	if w.buf != nil {
-		return w.buf.Flush()
+	// V2 copies straight from the string, a buffer-full at a time.
+	for len(s) > 0 {
+		if err := w.room(1); err != nil {
+			return err
+		}
+		n := copy(w.buf[len(w.buf):cap(w.buf)], s)
+		w.buf = w.buf[:len(w.buf)+n]
+		s = s[n:]
 	}
 	return nil
 }
@@ -132,17 +202,18 @@ func (w *writer) flush() error {
 // reader is the byte-consumption layer, adapting to the engine announced in
 // the stream header. It has two source modes: stream mode (an io.Reader,
 // buffered for V2/V3) and bytes mode (the whole message held in data, as
-// when the transport hands over a pooled payload). Bytes mode lets slice
-// return windows of the payload without copying — the zero-copy input for
-// engine V3's flat frames.
+// when the transport hands over a pooled payload). Bytes mode parses
+// straight out of the slice and lets slice return windows of the payload
+// without copying — the zero-copy input for engine V3's flat frames. Both
+// modes report running out of input as io.ErrUnexpectedEOF.
 type reader struct {
 	raw      io.Reader
 	br       *bufio.Reader
-	data     []byte // bytes mode: the full message
-	dpos     int    // bytes mode: read position
+	data     []byte // bytes mode: the full message (never nil in that mode)
+	dpos     int    // bytes mode: read position == bytes consumed
 	engine   Engine
 	scratch  [8]byte
-	count    int64
+	count    int64 // stream mode: bytes consumed
 	maxElems int
 	// spare parks the bufio.Reader between pooled uses: reset cannot
 	// leave br set (the engine of the next stream is unknown until its
@@ -171,6 +242,7 @@ func (r *reader) setEngine(e Engine) {
 // unknown until the next header is read.
 func (r *reader) reset(src io.Reader, maxElems int) {
 	if r.br != nil {
+		r.br.Reset(nil) // do not retain the caller's reader
 		r.spare, r.br = r.br, nil
 	}
 	r.raw = src
@@ -184,49 +256,55 @@ func (r *reader) reset(src io.Reader, maxElems int) {
 // resetBytes re-arms a pooled reader onto an in-memory message.
 func (r *reader) resetBytes(data []byte, maxElems int) {
 	r.reset(nil, maxElems)
+	if data == nil {
+		data = []byte{}
+	}
 	r.data = data
 }
 
-func (r *reader) bytesRead() int64 { return r.count }
+func (r *reader) bytesRead() int64 { return r.count + int64(r.dpos) }
 
-func (r *reader) readFull(p []byte) error {
-	if r.data != nil {
-		if len(r.data)-r.dpos < len(p) {
-			return io.ErrUnexpectedEOF
-		}
-		copy(p, r.data[r.dpos:])
-		r.dpos += len(p)
-		r.count += int64(len(p))
-		return nil
-	}
-	var err error
-	if r.br != nil {
-		_, err = io.ReadFull(r.br, p)
-	} else {
-		_, err = io.ReadFull(r.raw, p)
-	}
-	if err == nil {
-		r.count += int64(len(p))
+// eof maps the end of a stream source onto the error bytes mode reports.
+func eof(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
 	return err
 }
 
-func (r *reader) readByte() (byte, error) {
+func (r *reader) readFull(p []byte) error {
 	if r.data != nil {
-		if r.dpos >= len(r.data) {
-			return 0, io.ErrUnexpectedEOF
+		if len(r.data)-r.dpos < len(p) {
+			r.dpos = len(r.data)
+			return io.ErrUnexpectedEOF
 		}
-		b := r.data[r.dpos]
+		copy(p, r.data[r.dpos:])
+		r.dpos += len(p)
+		return nil
+	}
+	src := r.raw
+	if r.br != nil {
+		src = r.br
+	}
+	n, err := io.ReadFull(src, p)
+	r.count += int64(n)
+	return eof(err)
+}
+
+func (r *reader) readByte() (byte, error) {
+	switch {
+	case r.dpos < len(r.data):
 		r.dpos++
+		return r.data[r.dpos-1], nil
+	case r.data != nil:
+		return 0, io.ErrUnexpectedEOF
+	case r.br != nil:
+		b, err := r.br.ReadByte()
+		if err != nil {
+			return 0, eof(err)
+		}
 		r.count++
 		return b, nil
-	}
-	if r.br != nil {
-		b, err := r.br.ReadByte()
-		if err == nil {
-			r.count++
-		}
-		return b, err
 	}
 	err := r.readFull(r.scratch[:1])
 	return r.scratch[0], err
@@ -247,7 +325,6 @@ func (r *reader) slice(n int) (p []byte, owned bool, err error) {
 		}
 		p = r.data[r.dpos : r.dpos+n : r.dpos+n]
 		r.dpos += n
-		r.count += int64(n)
 		return p, false, nil
 	}
 	p = bufpool.Get(n)
@@ -258,31 +335,70 @@ func (r *reader) slice(n int) (p []byte, owned bool, err error) {
 	return p, true, nil
 }
 
-// ReadByte implements io.ByteReader so the reader can be handed to
-// binary.ReadUvarint directly. The previous adapter (a method-value
-// closure) allocated once per varint read — the single hottest
-// allocation site in the V2 decode path.
-func (r *reader) ReadByte() (byte, error) { return r.readByte() }
+// errVarint is the overlong-varint error of both source modes.
+var errVarint = fmt.Errorf("%w: varint overflows 64 bits", ErrBadStream)
 
+// readUint reads an unsigned integer: uvarint under V2/V3, fixed 8 bytes
+// big-endian under V1. The one-byte uvarint of bytes mode — nearly every
+// tag operand, index and small scalar — is answered here.
 func (r *reader) readUint() (uint64, error) {
-	if r.engine != EngineV1 {
-		v, err := binary.ReadUvarint(r)
-		return v, err
+	if r.dpos < len(r.data) && r.engine != EngineV1 {
+		if b := r.data[r.dpos]; b < 0x80 {
+			r.dpos++
+			return uint64(b), nil
+		}
 	}
-	if err := r.readFull(r.scratch[:8]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(r.scratch[:8]), nil
+	return r.readUintSlow()
 }
 
+func (r *reader) readUintSlow() (uint64, error) {
+	if r.engine == EngineV1 {
+		if err := r.readFull(r.scratch[:8]); err != nil {
+			return 0, err
+		}
+		return binary.BigEndian.Uint64(r.scratch[:8]), nil
+	}
+	if r.data != nil {
+		// In-slice parse, binary.Uvarint with the stream loop's accounting:
+		// an overlong varint consumes its ten bytes, a truncated one all.
+		v, n := binary.Uvarint(r.data[r.dpos:])
+		switch {
+		case n > 0:
+			r.dpos += n
+			return v, nil
+		case n == 0 && len(r.data)-r.dpos < binary.MaxVarintLen64:
+			r.dpos = len(r.data)
+			return 0, io.ErrUnexpectedEOF
+		default:
+			r.dpos += binary.MaxVarintLen64
+			return 0, errVarint
+		}
+	}
+	var v uint64
+	for shift := uint(0); shift < 64; shift += 7 {
+		b, err := r.readByte()
+		if err != nil {
+			return 0, err
+		}
+		if b < 0x80 {
+			if shift == 63 && b > 1 {
+				break
+			}
+			return v | uint64(b)<<shift, nil
+		}
+		v |= uint64(b&0x7f) << shift
+	}
+	return 0, errVarint
+}
+
+// readInt reads a signed integer: zigzag varint under V2, fixed 8 bytes
+// under V1.
 func (r *reader) readInt() (int64, error) {
-	if r.engine != EngineV1 {
-		return binary.ReadVarint(r)
+	u, err := r.readUint()
+	if err != nil || r.engine == EngineV1 {
+		return int64(u), err
 	}
-	if err := r.readFull(r.scratch[:8]); err != nil {
-		return 0, err
-	}
-	return int64(binary.BigEndian.Uint64(r.scratch[:8])), nil
+	return int64(u>>1) ^ -int64(u&1), nil
 }
 
 func (r *reader) readFloat() (float64, error) {
@@ -311,6 +427,11 @@ func (r *reader) readString() (string, error) {
 	}
 	if n == 0 {
 		return "", nil
+	}
+	if r.data != nil {
+		// The conversion makes the one copy that escapes.
+		p, _, err := r.slice(n)
+		return string(p), err
 	}
 	// Stage through a pooled buffer; string(p) makes the only copy that
 	// escapes, so the scratch space is recycled immediately.

@@ -9,110 +9,185 @@ import (
 )
 
 // This file extends the kernel compilation strategy of internal/graph to the
-// codec: once per (reflect.Type, AccessMode) a closure-based encode program
-// is compiled that emits exactly the bytes Encoder.encodeValue would emit,
+// codec: once per (reflect.Type, AccessMode) a kernel is compiled that holds
+// what both directions need to know about the type — the value tag it
+// travels under, its struct field program, its element and key kernels —
 // with the per-node kind switch, struct plan lookup, and field metadata
 // derivation (reflect.Type.Field allocates a StructField per call) all
-// resolved at compile time. The decode direction is tag-driven — the stream,
-// not the static type, chooses each branch — so only the struct field loop
-// (the one place the decoder follows a static schema) is compiled.
+// resolved at compile time. kernel.enc emits exactly the bytes
+// Encoder.encodeValue would emit; kernel.into is the decode direction. A
+// stream resolves each of its types to a kernel once, when the type enters
+// its type table (Encoder.dense, typeEntry.k); per message only the root
+// types are looked up.
 //
 // Kernels implement the V2 wire format only and are engaged exactly when
 // Options.DisableKernels is unset on a V2 codec with the plan cache enabled;
 // every other configuration takes the generic reflective paths unchanged.
-// The wire format is byte-for-byte identical either way — edge_test.go and
-// the cross-engine tests exercise both sides of the switch against each
-// other.
+// (Engine V3 borrows the struct field programs.) The wire format is
+// byte-for-byte identical either way — edge_test.go and the cross-engine
+// tests exercise both sides of the switch against each other.
 
-// encOp writes one value of the op's static type, tag included.
-type encOp func(e *Encoder, v reflect.Value, depth int) error
-
-// encKernel is the compiled encode program for one (type, mode) pair. Ops
-// are invoked through the kernel pointer so recursive types resolve
-// naturally: a child op compiled while its parent is in progress holds the
-// parent's *encKernel, whose fields are assigned before publication.
-type encKernel struct {
-	t   reflect.Type
-	enc encOp
-	// encElems emits the bare contents record used by the seeded-content
-	// protocol and by the kernel's own enc op: entry count plus key/value
-	// pairs for maps, elements only for slices (the caller owns the length
-	// word). Nil for kinds that have no contents form.
-	encElems encOp
+// kernel is the compiled codec program for one (type, mode) pair. Kernels
+// refer to each other by pointer so recursive types resolve naturally: a
+// child compiled while its parent is in progress holds the parent's
+// *kernel, whose fields are assigned before publication. There is exactly
+// one kernel per pair, so comparing kernels compares types.
+type kernel struct {
+	t reflect.Type
+	// seq numbers the kernels of the process densely: the index of this
+	// kernel's slot in Encoder.dense.
+	seq int32
+	// tag is the value tag t travels under (tagPtr … tagScalar), or 0 for
+	// kinds with none of their own (interfaces, unserializable kinds).
+	tag byte
+	// fields is the struct field program, in plan order, shared by both
+	// directions and by engine V3's fill and check passes; zeros lists the
+	// excluded unexported fields the encoder must find zero.
+	fields []kernelField
+	zeros  []kernelZero
+	// elem is the pointee, element or map-value kernel; key the map key's.
+	elem, key *kernel
+	// cells is []elem for pointer kernels: the type of a staging slab.
+	cells reflect.Type
+	// err is what encoding a chan, func, unsafe.Pointer or uintptr reports
+	// — at encode time, not at compile time: the type may be a struct
+	// field that is legitimately skipped in AccessExported mode.
+	err error
 }
 
-type encKernelKey struct {
+// kernelField is one compiled struct field: the plan's field order with the
+// accessor decision (direct vs. laundered) resolved at compile time.
+type kernelField struct {
+	index   int
+	k       *kernel
+	launder bool // unexported field under AccessUnsafe
+}
+
+// kernelZero is one excluded unexported field whose zero-ness is enforced
+// before any field is emitted (the no-silent-loss rule), with the error
+// precomputed.
+type kernelZero struct {
+	index int
+	err   error
+}
+
+type kernelKey struct {
 	t    reflect.Type
 	mode graph.AccessMode
 }
 
-// encKernelCache memoizes compiled encode kernels process-wide. Like
-// planCache it is keyed by type and access mode only; see the planCache
-// comment in plan.go for how these caches interact with the registry and
-// RegisterStrict. Duplicate concurrent compiles are harmless: compilation
-// is deterministic and the last store wins.
-var encKernelCache sync.Map // encKernelKey -> *encKernel
+// kernelCache memoizes compiled kernels process-wide. Like planCache it is
+// keyed by type and access mode only; see the planCache comment in plan.go
+// for how these caches interact with the registry and RegisterStrict.
+// Compilation is serialized by kernelMu, which also guards the sequence.
+var (
+	kernelCache sync.Map // kernelKey -> *kernel
+	kernelMu    sync.Mutex
+	kernelSeq   int32
+)
 
-// encKernelFor returns the compiled encode kernel for t under mode,
-// compiling (and publishing) it on first use.
-func encKernelFor(t reflect.Type, mode graph.AccessMode) *encKernel {
-	key := encKernelKey{t: t, mode: mode}
-	if k, ok := encKernelCache.Load(key); ok {
-		return k.(*encKernel)
+// kernelFor returns the compiled kernel for t under mode, compiling (and
+// publishing) it on first use.
+func kernelFor(t reflect.Type, mode graph.AccessMode) *kernel {
+	if k, ok := kernelCache.Load(kernelKey{t, mode}); ok {
+		return k.(*kernel)
 	}
+	kernelMu.Lock()
+	defer kernelMu.Unlock()
 	// Compile with a session-local table so recursive types terminate; the
 	// whole session is published only once every kernel in it is complete.
-	session := make(map[reflect.Type]*encKernel)
-	k := compileEnc(t, mode, session)
+	session := make(map[reflect.Type]*kernel)
+	k := compileKernel(t, mode, session)
 	for st, sk := range session {
-		encKernelCache.Store(encKernelKey{t: st, mode: mode}, sk)
+		kernelCache.Store(kernelKey{st, mode}, sk)
 	}
 	return k
 }
 
-func compileEnc(t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*encKernel) *encKernel {
-	if k, ok := encKernelCache.Load(encKernelKey{t: t, mode: mode}); ok {
-		return k.(*encKernel)
+// kernelMemo is a one-entry cache in front of kernelFor for the places a
+// codec meets a type it cannot know statically — roots, seeded objects, the
+// dynamic type of an interface value: a run of equal types costs one lookup.
+type kernelMemo struct {
+	t reflect.Type
+	k *kernel
+}
+
+func (m *kernelMemo) of(t reflect.Type, mode graph.AccessMode) *kernel {
+	if m.t != t {
+		m.k, m.t = kernelFor(t, mode), t
+	}
+	return m.k
+}
+
+func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*kernel) *kernel {
+	if k, ok := kernelCache.Load(kernelKey{t, mode}); ok {
+		return k.(*kernel)
 	}
 	if k, ok := session[t]; ok {
 		return k
 	}
-	k := &encKernel{t: t}
+	k := &kernel{t: t, seq: kernelSeq}
+	kernelSeq++
 	session[t] = k
 
-	switch t.Kind() {
+	switch kind := t.Kind(); kind {
 	case reflect.Interface:
-		compileEncInterface(k)
 	case reflect.Ptr:
-		compileEncPtr(k, t, mode, session)
+		k.tag = tagPtr
+		k.elem = compileKernel(t.Elem(), mode, session)
+		k.cells = reflect.SliceOf(t.Elem())
 	case reflect.Map:
-		compileEncMap(k, t, mode, session)
-	case reflect.Slice:
-		compileEncSlice(k, t, mode, session)
+		k.tag = tagMap
+		k.key = compileKernel(t.Key(), mode, session)
+		k.elem = compileKernel(t.Elem(), mode, session)
+	case reflect.Slice, reflect.Array:
+		k.tag = tagSlice
+		if kind == reflect.Array {
+			k.tag = tagArray
+		}
+		k.elem = compileKernel(t.Elem(), mode, session)
 	case reflect.Struct:
-		compileEncStruct(k, t, mode, session)
-	case reflect.Array:
-		compileEncArray(k, t, mode, session)
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64,
-		reflect.Complex64, reflect.Complex128,
-		reflect.String:
-		compileEncScalar(k, t)
-	default:
-		// chan, func, unsafe.Pointer, uintptr: fail at encode time with the
-		// generic path's error, not at compile time — the type may be a
-		// struct field that is legitimately skipped in AccessExported mode.
-		err := fmt.Errorf("%w: %s", graph.ErrNotSerializable, t)
-		k.enc = func(e *Encoder, v reflect.Value, depth int) error {
-			if depth > maxEncodeDepth {
-				return graph.ErrDepthExceeded
+		k.tag = tagStruct
+		k.fields = make([]kernelField, 0, t.NumField())
+		for i := 0; i < t.NumField(); i++ {
+			sf := t.Field(i)
+			if !sf.IsExported() && mode == graph.AccessExported {
+				k.zeros = append(k.zeros, kernelZero{i,
+					fmt.Errorf("%w: field %s.%s", graph.ErrUnexportedField, t, sf.Name)})
+				continue
 			}
-			return err
+			k.fields = append(k.fields, kernelField{i, compileKernel(sf.Type, mode, session), !sf.IsExported()})
+		}
+	default:
+		if _, scalar := kindTypes[kind]; scalar {
+			k.tag = tagScalar
+		} else {
+			k.err = fmt.Errorf("%w: %s", graph.ErrNotSerializable, t)
 		}
 	}
 	return k
+}
+
+// tagType emits a value tag and the descriptor of k's type. A type the
+// stream has already defined is found by the kernel's sequence number;
+// typeTable stays the one table of truth, consulted (and extended) only
+// the first time this stream meets the kernel.
+func (e *Encoder) tagType(tag byte, k *kernel) error {
+	if err := e.w.writeByte(tag); err != nil {
+		return err
+	}
+	if int(k.seq) < len(e.dense) && e.dense[k.seq] != 0 {
+		return e.w.writeTagged(dTableRef, uint64(e.dense[k.seq]-1))
+	}
+	if err := e.encodeType(k.t); err != nil {
+		return err
+	}
+	if grow := int(k.seq) + 1 - len(e.dense); grow > 0 {
+		e.dense = append(e.dense, make([]int32, grow)...)
+	}
+	e.dense[k.seq] = int32(e.typeTable[k.t]) + 1
+	e.touched = append(e.touched, k.seq)
+	return nil
 }
 
 // registerObj assigns the next object ID to v's identity and records the
@@ -139,231 +214,55 @@ func (e *Encoder) appendObj(ref reflect.Value) {
 	e.objs = append(e.objs, graph.StableRef(ref))
 }
 
-func compileEncInterface(k *encKernel) {
-	k.enc = func(e *Encoder, v reflect.Value, depth int) error {
-		if depth > maxEncodeDepth {
-			return graph.ErrDepthExceeded
-		}
-		if v.IsNil() {
-			return e.w.writeByte(tagNil)
-		}
-		// The dynamic type is only known at run time: one cache load here,
-		// then straight-line code below it.
-		elem := v.Elem()
-		return encKernelFor(elem.Type(), e.opts.Access).enc(e, elem, depth+1)
+// enc writes one value of k's type, tag included.
+func (k *kernel) enc(e *Encoder, v reflect.Value, depth int) error {
+	if depth > maxEncodeDepth {
+		return graph.ErrDepthExceeded
 	}
-}
-
-func compileEncPtr(k *encKernel, t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*encKernel) {
-	elemK := compileEnc(t.Elem(), mode, session)
-	elemT := t.Elem()
-	k.enc = func(e *Encoder, v reflect.Value, depth int) error {
-		if depth > maxEncodeDepth {
-			return graph.ErrDepthExceeded
-		}
+	switch k.tag {
+	case tagPtr, tagMap, tagSlice:
 		if v.IsNil() {
 			return e.w.writeByte(tagNil)
 		}
 		ident, _ := graph.IdentOf(v)
 		if id, ok := e.ids[ident]; ok {
-			return e.writeRef(id)
-		}
-		e.registerObj(ident, v)
-		if err := e.w.writeByte(tagPtr); err != nil {
-			return err
-		}
-		if err := e.encodeType(elemT); err != nil {
-			return err
-		}
-		return elemK.enc(e, v.Elem(), depth+1)
-	}
-}
-
-func compileEncMap(k *encKernel, t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*encKernel) {
-	keyK := compileEnc(t.Key(), mode, session)
-	elemK := compileEnc(t.Elem(), mode, session)
-	k.encElems = func(e *Encoder, v reflect.Value, depth int) error {
-		if err := e.w.writeUint(uint64(v.Len())); err != nil {
-			return err
-		}
-		// Canonical key order (mapkeys.go) — must match the generic
-		// encoder byte for byte.
-		kp := acquireSortedKeys(v)
-		defer releaseKeys(kp)
-		for _, key := range *kp {
-			if err := keyK.enc(e, key, depth+1); err != nil {
-				return err
-			}
-			if err := elemK.enc(e, v.MapIndex(key), depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	k.enc = func(e *Encoder, v reflect.Value, depth int) error {
-		if depth > maxEncodeDepth {
-			return graph.ErrDepthExceeded
-		}
-		if v.IsNil() {
-			return e.w.writeByte(tagNil)
-		}
-		ident, _ := graph.IdentOf(v)
-		if id, ok := e.ids[ident]; ok {
-			return e.writeRef(id)
-		}
-		e.registerObj(ident, v)
-		if err := e.w.writeByte(tagMap); err != nil {
-			return err
-		}
-		if err := e.encodeType(t); err != nil {
-			return err
-		}
-		return k.encElems(e, v, depth)
-	}
-}
-
-func compileEncSlice(k *encKernel, t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*encKernel) {
-	k.encElems = compileEncSliceElems(t, mode, session)
-	k.enc = func(e *Encoder, v reflect.Value, depth int) error {
-		if depth > maxEncodeDepth {
-			return graph.ErrDepthExceeded
-		}
-		if v.IsNil() {
-			return e.w.writeByte(tagNil)
-		}
-		ident, _ := graph.IdentOf(v)
-		if id, ok := e.ids[ident]; ok {
-			prev := e.objs[id]
-			if prev.Kind() == reflect.Slice && prev.Len() != v.Len() {
+			if prev := e.objs[id]; k.tag == tagSlice && prev.Kind() == reflect.Slice && prev.Len() != v.Len() {
 				return fmt.Errorf("%w: lengths %d and %d share storage",
 					graph.ErrSliceOverlap, prev.Len(), v.Len())
 			}
 			return e.writeRef(id)
 		}
 		e.registerObj(ident, v)
-		if err := e.w.writeByte(tagSlice); err != nil {
+		if k.tag == tagPtr {
+			if err := e.tagType(tagPtr, k.elem); err != nil {
+				return err
+			}
+			return k.elem.enc(e, v.Elem(), depth+1)
+		}
+		if err := e.tagType(k.tag, k); err != nil {
 			return err
 		}
-		if err := e.encodeType(t); err != nil {
-			return err
-		}
-		if err := e.w.writeUint(uint64(v.Len())); err != nil {
-			return err
-		}
-		return k.encElems(e, v, depth)
-	}
-}
-
-// compileEncSliceElems builds the element-loop op, specializing leaf
-// element types: for scalar elements the tag byte, type descriptor, and
-// payload writer are hoisted out of the per-element work, and []byte gets a
-// direct bytes loop with no reflect.Value.Index calls at all. The emitted
-// bytes are identical to the generic loop's.
-func compileEncSliceElems(t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*encKernel) encOp {
-	et := t.Elem()
-	if et.Kind() == reflect.Uint8 {
-		return func(e *Encoder, v reflect.Value, depth int) error {
-			if v.Len() > 0 && depth+1 > maxEncodeDepth {
-				return graph.ErrDepthExceeded
-			}
-			for _, b := range v.Bytes() {
-				if err := e.w.writeByte(tagScalar); err != nil {
-					return err
-				}
-				if err := e.encodeType(et); err != nil {
-					return err
-				}
-				if err := e.w.writeUint(uint64(b)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	if isScalarKind(et.Kind()) {
-		payload := scalarPayloadOp(et.Kind())
-		return func(e *Encoder, v reflect.Value, depth int) error {
-			if v.Len() > 0 && depth+1 > maxEncodeDepth {
-				return graph.ErrDepthExceeded
-			}
-			for i, n := 0, v.Len(); i < n; i++ {
-				if err := e.w.writeByte(tagScalar); err != nil {
-					return err
-				}
-				if err := e.encodeType(et); err != nil {
-					return err
-				}
-				if err := payload(e, v.Index(i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	elemK := compileEnc(et, mode, session)
-	return func(e *Encoder, v reflect.Value, depth int) error {
-		for i, n := 0, v.Len(); i < n; i++ {
-			if err := elemK.enc(e, v.Index(i), depth+1); err != nil {
+		if k.tag == tagSlice {
+			if err := e.w.writeUint(uint64(v.Len())); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-}
+		return k.encElems(e, v, depth)
 
-// encZeroCheck is one excluded unexported field whose zero-ness is enforced
-// before any field is emitted (the no-silent-loss rule), with the error
-// precomputed.
-type encZeroCheck struct {
-	index int
-	err   error
-}
-
-// encField is one compiled struct field program.
-type encField struct {
-	index   int
-	k       *encKernel
-	launder bool // unexported field under AccessUnsafe
-}
-
-func compileEncStruct(k *encKernel, t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*encKernel) {
-	var zeroChecks []encZeroCheck
-	fields := make([]encField, 0, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		sf := t.Field(i)
-		if !sf.IsExported() && mode == graph.AccessExported {
-			zeroChecks = append(zeroChecks, encZeroCheck{
-				index: i,
-				err:   fmt.Errorf("%w: field %s.%s", graph.ErrUnexportedField, t, sf.Name),
-			})
-			continue
-		}
-		fields = append(fields, encField{
-			index:   i,
-			k:       compileEnc(sf.Type, mode, session),
-			launder: !sf.IsExported(),
-		})
-	}
-	k.enc = func(e *Encoder, v reflect.Value, depth int) error {
-		if depth > maxEncodeDepth {
-			return graph.ErrDepthExceeded
-		}
-		if err := e.w.writeByte(tagStruct); err != nil {
-			return err
-		}
-		if err := e.encodeType(t); err != nil {
+	case tagStruct:
+		if err := e.tagType(tagStruct, k); err != nil {
 			return err
 		}
 		sv := graph.Launder(v)
 		// All zero checks run before any field bytes, mirroring the generic
 		// verifyZeroFields-then-encode order.
-		for i := range zeroChecks {
-			if !sv.Field(zeroChecks[i].index).IsZero() {
-				return zeroChecks[i].err
+		for i := range k.zeros {
+			if !sv.Field(k.zeros[i].index).IsZero() {
+				return k.zeros[i].err
 			}
 		}
-		for i := range fields {
-			f := &fields[i]
+		for i := range k.fields {
+			f := &k.fields[i]
 			fv := sv.Field(f.index)
 			if f.launder {
 				fv = graph.Launder(fv)
@@ -373,124 +272,203 @@ func compileEncStruct(k *encKernel, t reflect.Type, mode graph.AccessMode, sessi
 			}
 		}
 		return nil
+
+	case tagArray:
+		if err := e.tagType(tagArray, k); err != nil {
+			return err
+		}
+		return k.encElems(e, v, depth)
+
+	case tagScalar:
+		if err := e.tagType(tagScalar, k); err != nil {
+			return err
+		}
+		return e.encodeScalarPayload(v)
 	}
+	if k.err != nil {
+		return k.err
+	}
+	if v.IsNil() {
+		return e.w.writeByte(tagNil)
+	}
+	// An interface: the dynamic type is only known at run time.
+	elem := v.Elem()
+	return e.memo.of(elem.Type(), e.opts.Access).enc(e, elem, depth+1)
 }
 
-func compileEncArray(k *encKernel, t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*encKernel) {
-	elemK := compileEnc(t.Elem(), mode, session)
-	n := t.Len()
-	k.enc = func(e *Encoder, v reflect.Value, depth int) error {
-		if depth > maxEncodeDepth {
-			return graph.ErrDepthExceeded
-		}
-		if err := e.w.writeByte(tagArray); err != nil {
-			return err
-		}
-		if err := e.encodeType(t); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if err := elemK.enc(e, v.Index(i), depth+1); err != nil {
+// encElems emits the bare contents of a map, slice or array — what follows
+// the descriptor in the value's own encoding, and the whole of its record
+// in the seeded-content protocol: entry count plus key/value pairs for
+// maps, elements only otherwise (the caller owns a slice's length word).
+func (k *kernel) encElems(e *Encoder, v reflect.Value, depth int) error {
+	if k.tag != tagMap {
+		for i, n := 0, v.Len(); i < n; i++ {
+			if err := k.elem.enc(e, v.Index(i), depth+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-}
-
-func compileEncScalar(k *encKernel, t reflect.Type) {
-	payload := scalarPayloadOp(t.Kind())
-	k.enc = func(e *Encoder, v reflect.Value, depth int) error {
-		if depth > maxEncodeDepth {
-			return graph.ErrDepthExceeded
-		}
-		if err := e.w.writeByte(tagScalar); err != nil {
-			return err
-		}
-		if err := e.encodeType(t); err != nil {
-			return err
-		}
-		return payload(e, v)
+	if err := e.w.writeUint(uint64(v.Len())); err != nil {
+		return err
 	}
+	// Canonical key order (mapkeys.go) — must match the generic encoder
+	// byte for byte.
+	kp := acquireSortedKeys(v)
+	defer releaseKeys(kp)
+	for _, key := range *kp {
+		if err := k.key.enc(e, key, depth+1); err != nil {
+			return err
+		}
+		if err := k.elem.enc(e, v.MapIndex(key), depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func isScalarKind(kind reflect.Kind) bool {
-	switch kind {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64,
-		reflect.Complex64, reflect.Complex128,
-		reflect.String:
-		return true
+// The decode direction. Which branch a value takes is chosen by its tag —
+// by the stream, not by the static type — but nearly every value of a
+// homogeneous graph arrives under the tag and type its destination has, and
+// for those kernel.into writes in place: no staging value, no assignability
+// check. Everything else is built from its own descriptor and assigned
+// under the generic path's checks.
+
+// into decodes the next value of the stream into dst, an addressable value
+// of k's type.
+func (k *kernel) into(d *Decoder, dst reflect.Value, depth int) error {
+	if depth > maxDecodeDepth {
+		return graph.ErrDepthExceeded
+	}
+	tag, err := d.r.readByte()
+	if err != nil {
+		return err
+	}
+	var v reflect.Value
+	switch tag {
+	case tagNil:
+		dst.SetZero()
+		return nil
+	case tagRef:
+		v, err = d.decodeRef()
+	case tagPtr, tagMap, tagSlice, tagStruct, tagArray, tagScalar:
+		var sk *kernel
+		if sk, err = d.decodeKernelType(); err != nil {
+			return err
+		}
+		if sk == k && tag == k.tag && tag >= tagStruct {
+			return k.body(d, dst, depth)
+		}
+		v, err = d.build(tag, sk, depth)
 	default:
-		return false
+		return fmt.Errorf("%w: unknown value tag 0x%02x", ErrBadStream, tag)
 	}
+	if err != nil {
+		return err
+	}
+	if v.Type() == k.t {
+		dst.Set(v)
+		return nil
+	}
+	return setDecoded(dst, v)
 }
 
-// scalarPayloadOp resolves the encodeScalarPayload kind switch once at
-// compile time.
-func scalarPayloadOp(kind reflect.Kind) func(e *Encoder, v reflect.Value) error {
-	switch kind {
-	case reflect.Bool:
-		return func(e *Encoder, v reflect.Value) error {
-			b := byte(0)
-			if v.Bool() {
-				b = 1
+// body decodes what follows the tag and descriptor of an inline value of
+// k's type — struct fields, array elements, a scalar payload — into dst.
+func (k *kernel) body(d *Decoder, dst reflect.Value, depth int) error {
+	switch k.tag {
+	case tagStruct:
+		for i := range k.fields {
+			f := &k.fields[i]
+			fv := dst.Field(f.index)
+			if f.launder {
+				fv = graph.Launder(fv)
 			}
-			return e.w.writeByte(b)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return func(e *Encoder, v reflect.Value) error { return e.w.writeInt(v.Int()) }
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return func(e *Encoder, v reflect.Value) error { return e.w.writeUint(v.Uint()) }
-	case reflect.Float32, reflect.Float64:
-		return func(e *Encoder, v reflect.Value) error { return e.w.writeFloat(v.Float()) }
-	case reflect.Complex64, reflect.Complex128:
-		return func(e *Encoder, v reflect.Value) error {
-			c := v.Complex()
-			if err := e.w.writeFloat(real(c)); err != nil {
+			if err := f.k.into(d, fv, depth+1); err != nil {
 				return err
 			}
-			return e.w.writeFloat(imag(c))
 		}
-	case reflect.String:
-		return func(e *Encoder, v reflect.Value) error { return e.encodeInternedString(v.String()) }
+		return nil
+	case tagArray:
+		return k.fillElems(d, dst, depth+1)
 	default:
-		panic(fmt.Sprintf("wire: scalarPayloadOp on %s", kind))
+		return d.scalarPayloadInto(dst)
 	}
 }
 
-// decField is one compiled struct field slot for the V2 positional decode
-// loop: the plan's field order with the fieldForWrite accessor decision
-// (direct vs. laundered) resolved at compile time.
-type decField struct {
-	index   int
-	launder bool
+// fillElems decodes the elements of slice or array v in place, at depth
+// (as on the generic path: one deeper than the array for an array's, 0 for
+// those of a slice or map object).
+func (k *kernel) fillElems(d *Decoder, v reflect.Value, depth int) error {
+	for i, n := 0, v.Len(); i < n; i++ {
+		if err := k.elem.into(d, v.Index(i), depth); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// decStructKernel is the compiled decode program for one struct type. Only
-// the field loop is compilable: everything else in the decoder is chosen by
-// stream tags, not static types.
-type decStructKernel struct {
-	fields []decField
+// fillMap decodes n entries into map mv. SetMapIndex copies both cells, so
+// one pair serves every entry; into overwrites whatever it is given.
+func (k *kernel) fillMap(d *Decoder, mv reflect.Value, n int) error {
+	if n == 0 {
+		return nil
+	}
+	key := reflect.New(k.key.t).Elem()
+	val := reflect.New(k.elem.t).Elem()
+	for i := 0; i < n; i++ {
+		if err := k.key.into(d, key, 0); err != nil {
+			return err
+		}
+		if err := k.elem.into(d, val, 0); err != nil {
+			return err
+		}
+		mv.SetMapIndex(key, val)
+	}
+	return nil
 }
 
-var decKernelCache sync.Map // encKernelKey -> *decStructKernel
+// decodeKernel is decodeTagged on the kernel path, for every tag that
+// carries a descriptor.
+func (d *Decoder) decodeKernel(tag byte, depth int) (reflect.Value, error) {
+	if tag < tagPtr || tag > tagScalar {
+		return reflect.Value{}, fmt.Errorf("%w: unknown value tag 0x%02x", ErrBadStream, tag)
+	}
+	k, err := d.decodeKernelType()
+	if err != nil {
+		return reflect.Value{}, err
+	}
+	return d.build(tag, k, depth)
+}
 
-func decKernelFor(t reflect.Type, mode graph.AccessMode) *decStructKernel {
-	key := encKernelKey{t: t, mode: mode}
-	if k, ok := decKernelCache.Load(key); ok {
-		return k.(*decStructKernel)
+// build materializes the value announced by tag and the descriptor of k's
+// type. Objects join the table before their contents are read, so cycles
+// resolve.
+func (d *Decoder) build(tag byte, k *kernel, depth int) (reflect.Value, error) {
+	if tag == tagPtr {
+		pv := reflect.New(k.t)
+		d.table = append(d.table, pv)
+		return pv, k.into(d, pv.Elem(), depth+1)
 	}
-	p := planFor(t, mode, true)
-	k := &decStructKernel{fields: make([]decField, 0, len(p.fields))}
-	for _, pf := range p.fields {
-		k.fields = append(k.fields, decField{
-			index:   pf.index,
-			launder: !t.Field(pf.index).IsExported(),
-		})
+	if tag != k.tag {
+		return reflect.Value{}, fmt.Errorf("%w: value tag %d with type %s", ErrBadStream, tag, k.t)
 	}
-	decKernelCache.Store(key, k)
-	return k
+	switch tag {
+	case tagMap, tagSlice:
+		n, err := d.r.readLen()
+		if err != nil {
+			return reflect.Value{}, err
+		}
+		if tag == tagMap {
+			mv := reflect.MakeMapWithSize(k.t, n)
+			d.table = append(d.table, mv)
+			return mv, k.fillMap(d, mv, n)
+		}
+		sv := reflect.MakeSlice(k.t, n, n)
+		d.table = append(d.table, sv)
+		return sv, k.fillElems(d, sv, 0)
+	default:
+		v := reflect.New(k.t).Elem()
+		return v, k.body(d, v, depth)
+	}
 }

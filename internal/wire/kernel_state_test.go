@@ -1,0 +1,319 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"reflect"
+	"testing"
+
+	"nrmi/internal/graph"
+	"nrmi/internal/raceflag"
+)
+
+// The states the per-stream kernel caches introduce — the dense type index
+// and the memo of a pooled Encoder, the kernels of a Decoder's type table —
+// against the generic path as oracle.
+
+type otherInt int
+
+// loose has a field of an unnamed struct type; looseSender is what a peer
+// with a different declaration registers under the same name: its field
+// has the named type inner, assignable to but not identical with loose's.
+type loose struct {
+	In struct{ X, Y int }
+	N  int
+}
+
+type looseSender struct {
+	In inner
+	N  int
+}
+
+func stateRegistry(t *testing.T, names map[string]any) *Registry {
+	t.Helper()
+	r := NewRegistry()
+	for name, sample := range names {
+		if err := r.Register(name, sample); err != nil {
+			t.Fatalf("register %s: %v", name, err)
+		}
+	}
+	return r
+}
+
+func encodeStream(t *testing.T, enc *Encoder, buf *bytes.Buffer, values []any) []byte {
+	t.Helper()
+	for _, v := range values {
+		if err := enc.Encode(v); err != nil {
+			t.Fatalf("encode %T: %v", v, err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), buf.Bytes()...)
+}
+
+// TestKernelEncodeByteIdentityPooled: a pooled encoder carries its dense
+// type index from stream to stream. Whatever order the types of the next
+// stream first appear in, whatever registry names them, its bytes must be a
+// fresh generic encoder's.
+func TestKernelEncodeByteIdentityPooled(t *testing.T) {
+	regA := stateRegistry(t, map[string]any{"wnode": wnode{}, "wbag": wbag{}, "inner": inner{}, "namedInt": namedInt(0), "otherInt": otherInt(0)})
+	regB := stateRegistry(t, map[string]any{"tree.Node": wnode{}, "bag": wbag{}, "in": inner{}, "n": namedInt(0), "o": otherInt(0)})
+	node := &wnode{Data: 1, Left: &wnode{Data: 2}}
+	streams := []struct {
+		reg    *Registry
+		values []any
+	}{
+		{regA, []any{node, namedInt(1), otherInt(2), "s", []int{1}}},
+		{regA, []any{[]int{1}, "s", otherInt(2), namedInt(1), node}},
+		{regB, []any{otherInt(2), node, namedInt(1)}},
+		{regA, []any{&wbag{Any: namedInt(4), Items: []int{1}}, otherInt(2), node}},
+		// Interface values whose dynamic type alternates, two named scalar
+		// types of one kind among them.
+		{regB, []any{[]any{1, "a", namedInt(2), otherInt(2), 3, "b", otherInt(4), namedInt(4), node, inner{1, 2}, nil, node}}},
+		{regA, []any{map[string]any{"a": namedInt(1), "b": otherInt(1), "c": 1, "d": node}}},
+	}
+	// The same pooled encoder must serve every stream: hold it across the
+	// loop instead of trusting sync.Pool to hand it back.
+	var sink bytes.Buffer
+	enc := AcquireEncoder(&sink, Options{Registry: regA})
+	for round := 0; round < 2; round++ {
+		for i, s := range streams {
+			var want bytes.Buffer
+			wantBytes := encodeStream(t, NewEncoder(&want, Options{Registry: s.reg, DisableKernels: true}), &want, s.values)
+
+			ReleaseEncoder(enc)
+			var got bytes.Buffer
+			enc = reacquire(t, enc, &got, Options{Registry: s.reg})
+			gotBytes := encodeStream(t, enc, &got, s.values)
+			if !bytes.Equal(gotBytes, wantBytes) {
+				t.Fatalf("round %d stream %d: pooled kernel encoder wrote % x, fresh generic encoder % x", round, i, gotBytes, wantBytes)
+			}
+			if enc.BytesWritten() != int64(len(wantBytes)) {
+				t.Fatalf("round %d stream %d: BytesWritten %d, stream has %d", round, i, enc.BytesWritten(), len(wantBytes))
+			}
+		}
+	}
+	ReleaseEncoder(enc)
+}
+
+// reacquire takes encoders from the pool until it gets want back (the pool
+// is per-P and may hold others), returning the rest.
+func reacquire(t *testing.T, want *Encoder, w *bytes.Buffer, opts Options) *Encoder {
+	t.Helper()
+	var others []*Encoder
+	defer func() {
+		for _, e := range others {
+			ReleaseEncoder(e)
+		}
+	}()
+	for i := 0; i < 64; i++ {
+		e := AcquireEncoder(w, opts)
+		if e == want || raceflag.Enabled {
+			return e // under -race sync.Pool drops Puts at random
+		}
+		others = append(others, e)
+	}
+	t.Fatal("the released encoder never came back from the pool")
+	return nil
+}
+
+// TestKernelDecodeStates: streams that take the decode kernels' fallbacks —
+// interface destinations of alternating dynamic type, two named scalars of
+// one kind, a struct whose stream type is assignable to its destination but
+// not identical — decode to the same graphs as on the generic path.
+func TestKernelDecodeStates(t *testing.T) {
+	reg := stateRegistry(t, map[string]any{"wnode": wnode{}, "wbag": wbag{}, "inner": inner{}, "namedInt": namedInt(0), "otherInt": otherInt(0), "loose": loose{}})
+	sender := stateRegistry(t, map[string]any{"inner": inner{}, "loose": looseSender{}})
+	node := &wnode{Data: 1}
+	node.Left = &wnode{Data: 2, Right: node}
+	cases := []struct {
+		name string
+		reg  *Registry // the encoding side's
+		v    any
+		want any
+	}{
+		{"alternating interface values", reg, []any{1, "a", namedInt(2), otherInt(2), node, inner{1, 2}, nil, node, 3}, nil},
+		{"interface field", reg, []*wbag{{Any: namedInt(1)}, {Any: otherInt(1)}, {Any: 1}, {Any: node}, {}}, nil},
+		{"named scalars as map values", reg, map[string]any{"a": namedInt(1), "b": otherInt(1)}, nil},
+		{"assignable, not identical", sender, &looseSender{In: inner{3, 4}, N: 5}, &loose{In: struct{ X, Y int }{3, 4}, N: 5}},
+		{"the same in a slice", sender, []looseSender{{In: inner{1, 2}}, {N: 7}}, []loose{{In: struct{ X, Y int }{1, 2}}, {N: 7}}},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		stream := encodeStream(t, NewEncoder(&buf, Options{Registry: tc.reg}), &buf, []any{tc.v, tc.v})
+		want := tc.want
+		if want == nil {
+			want = tc.v
+		}
+		for name, opts := range map[string]Options{
+			"kernel":  {Registry: reg},
+			"generic": {Registry: reg, DisableKernels: true},
+		} {
+			for mode, dec := range map[string]*Decoder{
+				"stream": NewDecoder(bytes.NewReader(stream), opts),
+				"bytes":  NewDecoderBytes(stream, opts),
+			} {
+				for i := 0; i < 2; i++ { // the second value is all back-references and table hits
+					got, err := dec.Decode()
+					if err != nil {
+						t.Fatalf("%s: %s decode, %s mode, value %d: %v", tc.name, name, mode, i, err)
+					}
+					if eq, err := graph.Equal(graph.AccessExported, want, got); err != nil || !eq {
+						t.Fatalf("%s: %s decode, %s mode, value %d: got %#v, want %#v (%v)", tc.name, name, mode, i, got, want, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeAllocsSteadyState is the decode twin of
+// TestEncodeAllocsSteadyState: a pooled decode of a cached type costs one
+// allocation per object it materializes, plus a constant.
+func TestDecodeAllocsSteadyState(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
+	}
+	on, _ := kernelOptions(t)
+	const nodes = 64
+	tree := &wnode{Data: 1}
+	for cur, i := tree, 2; i <= nodes; i++ {
+		cur.Left = &wnode{Data: i * 1000}
+		cur = cur.Left
+	}
+	var buf bytes.Buffer
+	stream := encodeStream(t, NewEncoder(&buf, on), &buf, []any{tree})
+	decodeOnce := func() {
+		dec := AcquireDecoderBytes(stream, on)
+		if _, err := dec.Decode(); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseDecoder(dec)
+	}
+	for i := 0; i < 5; i++ {
+		decodeOnce()
+	}
+	avg := testing.AllocsPerRun(20, decodeOnce)
+	// One cell per node, one interface box for the root.
+	const budget = nodes + 4
+	if avg > budget {
+		t.Fatalf("steady-state decode allocates %.1f/run for %d objects, budget %d", avg, nodes, budget)
+	}
+}
+
+// TestPooledCodecsReleaseEverything: nothing of one use survives into the
+// pool — no user object, no reference to a payload or a destination, no
+// staging slab, no per-stream table.
+func TestPooledCodecsReleaseEverything(t *testing.T) {
+	on, _ := kernelOptions(t)
+	tree := &wnode{Data: 1, Left: &wnode{Data: 2}, Right: &wnode{Data: 3}}
+	var buf bytes.Buffer
+	enc := AcquireEncoder(&buf, on)
+	stream := encodeStream(t, enc, &buf, []any{tree, "s", namedInt(1)})
+	ReleaseEncoder(enc)
+	if enc.w.raw != nil || len(enc.w.buf) != 0 || enc.w.err != nil || enc.w.bytesWritten() != 0 {
+		t.Errorf("released encoder's writer still holds %v, %d bytes, err %v", enc.w.raw, len(enc.w.buf), enc.w.err)
+	}
+	if len(enc.ids)+len(enc.typeTable)+len(enc.strTable)+len(enc.objs)+len(enc.touched) != 0 || enc.memo != (kernelMemo{}) {
+		t.Errorf("released encoder keeps stream tables: %d ids, %d types, %d strings, %d objects, %d touched, memo %v",
+			len(enc.ids), len(enc.typeTable), len(enc.strTable), len(enc.objs), len(enc.touched), enc.memo)
+	}
+	for seq, idx := range enc.dense {
+		if idx != 0 {
+			t.Errorf("released encoder's dense index still maps kernel %d to table entry %d", seq, idx-1)
+		}
+	}
+	for i, cell := range enc.objs[:cap(enc.objs)] {
+		if cell.IsValid() && !cell.IsZero() {
+			t.Errorf("released encoder's object cell %d still references %v", i, cell)
+		}
+	}
+
+	// A restore-shaped decode: seeded originals, a staging slab.
+	var resp bytes.Buffer
+	renc := NewEncoder(&resp, on)
+	nodes := []*wnode{tree, tree.Left, tree.Right}
+	for _, n := range nodes {
+		if _, err := renc.SeedObject(reflect.ValueOf(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := range nodes {
+		if err := renc.EncodeSeededContent(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := renc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dec := AcquireDecoderBytes(resp.Bytes(), on)
+	for _, n := range nodes {
+		if _, err := dec.SeedObject(reflect.ValueOf(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec.ExpectContents(len(nodes))
+	for id := range nodes {
+		if _, err := dec.DecodeSeededContent(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dec.stage.cells.Len() != len(nodes) {
+		t.Fatalf("staging slab has %d cells for %d records of one type", dec.stage.cells.Len(), len(nodes))
+	}
+	ReleaseDecoder(dec)
+	if dec.r.data != nil || dec.r.raw != nil || dec.r.dpos != 0 || dec.r.bytesRead() != 0 {
+		t.Errorf("released decoder's reader still holds a source (%d bytes read)", dec.r.bytesRead())
+	}
+	if len(dec.table)+len(dec.typeTable)+len(dec.strTable) != 0 || dec.memo != (kernelMemo{}) || dec.arena != nil {
+		t.Errorf("released decoder keeps stream tables")
+	}
+	for i, e := range dec.typeTable[:cap(dec.typeTable)] {
+		if e != (typeEntry{}) {
+			t.Errorf("released decoder's type table slot %d still holds %v", i, e.t)
+		}
+	}
+	for i, v := range dec.table[:cap(dec.table)] {
+		if v.IsValid() {
+			t.Errorf("released decoder's object table slot %d still references an object", i)
+		}
+	}
+	if s := dec.stage; !s.cells.IsNil() || s.next != 0 || s.left != 0 {
+		t.Errorf("released decoder keeps its staging slab: %d cells, next %d, left %d", s.cells.Len(), s.next, s.left)
+	}
+
+	// And a stream-mode use after it.
+	dec = AcquireDecoder(bytes.NewReader(stream), on)
+	if _, err := dec.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	ReleaseDecoder(dec)
+	if dec.r.raw != nil || dec.r.br != nil || dec.r.bytesRead() != 0 {
+		t.Errorf("released stream-mode decoder still holds its source")
+	}
+}
+
+// TestFailedTypeDefLeavesNoUsableSlot: a type definition whose body fails
+// leaves its placeholder in the stream type table; a caller that keeps
+// decoding after the error gets the typed error from every path that
+// names the slot, never a nil type.
+func TestFailedTypeDefLeavesNoUsableSlot(t *testing.T) {
+	stream := []byte{headerMagic, byte(EngineV2), 0,
+		tagScalar, dTableDef, 0xff, // no such descriptor lead
+		tagScalar, dTableRef, 0}
+	dec := NewDecoderBytes(stream, Options{})
+	if _, err := dec.Decode(); !errors.Is(err, ErrBadStream) {
+		t.Fatalf("bad definition: %v, want ErrBadStream", err)
+	}
+	if len(dec.typeTable) != 1 || dec.typeTable[0].t != nil {
+		t.Fatalf("type table after the failed definition: %+v", dec.typeTable)
+	}
+	if _, err := dec.Decode(); !errors.Is(err, ErrBadStream) {
+		t.Errorf("V2 reference to the slot: %v, want ErrBadStream", err)
+	}
+	if _, err := dec.flatTypeAt(0); !errors.Is(err, ErrBadStream) {
+		t.Errorf("V3 reference to the slot: %v, want ErrBadStream", err)
+	}
+}

@@ -54,6 +54,11 @@ func ReleaseEncoder(e *Encoder) {
 	clear(e.ids)
 	clear(e.typeTable)
 	clear(e.strTable)
+	e.memo = kernelMemo{}
+	for _, seq := range e.touched {
+		e.dense[seq] = 0
+	}
+	e.touched = e.touched[:0]
 	// Zero the detached reference cells — dropping the user's objects — but
 	// keep them parked in the table's capacity for appendObj to reuse.
 	// Cells beyond len were already zeroed by an earlier release.
@@ -127,6 +132,7 @@ func ReleaseDecoder(d *Decoder) {
 	d.typeTable = d.typeTable[:0]
 	clear(d.strTable)
 	d.strTable = d.strTable[:0]
+	d.memo = kernelMemo{}
 	d.r.reset(nil, d.opts.MaxElems) // do not retain the caller's reader
 	decoderPool.Put(d)
 }
