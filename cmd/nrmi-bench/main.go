@@ -38,7 +38,6 @@ func main() {
 		smoke       = flag.String("smoke", "", "run the kernel-ablation smoke benchmark, write the JSON snapshot to this path, and exit")
 		smokeMin    = flag.Float64("smoke-min-reduction", 30, "minimum allocs/op reduction (percent, kernels on vs. off) the smoke run must show; 0 disables the gate")
 		smokeV3     = flag.String("smoke-v3", "", "run the engine-V3 ablation smoke benchmark (v3 vs v2-kernels), write the JSON snapshot to this path, and exit")
-		smokeV3Min  = flag.Float64("smoke-v3-min-reduction", 30, "minimum allocs/op reduction (percent, v3 vs v2-kernels) the V3 smoke run must show; 0 disables the gate")
 		smokeAsync  = flag.String("smoke-async", "", "run the async pipelining smoke benchmark (K pipelined vs K sequential calls on a delayed link), write the JSON snapshot to this path, and exit")
 		smokeAsyncX = flag.Float64("smoke-async-min-speedup", 1.5, "minimum sequential/pipelined wall-time ratio the async smoke must show; 0 disables the gate")
 		phases      = flag.Bool("phases", false, "run the per-phase breakdown (scenario III, kernels on/off) and exit")
@@ -55,7 +54,7 @@ func main() {
 	}
 
 	if *smokeV3 != "" {
-		if err := runSmokeV3(*smokeV3, *smokeV3Min); err != nil {
+		if err := runSmokeV3(*smokeV3); err != nil {
 			log.Fatalf("nrmi-bench: %v", err)
 		}
 		return
@@ -182,11 +181,18 @@ func runSmoke(path string, minReduction float64) error {
 	return nil
 }
 
+// v3AllocCeiling is the absolute half of the V3 gate: V3's allocs/op per
+// workload as read when ISSUE 15 re-based the gate (375 and 687, about 595
+// of which are the harness building and converting its world) plus 5%. A
+// percentage of V2-kernels, the gate's old second half, fell whenever V2
+// improved, which is not a V3 regression.
+var v3AllocCeiling = map[string]int64{"Table2OneWay": 394, "Table5NRMI": 721}
+
 // runSmokeV3 runs the engine ablation (V3 flat frames vs the V2-kernels
 // previous best), writes the BENCH_6 snapshot to path, and enforces the
-// flat-format gate: V3 must allocate strictly less per op than V2-kernels
-// on every workload, and cut allocs/op by at least minReduction percent.
-func runSmokeV3(path string, minReduction float64) error {
+// flat-format gate: on every workload V3 must allocate strictly less per op
+// than V2-kernels and no more than its own ceiling.
+func runSmokeV3(path string) error {
 	snap, err := bench.RunBenchSmokeV3()
 	if err != nil {
 		return err
@@ -220,12 +226,8 @@ func runSmokeV3(path string, minReduction float64) error {
 		if pair[0] >= pair[1] {
 			return fmt.Errorf("perf regression: %s v3 allocs/op %d not below v2-kernels %d", name, pair[0], pair[1])
 		}
-	}
-	if minReduction > 0 {
-		for name, pct := range snap.AllocReductionPct {
-			if pct < minReduction {
-				return fmt.Errorf("perf regression: %s v3 allocs/op reduction %.1f%% below the %.0f%% gate", name, pct, minReduction)
-			}
+		if ceiling := v3AllocCeiling[name]; pair[0] > ceiling {
+			return fmt.Errorf("perf regression: %s v3 allocs/op %d above its ceiling %d", name, pair[0], ceiling)
 		}
 	}
 	return nil

@@ -16,10 +16,19 @@
 //	payload  []byte
 //
 // Each frame is written with a single Write call, which is the contract the
-// netsim package relies on for per-message latency accounting.
+// netsim package relies on for per-message latency accounting. Both ends
+// read through one readBufSize buffer per connection, so a frame that fits
+// costs one read and frames that arrive together share one.
+//
+// A server connection's read loop hands each request to a parked worker
+// goroutine of that connection or, when none is parked, starts one, so no
+// request queues. A finished worker parks and keeps its grown stack; at most
+// maxIdleWorkers park per connection (one more exits instead: a counter, no
+// timer), and all exit when the read loop returns.
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"context"
@@ -28,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,6 +78,11 @@ const (
 	// DEFLATE-compressed when compression is enabled on the writer side.
 	// Small frames gain nothing and pay latency.
 	compressThreshold = 1 << 10
+
+	// readBufSize lets a 256-node paper frame (4 035 B) arrive in one read.
+	readBufSize = 4 << 10
+	// maxIdleWorkers bounds the workers (and stacks) one connection parks.
+	maxIdleWorkers = 16
 )
 
 // Errors reported by the transport.
@@ -319,14 +334,14 @@ func readFrame(r io.Reader) (frame, error) {
 	if hdr[3]&flagDeadline != 0 {
 		var ext [8]byte
 		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return frame{}, err
+			return frame{}, inFrame(err)
 		}
 		deadline = time.Duration(binary.BigEndian.Uint64(ext[:])) * time.Microsecond
 	}
 	payload := bufpool.Get(int(length))
 	if _, err := io.ReadFull(r, payload); err != nil {
 		bufpool.Put(payload)
-		return frame{}, err
+		return frame{}, inFrame(err)
 	}
 	flags := hdr[3] &^ flagDeadline
 	if flags&flagDeflate != 0 {
@@ -352,6 +367,15 @@ func readFrame(r io.Reader) (frame, error) {
 		deadline: deadline,
 		payload:  payload,
 	}, nil
+}
+
+// inFrame reports the EOF of a read that began after a frame's header as
+// io.ErrUnexpectedEOF: a clean io.EOF exists only between frames.
+func inFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Conn is the client side of a transport connection: concurrent Call
@@ -395,8 +419,9 @@ func NewConn(c net.Conn) *Conn {
 func (c *Conn) EnableCompression() { c.compress.Store(true) }
 
 func (c *Conn) readLoop() {
+	r := bufio.NewReaderSize(c.c, readBufSize)
 	for {
-		f, err := readFrame(c.c)
+		f, err := readFrame(r)
 		if err != nil {
 			c.failAll(err)
 			return
@@ -691,9 +716,8 @@ func (c *Conn) CallOneWay(ctx context.Context, msgType byte, payload []byte) err
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.
 func (c *Conn) Close() error {
-	err := c.c.Close()
-	c.failAll(ErrClosed)
-	return err
+	c.failAll(ErrClosed) // before the read loop can report the closed socket instead
+	return c.c.Close()
 }
 
 // oneWayKey marks request contexts whose frame carried the one-way flag.
@@ -725,7 +749,7 @@ func IsOneWay(ctx context.Context) bool {
 type Handler func(ctx context.Context, msgType byte, payload []byte) ([]byte, error)
 
 // Server accepts transport connections and dispatches frames to a Handler.
-// Each request runs in its own goroutine, like RMI's per-call threading.
+// Requests run concurrently, like RMI's per-call threads, on kept workers.
 type Server struct {
 	ln       net.Listener
 	handler  Handler
@@ -737,22 +761,51 @@ type Server struct {
 	baseCancel context.CancelFunc
 
 	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
+	conns    map[*srvConn]struct{}
 	closed   bool
 	lnClosed bool
 	wg       sync.WaitGroup
 
-	// reqs counts live request goroutines, reply write included; Drain
-	// polls it so graceful shutdown can wait for replies to flush before
-	// connections are torn down.
-	reqs atomic.Int64
+	// reqs counts live requests, reply write included; Drain polls it so
+	// graceful shutdown can wait for replies to flush before connections
+	// are torn down.
+	reqs            atomic.Int64
+	served, started atomic.Int64 // see Stats
+}
+
+// srvConn is one accepted connection and its workers.
+type srvConn struct {
+	c       net.Conn
+	writeMu sync.Mutex
+	// work is unbuffered: a send succeeds only while a worker is parked on it.
+	work    chan frame
+	idle    atomic.Int32 // workers parked on work
+	workers sync.WaitGroup
+}
+
+// Stats counts worker reuse: Started/Served of the requests had a cold stack.
+type Stats struct {
+	Served  int64 // requests run to completion, reply written
+	Started int64 // worker goroutines started
+	Parked  int64 // workers idle right now, over all connections
+}
+
+// Stats returns a snapshot of the server's worker counters.
+func (s *Server) Stats() Stats {
+	st := Stats{Served: s.served.Load(), Started: s.started.Load()}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for sc := range s.conns {
+		st.Parked += int64(sc.idle.Load())
+	}
+	return st
 }
 
 // Serve starts accepting connections on ln. It returns immediately; use
 // Close to stop.
 func Serve(ln net.Listener, h Handler) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{ln: ln, handler: h, conns: make(map[net.Conn]struct{}), baseCtx: ctx, baseCancel: cancel}
+	s := &Server{ln: ln, handler: h, conns: make(map[*srvConn]struct{}), baseCtx: ctx, baseCancel: cancel}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -775,77 +828,103 @@ func (s *Server) acceptLoop() {
 			_ = c.Close()
 			return
 		}
-		s.conns[c] = struct{}{}
+		sc := &srvConn{c: c, work: make(chan frame)}
+		s.conns[sc] = struct{}{}
 		s.mu.Unlock()
 		s.wg.Add(1)
-		go s.serveConn(c)
+		go s.serveConn(sc)
 	}
 }
 
-func (s *Server) serveConn(c net.Conn) {
+func (s *Server) serveConn(sc *srvConn) {
 	defer s.wg.Done()
 	defer func() {
-		_ = c.Close()
+		// Parked workers exit on the close, busy ones after writing their reply.
+		close(sc.work)
+		sc.workers.Wait()
+		_ = sc.c.Close()
 		s.mu.Lock()
-		delete(s.conns, c)
+		delete(s.conns, sc)
 		s.mu.Unlock()
 	}()
-	var writeMu sync.Mutex
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
+	r := bufio.NewReaderSize(sc.c, readBufSize)
 	for {
-		f, err := readFrame(c)
+		f, err := readFrame(r)
 		if err != nil {
 			return
 		}
-		reqWG.Add(1)
 		s.reqs.Add(1)
-		go func(f frame) {
-			defer s.reqs.Add(-1)
-			defer reqWG.Done()
-			ctx := s.baseCtx
-			if f.deadline > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, f.deadline)
-				defer cancel()
-			}
-			if f.flags&flagOneWay != 0 {
-				ctx = withOneWay(ctx)
-				_, _ = s.safeHandle(ctx, f.msgType, f.payload)
-				// One-way contract: no reply frame, success or failure
-				// (PROTOCOL.md section 10). The handler has returned, so
-				// the request buffer is free.
-				ReleasePayload(f.payload)
-				return
-			}
-			reply, err := s.safeHandle(ctx, f.msgType, f.payload)
-			out := frame{msgType: MsgReply, reqID: f.reqID}
-			if err != nil {
-				out.flags = flagError
-				if code := statusOf(err); code != StatusApp {
-					out.flags |= flagStatus
-					out.payload = append([]byte{code}, err.Error()...)
-				} else {
-					out.payload = []byte(err.Error())
-				}
-			} else {
-				out.payload = reply
-			}
-			writeMu.Lock()
-			_ = writeFrame(c, out, s.compress.Load())
-			writeMu.Unlock()
-			// The reply (which may alias the request payload, e.g. an echo)
-			// has been fully assembled and written; the request buffer is
-			// free.
-			ReleasePayload(f.payload)
-		}(f)
+		select {
+		case sc.work <- f:
+		default:
+			s.started.Add(1)
+			sc.workers.Add(1)
+			go s.worker(sc, f)
+		}
 	}
 }
 
+// worker serves f and then, on the same grown stack, every frame the read
+// loop hands it while parked. The reply is written before the worker parks,
+// so the caller's next frame can overtake it and start a second worker.
+func (s *Server) worker(sc *srvConn, f frame) {
+	defer sc.workers.Done()
+	for ok := true; ok; {
+		s.serve(sc, f)
+		if sc.idle.Add(1) > maxIdleWorkers {
+			sc.idle.Add(-1)
+			return
+		}
+		f, ok = <-sc.work
+		sc.idle.Add(-1)
+	}
+}
+
+// serve runs one request; f.payload is its to release after the reply.
+func (s *Server) serve(sc *srvConn, f frame) {
+	defer s.reqs.Add(-1)
+	defer s.served.Add(1)
+	ctx := s.baseCtx
+	if f.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, f.deadline)
+		defer cancel()
+	}
+	if f.flags&flagOneWay != 0 {
+		ctx = withOneWay(ctx)
+		_, _ = s.safeHandle(ctx, f.msgType, f.payload)
+		// One-way contract: no reply frame, success or failure (PROTOCOL.md
+		// section 10). The handler has returned, so the request buffer is free.
+		ReleasePayload(f.payload)
+		return
+	}
+	reply, err := s.safeHandle(ctx, f.msgType, f.payload)
+	out := frame{msgType: MsgReply, reqID: f.reqID}
+	if err != nil {
+		out.flags = flagError
+		if code := statusOf(err); code != StatusApp {
+			out.flags |= flagStatus
+			out.payload = append([]byte{code}, err.Error()...)
+		} else {
+			out.payload = []byte(err.Error())
+		}
+	} else {
+		out.payload = reply
+	}
+	sc.writeMu.Lock()
+	_ = writeFrame(sc.c, out, s.compress.Load())
+	sc.writeMu.Unlock()
+	// The reply (which may alias the request payload, e.g. an echo) has been
+	// fully assembled and written; the request buffer is free.
+	ReleasePayload(f.payload)
+}
+
 // safeHandle runs the handler, converting panics into error replies: one
-// hostile or buggy request must never take the whole server process down.
+// hostile or buggy request must never take the whole server process down,
+// nor leave its profiler labels on the worker for the next request.
 func (s *Server) safeHandle(ctx context.Context, msgType byte, payload []byte) (reply []byte, err error) {
 	defer func() {
+		pprof.SetGoroutineLabels(s.baseCtx)
 		if r := recover(); r != nil {
 			reply = nil
 			err = fmt.Errorf("transport: handler panicked: %v", r)
@@ -870,7 +949,7 @@ func (s *Server) StopAccepting() error {
 	return s.ln.Close()
 }
 
-// Drain blocks until no request goroutine is running — every admitted
+// Drain blocks until no request is running — every admitted
 // request has had its reply written to the connection — or ctx expires.
 // The graceful-shutdown companion to Close: stop admitting work first
 // (StopAccepting plus a handler-level gate), Drain, then Close, and no
@@ -901,8 +980,8 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	for sc := range s.conns {
+		conns = append(conns, sc.c)
 	}
 	s.mu.Unlock()
 	s.baseCancel()

@@ -18,6 +18,14 @@ import (
 // network and returns a connected client conn.
 func startPair(t *testing.T, h Handler) *Conn {
 	t.Helper()
+	_, c := startServerPair(t, h)
+	return c
+}
+
+// startServerPair is startPair for tests that also read the server's Stats
+// or shut it down themselves.
+func startServerPair(t *testing.T, h Handler) (*Server, *Conn) {
+	t.Helper()
 	n := netsim.NewNetwork(netsim.Loopback())
 	t.Cleanup(func() { n.Close() })
 	ln, err := n.Listen("srv")
@@ -32,7 +40,7 @@ func startPair(t *testing.T, h Handler) *Conn {
 	}
 	c := NewConn(nc)
 	t.Cleanup(func() { c.Close() })
-	return c
+	return srv, c
 }
 
 func TestCallReply(t *testing.T) {
