@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint ci chaos soak cover bench bench-smoke obs-smoke load-smoke load-capacity phases tables verify-tables loc examples fuzz clean
+.PHONY: all build test race lint ci chaos soak cover bench bench-smoke obs-smoke load-smoke load-capacity phases tables verify-tables loc tracked-loc examples fuzz clean
 
 all: build test
 
@@ -49,6 +49,7 @@ ci: build
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/nrmi-vet -format sarif ./... > nrmi-vet.sarif
 	@echo "wrote nrmi-vet.sarif"
+	@$(MAKE) --no-print-directory tracked-loc
 
 # Chaos suite: the five fixed fault-plan seeds, plus one fresh seed derived
 # from the clock. The seed is printed so any failure replays exactly with
@@ -124,6 +125,14 @@ verify-tables:
 # The usability lines-of-code report (paper Section 5.3.2).
 loc:
 	$(GO) run ./cmd/nrmi-bench -loc
+
+# The ROADMAP's tracked number: non-test Go lines (comments and blanks
+# included, as `wc -l` counts them) of the five runtime packages.
+tracked-loc:
+	@total=0; for p in wire core graph rmi transport; do \
+		n=$$(find internal/$$p -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
+		printf 'tracked-loc %-10s %6d\n' $$p $$n; total=$$((total + n)); \
+	done; printf 'tracked-loc %-10s %6d\n' total $$total
 
 examples:
 	$(GO) run ./examples/quickstart

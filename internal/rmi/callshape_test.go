@@ -1,0 +1,160 @@
+package rmi
+
+import (
+	"context"
+	"errors"
+	"testing"
+	"time"
+
+	"nrmi/internal/netsim"
+	"nrmi/internal/raceflag"
+	"nrmi/internal/transport"
+)
+
+// callShape is one way of running an invocation to completion. The retry,
+// fallback and charging tests take it as an input: the three shapes are one
+// state machine and must account for a call identically.
+type callShape struct {
+	name string
+	call func(st *Stub, ctx context.Context, method string, args ...any) ([]any, error)
+}
+
+var (
+	shapeCall  = callShape{"Call", (*Stub).Call}
+	shapeAsync = callShape{"CallAsync+Wait", func(st *Stub, ctx context.Context, method string, args ...any) ([]any, error) {
+		p, err := st.CallAsync(ctx, method, args...)
+		if err != nil {
+			return nil, err
+		}
+		return p.Wait(ctx)
+	}}
+	shapeOneWay = callShape{"CallOneWay", func(st *Stub, ctx context.Context, method string, args ...any) ([]any, error) {
+		return nil, st.CallOneWay(ctx, method, args...)
+	}}
+)
+
+// syncCallAllocBudget is what one Stub.Call of the chaos tree costs end to
+// end (client, transport and server sides of the in-memory pipe together),
+// measured with this test at the commit before Call became issue + await +
+// apply on a Promise. A Promise that escapes to the heap, or a second
+// deadline context per attempt, lands above it.
+const syncCallAllocBudget = 51
+
+// TestSyncCallAllocs holds the blocking call shape to the allocation count
+// it had as a hand-written path of its own: the Promise it runs on lives in
+// the caller's frame, and CallTimeout (set, as the benchmark sets it) costs
+// one deadline context per attempt.
+func TestSyncCallAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
+	}
+	env := newChaosEnv(t, nil, RetryPolicy{}, 5*time.Second)
+	stub := env.client.Stub("server", "chaos")
+	ctx := context.Background()
+	root := chaosTree()
+	call := func() {
+		if _, err := stub.Call(ctx, "Scale", root, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ { // pools, kernels, parked worker
+		call()
+	}
+	got := testing.AllocsPerRun(200, call)
+	t.Logf("allocs per sync call: %.2f (budget %d)", got, syncCallAllocBudget)
+	if got > syncCallAllocBudget {
+		t.Fatalf("Stub.Call allocates %.2f per call, budget %d", got, syncCallAllocBudget)
+	}
+}
+
+// TestCallAsyncFirstSendFailure: CallAsync hands out no promise without a
+// request in flight. A first send that fails — ctx already done, frame
+// severed mid-write — is returned by CallAsync itself, typed as the
+// blocking shape types it, with retries on and none spent; the caller never
+// holds a pending promise that Ready can not see through, and its ctx is
+// not outlived by a re-send under Wait's.
+func TestCallAsyncFirstSendFailure(t *testing.T) {
+	retry := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		plan *netsim.Plan
+		want error
+	}{
+		{"cancelled ctx", cancelled, nil, context.Canceled},
+		{"severed frame", context.Background(), netsim.NewPlan(7).SeverFrame(1), netsim.ErrSevered},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newChaosEnv(t, tc.plan, retry, 5*time.Second)
+			stub := env.client.Stub("server", "chaos")
+			root := chaosTree()
+			snap := snapshotTree(t, root)
+			p, err := stub.CallAsync(tc.ctx, "Scale", root, 3)
+			var ce *transport.CallError
+			if p != nil || !errors.As(err, &ce) || ce.Phase != transport.PhaseSend || ce.Sent || !errors.Is(err, tc.want) {
+				t.Fatalf("CallAsync = %v, %v; want no promise and an unsent send-phase CallError wrapping %v", p, err, tc.want)
+			}
+			if cm := env.client.Metrics(); cm.Attempts != 1 || cm.Retries != 0 || cm.CallErrors != 1 || cm.AsyncIssued != 0 {
+				t.Fatalf("Attempts=%d Retries=%d CallErrors=%d AsyncIssued=%d, want 1, 0, 1, 0", cm.Attempts, cm.Retries, cm.CallErrors, cm.AsyncIssued)
+			}
+			if got := env.svc.Calls(); got != 0 || !treesEqual(t, root, snap) {
+				t.Fatalf("server executed %d times, want 0, and the graph untouched", got)
+			}
+			// The failure was that send's alone: the next call goes through.
+			if _, err := shapeAsync.call(stub, context.Background(), "Scale", root, 3); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestHostChargeEveryShape: a simulated slow client (netsim.Host) is charged
+// for marshal and unmarshal time on a promise exactly as on a blocking call.
+// The tree is large enough that the two steps take over a millisecond, each
+// cell is the minimum of several runs,
+// and a host twenty times slower must make the call at least five times
+// longer — server, transport and scheduler noise included, which only the
+// charged sleep can explain.
+func TestHostChargeEveryShape(t *testing.T) {
+	cl, _, _ := newAsyncEnv(t, nil)
+	var grow func(depth int) *RTree
+	grow = func(depth int) *RTree {
+		if depth == 0 {
+			return nil
+		}
+		return &RTree{Data: depth, Left: grow(depth - 1), Right: grow(depth - 1)}
+	}
+	depth := 12 // 4095 objects to marshal and to restore
+	if raceflag.Enabled {
+		depth = 9 // the detector slows both steps some fifteen times
+	}
+	root := grow(depth)
+	fastest := func(shape callShape, factor float64) time.Duration {
+		opts := cl.opts
+		opts.Host = netsim.Host{CPUFactor: factor}
+		c, err := NewClient(cl.dialer, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		stub := c.Stub("server", "async")
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			if _, err := shape.call(stub, context.Background(), "Touch", root, 1); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	for _, shape := range []callShape{shapeCall, shapeAsync} {
+		fast, slow := fastest(shape, 1), fastest(shape, 20)
+		t.Logf("%s: reference host %v, 20x slower host %v (%.1fx)", shape.name, fast, slow, float64(slow)/float64(fast))
+		if slow < 5*fast {
+			t.Errorf("%s: a 20x slower host took %v against %v: marshal and unmarshal time is not charged", shape.name, slow, fast)
+		}
+	}
+}

@@ -269,35 +269,71 @@ func TestChaosCorruptedFrames(t *testing.T) {
 	}
 }
 
-// TestChaosDropThenHealRetrySucceeds pins the deterministic drop-then-heal
-// schedule: the first two request frames are dropped, the third attempt
-// goes through, and the retried call restores correctly having executed
-// exactly once on the server.
+// TestChaosDropThenHealRetrySucceeds pins the deterministic lose-twice-
+// then-heal schedule on every call shape: the first two request frames are
+// lost, the third attempt goes through, and the call has executed exactly
+// once on the server, having cost the same Attempts and Retries whichever
+// shape issued it. A dropped frame is an attempt timeout at await; a frame
+// severed mid-write is a send-phase failure, which the blocking shapes
+// retry and CallAsync returns (no promise without a request in flight:
+// TestCallAsyncFirstSendFailure). A one-way sender only learns of a loss it
+// can see, so it runs the severed schedule only.
 func TestChaosDropThenHealRetrySucceeds(t *testing.T) {
-	plan := netsim.NewPlan(424242).DropFrame(1).DropFrame(2)
-	retry := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1}
-	env := newChaosEnv(t, plan, retry, 80*time.Millisecond)
-	stub := env.client.Stub("server", "chaos")
-	root := chaosTree()
-	snap := snapshotTree(t, root)
+	for _, tc := range []struct {
+		shape callShape
+		sever bool
+	}{
+		{shapeCall, false}, {shapeAsync, false},
+		{shapeCall, true}, {shapeOneWay, true},
+	} {
+		shape, name := tc.shape, tc.shape.name+"/dropped"
+		plan := netsim.NewPlan(424242).DropFrame(1).DropFrame(2)
+		if tc.sever {
+			name = shape.name + "/severed"
+			plan = netsim.NewPlan(424242).SeverFrame(1).SeverFrame(2)
+		}
+		t.Run(name, func(t *testing.T) {
+			oneWay := shape.name == shapeOneWay.name
+			retry := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1}
+			env := newChaosEnv(t, plan, retry, 80*time.Millisecond)
+			stub := env.client.Stub("server", "chaos")
+			root := chaosTree()
+			snap := snapshotTree(t, root)
 
-	rets, err := stub.Call(context.Background(), "Scale", root, 3)
-	if err != nil {
-		t.Fatalf("retries exhausted (plan seed %d): %v", plan.Seed(), err)
-	}
-	if want := chaosMutate(snap, 3); rets[0].(int) != want {
-		t.Fatalf("Scale returned %v, want %d", rets[0], want)
-	}
-	if !treesEqual(t, root, snap) {
-		t.Fatal("retried call restored the wrong graph")
-	}
-	if got := env.svc.Calls(); got != 1 {
-		t.Fatalf("server executed %d times, want exactly 1 (dropped requests never arrived)", got)
-	}
-	// Frames 1 and 2 were the dropped requests, 3 the delivered request,
-	// 4 the reply: the schedule is fully accounted for.
-	if got := plan.Frames(); got != 4 {
-		t.Fatalf("link carried %d frames, want 4", got)
+			var arg any = root
+			if oneWay {
+				arg = nil // no reply to restore from: Scale(nil, 3) only counts the execution
+			}
+			rets, err := shape.call(stub, context.Background(), "Scale", arg, 3)
+			if err != nil {
+				t.Fatalf("retries exhausted (plan seed %d): %v", plan.Seed(), err)
+			}
+			if cm := env.client.Metrics(); cm.Attempts != 3 || cm.Retries != 2 || cm.CallErrors != 0 {
+				t.Fatalf("Attempts=%d Retries=%d CallErrors=%d, want 3, 2, 0", cm.Attempts, cm.Retries, cm.CallErrors)
+			}
+			// Frames 1 and 2 were the lost requests, 3 the delivered request,
+			// 4 the reply (none one-way): the schedule is fully accounted for.
+			wantFrames := int64(4)
+			if oneWay {
+				wantFrames = 3
+				for deadline := time.Now().Add(5 * time.Second); env.svc.Calls() == 0 && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+			} else {
+				if want := chaosMutate(snap, 3); rets[0].(int) != want {
+					t.Fatalf("Scale returned %v, want %d", rets[0], want)
+				}
+				if !treesEqual(t, root, snap) {
+					t.Fatal("retried call restored the wrong graph")
+				}
+			}
+			if got := env.svc.Calls(); got != 1 {
+				t.Fatalf("server executed %d times, want exactly 1 (lost requests never arrived)", got)
+			}
+			if got := plan.Frames(); got != wantFrames {
+				t.Fatalf("link carried %d frames, want %d", got, wantFrames)
+			}
+		})
 	}
 }
 
@@ -376,47 +412,54 @@ func TestChaosPartitionHealUnderRetry(t *testing.T) {
 // ResponseConsumedError without a single re-send, even with retries
 // enabled — and the client graph stays untouched.
 func TestRetryNeverResendsAfterResponseConsumed(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback())
-	defer n.Close()
-	ln, err := n.Listen("junk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sends atomic.Int32
-	srv := transport.Serve(ln, func(_ context.Context, _ byte, _ []byte) ([]byte, error) {
-		sends.Add(1)
-		return []byte{0xFF, 0x00, 0xAB}, nil // framing-valid, stream-garbage
-	})
-	defer srv.Close()
+	for _, shape := range []callShape{shapeCall, shapeAsync} {
+		t.Run(shape.name, func(t *testing.T) {
+			n := netsim.NewNetwork(netsim.Loopback())
+			defer n.Close()
+			ln, err := n.Listen("junk")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sends atomic.Int32
+			srv := transport.Serve(ln, func(_ context.Context, _ byte, _ []byte) ([]byte, error) {
+				sends.Add(1)
+				return []byte{0xFF, 0x00, 0xAB}, nil // framing-valid, stream-garbage
+			})
+			defer srv.Close()
 
-	reg := wire.NewRegistry()
-	if err := reg.Register("RTree", RTree{}); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := NewClient(n.Dial, Options{
-		Core:  core.Options{Registry: reg},
-		Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+			reg := wire.NewRegistry()
+			if err := reg.Register("RTree", RTree{}); err != nil {
+				t.Fatal(err)
+			}
+			cl, err := NewClient(n.Dial, Options{
+				Core:  core.Options{Registry: reg},
+				Retry: RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, Seed: 3},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
 
-	root := chaosTree()
-	snap := snapshotTree(t, root)
-	_, err = cl.Stub("junk", "chaos").Call(context.Background(), "Scale", root, 2)
-	var consumed *ResponseConsumedError
-	if !errors.As(err, &consumed) {
-		t.Fatalf("want *ResponseConsumedError, got %T: %v", err, err)
-	}
-	if Retryable(err) {
-		t.Fatal("consumed-response errors must classify as non-retryable")
-	}
-	if got := sends.Load(); got != 1 {
-		t.Fatalf("request sent %d times, want exactly 1: response bytes were consumed", got)
-	}
-	if !treesEqual(t, root, snap) {
-		t.Fatal("garbage reply mutated the client graph")
+			root := chaosTree()
+			snap := snapshotTree(t, root)
+			_, err = shape.call(cl.Stub("junk", "chaos"), context.Background(), "Scale", root, 2)
+			var consumed *ResponseConsumedError
+			if !errors.As(err, &consumed) {
+				t.Fatalf("want *ResponseConsumedError, got %T: %v", err, err)
+			}
+			if Retryable(err) {
+				t.Fatal("consumed-response errors must classify as non-retryable")
+			}
+			if got := sends.Load(); got != 1 {
+				t.Fatalf("request sent %d times, want exactly 1: response bytes were consumed", got)
+			}
+			if cm := cl.Metrics(); cm.Attempts != 1 || cm.Retries != 0 || cm.CallErrors != 1 {
+				t.Fatalf("Attempts=%d Retries=%d CallErrors=%d, want 1, 0, 1", cm.Attempts, cm.Retries, cm.CallErrors)
+			}
+			if !treesEqual(t, root, snap) {
+				t.Fatal("garbage reply mutated the client graph")
+			}
+		})
 	}
 }
 

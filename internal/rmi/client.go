@@ -13,10 +13,8 @@ import (
 	"time"
 
 	"nrmi/internal/core"
-	"nrmi/internal/obs"
 	"nrmi/internal/registry"
 	"nrmi/internal/transport"
-	"nrmi/internal/wire"
 )
 
 // Dialer opens a connection to a named endpoint. netsim.Network.Dial and a
@@ -191,7 +189,7 @@ func (st *Stub) CallStats(ctx context.Context, method string, args ...any) (*cor
 		info := CallInfo{Addr: st.addr, Object: st.object, Method: method, ArgCount: len(args)}
 		err := ic(ctx, info, func(ctx context.Context) error {
 			var err error
-			resp, err = st.callStats(ctx, method, args...)
+			resp, err = st.run(ctx, method, args, false)
 			return err
 		})
 		if err != nil {
@@ -202,48 +200,12 @@ func (st *Stub) CallStats(ctx context.Context, method string, args ...any) (*cor
 		}
 		return resp, nil
 	}
-	return st.callStats(ctx, method, args...)
+	return st.run(ctx, method, args, false)
 }
 
 // reqBufPool recycles request encode buffers across calls; a buffer is
-// reset and returned once invoke has finished (re)sending its bytes.
+// reset and returned when its promise settles.
 var reqBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// callStats performs the actual invocation: doCall under a per-call
-// observability collector and the client counter block.
-func (st *Stub) callStats(ctx context.Context, method string, args ...any) (*core.Response, error) {
-	c := st.c
-	oc := obs.Begin(c.opts.Obs, st.object, method)
-	resp, err := st.doCall(ctx, oc, method, args...)
-	var received int64
-	if resp != nil {
-		received = resp.BytesReceived
-	}
-	c.noteCall(received, err)
-	oc.Finish(err)
-	return resp, err
-}
-
-// doCall is the invocation body, plus the engine-negotiation shell: a call
-// encoded with engine V3 that a pre-V3 peer rejects at the stream header
-// ("unknown engine") is re-encoded with V2 and re-sent exactly once — safe
-// because the rejection provably precedes argument decoding, let alone
-// execution — and the address is remembered so later calls start at V2.
-// This mirrors the flag-gated deadline-frame negotiation in the transport.
-func (st *Stub) doCall(ctx context.Context, oc *obs.Call, method string, args ...any) (*core.Response, error) {
-	c := st.c
-	coreOpts := c.opts.Core
-	if coreOpts.Engine == wire.EngineV3 && c.peerLacksV3(st.addr) {
-		coreOpts.Engine = wire.EngineV2
-	}
-	resp, err := st.doCallEngine(ctx, oc, method, coreOpts, args)
-	if err != nil && coreOpts.Engine == wire.EngineV3 && isUnknownEngineReject(err) {
-		c.noteV2Fallback(st.addr)
-		coreOpts.Engine = wire.EngineV2
-		resp, err = st.doCallEngine(ctx, oc, method, coreOpts, args)
-	}
-	return resp, err
-}
 
 // peerLacksV3 reports whether addr previously rejected an engine-V3 stream.
 func (c *Client) peerLacksV3(addr string) bool {
@@ -268,67 +230,6 @@ func (c *Client) noteV2Fallback(addr string) {
 func isUnknownEngineReject(err error) bool {
 	var remote *transport.RemoteError
 	return errors.As(err, &remote) && strings.Contains(remote.Msg, "unknown engine")
-}
-
-// doCallEngine performs one invocation under the given core options.
-// Arguments are encoded exactly once; the retry layer (invoke) re-sends the
-// identical request bytes, so a retried call can never ship different state
-// than the original. oc may be nil (observability disabled).
-func (st *Stub) doCallEngine(ctx context.Context, oc *obs.Call, method string, coreOpts core.Options, args []any) (*core.Response, error) {
-	c := st.c
-	marshalStart := time.Now()
-	req := reqBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		req.Reset()
-		reqBufPool.Put(req)
-	}()
-	call := core.NewCall(req, coreOpts)
-	defer call.Release()
-	call.SetObs(oc)
-	oc.SetKernels(coreOpts.KernelsEnabled())
-
-	sp := oc.Start(obs.PhaseEncode)
-	err := st.encodeRequest(call, method, args)
-	sp.EndBytes(int64(req.Len()))
-	if err != nil {
-		return nil, err
-	}
-	if call.NumRestorable() > 0 {
-		// Synchronous calls take the same commit lock as promises, so a
-		// sync call racing a promise consumption cannot interleave
-		// overwrites either.
-		call.SetCommitLock(&c.commitMu)
-	}
-	c.opts.Host.Charge(time.Since(marshalStart))
-	c.metrics.bytesSent.Add(int64(req.Len()))
-
-	sp = oc.Start(obs.PhaseTransport)
-	payload, err := st.invoke(ctx, req.Bytes())
-	sp.EndBytes(int64(len(payload)))
-	if err != nil {
-		return nil, err
-	}
-	oc.SetIO(int64(len(payload)), int64(req.Len()))
-
-	// Response bytes are consumed from here on: whatever happens, this
-	// call is never re-sent (exactly-once restore). ApplyResponseBytes
-	// validates fully before mutating, so a failure below still leaves the
-	// caller's graph untouched — but it is not safe to re-run, and the
-	// error says so.
-	unmarshalStart := time.Now()
-	resp, err := call.ApplyResponseBytes(payload)
-	// The pooled payload's ownership extends through the restore commit:
-	// under engine V3 the content records are validated and committed
-	// straight out of these bytes (zero-copy), so the release must not
-	// happen until ApplyResponseBytes has returned. By then everything
-	// retained has been written into the caller's graph (or, on error,
-	// dropped), so the payload goes back regardless of the outcome.
-	c.releasePayload(payload)
-	if err != nil {
-		return nil, &ResponseConsumedError{Method: method, Err: err}
-	}
-	c.opts.Host.Charge(time.Since(unmarshalStart))
-	return resp, nil
 }
 
 // encodeRequest writes the call header and arguments onto the request

@@ -84,32 +84,44 @@ func TestV3EndToEnd(t *testing.T) {
 
 // TestV3ClientFallsBackToV2Peer: the server cannot decode V3; the client's
 // first call is rejected at the stream header, re-encoded as V2, and
-// retried. The downgrade is cached, so the fallback counter moves once no
-// matter how many calls follow.
+// re-sent. The downgrade is cached, so the fallback counter moves once no
+// matter how many calls follow. The re-send is negotiation, not a retry:
+// on either call shape it spends none of RetryPolicy.MaxAttempts and ticks
+// no Retries.
 func TestV3ClientFallsBackToV2Peer(t *testing.T) {
-	e := newEngineEnv(t,
-		core.Options{DisableEngineV3: true},
-		core.Options{Engine: wire.EngineV3})
-	stub := e.client.Stub("server", "trees")
+	for _, shape := range []callShape{shapeCall, shapeAsync} {
+		call := shape.call
+		t.Run(shape.name, func(t *testing.T) {
+			e := newEngineEnv(t,
+				core.Options{DisableEngineV3: true},
+				core.Options{Engine: wire.EngineV3})
+			e.client.opts.Retry = RetryPolicy{MaxAttempts: 2}
+			stub := e.client.Stub("server", "trees")
 
-	root, a1, a2, rl, rr := paperRTree()
-	if _, err := stub.Call(context.Background(), "Foo", root); err != nil {
-		t.Fatalf("negotiated call failed: %v", err)
-	}
-	// The downgraded call must still deliver full copy-restore semantics.
-	assertFigure2RTree(t, root, a1, a2, rl, rr)
+			root, a1, a2, rl, rr := paperRTree()
+			if _, err := call(stub, context.Background(), "Foo", root); err != nil {
+				t.Fatalf("negotiated call failed: %v", err)
+			}
+			// The downgraded call must still deliver full copy-restore semantics.
+			assertFigure2RTree(t, root, a1, a2, rl, rr)
+			if cm := e.client.Metrics(); cm.Attempts != 2 || cm.Retries != 0 || cm.EngineFallbacks != 1 {
+				t.Fatalf("after the negotiated call: Attempts=%d Retries=%d EngineFallbacks=%d, want 2, 0, 1",
+					cm.Attempts, cm.Retries, cm.EngineFallbacks)
+			}
 
-	for i := 0; i < 5; i++ {
-		root2, _, _, _, _ := paperRTree()
-		if _, err := stub.Call(context.Background(), "Foo", root2); err != nil {
-			t.Fatalf("call %d after downgrade: %v", i, err)
-		}
-	}
-	if fb := e.client.Metrics().EngineFallbacks; fb != 1 {
-		t.Fatalf("EngineFallbacks = %d, want 1 (downgrade cached per address)", fb)
-	}
-	if calls := e.service.Calls(); calls != 6 {
-		t.Fatalf("service saw %d calls, want 6 (header rejection precedes execution)", calls)
+			for i := 0; i < 5; i++ {
+				root2, _, _, _, _ := paperRTree()
+				if _, err := call(stub, context.Background(), "Foo", root2); err != nil {
+					t.Fatalf("call %d after downgrade: %v", i, err)
+				}
+			}
+			if fb := e.client.Metrics().EngineFallbacks; fb != 1 {
+				t.Fatalf("EngineFallbacks = %d, want 1 (downgrade cached per address)", fb)
+			}
+			if calls := e.service.Calls(); calls != 6 {
+				t.Fatalf("service saw %d calls, want 6 (header rejection precedes execution)", calls)
+			}
+		})
 	}
 }
 

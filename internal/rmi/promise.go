@@ -1,8 +1,18 @@
-// Async promises and one-way calls: the pipelining layer (ROADMAP item 2).
-// CallAsync issues a remote invocation without blocking on the round trip
-// and returns a Promise; several promises in flight on one connection
-// pipeline their round trips, so K calls cost ~1 network latency instead
-// of K. CallOneWay goes further and elides the reply frame entirely.
+// The client call state machine. Every outbound invocation is a Promise
+// going through the same three steps:
+//
+//	issue  encode the arguments once, send attempt 1
+//	await  the one retry loop; ends with a reply payload in hand
+//	apply  consume the payload: decode, validate, restore commit
+//
+// and the three call shapes differ only in which steps they run when.
+// Stub.Call runs all three back to back on a Promise that never leaves
+// its stack frame. Stub.CallAsync returns after issue and leaves await and
+// apply to Wait, so several promises in flight on one connection pipeline
+// their round trips (K calls cost ~1 network latency instead of K).
+// Stub.CallOneWay issues with the one-way flag: there is no reply frame,
+// so its await ends as soon as a frame has been written and there is
+// nothing to apply.
 //
 // Restore semantics are where async gets sharp, and the rules are:
 //
@@ -17,7 +27,7 @@
 //   - Each promise keeps the two-phase bit-identical-on-failure
 //     guarantee independently, and once its response bytes have been
 //     consumed a failure is final (ResponseConsumedError) — the retry
-//     policy refuses to re-send, same as the synchronous path.
+//     loop refuses to re-send.
 //
 // A Promise is owned by one goroutine at a time, like a *bytes.Buffer:
 // issue it, hand it off if you like, but do not share it. (Promise
@@ -71,21 +81,23 @@ type Promise struct {
 	method string
 	oc     *obs.Call
 
-	// coreOpts is the engine configuration the request was encoded under;
-	// it downgrades to V2 once if the peer rejects a V3 stream header.
-	coreOpts core.Options
-	call     *core.Call
-	req      *bytes.Buffer
+	// engine is the codec the request is encoded under: the client's, or V2
+	// where the peer cannot answer V3 (one-way calls get no reply to
+	// negotiate on; a peer's "unknown engine" rejection downgrades once).
+	engine wire.Engine
+	oneWay bool
+	call   *core.Call
+	req    *bytes.Buffer
 	// args are retained solely for the one-shot V2 re-encode fallback;
 	// retries re-send the already-encoded bytes and never re-read them.
 	args []any
 
-	// pc is the transport half of the current attempt; sendErr is the
-	// send failure when the attempt never got a pending call.
-	pc      *transport.PendingCall
-	sendErr error
-	sentAt  time.Time
-	attempt int
+	// pc is the transport half of the current attempt (nil once a one-way
+	// frame is written), sendErr the failure when the attempt never went
+	// out, deadline the attempt's expiry (zero without CallTimeout).
+	pc       *transport.PendingCall
+	sendErr  error
+	deadline time.Time
 
 	state promiseState
 	resp  *core.Response
@@ -98,172 +110,193 @@ type Promise struct {
 	inner  *Promise
 }
 
+// begin readies a promise for encode: collector, engine, arguments.
+func (st *Stub) begin(p *Promise, method string, args []any, oneWay bool) {
+	c := st.c
+	*p = Promise{st: st, method: method, args: args, oneWay: oneWay, engine: c.opts.Core.Engine,
+		oc: obs.Begin(c.opts.Obs, st.object, method)}
+	if p.engine == wire.EngineV3 && (oneWay || c.peerLacksV3(st.addr)) {
+		p.engine = wire.EngineV2
+	}
+}
+
+// run is the blocking shape, Stub.Call and Stub.CallOneWay: issue, await
+// and (unless one-way: no reply, nothing to apply) apply back to back. The
+// promise stays in this frame, so a blocking call allocates no more than
+// its codec and its transport attempt do.
+func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool) (*core.Response, error) {
+	var p Promise
+	st.begin(&p, method, args, oneWay)
+	sp := p.oc.Start(obs.PhaseEncode)
+	err := p.encode()
+	sp.EndBytes(int64(p.req.Len()))
+	var resp *core.Response
+	if err == nil {
+		sp = p.oc.Start(obs.PhaseTransport)
+		p.send(ctx)
+		var payload []byte
+		payload, err = p.await(ctx)
+		sp.EndBytes(int64(len(payload)))
+		if err == nil && !oneWay {
+			p.oc.SetIO(int64(len(payload)), int64(p.req.Len()))
+			resp, err = p.apply(payload)
+		}
+	}
+	p.settle(resp, err)
+	return resp, err
+}
+
 // CallAsync encodes method's arguments now — the linear map snapshots the
 // argument graphs at issue time, exactly like a synchronous call's encode
 // phase — sends the request, and returns without waiting for the reply.
 // The returned promise pipelines with other in-flight calls on the same
-// connection. Client interceptors (Options.Intercept) do not wrap async
+// connection. An encode failure or a failed first send (no connection, ctx
+// already done, frame not written) is reported here and no promise is
+// returned: a promise, once handed out, always has a request in flight.
+// ctx governs the send only; the ctx given to Wait governs the await and
+// any re-send. Client interceptors (Options.Intercept) do not wrap async
 // calls; the issue/await split has no single call body to wrap.
 func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Promise, error) {
-	c := st.c
-	oc := obs.Begin(c.opts.Obs, st.object, method)
-	p := &Promise{st: st, method: method, oc: oc}
-	sp := oc.Start(obs.PhaseAsyncIssue)
-	err := p.issue(ctx, args)
+	p := new(Promise)
+	st.begin(p, method, args, false)
+	sp := p.oc.Start(obs.PhaseAsyncIssue)
+	err := p.encode()
+	if err == nil {
+		p.send(ctx)
+		err = p.sendErr
+	}
 	sp.End()
 	if err != nil {
 		p.settle(nil, err)
 		return nil, err
 	}
-	c.metrics.asyncIssued.Add(1)
+	st.c.metrics.asyncIssued.Add(1)
 	return p, nil
 }
 
-// issue encodes the request and sends attempt 1.
-func (p *Promise) issue(ctx context.Context, args []any) error {
-	c := p.st.c
-	p.coreOpts = c.opts.Core
-	if p.coreOpts.Engine == wire.EngineV3 && c.peerLacksV3(p.st.addr) {
-		p.coreOpts.Engine = wire.EngineV2
-	}
-	p.args = args
-	if err := p.encode(); err != nil {
-		return err
-	}
-	return p.send(ctx)
-}
-
-// encode (re-)encodes the request under p.coreOpts into the retained
-// pooled buffer. Retries re-send these exact bytes; only the V2 engine
-// fallback ever encodes twice.
+// encode (re-)encodes the request under p.engine into the retained pooled
+// buffer. Retries re-send these exact bytes, so a retried call can never
+// ship different state than the original; only the V2 engine fallback
+// ever encodes twice.
 func (p *Promise) encode() error {
 	c := p.st.c
+	start := time.Now()
 	if p.req == nil {
 		p.req = reqBufPool.Get().(*bytes.Buffer)
 	}
 	p.req.Reset()
-	if p.call != nil {
-		p.call.Release()
-	}
-	call := core.NewCall(p.req, p.coreOpts)
-	call.SetObs(p.oc)
-	p.oc.SetKernels(p.coreOpts.KernelsEnabled())
-	p.call = call
-	if err := p.st.encodeRequest(call, p.method, p.args); err != nil {
+	p.call.Release()
+	coreOpts := c.opts.Core
+	coreOpts.Engine = p.engine
+	p.call = core.NewCall(p.req, coreOpts)
+	p.call.SetObs(p.oc)
+	p.oc.SetKernels(coreOpts.KernelsEnabled())
+	if err := p.st.encodeRequest(p.call, p.method, p.args); err != nil {
 		return err
 	}
-	if call.NumRestorable() > 0 {
-		// Serialize this call's restore commit against every other call
-		// on the client; see the package comment's commit-ordering rules.
-		call.SetCommitLock(&c.commitMu)
+	if p.call.NumRestorable() > 0 {
+		// With promises, several replies can be consumed concurrently:
+		// every call carrying restorable arguments, blocking or not,
+		// applies its response under the client's commit lock.
+		p.call.SetCommitLock(&c.commitMu)
 	}
+	c.opts.Host.Charge(time.Since(start))
 	c.metrics.bytesSent.Add(int64(p.req.Len()))
 	return nil
 }
 
-// send starts one transport attempt. A failure is recorded in sendErr and
-// surfaces through the next awaitCurrent, keeping retry classification in
-// one place (resolve).
-func (p *Promise) send(ctx context.Context) error {
+// send starts one transport attempt over the pooled connection (a dead one
+// is evicted and re-dialed: the reconnect path). The attempt's deadline is
+// derived here, once: it ships with the frame as the server-side budget
+// and bounds the wait for the reply, however long after the send that
+// wait begins. A failure is left in sendErr for await, which owns retry
+// classification (CallAsync alone reports a failed first send itself).
+func (p *Promise) send(ctx context.Context) {
 	c := p.st.c
-	p.attempt++
 	c.metrics.attempts.Add(1)
-	if p.attempt > 1 {
-		c.metrics.retries.Add(1)
-	}
-	p.pc, p.sendErr = nil, nil
-	sctx := ctx
-	cancel := func() {}
 	if ct := c.opts.CallTimeout; ct > 0 {
-		// The attempt deadline ships with the frame as the server-side
-		// budget; the client-side half is re-derived from sentAt in
-		// awaitCurrent, so Wait can come long after send.
-		sctx, cancel = context.WithTimeout(ctx, ct)
+		p.deadline = time.Now().Add(ct)
 	}
 	tc, err := c.conn(p.st.addr)
 	if err == nil {
-		p.pc, err = tc.Start(sctx, transport.MsgCall, p.req.Bytes())
+		p.pc, err = tc.Send(ctx, transport.MsgCall, p.req.Bytes(), p.deadline, p.oneWay)
 	}
-	cancel()
-	p.sentAt = time.Now()
-	if err != nil {
-		p.sendErr = err
-	}
-	return err
+	p.sendErr = err
 }
 
-// awaitCurrent blocks for the current attempt's reply under the caller's
-// context plus the per-attempt CallTimeout (measured from the send). A
-// context expiry abandons the pending call, so the pooled reply payload
-// is released exactly once whichever way the race goes.
-func (p *Promise) awaitCurrent(ctx context.Context) ([]byte, error) {
+// reply blocks for the current attempt's outcome under the caller's
+// context and the attempt deadline, whichever ends first. A context expiry
+// abandons the pending call, so the pooled reply payload is released
+// exactly once whichever way the race goes. A written one-way frame has no
+// pending call and no error: its outcome is "sent".
+func (p *Promise) reply(ctx context.Context) ([]byte, error) {
 	if p.pc == nil {
 		return nil, p.sendErr
 	}
-	actx := ctx
-	cancel := func() {}
-	if ct := p.st.c.opts.CallTimeout; ct > 0 {
-		actx, cancel = context.WithDeadline(ctx, p.sentAt.Add(ct))
+	if !p.deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, p.deadline)
+		defer cancel()
 	}
-	payload, err := p.pc.Wait(actx)
-	cancel()
+	payload, err := p.pc.Wait(ctx)
 	p.pc = nil
 	return payload, err
 }
 
-// apply consumes the reply payload into the caller's graph. From here the
-// call is never re-sent: ApplyResponseBytes validates fully before
-// mutating (a failure leaves the graph bit-identical), and the error
-// wraps as ResponseConsumedError, which Retryable refuses.
-func (p *Promise) apply(payload []byte) (*core.Response, error) {
-	c := p.st.c
-	resp, err := p.call.ApplyResponseBytes(payload)
-	c.releasePayload(payload)
-	if err != nil {
-		return nil, &ResponseConsumedError{Method: p.method, Err: err}
-	}
-	return resp, nil
-}
-
-// resolve drives the attempt/retry loop to a settled outcome, mirroring
-// the synchronous invoke() but resuming from an already-sent attempt.
-func (p *Promise) resolve(ctx context.Context) (*core.Response, error) {
+// await drives the already-sent first attempt to a reply payload, re-
+// sending the identical bytes under the client's retry policy. A V3
+// request that a pre-V3 peer rejects at the stream header ("unknown
+// engine") is re-encoded as V2 and re-sent once, and the address
+// remembered; the rejection provably precedes argument decoding, so this
+// is negotiation, not a retry, and costs no attempt.
+func (p *Promise) await(ctx context.Context) ([]byte, error) {
 	c := p.st.c
 	pol := c.opts.Retry.withDefaults()
-	attempts := pol.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for {
-		payload, err := p.awaitCurrent(ctx)
-		if err == nil {
-			return p.apply(payload)
-		}
-		if p.coreOpts.Engine == wire.EngineV3 && isUnknownEngineReject(err) {
-			// One-shot V2 downgrade, the same negotiation as the sync
-			// path: the rejection provably precedes argument decoding, so
-			// re-sending under V2 cannot double-execute anything.
+	for attempt := 1; ; {
+		payload, err := p.reply(ctx)
+		switch {
+		case err == nil:
+			return payload, nil
+		case p.engine == wire.EngineV3 && isUnknownEngineReject(err):
 			c.noteV2Fallback(p.st.addr)
-			p.coreOpts.Engine = wire.EngineV2
-			if ferr := p.encode(); ferr != nil {
-				return nil, ferr
+			p.engine = wire.EngineV2
+			if err := p.encode(); err != nil {
+				return nil, err
 			}
-			// A failed re-send surfaces through the next awaitCurrent.
-			_ = p.send(ctx)
+			p.send(ctx)
 			continue
-		}
-		if p.attempt >= attempts || !Retryable(err) || ctx.Err() != nil {
+		case attempt >= pol.MaxAttempts || !Retryable(err) || ctx.Err() != nil:
 			return nil, err
 		}
-		pause := time.NewTimer(c.backoff(pol, p.attempt))
+		pause := time.NewTimer(c.backoff(pol, attempt))
 		select {
 		case <-pause.C:
 		case <-ctx.Done():
 			pause.Stop()
 			return nil, err
 		}
-		_ = p.send(ctx)
+		attempt++
+		c.metrics.retries.Add(1)
+		p.send(ctx)
 	}
+}
+
+// apply consumes the reply payload into the caller's graph. From here the
+// call is never re-sent: ApplyResponseBytes validates fully before
+// mutating (a failure leaves the graph bit-identical), and the error
+// wraps as ResponseConsumedError, which Retryable refuses. The pooled
+// payload goes back only after ApplyResponseBytes has returned — engine V3
+// validates and commits content records straight out of these bytes.
+func (p *Promise) apply(payload []byte) (*core.Response, error) {
+	c := p.st.c
+	start := time.Now()
+	resp, err := p.call.ApplyResponseBytes(payload)
+	c.releasePayload(payload)
+	if err != nil {
+		return nil, &ResponseConsumedError{Method: p.method, Err: err}
+	}
+	c.opts.Host.Charge(time.Since(start))
+	return resp, nil
 }
 
 // Wait blocks until the promise settles and returns the remote results.
@@ -281,9 +314,6 @@ func (p *Promise) Wait(ctx context.Context) ([]any, error) {
 // WaitStats is Wait, additionally exposing restore statistics and byte
 // counts, the async counterpart of CallStats.
 func (p *Promise) WaitStats(ctx context.Context) (*core.Response, error) {
-	if p.cont != nil {
-		return p.waitDerived(ctx)
-	}
 	switch p.state {
 	case promiseResolved:
 		return p.resp, nil
@@ -292,14 +322,18 @@ func (p *Promise) WaitStats(ctx context.Context) (*core.Response, error) {
 	case promiseAbandoned:
 		return nil, ErrPromiseAbandoned
 	}
+	if p.cont != nil {
+		return p.waitDerived(ctx)
+	}
 	sp := p.oc.Start(obs.PhaseAsyncAwait)
-	resp, err := p.resolve(ctx)
+	var resp *core.Response
+	payload, err := p.await(ctx)
+	if err == nil {
+		resp, err = p.apply(payload)
+	}
 	sp.End()
 	p.settle(resp, err)
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return resp, err
 }
 
 // Ready reports, without blocking, whether Wait would settle without
@@ -343,27 +377,23 @@ func (p *Promise) Abandon() {
 
 // settle records the outcome and returns the promise's pooled resources.
 func (p *Promise) settle(resp *core.Response, err error) {
-	c := p.st.c
-	var received int64
-	if err == nil {
-		p.state = promiseResolved
-		p.resp = resp
-		received = resp.BytesReceived
-	} else {
+	p.state, p.resp, p.err = promiseResolved, resp, err
+	if err != nil {
 		p.state = promiseRejected
-		p.err = err
 	}
-	c.noteCall(received, err)
+	var received int64
+	if resp != nil { // a one-way call settles without one
+		received = resp.BytesReceived
+	}
+	p.st.c.noteCall(received, err)
 	p.oc.Finish(err)
 	p.releaseResources()
 }
 
 // releaseResources returns the pooled encoder state and request buffer.
 func (p *Promise) releaseResources() {
-	if p.call != nil {
-		p.call.Release()
-		p.call = nil
-	}
+	p.call.Release()
+	p.call = nil
 	if p.req != nil {
 		p.req.Reset()
 		reqBufPool.Put(p.req)
@@ -382,16 +412,8 @@ func (p *Promise) Then(f func(rets []any) (*Promise, error)) *Promise {
 	return &Promise{st: p.st, method: p.method, source: p, cont: f}
 }
 
-// waitDerived resolves a Then chain.
+// waitDerived resolves a pending Then chain.
 func (p *Promise) waitDerived(ctx context.Context) (*core.Response, error) {
-	switch p.state {
-	case promiseResolved:
-		return p.resp, nil
-	case promiseRejected:
-		return nil, p.err
-	case promiseAbandoned:
-		return nil, ErrPromiseAbandoned
-	}
 	if p.inner == nil {
 		rets, err := p.source.Wait(ctx)
 		if err != nil {
@@ -473,95 +495,12 @@ func oneWayArgOK(a any) bool {
 // any at-least-once risk; a frame that did go out may still be lost with
 // the connection, so delivery is at-most-once.
 func (st *Stub) CallOneWay(ctx context.Context, method string, args ...any) error {
-	c := st.c
 	for i, a := range args {
 		if !oneWayArgOK(a) {
 			return fmt.Errorf("rmi: argument %d of %s: %w", i, method, ErrOneWayRestorable)
 		}
 	}
-	oc := obs.Begin(c.opts.Obs, st.object, method)
-	c.metrics.oneWays.Add(1)
-	err := st.callOneWay(ctx, oc, method, args)
-	c.noteCall(0, err)
-	oc.Finish(err)
+	st.c.metrics.oneWays.Add(1)
+	_, err := st.run(ctx, method, args, true)
 	return err
-}
-
-// callOneWay encodes and sends the one-way request.
-func (st *Stub) callOneWay(ctx context.Context, oc *obs.Call, method string, args []any) error {
-	c := st.c
-	coreOpts := c.opts.Core
-	if coreOpts.Engine == wire.EngineV3 {
-		// One-way requests always encode V2: with no reply frame there is
-		// no "unknown engine" rejection to negotiate on, and every server
-		// version decodes V2.
-		coreOpts.Engine = wire.EngineV2
-	}
-	req := reqBufPool.Get().(*bytes.Buffer)
-	defer func() {
-		req.Reset()
-		reqBufPool.Put(req)
-	}()
-	call := core.NewCall(req, coreOpts)
-	defer call.Release()
-	call.SetObs(oc)
-	oc.SetKernels(coreOpts.KernelsEnabled())
-
-	sp := oc.Start(obs.PhaseEncode)
-	err := st.encodeRequest(call, method, args)
-	sp.EndBytes(int64(req.Len()))
-	if err != nil {
-		return err
-	}
-	c.metrics.bytesSent.Add(int64(req.Len()))
-
-	sp = oc.Start(obs.PhaseTransport)
-	err = st.invokeOneWay(ctx, req.Bytes())
-	sp.End()
-	return err
-}
-
-// invokeOneWay sends the encoded one-way request under the retry policy.
-func (st *Stub) invokeOneWay(ctx context.Context, req []byte) error {
-	c := st.c
-	pol := c.opts.Retry.withDefaults()
-	attempts := pol.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for attempt := 1; ; attempt++ {
-		c.metrics.attempts.Add(1)
-		if attempt > 1 {
-			c.metrics.retries.Add(1)
-		}
-		err := st.sendOneWayOnce(ctx, req)
-		if err == nil {
-			return nil
-		}
-		if attempt >= attempts || !Retryable(err) || ctx.Err() != nil {
-			return err
-		}
-		pause := time.NewTimer(c.backoff(pol, attempt))
-		select {
-		case <-pause.C:
-		case <-ctx.Done():
-			pause.Stop()
-			return err
-		}
-	}
-}
-
-// sendOneWayOnce performs one send attempt over the pooled connection.
-func (st *Stub) sendOneWayOnce(ctx context.Context, req []byte) error {
-	c := st.c
-	if c.opts.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
-		defer cancel()
-	}
-	tc, err := c.conn(st.addr)
-	if err != nil {
-		return err
-	}
-	return tc.CallOneWay(ctx, transport.MsgCall, req)
 }

@@ -140,54 +140,3 @@ func (c *Client) backoff(pol RetryPolicy, attempt int) time.Duration {
 	}
 	return time.Duration(d)
 }
-
-// invoke sends an encoded request under the client's retry policy and
-// returns the raw reply payload. Every attempt re-sends the identical
-// bytes; arguments are never re-encoded, so a retry can never observe (or
-// export) different state than the original send. Once a reply payload is
-// returned, the caller owns the consumed-response guard.
-func (st *Stub) invoke(ctx context.Context, req []byte) ([]byte, error) {
-	c := st.c
-	pol := c.opts.Retry.withDefaults()
-	attempts := pol.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for attempt := 1; ; attempt++ {
-		c.metrics.attempts.Add(1)
-		if attempt > 1 {
-			c.metrics.retries.Add(1)
-		}
-		payload, err := st.sendOnce(ctx, req)
-		if err == nil {
-			return payload, nil
-		}
-		if attempt >= attempts || !Retryable(err) || ctx.Err() != nil {
-			return nil, err
-		}
-		pause := time.NewTimer(c.backoff(pol, attempt))
-		select {
-		case <-pause.C:
-		case <-ctx.Done():
-			pause.Stop()
-			return nil, err
-		}
-	}
-}
-
-// sendOnce performs one attempt: resolve the pooled connection (dead
-// conns are evicted and re-dialed, the reconnect path) and issue the
-// framed call under the per-attempt deadline.
-func (st *Stub) sendOnce(ctx context.Context, req []byte) ([]byte, error) {
-	c := st.c
-	if c.opts.CallTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.CallTimeout)
-		defer cancel()
-	}
-	tc, err := c.conn(st.addr)
-	if err != nil {
-		return nil, err
-	}
-	return tc.Call(ctx, transport.MsgCall, req)
-}

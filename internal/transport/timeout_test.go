@@ -110,6 +110,96 @@ func TestCallErrorClassification(t *testing.T) {
 	}
 }
 
+// TestSendFailuresSameOnEveryEntry: Start and CallOneWay are one send, so
+// each way a request can fail before its frame is whole reports the same
+// *CallError{Phase: PhaseSend, Sent: false} with the same cause, registers
+// nothing, and leaves the connection in the same state — usable, except
+// after a torn frame.
+func TestSendFailuresSameOnEveryEntry(t *testing.T) {
+	oversized := make([]byte, maxFrameSize+1)
+	cases := []struct {
+		name     string
+		sever    bool // the link cuts the first frame partway through
+		ctx      func() (context.Context, context.CancelFunc)
+		closed   bool
+		payload  []byte
+		wantIs   error
+		terminal bool
+	}{
+		{name: "pre-cancelled ctx", ctx: func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, cancel
+		}, wantIs: context.Canceled},
+		{name: "expired deadline", ctx: func() (context.Context, context.CancelFunc) {
+			return context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		}, wantIs: context.DeadlineExceeded},
+		{name: "closed conn", closed: true, wantIs: ErrClosed, terminal: true},
+		{name: "oversized payload", payload: oversized, wantIs: ErrFrameTooLarge},
+		{name: "write fails mid-frame", sever: true, wantIs: netsim.ErrSevered, terminal: true},
+	}
+	entries := map[string]func(*Conn, context.Context, []byte) error{
+		"Start": func(c *Conn, ctx context.Context, p []byte) error {
+			pc, err := c.Start(ctx, MsgCall, p)
+			if pc != nil {
+				pc.Abandon()
+			}
+			return err
+		},
+		"CallOneWay": func(c *Conn, ctx context.Context, p []byte) error { return c.CallOneWay(ctx, MsgCall, p) },
+	}
+	for _, tc := range cases {
+		for entry, send := range entries {
+			t.Run(tc.name+"/"+entry, func(t *testing.T) {
+				n := netsim.NewNetwork(netsim.Loopback())
+				defer n.Close()
+				ln, err := n.Listen("srv")
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := Serve(ln, func(context.Context, byte, []byte) ([]byte, error) { return nil, nil })
+				defer srv.Close()
+				if tc.sever {
+					n.SetFaults("srv", netsim.NewPlan(1).SeverFrame(1))
+				}
+				nc, err := n.Dial("srv")
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := NewConn(nc)
+				defer c.Close()
+				if tc.closed {
+					c.Close()
+				}
+				ctx, cancel := context.Background(), context.CancelFunc(func() {})
+				if tc.ctx != nil {
+					ctx, cancel = tc.ctx()
+				}
+				defer cancel()
+				payload := tc.payload
+				if payload == nil {
+					payload = []byte("request")
+				}
+
+				err = send(c, ctx, payload)
+				var ce *CallError
+				if !errors.As(err, &ce) {
+					t.Fatalf("want *CallError, got %T: %v", err, err)
+				}
+				if ce.Phase != PhaseSend || ce.Sent || !errors.Is(err, tc.wantIs) {
+					t.Fatalf("got (%s, sent=%t) %v; want (%s, sent=false) wrapping %v", ce.Phase, ce.Sent, err, PhaseSend, tc.wantIs)
+				}
+				if c.InFlight() != 0 {
+					t.Fatalf("a failed send left %d pending entries", c.InFlight())
+				}
+				if dead := c.Err() != nil; dead != tc.terminal {
+					t.Fatalf("conn terminal = %t (%v), want %t", dead, c.Err(), tc.terminal)
+				}
+			})
+		}
+	}
+}
+
 // TestDeadlineExpiresMidWrite pins the contract for a context that dies
 // while the request frame is still being written: a netsim delay fault
 // holds the frame past the deadline, the frame completes (single-Write

@@ -513,17 +513,34 @@ type PendingCall struct {
 // without blocking on the round trip. A ctx deadline travels with the
 // frame as the call's remaining budget (the context itself is not
 // monitored after Start returns; pass it again to Wait). On error the
-// call is not registered and there is nothing to abandon.
+// call is not registered and there is nothing to abandon. Start is Send
+// without an attempt deadline, kept under the name its callers know.
 func (c *Conn) Start(ctx context.Context, msgType byte, payload []byte) (*PendingCall, error) {
+	return c.Send(ctx, msgType, payload, time.Time{}, false)
+}
+
+// Send writes one request frame: every request this connection sends goes
+// through here. The frame's budget is the time left until deadline or
+// until ctx's own deadline, whichever is earlier (a zero deadline leaves it
+// to ctx). A one-way frame registers no pending entry and Send returns a
+// nil PendingCall once it is written; otherwise the reply is claimed
+// through the returned PendingCall. Every failure is a *CallError with
+// Phase PhaseSend and Sent false — the frame provably never went out whole.
+func (c *Conn) Send(ctx context.Context, msgType byte, payload []byte, deadline time.Time, oneWay bool) (*PendingCall, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &CallError{Phase: PhaseSend, Err: err}
 	}
+	if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
+		deadline = dl
+	}
 	var budget time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		if budget = time.Until(dl); budget <= 0 {
+	if !deadline.IsZero() {
+		if budget = time.Until(deadline); budget <= 0 {
 			return nil, &CallError{Phase: PhaseSend, Err: context.DeadlineExceeded}
 		}
 	}
+	f := frame{msgType: msgType, deadline: budget, payload: payload}
+	var pc *PendingCall
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -533,17 +550,21 @@ func (c *Conn) Start(ctx context.Context, msgType byte, payload []byte) (*Pendin
 		}
 		return nil, &CallError{Phase: PhaseSend, Err: err}
 	}
-	id := c.nextID.Add(1)
-	e := &pendingReply{done: make(chan struct{})}
-	c.pending[id] = e
+	f.reqID = c.nextID.Add(1)
+	if oneWay {
+		f.flags = flagOneWay
+	} else {
+		pc = &PendingCall{c: c, id: f.reqID, e: &pendingReply{done: make(chan struct{})}}
+		c.pending[f.reqID] = pc.e
+	}
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
-	err := writeFrame(c.c, frame{msgType: msgType, reqID: id, deadline: budget, payload: payload}, c.compress.Load())
+	err := writeFrame(c.c, f, c.compress.Load())
 	c.writeMu.Unlock()
 	if err != nil {
 		c.mu.Lock()
-		delete(c.pending, id)
+		delete(c.pending, f.reqID) // nothing to delete for a one-way frame
 		c.mu.Unlock()
 		if !errors.Is(err, ErrFrameTooLarge) {
 			// The write may have left a partial frame on the wire; the
@@ -558,7 +579,7 @@ func (c *Conn) Start(ctx context.Context, msgType byte, payload []byte) (*Pendin
 		// framing layer, so the call was provably not dispatched.
 		return nil, &CallError{Phase: PhaseSend, Err: err}
 	}
-	return &PendingCall{c: c, id: id, e: e}, nil
+	return pc, nil
 }
 
 // Done returns a channel closed once the reply (or the connection's
@@ -662,10 +683,10 @@ func (p *PendingCall) Abandon() {
 // (or *StatusError when the peer sent a status code); every
 // transport-level failure surfaces as *CallError, whose Sent field tells
 // retry layers whether the server could have seen the request. Call is
-// Start followed by Wait, so the synchronous and promise paths share one
+// Send followed by Wait, so the synchronous and promise paths share one
 // reply/abandon implementation.
 func (c *Conn) Call(ctx context.Context, msgType byte, payload []byte) ([]byte, error) {
-	pc, err := c.Start(ctx, msgType, payload)
+	pc, err := c.Send(ctx, msgType, payload, time.Time{}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -678,40 +699,11 @@ func (c *Conn) Call(ctx context.Context, msgType byte, payload []byte) ([]byte, 
 // request costs no round trip. A ctx deadline still ships as the call
 // budget so the server can drop stale work. Every failure is a
 // *CallError with Sent=false — the frame provably never went out whole —
-// making one-way sends always safe to retry.
+// making one-way sends always safe to retry. Like Start, a named shape of
+// Send.
 func (c *Conn) CallOneWay(ctx context.Context, msgType byte, payload []byte) error {
-	if err := ctx.Err(); err != nil {
-		return &CallError{Phase: PhaseSend, Err: err}
-	}
-	var budget time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		if budget = time.Until(dl); budget <= 0 {
-			return &CallError{Phase: PhaseSend, Err: context.DeadlineExceeded}
-		}
-	}
-	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
-		return &CallError{Phase: PhaseSend, Err: err}
-	}
-	id := c.nextID.Add(1)
-	c.mu.Unlock()
-
-	c.writeMu.Lock()
-	err := writeFrame(c.c, frame{msgType: msgType, flags: flagOneWay, reqID: id, deadline: budget, payload: payload}, c.compress.Load())
-	c.writeMu.Unlock()
-	if err != nil {
-		if !errors.Is(err, ErrFrameTooLarge) {
-			c.failAll(err)
-			_ = c.c.Close()
-		}
-		return &CallError{Phase: PhaseSend, Err: err}
-	}
-	return nil
+	_, err := c.Send(ctx, msgType, payload, time.Time{}, true)
+	return err
 }
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.

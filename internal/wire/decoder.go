@@ -252,9 +252,9 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 	if kind == contentMap {
 		tmp := reflect.MakeMapWithSize(orig.Type(), n)
 		if k != nil {
-			return tmp, k.fillMap(d, tmp, n)
+			return tmp, k.fillMap(d, tmp, n, 0)
 		}
-		return tmp, d.decodeMapEntriesInto(tmp, n)
+		return tmp, d.decodeMapEntriesInto(tmp, n, 0)
 	}
 	if n != orig.Len() {
 		return reflect.Value{}, fmt.Errorf("%w: slice object resized %d -> %d; slices are fixed-length array objects",
@@ -264,7 +264,7 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 	if k != nil {
 		return tmp, k.fillElems(d, tmp, 0)
 	}
-	return tmp, d.decodeSliceElemsInto(tmp)
+	return tmp, d.decodeSliceElemsInto(tmp, 0)
 }
 
 // contentKinds lists, from contentPtr on, the kind of object each content
@@ -330,9 +330,12 @@ func (d *Decoder) stagingCell(k *kernel, id int) reflect.Value {
 
 const maxDecodeDepth = 10000
 
+// errDecodeDepth refuses a stream nested deeper than maxDecodeDepth.
+var errDecodeDepth = fmt.Errorf("%w: %w", ErrBadStream, graph.ErrDepthExceeded)
+
 func (d *Decoder) decodeValue(depth int) (reflect.Value, error) {
 	if depth > maxDecodeDepth {
-		return reflect.Value{}, graph.ErrDepthExceeded
+		return reflect.Value{}, errDecodeDepth
 	}
 	tag, err := d.r.readByte()
 	if err != nil {
@@ -396,7 +399,7 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		}
 		mv := reflect.MakeMapWithSize(mt, n)
 		d.table = append(d.table, mv)
-		return mv, d.decodeMapEntriesInto(mv, n)
+		return mv, d.decodeMapEntriesInto(mv, n, depth)
 
 	case tagSlice:
 		st, err := d.decodeType()
@@ -412,7 +415,7 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		}
 		sv := reflect.MakeSlice(st, n, n)
 		d.table = append(d.table, sv)
-		return sv, d.decodeSliceElemsInto(sv)
+		return sv, d.decodeSliceElemsInto(sv, depth)
 
 	case tagStruct:
 		st, err := d.decodeType()
@@ -458,13 +461,16 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 	}
 }
 
-func (d *Decoder) decodeMapEntriesInto(mv reflect.Value, n int) error {
+// decodeMapEntriesInto and decodeSliceElemsInto count an entry one deeper
+// than its container at depth, as the encoder does: nesting through maps and
+// slices is bounded by maxDecodeDepth like nesting through pointers.
+func (d *Decoder) decodeMapEntriesInto(mv reflect.Value, n, depth int) error {
 	for i := 0; i < n; i++ {
-		kv, err := d.decodeValue(0)
+		kv, err := d.decodeValue(depth + 1)
 		if err != nil {
 			return err
 		}
-		vv, err := d.decodeValue(0)
+		vv, err := d.decodeValue(depth + 1)
 		if err != nil {
 			return err
 		}
@@ -481,9 +487,9 @@ func (d *Decoder) decodeMapEntriesInto(mv reflect.Value, n int) error {
 	return nil
 }
 
-func (d *Decoder) decodeSliceElemsInto(sv reflect.Value) error {
+func (d *Decoder) decodeSliceElemsInto(sv reflect.Value, depth int) error {
 	for i := 0; i < sv.Len(); i++ {
-		ev, err := d.decodeValue(0)
+		ev, err := d.decodeValue(depth + 1)
 		if err != nil {
 			return err
 		}

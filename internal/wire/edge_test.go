@@ -91,6 +91,101 @@ func TestMaxElemsEnforced(t *testing.T) {
 	}
 }
 
+// nestedSliceStream and nestedMapStream hand-build a V2 stream of levels
+// containers, each the only element (or the value under key 1) of the one
+// before: []any in []any, map[int]any in map[int]any. The root is at decode
+// depth 0, so the innermost sits at depth levels-1. No encoder writes these
+// past its own depth limit; a hostile peer can.
+func nestedSliceStream(levels int) []byte {
+	s := []byte{headerMagic, byte(EngineV2), 0, tagSlice, dTableDef, dSlice, dTableDef, dIface}
+	for i := 1; i < levels; i++ {
+		s = append(s, 1, tagSlice, dTableRef, 0) // length 1; the element: type-table entry 0 again
+	}
+	return append(s, 0) // the innermost is empty
+}
+
+func nestedMapStream(levels int) []byte {
+	s := []byte{headerMagic, byte(EngineV2), 0, tagMap, dTableDef, dMap, dTableDef, byte(reflect.Int), dTableDef, dIface}
+	for i := 1; i < levels; i++ {
+		s = append(s, 1, tagScalar, dTableRef, 1, 2) // one entry; its key: int (entry 1) 1
+		s = append(s, tagMap, dTableRef, 0)
+	}
+	return append(s, 0)
+}
+
+// recSlice nests through a slice with no pointer or interface in between,
+// so encoder and decoder count the same depth for it.
+type recSlice []recSlice
+
+// TestDecodeDepthBound: nesting through slices and maps counts toward
+// maxDecodeDepth like nesting through pointers. One level past the bound is
+// refused with a typed error on the kernel and the generic path, from a
+// stream and from bytes (unbounded, 15 million levels fit one frame and
+// overflow the stack, which no recover catches); at the bound the stream decodes, and so
+// does the deepest value the encoder itself accepts.
+func TestDecodeDepthBound(t *testing.T) {
+	reg := edgeRegistry(t)
+	if err := reg.Register("recSlice", recSlice{}); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(data []byte, opts Options, fromBytes bool) error {
+		dec := NewDecoder(bytes.NewReader(data), opts)
+		if fromBytes {
+			dec = NewDecoderBytes(data, opts)
+		}
+		defer dec.ReleaseArena()
+		_, err := dec.Decode()
+		return err
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(levels int) []byte
+	}{
+		{"nested slices", nestedSliceStream},
+		{"nested maps", nestedMapStream},
+	} {
+		for _, generic := range []bool{false, true} {
+			for _, fromBytes := range []bool{false, true} {
+				opts := Options{Registry: reg, DisableKernels: generic}
+				if err := decode(tc.build(maxDecodeDepth+1), opts, fromBytes); err != nil {
+					t.Errorf("%s at the bound (generic=%t bytes=%t): %v", tc.name, generic, fromBytes, err)
+				}
+				err := decode(tc.build(maxDecodeDepth+2), opts, fromBytes)
+				if !errors.Is(err, ErrBadStream) || !errors.Is(err, graph.ErrDepthExceeded) {
+					t.Errorf("%s one past the bound (generic=%t bytes=%t): got %v, want ErrBadStream wrapping ErrDepthExceeded",
+						tc.name, generic, fromBytes, err)
+				}
+			}
+		}
+	}
+
+	nest := func(levels int) recSlice {
+		v := recSlice{}
+		for i := 1; i < levels; i++ {
+			v = recSlice{v}
+		}
+		return v
+	}
+	for _, eng := range []Engine{EngineV2, EngineV3} {
+		opts := Options{Engine: eng, Registry: reg}
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf, opts)
+		if err := enc.Encode(nest(maxEncodeDepth + 1)); err != nil {
+			t.Fatalf("%s: the encoder refuses a value at its own limit: %v", eng, err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := decode(buf.Bytes(), opts, true); err != nil {
+			t.Errorf("%s: a value the encoder accepts does not decode: %v", eng, err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf, Options{Registry: reg}).Encode(nest(maxEncodeDepth + 2)); !errors.Is(err, graph.ErrDepthExceeded) {
+		t.Errorf("encoder one past its limit: got %v, want ErrDepthExceeded", err)
+	}
+}
+
 func TestDecoderRejectsRefToFutureObject(t *testing.T) {
 	reg := edgeRegistry(t)
 	// Craft: header + tagRef to object 7 with an empty table.

@@ -448,7 +448,7 @@ func (d *Decoder) flatFillMapEntries(c *flatCur, mv reflect.Value, count int) er
 // same bytes first.
 func (d *Decoder) flatFillValue(c *flatCur, dst reflect.Value, depth int) error {
 	if depth > maxDecodeDepth {
-		return graph.ErrDepthExceeded
+		return errDecodeDepth
 	}
 	lead, err := c.u8()
 	if err != nil {
@@ -664,7 +664,7 @@ func (d *Decoder) flatDecodeRoot() (reflect.Value, error) {
 // dictates the result type, as at the top level of Decode.
 func (d *Decoder) flatAnyValue(c *flatCur, depth int) (reflect.Value, error) {
 	if depth > maxDecodeDepth {
-		return reflect.Value{}, graph.ErrDepthExceeded
+		return reflect.Value{}, errDecodeDepth
 	}
 	lead, err := c.u8()
 	if err != nil {
@@ -955,7 +955,7 @@ func (d *Decoder) flatCommitRecord(c *flatCur, orig reflect.Value) error {
 // t will succeed. The two parsers must consume identical byte spans.
 func (d *Decoder) flatCheckValue(c *flatCur, t reflect.Type, depth int) error {
 	if depth > maxDecodeDepth {
-		return graph.ErrDepthExceeded
+		return errDecodeDepth
 	}
 	lead, err := c.u8()
 	if err != nil {

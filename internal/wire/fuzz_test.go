@@ -50,6 +50,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{headerMagic, byte(EngineV3), 0, 0x04, 1, 0, 0, 0})
 	f.Add([]byte{headerMagic, byte(EngineV3), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Add(v3Stream(putU32le(putU32le(putU32le(nil, 7), 0), 0)))
+	// Containers nested one level past maxDecodeDepth: refused, not recursed.
+	f.Add(nestedSliceStream(maxDecodeDepth + 2))
+	f.Add(nestedMapStream(maxDecodeDepth + 2))
 	// Damaged variants of every valid stream, mirroring what the netsim
 	// corrupt and sever faults deliver on the wire: a few flipped bits at
 	// seeded positions, and truncations at every framing-hostile cut.

@@ -338,7 +338,7 @@ func (k *kernel) encElems(e *Encoder, v reflect.Value, depth int) error {
 // of k's type.
 func (k *kernel) into(d *Decoder, dst reflect.Value, depth int) error {
 	if depth > maxDecodeDepth {
-		return graph.ErrDepthExceeded
+		return errDecodeDepth
 	}
 	tag, err := d.r.readByte()
 	if err != nil {
@@ -390,37 +390,37 @@ func (k *kernel) body(d *Decoder, dst reflect.Value, depth int) error {
 		}
 		return nil
 	case tagArray:
-		return k.fillElems(d, dst, depth+1)
+		return k.fillElems(d, dst, depth)
 	default:
 		return d.scalarPayloadInto(dst)
 	}
 }
 
-// fillElems decodes the elements of slice or array v in place, at depth
-// (as on the generic path: one deeper than the array for an array's, 0 for
-// those of a slice or map object).
+// fillElems decodes the elements of slice or array v, itself at depth, in
+// place: one deeper than their container, as encElems counts them.
 func (k *kernel) fillElems(d *Decoder, v reflect.Value, depth int) error {
 	for i, n := 0, v.Len(); i < n; i++ {
-		if err := k.elem.into(d, v.Index(i), depth); err != nil {
+		if err := k.elem.into(d, v.Index(i), depth+1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fillMap decodes n entries into map mv. SetMapIndex copies both cells, so
-// one pair serves every entry; into overwrites whatever it is given.
-func (k *kernel) fillMap(d *Decoder, mv reflect.Value, n int) error {
+// fillMap decodes n entries into map mv, itself at depth. SetMapIndex copies
+// both cells, so one pair serves every entry; into overwrites whatever it is
+// given.
+func (k *kernel) fillMap(d *Decoder, mv reflect.Value, n, depth int) error {
 	if n == 0 {
 		return nil
 	}
 	key := reflect.New(k.key.t).Elem()
 	val := reflect.New(k.elem.t).Elem()
 	for i := 0; i < n; i++ {
-		if err := k.key.into(d, key, 0); err != nil {
+		if err := k.key.into(d, key, depth+1); err != nil {
 			return err
 		}
-		if err := k.elem.into(d, val, 0); err != nil {
+		if err := k.elem.into(d, val, depth+1); err != nil {
 			return err
 		}
 		mv.SetMapIndex(key, val)
@@ -462,11 +462,11 @@ func (d *Decoder) build(tag byte, k *kernel, depth int) (reflect.Value, error) {
 		if tag == tagMap {
 			mv := reflect.MakeMapWithSize(k.t, n)
 			d.table = append(d.table, mv)
-			return mv, k.fillMap(d, mv, n)
+			return mv, k.fillMap(d, mv, n, depth)
 		}
 		sv := reflect.MakeSlice(k.t, n, n)
 		d.table = append(d.table, sv)
-		return sv, k.fillElems(d, sv, 0)
+		return sv, k.fillElems(d, sv, depth)
 	default:
 		v := reflect.New(k.t).Elem()
 		return v, k.body(d, v, depth)
