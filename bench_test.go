@@ -82,21 +82,11 @@ func BenchmarkTable1Local(b *testing.B) {
 }
 
 // BenchmarkTable2OneWay is Table 2: RMI call-by-copy, one-way traffic.
-// The kernels/nokernels split isolates the compiled per-type programs and
-// hot-path pooling from the rest of EngineV2 (plan cache stays on in both).
 func BenchmarkTable2OneWay(b *testing.B) {
-	for _, v := range []struct {
-		name      string
-		nokernels bool
-	}{{"kernels", false}, {"nokernels", true}} {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, DisableKernels: v.nokernels})
-			runCells(b, func(spec bench.RunSpec) (bench.Cell, error) {
-				return bench.RunOneWay(e, spec)
-			})
-		})
-	}
+	e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2})
+	runCells(b, func(spec bench.RunSpec) (bench.Cell, error) {
+		return bench.RunOneWay(e, spec)
+	})
 }
 
 // BenchmarkTable3RestoreLocal is Table 3: manual restore, no network
@@ -126,7 +116,6 @@ func BenchmarkTable5NRMI(b *testing.B) {
 	}{
 		{"jdk1.3", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV1}},
 		{"portable", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, DisablePlanCache: true}},
-		{"nokernels", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, DisableKernels: true}},
 		{"optimized", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2}},
 	}
 	for _, v := range variants {

@@ -35,23 +35,14 @@ func main() {
 		cbrefBudget = flag.Duration("cbref-budget", 5*time.Second, "per-call budget for the call-by-reference table ('-' cells beyond it)")
 		quiet       = flag.Bool("quiet", false, "suppress progress lines")
 		table       = flag.String("table", "", "only print tables whose id contains this substring (e.g. 5); all tables still run")
-		smoke       = flag.String("smoke", "", "run the kernel-ablation smoke benchmark, write the JSON snapshot to this path, and exit")
-		smokeMin    = flag.Float64("smoke-min-reduction", 30, "minimum allocs/op reduction (percent, kernels on vs. off) the smoke run must show; 0 disables the gate")
 		smokeV3     = flag.String("smoke-v3", "", "run the engine-V3 ablation smoke benchmark (v3 vs v2-kernels), write the JSON snapshot to this path, and exit")
 		smokeAsync  = flag.String("smoke-async", "", "run the async pipelining smoke benchmark (K pipelined vs K sequential calls on a delayed link), write the JSON snapshot to this path, and exit")
 		smokeAsyncX = flag.Float64("smoke-async-min-speedup", 1.5, "minimum sequential/pipelined wall-time ratio the async smoke must show; 0 disables the gate")
-		phases      = flag.Bool("phases", false, "run the per-phase breakdown (scenario III, kernels on/off) and exit")
+		phases      = flag.Bool("phases", false, "run the per-phase breakdown (scenario III) and exit")
 		obsSmoke    = flag.Bool("obs-smoke", false, "run the observability smoke gate (debug endpoints + nop-overhead check) and exit")
 		obsMax      = flag.Float64("obs-max-overhead", 2, "maximum disabled-path instrumentation overhead (percent of a scenario-III call) the obs smoke tolerates")
 	)
 	flag.Parse()
-
-	if *smoke != "" {
-		if err := runSmoke(*smoke, *smokeMin); err != nil {
-			log.Fatalf("nrmi-bench: %v", err)
-		}
-		return
-	}
 
 	if *smokeV3 != "" {
 		if err := runSmokeV3(*smokeV3); err != nil {
@@ -145,40 +136,6 @@ func main() {
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "total run time: %s\n", time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// runSmoke runs the kernel-ablation smoke benchmark, writes the snapshot
-// to path, and enforces the perf-regression gate: the compiled kernels must
-// keep eliminating at least minReduction percent of the nokernels variant's
-// allocations per call.
-func runSmoke(path string, minReduction float64) error {
-	snap, err := bench.RunBenchSmoke()
-	if err != nil {
-		return err
-	}
-	for _, c := range snap.Cells {
-		fmt.Fprintf(os.Stderr, "%-14s %-10s %8d ns/op %10d B/op %7d allocs/op\n",
-			c.Bench, c.Variant, c.NsPerOp, c.BytesPerOp, c.AllocsPerOp)
-	}
-	for name, pct := range snap.AllocReductionPct {
-		fmt.Fprintf(os.Stderr, "%-14s kernels cut allocs/op by %.1f%% (time by %.1f%%)\n",
-			name, pct, snap.NsReductionPct[name])
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if minReduction > 0 {
-		for name, pct := range snap.AllocReductionPct {
-			if pct < minReduction {
-				return fmt.Errorf("perf regression: %s allocs/op reduction %.1f%% below the %.0f%% gate", name, pct, minReduction)
-			}
-		}
-	}
-	return nil
 }
 
 // v3AllocCeiling is the absolute half of the V3 gate: V3's allocs/op per

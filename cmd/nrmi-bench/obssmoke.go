@@ -220,10 +220,9 @@ func measureNopPath() float64 {
 }
 
 // nopCallOnce replays one call's worth of nil-collector operations: both
-// endpoints' Begin/SetKernels/SetIO/Finish plus a span per pipeline phase.
+// endpoints' Begin/SetIO/Finish plus a span per pipeline phase.
 func nopCallOnce() {
 	oc := obs.Begin(nil, "nrmi", "Apply")
-	oc.SetKernels(true)
 	for p := 0; p < obs.NumPhases; p++ {
 		sp := oc.Start(obs.Phase(p))
 		sp.EndN(1, 1)

@@ -27,10 +27,6 @@ type EnvConfig struct {
 	Engine wire.Engine
 	// DisablePlanCache selects the "portable" NRMI implementation.
 	DisablePlanCache bool
-	// DisableKernels keeps the plan cache but turns off the compiled
-	// per-type kernels and hot-path pooling (ablation A4), isolating what
-	// the compiled programs buy over cached reflection metadata.
-	DisableKernels bool
 	// Delta enables the delta response encoding (the paper's future-work
 	// optimization).
 	Delta bool
@@ -80,7 +76,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		Registry:         reg,
 		Delta:            cfg.Delta,
 		DisablePlanCache: cfg.DisablePlanCache,
-		DisableKernels:   cfg.DisableKernels,
 		ShipLinearMap:    cfg.ShipLinearMap,
 	}
 	serverEnv := &RefEnv{}
@@ -190,8 +185,6 @@ func (c EnvConfig) String() string {
 	cache := "cached"
 	if c.DisablePlanCache {
 		cache = "portable"
-	} else if c.DisableKernels {
-		cache = "nokernels"
 	}
 	return fmt.Sprintf("engine=%s %s", c.Engine, cache)
 }

@@ -67,11 +67,10 @@ var clientPhases = []obs.Phase{
 	obs.PhaseDecodeReply, obs.PhaseRestoreCommit,
 }
 
-// PhaseCell is one (variant, size) cell of the per-phase report: the mean
+// PhaseCell is one size's cell of the per-phase report: the mean
 // nanoseconds each pipeline phase spent per call.
 type PhaseCell struct {
-	Variant string `json:"variant"`
-	Size    int    `json:"size"`
+	Size int `json:"size"`
 	// PhaseNs maps phase name to mean nanoseconds per call; phases that
 	// never ran (srv-snapshot without delta) are absent.
 	PhaseNs map[string]float64 `json:"phase_ns"`
@@ -80,198 +79,145 @@ type PhaseCell struct {
 	CallNs float64 `json:"call_ns"`
 }
 
-// PhasesReport is the full output of RunPhases: scenario-III per-phase
-// breakdowns for the kernels and nokernels variants, side by side.
+// PhasesReport is the full output of RunPhases: the scenario's per-phase
+// breakdown on the default engine, one cell per size.
 type PhasesReport struct {
 	Scenario string      `json:"scenario"`
 	Sizes    []int       `json:"sizes"`
 	Cells    []PhaseCell `json:"cells"`
 }
 
-// Cell returns the report cell for one variant and size, or nil.
-func (r *PhasesReport) Cell(variant string, size int) *PhaseCell {
+// Cell returns the report cell for one size, or nil.
+func (r *PhasesReport) Cell(size int) *PhaseCell {
 	for i := range r.Cells {
-		if r.Cells[i].Variant == variant && r.Cells[i].Size == size {
+		if r.Cells[i].Size == size {
 			return &r.Cells[i]
 		}
 	}
 	return nil
 }
 
-// phaseVariants is the kernel ablation axis the report splits on.
-var phaseVariants = []struct {
-	name      string
-	nokernels bool
-}{{"kernels", false}, {"nokernels", true}}
-
 // RunPhases measures the per-phase cost breakdown of the copy-restore
-// pipeline: the configured scenario over the loopback profile, with the
-// compiled kernels on and off, every call recorded by a phase observer on
-// both endpoints. The kernel ablation thereby reports per-phase deltas —
-// which pipeline stages the compiled kernels actually accelerate — instead
-// of one opaque per-call number.
+// pipeline: the configured scenario over the loopback profile on engine
+// V2, every call recorded by a phase observer on both endpoints.
 func RunPhases(cfg PhasesConfig) (*PhasesReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &PhasesReport{Scenario: cfg.Scenario.String(), Sizes: cfg.Sizes}
-	for _, v := range phaseVariants {
-		for _, size := range cfg.Sizes {
-			o := obs.New(obs.Config{Tag: fmt.Sprintf("%s-%d", v.name, size)})
-			e, err := NewEnv(EnvConfig{
-				Profile:        netsim.Loopback(),
-				Engine:         wire.EngineV2,
-				DisableKernels: v.nokernels,
-				Obs:            o,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: phases env %s/%d: %w", v.name, size, err)
-			}
-			spec := RunSpec{
-				Scenario:   cfg.Scenario,
-				Size:       size,
-				Iterations: cfg.Iterations,
-				Seed:       cfg.Seed,
-				Verify:     true,
-			}
-			if _, err := RunNRMI(e, spec); err != nil {
-				_ = e.Close()
-				return nil, fmt.Errorf("bench: phases run %s/%d: %w", v.name, size, err)
-			}
-			snap := o.Snapshot()
-			_ = e.Close()
-			ms := snap.Method("nrmi", "Apply")
-			if ms == nil {
-				return nil, fmt.Errorf("bench: phases run %s/%d recorded no nrmi/Apply calls", v.name, size)
-			}
-			cell := PhaseCell{Variant: v.name, Size: size, PhaseNs: make(map[string]float64)}
-			for _, p := range phaseOrder {
-				if m := ms.PhaseMeanNs(p.String()); m > 0 {
-					cell.PhaseNs[p.String()] = m
-				}
-			}
-			for _, p := range clientPhases {
-				cell.CallNs += cell.PhaseNs[p.String()]
-			}
-			rep.Cells = append(rep.Cells, cell)
-			cfg.Log(fmt.Sprintf("phases: %s size %d done", v.name, size))
+	for _, size := range cfg.Sizes {
+		o := obs.New(obs.Config{Tag: fmt.Sprintf("phases-%d", size)})
+		e, err := NewEnv(EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2, Obs: o})
+		if err != nil {
+			return nil, fmt.Errorf("bench: phases env %d: %w", size, err)
 		}
+		spec := RunSpec{
+			Scenario:   cfg.Scenario,
+			Size:       size,
+			Iterations: cfg.Iterations,
+			Seed:       cfg.Seed,
+			Verify:     true,
+		}
+		if _, err := RunNRMI(e, spec); err != nil {
+			_ = e.Close()
+			return nil, fmt.Errorf("bench: phases run %d: %w", size, err)
+		}
+		snap := o.Snapshot()
+		_ = e.Close()
+		ms := snap.Method("nrmi", "Apply")
+		if ms == nil {
+			return nil, fmt.Errorf("bench: phases run %d recorded no nrmi/Apply calls", size)
+		}
+		cell := PhaseCell{Size: size, PhaseNs: make(map[string]float64)}
+		for _, p := range phaseOrder {
+			if m := ms.PhaseMeanNs(p.String()); m > 0 {
+				cell.PhaseNs[p.String()] = m
+			}
+		}
+		for _, p := range clientPhases {
+			cell.CallNs += cell.PhaseNs[p.String()]
+		}
+		rep.Cells = append(rep.Cells, cell)
+		cfg.Log(fmt.Sprintf("phases: size %d done", size))
 	}
 	return rep, nil
 }
 
-// Format renders the report as aligned text: one block per variant with
-// phases as rows and sizes as columns (mean µs/call), then a delta block
-// with the percent of each phase's nokernels cost that the kernels remove.
+// Format renders the report as aligned text: phases as rows and sizes as
+// columns (mean µs/call), then the whole-call summary row.
 func (r *PhasesReport) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Per-phase breakdown — scenario %s, loopback, mean µs/call\n", r.Scenario)
-	for _, v := range phaseVariants {
-		v := v
-		fmt.Fprintf(&b, "\n[%s]\n", v.name)
-		r.block(&b, func(phase string, size int) (float64, bool) {
-			c := r.Cell(v.name, size)
-			if c == nil {
-				return 0, false
-			}
-			ns, ok := c.PhaseNs[phase]
-			return ns / 1e3, ok
-		}, func(size int) (float64, bool) {
-			c := r.Cell(v.name, size)
-			if c == nil {
-				return 0, false
-			}
-			return c.CallNs / 1e3, true
-		})
-	}
-	fmt.Fprintf(&b, "\n[kernels vs nokernels, %% of phase time removed]\n")
-	r.block(&b, func(phase string, size int) (float64, bool) {
-		on, off := r.Cell("kernels", size), r.Cell("nokernels", size)
-		if on == nil || off == nil || off.PhaseNs[phase] == 0 {
-			return 0, false
-		}
-		return 100 * (1 - on.PhaseNs[phase]/off.PhaseNs[phase]), true
-	}, func(size int) (float64, bool) {
-		on, off := r.Cell("kernels", size), r.Cell("nokernels", size)
-		if on == nil || off == nil || off.CallNs == 0 {
-			return 0, false
-		}
-		return 100 * (1 - on.CallNs/off.CallNs), true
-	})
-	return b.String()
-}
-
-// block writes one phase × size grid. value returns a phase cell and
-// whether the phase ran at that size; callValue returns the whole-call
-// summary row.
-func (r *PhasesReport) block(b *strings.Builder, value func(phase string, size int) (float64, bool), callValue func(size int) (float64, bool)) {
-	fmt.Fprintf(b, "%-16s", "phase")
+	fmt.Fprintf(&b, "Per-phase breakdown — scenario %s, loopback, mean µs/call\n\n", r.Scenario)
+	fmt.Fprintf(&b, "%-16s", "phase")
 	for _, size := range r.Sizes {
-		fmt.Fprintf(b, "%10d", size)
+		fmt.Fprintf(&b, "%10d", size)
 	}
 	b.WriteString("\n")
-	writeRow := func(name string, cell func(size int) (float64, bool)) {
-		fmt.Fprintf(b, "%-16s", name)
+	writeRow := func(name string, ns func(c *PhaseCell) (float64, bool)) {
+		fmt.Fprintf(&b, "%-16s", name)
 		for _, size := range r.Sizes {
-			if v, ok := cell(size); ok {
-				fmt.Fprintf(b, "%10.1f", v)
-			} else {
-				fmt.Fprintf(b, "%10s", "-")
+			if c := r.Cell(size); c != nil {
+				if v, ok := ns(c); ok {
+					fmt.Fprintf(&b, "%10.1f", v/1e3)
+					continue
+				}
 			}
+			fmt.Fprintf(&b, "%10s", "-")
 		}
 		b.WriteString("\n")
 	}
 	for _, p := range phaseOrder {
-		p := p
-		writeRow(p.String(), func(size int) (float64, bool) { return value(p.String(), size) })
+		name := p.String()
+		writeRow(name, func(c *PhaseCell) (float64, bool) {
+			v, ok := c.PhaseNs[name]
+			return v, ok
+		})
 	}
-	writeRow("call (client)", callValue)
+	writeRow("call (client)", func(c *PhaseCell) (float64, bool) { return c.CallNs, true })
+	return b.String()
 }
 
-// Markdown renders the absolute blocks as GitHub tables (for
-// EXPERIMENTS.md).
+// Markdown renders the report as a GitHub table (for EXPERIMENTS.md).
 func (r *PhasesReport) Markdown() string {
 	var b strings.Builder
-	for _, v := range phaseVariants {
-		fmt.Fprintf(&b, "\n**Scenario %s per-phase breakdown, %s (mean µs/call)**\n\n", r.Scenario, v.name)
-		b.WriteString("| phase |")
+	fmt.Fprintf(&b, "\n**Scenario %s per-phase breakdown (mean µs/call)**\n\n", r.Scenario)
+	b.WriteString("| phase |")
+	for _, size := range r.Sizes {
+		fmt.Fprintf(&b, " %d |", size)
+	}
+	b.WriteString("\n|---|")
+	for range r.Sizes {
+		b.WriteString("---:|")
+	}
+	b.WriteString("\n")
+	for _, p := range phaseOrder {
+		ran := false
 		for _, size := range r.Sizes {
-			fmt.Fprintf(&b, " %d |", size)
-		}
-		b.WriteString("\n|---|")
-		for range r.Sizes {
-			b.WriteString("---:|")
-		}
-		b.WriteString("\n")
-		for _, p := range phaseOrder {
-			ran := false
-			for _, size := range r.Sizes {
-				if c := r.Cell(v.name, size); c != nil && c.PhaseNs[p.String()] > 0 {
-					ran = true
-				}
+			if c := r.Cell(size); c != nil && c.PhaseNs[p.String()] > 0 {
+				ran = true
 			}
-			if !ran {
-				continue
-			}
-			fmt.Fprintf(&b, "| %s |", p.String())
-			for _, size := range r.Sizes {
-				c := r.Cell(v.name, size)
-				if c == nil || c.PhaseNs[p.String()] == 0 {
-					b.WriteString(" - |")
-					continue
-				}
-				fmt.Fprintf(&b, " %.1f |", c.PhaseNs[p.String()]/1e3)
-			}
-			b.WriteString("\n")
 		}
-		b.WriteString("| **call (client)** |")
+		if !ran {
+			continue
+		}
+		fmt.Fprintf(&b, "| %s |", p.String())
 		for _, size := range r.Sizes {
-			c := r.Cell(v.name, size)
-			if c == nil {
+			c := r.Cell(size)
+			if c == nil || c.PhaseNs[p.String()] == 0 {
 				b.WriteString(" - |")
 				continue
 			}
-			fmt.Fprintf(&b, " **%.1f** |", c.CallNs/1e3)
+			fmt.Fprintf(&b, " %.1f |", c.PhaseNs[p.String()]/1e3)
 		}
 		b.WriteString("\n")
 	}
+	b.WriteString("| **call (client)** |")
+	for _, size := range r.Sizes {
+		c := r.Cell(size)
+		if c == nil {
+			b.WriteString(" - |")
+			continue
+		}
+		fmt.Fprintf(&b, " **%.1f** |", c.CallNs/1e3)
+	}
+	b.WriteString("\n")
 	return b.String()
 }

@@ -256,7 +256,7 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	return tables, nil
 }
 
-// BenchCell is one measured configuration of the kernel-ablation smoke
+// BenchCell is one measured configuration of the engine-ablation smoke
 // benchmark: a full client/server round trip on the loopback profile, with
 // per-operation time and allocation figures from testing.Benchmark.
 type BenchCell struct {
@@ -269,14 +269,14 @@ type BenchCell struct {
 	AllocsPerOp int64  `json:"allocs_per_op"`
 }
 
-// BenchSnapshot is the BENCH_4.json payload: the compiled-kernel ablation
-// (kernels on vs. off, plan cache on in both) over the Table 2 and Table 5
-// workloads at the largest benchmarked tree size.
+// BenchSnapshot is the BENCH_6.json payload: the engine ablation (V3 vs.
+// V2) over the Table 2 and Table 5 workloads at the largest benchmarked
+// tree size.
 type BenchSnapshot struct {
 	Issue int         `json:"issue"`
 	Cells []BenchCell `json:"cells"`
-	// AllocReductionPct is, per bench, how much of the nokernels variant's
-	// allocs/op the kernels variant eliminates (100*(1 - on/off)).
+	// AllocReductionPct is, per bench, how much of V2's allocs/op V3
+	// eliminates (100*(1 - v3/v2)).
 	AllocReductionPct map[string]float64 `json:"alloc_reduction_pct"`
 	// NsReductionPct is the same ratio for wall time per op.
 	NsReductionPct map[string]float64 `json:"ns_reduction_pct"`
@@ -285,10 +285,10 @@ type BenchSnapshot struct {
 // RunBenchSmokeV3 measures the engine ablation for the flat-format
 // perf-regression gate: the V2-with-kernels configuration (the previous
 // best) against engine V3's flat frames with arena-backed zero-copy
-// restore, over the same two workloads as RunBenchSmoke — one-way
-// call-by-copy (Table 2) and full copy-restore (Table 5), Scenario III at
-// size 256. The snapshot is BENCH_6.json; the gate demands V3 allocate
-// strictly less per op than V2-kernels.
+// restore, over two workloads — one-way call-by-copy (Table 2) and full
+// copy-restore (Table 5), Scenario III at size 256. The snapshot is
+// BENCH_6.json; the gate demands V3 allocate strictly less per op than
+// V2-kernels.
 func RunBenchSmokeV3() (*BenchSnapshot, error) {
 	const size = 256
 	sc := ScenarioIII
@@ -355,83 +355,6 @@ func RunBenchSmokeV3() (*BenchSnapshot, error) {
 		}
 		if v2.NsPerOp > 0 {
 			snap.NsReductionPct[r.bench] = 100 * (1 - float64(v3.NsPerOp)/float64(v2.NsPerOp))
-		}
-	}
-	return snap, nil
-}
-
-// RunBenchSmoke measures the kernel ablation for the perf-regression gate:
-// one-way call-by-copy (Table 2) and full copy-restore (Table 5, optimized
-// row), Scenario III at size 256, kernels on and off. Each variant's first
-// call runs with Verify so the semantic invariant is re-checked under the
-// exact configuration being measured; the timed loop then varies the seed
-// per iteration, exactly like the go-test benchmarks.
-func RunBenchSmoke() (*BenchSnapshot, error) {
-	const size = 256
-	sc := ScenarioIII
-	runs := []struct {
-		bench string
-		run   func(e *Env, spec RunSpec) (Cell, error)
-	}{
-		{"Table2OneWay", RunOneWay},
-		{"Table5NRMI", RunNRMI},
-	}
-	variants := []struct {
-		name      string
-		nokernels bool
-	}{{"kernels", false}, {"nokernels", true}}
-
-	snap := &BenchSnapshot{
-		Issue:             4,
-		AllocReductionPct: make(map[string]float64),
-		NsReductionPct:    make(map[string]float64),
-	}
-	for _, r := range runs {
-		var cells [2]BenchCell
-		for i, v := range variants {
-			e, err := NewEnv(EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2, DisableKernels: v.nokernels})
-			if err != nil {
-				return nil, fmt.Errorf("bench: smoke env %s/%s: %w", r.bench, v.name, err)
-			}
-			// Warm the type caches (plans, kernels) and verify the restore
-			// invariant once, outside the timed loop.
-			if _, err := r.run(e, RunSpec{Scenario: sc, Size: size, Iterations: 1, Seed: 1, Verify: true}); err != nil {
-				_ = e.Close()
-				return nil, fmt.Errorf("bench: smoke warmup %s/%s: %w", r.bench, v.name, err)
-			}
-			var benchErr error
-			seed := int64(1)
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for n := 0; n < b.N; n++ {
-					seed++
-					if _, err := r.run(e, RunSpec{Scenario: sc, Size: size, Iterations: 1, Seed: seed}); err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-				}
-			})
-			_ = e.Close()
-			if benchErr != nil {
-				return nil, fmt.Errorf("bench: smoke %s/%s: %w", r.bench, v.name, benchErr)
-			}
-			cells[i] = BenchCell{
-				Bench:       r.bench,
-				Variant:     v.name,
-				Scenario:    sc.String(),
-				Size:        size,
-				NsPerOp:     res.NsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				AllocsPerOp: res.AllocsPerOp(),
-			}
-			snap.Cells = append(snap.Cells, cells[i])
-		}
-		on, off := cells[0], cells[1]
-		if off.AllocsPerOp > 0 {
-			snap.AllocReductionPct[r.bench] = 100 * (1 - float64(on.AllocsPerOp)/float64(off.AllocsPerOp))
-		}
-		if off.NsPerOp > 0 {
-			snap.NsReductionPct[r.bench] = 100 * (1 - float64(on.NsPerOp)/float64(off.NsPerOp))
 		}
 	}
 	return snap, nil

@@ -34,8 +34,6 @@ type Call struct {
 	set           restoreSet
 	numRestorable int
 	finished      bool
-	// pooled records that enc came from the codec pool and must go back.
-	pooled bool
 
 	// commitMu, when set, is held for the whole response apply: decode,
 	// validate, and commit. Validation *reads* the caller's argument graph
@@ -65,14 +63,7 @@ func (c *Call) SetObs(oc *obs.Call) { c.oc = oc }
 
 // NewCall starts encoding a request onto w.
 func NewCall(w io.Writer, opts Options) *Call {
-	c := &Call{opts: opts}
-	if opts.kernelsEnabled() {
-		c.enc = wire.AcquireEncoder(w, opts.wireOptions())
-		c.pooled = true
-	} else {
-		c.enc = wire.NewEncoder(w, opts.wireOptions())
-	}
-	return c
+	return &Call{opts: opts, enc: wire.AcquireEncoder(w, opts.wireOptions())}
 }
 
 // Release returns the Call's pooled codec state. Call it once the response
@@ -82,9 +73,7 @@ func (c *Call) Release() {
 	if c == nil || c.enc == nil {
 		return
 	}
-	if c.pooled {
-		wire.ReleaseEncoder(c.enc)
-	}
+	wire.ReleaseEncoder(c.enc)
 	c.enc = nil
 	c.oc = nil
 	c.restorableRoots = nil
@@ -142,7 +131,7 @@ func (c *Call) Finish() error {
 	sp := c.oc.Start(obs.PhaseMapWalk)
 	var err error
 	if c.set.escaped {
-		err = c.set.walk(c.opts, c.opts.Access, c.restorableRoots, c.enc.IDOf)
+		err = c.set.walk(c.opts.Access, c.restorableRoots, c.enc.IDOf)
 	}
 	sp.EndN(0, int64(c.set.len()))
 	if err != nil {
@@ -199,17 +188,7 @@ type pendingRestore struct {
 // steps 4–6 of the paper's algorithm in a single pass, recording the
 // decode and commit phases on the attached collector.
 func (c *Call) ApplyResponse(r io.Reader) (*Response, error) {
-	kernels := c.opts.kernelsEnabled()
-	var dec *wire.Decoder
-	if kernels {
-		// Pooled codec: released on the success path below. On error the
-		// decoder is simply dropped — its table may still be referenced by
-		// partially decoded state, so it must not be recycled.
-		dec = wire.AcquireDecoder(r, c.opts.wireOptions())
-	} else {
-		dec = wire.NewDecoder(r, c.opts.wireOptions())
-	}
-	return c.apply(dec, kernels)
+	return c.apply(wire.AcquireDecoder(r, c.opts.wireOptions()))
 }
 
 // ApplyResponseBytes is ApplyResponse for a response held in memory. Engine
@@ -218,17 +197,12 @@ func (c *Call) ApplyResponse(r io.Reader) (*Response, error) {
 // until ApplyResponseBytes returns, and only then recycle the buffer. This
 // is the intended entry point for transports with pooled receive payloads.
 func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
-	kernels := c.opts.kernelsEnabled()
-	var dec *wire.Decoder
-	if kernels {
-		dec = wire.AcquireDecoderBytes(data, c.opts.wireOptions())
-	} else {
-		dec = wire.NewDecoderBytes(data, c.opts.wireOptions())
-	}
-	return c.apply(dec, kernels)
+	return c.apply(wire.AcquireDecoderBytes(data, c.opts.wireOptions()))
 }
 
-func (c *Call) apply(dec *wire.Decoder, kernels bool) (*Response, error) {
+// apply consumes the response on the pooled decoder dec, which goes back to
+// the pool on success only.
+func (c *Call) apply(dec *wire.Decoder) (*Response, error) {
 	if c.commitMu != nil {
 		// See the commitMu field comment: validation reads objects a
 		// concurrently applying call may be committing into, so the whole
@@ -241,7 +215,7 @@ func (c *Call) apply(dec *wire.Decoder, kernels bool) (*Response, error) {
 	sp.EndN(dec.BytesRead(), int64(len(updates)))
 	if err == nil {
 		sp = c.oc.Start(obs.PhaseRestoreCommit)
-		err = commitUpdates(kernels, updates)
+		err = commitUpdates(updates)
 		sp.EndN(0, int64(len(updates)))
 	}
 	if err != nil {
@@ -260,11 +234,7 @@ func (c *Call) apply(dec *wire.Decoder, kernels bool) (*Response, error) {
 		NewObjects:    len(dec.Objects()) - dec.NumSeeded(),
 		BytesReceived: dec.BytesRead(),
 	}
-	if kernels {
-		wire.ReleaseDecoder(dec)
-	} else {
-		dec.ReleaseArena()
-	}
+	wire.ReleaseDecoder(dec)
 	return resp, nil
 }
 
@@ -348,7 +318,7 @@ func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []
 // The commit is two-phase — validate every (orig, tmp) pair before the
 // first overwrite — so a malformed reply fails with the caller's graph
 // untouched rather than half-restored.
-func commitUpdates(kernels bool, updates []pendingRestore) error {
+func commitUpdates(updates []pendingRestore) error {
 	if len(updates) > 0 && updates[0].flat != nil {
 		// Engine V3: the validate phase already ran — DecodeSeededFlat
 		// proved every record committable before this function was reached —
@@ -357,28 +327,6 @@ func commitUpdates(kernels bool, updates []pendingRestore) error {
 			if err := u.flat.Commit(); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-	if kernels {
-		// Compiled restore programs: kind dispatch resolved once per type
-		// and looked up once per run of equal types, map commits via Clear
-		// + pooled iterator.
-		var k *restoreKernel
-		var kt reflect.Type
-		kernelOf := func(orig reflect.Value) *restoreKernel {
-			if t := orig.Type(); t != kt {
-				k, kt = restoreKernelFor(t), t
-			}
-			return k
-		}
-		for i := range updates {
-			if err := kernelOf(updates[i].orig).validate(updates[i].orig, updates[i].tmp); err != nil {
-				return err
-			}
-		}
-		for i := range updates {
-			kernelOf(updates[i].orig).commit(updates[i].orig, updates[i].tmp)
 		}
 		return nil
 	}
@@ -423,19 +371,14 @@ func commitRestore(orig, tmp reflect.Value) {
 		orig.Elem().Set(tmp.Elem())
 	case reflect.Map:
 		// Java objects are mutated in place; for a Go map that means
-		// clearing and refilling the original header all aliases share.
-		iter := orig.MapRange()
-		var stale []reflect.Value
-		for iter.Next() {
-			stale = append(stale, iter.Key())
-		}
-		for _, k := range stale {
-			orig.SetMapIndex(k, reflect.Value{})
-		}
-		iter = tmp.MapRange()
+		// clearing (Clear keeps the buckets) and refilling the original
+		// header all aliases share.
+		orig.Clear()
+		iter := graph.AcquireMapIter(tmp)
 		for iter.Next() {
 			orig.SetMapIndex(iter.Key(), iter.Value())
 		}
+		graph.ReleaseMapIter(iter)
 	case reflect.Slice:
 		reflect.Copy(orig, tmp)
 	}

@@ -101,12 +101,6 @@ type Options struct {
 	// ablation can measure what the optimization saves; both endpoints
 	// must agree on the setting.
 	ShipLinearMap bool
-	// DisableKernels turns off the compiled per-type traversal/codec
-	// kernels and the pooled hot-path state (walkers, codecs, restore
-	// programs) while keeping the plan cache, isolating "compiled
-	// programs + pooling" from "cached reflection metadata" in the
-	// ablation; see wire.Options.DisableKernels.
-	DisableKernels bool
 	// DisableEngineV3 makes this endpoint's decoders reject engine-V3
 	// streams exactly like a pre-V3 peer; see wire.Options.DisableEngineV3.
 	DisableEngineV3 bool
@@ -119,7 +113,6 @@ func (o Options) wireOptions() wire.Options {
 		Registry:         o.Registry,
 		MaxElems:         o.MaxElems,
 		DisablePlanCache: o.DisablePlanCache,
-		DisableKernels:   o.DisableKernels,
 		DisableEngineV3:  o.DisableEngineV3,
 	}
 }
@@ -130,20 +123,6 @@ func (o Options) wireOptions() wire.Options {
 func (o Options) Validate() error {
 	return o.wireOptions().Validate()
 }
-
-// kernelsEnabled reports whether the compiled-kernel fast paths and the
-// pooled hot-path state are active. Engine V1 (the JDK 1.3 stand-in) and
-// both portable-column ablations (DisablePlanCache, DisableKernels) take
-// the generic reflective paths with per-call allocation, preserving the
-// allocation profile the paper's slow columns are modeled on.
-func (o Options) kernelsEnabled() bool {
-	return o.Engine != wire.EngineV1 && !o.DisablePlanCache && !o.DisableKernels
-}
-
-// KernelsEnabled is the exported view of kernelsEnabled, for kernel-aware
-// instrumentation: observability layers stamp it onto every recorded call
-// so the DisableKernels ablation reports per-phase deltas.
-func (o Options) KernelsEnabled() bool { return o.kernelsEnabled() }
 
 // Errors reported by the copy-restore protocol.
 var (

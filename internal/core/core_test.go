@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"nrmi/internal/graph"
@@ -466,41 +467,55 @@ func TestCopyArgumentNotRestored(t *testing.T) {
 }
 
 func TestRestorableMapInPlace(t *testing.T) {
-	opts := testOptions(t)
-	m := map[string]int{"a": 1, "b": 2}
-	aliasOfM := m // second reference to the same map header
+	for _, tc := range []struct {
+		name   string
+		mutate func(m map[string]int)
+		want   map[string]int
+	}{
+		{"delete-and-add", func(m map[string]int) { delete(m, "a"); m["c"] = 3 }, map[string]int{"b": 2, "c": 3}},
+		// Nothing refills the deleted key: it is gone only if the commit
+		// empties the original header first.
+		{"delete-only", func(m map[string]int) { delete(m, "a") }, map[string]int{"b": 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := testOptions(t)
+			m := map[string]int{"a": 1, "b": 2}
+			aliasOfM := m // second reference to the same map header
+			header := reflect.ValueOf(m).Pointer()
 
-	var req bytes.Buffer
-	call := NewCall(&req, opts)
-	if err := call.EncodeRestorable(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := call.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	srv := AcceptCall(&req, opts)
-	sm, err := srv.DecodeRestorable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	srvMap := sm.(map[string]int)
-	delete(srvMap, "a")
-	srvMap["c"] = 3
-	var respBuf bytes.Buffer
-	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := aliasOfM["a"]; ok {
-		t.Fatal("deletion must be restored in place")
-	}
-	if aliasOfM["c"] != 3 || aliasOfM["b"] != 2 {
-		t.Fatalf("map restore wrong: %v", aliasOfM)
+			var req bytes.Buffer
+			call := NewCall(&req, opts)
+			if err := call.EncodeRestorable(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := call.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			srv := AcceptCall(&req, opts)
+			sm, err := srv.DecodeRestorable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Prepare(); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(sm.(map[string]int))
+			var respBuf bytes.Buffer
+			if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := call.ApplyResponse(&respBuf); err != nil {
+				t.Fatal(err)
+			}
+			for name, alias := range map[string]map[string]int{"m": m, "aliasOfM": aliasOfM} {
+				if !reflect.DeepEqual(alias, tc.want) {
+					t.Fatalf("%s after restore: %v, want %v", name, alias, tc.want)
+				}
+				if reflect.ValueOf(alias).Pointer() != header {
+					t.Fatalf("%s no longer names the original map header", name)
+				}
+			}
+		})
 	}
 }
 

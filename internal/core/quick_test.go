@@ -190,34 +190,54 @@ func checkEquivalence(t *testing.T, opts Options, seed int64, size, numOps int) 
 	return eq
 }
 
-func TestQuickRemoteEqualsLocal(t *testing.T) {
-	for _, eng := range []wire.Engine{wire.EngineV1, wire.EngineV2, wire.EngineV3} {
-		t.Run(eng.String(), func(t *testing.T) {
-			opts := testOptions(t)
-			opts.Engine = eng
-			f := func(seed int64, szRaw, opsRaw uint8) bool {
-				size := int(szRaw%48) + 2
-				numOps := int(opsRaw%24) + 1
-				return checkEquivalence(t, opts, seed, size, numOps)
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+// codecConfig is one of the runtime's four codec configurations (DESIGN.md
+// §8a): the paper's JDK 1.3 stand-in, portable and optimized NRMI, and the
+// flat engine. Tests of a path every configuration shares range over all.
+type codecConfig struct {
+	name     string
+	engine   wire.Engine
+	portable bool
 }
 
-func TestQuickRemoteEqualsLocalWithDelta(t *testing.T) {
-	// The delta optimization must not change semantics, only bytes.
-	opts := testOptions(t)
-	opts.Delta = true
-	f := func(seed int64, szRaw, opsRaw uint8) bool {
-		size := int(szRaw%48) + 2
-		numOps := int(opsRaw % 16) // zero ops allowed: nothing changes
-		return checkEquivalence(t, opts, seed, size, numOps)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+var codecConfigs = []codecConfig{
+	{"v1", wire.EngineV1, false},
+	{"v2-portable", wire.EngineV2, true},
+	{"v2", wire.EngineV2, false},
+	{"v3", wire.EngineV3, false},
+}
+
+func (c codecConfig) apply(o Options) Options {
+	o.Engine = c.engine
+	o.DisablePlanCache = c.portable
+	return o
+}
+
+func TestQuickRemoteEqualsLocal(t *testing.T) {
+	for _, cfg := range codecConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			for _, delta := range []bool{false, true} {
+				name := "full"
+				if delta {
+					// The delta optimization must not change semantics, only bytes.
+					name = "delta"
+				}
+				t.Run(name, func(t *testing.T) {
+					opts := cfg.apply(testOptions(t))
+					opts.Delta = delta
+					f := func(seed int64, szRaw, opsRaw uint8) bool {
+						size := int(szRaw%48) + 2
+						numOps := int(opsRaw%24) + 1
+						if delta {
+							numOps = int(opsRaw % 16) // zero ops allowed: nothing changes
+						}
+						return checkEquivalence(t, opts, seed, size, numOps)
+					}
+					if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -33,21 +33,11 @@ type ServerCall struct {
 	// snapshot pairs pre-call object identities with deep-copied snapshots
 	// when delta encoding is on.
 	snapshot *graph.Copier
-
-	// pooled records that dec came from the codec pool and must go back.
-	pooled bool
 }
 
 // AcceptCall starts decoding a request from r.
 func AcceptCall(r io.Reader, opts Options) *ServerCall {
-	s := &ServerCall{opts: opts}
-	if opts.kernelsEnabled() {
-		s.dec = wire.AcquireDecoder(r, opts.wireOptions())
-		s.pooled = true
-	} else {
-		s.dec = wire.NewDecoder(r, opts.wireOptions())
-	}
-	return s
+	return &ServerCall{opts: opts, dec: wire.AcquireDecoder(r, opts.wireOptions())}
 }
 
 // AcceptCallBytes starts decoding a request held in memory. Engine V3
@@ -55,14 +45,7 @@ func AcceptCall(r io.Reader, opts Options) *ServerCall {
 // been encoded; transports that pool receive buffers must not recycle the
 // payload before then.
 func AcceptCallBytes(data []byte, opts Options) *ServerCall {
-	s := &ServerCall{opts: opts}
-	if opts.kernelsEnabled() {
-		s.dec = wire.AcquireDecoderBytes(data, opts.wireOptions())
-		s.pooled = true
-	} else {
-		s.dec = wire.NewDecoderBytes(data, opts.wireOptions())
-	}
-	return s
+	return &ServerCall{opts: opts, dec: wire.AcquireDecoderBytes(data, opts.wireOptions())}
 }
 
 // Release returns the call's pooled codec state. Call it after the response
@@ -73,13 +56,7 @@ func (s *ServerCall) Release() {
 	if s == nil || s.dec == nil {
 		return
 	}
-	if s.pooled {
-		wire.ReleaseDecoder(s.dec)
-	} else {
-		// The unpooled decoder is dropped, but its arena's exactly-once
-		// release contract still holds.
-		s.dec.ReleaseArena()
-	}
+	wire.ReleaseDecoder(s.dec)
 	s.dec = nil
 	s.oc = nil
 	s.restorableRoots = nil
@@ -167,7 +144,7 @@ func (s *ServerCall) prepare() error {
 	access := s.effectiveAccess()
 	if s.set.escaped {
 		// Only now is the whole decode table indexed by identity.
-		err := s.set.walk(s.opts, access, s.restorableRoots, indexByIdent(s.dec.Objects()))
+		err := s.set.walk(access, s.restorableRoots, indexByIdent(s.dec.Objects()))
 		if err != nil {
 			return err
 		}
@@ -188,7 +165,6 @@ func (s *ServerCall) prepare() error {
 // detection.
 func (s *ServerCall) takeSnapshot(access graph.AccessMode) error {
 	s.snapshot = graph.NewCopier(access)
-	s.snapshot.NoKernels = !s.opts.kernelsEnabled()
 	for _, root := range s.restorableRoots {
 		if _, err := s.snapshot.CopyValue(root); err != nil {
 			return fmt.Errorf("core: delta snapshot: %w", err)
@@ -235,15 +211,9 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 		// can decode, regardless of this server's configured engine.
 		sendOpts.Engine = eng
 	}
-	kernels := sendOpts.kernelsEnabled()
-	var enc *wire.Encoder
-	if kernels {
-		// Pooled codec, released on the success path; dropped (not
-		// recycled) on error.
-		enc = wire.AcquireEncoder(w, sendOpts.wireOptions())
-	} else {
-		enc = wire.NewEncoder(w, sendOpts.wireOptions())
-	}
+	// Pooled codec, released on the success path; dropped (not recycled)
+	// on error.
+	enc := wire.AcquireEncoder(w, sendOpts.wireOptions())
 	// Seed the response encoder with the restore set's objects of the
 	// decode table, in ascending stream-ID order — the exact set and order
 	// the client's ApplyResponse seeds independently — so an old object's ID
@@ -306,9 +276,7 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 		OldSent:   sent,
 		BytesSent: enc.BytesWritten(),
 	}
-	if kernels {
-		wire.ReleaseEncoder(enc)
-	}
+	wire.ReleaseEncoder(enc)
 	return stats, nil
 }
 
@@ -320,7 +288,7 @@ func (s *ServerCall) filterOld(access graph.AccessMode, old []reflect.Value) ([]
 		// DCE RPC semantics: only objects still reachable from the
 		// parameters after the call are restored (paper, Figure 9).
 		var err error
-		include, err = reachableIDs(s.opts, access, s.restorableRoots, indexByIdent(old), true)
+		include, err = reachableIDs(access, s.restorableRoots, indexByIdent(old), true)
 		if err != nil {
 			return nil, err
 		}

@@ -63,8 +63,8 @@ func (rs *restoreSet) len() int {
 // walk replaces an escaped set by the reachability closure of roots, the
 // one case in which the graph is walked; idOf maps a reachable object to
 // its stream ID.
-func (rs *restoreSet) walk(opts Options, access graph.AccessMode, roots []reflect.Value, idOf func(reflect.Value) (int, bool)) error {
-	ids, err := reachableIDs(opts, access, roots, idOf, false)
+func (rs *restoreSet) walk(access graph.AccessMode, roots []reflect.Value, idOf func(reflect.Value) (int, bool)) error {
+	ids, err := reachableIDs(access, roots, idOf, false)
 	if err != nil {
 		return err
 	}
@@ -80,17 +80,11 @@ func (rs *restoreSet) walk(opts Options, access graph.AccessMode, roots []reflec
 // ascending. Objects idOf does not know are skipped under allowNew (the
 // method body allocated them, so only a post-call walk meets any) and are
 // an error otherwise.
-func reachableIDs(opts Options, access graph.AccessMode, roots []reflect.Value, idOf func(reflect.Value) (int, bool), allowNew bool) ([]int, error) {
-	var w *graph.Walker
-	if opts.kernelsEnabled() {
-		// Only plain stream IDs leave this function, so the pooled walker's
-		// no-retention contract holds.
-		w = graph.AcquireWalker(access)
-		defer graph.ReleaseWalker(w)
-	} else {
-		w = graph.NewWalker(access)
-		w.NoKernels = true
-	}
+func reachableIDs(access graph.AccessMode, roots []reflect.Value, idOf func(reflect.Value) (int, bool), allowNew bool) ([]int, error) {
+	// Only plain stream IDs leave this function, so the pooled walker's
+	// no-retention contract holds.
+	w := graph.AcquireWalker(access)
+	defer graph.ReleaseWalker(w)
 	for _, root := range roots {
 		if err := w.RootValue(root); err != nil {
 			return nil, fmt.Errorf("core: walking restorable roots: %w", err)

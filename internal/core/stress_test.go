@@ -7,10 +7,10 @@ import (
 )
 
 // TestConcurrentCallsSharedKernels runs the full Figure 1 round trip from
-// many goroutines at once, all sharing the compiled per-type kernels, the
-// pooled Call/ServerCall state, and the pooled codecs. make test runs this
-// under -race; any unsynchronized sharing inside the kernel caches or the
-// pools shows up here.
+// many goroutines at once, all sharing the codec's compiled per-type
+// kernels and the pooled codecs. make test runs this under -race; any
+// unsynchronized sharing inside the kernel cache or the pools shows up
+// here.
 func TestConcurrentCallsSharedKernels(t *testing.T) {
 	opts := testOptions(t)
 	var wg sync.WaitGroup

@@ -14,11 +14,6 @@ type Copier struct {
 	// Access selects the struct-field access mode.
 	Access AccessMode
 
-	// NoKernels disables the compiled per-type kernels and forces the
-	// generic per-node dispatch, modeling the paper's portable
-	// implementation (see Walker.NoKernels).
-	NoKernels bool
-
 	memo map[Ident]reflect.Value // source identity -> copied reference
 }
 
@@ -27,10 +22,6 @@ type Copier struct {
 func NewCopier(mode AccessMode) *Copier {
 	return &Copier{Access: mode, memo: make(map[Ident]reflect.Value)}
 }
-
-// Mapping returns the source-identity to copied-reference table accumulated
-// so far. The delta engine uses it to pair snapshot objects with originals.
-func (c *Copier) Mapping() map[Ident]reflect.Value { return c.memo }
 
 // NumCopied returns how many distinct objects the copier has deep-copied
 // so far (the size of its identity memo) — the per-phase item count the
@@ -60,12 +51,7 @@ func (c *Copier) Copy(v any) (any, error) {
 }
 
 // CopyValue is Copy for callers holding reflect.Values.
-func (c *Copier) CopyValue(v reflect.Value) (reflect.Value, error) {
-	if !c.NoKernels && v.IsValid() {
-		return kernelFor(v.Type(), c.Access).cpy(c, v, 0)
-	}
-	return c.copyValue(v, 0)
-}
+func (c *Copier) CopyValue(v reflect.Value) (reflect.Value, error) { return c.copyValue(v, 0) }
 
 // Copy is the one-shot convenience: an identity-preserving deep copy of v.
 func Copy(mode AccessMode, v any) (any, error) {

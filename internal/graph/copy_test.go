@@ -162,8 +162,8 @@ func TestCopierMappingAndCopied(t *testing.T) {
 	if _, ok := c.Copied(reflect.ValueOf(&node{})); ok {
 		t.Fatal("Copied must miss for foreign objects")
 	}
-	if len(c.Mapping()) != 1 {
-		t.Fatalf("mapping size: want 1, got %d", len(c.Mapping()))
+	if c.NumCopied() != 1 {
+		t.Fatalf("mapping size: want 1, got %d", c.NumCopied())
 	}
 }
 

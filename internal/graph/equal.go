@@ -21,24 +21,6 @@ func Equal(mode AccessMode, a, b any) (bool, error) {
 		return av.IsValid() == bv.IsValid(), nil
 	}
 	e := &equaler{access: mode, aToB: make(map[Ident]Ident), bToA: make(map[Ident]Ident)}
-	// Dispatch through the compiled kernel for the (shared) dynamic type;
-	// kernel_test.go cross-checks this path against the generic one below.
-	if av.Type() != bv.Type() {
-		return false, nil
-	}
-	return kernelFor(av.Type(), mode).eq(e, av, bv, 0)
-}
-
-// equalGeneric is Equal without kernels: the reference implementation the
-// kernel compiler is differentially tested against, and the portable-column
-// oracle.
-func equalGeneric(mode AccessMode, a, b any) (bool, error) {
-	av := reflect.ValueOf(a)
-	bv := reflect.ValueOf(b)
-	if !av.IsValid() || !bv.IsValid() {
-		return av.IsValid() == bv.IsValid(), nil
-	}
-	e := &equaler{access: mode, aToB: make(map[Ident]Ident), bToA: make(map[Ident]Ident)}
 	return e.equal(av, bv, 0)
 }
 

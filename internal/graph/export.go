@@ -33,19 +33,6 @@ func FieldForWrite(sv reflect.Value, i int, mode AccessMode) (reflect.Value, boo
 	return fieldForWrite(sv, i, mode)
 }
 
-// HasIdentityBearing reports whether values of type t can transitively
-// contain identity-bearing references.
-func HasIdentityBearing(t reflect.Type) bool { return hasIdentityBearing(t) }
-
-// AcquireMapIter returns a pooled reflect.MapIter positioned at the start
-// of map value v. MapRange allocates a fresh iterator per call; the wire
-// and core layers' hot loops recycle them instead.
-func AcquireMapIter(v reflect.Value) *reflect.MapIter { return acquireMapIter(v) }
-
-// ReleaseMapIter drops the iterator's map reference and returns it to the
-// pool. The iterator must not be used afterwards.
-func ReleaseMapIter(iter *reflect.MapIter) { releaseMapIter(iter) }
-
 // StableRef returns a copy of the reference value v that denotes the same
 // object but is detached from the memory location v was read from. A
 // reflect.Value obtained from a struct field aliases that field: if the

@@ -108,15 +108,6 @@ func TestFieldForReadWriteContracts(t *testing.T) {
 	}
 }
 
-func TestHasIdentityBearingExported(t *testing.T) {
-	if HasIdentityBearing(reflect.TypeOf(0)) {
-		t.Fatal("int bears no identity")
-	}
-	if !HasIdentityBearing(reflect.TypeOf([]int{})) {
-		t.Fatal("slice bears identity")
-	}
-}
-
 func TestStableRefDetachesFromField(t *testing.T) {
 	child := &node{Data: 2}
 	parent := &node{Left: child}
@@ -146,13 +137,6 @@ func TestLinearMapAccessors(t *testing.T) {
 	obj := lm.At(1)
 	if obj.Type() != reflect.TypeOf(&node{}) {
 		t.Fatalf("Type() = %v", obj.Type())
-	}
-	ident, _ := IdentOf(reflect.ValueOf(shared))
-	if got := lm.LookupIdent(ident); got == nil || got.ID != 1 {
-		t.Fatalf("LookupIdent = %+v", got)
-	}
-	if lm.LookupIdent(Ident{}) != nil {
-		t.Fatal("zero ident must miss")
 	}
 }
 

@@ -199,14 +199,6 @@ func (lm *LinearMap) Lookup(ref reflect.Value) *Object {
 	return nil
 }
 
-// LookupIdent returns the object with the given identity, or nil.
-func (lm *LinearMap) LookupIdent(id Ident) *Object {
-	if i, ok := lm.index[id]; ok {
-		return lm.objects[i]
-	}
-	return nil
-}
-
 // Add records a reference as the next object and returns it. If the identity
 // is already present the existing object is returned with ok=false. Add
 // reports ErrSliceOverlap when a slice shares a data pointer with a

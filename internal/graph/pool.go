@@ -1,18 +1,22 @@
 package graph
 
-import "sync"
+import (
+	"reflect"
+	"sync"
+)
 
 // Walker pooling. A traversal of an n-object graph costs ~3 allocations per
 // object (the Object struct, its detached reference cell, and the identity
-// map entries); recycling walkers brings the steady-state cost of the
-// copy-restore protocol's repeated reachability passes (client restorable
-// set, server pre-call set) to near zero. Pooled state never crosses calls:
-// reset drops every reference to user objects before the walker is parked.
+// map entries). The restore set is normally read off the codec's object
+// table; the graph is walked only when that set escaped or under PolicyDCE,
+// and recycling walkers keeps those walks allocation-free in the steady
+// state. Pooled state never crosses calls: reset drops every reference to
+// user objects before the walker is parked.
 
 var walkerPool = sync.Pool{New: func() any { return NewWalker(AccessExported) }}
 
-// AcquireWalker returns a pooled Walker configured for mode, with kernels
-// enabled. It is the allocation-free counterpart of NewWalker for hot paths.
+// AcquireWalker returns a pooled Walker configured for mode. It is the
+// allocation-free counterpart of NewWalker for hot paths.
 //
 // Contract: the caller must not retain the walker, its LinearMap, or any
 // *Object obtained from it after ReleaseWalker — the pool reuses all three.
@@ -20,28 +24,36 @@ var walkerPool = sync.Pool{New: func() any { return NewWalker(AccessExported) }}
 func AcquireWalker(mode AccessMode) *Walker {
 	w := walkerPool.Get().(*Walker)
 	w.Access = mode
-	w.NoKernels = false
 	return w
 }
 
-// ReleaseWalker resets w and returns it to the pool. Passing nil is a no-op.
+// ReleaseWalker resets w, dropping every reference to user objects while
+// keeping its maps and slices warm, and returns it to the pool. Passing nil
+// is a no-op.
 func ReleaseWalker(w *Walker) {
 	if w == nil {
 		return
 	}
-	w.reset()
+	w.lm.reset()
 	walkerPool.Put(w)
 }
 
-// reset clears all traversal state, dropping references to user objects
-// while keeping maps and slices warm for the next acquisition.
-func (w *Walker) reset() {
-	clear(w.done)
-	w.lm.reset()
+// mapIterPool recycles reflect.MapIter values: MapRange allocates a fresh
+// iterator per call, which the codec's and the restore commit's map loops
+// would otherwise pay on every map.
+var mapIterPool = sync.Pool{New: func() any { return new(reflect.MapIter) }}
+
+// AcquireMapIter returns a pooled reflect.MapIter positioned at the start
+// of map value v.
+func AcquireMapIter(v reflect.Value) *reflect.MapIter {
+	iter := mapIterPool.Get().(*reflect.MapIter)
+	iter.Reset(v)
+	return iter
 }
 
-// Reset clears w's traversal state for reuse without returning it to the
-// pool — the batch-dispatch idiom: acquire once, Reset between the calls
-// of a batch, release once. The no-retention contract applies at each
-// Reset exactly as at ReleaseWalker.
-func (w *Walker) Reset() { w.reset() }
+// ReleaseMapIter drops the iterator's map reference and returns it to the
+// pool. The iterator must not be used afterwards.
+func ReleaseMapIter(iter *reflect.MapIter) {
+	iter.Reset(reflect.Value{})
+	mapIterPool.Put(iter)
+}

@@ -7,32 +7,17 @@ import (
 
 // Walker performs a depth-first reachability traversal, recording every
 // identity-bearing object it encounters into a LinearMap. A Walker may be
-// driven incrementally: Preseed registers objects without visiting their
-// contents (used by the restore phase to pin the IDs of pre-call objects),
-// Root visits a new root value, and EnsureContents forces the contents of a
-// preseeded object to be explored.
+// driven incrementally: each Root call extends the same map.
 type Walker struct {
 	// Access selects the struct-field access mode.
 	Access AccessMode
 
-	// NoKernels disables the compiled per-type kernels (kernel.go) and
-	// forces the generic per-node reflect.Kind dispatch below. It models
-	// the paper's "portable" implementation, which examines every object
-	// through plain reflection instead of cached per-type metadata
-	// (Section 5.3.1).
-	NoKernels bool
-
-	lm   *LinearMap
-	done map[Ident]bool
+	lm *LinearMap
 }
 
 // NewWalker returns a Walker with an empty linear map.
 func NewWalker(mode AccessMode) *Walker {
-	return &Walker{
-		Access: mode,
-		lm:     NewLinearMap(),
-		done:   make(map[Ident]bool),
-	}
+	return &Walker{Access: mode, lm: NewLinearMap()}
 }
 
 // LinearMap returns the map built so far. The map is live: further Root
@@ -48,43 +33,7 @@ func (w *Walker) Root(v any) error {
 }
 
 // RootValue is Root for callers that already hold a reflect.Value.
-func (w *Walker) RootValue(v reflect.Value) error {
-	if !w.NoKernels && v.IsValid() {
-		return kernelFor(v.Type(), w.Access).walk(w, v, 0)
-	}
-	return w.visit(v, 0)
-}
-
-// Preseed registers ref (a pointer, map, or slice value) in the linear map
-// without visiting its contents. Preseeding an already-registered identity
-// is a no-op. The contents can be explored later via EnsureContents or by a
-// Root traversal that reaches the object.
-func (w *Walker) Preseed(ref reflect.Value) error {
-	if !isIdentityKind(ref.Kind()) {
-		return fmt.Errorf("graph: Preseed requires ptr, map, or slice, got %s", ref.Kind())
-	}
-	if ref.IsNil() {
-		return nil
-	}
-	_, _, err := w.lm.Add(ref)
-	return err
-}
-
-// EnsureContents traverses the contents of obj if they have not been
-// visited yet. It is used after a remote call to sweep objects that became
-// unreachable from the parameters but must still be restored (paper,
-// Section 3, step 3: "even if they have become unreachable").
-func (w *Walker) EnsureContents(obj *Object) error {
-	id := identOf(obj.Ref)
-	if w.done[id] {
-		return nil
-	}
-	w.done[id] = true
-	if !w.NoKernels {
-		return kernelFor(obj.Ref.Type(), w.Access).walkContents(w, obj.Ref, 0)
-	}
-	return w.visitContents(obj.Ref, 0)
-}
+func (w *Walker) RootValue(v reflect.Value) error { return w.visit(v, 0) }
 
 // visit dispatches on the kind of v, registering identity-bearing objects
 // and recursing into their contents exactly once per object.
@@ -104,14 +53,9 @@ func (w *Walker) visit(v reflect.Value, depth int) error {
 		if v.IsNil() {
 			return nil
 		}
-		if _, _, err := w.lm.Add(v); err != nil {
+		if _, first, err := w.lm.Add(v); err != nil || !first {
 			return err
 		}
-		id := identOf(v)
-		if w.done[id] {
-			return nil
-		}
-		w.done[id] = true
 		return w.visitContents(v, depth)
 
 	case reflect.Interface:
@@ -189,9 +133,8 @@ func (w *Walker) visitContents(v reflect.Value, depth int) error {
 		}
 		return nil
 	default:
-		// Reachable only through a malformed Object (Ref of a non-identity
-		// kind); report it like any other unserializable value so callers
-		// can surface the failure instead of crashing the endpoint.
+		// visit passes no other kind; one that arrives anyway is reported
+		// like any other unserializable value, not by crashing the endpoint.
 		return fmt.Errorf("%w: visitContents on non-identity kind %s", ErrNotSerializable, v.Kind())
 	}
 }

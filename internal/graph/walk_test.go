@@ -2,9 +2,13 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"nrmi/internal/raceflag"
 )
 
 // node is the canonical linked test structure (the paper's Tree).
@@ -219,53 +223,6 @@ func TestWalkArrayOfPointers(t *testing.T) {
 	}
 }
 
-func TestPreseedAndEnsureContents(t *testing.T) {
-	inner := &node{Data: 3}
-	outer := &node{Data: 1, Left: inner}
-	w := NewWalker(AccessExported)
-	if err := w.Preseed(reflect.ValueOf(outer)); err != nil {
-		t.Fatal(err)
-	}
-	if w.LinearMap().Len() != 1 {
-		t.Fatalf("preseed must not traverse contents: want 1, got %d", w.LinearMap().Len())
-	}
-	if err := w.EnsureContents(w.LinearMap().At(0)); err != nil {
-		t.Fatal(err)
-	}
-	if w.LinearMap().Len() != 2 {
-		t.Fatalf("EnsureContents must discover inner node: want 2, got %d", w.LinearMap().Len())
-	}
-	// EnsureContents is idempotent.
-	if err := w.EnsureContents(w.LinearMap().At(0)); err != nil {
-		t.Fatal(err)
-	}
-	if w.LinearMap().Len() != 2 {
-		t.Fatalf("idempotence violated: got %d", w.LinearMap().Len())
-	}
-}
-
-func TestPreseedRootInteraction(t *testing.T) {
-	// A root traversal reaching a preseeded object must descend into it
-	// exactly once.
-	inner := &node{Data: 3}
-	outer := &node{Data: 1, Left: inner}
-	w := NewWalker(AccessExported)
-	if err := w.Preseed(reflect.ValueOf(inner)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Root(outer); err != nil {
-		t.Fatal(err)
-	}
-	lm := w.LinearMap()
-	if lm.Len() != 2 {
-		t.Fatalf("want 2 objects, got %d", lm.Len())
-	}
-	// Preseeded object keeps ID 0; root got the next slot.
-	if lm.At(0).Ref.Interface().(*node) != inner {
-		t.Fatal("preseeded object must retain ID 0")
-	}
-}
-
 func TestLookupMissAndNil(t *testing.T) {
 	lm := mustWalk(t, AccessExported, &node{})
 	other := &node{}
@@ -330,10 +287,8 @@ func TestKindAndModeStrings(t *testing.T) {
 }
 
 func TestVisitContentsMalformedValueErrors(t *testing.T) {
-	// Driving visitContents with a non-identity kind (only possible
-	// through a malformed Object) used to panic; it must now surface as
-	// a reportable ErrNotSerializable so a corrupted linear map cannot
-	// crash an endpoint mid-call.
+	// Driving visitContents with a non-identity kind must surface as a
+	// reportable ErrNotSerializable, not a panic.
 	w := NewWalker(AccessExported)
 	err := w.visitContents(reflect.ValueOf(42), 0)
 	if err == nil {
@@ -345,4 +300,86 @@ func TestVisitContentsMalformedValueErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), "int") {
 		t.Fatalf("error must name the offending kind: %v", err)
 	}
+}
+
+// TestWalkAllocsSteadyState: a pooled walk must stay within a small fixed
+// allocation budget, independent of graph size (the objects come from the
+// caller; the walk itself reuses pooled state).
+func TestWalkAllocsSteadyState(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
+	}
+	root := buildChain(64)
+	walk := func() {
+		w := AcquireWalker(AccessExported)
+		if err := w.Root(root); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseWalker(w)
+	}
+	// Warm the pools.
+	for i := 0; i < 5; i++ {
+		walk()
+	}
+	avg := testing.AllocsPerRun(20, walk)
+	// Budget: a few allocs of slack for map-internal rehashing; the
+	// per-node costs (ref cells, map entries, object slots) must all be
+	// amortized away by the pools.
+	const budget = 8
+	if avg > budget {
+		t.Fatalf("steady-state walk allocates %.1f/run, budget %d", avg, budget)
+	}
+}
+
+func buildChain(n int) *node {
+	root := &node{Data: 0}
+	cur := root
+	for i := 1; i < n; i++ {
+		cur.Left = &node{Data: i}
+		cur = cur.Left
+	}
+	return root
+}
+
+// TestKernelConcurrentStress hammers the walker pool and the per-type
+// caches from many goroutines (run under -race in make test): concurrent
+// walks, copies, and equality checks of the same types. (Nothing here is a
+// kernel; the name is kept because the test floor tracks tests by name.)
+func TestKernelConcurrentStress(t *testing.T) {
+	type stressT struct {
+		ID    int
+		Kids  []*stressT
+		Tags  map[string]int
+		Extra any
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				root := &stressT{ID: g, Tags: map[string]int{fmt.Sprint(i): i}}
+				root.Kids = []*stressT{{ID: i, Extra: "x"}, root}
+				w := AcquireWalker(AccessExported)
+				if err := w.Root(root); err != nil {
+					t.Error(err)
+				}
+				n := w.LinearMap().Len()
+				ReleaseWalker(w)
+				if n == 0 {
+					t.Error("empty linear map")
+				}
+				c := NewCopier(AccessExported)
+				cp, err := c.Copy(root)
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				if eq, err := Equal(AccessExported, root, cp); err != nil || !eq {
+					t.Errorf("copy not equal: %v %v", eq, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

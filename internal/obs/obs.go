@@ -139,9 +139,6 @@ type CallStats struct {
 	Allocs int64
 	// Err records whether the call finished with an error.
 	Err bool
-	// Kernels records whether the compiled per-type kernels were active,
-	// so the DisableKernels ablation can be split per phase.
-	Kernels bool
 	// PhaseNs, PhaseBytes, and PhaseItems accumulate per-phase duration,
 	// bytes processed, and objects processed. PhaseCount says how many
 	// spans contributed (0 = the phase did not run).
@@ -224,14 +221,6 @@ func (c *Call) SetIO(in, out int64) {
 		return
 	}
 	c.cs.BytesIn, c.cs.BytesOut = in, out
-}
-
-// SetKernels records whether compiled kernels were active. Safe on nil.
-func (c *Call) SetKernels(on bool) {
-	if c == nil {
-		return
-	}
-	c.cs.Kernels = on
 }
 
 // Finish closes the call, delivers it to the recorder, and recycles the

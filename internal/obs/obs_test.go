@@ -24,7 +24,6 @@ func TestNilCollectorIsInert(t *testing.T) {
 	sp = c.Start(PhaseMapWalk)
 	sp.EndN(1, 2)
 	c.SetIO(1, 2)
-	c.SetKernels(true)
 	c.Finish(errors.New("x"))
 }
 
@@ -38,7 +37,6 @@ func TestNilCollectorAllocs(t *testing.T) {
 			sp.EndBytes(1)
 		}
 		c.SetIO(1, 2)
-		c.SetKernels(true)
 		c.Finish(nil)
 	})
 	if allocs != 0 {
@@ -79,7 +77,6 @@ func TestPhaseAggregation(t *testing.T) {
 		sp = c.Start(PhaseRestoreCommit)
 		sp.End()
 		c.SetIO(100, 200)
-		c.SetKernels(true)
 		var err error
 		if i == 0 {
 			err = errors.New("boom")
@@ -94,8 +91,8 @@ func TestPhaseAggregation(t *testing.T) {
 	if m == nil {
 		t.Fatal("method svc.M missing from snapshot")
 	}
-	if m.Calls != 5 || m.Errors != 1 || m.KernelCalls != 5 {
-		t.Errorf("calls/errors/kernels = %d/%d/%d, want 5/1/5", m.Calls, m.Errors, m.KernelCalls)
+	if m.Calls != 5 || m.Errors != 1 {
+		t.Errorf("calls/errors = %d/%d, want 5/1", m.Calls, m.Errors)
 	}
 	if m.BytesIn != 500 || m.BytesOut != 1000 {
 		t.Errorf("bytes in/out = %d/%d, want 500/1000", m.BytesIn, m.BytesOut)

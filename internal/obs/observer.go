@@ -9,8 +9,9 @@ import (
 
 // Config tunes an Observer. The zero value is usable.
 type Config struct {
-	// Tag labels every export from this observer, so ablation runs (e.g.
-	// "kernels" vs "nokernels") stay distinguishable after the fact.
+	// Tag labels every export from this observer, so runs of different
+	// configurations (e.g. "v2" vs "v2-portable") stay distinguishable
+	// after the fact.
 	Tag string
 	// TraceCapacity bounds the trace ring buffer (default 256 calls).
 	TraceCapacity int
@@ -45,14 +46,13 @@ type phaseAgg struct {
 
 // methodAgg aggregates one (service, method) key.
 type methodAgg struct {
-	calls       atomic.Int64
-	errors      atomic.Int64
-	kernelCalls atomic.Int64
-	bytesIn     atomic.Int64
-	bytesOut    atomic.Int64
-	total       Hist
-	allocs      Hist
-	phases      [NumPhases]phaseAgg
+	calls    atomic.Int64
+	errors   atomic.Int64
+	bytesIn  atomic.Int64
+	bytesOut atomic.Int64
+	total    Hist
+	allocs   Hist
+	phases   [NumPhases]phaseAgg
 }
 
 // New returns an Observer with the given configuration.
@@ -87,9 +87,6 @@ func (o *Observer) RecordCall(key CallKey, cs *CallStats) {
 	if cs.Err {
 		m.errors.Add(1)
 	}
-	if cs.Kernels {
-		m.kernelCalls.Add(1)
-	}
 	m.bytesIn.Add(cs.BytesIn)
 	m.bytesOut.Add(cs.BytesOut)
 	m.total.Observe(int64(cs.Total))
@@ -123,13 +120,12 @@ type PhaseSnapshot struct {
 
 // MethodSnapshot is the exported aggregate of one (service, method) key.
 type MethodSnapshot struct {
-	Service     string `json:"service"`
-	Method      string `json:"method"`
-	Calls       int64  `json:"calls"`
-	Errors      int64  `json:"errors"`
-	KernelCalls int64  `json:"kernel_calls"`
-	BytesIn     int64  `json:"bytes_in"`
-	BytesOut    int64  `json:"bytes_out"`
+	Service  string `json:"service"`
+	Method   string `json:"method"`
+	Calls    int64  `json:"calls"`
+	Errors   int64  `json:"errors"`
+	BytesIn  int64  `json:"bytes_in"`
+	BytesOut int64  `json:"bytes_out"`
 	// TotalNs is the whole-call latency histogram (nanoseconds).
 	TotalNs HistSnapshot `json:"total_ns"`
 	// Allocs is the per-call heap-allocation histogram; only populated
@@ -179,15 +175,14 @@ func (o *Observer) Snapshot() Snapshot {
 		key := k.(CallKey)
 		m := v.(*methodAgg)
 		ms := MethodSnapshot{
-			Service:     key.Service,
-			Method:      key.Method,
-			Calls:       m.calls.Load(),
-			Errors:      m.errors.Load(),
-			KernelCalls: m.kernelCalls.Load(),
-			BytesIn:     m.bytesIn.Load(),
-			BytesOut:    m.bytesOut.Load(),
-			TotalNs:     m.total.Snapshot(),
-			Allocs:      m.allocs.Snapshot(),
+			Service:  key.Service,
+			Method:   key.Method,
+			Calls:    m.calls.Load(),
+			Errors:   m.errors.Load(),
+			BytesIn:  m.bytesIn.Load(),
+			BytesOut: m.bytesOut.Load(),
+			TotalNs:  m.total.Snapshot(),
+			Allocs:   m.allocs.Snapshot(),
 		}
 		for p := 0; p < NumPhases; p++ {
 			pa := &m.phases[p]

@@ -21,7 +21,6 @@ type Trace struct {
 	Start    time.Time    `json:"start"`
 	TotalNs  int64        `json:"total_ns"`
 	Err      bool         `json:"err,omitempty"`
-	Kernels  bool         `json:"kernels"`
 	BytesIn  int64        `json:"bytes_in"`
 	BytesOut int64        `json:"bytes_out"`
 	Allocs   int64        `json:"allocs,omitempty"`
@@ -35,7 +34,6 @@ type traceEntry struct {
 	start   time.Time
 	totalNs int64
 	err     bool
-	kernels bool
 	in, out int64
 	allocs  int64
 	ns      [NumPhases]int64
@@ -64,7 +62,6 @@ func (r *traceRing) add(key CallKey, cs *CallStats) {
 	e.start = cs.Start
 	e.totalNs = int64(cs.Total)
 	e.err = cs.Err
-	e.kernels = cs.Kernels
 	e.in, e.out = cs.BytesIn, cs.BytesOut
 	e.allocs = cs.Allocs
 	e.ns = cs.PhaseNs
@@ -102,7 +99,6 @@ func (r *traceRing) slowest(n int) []Trace {
 			Start:    e.start,
 			TotalNs:  e.totalNs,
 			Err:      e.err,
-			Kernels:  e.kernels,
 			BytesIn:  e.in,
 			BytesOut: e.out,
 		}

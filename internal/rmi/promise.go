@@ -190,7 +190,6 @@ func (p *Promise) encode() error {
 	coreOpts.Engine = p.engine
 	p.call = core.NewCall(p.req, coreOpts)
 	p.call.SetObs(p.oc)
-	p.oc.SetKernels(coreOpts.KernelsEnabled())
 	if err := p.st.encodeRequest(p.call, p.method, p.args); err != nil {
 		return err
 	}

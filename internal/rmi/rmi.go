@@ -159,11 +159,9 @@ type Options struct {
 	// BatchCalls enables server-side batch dispatch: when several calls
 	// to the same export are in flight at once, the first becomes the
 	// batch leader and executes up to BatchCalls-1 queued followers back
-	// to back, reusing one prepare-phase scratch set (walker + identity
-	// map) across the run — amortizing linear-map capture the way the
-	// pipelined client amortizes round trips. Values below 2 disable
-	// coalescing. Batching changes scheduling, not semantics: each call
-	// keeps its own context, reply, and restore section.
+	// to back on its own goroutine. Values below 2 disable coalescing.
+	// Batching changes scheduling, not semantics: each call keeps its own
+	// context, reply, and restore section.
 	BatchCalls int
 	// Obs receives per-call phase spans (encode, transport, decode,
 	// restore-commit on clients; decode, prepare, execute, encode-reply on

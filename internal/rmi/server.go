@@ -647,7 +647,6 @@ func (s *Server) handleCall(ctx context.Context, payload []byte) (out []byte, er
 	}
 	oc := obs.Begin(s.opts.Obs, objKey, methodName)
 	sc.SetObs(oc)
-	oc.SetKernels(s.opts.Core.KernelsEnabled())
 	out, err = s.dispatchCall(ctx, oc, sc, objKey, methodName)
 	oc.SetIO(int64(len(payload)), int64(len(out)))
 	oc.Finish(err)

@@ -154,7 +154,7 @@ func (d *Decoder) header() error {
 	}
 	d.access = graph.AccessMode(acc)
 	d.r.setEngine(d.engine)
-	d.kernels = d.engine == EngineV2 && !d.opts.DisablePlanCache && !d.opts.DisableKernels
+	d.kernels = d.engine == EngineV2 && !d.opts.DisablePlanCache
 	return nil
 }
 

@@ -146,7 +146,7 @@ func TestDecodeDepthBound(t *testing.T) {
 	} {
 		for _, generic := range []bool{false, true} {
 			for _, fromBytes := range []bool{false, true} {
-				opts := Options{Registry: reg, DisableKernels: generic}
+				opts := Options{Registry: reg, DisablePlanCache: generic}
 				if err := decode(tc.build(maxDecodeDepth+1), opts, fromBytes); err != nil {
 					t.Errorf("%s at the bound (generic=%t bytes=%t): %v", tc.name, generic, fromBytes, err)
 				}

@@ -8,21 +8,21 @@ import (
 	"nrmi/internal/graph"
 )
 
-// This file extends the kernel compilation strategy of internal/graph to the
-// codec: once per (reflect.Type, AccessMode) a kernel is compiled that holds
-// what both directions need to know about the type — the value tag it
-// travels under, its struct field program, its element and key kernels —
-// with the per-node kind switch, struct plan lookup, and field metadata
-// derivation (reflect.Type.Field allocates a StructField per call) all
-// resolved at compile time. kernel.enc emits exactly the bytes
-// Encoder.encodeValue would emit; kernel.into is the decode direction. A
-// stream resolves each of its types to a kernel once, when the type enters
-// its type table (Encoder.dense, typeEntry.k); per message only the root
-// types are looked up.
+// This file is the codec's kernel compiler — the one place the runtime
+// compiles per-type programs (paper Section 5.3.1, "caching reflection
+// information aggressively"). Once per (reflect.Type, AccessMode) a kernel
+// is compiled that holds what both directions need to know about the type —
+// the value tag it travels under, its struct field program, its element and
+// key kernels — with the per-node kind switch, struct plan lookup, and field
+// metadata derivation all resolved at compile time. kernel.enc emits exactly
+// the bytes Encoder.encodeValue would emit; kernel.into is the decode
+// direction. A stream resolves each of its types to a kernel once, when the
+// type enters its type table (Encoder.dense, typeEntry.k); per message only
+// the root types are looked up.
 //
-// Kernels implement the V2 wire format only and are engaged exactly when
-// Options.DisableKernels is unset on a V2 codec with the plan cache enabled;
-// every other configuration takes the generic reflective paths unchanged.
+// Kernels implement the V2 wire format only and are engaged exactly on a V2
+// codec with the plan cache enabled (Options.DisablePlanCache unset); every
+// other configuration takes the generic reflective paths unchanged.
 // (Engine V3 borrows the struct field programs.) The wire format is
 // byte-for-byte identical either way — edge_test.go and the cross-engine
 // tests exercise both sides of the switch against each other.

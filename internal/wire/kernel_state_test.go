@@ -81,7 +81,7 @@ func TestKernelEncodeByteIdentityPooled(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, s := range streams {
 			var want bytes.Buffer
-			wantBytes := encodeStream(t, NewEncoder(&want, Options{Registry: s.reg, DisableKernels: true}), &want, s.values)
+			wantBytes := encodeStream(t, NewEncoder(&want, Options{Registry: s.reg, DisablePlanCache: true}), &want, s.values)
 
 			ReleaseEncoder(enc)
 			var got bytes.Buffer
@@ -149,7 +149,7 @@ func TestKernelDecodeStates(t *testing.T) {
 		}
 		for name, opts := range map[string]Options{
 			"kernel":  {Registry: reg},
-			"generic": {Registry: reg, DisableKernels: true},
+			"generic": {Registry: reg, DisablePlanCache: true},
 		} {
 			for mode, dec := range map[string]*Decoder{
 				"stream": NewDecoder(bytes.NewReader(stream), opts),

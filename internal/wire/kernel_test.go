@@ -11,12 +11,13 @@ import (
 )
 
 // kernelOptions returns matched option pairs: identical in every respect
-// except the compiled-kernel switch. The wire format must be byte-for-byte
+// except the plan cache, whose absence (the portable configuration) selects
+// the generic reflective codec. The wire format must be byte-for-byte
 // identical between them; only the CPU/allocation profile may differ.
 func kernelOptions(t *testing.T) (on, off Options) {
 	reg := testRegistry(t)
 	on = Options{Engine: EngineV2, Registry: reg}
-	off = Options{Engine: EngineV2, Registry: reg, DisableKernels: true}
+	off = Options{Engine: EngineV2, Registry: reg, DisablePlanCache: true}
 	return on, off
 }
 

@@ -93,8 +93,8 @@ var (
 
 // Options configures an Encoder or Decoder.
 type Options struct {
-	// Engine selects V1 or V2. Decoders learn the engine from the stream
-	// header; the field is ignored for them. Default: EngineV2.
+	// Engine selects V1, V2 or V3. Decoders learn the engine from the
+	// stream header; the field is ignored for them. Default: EngineV2.
 	Engine Engine
 
 	// Access selects struct-field visibility. Encoders stamp the mode into
@@ -115,16 +115,10 @@ type Options struct {
 	// implementation (plain reflection) against the "optimized" one
 	// (aggressively cached reflection metadata, Section 5.3.1). Engine V1
 	// never caches regardless of this flag. Disabling the plan cache also
-	// disables the compiled kernels, which are built on top of it.
+	// disables the compiled kernels (kernel.go), which are built on top of
+	// it: the codec takes the generic reflective paths and emits the same
+	// bytes, which makes this flag the differential oracle's selector too.
 	DisablePlanCache bool
-
-	// DisableKernels turns off the compiled per-type encode/decode kernels
-	// (kernel.go) and the pooled codec state, taking the generic reflective
-	// paths instead. The wire format is identical either way; this is the
-	// ablation knob separating "cached reflection metadata" from "compiled
-	// per-type programs" in benchmarks. Kernels are only ever active on
-	// engine V2 with the plan cache enabled.
-	DisableKernels bool
 
 	// DisableEngineV3 makes a Decoder reject engine-V3 streams with the
 	// same "unknown engine" stream error a pre-V3 peer produces. It exists
@@ -145,16 +139,7 @@ func (o Options) Validate() error {
 
 // kernelsEnabled reports whether o selects the compiled-kernel fast paths.
 func (o Options) kernelsEnabled() bool {
-	return o.Engine == EngineV2 && !o.DisablePlanCache && !o.DisableKernels
-}
-
-// KernelsEnabled reports whether this configuration, after defaulting,
-// selects the compiled per-type kernels and the pooled hot-path state:
-// engine V2 with both the plan cache and the kernels on. Observability
-// layers use it to label measurements, so per-phase numbers from the
-// DisableKernels ablation stay distinguishable from the optimized path.
-func (o Options) KernelsEnabled() bool {
-	return o.withDefaults().kernelsEnabled()
+	return o.Engine == EngineV2 && !o.DisablePlanCache
 }
 
 const defaultMaxElems = 1 << 26

@@ -181,10 +181,10 @@ type Options struct {
 	MaxRequestBytes int
 	// BatchCalls enables server-side call coalescing: while one call on a
 	// service executes, up to BatchCalls-1 queued calls for the same
-	// service join its batch and are dispatched back-to-back, sharing one
-	// linear-map walker (amortizing capture across the batch). Values
-	// below 2 disable coalescing. Restore semantics are unchanged — each
-	// call's response is built exactly as if dispatched alone.
+	// service join its batch and are dispatched back-to-back on the
+	// leader's goroutine. Values below 2 disable coalescing. Batching
+	// changes scheduling only — each call's response is built exactly as
+	// if dispatched alone.
 	BatchCalls int
 	// Observer receives per-call phase measurements (latency, bytes, object
 	// counts per pipeline phase) from this endpoint; see NewObserver. Nil
