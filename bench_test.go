@@ -312,36 +312,6 @@ func BenchmarkCoreRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationShipLinearMap quantifies optimization 1 end to end: the
-// same restorable calls with the linear map rebuilt during decoding (NRMI)
-// versus shipped explicitly with the request (the naive scheme the paper's
-// Section 5.2.4 eliminates).
-func BenchmarkAblationShipLinearMap(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		ship bool
-	}{{"rebuilt", false}, {"shipped", true}} {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, ShipLinearMap: v.ship})
-			var last bench.Cell
-			for i := 0; i < b.N; i++ {
-				c, err := bench.RunNRMI(e, bench.RunSpec{
-					Scenario:   bench.ScenarioIII,
-					Size:       256,
-					Iterations: 1,
-					Seed:       int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = c
-			}
-			reportCell(b, last)
-		})
-	}
-}
-
 // BenchmarkAblationCompression measures frame compression (a post-paper
 // engineering extension): bytes and time for large restorable calls with
 // and without DEFLATE.

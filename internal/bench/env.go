@@ -30,9 +30,6 @@ type EnvConfig struct {
 	// Delta enables the delta response encoding (the paper's future-work
 	// optimization).
 	Delta bool
-	// ShipLinearMap selects the naive explicit-map protocol that
-	// optimization 1 eliminates (ablation A1).
-	ShipLinearMap bool
 	// Compress enables transport frame compression on both endpoints.
 	Compress bool
 	// ServerHost and ClientHost model the two machines' CPU speeds.
@@ -76,7 +73,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		Registry:         reg,
 		Delta:            cfg.Delta,
 		DisablePlanCache: cfg.DisablePlanCache,
-		ShipLinearMap:    cfg.ShipLinearMap,
 	}
 	serverEnv := &RefEnv{}
 	clientEnv := &RefEnv{}

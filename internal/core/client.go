@@ -122,10 +122,8 @@ func (c *Call) EncodeUint(v uint64) error { return c.enc.EncodeUint(v) }
 func (c *Call) EncodeString(s string) error { return c.enc.EncodeString(s) }
 
 // Finish fixes the restore set and flushes the request stream. After
-// Finish the Call waits for ApplyResponse. Under Options.ShipLinearMap it
-// first appends the explicit linear-map section (an object count followed
-// by one entry per object) that optimization 1 normally makes redundant.
-// The map-walk span covers fixing the set: no walk unless it escaped.
+// Finish the Call waits for ApplyResponse. The map-walk span covers fixing
+// the set: no walk unless it escaped.
 func (c *Call) Finish() error {
 	c.finished = true
 	sp := c.oc.Start(obs.PhaseMapWalk)
@@ -136,17 +134,6 @@ func (c *Call) Finish() error {
 	sp.EndN(0, int64(c.set.len()))
 	if err != nil {
 		return err
-	}
-	if c.opts.ShipLinearMap {
-		objs := c.enc.Objects()
-		if err := c.enc.EncodeUint(uint64(len(objs))); err != nil {
-			return err
-		}
-		for id := range objs {
-			if err := c.enc.EncodeUint(uint64(id)); err != nil {
-				return err
-			}
-		}
 	}
 	return c.enc.Flush()
 }

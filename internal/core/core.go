@@ -95,12 +95,6 @@ type Options struct {
 	// DisablePlanCache selects the "portable" (uncached reflection) codec
 	// path; see wire.Options.DisablePlanCache.
 	DisablePlanCache bool
-	// ShipLinearMap transmits the linear map explicitly with the request,
-	// the naive scheme NRMI's optimization 1 eliminates by rebuilding the
-	// map during un-serialization (Section 5.2.4). Exists only so the
-	// ablation can measure what the optimization saves; both endpoints
-	// must agree on the setting.
-	ShipLinearMap bool
 	// DisableEngineV3 makes this endpoint's decoders reject engine-V3
 	// streams exactly like a pre-V3 peer; see wire.Options.DisableEngineV3.
 	DisableEngineV3 bool

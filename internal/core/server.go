@@ -123,24 +123,6 @@ func (s *ServerCall) Prepare() error {
 }
 
 func (s *ServerCall) prepare() error {
-	if s.opts.ShipLinearMap {
-		// The naive protocol ships the linear map after the arguments;
-		// consume and cross-check it against the table we rebuilt for
-		// free during decoding.
-		n, err := s.dec.DecodeUint()
-		if err != nil {
-			return fmt.Errorf("core: reading shipped linear map: %w", err)
-		}
-		if n != uint64(len(s.dec.Objects())) {
-			return fmt.Errorf("%w: shipped map has %d entries, decoded table has %d",
-				ErrBadResponse, n, len(s.dec.Objects()))
-		}
-		for i := uint64(0); i < n; i++ {
-			if _, err := s.dec.DecodeUint(); err != nil {
-				return fmt.Errorf("core: reading shipped map entry %d: %w", i, err)
-			}
-		}
-	}
 	access := s.effectiveAccess()
 	if s.set.escaped {
 		// Only now is the whole decode table indexed by identity.

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 
 	"nrmi/internal/graph"
 )
@@ -77,7 +77,7 @@ func (rs *restoreSet) walk(access graph.AccessMode, roots []reflect.Value, idOf 
 }
 
 // reachableIDs walks roots and returns idOf of every reachable object,
-// ascending. Objects idOf does not know are skipped under allowNew (the
+// ascending, each once. Objects idOf does not know are skipped under allowNew (the
 // method body allocated them, so only a post-call walk meets any) and are
 // an error otherwise.
 func reachableIDs(access graph.AccessMode, roots []reflect.Value, idOf func(reflect.Value) (int, bool), allowNew bool) ([]int, error) {
@@ -101,21 +101,21 @@ func reachableIDs(access graph.AccessMode, roots []reflect.Value, idOf func(refl
 		}
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
-	return ids, nil
+	slices.Sort(ids)
+	return slices.Compact(ids), nil
 }
 
-// indexByIdent maps each object's identity to its position in objs.
+// indexByIdent maps each object's identity to its position in objs; of two
+// that share one (graph.Aliases) the first, as in the encoder's own index.
 func indexByIdent(objs []reflect.Value) func(reflect.Value) (int, bool) {
-	m := make(map[graph.Ident]int, len(objs))
+	var index graph.IdentTable
 	for i, obj := range objs {
 		if ident, ok := graph.IdentOf(obj); ok {
-			m[ident] = i
+			index.GetOrPut(ident, i)
 		}
 	}
 	return func(ref reflect.Value) (int, bool) {
 		ident, _ := graph.IdentOf(ref)
-		i, ok := m[ident]
-		return i, ok
+		return index.Get(ident)
 	}
 }

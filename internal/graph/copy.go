@@ -14,28 +14,28 @@ type Copier struct {
 	// Access selects the struct-field access mode.
 	Access AccessMode
 
-	memo map[Ident]reflect.Value // source identity -> copied reference
+	memo   IdentTable      // source identity -> index into copies
+	copies []reflect.Value // copied references, in first-visit order
 }
 
 // NewCopier returns a Copier with an empty memo table. A single Copier may
 // copy several roots; aliasing across roots is preserved.
-func NewCopier(mode AccessMode) *Copier {
-	return &Copier{Access: mode, memo: make(map[Ident]reflect.Value)}
-}
+func NewCopier(mode AccessMode) *Copier { return &Copier{Access: mode} }
 
 // NumCopied returns how many distinct objects the copier has deep-copied
-// so far (the size of its identity memo) — the per-phase item count the
-// observability layer attributes to delta snapshotting.
-func (c *Copier) NumCopied() int { return len(c.memo) }
+// so far — the per-phase item count the observability layer attributes to
+// delta snapshotting.
+func (c *Copier) NumCopied() int { return len(c.copies) }
 
 // Copied returns the copy corresponding to a source reference, if that
 // object has been copied.
 func (c *Copier) Copied(ref reflect.Value) (reflect.Value, bool) {
-	if !isIdentityKind(ref.Kind()) || ref.IsNil() {
-		return reflect.Value{}, false
+	if ident, ok := IdentOf(ref); ok {
+		if i, ok := c.memo.Get(ident); ok && c.copies[i].Type() == ref.Type() {
+			return c.copies[i], true
+		}
 	}
-	v, ok := c.memo[identOf(ref)]
-	return v, ok
+	return reflect.Value{}, false
 }
 
 // Copy deep-copies v, preserving aliasing and cycles.
@@ -70,66 +70,17 @@ func (c *Copier) copyValue(v reflect.Value, depth int) (reflect.Value, error) {
 		return reflect.Value{}, fmt.Errorf("%w: %s", ErrNotSerializable, v.Type())
 	}
 	switch k {
-	case reflect.Ptr:
+	case reflect.Ptr, reflect.Map, reflect.Slice:
 		if v.IsNil() {
 			return reflect.Zero(v.Type()), nil
 		}
-		if out, ok := c.memo[identOf(v)]; ok {
-			return out, nil
-		}
-		out := reflect.New(v.Type().Elem())
-		c.memo[identOf(v)] = out // memo before descending: cycles terminate
-		elem, err := c.copyValue(v.Elem(), depth+1)
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		out.Elem().Set(elem)
-		return out, nil
-
-	case reflect.Map:
-		if v.IsNil() {
-			return reflect.Zero(v.Type()), nil
-		}
-		if out, ok := c.memo[identOf(v)]; ok {
-			return out, nil
-		}
-		out := reflect.MakeMapWithSize(v.Type(), v.Len())
-		c.memo[identOf(v)] = out
-		iter := v.MapRange()
-		for iter.Next() {
-			ck, err := c.copyValue(iter.Key(), depth+1)
-			if err != nil {
-				return reflect.Value{}, err
+		if i, seen := c.memo.GetOrPut(identOf(v), len(c.copies)); seen {
+			// A copy has its source's type and length: it stands in for it.
+			if same, err := Aliases(c.copies[i], v); same || err != nil {
+				return c.copies[i], err
 			}
-			cv, err := c.copyValue(iter.Value(), depth+1)
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			out.SetMapIndex(ck, cv)
 		}
-		return out, nil
-
-	case reflect.Slice:
-		if v.IsNil() {
-			return reflect.Zero(v.Type()), nil
-		}
-		if out, ok := c.memo[identOf(v)]; ok {
-			if out.Len() != v.Len() {
-				return reflect.Value{}, fmt.Errorf("%w: lengths %d and %d share storage",
-					ErrSliceOverlap, out.Len(), v.Len())
-			}
-			return out, nil
-		}
-		out := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
-		c.memo[identOf(v)] = out
-		for i := 0; i < v.Len(); i++ {
-			ce, err := c.copyValue(v.Index(i), depth+1)
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			out.Index(i).Set(ce)
-		}
-		return out, nil
+		return c.copyObject(v, depth)
 
 	case reflect.Interface:
 		if v.IsNil() {
@@ -186,5 +137,51 @@ func (c *Copier) copyValue(v reflect.Value, depth int) (reflect.Value, error) {
 	default:
 		// Scalars and strings: value semantics, a plain copy.
 		return launder(v), nil
+	}
+}
+
+// copyObject copies an object on its first visit. The copy joins copies —
+// at the position the memo has just recorded — before its contents are
+// copied, so cycles terminate.
+func (c *Copier) copyObject(v reflect.Value, depth int) (reflect.Value, error) {
+	switch v.Kind() {
+	case reflect.Ptr:
+		out := reflect.New(v.Type().Elem())
+		c.copies = append(c.copies, out)
+		elem, err := c.copyValue(v.Elem(), depth+1)
+		if err != nil {
+			return reflect.Value{}, err
+		}
+		out.Elem().Set(elem)
+		return out, nil
+
+	case reflect.Map:
+		out := reflect.MakeMapWithSize(v.Type(), v.Len())
+		c.copies = append(c.copies, out)
+		iter := v.MapRange()
+		for iter.Next() {
+			ck, err := c.copyValue(iter.Key(), depth+1)
+			if err != nil {
+				return reflect.Value{}, err
+			}
+			cv, err := c.copyValue(iter.Value(), depth+1)
+			if err != nil {
+				return reflect.Value{}, err
+			}
+			out.SetMapIndex(ck, cv)
+		}
+		return out, nil
+
+	default:
+		out := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
+		c.copies = append(c.copies, out)
+		for i := 0; i < v.Len(); i++ {
+			ce, err := c.copyValue(v.Index(i), depth+1)
+			if err != nil {
+				return reflect.Value{}, err
+			}
+			out.Index(i).Set(ce)
+		}
+		return out, nil
 	}
 }

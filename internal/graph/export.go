@@ -5,10 +5,10 @@ import "reflect"
 // IdentOf returns the identity key of a pointer, map, or slice value.
 // ok is false for nil references and for kinds that carry no identity.
 func IdentOf(v reflect.Value) (Ident, bool) {
-	if !v.IsValid() || !isIdentityKind(v.Kind()) || v.IsNil() {
-		return Ident{}, false
+	if id := identOf(v); id.addr != 0 {
+		return id, true
 	}
-	return identOf(v), true
+	return Ident{}, false
 }
 
 // IsIdentityKind reports whether values of kind k carry object identity

@@ -37,6 +37,11 @@ var (
 	// partially overlapping views.
 	ErrSliceOverlap = errors.New("graph: partially overlapping slices are not supported")
 
+	// ErrObjectOverlap is reported when references of two types denote one
+	// address — a struct and its first field, zero-size pointees: identity
+	// is (address, kind), so the model would have to make them one object.
+	ErrObjectOverlap = errors.New("graph: objects of different types at one address are not supported")
+
 	// ErrUnexportedField is reported in AccessExported mode when a struct
 	// has an unexported field that cannot be skipped safely (its value is
 	// not the zero value, so dropping it would lose state).
@@ -118,21 +123,18 @@ type Ident struct {
 	kind Kind
 }
 
-// identOf computes the identity key for a pointer, map, or slice value.
-// The caller guarantees v is non-nil and of one of those kinds.
+// identOf computes the identity key of v in one kind switch; it has a zero
+// address if v is nil or not a pointer, map or slice.
 func identOf(v reflect.Value) Ident {
 	switch v.Kind() {
-	case reflect.Ptr, reflect.Map:
-		k := KindPtr
-		if v.Kind() == reflect.Map {
-			k = KindMap
-		}
-		return Ident{addr: v.Pointer(), kind: k}
+	case reflect.Ptr:
+		return Ident{v.Pointer(), KindPtr}
+	case reflect.Map:
+		return Ident{v.Pointer(), KindMap}
 	case reflect.Slice:
-		return Ident{addr: v.Pointer(), kind: KindSlice}
-	default:
-		panic(fmt.Sprintf("graph: identOf called on %s", v.Kind()))
+		return Ident{v.Pointer(), KindSlice}
 	}
+	return Ident{}
 }
 
 // Object is one entry of a linear map: a reference to an identity-bearing
@@ -142,16 +144,8 @@ type Object struct {
 	// Map, or Slice. Mutating through Ref mutates the original object.
 	Ref reflect.Value
 
-	// Kind classifies the object.
-	Kind Kind
-
 	// ID is the object's position in the linear map (DFS discovery order).
 	ID int
-
-	// SliceLen records the length observed at discovery time for slices; it
-	// detects the unsupported partial-overlap case and lets the restore
-	// phase distinguish in-place element overwrites from replacement.
-	SliceLen int
 }
 
 // Type returns the dynamic type of the reference.
@@ -164,13 +158,11 @@ func (o *Object) Type() reflect.Type { return o.Ref.Type() }
 // (paper, Section 5.2.4, optimization 1).
 type LinearMap struct {
 	objects []*Object
-	index   map[Ident]int
+	index   IdentTable
 }
 
 // NewLinearMap returns an empty linear map ready for Add calls.
-func NewLinearMap() *LinearMap {
-	return &LinearMap{index: make(map[Ident]int)}
-}
+func NewLinearMap() *LinearMap { return &LinearMap{} }
 
 // Len returns the number of recorded objects.
 func (lm *LinearMap) Len() int { return len(lm.objects) }
@@ -185,41 +177,45 @@ func (lm *LinearMap) Objects() []*Object { return lm.objects }
 // Lookup returns the recorded object for the given reference value, or nil
 // if the reference was not seen by the traversal that built the map.
 func (lm *LinearMap) Lookup(ref reflect.Value) *Object {
-	switch ref.Kind() {
-	case reflect.Ptr, reflect.Map, reflect.Slice:
-		if ref.IsNil() {
-			return nil
+	if ident, ok := IdentOf(ref); ok {
+		if i, ok := lm.index.Get(ident); ok {
+			return lm.objects[i]
 		}
-	default:
-		return nil
-	}
-	if i, ok := lm.index[identOf(ref)]; ok {
-		return lm.objects[i]
 	}
 	return nil
 }
 
-// Add records a reference as the next object and returns it. If the identity
-// is already present the existing object is returned with ok=false. Add
-// reports ErrSliceOverlap when a slice shares a data pointer with a
-// previously recorded slice of a different length.
-func (lm *LinearMap) Add(ref reflect.Value) (obj *Object, ok bool, err error) {
-	id := identOf(ref)
-	if i, exists := lm.index[id]; exists {
-		prev := lm.objects[i]
-		if prev.Kind == KindSlice && prev.SliceLen != ref.Len() {
-			return nil, false, fmt.Errorf("%w: lengths %d and %d share storage",
-				ErrSliceOverlap, prev.SliceLen, ref.Len())
+// Aliases vets a table hit: ref has the identity recorded for prev, and the
+// result says whether it denotes prev's object. Identity leaves the type out,
+// so references of two types can share it. A zero-capacity slice has no
+// storage, nothing can alias it: it is a distinct object (false, nil) that
+// the caller numbers afresh without entering its table. Any other type
+// mismatch is ErrObjectOverlap, and slices of one type over one array that
+// disagree on length are ErrSliceOverlap.
+func Aliases(prev, ref reflect.Value) (bool, error) {
+	if prev.Type() != ref.Type() {
+		if ref.Kind() == reflect.Slice && ref.Cap() == 0 {
+			return false, nil
 		}
-		return prev, false, nil
+		return false, fmt.Errorf("%w: %s and %s", ErrObjectOverlap, prev.Type(), ref.Type())
 	}
-	obj = lm.nextObject(ref)
-	obj.Kind = id.kind
-	if id.kind == KindSlice {
-		obj.SliceLen = ref.Len()
+	if ref.Kind() == reflect.Slice && prev.Len() != ref.Len() {
+		return false, fmt.Errorf("%w: lengths %d and %d share storage",
+			ErrSliceOverlap, prev.Len(), ref.Len())
 	}
-	lm.index[id] = obj.ID
-	return obj, true, nil
+	return true, nil
+}
+
+// Add records a reference as the next object and returns it. If the object
+// is already present it is returned with ok=false. Add reports the errors of
+// Aliases when ref overlaps a recorded object it is not an alias of.
+func (lm *LinearMap) Add(ref reflect.Value) (obj *Object, ok bool, err error) {
+	if i, seen := lm.index.GetOrPut(identOf(ref), len(lm.objects)); seen {
+		if same, err := Aliases(lm.objects[i].Ref, ref); same || err != nil {
+			return lm.objects[i], false, err
+		}
+	}
+	return lm.nextObject(ref), true, nil
 }
 
 // nextObject claims the next linear-map slot. On a map recycled through the
@@ -232,7 +228,6 @@ func (lm *LinearMap) nextObject(ref reflect.Value) *Object {
 		lm.objects = lm.objects[:id+1]
 		if old := lm.objects[id]; old != nil {
 			old.ID = id
-			old.SliceLen = 0
 			old.Ref = reuseRefCell(old.Ref, ref)
 			return old
 		}
@@ -256,15 +251,14 @@ func reuseRefCell(cell, ref reflect.Value) reflect.Value {
 }
 
 // reset clears the map for reuse, dropping every reference to user objects
-// while keeping the index buckets, the object slice capacity, and the Object
+// while keeping the index slots, the object slice capacity, and the Object
 // structs (with their reference cells) for the next traversal.
 func (lm *LinearMap) reset() {
-	clear(lm.index)
+	lm.index.Reset()
 	for _, o := range lm.objects {
 		if o.Ref.IsValid() && o.Ref.CanSet() {
-			o.Ref.Set(reflect.Zero(o.Ref.Type()))
+			o.Ref.SetZero()
 		}
-		o.SliceLen = 0
 	}
 	lm.objects = lm.objects[:0]
 }

@@ -57,7 +57,7 @@ func TestWalkSingleObject(t *testing.T) {
 		t.Fatalf("want 1 object, got %d", lm.Len())
 	}
 	obj := lm.At(0)
-	if obj.Kind != KindPtr || obj.ID != 0 {
+	if obj.Ref.Kind() != reflect.Ptr || obj.ID != 0 {
 		t.Fatalf("unexpected object %+v", obj)
 	}
 	if got := obj.Ref.Interface().(*node); got != n {

@@ -37,7 +37,7 @@ func TestStartWaitRoundTrip(t *testing.T) {
 	c := startPair(t, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
 		return append([]byte("re:"), p...), nil
 	})
-	pc, err := c.Start(context.Background(), MsgCall, []byte("hi"))
+	pc, err := c.Send(context.Background(), MsgCall, []byte("hi"), time.Time{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAbandonAfterReplyDelivered(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	pc, err := c.Start(context.Background(), MsgCall, make([]byte, 64))
+	pc, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAbandonBeforeReply(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	pc, err := c.Start(context.Background(), MsgCall, make([]byte, 64))
+	pc, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWaitCtxExpiryAbandons(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	pc, err := c.Start(context.Background(), MsgCall, make([]byte, 64))
+	pc, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTeardownDeliversTypedCallError(t *testing.T) {
 	const n = 4
 	pcs := make([]*PendingCall, n)
 	for i := range pcs {
-		pc, err := c.Start(context.Background(), MsgCall, []byte("x"))
+		pc, err := c.Send(context.Background(), MsgCall, []byte("x"), time.Time{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestOneWayNoReply(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	if err := c.CallOneWay(context.Background(), MsgCall, make([]byte, 64)); err != nil {
+	if _, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, true); err != nil {
 		t.Fatal(err)
 	}
 	if c.InFlight() != 0 {

@@ -110,7 +110,8 @@ func TestCallErrorClassification(t *testing.T) {
 	}
 }
 
-// TestSendFailuresSameOnEveryEntry: Start and CallOneWay are one send, so
+// TestSendFailuresSameOnEveryEntry: a started call (a reply slot to claim)
+// and a one-way call (none) are one Send differing in its oneWay flag, so
 // each way a request can fail before its frame is whole reports the same
 // *CallError{Phase: PhaseSend, Sent: false} with the same cause, registers
 // nothing, and leaves the connection in the same state — usable, except
@@ -138,18 +139,8 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 		{name: "oversized payload", payload: oversized, wantIs: ErrFrameTooLarge},
 		{name: "write fails mid-frame", sever: true, wantIs: netsim.ErrSevered, terminal: true},
 	}
-	entries := map[string]func(*Conn, context.Context, []byte) error{
-		"Start": func(c *Conn, ctx context.Context, p []byte) error {
-			pc, err := c.Start(ctx, MsgCall, p)
-			if pc != nil {
-				pc.Abandon()
-			}
-			return err
-		},
-		"CallOneWay": func(c *Conn, ctx context.Context, p []byte) error { return c.CallOneWay(ctx, MsgCall, p) },
-	}
 	for _, tc := range cases {
-		for entry, send := range entries {
+		for entry, oneWay := range map[string]bool{"Start": false, "CallOneWay": true} {
 			t.Run(tc.name+"/"+entry, func(t *testing.T) {
 				n := netsim.NewNetwork(netsim.Loopback())
 				defer n.Close()
@@ -181,7 +172,10 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 					payload = []byte("request")
 				}
 
-				err = send(c, ctx, payload)
+				pc, err := c.Send(ctx, MsgCall, payload, time.Time{}, oneWay)
+				if pc != nil {
+					pc.Abandon()
+				}
 				var ce *CallError
 				if !errors.As(err, &ce) {
 					t.Fatalf("want *CallError, got %T: %v", err, err)

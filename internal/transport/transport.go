@@ -496,7 +496,7 @@ func (c *Conn) InFlight() int {
 	return len(c.pending)
 }
 
-// PendingCall is one in-flight request started by Conn.Start: the
+// PendingCall is one in-flight request started by Conn.Send: the
 // transport-level half of a promise. Its reply is consumed with Wait or
 // relinquished with Abandon — exactly one of the two must eventually run,
 // or the pooled reply payload leaks. A PendingCall is owned by a single
@@ -509,23 +509,16 @@ type PendingCall struct {
 	settled bool
 }
 
-// Start sends one request frame and returns a PendingCall for its reply,
-// without blocking on the round trip. A ctx deadline travels with the
-// frame as the call's remaining budget (the context itself is not
-// monitored after Start returns; pass it again to Wait). On error the
-// call is not registered and there is nothing to abandon. Start is Send
-// without an attempt deadline, kept under the name its callers know.
-func (c *Conn) Start(ctx context.Context, msgType byte, payload []byte) (*PendingCall, error) {
-	return c.Send(ctx, msgType, payload, time.Time{}, false)
-}
-
 // Send writes one request frame: every request this connection sends goes
 // through here. The frame's budget is the time left until deadline or
 // until ctx's own deadline, whichever is earlier (a zero deadline leaves it
-// to ctx). A one-way frame registers no pending entry and Send returns a
+// to ctx); ctx is not monitored after Send returns, pass it again to Wait.
+// A one-way frame registers no pending entry — the peer executes the call
+// but writes no reply frame (PROTOCOL.md section 10) — and Send returns a
 // nil PendingCall once it is written; otherwise the reply is claimed
 // through the returned PendingCall. Every failure is a *CallError with
-// Phase PhaseSend and Sent false — the frame provably never went out whole.
+// Phase PhaseSend and Sent false — the frame provably never went out whole,
+// so a send is always safe to retry — and leaves nothing to abandon.
 func (c *Conn) Send(ctx context.Context, msgType byte, payload []byte, deadline time.Time, oneWay bool) (*PendingCall, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &CallError{Phase: PhaseSend, Err: err}
@@ -691,19 +684,6 @@ func (c *Conn) Call(ctx context.Context, msgType byte, payload []byte) ([]byte, 
 		return nil, err
 	}
 	return pc.Wait(ctx)
-}
-
-// CallOneWay sends a request flagged one-way and returns as soon as the
-// frame is written: the peer executes the call but writes no reply frame
-// (PROTOCOL.md section 10), so no pending entry is registered and the
-// request costs no round trip. A ctx deadline still ships as the call
-// budget so the server can drop stale work. Every failure is a
-// *CallError with Sent=false — the frame provably never went out whole —
-// making one-way sends always safe to retry. Like Start, a named shape of
-// Send.
-func (c *Conn) CallOneWay(ctx context.Context, msgType byte, payload []byte) error {
-	_, err := c.Send(ctx, msgType, payload, time.Time{}, true)
-	return err
 }
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.

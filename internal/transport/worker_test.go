@@ -187,7 +187,7 @@ func TestWorkerCarriesNothingOver(t *testing.T) {
 	// server's own expiry come back as the reply.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	pc, err := c.Start(ctx, MsgCall, []byte("first"))
+	pc, err := c.Send(ctx, MsgCall, []byte("first"), time.Time{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestWorkerOneWayParks(t *testing.T) {
 		}
 		return p, nil
 	})
-	if err := c.CallOneWay(context.Background(), MsgCall, make([]byte, 64)); err != nil {
+	if _, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, true); err != nil {
 		t.Fatal(err)
 	}
 	<-ran

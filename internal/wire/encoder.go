@@ -20,7 +20,7 @@ import (
 type Encoder struct {
 	w          *writer
 	opts       Options
-	ids        map[graph.Ident]int
+	ids        graph.IdentTable
 	objs       []reflect.Value
 	typeTable  map[reflect.Type]int
 	strTable   map[string]int
@@ -48,7 +48,6 @@ func NewEncoder(w io.Writer, opts Options) *Encoder {
 	return &Encoder{
 		w:         newWriter(w, o.Engine),
 		opts:      o,
-		ids:       make(map[graph.Ident]int),
 		typeTable: make(map[reflect.Type]int),
 		strTable:  make(map[string]int),
 		kernels:   o.kernelsEnabled(),
@@ -67,8 +66,7 @@ func (e *Encoder) IDOf(ref reflect.Value) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	id, ok := e.ids[ident]
-	return id, ok
+	return e.ids.Get(ident)
 }
 
 // LowestRef returns the lowest object ID that the most recent Encode or
@@ -146,8 +144,37 @@ func (e *Encoder) EncodeString(s string) error {
 	return e.w.writeString(s)
 }
 
+// intern is the one place an object enters the linear map: it returns the ID
+// of v (a non-nil pointer, map or slice) and whether the stream has it
+// already, assigning the next ID on a first visit with the same single probe.
+// A reference that shares an identity without being an alias is refused, or,
+// having no storage, numbered afresh outside the index (graph.Aliases).
+func (e *Encoder) intern(v reflect.Value) (id int, seen bool, err error) {
+	ident, _ := graph.IdentOf(v)
+	if id, seen = e.ids.GetOrPut(ident, len(e.objs)); seen {
+		if seen, err = graph.Aliases(e.objs[id], v); seen || err != nil {
+			return id, seen, err
+		}
+	}
+	// The table holds detached reference cells. A pooled encoder reuses the
+	// ones ReleaseEncoder zeroed when the type matches — written through, not
+	// stored again — so the steady-state table allocates nothing.
+	id = len(e.objs)
+	if id == cap(e.objs) {
+		e.objs = append(e.objs, graph.StableRef(v))
+		return id, false, nil
+	}
+	e.objs = e.objs[:id+1]
+	if cell := e.objs[id]; cell.IsValid() && cell.Type() == v.Type() && cell.CanSet() {
+		cell.Set(v)
+	} else {
+		e.objs[id] = graph.StableRef(v)
+	}
+	return id, false, nil
+}
+
 // SeedObject assigns the next object ID to ref (a pointer, map, or slice)
-// without emitting anything. Seeding an already-known identity returns the
+// without emitting anything. Seeding an already-known object returns the
 // existing ID. The restore protocol seeds the server-side linear map into
 // the response encoder so that old objects are referenced by their original
 // IDs.
@@ -155,13 +182,8 @@ func (e *Encoder) SeedObject(ref reflect.Value) (int, error) {
 	if !graph.IsIdentityKind(ref.Kind()) || ref.IsNil() {
 		return 0, fmt.Errorf("wire: SeedObject requires a non-nil ptr, map, or slice, got %s", ref.Kind())
 	}
-	ident, _ := graph.IdentOf(ref)
-	if id, ok := e.ids[ident]; ok {
-		return id, nil
-	}
-	id := len(e.objs)
-	e.registerObj(ident, ref)
-	return id, nil
+	id, _, err := e.intern(ref)
+	return id, err
 }
 
 // EncodeSeededContent emits a bare content record for the seeded object id:
@@ -241,59 +263,38 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int) error {
 		}
 		return e.encodeValue(v.Elem(), depth+1)
 
-	case reflect.Ptr:
+	case reflect.Ptr, reflect.Map, reflect.Slice:
 		if v.IsNil() {
 			return e.w.writeByte(tagNil)
 		}
-		ident, _ := graph.IdentOf(v)
-		if id, ok := e.ids[ident]; ok {
+		id, seen, err := e.intern(v)
+		if err != nil {
+			return err
+		}
+		if seen {
 			return e.writeRef(id)
 		}
-		e.registerObj(ident, v)
-		if err := e.w.writeByte(tagPtr); err != nil {
+		// First visit: tag, descriptor (a pointer's is its pointee's), contents.
+		tag, t := byte(tagPtr), v.Type()
+		switch v.Kind() {
+		case reflect.Ptr:
+			t = t.Elem()
+		case reflect.Map:
+			tag = tagMap
+		default:
+			tag = tagSlice
+		}
+		if err := e.w.writeByte(tag); err != nil {
 			return err
 		}
-		if err := e.encodeType(v.Type().Elem()); err != nil {
+		if err := e.encodeType(t); err != nil {
 			return err
 		}
-		return e.encodeValue(v.Elem(), depth+1)
-
-	case reflect.Map:
-		if v.IsNil() {
-			return e.w.writeByte(tagNil)
-		}
-		ident, _ := graph.IdentOf(v)
-		if id, ok := e.ids[ident]; ok {
-			return e.writeRef(id)
-		}
-		e.registerObj(ident, v)
-		if err := e.w.writeByte(tagMap); err != nil {
-			return err
-		}
-		if err := e.encodeType(v.Type()); err != nil {
-			return err
-		}
-		return e.encodeMapEntries(v, depth)
-
-	case reflect.Slice:
-		if v.IsNil() {
-			return e.w.writeByte(tagNil)
-		}
-		ident, _ := graph.IdentOf(v)
-		if id, ok := e.ids[ident]; ok {
-			prev := e.objs[id]
-			if prev.Kind() == reflect.Slice && prev.Len() != v.Len() {
-				return fmt.Errorf("%w: lengths %d and %d share storage",
-					graph.ErrSliceOverlap, prev.Len(), v.Len())
-			}
-			return e.writeRef(id)
-		}
-		e.registerObj(ident, v)
-		if err := e.w.writeByte(tagSlice); err != nil {
-			return err
-		}
-		if err := e.encodeType(v.Type()); err != nil {
-			return err
+		switch tag {
+		case tagPtr:
+			return e.encodeValue(v.Elem(), depth+1)
+		case tagMap:
+			return e.encodeMapEntries(v, depth)
 		}
 		if err := e.w.writeUint(uint64(v.Len())); err != nil {
 			return err

@@ -111,7 +111,7 @@ func (e *Encoder) flatFrame(buildTail func(f *flatEnc) ([]byte, error)) error {
 	f.tail = tail
 
 	// Drain the record queue. Encoding a record can discover further nodes
-	// (registerObj appends to e.objs), so the bound re-evaluates.
+	// (intern appends to e.objs), so the bound re-evaluates.
 	for next := f.base; next < len(e.objs); next++ {
 		f.offs = append(f.offs, uint32(len(f.rec)))
 		f.rec, err = e.flatRecord(f.rec, e.objs[next])
@@ -232,14 +232,9 @@ func (e *Encoder) flatValue(b []byte, v reflect.Value, depth int) ([]byte, error
 		if v.IsNil() {
 			return append(b, fNil), nil
 		}
-		ident, _ := graph.IdentOf(v)
-		id, ok := e.ids[ident]
-		if !ok {
-			id = len(e.objs)
-			e.registerObj(ident, v)
-		} else if prev := e.objs[id]; prev.Kind() == reflect.Slice && prev.Len() != v.Len() {
-			return b, fmt.Errorf("%w: lengths %d and %d share storage",
-				graph.ErrSliceOverlap, prev.Len(), v.Len())
+		id, _, err := e.intern(v)
+		if err != nil {
+			return b, err
 		}
 		e.lowRef = min(e.lowRef, id)
 		b = append(b, fRef)

@@ -190,30 +190,6 @@ func (e *Encoder) tagType(tag byte, k *kernel) error {
 	return nil
 }
 
-// registerObj assigns the next object ID to v's identity and records the
-// (detached) reference in the linear map.
-func (e *Encoder) registerObj(ident graph.Ident, v reflect.Value) {
-	e.ids[ident] = len(e.objs)
-	e.appendObj(v)
-}
-
-// appendObj grows the object table by one detached reference cell. On a
-// pooled encoder the cells zeroed by ReleaseEncoder are reused when the
-// type matches, so the steady-state table costs no allocations.
-func (e *Encoder) appendObj(ref reflect.Value) {
-	id := len(e.objs)
-	if cap(e.objs) > id {
-		e.objs = e.objs[:id+1]
-		if old := e.objs[id]; old.IsValid() && old.Type() == ref.Type() && old.CanSet() {
-			old.Set(ref)
-			return
-		}
-		e.objs[id] = graph.StableRef(ref)
-		return
-	}
-	e.objs = append(e.objs, graph.StableRef(ref))
-}
-
 // enc writes one value of k's type, tag included.
 func (k *kernel) enc(e *Encoder, v reflect.Value, depth int) error {
 	if depth > maxEncodeDepth {
@@ -224,15 +200,13 @@ func (k *kernel) enc(e *Encoder, v reflect.Value, depth int) error {
 		if v.IsNil() {
 			return e.w.writeByte(tagNil)
 		}
-		ident, _ := graph.IdentOf(v)
-		if id, ok := e.ids[ident]; ok {
-			if prev := e.objs[id]; k.tag == tagSlice && prev.Kind() == reflect.Slice && prev.Len() != v.Len() {
-				return fmt.Errorf("%w: lengths %d and %d share storage",
-					graph.ErrSliceOverlap, prev.Len(), v.Len())
-			}
+		id, seen, err := e.intern(v)
+		if err != nil {
+			return err
+		}
+		if seen {
 			return e.writeRef(id)
 		}
-		e.registerObj(ident, v)
 		if k.tag == tagPtr {
 			if err := e.tagType(tagPtr, k.elem); err != nil {
 				return err

@@ -216,9 +216,9 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 	if enc.w.raw != nil || len(enc.w.buf) != 0 || enc.w.err != nil || enc.w.bytesWritten() != 0 {
 		t.Errorf("released encoder's writer still holds %v, %d bytes, err %v", enc.w.raw, len(enc.w.buf), enc.w.err)
 	}
-	if len(enc.ids)+len(enc.typeTable)+len(enc.strTable)+len(enc.objs)+len(enc.touched) != 0 || enc.memo != (kernelMemo{}) {
+	if enc.ids.Len()+len(enc.typeTable)+len(enc.strTable)+len(enc.objs)+len(enc.touched) != 0 || enc.memo != (kernelMemo{}) {
 		t.Errorf("released encoder keeps stream tables: %d ids, %d types, %d strings, %d objects, %d touched, memo %v",
-			len(enc.ids), len(enc.typeTable), len(enc.strTable), len(enc.objs), len(enc.touched), enc.memo)
+			enc.ids.Len(), len(enc.typeTable), len(enc.strTable), len(enc.objs), len(enc.touched), enc.memo)
 	}
 	for seq, idx := range enc.dense {
 		if idx != 0 {
@@ -231,10 +231,26 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 		}
 	}
 
+	nodes := []*wnode{tree, tree.Left, tree.Right}
+
+	// The identity index keeps its slots across messages and forgets them
+	// by epoch: the next message (outside -race, which drops pool Puts, on
+	// this same encoder) must not find the previous message's identities
+	// among its own.
+	next := AcquireEncoder(&buf, on)
+	if _, err := next.SeedObject(reflect.ValueOf(&wnode{})); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if id, ok := next.IDOf(reflect.ValueOf(n)); ok {
+			t.Errorf("next message (same encoder: %v) sees the previous message's %p as object %d", next == enc, n, id)
+		}
+	}
+	ReleaseEncoder(next)
+
 	// A restore-shaped decode: seeded originals, a staging slab.
 	var resp bytes.Buffer
 	renc := NewEncoder(&resp, on)
-	nodes := []*wnode{tree, tree.Left, tree.Right}
 	for _, n := range nodes {
 		if _, err := renc.SeedObject(reflect.ValueOf(n)); err != nil {
 			t.Fatal(err)

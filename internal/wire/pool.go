@@ -3,21 +3,20 @@ package wire
 import (
 	"io"
 	"math"
-	"reflect"
 	"sync"
 )
 
-// Codec pooling. An Encoder carries three maps, an object table, and a 4K
-// output buffer; a Decoder carries three tables and a 4K input buffer. The
-// copy-restore protocol builds one of each per call on each endpoint, which
-// dominates the constant part of the per-call allocation profile. Acquire /
-// Release recycle fully reset codecs instead.
+// Codec pooling. An Encoder carries two maps, an object table with its
+// identity index, and a 4K output buffer; a Decoder carries three tables and
+// a 4K input buffer. The copy-restore protocol builds one of each per call
+// on each endpoint, which dominates the constant part of the per-call
+// allocation profile. Acquire / Release recycle fully reset codecs instead.
 //
 // Reset discipline differs per direction because ownership differs:
 //
 //   - The encoder's object table holds *detached* reference cells
 //     (graph.StableRef); the cells are zeroed (dropping the user's graph) but
-//     kept for reuse by appendObj.
+//     kept for reuse by intern.
 //   - The decoder's table holds the decoded objects themselves — they belong
 //     to the caller — so the entries are dropped outright, never written to.
 //
@@ -51,7 +50,7 @@ func ReleaseEncoder(e *Encoder) {
 	if e == nil {
 		return
 	}
-	clear(e.ids)
+	e.ids.Reset()
 	clear(e.typeTable)
 	clear(e.strTable)
 	e.memo = kernelMemo{}
@@ -60,11 +59,11 @@ func ReleaseEncoder(e *Encoder) {
 	}
 	e.touched = e.touched[:0]
 	// Zero the detached reference cells — dropping the user's objects — but
-	// keep them parked in the table's capacity for appendObj to reuse.
+	// keep them parked in the table's capacity for intern to reuse.
 	// Cells beyond len were already zeroed by an earlier release.
 	for _, cell := range e.objs {
 		if cell.IsValid() && cell.CanSet() {
-			cell.Set(reflect.Zero(cell.Type()))
+			cell.SetZero()
 		}
 	}
 	e.objs = e.objs[:0]
