@@ -129,7 +129,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which ends with it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 10364
+TRACKED_LOC_MAX := 10307
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -153,6 +153,7 @@ examples:
 # byte-by-byte minimization of one would otherwise eat the 30 seconds.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire/
+	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzIdentTable -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s -fuzzminimizetime=5s ./internal/transport/
 

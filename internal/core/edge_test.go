@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -369,5 +372,97 @@ func TestSameObjectAsCopyAndRestorableArg(t *testing.T) {
 	}
 	if x.Data != 42 {
 		t.Fatalf("restorable semantics must win: %d", x.Data)
+	}
+}
+
+// hostileReplyWorld encodes a carrier whose restore set holds objects of four
+// types — 0 the *carrier, 1 its map, 2 and 4 two *Tree, 3 its slice — and
+// returns the waiting call, the root, a snapshot of it, and the reply of a
+// server that hung a new Tree into the interface field.
+func hostileReplyWorld(t *testing.T, opts Options) (call *Call, root, snap *carrier, reply []byte) {
+	t.Helper()
+	t1 := &Tree{Data: 1}
+	root = &carrier{Tag: "c", Table: map[string]*Tree{"a": t1}, Items: []*Tree{t1, {Data: 2}}}
+	cp, err := graph.Copy(graph.AccessExported, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req, resp bytes.Buffer
+	call = NewCall(&req, opts)
+	if err := call.EncodeRestorable(root); err != nil {
+		t.Fatal(err)
+	}
+	if err := call.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	srv := AcceptCallBytes(req.Bytes(), opts)
+	sroot, err := srv.DecodeRestorable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	sroot.(*carrier).Any = &Tree{Data: 9}
+	if _, err := srv.EncodeResponse(&resp, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv.Release()
+	return call, root, cp.(*carrier), resp.Bytes()
+}
+
+// TestHostileBareSlotReplies: what a reply can put where a bare slot is read
+// by the caller's own static type (wire's TestHostileBareSlots has the same
+// table against a decoder). Each is a typed error out of ApplyResponseBytes
+// with the caller's graph as it was.
+func TestHostileBareSlotReplies(t *testing.T) {
+	opts := carrierOptions(t)
+	_, _, _, valid := hostileReplyWorld(t, opts)
+	// One record, for restore-set index 2 (a *Tree: Data, Left, Right), and
+	// no return values.
+	record := func(body ...byte) []byte {
+		return append(append([]byte{0x4E, 4, 0, 1, 2, 0x50}, body...), 0)
+	}
+	flipped := bytes.Clone(valid)
+	flipped[bytes.Index(valid, []byte("Tree"))+len("Tree")] ^= 0x10
+	parent := bytes.Clone(valid)
+	parent[1] = 2
+
+	type hostile struct {
+		name  string
+		reply []byte
+		is    error
+	}
+	cases := []hostile{
+		{"a MAP tag in a pointer slot", record(2, 3, 0, 0), wire.ErrBadStream},
+		{"a described value in a bare slot", record(7, 0xCF, 2, 2, 0, 0), wire.ErrBadStream},
+		{"REF to an object of another type", record(2, 1, 1, 0), wire.ErrBadStream},
+		{"REF to an object of another type, in the slice", []byte{0x4E, 4, 0, 1, 3, 0x52, 2, 1, 0, 0, 0}, wire.ErrBadStream},
+		{"fingerprint off by one bit", flipped, wire.ErrLayout},
+		{"a parent-format reply", parent, wire.ErrBadStream},
+	}
+	for cut := 0; cut < len(valid); cut++ {
+		cases = append(cases, hostile{fmt.Sprintf("truncation at %d of %d", cut, len(valid)), valid[:cut], io.ErrUnexpectedEOF})
+	}
+	for _, portable := range []bool{false, true} {
+		opts.DisablePlanCache = portable
+		for _, tc := range cases {
+			call, root, snap, _ := hostileReplyWorld(t, opts)
+			if _, err := call.ApplyResponseBytes(tc.reply); !errors.Is(err, tc.is) {
+				t.Errorf("%s (portable=%t): %v, want %v", tc.name, portable, err, tc.is)
+			}
+			if eq, err := graph.Equal(graph.AccessExported, root, snap); err != nil || !eq {
+				t.Errorf("%s (portable=%t): the refused reply changed the caller's graph (%v)", tc.name, portable, err)
+			}
+			call.Release()
+		}
+		call, root, _, _ := hostileReplyWorld(t, opts)
+		if _, err := call.ApplyResponseBytes(valid); err != nil || root.Any.(*Tree).Data != 9 {
+			t.Errorf("the valid reply (portable=%t): %v, Any = %v", portable, err, root.Any)
+		}
+		if _, err := call.ApplyResponseBytes(record(2, 0, 0)); err != nil || root.Items[0].Data != 1 {
+			t.Errorf("a well-formed hand-spelled record (portable=%t): %v", portable, err)
+		}
+		call.Release()
 	}
 }

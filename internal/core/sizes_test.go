@@ -1,0 +1,85 @@
+package core_test
+
+import (
+	"bytes"
+	"testing"
+
+	"nrmi/internal/bench"
+	"nrmi/internal/core"
+	"nrmi/internal/wire"
+)
+
+// TestScenarioIIIMessageSizes pins the bytes of the paper's headline call —
+// internal/bench's scenario III, seed 1: the restorable tree and its mutation
+// script out, every pre-call object's content record and one int back — per
+// codec configuration, so that a drift of any wire format fails here and not
+// in a ledger run. V1 and V3 read what they read before the V2 format moved
+// to bare slots (ISSUE 20); V2-portable is V2 byte for byte.
+func TestScenarioIIIMessageSizes(t *testing.T) {
+	reg := wire.NewRegistry()
+	if err := bench.RegisterTypes(reg); err != nil {
+		t.Fatal(err)
+	}
+	type sizes struct{ request, response int }
+	for _, tc := range []struct {
+		name     string
+		engine   wire.Engine
+		portable bool
+		want     map[int]sizes
+	}{
+		{"v1", wire.EngineV1, false, map[int]sizes{16: {2943, 1875}, 256: {28698, 25393}}},
+		// 488 and 288, 3993 and 3971 while every value carried a descriptor.
+		{"v2-portable", wire.EngineV2, true, map[int]sizes{16: {194, 156}, 256: {1509, 2343}}},
+		{"v2", wire.EngineV2, false, map[int]sizes{16: {194, 156}, 256: {1509, 2343}}},
+		{"v3", wire.EngineV3, false, map[int]sizes{16: {1280, 919}, 256: {10250, 12575}}},
+	} {
+		for _, size := range []int{16, 256} {
+			opts := core.Options{Engine: tc.engine, Registry: reg, DisablePlanCache: tc.portable}
+			w, script := bench.NewWorld(bench.ScenarioIII, 1, size)
+			rw := bench.ToRWorld(w)
+
+			var req, resp bytes.Buffer
+			call := core.NewCall(&req, opts)
+			if err := call.EncodeRestorable(rw.Root); err != nil {
+				t.Fatal(err)
+			}
+			if err := call.EncodeCopy(script); err != nil {
+				t.Fatal(err)
+			}
+			if err := call.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			got := sizes{request: req.Len()}
+
+			srv := core.AcceptCallBytes(req.Bytes(), opts)
+			sroot, err := srv.DecodeRestorable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sscript, err := srv.DecodeCopy()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Prepare(); err != nil {
+				t.Fatal(err)
+			}
+			ret := new(bench.NRMIService).Apply(sroot.(*bench.RTree), sscript.(bench.Script))
+			if _, err := srv.EncodeResponse(&resp, []any{ret}); err != nil {
+				t.Fatal(err)
+			}
+			got.response = resp.Len()
+			srv.Release()
+			if _, err := call.ApplyResponseBytes(resp.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			call.Release()
+			if err := bench.Verify(rw.ToWorld(), bench.Expected(bench.ScenarioIII, 1, size, script)); err != nil {
+				t.Fatalf("%s size %d: %v", tc.name, size, err)
+			}
+			if got != tc.want[size] {
+				t.Errorf("%s size %d: request %d B, response %d B; pinned %d and %d",
+					tc.name, size, got.request, got.response, tc.want[size].request, tc.want[size].response)
+			}
+		}
+	}
+}

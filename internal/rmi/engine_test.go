@@ -7,12 +7,17 @@ package rmi
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"nrmi/internal/bufpool"
 	"nrmi/internal/core"
+	"nrmi/internal/graph"
 	"nrmi/internal/netsim"
+	"nrmi/internal/transport"
 	"nrmi/internal/wire"
 )
 
@@ -122,6 +127,68 @@ func TestV3ClientFallsBackToV2Peer(t *testing.T) {
 				t.Fatalf("service saw %d calls, want 6 (header rejection precedes execution)", calls)
 			}
 		})
+	}
+}
+
+// TestParentFormatPeerIsATypedError: a peer from before the V2 format moved
+// to bare slots — here one that refuses V3 as well — answers today's V2
+// format id with the rejection it has for any engine it does not know (wire's
+// TestParentFormatStreamRefused is the same meeting the other way round).
+// That rejection is negotiation for a V3 request only, and once: a V2 client
+// returns it, typed, after its one attempt; a V3 client that such a peer made
+// fall back and whose V2 re-send is refused as well returns that and does not
+// fall back twice. Either way the caller's graph is untouched.
+func TestParentFormatPeerIsATypedError(t *testing.T) {
+	reg := wire.NewRegistry()
+	if err := reg.Register("RTree", RTree{}); err != nil {
+		t.Fatal(err)
+	}
+	n := netsim.NewNetwork(netsim.Loopback())
+	t.Cleanup(func() { n.Close() })
+	ln, err := n.Listen("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.Serve(ln, func(_ context.Context, _ byte, payload []byte) ([]byte, error) {
+		if format := payload[1]; format == 3 || format == 4 {
+			return nil, fmt.Errorf("wire: corrupted or incompatible stream: unknown engine %d", format)
+		}
+		t.Errorf("request in a format the old peer would have decoded: % x", payload[:3])
+		return nil, errors.New("unexpected format")
+	})
+	t.Cleanup(func() { srv.Close() })
+
+	for _, tc := range []struct {
+		name                string
+		engine              wire.Engine
+		attempts, fallbacks int64
+	}{
+		{"v2 client", wire.EngineV2, 1, 0},
+		{"v3 client", wire.EngineV3, 2, 1},
+	} {
+		for _, shape := range []callShape{shapeCall, shapeAsync} {
+			t.Run(tc.name+"/"+shape.name, func(t *testing.T) {
+				cl, err := NewClient(n.Dial, Options{Core: core.Options{Engine: tc.engine, Registry: reg}, Retry: RetryPolicy{MaxAttempts: 3}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				root, _, _, _, _ := paperRTree()
+				pristine, _, _, _, _ := paperRTree()
+				_, err = shape.call(cl.Stub("old", "trees"), context.Background(), "Foo", root)
+				var remote *transport.RemoteError
+				if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "unknown engine 4") {
+					t.Fatalf("got %v, want the peer's rejection of format 4 as a RemoteError", err)
+				}
+				if cm := cl.Metrics(); cm.Attempts != tc.attempts || cm.Retries != 0 || cm.EngineFallbacks != tc.fallbacks {
+					t.Errorf("Attempts=%d Retries=%d EngineFallbacks=%d, want %d, 0, %d",
+						cm.Attempts, cm.Retries, cm.EngineFallbacks, tc.attempts, tc.fallbacks)
+				}
+				if eq, err := graph.Equal(graph.AccessExported, root, pristine); err != nil || !eq {
+					t.Errorf("the refused call changed the caller's graph (%v)", err)
+				}
+			})
+		}
 	}
 }
 

@@ -15,11 +15,18 @@ import (
 // CallsRejected and contribute to neither CallsServed nor BytesIn — the
 // method never ran and the payload was never decoded.
 func TestMetricsRejectedCallsExcludedFromBytesIn(t *testing.T) {
-	env := newDegradeEnv(t, func(o *Options) { o.MaxRequestBytes = 64 }, nil)
+	// The limit is one byte under what the request encodes to, as an
+	// unlimited server counts it.
+	open := newDegradeEnv(t, nil, nil)
+	if _, err := open.client.Stub("server", "gate").Call(context.Background(), "Quick", chaosTree()); err != nil {
+		t.Fatal(err)
+	}
+	limit := int(open.srv.Metrics().BytesIn) - 1
+	env := newDegradeEnv(t, func(o *Options) { o.MaxRequestBytes = limit }, nil)
 	stub := env.client.Stub("server", "gate")
 	_, err := stub.Call(context.Background(), "Quick", chaosTree())
 	if err == nil {
-		t.Fatal("oversized request was not rejected")
+		t.Fatalf("a request one byte over MaxRequestBytes = %d was not rejected", limit)
 	}
 	m := env.srv.Metrics()
 	if m.CallsRejected != 1 {

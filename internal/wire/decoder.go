@@ -22,6 +22,9 @@ type Decoder struct {
 	typeTable  []typeEntry
 	strTable   []string
 	headerDone bool
+	// srcErr is what reading an io.Reader source to its end reported; every
+	// decode call returns it.
+	srcErr error
 
 	// engine and access are authoritative from the stream header.
 	engine Engine
@@ -55,12 +58,14 @@ type Decoder struct {
 	lowRef int
 }
 
-// NewDecoder returns a Decoder reading from r. The engine and access mode
-// are learned from the stream header; opts supplies the registry and
-// limits.
+// NewDecoder returns a Decoder for the message r holds, read to its end
+// here. The engine and access mode are learned from the stream header; opts
+// supplies the registry and limits.
 func NewDecoder(r io.Reader, opts Options) *Decoder {
-	o := opts.withDefaults()
-	return &Decoder{r: newReader(r, o.MaxElems), opts: o, lowRef: math.MaxInt}
+	data, err := io.ReadAll(r)
+	d := NewDecoderBytes(data, opts)
+	d.srcErr = err
+	return d
 }
 
 // NewDecoderBytes returns a Decoder reading from an in-memory message.
@@ -69,9 +74,7 @@ func NewDecoder(r io.Reader, opts Options) *Decoder {
 // decoding — including any pending FlatContent commits — has finished.
 func NewDecoderBytes(data []byte, opts Options) *Decoder {
 	o := opts.withDefaults()
-	d := &Decoder{r: newReader(nil, o.MaxElems), opts: o, lowRef: math.MaxInt}
-	d.r.resetBytes(data, o.MaxElems)
-	return d
+	return &Decoder{r: &reader{data: data, maxElems: o.MaxElems}, opts: o, lowRef: math.MaxInt}
 }
 
 // Objects returns the decoder's linear map: every object materialized or
@@ -120,8 +123,8 @@ func (d *Decoder) SeedDetached(cells []reflect.Value) {
 
 // header consumes the stream header exactly once.
 func (d *Decoder) header() error {
-	if d.headerDone {
-		return nil
+	if d.headerDone || d.srcErr != nil {
+		return d.srcErr
 	}
 	d.headerDone = true
 	b, err := d.r.readByte()
@@ -135,25 +138,24 @@ func (d *Decoder) header() error {
 	if err != nil {
 		return err
 	}
-	switch Engine(eng) {
-	case EngineV1, EngineV2:
-	case EngineV3:
-		if d.opts.DisableEngineV3 {
-			// Reject with the exact error a pre-V3 peer produces, so the
-			// client-side engine fallback can be exercised against new
-			// binaries (see Options.DisableEngineV3).
-			return fmt.Errorf("%w: unknown engine %d", ErrBadStream, eng)
-		}
+	// The engine byte is a format id (formatV2). A pre-V3 peer rejects V3,
+	// and this one the V2 format that described every value, with the same
+	// error; Options.DisableEngineV3 produces it from a new binary so the
+	// client-side engine fallback can be exercised.
+	switch {
+	case eng == formatV2:
+		d.engine = EngineV2
+	case eng == byte(EngineV1), eng == byte(EngineV3) && !d.opts.DisableEngineV3:
+		d.engine = Engine(eng)
 	default:
 		return fmt.Errorf("%w: unknown engine %d", ErrBadStream, eng)
 	}
-	d.engine = Engine(eng)
 	acc, err := d.r.readByte()
 	if err != nil {
 		return err
 	}
 	d.access = graph.AccessMode(acc)
-	d.r.setEngine(d.engine)
+	d.r.engine = d.engine
 	d.kernels = d.engine == EngineV2 && !d.opts.DisablePlanCache
 	return nil
 }
@@ -239,11 +241,7 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 			return tmp, k.elem.into(d, tmp.Elem(), 0)
 		}
 		tmp := reflect.New(orig.Type().Elem())
-		elem, err := d.decodeValue(0)
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		return tmp, setDecoded(tmp.Elem(), elem)
+		return tmp, d.decodeSlot(tmp.Elem(), 0)
 	}
 	n, err := d.r.readLen()
 	if err != nil {
@@ -357,108 +355,109 @@ func (d *Decoder) decodeRef() (reflect.Value, error) {
 	return d.table[id], nil
 }
 
+// decodeTagged reads what follows the tag of a described value.
 func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
-	switch tag {
-	case tagNil:
+	switch {
+	case tag == tagNil:
 		return reflect.Value{}, nil
-
-	case tagRef:
+	case tag == tagRef:
 		return d.decodeRef()
-	}
-	if d.kernels {
-		return d.decodeKernel(tag, depth)
-	}
-	switch tag {
-	case tagPtr:
-		elemT, err := d.decodeType()
+	case tag > tagScalar:
+		return reflect.Value{}, fmt.Errorf("%w: unknown value tag 0x%02x", ErrBadStream, tag)
+	case d.kernels:
+		k, err := d.decodeKernelType()
 		if err != nil {
 			return reflect.Value{}, err
 		}
-		pv := reflect.New(elemT)
-		d.table = append(d.table, pv) // register before content: cycles resolve
-		elem, err := d.decodeValue(depth + 1)
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if err := setDecoded(pv.Elem(), elem); err != nil {
-			return reflect.Value{}, err
-		}
-		return pv, nil
+		return d.build(tag, k, depth)
+	}
+	t, err := d.decodeType()
+	if err != nil {
+		return reflect.Value{}, err
+	}
+	return d.value(tag, t, depth)
+}
 
-	case tagMap:
-		mt, err := d.decodeType()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if mt.Kind() != reflect.Map {
-			return reflect.Value{}, fmt.Errorf("%w: tagMap with non-map type %s", ErrBadStream, mt)
-		}
-		n, err := d.r.readLen()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		mv := reflect.MakeMapWithSize(mt, n)
+// value materializes what tag announces as a value of type t — for tagPtr a
+// pointer to t — the one step a described value (t from its descriptor) and
+// a bare one (t from its slot) share. Objects join the table before their
+// contents are read, so cycles resolve.
+func (d *Decoder) value(tag byte, t reflect.Type, depth int) (reflect.Value, error) {
+	if tag == tagPtr {
+		pv := reflect.New(t)
+		d.table = append(d.table, pv)
+		return pv, d.decodeSlot(pv.Elem(), depth+1)
+	}
+	if tag != tagOf(t.Kind()) {
+		return reflect.Value{}, fmt.Errorf("%w: value tag %d with type %s", ErrBadStream, tag, t)
+	}
+	if tag >= tagStruct {
+		v := reflect.New(t).Elem()
+		return v, d.bodyInto(v, depth)
+	}
+	n, err := d.r.readLen()
+	if err != nil {
+		return reflect.Value{}, err
+	}
+	if tag == tagMap {
+		mv := reflect.MakeMapWithSize(t, n)
 		d.table = append(d.table, mv)
 		return mv, d.decodeMapEntriesInto(mv, n, depth)
-
-	case tagSlice:
-		st, err := d.decodeType()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if st.Kind() != reflect.Slice {
-			return reflect.Value{}, fmt.Errorf("%w: tagSlice with non-slice type %s", ErrBadStream, st)
-		}
-		n, err := d.r.readLen()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		sv := reflect.MakeSlice(st, n, n)
-		d.table = append(d.table, sv)
-		return sv, d.decodeSliceElemsInto(sv, depth)
-
-	case tagStruct:
-		st, err := d.decodeType()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if st.Kind() != reflect.Struct {
-			return reflect.Value{}, fmt.Errorf("%w: tagStruct with non-struct type %s", ErrBadStream, st)
-		}
-		sv := reflect.New(st).Elem()
-		return sv, d.decodeStructInto(sv, depth)
-
-	case tagArray:
-		at, err := d.decodeType()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if at.Kind() != reflect.Array {
-			return reflect.Value{}, fmt.Errorf("%w: tagArray with non-array type %s", ErrBadStream, at)
-		}
-		av := reflect.New(at).Elem()
-		for i := 0; i < at.Len(); i++ {
-			ev, err := d.decodeValue(depth + 1)
-			if err != nil {
-				return reflect.Value{}, err
-			}
-			if err := setDecoded(av.Index(i), ev); err != nil {
-				return reflect.Value{}, err
-			}
-		}
-		return av, nil
-
-	case tagScalar:
-		st, err := d.decodeType()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		v := reflect.New(st).Elem()
-		return v, d.scalarPayloadInto(v)
-
-	default:
-		return reflect.Value{}, fmt.Errorf("%w: unknown value tag 0x%02x", ErrBadStream, tag)
 	}
+	sv := reflect.MakeSlice(t, n, n)
+	d.table = append(d.table, sv)
+	return sv, d.decodeSliceElemsInto(sv, depth)
+}
+
+// decodeSlot decodes the next value of the stream into dst, a slot of static
+// type dst.Type(). Under V1, and wherever the slot is an interface, that is a
+// described value; otherwise it is bare: a pointer, map or slice as tagNil,
+// tagRef or its own tag and contents, anything else as its contents alone.
+func (d *Decoder) decodeSlot(dst reflect.Value, depth int) error {
+	t := dst.Type()
+	want := tagOf(t.Kind())
+	var v reflect.Value
+	var err error
+	switch {
+	case d.engine == EngineV1 || want == 0:
+		v, err = d.decodeValue(depth)
+	case depth > maxDecodeDepth:
+		return errDecodeDepth
+	case want >= tagStruct:
+		return d.bodyInto(dst, depth)
+	default:
+		var tag byte
+		if tag, err = d.r.readByte(); err != nil {
+			return err
+		}
+		switch {
+		case tag == tagNil:
+		case tag == tagRef:
+			v, err = d.decodeRef()
+		case tag != want:
+			err = fmt.Errorf("%w: value tag %d in a slot of type %s", ErrBadStream, tag, t)
+		case tag == tagPtr:
+			v, err = d.value(tag, t.Elem(), depth)
+		default:
+			v, err = d.value(tag, t, depth)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return setDecoded(dst, v)
+}
+
+// bodyInto decodes the contents of an inline value — struct fields, array
+// elements, a scalar payload — into v.
+func (d *Decoder) bodyInto(v reflect.Value, depth int) error {
+	switch v.Kind() {
+	case reflect.Struct:
+		return d.decodeStructInto(v, depth)
+	case reflect.Array:
+		return d.decodeSliceElemsInto(v, depth)
+	}
+	return d.scalarPayloadInto(v)
 }
 
 // decodeMapEntriesInto and decodeSliceElemsInto count an entry one deeper
@@ -466,20 +465,12 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 // slices is bounded by maxDecodeDepth like nesting through pointers.
 func (d *Decoder) decodeMapEntriesInto(mv reflect.Value, n, depth int) error {
 	for i := 0; i < n; i++ {
-		kv, err := d.decodeValue(depth + 1)
-		if err != nil {
-			return err
-		}
-		vv, err := d.decodeValue(depth + 1)
-		if err != nil {
-			return err
-		}
 		key := reflect.New(mv.Type().Key()).Elem()
-		if err := setDecoded(key, kv); err != nil {
+		if err := d.decodeSlot(key, depth+1); err != nil {
 			return err
 		}
 		val := reflect.New(mv.Type().Elem()).Elem()
-		if err := setDecoded(val, vv); err != nil {
+		if err := d.decodeSlot(val, depth+1); err != nil {
 			return err
 		}
 		mv.SetMapIndex(key, val)
@@ -489,11 +480,7 @@ func (d *Decoder) decodeMapEntriesInto(mv reflect.Value, n, depth int) error {
 
 func (d *Decoder) decodeSliceElemsInto(sv reflect.Value, depth int) error {
 	for i := 0; i < sv.Len(); i++ {
-		ev, err := d.decodeValue(depth + 1)
-		if err != nil {
-			return err
-		}
-		if err := setDecoded(sv.Index(i), ev); err != nil {
+		if err := d.decodeSlot(sv.Index(i), depth+1); err != nil {
 			return err
 		}
 	}
@@ -520,10 +507,6 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 			if !ok {
 				return fmt.Errorf("%w: type %s has no field %q", ErrBadStream, st, name)
 			}
-			fv, err := d.decodeValue(depth + 1)
-			if err != nil {
-				return err
-			}
 			dst, ok, err := graph.FieldForWrite(sv, idx, d.access)
 			if err != nil {
 				return err
@@ -532,7 +515,7 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 				return fmt.Errorf("%w: field %s.%s not writable in %s mode",
 					ErrBadStream, st, name, d.access)
 			}
-			if err := setDecoded(dst, fv); err != nil {
+			if err := d.decodeSlot(dst, depth+1); err != nil {
 				return err
 			}
 		}
@@ -540,10 +523,6 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 	}
 	p := planFor(st, d.access, !d.opts.DisablePlanCache)
 	for _, pf := range p.fields {
-		fv, err := d.decodeValue(depth + 1)
-		if err != nil {
-			return err
-		}
 		dst, ok, err := graph.FieldForWrite(sv, pf.index, d.access)
 		if err != nil {
 			return err
@@ -551,7 +530,7 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 		if !ok {
 			continue
 		}
-		if err := setDecoded(dst, fv); err != nil {
+		if err := d.decodeSlot(dst, depth+1); err != nil {
 			return err
 		}
 	}
@@ -591,6 +570,9 @@ func (d *Decoder) scalarPayloadInto(v reflect.Value) error {
 		if err != nil {
 			return err
 		}
+		if v.OverflowFloat(f) {
+			return fmt.Errorf("%w: %g overflows %s", ErrBadStream, f, v.Type())
+		}
 		v.SetFloat(f)
 	case reflect.Complex64, reflect.Complex128:
 		re, err := d.r.readFloat()
@@ -600,6 +582,9 @@ func (d *Decoder) scalarPayloadInto(v reflect.Value) error {
 		im, err := d.r.readFloat()
 		if err != nil {
 			return err
+		}
+		if v.OverflowComplex(complex(re, im)) {
+			return fmt.Errorf("%w: %g overflows %s", ErrBadStream, complex(re, im), v.Type())
 		}
 		v.SetComplex(complex(re, im))
 	case reflect.String:

@@ -42,7 +42,8 @@ var kindTypes = map[reflect.Kind]reflect.Type{
 var emptyIfaceType = reflect.TypeOf((*any)(nil)).Elem()
 
 // encodeType emits a descriptor for t. Under V2 every distinct type is
-// emitted structurally once and referenced by table index afterwards; under
+// emitted structurally once — a named type as its wire name and layout
+// fingerprint (layout.go) — and referenced by table index afterwards; under
 // V1 the full structural form (with type names spelled out) is emitted on
 // every occurrence — the paper's verbose-JDK-1.3 behaviour.
 func (e *Encoder) encodeType(t reflect.Type) error {
@@ -71,7 +72,14 @@ func (e *Encoder) encodeTypeBody(t reflect.Type) error {
 		if err := e.w.writeByte(dNamed); err != nil {
 			return err
 		}
-		return e.w.writeString(wireName)
+		if err := e.w.writeString(wireName); err != nil || e.opts.Engine != EngineV2 {
+			return err
+		}
+		sum, err := fingerprint(e.opts.Registry, t, e.opts.Access, !e.opts.DisablePlanCache)
+		if err != nil {
+			return err
+		}
+		return e.w.writeFixed(sum)
 	}
 	switch t.Kind() {
 	case reflect.Ptr:
@@ -196,7 +204,23 @@ func (d *Decoder) decodeTypeBodyWithLead(b byte) (reflect.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		return d.opts.Registry.TypeByName(name)
+		t, err := d.opts.Registry.TypeByName(name)
+		if err != nil || d.engine != EngineV2 {
+			return t, err
+		}
+		// Compared before any content of the type is read.
+		theirs, err := d.r.readFixed()
+		if err != nil {
+			return nil, err
+		}
+		ours, err := fingerprint(d.opts.Registry, t, d.access, !d.opts.DisablePlanCache)
+		if err != nil {
+			return nil, err
+		}
+		if theirs != ours {
+			return nil, fmt.Errorf("%w: %q is %s here (%016x, peer %016x)", ErrLayout, name, t, ours, theirs)
+		}
+		return t, nil
 	case dPtr:
 		elem, err := d.decodeType()
 		if err != nil {

@@ -97,17 +97,17 @@ func TestMaxElemsEnforced(t *testing.T) {
 // depth 0, so the innermost sits at depth levels-1. No encoder writes these
 // past its own depth limit; a hostile peer can.
 func nestedSliceStream(levels int) []byte {
-	s := []byte{headerMagic, byte(EngineV2), 0, tagSlice, dTableDef, dSlice, dTableDef, dIface}
+	s := []byte{headerMagic, formatV2, 0, tagSlice, dTableDef, dSlice, dTableDef, dIface}
 	for i := 1; i < levels; i++ {
-		s = append(s, 1, tagSlice, dTableRef, 0) // length 1; the element: type-table entry 0 again
+		s = append(s, 1, tagSlice, dTableRef, 0) // length 1; the element, an interface slot's described value: type-table entry 0 again
 	}
 	return append(s, 0) // the innermost is empty
 }
 
 func nestedMapStream(levels int) []byte {
-	s := []byte{headerMagic, byte(EngineV2), 0, tagMap, dTableDef, dMap, dTableDef, byte(reflect.Int), dTableDef, dIface}
+	s := []byte{headerMagic, formatV2, 0, tagMap, dTableDef, dMap, dTableDef, byte(reflect.Int), dTableDef, dIface}
 	for i := 1; i < levels; i++ {
-		s = append(s, 1, tagScalar, dTableRef, 1, 2) // one entry; its key: int (entry 1) 1
+		s = append(s, 1, 2) // one entry; its key, a bare int slot: 1
 		s = append(s, tagMap, dTableRef, 0)
 	}
 	return append(s, 0)

@@ -28,12 +28,8 @@ type Encoder struct {
 	// kernels routes value encoding through the compiled per-type programs
 	// (kernel.go); derived from opts, cached here for the hot path.
 	kernels bool
-	// memo resolves the types this stream meets dynamically; dense maps a
-	// kernel's sequence number to 1 + its type's index in this stream's
-	// type table (0: not met yet), touched lists the slots to clear.
-	memo    kernelMemo
-	dense   []int32
-	touched []int32
+	// memo resolves the types this stream meets dynamically.
+	memo kernelMemo
 	// flat is the engine-V3 frame-assembly scratch state (flat.go), created
 	// lazily and retained across frames and pooled reuse.
 	flat *flatEnc
@@ -102,7 +98,11 @@ func (e *Encoder) header() error {
 	if err := e.w.writeByte(headerMagic); err != nil {
 		return err
 	}
-	if err := e.w.writeByte(byte(e.opts.Engine)); err != nil {
+	format := byte(e.opts.Engine)
+	if e.opts.Engine == EngineV2 {
+		format = formatV2
+	}
+	if err := e.w.writeByte(format); err != nil {
 		return err
 	}
 	return e.w.writeByte(byte(e.opts.Access))
@@ -121,10 +121,7 @@ func (e *Encoder) EncodeValue(v reflect.Value) error {
 	if err := e.header(); err != nil {
 		return err
 	}
-	if !v.IsValid() {
-		return e.w.writeByte(tagNil)
-	}
-	return e.encodeValue(v, 0)
+	return e.encodeValue(v, 0, false)
 }
 
 // EncodeUint emits a raw unsigned integer for protocol framing (counts,
@@ -214,9 +211,9 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 			return err
 		}
 		if k != nil {
-			return k.elem.enc(e, obj.Elem(), 0)
+			return k.elem.enc(e, obj.Elem(), 0, true)
 		}
-		return e.encodeValue(obj.Elem(), 0)
+		return e.encodeValue(obj.Elem(), 0, e.bareSlots())
 	case reflect.Map:
 		if err := e.w.writeByte(contentMap); err != nil {
 			return err
@@ -243,7 +240,15 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 
 const maxEncodeDepth = 10000
 
-func (e *Encoder) encodeValue(v reflect.Value, depth int) error {
+// bareSlots reports whether the stream's statically typed slots travel bare
+// (V2) or every value is described (V1).
+func (e *Encoder) bareSlots() bool { return e.opts.Engine == EngineV2 }
+
+// encodeValue writes v, described — tag, descriptor, contents — or, bare, as
+// the occupant of a slot whose static type already says what v is: a pointer,
+// map or slice without its descriptor, anything else as its contents alone.
+// An interface slot is never bare: its value describes itself.
+func (e *Encoder) encodeValue(v reflect.Value, depth int, bare bool) error {
 	if depth > maxEncodeDepth {
 		return graph.ErrDepthExceeded
 	}
@@ -253,17 +258,20 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int) error {
 	if e.kernels {
 		// Compiled fast path: one memo probe for the root, straight-line
 		// per-field ops below it, byte-identical output. The generic switch
-		// below is the V1 / ablation reference path.
-		return e.memo.of(v.Type(), e.opts.Access).enc(e, v, depth)
+		// below is the V1 / portable reference path.
+		return e.memo.of(v.Type(), e.opts.Access).enc(e, v, depth, bare)
 	}
-	switch v.Kind() {
-	case reflect.Interface:
+	tag, t := tagOf(v.Kind()), v.Type()
+	switch tag {
+	case 0:
+		if v.Kind() != reflect.Interface {
+			return fmt.Errorf("%w: %s", graph.ErrNotSerializable, t)
+		}
 		if v.IsNil() {
 			return e.w.writeByte(tagNil)
 		}
-		return e.encodeValue(v.Elem(), depth+1)
-
-	case reflect.Ptr, reflect.Map, reflect.Slice:
+		return e.encodeValue(v.Elem(), depth+1, false)
+	case tagPtr, tagMap, tagSlice:
 		if v.IsNil() {
 			return e.w.writeByte(tagNil)
 		}
@@ -275,72 +283,40 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int) error {
 			return e.writeRef(id)
 		}
 		// First visit: tag, descriptor (a pointer's is its pointee's), contents.
-		tag, t := byte(tagPtr), v.Type()
-		switch v.Kind() {
-		case reflect.Ptr:
-			t = t.Elem()
-		case reflect.Map:
-			tag = tagMap
-		default:
-			tag = tagSlice
-		}
 		if err := e.w.writeByte(tag); err != nil {
 			return err
 		}
+		if tag == tagPtr {
+			t = t.Elem()
+		}
+	default:
+		if !bare {
+			if err := e.w.writeByte(tag); err != nil {
+				return err
+			}
+		}
+	}
+	if !bare {
 		if err := e.encodeType(t); err != nil {
 			return err
 		}
-		switch tag {
-		case tagPtr:
-			return e.encodeValue(v.Elem(), depth+1)
-		case tagMap:
-			return e.encodeMapEntries(v, depth)
-		}
+	}
+	switch tag {
+	case tagPtr:
+		return e.encodeValue(v.Elem(), depth+1, e.bareSlots())
+	case tagMap:
+		return e.encodeMapEntries(v, depth)
+	case tagSlice:
 		if err := e.w.writeUint(uint64(v.Len())); err != nil {
 			return err
 		}
 		return e.encodeSliceElems(v, depth)
-
-	case reflect.Struct:
-		if err := e.w.writeByte(tagStruct); err != nil {
-			return err
-		}
-		if err := e.encodeType(v.Type()); err != nil {
-			return err
-		}
+	case tagStruct:
 		return e.encodeStructFields(v, depth)
-
-	case reflect.Array:
-		if err := e.w.writeByte(tagArray); err != nil {
-			return err
-		}
-		if err := e.encodeType(v.Type()); err != nil {
-			return err
-		}
-		for i := 0; i < v.Len(); i++ {
-			if err := e.encodeValue(v.Index(i), depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64,
-		reflect.Complex64, reflect.Complex128,
-		reflect.String:
-		if err := e.w.writeByte(tagScalar); err != nil {
-			return err
-		}
-		if err := e.encodeType(v.Type()); err != nil {
-			return err
-		}
-		return e.encodeScalarPayload(v)
-
-	default:
-		return fmt.Errorf("%w: %s", graph.ErrNotSerializable, v.Type())
+	case tagArray:
+		return e.encodeSliceElems(v, depth)
 	}
+	return e.encodeScalarPayload(v)
 }
 
 func (e *Encoder) encodeMapEntries(v reflect.Value, depth int) error {
@@ -350,10 +326,10 @@ func (e *Encoder) encodeMapEntries(v reflect.Value, depth int) error {
 	kp := acquireSortedKeys(v)
 	defer releaseKeys(kp)
 	for _, k := range *kp {
-		if err := e.encodeValue(k, depth+1); err != nil {
+		if err := e.encodeValue(k, depth+1, e.bareSlots()); err != nil {
 			return err
 		}
-		if err := e.encodeValue(v.MapIndex(k), depth+1); err != nil {
+		if err := e.encodeValue(v.MapIndex(k), depth+1, e.bareSlots()); err != nil {
 			return err
 		}
 	}
@@ -362,7 +338,7 @@ func (e *Encoder) encodeMapEntries(v reflect.Value, depth int) error {
 
 func (e *Encoder) encodeSliceElems(v reflect.Value, depth int) error {
 	for i := 0; i < v.Len(); i++ {
-		if err := e.encodeValue(v.Index(i), depth+1); err != nil {
+		if err := e.encodeValue(v.Index(i), depth+1, e.bareSlots()); err != nil {
 			return err
 		}
 	}
@@ -396,7 +372,7 @@ func (e *Encoder) encodeStructFields(v reflect.Value, depth int) error {
 		if !ok {
 			continue
 		}
-		if err := e.encodeValue(f, depth+1); err != nil {
+		if err := e.encodeValue(f, depth+1, e.bareSlots()); err != nil {
 			return err
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 
-	"nrmi/internal/bufpool"
 	"nrmi/internal/graph"
 )
 
@@ -62,12 +61,9 @@ func (c *flatCur) bytes(n int) ([]byte, error) {
 	return p, nil
 }
 
-// flatFrame is one parsed frame. body either aliases the reader's payload
-// (bytes mode; owned == false) or was staged through a bufpool buffer
-// (stream mode; owned == true, release must Put it back).
+// flatFrame is one parsed frame. body aliases the reader's payload.
 type flatFrame struct {
 	body     []byte
-	owned    bool
 	released bool
 	offs     []byte // raw offset table: (newNodes+1) x u32 LE
 	recs     []byte // record region
@@ -81,37 +77,24 @@ func (fr *flatFrame) offAt(i int) int {
 	return int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
 }
 
-// release returns staged frame bytes to the pool. Idempotent; a no-op for
-// zero-copy frames, whose bytes belong to the transport payload.
-func (fr *flatFrame) release() {
-	if fr == nil || fr.released {
-		return
-	}
-	fr.released = true
-	if fr.owned {
-		bufpool.Put(fr.body)
-	}
-}
-
 // newFlatFrame takes a frame shell from the decoder's freelist, or
 // allocates one.
-func (d *Decoder) newFlatFrame(body []byte, owned bool) *flatFrame {
+func (d *Decoder) newFlatFrame(body []byte) *flatFrame {
 	if n := len(d.frameFree); n > 0 {
 		fr := d.frameFree[n-1]
 		d.frameFree = d.frameFree[:n-1]
-		*fr = flatFrame{body: body, owned: owned}
+		*fr = flatFrame{body: body}
 		return fr
 	}
-	return &flatFrame{body: body, owned: owned}
+	return &flatFrame{body: body}
 }
 
-// recycleFrame releases a frame's bytes and parks the cleared shell on the
-// freelist. Exactly-once: a frame already released elsewhere is left alone.
+// recycleFrame parks the cleared shell of a frame on the freelist.
+// Exactly-once: a frame already recycled elsewhere is left alone.
 func (d *Decoder) recycleFrame(fr *flatFrame) {
 	if fr == nil || fr.released {
 		return
 	}
-	fr.release()
 	*fr = flatFrame{released: true}
 	d.frameFree = append(d.frameFree, fr)
 }
@@ -147,11 +130,11 @@ func (d *Decoder) readFlatFrame() (*flatFrame, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, owned, err := d.r.slice(n)
+	body, err := d.r.slice(n)
 	if err != nil {
 		return nil, err
 	}
-	fr := d.newFlatFrame(body, owned)
+	fr := d.newFlatFrame(body)
 	if err := d.parseFlatFrame(fr); err != nil {
 		d.recycleFrame(fr)
 		return nil, err
@@ -755,8 +738,8 @@ func (d *Decoder) flatSeededStaged(id int) (reflect.Value, error) {
 // engine-V3 replacement for the staging temporary of DecodeSeededContent.
 // DecodeSeededFlat proves the record can be committed; Commit re-parses the
 // retained record bytes straight into the original object's fields. Until
-// Commit or Release, the record may alias the transport payload (bytes-mode
-// decoding), so the payload must stay alive and unmodified.
+// Commit or Release the record aliases the decoder's payload, which must
+// stay alive and unmodified.
 type FlatContent struct {
 	d    *Decoder
 	orig reflect.Value

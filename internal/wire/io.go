@@ -1,13 +1,10 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-
-	"nrmi/internal/bufpool"
 )
 
 // writerBufSize is the spill threshold of the buffered engines' writer.
@@ -27,7 +24,7 @@ type writer struct {
 	engine  Engine
 	scratch [8]byte // V1 fixed-width staging
 	flushed int64   // bytes handed to raw so far
-	err     error   // first spill failure; sticky, as bufio's was
+	err     error   // first spill failure; sticky
 }
 
 func newWriter(w io.Writer, engine Engine) *writer {
@@ -163,14 +160,17 @@ func (w *writer) writeInt(v int64) error {
 	return w.writeUint(uint64(v)<<1 ^ uint64(v>>63))
 }
 
-func (w *writer) writeFloat(v float64) error {
+func (w *writer) writeFloat(v float64) error { return w.writeFixed(math.Float64bits(v)) }
+
+// writeFixed emits 8 bytes, big-endian.
+func (w *writer) writeFixed(v uint64) error {
 	if w.engine == EngineV1 {
-		return w.writeUintSlow(math.Float64bits(v))
+		return w.writeUintSlow(v)
 	}
 	if err := w.room(8); err != nil {
 		return err
 	}
-	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
+	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
 	return nil
 }
 
@@ -199,148 +199,51 @@ func (w *writer) writeString(s string) error {
 	return nil
 }
 
-// reader is the byte-consumption layer, adapting to the engine announced in
-// the stream header. It has two source modes: stream mode (an io.Reader,
-// buffered for V2/V3) and bytes mode (the whole message held in data, as
-// when the transport hands over a pooled payload). Bytes mode parses
-// straight out of the slice and lets slice return windows of the payload
-// without copying — the zero-copy input for engine V3's flat frames. Both
-// modes report running out of input as io.ErrUnexpectedEOF.
+// reader is the byte-consumption layer. It parses a whole message held in
+// data — the payload the transport hands over, or a source read to its end —
+// adapting to the engine announced in the stream header, and lets slice
+// return windows of the payload without copying: the zero-copy input for
+// engine V3's flat frames. Running out of input is io.ErrUnexpectedEOF.
 type reader struct {
-	raw      io.Reader
-	br       *bufio.Reader
-	data     []byte // bytes mode: the full message (never nil in that mode)
-	dpos     int    // bytes mode: read position == bytes consumed
+	data     []byte
+	dpos     int // read position == bytes consumed
 	engine   Engine
-	scratch  [8]byte
-	count    int64 // stream mode: bytes consumed
 	maxElems int
-	// spare parks the bufio.Reader between pooled uses: reset cannot
-	// leave br set (the engine of the next stream is unknown until its
-	// header arrives), but the 4K buffer is worth keeping.
-	spare *bufio.Reader
 }
 
-func newReader(r io.Reader, maxElems int) *reader {
-	return &reader{raw: r, maxElems: maxElems}
-}
-
-// setEngine finalizes the reader once the header announced the engine.
-func (r *reader) setEngine(e Engine) {
-	r.engine = e
-	if e != EngineV1 && r.data == nil {
-		if r.spare != nil {
-			r.spare.Reset(r.raw)
-			r.br, r.spare = r.spare, nil
-		} else {
-			r.br = bufio.NewReaderSize(r.raw, 4096)
-		}
-	}
-}
-
-// reset re-arms a pooled reader onto a new source. The engine reverts to
+// reset re-arms a pooled reader onto a new message. The engine reverts to
 // unknown until the next header is read.
-func (r *reader) reset(src io.Reader, maxElems int) {
-	if r.br != nil {
-		r.br.Reset(nil) // do not retain the caller's reader
-		r.spare, r.br = r.br, nil
-	}
-	r.raw = src
-	r.data = nil
-	r.dpos = 0
-	r.engine = 0
-	r.count = 0
-	r.maxElems = maxElems
+func (r *reader) reset(data []byte, maxElems int) {
+	*r = reader{data: data, maxElems: maxElems}
 }
 
-// resetBytes re-arms a pooled reader onto an in-memory message.
-func (r *reader) resetBytes(data []byte, maxElems int) {
-	r.reset(nil, maxElems)
-	if data == nil {
-		data = []byte{}
-	}
-	r.data = data
-}
-
-func (r *reader) bytesRead() int64 { return r.count + int64(r.dpos) }
-
-// eof maps the end of a stream source onto the error bytes mode reports.
-func eof(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-func (r *reader) readFull(p []byte) error {
-	if r.data != nil {
-		if len(r.data)-r.dpos < len(p) {
-			r.dpos = len(r.data)
-			return io.ErrUnexpectedEOF
-		}
-		copy(p, r.data[r.dpos:])
-		r.dpos += len(p)
-		return nil
-	}
-	src := r.raw
-	if r.br != nil {
-		src = r.br
-	}
-	n, err := io.ReadFull(src, p)
-	r.count += int64(n)
-	return eof(err)
-}
+func (r *reader) bytesRead() int64 { return int64(r.dpos) }
 
 func (r *reader) readByte() (byte, error) {
-	switch {
-	case r.dpos < len(r.data):
+	if r.dpos < len(r.data) {
 		r.dpos++
 		return r.data[r.dpos-1], nil
-	case r.data != nil:
-		return 0, io.ErrUnexpectedEOF
-	case r.br != nil:
-		b, err := r.br.ReadByte()
-		if err != nil {
-			return 0, eof(err)
-		}
-		r.count++
-		return b, nil
 	}
-	err := r.readFull(r.scratch[:1])
-	return r.scratch[0], err
+	return 0, io.ErrUnexpectedEOF
 }
 
-// slice returns the next n bytes of the message. In bytes mode the returned
-// slice is a window of the underlying payload (zero-copy; owned reports
-// false, and the bytes stay valid for as long as the payload does). In
-// stream mode the bytes are staged through a pooled buffer (owned reports
-// true, and the caller must bufpool.Put it when done).
-func (r *reader) slice(n int) (p []byte, owned bool, err error) {
-	if n == 0 {
-		return nil, false, nil
+// slice returns the next n bytes of the message: a window of the payload,
+// valid for as long as the payload is.
+func (r *reader) slice(n int) ([]byte, error) {
+	if len(r.data)-r.dpos < n {
+		return nil, io.ErrUnexpectedEOF
 	}
-	if r.data != nil {
-		if len(r.data)-r.dpos < n {
-			return nil, false, io.ErrUnexpectedEOF
-		}
-		p = r.data[r.dpos : r.dpos+n : r.dpos+n]
-		r.dpos += n
-		return p, false, nil
-	}
-	p = bufpool.Get(n)
-	if err := r.readFull(p); err != nil {
-		bufpool.Put(p)
-		return nil, false, err
-	}
-	return p, true, nil
+	p := r.data[r.dpos : r.dpos+n : r.dpos+n]
+	r.dpos += n
+	return p, nil
 }
 
-// errVarint is the overlong-varint error of both source modes.
+// errVarint is the overlong-varint error.
 var errVarint = fmt.Errorf("%w: varint overflows 64 bits", ErrBadStream)
 
 // readUint reads an unsigned integer: uvarint under V2/V3, fixed 8 bytes
-// big-endian under V1. The one-byte uvarint of bytes mode — nearly every
-// tag operand, index and small scalar — is answered here.
+// big-endian under V1. The one-byte uvarint — nearly every tag operand,
+// index and small scalar — is answered here.
 func (r *reader) readUint() (uint64, error) {
 	if r.dpos < len(r.data) && r.engine != EngineV1 {
 		if b := r.data[r.dpos]; b < 0x80 {
@@ -353,42 +256,21 @@ func (r *reader) readUint() (uint64, error) {
 
 func (r *reader) readUintSlow() (uint64, error) {
 	if r.engine == EngineV1 {
-		if err := r.readFull(r.scratch[:8]); err != nil {
-			return 0, err
-		}
-		return binary.BigEndian.Uint64(r.scratch[:8]), nil
+		return r.readFixed()
 	}
-	if r.data != nil {
-		// In-slice parse, binary.Uvarint with the stream loop's accounting:
-		// an overlong varint consumes its ten bytes, a truncated one all.
-		v, n := binary.Uvarint(r.data[r.dpos:])
-		switch {
-		case n > 0:
-			r.dpos += n
-			return v, nil
-		case n == 0 && len(r.data)-r.dpos < binary.MaxVarintLen64:
-			r.dpos = len(r.data)
-			return 0, io.ErrUnexpectedEOF
-		default:
-			r.dpos += binary.MaxVarintLen64
-			return 0, errVarint
-		}
+	// An overlong varint consumes its ten bytes, a truncated one all.
+	v, n := binary.Uvarint(r.data[r.dpos:])
+	switch {
+	case n > 0:
+		r.dpos += n
+		return v, nil
+	case n == 0 && len(r.data)-r.dpos < binary.MaxVarintLen64:
+		r.dpos = len(r.data)
+		return 0, io.ErrUnexpectedEOF
+	default:
+		r.dpos += binary.MaxVarintLen64
+		return 0, errVarint
 	}
-	var v uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		b, err := r.readByte()
-		if err != nil {
-			return 0, err
-		}
-		if b < 0x80 {
-			if shift == 63 && b > 1 {
-				break
-			}
-			return v | uint64(b)<<shift, nil
-		}
-		v |= uint64(b&0x7f) << shift
-	}
-	return 0, errVarint
 }
 
 // readInt reads a signed integer: zigzag varint under V2, fixed 8 bytes
@@ -401,11 +283,19 @@ func (r *reader) readInt() (int64, error) {
 	return int64(u>>1) ^ -int64(u&1), nil
 }
 
-func (r *reader) readFloat() (float64, error) {
-	if err := r.readFull(r.scratch[:8]); err != nil {
-		return 0, err
+// readFixed reads 8 bytes, big-endian; a truncated field consumes the rest.
+func (r *reader) readFixed() (uint64, error) {
+	if len(r.data)-r.dpos < 8 {
+		r.dpos = len(r.data)
+		return 0, io.ErrUnexpectedEOF
 	}
-	return math.Float64frombits(binary.BigEndian.Uint64(r.scratch[:8])), nil
+	r.dpos += 8
+	return binary.BigEndian.Uint64(r.data[r.dpos-8:]), nil
+}
+
+func (r *reader) readFloat() (float64, error) {
+	u, err := r.readFixed()
+	return math.Float64frombits(u), err
 }
 
 // readLen reads a length field and enforces the sanity limit.
@@ -425,22 +315,7 @@ func (r *reader) readString() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n == 0 {
-		return "", nil
-	}
-	if r.data != nil {
-		// The conversion makes the one copy that escapes.
-		p, _, err := r.slice(n)
-		return string(p), err
-	}
-	// Stage through a pooled buffer; string(p) makes the only copy that
-	// escapes, so the scratch space is recycled immediately.
-	p := bufpool.Get(n)
-	err = r.readFull(p)
-	s := ""
-	if err == nil {
-		s = string(p)
-	}
-	bufpool.Put(p)
-	return s, err
+	// The conversion makes the one copy that escapes.
+	p, err := r.slice(n)
+	return string(p), err
 }

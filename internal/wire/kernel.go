@@ -16,9 +16,9 @@ import (
 // key kernels — with the per-node kind switch, struct plan lookup, and field
 // metadata derivation all resolved at compile time. kernel.enc emits exactly
 // the bytes Encoder.encodeValue would emit; kernel.into is the decode
-// direction. A stream resolves each of its types to a kernel once, when the
-// type enters its type table (Encoder.dense, typeEntry.k); per message only
-// the root types are looked up.
+// direction. Kernels are looked up only where a value is described — roots,
+// seeded objects, interface slots; a bare slot is coded by the kernel its
+// container's kernel points at.
 //
 // Kernels implement the V2 wire format only and are engaged exactly on a V2
 // codec with the plan cache enabled (Options.DisablePlanCache unset); every
@@ -34,9 +34,6 @@ import (
 // one kernel per pair, so comparing kernels compares types.
 type kernel struct {
 	t reflect.Type
-	// seq numbers the kernels of the process densely: the index of this
-	// kernel's slot in Encoder.dense.
-	seq int32
 	// tag is the value tag t travels under (tagPtr … tagScalar), or 0 for
 	// kinds with none of their own (interfaces, unserializable kinds).
 	tag byte
@@ -79,11 +76,10 @@ type kernelKey struct {
 // kernelCache memoizes compiled kernels process-wide. Like planCache it is
 // keyed by type and access mode only; see the planCache comment in plan.go
 // for how these caches interact with the registry and RegisterStrict.
-// Compilation is serialized by kernelMu, which also guards the sequence.
+// Compilation is serialized by kernelMu.
 var (
 	kernelCache sync.Map // kernelKey -> *kernel
 	kernelMu    sync.Mutex
-	kernelSeq   int32
 )
 
 // kernelFor returns the compiled kernel for t under mode, compiling (and
@@ -126,28 +122,19 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 	if k, ok := session[t]; ok {
 		return k
 	}
-	k := &kernel{t: t, seq: kernelSeq}
-	kernelSeq++
+	k := &kernel{t: t}
 	session[t] = k
 
-	switch kind := t.Kind(); kind {
-	case reflect.Interface:
-	case reflect.Ptr:
-		k.tag = tagPtr
+	switch k.tag = tagOf(t.Kind()); k.tag {
+	case tagPtr:
 		k.elem = compileKernel(t.Elem(), mode, session)
 		k.cells = reflect.SliceOf(t.Elem())
-	case reflect.Map:
-		k.tag = tagMap
+	case tagMap:
 		k.key = compileKernel(t.Key(), mode, session)
 		k.elem = compileKernel(t.Elem(), mode, session)
-	case reflect.Slice, reflect.Array:
-		k.tag = tagSlice
-		if kind == reflect.Array {
-			k.tag = tagArray
-		}
+	case tagSlice, tagArray:
 		k.elem = compileKernel(t.Elem(), mode, session)
-	case reflect.Struct:
-		k.tag = tagStruct
+	case tagStruct:
 		k.fields = make([]kernelField, 0, t.NumField())
 		for i := 0; i < t.NumField(); i++ {
 			sf := t.Field(i)
@@ -158,44 +145,32 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 			}
 			k.fields = append(k.fields, kernelField{i, compileKernel(sf.Type, mode, session), !sf.IsExported()})
 		}
-	default:
-		if _, scalar := kindTypes[kind]; scalar {
-			k.tag = tagScalar
-		} else {
+	case 0:
+		if t.Kind() != reflect.Interface {
 			k.err = fmt.Errorf("%w: %s", graph.ErrNotSerializable, t)
 		}
 	}
 	return k
 }
 
-// tagType emits a value tag and the descriptor of k's type. A type the
-// stream has already defined is found by the kernel's sequence number;
-// typeTable stays the one table of truth, consulted (and extended) only
-// the first time this stream meets the kernel.
-func (e *Encoder) tagType(tag byte, k *kernel) error {
-	if err := e.w.writeByte(tag); err != nil {
-		return err
-	}
-	if int(k.seq) < len(e.dense) && e.dense[k.seq] != 0 {
-		return e.w.writeTagged(dTableRef, uint64(e.dense[k.seq]-1))
-	}
-	if err := e.encodeType(k.t); err != nil {
-		return err
-	}
-	if grow := int(k.seq) + 1 - len(e.dense); grow > 0 {
-		e.dense = append(e.dense, make([]int32, grow)...)
-	}
-	e.dense[k.seq] = int32(e.typeTable[k.t]) + 1
-	e.touched = append(e.touched, k.seq)
-	return nil
-}
-
-// enc writes one value of k's type, tag included.
-func (k *kernel) enc(e *Encoder, v reflect.Value, depth int) error {
+// enc writes one value of k's type: described — tag, descriptor, contents —
+// or, bare, as the occupant of a slot of type k.t. Every slot below a value
+// is bare; an interface slot's value describes itself either way.
+func (k *kernel) enc(e *Encoder, v reflect.Value, depth int, bare bool) error {
 	if depth > maxEncodeDepth {
 		return graph.ErrDepthExceeded
 	}
 	switch k.tag {
+	case 0:
+		if k.err != nil {
+			return k.err
+		}
+		if v.IsNil() {
+			return e.w.writeByte(tagNil)
+		}
+		// An interface: the dynamic type is only known at run time.
+		elem := v.Elem()
+		return e.memo.of(elem.Type(), e.opts.Access).enc(e, elem, depth+1, false)
 	case tagPtr, tagMap, tagSlice:
 		if v.IsNil() {
 			return e.w.writeByte(tagNil)
@@ -207,67 +182,64 @@ func (k *kernel) enc(e *Encoder, v reflect.Value, depth int) error {
 		if seen {
 			return e.writeRef(id)
 		}
+		if err := e.w.writeByte(k.tag); err != nil {
+			return err
+		}
+	default:
+		if !bare {
+			if err := e.w.writeByte(k.tag); err != nil {
+				return err
+			}
+		}
+	}
+	if !bare {
+		// A pointer's descriptor is its pointee's.
+		desc := k
 		if k.tag == tagPtr {
-			if err := e.tagType(tagPtr, k.elem); err != nil {
-				return err
-			}
-			return k.elem.enc(e, v.Elem(), depth+1)
+			desc = k.elem
 		}
-		if err := e.tagType(k.tag, k); err != nil {
+		if err := e.encodeType(desc.t); err != nil {
 			return err
 		}
-		if k.tag == tagSlice {
-			if err := e.w.writeUint(uint64(v.Len())); err != nil {
-				return err
-			}
-		}
-		return k.encElems(e, v, depth)
+	}
+	return k.contents(e, v, depth)
+}
 
-	case tagStruct:
-		if err := e.tagType(tagStruct, k); err != nil {
-			return err
-		}
-		sv := graph.Launder(v)
-		// All zero checks run before any field bytes, mirroring the generic
-		// verifyZeroFields-then-encode order.
-		for i := range k.zeros {
-			if !sv.Field(k.zeros[i].index).IsZero() {
-				return k.zeros[i].err
-			}
-		}
-		for i := range k.fields {
-			f := &k.fields[i]
-			fv := sv.Field(f.index)
-			if f.launder {
-				fv = graph.Launder(fv)
-			}
-			if err := f.k.enc(e, fv, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case tagArray:
-		if err := e.tagType(tagArray, k); err != nil {
+// contents writes what follows the tag and descriptor of a non-nil value of
+// k's type on its first visit, itself at depth.
+func (k *kernel) contents(e *Encoder, v reflect.Value, depth int) error {
+	switch k.tag {
+	case tagPtr:
+		return k.elem.enc(e, v.Elem(), depth+1, true)
+	case tagSlice:
+		if err := e.w.writeUint(uint64(v.Len())); err != nil {
 			return err
 		}
 		return k.encElems(e, v, depth)
-
+	case tagMap, tagArray:
+		return k.encElems(e, v, depth)
 	case tagScalar:
-		if err := e.tagType(tagScalar, k); err != nil {
-			return err
-		}
 		return e.encodeScalarPayload(v)
 	}
-	if k.err != nil {
-		return k.err
+	sv := graph.Launder(v)
+	// All zero checks run before any field bytes, mirroring the generic
+	// verifyZeroFields-then-encode order.
+	for i := range k.zeros {
+		if !sv.Field(k.zeros[i].index).IsZero() {
+			return k.zeros[i].err
+		}
 	}
-	if v.IsNil() {
-		return e.w.writeByte(tagNil)
+	for i := range k.fields {
+		f := &k.fields[i]
+		fv := sv.Field(f.index)
+		if f.launder {
+			fv = graph.Launder(fv)
+		}
+		if err := f.k.enc(e, fv, depth+1, true); err != nil {
+			return err
+		}
 	}
-	// An interface: the dynamic type is only known at run time.
-	elem := v.Elem()
-	return e.memo.of(elem.Type(), e.opts.Access).enc(e, elem, depth+1)
+	return nil
 }
 
 // encElems emits the bare contents of a map, slice or array — what follows
@@ -277,7 +249,7 @@ func (k *kernel) enc(e *Encoder, v reflect.Value, depth int) error {
 func (k *kernel) encElems(e *Encoder, v reflect.Value, depth int) error {
 	if k.tag != tagMap {
 		for i, n := 0, v.Len(); i < n; i++ {
-			if err := k.elem.enc(e, v.Index(i), depth+1); err != nil {
+			if err := k.elem.enc(e, v.Index(i), depth+1, true); err != nil {
 				return err
 			}
 		}
@@ -291,51 +263,52 @@ func (k *kernel) encElems(e *Encoder, v reflect.Value, depth int) error {
 	kp := acquireSortedKeys(v)
 	defer releaseKeys(kp)
 	for _, key := range *kp {
-		if err := k.key.enc(e, key, depth+1); err != nil {
+		if err := k.key.enc(e, key, depth+1, true); err != nil {
 			return err
 		}
-		if err := k.elem.enc(e, v.MapIndex(key), depth+1); err != nil {
+		if err := k.elem.enc(e, v.MapIndex(key), depth+1, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// The decode direction. Which branch a value takes is chosen by its tag —
-// by the stream, not by the static type — but nearly every value of a
-// homogeneous graph arrives under the tag and type its destination has, and
-// for those kernel.into writes in place: no staging value, no assignability
-// check. Everything else is built from its own descriptor and assigned
-// under the generic path's checks.
+// The decode direction mirrors it: a slot is read by the kernel of its own
+// static type and written in place; only an interface slot holds a described
+// value, built from its own descriptor and assigned under setDecoded.
 
-// into decodes the next value of the stream into dst, an addressable value
-// of k's type.
+// into decodes the next value of the stream into dst, a slot of k's type.
 func (k *kernel) into(d *Decoder, dst reflect.Value, depth int) error {
+	if k.tag == 0 {
+		v, err := d.decodeValue(depth)
+		if err != nil {
+			return err
+		}
+		return setDecoded(dst, v)
+	}
 	if depth > maxDecodeDepth {
 		return errDecodeDepth
+	}
+	if k.tag >= tagStruct {
+		return k.body(d, dst, depth)
 	}
 	tag, err := d.r.readByte()
 	if err != nil {
 		return err
 	}
 	var v reflect.Value
-	switch tag {
-	case tagNil:
+	switch {
+	case tag == tagNil:
 		dst.SetZero()
 		return nil
-	case tagRef:
+	case tag == tagRef:
 		v, err = d.decodeRef()
-	case tagPtr, tagMap, tagSlice, tagStruct, tagArray, tagScalar:
-		var sk *kernel
-		if sk, err = d.decodeKernelType(); err != nil {
-			return err
-		}
-		if sk == k && tag == k.tag && tag >= tagStruct {
-			return k.body(d, dst, depth)
-		}
-		v, err = d.build(tag, sk, depth)
+	case tag != k.tag:
+		err = fmt.Errorf("%w: value tag %d in a slot of type %s", ErrBadStream, tag, k.t)
+	case tag == tagPtr:
+		v, err = d.build(tag, k.elem, depth)
 	default:
-		return fmt.Errorf("%w: unknown value tag 0x%02x", ErrBadStream, tag)
+		v, err = d.build(tag, k, depth)
 	}
 	if err != nil {
 		return err
@@ -402,22 +375,8 @@ func (k *kernel) fillMap(d *Decoder, mv reflect.Value, n, depth int) error {
 	return nil
 }
 
-// decodeKernel is decodeTagged on the kernel path, for every tag that
-// carries a descriptor.
-func (d *Decoder) decodeKernel(tag byte, depth int) (reflect.Value, error) {
-	if tag < tagPtr || tag > tagScalar {
-		return reflect.Value{}, fmt.Errorf("%w: unknown value tag 0x%02x", ErrBadStream, tag)
-	}
-	k, err := d.decodeKernelType()
-	if err != nil {
-		return reflect.Value{}, err
-	}
-	return d.build(tag, k, depth)
-}
-
-// build materializes the value announced by tag and the descriptor of k's
-// type. Objects join the table before their contents are read, so cycles
-// resolve.
+// build is Decoder.value on the kernel path: k is the kernel of the type a
+// descriptor or a slot names (for tagPtr: the pointee's).
 func (d *Decoder) build(tag byte, k *kernel, depth int) (reflect.Value, error) {
 	if tag == tagPtr {
 		pv := reflect.New(k.t)

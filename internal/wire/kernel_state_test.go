@@ -10,15 +10,16 @@ import (
 	"nrmi/internal/raceflag"
 )
 
-// The states the per-stream kernel caches introduce — the dense type index
-// and the memo of a pooled Encoder, the kernels of a Decoder's type table —
-// against the generic path as oracle.
+// The states the per-stream kernel caches introduce — the memo and the type
+// table of a pooled Encoder, the kernels of a Decoder's type table — against
+// the generic path as oracle.
 
 type otherInt int
 
 // loose has a field of an unnamed struct type; looseSender is what a peer
 // with a different declaration registers under the same name: its field
 // has the named type inner, assignable to but not identical with loose's.
+// With bare slots that is a layout mismatch (TestLayoutMismatchRefused).
 type loose struct {
 	In struct{ X, Y int }
 	N  int
@@ -53,10 +54,10 @@ func encodeStream(t *testing.T, enc *Encoder, buf *bytes.Buffer, values []any) [
 	return append([]byte(nil), buf.Bytes()...)
 }
 
-// TestKernelEncodeByteIdentityPooled: a pooled encoder carries its dense
-// type index from stream to stream. Whatever order the types of the next
-// stream first appear in, whatever registry names them, its bytes must be a
-// fresh generic encoder's.
+// TestKernelEncodeByteIdentityPooled: a pooled encoder is reused from stream
+// to stream. Whatever order the types of the next stream first appear in,
+// whatever registry names them — and so completes their layout fingerprints
+// — its bytes must be a fresh generic encoder's.
 func TestKernelEncodeByteIdentityPooled(t *testing.T) {
 	regA := stateRegistry(t, map[string]any{"wnode": wnode{}, "wbag": wbag{}, "inner": inner{}, "namedInt": namedInt(0), "otherInt": otherInt(0)})
 	regB := stateRegistry(t, map[string]any{"tree.Node": wnode{}, "bag": wbag{}, "in": inner{}, "n": namedInt(0), "o": otherInt(0)})
@@ -119,13 +120,16 @@ func reacquire(t *testing.T, want *Encoder, w *bytes.Buffer, opts Options) *Enco
 	return nil
 }
 
-// TestKernelDecodeStates: streams that take the decode kernels' fallbacks —
-// interface destinations of alternating dynamic type, two named scalars of
-// one kind, a struct whose stream type is assignable to its destination but
-// not identical — decode to the same graphs as on the generic path.
+// TestKernelDecodeStates: streams that take the decode kernels' fallback, the
+// described value of an interface slot — interface destinations of
+// alternating dynamic type, two named scalars of one kind, a non-empty
+// interface whose values are assignable to it by method set — decode to the
+// same graphs as on the generic path.
 func TestKernelDecodeStates(t *testing.T) {
-	reg := stateRegistry(t, map[string]any{"wnode": wnode{}, "wbag": wbag{}, "inner": inner{}, "namedInt": namedInt(0), "otherInt": otherInt(0), "loose": loose{}})
-	sender := stateRegistry(t, map[string]any{"inner": inner{}, "loose": looseSender{}})
+	reg := slotRegistry(t)
+	if err := reg.Register("otherInt", otherInt(0)); err != nil {
+		t.Fatal(err)
+	}
 	node := &wnode{Data: 1}
 	node.Left = &wnode{Data: 2, Right: node}
 	cases := []struct {
@@ -137,8 +141,7 @@ func TestKernelDecodeStates(t *testing.T) {
 		{"alternating interface values", reg, []any{1, "a", namedInt(2), otherInt(2), node, inner{1, 2}, nil, node, 3}, nil},
 		{"interface field", reg, []*wbag{{Any: namedInt(1)}, {Any: otherInt(1)}, {Any: 1}, {Any: node}, {}}, nil},
 		{"named scalars as map values", reg, map[string]any{"a": namedInt(1), "b": otherInt(1)}, nil},
-		{"assignable, not identical", sender, &looseSender{In: inner{3, 4}, N: 5}, &loose{In: struct{ X, Y int }{3, 4}, N: 5}},
-		{"the same in a slice", sender, []looseSender{{In: inner{1, 2}}, {N: 7}}, []loose{{In: struct{ X, Y int }{1, 2}}, {N: 7}}},
+		{"assignable by method set", reg, []shape{square{2}, &disc{R: 3}, nil, square{2}, &disc{R: 4}}, nil},
 	}
 	for _, tc := range cases {
 		var buf bytes.Buffer
@@ -216,14 +219,9 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 	if enc.w.raw != nil || len(enc.w.buf) != 0 || enc.w.err != nil || enc.w.bytesWritten() != 0 {
 		t.Errorf("released encoder's writer still holds %v, %d bytes, err %v", enc.w.raw, len(enc.w.buf), enc.w.err)
 	}
-	if enc.ids.Len()+len(enc.typeTable)+len(enc.strTable)+len(enc.objs)+len(enc.touched) != 0 || enc.memo != (kernelMemo{}) {
-		t.Errorf("released encoder keeps stream tables: %d ids, %d types, %d strings, %d objects, %d touched, memo %v",
-			enc.ids.Len(), len(enc.typeTable), len(enc.strTable), len(enc.objs), len(enc.touched), enc.memo)
-	}
-	for seq, idx := range enc.dense {
-		if idx != 0 {
-			t.Errorf("released encoder's dense index still maps kernel %d to table entry %d", seq, idx-1)
-		}
+	if enc.ids.Len()+len(enc.typeTable)+len(enc.strTable)+len(enc.objs) != 0 || enc.memo != (kernelMemo{}) {
+		t.Errorf("released encoder keeps stream tables: %d ids, %d types, %d strings, %d objects, memo %v",
+			enc.ids.Len(), len(enc.typeTable), len(enc.strTable), len(enc.objs), enc.memo)
 	}
 	for i, cell := range enc.objs[:cap(enc.objs)] {
 		if cell.IsValid() && !cell.IsZero() {
@@ -280,8 +278,8 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 		t.Fatalf("staging slab has %d cells for %d records of one type", dec.stage.cells.Len(), len(nodes))
 	}
 	ReleaseDecoder(dec)
-	if dec.r.data != nil || dec.r.raw != nil || dec.r.dpos != 0 || dec.r.bytesRead() != 0 {
-		t.Errorf("released decoder's reader still holds a source (%d bytes read)", dec.r.bytesRead())
+	if dec.r.data != nil || dec.r.bytesRead() != 0 {
+		t.Errorf("released decoder's reader still holds a payload (%d bytes read)", dec.r.bytesRead())
 	}
 	if len(dec.table)+len(dec.typeTable)+len(dec.strTable) != 0 || dec.memo != (kernelMemo{}) || dec.arena != nil {
 		t.Errorf("released decoder keeps stream tables")
@@ -300,14 +298,14 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 		t.Errorf("released decoder keeps its staging slab: %d cells, next %d, left %d", s.cells.Len(), s.next, s.left)
 	}
 
-	// And a stream-mode use after it.
+	// And a use from an io.Reader after it.
 	dec = AcquireDecoder(bytes.NewReader(stream), on)
 	if _, err := dec.Decode(); err != nil {
 		t.Fatal(err)
 	}
 	ReleaseDecoder(dec)
-	if dec.r.raw != nil || dec.r.br != nil || dec.r.bytesRead() != 0 {
-		t.Errorf("released stream-mode decoder still holds its source")
+	if dec.r.data != nil || dec.r.bytesRead() != 0 {
+		t.Errorf("released decoder still holds the message it read from its source")
 	}
 }
 
@@ -316,7 +314,7 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 // decoding after the error gets the typed error from every path that
 // names the slot, never a nil type.
 func TestFailedTypeDefLeavesNoUsableSlot(t *testing.T) {
-	stream := []byte{headerMagic, byte(EngineV2), 0,
+	stream := []byte{headerMagic, formatV2, 0,
 		tagScalar, dTableDef, 0xff, // no such descriptor lead
 		tagScalar, dTableRef, 0}
 	dec := NewDecoderBytes(stream, Options{})

@@ -7,8 +7,8 @@ import (
 )
 
 // Codec pooling. An Encoder carries two maps, an object table with its
-// identity index, and a 4K output buffer; a Decoder carries three tables and
-// a 4K input buffer. The copy-restore protocol builds one of each per call
+// identity index, and a 4K output buffer; a Decoder carries three tables.
+// The copy-restore protocol builds one of each per call
 // on each endpoint, which dominates the constant part of the per-call
 // allocation profile. Acquire / Release recycle fully reset codecs instead.
 //
@@ -54,10 +54,6 @@ func ReleaseEncoder(e *Encoder) {
 	clear(e.typeTable)
 	clear(e.strTable)
 	e.memo = kernelMemo{}
-	for _, seq := range e.touched {
-		e.dense[seq] = 0
-	}
-	e.touched = e.touched[:0]
 	// Zero the detached reference cells — dropping the user's objects — but
 	// keep them parked in the table's capacity for intern to reuse.
 	// Cells beyond len were already zeroed by an earlier release.
@@ -73,17 +69,12 @@ func ReleaseEncoder(e *Encoder) {
 
 var decoderPool = sync.Pool{New: func() any { return nil }}
 
-// AcquireDecoder returns a pooled Decoder reading from r, equivalent to
-// NewDecoder but allocation-free in the steady state. Release with
+// AcquireDecoder is NewDecoder on a pooled Decoder. Release with
 // ReleaseDecoder once every decoded value has been extracted.
 func AcquireDecoder(r io.Reader, opts Options) *Decoder {
-	d, _ := decoderPool.Get().(*Decoder)
-	if d == nil {
-		return NewDecoder(r, opts)
-	}
-	o := opts.withDefaults()
-	d.r.reset(r, o.MaxElems)
-	d.reuse(o)
+	data, err := io.ReadAll(r)
+	d := AcquireDecoderBytes(data, opts)
+	d.srcErr = err
 	return d
 }
 
@@ -92,6 +83,7 @@ func AcquireDecoder(r io.Reader, opts Options) *Decoder {
 func (d *Decoder) reuse(o Options) {
 	d.opts = o
 	d.headerDone = false
+	d.srcErr = nil
 	d.engine = 0
 	d.access = 0
 	d.kernels = false
@@ -109,7 +101,7 @@ func AcquireDecoderBytes(data []byte, opts Options) *Decoder {
 		return NewDecoderBytes(data, opts)
 	}
 	o := opts.withDefaults()
-	d.r.resetBytes(data, o.MaxElems)
+	d.r.reset(data, o.MaxElems)
 	d.reuse(o)
 	return d
 }
@@ -132,6 +124,6 @@ func ReleaseDecoder(d *Decoder) {
 	clear(d.strTable)
 	d.strTable = d.strTable[:0]
 	d.memo = kernelMemo{}
-	d.r.reset(nil, d.opts.MaxElems) // do not retain the caller's reader
+	d.r.reset(nil, d.opts.MaxElems) // do not retain the caller's payload
 	decoderPool.Put(d)
 }

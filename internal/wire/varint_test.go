@@ -6,10 +6,11 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 )
 
-// errClass names the class of a reader error; both source modes must agree
+// errClass names the class of a decode error; both codec paths must agree
 // on it for every input.
 func errClass(err error) string {
 	switch {
@@ -26,20 +27,28 @@ func errClass(err error) string {
 	}
 }
 
-// bothReaders returns a stream-mode and a bytes-mode V2 reader over buf.
-func bothReaders(buf []byte, maxElems int) map[string]*reader {
-	stream := newReader(bytes.NewReader(buf), maxElems)
-	stream.setEngine(EngineV2)
-	inSlice := newReader(nil, maxElems)
-	inSlice.resetBytes(buf, maxElems)
-	inSlice.setEngine(EngineV2)
-	return map[string]*reader{"stream": stream, "bytes": inSlice}
+// v2Reader returns a V2 reader over buf.
+func v2Reader(buf []byte, maxElems int) *reader {
+	return &reader{data: buf, engine: EngineV2, maxElems: maxElems}
+}
+
+// bothPaths returns a kernel-path and a generic-path decoder over a V2 stream
+// holding one described uint64 whose payload is buf, and the length of what
+// precedes the payload.
+func bothPaths(buf []byte, maxElems int) (map[string]*Decoder, int64) {
+	stream := append([]byte{headerMagic, formatV2, 0, tagScalar, byte(reflect.Uint64)}, buf...)
+	decs := make(map[string]*Decoder)
+	for path, opts := range bothPathOptions(nil) {
+		opts.MaxElems = maxElems
+		decs[path] = NewDecoderBytes(stream, opts)
+	}
+	return decs, int64(len(stream) - len(buf))
 }
 
 func rep(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 
 // TestVarintHostileBuffers feeds a table of hostile and boundary buffers to
-// the varint parser of both source modes: same value and bytes consumed, or
+// the varint parser under both codec paths: same value and bytes consumed, or
 // errors of the same class, and never a panic or an out-of-range slice.
 func TestVarintHostileBuffers(t *testing.T) {
 	const maxElems = 1 << 12
@@ -73,27 +82,29 @@ func TestVarintHostileBuffers(t *testing.T) {
 		}{"truncated after " + string(rune('0'+n)), rep(0x80, n), want{"truncated", 0, int64(n)}})
 	}
 	for _, tc := range cases {
-		for mode, r := range bothReaders(tc.buf, maxElems) {
-			v, err := r.readUint()
-			got := want{errClass(err), v, r.bytesRead()}
+		decs, prefix := bothPaths(tc.buf, maxElems)
+		for path, dec := range decs {
+			v, err := dec.Decode()
+			got := want{class: errClass(err), read: dec.BytesRead() - prefix}
+			if err == nil {
+				got.value = v.(uint64)
+			}
 			if got != tc.want {
-				t.Errorf("%s, %s mode: got %+v, want %+v", tc.name, mode, got, tc.want)
+				t.Errorf("%s, %s path: got %+v, want %+v", tc.name, path, got, tc.want)
 			}
 		}
 	}
 }
 
-// TestVarintSignedAndLengths: zig-zag extremes decode to themselves in both
-// modes, and a length is accepted up to MaxElems and refused just above it.
+// TestVarintSignedAndLengths: zig-zag extremes decode to themselves, and a
+// length is accepted up to MaxElems and refused just above it.
 func TestVarintSignedAndLengths(t *testing.T) {
 	const maxElems = 1 << 12
 	for _, x := range []int64{0, 1, -1, 63, -64, 64, -65, math.MaxInt64, math.MinInt64} {
 		buf := binary.AppendVarint(nil, x)
-		for mode, r := range bothReaders(buf, maxElems) {
-			got, err := r.readInt()
-			if err != nil || got != x || r.bytesRead() != int64(len(buf)) {
-				t.Errorf("readInt(%d), %s mode: got %d, %v after %d bytes", x, mode, got, err, r.bytesRead())
-			}
+		r := v2Reader(buf, maxElems)
+		if got, err := r.readInt(); err != nil || got != x || r.bytesRead() != int64(len(buf)) {
+			t.Errorf("readInt(%d): got %d, %v after %d bytes", x, got, err, r.bytesRead())
 		}
 		// The writer must have produced the same bytes.
 		var out bytes.Buffer
@@ -104,18 +115,15 @@ func TestVarintSignedAndLengths(t *testing.T) {
 	}
 	for n, class := range map[uint64]string{0: "ok", maxElems: "ok", maxElems + 1: "limit", math.MaxUint64: "limit"} {
 		buf := binary.AppendUvarint(nil, n)
-		for mode, r := range bothReaders(buf, maxElems) {
-			got, err := r.readLen()
-			if errClass(err) != class || (err == nil && uint64(got) != n) || r.bytesRead() != int64(len(buf)) {
-				t.Errorf("readLen(%d), %s mode: got %d, %v after %d bytes; want class %s", n, mode, got, err, r.bytesRead(), class)
-			}
+		r := v2Reader(buf, maxElems)
+		got, err := r.readLen()
+		if errClass(err) != class || (err == nil && uint64(got) != n) || r.bytesRead() != int64(len(buf)) {
+			t.Errorf("readLen(%d): got %d, %v after %d bytes; want class %s", n, got, err, r.bytesRead(), class)
 		}
 	}
 	// A string whose announced length outruns the input.
-	for mode, r := range bothReaders([]byte{0x05, 'a', 'b'}, maxElems) {
-		if _, err := r.readString(); errClass(err) != "truncated" {
-			t.Errorf("short string, %s mode: %v", mode, err)
-		}
+	if _, err := v2Reader([]byte{0x05, 'a', 'b'}, maxElems).readString(); errClass(err) != "truncated" {
+		t.Errorf("short string: %v", err)
 	}
 }
 

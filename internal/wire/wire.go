@@ -1,5 +1,6 @@
-// Package wire implements NRMI's serialization substrate: a self-describing,
-// identity-preserving binary codec for arbitrary Go object graphs. It plays
+// Package wire implements NRMI's serialization substrate: an
+// identity-preserving binary codec for arbitrary Go object graphs,
+// self-describing wherever the reader cannot know the type. It plays
 // the role Java Serialization plays for RMI/NRMI — including the hook the
 // paper taps to obtain the linear map of reachable objects "almost for free"
 // during (de)serialization (Section 5.2.1 and optimization 1 of 5.2.4).
@@ -18,8 +19,11 @@
 //     struct plans, unbuffered byte-at-a-time output. It stands in for the
 //     layered, verbose JDK 1.3 serialization the paper benchmarks against.
 //   - EngineV2 is the optimized engine: varint scalars, a per-stream type
-//     table, cached struct plans, buffered I/O. It stands in for JDK 1.4's
-//     flattened, Unsafe-accelerated serialization.
+//     table, cached struct plans, buffered I/O, and a descriptor only where
+//     the reader cannot know the type — at each top-level value and under
+//     interface slots; every statically typed slot travels bare, vouched for
+//     by the layout fingerprint of the described type above it (layout.go).
+//     It stands in for JDK 1.4's flattened, Unsafe-accelerated serialization.
 //
 // The codec also supports the seeded-object protocol used by the restore
 // phase: an endpoint may pre-assign IDs to objects it already holds
@@ -31,6 +35,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"nrmi/internal/graph"
 )
@@ -79,6 +84,11 @@ var (
 
 	// ErrBadStream is reported when the byte stream is structurally invalid.
 	ErrBadStream = errors.New("wire: corrupted or incompatible stream")
+
+	// ErrLayout is reported when a V2 stream describes a named type whose
+	// layout fingerprint differs from this endpoint's: the two ends bind the
+	// wire name to types a reader of bare slots would parse differently.
+	ErrLayout = fmt.Errorf("%w: type layout differs between the endpoints", ErrBadStream)
 
 	// ErrLimit is reported when a length field exceeds the configured
 	// sanity limits, protecting against corrupted or hostile streams.
@@ -158,12 +168,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stream header bytes.
+// Stream header bytes. The engine byte is a format id: V1 and V3 write
+// their Engine value, V2 writes formatV2 — 2 was the V2 format that described
+// every value, which a decoder now refuses as an unknown engine, the way a
+// peer that still speaks it refuses formatV2.
 const (
 	headerMagic = 0x4E // 'N' for NRMI
+	formatV2    = 4
 )
 
-// Value tags: the first byte of every encoded value.
+// Value tags: the first byte of every described value. Under V2 a slot
+// whose static type is not an interface travels bare: a pointer, map or slice
+// as tagNil, tagRef or its own tag and contents with no descriptor; a struct,
+// array or scalar as its contents alone.
 const (
 	tagNil    byte = 0 // nil pointer, map, slice, or interface
 	tagRef    byte = 1 // back-reference: uvarint object ID
@@ -174,6 +191,27 @@ const (
 	tagArray  byte = 6 // inline array: type desc, elements
 	tagScalar byte = 7 // scalar: type desc, payload by kind
 )
+
+// tagOf returns the value tag a kind travels under, or 0 for kinds with none
+// of their own (interfaces, unserializable kinds).
+func tagOf(kind reflect.Kind) byte {
+	switch kind {
+	case reflect.Ptr:
+		return tagPtr
+	case reflect.Map:
+		return tagMap
+	case reflect.Slice:
+		return tagSlice
+	case reflect.Struct:
+		return tagStruct
+	case reflect.Array:
+		return tagArray
+	}
+	if _, scalar := kindTypes[kind]; scalar {
+		return tagScalar
+	}
+	return 0
+}
 
 // Content-record kind bytes for the seeded-object protocol.
 const (
