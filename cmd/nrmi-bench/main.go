@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -35,28 +34,11 @@ func main() {
 		cbrefBudget = flag.Duration("cbref-budget", 5*time.Second, "per-call budget for the call-by-reference table ('-' cells beyond it)")
 		quiet       = flag.Bool("quiet", false, "suppress progress lines")
 		table       = flag.String("table", "", "only print tables whose id contains this substring (e.g. 5); all tables still run")
-		smokeV3     = flag.String("smoke-v3", "", "run the engine-V3 ablation smoke benchmark (v3 vs v2-kernels), write the JSON snapshot to this path, and exit")
-		smokeAsync  = flag.String("smoke-async", "", "run the async pipelining smoke benchmark (K pipelined vs K sequential calls on a delayed link), write the JSON snapshot to this path, and exit")
-		smokeAsyncX = flag.Float64("smoke-async-min-speedup", 1.5, "minimum sequential/pipelined wall-time ratio the async smoke must show; 0 disables the gate")
 		phases      = flag.Bool("phases", false, "run the per-phase breakdown (scenario III) and exit")
 		obsSmoke    = flag.Bool("obs-smoke", false, "run the observability smoke gate (debug endpoints + nop-overhead check) and exit")
 		obsMax      = flag.Float64("obs-max-overhead", 2, "maximum disabled-path instrumentation overhead (percent of a scenario-III call) the obs smoke tolerates")
 	)
 	flag.Parse()
-
-	if *smokeV3 != "" {
-		if err := runSmokeV3(*smokeV3); err != nil {
-			log.Fatalf("nrmi-bench: %v", err)
-		}
-		return
-	}
-
-	if *smokeAsync != "" {
-		if err := runSmokeAsync(*smokeAsync, *smokeAsyncX); err != nil {
-			log.Fatalf("nrmi-bench: %v", err)
-		}
-		return
-	}
 
 	if *obsSmoke {
 		if err := runObsSmoke(*obsMax); err != nil {
@@ -136,86 +118,6 @@ func main() {
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "total run time: %s\n", time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// v3AllocCeiling is the absolute half of the V3 gate: V3's allocs/op per
-// workload as read when ISSUE 15 re-based the gate (375 and 687, about 595
-// of which are the harness building and converting its world) plus 5%. A
-// percentage of V2-kernels, the gate's old second half, fell whenever V2
-// improved, which is not a V3 regression.
-var v3AllocCeiling = map[string]int64{"Table2OneWay": 394, "Table5NRMI": 721}
-
-// runSmokeV3 runs the engine ablation (V3 flat frames vs the V2-kernels
-// previous best), writes the BENCH_6 snapshot to path, and enforces the
-// flat-format gate: on every workload V3 must allocate strictly less per op
-// than V2-kernels and no more than its own ceiling.
-func runSmokeV3(path string) error {
-	snap, err := bench.RunBenchSmokeV3()
-	if err != nil {
-		return err
-	}
-	for _, c := range snap.Cells {
-		fmt.Fprintf(os.Stderr, "%-14s %-10s %8d ns/op %10d B/op %7d allocs/op\n",
-			c.Bench, c.Variant, c.NsPerOp, c.BytesPerOp, c.AllocsPerOp)
-	}
-	for name, pct := range snap.AllocReductionPct {
-		fmt.Fprintf(os.Stderr, "%-14s v3 cuts allocs/op by %.1f%% vs v2-kernels (time by %.1f%%)\n",
-			name, pct, snap.NsReductionPct[name])
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	perBench := make(map[string][2]int64) // bench -> [v3, v2-kernels] allocs/op
-	for _, c := range snap.Cells {
-		pair := perBench[c.Bench]
-		if c.Variant == "v3" {
-			pair[0] = c.AllocsPerOp
-		} else {
-			pair[1] = c.AllocsPerOp
-		}
-		perBench[c.Bench] = pair
-	}
-	for name, pair := range perBench {
-		if pair[0] >= pair[1] {
-			return fmt.Errorf("perf regression: %s v3 allocs/op %d not below v2-kernels %d", name, pair[0], pair[1])
-		}
-		if ceiling := v3AllocCeiling[name]; pair[0] > ceiling {
-			return fmt.Errorf("perf regression: %s v3 allocs/op %d above its ceiling %d", name, pair[0], ceiling)
-		}
-	}
-	return nil
-}
-
-// runSmokeAsync runs the async pipelining smoke benchmark, writes the
-// BENCH_7 snapshot to path, and enforces the pipelining gate: K calls
-// issued through CallAsync and joined with All must finish at least
-// minSpeedup times faster than the same K calls made sequentially over
-// the same delayed link.
-func runSmokeAsync(path string, minSpeedup float64) error {
-	snap, err := bench.RunBenchSmokeAsync()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "async smoke: %d calls, %dus one-way: sequential %s, pipelined %s (%.1fx)\n",
-		snap.Calls, snap.OneWayLatencyUS,
-		time.Duration(snap.NsSequential).Round(time.Microsecond),
-		time.Duration(snap.NsPipelined).Round(time.Microsecond),
-		snap.SpeedupX)
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	if minSpeedup > 0 && snap.SpeedupX < minSpeedup {
-		return fmt.Errorf("perf regression: pipelined speedup %.2fx below the %.1fx gate", snap.SpeedupX, minSpeedup)
-	}
-	return nil
 }
 
 func parseSizes(s string) ([]int, error) {

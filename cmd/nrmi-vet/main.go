@@ -5,24 +5,17 @@
 //
 // Usage:
 //
-//	nrmi-vet [-checks id,id] [-format text|json|sarif] [-baseline file]
-//	         [-write-baseline file] [-list] [packages]
+//	nrmi-vet [-checks id,id] [-list] [packages]
 //
 // Packages follow the go tool's pattern syntax relative to the current
 // directory ("./...", "./internal/rmi"); the default is "./...". Every
 // check ID is stable and documented in docs/LINT.md.
 //
-// Findings can be silenced three ways, in increasing blast radius:
-// an inline `//nrmi:ignore <check-id> [reason]` comment suppresses
-// exactly one finding on its own or the following line (and warns when
-// it suppresses nothing); a -baseline file subtracts previously
-// accepted findings so CI gates only on new ones (-write-baseline
-// regenerates it); and -checks disables whole checks.
-//
+// Findings are printed one per line as path:line:col: message [check-id].
 // The exit status is 0 when clean, 1 when findings are reported, and 2
 // on usage or load errors, so `nrmi-vet ./...` gates CI the way
-// `go vet ./...` does. -format json and -format sarif emit machine
-// readable reports on stdout with the same exit-code contract.
+// `go vet ./...` does. There is no suppression comment and no baseline:
+// a finding is fixed, or its check is left out with -checks.
 package main
 
 import (
@@ -42,9 +35,6 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("nrmi-vet", flag.ContinueOnError)
 	checksFlag := fs.String("checks", "", "comma-separated check IDs to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
-	format := fs.String("format", "text", "output format: text, json, or sarif")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings to subtract")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -53,12 +43,6 @@ func run(args []string) int {
 			fmt.Printf("%-24s %s\n", c.ID, c.Doc)
 		}
 		return 0
-	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(os.Stderr, "nrmi-vet: unknown format %q (want text, json, or sarif)\n", *format)
-		return 2
 	}
 
 	enabled := make(map[string]bool)
@@ -121,50 +105,8 @@ func run(args []string) int {
 	}
 
 	diags := lint.Run(pkgs, enabled)
-	diags = lint.ApplySuppressions(diags, lint.CollectSuppressions(pkgs), enabled)
-
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nrmi-vet:", err)
-			return 2
-		}
-		werr := lint.WriteBaseline(f, diags, loader.ModRoot())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "nrmi-vet:", werr)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "nrmi-vet: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nrmi-vet:", err)
-			return 2
-		}
-		diags = lint.ApplyBaseline(diags, base, loader.ModRoot())
-	}
-
-	switch *format {
-	case "json":
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "nrmi-vet:", err)
-			return 2
-		}
-	case "sarif":
-		if err := lint.WriteSARIF(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "nrmi-vet:", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "nrmi-vet: %d finding(s)\n", len(diags))

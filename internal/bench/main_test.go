@@ -1,4 +1,4 @@
-package transport
+package bench
 
 import (
 	"testing"

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"testing"
 	"time"
 
 	"nrmi/internal/netsim"
@@ -254,108 +253,4 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	tables = append(tables, t7)
 
 	return tables, nil
-}
-
-// BenchCell is one measured configuration of the engine-ablation smoke
-// benchmark: a full client/server round trip on the loopback profile, with
-// per-operation time and allocation figures from testing.Benchmark.
-type BenchCell struct {
-	Bench       string `json:"bench"`
-	Variant     string `json:"variant"`
-	Scenario    string `json:"scenario"`
-	Size        int    `json:"size"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  int64  `json:"b_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-}
-
-// BenchSnapshot is the BENCH_6.json payload: the engine ablation (V3 vs.
-// V2) over the Table 2 and Table 5 workloads at the largest benchmarked
-// tree size.
-type BenchSnapshot struct {
-	Issue int         `json:"issue"`
-	Cells []BenchCell `json:"cells"`
-	// AllocReductionPct is, per bench, how much of V2's allocs/op V3
-	// eliminates (100*(1 - v3/v2)).
-	AllocReductionPct map[string]float64 `json:"alloc_reduction_pct"`
-	// NsReductionPct is the same ratio for wall time per op.
-	NsReductionPct map[string]float64 `json:"ns_reduction_pct"`
-}
-
-// RunBenchSmokeV3 measures the engine ablation for the flat-format
-// perf-regression gate: the V2-with-kernels configuration (the previous
-// best) against engine V3's flat frames with arena-backed zero-copy
-// restore, over two workloads — one-way call-by-copy (Table 2) and full
-// copy-restore (Table 5), Scenario III at size 256. The snapshot is
-// BENCH_6.json; the gate demands V3 allocate strictly less per op than
-// V2-kernels.
-func RunBenchSmokeV3() (*BenchSnapshot, error) {
-	const size = 256
-	sc := ScenarioIII
-	runs := []struct {
-		bench string
-		run   func(e *Env, spec RunSpec) (Cell, error)
-	}{
-		{"Table2OneWay", RunOneWay},
-		{"Table5NRMI", RunNRMI},
-	}
-	variants := []struct {
-		name string
-		eng  wire.Engine
-	}{{"v3", wire.EngineV3}, {"v2-kernels", wire.EngineV2}}
-
-	snap := &BenchSnapshot{
-		Issue:             6,
-		AllocReductionPct: make(map[string]float64),
-		NsReductionPct:    make(map[string]float64),
-	}
-	for _, r := range runs {
-		var cells [2]BenchCell
-		for i, v := range variants {
-			e, err := NewEnv(EnvConfig{Profile: netsim.Loopback(), Engine: v.eng})
-			if err != nil {
-				return nil, fmt.Errorf("bench: v3 smoke env %s/%s: %w", r.bench, v.name, err)
-			}
-			// First call verifies the restore invariant under the exact
-			// engine being measured, then the timed loop varies the seed.
-			if _, err := r.run(e, RunSpec{Scenario: sc, Size: size, Iterations: 1, Seed: 1, Verify: true}); err != nil {
-				_ = e.Close()
-				return nil, fmt.Errorf("bench: v3 smoke warmup %s/%s: %w", r.bench, v.name, err)
-			}
-			var benchErr error
-			seed := int64(1)
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for n := 0; n < b.N; n++ {
-					seed++
-					if _, err := r.run(e, RunSpec{Scenario: sc, Size: size, Iterations: 1, Seed: seed}); err != nil {
-						benchErr = err
-						b.FailNow()
-					}
-				}
-			})
-			_ = e.Close()
-			if benchErr != nil {
-				return nil, fmt.Errorf("bench: v3 smoke %s/%s: %w", r.bench, v.name, benchErr)
-			}
-			cells[i] = BenchCell{
-				Bench:       r.bench,
-				Variant:     v.name,
-				Scenario:    sc.String(),
-				Size:        size,
-				NsPerOp:     res.NsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				AllocsPerOp: res.AllocsPerOp(),
-			}
-			snap.Cells = append(snap.Cells, cells[i])
-		}
-		v3, v2 := cells[0], cells[1]
-		if v2.AllocsPerOp > 0 {
-			snap.AllocReductionPct[r.bench] = 100 * (1 - float64(v3.AllocsPerOp)/float64(v2.AllocsPerOp))
-		}
-		if v2.NsPerOp > 0 {
-			snap.NsReductionPct[r.bench] = 100 * (1 - float64(v3.NsPerOp)/float64(v2.NsPerOp))
-		}
-	}
-	return snap, nil
 }

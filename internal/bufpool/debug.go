@@ -1,9 +1,9 @@
 package bufpool
 
 import (
-	"reflect"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Debug mode instruments Get/Put with an ownership ledger keyed by buffer
@@ -11,8 +11,9 @@ import (
 // otherwise silent until they corrupt an unrelated call: double-Put (the
 // same buffer enters a class pool twice, so two future Gets alias one
 // array) and leaks (a buffer Gets out and never comes back). It is meant
-// for tests — SetDebug(true), run the workload, assert on DebugSnapshot()
-// — and costs one atomic load per Get/Put when off.
+// for tests — internal/leakcheck arms it from TestMain for a package's whole
+// run and asserts on DebugSnapshot() at exit — and costs one atomic load per
+// Get/Put when off.
 
 // debugEnabled gates the ledger; the hot path pays one atomic load.
 var debugEnabled atomic.Bool
@@ -65,8 +66,9 @@ func DebugSnapshot() DebugStats {
 	return s
 }
 
-// dataPtr identifies a buffer by its backing-array address.
-func dataPtr(p []byte) uintptr { return reflect.ValueOf(p).Pointer() }
+// dataPtr identifies a buffer by its backing-array address. It must not
+// allocate: the ledger is armed under the alloc-budget tests too.
+func dataPtr(p []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(p))) }
 
 // debugTrackGet records a buffer leaving the pool (or freshly allocated
 // for a pooled class).

@@ -31,6 +31,7 @@ func atomicWorld(t *testing.T, opts Options) (*Call, []byte, *Tree) {
 		t.Fatalf("finish: %v", err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatalf("server decode: %v", err)

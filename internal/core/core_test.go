@@ -51,6 +51,7 @@ func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *
 	}
 
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatalf("server decode: %v", err)
@@ -281,6 +282,7 @@ func TestDeltaSkipsUnchangedObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +331,7 @@ func TestDeltaNoChangeShipsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	if _, err := srv.DecodeRestorable(); err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +386,7 @@ func TestSharedStructureAcrossTwoRestorableArgs(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	s1, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)
@@ -434,6 +438,7 @@ func TestCopyArgumentNotRestored(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sc, err := srv.DecodeCopy()
 	if err != nil {
 		t.Fatal(err)
@@ -492,6 +497,7 @@ func TestRestorableMapInPlace(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv := AcceptCall(&req, opts)
+			defer srv.Release()
 			sm, err := srv.DecodeRestorable()
 			if err != nil {
 				t.Fatal(err)
@@ -533,6 +539,7 @@ func TestRestorableSliceInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	ss, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)
@@ -577,6 +584,7 @@ func TestNilRestorableArgument(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	v, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)
@@ -611,6 +619,7 @@ func TestEncodeResponseRequiresPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	if _, err := srv.DecodeRestorable(); err != nil {
 		t.Fatal(err)
 	}
@@ -661,6 +670,7 @@ func TestUnsafeAccessThroughRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)

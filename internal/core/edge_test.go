@@ -44,6 +44,7 @@ func runRemoteCarrier(t *testing.T, opts Options, mutate func(c *carrier), root 
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +152,7 @@ func TestApplyResponseTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	if _, err := srv.DecodeRestorable(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +235,7 @@ func TestRestorableNamedMapRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sm, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)
@@ -273,6 +276,7 @@ func TestBytesAccounting(t *testing.T) {
 		t.Fatalf("linear map size = %d", len(call.Objects()))
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	if _, err := srv.DecodeRestorable(); err != nil {
 		t.Fatal(err)
 	}
@@ -307,6 +311,7 @@ func TestDeltaFallsBackOnUndiffableObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sm, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)
@@ -348,6 +353,7 @@ func TestSameObjectAsCopyAndRestorableArg(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sc, err := srv.DecodeCopy()
 	if err != nil {
 		t.Fatal(err)

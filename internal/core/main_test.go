@@ -1,0 +1,20 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"nrmi/internal/leakcheck"
+	"nrmi/internal/wire"
+)
+
+// This package's tests move no pooled buffers; its pooled resource is the
+// V3 arena a flat restore holds until commit.
+func TestMain(m *testing.M) { leakcheck.Main(m, arenasBalanced) }
+
+func arenasBalanced() error {
+	if acq, rel := wire.ArenaCounters(); acq != rel {
+		return fmt.Errorf("core: %d arenas acquired, %d released", acq, rel)
+	}
+	return nil
+}

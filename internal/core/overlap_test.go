@@ -66,6 +66,7 @@ func TestEmptySlicesOfTwoTypesRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			dec := wire.NewDecoder(&buf, opts.wireOptions())
+			defer dec.ReleaseArena()
 			out, err := dec.Decode()
 			if err != nil {
 				t.Fatalf("the peer rejects the stream: %v", err)
@@ -121,6 +122,7 @@ func testShelfRestore(t *testing.T, opts Options, escaped, replace bool) {
 		t.Fatal(err)
 	}
 	srv := AcceptCallBytes(req.Bytes(), opts)
+	defer srv.Release()
 	if escaped {
 		if _, err := srv.DecodeCopy(); err != nil {
 			t.Fatal(err)

@@ -159,6 +159,7 @@ func checkEquivalence(t *testing.T, opts Options, seed int64, size, numOps int) 
 		return false
 	}
 	srv := AcceptCall(&req, opts)
+	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Logf("seed %d: server decode: %v", seed, err)
@@ -274,6 +275,7 @@ func TestQuickDeltaShipsSubset(t *testing.T) {
 				return nil, false
 			}
 			srv := AcceptCall(&req, opts)
+			defer srv.Release()
 			sroot, err := srv.DecodeRestorable()
 			if err != nil {
 				return nil, false

@@ -142,6 +142,7 @@ func TestQuickStoreRemoteEqualsLocal(t *testing.T) {
 			return false
 		}
 		srv := AcceptCall(&req, opts)
+		defer srv.Release()
 		sroot, err := srv.DecodeRestorable()
 		if err != nil {
 			t.Logf("seed %d decode: %v", seed, err)
@@ -196,6 +197,7 @@ func TestQuickStoreRemoteEqualsLocalDelta(t *testing.T) {
 			return false
 		}
 		srv := AcceptCall(&req, opts)
+		defer srv.Release()
 		sroot, err := srv.DecodeRestorable()
 		if err != nil {
 			return false

@@ -1,33 +1,21 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // checkCtxPropagation implements the ctx-propagation check. A function
 // that receives a context.Context has accepted responsibility for the
-// caller's deadline and cancellation; minting a fresh root context
-// (context.Background/TODO) for an outgoing call silently detaches that
-// call from the chain — exactly the bug the interceptor-discipline
-// check already catches for the narrow interceptor signature. This
-// check generalizes it to every context-receiving function via the
-// dataflow engine: freshness is tracked through locals and through
-// context.With* derivations, so
-//
-//	c, cancel := context.WithTimeout(context.Background(), d)
-//	defer cancel()
-//	return next(c)
-//
-// is flagged at next(c) even though no literal Background() appears in
-// the call. Deriving with context.With*(ctx, ...) from the inbound
-// context clears freshness, as does reassigning the local from any
-// non-fresh expression. Only the direct body of the receiving function
-// is analyzed: nested function literals run on their own schedule (and
-// are themselves checked if they declare a context parameter), so a
-// detached background goroutine remains expressible.
+// caller's deadline and cancellation; a context.Background() or
+// context.TODO() anywhere in its body mints a root that is detached from
+// that chain, so whatever runs under it outlives the caller's cancel and
+// ignores its deadline. The rule is syntactic and has no exceptions: a
+// function with a named context.Context parameter contains no call to
+// either constructor. A nested function literal is a separate function
+// judged by its own parameters (and is itself checked if it declares a
+// context), so deliberately detached background work stays expressible
+// as `go func() { ... context.Background() ... }()`.
 func checkCtxPropagation(p *Package) []Diagnostic {
 	if p.Pkg == nil {
 		return nil
@@ -45,19 +33,25 @@ func checkCtxPropagation(p *Package) []Diagnostic {
 			default:
 				return true
 			}
-			if body == nil {
+			ctx := ctxParamIdent(p, ftype)
+			if body == nil || ctx == nil {
 				return true
 			}
-			if ctx := ctxParamIdent(p, ftype); ctx != nil {
-				analyzeCtxPropagation(p, ctx, body, func(pos token.Pos, msg string) {
+			inspectSameFunc(body, func(m ast.Node) {
+				e, ok := m.(ast.Expr)
+				if !ok {
+					return
+				}
+				if name := freshContextCall(p, e); name != "" {
 					diags = append(diags, Diagnostic{
-						Pos:     p.Fset.Position(pos),
-						Check:   "ctx-propagation",
-						Message: msg,
+						Pos:   p.Fset.Position(e.Pos()),
+						Check: "ctx-propagation",
+						Message: "context." + name + "() in a function that receives " + ctx.Name +
+							"; derive from " + ctx.Name + " so the caller's cancellation and deadline propagate",
 					})
-				})
-			}
-			return true
+				}
+			})
+			return true // nested function literals are visited on their own
 		})
 	}
 	return diags
@@ -84,172 +78,29 @@ func ctxParamIdent(p *Package, ftype *ast.FuncType) *ast.Ident {
 	return nil
 }
 
-// ctxFact maps locals to the root call their context freshness traces
-// back to ("context.Background" / "context.TODO"). Absence means the
-// local is not known to hold a fresh context.
-type ctxFact map[types.Object]string
-
-func (f ctxFact) clone() ctxFact {
-	out := make(ctxFact, len(f))
-	for k, v := range f {
-		out[k] = v
+// freshContextCall reports whether e is a call to context.Background or
+// context.TODO, returning the function name ("" when it is neither).
+func freshContextCall(p *Package, e ast.Expr) string {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return ""
 	}
-	return out
-}
-
-// ctxAnalysis implements Analysis for context freshness.
-type ctxAnalysis struct {
-	p       *Package
-	ctxName string
-}
-
-func (a *ctxAnalysis) Entry() Fact { return ctxFact{} }
-
-func (a *ctxAnalysis) Join(x, y Fact) Fact {
-	fx, fy := x.(ctxFact), y.(ctxFact)
-	out := fx.clone()
-	for k, v := range fy {
-		if _, ok := out[k]; !ok {
-			out[k] = v // fresh on at least one incoming path
-		}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
 	}
-	return out
-}
-
-func (a *ctxAnalysis) Equal(x, y Fact) bool {
-	fx, fy := x.(ctxFact), y.(ctxFact)
-	if len(fx) != len(fy) {
-		return false
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
+		return ""
 	}
-	for k, v := range fx {
-		if w, ok := fy[k]; !ok || v != w {
-			return false
-		}
-	}
-	return true
-}
-
-func (a *ctxAnalysis) TransferEdge(e *Edge, out Fact) Fact { return out }
-
-func (a *ctxAnalysis) TransferNode(n ast.Node, in Fact) Fact {
-	f := in.(ctxFact)
-	switch st := n.(type) {
-	case *ast.AssignStmt:
-		// RHS freshness is evaluated against the incoming fact, then
-		// every assigned local gets a strong update.
-		var rhsFresh string
-		if len(st.Rhs) == 1 {
-			rhsFresh = a.exprFresh(f, st.Rhs[0])
-		}
-		out := f.clone()
-		for i, lhs := range st.Lhs {
-			lobj := lhsObject(a.p.Info, lhs)
-			if lobj == nil {
-				continue
-			}
-			delete(out, lobj)
-			if i == 0 && rhsFresh != "" && isContextType(lobj.Type()) {
-				out[lobj] = rhsFresh
-			}
-		}
-		return out
-	case *ast.DeclStmt:
-		gd, ok := st.Decl.(*ast.GenDecl)
-		if !ok {
-			return f
-		}
-		out := f.clone()
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok || len(vs.Names) != 1 || len(vs.Values) != 1 {
-				continue
-			}
-			obj := a.p.Info.Defs[vs.Names[0]]
-			if obj == nil || !isContextType(obj.Type()) {
-				continue
-			}
-			delete(out, obj)
-			if fresh := a.exprFresh(f, vs.Values[0]); fresh != "" {
-				out[obj] = fresh
-			}
-		}
-		return out
-	}
-	return f
-}
-
-// exprFresh reports the fresh root an expression's context value traces
-// back to, or "". It sees through parentheses, fresh locals, and
-// context.With* derivation chains.
-func (a *ctxAnalysis) exprFresh(f ctxFact, e ast.Expr) string {
-	e = ast.Unparen(e)
-	if name := freshContextCall(a.p, e); name != "" {
-		return "context." + name
-	}
-	switch x := e.(type) {
-	case *ast.Ident:
-		if obj := a.p.Info.Uses[x]; obj != nil {
-			return f[obj]
-		}
-	case *ast.CallExpr:
-		// context.WithTimeout/WithCancel/WithValue(parent, ...) carry
-		// their parent's freshness.
-		if fn := calleeFunc(a.p.Info, x); fn != nil && fn.Pkg() != nil &&
-			fn.Pkg().Path() == "context" && len(x.Args) > 0 {
-			return a.exprFresh(f, x.Args[0])
-		}
+	if name := fn.Name(); name == "Background" || name == "TODO" {
+		return name
 	}
 	return ""
 }
 
-// analyzeCtxPropagation runs the freshness analysis over one body and
-// reports fresh contexts handed to outgoing calls.
-func analyzeCtxPropagation(p *Package, ctxIdent *ast.Ident, body *ast.BlockStmt, emit func(token.Pos, string)) {
-	// Fast pre-pass: the body (outside nested literals) must mention
-	// Background or TODO at all for a finding to be possible.
-	hasFresh := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if hasFresh {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if e, ok := n.(ast.Expr); ok && freshContextCall(p, e) != "" {
-			hasFresh = true
-		}
-		return true
-	})
-	if !hasFresh {
-		return
-	}
-
-	cfg := BuildCFG(body)
-	a := &ctxAnalysis{p: p, ctxName: ctxIdent.Name}
-	in, err := Solve(cfg, a)
-	if err != nil {
-		return
-	}
-
-	seen := make(map[token.Pos]bool)
-	WalkFacts(cfg, a, in, func(n ast.Node, before Fact) {
-		f := before.(ctxFact)
-		scanCallsOutsideFuncLits(n, func(call *ast.CallExpr) {
-			// The context package's own constructors and derivations are
-			// not outgoing calls; their results are judged where used.
-			if fn := calleeFunc(p.Info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" {
-				return
-			}
-			for _, arg := range call.Args {
-				t := p.Info.TypeOf(arg)
-				if t == nil || !isContextType(t) {
-					continue
-				}
-				if root := a.exprFresh(f, arg); root != "" && !seen[arg.Pos()] {
-					seen[arg.Pos()] = true
-					emit(arg.Pos(), fmt.Sprintf("call receives a fresh context rooted at %s; thread the inbound context %q (or one derived from it) so cancellation and deadlines propagate", root, a.ctxName))
-				}
-			}
-		})
-	})
+func isContextType(t types.Type) bool {
+	named, ok := types.Unalias(t).(*types.Named)
+	return ok && named.Obj().Name() == "Context" &&
+		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "context"
 }

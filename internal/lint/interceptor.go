@@ -9,7 +9,7 @@ import (
 // checkInterceptorDiscipline implements the interceptor-discipline
 // check. An Interceptor receives the continuation as its next parameter;
 // the contract is: invoke next exactly once to proceed, or return a
-// non-nil error to veto. Four violations are flagged:
+// non-nil error to veto. Three violations are flagged:
 //
 //   - the body never references next at all: the remote call can never
 //     proceed, yet the signature promises a pass-through;
@@ -17,11 +17,10 @@ import (
 //     caller observes success for a call that never ran;
 //   - next may be invoked more than once (two sequential calls, or a
 //     call inside a loop): the remote method would execute twice,
-//     breaking at-most-once semantics;
-//   - next is invoked with context.Background() or context.TODO()
-//     instead of the call context: the caller's deadline and
-//     cancellation are severed, so a propagated CallTimeout never
-//     reaches the handler.
+//     breaking at-most-once semantics.
+//
+// Handing next a fresh context.Background()/TODO() is ctx-propagation's
+// finding: an interceptor is one more function that receives a context.
 //
 // When next escapes as a value (assigned, passed along — as in
 // ChainInterceptors), the body is skipped: the analysis only reasons
@@ -103,12 +102,6 @@ func isInterceptorSig(sig *types.Signature) bool {
 		isErrorType(sig.Results().At(0).Type())
 }
 
-func isContextType(t types.Type) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	return ok && named.Obj().Name() == "Context" &&
-		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "context"
-}
-
 func isErrorType(t types.Type) bool {
 	named, ok := types.Unalias(t).(*types.Named)
 	return ok && named.Obj().Name() == "error" && named.Obj().Pkg() == nil
@@ -144,54 +137,12 @@ func analyzeInterceptorBody(p *Package, ftype *ast.FuncType, body *ast.BlockStmt
 		return
 	}
 
-	// Direct next(...) calls must propagate the call context: invoking
-	// the continuation with context.Background() or context.TODO()
-	// severs the caller's deadline and cancellation, so a propagated
-	// CallTimeout never reaches the handler. Deriving a new context
-	// from ctx (WithTimeout, WithValue, ...) is fine.
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, okID := call.Fun.(*ast.Ident)
-		if !okID || p.Info.Uses[id] != nextObj || len(call.Args) != 1 {
-			return true
-		}
-		if name := freshContextCall(p, call.Args[0]); name != "" {
-			emit(call.Args[0].Pos(), "interceptor invokes next with context."+name+
-				"(); it must propagate the call context so deadlines and cancellation reach the handler")
-		}
-		return true
-	})
-
 	if escapes {
 		return // next is forwarded as a value; out of scope for direct-call analysis
 	}
 
 	a := &interceptorAnalysis{p: p, nextObj: nextObj, emit: emit}
 	a.scanStmts(body.List, callCount{})
-}
-
-// freshContextCall reports whether e is a call to context.Background or
-// context.TODO, returning the function name ("" when it is neither).
-func freshContextCall(p *Package, e ast.Expr) string {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return ""
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-		return ""
-	}
-	if name := fn.Name(); name == "Background" || name == "TODO" {
-		return name
-	}
-	return ""
 }
 
 // paramIdent returns the name of the i-th parameter, counting across

@@ -2,8 +2,8 @@
 // analyzer (go/parser, go/ast, go/types — no golang.org/x/tools) that
 // moves NRMI's copy-restore contract violations from runtime to build
 // time. The Java original leaned on javac and rmic to reject malformed
-// remote interfaces before deployment; this package is the Go analog for
-// the invariants the runtime layers enforce deep inside a call:
+// remote interfaces before deployment; this package is the Go analog,
+// and it keeps only what a static tool alone can catch:
 //
 //   - restorable-closure: the type closure of every Restorable type must
 //     stay inside the kinds the graph walker accepts (the static mirror of
@@ -14,27 +14,20 @@
 //     once on every path that reports success;
 //   - guarded-escape: a Guarded.With closure must not leak the root
 //     outside the critical section;
-//   - pool-reset: objects returned to a sync.Pool must be reset in the
-//     same function, so one call's object graph never rides a pooled
-//     walker, codec, or buffer into the next call;
 //   - span-end: every obs phase span started must be ended before the
 //     first return statement that follows it (or deferred), so no code
 //     path silently drops a phase from the observability histograms;
-//   - payload-ownership: pooled payloads (bufpool.Get, payload-bearing
-//     transport reads) must reach exactly one release or ownership
-//     transfer on every path — leaks on error returns, double puts, and
-//     owned overwrites are flagged (dataflow, cfg.go + dataflow.go);
-//   - ctx-propagation: a function receiving a context.Context must
-//     thread it (not context.Background/TODO, even laundered through
-//     locals or context.With* chains) into outgoing calls (dataflow);
-//   - atomic-discipline: variables and fields ever accessed via
-//     sync/atomic must never be read or written plainly elsewhere.
+//   - ctx-propagation: a function receiving a context.Context contains no
+//     context.Background()/TODO() call.
+//
+// The runtime's own pool hygiene is not here: pooled-payload ownership is
+// asserted by the bufpool ledger every test run arms (internal/leakcheck),
+// pool resets by the released-state tests next to each pool, and atomics
+// by sync/atomic's typed values. docs/LINT.md has the table.
 //
 // Each check has a stable ID usable with nrmi-vet's -checks flag, and a
-// testdata package under testdata/src/<id> exercising it. The first six
-// checks are syntactic (AST walk + type information); the last three run
-// on the package's CFG + worklist dataflow engine — see dataflow.go for
-// the Analysis interface and docs/LINT.md for a guide to writing one.
+// testdata package under testdata/src exercising it. All six are
+// syntactic: an AST walk plus type information.
 package lint
 
 import (
@@ -92,29 +85,14 @@ func Checks() []Check {
 			Run: checkGuardedEscape,
 		},
 		{
-			ID:  "pool-reset",
-			Doc: "objects must be reset before sync.Pool.Put so no state leaks into the next Get",
-			Run: checkPoolReset,
-		},
-		{
 			ID:  "span-end",
 			Doc: "every started obs phase span must be ended before the first following return, or deferred",
 			Run: checkSpanEnd,
 		},
 		{
-			ID:  "payload-ownership",
-			Doc: "pooled payloads must reach exactly one release or ownership transfer on every path",
-			Run: checkPayloadOwnership,
-		},
-		{
 			ID:  "ctx-propagation",
-			Doc: "functions receiving a context must thread it, not a fresh Background/TODO, into outgoing calls",
+			Doc: "a function receiving a context contains no context.Background()/TODO() call",
 			Run: checkCtxPropagation,
-		},
-		{
-			ID:  "atomic-discipline",
-			Doc: "variables accessed via sync/atomic must never be read or written non-atomically",
-			Run: checkAtomicDiscipline,
 		},
 	}
 }

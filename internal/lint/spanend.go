@@ -175,3 +175,17 @@ func firstEndAfter(p *Package, body *ast.BlockStmt, obj types.Object, pos token.
 	})
 	return best
 }
+
+// inspectSameFunc walks body like ast.Inspect but does not descend into
+// nested function literals.
+func inspectSameFunc(body *ast.BlockStmt, visit func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
+}

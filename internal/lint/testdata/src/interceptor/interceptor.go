@@ -55,17 +55,6 @@ var Loop Interceptor = func(ctx context.Context, info CallInfo, next func(contex
 	return err
 }
 
-// Detach severs the call context: the caller's deadline and
-// cancellation never reach the handler.
-var Detach Interceptor = func(ctx context.Context, info CallInfo, next func(context.Context) error) error {
-	return next(context.Background()) // want `must propagate the call context`
-}
-
-// DetachTODO is the same bug spelled with the other constructor.
-var DetachTODO Interceptor = func(ctx context.Context, info CallInfo, next func(context.Context) error) error {
-	return next(context.TODO()) // want `must propagate the call context`
-}
-
 // Derive wraps the call context rather than replacing it; deriving
 // keeps the parent's deadline and cancellation, so it is fine.
 var Derive Interceptor = func(ctx context.Context, info CallInfo, next func(context.Context) error) error {

@@ -180,7 +180,8 @@ func (c *Client) bindOp(ctx context.Context, op byte, e Entry) error {
 	var buf bytes.Buffer
 	buf.WriteByte(op)
 	writeEntry(&buf, e)
-	_, err := c.conn.Call(ctx, transport.MsgRegistry, buf.Bytes())
+	reply, err := c.conn.Call(ctx, transport.MsgRegistry, buf.Bytes())
+	transport.ReleasePayload(reply)
 	return mapRemoteError(err)
 }
 
@@ -193,6 +194,8 @@ func (c *Client) Lookup(ctx context.Context, name string) (Entry, error) {
 	if err != nil {
 		return Entry{}, mapRemoteError(err)
 	}
+	// readEntry copies its strings out of reply.
+	defer transport.ReleasePayload(reply)
 	return readEntry(bytes.NewReader(reply))
 }
 
@@ -201,7 +204,8 @@ func (c *Client) Unbind(ctx context.Context, name string) error {
 	var buf bytes.Buffer
 	buf.WriteByte(opUnbind)
 	writeString(&buf, name)
-	_, err := c.conn.Call(ctx, transport.MsgRegistry, buf.Bytes())
+	reply, err := c.conn.Call(ctx, transport.MsgRegistry, buf.Bytes())
+	transport.ReleasePayload(reply)
 	return mapRemoteError(err)
 }
 
@@ -211,6 +215,7 @@ func (c *Client) List(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, mapRemoteError(err)
 	}
+	defer transport.ReleasePayload(reply)
 	r := bytes.NewReader(reply)
 	n, err := binary.ReadUvarint(r)
 	if err != nil {

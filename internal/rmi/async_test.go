@@ -15,8 +15,8 @@ import (
 	"testing"
 	"time"
 
-	"nrmi/internal/bufpool"
 	"nrmi/internal/core"
+	"nrmi/internal/leakcheck"
 	"nrmi/internal/netsim"
 	"nrmi/internal/wire"
 )
@@ -459,8 +459,6 @@ func TestAsyncCommitSerialization(t *testing.T) {
 // delivery race wins, and the pool ledger settles with nothing
 // outstanding.
 func TestAsyncAbandonLedger(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	cl, svc, _ := newAsyncEnv(t, nil)
 	stub := cl.Stub("server", "async")
 	ctx := context.Background()
@@ -498,23 +496,7 @@ func TestAsyncAbandonLedger(t *testing.T) {
 		t.Fatalf("PromisesAbandoned=%d CallErrors=%d, want 2/2", cm.PromisesAbandoned, cm.CallErrors)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s := bufpool.DebugSnapshot()
-		if s.DoublePuts != 0 {
-			t.Fatalf("double-Put detected: %+v", s)
-		}
-		if s.Outstanding == 0 {
-			if s.Gets == 0 {
-				t.Fatal("ledger saw no pool traffic; the test is vacuous")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("payloads still outstanding: %+v", s)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	leakcheck.Settle(t)
 }
 
 // TestOneWayCall: fire-and-forget calls execute on the server, restorable

@@ -420,6 +420,90 @@ func TestAdmissionWaitBudget(t *testing.T) {
 	close(env.svc.release)
 }
 
+// TestQueuedDeadlineBeatsAdmissionWait: the admission wait is bounded by the
+// call's own propagated deadline too, not by AdmissionWait alone. A call
+// whose caller gave up after 50 ms leaves the queue then — refused, never
+// run — although the server would have let it wait five seconds.
+func TestQueuedDeadlineBeatsAdmissionWait(t *testing.T) {
+	env := newDegradeEnv(t, func(o *Options) {
+		o.MaxConcurrentCalls = 1
+		o.AdmissionQueue = 1
+		o.AdmissionWait = 5 * time.Second
+	}, nil)
+	stub := env.client.Stub("server", "gate")
+
+	blocked := make(chan callResult, 1)
+	go func() {
+		rets, err := stub.Call(context.Background(), "Hold", chaosTree())
+		blocked <- callResult{rets, err}
+	}()
+	<-env.svc.entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	root := chaosTree()
+	snap := snapshotTree(t, root)
+	start := time.Now()
+	// The server's refusal and the client's own expiry race for the caller.
+	_, err := stub.Call(ctx, "Quick", root)
+	if !errors.Is(err, ErrOverloaded) && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued call: %v, want ErrOverloaded or its own deadline", err)
+	}
+	if !treesEqual(t, root, snap) {
+		t.Fatal("refused call mutated the graph")
+	}
+	// The slot is still held: only the deadline can have emptied the queue.
+	for env.srv.queued.Load() != 0 || env.srv.Metrics().CallsRejected != 1 {
+		if time.Since(start) > time.Second {
+			t.Errorf("a second after its caller gave up the call is still queued (queued=%d, rejected=%d)",
+				env.srv.queued.Load(), env.srv.Metrics().CallsRejected)
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(env.svc.release) // on every path: the server's Close waits for Hold
+	if res := <-blocked; res.err != nil {
+		t.Fatalf("slot-holding call failed: %v", res.err)
+	}
+	if m := env.srv.Metrics(); m.CallsServed != 1 || len(env.srv.callSem) != 0 {
+		t.Fatalf("CallsServed = %d with %d slots held, want 1 and 0", m.CallsServed, len(env.srv.callSem))
+	}
+}
+
+// TestCallerCancelBeatsCallTimeout: CallTimeout is an upper bound derived
+// from the caller's context, not a replacement for it. Whatever the shape, a
+// call blocked on the server returns context.Canceled when its caller
+// cancels, five seconds before the attempt deadline would have fired.
+func TestCallerCancelBeatsCallTimeout(t *testing.T) {
+	for _, shape := range []callShape{shapeCall, shapeAsync} {
+		t.Run(shape.name, func(t *testing.T) {
+			env := newDegradeEnv(t, nil, func(o *Options) { o.CallTimeout = 5 * time.Second })
+			defer close(env.svc.release)
+			stub := env.client.Stub("server", "gate")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				<-env.svc.entered
+				time.Sleep(20 * time.Millisecond)
+				cancel()
+			}()
+			root := chaosTree()
+			snap := snapshotTree(t, root)
+			start := time.Now()
+			_, err := shape.call(stub, ctx, "Hold", root)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled call: %v, want context.Canceled", err)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("cancel took effect after %v; the call waited on its CallTimeout instead", elapsed)
+			}
+			if !treesEqual(t, root, snap) {
+				t.Fatal("cancelled call mutated the graph")
+			}
+		})
+	}
+}
+
 // TestMaxRequestBytes: oversize requests are rejected before any decode
 // work, as a plain (non-retryable: re-sending the same bytes would fail
 // identically) remote error, without touching the argument graph.

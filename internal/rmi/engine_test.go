@@ -11,11 +11,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
-	"nrmi/internal/bufpool"
 	"nrmi/internal/core"
 	"nrmi/internal/graph"
+	"nrmi/internal/leakcheck"
 	"nrmi/internal/netsim"
 	"nrmi/internal/transport"
 	"nrmi/internal/wire"
@@ -214,8 +213,6 @@ func TestV2ClientAgainstV3Server(t *testing.T) {
 // commit (the flat records are validated as slices of the payload itself)
 // and is released only after ApplyResponseBytes returns.
 func TestV3PayloadOwnershipLedger(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	v3 := core.Options{Engine: wire.EngineV3}
 	e := newEngineEnv(t, v3, v3)
 	stub := e.client.Stub("server", "trees")
@@ -237,21 +234,5 @@ func TestV3PayloadOwnershipLedger(t *testing.T) {
 		t.Errorf("PayloadsReleased = %d, want %d", cm.PayloadsReleased, want)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s := bufpool.DebugSnapshot()
-		if s.DoublePuts != 0 {
-			t.Fatalf("double-Put detected: %+v", s)
-		}
-		if s.Outstanding == 0 {
-			if s.Gets == 0 {
-				t.Fatal("ledger saw no pool traffic; the test is vacuous")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("payload leak: %d buffers never returned to the pool (%+v)", s.Outstanding, s)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	leakcheck.Settle(t)
 }

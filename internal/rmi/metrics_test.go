@@ -128,8 +128,15 @@ func TestMetricsSnapshotInvariantsUnderStress(t *testing.T) {
 		})
 	// WaitCtx parks one token per call; nothing in this test releases the
 	// gate, so drain the tokens to keep cancelled bodies from blocking.
+	finished := make(chan struct{})
+	defer close(finished)
 	go func() {
-		for range env.svc.entered {
+		for {
+			select {
+			case <-env.svc.entered:
+			case <-finished:
+				return
+			}
 		}
 	}()
 	stub := env.client.Stub("server", "gate")

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"nrmi/internal/bufpool"
+	"nrmi/internal/leakcheck"
 )
 
 // TestClientPayloadOwnershipLedger drives every client-side payload
@@ -15,8 +15,6 @@ import (
 // twice and none retains one past release. It also pins the
 // PayloadsReleased counter those sites feed.
 func TestClientPayloadOwnershipLedger(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	e := newEnv(t)
 	stub := e.client.Stub("server", "trees")
 	ctx := context.Background()
@@ -67,21 +65,5 @@ func TestClientPayloadOwnershipLedger(t *testing.T) {
 		t.Errorf("byte counters silent: sent=%d received=%d", cm.BytesSent, cm.BytesReceived)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s := bufpool.DebugSnapshot()
-		if s.DoublePuts != 0 {
-			t.Fatalf("double-Put detected: %+v", s)
-		}
-		if s.Outstanding == 0 {
-			if s.Gets == 0 {
-				t.Fatal("ledger saw no pool traffic; the test is vacuous")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("payload leak: %d buffers never returned to the pool (%+v)", s.Outstanding, s)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	leakcheck.Settle(t)
 }

@@ -7,31 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"nrmi/internal/bufpool"
+	"nrmi/internal/leakcheck"
 )
-
-// settleLedger polls the bufpool ledger until every buffer is back (the
-// read loop recycles asynchronously), failing on leak or double-Put.
-func settleLedger(t *testing.T) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s := bufpool.DebugSnapshot()
-		if s.DoublePuts != 0 {
-			t.Fatalf("double-Put detected: %+v", s)
-		}
-		if s.Outstanding == 0 {
-			if s.Gets == 0 {
-				t.Fatal("ledger saw no pool traffic; the test is vacuous")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("payload leak: %d buffers never returned (%+v)", s.Outstanding, s)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
 
 func TestStartWaitRoundTrip(t *testing.T) {
 	c := startPair(t, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
@@ -58,8 +35,6 @@ func TestStartWaitRoundTrip(t *testing.T) {
 // loop wins the race: the reply has been claimed and delivered before the
 // caller abandons. Abandon must recycle the payload itself, exactly once.
 func TestAbandonAfterReplyDelivered(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	c := startPair(t, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
 		out := make([]byte, 64)
 		copy(out, p)
@@ -74,7 +49,7 @@ func TestAbandonAfterReplyDelivered(t *testing.T) {
 	<-pc.Done()
 	pc.Abandon()
 	pc.Abandon() // idempotent on a settled call
-	settleLedger(t)
+	leakcheck.Settle(t)
 }
 
 // TestAbandonBeforeReply forces the other interleaving: the caller
@@ -82,8 +57,6 @@ func TestAbandonAfterReplyDelivered(t *testing.T) {
 // the reply lands afterwards. The read loop must see it unmatched and
 // recycle it — the exact window the pre-async ctx-expiry path raced in.
 func TestAbandonBeforeReply(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	release := make(chan struct{})
 	c := startPair(t, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
 		<-release
@@ -100,15 +73,13 @@ func TestAbandonBeforeReply(t *testing.T) {
 		t.Fatalf("abandoned call still pending: %d", c.InFlight())
 	}
 	close(release) // late reply arrives with nobody waiting
-	settleLedger(t)
+	leakcheck.Settle(t)
 }
 
 // TestWaitCtxExpiryAbandons pins that Wait's ctx-expiry path runs the
 // same abandon protocol: the late reply is recycled by the read loop and
 // a typed CallError surfaces.
 func TestWaitCtxExpiryAbandons(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	release := make(chan struct{})
 	c := startPair(t, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
 		<-release
@@ -131,7 +102,7 @@ func TestWaitCtxExpiryAbandons(t *testing.T) {
 		t.Fatalf("cause lost: %v", werr)
 	}
 	close(release)
-	settleLedger(t)
+	leakcheck.Settle(t)
 }
 
 // TestTeardownDeliversTypedCallError pins satellite 2: when the conn dies
@@ -176,8 +147,6 @@ func TestTeardownDeliversTypedCallError(t *testing.T) {
 // no pending entry is registered, and the stream stays usable for normal
 // calls afterwards.
 func TestOneWayNoReply(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	var mu sync.Mutex
 	var seen []string
 	var oneWay []bool
@@ -229,5 +198,5 @@ func TestOneWayNoReply(t *testing.T) {
 		t.Fatalf("IsOneWay misreported: %v", oneWay)
 	}
 	mu.Unlock()
-	settleLedger(t)
+	leakcheck.Settle(t)
 }

@@ -45,6 +45,7 @@ func TestDeadlineFrameRoundTrip(t *testing.T) {
 	if string(got.payload) != "p" || got.reqID != 7 {
 		t.Fatalf("frame corrupted: %+v", got)
 	}
+	ReleasePayload(got.payload)
 
 	got, err = readFrame(&without)
 	if err != nil {
@@ -53,6 +54,7 @@ func TestDeadlineFrameRoundTrip(t *testing.T) {
 	if got.deadline != 0 {
 		t.Fatalf("deadline = %v for a frame without one", got.deadline)
 	}
+	ReleasePayload(got.payload)
 }
 
 // TestDeadlinePropagation: the handler's ctx carries a deadline exactly
@@ -73,6 +75,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	if got[0] != 1 {
 		t.Fatal("caller deadline did not reach the handler context")
 	}
+	ReleasePayload(got)
 	got, err = c.Call(context.Background(), MsgCall, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +83,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	if got[0] != 0 {
 		t.Fatal("handler context has a deadline the caller never set")
 	}
+	ReleasePayload(got)
 }
 
 // TestStatusErrorRoundTrip: a handler failing with a typed sentinel
@@ -154,6 +158,7 @@ func TestStopAcceptingKeepsServing(t *testing.T) {
 	if err != nil || string(got) != "still here" {
 		t.Fatalf("established conn broken after StopAccepting: %v %q", err, got)
 	}
+	ReleasePayload(got)
 	if nc2, err := n.Dial("srv"); err == nil {
 		// The dial may succeed at the netsim layer; the conn must be dead.
 		c2 := NewConn(nc2)
@@ -192,7 +197,8 @@ func TestDrainWaitsForReplies(t *testing.T) {
 	defer c2.Close()
 	done2 := make(chan error, 1)
 	go func() {
-		_, err := c2.Call(context.Background(), MsgCall, nil)
+		p, err := c2.Call(context.Background(), MsgCall, nil)
+		ReleasePayload(p)
 		done2 <- err
 	}()
 	<-ent2

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"nrmi/internal/bufpool"
+	"nrmi/internal/leakcheck"
 )
 
 // frameErrClass names the class of a readFrame error; every way of
@@ -106,16 +107,6 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// withLedger runs fn with the buffer pool's ownership ledger armed and fails
-// the test unless every pooled buffer fn's reads took came back exactly once.
-func withLedger(t *testing.T, fn func()) {
-	t.Helper()
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
-	fn()
-	settleLedger(t)
-}
-
 // TestFrameShapesHoweverDelivered: the same frames come out of the same
 // bytes whether they arrive at once, a byte at a time, three frames to a
 // read, in halves, or with the EOF riding on the last data — through the
@@ -146,29 +137,28 @@ func TestFrameShapesHoweverDelivered(t *testing.T) {
 		{"halves", func() io.Reader { return iotest.HalfReader(bytes.NewReader(stream)) }},
 		{"EOF with the last data", func() io.Reader { return iotest.DataErrReader(bytes.NewReader(stream)) }},
 	}
-	withLedger(t, func() {
-		for _, d := range deliveries {
-			for _, buffered := range []bool{false, true} {
-				r := d.new()
-				if buffered {
-					r = bufio.NewReaderSize(r, readBufSize)
+	for _, d := range deliveries {
+		for _, buffered := range []bool{false, true} {
+			r := d.new()
+			if buffered {
+				r = bufio.NewReaderSize(r, readBufSize)
+			}
+			for i, s := range shapes {
+				got, err := readFrame(r)
+				if err != nil {
+					t.Fatalf("%s (buffered=%t): frame %d (%s): %v", d.name, buffered, i, s.name, err)
 				}
-				for i, s := range shapes {
-					got, err := readFrame(r)
-					if err != nil {
-						t.Fatalf("%s (buffered=%t): frame %d (%s): %v", d.name, buffered, i, s.name, err)
-					}
-					if err := sameFrame(got, s.f); err != nil {
-						t.Errorf("%s (buffered=%t): frame %d (%s): %v", d.name, buffered, i, s.name, err)
-					}
-					ReleasePayload(got.payload)
+				if err := sameFrame(got, s.f); err != nil {
+					t.Errorf("%s (buffered=%t): frame %d (%s): %v", d.name, buffered, i, s.name, err)
 				}
-				if _, err := readFrame(r); err != io.EOF {
-					t.Errorf("%s (buffered=%t): after the last frame: %v, want io.EOF", d.name, buffered, err)
-				}
+				ReleasePayload(got.payload)
+			}
+			if _, err := readFrame(r); err != io.EOF {
+				t.Errorf("%s (buffered=%t): after the last frame: %v, want io.EOF", d.name, buffered, err)
 			}
 		}
-	})
+	}
+	leakcheck.Settle(t)
 }
 
 // TestFrameTruncatedAtEveryOffset cuts every shape at every offset behind
@@ -178,40 +168,39 @@ func TestFrameShapesHoweverDelivered(t *testing.T) {
 func TestFrameTruncatedAtEveryOffset(t *testing.T) {
 	first := frameShapes()[0]
 	prefix := first.wire(t)
-	withLedger(t, func() {
-		for _, s := range frameShapes() {
-			w := s.wire(t)
-			for cut := 0; cut < len(w); cut++ {
-				stream := append(append([]byte(nil), prefix...), w[:cut]...)
-				want := "truncated"
-				if cut == 0 {
-					want = "eof"
+	for _, s := range frameShapes() {
+		w := s.wire(t)
+		for cut := 0; cut < len(w); cut++ {
+			stream := append(append([]byte(nil), prefix...), w[:cut]...)
+			want := "truncated"
+			if cut == 0 {
+				want = "eof"
+			}
+			for name, r := range map[string]io.Reader{
+				"unbuffered":            bytes.NewReader(stream),
+				"buffered":              bufio.NewReaderSize(bytes.NewReader(stream), readBufSize),
+				"buffered, EOF on data": bufio.NewReaderSize(iotest.DataErrReader(bytes.NewReader(stream)), readBufSize),
+				"buffered, one chunk":   bufio.NewReaderSize(&chunkReader{chunks: [][]byte{stream}}, readBufSize),
+			} {
+				got, err := readFrame(r)
+				if err != nil {
+					t.Fatalf("%s cut at %d, %s: whole frame before the cut: %v", s.name, cut, name, err)
 				}
-				for name, r := range map[string]io.Reader{
-					"unbuffered":            bytes.NewReader(stream),
-					"buffered":              bufio.NewReaderSize(bytes.NewReader(stream), readBufSize),
-					"buffered, EOF on data": bufio.NewReaderSize(iotest.DataErrReader(bytes.NewReader(stream)), readBufSize),
-					"buffered, one chunk":   bufio.NewReaderSize(&chunkReader{chunks: [][]byte{stream}}, readBufSize),
-				} {
-					got, err := readFrame(r)
-					if err != nil {
-						t.Fatalf("%s cut at %d, %s: whole frame before the cut: %v", s.name, cut, name, err)
-					}
-					if err := sameFrame(got, first.f); err != nil {
-						t.Fatalf("%s cut at %d, %s: whole frame before the cut: %v", s.name, cut, name, err)
-					}
-					ReleasePayload(got.payload)
-					got, err = readFrame(r)
-					if class := frameErrClass(err); class != want {
-						t.Fatalf("%s cut at %d of %d, %s: %s (%v), want %s", s.name, cut, len(w), name, class, err, want)
-					}
-					if got.payload != nil {
-						t.Fatalf("%s cut at %d, %s: a failed read returned a payload", s.name, cut, name)
-					}
+				if err := sameFrame(got, first.f); err != nil {
+					t.Fatalf("%s cut at %d, %s: whole frame before the cut: %v", s.name, cut, name, err)
+				}
+				ReleasePayload(got.payload)
+				got, err = readFrame(r)
+				if class := frameErrClass(err); class != want {
+					t.Fatalf("%s cut at %d of %d, %s: %s (%v), want %s", s.name, cut, len(w), name, class, err, want)
+				}
+				if got.payload != nil {
+					t.Fatalf("%s cut at %d, %s: a failed read returned a payload", s.name, cut, name)
 				}
 			}
 		}
-	})
+	}
+	leakcheck.Settle(t)
 }
 
 // header builds a raw frame header, valid or not.
@@ -250,28 +239,27 @@ func TestFrameHostileHeaders(t *testing.T) {
 		{"deflate flag over nothing", header(frameMagic, flagDeflate, 0), "bad-frame"},
 		{"every flag set over junk", append(append(header(frameMagic, 0xFF, 56), make([]byte, 8)...), junk[:56]...), "bad-frame"},
 	}
-	withLedger(t, func() {
-		for _, tc := range cases {
-			for name, r := range map[string]io.Reader{
-				"unbuffered":   bytes.NewReader(tc.buf),
-				"buffered":     bufio.NewReaderSize(bytes.NewReader(tc.buf), readBufSize),
-				"byte by byte": bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(tc.buf)), readBufSize),
-			} {
-				before := bufpool.DebugSnapshot().Gets
-				f, err := readFrame(r)
-				if class := frameErrClass(err); class != tc.want {
-					t.Errorf("%s, %s: %s (%v), want %s", tc.name, name, class, err, tc.want)
-				}
-				if f.payload != nil {
-					t.Errorf("%s, %s: a refused frame returned a payload", tc.name, name)
-				}
-				refusedByHeader := tc.want == "too-large" || (tc.want == "bad-frame" && tc.buf[3]&flagDeflate == 0)
-				if took := bufpool.DebugSnapshot().Gets - before; refusedByHeader && took != 0 {
-					t.Errorf("%s, %s: took %d pool buffers for a frame its header already condemns", tc.name, name, took)
-				}
+	for _, tc := range cases {
+		for name, r := range map[string]io.Reader{
+			"unbuffered":   bytes.NewReader(tc.buf),
+			"buffered":     bufio.NewReaderSize(bytes.NewReader(tc.buf), readBufSize),
+			"byte by byte": bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(tc.buf)), readBufSize),
+		} {
+			before := bufpool.DebugSnapshot().Gets
+			f, err := readFrame(r)
+			if class := frameErrClass(err); class != tc.want {
+				t.Errorf("%s, %s: %s (%v), want %s", tc.name, name, class, err, tc.want)
+			}
+			if f.payload != nil {
+				t.Errorf("%s, %s: a refused frame returned a payload", tc.name, name)
+			}
+			refusedByHeader := tc.want == "too-large" || (tc.want == "bad-frame" && tc.buf[3]&flagDeflate == 0)
+			if took := bufpool.DebugSnapshot().Gets - before; refusedByHeader && took != 0 {
+				t.Errorf("%s, %s: took %d pool buffers for a frame its header already condemns", tc.name, name, took)
 			}
 		}
-	})
+	}
+	leakcheck.Settle(t)
 }
 
 // TestFrameReadsPerFrame pins what the buffer is for: a frame that fits

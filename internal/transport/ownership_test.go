@@ -5,19 +5,17 @@ import (
 	"testing"
 	"time"
 
-	"nrmi/internal/bufpool"
+	"nrmi/internal/leakcheck"
 )
 
 // TestCancelReplyRaceDoesNotLeakPayloads races client deadlines against
-// reply delivery with the buffer pool's ownership ledger armed. When a
+// reply delivery under the package's always-on ownership ledger. When a
 // cancellation loses the race — the read loop has already claimed the
 // pending entry and delivered the reply to the call's buffered channel —
 // Conn.Call must still drain and recycle the pooled payload; before that
 // drain existed, every such crossing stranded one pool buffer. The test
 // also proves no path Puts a payload twice.
 func TestCancelReplyRaceDoesNotLeakPayloads(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	c := startPair(t, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
 		out := make([]byte, len(p))
 		copy(out, p)
@@ -47,22 +45,6 @@ func TestCancelReplyRaceDoesNotLeakPayloads(t *testing.T) {
 		<-done
 	}
 	// Straggler handlers and unmatched replies recycle asynchronously in
-	// the read loop; poll until the ledger settles.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		s := bufpool.DebugSnapshot()
-		if s.DoublePuts != 0 {
-			t.Fatalf("double-Put detected: %+v", s)
-		}
-		if s.Outstanding == 0 {
-			if s.Gets == 0 {
-				t.Fatal("ledger saw no pool traffic; the test is vacuous")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("payload leak: %d buffers never returned to the pool (%+v)", s.Outstanding, s)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// the read loop; Settle polls until the ledger is clean.
+	leakcheck.Settle(t)
 }

@@ -247,9 +247,11 @@ func TestConnErrHealth(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatalf("fresh conn unhealthy: %v", err)
 	}
-	if _, err := c.Call(context.Background(), MsgCall, []byte("ok")); err != nil {
+	p, err := c.Call(context.Background(), MsgCall, []byte("ok"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	ReleasePayload(p)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,7 @@ func TestCallReply(t *testing.T) {
 	if string(got) != "echo:hi" {
 		t.Fatalf("got %q", got)
 	}
+	ReleasePayload(got)
 }
 
 func TestRemoteErrorPropagation(t *testing.T) {
@@ -94,6 +95,7 @@ func TestConcurrentCallsMultiplexed(t *testing.T) {
 				return
 			}
 			results[i] = string(got)
+			ReleasePayload(got)
 		}(i)
 	}
 	wg.Wait()
@@ -196,7 +198,8 @@ func TestServerCloseFailsInFlight(t *testing.T) {
 	defer c.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), MsgCall, []byte("x"))
+		p, err := c.Call(context.Background(), MsgCall, []byte("x"))
+		ReleasePayload(p)
 		done <- err
 	}()
 	<-block
@@ -225,6 +228,7 @@ func TestFrameEncodingRoundTrip(t *testing.T) {
 	if out.msgType != in.msgType || out.flags != in.flags || out.reqID != in.reqID || string(out.payload) != "payload" {
 		t.Fatalf("frame mangled: %+v", out)
 	}
+	ReleasePayload(out.payload)
 }
 
 func TestBadMagicRejected(t *testing.T) {
@@ -275,6 +279,7 @@ func TestWorksOverRealTCP(t *testing.T) {
 	if string(got) != "tcp:ok" {
 		t.Fatalf("got %q", got)
 	}
+	ReleasePayload(got)
 }
 
 func TestManySequentialCalls(t *testing.T) {
@@ -290,6 +295,7 @@ func TestManySequentialCalls(t *testing.T) {
 		if !bytes.Equal(got, msg) {
 			t.Fatalf("call %d: got %q", i, got)
 		}
+		ReleasePayload(got)
 	}
 }
 
@@ -313,6 +319,7 @@ func TestCompressionRoundTrip(t *testing.T) {
 	if out.flags&flagDeflate != 0 {
 		t.Fatal("deflate flag must be cleared after inflation")
 	}
+	ReleasePayload(out.payload)
 }
 
 func TestCompressionSkipsSmallAndIncompressible(t *testing.T) {
@@ -325,9 +332,11 @@ func TestCompressionSkipsSmallAndIncompressible(t *testing.T) {
 	if buf.Len() != headerSize+len(small) {
 		t.Fatalf("small frame should be raw: %d", buf.Len())
 	}
-	if _, err := readFrame(&buf); err != nil {
+	out, err := readFrame(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
+	ReleasePayload(out.payload)
 	// Incompressible payloads stay raw too (compressed >= original).
 	junk := make([]byte, 4096)
 	state := uint64(1)
@@ -339,13 +348,14 @@ func TestCompressionSkipsSmallAndIncompressible(t *testing.T) {
 	if err := writeFrame(&buf, frame{payload: junk}, true); err != nil {
 		t.Fatal(err)
 	}
-	out, err := readFrame(&buf)
+	out, err = readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.payload, junk) {
 		t.Fatal("incompressible payload mangled")
 	}
+	ReleasePayload(out.payload)
 }
 
 func TestCompressionEndToEnd(t *testing.T) {
@@ -373,6 +383,7 @@ func TestCompressionEndToEnd(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("compressed echo mangled")
 	}
+	ReleasePayload(got)
 	// Both directions were above threshold and compressible: far fewer
 	// bytes crossed the (accounted) network than 2x payload.
 	if st := n.Stats(); st.BytesSent >= int64(2*len(payload)) {
@@ -418,4 +429,5 @@ func TestHandlerPanicBecomesErrorReply(t *testing.T) {
 	if err != nil || string(got) != "still alive" {
 		t.Fatalf("server died after panic: %v %q", err, got)
 	}
+	ReleasePayload(got)
 }

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"nrmi/internal/bufpool"
+	"nrmi/internal/leakcheck"
 )
 
 // workerGoroutines counts the live server worker goroutines of the process,
@@ -20,7 +20,7 @@ import (
 // before the worker is on the channel, and only a worker that is on it gets
 // the read loop's next frame.
 func workerGoroutines() (live, receiving int) {
-	for _, g := range goroutineStacks() {
+	for _, g := range leakcheck.Stacks() {
 		if strings.Contains(g, "transport.(*Server).worker(") {
 			live++
 			if header, _, _ := strings.Cut(g, "\n"); strings.Contains(header, "[chan receive") {
@@ -155,6 +155,7 @@ func TestWorkerSurvivesPanic(t *testing.T) {
 	if err != nil || string(got) != "after" {
 		t.Fatalf("call after panic: %q, %v", got, err)
 	}
+	ReleasePayload(got)
 	if st := srv.Stats(); st.Started != 1 {
 		t.Fatalf("started %d workers: the one that panicked was not reused", st.Started)
 	}
@@ -197,9 +198,11 @@ func TestWorkerCarriesNothingOver(t *testing.T) {
 		t.Fatalf("first request: want the server's cancelled status, got %v", err)
 	}
 	awaitParked(t, 1)
-	if _, err := c.Call(context.Background(), MsgCall, []byte("second")); err != nil {
+	p, err := c.Call(context.Background(), MsgCall, []byte("second"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	ReleasePayload(p)
 	got := <-second
 	if got.err != nil || got.hasDeadline {
 		t.Errorf("second request sees the first one's context: err=%v deadline=%t", got.err, got.hasDeadline)
@@ -215,8 +218,6 @@ func TestWorkerCarriesNothingOver(t *testing.T) {
 // TestWorkerOneWayParks: a one-way request writes no reply, but it releases
 // its payload and leaves its worker parked like any other.
 func TestWorkerOneWayParks(t *testing.T) {
-	bufpool.SetDebug(true)
-	defer bufpool.SetDebug(false)
 	ran := make(chan bool, 1)
 	srv, c := startServerPair(t, func(ctx context.Context, _ byte, p []byte) ([]byte, error) {
 		if IsOneWay(ctx) {
@@ -229,7 +230,7 @@ func TestWorkerOneWayParks(t *testing.T) {
 	}
 	<-ran
 	awaitParked(t, 1)
-	settleLedger(t)
+	leakcheck.Settle(t)
 	p, err := c.Call(context.Background(), MsgCall, make([]byte, 64))
 	if err != nil {
 		t.Fatal(err)

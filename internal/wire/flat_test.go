@@ -34,6 +34,7 @@ func TestV3DifferentialZoo(t *testing.T) {
 	}
 	decode := func(eng Engine, buf *bytes.Buffer) []any {
 		dec := NewDecoder(buf, Options{Engine: eng, Registry: reg})
+		defer dec.ReleaseArena()
 		var out []any
 		for range wireZoo() {
 			v, err := dec.Decode()

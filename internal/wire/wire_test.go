@@ -69,6 +69,7 @@ func roundTrip(t *testing.T, opts Options, v any) any {
 		t.Fatalf("flush: %v", err)
 	}
 	dec := NewDecoder(&buf, opts)
+	defer dec.ReleaseArena()
 	out, err := dec.Decode()
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -243,6 +244,7 @@ func TestAliasingAcrossEncodeCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 		dec := NewDecoder(&buf, opts)
+		defer dec.ReleaseArena()
 		ga, err := dec.Decode()
 		if err != nil {
 			t.Fatal(err)
@@ -366,6 +368,7 @@ func TestLinearMapAlignment(t *testing.T) {
 			t.Fatal(err)
 		}
 		dec := NewDecoder(&buf, opts)
+		defer dec.ReleaseArena()
 		if _, err := dec.Decode(); err != nil {
 			t.Fatal(err)
 		}
@@ -419,6 +422,7 @@ func TestSeededContentProtocol(t *testing.T) {
 		clientB := &wnode{Data: 2}
 		clientA.Left = clientB
 		dec := NewDecoder(&buf, opts)
+		defer dec.ReleaseArena()
 		if _, err := dec.SeedObject(reflect.ValueOf(clientA)); err != nil {
 			t.Fatal(err)
 		}
@@ -484,6 +488,7 @@ func TestSeededSliceAndMapContent(t *testing.T) {
 		cliSlice := []int{1, 2, 3}
 		cliMap := map[string]int{"a": 1}
 		dec := NewDecoder(&buf, opts)
+		defer dec.ReleaseArena()
 		if _, err := dec.SeedObject(reflect.ValueOf(cliSlice)); err != nil {
 			t.Fatal(err)
 		}
@@ -646,6 +651,7 @@ func TestQuickRoundTripGraphEqual(t *testing.T) {
 				return false
 			}
 			dec := NewDecoder(&buf, opts)
+			defer dec.ReleaseArena()
 			out, err := dec.Decode()
 			if err != nil {
 				return false

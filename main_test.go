@@ -1,4 +1,4 @@
-package transport
+package nrmi_test
 
 import (
 	"testing"
