@@ -25,12 +25,13 @@ race:
 # One-shot CI pipeline (what .github/workflows/ci.yml runs): build, vet,
 # lint under a 30-second runtime budget (it gates every push), race tests
 # (every package that moves pooled buffers ends its run on the bufpool
-# ledger and goroutine checks of internal/leakcheck), then the two line
-# ratchets. benchmark/ is its own module, which ./... does not reach: it is
-# built and smoke-tested here so that a core/wire signature change that
-# breaks benchmark/layers.go is caught before a benchmark run is. An
-# unformatted file anywhere (gofmt walks into benchmark/ as well) fails the
-# pipeline first.
+# ledger and goroutine checks of internal/leakcheck), the two line ratchets,
+# then benchmark/. benchmark/ is its own module, which ./... does not reach:
+# it is built and smoke-tested here so that a core/wire signature change that
+# breaks benchmark/layers.go is caught before a benchmark run is; it comes
+# last because its TestGeneratorPinned is red until ROADMAP item 1, and a
+# step behind a red one never runs. An unformatted file anywhere (gofmt walks
+# into benchmark/ as well) fails the pipeline first.
 ci: build
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -44,9 +45,9 @@ ci: build
 		echo "lint exceeded its 30s runtime budget" >&2; exit 1; \
 	fi
 	$(GO) test -race ./...
-	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	@$(MAKE) --no-print-directory tracked-loc
 	@$(MAKE) --no-print-directory repo-loc
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Chaos suite: the five fixed fault-plan seeds, plus one fresh seed derived
 # from the clock. The seed is printed so any failure replays exactly with
@@ -110,9 +111,9 @@ loc:
 
 # The ROADMAP's tracked number: non-test Go lines (comments and blanks
 # included, as `wc -l` counts them) of the five runtime packages. It is a
-# ratchet: the target (and `make ci`, which ends with it) fails above
+# ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 10307
+TRACKED_LOC_MAX := 10046
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -126,7 +127,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 22880
+REPO_LOC_MAX := 22399
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \
@@ -145,7 +146,6 @@ examples:
 	$(GO) run ./examples/treedemo
 	$(GO) run ./examples/faults
 	$(GO) run ./examples/callbacks
-	$(GO) run ./cmd/nrmi-demo
 
 # FuzzReadFrame's interesting inputs are buffer-sized, and the engine's
 # byte-by-byte minimization of one would otherwise eat the 30 seconds.

@@ -312,35 +312,6 @@ func BenchmarkCoreRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCompression measures frame compression (a post-paper
-// engineering extension): bytes and time for large restorable calls with
-// and without DEFLATE.
-func BenchmarkAblationCompression(b *testing.B) {
-	for _, v := range []struct {
-		name     string
-		compress bool
-	}{{"raw", false}, {"deflate", true}} {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, Compress: v.compress})
-			var last bench.Cell
-			for i := 0; i < b.N; i++ {
-				c, err := bench.RunNRMI(e, bench.RunSpec{
-					Scenario:   bench.ScenarioI,
-					Size:       1024,
-					Iterations: 1,
-					Seed:       int64(i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = c
-			}
-			reportCell(b, last)
-		})
-	}
-}
-
 // BenchmarkTopology characterizes restore cost across graph shapes at a
 // fixed object count: a deep list (recursion depth), a balanced tree (the
 // paper's shape), and a dense DAG (heavy aliasing, many back-references on
@@ -410,7 +381,7 @@ func BenchmarkTopology(b *testing.B) {
 
 // BenchmarkMacroStore measures the paper's motivating business workload
 // (Section 4.3) — customers, transactions, and three live indexes — under
-// copy-restore, with and without the delta and compression extensions.
+// copy-restore, with and without the delta extension.
 // Realistic graphs are map/slice/string-heavy, unlike the micro trees.
 func BenchmarkMacroStore(b *testing.B) {
 	variants := []struct {
@@ -419,7 +390,6 @@ func BenchmarkMacroStore(b *testing.B) {
 	}{
 		{"full", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2}},
 		{"delta", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, Delta: true}},
-		{"compressed", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, Compress: true}},
 	}
 	for _, v := range variants {
 		v := v

@@ -40,6 +40,10 @@ func (s *Service) Foo(tree *RTree) {
 	tree.Right = temp
 }
 
+// FooCopy is foo by plain copy, as every argument of Java RMI travels: the
+// parameter's type selects the semantics, and a slice is not Restorable.
+func (s *Service) FooCopy(trees []*RTree) { s.Foo(trees[0]) }
+
 func build() (t, alias1, alias2 *RTree) {
 	rl := &RTree{Data: 3}
 	rr := &RTree{Data: 4}
@@ -68,7 +72,8 @@ func show(tag string, t, a1, a2 *RTree) {
 		tag, render(t, map[*RTree]bool{}), render(a1, map[*RTree]bool{}), render(a2, map[*RTree]bool{}))
 }
 
-func callRemote(opts nrmi.Options, mutate string) (t, a1, a2 *RTree, err error) {
+// callRemote builds the Figure 1 heap and passes arg(t) to the remote method.
+func callRemote(opts nrmi.Options, method string, arg func(*RTree) any) (t, a1, a2 *RTree, err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, nil, err
@@ -88,7 +93,7 @@ func callRemote(opts nrmi.Options, mutate string) (t, a1, a2 *RTree, err error) 
 	}
 	defer cl.Close()
 	t, a1, a2 = build()
-	_, err = cl.Stub(ln.Addr().String(), "svc").Call(context.Background(), mutate, t)
+	_, err = cl.Stub(ln.Addr().String(), "svc").Call(context.Background(), method, arg(t))
 	return t, a1, a2, err
 }
 
@@ -97,6 +102,7 @@ func main() {
 	if err := reg.Register("treedemo.RTree", RTree{}); err != nil {
 		log.Fatal(err)
 	}
+	restorable := func(t *RTree) any { return t }
 
 	fmt.Println("The paper's running example: t with alias1 -> t.Left, alias2 -> t.Right,")
 	fmt.Println("mutated by foo (renumbers data, unlinks nodes, inserts a new node).")
@@ -109,13 +115,19 @@ func main() {
 	(&Service{}).Foo(t)
 	show("Figure 2 (local call):", t, a1, a2)
 
-	t, a1, a2, err := callRemote(nrmi.Options{Registry: reg}, "Foo")
+	t, a1, a2, err := callRemote(nrmi.Options{Registry: reg}, "FooCopy", func(t *RTree) any { return []*RTree{t} })
+	if err != nil {
+		log.Fatal(err)
+	}
+	show("RMI copy: all changes LOST", t, a1, a2)
+
+	t, a1, a2, err = callRemote(nrmi.Options{Registry: reg}, "Foo", restorable)
 	if err != nil {
 		log.Fatal(err)
 	}
 	show("Figure 8 (NRMI):", t, a1, a2)
 
-	t, a1, a2, err = callRemote(nrmi.Options{Registry: reg, DCECompat: true}, "Foo")
+	t, a1, a2, err = callRemote(nrmi.Options{Registry: reg, DCECompat: true}, "Foo", restorable)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,8 +30,6 @@ type EnvConfig struct {
 	// Delta enables the delta response encoding (the paper's future-work
 	// optimization).
 	Delta bool
-	// Compress enables transport frame compression on both endpoints.
-	Compress bool
 	// ServerHost and ClientHost model the two machines' CPU speeds.
 	ServerHost, ClientHost netsim.Host
 	// Obs, when set, receives per-call phase measurements from both
@@ -78,19 +76,17 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	clientEnv := &RefEnv{}
 
 	serverOpts := rmi.Options{
-		Core:     coreOpts,
-		Compress: cfg.Compress,
-		Host:     cfg.ServerHost,
-		Obs:      cfg.Obs,
+		Core: coreOpts,
+		Host: cfg.ServerHost,
+		Obs:  cfg.Obs,
 		WrapRef: func(ref *rmi.RemoteRef, _ *rmi.Client) (any, error) {
 			return serverEnv.Wrap(ref)
 		},
 	}
 	clientOpts := rmi.Options{
-		Core:     coreOpts,
-		Compress: cfg.Compress,
-		Host:     cfg.ClientHost,
-		Obs:      cfg.Obs,
+		Core: coreOpts,
+		Host: cfg.ClientHost,
+		Obs:  cfg.Obs,
 		WrapRef: func(ref *rmi.RemoteRef, _ *rmi.Client) (any, error) {
 			return clientEnv.Wrap(ref)
 		},

@@ -38,8 +38,8 @@ type DebugStats struct {
 	// each one is a real aliasing bug at the call site that Put it.
 	DoublePuts int64
 	// ForeignPuts counts Puts of buffers whose capacity is not an exact
-	// pooled class (dropped by the pool). Not a bug by itself — inflated
-	// payloads legitimately take this path — but useful context.
+	// pooled class (dropped by the pool). Not a bug by itself: ReleasePayload
+	// accepts any slice.
 	ForeignPuts int64
 	// Outstanding is the number of buffers currently checked out: Gets
 	// that have not been Put back. A workload that releases everything it

@@ -1,0 +1,10 @@
+package graph
+
+import (
+	"testing"
+
+	"nrmi/internal/leakcheck"
+)
+
+// No test here moves a pooled buffer: the goroutine check alone applies.
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -533,54 +533,6 @@ func TestOneWayCall(t *testing.T) {
 	}
 }
 
-// TestBatchDispatch: with BatchCalls enabled and a leader pinned in
-// execution, concurrently issued calls to the same export coalesce into
-// one leader-driven run — and every batched call still gets its own
-// correct reply and restore.
-func TestBatchDispatch(t *testing.T) {
-	cl, svc, srv := newAsyncEnv(t, func(o *Options) { o.BatchCalls = 8 })
-	stub := cl.Stub("server", "async")
-	ctx := context.Background()
-	const K = 6
-	roots := make([]*RTree, K)
-	snaps := make([]*RTree, K)
-	ps := make([]*Promise, K)
-	for i := 0; i < K; i++ {
-		roots[i] = chaosTree()
-		snaps[i] = snapshotTree(t, roots[i])
-		p, err := stub.CallAsync(ctx, "GatedScale", roots[i], i+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps[i] = p
-	}
-	// The leader is pinned in GatedScale; give the followers time to reach
-	// the batcher's queue, then open the gate and drain.
-	time.Sleep(300 * time.Millisecond)
-	close(svc.gate)
-	for i, p := range ps {
-		rets, err := p.Wait(ctx)
-		if err != nil {
-			t.Fatalf("promise %d: %v", i, err)
-		}
-		want := chaosMutate(snaps[i], i+1)
-		if got := rets[0].(int); got != want {
-			t.Fatalf("promise %d: got %d, want %d", i, got, want)
-		}
-		if !treesEqual(t, roots[i], snaps[i]) {
-			t.Fatalf("promise %d: wrong restore under batching", i)
-		}
-	}
-	sm := srv.Metrics()
-	if sm.BatchesDispatched < 1 || sm.BatchedCalls < 2 {
-		t.Fatalf("no coalescing observed: batches=%d batchedCalls=%d", sm.BatchesDispatched, sm.BatchedCalls)
-	}
-	if sm.BatchedCalls > sm.CallsServed {
-		t.Fatalf("BatchedCalls %d > CallsServed %d", sm.BatchedCalls, sm.CallsServed)
-	}
-	t.Logf("batches=%d batchedCalls=%d of %d calls", sm.BatchesDispatched, sm.BatchedCalls, sm.CallsServed)
-}
-
 // TestChaosAsync extends the chaos suite to promises: under seeded fault
 // plans, each promise owns its own tree, and the §6.2 invariant holds
 // per promise — failure leaves its tree bit-identical, success leaves it

@@ -108,9 +108,6 @@ func (c *Client) conn(addr string) (*transport.Conn, error) {
 	}
 	c.metrics.dials.Add(1)
 	tc := transport.NewConn(nc)
-	if c.opts.Compress {
-		tc.EnableCompression()
-	}
 	c.conns[addr] = tc
 	return tc, nil
 }

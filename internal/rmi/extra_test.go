@@ -2,6 +2,7 @@ package rmi
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -191,6 +192,25 @@ func TestResolveRef(t *testing.T) {
 	}
 	if _, ok := e.server.ResolveRef(999); ok {
 		t.Fatal("unknown id must miss")
+	}
+}
+
+// TestReferenceKeysAreCanonical: "#<decimal id>" and nothing looser names an
+// anonymous export. A scan that stops at the first non-digit used to resolve
+// every row below to reference 12, 0 or 1.
+func TestReferenceKeysAreCanonical(t *testing.T) {
+	e := newEnv(t)
+	c := &Counter{}
+	for _, id := range []uint64{0, 1, 12} {
+		e.server.refs[id] = &refEntry{val: reflect.ValueOf(c)}
+	}
+	if v, err := e.server.resolveTarget("#12"); err != nil || v.Interface() != any(c) {
+		t.Fatalf(`"#12": %v, %v; want the exported object`, v, err)
+	}
+	for _, key := range []string{"#12abc", "#12 ", "# 12", "#0x10", "#", "#-1", "#+1", "#18446744073709551616"} {
+		if v, err := e.server.resolveTarget(key); !errors.Is(err, ErrNoSuchObject) {
+			t.Errorf("%q resolved to %v (err %v), want ErrNoSuchObject", key, v, err)
+		}
 	}
 }
 

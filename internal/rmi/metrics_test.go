@@ -2,6 +2,9 @@ package rmi
 
 import (
 	"context"
+	"encoding/binary"
+	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,6 +40,47 @@ func TestMetricsRejectedCallsExcludedFromBytesIn(t *testing.T) {
 	}
 	if m.BytesIn != 0 {
 		t.Errorf("BytesIn = %d after a rejected request, want 0 (rejections are excluded)", m.BytesIn)
+	}
+}
+
+// TestRetiredFlagFrameRefusedUnderRequestCap: flag 0x02 once made every
+// receiver inflate the payload before MaxRequestBytes saw it, and these 64 KiB
+// of DEFLATE (zeros, two bits per 258 of them) inflate to 64 MiB. The
+// transport now refuses the frame from its header and closes the connection:
+// no reply, no method, nothing counted, and the server's heap stays under
+// the cap.
+func TestRetiredFlagFrameRefusedUnderRequestCap(t *testing.T) {
+	const maxRequest = 1 << 20
+	env := newDegradeEnv(t, func(o *Options) { o.MaxRequestBytes = maxRequest }, nil)
+	bomb := append([]byte{0xec, 0xc1, 0x01, 0x01, 0, 0, 0, 0x80, 0x90, 0xfe, 0xaf, 0xee, 0x08, 0x0a}, make([]byte, 65000)...)
+	frame := make([]byte, 16, 16+len(bomb))
+	binary.BigEndian.PutUint16(frame[0:2], 0x4E52)
+	frame[2], frame[3] = transport.MsgCall, 0x02
+	binary.BigEndian.PutUint64(frame[4:12], 1)
+	binary.BigEndian.PutUint32(frame[12:16], uint32(len(bomb)))
+	frame = append(frame, bomb...)
+
+	nc, err := env.net.Dial("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _ = nc.Write(frame) // the server hangs up mid-frame: a short write is the expected outcome
+	reply, err := io.ReadAll(nc)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(reply) != 0 {
+		t.Fatalf("server answered %d bytes (err %v); want the connection closed with no reply", len(reply), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxRequest {
+		t.Errorf("a %d-byte frame made the process allocate %d bytes, past MaxRequestBytes %d", len(frame), grew, maxRequest)
+	}
+	if m := env.srv.Metrics(); m.CallsServed != 0 || m.CallsRejected != 0 || m.BytesIn != 0 {
+		t.Errorf("the refused frame reached dispatch: %+v", m)
 	}
 }
 

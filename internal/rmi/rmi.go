@@ -122,10 +122,6 @@ type Options struct {
 	// implementing the application's node interface). When nil, methods
 	// receive the raw *RemoteRef.
 	WrapRef func(ref *RemoteRef, c *Client) (any, error)
-	// Compress enables DEFLATE compression of outbound frames above 1 KiB.
-	// Receivers inflate transparently, so endpoints may enable it
-	// independently.
-	Compress bool
 	// Intercept, when set, wraps every invocation on this endpoint:
 	// outbound calls on a client, inbound dispatches on a server. The
 	// interceptor may inspect the call, enrich the context, veto the call
@@ -156,13 +152,6 @@ type Options struct {
 	// MaxRequestBytes rejects call payloads larger than this before any
 	// decoding work. Zero means unlimited.
 	MaxRequestBytes int
-	// BatchCalls enables server-side batch dispatch: when several calls
-	// to the same export are in flight at once, the first becomes the
-	// batch leader and executes up to BatchCalls-1 queued followers back
-	// to back on its own goroutine. Values below 2 disable coalescing.
-	// Batching changes scheduling, not semantics: each call keeps its own
-	// context, reply, and restore section.
-	BatchCalls int
 	// Obs receives per-call phase spans (encode, transport, decode,
 	// restore-commit on clients; decode, prepare, execute, encode-reply on
 	// servers). Nil disables phase recording entirely; the disabled path

@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,10 +50,6 @@ type Server struct {
 	callSem chan struct{}
 	queued  atomic.Int32
 
-	// batcher coalesces concurrent calls to one export into leader-driven
-	// batch runs (see batch.go); nil when Options.BatchCalls < 2.
-	batcher *batcher
-
 	// sweeper state for the background lease collector.
 	sweepStop chan struct{}
 
@@ -92,9 +89,6 @@ func NewServer(addr string, opts Options) (*Server, error) {
 	}
 	if opts.MaxConcurrentCalls > 0 {
 		s.callSem = make(chan struct{}, opts.MaxConcurrentCalls)
-	}
-	if opts.BatchCalls >= 2 {
-		s.batcher = newBatcher()
 	}
 	return s, nil
 }
@@ -327,12 +321,8 @@ type Metrics struct {
 	// an admission slot). The method never ran, so these appear in neither
 	// CallsServed nor CallErrors nor CallsCancelled.
 	CallsAbandoned int64
-	// BatchesDispatched counts leader-driven batch runs that coalesced at
-	// least two calls (Options.BatchCalls); BatchedCalls counts the calls
-	// served inside those runs, leaders included, so BatchedCalls ≥
-	// 2 × BatchesDispatched. Batched calls also count under CallsServed.
-	BatchesDispatched int64
-	BatchedCalls      int64
+	// BatchedCalls is never incremented; it stays for its one reader, benchmark/proc.go.
+	BatchedCalls int64
 	// DrainDuration is the cumulative time Shutdown spent waiting for
 	// in-flight calls to complete.
 	DrainDuration time.Duration
@@ -340,35 +330,31 @@ type Metrics struct {
 
 // serverMetrics is the live counter set.
 type serverMetrics struct {
-	calls        atomic.Int64
-	errors       atomic.Int64
-	bytesIn      atomic.Int64
-	bytesOut     atomic.Int64
-	restored     atomic.Int64
-	rejected     atomic.Int64
-	unavailable  atomic.Int64
-	cancelled    atomic.Int64
-	abandoned    atomic.Int64
-	batches      atomic.Int64
-	batchedCalls atomic.Int64
-	drainNanos   atomic.Int64
+	calls       atomic.Int64
+	errors      atomic.Int64
+	bytesIn     atomic.Int64
+	bytesOut    atomic.Int64
+	restored    atomic.Int64
+	rejected    atomic.Int64
+	unavailable atomic.Int64
+	cancelled   atomic.Int64
+	abandoned   atomic.Int64
+	drainNanos  atomic.Int64
 }
 
 // Metrics returns a snapshot of the server's counters.
 func (s *Server) Metrics() Metrics {
 	return Metrics{
-		CallsServed:       s.metrics.calls.Load(),
-		CallErrors:        s.metrics.errors.Load(),
-		BytesIn:           s.metrics.bytesIn.Load(),
-		BytesOut:          s.metrics.bytesOut.Load(),
-		ObjectsRestored:   s.metrics.restored.Load(),
-		CallsRejected:     s.metrics.rejected.Load(),
-		CallsUnavailable:  s.metrics.unavailable.Load(),
-		CallsCancelled:    s.metrics.cancelled.Load(),
-		CallsAbandoned:    s.metrics.abandoned.Load(),
-		BatchesDispatched: s.metrics.batches.Load(),
-		BatchedCalls:      s.metrics.batchedCalls.Load(),
-		DrainDuration:     time.Duration(s.metrics.drainNanos.Load()),
+		CallsServed:      s.metrics.calls.Load(),
+		CallErrors:       s.metrics.errors.Load(),
+		BytesIn:          s.metrics.bytesIn.Load(),
+		BytesOut:         s.metrics.bytesOut.Load(),
+		ObjectsRestored:  s.metrics.restored.Load(),
+		CallsRejected:    s.metrics.rejected.Load(),
+		CallsUnavailable: s.metrics.unavailable.Load(),
+		CallsCancelled:   s.metrics.cancelled.Load(),
+		CallsAbandoned:   s.metrics.abandoned.Load(),
+		DrainDuration:    time.Duration(s.metrics.drainNanos.Load()),
 	}
 }
 
@@ -381,12 +367,8 @@ func (s *Server) Serve(ln net.Listener) {
 		ln.Close()
 		return
 	}
-	tsrv := transport.Serve(ln, s.handle)
-	s.tsrv = tsrv
+	s.tsrv = transport.Serve(ln, s.handle)
 	s.mu.Unlock()
-	if s.opts.Compress {
-		tsrv.EnableCompression()
-	}
 }
 
 // Close stops serving and the lease sweeper immediately, without draining.
@@ -546,7 +528,7 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 		}
 		s.metrics.calls.Add(1)
 		s.metrics.bytesIn.Add(int64(len(payload)))
-		reply, err := s.dispatchMsgCall(ctx, payload)
+		reply, err := s.handleCall(ctx, payload)
 		if err != nil {
 			// errors before cancelled, so concurrent snapshots always see
 			// CallErrors ≥ CallsCancelled (calls was bumped pre-dispatch,
@@ -580,8 +562,8 @@ func (s *Server) resolveTarget(key string) (reflect.Value, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(key) > 0 && key[0] == '#' {
-		var id uint64
-		if _, err := fmt.Sscanf(key, "#%d", &id); err != nil {
+		id, err := strconv.ParseUint(key[1:], 10, 64)
+		if err != nil {
 			return reflect.Value{}, fmt.Errorf("%w: bad reference key %q", ErrNoSuchObject, key)
 		}
 		e, ok := s.refs[id]
@@ -630,9 +612,7 @@ var errType = reflect.TypeOf((*error)(nil)).Elem()
 // observability collector keyed by (object, method).
 func (s *Server) handleCall(ctx context.Context, payload []byte) (out []byte, err error) {
 	// The payload stays valid for the whole handler (the transport releases
-	// it after handleCall returns — for a batched follower, not before the
-	// leader has delivered on its channel), so the decoder may slice it in
-	// place.
+	// it after handleCall returns), so the decoder may slice it in place.
 	sc := core.AcceptCallBytes(payload, s.opts.Core)
 	// Decoded argument objects outlive the release (the pool only drops its
 	// references to them), so this is safe on every exit path.

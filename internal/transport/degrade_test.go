@@ -21,11 +21,11 @@ import (
 func TestDeadlineFrameRoundTrip(t *testing.T) {
 	var with, without bytes.Buffer
 	f := frame{msgType: MsgCall, reqID: 7, payload: []byte("p")}
-	if err := writeFrame(&without, f, false); err != nil {
+	if err := writeFrame(&without, f); err != nil {
 		t.Fatal(err)
 	}
 	f.deadline = 1500 * time.Millisecond
-	if err := writeFrame(&with, f, false); err != nil {
+	if err := writeFrame(&with, f); err != nil {
 		t.Fatal(err)
 	}
 	if with.Len() != without.Len()+8 {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -38,22 +39,21 @@ func frameErrClass(err error) string {
 // to the wire's microseconds, transport-internal flags stripped) as readFrame
 // must hand it back.
 type frameShape struct {
-	name     string
-	f        frame
-	compress bool
+	name string
+	f    frame
 }
 
 func (s frameShape) wire(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, s.f, s.compress); err != nil {
+	if err := writeFrame(&buf, s.f); err != nil {
 		t.Fatalf("%s: writeFrame: %v", s.name, err)
 	}
 	return buf.Bytes()
 }
 
-// fill returns n bytes that DEFLATE cannot shrink to nothing and that differ
-// from offset to offset, so a mis-sliced payload shows.
+// fill returns n bytes that differ from offset to offset, so a mis-sliced
+// payload shows.
 func fill(n int) []byte {
 	p := make([]byte, n)
 	for i := range p {
@@ -70,7 +70,6 @@ func frameShapes() []frameShape {
 		{name: "deadline extension", f: frame{msgType: MsgCall, reqID: 2, deadline: 1500 * time.Microsecond, payload: []byte("budget")}},
 		{name: "error with status", f: frame{msgType: MsgReply, flags: flagError | flagStatus, reqID: 3, payload: append([]byte{StatusOverloaded}, "shed"...)}},
 		{name: "one-way with deadline", f: frame{msgType: MsgCall, flags: flagOneWay, reqID: 4, deadline: time.Second, payload: []byte("fire and forget")}},
-		{name: "deflate", f: frame{msgType: MsgReply, reqID: 5, payload: bytes.Repeat([]byte("compressible "), 400)}, compress: true},
 		{name: "zero length", f: frame{msgType: MsgPing, reqID: 6}},
 		{name: "zero length with deadline", f: frame{msgType: MsgPing, reqID: 7, deadline: time.Millisecond}},
 		{name: "exactly the buffer", f: frame{msgType: MsgCall, reqID: 8, payload: fill(readBufSize - headerSize)}},
@@ -235,8 +234,10 @@ func TestFrameHostileHeaders(t *testing.T) {
 		{"deadline flag, nothing follows", header(frameMagic, flagDeadline, 0), "truncated"},
 		{"deadline flag, half an extension", append(header(frameMagic, flagDeadline, 0), 1, 2, 3, 4), "truncated"},
 		{"length promises more than follows", append(header(frameMagic, 0, 65), junk...), "truncated"},
-		{"deflate flag over junk", append(header(frameMagic, flagDeflate, 64), junk...), "bad-frame"},
-		{"deflate flag over nothing", header(frameMagic, flagDeflate, 0), "bad-frame"},
+		{"retired flag over junk", append(header(frameMagic, flagRetired, 64), junk...), "bad-frame"},
+		{"retired flag over nothing", header(frameMagic, flagRetired, 0), "bad-frame"},
+		{"retired flag with deadline flag", append(append(header(frameMagic, flagRetired|flagDeadline, 56), make([]byte, 8)...), junk[:56]...), "bad-frame"},
+		{"retired flag wins over oversize", append(header(frameMagic, flagRetired, ^uint32(0)), junk...), "bad-frame"},
 		{"every flag set over junk", append(append(header(frameMagic, 0xFF, 56), make([]byte, 8)...), junk[:56]...), "bad-frame"},
 	}
 	for _, tc := range cases {
@@ -253,13 +254,37 @@ func TestFrameHostileHeaders(t *testing.T) {
 			if f.payload != nil {
 				t.Errorf("%s, %s: a refused frame returned a payload", tc.name, name)
 			}
-			refusedByHeader := tc.want == "too-large" || (tc.want == "bad-frame" && tc.buf[3]&flagDeflate == 0)
+			refusedByHeader := tc.want == "too-large" || tc.want == "bad-frame"
 			if took := bufpool.DebugSnapshot().Gets - before; refusedByHeader && took != 0 {
 				t.Errorf("%s, %s: took %d pool buffers for a frame its header already condemns", tc.name, name, took)
 			}
 		}
 	}
 	leakcheck.Settle(t)
+}
+
+// TestRetiredFlagFrameAllocatesNothing: flag 0x02 once asked the receiver to
+// inflate the payload. This frame is 65 030 bytes of DEFLATE (one dynamic
+// block of length-258 matches on zeros, two bits each) that inflated to
+// 64 MiB before any size limit above the transport saw it; refused from the
+// header, it costs less than its own length.
+func TestRetiredFlagFrameAllocatesNothing(t *testing.T) {
+	bomb := append([]byte{0xec, 0xc1, 0x01, 0x01, 0, 0, 0, 0x80, 0x90, 0xfe, 0xaf, 0xee, 0x08, 0x0a}, make([]byte, 65000)...)
+	wire := append(header(frameMagic, flagRetired, uint32(len(bomb))), bomb...)
+	r := bytes.NewReader(wire)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f, err := readFrame(r)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFrame) || f.payload != nil {
+		t.Fatalf("readFrame: payload %d bytes, err %v; want ErrBadFrame and no payload", len(f.payload), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(wire)) {
+		t.Fatalf("readFrame allocated %d bytes for a %d-byte frame", grew, len(wire))
+	}
+	if r.Len() != len(bomb) {
+		t.Fatalf("readFrame consumed %d payload bytes of a frame its header condemns", len(bomb)-r.Len())
+	}
 }
 
 // TestFrameReadsPerFrame pins what the buffer is for: a frame that fits
@@ -330,8 +355,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(byte(200), small)
 	f.Add(byte(0), []byte{})
 	f.Add(byte(7), header(0x4E53, 0, 4))
-	f.Add(byte(7), header(frameMagic, flagDeadline|flagDeflate, 1<<20))
-	f.Add(byte(9), append(header(frameMagic, flagDeflate, 8), 1, 2, 3, 4, 5, 6, 7, 8))
+	f.Add(byte(7), header(frameMagic, flagDeadline|flagRetired, 1<<20))
+	f.Add(byte(9), append(header(frameMagic, flagRetired, 8), 1, 2, 3, 4, 5, 6, 7, 8))
+	f.Add(byte(0), header(frameMagic, flagRetired, 0))
+	f.Add(byte(3), append(small[:len(small):len(small)], header(frameMagic, flagRetired|flagError, 4)...))
 	f.Fuzz(func(t *testing.T, chunk byte, data []byte) {
 		plain := bytes.NewReader(data)
 		var chunks [][]byte

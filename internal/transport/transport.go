@@ -7,7 +7,7 @@
 //
 //	magic    u16  0x4E52 ("NR")
 //	type     u8   message type, caller-defined
-//	flags    u8   0x01 = error reply, 0x02 = DEFLATE payload,
+//	flags    u8   0x01 = error reply, 0x02 = retired (refused),
 //	              0x04 = deadline extension present, 0x08 = status byte,
 //	              0x10 = one-way request (no reply frame will follow)
 //	reqID    u64  request correlation id
@@ -29,8 +29,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -65,19 +63,15 @@ const (
 )
 
 const (
-	frameMagic   = 0x4E52
-	headerSize   = 2 + 1 + 1 + 8 + 4
-	flagError    = 0x01
-	flagDeflate  = 0x02
+	frameMagic = 0x4E52
+	headerSize = 2 + 1 + 1 + 8 + 4
+	flagError  = 0x01
+	// flagRetired was DEFLATE: no writer sets it, readFrame refuses it.
+	flagRetired  = 0x02
 	flagDeadline = 0x04
 	flagStatus   = 0x08
 	flagOneWay   = 0x10
 	maxFrameSize = 64 << 20
-
-	// compressThreshold is the payload size above which frames are
-	// DEFLATE-compressed when compression is enabled on the writer side.
-	// Small frames gain nothing and pay latency.
-	compressThreshold = 1 << 10
 
 	// readBufSize lets a 256-node paper frame (4 035 B) arrive in one read.
 	readBufSize = 4 << 10
@@ -235,14 +229,6 @@ type frame struct {
 	payload  []byte
 }
 
-// Compression scratch pools: one DEFLATE writer and one output buffer per
-// concurrent compressing writeFrame, recycled across frames. Both are fully
-// reset before reuse.
-var (
-	flateWriterPool sync.Pool // *flate.Writer
-	cbufPool        sync.Pool // *bytes.Buffer
-)
-
 // ReleasePayload returns a payload obtained from Conn.Call (or handed to a
 // Handler) to the frame buffer pool. Ownership contract: the transport
 // allocates reply/request payloads from a shared pool; the layer that
@@ -253,44 +239,8 @@ var (
 // is still referenced, including one echoed back as a reply.
 func ReleasePayload(p []byte) { bufpool.Put(p) }
 
-// writeFrame assembles and writes a frame with a single Write. With
-// compress, payloads above the threshold are DEFLATE-compressed and
-// flagged; receivers transparently inflate, so compression is a pure
-// sender-side choice per connection.
-func writeFrame(w io.Writer, f frame, compress bool) error {
-	if compress && len(f.payload) > compressThreshold {
-		cbuf, _ := cbufPool.Get().(*bytes.Buffer)
-		if cbuf == nil {
-			cbuf = new(bytes.Buffer)
-		}
-		defer func() {
-			cbuf.Reset()
-			cbufPool.Put(cbuf)
-		}()
-		fw, _ := flateWriterPool.Get().(*flate.Writer)
-		if fw == nil {
-			var err error
-			fw, err = flate.NewWriter(cbuf, flate.BestSpeed)
-			if err != nil {
-				return err
-			}
-		} else {
-			fw.Reset(cbuf)
-		}
-		if _, err := fw.Write(f.payload); err != nil {
-			return err
-		}
-		if err := fw.Close(); err != nil {
-			return err
-		}
-		flateWriterPool.Put(fw)
-		if cbuf.Len() < len(f.payload) {
-			// cbuf's bytes are only borrowed until the single Write below;
-			// the deferred Reset reclaims them afterwards.
-			f.payload = cbuf.Bytes()
-			f.flags |= flagDeflate
-		}
-	}
+// writeFrame assembles and writes a frame with a single Write.
+func writeFrame(w io.Writer, f frame) error {
 	if len(f.payload) > maxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.payload))
 	}
@@ -323,8 +273,8 @@ func readFrame(r io.Reader) (frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
-	if binary.BigEndian.Uint16(hdr[0:2]) != frameMagic {
-		return frame{}, fmt.Errorf("%w: bad magic", ErrBadFrame)
+	if magic := binary.BigEndian.Uint16(hdr[0:2]); magic != frameMagic || hdr[3]&flagRetired != 0 {
+		return frame{}, fmt.Errorf("%w: magic %#04x, flags %#02x", ErrBadFrame, magic, hdr[3])
 	}
 	length := binary.BigEndian.Uint32(hdr[12:16])
 	if length > maxFrameSize {
@@ -343,26 +293,9 @@ func readFrame(r io.Reader) (frame, error) {
 		bufpool.Put(payload)
 		return frame{}, inFrame(err)
 	}
-	flags := hdr[3] &^ flagDeadline
-	if flags&flagDeflate != 0 {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		inflated, err := io.ReadAll(io.LimitReader(fr, maxFrameSize+1))
-		if cerr := fr.Close(); err == nil {
-			err = cerr
-		}
-		bufpool.Put(payload) // the compressed form is fully consumed
-		if err != nil {
-			return frame{}, fmt.Errorf("%w: inflate: %v", ErrBadFrame, err)
-		}
-		if len(inflated) > maxFrameSize {
-			return frame{}, fmt.Errorf("%w: inflated payload", ErrFrameTooLarge)
-		}
-		payload = inflated
-		flags &^= flagDeflate
-	}
 	return frame{
 		msgType:  hdr[2],
-		flags:    flags,
+		flags:    hdr[3] &^ flagDeadline,
 		reqID:    binary.BigEndian.Uint64(hdr[4:12]),
 		deadline: deadline,
 		payload:  payload,
@@ -382,8 +315,7 @@ func inFrame(err error) error {
 // invocations are multiplexed over one net.Conn and matched to replies by
 // request id.
 type Conn struct {
-	c        net.Conn
-	compress atomic.Bool
+	c net.Conn
 
 	writeMu sync.Mutex
 	nextID  atomic.Uint64
@@ -412,11 +344,6 @@ func NewConn(c net.Conn) *Conn {
 	go tc.readLoop()
 	return tc
 }
-
-// EnableCompression turns on DEFLATE compression for outbound frames above
-// 1 KiB. Receivers inflate transparently, so either side may enable it
-// independently.
-func (c *Conn) EnableCompression() { c.compress.Store(true) }
 
 func (c *Conn) readLoop() {
 	r := bufio.NewReaderSize(c.c, readBufSize)
@@ -553,7 +480,7 @@ func (c *Conn) Send(ctx context.Context, msgType byte, payload []byte, deadline 
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
-	err := writeFrame(c.c, f, c.compress.Load())
+	err := writeFrame(c.c, f)
 	c.writeMu.Unlock()
 	if err != nil {
 		c.mu.Lock()
@@ -723,9 +650,8 @@ type Handler func(ctx context.Context, msgType byte, payload []byte) ([]byte, er
 // Server accepts transport connections and dispatches frames to a Handler.
 // Requests run concurrently, like RMI's per-call threads, on kept workers.
 type Server struct {
-	ln       net.Listener
-	handler  Handler
-	compress atomic.Bool
+	ln      net.Listener
+	handler Handler
 
 	// baseCtx parents every request context; cancelled by Close so
 	// in-flight handlers learn the server is going away.
@@ -782,10 +708,6 @@ func Serve(ln net.Listener, h Handler) *Server {
 	go s.acceptLoop()
 	return s
 }
-
-// EnableCompression turns on DEFLATE compression for outbound replies
-// above 1 KiB.
-func (s *Server) EnableCompression() { s.compress.Store(true) }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
@@ -884,7 +806,7 @@ func (s *Server) serve(sc *srvConn, f frame) {
 		out.payload = reply
 	}
 	sc.writeMu.Lock()
-	_ = writeFrame(sc.c, out, s.compress.Load())
+	_ = writeFrame(sc.c, out)
 	sc.writeMu.Unlock()
 	// The reply (which may alias the request payload, e.g. an echo) has been
 	// fully assembled and written; the request buffer is free.

@@ -218,7 +218,7 @@ func TestServerCloseFailsInFlight(t *testing.T) {
 func TestFrameEncodingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := frame{msgType: MsgDGC, flags: flagError, reqID: 777, payload: []byte("payload")}
-	if err := writeFrame(&buf, in, false); err != nil {
+	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := readFrame(&buf)
@@ -243,7 +243,7 @@ func TestBadMagicRejected(t *testing.T) {
 
 func TestOversizeFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
-	err := writeFrame(&buf, frame{payload: make([]byte, maxFrameSize+1)}, false)
+	err := writeFrame(&buf, frame{payload: make([]byte, maxFrameSize+1)})
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("write: want ErrFrameTooLarge, got %v", err)
 	}
@@ -297,119 +297,6 @@ func TestManySequentialCalls(t *testing.T) {
 		}
 		ReleasePayload(got)
 	}
-}
-
-func TestCompressionRoundTrip(t *testing.T) {
-	// Compressible payload above the threshold.
-	payload := bytes.Repeat([]byte("abcdef"), 1024)
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, frame{msgType: MsgCall, reqID: 5, payload: payload}, true); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() >= headerSize+len(payload) {
-		t.Fatalf("frame not compressed: %d bytes on wire for %d payload", buf.Len(), len(payload))
-	}
-	out, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.payload, payload) {
-		t.Fatal("payload mangled by compression round trip")
-	}
-	if out.flags&flagDeflate != 0 {
-		t.Fatal("deflate flag must be cleared after inflation")
-	}
-	ReleasePayload(out.payload)
-}
-
-func TestCompressionSkipsSmallAndIncompressible(t *testing.T) {
-	// Small frames stay raw.
-	var buf bytes.Buffer
-	small := []byte("tiny")
-	if err := writeFrame(&buf, frame{payload: small}, true); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != headerSize+len(small) {
-		t.Fatalf("small frame should be raw: %d", buf.Len())
-	}
-	out, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ReleasePayload(out.payload)
-	// Incompressible payloads stay raw too (compressed >= original).
-	junk := make([]byte, 4096)
-	state := uint64(1)
-	for i := range junk {
-		state = state*6364136223846793005 + 1442695040888963407
-		junk[i] = byte(state >> 33)
-	}
-	buf.Reset()
-	if err := writeFrame(&buf, frame{payload: junk}, true); err != nil {
-		t.Fatal(err)
-	}
-	out, err = readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.payload, junk) {
-		t.Fatal("incompressible payload mangled")
-	}
-	ReleasePayload(out.payload)
-}
-
-func TestCompressionEndToEnd(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback())
-	defer n.Close()
-	ln, err := n.Listen("srv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, func(_ context.Context, mt byte, p []byte) ([]byte, error) { return p, nil })
-	srv.EnableCompression()
-	defer srv.Close()
-	nc, err := n.Dial("srv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewConn(nc)
-	c.EnableCompression()
-	defer c.Close()
-	payload := bytes.Repeat([]byte("copy-restore "), 512)
-	got, err := c.Call(context.Background(), MsgCall, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("compressed echo mangled")
-	}
-	ReleasePayload(got)
-	// Both directions were above threshold and compressible: far fewer
-	// bytes crossed the (accounted) network than 2x payload.
-	if st := n.Stats(); st.BytesSent >= int64(2*len(payload)) {
-		t.Fatalf("no compression observed: %d bytes for %d payload", st.BytesSent, len(payload))
-	}
-}
-
-func TestCorruptDeflatePayloadRejected(t *testing.T) {
-	var buf bytes.Buffer
-	hdr := make([]byte, headerSize)
-	hdr[0], hdr[1] = 0x4E, 0x52
-	hdr[3] = flagDeflate
-	junk := []byte{0xde, 0xad, 0xbe, 0xef}
-	putUint32(hdr[12:16], uint32(len(junk)))
-	buf.Write(hdr)
-	buf.Write(junk)
-	if _, err := readFrame(&buf); err == nil {
-		t.Fatal("corrupt deflate stream must fail")
-	}
-}
-
-func putUint32(b []byte, v uint32) {
-	b[0] = byte(v >> 24)
-	b[1] = byte(v >> 16)
-	b[2] = byte(v >> 8)
-	b[3] = byte(v)
 }
 
 func TestHandlerPanicBecomesErrorReply(t *testing.T) {

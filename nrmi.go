@@ -142,9 +142,6 @@ type Options struct {
 	// fallback. Useful for pinning mixed fleets to V2 during rollout and
 	// for negotiation experiments.
 	DisableEngineV3 bool
-	// Compress enables DEFLATE compression of frames above 1 KiB, a pure
-	// bandwidth/CPU trade each endpoint may enable independently.
-	Compress bool
 	// Registry resolves named types; nil means the process-wide default.
 	Registry *Registry
 	// WrapRef converts inbound remote references into application proxies
@@ -179,13 +176,6 @@ type Options struct {
 	// MaxRequestBytes rejects call payloads larger than this before any
 	// decoding work on the server. Zero means unlimited.
 	MaxRequestBytes int
-	// BatchCalls enables server-side call coalescing: while one call on a
-	// service executes, up to BatchCalls-1 queued calls for the same
-	// service join its batch and are dispatched back-to-back on the
-	// leader's goroutine. Values below 2 disable coalescing. Batching
-	// changes scheduling only — each call's response is built exactly as
-	// if dispatched alone.
-	BatchCalls int
 	// Observer receives per-call phase measurements (latency, bytes, object
 	// counts per pipeline phase) from this endpoint; see NewObserver. Nil
 	// disables phase recording entirely — the disabled path costs nothing
@@ -294,7 +284,6 @@ func (o Options) rmiOptions() rmi.Options {
 			DisableEngineV3:  o.DisableEngineV3,
 		},
 		WrapRef:            o.WrapRef,
-		Compress:           o.Compress,
 		Intercept:          o.Intercept,
 		Retry:              o.Retry,
 		CallTimeout:        o.CallTimeout,
@@ -302,7 +291,6 @@ func (o Options) rmiOptions() rmi.Options {
 		AdmissionQueue:     o.AdmissionQueue,
 		AdmissionWait:      o.AdmissionWait,
 		MaxRequestBytes:    o.MaxRequestBytes,
-		BatchCalls:         o.BatchCalls,
 	}
 	// The nil check matters: assigning a nil *Observer directly would make
 	// the interface non-nil and turn on the recording path for nothing.

@@ -93,8 +93,6 @@ func TestPublicAPIAllOptionCombos(t *testing.T) {
 		{Delta: true},
 		{Portable: true},
 		{UnsafeAccess: true},
-		{Compress: true},
-		{Compress: true, Engine: nrmi.EngineV1},
 	} {
 		opts.Registry = nrmi.NewRegistry()
 		if err := opts.Registry.Register("Vector", Vector{}); err != nil {
