@@ -113,7 +113,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 10046
+TRACKED_LOC_MAX := 9942
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -127,7 +127,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 22399
+REPO_LOC_MAX := 22299
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \
@@ -154,6 +154,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzIdentTable -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s -fuzzminimizetime=5s ./internal/transport/
+	$(GO) test -fuzz=FuzzHandleDGC -fuzztime=30s ./internal/rmi/
+	$(GO) test -fuzz=FuzzRegistryHandle -fuzztime=30s ./internal/registry/
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

@@ -204,7 +204,7 @@ func BenchmarkAblationFieldAccess(b *testing.B) {
 				if err := enc.Flush(); err != nil {
 					b.Fatal(err)
 				}
-				dec := wire.NewDecoder(&buf, opts)
+				dec := wire.NewDecoderBytes(buf.Bytes(), opts)
 				if _, err := dec.Decode(); err != nil {
 					b.Fatal(err)
 				}
@@ -237,7 +237,7 @@ func BenchmarkAblationEngines(b *testing.B) {
 					b.Fatal(err)
 				}
 				encodedBytes = enc.BytesWritten()
-				dec := wire.NewDecoder(&buf, opts)
+				dec := wire.NewDecoderBytes(buf.Bytes(), opts)
 				if _, err := dec.Decode(); err != nil {
 					b.Fatal(err)
 				}
@@ -369,7 +369,7 @@ func BenchmarkTopology(b *testing.B) {
 				if err := enc.Flush(); err != nil {
 					b.Fatal(err)
 				}
-				dec := wire.NewDecoder(bytes.NewReader(buf.Bytes()), opts)
+				dec := wire.NewDecoderBytes(buf.Bytes(), opts)
 				if _, err := dec.Decode(); err != nil {
 					b.Fatal(err)
 				}

@@ -1,6 +1,9 @@
 package nrmi_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,20 +22,133 @@ var (
 	docBraces   = regexp.MustCompile(`\{([^{}]*)\}`)
 	makeTarget  = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
+	// docIdent is `pkg.Name`, `pkg.Name.Member` or `(*pkg.Name).Member`,
+	// exported names only, an optional trailing * for a prefix.
+	docIdent  = regexp.MustCompile(`\b([a-z]\w*)\.([A-Z]\w*)\)?(?:\.([A-Z]\w*))?(\*?)`)
+	openItems = regexp.MustCompile(`(?ms)^## Open items$.*?^## `)
 )
 
-// TestDocsResolve: every backticked `make <target>`, repository path and
-// Test/Benchmark/Fuzz name in the prose that describes the tree (README.md,
-// DESIGN.md, EXPERIMENTS.md, docs/*.md; fenced blocks excluded) names
-// something the tree has. CHANGES.md, ROADMAP.md and results/ are dated
-// records and are not read. A deletion either updates the sentence that
-// named the thing or fails here.
+// surface is a package's exported names as "Name" and "Type.Member" keys
+// (fields, methods, interface methods), plus its aliases `type A = pkg.B` as
+// "A" -> "pkg.B".
+type surface struct {
+	names   map[string]bool
+	aliases map[string]string
+}
+
+// exportedNames parses the non-test files of dir.
+func exportedNames(t *testing.T, dir string) surface {
+	t.Helper()
+	names, aliases := map[string]bool{}, map[string]string{}
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						name = id.Name + "." + name
+					}
+				}
+				names[name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							names[id.Name] = true
+						}
+					case *ast.TypeSpec:
+						names[sp.Name.Name] = true
+						var members *ast.FieldList
+						switch ty := sp.Type.(type) {
+						case *ast.StructType:
+							members = ty.Fields
+						case *ast.InterfaceType:
+							members = ty.Methods
+						case *ast.SelectorExpr:
+							if pkg, ok := ty.X.(*ast.Ident); ok {
+								aliases[sp.Name.Name] = pkg.Name + "." + ty.Sel.Name
+							}
+						}
+						if members != nil {
+							for _, field := range members.List {
+								for _, id := range field.Names {
+									names[sp.Name.Name+"."+id.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return surface{names, aliases}
+}
+
+// TestDocsResolve: every backticked `make <target>`, repository path,
+// Test/Benchmark/Fuzz name and exported `pkg.Name` of a package of this
+// module in the prose that describes the tree (README.md, DESIGN.md,
+// EXPERIMENTS.md, docs/*.md; fenced blocks excluded) names something the
+// tree has. ROADMAP.md's Open items also name what is planned or gone, and
+// are held to the `pkg.Name` rule alone. CHANGES.md, the rest of ROADMAP.md
+// and results/ are dated records and are not read. A deletion either updates
+// the sentence that named the thing or fails here.
 func TestDocsResolve(t *testing.T) {
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md")
+	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md")
+
+	pkgs := map[string]surface{"nrmi": exportedNames(t, ".")}
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range append(dirs, "containers") {
+		pkgs[filepath.Base(dir)] = exportedNames(t, dir)
+	}
+	// hasIdent resolves pkg.name[.member], through `type A = pkg.B` aliases;
+	// a package that is not this module's (time.Duration) resolves.
+	hasIdent := func(pkg, name, member string, prefix bool) bool {
+		for {
+			p, ours := pkgs[pkg]
+			if !ours {
+				return true
+			}
+			key := strings.TrimSuffix(name+"."+member, ".")
+			if p.names[key] {
+				return true
+			}
+			for have := range p.names {
+				if prefix && strings.HasPrefix(have, key) {
+					return true
+				}
+			}
+			alias, ok := p.aliases[name]
+			if !ok {
+				return false
+			}
+			pkg, name, _ = strings.Cut(alias, ".")
+		}
+	}
 
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -112,7 +228,18 @@ func TestDocsResolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		prose := docFence.ReplaceAllString(string(raw), "")
+		if doc == "ROADMAP.md" {
+			prose = openItems.FindString(prose)
+		}
 		for _, span := range docSpan.FindAllStringSubmatch(prose, -1) {
+			for _, m := range docIdent.FindAllStringSubmatch(span[1], -1) {
+				if !hasIdent(m[1], m[2], m[3], m[4] != "") {
+					t.Errorf("%s: `%s`: package %s exports no %s", doc, span[1], m[1], strings.TrimSuffix(m[2]+"."+m[3], "."))
+				}
+			}
+			if doc == "ROADMAP.md" {
+				continue
+			}
 			for _, m := range docMake.FindAllStringSubmatch(span[1], -1) {
 				for _, target := range strings.Fields(m[1]) {
 					if !targets[target] {

@@ -30,7 +30,7 @@ func atomicWorld(t *testing.T, opts Options) (*Call, []byte, *Tree) {
 	if err := call.Finish(); err != nil {
 		t.Fatalf("finish: %v", err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
@@ -77,7 +77,7 @@ func TestApplyResponseAtomicUnderTruncation(t *testing.T) {
 			t.Fatal("response encoding is not deterministic; sweep invalid")
 		}
 		snap := snapshotGraph(t, root)
-		_, err := call.ApplyResponse(bytes.NewReader(resp[:cut]))
+		_, err := call.ApplyResponseBytes(resp[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d/%d bytes: ApplyResponse succeeded", cut, len(full))
 		}
@@ -105,7 +105,7 @@ func TestApplyResponseAtomicUnderBitFlips(t *testing.T) {
 		corrupt := append([]byte(nil), resp...)
 		corrupt[pos] ^= bit
 		snap := snapshotGraph(t, root)
-		if _, err := call.ApplyResponse(bytes.NewReader(corrupt)); err != nil {
+		if _, err := call.ApplyResponseBytes(corrupt); err != nil {
 			if !graphsEqual(t, root, snap) {
 				t.Fatalf("seed %d trial %d (byte %d bit %#02x): failed ApplyResponse mutated the graph (err was %v)",
 					seed, trial, pos, bit, err)

@@ -169,27 +169,17 @@ type pendingRestore struct {
 	flat *wire.FlatContent
 }
 
-// ApplyResponse reads the server's restore section and return values from r
-// and performs the in-place restore: afterwards every client-side alias of
-// every pre-call object observes the server's mutations. It implements
-// steps 4–6 of the paper's algorithm in a single pass, recording the
-// decode and commit phases on the attached collector.
-func (c *Call) ApplyResponse(r io.Reader) (*Response, error) {
-	return c.apply(wire.AcquireDecoder(r, c.opts.wireOptions()))
-}
-
-// ApplyResponseBytes is ApplyResponse for a response held in memory. Engine
-// V3 decodes it by slicing — content records are validated and committed
-// straight out of data — so the caller must keep data alive and unmodified
-// until ApplyResponseBytes returns, and only then recycle the buffer. This
-// is the intended entry point for transports with pooled receive payloads.
+// ApplyResponseBytes reads the server's restore section and return values
+// from data and performs the in-place restore: afterwards every client-side
+// alias of every pre-call object observes the server's mutations. It
+// implements steps 4–6 of the paper's algorithm in a single pass, recording
+// the decode and commit phases on the attached collector. Engine V3 decodes
+// by slicing — content records are validated and committed straight out of
+// data — so the caller must keep data alive and unmodified until
+// ApplyResponseBytes returns, and only then recycle the buffer. The pooled
+// decoder goes back to the pool on success only.
 func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
-	return c.apply(wire.AcquireDecoderBytes(data, c.opts.wireOptions()))
-}
-
-// apply consumes the response on the pooled decoder dec, which goes back to
-// the pool on success only.
-func (c *Call) apply(dec *wire.Decoder) (*Response, error) {
+	dec := wire.AcquireDecoderBytes(data, c.opts.wireOptions())
 	if c.commitMu != nil {
 		// See the commitMu field comment: validation reads objects a
 		// concurrently applying call may be committing into, so the whole

@@ -95,9 +95,6 @@ type Options struct {
 	// DisablePlanCache selects the "portable" (uncached reflection) codec
 	// path; see wire.Options.DisablePlanCache.
 	DisablePlanCache bool
-	// DisableEngineV3 makes this endpoint's decoders reject engine-V3
-	// streams exactly like a pre-V3 peer; see wire.Options.DisableEngineV3.
-	DisableEngineV3 bool
 }
 
 func (o Options) wireOptions() wire.Options {
@@ -107,7 +104,6 @@ func (o Options) wireOptions() wire.Options {
 		Registry:         o.Registry,
 		MaxElems:         o.MaxElems,
 		DisablePlanCache: o.DisablePlanCache,
-		DisableEngineV3:  o.DisableEngineV3,
 	}
 }
 

@@ -50,7 +50,7 @@ func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *
 		t.Fatalf("finish: %v", err)
 	}
 
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
@@ -69,7 +69,7 @@ func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *
 	if _, err := srv.EncodeResponse(&respBuf, rets); err != nil {
 		t.Fatalf("encode response: %v", err)
 	}
-	resp, err := call.ApplyResponse(&respBuf)
+	resp, err := call.ApplyResponseBytes(respBuf.Bytes())
 	if err != nil {
 		t.Fatalf("apply response: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestDeltaSkipsUnchangedObjects(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
@@ -303,7 +303,7 @@ func TestDeltaSkipsUnchangedObjects(t *testing.T) {
 	if stats.OldSent != 1 {
 		t.Fatalf("delta must ship only the changed object: sent %d", stats.OldSent)
 	}
-	resp, err := call.ApplyResponse(&respBuf)
+	resp, err := call.ApplyResponseBytes(respBuf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestDeltaNoChangeShipsNothing(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	if _, err := srv.DecodeRestorable(); err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestDeltaNoChangeShipsNothing(t *testing.T) {
 	if stats.OldSent != 0 {
 		t.Fatalf("no-op delta response must ship 0 records, got %d", stats.OldSent)
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -385,7 +385,7 @@ func TestSharedStructureAcrossTwoRestorableArgs(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	s1, err := srv.DecodeRestorable()
 	if err != nil {
@@ -410,7 +410,7 @@ func TestSharedStructureAcrossTwoRestorableArgs(t *testing.T) {
 	if stats.OldTotal != 3 {
 		t.Fatalf("old total = %d, want 3 (shared object counted once)", stats.OldTotal)
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if shared.Data != 100 {
@@ -437,7 +437,7 @@ func TestCopyArgumentNotRestored(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sc, err := srv.DecodeCopy()
 	if err != nil {
@@ -460,7 +460,7 @@ func TestCopyArgumentNotRestored(t *testing.T) {
 	if stats.OldTotal != 1 {
 		t.Fatalf("old total = %d, want 1 (only the restorable argument's object)", stats.OldTotal)
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if copyArg.Data != 1 {
@@ -496,7 +496,7 @@ func TestRestorableMapInPlace(t *testing.T) {
 			if err := call.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			srv := AcceptCall(&req, opts)
+			srv := AcceptCallBytes(req.Bytes(), opts)
 			defer srv.Release()
 			sm, err := srv.DecodeRestorable()
 			if err != nil {
@@ -510,7 +510,7 @@ func TestRestorableMapInPlace(t *testing.T) {
 			if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := call.ApplyResponse(&respBuf); err != nil {
+			if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 				t.Fatal(err)
 			}
 			for name, alias := range map[string]map[string]int{"m": m, "aliasOfM": aliasOfM} {
@@ -538,7 +538,7 @@ func TestRestorableSliceInPlace(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	ss, err := srv.DecodeRestorable()
 	if err != nil {
@@ -552,7 +552,7 @@ func TestRestorableSliceInPlace(t *testing.T) {
 	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if aliasOfS[1] != 20 {
@@ -583,7 +583,7 @@ func TestNilRestorableArgument(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	v, err := srv.DecodeRestorable()
 	if err != nil {
@@ -603,7 +603,7 @@ func TestNilRestorableArgument(t *testing.T) {
 	if stats.OldTotal != 0 {
 		t.Fatalf("nil argument has no objects: %d", stats.OldTotal)
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -618,7 +618,7 @@ func TestEncodeResponseRequiresPrepare(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	if _, err := srv.DecodeRestorable(); err != nil {
 		t.Fatal(err)
@@ -669,7 +669,7 @@ func TestUnsafeAccessThroughRestore(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
@@ -683,7 +683,7 @@ func TestUnsafeAccessThroughRestore(t *testing.T) {
 	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if second.Data != 99 {

@@ -43,7 +43,7 @@ func runRemoteCarrier(t *testing.T, opts Options, mutate func(c *carrier), root 
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
@@ -57,7 +57,7 @@ func runRemoteCarrier(t *testing.T, opts Options, mutate func(c *carrier), root 
 	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := call.ApplyResponse(&respBuf)
+	resp, err := call.ApplyResponseBytes(respBuf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestApplyResponseTruncated(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	if _, err := srv.DecodeRestorable(); err != nil {
 		t.Fatal(err)
@@ -165,14 +165,14 @@ func TestApplyResponseTruncated(t *testing.T) {
 	}
 	full := respBuf.Bytes()
 	for _, cut := range []int{1, len(full) / 4, len(full) / 2, len(full) - 1} {
-		if _, err := call.ApplyResponse(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := call.ApplyResponseBytes(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d must fail", cut)
 		}
 	}
 	// The full response still applies cleanly afterwards (truncated
 	// attempts must not corrupt the originals irreversibly for this
 	// read-only-failure case... decoding errors abort before restore).
-	if _, err := call.ApplyResponse(bytes.NewReader(full)); err != nil {
+	if _, err := call.ApplyResponseBytes(full); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -197,7 +197,7 @@ func TestApplyResponseHostileCounts(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := call.ApplyResponse(bytes.NewReader(respBuf.Bytes()))
+	_, err := call.ApplyResponseBytes(respBuf.Bytes())
 	if err == nil || !strings.Contains(err.Error(), "content records") {
 		t.Fatalf("hostile count must fail cleanly: %v", err)
 	}
@@ -234,7 +234,7 @@ func TestRestorableNamedMapRoot(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sm, err := srv.DecodeRestorable()
 	if err != nil {
@@ -250,7 +250,7 @@ func TestRestorableNamedMapRoot(t *testing.T) {
 	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if m["root"].Data != 7 || m["extra"] == nil || m["extra"].Data != 9 {
@@ -275,7 +275,7 @@ func TestBytesAccounting(t *testing.T) {
 	if len(call.Objects()) != 5 {
 		t.Fatalf("linear map size = %d", len(call.Objects()))
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	if _, err := srv.DecodeRestorable(); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestDeltaFallsBackOnUndiffableObjects(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sm, err := srv.DecodeRestorable()
 	if err != nil {
@@ -326,7 +326,7 @@ func TestDeltaFallsBackOnUndiffableObjects(t *testing.T) {
 	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
 		t.Fatalf("delta over pointer-keyed map must not fail: %v", err)
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if m[k] != 99 {
@@ -352,7 +352,7 @@ func TestSameObjectAsCopyAndRestorableArg(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sc, err := srv.DecodeCopy()
 	if err != nil {
@@ -373,7 +373,7 @@ func TestSameObjectAsCopyAndRestorableArg(t *testing.T) {
 	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if x.Data != 42 {

@@ -65,7 +65,7 @@ func TestEmptySlicesOfTwoTypesRoundTrip(t *testing.T) {
 			if err := enc.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			dec := wire.NewDecoder(&buf, opts.wireOptions())
+			dec := wire.NewDecoderBytes(buf.Bytes(), opts.wireOptions())
 			defer dec.ReleaseArena()
 			out, err := dec.Decode()
 			if err != nil {

@@ -158,7 +158,7 @@ func checkEquivalence(t *testing.T, opts Options, seed int64, size, numOps int) 
 		t.Logf("seed %d: finish: %v", seed, err)
 		return false
 	}
-	srv := AcceptCall(&req, opts)
+	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
 	sroot, err := srv.DecodeRestorable()
 	if err != nil {
@@ -175,7 +175,7 @@ func checkEquivalence(t *testing.T, opts Options, seed int64, size, numOps int) 
 		t.Logf("seed %d: encode response: %v", seed, err)
 		return false
 	}
-	if _, err := call.ApplyResponse(&respBuf); err != nil {
+	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Logf("seed %d: apply: %v", seed, err)
 		return false
 	}
@@ -274,7 +274,7 @@ func TestQuickDeltaShipsSubset(t *testing.T) {
 			if err := call.Finish(); err != nil {
 				return nil, false
 			}
-			srv := AcceptCall(&req, opts)
+			srv := AcceptCallBytes(req.Bytes(), opts)
 			defer srv.Release()
 			sroot, err := srv.DecodeRestorable()
 			if err != nil {
@@ -289,7 +289,7 @@ func TestQuickDeltaShipsSubset(t *testing.T) {
 			if err != nil {
 				return nil, false
 			}
-			if _, err := call.ApplyResponse(&respBuf); err != nil {
+			if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 				return nil, false
 			}
 			return stats, true

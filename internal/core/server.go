@@ -35,11 +35,6 @@ type ServerCall struct {
 	snapshot *graph.Copier
 }
 
-// AcceptCall starts decoding a request from r.
-func AcceptCall(r io.Reader, opts Options) *ServerCall {
-	return &ServerCall{opts: opts, dec: wire.AcquireDecoder(r, opts.wireOptions())}
-}
-
 // AcceptCallBytes starts decoding a request held in memory. Engine V3
 // decodes it by slicing, so data must stay valid until the response has
 // been encoded; transports that pool receive buffers must not recycle the

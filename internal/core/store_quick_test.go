@@ -141,7 +141,7 @@ func TestQuickStoreRemoteEqualsLocal(t *testing.T) {
 		if err := call.Finish(); err != nil {
 			return false
 		}
-		srv := AcceptCall(&req, opts)
+		srv := AcceptCallBytes(req.Bytes(), opts)
 		defer srv.Release()
 		sroot, err := srv.DecodeRestorable()
 		if err != nil {
@@ -158,7 +158,7 @@ func TestQuickStoreRemoteEqualsLocal(t *testing.T) {
 			t.Logf("seed %d respond: %v", seed, err)
 			return false
 		}
-		if _, err := call.ApplyResponse(&respBuf); err != nil {
+		if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 			t.Logf("seed %d apply: %v", seed, err)
 			return false
 		}
@@ -196,7 +196,7 @@ func TestQuickStoreRemoteEqualsLocalDelta(t *testing.T) {
 		if err := call.Finish(); err != nil {
 			return false
 		}
-		srv := AcceptCall(&req, opts)
+		srv := AcceptCallBytes(req.Bytes(), opts)
 		defer srv.Release()
 		sroot, err := srv.DecodeRestorable()
 		if err != nil {
@@ -210,7 +210,7 @@ func TestQuickStoreRemoteEqualsLocalDelta(t *testing.T) {
 		if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
 			return false
 		}
-		if _, err := call.ApplyResponse(&respBuf); err != nil {
+		if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 			return false
 		}
 		eq, err := graph.Equal(graph.AccessExported, remote, local)

@@ -34,7 +34,7 @@ func TestConcurrentCallsSharedKernels(t *testing.T) {
 					return
 				}
 
-				srv := AcceptCall(&req, opts)
+				srv := AcceptCallBytes(req.Bytes(), opts)
 				sroot, err := srv.DecodeRestorable()
 				if err != nil {
 					t.Errorf("server decode: %v", err)
@@ -57,7 +57,7 @@ func TestConcurrentCallsSharedKernels(t *testing.T) {
 					return
 				}
 				srv.Release()
-				if _, err := call.ApplyResponse(&respBuf); err != nil {
+				if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 					t.Errorf("apply response: %v", err)
 					call.Release()
 					return

@@ -102,32 +102,35 @@ func (s *Server) handle(_ context.Context, msgType byte, payload []byte) ([]byte
 		s.entries[e.Name] = e
 		return nil, nil
 	case opLookup:
-		name, err := readString(r)
+		name, err := readStrings(r, 1)
 		if err != nil {
 			return nil, err
 		}
 		s.mu.RLock()
-		e, ok := s.entries[name]
+		e, ok := s.entries[name[0]]
 		s.mu.RUnlock()
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotBound, name)
+			return nil, fmt.Errorf("%w: %q", ErrNotBound, name[0])
 		}
 		var buf bytes.Buffer
 		writeEntry(&buf, e)
 		return buf.Bytes(), nil
 	case opUnbind:
-		name, err := readString(r)
+		name, err := readStrings(r, 1)
 		if err != nil {
 			return nil, err
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if _, ok := s.entries[name]; !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotBound, name)
+		if _, ok := s.entries[name[0]]; !ok {
+			return nil, fmt.Errorf("%w: %q", ErrNotBound, name[0])
 		}
-		delete(s.entries, name)
+		delete(s.entries, name[0])
 		return nil, nil
 	case opList:
+		if _, err := readStrings(r, 0); err != nil {
+			return nil, err
+		}
 		s.mu.RLock()
 		names := make([]string, 0, len(s.entries))
 		for n := range s.entries {
@@ -216,20 +219,17 @@ func (c *Client) List(ctx context.Context) ([]string, error) {
 		return nil, mapRemoteError(err)
 	}
 	defer transport.ReleasePayload(reply)
+	return parseList(reply)
+}
+
+// parseList reads a List reply: a count, then that many names, copied out.
+func parseList(reply []byte) ([]string, error) {
 	r := bytes.NewReader(reply)
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	names := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := readString(r)
-		if err != nil {
-			return nil, err
-		}
-		names = append(names, s)
-	}
-	return names, nil
+	return readStrings(r, n)
 }
 
 // mapRemoteError converts transport.RemoteError texts carrying registry
@@ -282,24 +282,38 @@ func readString(r *bytes.Reader) (string, error) {
 	return string(p), nil
 }
 
+// readStrings reads the rest of a message as exactly n strings. Every string
+// costs at least its length byte, so a count the payload cannot hold is
+// refused before it sizes an allocation; so are bytes left over.
+func readStrings(r *bytes.Reader, n uint64) ([]string, error) {
+	if n > uint64(r.Len()) {
+		return nil, fmt.Errorf("%w: %d strings in %d bytes", ErrBadRequest, n, r.Len())
+	}
+	out := make([]string, 0, n)
+	for i := uint64(0); i < n; i++ {
+		s, err := readString(r)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRequest, r.Len())
+	}
+	return out, nil
+}
+
 func writeEntry(buf *bytes.Buffer, e Entry) {
 	writeString(buf, e.Name)
 	writeString(buf, e.Addr)
 	writeString(buf, e.Object)
 }
 
+// readEntry reads a message that is one entry.
 func readEntry(r *bytes.Reader) (Entry, error) {
-	name, err := readString(r)
+	f, err := readStrings(r, 3)
 	if err != nil {
 		return Entry{}, err
 	}
-	addr, err := readString(r)
-	if err != nil {
-		return Entry{}, err
-	}
-	obj, err := readString(r)
-	if err != nil {
-		return Entry{}, err
-	}
-	return Entry{Name: name, Addr: addr, Object: obj}, nil
+	return Entry{Name: f[0], Addr: f[1], Object: f[2]}, nil
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"reflect"
@@ -183,4 +184,117 @@ func TestDialHelper(t *testing.T) {
 	if _, err := Dial(func() (net.Conn, error) { return nil, errors.New("nope") }); err == nil {
 		t.Fatal("dial error must propagate")
 	}
+}
+
+// msg spells a registry payload: each part a raw byte, a uvarint count
+// (uint64) or a length-prefixed string.
+func msg(parts ...any) []byte {
+	var b []byte
+	for _, p := range parts {
+		switch p := p.(type) {
+		case byte:
+			b = append(b, p)
+		case uint64:
+			b = binary.AppendUvarint(b, p)
+		case string:
+			b = append(binary.AppendUvarint(b, uint64(len(p))), p...)
+		}
+	}
+	return b
+}
+
+// hostileBodies are message bodies no parser of this package may accept,
+// allocate for, or panic on: what follows a request's op byte, or a whole
+// List or Lookup reply. FuzzRegistryHandle starts from them.
+var hostileBodies = []struct {
+	name string
+	body []byte
+}{
+	{"count of 2^62 in nine bytes", msg(uint64(1) << 62)},
+	{"count of 2^30, no names", msg(uint64(1) << 30)},
+	{"count one past the names", msg(uint64(4), "a", "b", "c")},
+	{"string length past the payload", msg(uint64(3), "a", uint64(200), byte('b'))},
+	{"string length of 2^63", msg(uint64(1), uint64(1)<<63)},
+	{"truncated varint", []byte{0x80}},
+	{"overlong varint", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
+	{"trailing bytes after a list", msg(uint64(1), "a", byte(0))},
+	{"trailing bytes after an entry", msg("n", "addr", "obj", byte(0))},
+	{"entry cut short", msg("n", "addr")},
+}
+
+// TestHostileReplies: a registry that answers List or Lookup with any of
+// hostileBodies gets ErrBadRequest from the client — the first row used to
+// end the calling process in makeslice — and the reply payload goes back to
+// the pool (the package's leak ledger).
+func TestHostileReplies(t *testing.T) {
+	n := netsim.NewNetwork(netsim.Loopback())
+	t.Cleanup(func() { n.Close() })
+	ln, err := n.Listen("hostile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply []byte
+	srv := transport.Serve(ln, func(context.Context, byte, []byte) ([]byte, error) { return reply, nil })
+	t.Cleanup(func() { srv.Close() })
+	nc, err := n.Dial("hostile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(transport.NewConn(nc))
+	t.Cleanup(func() { c.Close() })
+
+	for _, tc := range hostileBodies {
+		reply = tc.body
+		if names, err := c.List(context.Background()); !errors.Is(err, ErrBadRequest) || names != nil {
+			t.Errorf("List, %s: %v, %v; want ErrBadRequest", tc.name, names, err)
+		}
+		if e, err := c.Lookup(context.Background(), "n"); !errors.Is(err, ErrBadRequest) || e != (Entry{}) {
+			t.Errorf("Lookup, %s: %+v, %v; want ErrBadRequest", tc.name, e, err)
+		}
+	}
+}
+
+// TestHostileRequests is the same table against Server.Handle, under every
+// op: refused with ErrBadRequest, nothing bound.
+func TestHostileRequests(t *testing.T) {
+	s := NewServer()
+	for _, tc := range hostileBodies {
+		for op := opBind; op <= opList; op++ {
+			if _, err := s.Handle(append([]byte{op}, tc.body...)); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("op %d, %s: %v, want ErrBadRequest", op, tc.name, err)
+			}
+		}
+	}
+	if len(s.entries) != 0 {
+		t.Fatalf("hostile requests bound %v", s.entries)
+	}
+}
+
+// FuzzRegistryHandle: no request panics the naming service; a refusal is
+// one of its three sentinels, and whatever it accepts and then lists, the
+// client's List parser accepts back.
+func FuzzRegistryHandle(f *testing.F) {
+	for _, tc := range hostileBodies {
+		for op := opBind; op <= opList; op++ {
+			f.Add(append([]byte{op}, tc.body...))
+		}
+	}
+	f.Add(msg(opBind, "n", "addr", "obj"))
+	f.Add(msg(opLookup, "n"))
+	f.Add([]byte{opList})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		s := NewServer()
+		s.entries["n"] = Entry{Name: "n", Addr: "a", Object: "o"}
+		_, err := s.Handle(payload)
+		if err != nil && !errors.Is(err, ErrBadRequest) && !errors.Is(err, ErrNotBound) && !errors.Is(err, ErrAlreadyBound) {
+			t.Fatalf("% x: untyped refusal %v", payload, err)
+		}
+		listing, err := s.Handle([]byte{opList})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names, err := parseList(listing); err != nil || len(names) != len(s.entries) {
+			t.Fatalf("after % x the listing % x parses as %v, %v", payload, listing, names, err)
+		}
+	})
 }

@@ -501,9 +501,15 @@ func TestAsyncAbandonLedger(t *testing.T) {
 
 // TestOneWayCall: fire-and-forget calls execute on the server, restorable
 // arguments are rejected, and the connection stays usable for normal
-// calls afterwards.
+// calls afterwards — under whichever engine the client is configured with.
 func TestOneWayCall(t *testing.T) {
-	cl, svc, _ := newAsyncEnv(t, nil)
+	for _, eng := range []wire.Engine{wire.EngineV2, wire.EngineV3} {
+		t.Run(eng.String(), func(t *testing.T) { testOneWayCall(t, eng) })
+	}
+}
+
+func testOneWayCall(t *testing.T, eng wire.Engine) {
+	cl, svc, _ := newAsyncEnv(t, func(o *Options) { o.Core.Engine = eng })
 	stub := cl.Stub("server", "async")
 	ctx := context.Background()
 
@@ -531,6 +537,7 @@ func TestOneWayCall(t *testing.T) {
 	if cm.OneWays != 1 {
 		t.Fatalf("OneWays = %d, want 1 (the rejected restorable call never issued)", cm.OneWays)
 	}
+	leakcheck.Settle(t)
 }
 
 // TestChaosAsync extends the chaos suite to promises: under seeded fault

@@ -11,8 +11,8 @@ import (
 	"nrmi/internal/transport"
 )
 
-// callShape is one way of running an invocation to completion. The retry,
-// fallback and charging tests take it as an input: the three shapes are one
+// callShape is one way of running an invocation to completion. The retry
+// and charging tests take it as an input: the three shapes are one
 // state machine and must account for a call identically.
 type callShape struct {
 	name string

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -48,14 +47,6 @@ type Client struct {
 	// without restorable arguments never take it.
 	commitMu sync.Mutex
 
-	// engineMu guards v2Peers: addresses whose servers rejected an
-	// engine-V3 request header ("unknown engine"). Later calls to such an
-	// address encode V2 immediately instead of paying a rejected round
-	// trip per call. The cache is per-Client, like the connection pool: a
-	// peer upgrade is picked up by the next fresh client.
-	engineMu sync.Mutex
-	v2Peers  map[string]bool
-
 	// metrics is the cumulative counter block behind Metrics().
 	metrics clientMetrics
 }
@@ -74,7 +65,6 @@ func NewClient(dialer Dialer, opts Options) (*Client, error) {
 		dialer:   dialer,
 		conns:    make(map[string]*transport.Conn),
 		retryRng: rand.New(rand.NewSource(seed)),
-		v2Peers:  make(map[string]bool),
 	}, nil
 }
 
@@ -204,31 +194,6 @@ func (st *Stub) CallStats(ctx context.Context, method string, args ...any) (*cor
 // reset and returned when its promise settles.
 var reqBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// peerLacksV3 reports whether addr previously rejected an engine-V3 stream.
-func (c *Client) peerLacksV3(addr string) bool {
-	c.engineMu.Lock()
-	defer c.engineMu.Unlock()
-	return c.v2Peers[addr]
-}
-
-// noteV2Fallback records that addr cannot decode engine V3.
-func (c *Client) noteV2Fallback(addr string) {
-	c.engineMu.Lock()
-	c.v2Peers[addr] = true
-	c.engineMu.Unlock()
-	c.metrics.engineFallbacks.Add(1)
-}
-
-// isUnknownEngineReject reports whether err is a server-side rejection of
-// the request's wire engine: a remote application error whose cause is the
-// stream-header "unknown engine" failure. Only that exact failure is a
-// negotiation signal; it happens before the server decodes any argument,
-// so re-sending under an older engine cannot double-execute anything.
-func isUnknownEngineReject(err error) bool {
-	var remote *transport.RemoteError
-	return errors.As(err, &remote) && strings.Contains(remote.Msg, "unknown engine")
-}
-
 // encodeRequest writes the call header and arguments onto the request
 // stream and flushes it.
 func (st *Stub) encodeRequest(call *core.Call, method string, args []any) error {
@@ -304,13 +269,17 @@ func (c *Client) Release(ctx context.Context, ref *RemoteRef) error {
 	return err
 }
 
-// Renew refreshes the lease on ref for the given duration.
+// Renew refreshes the lease on ref for the given duration, which must lie
+// in (0, MaxLease] and travels rounded up to whole seconds.
 func (c *Client) Renew(ctx context.Context, ref *RemoteRef, lease time.Duration) error {
+	if lease <= 0 || lease > MaxLease {
+		return fmt.Errorf("%w: lease %v outside (0, %v]", ErrBadDGC, lease, MaxLease)
+	}
 	var buf bytes.Buffer
 	buf.WriteByte(dgcDirty)
 	var tmp [binary.MaxVarintLen64]byte
 	buf.Write(tmp[:binary.PutUvarint(tmp[:], ref.ID)])
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(lease/time.Second))])
+	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64((lease+time.Second-1)/time.Second))])
 	tc, err := c.conn(ref.Addr)
 	if err != nil {
 		return err

@@ -26,11 +26,6 @@ type clientMetrics struct {
 	// root-cause label from evictionCause.
 	evictions atomic.Int64
 
-	// engineFallbacks counts engine-V3 requests re-sent as V2 after a
-	// peer's "unknown engine" rejection (one per downgraded address in the
-	// steady state).
-	engineFallbacks atomic.Int64
-
 	// Async counters: promises issued by CallAsync, promises relinquished
 	// via Abandon before consumption, and one-way (no-reply) calls.
 	asyncIssued       atomic.Int64
@@ -94,8 +89,7 @@ type ClientMetrics struct {
 	// restarts from partitions without scraping logs. Nil until the
 	// first eviction; the map is a copy and safe to retain.
 	EvictionCauses map[string]int64
-	// EngineFallbacks counts engine-V3 requests that were re-encoded and
-	// re-sent as V2 after the peer rejected the V3 stream header.
+	// EngineFallbacks is never incremented; it stays for its readers, benchmark/workload.go and benchmark/report.go.
 	EngineFallbacks int64
 	// AsyncIssued counts promises successfully issued by CallAsync. Each
 	// also counts under CallsIssued when it settles (Wait or Abandon).
@@ -122,7 +116,6 @@ func (c *Client) Metrics() ClientMetrics {
 		BytesReceived:     c.metrics.bytesReceived.Load(),
 		PayloadsReleased:  c.metrics.payloadsReleased.Load(),
 		Evictions:         c.metrics.evictions.Load(),
-		EngineFallbacks:   c.metrics.engineFallbacks.Load(),
 		AsyncIssued:       c.metrics.asyncIssued.Load(),
 		PromisesAbandoned: c.metrics.promisesAbandoned.Load(),
 		OneWays:           c.metrics.oneWays.Load(),

@@ -1,9 +1,9 @@
 package rmi
 
-// Cross-engine negotiation: a V3 client must interoperate with a V2-only
-// peer (one-shot downgrade keyed on the "unknown engine" header rejection,
-// cached per address) and a V2 client must get V2 replies from a server
-// whose default engine is V3 (the server answers in the request's engine).
+// Engines across the stack: a client sends the engine it is configured
+// with, a call runs once whatever its error says, a server answers in the
+// engine the request arrived in, and a peer that cannot decode a request's
+// format answers a typed error the caller receives after one attempt.
 
 import (
 	"context"
@@ -71,7 +71,7 @@ func assertFigure2RTree(t *testing.T, root, a1, a2, rl, rr *RTree) {
 }
 
 // TestV3EndToEnd: both ends speak V3; the paper's mutation restores
-// correctly over the real stack with no fallback.
+// correctly over the real stack.
 func TestV3EndToEnd(t *testing.T) {
 	v3 := core.Options{Engine: wire.EngineV3}
 	e := newEngineEnv(t, v3, v3)
@@ -81,62 +81,49 @@ func TestV3EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertFigure2RTree(t, root, a1, a2, rl, rr)
-	if fb := e.client.Metrics().EngineFallbacks; fb != 0 {
-		t.Fatalf("EngineFallbacks = %d between matched V3 peers", fb)
-	}
 }
 
-// TestV3ClientFallsBackToV2Peer: the server cannot decode V3; the client's
-// first call is rejected at the stream header, re-encoded as V2, and
-// re-sent. The downgrade is cached, so the fallback counter moves once no
-// matter how many calls follow. The re-send is negotiation, not a retry:
-// on either call shape it spends none of RetryPolicy.MaxAttempts and ticks
-// no Retries.
-func TestV3ClientFallsBackToV2Peer(t *testing.T) {
-	for _, shape := range []callShape{shapeCall, shapeAsync} {
-		call := shape.call
-		t.Run(shape.name, func(t *testing.T) {
-			e := newEngineEnv(t,
-				core.Options{DisableEngineV3: true},
-				core.Options{Engine: wire.EngineV3})
-			e.client.opts.Retry = RetryPolicy{MaxAttempts: 2}
-			stub := e.client.Stub("server", "trees")
+// Diesel counts its invocations and fails with an application error whose
+// text is what a decoder says of a format id it lacks.
+func (s *TreeService) Diesel() error {
+	s.mu.Lock()
+	s.calls++
+	s.mu.Unlock()
+	return errors.New("unknown engine diesel")
+}
 
-			root, a1, a2, rl, rr := paperRTree()
-			if _, err := call(stub, context.Background(), "Foo", root); err != nil {
-				t.Fatalf("negotiated call failed: %v", err)
-			}
-			// The downgraded call must still deliver full copy-restore semantics.
-			assertFigure2RTree(t, root, a1, a2, rl, rr)
-			if cm := e.client.Metrics(); cm.Attempts != 2 || cm.Retries != 0 || cm.EngineFallbacks != 1 {
-				t.Fatalf("after the negotiated call: Attempts=%d Retries=%d EngineFallbacks=%d, want 2, 0, 1",
-					cm.Attempts, cm.Retries, cm.EngineFallbacks)
-			}
-
-			for i := 0; i < 5; i++ {
-				root2, _, _, _, _ := paperRTree()
-				if _, err := call(stub, context.Background(), "Foo", root2); err != nil {
-					t.Fatalf("call %d after downgrade: %v", i, err)
+// TestCallRunsOnce: a remote call is observationally a local call — it runs
+// once. Between V3 peers a method whose own error reads "unknown engine"
+// executes exactly once per call on every replying shape, with retries off
+// and on: the caller gets the RemoteError after one attempt (retry.go: "the
+// method ran and said no").
+func TestCallRunsOnce(t *testing.T) {
+	v3 := core.Options{Engine: wire.EngineV3}
+	for _, retry := range []RetryPolicy{{}, {MaxAttempts: 3}} {
+		for _, shape := range []callShape{shapeCall, shapeAsync} {
+			t.Run(fmt.Sprintf("%s/attempts=%d", shape.name, retry.MaxAttempts), func(t *testing.T) {
+				e := newEngineEnv(t, v3, v3)
+				e.client.opts.Retry = retry
+				_, err := shape.call(e.client.Stub("server", "trees"), context.Background(), "Diesel")
+				var remote *transport.RemoteError
+				if !errors.As(err, &remote) || remote.Msg != "unknown engine diesel" {
+					t.Fatalf("got %v, want the method's error as a RemoteError", err)
 				}
-			}
-			if fb := e.client.Metrics().EngineFallbacks; fb != 1 {
-				t.Fatalf("EngineFallbacks = %d, want 1 (downgrade cached per address)", fb)
-			}
-			if calls := e.service.Calls(); calls != 6 {
-				t.Fatalf("service saw %d calls, want 6 (header rejection precedes execution)", calls)
-			}
-		})
+				if calls, cm := e.service.Calls(), e.client.Metrics(); calls != 1 || cm.Attempts != 1 || cm.Retries != 0 {
+					t.Fatalf("executions=%d Attempts=%d Retries=%d, want 1, 1, 0", calls, cm.Attempts, cm.Retries)
+				}
+			})
+		}
 	}
 }
 
 // TestParentFormatPeerIsATypedError: a peer from before the V2 format moved
-// to bare slots — here one that refuses V3 as well — answers today's V2
-// format id with the rejection it has for any engine it does not know (wire's
+// to bare slots — here one that refuses V3 as well — answers today's format
+// ids with the rejection it has for any engine it does not know (wire's
 // TestParentFormatStreamRefused is the same meeting the other way round).
-// That rejection is negotiation for a V3 request only, and once: a V2 client
-// returns it, typed, after its one attempt; a V3 client that such a peer made
-// fall back and whose V2 re-send is refused as well returns that and does not
-// fall back twice. Either way the caller's graph is untouched.
+// The caller, whichever engine it is configured with, receives that
+// rejection, typed, after its one attempt — retries on — with its graph
+// untouched.
 func TestParentFormatPeerIsATypedError(t *testing.T) {
 	reg := wire.NewRegistry()
 	if err := reg.Register("RTree", RTree{}); err != nil {
@@ -158,12 +145,12 @@ func TestParentFormatPeerIsATypedError(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	for _, tc := range []struct {
-		name                string
-		engine              wire.Engine
-		attempts, fallbacks int64
+		name   string
+		engine wire.Engine
+		format int
 	}{
-		{"v2 client", wire.EngineV2, 1, 0},
-		{"v3 client", wire.EngineV3, 2, 1},
+		{"v2 client", wire.EngineV2, 4},
+		{"v3 client", wire.EngineV3, 3},
 	} {
 		for _, shape := range []callShape{shapeCall, shapeAsync} {
 			t.Run(tc.name+"/"+shape.name, func(t *testing.T) {
@@ -176,12 +163,11 @@ func TestParentFormatPeerIsATypedError(t *testing.T) {
 				pristine, _, _, _, _ := paperRTree()
 				_, err = shape.call(cl.Stub("old", "trees"), context.Background(), "Foo", root)
 				var remote *transport.RemoteError
-				if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "unknown engine 4") {
-					t.Fatalf("got %v, want the peer's rejection of format 4 as a RemoteError", err)
+				if !errors.As(err, &remote) || !strings.HasSuffix(remote.Msg, fmt.Sprintf("unknown engine %d", tc.format)) {
+					t.Fatalf("got %v, want the peer's rejection of format %d as a RemoteError", err, tc.format)
 				}
-				if cm := cl.Metrics(); cm.Attempts != tc.attempts || cm.Retries != 0 || cm.EngineFallbacks != tc.fallbacks {
-					t.Errorf("Attempts=%d Retries=%d EngineFallbacks=%d, want %d, 0, %d",
-						cm.Attempts, cm.Retries, cm.EngineFallbacks, tc.attempts, tc.fallbacks)
+				if cm := cl.Metrics(); cm.Attempts != 1 || cm.Retries != 0 {
+					t.Errorf("Attempts=%d Retries=%d, want 1, 0", cm.Attempts, cm.Retries)
 				}
 				if eq, err := graph.Equal(graph.AccessExported, root, pristine); err != nil || !eq {
 					t.Errorf("the refused call changed the caller's graph (%v)", err)
@@ -203,9 +189,6 @@ func TestV2ClientAgainstV3Server(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertFigure2RTree(t, root, a1, a2, rl, rr)
-	if fb := e.client.Metrics().EngineFallbacks; fb != 0 {
-		t.Fatalf("EngineFallbacks = %d for a V2 client", fb)
-	}
 }
 
 // TestV3PayloadOwnershipLedger re-runs the payload-ownership audit over the

@@ -45,7 +45,6 @@ import (
 	"nrmi/internal/core"
 	"nrmi/internal/obs"
 	"nrmi/internal/transport"
-	"nrmi/internal/wire"
 )
 
 // Errors reported by the async layer.
@@ -81,16 +80,9 @@ type Promise struct {
 	method string
 	oc     *obs.Call
 
-	// engine is the codec the request is encoded under: the client's, or V2
-	// where the peer cannot answer V3 (one-way calls get no reply to
-	// negotiate on; a peer's "unknown engine" rejection downgrades once).
-	engine wire.Engine
 	oneWay bool
 	call   *core.Call
 	req    *bytes.Buffer
-	// args are retained solely for the one-shot V2 re-encode fallback;
-	// retries re-send the already-encoded bytes and never re-read them.
-	args []any
 
 	// pc is the transport half of the current attempt (nil once a one-way
 	// frame is written), sendErr the failure when the attempt never went
@@ -110,14 +102,10 @@ type Promise struct {
 	inner  *Promise
 }
 
-// begin readies a promise for encode: collector, engine, arguments.
-func (st *Stub) begin(p *Promise, method string, args []any, oneWay bool) {
-	c := st.c
-	*p = Promise{st: st, method: method, args: args, oneWay: oneWay, engine: c.opts.Core.Engine,
-		oc: obs.Begin(c.opts.Obs, st.object, method)}
-	if p.engine == wire.EngineV3 && (oneWay || c.peerLacksV3(st.addr)) {
-		p.engine = wire.EngineV2
-	}
+// begin readies a promise for encode.
+func (st *Stub) begin(p *Promise, method string, oneWay bool) {
+	*p = Promise{st: st, method: method, oneWay: oneWay,
+		oc: obs.Begin(st.c.opts.Obs, st.object, method)}
 }
 
 // run is the blocking shape, Stub.Call and Stub.CallOneWay: issue, await
@@ -126,9 +114,9 @@ func (st *Stub) begin(p *Promise, method string, args []any, oneWay bool) {
 // its codec and its transport attempt do.
 func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool) (*core.Response, error) {
 	var p Promise
-	st.begin(&p, method, args, oneWay)
+	st.begin(&p, method, oneWay)
 	sp := p.oc.Start(obs.PhaseEncode)
-	err := p.encode()
+	err := p.encode(args)
 	sp.EndBytes(int64(p.req.Len()))
 	var resp *core.Response
 	if err == nil {
@@ -158,9 +146,9 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 // calls; the issue/await split has no single call body to wrap.
 func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Promise, error) {
 	p := new(Promise)
-	st.begin(p, method, args, false)
+	st.begin(p, method, false)
 	sp := p.oc.Start(obs.PhaseAsyncIssue)
-	err := p.encode()
+	err := p.encode(args)
 	if err == nil {
 		p.send(ctx)
 		err = p.sendErr
@@ -174,23 +162,16 @@ func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Pro
 	return p, nil
 }
 
-// encode (re-)encodes the request under p.engine into the retained pooled
-// buffer. Retries re-send these exact bytes, so a retried call can never
-// ship different state than the original; only the V2 engine fallback
-// ever encodes twice.
-func (p *Promise) encode() error {
+// encode encodes the request, once, into the retained pooled buffer.
+// Retries re-send these exact bytes, so a retried call can never ship
+// different state than the original, and args are not kept past here.
+func (p *Promise) encode(args []any) error {
 	c := p.st.c
 	start := time.Now()
-	if p.req == nil {
-		p.req = reqBufPool.Get().(*bytes.Buffer)
-	}
-	p.req.Reset()
-	p.call.Release()
-	coreOpts := c.opts.Core
-	coreOpts.Engine = p.engine
-	p.call = core.NewCall(p.req, coreOpts)
+	p.req = reqBufPool.Get().(*bytes.Buffer)
+	p.call = core.NewCall(p.req, c.opts.Core)
 	p.call.SetObs(p.oc)
-	if err := p.st.encodeRequest(p.call, p.method, p.args); err != nil {
+	if err := p.st.encodeRequest(p.call, p.method, args); err != nil {
 		return err
 	}
 	if p.call.NumRestorable() > 0 {
@@ -243,28 +224,16 @@ func (p *Promise) reply(ctx context.Context) ([]byte, error) {
 }
 
 // await drives the already-sent first attempt to a reply payload, re-
-// sending the identical bytes under the client's retry policy. A V3
-// request that a pre-V3 peer rejects at the stream header ("unknown
-// engine") is re-encoded as V2 and re-sent once, and the address
-// remembered; the rejection provably precedes argument decoding, so this
-// is negotiation, not a retry, and costs no attempt.
+// sending the identical bytes under the client's retry policy.
 func (p *Promise) await(ctx context.Context) ([]byte, error) {
 	c := p.st.c
 	pol := c.opts.Retry.withDefaults()
 	for attempt := 1; ; {
 		payload, err := p.reply(ctx)
-		switch {
-		case err == nil:
+		if err == nil {
 			return payload, nil
-		case p.engine == wire.EngineV3 && isUnknownEngineReject(err):
-			c.noteV2Fallback(p.st.addr)
-			p.engine = wire.EngineV2
-			if err := p.encode(); err != nil {
-				return nil, err
-			}
-			p.send(ctx)
-			continue
-		case attempt >= pol.MaxAttempts || !Retryable(err) || ctx.Err() != nil:
+		}
+		if attempt >= pol.MaxAttempts || !Retryable(err) || ctx.Err() != nil {
 			return nil, err
 		}
 		pause := time.NewTimer(c.backoff(pol, attempt))
@@ -398,7 +367,6 @@ func (p *Promise) releaseResources() {
 		reqBufPool.Put(p.req)
 		p.req = nil
 	}
-	p.args = nil
 	p.oc = nil
 }
 

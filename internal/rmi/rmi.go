@@ -99,6 +99,9 @@ var (
 	// ErrNoLocalServer is reported when a Remote argument is passed by a
 	// client with no local server to export it from.
 	ErrNoLocalServer = errors.New("rmi: Remote argument requires a local server")
+	// ErrBadDGC is reported for a DGC message that is malformed or names a
+	// lease outside (0, MaxLease]; the export's lease is left as it was.
+	ErrBadDGC = errors.New("rmi: bad DGC message")
 	// ErrServerClosed is reported after Server.Close.
 	ErrServerClosed = errors.New("rmi: server closed")
 	// ErrUnavailable is reported (across the wire, as a typed status) for

@@ -60,11 +60,8 @@ func TestLeaseSweeperCollectsInBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := mustServerClient(t, e)
 	// Shrink the lease to something the sweeper will catch quickly.
-	if err := cl.Renew(context.Background(), ref, 0); err != nil {
-		t.Fatal(err)
-	}
+	e.clSrv.dirty(ref.ID, 0)
 	e.clSrv.StartLeaseSweeper(10 * time.Millisecond)
 	e.clSrv.StartLeaseSweeper(10 * time.Millisecond) // idempotent
 

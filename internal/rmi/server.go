@@ -20,6 +20,9 @@ import (
 	"nrmi/internal/transport"
 )
 
+// MaxLease is the longest lease a DGC dirty message may ask for.
+const MaxLease = 24 * time.Hour
+
 // defaultLease is how long an anonymous export stays alive without a
 // renewal, mirroring java.rmi.dgc.leaseValue (10 minutes).
 const defaultLease = 10 * time.Minute
@@ -893,31 +896,41 @@ func (s *Server) outboundResults(outs []reflect.Value) ([]any, error) {
 }
 
 // handleDGC processes dirty/clean messages: op byte, then uvarint id, and
-// for dirty a uvarint lease in seconds.
+// for dirty a uvarint lease in seconds, at most MaxLease — an unchecked
+// count wraps time.Duration negative and expires an export other clients
+// hold. The whole payload is parsed before anything is applied.
 func (s *Server) handleDGC(payload []byte) ([]byte, error) {
 	r := bytes.NewReader(payload)
 	op, err := r.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("rmi: empty DGC payload")
+		return nil, fmt.Errorf("%w: empty payload", ErrBadDGC)
 	}
 	id, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, fmt.Errorf("rmi: bad DGC id: %v", err)
+		return nil, fmt.Errorf("%w: id: %v", ErrBadDGC, err)
 	}
+	var secs uint64
 	switch op {
 	case dgcClean:
-		s.clean(id)
-		return nil, nil
 	case dgcDirty:
-		secs, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("rmi: bad DGC lease: %v", err)
+		if secs, err = binary.ReadUvarint(r); err != nil {
+			return nil, fmt.Errorf("%w: lease: %v", ErrBadDGC, err)
 		}
-		s.dirty(id, time.Duration(secs)*time.Second)
-		return nil, nil
+		if secs > uint64(MaxLease/time.Second) {
+			return nil, fmt.Errorf("%w: lease of %d s exceeds %v", ErrBadDGC, secs, MaxLease)
+		}
 	default:
-		return nil, fmt.Errorf("rmi: unknown DGC op %d", op)
+		return nil, fmt.Errorf("%w: unknown op %d", ErrBadDGC, op)
 	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadDGC, r.Len())
+	}
+	if op == dgcClean {
+		s.clean(id)
+	} else {
+		s.dirty(id, time.Duration(secs)*time.Second)
+	}
+	return nil, nil
 }
 
 // DGC operation bytes.

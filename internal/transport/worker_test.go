@@ -147,7 +147,7 @@ func TestWorkerSurvivesPanic(t *testing.T) {
 	})
 	_, err := c.Call(context.Background(), MsgCall, []byte("boom"))
 	var re *RemoteError
-	if !errors.As(err, &re) || !strings.Contains(re.Msg, "handler panicked: kaboom") {
+	if !errors.As(err, &re) || re.Msg != "transport: handler panicked: kaboom" {
 		t.Fatalf("want the panic as an error reply, got %v", err)
 	}
 	awaitParked(t, 1)

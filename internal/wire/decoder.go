@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"reflect"
 
@@ -22,9 +21,6 @@ type Decoder struct {
 	typeTable  []typeEntry
 	strTable   []string
 	headerDone bool
-	// srcErr is what reading an io.Reader source to its end reported; every
-	// decode call returns it.
-	srcErr error
 
 	// engine and access are authoritative from the stream header.
 	engine Engine
@@ -58,18 +54,9 @@ type Decoder struct {
 	lowRef int
 }
 
-// NewDecoder returns a Decoder for the message r holds, read to its end
-// here. The engine and access mode are learned from the stream header; opts
-// supplies the registry and limits.
-func NewDecoder(r io.Reader, opts Options) *Decoder {
-	data, err := io.ReadAll(r)
-	d := NewDecoderBytes(data, opts)
-	d.srcErr = err
-	return d
-}
-
-// NewDecoderBytes returns a Decoder reading from an in-memory message.
-// Engine V3 decodes such messages by slicing: frame regions alias data
+// NewDecoderBytes returns a Decoder reading from an in-memory message. The
+// engine and access mode are learned from the stream header; opts supplies
+// the registry and limits. Engine V3 decodes such messages by slicing: frame regions alias data
 // instead of being copied, so data must stay valid (and unmodified) until
 // decoding — including any pending FlatContent commits — has finished.
 func NewDecoderBytes(data []byte, opts Options) *Decoder {
@@ -123,8 +110,8 @@ func (d *Decoder) SeedDetached(cells []reflect.Value) {
 
 // header consumes the stream header exactly once.
 func (d *Decoder) header() error {
-	if d.headerDone || d.srcErr != nil {
-		return d.srcErr
+	if d.headerDone {
+		return nil
 	}
 	d.headerDone = true
 	b, err := d.r.readByte()
@@ -138,14 +125,12 @@ func (d *Decoder) header() error {
 	if err != nil {
 		return err
 	}
-	// The engine byte is a format id (formatV2). A pre-V3 peer rejects V3,
-	// and this one the V2 format that described every value, with the same
-	// error; Options.DisableEngineV3 produces it from a new binary so the
-	// client-side engine fallback can be exercised.
-	switch {
-	case eng == formatV2:
+	// The engine byte is a format id (formatV2): the V2 format that
+	// described every value is refused like any id this decoder lacks.
+	switch eng {
+	case formatV2:
 		d.engine = EngineV2
-	case eng == byte(EngineV1), eng == byte(EngineV3) && !d.opts.DisableEngineV3:
+	case byte(EngineV1), byte(EngineV3):
 		d.engine = Engine(eng)
 	default:
 		return fmt.Errorf("%w: unknown engine %d", ErrBadStream, eng)

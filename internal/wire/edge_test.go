@@ -84,7 +84,7 @@ func TestMaxElemsEnforced(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf, Options{Registry: reg, MaxElems: 10})
+	dec := NewDecoderBytes(buf.Bytes(), Options{Registry: reg, MaxElems: 10})
 	_, err := dec.Decode()
 	if !errors.Is(err, ErrLimit) {
 		t.Fatalf("want ErrLimit, got %v", err)
@@ -129,7 +129,7 @@ func TestDecodeDepthBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode := func(data []byte, opts Options, fromBytes bool) error {
-		dec := NewDecoder(bytes.NewReader(data), opts)
+		dec := NewDecoderBytes(data, opts)
 		if fromBytes {
 			dec = NewDecoderBytes(data, opts)
 		}
@@ -199,7 +199,7 @@ func TestDecoderRejectsRefToFutureObject(t *testing.T) {
 	}
 	raw := append([]byte{}, buf.Bytes()...)
 	raw = append(raw, tagRef, 7)
-	dec := NewDecoder(bytes.NewReader(raw), Options{Registry: reg})
+	dec := NewDecoderBytes(raw, Options{Registry: reg})
 	if _, err := dec.DecodeUint(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSeedObjectValidation(t *testing.T) {
 	if _, err := enc.SeedObject(reflect.ValueOf(nilp)); err == nil {
 		t.Fatal("seeding nil must fail")
 	}
-	dec := NewDecoder(&buf, Options{Registry: reg})
+	dec := NewDecoderBytes(buf.Bytes(), Options{Registry: reg})
 	if _, err := dec.SeedObject(reflect.ValueOf(42)); err == nil {
 		t.Fatal("decoder seeding a scalar must fail")
 	}
@@ -266,7 +266,7 @@ func TestEngineStringAndUnknownDescriptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := append(buf.Bytes(), tagScalar, 250) // 250 is not a descriptor
-	dec := NewDecoder(bytes.NewReader(raw), Options{Registry: reg})
+	dec := NewDecoderBytes(raw, Options{Registry: reg})
 	if _, err := dec.DecodeUint(); err != nil {
 		t.Fatal(err)
 	}

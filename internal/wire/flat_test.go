@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"nrmi/internal/graph"
@@ -33,7 +32,7 @@ func TestV3DifferentialZoo(t *testing.T) {
 		return &buf
 	}
 	decode := func(eng Engine, buf *bytes.Buffer) []any {
-		dec := NewDecoder(buf, Options{Engine: eng, Registry: reg})
+		dec := NewDecoderBytes(buf.Bytes(), Options{Engine: eng, Registry: reg})
 		defer dec.ReleaseArena()
 		var out []any
 		for range wireZoo() {
@@ -296,7 +295,7 @@ func TestV3FlatContentSliceResize(t *testing.T) {
 	}
 }
 
-// --- engine validation and negotiation hooks ---
+// --- engine validation ---
 
 func TestOptionsValidateEngine(t *testing.T) {
 	reg := testRegistry(t)
@@ -315,42 +314,6 @@ func TestOptionsValidateEngine(t *testing.T) {
 	enc := NewEncoder(&buf, Options{Engine: Engine(9), Registry: reg})
 	if err := enc.Encode(42); !errors.Is(err, ErrUnknownEngine) {
 		t.Fatalf("encode with bad engine: want ErrUnknownEngine, got %v", err)
-	}
-}
-
-// TestDisableEngineV3Rejection: a peer built with DisableEngineV3 must
-// reject the V3 stream header with the exact "unknown engine" shape the
-// client-side negotiation keys on, before decoding any argument bytes.
-func TestDisableEngineV3Rejection(t *testing.T) {
-	reg := testRegistry(t)
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, Options{Engine: EngineV3, Registry: reg})
-	if err := enc.Encode(&wnode{Data: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec := NewDecoder(&buf, Options{Registry: reg, DisableEngineV3: true})
-	_, err := dec.Decode()
-	if !errors.Is(err, ErrBadStream) {
-		t.Fatalf("want ErrBadStream, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("rejection must carry the negotiation marker text, got %q", err)
-	}
-	// V2 streams still decode on the same restricted peer.
-	var v2 bytes.Buffer
-	enc2 := NewEncoder(&v2, Options{Engine: EngineV2, Registry: reg})
-	if err := enc2.Encode(&wnode{Data: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec2 := NewDecoder(&v2, Options{Registry: reg, DisableEngineV3: true})
-	if _, err := dec2.Decode(); err != nil {
-		t.Fatalf("V2 must still decode with DisableEngineV3: %v", err)
 	}
 }
 
@@ -497,7 +460,7 @@ func TestV3MalformedFrames(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			stream := v3Stream(tc.body)
 			opts := Options{Registry: reg, MaxElems: 1 << 12}
-			dec := NewDecoder(bytes.NewReader(stream), opts)
+			dec := NewDecoderBytes(stream, opts)
 			_, err := dec.Decode()
 			if !errors.Is(err, tc.want) {
 				t.Errorf("stream mode: want %v, got %v", tc.want, err)

@@ -166,7 +166,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(&buf, opts)
+		dec := NewDecoderBytes(buf.Bytes(), opts)
 		out, err := dec.Decode()
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)

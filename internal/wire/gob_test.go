@@ -103,7 +103,7 @@ func BenchmarkGobVsWire(b *testing.B) {
 			if err := enc.Flush(); err != nil {
 				b.Fatal(err)
 			}
-			dec := NewDecoder(&buf, opts)
+			dec := NewDecoderBytes(buf.Bytes(), opts)
 			if _, err := dec.Decode(); err != nil {
 				b.Fatal(err)
 			}

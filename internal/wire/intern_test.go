@@ -83,7 +83,7 @@ func TestInterningBadBackReference(t *testing.T) {
 	// Append a scalar string with an out-of-range back-reference.
 	raw := buf.Bytes()
 	raw = append(raw, tagScalar, byte(reflect.String), 0x7F) // head=127 -> idx 126
-	dec := NewDecoder(bytes.NewReader(raw), Options{Registry: reg})
+	dec := NewDecoderBytes(raw, Options{Registry: reg})
 	if _, err := dec.Decode(); err != nil {
 		t.Fatal(err)
 	}

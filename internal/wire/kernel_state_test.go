@@ -155,7 +155,7 @@ func TestKernelDecodeStates(t *testing.T) {
 			"generic": {Registry: reg, DisablePlanCache: true},
 		} {
 			for mode, dec := range map[string]*Decoder{
-				"stream": NewDecoder(bytes.NewReader(stream), opts),
+				"stream": NewDecoderBytes(stream, opts),
 				"bytes":  NewDecoderBytes(stream, opts),
 			} {
 				for i := 0; i < 2; i++ { // the second value is all back-references and table hits
@@ -299,7 +299,7 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 	}
 
 	// And a use from an io.Reader after it.
-	dec = AcquireDecoder(bytes.NewReader(stream), on)
+	dec = AcquireDecoderBytes(stream, on)
 	if _, err := dec.Decode(); err != nil {
 		t.Fatal(err)
 	}

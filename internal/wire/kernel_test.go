@@ -104,11 +104,11 @@ func TestKernelDecodeEquivalence(t *testing.T) {
 		}
 		stream := buf.Bytes()
 
-		decFast, err := NewDecoder(bytes.NewReader(stream), on).Decode()
+		decFast, err := NewDecoderBytes(stream, on).Decode()
 		if err != nil {
 			t.Fatalf("zoo[%d]: kernel decode: %v", i, err)
 		}
-		decSlow, err := NewDecoder(bytes.NewReader(stream), off).Decode()
+		decSlow, err := NewDecoderBytes(stream, off).Decode()
 		if err != nil {
 			t.Fatalf("zoo[%d]: generic decode: %v", i, err)
 		}
@@ -188,7 +188,7 @@ func TestKernelCodecConcurrentStress(t *testing.T) {
 					t.Errorf("encode: %v", err)
 					continue
 				}
-				dec := AcquireDecoder(bytes.NewReader(buf.Bytes()), on)
+				dec := AcquireDecoderBytes(buf.Bytes(), on)
 				out, err := dec.Decode()
 				ReleaseDecoder(dec)
 				if err != nil {

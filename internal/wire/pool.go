@@ -69,21 +69,11 @@ func ReleaseEncoder(e *Encoder) {
 
 var decoderPool = sync.Pool{New: func() any { return nil }}
 
-// AcquireDecoder is NewDecoder on a pooled Decoder. Release with
-// ReleaseDecoder once every decoded value has been extracted.
-func AcquireDecoder(r io.Reader, opts Options) *Decoder {
-	data, err := io.ReadAll(r)
-	d := AcquireDecoderBytes(data, opts)
-	d.srcErr = err
-	return d
-}
-
 // reuse resets the per-stream state of a pooled decoder whose reader has
 // been pointed at a new stream.
 func (d *Decoder) reuse(o Options) {
 	d.opts = o
 	d.headerDone = false
-	d.srcErr = nil
 	d.engine = 0
 	d.access = 0
 	d.kernels = false
@@ -93,8 +83,9 @@ func (d *Decoder) reuse(o Options) {
 
 // AcquireDecoderBytes returns a pooled Decoder reading an in-memory
 // message, equivalent to NewDecoderBytes but allocation-free in the steady
-// state. The zero-copy caveat of NewDecoderBytes applies: data must outlive
-// all decoding, including pending FlatContent commits.
+// state. Release with ReleaseDecoder once every decoded value has been
+// extracted. The zero-copy caveat of NewDecoderBytes applies: data must
+// outlive all decoding, including pending FlatContent commits.
 func AcquireDecoderBytes(data []byte, opts Options) *Decoder {
 	d, _ := decoderPool.Get().(*Decoder)
 	if d == nil {

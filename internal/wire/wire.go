@@ -129,13 +129,6 @@ type Options struct {
 	// it: the codec takes the generic reflective paths and emits the same
 	// bytes, which makes this flag the differential oracle's selector too.
 	DisablePlanCache bool
-
-	// DisableEngineV3 makes a Decoder reject engine-V3 streams with the
-	// same "unknown engine" stream error a pre-V3 peer produces. It exists
-	// for negotiation tests and staged rollouts: a fleet can run new
-	// binaries that refuse V3 until every client's fallback path has been
-	// exercised, exactly like the flag-gated deadline frame extension.
-	DisableEngineV3 bool
 }
 
 // Validate reports a typed error for option values that name no implemented

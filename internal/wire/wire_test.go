@@ -68,7 +68,7 @@ func roundTrip(t *testing.T, opts Options, v any) any {
 	if err := enc.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	dec := NewDecoder(&buf, opts)
+	dec := NewDecoderBytes(buf.Bytes(), opts)
 	defer dec.ReleaseArena()
 	out, err := dec.Decode()
 	if err != nil {
@@ -243,7 +243,7 @@ func TestAliasingAcrossEncodeCalls(t *testing.T) {
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(&buf, opts)
+		dec := NewDecoderBytes(buf.Bytes(), opts)
 		defer dec.ReleaseArena()
 		ga, err := dec.Decode()
 		if err != nil {
@@ -283,7 +283,7 @@ func TestDecodeUnknownNameFails(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf, Options{Registry: NewRegistry()})
+	dec := NewDecoderBytes(buf.Bytes(), Options{Registry: NewRegistry()})
 	_, err := dec.Decode()
 	if !errors.Is(err, ErrTypeNotRegistered) {
 		t.Fatalf("want ErrTypeNotRegistered, got %v", err)
@@ -367,7 +367,7 @@ func TestLinearMapAlignment(t *testing.T) {
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(&buf, opts)
+		dec := NewDecoderBytes(buf.Bytes(), opts)
 		defer dec.ReleaseArena()
 		if _, err := dec.Decode(); err != nil {
 			t.Fatal(err)
@@ -421,7 +421,7 @@ func TestSeededContentProtocol(t *testing.T) {
 		clientA := &wnode{Data: 1}
 		clientB := &wnode{Data: 2}
 		clientA.Left = clientB
-		dec := NewDecoder(&buf, opts)
+		dec := NewDecoderBytes(buf.Bytes(), opts)
 		defer dec.ReleaseArena()
 		if _, err := dec.SeedObject(reflect.ValueOf(clientA)); err != nil {
 			t.Fatal(err)
@@ -487,7 +487,7 @@ func TestSeededSliceAndMapContent(t *testing.T) {
 
 		cliSlice := []int{1, 2, 3}
 		cliMap := map[string]int{"a": 1}
-		dec := NewDecoder(&buf, opts)
+		dec := NewDecoderBytes(buf.Bytes(), opts)
 		defer dec.ReleaseArena()
 		if _, err := dec.SeedObject(reflect.ValueOf(cliSlice)); err != nil {
 			t.Fatal(err)
@@ -542,7 +542,7 @@ func TestRawUintAndString(t *testing.T) {
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(&buf, opts)
+		dec := NewDecoderBytes(buf.Bytes(), opts)
 		u, err := dec.DecodeUint()
 		if err != nil || u != 12345 {
 			t.Fatalf("uint: %d, %v", u, err)
@@ -555,7 +555,7 @@ func TestRawUintAndString(t *testing.T) {
 }
 
 func TestCorruptedStream(t *testing.T) {
-	dec := NewDecoder(bytes.NewReader([]byte{0xFF, 0x01, 0x00, 0x00}), Options{Registry: testRegistry(t)})
+	dec := NewDecoderBytes([]byte{0xFF, 0x01, 0x00, 0x00}, Options{Registry: testRegistry(t)})
 	_, err := dec.Decode()
 	if !errors.Is(err, ErrBadStream) {
 		t.Fatalf("want ErrBadStream, got %v", err)
@@ -573,7 +573,7 @@ func TestTruncatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
-	dec := NewDecoder(bytes.NewReader(full[:len(full)/2]), Options{Registry: reg})
+	dec := NewDecoderBytes(full[:len(full)/2], Options{Registry: reg})
 	if _, err := dec.Decode(); err == nil {
 		t.Fatal("truncated stream must fail")
 	}
@@ -650,7 +650,7 @@ func TestQuickRoundTripGraphEqual(t *testing.T) {
 			if err := enc.Flush(); err != nil {
 				return false
 			}
-			dec := NewDecoder(&buf, opts)
+			dec := NewDecoderBytes(buf.Bytes(), opts)
 			defer dec.ReleaseArena()
 			out, err := dec.Decode()
 			if err != nil {

@@ -108,8 +108,8 @@ type Engine = wire.Engine
 
 // Codec engine generations; V2 is the default. V1 exists for the
 // paper's JDK 1.3 baseline measurements; V3 is the flat-frame format
-// with zero-copy restore (docs/PROTOCOL.md §9) — endpoints mixing V3
-// callers with pre-V3 servers fall back to V2 automatically.
+// with zero-copy restore (docs/PROTOCOL.md §9). A server answers in the
+// engine a request arrived in; a client sends what Options.Engine says.
 const (
 	EngineV1 = wire.EngineV1
 	EngineV2 = wire.EngineV2
@@ -134,14 +134,6 @@ type Options struct {
 	// became unreachable from the parameters are not restored (paper,
 	// Section 4.2). For differential experiments only.
 	DCECompat bool
-	// Portable disables codec plan caching, modeling the paper's portable
-	// (pure reflection) implementation. For experiments only.
-	Portable bool
-	// DisableEngineV3 makes this endpoint reject inbound V3 streams
-	// exactly like a pre-V3 peer, triggering callers' automatic V2
-	// fallback. Useful for pinning mixed fleets to V2 during rollout and
-	// for negotiation experiments.
-	DisableEngineV3 bool
 	// Registry resolves named types; nil means the process-wide default.
 	Registry *Registry
 	// WrapRef converts inbound remote references into application proxies
@@ -275,13 +267,11 @@ func (o Options) rmiOptions() rmi.Options {
 	}
 	r := rmi.Options{
 		Core: core.Options{
-			Engine:           o.Engine,
-			Access:           access,
-			Registry:         o.Registry,
-			Policy:           policy,
-			Delta:            o.Delta,
-			DisablePlanCache: o.Portable,
-			DisableEngineV3:  o.DisableEngineV3,
+			Engine:   o.Engine,
+			Access:   access,
+			Registry: o.Registry,
+			Policy:   policy,
+			Delta:    o.Delta,
 		},
 		WrapRef:            o.WrapRef,
 		Intercept:          o.Intercept,

@@ -91,7 +91,6 @@ func TestPublicAPIAllOptionCombos(t *testing.T) {
 		{Engine: nrmi.EngineV1},
 		{Engine: nrmi.EngineV2},
 		{Delta: true},
-		{Portable: true},
 		{UnsafeAccess: true},
 	} {
 		opts.Registry = nrmi.NewRegistry()
