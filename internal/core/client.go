@@ -278,7 +278,7 @@ func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []
 	if err != nil {
 		return updates, nil, fmt.Errorf("core: reading return count: %w", err)
 	}
-	rets = make([]any, 0, nret)
+	rets = make([]any, 0, min(nret, 8)) // the count is the peer's: a hint, no more
 	for i := uint64(0); i < nret; i++ {
 		v, err := dec.Decode()
 		if err != nil {

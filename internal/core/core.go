@@ -90,8 +90,6 @@ type Options struct {
 	Policy RestorePolicy
 	// Delta enables the changed-objects-only response encoding.
 	Delta bool
-	// MaxElems caps decoded length fields; see wire.Options.
-	MaxElems int
 	// DisablePlanCache selects the "portable" (uncached reflection) codec
 	// path; see wire.Options.DisablePlanCache.
 	DisablePlanCache bool
@@ -102,7 +100,6 @@ func (o Options) wireOptions() wire.Options {
 		Engine:           o.Engine,
 		Access:           o.Access,
 		Registry:         o.Registry,
-		MaxElems:         o.MaxElems,
 		DisablePlanCache: o.DisablePlanCache,
 	}
 }

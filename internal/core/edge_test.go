@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -446,6 +448,7 @@ func TestHostileBareSlotReplies(t *testing.T) {
 		{"REF to an object of another type, in the slice", []byte{0x4E, 4, 0, 1, 3, 0x52, 2, 1, 0, 0, 0}, wire.ErrBadStream},
 		{"fingerprint off by one bit", flipped, wire.ErrLayout},
 		{"a parent-format reply", parent, wire.ErrBadStream},
+		{"a count of return values no reply could carry", binary.AppendUvarint([]byte{0x4E, 4, 0, 0}, math.MaxUint64), io.ErrUnexpectedEOF},
 	}
 	for cut := 0; cut < len(valid); cut++ {
 		cases = append(cases, hostile{fmt.Sprintf("truncation at %d of %d", cut, len(valid)), valid[:cut], io.ErrUnexpectedEOF})

@@ -198,7 +198,6 @@ func TestLintCoversAllTrees(t *testing.T) {
 	for _, want := range []string{
 		".",
 		"cmd/nrmi-vet",
-		"cmd/nrmi-load",
 		"examples/quickstart",
 		"internal/lint",
 		"internal/transport",

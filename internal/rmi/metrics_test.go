@@ -1,16 +1,20 @@
 package rmi
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"nrmi/internal/transport"
+	"nrmi/internal/wire"
 )
 
 // TestMetricsRejectedCallsExcludedFromBytesIn is the accounting regression
@@ -81,6 +85,50 @@ func TestRetiredFlagFrameRefusedUnderRequestCap(t *testing.T) {
 	}
 	if m := env.srv.Metrics(); m.CallsServed != 0 || m.CallsRejected != 0 || m.BytesIn != 0 {
 		t.Errorf("the refused frame reached dispatch: %+v", m)
+	}
+}
+
+// TestSmallRequestCannotAllocateBig: MaxRequestBytes bounds what a request
+// makes the server allocate only if the decoder believes no length the
+// request's own bytes cannot carry. This call is a []int64 — no registered type
+// needed — of 67 108 863 elements in 25 bytes: a typed remote error, and no
+// 512 MiB slice before it.
+func TestSmallRequestCannotAllocateBig(t *testing.T) {
+	env := newDegradeEnv(t, func(o *Options) { o.MaxRequestBytes = 1024 }, nil)
+	var req bytes.Buffer
+	enc := wire.NewEncoder(&req, wire.Options{})
+	for _, err := range []error{
+		enc.EncodeString("gate"), enc.EncodeString("Quick"), enc.EncodeUint(1),
+		enc.EncodeUint(uint64(semCopy)), enc.Encode([]int64{}), enc.Flush(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The empty slice's length is the last byte.
+	payload := binary.AppendUvarint(req.Bytes()[:req.Len()-1], 1<<26-1)
+
+	nc, err := env.net.Dial("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := transport.NewConn(nc)
+	defer conn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = conn.Call(ctx, transport.MsgCall, payload)
+	runtime.ReadMemStats(&after)
+	var remote *transport.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "decoding argument 0") {
+		t.Errorf("a %d-byte request was answered %v; want a remote decoding error", len(payload), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("a %d-byte request made the process allocate %d KiB", len(payload), grew>>10)
+	}
+	if m := env.srv.Metrics(); m.CallsServed != 1 || m.CallErrors != 1 {
+		t.Errorf("served/errors = %d/%d, want 1/1", m.CallsServed, m.CallErrors)
 	}
 }
 

@@ -40,13 +40,10 @@ type Server struct {
 	refIdent   map[graph.Ident]uint64
 	nextRef    uint64
 	closed     bool
-	// draining is set by Shutdown: new requests are refused with
-	// ErrUnavailable while in-flight handlers run to completion.
-	draining bool
-	// inflight tracks handler invocations admitted before draining began.
-	// Add happens under mu together with the draining check, so no Add can
-	// race a Shutdown's Wait.
-	inflight sync.WaitGroup
+	// draining is set by Shutdown and Close: new requests are refused with
+	// ErrUnavailable. The transport counts a frame before handle sees it, so
+	// a request that loads false here is one Shutdown's Drain waits for.
+	draining atomic.Bool
 
 	// callSem is the admission semaphore (nil when MaxConcurrentCalls is
 	// unset); queued counts calls waiting in the bounded admission queue.
@@ -385,7 +382,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.draining = true
+	s.draining.Store(true)
 	if s.sweepStop != nil {
 		close(s.sweepStop)
 		s.sweepStop = nil
@@ -412,51 +409,34 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		return nil
 	}
-	s.draining = true
+	s.draining.Store(true)
 	tsrv := s.tsrv
 	s.mu.Unlock()
-	if tsrv != nil {
-		tsrv.StopAccepting()
-	}
-	start := time.Now()
-	done := make(chan struct{})
-	go func() {
-		// First the handler bodies, then the transport's reply writes:
-		// a drained call's response must be on the wire before Close
-		// tears the connection down under it.
-		s.inflight.Wait()
-		if tsrv != nil {
-			if err := tsrv.Drain(ctx); err != nil {
-				return // ctx expired; the select below observes it
-			}
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-		s.metrics.drainNanos.Add(time.Since(start).Nanoseconds())
+	if tsrv == nil {
 		return s.Close()
-	case <-ctx.Done():
-		s.metrics.drainNanos.Add(time.Since(start).Nanoseconds())
-		// Close waits for in-flight handlers (the transport guarantees
-		// replies are flushed before teardown completes); after a failed
-		// drain that wait must not block the caller.
-		go s.Close()
-		return ctx.Err()
 	}
+	tsrv.StopAccepting()
+	// A request counts from its frame to the last byte of its reply: a drained
+	// call's response is on the wire before Close tears the connection down.
+	start := time.Now()
+	err := tsrv.Drain(ctx)
+	s.metrics.drainNanos.Add(time.Since(start).Nanoseconds())
+	if err != nil {
+		// Close waits for in-flight handlers; after a failed drain that
+		// wait must not block the caller.
+		go s.Close()
+		return err
+	}
+	return s.Close()
 }
 
-// admit gates one request against the drain state. On success the caller
-// must invoke the returned release when the handler finishes.
-func (s *Server) admit() (release func(), err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.draining {
+// admit gates one request against the drain state.
+func (s *Server) admit() error {
+	if s.draining.Load() {
 		s.metrics.unavailable.Add(1)
-		return nil, fmt.Errorf("%w: %s is shutting down", transport.ErrUnavailable, s.addr)
+		return fmt.Errorf("%w: %s is shutting down", transport.ErrUnavailable, s.addr)
 	}
-	s.inflight.Add(1)
-	return s.inflight.Done, nil
+	return nil
 }
 
 // acquireSlot enforces MaxConcurrentCalls: take a semaphore slot if one is
@@ -499,11 +479,9 @@ func (s *Server) releaseSlot() { <-s.callSem }
 // propagated per-call deadline (when the request frame had one) and is
 // cancelled when the server closes.
 func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out []byte, err error) {
-	done, err := s.admit()
-	if err != nil {
+	if err := s.admit(); err != nil {
 		return nil, err
 	}
-	defer done()
 	start := time.Now()
 	defer func() {
 		// Model this host's CPU speed: a slower machine takes

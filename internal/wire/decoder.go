@@ -18,7 +18,7 @@ type Decoder struct {
 	opts       Options
 	table      []reflect.Value
 	numSeeded  int
-	typeTable  []typeEntry
+	typeTable  []reflect.Type
 	strTable   []string
 	headerDone bool
 
@@ -61,7 +61,7 @@ type Decoder struct {
 // decoding — including any pending FlatContent commits — has finished.
 func NewDecoderBytes(data []byte, opts Options) *Decoder {
 	o := opts.withDefaults()
-	return &Decoder{r: &reader{data: data, maxElems: o.MaxElems}, opts: o, lowRef: math.MaxInt}
+	return &Decoder{r: &reader{data: data}, opts: o, lowRef: math.MaxInt}
 }
 
 // Objects returns the decoder's linear map: every object materialized or
@@ -207,52 +207,46 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 	if err != nil {
 		return reflect.Value{}, err
 	}
-	var k *kernel
-	if d.kernels {
-		// The original's own kernel leads to its contents' kernels; a run
-		// of records of one type costs one lookup.
-		k = d.memo.of(orig.Type(), d.access)
-	}
+	// The original's own kernel leads to its contents' kernels; a run of
+	// records of one type costs one lookup.
+	k := d.memo.of(orig.Type(), d.access)
 	if kind < contentPtr || kind > contentSlice {
 		return reflect.Value{}, fmt.Errorf("%w: unknown content kind 0x%02x", ErrBadStream, kind)
 	}
-	if want := contentKinds[kind-contentPtr]; orig.Kind() != want {
-		return reflect.Value{}, fmt.Errorf("%w: content kind %s for %s object", ErrBadStream, want, orig.Kind())
+	// The record kinds are in the order of the value tags of what they restore.
+	tag := kind - contentPtr + tagPtr
+	if tag != k.tag {
+		return reflect.Value{}, fmt.Errorf("%w: content kind 0x%02x for %s object", ErrBadStream, kind, orig.Kind())
 	}
-	if kind == contentPtr {
-		if k != nil {
-			// As under tagPtr: the staging cell exists, decode into it.
-			tmp := d.stagingCell(k, id)
-			return tmp, k.elem.into(d, tmp.Elem(), 0)
-		}
-		tmp := reflect.New(orig.Type().Elem())
+	switch {
+	case kind == contentPtr && d.kernels:
+		// As under tagPtr: the staging cell exists, decode into it.
+		tmp := d.stagingCell(k, id)
+		return tmp, k.elem.into(d, tmp.Elem(), 0)
+	case kind == contentPtr:
+		tmp := reflect.New(k.elem.t)
 		return tmp, d.decodeSlot(tmp.Elem(), 0)
 	}
-	n, err := d.r.readLen()
+	least := k.elem.min
+	if kind == contentMap {
+		least += k.key.min
+	}
+	n, err := d.lenOf(least, k.elem.t)
 	if err != nil {
 		return reflect.Value{}, err
 	}
-	if kind == contentMap {
-		tmp := reflect.MakeMapWithSize(orig.Type(), n)
-		if k != nil {
-			return tmp, k.fillMap(d, tmp, n, 0)
-		}
-		return tmp, d.decodeMapEntriesInto(tmp, n, 0)
-	}
-	if n != orig.Len() {
+	var tmp reflect.Value
+	switch {
+	case kind == contentMap:
+		tmp = reflect.MakeMapWithSize(k.t, n)
+	case n == orig.Len():
+		tmp = reflect.MakeSlice(k.t, n, n)
+	default:
 		return reflect.Value{}, fmt.Errorf("%w: slice object resized %d -> %d; slices are fixed-length array objects",
 			ErrBadStream, orig.Len(), n)
 	}
-	tmp := reflect.MakeSlice(orig.Type(), n, n)
-	if k != nil {
-		return tmp, k.fillElems(d, tmp, 0)
-	}
-	return tmp, d.decodeSliceElemsInto(tmp, 0)
+	return tmp, d.fill(tag, k, tmp, n, 0)
 }
-
-// contentKinds lists, from contentPtr on, the kind of object each content
-// record kind restores.
-var contentKinds = [...]reflect.Kind{reflect.Ptr, reflect.Map, reflect.Slice}
 
 // maxStageSlab caps the cells of one staging slab.
 const maxStageSlab = 256
@@ -329,14 +323,14 @@ func (d *Decoder) decodeValue(depth int) (reflect.Value, error) {
 
 // decodeRef reads the operand of a tagRef.
 func (d *Decoder) decodeRef() (reflect.Value, error) {
-	id, err := d.r.readLen()
+	id, err := d.r.readUint()
 	if err != nil {
 		return reflect.Value{}, err
 	}
-	if id >= len(d.table) {
+	if id >= uint64(len(d.table)) {
 		return reflect.Value{}, fmt.Errorf("%w: reference to unknown object %d", ErrBadStream, id)
 	}
-	d.lowRef = min(d.lowRef, id)
+	d.lowRef = min(d.lowRef, int(id))
 	return d.table[id], nil
 }
 
@@ -349,49 +343,81 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 		return d.decodeRef()
 	case tag > tagScalar:
 		return reflect.Value{}, fmt.Errorf("%w: unknown value tag 0x%02x", ErrBadStream, tag)
-	case d.kernels:
-		k, err := d.decodeKernelType()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		return d.build(tag, k, depth)
 	}
-	t, err := d.decodeType()
+	t, err := d.decodeType(0)
 	if err != nil {
 		return reflect.Value{}, err
 	}
-	return d.value(tag, t, depth)
+	return d.build(tag, d.memo.of(t, d.access), depth)
 }
 
-// value materializes what tag announces as a value of type t — for tagPtr a
-// pointer to t — the one step a described value (t from its descriptor) and
-// a bare one (t from its slot) share. Objects join the table before their
-// contents are read, so cycles resolve.
-func (d *Decoder) value(tag byte, t reflect.Type, depth int) (reflect.Value, error) {
-	if tag == tagPtr {
-		pv := reflect.New(t)
-		d.table = append(d.table, pv)
-		return pv, d.decodeSlot(pv.Elem(), depth+1)
+// build materializes what tag announces as a value of k's type — for tagPtr a
+// pointer to it — whether k is from a descriptor or from a bare value's slot,
+// on either codec path.
+func (d *Decoder) build(tag byte, k *kernel, depth int) (reflect.Value, error) {
+	v, n, err := d.shell(tag, k)
+	if err == nil {
+		err = d.fill(tag, k, v, n, depth)
 	}
-	if tag != tagOf(t.Kind()) {
-		return reflect.Value{}, fmt.Errorf("%w: value tag %d with type %s", ErrBadStream, tag, t)
+	return v, err
+}
+
+// shell allocates that value after reader.admit — the one place a count off
+// the stream, or a type a descriptor spelled, sizes an allocation — and enters
+// an object in the table before its contents are read, so cycles resolve.
+func (d *Decoder) shell(tag byte, k *kernel) (v reflect.Value, n int, err error) {
+	switch {
+	case tag != tagPtr && tag != k.tag:
+		err = fmt.Errorf("%w: value tag %d with type %s", ErrBadStream, tag, k.t)
+	case tag == tagMap:
+		if n, err = d.lenOf(k.key.min+k.elem.min, k.elem.t); err == nil {
+			v = reflect.MakeMapWithSize(k.t, n)
+		}
+	case tag == tagSlice:
+		if n, err = d.lenOf(k.elem.min, k.elem.t); err == nil {
+			v = reflect.MakeSlice(k.t, n, n)
+		}
+	default:
+		if err = d.r.admit(1, k.min, k.t, len(d.r.data)-d.r.dpos); err == nil {
+			if v = reflect.New(k.t); tag != tagPtr {
+				v = v.Elem()
+			}
+		}
 	}
-	if tag >= tagStruct {
-		v := reflect.New(t).Elem()
-		return v, d.bodyInto(v, depth)
+	if err == nil && tag <= tagSlice {
+		d.table = append(d.table, v)
 	}
-	n, err := d.r.readLen()
+	return v, n, err
+}
+
+// lenOf reads the count of a slice or map of t's, at least least bytes each.
+func (d *Decoder) lenOf(least int, t reflect.Type) (int, error) {
+	n, err := d.r.readUint()
 	if err != nil {
-		return reflect.Value{}, err
+		return 0, err
 	}
-	if tag == tagMap {
-		mv := reflect.MakeMapWithSize(t, n)
-		d.table = append(d.table, mv)
-		return mv, d.decodeMapEntriesInto(mv, n, depth)
+	return int(n), d.r.admit(n, least, t, len(d.r.data)-d.r.dpos)
+}
+
+// fill decodes the contents of shell v on the codec path the header chose.
+func (d *Decoder) fill(tag byte, k *kernel, v reflect.Value, n, depth int) error {
+	switch {
+	case !d.kernels && tag == tagPtr:
+		return d.decodeSlot(v.Elem(), depth+1)
+	case !d.kernels && tag == tagMap:
+		return d.decodeMapEntriesInto(v, n, depth)
+	case !d.kernels && tag == tagSlice:
+		return d.decodeSliceElemsInto(v, depth)
+	case !d.kernels:
+		return d.bodyInto(v, depth)
+	case tag == tagPtr:
+		return k.into(d, v.Elem(), depth+1)
+	case tag == tagMap:
+		return k.fillMap(d, v, n, depth)
+	case tag == tagSlice:
+		return k.fillElems(d, v, depth)
 	}
-	sv := reflect.MakeSlice(t, n, n)
-	d.table = append(d.table, sv)
-	return sv, d.decodeSliceElemsInto(sv, depth)
+	return k.body(d, v, depth)
 }
 
 // decodeSlot decodes the next value of the stream into dst, a slot of static
@@ -422,9 +448,9 @@ func (d *Decoder) decodeSlot(dst reflect.Value, depth int) error {
 		case tag != want:
 			err = fmt.Errorf("%w: value tag %d in a slot of type %s", ErrBadStream, tag, t)
 		case tag == tagPtr:
-			v, err = d.value(tag, t.Elem(), depth)
+			v, err = d.build(tag, d.memo.of(t.Elem(), d.access), depth)
 		default:
-			v, err = d.value(tag, t, depth)
+			v, err = d.build(tag, d.memo.of(t, d.access), depth)
 		}
 	}
 	if err != nil {
@@ -458,8 +484,20 @@ func (d *Decoder) decodeMapEntriesInto(mv reflect.Value, n, depth int) error {
 		if err := d.decodeSlot(val, depth+1); err != nil {
 			return err
 		}
-		mv.SetMapIndex(key, val)
+		if err := setEntry(mv, key, val); err != nil {
+			return err
+		}
 	}
+	return nil
+}
+
+// setEntry is mv[key] = val, refusing what SetMapIndex would panic on: a key
+// type that holds an interface admits a slice or a map, which no map can hash.
+func setEntry(mv, key, val reflect.Value) error {
+	if !key.Comparable() {
+		return fmt.Errorf("%w: unhashable key in a %s", ErrBadStream, mv.Type())
+	}
+	mv.SetMapIndex(key, val)
 	return nil
 }
 

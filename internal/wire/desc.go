@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 )
 
@@ -121,83 +122,44 @@ func (e *Encoder) encodeTypeBody(t reflect.Type) error {
 	}
 }
 
-// typeEntry is one slot of the decoder's stream type table: the type, and
-// its kernel for the stream's access mode once a value of the type has been
-// decoded (engine V3: once a struct of the type has been).
-type typeEntry struct {
-	t reflect.Type
-	k *kernel
-}
-
-// decodeType reads one type descriptor.
-func (d *Decoder) decodeType() (reflect.Type, error) {
-	t, _, err := d.decodeTypeSlot()
-	return t, err
-}
-
-// decodeTypeSlot reads one type descriptor and also returns the type's
-// index in the stream type table, or -1 for a type spelled out in place.
-func (d *Decoder) decodeTypeSlot() (reflect.Type, int, error) {
+// decodeType reads one type descriptor, nested depth levels inside the one a
+// value carries: no deeper than values may be, as it is read by recursion.
+func (d *Decoder) decodeType(depth int) (reflect.Type, error) {
+	if depth > maxDecodeDepth {
+		return nil, errDecodeDepth
+	}
 	b, err := d.r.readByte()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	switch b {
 	case dTableRef:
-		idx, err := d.r.readLen()
+		idx, err := d.r.readUint()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		if idx >= len(d.typeTable) || d.typeTable[idx].t == nil {
-			return nil, 0, fmt.Errorf("%w: type table index %d out of range", ErrBadStream, idx)
+		if idx >= uint64(len(d.typeTable)) || d.typeTable[idx] == nil {
+			return nil, fmt.Errorf("%w: type table index %d out of range", ErrBadStream, idx)
 		}
-		return d.typeTable[idx].t, idx, nil
+		return d.typeTable[idx], nil
 	case dTableDef:
 		idx := len(d.typeTable)
-		d.typeTable = append(d.typeTable, typeEntry{})
-		t, err := d.decodeTypeBody()
-		if err != nil {
-			return nil, 0, err
+		d.typeTable = append(d.typeTable, nil)
+		if b, err = d.r.readByte(); err != nil {
+			return nil, err
 		}
-		d.typeTable[idx].t = t
-		return t, idx, nil
-	default:
-		t, err := d.decodeTypeBodyWithLead(b)
-		return t, -1, err
+		t, err := d.decodeTypeBody(b, depth)
+		if err != nil {
+			return nil, err
+		}
+		d.typeTable[idx] = t
+		return t, nil
 	}
+	return d.decodeTypeBody(b, depth)
 }
 
-// decodeKernelType reads one type descriptor and returns the type's kernel,
-// resolved once per stream-level type.
-func (d *Decoder) decodeKernelType() (*kernel, error) {
-	t, slot, err := d.decodeTypeSlot()
-	if err != nil {
-		return nil, err
-	}
-	if slot < 0 {
-		return d.memo.of(t, d.access), nil
-	}
-	return d.kernelAt(slot), nil
-}
-
-// kernelAt returns the kernel of type table entry slot.
-func (d *Decoder) kernelAt(slot int) *kernel {
-	e := &d.typeTable[slot]
-	if e.k == nil {
-		e.k = kernelFor(e.t, d.access)
-	}
-	return e.k
-}
-
-func (d *Decoder) decodeTypeBody() (reflect.Type, error) {
-	b, err := d.r.readByte()
-	if err != nil {
-		return nil, err
-	}
-	return d.decodeTypeBodyWithLead(b)
-}
-
-func (d *Decoder) decodeTypeBodyWithLead(b byte) (reflect.Type, error) {
+// decodeTypeBody reads what follows lead byte b of a descriptor at depth.
+func (d *Decoder) decodeTypeBody(b byte, depth int) (reflect.Type, error) {
 	switch b {
 	case dNamed:
 		name, err := d.r.readString()
@@ -222,23 +184,23 @@ func (d *Decoder) decodeTypeBodyWithLead(b byte) (reflect.Type, error) {
 		}
 		return t, nil
 	case dPtr:
-		elem, err := d.decodeType()
+		elem, err := d.decodeType(depth + 1)
 		if err != nil {
 			return nil, err
 		}
 		return reflect.PointerTo(elem), nil
 	case dSlice:
-		elem, err := d.decodeType()
+		elem, err := d.decodeType(depth + 1)
 		if err != nil {
 			return nil, err
 		}
 		return reflect.SliceOf(elem), nil
 	case dMap:
-		key, err := d.decodeType()
+		key, err := d.decodeType(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		elem, err := d.decodeType()
+		elem, err := d.decodeType(depth + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -247,15 +209,15 @@ func (d *Decoder) decodeTypeBodyWithLead(b byte) (reflect.Type, error) {
 		}
 		return reflect.MapOf(key, elem), nil
 	case dArray:
-		n, err := d.r.readLen()
+		n, err := d.r.readUint()
 		if err != nil {
 			return nil, err
 		}
-		elem, err := d.decodeType()
+		elem, err := d.decodeType(depth + 1)
 		if err != nil {
 			return nil, err
 		}
-		return reflect.ArrayOf(n, elem), nil
+		return arrayOf(n, elem)
 	case dIface:
 		return emptyIfaceType, nil
 	default:
@@ -265,4 +227,15 @@ func (d *Decoder) decodeTypeBodyWithLead(b byte) (reflect.Type, error) {
 		}
 		return nil, fmt.Errorf("%w: unknown type descriptor byte 0x%02x", ErrBadStream, b)
 	}
+}
+
+// arrayOf is reflect.ArrayOf for a length off the stream. A type is described
+// with no value of it to follow (an empty slice's element), so the bytes left
+// say nothing about n: values meet them in Decoder.shell. This refuses what
+// reflect.ArrayOf panics on or kernel.min overflows on: 2 GiB.
+func arrayOf(n uint64, elem reflect.Type) (reflect.Type, error) {
+	if n > math.MaxInt32/uint64(max(elem.Size(), 1)) {
+		return nil, fmt.Errorf("%w: array type [%d]%s", ErrLimit, n, elem)
+	}
+	return reflect.ArrayOf(int(n), elem), nil
 }

@@ -73,24 +73,6 @@ func TestNestedArraysOfPointers(t *testing.T) {
 	}
 }
 
-func TestMaxElemsEnforced(t *testing.T) {
-	reg := edgeRegistry(t)
-	big := make([]int, 100)
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, Options{Registry: reg})
-	if err := enc.Encode(big); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec := NewDecoderBytes(buf.Bytes(), Options{Registry: reg, MaxElems: 10})
-	_, err := dec.Decode()
-	if !errors.Is(err, ErrLimit) {
-		t.Fatalf("want ErrLimit, got %v", err)
-	}
-}
-
 // nestedSliceStream and nestedMapStream hand-build a V2 stream of levels
 // containers, each the only element (or the value under key 1) of the one
 // before: []any in []any, map[int]any in map[int]any. The root is at decode
@@ -113,12 +95,23 @@ func nestedMapStream(levels int) []byte {
 	return append(s, 0)
 }
 
+// nestedTypeStream is a pointer whose descriptor nests levels deep, the
+// outermost at depth 0: pointer to pointer to ... int, the pointee nil.
+func nestedTypeStream(levels int) []byte {
+	s := []byte{headerMagic, formatV2, 0, tagPtr}
+	for i := 1; i < levels; i++ {
+		s = append(s, dTableDef, dPtr)
+	}
+	return append(s, dTableDef, byte(reflect.Int), tagNil)
+}
+
 // recSlice nests through a slice with no pointer or interface in between,
 // so encoder and decoder count the same depth for it.
 type recSlice []recSlice
 
 // TestDecodeDepthBound: nesting through slices and maps counts toward
-// maxDecodeDepth like nesting through pointers. One level past the bound is
+// maxDecodeDepth like nesting through pointers, and a type descriptor nests
+// no deeper than a value. One level past the bound is
 // refused with a typed error on the kernel and the generic path, from a
 // stream and from bytes (unbounded, 15 million levels fit one frame and
 // overflow the stack, which no recover catches); at the bound the stream decodes, and so
@@ -143,6 +136,7 @@ func TestDecodeDepthBound(t *testing.T) {
 	}{
 		{"nested slices", nestedSliceStream},
 		{"nested maps", nestedMapStream},
+		{"nested descriptors", nestedTypeStream},
 	} {
 		for _, generic := range []bool{false, true} {
 			for _, fromBytes := range []bool{false, true} {

@@ -334,7 +334,7 @@ func v3Stream(body []byte) []byte {
 
 // TestV3MalformedFrames drives handcrafted hostile frames through both the
 // stream and bytes decoders: every case must return a typed error — never
-// panic, never index out of bounds, never allocate past MaxElems.
+// panic, never index out of bounds, never allocate past what the frame's bytes can carry.
 func TestV3MalformedFrames(t *testing.T) {
 	reg := testRegistry(t)
 	intDef := []byte{byte(reflect.Int)}
@@ -459,7 +459,7 @@ func TestV3MalformedFrames(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			stream := v3Stream(tc.body)
-			opts := Options{Registry: reg, MaxElems: 1 << 12}
+			opts := Options{Registry: reg}
 			dec := NewDecoderBytes(stream, opts)
 			_, err := dec.Decode()
 			if !errors.Is(err, tc.want) {

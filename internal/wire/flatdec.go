@@ -52,9 +52,10 @@ func (c *flatCur) u64() (uint64, error) {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
 }
 
+// bytes checks every length of bytes — a region, a name, a string.
 func (c *flatCur) bytes(n int) ([]byte, error) {
 	if n < 0 || len(c.b)-c.pos < n {
-		return nil, fmt.Errorf("%w: truncated flat frame", ErrBadStream)
+		return nil, fmt.Errorf("%w: truncated flat frame: %w", ErrBadStream, errShort)
 	}
 	p := c.b[c.pos : c.pos+n : c.pos+n]
 	c.pos += n
@@ -156,10 +157,9 @@ func (d *Decoder) parseFlatFrame(fr *flatFrame) error {
 	if err != nil {
 		return err
 	}
-	max := uint64(d.r.maxElems)
-	if uint64(newNodes) > max || uint64(newTypes) > max || uint64(typesLen) > max {
-		return fmt.Errorf("%w: flat frame header %d/%d/%d > max %d",
-			ErrLimit, newNodes, newTypes, typesLen, max)
+	// A node is a byte at least; 4*(newNodes+1) below stays an int.
+	if uint64(newNodes) > uint64(cur.remaining()) {
+		return fmt.Errorf("%w: %d nodes in a frame of %d bytes", errShort, newNodes, len(fr.body))
 	}
 	typeBytes, err := cur.bytes(int(typesLen))
 	if err != nil {
@@ -233,11 +233,11 @@ func (d *Decoder) flatTypeDef(c *flatCur) error {
 		if err != nil {
 			return nil, err
 		}
-		if int(idx) >= len(d.typeTable) || d.typeTable[idx].t == nil {
+		if int(idx) >= len(d.typeTable) || d.typeTable[idx] == nil {
 			return nil, fmt.Errorf("%w: type def references index %d of %d",
 				ErrBadStream, idx, len(d.typeTable))
 		}
-		return d.typeTable[idx].t, nil
+		return d.typeTable[idx], nil
 	}
 	var t reflect.Type
 	switch lead {
@@ -245,9 +245,6 @@ func (d *Decoder) flatTypeDef(c *flatCur) error {
 		nameLen, err := c.u32()
 		if err != nil {
 			return err
-		}
-		if uint64(nameLen) > uint64(d.r.maxElems) {
-			return fmt.Errorf("%w: type name of %d bytes", ErrLimit, nameLen)
 		}
 		nb, err := c.bytes(int(nameLen))
 		if err != nil {
@@ -287,14 +284,13 @@ func (d *Decoder) flatTypeDef(c *flatCur) error {
 		if err != nil {
 			return err
 		}
-		if uint64(n) > uint64(d.r.maxElems) {
-			return fmt.Errorf("%w: array length %d", ErrLimit, n)
-		}
 		elem, err := at()
 		if err != nil {
 			return err
 		}
-		t = reflect.ArrayOf(int(n), elem)
+		if t, err = arrayOf(uint64(n), elem); err != nil {
+			return err
+		}
 	case dIface:
 		t = emptyIfaceType
 	default:
@@ -305,16 +301,18 @@ func (d *Decoder) flatTypeDef(c *flatCur) error {
 		}
 		t = kt
 	}
-	d.typeTable = append(d.typeTable, typeEntry{t: t})
+	d.typeTable = append(d.typeTable, t)
 	return nil
 }
 
 func (d *Decoder) flatTypeAt(idx uint32) (reflect.Type, error) {
-	if int(idx) >= len(d.typeTable) || d.typeTable[idx].t == nil {
+	if int(idx) >= len(d.typeTable) || d.typeTable[idx] == nil {
 		return nil, fmt.Errorf("%w: type index %d of %d", ErrBadStream, idx, len(d.typeTable))
 	}
-	return d.typeTable[idx].t, nil
+	return d.typeTable[idx], nil
 }
+
+func (d *Decoder) flatMin(t reflect.Type) int { return d.memo.of(t, d.access).min }
 
 // flatShell materializes an empty object from a record header: pointers and
 // slices come from the arena, maps from reflect.MakeMapWithSize (map
@@ -332,8 +330,12 @@ func (d *Decoder) flatShell(c *flatCur) (reflect.Value, error) {
 	if err != nil {
 		return reflect.Value{}, err
 	}
+	// A record's values lie within the record.
 	switch lead {
 	case fRecPtr:
+		if err := d.r.admit(1, d.flatMin(t), t, c.remaining()); err != nil {
+			return reflect.Value{}, err
+		}
 		return d.arenaFor().NewPtr(t), nil
 	case fRecMap:
 		if t.Kind() != reflect.Map {
@@ -343,8 +345,8 @@ func (d *Decoder) flatShell(c *flatCur) (reflect.Value, error) {
 		if err != nil {
 			return reflect.Value{}, err
 		}
-		if uint64(count) > uint64(d.r.maxElems) {
-			return reflect.Value{}, fmt.Errorf("%w: map of %d entries", ErrLimit, count)
+		if err := d.r.admit(uint64(count), d.flatMin(t.Key())+d.flatMin(t.Elem()), t.Elem(), c.remaining()); err != nil {
+			return reflect.Value{}, err
 		}
 		return reflect.MakeMapWithSize(t, int(count)), nil
 	case fRecSlice:
@@ -355,8 +357,8 @@ func (d *Decoder) flatShell(c *flatCur) (reflect.Value, error) {
 		if err != nil {
 			return reflect.Value{}, err
 		}
-		if uint64(n) > uint64(d.r.maxElems) {
-			return reflect.Value{}, fmt.Errorf("%w: slice of %d elements", ErrLimit, n)
+		if err := d.r.admit(uint64(n), d.flatMin(t.Elem()), t.Elem(), c.remaining()); err != nil {
+			return reflect.Value{}, err
 		}
 		return d.arenaFor().NewSlice(t, int(n)), nil
 	default:
@@ -418,7 +420,9 @@ func (d *Decoder) flatFillMapEntries(c *flatCur, mv reflect.Value, count int) er
 		if err := d.flatFillValue(c, val, 0); err != nil {
 			return err
 		}
-		mv.SetMapIndex(key, val)
+		if err := setEntry(mv, key, val); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -493,13 +497,13 @@ func (d *Decoder) flatFillValue(c *flatCur, dst reflect.Value, depth int) error 
 			return fmt.Errorf("%w: struct value with non-struct type %s", ErrBadStream, st)
 		}
 		if st == dst.Type() {
-			return d.flatFillStruct(c, d.kernelAt(int(idx)), dst, depth)
+			return d.flatFillStruct(c, d.memo.of(st, d.access), dst, depth)
 		}
 		if !st.AssignableTo(dst.Type()) {
 			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, st, dst.Type())
 		}
 		v := reflect.New(st).Elem()
-		if err := d.flatFillStruct(c, d.kernelAt(int(idx)), v, depth); err != nil {
+		if err := d.flatFillStruct(c, d.memo.of(st, d.access), v, depth); err != nil {
 			return err
 		}
 		dst.Set(v)
@@ -527,6 +531,9 @@ func (d *Decoder) flatFillValue(c *flatCur, dst reflect.Value, depth int) error 
 		}
 		if !at.AssignableTo(dst.Type()) {
 			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, at, dst.Type())
+		}
+		if err := d.r.admit(1, d.flatMin(at), at, c.remaining()); err != nil {
+			return err
 		}
 		v := reflect.New(at).Elem()
 		for i := 0; i < at.Len(); i++ {
@@ -609,9 +616,6 @@ func (d *Decoder) flatScalarInto(c *flatCur, v reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		if uint64(n) > uint64(d.r.maxElems) {
-			return fmt.Errorf("%w: string of %d bytes", ErrLimit, n)
-		}
 		sb, err := c.bytes(int(n))
 		if err != nil {
 			return err
@@ -675,6 +679,9 @@ func (d *Decoder) flatAnyValue(c *flatCur, depth int) (reflect.Value, error) {
 		if err != nil {
 			return reflect.Value{}, err
 		}
+		if err := d.r.admit(1, d.flatMin(t), t, c.remaining()); err != nil {
+			return reflect.Value{}, err
+		}
 		v := reflect.New(t).Elem()
 		switch lead {
 		case fScalar:
@@ -683,7 +690,7 @@ func (d *Decoder) flatAnyValue(c *flatCur, depth int) (reflect.Value, error) {
 			if t.Kind() != reflect.Struct {
 				return reflect.Value{}, fmt.Errorf("%w: struct value with non-struct type %s", ErrBadStream, t)
 			}
-			err = d.flatFillStruct(c, d.kernelAt(int(idx)), v, depth)
+			err = d.flatFillStruct(c, d.memo.of(t, d.access), v, depth)
 		case fArray:
 			if t.Kind() != reflect.Array {
 				return reflect.Value{}, fmt.Errorf("%w: array value with non-array type %s", ErrBadStream, t)
@@ -858,9 +865,6 @@ func (d *Decoder) flatCheckRecord(c *flatCur, orig reflect.Value) error {
 		if err != nil {
 			return err
 		}
-		if uint64(count) > uint64(d.r.maxElems) {
-			return fmt.Errorf("%w: map of %d entries", ErrLimit, count)
-		}
 		kt, vt := t.Key(), t.Elem()
 		for i := uint32(0); i < count; i++ {
 			if err := d.flatCheckValue(c, kt, 0); err != nil {
@@ -990,7 +994,7 @@ func (d *Decoder) flatCheckValue(c *flatCur, t reflect.Type, depth int) error {
 		if st != t && !st.AssignableTo(t) {
 			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, st, t)
 		}
-		k := d.kernelAt(int(idx))
+		k := d.memo.of(st, d.access)
 		for i := range k.fields {
 			if err := d.flatCheckValue(c, k.fields[i].k.t, depth+1); err != nil {
 				return err
@@ -1067,9 +1071,6 @@ func (d *Decoder) flatCheckScalar(c *flatCur, st reflect.Type) error {
 		n, err := c.u32()
 		if err != nil {
 			return err
-		}
-		if uint64(n) > uint64(d.r.maxElems) {
-			return fmt.Errorf("%w: string of %d bytes", ErrLimit, n)
 		}
 		_, err = c.bytes(int(n))
 		return err

@@ -10,13 +10,10 @@ import (
 )
 
 // FuzzDecode throws arbitrary bytes at the decoder: it must return errors,
-// never panic or allocate unboundedly (MaxElems caps every length field).
+// never panic or allocate unboundedly (a length is held against the bytes left).
 // Seeds include valid streams so mutation explores near-valid inputs.
 func FuzzDecode(f *testing.F) {
-	reg := NewRegistry()
-	if err := reg.Register("wnode", wnode{}); err != nil {
-		f.Fatal(err)
-	}
+	reg := lengthRegistry(f) // wnode and the types of the hostile-length table
 	if err := reg.Register("wbag", wbag{}); err != nil {
 		f.Fatal(err)
 	}
@@ -54,6 +51,11 @@ func FuzzDecode(f *testing.F) {
 	// Containers nested one level past maxDecodeDepth: refused, not recursed.
 	f.Add(nestedSliceStream(maxDecodeDepth + 2))
 	f.Add(nestedMapStream(maxDecodeDepth + 2))
+	f.Add(nestedTypeStream(maxDecodeDepth + 2))
+	// Lengths the bytes that follow cannot carry (TestHostileLengths).
+	for _, h := range hostileLengthStreams(f, reg) {
+		f.Add(h.stream)
+	}
 	// Damaged variants of every valid stream, mirroring what the netsim
 	// corrupt and sever faults deliver on the wire: a few flipped bits at
 	// seeded positions, and truncations at every framing-hostile cut.
@@ -73,7 +75,7 @@ func FuzzDecode(f *testing.F) {
 		// The compiled kernels read a slot by its static type, in place; they
 		// must be exactly as junk-proof as the generic reflective path, and
 		// the two must agree: same outcome at every value, equal graphs.
-		opts := Options{Registry: reg, MaxElems: 1 << 12}
+		opts := Options{Registry: reg}
 		dec := NewDecoderBytes(data, opts)
 		opts.DisablePlanCache = true
 		decG := NewDecoderBytes(data, opts)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 )
 
 // writerBufSize is the spill threshold of the buffered engines' writer.
@@ -205,16 +206,11 @@ func (w *writer) writeString(s string) error {
 // return windows of the payload without copying: the zero-copy input for
 // engine V3's flat frames. Running out of input is io.ErrUnexpectedEOF.
 type reader struct {
-	data     []byte
-	dpos     int // read position == bytes consumed
-	engine   Engine
-	maxElems int
-}
-
-// reset re-arms a pooled reader onto a new message. The engine reverts to
-// unknown until the next header is read.
-func (r *reader) reset(data []byte, maxElems int) {
-	*r = reader{data: data, maxElems: maxElems}
+	data   []byte
+	dpos   int // read position == bytes consumed
+	engine Engine
+	// claimed and unbacked are what admit has granted of the message so far.
+	claimed, unbacked int
 }
 
 func (r *reader) bytesRead() int64 { return int64(r.dpos) }
@@ -298,16 +294,58 @@ func (r *reader) readFloat() (float64, error) {
 	return math.Float64frombits(u), err
 }
 
-// readLen reads a length field and enforces the sanity limit.
+// errShort refuses a length the bytes that follow cannot carry. A truncated
+// message and a hostile one look the same from here, so the error is both.
+var errShort = fmt.Errorf("%w: %w", ErrLimit, io.ErrUnexpectedEOF)
+
+// readLen reads a count of bytes that follow: the length of a string.
 func (r *reader) readLen() (int, error) {
 	v, err := r.readUint()
 	if err != nil {
 		return 0, err
 	}
-	if v > uint64(r.maxElems) {
-		return 0, fmt.Errorf("%w: length %d > max %d", ErrLimit, v, r.maxElems)
+	if v > uint64(len(r.data)-r.dpos) {
+		return 0, fmt.Errorf("%w: length %d with %d bytes left", errShort, v, len(r.data)-r.dpos)
 	}
 	return int(v), nil
+}
+
+// admit is the rule for a count off the stream, applied before anything is
+// allocated: n values of type t, at least least bytes each (kernel.min), are
+// admitted when n*least of the left bytes that follow are there and no earlier
+// admission has claimed them. Each value is claimed for once, against bytes of
+// its own, so an honest message's claims never exceed its length, and any
+// message makes the decoder allocate at most Size/min times its length: 24 (a
+// nil slice, one byte for three words) for a type a descriptor can spell.
+// Values with no encoded part (least 0) are nothing a byte vouches for, and
+// whoever holds them loops over them: a message may carry maxUnbacked, each
+// counted by its bulk.
+func (r *reader) admit(n uint64, least int, t reflect.Type, left int) error {
+	if least == 0 {
+		b := bulk(t)
+		if n > maxUnbacked || n*b > uint64(maxUnbacked-r.unbacked) {
+			return fmt.Errorf("%w: %d more values of type %s, which occupy none of the message", ErrLimit, n, t)
+		}
+		r.unbacked += int(n * b)
+		return nil
+	}
+	if left = min(left, len(r.data)-r.claimed); n > uint64(left/least) {
+		return fmt.Errorf("%w: %d values of at least %d bytes each with %d bytes left", errShort, n, least, left)
+	}
+	r.claimed += int(n) * least
+	return nil
+}
+
+const maxUnbacked = 1 << 16
+
+// bulk is the memory of a value of type t or, if it is an array, the number
+// of its elements, whichever is more; no more than maxUnbacked+1 squared.
+func bulk(t reflect.Type) uint64 {
+	n := uint64(1)
+	for ; t.Kind() == reflect.Array && n <= maxUnbacked; t = t.Elem() {
+		n *= uint64(min(t.Len(), maxUnbacked+1))
+	}
+	return n * uint64(min(max(t.Size(), 1), maxUnbacked+1))
 }
 
 func (r *reader) readString() (string, error) {

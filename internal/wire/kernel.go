@@ -22,10 +22,10 @@ import (
 //
 // Kernels implement the V2 wire format only and are engaged exactly on a V2
 // codec with the plan cache enabled (Options.DisablePlanCache unset); every
-// other configuration takes the generic reflective paths unchanged.
-// (Engine V3 borrows the struct field programs.) The wire format is
-// byte-for-byte identical either way — edge_test.go and the cross-engine
-// tests exercise both sides of the switch against each other.
+// other configuration codes by the generic reflective paths (V3 borrows the
+// struct field programs, and Decoder.shell a type's tag and min). The wire
+// format is byte-for-byte identical either way — edge_test.go and the
+// cross-engine tests exercise both sides of the switch against each other.
 
 // kernel is the compiled codec program for one (type, mode) pair. Kernels
 // refer to each other by pointer so recursive types resolve naturally: a
@@ -37,6 +37,11 @@ type kernel struct {
 	// tag is the value tag t travels under (tagPtr … tagScalar), or 0 for
 	// kinds with none of their own (interfaces, unserializable kinds).
 	tag byte
+	// min is a lower bound on the bytes of a slot of type t in any engine's
+	// stream, which reader.admit holds a count against: 1 for a pointer, map,
+	// slice or interface (nil) and for a scalar (a varint, a string reference),
+	// the sum of its parts for a struct or array: 0 if it has no encoded part.
+	min int
 	// fields is the struct field program, in plan order, shared by both
 	// directions and by engine V3's fill and check passes; zeros lists the
 	// excluded unexported fields the encoder must find zero.
@@ -125,6 +130,7 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 	k := &kernel{t: t}
 	session[t] = k
 
+	k.min = 1
 	switch k.tag = tagOf(t.Kind()); k.tag {
 	case tagPtr:
 		k.elem = compileKernel(t.Elem(), mode, session)
@@ -134,7 +140,11 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 		k.elem = compileKernel(t.Elem(), mode, session)
 	case tagSlice, tagArray:
 		k.elem = compileKernel(t.Elem(), mode, session)
+		if k.tag == tagArray { // an inline part is compiled before its container
+			k.min = t.Len() * k.elem.min
+		}
 	case tagStruct:
+		k.min = 0
 		k.fields = make([]kernelField, 0, t.NumField())
 		for i := 0; i < t.NumField(); i++ {
 			sf := t.Field(i)
@@ -143,7 +153,9 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 					fmt.Errorf("%w: field %s.%s", graph.ErrUnexportedField, t, sf.Name)})
 				continue
 			}
-			k.fields = append(k.fields, kernelField{i, compileKernel(sf.Type, mode, session), !sf.IsExported()})
+			fk := compileKernel(sf.Type, mode, session)
+			k.fields = append(k.fields, kernelField{i, fk, !sf.IsExported()})
+			k.min += fk.min
 		}
 	case 0:
 		if t.Kind() != reflect.Interface {
@@ -370,38 +382,9 @@ func (k *kernel) fillMap(d *Decoder, mv reflect.Value, n, depth int) error {
 		if err := k.elem.into(d, val, depth+1); err != nil {
 			return err
 		}
-		mv.SetMapIndex(key, val)
+		if err := setEntry(mv, key, val); err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// build is Decoder.value on the kernel path: k is the kernel of the type a
-// descriptor or a slot names (for tagPtr: the pointee's).
-func (d *Decoder) build(tag byte, k *kernel, depth int) (reflect.Value, error) {
-	if tag == tagPtr {
-		pv := reflect.New(k.t)
-		d.table = append(d.table, pv)
-		return pv, k.into(d, pv.Elem(), depth+1)
-	}
-	if tag != k.tag {
-		return reflect.Value{}, fmt.Errorf("%w: value tag %d with type %s", ErrBadStream, tag, k.t)
-	}
-	switch tag {
-	case tagMap, tagSlice:
-		n, err := d.r.readLen()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if tag == tagMap {
-			mv := reflect.MakeMapWithSize(k.t, n)
-			d.table = append(d.table, mv)
-			return mv, k.fillMap(d, mv, n, depth)
-		}
-		sv := reflect.MakeSlice(k.t, n, n)
-		d.table = append(d.table, sv)
-		return sv, k.fillElems(d, sv, depth)
-	default:
-		v := reflect.New(k.t).Elem()
-		return v, k.body(d, v, depth)
-	}
 }

@@ -285,8 +285,8 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 		t.Errorf("released decoder keeps stream tables")
 	}
 	for i, e := range dec.typeTable[:cap(dec.typeTable)] {
-		if e != (typeEntry{}) {
-			t.Errorf("released decoder's type table slot %d still holds %v", i, e.t)
+		if e != nil {
+			t.Errorf("released decoder's type table slot %d still holds %v", i, e)
 		}
 	}
 	for i, v := range dec.table[:cap(dec.table)] {
@@ -321,7 +321,7 @@ func TestFailedTypeDefLeavesNoUsableSlot(t *testing.T) {
 	if _, err := dec.Decode(); !errors.Is(err, ErrBadStream) {
 		t.Fatalf("bad definition: %v, want ErrBadStream", err)
 	}
-	if len(dec.typeTable) != 1 || dec.typeTable[0].t != nil {
+	if len(dec.typeTable) != 1 || dec.typeTable[0] != nil {
 		t.Fatalf("type table after the failed definition: %+v", dec.typeTable)
 	}
 	if _, err := dec.Decode(); !errors.Is(err, ErrBadStream) {

@@ -92,7 +92,7 @@ func AcquireDecoderBytes(data []byte, opts Options) *Decoder {
 		return NewDecoderBytes(data, opts)
 	}
 	o := opts.withDefaults()
-	d.r.reset(data, o.MaxElems)
+	*d.r = reader{data: data} // the engine is unknown until the header is read
 	d.reuse(o)
 	return d
 }
@@ -115,6 +115,6 @@ func ReleaseDecoder(d *Decoder) {
 	clear(d.strTable)
 	d.strTable = d.strTable[:0]
 	d.memo = kernelMemo{}
-	d.r.reset(nil, d.opts.MaxElems) // do not retain the caller's payload
+	*d.r = reader{} // do not retain the caller's payload
 	decoderPool.Put(d)
 }

@@ -28,18 +28,17 @@ func errClass(err error) string {
 }
 
 // v2Reader returns a V2 reader over buf.
-func v2Reader(buf []byte, maxElems int) *reader {
-	return &reader{data: buf, engine: EngineV2, maxElems: maxElems}
+func v2Reader(buf []byte) *reader {
+	return &reader{data: buf, engine: EngineV2}
 }
 
 // bothPaths returns a kernel-path and a generic-path decoder over a V2 stream
 // holding one described uint64 whose payload is buf, and the length of what
 // precedes the payload.
-func bothPaths(buf []byte, maxElems int) (map[string]*Decoder, int64) {
+func bothPaths(buf []byte) (map[string]*Decoder, int64) {
 	stream := append([]byte{headerMagic, formatV2, 0, tagScalar, byte(reflect.Uint64)}, buf...)
 	decs := make(map[string]*Decoder)
 	for path, opts := range bothPathOptions(nil) {
-		opts.MaxElems = maxElems
 		decs[path] = NewDecoderBytes(stream, opts)
 	}
 	return decs, int64(len(stream) - len(buf))
@@ -51,7 +50,6 @@ func rep(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 // the varint parser under both codec paths: same value and bytes consumed, or
 // errors of the same class, and never a panic or an out-of-range slice.
 func TestVarintHostileBuffers(t *testing.T) {
-	const maxElems = 1 << 12
 	type want struct {
 		class string
 		value uint64
@@ -82,7 +80,7 @@ func TestVarintHostileBuffers(t *testing.T) {
 		}{"truncated after " + string(rune('0'+n)), rep(0x80, n), want{"truncated", 0, int64(n)}})
 	}
 	for _, tc := range cases {
-		decs, prefix := bothPaths(tc.buf, maxElems)
+		decs, prefix := bothPaths(tc.buf)
 		for path, dec := range decs {
 			v, err := dec.Decode()
 			got := want{class: errClass(err), read: dec.BytesRead() - prefix}
@@ -97,12 +95,12 @@ func TestVarintHostileBuffers(t *testing.T) {
 }
 
 // TestVarintSignedAndLengths: zig-zag extremes decode to themselves, and a
-// length is accepted up to MaxElems and refused just above it.
+// length is accepted up to the number of bytes that follow it and refused just
+// above it.
 func TestVarintSignedAndLengths(t *testing.T) {
-	const maxElems = 1 << 12
 	for _, x := range []int64{0, 1, -1, 63, -64, 64, -65, math.MaxInt64, math.MinInt64} {
 		buf := binary.AppendVarint(nil, x)
-		r := v2Reader(buf, maxElems)
+		r := v2Reader(buf)
 		if got, err := r.readInt(); err != nil || got != x || r.bytesRead() != int64(len(buf)) {
 			t.Errorf("readInt(%d): got %d, %v after %d bytes", x, got, err, r.bytesRead())
 		}
@@ -113,16 +111,19 @@ func TestVarintSignedAndLengths(t *testing.T) {
 			t.Errorf("writeInt(%d) = % x (%v), want % x", x, out.Bytes(), err, buf)
 		}
 	}
-	for n, class := range map[uint64]string{0: "ok", maxElems: "ok", maxElems + 1: "limit", math.MaxUint64: "limit"} {
+	// Refused, a length is both over the limit and past the end of the input.
+	const follow = 1 << 12
+	for n, ok := range map[uint64]bool{0: true, follow: true, follow + 1: false, math.MaxUint64: false} {
 		buf := binary.AppendUvarint(nil, n)
-		r := v2Reader(buf, maxElems)
+		r := v2Reader(append(buf, make([]byte, follow)...))
 		got, err := r.readLen()
-		if errClass(err) != class || (err == nil && uint64(got) != n) || r.bytesRead() != int64(len(buf)) {
-			t.Errorf("readLen(%d): got %d, %v after %d bytes; want class %s", n, got, err, r.bytesRead(), class)
+		refused := errors.Is(err, ErrLimit) && errors.Is(err, io.ErrUnexpectedEOF)
+		if (ok && (err != nil || uint64(got) != n)) || (!ok && !refused) || r.bytesRead() != int64(len(buf)) {
+			t.Errorf("readLen(%d): got %d, %v after %d bytes; want ok=%t", n, got, err, r.bytesRead(), ok)
 		}
 	}
 	// A string whose announced length outruns the input.
-	if _, err := v2Reader([]byte{0x05, 'a', 'b'}, maxElems).readString(); errClass(err) != "truncated" {
+	if _, err := v2Reader([]byte{0x05, 'a', 'b'}).readString(); !errors.Is(err, ErrLimit) || errClass(err) != "truncated" {
 		t.Errorf("short string: %v", err)
 	}
 }

@@ -90,8 +90,9 @@ var (
 	// wire name to types a reader of bare slots would parse differently.
 	ErrLayout = fmt.Errorf("%w: type layout differs between the endpoints", ErrBadStream)
 
-	// ErrLimit is reported when a length field exceeds the configured
-	// sanity limits, protecting against corrupted or hostile streams.
+	// ErrLimit is reported, before anything is allocated, when a length field
+	// names more than the bytes that follow it can carry: a corrupted or
+	// hostile stream.
 	ErrLimit = errors.New("wire: stream exceeds size limits")
 
 	// ErrUnknownEngine is reported when Options.Engine names no implemented
@@ -115,10 +116,6 @@ type Options struct {
 	// Registry resolves named types. Default: the package-level default
 	// registry.
 	Registry *Registry
-
-	// MaxElems caps any single length field (string bytes, slice length,
-	// map entries, field count). Zero means the default of 1<<26.
-	MaxElems int
 
 	// DisablePlanCache forces struct field plans to be recomputed from raw
 	// reflection on every object, modeling the paper's "portable" NRMI
@@ -145,8 +142,6 @@ func (o Options) kernelsEnabled() bool {
 	return o.Engine == EngineV2 && !o.DisablePlanCache
 }
 
-const defaultMaxElems = 1 << 26
-
 // withDefaults returns a copy of o with zero fields replaced by defaults.
 func (o Options) withDefaults() Options {
 	if o.Engine == 0 {
@@ -154,9 +149,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Registry == nil {
 		o.Registry = DefaultRegistry()
-	}
-	if o.MaxElems == 0 {
-		o.MaxElems = defaultMaxElems
 	}
 	return o
 }

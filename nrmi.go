@@ -166,7 +166,9 @@ type Options struct {
 	// deadline.
 	AdmissionWait time.Duration
 	// MaxRequestBytes rejects call payloads larger than this before any
-	// decoding work on the server. Zero means unlimited.
+	// decoding work on the server. Zero means unlimited. The decoder
+	// believes no length the bytes after it cannot carry, so this also
+	// bounds what a request makes the server allocate: 24 times as much.
 	MaxRequestBytes int
 	// Observer receives per-call phase measurements (latency, bytes, object
 	// counts per pipeline phase) from this endpoint; see NewObserver. Nil
