@@ -160,19 +160,19 @@ func BenchmarkTable6CBRef(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDelta is the extension table: full restore versus delta
-// encoding when the server changes little (the delta's best case) — the
-// paper's Section 5.2.4 optimization 2.
+// BenchmarkAblationDelta is the extension table: a restorable call whose
+// method changes nothing, so that its reply carries no content record,
+// against the same tree passed by copy — the paper's Section 5.2.4
+// optimization 2.
 func BenchmarkAblationDelta(b *testing.B) {
+	e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2})
 	for _, v := range []struct {
-		name  string
-		delta bool
-	}{{"full", false}, {"delta", true}} {
-		v := v
+		name string
+		run  func(*bench.Env, bench.RunSpec) (bench.Cell, error)
+	}{{"nop-restore", bench.RunNRMINop}, {"copy", bench.RunOneWay}} {
 		b.Run(v.name, func(b *testing.B) {
-			e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, Delta: v.delta})
 			runCells(b, func(spec bench.RunSpec) (bench.Cell, error) {
-				return bench.RunNRMI(e, spec)
+				return v.run(e, spec)
 			})
 		})
 	}
@@ -381,34 +381,22 @@ func BenchmarkTopology(b *testing.B) {
 
 // BenchmarkMacroStore measures the paper's motivating business workload
 // (Section 4.3) — customers, transactions, and three live indexes — under
-// copy-restore, with and without the delta extension.
-// Realistic graphs are map/slice/string-heavy, unlike the micro trees.
+// copy-restore. Realistic graphs are map/slice/string-heavy, unlike the
+// micro trees.
 func BenchmarkMacroStore(b *testing.B) {
-	variants := []struct {
-		name string
-		cfg  bench.EnvConfig
-	}{
-		{"full", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2}},
-		{"delta", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, Delta: true}},
+	e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2})
+	stub := e.Client.Stub(bench.ServerAddr, "macro")
+	const customers = 200
+	const opsPerCall = 25
+	var bytesLast int64
+	for i := 0; i < b.N; i++ {
+		store := bench.NewMacroStore(int64(i), customers)
+		ops := bench.GenMacroScript(int64(i), customers, opsPerCall)
+		e.ResetStats()
+		if _, err := stub.Call(context.Background(), "Apply", store, ops); err != nil {
+			b.Fatal(err)
+		}
+		bytesLast = e.Stats().BytesSent
 	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			e := newBenchEnv(b, v.cfg)
-			stub := e.Client.Stub(bench.ServerAddr, "macro")
-			const customers = 200
-			const opsPerCall = 25
-			var bytesLast int64
-			for i := 0; i < b.N; i++ {
-				store := bench.NewMacroStore(int64(i), customers)
-				ops := bench.GenMacroScript(int64(i), customers, opsPerCall)
-				e.ResetStats()
-				if _, err := stub.Call(context.Background(), "Apply", store, ops); err != nil {
-					b.Fatal(err)
-				}
-				bytesLast = e.Stats().BytesSent
-			}
-			b.ReportMetric(float64(bytesLast), "wirebytes/call")
-		})
-	}
+	b.ReportMetric(float64(bytesLast), "wirebytes/call")
 }

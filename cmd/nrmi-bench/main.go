@@ -1,5 +1,5 @@
 // Command nrmi-bench regenerates the paper's evaluation (Section 5.3):
-// Tables 1–6 plus the delta-encoding extension table, over the simulated
+// Tables 1–6 plus the restore-vs-copy extension table, over the simulated
 // two-machine testbed. Absolute milliseconds depend on the host; the
 // shapes (who wins, by what factor, where the crossovers fall) are what
 // EXPERIMENTS.md compares against the paper.

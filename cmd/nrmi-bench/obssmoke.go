@@ -175,12 +175,9 @@ func validateSnapshot(snap *obs.Snapshot, iters int) error {
 		}
 		seen[ph.Phase] = true
 	}
-	// Every pipeline phase except the delta-only snapshot must have run.
+	// Every pipeline phase must have run.
 	for p := 0; p < obs.NumPhases; p++ {
 		name := obs.Phase(p).String()
-		if name == "srv-snapshot" {
-			continue // delta encoding is off in this run
-		}
 		if !seen[name] {
 			return fmt.Errorf("obs-smoke: phase %q missing from the nrmi/Apply export", name)
 		}

@@ -77,13 +77,13 @@ func Example() {
 	// aliased view: [*ada *bob]
 }
 
-// ExampleOptions shows the experiment-oriented switches: the delta
-// response encoding and DCE-compatible restore.
+// ExampleOptions shows the experiment-oriented switches: the codec engine
+// and DCE-compatible restore.
 func ExampleOptions() {
 	opts := nrmi.Options{
-		Engine: nrmi.EngineV2, // the optimized codec (default)
-		Delta:  true,          // ship back only objects the server changed
+		Engine:    nrmi.EngineV1, // the paper's JDK 1.3 baseline codec
+		DCECompat: true,          // do not restore what became unreachable
 	}
-	fmt.Println(opts.Delta, opts.DCECompat)
-	// Output: true false
+	fmt.Println(opts.Engine == nrmi.EngineV1, opts.DCECompat)
+	// Output: true true
 }

@@ -257,14 +257,30 @@ func TestRunOneWayAndManualAndNRMI(t *testing.T) {
 	}
 }
 
+// TestRunNRMIDelta: replies carry only the objects the method changed, so
+// every scenario still verifies and a restorable call that changes nothing
+// puts no more bytes on the wire than passing the tree by copy (Table 7).
 func TestRunNRMIDelta(t *testing.T) {
-	e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2, Delta: true})
+	e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
 	for _, sc := range Scenarios {
 		spec := RunSpec{Scenario: sc, Size: 24, Iterations: 1, Seed: 5, Verify: true}
 		if _, err := RunNRMI(e, spec); err != nil {
-			t.Fatalf("delta nrmi %s: %v", sc, err)
+			t.Fatalf("nrmi %s: %v", sc, err)
 		}
 	}
+	spec := RunSpec{Scenario: ScenarioI, Size: 64, Iterations: 1, Seed: 5, Verify: true}
+	nop, err := RunNRMINop(e, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byCopy, err := RunOneWay(e, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nop.Bytes > byCopy.Bytes {
+		t.Fatalf("no-op restore put %d bytes on the wire, by-copy %d", nop.Bytes, byCopy.Bytes)
+	}
+	t.Logf("no-op restore %d B, by-copy %d B", nop.Bytes, byCopy.Bytes)
 }
 
 func TestRunCBRefVerifies(t *testing.T) {

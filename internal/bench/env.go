@@ -27,9 +27,6 @@ type EnvConfig struct {
 	Engine wire.Engine
 	// DisablePlanCache selects the "portable" NRMI implementation.
 	DisablePlanCache bool
-	// Delta enables the delta response encoding (the paper's future-work
-	// optimization).
-	Delta bool
 	// ServerHost and ClientHost model the two machines' CPU speeds.
 	ServerHost, ClientHost netsim.Host
 	// Obs, when set, receives per-call phase measurements from both
@@ -69,7 +66,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	coreOpts := core.Options{
 		Engine:           cfg.Engine,
 		Registry:         reg,
-		Delta:            cfg.Delta,
 		DisablePlanCache: cfg.DisablePlanCache,
 	}
 	serverEnv := &RefEnv{}

@@ -177,11 +177,10 @@ func RunNRMI(e *Env, spec RunSpec) (Cell, error) {
 	})
 }
 
-// RunNRMINop measures a restorable call whose method changes nothing: the
-// worst case for full restore (everything ships back anyway) and the
-// headline case for the delta optimization ("the cost of passing an object
+// RunNRMINop measures a restorable call whose method changes nothing, the
+// paper's optimization 2 case: "the cost of passing an object
 // by-copy-restore and not making any changes to it is almost identical to
-// the cost of passing it by-copy", paper Section 5.2.4).
+// the cost of passing it by-copy" (Section 5.2.4).
 func RunNRMINop(e *Env, spec RunSpec) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "nrmi")
 	return measure(e, spec, func(seed int64, verify bool) error {

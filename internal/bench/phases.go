@@ -51,7 +51,6 @@ var phaseOrder = []obs.Phase{
 	obs.PhaseTransport,
 	obs.PhaseSrvDecode,
 	obs.PhaseSrvPrepare,
-	obs.PhaseSrvSnapshot,
 	obs.PhaseSrvExecute,
 	obs.PhaseSrvEncode,
 	obs.PhaseMapWalk,
@@ -72,7 +71,7 @@ var clientPhases = []obs.Phase{
 type PhaseCell struct {
 	Size int `json:"size"`
 	// PhaseNs maps phase name to mean nanoseconds per call; phases that
-	// never ran (srv-snapshot without delta) are absent.
+	// never ran are absent.
 	PhaseNs map[string]float64 `json:"phase_ns"`
 	// CallNs is the sum of the client-side phase means: the per-call cost
 	// as the caller experiences it.

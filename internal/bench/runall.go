@@ -9,7 +9,7 @@ import (
 )
 
 // HarnessConfig drives a full reproduction of the paper's Tables 1–6 (plus
-// the delta-extension table).
+// the restore-vs-copy extension table).
 type HarnessConfig struct {
 	// Sizes are the tree sizes (paper: 16, 64, 256, 1024).
 	Sizes []int
@@ -65,7 +65,7 @@ var engines = []struct {
 }
 
 // RunAll regenerates every table of the paper's evaluation. Tables come
-// back in paper order; the final entry is the delta-encoding extension
+// back in paper order; the final entry is the restore-vs-copy extension
 // (the paper's future work, Section 5.2.4).
 func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	cfg = cfg.withDefaults()
@@ -83,7 +83,6 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 		{"lan-v1", EnvConfig{Profile: cfg.LAN, Engine: wire.EngineV1, ServerHost: slow, ClientHost: fast}},
 		{"lan-v2", EnvConfig{Profile: cfg.LAN, Engine: wire.EngineV2, ServerHost: slow, ClientHost: fast}},
 		{"lan-v2-portable", EnvConfig{Profile: cfg.LAN, Engine: wire.EngineV2, DisablePlanCache: true, ServerHost: slow, ClientHost: fast}},
-		{"lan-v2-delta", EnvConfig{Profile: cfg.LAN, Engine: wire.EngineV2, Delta: true, ServerHost: slow, ClientHost: fast}},
 		{"loop-v1", EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV1, ServerHost: fast, ClientHost: fast}},
 		{"loop-v2", EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2, ServerHost: fast, ClientHost: fast}},
 	}
@@ -230,25 +229,19 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	}
 	tables = append(tables, t6)
 
-	// Extension: the paper's future-work delta encoding against full
-	// restore (both optimized v2, two machines).
-	t7 := &Table{ID: "Table 7 (extension)", Title: "NRMI full restore vs delta encoding (paper Section 5.2.4, optimization 2)", Sizes: cfg.Sizes,
-		Notes: []string{"'nop' rows call a method that changes nothing: delta's headline case (restore ≈ copy cost)"}}
-	for _, tr := range []struct{ label, env string }{{"full", "lan-v2"}, {"delta", "lan-v2-delta"}} {
-		tr := tr
-		for _, sc := range Scenarios {
-			sc := sc
-			if err := row(t7, fmt.Sprintf("%s (%s)", sc, tr.label), func(size int) (Cell, error) {
-				return RunNRMI(envs[tr.env], spec(sc, size))
-			}); err != nil {
-				return nil, err
-			}
-		}
-		if err := row(t7, fmt.Sprintf("nop (%s)", tr.label), func(size int) (Cell, error) {
-			return RunNRMINop(envs[tr.env], spec(ScenarioI, size))
-		}); err != nil {
-			return nil, err
-		}
+	// Extension: a restorable call whose method changes nothing against the
+	// same tree passed by copy (both optimized v2, two machines).
+	t7 := &Table{ID: "Table 7 (extension)", Title: "NRMI no-op restore vs RMI by-copy (paper Section 5.2.4, optimization 2)", Sizes: cfg.Sizes,
+		Notes: []string{"a reply ships only what the method changed: a no-op restore costs about what by-copy does"}}
+	if err := row(t7, "nop (restore)", func(size int) (Cell, error) {
+		return RunNRMINop(envs["lan-v2"], spec(ScenarioI, size))
+	}); err != nil {
+		return nil, err
+	}
+	if err := row(t7, "copy (one-way)", func(size int) (Cell, error) {
+		return RunOneWay(envs["lan-v2"], spec(ScenarioI, size))
+	}); err != nil {
+		return nil, err
 	}
 	tables = append(tables, t7)
 

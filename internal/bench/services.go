@@ -13,9 +13,9 @@ func (s *NRMIService) Apply(root *RTree, script Script) int {
 	return len(script)
 }
 
-// Nop accepts the restorable tree and changes nothing: the worst case for
-// full restore (everything ships back anyway) and the best case for the
-// delta optimization.
+// Nop accepts the restorable tree and changes nothing: its reply carries no
+// content record, so the call costs about what passing the tree by copy
+// does (paper Section 5.2.4).
 func (s *NRMIService) Nop(root *RTree) int {
 	return 0
 }

@@ -84,7 +84,7 @@ func TestRunAllSmoke(t *testing.T) {
 	if len(tables) != 7 {
 		t.Fatalf("want 7 tables, got %d", len(tables))
 	}
-	wantRows := []int{6, 6, 6, 6, 9, 6, 8}
+	wantRows := []int{6, 6, 6, 6, 9, 6, 2}
 	for i, tbl := range tables {
 		if len(tbl.Rows) != wantRows[i] {
 			t.Errorf("%s: %d rows, want %d", tbl.ID, len(tbl.Rows), wantRows[i])

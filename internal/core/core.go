@@ -18,9 +18,12 @@
 //  3. The method runs at full native speed: no read/write barriers, no
 //     network traffic (the paper's central efficiency claim).
 //  4. The server encodes a response whose encoder is seeded with the old
-//     objects, then ships one content record per old object — even
-//     objects the method unlinked — plus, inline, any new objects now
-//     referenced (step 3).
+//     objects, then ships one content record per old object the method
+//     changed — even objects it unlinked — plus, inline, any new objects
+//     now referenced (step 3). Prepare took a shallow shadow of each old
+//     object's own state, so an unchanged one is known and ships nothing:
+//     the paper's future-work optimization 2 (Section 5.2.4), by which a
+//     restorable argument the method leaves alone costs about a by-copy one.
 //  5. The client decodes each content record into a temporary "modified
 //     version"; references to old IDs resolve directly to the client's
 //     original objects, performing the map match-up (step 4) and the
@@ -29,16 +32,10 @@
 //     temporary, making every mutation visible through every client-side
 //     alias (step 5).
 //
-// Two policy extensions are provided:
-//
-//   - PolicyDCE reproduces the DCE RPC behaviour the paper contrasts with
-//     (Section 4.2): only objects still reachable from the parameters
-//     after the call are restored, diverging from true copy-restore
-//     exactly as the paper's Figure 9 shows.
-//   - Options.Delta implements the "delta" optimization the paper leaves
-//     as future work (Section 5.2.4, optimization 2): the server snapshots
-//     the restorable subgraph before the call and ships content records
-//     only for objects whose shallow state actually changed.
+// PolicyDCE reproduces the DCE RPC behaviour the paper contrasts with
+// (Section 4.2): only objects still reachable from the parameters after the
+// call are restored, diverging from true copy-restore exactly as the paper's
+// Figure 9 shows.
 package core
 
 import (
@@ -77,8 +74,7 @@ func (p RestorePolicy) String() string {
 }
 
 // Options configures both endpoints of a copy-restore call. The zero value
-// means: engine V2, exported-field access, default registry, full restore,
-// no delta.
+// means: engine V2, exported-field access, default registry, full restore.
 type Options struct {
 	// Engine selects the wire codec generation.
 	Engine wire.Engine
@@ -88,8 +84,6 @@ type Options struct {
 	Registry *wire.Registry
 	// Policy selects full copy-restore or the DCE RPC emulation.
 	Policy RestorePolicy
-	// Delta enables the changed-objects-only response encoding.
-	Delta bool
 	// DisablePlanCache selects the "portable" (uncached reflection) codec
 	// path; see wire.Options.DisablePlanCache.
 	DisablePlanCache bool

@@ -38,8 +38,8 @@ func testOptions(t *testing.T) Options {
 
 // runRemote simulates a full restorable call through in-memory buffers:
 // encode request, decode on "server", run mutate, encode response, apply on
-// "client". Returns the client-visible response.
-func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *Tree) *Response {
+// "client". Returns the client-visible response and what the server shipped.
+func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *Tree) (*Response, *ResponseStats) {
 	t.Helper()
 	var req bytes.Buffer
 	call := NewCall(&req, opts)
@@ -66,14 +66,15 @@ func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *
 		rets = mutate(nil)
 	}
 	var respBuf bytes.Buffer
-	if _, err := srv.EncodeResponse(&respBuf, rets); err != nil {
+	stats, err := srv.EncodeResponse(&respBuf, rets)
+	if err != nil {
 		t.Fatalf("encode response: %v", err)
 	}
 	resp, err := call.ApplyResponseBytes(respBuf.Bytes())
 	if err != nil {
 		t.Fatalf("apply response: %v", err)
 	}
-	return resp
+	return resp, stats
 }
 
 // paperTree builds the Figure 1 structure: t, with alias1 -> t.Left and
@@ -150,13 +151,13 @@ func TestCopyRestoreReproducesFigure2(t *testing.T) {
 			opts := testOptions(t)
 			opts.Engine = eng
 			root, a1, a2, rl, rr := paperTree()
-			resp := runRemote(t, opts, func(tree *Tree) []any {
+			resp, stats := runRemote(t, opts, func(tree *Tree) []any {
 				paperFoo(tree)
 				return nil
 			}, root)
 			assertFigure2(t, root, a1, a2, rl, rr)
-			if resp.Restored != 5 {
-				t.Errorf("restored = %d, want 5 (all pre-call objects)", resp.Restored)
+			if stats.OldTotal != 5 || resp.Restored != 4 {
+				t.Errorf("restored %d of %d, want 4 of 5 (every pre-call object but the untouched rl)", resp.Restored, stats.OldTotal)
 			}
 			if resp.NewObjects != 1 {
 				t.Errorf("new objects = %d, want 1 (temp)", resp.NewObjects)
@@ -203,7 +204,7 @@ func TestDCEPolicyReproducesFigure9(t *testing.T) {
 func TestReturnValueAliasesRestoredParameter(t *testing.T) {
 	opts := testOptions(t)
 	root, _, a2, _, _ := paperTree()
-	resp := runRemote(t, opts, func(tree *Tree) []any {
+	resp, _ := runRemote(t, opts, func(tree *Tree) []any {
 		tree.Right.Data = 99
 		return []any{tree.Right} // return an old object
 	}, root)
@@ -222,7 +223,7 @@ func TestReturnValueAliasesRestoredParameter(t *testing.T) {
 func TestReturnValueNewObjectPointsAtOriginals(t *testing.T) {
 	opts := testOptions(t)
 	root, _, a2, _, _ := paperTree()
-	resp := runRemote(t, opts, func(tree *Tree) []any {
+	resp, _ := runRemote(t, opts, func(tree *Tree) []any {
 		return []any{&Tree{Data: 123, Left: tree.Right}}
 	}, root)
 	got := resp.Returns[0].(*Tree)
@@ -237,7 +238,7 @@ func TestReturnValueNewObjectPointsAtOriginals(t *testing.T) {
 func TestScalarAndNilReturns(t *testing.T) {
 	opts := testOptions(t)
 	root, _, _, _, _ := paperTree()
-	resp := runRemote(t, opts, func(tree *Tree) []any {
+	resp, _ := runRemote(t, opts, func(tree *Tree) []any {
 		return []any{42, "done", nil, 2.5}
 	}, root)
 	want := []any{42, "done", nil, 2.5}
@@ -252,13 +253,13 @@ func TestScalarAndNilReturns(t *testing.T) {
 }
 
 func TestNoChangesStillRestoresFull(t *testing.T) {
-	// Without delta, even an untouched graph ships all content records
-	// back (the cost the delta optimization removes).
+	// An untouched graph is still the whole restore set, but no object of
+	// it needs a content record: the caller's originals hold its state.
 	opts := testOptions(t)
 	root, a1, a2, rl, rr := paperTree()
-	resp := runRemote(t, opts, func(tree *Tree) []any { return nil }, root)
-	if resp.Restored != 5 {
-		t.Fatalf("restored = %d, want 5", resp.Restored)
+	resp, stats := runRemote(t, opts, func(tree *Tree) []any { return nil }, root)
+	if stats.OldTotal != 5 || resp.Restored != 0 {
+		t.Fatalf("restored %d of %d, want 0 of 5", resp.Restored, stats.OldTotal)
 	}
 	// State must be unchanged.
 	if root.Data != 5 || a1.Data != 1 || a2.Data != 7 || rl.Data != 3 || rr.Data != 4 {
@@ -271,7 +272,6 @@ func TestNoChangesStillRestoresFull(t *testing.T) {
 
 func TestDeltaSkipsUnchangedObjects(t *testing.T) {
 	opts := testOptions(t)
-	opts.Delta = true
 	root, a1, a2, _, _ := paperTree()
 	var req bytes.Buffer
 	call := NewCall(&req, opts)
@@ -301,7 +301,7 @@ func TestDeltaSkipsUnchangedObjects(t *testing.T) {
 		t.Fatalf("old total = %d, want 5", stats.OldTotal)
 	}
 	if stats.OldSent != 1 {
-		t.Fatalf("delta must ship only the changed object: sent %d", stats.OldSent)
+		t.Fatalf("the reply must ship only the changed object: sent %d", stats.OldSent)
 	}
 	resp, err := call.ApplyResponseBytes(respBuf.Bytes())
 	if err != nil {
@@ -320,7 +320,6 @@ func TestDeltaSkipsUnchangedObjects(t *testing.T) {
 
 func TestDeltaNoChangeShipsNothing(t *testing.T) {
 	opts := testOptions(t)
-	opts.Delta = true
 	root, _, _, _, _ := paperTree()
 	var req bytes.Buffer
 	call := NewCall(&req, opts)
@@ -344,7 +343,7 @@ func TestDeltaNoChangeShipsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.OldSent != 0 {
-		t.Fatalf("no-op delta response must ship 0 records, got %d", stats.OldSent)
+		t.Fatalf("a no-op call's reply must ship 0 records, got %d", stats.OldSent)
 	}
 	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)
@@ -352,17 +351,33 @@ func TestDeltaNoChangeShipsNothing(t *testing.T) {
 }
 
 func TestDeltaEqualsFullSemantics(t *testing.T) {
-	// Delta is an encoding optimization: final client state must be
-	// byte-for-byte the same graph as under full restore.
-	for _, delta := range []bool{false, true} {
-		opts := testOptions(t)
-		opts.Delta = delta
+	// Shipping only the changed objects is an encoding optimization: the
+	// caller must end in Figure 2 whether the reply carries those or, as
+	// from a server without change detection, every old object.
+	opts := testOptions(t)
+	for _, full := range []bool{false, true} {
 		root, a1, a2, rl, rr := paperTree()
-		runRemote(t, opts, func(tree *Tree) []any {
-			paperFoo(tree)
-			return nil
-		}, root)
+		call, req := encodeArgs(t, opts, []setArg{{root, true}})
+		if err := call.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		srv := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
+		prepareReply(t, srv, full)
+		paperFoo(srv.restorableRoots[0].Interface().(*Tree))
+		var resp bytes.Buffer
+		stats, err := srv.EncodeResponse(&resp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := call.ApplyResponseBytes(resp.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{false: 4, true: 5}[full]; stats.OldSent != want {
+			t.Errorf("full=%t: %d records shipped, want %d", full, stats.OldSent, want)
+		}
 		assertFigure2(t, root, a1, a2, rl, rr)
+		srv.Release()
+		call.Release()
 	}
 }
 

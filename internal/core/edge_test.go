@@ -127,13 +127,12 @@ func TestRestoreInterfaceFieldRetarget(t *testing.T) {
 func TestDCEWithDeltaCombined(t *testing.T) {
 	opts := testOptions(t)
 	opts.Policy = PolicyDCE
-	opts.Delta = true
 	root, a1, _, _, _ := paperTree()
 	runRemote(t, opts, func(tree *Tree) []any {
 		paperFoo(tree)
 		return nil
 	}, root)
-	// DCE semantics still hold under delta: unreachable updates dropped.
+	// DCE semantics hold with change detection: unreachable updates dropped.
 	if a1.Data != 1 {
 		t.Fatalf("a1.Data = %d, want 1 under DCE", a1.Data)
 	}
@@ -294,10 +293,9 @@ func TestBytesAccounting(t *testing.T) {
 }
 
 func TestDeltaFallsBackOnUndiffableObjects(t *testing.T) {
-	// Pointer-keyed maps cannot be shallow-diffed; delta must ship them
-	// conservatively instead of failing the call.
+	// A map has no shadow (pointer-keyed ones could not be diffed by value
+	// anyway): its record ships whatever the method did.
 	opts := testOptions(t)
-	opts.Delta = true
 	if err := opts.Registry.Register("ptrIndex", map[*Tree]int{}); err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +323,8 @@ func TestDeltaFallsBackOnUndiffableObjects(t *testing.T) {
 		sm.(map[*Tree]int)[sk] = 99
 	}
 	var respBuf bytes.Buffer
-	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
-		t.Fatalf("delta over pointer-keyed map must not fail: %v", err)
+	if stats, err := srv.EncodeResponse(&respBuf, nil); err != nil || stats.OldSent != 1 {
+		t.Fatalf("a pointer-keyed map must ship: %+v, %v", stats, err)
 	}
 	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
 		t.Fatal(err)

@@ -87,7 +87,8 @@ func TestEmptySlicesOfTwoTypesRoundTrip(t *testing.T) {
 // TestEmptySlicesOfTwoTypesRestore runs the whole copy-restore call on a
 // shelf: with the restore set read off the table and with an escaped one
 // (the walk meets the two empties again), under every policy, with the
-// method leaving the empties alone and replacing one.
+// method leaving the empties alone and replacing one, and with the reply
+// carrying the changed objects (delta) or every old one.
 func TestEmptySlicesOfTwoTypesRestore(t *testing.T) {
 	for _, cfg := range codecConfigs {
 		for _, escaped := range []bool{false, true} {
@@ -97,8 +98,8 @@ func TestEmptySlicesOfTwoTypesRestore(t *testing.T) {
 						name := fmt.Sprintf("%s/escaped=%t/policy=%d/delta=%t/replace=%t", cfg.name, escaped, policy, delta, replace)
 						t.Run(name, func(t *testing.T) {
 							opts := overlapOptions(t, cfg)
-							opts.Policy, opts.Delta = policy, delta
-							testShelfRestore(t, opts, escaped, replace)
+							opts.Policy = policy
+							testShelfRestore(t, opts, escaped, replace, !delta)
 						})
 					}
 				}
@@ -107,7 +108,7 @@ func TestEmptySlicesOfTwoTypesRestore(t *testing.T) {
 	}
 }
 
-func testShelfRestore(t *testing.T, opts Options, escaped, replace bool) {
+func testShelfRestore(t *testing.T, opts Options, escaped, replace, full bool) {
 	s := newShelf(t)
 	args := []setArg{{s, true}}
 	if escaped {
@@ -132,9 +133,7 @@ func testShelfRestore(t *testing.T, opts Options, escaped, replace bool) {
 	if err != nil {
 		t.Fatalf("server rejects the request: %v", err)
 	}
-	if err := srv.Prepare(); err != nil {
-		t.Fatal(err)
-	}
+	prepareReply(t, srv, full)
 	remote := v.(*shelf)
 	remote.N = 7
 	if replace {

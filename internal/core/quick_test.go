@@ -137,8 +137,9 @@ func applyScript(root *Tree, ops []mutOp) {
 	}
 }
 
-// checkEquivalence runs one seed through both paths and compares worlds.
-func checkEquivalence(t *testing.T, opts Options, seed int64, size, numOps int) bool {
+// checkEquivalence runs one seed through both paths and compares worlds;
+// full selects the reply of a server without change detection.
+func checkEquivalence(t *testing.T, opts Options, full bool, seed int64, size, numOps int) bool {
 	t.Helper()
 	remote := genWorld(seed, size)
 	local := genWorld(seed, size) // identical construction = isomorphic copy
@@ -165,10 +166,7 @@ func checkEquivalence(t *testing.T, opts Options, seed int64, size, numOps int) 
 		t.Logf("seed %d: server decode: %v", seed, err)
 		return false
 	}
-	if err := srv.Prepare(); err != nil {
-		t.Logf("seed %d: prepare: %v", seed, err)
-		return false
-	}
+	prepareReply(t, srv, full)
 	applyScript(sroot.(*Tree), script)
 	var respBuf bytes.Buffer
 	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
@@ -213,25 +211,37 @@ func (c codecConfig) apply(o Options) Options {
 	return o
 }
 
+// prepareReply prepares srv for its reply: with the shadow, so that the
+// reply carries the objects the method changed, or — full — without it, so
+// that it carries every old object, as a server without change detection
+// did. The client must apply either.
+func prepareReply(t *testing.T, srv *ServerCall, full bool) {
+	t.Helper()
+	var err error
+	switch {
+	case !full:
+		err = srv.Prepare()
+	case srv.set.escaped:
+		err = srv.set.walk(srv.effectiveAccess(), srv.restorableRoots, indexByIdent(srv.dec.Objects()))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.prepared = true
+}
+
 func TestQuickRemoteEqualsLocal(t *testing.T) {
 	for _, cfg := range codecConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			for _, delta := range []bool{false, true} {
-				name := "full"
-				if delta {
-					// The delta optimization must not change semantics, only bytes.
-					name = "delta"
-				}
+			// Shipping only the changed objects must not change semantics,
+			// only bytes: the full reply is the reference.
+			for _, name := range []string{"full", "delta"} {
 				t.Run(name, func(t *testing.T) {
 					opts := cfg.apply(testOptions(t))
-					opts.Delta = delta
 					f := func(seed int64, szRaw, opsRaw uint8) bool {
 						size := int(szRaw%48) + 2
-						numOps := int(opsRaw%24) + 1
-						if delta {
-							numOps = int(opsRaw % 16) // zero ops allowed: nothing changes
-						}
-						return checkEquivalence(t, opts, seed, size, numOps)
+						numOps := int(opsRaw % 24) // zero ops allowed: nothing changes
+						return checkEquivalence(t, opts, name == "full", seed, size, numOps)
 					}
 					if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 						t.Fatal(err)
@@ -248,60 +258,67 @@ func TestQuickRemoteEqualsLocalUnsafeAccess(t *testing.T) {
 	f := func(seed int64, szRaw, opsRaw uint8) bool {
 		size := int(szRaw%32) + 2
 		numOps := int(opsRaw%16) + 1
-		return checkEquivalence(t, opts, seed, size, numOps)
+		return checkEquivalence(t, opts, false, seed, size, numOps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestQuickDeltaShipsSubset: a reply carries a record for exactly the
+// objects whose own state the script changed — counted on a twin the script
+// runs on locally — on every codec configuration, zero-op scripts included.
 func TestQuickDeltaShipsSubset(t *testing.T) {
-	// Delta responses never ship more old-object records than full ones.
-	optsFull := testOptions(t)
-	optsDelta := testOptions(t)
-	optsDelta.Delta = true
-	f := func(seed int64, szRaw, opsRaw uint8) bool {
-		size := int(szRaw%48) + 2
-		numOps := int(opsRaw % 8)
-		script := genScript(seed, size, numOps)
-		run := func(opts Options) (*ResponseStats, bool) {
-			w := genWorld(seed, size)
-			var req bytes.Buffer
-			call := NewCall(&req, opts)
-			if err := call.EncodeRestorable(w.Root); err != nil {
-				return nil, false
+	for _, cfg := range codecConfigs {
+		opts := cfg.apply(testOptions(t))
+		f := func(seed int64, szRaw, opsRaw uint8) bool {
+			size := int(szRaw%48) + 2
+			script := genScript(seed, size, int(opsRaw%8))
+			twin := genWorld(seed, size)
+			nodes := collectNodes(twin.Root)
+			before := make([]Tree, len(nodes))
+			for i, n := range nodes {
+				before[i] = *n
 			}
+			applyScript(twin.Root, script)
+			changed := 0
+			for i, n := range nodes {
+				if *n != before[i] {
+					changed++
+				}
+			}
+
+			root := genWorld(seed, size).Root
+			call, req := encodeArgs(t, opts, []setArg{{root, true}})
+			defer call.Release()
 			if err := call.Finish(); err != nil {
-				return nil, false
+				t.Fatal(err)
 			}
-			srv := AcceptCallBytes(req.Bytes(), opts)
+			srv := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
 			defer srv.Release()
-			sroot, err := srv.DecodeRestorable()
-			if err != nil {
-				return nil, false
-			}
 			if err := srv.Prepare(); err != nil {
-				return nil, false
+				t.Fatal(err)
 			}
-			applyScript(sroot.(*Tree), script)
-			var respBuf bytes.Buffer
-			stats, err := srv.EncodeResponse(&respBuf, nil)
+			applyScript(srv.restorableRoots[0].Interface().(*Tree), script)
+			var resp bytes.Buffer
+			stats, err := srv.EncodeResponse(&resp, nil)
 			if err != nil {
-				return nil, false
+				t.Fatal(err)
 			}
-			if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
-				return nil, false
+			res, err := call.ApplyResponseBytes(resp.Bytes())
+			if err != nil {
+				t.Fatal(err)
 			}
-			return stats, true
+			eq, err := graph.Equal(graph.AccessExported, root, twin.Root)
+			if stats.OldTotal != len(nodes) || stats.OldSent != changed || res.Restored != changed || !eq || err != nil {
+				t.Logf("%s seed %d: %d of %d objects shipped, %d restored, %d changed (equal %t, %v)",
+					cfg.name, seed, stats.OldSent, stats.OldTotal, res.Restored, changed, eq, err)
+				return false
+			}
+			return true
 		}
-		full, ok1 := run(optsFull)
-		delta, ok2 := run(optsDelta)
-		if !ok1 || !ok2 {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
 		}
-		return delta.OldSent <= full.OldSent && delta.BytesSent <= full.BytesSent
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

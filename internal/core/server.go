@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 
 	"nrmi/internal/graph"
 	"nrmi/internal/obs"
@@ -18,8 +19,7 @@ type ServerCall struct {
 	dec  *wire.Decoder
 
 	// oc is the per-call observability collector (nil when disabled); the
-	// server-side core phases — prepare walk and delta snapshot — record
-	// their spans on it.
+	// server-side prepare phase records its span on it.
 	oc *obs.Call
 
 	restorableRoots []reflect.Value
@@ -29,10 +29,6 @@ type ServerCall struct {
 	// decoded and fixed by Prepare.
 	set      restoreSet
 	prepared bool
-
-	// snapshot pairs pre-call object identities with deep-copied snapshots
-	// when delta encoding is on.
-	snapshot *graph.Copier
 }
 
 // AcceptCallBytes starts decoding a request held in memory. Engine V3
@@ -43,10 +39,11 @@ func AcceptCallBytes(data []byte, opts Options) *ServerCall {
 	return &ServerCall{opts: opts, dec: wire.AcquireDecoderBytes(data, opts.wireOptions())}
 }
 
-// Release returns the call's pooled codec state. Call it after the response
-// has been encoded; the decoded argument objects themselves stay valid (the
-// pool only drops its references to them), but the ServerCall must not be
-// used afterwards. Safe on a nil receiver.
+// Release returns the call's pooled codec state, the pre-call shadow
+// included. Call it after the response has been encoded; the decoded
+// argument objects themselves stay valid (the pool only drops its references
+// to them), but the ServerCall must not be used afterwards. Safe on a nil
+// receiver.
 func (s *ServerCall) Release() {
 	if s == nil || s.dec == nil {
 		return
@@ -55,7 +52,6 @@ func (s *ServerCall) Release() {
 	s.dec = nil
 	s.oc = nil
 	s.restorableRoots = nil
-	s.snapshot = nil
 }
 
 // DecodeCopy decodes a call-by-copy argument.
@@ -104,9 +100,9 @@ func (s *ServerCall) SetObs(oc *obs.Call) { s.oc = oc }
 // Section 3: the linear map of "old" objects). Decoding already delimited
 // it, so nothing is walked unless the set escaped (see restoreSet). It must
 // be called after all arguments are decoded and before the method executes.
-// With Options.Delta it additionally snapshots the restorable subgraph for
-// change detection. The srv-prepare span covers the whole step; the
-// srv-snapshot span nested inside it isolates the delta deep copy.
+// It also shadows the set — a shallow copy of each object's own state — so
+// that EncodeResponse ships only what the method changed. The srv-prepare
+// span covers the whole step.
 func (s *ServerCall) Prepare() error {
 	if s.prepared {
 		return nil
@@ -118,35 +114,17 @@ func (s *ServerCall) Prepare() error {
 }
 
 func (s *ServerCall) prepare() error {
-	access := s.effectiveAccess()
 	if s.set.escaped {
 		// Only now is the whole decode table indexed by identity.
-		err := s.set.walk(access, s.restorableRoots, indexByIdent(s.dec.Objects()))
+		err := s.set.walk(s.effectiveAccess(), s.restorableRoots, indexByIdent(s.dec.Objects()))
 		if err != nil {
 			return err
 		}
 	}
-	if s.opts.Delta {
-		sp := s.oc.Start(obs.PhaseSrvSnapshot)
-		err := s.takeSnapshot(access)
-		sp.EndN(0, int64(s.snapshot.NumCopied()))
-		if err != nil {
-			return err
-		}
+	for _, r := range s.set.runs {
+		s.dec.Shadow(s.dec.Objects()[r.lo:r.hi])
 	}
 	s.prepared = true
-	return nil
-}
-
-// takeSnapshot deep-copies the restorable subgraph for delta change
-// detection.
-func (s *ServerCall) takeSnapshot(access graph.AccessMode) error {
-	s.snapshot = graph.NewCopier(access)
-	for _, root := range s.restorableRoots {
-		if _, err := s.snapshot.CopyValue(root); err != nil {
-			return fmt.Errorf("core: delta snapshot: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -164,17 +142,18 @@ func (s *ServerCall) effectiveAccess() graph.AccessMode {
 type ResponseStats struct {
 	// OldTotal is the number of pre-call objects in the restore set.
 	OldTotal int
-	// OldSent is how many of them had content records shipped (all of them
-	// under PolicyFull without delta; fewer under PolicyDCE or delta).
+	// OldSent is how many of them had content records shipped: those the
+	// method changed, under PolicyDCE only the ones still reachable.
 	OldSent int
 	// BytesSent is the size of the encoded response.
 	BytesSent int64
 }
 
 // EncodeResponse writes the restore section and return values to w,
-// implementing step 3 of the algorithm: ship back every old object's
-// current state (subject to policy and delta filtering), with new objects
-// inlined on first reference.
+// implementing step 3 of the algorithm: ship back the current state of every
+// old object the method changed — reachable or not; under PolicyDCE only the
+// reachable ones — with new objects inlined on first reference. An unchanged
+// object needs no record: the caller's original already holds its state.
 func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, error) {
 	if !s.prepared {
 		return nil, ErrNotPrepared
@@ -183,9 +162,8 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	sendOpts := s.opts
 	sendOpts.Access = access
 	if eng := s.dec.Engine(); eng != 0 {
-		// Reply in the engine the request arrived in: a client that fell
-		// back from V3 to V2 (or an old V2-only client) gets a response it
-		// can decode, regardless of this server's configured engine.
+		// Reply in the engine the request arrived in, whatever this server's
+		// configured engine: the client decodes the reply in it.
 		sendOpts.Engine = eng
 	}
 	// Pooled codec, released on the success path; dropped (not recycled)
@@ -211,25 +189,24 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 		return nil, fmt.Errorf("%w: %d distinct objects in a restore set of %d", ErrBadResponse, len(enc.Objects()), n)
 	}
 
-	// Plain PolicyFull ships every old object; DCE and delta pick positions.
-	sent := n
-	var include []int
-	filtered := s.opts.Policy == PolicyDCE || s.snapshot != nil
-	if filtered {
-		var err error
-		if include, err = s.filterOld(access, enc.Objects()[:n]); err != nil {
+	old := enc.Objects()[:n]
+	ship := s.dec.Changed(old)
+	if s.opts.Policy == PolicyDCE {
+		// DCE RPC semantics: only objects still reachable from the
+		// parameters after the call are restored (paper, Figure 9).
+		reach, err := reachableIDs(access, s.restorableRoots, indexByIdent(old), true)
+		if err != nil {
 			return nil, err
 		}
-		sent = len(include)
+		ship = slices.DeleteFunc(reach, func(i int) bool {
+			_, changed := slices.BinarySearch(ship, i)
+			return !changed
+		})
 	}
-	if err := enc.EncodeUint(uint64(sent)); err != nil {
+	if err := enc.EncodeUint(uint64(len(ship))); err != nil {
 		return nil, err
 	}
-	for i := 0; i < sent; i++ {
-		idx := i
-		if filtered {
-			idx = include[i]
-		}
+	for _, idx := range ship {
 		if err := enc.EncodeUint(uint64(idx)); err != nil {
 			return nil, err
 		}
@@ -250,58 +227,9 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	}
 	stats := &ResponseStats{
 		OldTotal:  n,
-		OldSent:   sent,
+		OldSent:   len(ship),
 		BytesSent: enc.BytesWritten(),
 	}
 	wire.ReleaseEncoder(enc)
 	return stats, nil
-}
-
-// filterOld applies the restore policy and delta filtering to the pre-call
-// objects old and returns the positions to ship, ascending.
-func (s *ServerCall) filterOld(access graph.AccessMode, old []reflect.Value) ([]int, error) {
-	include := make([]int, 0, len(old))
-	if s.opts.Policy == PolicyDCE {
-		// DCE RPC semantics: only objects still reachable from the
-		// parameters after the call are restored (paper, Figure 9).
-		var err error
-		include, err = reachableIDs(access, s.restorableRoots, indexByIdent(old), true)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for i := range old {
-			include = append(include, i)
-		}
-	}
-	if s.snapshot == nil {
-		return include, nil
-	}
-	changed := include[:0]
-	for _, i := range include {
-		cur := old[i]
-		// Ship whatever cannot be compared: an object that was not
-		// snapshotted (should not happen for the pre-call set) or is not
-		// diffable (e.g. a map with identity-bearing keys). Delta is an
-		// optimization and must never turn a restorable call into an error.
-		if snap, ok := s.snapshot.Copied(cur); ok {
-			if eq, err := graph.ShallowEqualObject(access, cur, snap, s.pairSnapshot); err == nil && eq {
-				continue
-			}
-		}
-		changed = append(changed, i)
-	}
-	return changed, nil
-}
-
-// pairSnapshot reports whether snapshot reference b is the snapshot
-// counterpart of current reference a.
-func (s *ServerCall) pairSnapshot(a, b reflect.Value) bool {
-	snap, ok := s.snapshot.Copied(a)
-	if !ok {
-		return false // a is a new object: cannot match any snapshot ref
-	}
-	si, ok1 := graph.IdentOf(snap)
-	bi, ok2 := graph.IdentOf(b)
-	return ok1 && ok2 && si == bi
 }

@@ -224,18 +224,26 @@ func TestRestoreSetEqualsWalk(t *testing.T) {
 						t.Fatalf("endpoints disagree: client %v, server %v", client, server)
 					}
 
-					// The untouched graph round-trips: every object of the set
-					// is restored, none is new.
+					// The untouched graph round-trips: the reply answers for
+					// the whole set and ships nothing new, nor any object of
+					// it but the maps, which have no shadow.
+					maps := 0
+					for _, id := range client {
+						if call.Objects()[id].Kind() == reflect.Map {
+							maps++
+						}
+					}
 					var resp bytes.Buffer
-					if _, err := srv.EncodeResponse(&resp, nil); err != nil {
+					stats, err := srv.EncodeResponse(&resp, nil)
+					if err != nil {
 						t.Fatal(err)
 					}
 					res, err := call.ApplyResponseBytes(resp.Bytes())
 					if err != nil {
 						t.Fatal(err)
 					}
-					if res.Restored != len(client) || res.NewObjects != 0 {
-						t.Fatalf("restored %d new %d, want %d and 0", res.Restored, res.NewObjects, len(client))
+					if stats.OldTotal != len(client) || res.Restored != maps || res.NewObjects != 0 {
+						t.Fatalf("set %d restored %d new %d, want %d, %d and 0", stats.OldTotal, res.Restored, res.NewObjects, len(client), maps)
 					}
 				})
 			}
@@ -323,8 +331,9 @@ func assertUntouched(t *testing.T, root, snap *Tree, left, right *Tree) {
 // TestForgedRequestReachesIntoCopyRun: the request the server reads is not
 // the one the client wrote — in it the restorable argument references the
 // by-copy tree. The server sees that on the stream, walks, and answers for
-// the set it found; the client, holding the set of what it actually sent,
-// must reject the reply and leave its graph alone.
+// the set it found, changing an object of it the client never sent and one
+// at a position the client's set has too; the client, holding the set of
+// what it actually sent, must reject the reply and leave its graph alone.
 func TestForgedRequestReachesIntoCopyRun(t *testing.T) {
 	for _, eng := range []wire.Engine{wire.EngineV2, wire.EngineV3} {
 		opts := setOptions(t, eng, graph.AccessExported)
@@ -346,9 +355,13 @@ func TestForgedRequestReachesIntoCopyRun(t *testing.T) {
 		if n := srv.set.len(); n != 5 {
 			t.Fatalf("%s: server set has %d objects, want 5", eng, n)
 		}
+		// Positions 0..2 are the by-copy tree, 3 and 4 the forged root and
+		// its right child; the client's set has three.
+		sroot := srv.restorableRoots[0].Interface().(*Tree)
+		sroot.Left.Data, sroot.Data = 100, 110
 		var resp bytes.Buffer
-		if _, err := srv.EncodeResponse(&resp, nil); err != nil {
-			t.Fatal(err)
+		if stats, err := srv.EncodeResponse(&resp, nil); err != nil || stats.OldSent != 2 {
+			t.Fatalf("%s: reply %+v, %v; want two records", eng, stats, err)
 		}
 		if _, err := call.ApplyResponseBytes(resp.Bytes()); !errors.Is(err, ErrBadResponse) {
 			t.Fatalf("%s: err = %v, want ErrBadResponse", eng, err)
@@ -409,10 +422,19 @@ func TestForgedReplyNumbersByRequestStream(t *testing.T) {
 	}
 }
 
-// TestApplyAllocsSteadyState: applying a 256-node scenario-III reply costs
-// one allocation per new node plus a constant — the staging temporaries of
-// the restored nodes share a slab; no second staging value per record, no
-// detached cell per seeded object, no per-call ID set.
+// touchAll changes every decoded *Tree of srv, so that its reply restores
+// each one.
+func touchAll(srv *ServerCall) {
+	for _, obj := range srv.dec.Objects() {
+		obj.Interface().(*Tree).Data++
+	}
+}
+
+// TestApplyAllocsSteadyState: applying a 256-node scenario-III reply that
+// restores every node costs one allocation per new node plus a constant —
+// the staging temporaries of the restored nodes share a slab; no second
+// staging value per record, no detached cell per seeded object, no per-call
+// ID set.
 func TestApplyAllocsSteadyState(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
@@ -433,6 +455,7 @@ func TestApplyAllocsSteadyState(t *testing.T) {
 	if err := srv.Prepare(); err != nil {
 		t.Fatal(err)
 	}
+	touchAll(srv)
 	applyScript(sroot.(*Tree), genScript(1, size, 8+size/16))
 	var resp bytes.Buffer
 	if _, err := srv.EncodeResponse(&resp, nil); err != nil {
@@ -480,6 +503,7 @@ func TestStagingSlabBytes(t *testing.T) {
 	if err := srv.Prepare(); err != nil {
 		t.Fatal(err)
 	}
+	touchAll(srv)
 	var resp bytes.Buffer
 	if _, err := srv.EncodeResponse(&resp, nil); err != nil {
 		t.Fatal(err)

@@ -11,10 +11,12 @@ import (
 
 // TestScenarioIIIMessageSizes pins the bytes of the paper's headline call —
 // internal/bench's scenario III, seed 1: the restorable tree and its mutation
-// script out, every pre-call object's content record and one int back — per
-// codec configuration, so that a drift of any wire format fails here and not
-// in a ledger run. V1 and V3 read what they read before the V2 format moved
-// to bare slots (ISSUE 20); V2-portable is V2 byte for byte.
+// script out, a content record per object the script changed and one int
+// back — per codec configuration, so that a drift of any wire format fails
+// here and not in a ledger run. V1 and V3 requests read what they read
+// before the V2 format moved to bare slots (ISSUE 20); V2-portable is V2
+// byte for byte. Responses read 1875, 25393 (V1), 156, 2343 (V2) and 919,
+// 12575 (V3) while every pre-call object shipped a record (ISSUE 25).
 func TestScenarioIIIMessageSizes(t *testing.T) {
 	reg := wire.NewRegistry()
 	if err := bench.RegisterTypes(reg); err != nil {
@@ -27,11 +29,11 @@ func TestScenarioIIIMessageSizes(t *testing.T) {
 		portable bool
 		want     map[int]sizes
 	}{
-		{"v1", wire.EngineV1, false, map[int]sizes{16: {2943, 1875}, 256: {28698, 25393}}},
-		// 488 and 288, 3993 and 3971 while every value carried a descriptor.
-		{"v2-portable", wire.EngineV2, true, map[int]sizes{16: {194, 156}, 256: {1509, 2343}}},
-		{"v2", wire.EngineV2, false, map[int]sizes{16: {194, 156}, 256: {1509, 2343}}},
-		{"v3", wire.EngineV3, false, map[int]sizes{16: {1280, 919}, 256: {10250, 12575}}},
+		{"v1", wire.EngineV1, false, map[int]sizes{16: {2943, 1123}, 256: {28698, 3385}}},
+		// Requests of 488 and 3993 while every value carried a descriptor.
+		{"v2-portable", wire.EngineV2, true, map[int]sizes{16: {194, 93}, 256: {1509, 296}}},
+		{"v2", wire.EngineV2, false, map[int]sizes{16: {194, 93}, 256: {1509, 296}}},
+		{"v3", wire.EngineV3, false, map[int]sizes{16: {1280, 547}, 256: {10250, 1569}}},
 	} {
 		for _, size := range []int{16, 256} {
 			opts := core.Options{Engine: tc.engine, Registry: reg, DisablePlanCache: tc.portable}

@@ -122,6 +122,9 @@ func sortedTitles(s *store) []string {
 	return titles
 }
 
+// TestQuickStoreRemoteEqualsLocal applies the full reply of a server
+// without change detection; TestQuickStoreRemoteEqualsLocalDelta this
+// server's own.
 func TestQuickStoreRemoteEqualsLocal(t *testing.T) {
 	opts := storeOptions(t)
 	f := func(seed int64, nRaw, opsRaw uint8) bool {
@@ -148,10 +151,7 @@ func TestQuickStoreRemoteEqualsLocal(t *testing.T) {
 			t.Logf("seed %d decode: %v", seed, err)
 			return false
 		}
-		if err := srv.Prepare(); err != nil {
-			t.Logf("seed %d prepare: %v", seed, err)
-			return false
-		}
+		prepareReply(t, srv, true)
 		mutateStore(sroot.(*store), seed, ops)
 		var respBuf bytes.Buffer
 		if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
@@ -179,7 +179,6 @@ func TestQuickStoreRemoteEqualsLocal(t *testing.T) {
 
 func TestQuickStoreRemoteEqualsLocalDelta(t *testing.T) {
 	opts := storeOptions(t)
-	opts.Delta = true
 	f := func(seed int64, nRaw, opsRaw uint8) bool {
 		nDocs := int(nRaw%10) + 1
 		ops := int(opsRaw % 8)

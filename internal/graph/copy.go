@@ -8,8 +8,7 @@ import (
 // Copier builds identity-preserving deep copies: aliasing in the source
 // graph (two paths reaching the same object) is reproduced exactly in the
 // copy, and cycles terminate. It is the in-process equivalent of what the
-// wire codec does across a connection, and the delta optimization uses it to
-// snapshot the server-side graph before the remote method runs.
+// wire codec does across a connection.
 type Copier struct {
 	// Access selects the struct-field access mode.
 	Access AccessMode
@@ -23,8 +22,7 @@ type Copier struct {
 func NewCopier(mode AccessMode) *Copier { return &Copier{Access: mode} }
 
 // NumCopied returns how many distinct objects the copier has deep-copied
-// so far — the per-phase item count the observability layer attributes to
-// delta snapshotting.
+// so far.
 func (c *Copier) NumCopied() int { return len(c.copies) }
 
 // Copied returns the copy corresponding to a source reference, if that

@@ -148,129 +148,3 @@ func (e *equaler) equalContents(a, b reflect.Value, depth int) (bool, error) {
 		panic(fmt.Sprintf("graph: equalContents on %s", a.Kind()))
 	}
 }
-
-// PairFunc decides whether two references denote "the same object" across
-// two graphs, typically via an external identity mapping (e.g., a Copier's
-// memo table). It is consulted instead of descending when ShallowEqualObject
-// reaches an identity-bearing reference.
-type PairFunc func(a, b reflect.Value) bool
-
-// ShallowEqualObject compares the immediate contents of two paired objects:
-// scalar state compared by value, nested value-structs compared recursively,
-// but references compared only via pair — without descending. The delta
-// optimization uses it to decide whether an object's own state changed
-// during the remote call, independently of changes elsewhere in the graph.
-func ShallowEqualObject(mode AccessMode, a, b reflect.Value, pair PairFunc) (bool, error) {
-	s := &shallow{access: mode, pair: pair}
-	if a.Type() != b.Type() {
-		return false, nil
-	}
-	switch a.Kind() {
-	case reflect.Ptr:
-		return s.eq(a.Elem(), b.Elem(), 0)
-	case reflect.Slice:
-		if a.Len() != b.Len() {
-			return false, nil
-		}
-		for i := 0; i < a.Len(); i++ {
-			eq, err := s.eq(a.Index(i), b.Index(i), 0)
-			if err != nil || !eq {
-				return eq, err
-			}
-		}
-		return true, nil
-	case reflect.Map:
-		if a.Len() != b.Len() {
-			return false, nil
-		}
-		if hasIdentityBearing(a.Type().Key()) {
-			return false, fmt.Errorf("graph: cannot diff maps with identity-bearing key type %s", a.Type().Key())
-		}
-		iter := a.MapRange()
-		for iter.Next() {
-			bv := b.MapIndex(iter.Key())
-			if !bv.IsValid() {
-				return false, nil
-			}
-			eq, err := s.eq(iter.Value(), bv, 0)
-			if err != nil || !eq {
-				return eq, err
-			}
-		}
-		return true, nil
-	default:
-		return false, fmt.Errorf("graph: ShallowEqualObject requires ptr, map, or slice, got %s", a.Kind())
-	}
-}
-
-type shallow struct {
-	access AccessMode
-	pair   PairFunc
-}
-
-func (s *shallow) eq(a, b reflect.Value, depth int) (bool, error) {
-	if depth > maxDepth {
-		return false, ErrDepthExceeded
-	}
-	if a.Kind() == reflect.Interface {
-		if a.IsNil() || b.IsNil() {
-			return a.IsNil() == b.IsNil(), nil
-		}
-		a, b = a.Elem(), b.Elem()
-	}
-	if a.Type() != b.Type() {
-		return false, nil
-	}
-	switch a.Kind() {
-	case reflect.Ptr, reflect.Map, reflect.Slice:
-		if a.IsNil() || b.IsNil() {
-			return a.IsNil() == b.IsNil(), nil
-		}
-		return s.pair(a, b), nil
-	case reflect.Struct:
-		sa, sb := launder(a), launder(b)
-		for i := 0; i < sa.NumField(); i++ {
-			fa, oka, err := fieldForRead(sa, i, s.access)
-			if err != nil {
-				return false, err
-			}
-			fb, okb, err := fieldForRead(sb, i, s.access)
-			if err != nil {
-				return false, err
-			}
-			if oka != okb {
-				return false, nil
-			}
-			if !oka {
-				continue
-			}
-			eq, err := s.eq(fa, fb, depth+1)
-			if err != nil || !eq {
-				return eq, err
-			}
-		}
-		return true, nil
-	case reflect.Array:
-		for i := 0; i < a.Len(); i++ {
-			eq, err := s.eq(a.Index(i), b.Index(i), depth+1)
-			if err != nil || !eq {
-				return eq, err
-			}
-		}
-		return true, nil
-	case reflect.Bool:
-		return a.Bool() == b.Bool(), nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return a.Int() == b.Int(), nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return a.Uint() == b.Uint(), nil
-	case reflect.Float32, reflect.Float64:
-		return a.Float() == b.Float(), nil
-	case reflect.Complex64, reflect.Complex128:
-		return a.Complex() == b.Complex(), nil
-	case reflect.String:
-		return a.String() == b.String(), nil
-	default:
-		return false, fmt.Errorf("%w: cannot compare kind %s", ErrNotSerializable, a.Kind())
-	}
-}

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestEqualScalarsAndStrings(t *testing.T) {
 	cases := []struct {
@@ -145,66 +142,6 @@ func TestEqualPointerMapKeyRejected(t *testing.T) {
 	_, err := Equal(AccessExported, a, b)
 	if err == nil {
 		t.Fatal("identity-bearing map keys must be rejected")
-	}
-}
-
-func TestShallowEqualObject(t *testing.T) {
-	// Pair by Data value for the test: references "match" if both point to
-	// nodes with equal Data.
-	pair := func(a, b reflect.Value) bool {
-		an, aok := a.Interface().(*node)
-		bn, bok := b.Interface().(*node)
-		return aok && bok && an.Data == bn.Data
-	}
-	a := &node{Data: 1, Left: &node{Data: 5}}
-	b := &node{Data: 1, Left: &node{Data: 5, Right: &node{}}} // deep diff invisible to shallow
-	eq, err := ShallowEqualObject(AccessExported, reflect.ValueOf(a), reflect.ValueOf(b), pair)
-	if err != nil || !eq {
-		t.Fatalf("shallow equality must not descend: %v, %v", eq, err)
-	}
-	b.Data = 2
-	eq, err = ShallowEqualObject(AccessExported, reflect.ValueOf(a), reflect.ValueOf(b), pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq {
-		t.Fatal("scalar change must be visible shallowly")
-	}
-	b.Data = 1
-	b.Left = &node{Data: 6}
-	eq, err = ShallowEqualObject(AccessExported, reflect.ValueOf(a), reflect.ValueOf(b), pair)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eq {
-		t.Fatal("re-pointed reference must be visible shallowly")
-	}
-}
-
-func TestShallowEqualObjectSliceAndMap(t *testing.T) {
-	never := func(a, b reflect.Value) bool { return false }
-	always := func(a, b reflect.Value) bool { return true }
-
-	s1 := []int{1, 2, 3}
-	s2 := []int{1, 2, 3}
-	eq, err := ShallowEqualObject(AccessExported, reflect.ValueOf(s1), reflect.ValueOf(s2), never)
-	if err != nil || !eq {
-		t.Fatalf("scalar slices: %v, %v", eq, err)
-	}
-	s2[1] = 9
-	if eq, _ := ShallowEqualObject(AccessExported, reflect.ValueOf(s1), reflect.ValueOf(s2), never); eq {
-		t.Fatal("element change must be visible")
-	}
-
-	m1 := map[string]int{"a": 1}
-	m2 := map[string]int{"a": 1}
-	eq, err = ShallowEqualObject(AccessExported, reflect.ValueOf(m1), reflect.ValueOf(m2), always)
-	if err != nil || !eq {
-		t.Fatalf("maps: %v, %v", eq, err)
-	}
-	m2["b"] = 2
-	if eq, _ := ShallowEqualObject(AccessExported, reflect.ValueOf(m1), reflect.ValueOf(m2), always); eq {
-		t.Fatal("entry-count change must be visible")
 	}
 }
 

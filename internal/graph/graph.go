@@ -1,8 +1,8 @@
 // Package graph provides the object-graph substrate underlying NRMI's
 // call-by-copy-restore semantics: reachability traversal over arbitrary Go
 // values, stable object identity, the "linear map" of reachable objects
-// (paper, Section 3, step 1), identity-preserving deep copy, graph-aware
-// equality, and object-level diffing used by the delta optimization.
+// (paper, Section 3, step 1), identity-preserving deep copy, and graph-aware
+// equality.
 //
 // The package projects Java's object model onto Go. An "object" — a heap
 // entity with identity that aliases can observe — is one of:

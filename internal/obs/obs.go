@@ -1,7 +1,7 @@
 // Package obs is NRMI's phase-level observability layer. The paper's
 // performance story (Tables 2–5) attributes NRMI's cost over plain
 // call-by-copy to specific pipeline phases — linear-map construction,
-// delta snapshotting, in-place restore — and this package makes those
+// restore-response encoding, in-place restore — and this package makes those
 // phases first-class measurements instead of folding them into one opaque
 // per-call number.
 //
@@ -61,18 +61,14 @@ const (
 	PhaseSrvDecode
 	// PhaseSrvPrepare fixes the server's pre-call object set: consuming a
 	// shipped linear map (ablation protocol only) and, under the condition
-	// given at PhaseMapWalk, walking the restorable roots. Includes
-	// PhaseSrvSnapshot when delta is on.
+	// given at PhaseMapWalk, walking the restorable roots; then shadowing
+	// the set's own state for change detection.
 	PhaseSrvPrepare
-	// PhaseSrvSnapshot is the delta optimization's deep copy of the
-	// restorable subgraph. It runs inside PhaseSrvPrepare, so its time is
-	// also contained in that phase's total.
-	PhaseSrvSnapshot
 	// PhaseSrvExecute is the remote method body itself (including any
 	// interceptor wrapping it).
 	PhaseSrvExecute
-	// PhaseSrvEncode is the server-side response encoding: restore-section
-	// filtering, content records, return values.
+	// PhaseSrvEncode is the server-side response encoding: change
+	// detection against the shadow, content records, return values.
 	PhaseSrvEncode
 
 	// PhaseAsyncIssue is the client-side issue half of a promise call:
@@ -85,7 +81,7 @@ const (
 
 	// NumPhases is the number of Phase constants; CallStats arrays are
 	// indexed by Phase.
-	NumPhases = 12
+	NumPhases = 11
 )
 
 var phaseNames = [NumPhases]string{
@@ -96,7 +92,6 @@ var phaseNames = [NumPhases]string{
 	"restore-commit",
 	"srv-decode",
 	"srv-prepare",
-	"srv-snapshot",
 	"srv-execute",
 	"srv-encode",
 	"async-issue",

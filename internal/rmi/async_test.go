@@ -276,12 +276,12 @@ func TestAsyncPipelinedSharedRoot(t *testing.T) {
 	}
 }
 
-// TestAsyncPipelinedSharedRootDelta: under delta a reply names the one
-// object it changed by its position in the restore set. The first commit
-// unlinks that object from the root; its record must still land on it —
-// through the caller's alias — and on no other node.
+// TestAsyncPipelinedSharedRootDelta: a reply names the one object it changed
+// by its position in the restore set. The first commit unlinks that object
+// from the root; its record must still land on it — through the caller's
+// alias — and on no other node.
 func TestAsyncPipelinedSharedRootDelta(t *testing.T) {
-	cl, _, _ := newAsyncEnv(t, func(o *Options) { o.Core.Delta = true })
+	cl, _, _ := newAsyncEnv(t, nil)
 	stub := cl.Stub("server", "async")
 	ctx := context.Background()
 

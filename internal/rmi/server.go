@@ -344,15 +344,20 @@ type serverMetrics struct {
 
 // Metrics returns a snapshot of the server's counters.
 func (s *Server) Metrics() Metrics {
+	// Loaded in the reverse of the order a call bumps them, so a snapshot
+	// taken while calls finish still sees CallsServed ≥ CallErrors ≥
+	// CallsCancelled.
+	cancelled := s.metrics.cancelled.Load()
+	errors := s.metrics.errors.Load()
 	return Metrics{
 		CallsServed:      s.metrics.calls.Load(),
-		CallErrors:       s.metrics.errors.Load(),
+		CallErrors:       errors,
 		BytesIn:          s.metrics.bytesIn.Load(),
 		BytesOut:         s.metrics.bytesOut.Load(),
 		ObjectsRestored:  s.metrics.restored.Load(),
 		CallsRejected:    s.metrics.rejected.Load(),
 		CallsUnavailable: s.metrics.unavailable.Load(),
-		CallsCancelled:   s.metrics.cancelled.Load(),
+		CallsCancelled:   cancelled,
 		CallsAbandoned:   s.metrics.abandoned.Load(),
 		DrainDuration:    time.Duration(s.metrics.drainNanos.Load()),
 	}

@@ -32,8 +32,10 @@ type Decoder struct {
 	kernels bool
 	memo    kernelMemo
 
-	// stage is the slab DecodeSeededContent carves its staging cells from.
-	stage stageSlab
+	// stage is the slab DecodeSeededContent carves its staging cells from;
+	// shadow holds the pre-call state of decoded objects (shadow.go).
+	stage  stageSlab
+	shadow shadow
 
 	// arena batch-allocates the objects materialized by engine-V3 frames
 	// (arena.go). Lazily created on the first V3 frame; released when the

@@ -49,8 +49,14 @@ type kernel struct {
 	zeros  []kernelZero
 	// elem is the pointee, element or map-value kernel; key the map key's.
 	elem, key *kernel
-	// cells is []elem for pointer kernels: the type of a staging slab.
+	// cells is []elem for pointer and slice kernels: the type of a staging
+	// or shadow slab.
 	cells reflect.Type
+	// exact says equal bytes and the same state (kernel.same) coincide: t
+	// holds no string or interface inline. direct says an interface holds a
+	// t in its data word rather than a pointer to a copy (the runtime's
+	// rule). Both cover every field on AccessUnsafe kernels only.
+	exact, direct bool
 	// err is what encoding a chan, func, unsafe.Pointer or uintptr reports
 	// — at encode time, not at compile time: the type may be a struct
 	// field that is legitimately skipped in AccessExported mode.
@@ -63,6 +69,7 @@ type kernelField struct {
 	index   int
 	k       *kernel
 	launder bool // unexported field under AccessUnsafe
+	off     uintptr
 }
 
 // kernelZero is one excluded unexported field whose zero-ness is enforced
@@ -131,6 +138,11 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 	session[t] = k
 
 	k.min = 1
+	k.exact = t.Kind() != reflect.String && t.Kind() != reflect.Interface
+	switch t.Kind() {
+	case reflect.Ptr, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		k.direct = true
+	}
 	switch k.tag = tagOf(t.Kind()); k.tag {
 	case tagPtr:
 		k.elem = compileKernel(t.Elem(), mode, session)
@@ -138,11 +150,14 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 	case tagMap:
 		k.key = compileKernel(t.Key(), mode, session)
 		k.elem = compileKernel(t.Elem(), mode, session)
-	case tagSlice, tagArray:
+	case tagSlice:
 		k.elem = compileKernel(t.Elem(), mode, session)
-		if k.tag == tagArray { // an inline part is compiled before its container
-			k.min = t.Len() * k.elem.min
-		}
+		k.cells = t
+	case tagArray: // an inline part is compiled before its container
+		k.elem = compileKernel(t.Elem(), mode, session)
+		k.min = t.Len() * k.elem.min
+		k.exact = k.elem.exact
+		k.direct = t.Len() == 1 && k.elem.direct
 	case tagStruct:
 		k.min = 0
 		k.fields = make([]kernelField, 0, t.NumField())
@@ -154,9 +169,11 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 				continue
 			}
 			fk := compileKernel(sf.Type, mode, session)
-			k.fields = append(k.fields, kernelField{i, fk, !sf.IsExported()})
+			k.fields = append(k.fields, kernelField{i, fk, !sf.IsExported(), sf.Offset})
 			k.min += fk.min
+			k.exact = k.exact && fk.exact
 		}
+		k.direct = t.NumField() == 1 && len(k.fields) == 1 && k.fields[0].k.direct
 	case 0:
 		if t.Kind() != reflect.Interface {
 			k.err = fmt.Errorf("%w: %s", graph.ErrNotSerializable, t)

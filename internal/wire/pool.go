@@ -106,6 +106,7 @@ func ReleaseDecoder(d *Decoder) {
 	// Releasing the arena only drops the slab references: objects the caller
 	// extracted stay alive through ordinary reachability.
 	d.ReleaseArena()
+	d.shadow.reset()
 	// The table entries are the decoded objects themselves (or seeded user
 	// objects): drop the references, keep the slice capacity.
 	clear(d.table)

@@ -126,10 +126,6 @@ type Options struct {
 	// Without it, types crossing the wire must keep their remote-visible
 	// state in exported fields.
 	UnsafeAccess bool
-	// Delta enables the delta response encoding: only objects the server
-	// actually changed are shipped back (the paper's future-work
-	// optimization, Section 5.2.4).
-	Delta bool
 	// DCECompat weakens restore to DCE RPC semantics — objects that
 	// became unreachable from the parameters are not restored (paper,
 	// Section 4.2). For differential experiments only.
@@ -273,7 +269,6 @@ func (o Options) rmiOptions() rmi.Options {
 			Access:   access,
 			Registry: o.Registry,
 			Policy:   policy,
-			Delta:    o.Delta,
 		},
 		WrapRef:            o.WrapRef,
 		Intercept:          o.Intercept,

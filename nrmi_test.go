@@ -90,7 +90,7 @@ func TestPublicAPIAllOptionCombos(t *testing.T) {
 	for _, opts := range []nrmi.Options{
 		{Engine: nrmi.EngineV1},
 		{Engine: nrmi.EngineV2},
-		{Delta: true},
+		{Engine: nrmi.EngineV3},
 		{UnsafeAccess: true},
 	} {
 		opts.Registry = nrmi.NewRegistry()
