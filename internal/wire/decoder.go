@@ -224,7 +224,7 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 	case kind == contentPtr && d.kernels:
 		// As under tagPtr: the staging cell exists, decode into it.
 		tmp := d.stagingCell(k, id)
-		return tmp, k.elem.into(d, tmp.Elem(), 0)
+		return tmp, k.elem.into(d, tmp.UnsafePointer(), 0)
 	case kind == contentPtr:
 		tmp := reflect.New(k.elem.t)
 		return tmp, d.decodeSlot(tmp.Elem(), 0)
@@ -413,13 +413,13 @@ func (d *Decoder) fill(tag byte, k *kernel, v reflect.Value, n, depth int) error
 	case !d.kernels:
 		return d.bodyInto(v, depth)
 	case tag == tagPtr:
-		return k.into(d, v.Elem(), depth+1)
+		return k.into(d, v.UnsafePointer(), depth+1)
 	case tag == tagMap:
 		return k.fillMap(d, v, n, depth)
 	case tag == tagSlice:
-		return k.fillElems(d, v, depth)
+		return k.fillElems(d, v.UnsafePointer(), n, depth)
 	}
-	return k.body(d, v, depth)
+	return k.body(d, v.Addr().UnsafePointer(), depth)
 }
 
 // decodeSlot decodes the next value of the stream into dst, a slot of static

@@ -211,7 +211,7 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 			return err
 		}
 		if k != nil {
-			return k.elem.enc(e, obj.Elem(), 0, true)
+			return k.elem.encAt(e, obj.UnsafePointer(), 0, true)
 		}
 		return e.encodeValue(obj.Elem(), 0, e.bareSlots())
 	case reflect.Map:
@@ -219,7 +219,7 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 			return err
 		}
 		if k != nil {
-			return k.encElems(e, obj, 0)
+			return k.encMap(e, obj, 0)
 		}
 		return e.encodeMapEntries(obj, 0)
 	case reflect.Slice:
@@ -230,7 +230,7 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 			return err
 		}
 		if k != nil {
-			return k.encElems(e, obj, 0)
+			return k.encElems(e, obj.UnsafePointer(), obj.Len(), 0)
 		}
 		return e.encodeSliceElems(obj, 0)
 	default:

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"nrmi/internal/graph"
@@ -17,13 +18,11 @@ func FuzzDecode(f *testing.F) {
 	if err := reg.Register("wbag", wbag{}); err != nil {
 		f.Fatal(err)
 	}
-	if err := reg.Register("inner", inner{}); err != nil {
-		f.Fatal(err)
-	}
+	registerKindMatrix(f, reg)
 	var streams [][]byte
-	seed := func(v any, eng Engine) {
+	seed := func(v any, eng Engine, access graph.AccessMode) {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf, Options{Engine: eng, Registry: reg})
+		enc := NewEncoder(&buf, Options{Engine: eng, Access: access, Registry: reg})
 		if err := enc.Encode(v); err != nil {
 			f.Fatal(err)
 		}
@@ -35,10 +34,12 @@ func FuzzDecode(f *testing.F) {
 	}
 	shared := &wnode{Data: 7}
 	for _, eng := range []Engine{EngineV1, EngineV2, EngineV3} {
-		seed(&wnode{Data: 1, Left: shared, Right: shared}, eng)
-		seed([]string{"a", "a", "b"}, eng)
-		seed(map[string]int{"x": 1}, eng)
-		seed(&wbag{Name: "n", Items: []int{1, 2}, Any: 3}, eng)
+		seed(&wnode{Data: 1, Left: shared, Right: shared}, eng, graph.AccessExported)
+		seed([]string{"a", "a", "b"}, eng, graph.AccessExported)
+		seed(map[string]int{"x": 1}, eng, graph.AccessExported)
+		seed(&wbag{Name: "n", Items: []int{1, 2}, Any: 3}, eng, graph.AccessExported)
+		seed(kindMatrix(0), eng, graph.AccessExported)
+		seed(kindMatrix(-5), eng, graph.AccessUnsafe)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{headerMagic})
@@ -93,25 +94,25 @@ func FuzzDecode(f *testing.F) {
 			if dec.BytesRead() != decG.BytesRead() {
 				t.Fatalf("value %d: kernel path read %d bytes, generic path %d", i, dec.BytesRead(), decG.BytesRead())
 			}
-			if !sameGraph(t, reg, v, vG) {
+			if !sameGraph(t, reg, dec.Access(), v, vG) {
 				t.Fatalf("value %d: the two paths decoded different graphs: %#v vs %#v", i, v, vG)
 			}
 		}
 	})
 }
 
-// sameGraph reports whether a and b are graph.Equal — or, where Equal cannot
-// say so (NaN payloads, pointer map keys), encode to the same bytes. A decoder
-// counts a container in an interface slot as one level and the encoder as
-// two, so a stream can nest deeper than either oracle follows: a pair both
-// refuse for its depth is taken as equal.
-func sameGraph(t *testing.T, reg *Registry, a, b any) bool {
-	if eq, err := graph.Equal(graph.AccessExported, a, b); err == nil && eq {
+// sameGraph reports whether a and b, decoded under access, are graph.Equal —
+// or, where Equal cannot say so (NaN payloads, pointer map keys), encode to
+// the same bytes. A decoder counts a container in an interface slot as one
+// level and the encoder as two, so a stream can nest deeper than either
+// oracle follows: a pair both refuse for its depth is taken as equal.
+func sameGraph(t *testing.T, reg *Registry, access graph.AccessMode, a, b any) bool {
+	if eq, err := graph.Equal(access, addressed(a), addressed(b)); err == nil && eq {
 		return true
 	}
 	encode := func(v any) ([]byte, error) {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf, Options{Registry: reg})
+		enc := NewEncoder(&buf, Options{Registry: reg, Access: access})
 		if err := enc.Encode(v); err != nil {
 			return nil, err
 		}
@@ -127,6 +128,17 @@ func sameGraph(t *testing.T, reg *Registry, a, b any) bool {
 		t.Fatalf("re-encoding a decoded value: %v, %v", erra, errb)
 	}
 	return bytes.Equal(ea, eb)
+}
+
+// addressed returns a pointer to a copy of v: graph.Equal reads an unexported
+// field through its address, which a struct held by value does not have.
+func addressed(v any) any {
+	if v == nil {
+		return nil
+	}
+	p := reflect.New(reflect.TypeOf(v))
+	p.Elem().Set(reflect.ValueOf(v))
+	return p.Interface()
 }
 
 // FuzzRoundTrip mutates a tree-describing byte string into tree shapes and

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
+	"unsafe"
 
 	"nrmi/internal/graph"
 )
@@ -33,7 +35,9 @@ import (
 // *kernel, whose fields are assigned before publication. There is exactly
 // one kernel per pair, so comparing kernels compares types.
 type kernel struct {
-	t reflect.Type
+	t    reflect.Type
+	kind reflect.Kind // t's kind and size, read per scalar and element
+	size uintptr
 	// tag is the value tag t travels under (tagPtr … tagScalar), or 0 for
 	// kinds with none of their own (interfaces, unserializable kinds).
 	tag byte
@@ -52,10 +56,12 @@ type kernel struct {
 	// cells is []elem for pointer and slice kernels: the type of a staging
 	// or shadow slab.
 	cells reflect.Type
+	// rt is t's type word in an interface, for pointer, map and slice kernels.
+	rt unsafe.Pointer
 	// exact says equal bytes and the same state (kernel.same) coincide: t
-	// holds no string or interface inline. direct says an interface holds a
-	// t in its data word rather than a pointer to a copy (the runtime's
-	// rule). Both cover every field on AccessUnsafe kernels only.
+	// holds no string or interface inline; it covers every field on
+	// AccessUnsafe kernels only. direct says an interface holds a t in its
+	// data word rather than a pointer to a copy (the runtime's rule).
 	exact, direct bool
 	// err is what encoding a chan, func, unsafe.Pointer or uintptr reports
 	// — at encode time, not at compile time: the type may be a struct
@@ -63,8 +69,8 @@ type kernel struct {
 	err error
 }
 
-// kernelField is one compiled struct field: the plan's field order with the
-// accessor decision (direct vs. laundered) resolved at compile time.
+// kernelField is one compiled struct field: its offset, and for engine V3's
+// reflective fill its index and whether it is laundered.
 type kernelField struct {
 	index   int
 	k       *kernel
@@ -76,8 +82,9 @@ type kernelField struct {
 // before any field is emitted (the no-silent-loss rule), with the error
 // precomputed.
 type kernelZero struct {
-	index int
-	err   error
+	off uintptr
+	t   reflect.Type
+	err error
 }
 
 type kernelKey struct {
@@ -134,16 +141,20 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 	if k, ok := session[t]; ok {
 		return k
 	}
-	k := &kernel{t: t}
+	k := &kernel{t: t, kind: t.Kind(), size: t.Size()}
 	session[t] = k
 
 	k.min = 1
-	k.exact = t.Kind() != reflect.String && t.Kind() != reflect.Interface
-	switch t.Kind() {
+	k.exact = k.kind != reflect.String && k.kind != reflect.Interface
+	switch k.kind {
 	case reflect.Ptr, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
 		k.direct = true
 	}
-	switch k.tag = tagOf(t.Kind()); k.tag {
+	if k.tag = tagOf(k.kind); k.tag >= tagPtr && k.tag <= tagSlice {
+		box := reflect.Zero(t).Interface()
+		k.rt = (*[2]unsafe.Pointer)(unsafe.Pointer(&box))[0]
+	}
+	switch k.tag {
 	case tagPtr:
 		k.elem = compileKernel(t.Elem(), mode, session)
 		k.cells = reflect.SliceOf(t.Elem())
@@ -163,63 +174,68 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 		k.fields = make([]kernelField, 0, t.NumField())
 		for i := 0; i < t.NumField(); i++ {
 			sf := t.Field(i)
+			fk := compileKernel(sf.Type, mode, session)
+			k.direct = t.NumField() == 1 && fk.direct
 			if !sf.IsExported() && mode == graph.AccessExported {
-				k.zeros = append(k.zeros, kernelZero{i,
+				k.zeros = append(k.zeros, kernelZero{sf.Offset, sf.Type,
 					fmt.Errorf("%w: field %s.%s", graph.ErrUnexportedField, t, sf.Name)})
 				continue
 			}
-			fk := compileKernel(sf.Type, mode, session)
 			k.fields = append(k.fields, kernelField{i, fk, !sf.IsExported(), sf.Offset})
 			k.min += fk.min
 			k.exact = k.exact && fk.exact
 		}
-		k.direct = t.NumField() == 1 && len(k.fields) == 1 && k.fields[0].k.direct
 	case 0:
-		if t.Kind() != reflect.Interface {
+		if k.kind != reflect.Interface {
 			k.err = fmt.Errorf("%w: %s", graph.ErrNotSerializable, t)
 		}
 	}
 	return k
 }
 
-// enc writes one value of k's type: described — tag, descriptor, contents —
-// or, bare, as the occupant of a slot of type k.t. Every slot below a value
-// is bare; an interface slot's value describes itself either way.
+// Both directions reach a field, element or pointee by address and move it
+// with a load or store of its own Go type (paper Section 5.3.1, the Unsafe
+// half): every store is typed, so the write barrier sees each pointer, and no
+// memory that holds pointers is copied untyped.
+
+// enc writes v, a value of k's type held as a reflect.Value — a root, a map
+// key or value, the dynamic value of an interface, a reference for the object
+// table: described — tag, descriptor, contents — or, bare, as the occupant of
+// a slot of type k.t. Every slot below a value is bare; an interface slot's
+// value describes itself either way.
 func (k *kernel) enc(e *Encoder, v reflect.Value, depth int, bare bool) error {
-	if depth > maxEncodeDepth {
+	switch {
+	case depth > maxEncodeDepth:
 		return graph.ErrDepthExceeded
-	}
-	switch k.tag {
-	case 0:
-		if k.err != nil {
-			return k.err
-		}
-		if v.IsNil() {
-			return e.w.writeByte(tagNil)
-		}
-		// An interface: the dynamic type is only known at run time.
+	case k.err != nil:
+		return k.err
+	case k.tag > tagSlice && v.CanAddr():
+		return k.encAt(e, v.Addr().UnsafePointer(), depth, bare)
+	case k.tag > tagSlice && !k.direct:
+		// A value that is not addressable is boxed where it lives: the data
+		// word of its interface is its address, and nothing is copied.
+		box := v.Interface()
+		return k.encAt(e, (*[2]unsafe.Pointer)(unsafe.Pointer(&box))[1], depth, bare)
+	case k.tag > tagSlice:
+		// A struct or array around one pointer, held by value, has no address.
+		c := reflect.New(k.t)
+		c.Elem().Set(v)
+		return k.encAt(e, c.UnsafePointer(), depth, bare)
+	case v.IsNil():
+		return e.w.writeByte(tagNil)
+	case k.tag == 0: // an interface: the dynamic type is only known at run time
 		elem := v.Elem()
 		return e.memo.of(elem.Type(), e.opts.Access).enc(e, elem, depth+1, false)
-	case tagPtr, tagMap, tagSlice:
-		if v.IsNil() {
-			return e.w.writeByte(tagNil)
-		}
-		id, seen, err := e.intern(v)
-		if err != nil {
-			return err
-		}
-		if seen {
-			return e.writeRef(id)
-		}
-		if err := e.w.writeByte(k.tag); err != nil {
-			return err
-		}
-	default:
-		if !bare {
-			if err := e.w.writeByte(k.tag); err != nil {
-				return err
-			}
-		}
+	}
+	id, seen, err := e.intern(v)
+	if err != nil {
+		return err
+	}
+	if seen {
+		return e.writeRef(id)
+	}
+	if err := e.w.writeByte(k.tag); err != nil {
+		return err
 	}
 	if !bare {
 		// A pointer's descriptor is its pointee's.
@@ -231,59 +247,89 @@ func (k *kernel) enc(e *Encoder, v reflect.Value, depth int, bare bool) error {
 			return err
 		}
 	}
-	return k.contents(e, v, depth)
-}
-
-// contents writes what follows the tag and descriptor of a non-nil value of
-// k's type on its first visit, itself at depth.
-func (k *kernel) contents(e *Encoder, v reflect.Value, depth int) error {
 	switch k.tag {
 	case tagPtr:
-		return k.elem.enc(e, v.Elem(), depth+1, true)
-	case tagSlice:
-		if err := e.w.writeUint(uint64(v.Len())); err != nil {
+		return k.elem.encAt(e, v.UnsafePointer(), depth+1, true)
+	case tagMap:
+		return k.encMap(e, v, depth)
+	}
+	if err := e.w.writeUint(uint64(v.Len())); err != nil {
+		return err
+	}
+	return k.encElems(e, v.UnsafePointer(), v.Len(), depth)
+}
+
+// encAt writes the value of k's type at p, as enc does.
+func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error {
+	if depth > maxEncodeDepth {
+		return graph.ErrDepthExceeded
+	}
+	switch k.tag {
+	case 0:
+		return k.enc(e, reflect.NewAt(k.t, p).Elem(), depth, bare)
+	case tagPtr, tagMap, tagSlice:
+		// The first word of each is nil exactly when the reference is.
+		if *(*unsafe.Pointer)(p) == nil {
+			return e.w.writeByte(tagNil)
+		}
+		return k.enc(e, k.ref(p), depth, bare)
+	}
+	if !bare {
+		if err := e.w.writeByte(k.tag); err != nil {
 			return err
 		}
-		return k.encElems(e, v, depth)
-	case tagMap, tagArray:
-		return k.encElems(e, v, depth)
-	case tagScalar:
-		return e.encodeScalarPayload(v)
+		if err := e.encodeType(k.t); err != nil {
+			return err
+		}
 	}
-	sv := graph.Launder(v)
+	switch k.tag {
+	case tagArray:
+		return k.encElems(e, p, k.t.Len(), depth)
+	case tagScalar:
+		return k.encScalar(e, p)
+	}
 	// All zero checks run before any field bytes, mirroring the generic
 	// verifyZeroFields-then-encode order.
-	for i := range k.zeros {
-		if !sv.Field(k.zeros[i].index).IsZero() {
-			return k.zeros[i].err
+	for _, z := range k.zeros {
+		if !reflect.NewAt(z.t, unsafe.Add(p, z.off)).Elem().IsZero() {
+			return z.err
 		}
 	}
 	for i := range k.fields {
 		f := &k.fields[i]
-		fv := sv.Field(f.index)
-		if f.launder {
-			fv = graph.Launder(fv)
-		}
-		if err := f.k.enc(e, fv, depth+1, true); err != nil {
+		if err := f.k.encAt(e, unsafe.Add(p, f.off), depth+1, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// encElems emits the bare contents of a map, slice or array — what follows
-// the descriptor in the value's own encoding, and the whole of its record
-// in the seeded-content protocol: entry count plus key/value pairs for
-// maps, elements only otherwise (the caller owns a slice's length word).
-func (k *kernel) encElems(e *Encoder, v reflect.Value, depth int) error {
-	if k.tag != tagMap {
-		for i, n := 0, v.Len(); i < n; i++ {
-			if err := k.elem.enc(e, v.Index(i), depth+1, true); err != nil {
-				return err
-			}
-		}
-		return nil
+// ref returns the pointer, map or slice at p as a reflect.Value of k.t by
+// boxing it as the runtime would — a pointer or map in the data word, a slice
+// as the address of its header — where reflect.NewAt would look up the type
+// of a pointer to k.t.
+func (k *kernel) ref(p unsafe.Pointer) reflect.Value {
+	box := [2]unsafe.Pointer{k.rt, p}
+	if k.direct {
+		box[1] = *(*unsafe.Pointer)(p)
 	}
+	return reflect.ValueOf(*(*any)(unsafe.Pointer(&box)))
+}
+
+// encElems emits the n elements of a slice or array at p, itself at depth:
+// what follows a slice's length word, or the whole of an array.
+func (k *kernel) encElems(e *Encoder, p unsafe.Pointer, n, depth int) error {
+	for i := 0; i < n; i++ {
+		if err := k.elem.encAt(e, unsafe.Add(p, uintptr(i)*k.elem.size), depth+1, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encMap emits the entry count and key/value pairs of map v — what follows
+// its descriptor in its own encoding, and the whole of its content record.
+func (k *kernel) encMap(e *Encoder, v reflect.Value, depth int) error {
 	if err := e.w.writeUint(uint64(v.Len())); err != nil {
 		return err
 	}
@@ -302,24 +348,50 @@ func (k *kernel) encElems(e *Encoder, v reflect.Value, depth int) error {
 	return nil
 }
 
+// encScalar writes the payload of the scalar of k's type at p, as
+// Encoder.encodeScalarPayload does.
+func (k *kernel) encScalar(e *Encoder, p unsafe.Pointer) error {
+	switch {
+	case k.kind == reflect.String:
+		return e.encodeInternedString(*(*string)(p))
+	case k.kind == reflect.Bool:
+		if *(*bool)(p) {
+			return e.w.writeByte(1)
+		}
+		return e.w.writeByte(0)
+	case k.kind <= reflect.Int64:
+		shift := 64 - 8*k.size
+		return e.w.writeInt(int64(loadBits(p, k.size)<<shift) >> shift)
+	case k.kind <= reflect.Uint64:
+		return e.w.writeUint(loadBits(p, k.size))
+	case k.kind <= reflect.Float64:
+		return e.w.writeFloat(loadFloat(p, k.size))
+	}
+	half := k.size / 2 // a complex number's real part, then its imaginary
+	if err := e.w.writeFloat(loadFloat(p, half)); err != nil {
+		return err
+	}
+	return e.w.writeFloat(loadFloat(unsafe.Add(p, half), half))
+}
+
 // The decode direction mirrors it: a slot is read by the kernel of its own
 // static type and written in place; only an interface slot holds a described
 // value, built from its own descriptor and assigned under setDecoded.
 
-// into decodes the next value of the stream into dst, a slot of k's type.
-func (k *kernel) into(d *Decoder, dst reflect.Value, depth int) error {
+// into decodes the next value of the stream into the slot of k's type at p.
+func (k *kernel) into(d *Decoder, p unsafe.Pointer, depth int) error {
 	if k.tag == 0 {
 		v, err := d.decodeValue(depth)
 		if err != nil {
 			return err
 		}
-		return setDecoded(dst, v)
+		return setDecoded(reflect.NewAt(k.t, p).Elem(), v)
 	}
 	if depth > maxDecodeDepth {
 		return errDecodeDepth
 	}
 	if k.tag >= tagStruct {
-		return k.body(d, dst, depth)
+		return k.body(d, p, depth)
 	}
 	tag, err := d.r.readByte()
 	if err != nil {
@@ -328,8 +400,6 @@ func (k *kernel) into(d *Decoder, dst reflect.Value, depth int) error {
 	var v reflect.Value
 	switch {
 	case tag == tagNil:
-		dst.SetZero()
-		return nil
 	case tag == tagRef:
 		v, err = d.decodeRef()
 	case tag != k.tag:
@@ -342,41 +412,41 @@ func (k *kernel) into(d *Decoder, dst reflect.Value, depth int) error {
 	if err != nil {
 		return err
 	}
-	if v.Type() == k.t {
-		dst.Set(v)
-		return nil
+	if k.tag == tagSlice || v.IsValid() && v.Type() != k.t {
+		return setDecoded(reflect.NewAt(k.t, p).Elem(), v)
 	}
-	return setDecoded(dst, v)
+	var q unsafe.Pointer // a pointer or map is one word
+	if v.IsValid() {
+		q = v.UnsafePointer()
+	}
+	*(*unsafe.Pointer)(p) = q
+	return nil
 }
 
 // body decodes what follows the tag and descriptor of an inline value of
-// k's type — struct fields, array elements, a scalar payload — into dst.
-func (k *kernel) body(d *Decoder, dst reflect.Value, depth int) error {
+// k's type at p — struct fields, array elements, a scalar payload. An
+// excluded field is never written.
+func (k *kernel) body(d *Decoder, p unsafe.Pointer, depth int) error {
 	switch k.tag {
 	case tagStruct:
 		for i := range k.fields {
 			f := &k.fields[i]
-			fv := dst.Field(f.index)
-			if f.launder {
-				fv = graph.Launder(fv)
-			}
-			if err := f.k.into(d, fv, depth+1); err != nil {
+			if err := f.k.into(d, unsafe.Add(p, f.off), depth+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	case tagArray:
-		return k.fillElems(d, dst, depth)
-	default:
-		return d.scalarPayloadInto(dst)
+		return k.fillElems(d, p, k.t.Len(), depth)
 	}
+	return k.scalarInto(d, p)
 }
 
-// fillElems decodes the elements of slice or array v, itself at depth, in
-// place: one deeper than their container, as encElems counts them.
-func (k *kernel) fillElems(d *Decoder, v reflect.Value, depth int) error {
-	for i, n := 0, v.Len(); i < n; i++ {
-		if err := k.elem.into(d, v.Index(i), depth+1); err != nil {
+// fillElems decodes the n elements of the slice or array at p, itself at
+// depth, in place: one deeper than their container, as encElems counts them.
+func (k *kernel) fillElems(d *Decoder, p unsafe.Pointer, n, depth int) error {
+	for i := 0; i < n; i++ {
+		if err := k.elem.into(d, unsafe.Add(p, uintptr(i)*k.elem.size), depth+1); err != nil {
 			return err
 		}
 	}
@@ -390,18 +460,129 @@ func (k *kernel) fillMap(d *Decoder, mv reflect.Value, n, depth int) error {
 	if n == 0 {
 		return nil
 	}
-	key := reflect.New(k.key.t).Elem()
-	val := reflect.New(k.elem.t).Elem()
+	key, val := reflect.New(k.key.t), reflect.New(k.elem.t)
 	for i := 0; i < n; i++ {
-		if err := k.key.into(d, key, depth+1); err != nil {
+		if err := k.key.into(d, key.UnsafePointer(), depth+1); err != nil {
 			return err
 		}
-		if err := k.elem.into(d, val, depth+1); err != nil {
+		if err := k.elem.into(d, val.UnsafePointer(), depth+1); err != nil {
 			return err
 		}
-		if err := setEntry(mv, key, val); err != nil {
+		if err := setEntry(mv, key.Elem(), val.Elem()); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// scalarInto reads a scalar payload into the scalar of k's type at p, with
+// the refusals of Decoder.scalarPayloadInto.
+func (k *kernel) scalarInto(d *Decoder, p unsafe.Pointer) error {
+	shift, half := 64-8*k.size, k.size/2
+	switch {
+	case k.kind == reflect.String:
+		s, err := d.decodeInternedString()
+		if err != nil {
+			return err
+		}
+		*(*string)(p) = s
+	case k.kind == reflect.Bool:
+		b, err := d.r.readByte()
+		if err != nil {
+			return err
+		}
+		*(*bool)(p) = b != 0
+	case k.kind <= reflect.Int64:
+		i, err := d.r.readInt()
+		if err != nil {
+			return err
+		}
+		if i<<shift>>shift != i {
+			return fmt.Errorf("%w: %d overflows %s", ErrBadStream, i, k.t)
+		}
+		storeBits(p, k.size, uint64(i))
+	case k.kind <= reflect.Uint64:
+		u, err := d.r.readUint()
+		if err != nil {
+			return err
+		}
+		if u<<shift>>shift != u {
+			return fmt.Errorf("%w: %d overflows %s", ErrBadStream, u, k.t)
+		}
+		storeBits(p, k.size, u)
+	case k.kind <= reflect.Float64:
+		f, err := d.r.readFloat()
+		if err != nil {
+			return err
+		}
+		if k.size == 4 && overflowsFloat32(f) {
+			return fmt.Errorf("%w: %g overflows %s", ErrBadStream, f, k.t)
+		}
+		storeFloat(p, k.size, f)
+	default:
+		re, err := d.r.readFloat()
+		if err != nil {
+			return err
+		}
+		im, err := d.r.readFloat()
+		if err != nil {
+			return err
+		}
+		if half == 4 && (overflowsFloat32(re) || overflowsFloat32(im)) {
+			return fmt.Errorf("%w: %g overflows %s", ErrBadStream, complex(re, im), k.t)
+		}
+		storeFloat(p, half, re)
+		storeFloat(unsafe.Add(p, half), half, im)
+	}
+	return nil
+}
+
+// loadBits returns the size bytes of the integer at p, zero-extended;
+// storeBits stores the low size bytes of x there.
+func loadBits(p unsafe.Pointer, size uintptr) uint64 {
+	switch size {
+	case 1:
+		return uint64(*(*uint8)(p))
+	case 2:
+		return uint64(*(*uint16)(p))
+	case 4:
+		return uint64(*(*uint32)(p))
+	}
+	return *(*uint64)(p)
+}
+
+func storeBits(p unsafe.Pointer, size uintptr, x uint64) {
+	switch size {
+	case 1:
+		*(*uint8)(p) = uint8(x)
+	case 2:
+		*(*uint16)(p) = uint16(x)
+	case 4:
+		*(*uint32)(p) = uint32(x)
+	default:
+		*(*uint64)(p) = x
+	}
+}
+
+// loadFloat and storeFloat move the float of size bytes at p.
+func loadFloat(p unsafe.Pointer, size uintptr) float64 {
+	if size == 4 {
+		return float64(*(*float32)(p))
+	}
+	return *(*float64)(p)
+}
+
+func storeFloat(p unsafe.Pointer, size uintptr, f float64) {
+	if size == 4 {
+		*(*float32)(p) = float32(f)
+	} else {
+		*(*float64)(p) = f
+	}
+}
+
+// overflowsFloat32 is reflect.Value.OverflowFloat for a float32: finite and
+// out of range.
+func overflowsFloat32(f float64) bool {
+	f = math.Abs(f)
+	return math.MaxFloat32 < f && f <= math.MaxFloat64
 }

@@ -2,9 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"nrmi/internal/graph"
 	"nrmi/internal/raceflag"
@@ -234,6 +237,263 @@ func TestMapEncodingDeterministic(t *testing.T) {
 			if got := encodeOnce(opts); !bytes.Equal(got, want) {
 				t.Fatalf("iteration %d: %s stream differs from first kernel stream", i, name)
 			}
+		}
+	}
+}
+
+// kop is the shape of benchmark/'s Op: the element of a by-copy []struct.
+type kop struct{ Kind, A, B, Val, Side int }
+
+// BenchmarkKernels is the per-direction number of the compiled codec: pooled
+// encode and decode of a 256-node tree and of a 24-element []struct, each
+// one top-level value of a fresh stream.
+func BenchmarkKernels(b *testing.B) {
+	reg := NewRegistry()
+	for name, sample := range map[string]any{"wnode": wnode{}, "kop": kop{}} {
+		if err := reg.Register(name, sample); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := Options{Registry: reg}
+	var build func(lo, hi int) *wnode
+	build = func(lo, hi int) *wnode {
+		if lo >= hi {
+			return nil
+		}
+		mid := (lo + hi) / 2
+		return &wnode{Data: mid, Left: build(lo, mid), Right: build(mid+1, hi)}
+	}
+	ops := make([]kop, 24)
+	for i := range ops {
+		ops[i] = kop{Kind: i % 4, A: i, B: 255 - i, Val: i * 7, Side: i % 2}
+	}
+	for _, c := range []struct {
+		name string
+		v    any
+	}{{"tree256", build(0, 256)}, {"ops24", ops}} {
+		var buf bytes.Buffer
+		encode := func(b *testing.B) {
+			buf.Reset()
+			enc := AcquireEncoder(&buf, opts)
+			if err := enc.Encode(c.v); err != nil {
+				b.Fatal(err)
+			}
+			if err := enc.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			ReleaseEncoder(enc)
+		}
+		encode(b)
+		stream := append([]byte(nil), buf.Bytes()...)
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				encode(b)
+			}
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dec := AcquireDecoderBytes(stream, opts)
+				if _, err := dec.Decode(); err != nil {
+					b.Fatal(err)
+				}
+				ReleaseDecoder(dec)
+			}
+		})
+	}
+}
+
+// kmatrix has a field of every kind the kernels load and store by offset:
+// one of each scalar width, an array, an inline struct, a named pointer
+// type, an interface and an unexported field.
+type kmatrix struct {
+	I8  int8
+	U16 uint16
+	I32 int32
+	F32 float32
+	C64 complex64
+	B   bool
+	S   string
+	U   uint
+	Arr [3]int16
+	In  inner
+	L   kmLink
+	Any any
+	hid int64
+}
+
+type kmLink *kmatrix
+
+// registerKindMatrix binds kmatrix and what its values reach in reg.
+func registerKindMatrix(t testing.TB, reg *Registry) {
+	t.Helper()
+	for name, sample := range map[string]any{"kmatrix": kmatrix{}, "inner": inner{}} {
+		if err := reg.Register(name, sample); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reg.RegisterType("kmLink", reflect.TypeOf(kmLink(nil))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// kindMatrix returns a kmatrix with every field set, hid to the value given,
+// and a second one behind L whose interface holds a string the first has.
+func kindMatrix(hid int64) *kmatrix {
+	return &kmatrix{
+		I8: -128, U16: 65535, I32: -1 << 31, F32: 1.5, C64: complex(-2.5, 0.25),
+		B: true, S: "matrix", U: 1 << 40, Arr: [3]int16{-1, 0, 32767},
+		In: inner{X: -3, Y: 4}, L: &kmatrix{I8: 1, Any: "matrix", hid: hid},
+		Any: inner{X: 5, Y: 6}, hid: hid,
+	}
+}
+
+// TestKindMatrixParity: for every field kind, the offset kernels write the
+// generic reflective encoder's bytes, and both decoders rebuild the value —
+// under AccessUnsafe the unexported field too.
+func TestKindMatrixParity(t *testing.T) {
+	reg := NewRegistry()
+	registerKindMatrix(t, reg)
+	for _, c := range []struct {
+		access graph.AccessMode
+		hid    int64
+	}{{graph.AccessExported, 0}, {graph.AccessUnsafe, 77}} {
+		v := kindMatrix(c.hid)
+		on := Options{Registry: reg, Access: c.access}
+		off := on
+		off.DisablePlanCache = true
+		fast, _ := encodeRoots(t, on, []any{v}, false)
+		if slow, _ := encodeRoots(t, off, []any{v}, false); !bytes.Equal(fast, slow) {
+			t.Fatalf("%s: kernel stream %x\ngeneric stream %x", c.access, fast, slow)
+		}
+		for name, opts := range map[string]Options{"kernel": on, "generic": off} {
+			got, err := NewDecoderBytes(fast, opts).Decode()
+			if err != nil {
+				t.Fatalf("%s %s decode: %v", c.access, name, err)
+			}
+			if eq, err := graph.Equal(graph.AccessUnsafe, v, got); err != nil || !eq {
+				t.Fatalf("%s %s decode is not the original (%v %v): %+v", c.access, name, eq, err, got)
+			}
+		}
+	}
+}
+
+// TestNarrowKindOverflowParity: a payload its kind cannot hold is refused
+// with the same error class by the offset kernels and the generic path.
+func TestNarrowKindOverflowParity(t *testing.T) {
+	for _, c := range []struct {
+		wide   any
+		narrow reflect.Kind
+	}{
+		{int64(-1 << 40), reflect.Int8}, {int64(1 << 40), reflect.Int16}, {int64(1 << 40), reflect.Int32},
+		{uint64(1 << 40), reflect.Uint8}, {uint64(1 << 40), reflect.Uint16}, {uint64(1 << 40), reflect.Uint32},
+		{1e300, reflect.Float32}, {complex(0, -1e300), reflect.Complex64},
+	} {
+		// The stream is one described scalar: header, tag, then the kind
+		// byte of its descriptor, which is rewritten to the narrow kind.
+		stream, _ := encodeRoots(t, Options{}, []any{c.wide}, false)
+		if stream[3] != tagScalar || stream[5] != byte(reflect.TypeOf(c.wide).Kind()) {
+			t.Fatalf("unexpected stream %x", stream)
+		}
+		stream[5] = byte(c.narrow)
+		_, err := NewDecoderBytes(stream, Options{}).Decode()
+		_, errG := NewDecoderBytes(stream, Options{DisablePlanCache: true}).Decode()
+		if !errors.Is(err, ErrBadStream) || errClass(err) != errClass(errG) {
+			t.Fatalf("%v into %s: kernel path %v, generic path %v", c.wide, c.narrow, err, errG)
+		}
+	}
+}
+
+// TestExcludedFieldRefusedFirst: a non-zero unexported field under
+// AccessExported is refused before any field byte is written: after the
+// value's tag and table reference, on both encoder paths.
+func TestExcludedFieldRefusedFirst(t *testing.T) {
+	reg := NewRegistry()
+	registerKindMatrix(t, reg)
+	for _, opts := range []Options{{Registry: reg}, {Registry: reg, DisablePlanCache: true}} {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf, opts)
+		if err := enc.Encode(&kmatrix{}); err != nil {
+			t.Fatal(err)
+		}
+		before := enc.BytesWritten()
+		err := enc.Encode(&kmatrix{S: "x", hid: 1})
+		if !errors.Is(err, graph.ErrUnexportedField) {
+			t.Fatalf("plan cache off = %v: got %v, want ErrUnexportedField", opts.DisablePlanCache, err)
+		}
+		if n := enc.BytesWritten() - before; n != 3 { // tagPtr, dTableRef, 0
+			t.Fatalf("plan cache off = %v: %d bytes written before the refusal, want 3", opts.DisablePlanCache, n)
+		}
+	}
+}
+
+// TestTruncatedContentLeavesOriginal: a contentPtr record cut anywhere fails
+// to decode and leaves the seeded original bit for bit as it was — the
+// record is decoded into a staging cell, never into the original.
+func TestTruncatedContentLeavesOriginal(t *testing.T) {
+	reg := NewRegistry()
+	registerKindMatrix(t, reg)
+	opts := Options{Registry: reg, Access: graph.AccessUnsafe}
+	mod := kindMatrix(9)
+	mod.I32, mod.S, mod.Arr[2] = 1, "changed", 2
+	record, _ := encodeRoots(t, opts, []any{mod}, true)
+	bits := func(m *kmatrix) string {
+		return string(unsafe.Slice((*byte)(unsafe.Pointer(m)), unsafe.Sizeof(*m)))
+	}
+	for _, cache := range []bool{false, true} {
+		opts.DisablePlanCache = cache
+		orig := kindMatrix(7)
+		want, wantLeaf := bits(orig), bits(orig.L)
+		for cut := 1; cut < len(record); cut++ {
+			dec := NewDecoderBytes(record[:cut], opts)
+			if _, err := dec.SeedObject(reflect.ValueOf(orig)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dec.DecodeSeededContent(0); err == nil {
+				t.Fatalf("plan cache off = %v: record cut at %d of %d decoded", cache, cut, len(record))
+			}
+			if bits(orig) != want || bits(orig.L) != wantLeaf {
+				t.Fatalf("plan cache off = %v: record cut at %d changed the original", cache, cut)
+			}
+		}
+	}
+}
+
+// Structs whose interface box holds them in its data word: one pointer field.
+type (
+	onePtr struct{ P *inner }
+	hidPtr struct{ p *inner }
+)
+
+// TestPointerShapedValues: a value the runtime boxes in the interface data
+// word itself has no address when held by value — a root, an interface's
+// dynamic value, a map value — and still encodes as the generic path does,
+// an excluded field of one included.
+func TestPointerShapedValues(t *testing.T) {
+	reg := stateRegistry(t, map[string]any{"inner": inner{}, "onePtr": onePtr{}, "hidPtr": hidPtr{}, "wbag": wbag{}, "wnode": wnode{}})
+	shared := &inner{X: 1}
+	vs := []any{onePtr{shared}, &wbag{Any: onePtr{shared}}, map[string]onePtr{"a": {shared}, "b": {}}, hidPtr{}}
+	on := Options{Registry: reg}
+	off := on
+	off.DisablePlanCache = true
+	fast, _ := encodeRoots(t, on, vs, false)
+	if slow, _ := encodeRoots(t, off, vs, false); !bytes.Equal(fast, slow) {
+		t.Fatalf("kernel stream %x\ngeneric stream %x", fast, slow)
+	}
+	dec := NewDecoderBytes(fast, on)
+	for i, v := range vs {
+		got, err := dec.Decode()
+		if err != nil {
+			t.Fatalf("value %d: %v", i, err)
+		}
+		if eq, err := graph.Equal(graph.AccessExported, v, got); err != nil || !eq {
+			t.Fatalf("value %d decoded as %+v (%v %v)", i, got, eq, err)
+		}
+	}
+	for _, opts := range []Options{on, off} {
+		if err := NewEncoder(&bytes.Buffer{}, opts).Encode(hidPtr{shared}); !errors.Is(err, graph.ErrUnexportedField) {
+			t.Fatalf("plan cache off = %v: got %v, want ErrUnexportedField", opts.DisablePlanCache, err)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"nrmi/internal/graph"
 )
 
 // Types of the length tables. unit has no encoded part; opaque has none in
@@ -186,7 +188,7 @@ func TestHonestLengthsDecode(t *testing.T) {
 		opts.Registry = reg
 		for i, v := range values {
 			t.Run(fmt.Sprintf("%s/%d:%T", name, i, v), func(t *testing.T) {
-				if got := roundTrip(t, opts, v); !sameGraph(t, reg, v, got) {
+				if got := roundTrip(t, opts, v); !sameGraph(t, reg, graph.AccessExported, v, got) {
 					t.Errorf("came back as %.80v", got)
 				}
 			})

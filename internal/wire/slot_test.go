@@ -211,7 +211,7 @@ func TestSlotRoundTrip(t *testing.T) {
 						t.Fatalf("%s: the two encoder paths disagree:\n% x\n% x", name, first, stream)
 					}
 					got, received := decodeRoots(t, opts, stream, holders, seeded)
-					if !sameGraph(t, reg, holders, got) {
+					if !sameGraph(t, reg, graph.AccessExported, holders, got) {
 						t.Errorf("%s, %s path: decoded %#v, want %#v", name, path, got, holders)
 					}
 					if len(sent) != len(received) {
