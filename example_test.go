@@ -77,13 +77,11 @@ func Example() {
 	// aliased view: [*ada *bob]
 }
 
-// ExampleOptions shows the experiment-oriented switches: the codec engine
-// and DCE-compatible restore.
+// ExampleOptions shows the experiment-oriented switch: the codec engine.
 func ExampleOptions() {
 	opts := nrmi.Options{
-		Engine:    nrmi.EngineV1, // the paper's JDK 1.3 baseline codec
-		DCECompat: true,          // do not restore what became unreachable
+		Engine: nrmi.EngineV1, // the paper's JDK 1.3 baseline codec
 	}
-	fmt.Println(opts.Engine == nrmi.EngineV1, opts.DCECompat)
-	// Output: true true
+	fmt.Println(opts.Engine == nrmi.EngineV1)
+	// Output: true
 }

@@ -72,8 +72,9 @@ func show(tag string, t, a1, a2 *RTree) {
 		tag, render(t, map[*RTree]bool{}), render(a1, map[*RTree]bool{}), render(a2, map[*RTree]bool{}))
 }
 
-// callRemote builds the Figure 1 heap and passes arg(t) to the remote method.
-func callRemote(opts nrmi.Options, method string, arg func(*RTree) any) (t, a1, a2 *RTree, err error) {
+// callRemote builds the Figure 1 heap and passes arg(t) to the remote method;
+// dce routes the call through the harness's DCE RPC restore emulation.
+func callRemote(opts nrmi.Options, method string, arg func(*RTree) any, dce bool) (t, a1, a2 *RTree, err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, nil, err
@@ -93,7 +94,12 @@ func callRemote(opts nrmi.Options, method string, arg func(*RTree) any) (t, a1, 
 	}
 	defer cl.Close()
 	t, a1, a2 = build()
-	_, err = cl.Stub(ln.Addr().String(), "svc").Call(context.Background(), method, arg(t))
+	stub := cl.Stub(ln.Addr().String(), "svc")
+	if dce {
+		_, err = bench.CallDCE(context.Background(), stub, method, arg(t))
+	} else {
+		_, err = stub.Call(context.Background(), method, arg(t))
+	}
 	return t, a1, a2, err
 }
 
@@ -115,19 +121,19 @@ func main() {
 	(&Service{}).Foo(t)
 	show("Figure 2 (local call):", t, a1, a2)
 
-	t, a1, a2, err := callRemote(nrmi.Options{Registry: reg}, "FooCopy", func(t *RTree) any { return []*RTree{t} })
+	t, a1, a2, err := callRemote(nrmi.Options{Registry: reg}, "FooCopy", func(t *RTree) any { return []*RTree{t} }, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	show("RMI copy: all changes LOST", t, a1, a2)
 
-	t, a1, a2, err = callRemote(nrmi.Options{Registry: reg}, "Foo", restorable)
+	t, a1, a2, err = callRemote(nrmi.Options{Registry: reg}, "Foo", restorable, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	show("Figure 8 (NRMI):", t, a1, a2)
 
-	t, a1, a2, err = callRemote(nrmi.Options{Registry: reg, DCECompat: true}, "Foo", restorable)
+	t, a1, a2, err = callRemote(nrmi.Options{Registry: reg}, "Foo", restorable, true)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,14 +53,13 @@ var phaseOrder = []obs.Phase{
 	obs.PhaseSrvPrepare,
 	obs.PhaseSrvExecute,
 	obs.PhaseSrvEncode,
-	obs.PhaseMapWalk,
 	obs.PhaseDecodeReply,
 	obs.PhaseRestoreCommit,
 }
 
 // clientPhases are the phases whose means sum to (roughly) the whole call
 // as the client experiences it; PhaseTransport already contains the server
-// pipeline and the network, and PhaseEncode contains PhaseMapWalk.
+// pipeline and the network.
 var clientPhases = []obs.Phase{
 	obs.PhaseEncode, obs.PhaseTransport,
 	obs.PhaseDecodeReply, obs.PhaseRestoreCommit,

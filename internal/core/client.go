@@ -11,27 +11,26 @@ import (
 	"nrmi/internal/wire"
 )
 
-// Call is the client half of one copy-restore remote invocation. Arguments
-// are encoded onto the request stream in order; the Call remembers which of
-// them are restorable and keeps the encoder's object table alive so the
-// response can be applied in place.
+// Call is the client half of one copy-restore remote invocation. The
+// restorable arguments are encoded onto the request stream first, then the
+// by-copy ones; the Call remembers where the restorable ones end and keeps
+// the encoder's object table alive so the response can be applied in place.
 type Call struct {
 	opts Options
 	enc  *wire.Encoder
 
 	// oc is the per-call observability collector (nil when disabled); the
-	// client-side core phases — linear-map walk, reply decode, restore
-	// commit — record their spans on it.
+	// client-side core phases — reply decode and restore commit — record
+	// their spans on it.
 	oc *obs.Call
 
-	// restorableRoots records the non-nil root values of restorable
-	// parameters, in encode order: what set walks if it escaped.
-	restorableRoots []reflect.Value
-	// set is the restore set, read off the encoder's object table as the
-	// restorable arguments are encoded and fixed by Finish — before the
+	// end delimits the restore set: the request table's objects [0, end),
+	// everything the restorable arguments reach. Restorable arguments are
+	// encoded before any by-copy argument adds an object, so the set is one
+	// prefix of the table, read off it as they are encoded — before the
 	// request leaves, so nothing that happens to the caller's graph between
 	// issue and apply (another promise's commit) can change it.
-	set           restoreSet
+	end           int
 	numRestorable int
 	finished      bool
 
@@ -76,7 +75,6 @@ func (c *Call) Release() {
 	wire.ReleaseEncoder(c.enc)
 	c.enc = nil
 	c.oc = nil
-	c.restorableRoots = nil
 	c.commitMu = nil
 }
 
@@ -92,23 +90,23 @@ func (c *Call) EncodeCopy(v any) error {
 
 // EncodeRestorable encodes a call-by-copy-restore argument. The argument
 // must be a pointer, map, or slice (an identity-bearing reference), since
-// restoring a pure value is meaningless.
+// restoring a pure value is meaningless. Restorable arguments go first: one
+// that follows a by-copy argument which added objects to the table is
+// refused, since the restore set would no longer be a prefix of it.
 func (c *Call) EncodeRestorable(v any) error {
 	if c.finished {
 		return fmt.Errorf("core: EncodeRestorable after Finish")
 	}
-	rv := reflect.ValueOf(v)
-	if v != nil && !graph.IsIdentityKind(rv.Kind()) {
+	if v != nil && !graph.IsIdentityKind(reflect.ValueOf(v).Kind()) {
 		return fmt.Errorf("core: restorable argument must be a pointer, map, or slice, got %T", v)
 	}
-	lo := len(c.enc.Objects())
+	if n := len(c.enc.Objects()); n != c.end {
+		return fmt.Errorf("core: restorable argument after by-copy arguments that added %d objects; encode restorable arguments first", n-c.end)
+	}
 	if err := c.enc.Encode(v); err != nil {
 		return err
 	}
-	c.set.add(lo, len(c.enc.Objects()), c.enc.LowestRef())
-	if v != nil {
-		c.restorableRoots = append(c.restorableRoots, rv)
-	}
+	c.end = len(c.enc.Objects())
 	c.numRestorable++
 	return nil
 }
@@ -121,20 +119,10 @@ func (c *Call) EncodeUint(v uint64) error { return c.enc.EncodeUint(v) }
 // the request stream.
 func (c *Call) EncodeString(s string) error { return c.enc.EncodeString(s) }
 
-// Finish fixes the restore set and flushes the request stream. After
-// Finish the Call waits for ApplyResponse. The map-walk span covers fixing
-// the set: no walk unless it escaped.
+// Finish flushes the request stream. After Finish the Call waits for
+// ApplyResponse.
 func (c *Call) Finish() error {
 	c.finished = true
-	sp := c.oc.Start(obs.PhaseMapWalk)
-	var err error
-	if c.set.escaped {
-		err = c.set.walk(c.opts.Access, c.restorableRoots, c.enc.IDOf)
-	}
-	sp.EndN(0, int64(c.set.len()))
-	if err != nil {
-		return err
-	}
 	return c.enc.Flush()
 }
 
@@ -227,12 +215,10 @@ func releaseFlats(updates []pendingRestore) {
 // and return values, leaving the commit to the caller.
 func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []any, err error) {
 	// Seed the response decoder with the restore set's cells of the request
-	// object table, in ascending stream-ID order: references to those IDs
-	// must resolve to the original client objects, while everything else
-	// (including returned by-copy argument data) materializes fresh.
-	for _, r := range c.set.runs {
-		dec.SeedDetached(c.enc.Objects()[r.lo:r.hi])
-	}
+	// object table: references to those IDs must resolve to the original
+	// client objects, while everything else (including returned by-copy
+	// argument data) materializes fresh.
+	dec.SeedDetached(c.enc.Objects()[:c.end])
 	numSeeded := dec.NumSeeded()
 	seeded := dec.Objects()[:numSeeded]
 

@@ -9,12 +9,11 @@
 //     in first-encounter order — IS the linear map (step 1). Because the
 //     decoder reconstructs the table in the same order, the map never
 //     crosses the wire (the paper's optimization 1, Section 5.2.4).
-//  2. The server decodes the arguments (step 2). The set of "old" objects
-//     — everything reachable from a restorable argument before the method
-//     runs — is the run of table entries each such argument added, so
-//     both endpoints read it off their tables (restoreSet) and walk the
-//     graph only when a restorable argument reaches into a by-copy one
-//     encoded before it.
+//  2. The server decodes the arguments (step 2). The restorable arguments
+//     travel first, so the set of "old" objects — everything reachable
+//     from a restorable argument before the method runs — is the prefix of
+//     the table they added, [0, end): both endpoints read it off their
+//     tables, and nothing walks the graph.
 //  3. The method runs at full native speed: no read/write barriers, no
 //     network traffic (the paper's central efficiency claim).
 //  4. The server encodes a response whose encoder is seeded with the old
@@ -31,50 +30,17 @@
 //  6. Finally each original object is overwritten in place from its
 //     temporary, making every mutation visible through every client-side
 //     alias (step 5).
-//
-// PolicyDCE reproduces the DCE RPC behaviour the paper contrasts with
-// (Section 4.2): only objects still reachable from the parameters after the
-// call are restored, diverging from true copy-restore exactly as the paper's
-// Figure 9 shows.
 package core
 
 import (
 	"errors"
-	"fmt"
 
 	"nrmi/internal/graph"
 	"nrmi/internal/wire"
 )
 
-// RestorePolicy selects which old objects the server restores.
-type RestorePolicy int
-
-const (
-	// PolicyFull is true call-by-copy-restore: every object reachable from
-	// the restorable parameters at call time is restored, reachable or not
-	// afterwards. This is NRMI's semantics.
-	PolicyFull RestorePolicy = iota
-
-	// PolicyDCE restores only objects still reachable from the parameters
-	// when the call returns, emulating the DCE RPC specification's weaker
-	// guarantee (paper, Section 4.2 and Figure 9).
-	PolicyDCE
-)
-
-// String returns the policy name.
-func (p RestorePolicy) String() string {
-	switch p {
-	case PolicyFull:
-		return "full"
-	case PolicyDCE:
-		return "dce"
-	default:
-		return fmt.Sprintf("RestorePolicy(%d)", int(p))
-	}
-}
-
 // Options configures both endpoints of a copy-restore call. The zero value
-// means: engine V2, exported-field access, default registry, full restore.
+// means: engine V2, exported-field access, default registry.
 type Options struct {
 	// Engine selects the wire codec generation.
 	Engine wire.Engine
@@ -82,8 +48,6 @@ type Options struct {
 	Access graph.AccessMode
 	// Registry resolves named types.
 	Registry *wire.Registry
-	// Policy selects full copy-restore or the DCE RPC emulation.
-	Policy RestorePolicy
 	// DisablePlanCache selects the "portable" (uncached reflection) codec
 	// path; see wire.Options.DisablePlanCache.
 	DisablePlanCache bool

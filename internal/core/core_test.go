@@ -166,41 +166,6 @@ func TestCopyRestoreReproducesFigure2(t *testing.T) {
 	}
 }
 
-func TestDCEPolicyReproducesFigure9(t *testing.T) {
-	opts := testOptions(t)
-	opts.Policy = PolicyDCE
-	root, a1, a2, rl, rr := paperTree()
-	runRemote(t, opts, func(tree *Tree) []any {
-		paperFoo(tree)
-		return nil
-	}, root)
-
-	// Figure 9: changes to objects that became unreachable from the
-	// parameter are NOT restored under DCE RPC.
-	if a1.Data != 1 {
-		t.Errorf("alias1.Data = %d, want 1 (DCE drops updates to unreachable objects)", a1.Data)
-	}
-	if a2.Data != 7 {
-		t.Errorf("alias2.Data = %d, want 7 (DCE drops updates to unreachable objects)", a2.Data)
-	}
-	if a2.Right != rr {
-		t.Error("alias2.Right must keep pointing at rr: the unlink is not restored under DCE")
-	}
-	// But objects still reachable are restored: the root and rr (via temp).
-	if root.Left != nil {
-		t.Errorf("root.Left = %v, want nil", root.Left)
-	}
-	if root.Right == nil || root.Right.Data != 2 || root.Right.Left != rr {
-		t.Fatalf("root.Right must be the new node pointing at original rr")
-	}
-	if rr.Data != 8 {
-		t.Errorf("rr.Data = %d, want 8 (rr stays reachable through the new node)", rr.Data)
-	}
-	if rl.Data != 3 {
-		t.Errorf("rl.Data = %d, want 3", rl.Data)
-	}
-}
-
 func TestReturnValueAliasesRestoredParameter(t *testing.T) {
 	opts := testOptions(t)
 	root, _, a2, _, _ := paperTree()
@@ -361,9 +326,9 @@ func TestDeltaEqualsFullSemantics(t *testing.T) {
 		if err := call.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		srv := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
+		srv, vals := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
 		prepareReply(t, srv, full)
-		paperFoo(srv.restorableRoots[0].Interface().(*Tree))
+		paperFoo(vals[0].(*Tree))
 		var resp bytes.Buffer
 		stats, err := srv.EncodeResponse(&resp, nil)
 		if err != nil {
@@ -443,10 +408,10 @@ func TestCopyArgumentNotRestored(t *testing.T) {
 
 	var req bytes.Buffer
 	call := NewCall(&req, opts)
-	if err := call.EncodeCopy(copyArg); err != nil {
+	if err := call.EncodeRestorable(restoreArg); err != nil {
 		t.Fatal(err)
 	}
-	if err := call.EncodeRestorable(restoreArg); err != nil {
+	if err := call.EncodeCopy(copyArg); err != nil {
 		t.Fatal(err)
 	}
 	if err := call.Finish(); err != nil {
@@ -454,11 +419,11 @@ func TestCopyArgumentNotRestored(t *testing.T) {
 	}
 	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
-	sc, err := srv.DecodeCopy()
+	sr, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := srv.DecodeRestorable()
+	sc, err := srv.DecodeCopy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,14 +668,5 @@ func TestUnsafeAccessThroughRestore(t *testing.T) {
 	}
 	if second.Data != 99 {
 		t.Fatalf("unexported-field graph not restored: %d", second.Data)
-	}
-}
-
-func TestPolicyStrings(t *testing.T) {
-	if PolicyFull.String() != "full" || PolicyDCE.String() != "dce" {
-		t.Fatal("policy names")
-	}
-	if RestorePolicy(9).String() == "" {
-		t.Fatal("unknown policy must stringify")
 	}
 }

@@ -124,23 +124,6 @@ func TestRestoreInterfaceFieldRetarget(t *testing.T) {
 	}
 }
 
-func TestDCEWithDeltaCombined(t *testing.T) {
-	opts := testOptions(t)
-	opts.Policy = PolicyDCE
-	root, a1, _, _, _ := paperTree()
-	runRemote(t, opts, func(tree *Tree) []any {
-		paperFoo(tree)
-		return nil
-	}, root)
-	// DCE semantics hold with change detection: unreachable updates dropped.
-	if a1.Data != 1 {
-		t.Fatalf("a1.Data = %d, want 1 under DCE", a1.Data)
-	}
-	if root.Left != nil || root.Right == nil || root.Right.Data != 2 {
-		t.Fatal("reachable updates must still restore")
-	}
-}
-
 func TestApplyResponseTruncated(t *testing.T) {
 	opts := testOptions(t)
 	root, _, _, _, _ := paperTree()
@@ -343,10 +326,10 @@ func TestSameObjectAsCopyAndRestorableArg(t *testing.T) {
 
 	var req bytes.Buffer
 	call := NewCall(&req, opts)
-	if err := call.EncodeCopy(x); err != nil {
+	if err := call.EncodeRestorable(x); err != nil {
 		t.Fatal(err)
 	}
-	if err := call.EncodeRestorable(x); err != nil {
+	if err := call.EncodeCopy(x); err != nil {
 		t.Fatal(err)
 	}
 	if err := call.Finish(); err != nil {
@@ -354,11 +337,11 @@ func TestSameObjectAsCopyAndRestorableArg(t *testing.T) {
 	}
 	srv := AcceptCallBytes(req.Bytes(), opts)
 	defer srv.Release()
-	sc, err := srv.DecodeCopy()
+	sr, err := srv.DecodeRestorable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := srv.DecodeRestorable()
+	sc, err := srv.DecodeCopy()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,21 +85,33 @@ func TestEmptySlicesOfTwoTypesRoundTrip(t *testing.T) {
 }
 
 // TestEmptySlicesOfTwoTypesRestore runs the whole copy-restore call on a
-// shelf: with the restore set read off the table and with an escaped one
-// (the walk meets the two empties again), under every policy, with the
+// shelf: alone, and escaped — with a by-copy argument that shares one of
+// its empties, the shape that once made the restore set escape the table
+// and now travels after it — under NRMI's restore (policy 0) and DCE RPC's
+// (policy 1, emulated by walks before and after the call that meet the two
+// empties again; the shelf stays reachable, so the two agree), with the
 // method leaving the empties alone and replacing one, and with the reply
 // carrying the changed objects (delta) or every old one.
 func TestEmptySlicesOfTwoTypesRestore(t *testing.T) {
 	for _, cfg := range codecConfigs {
 		for _, escaped := range []bool{false, true} {
-			for _, policy := range []RestorePolicy{PolicyFull, PolicyDCE} {
+			for policy := range 2 {
 				for _, delta := range []bool{false, true} {
 					for _, replace := range []bool{false, true} {
 						name := fmt.Sprintf("%s/escaped=%t/policy=%d/delta=%t/replace=%t", cfg.name, escaped, policy, delta, replace)
 						t.Run(name, func(t *testing.T) {
 							opts := overlapOptions(t, cfg)
-							opts.Policy = policy
-							testShelfRestore(t, opts, escaped, replace, !delta)
+							s := newShelf(t)
+							var remote *shelf
+							call := func() { remote = shelfCall(t, opts, s, escaped, replace, !delta) }
+							if policy == 0 {
+								call()
+							} else {
+								dceRestore(t, opts.Access, s, call)
+							}
+							if eq, err := graph.Equal(opts.Access, s, remote); err != nil || !eq || s.N != 7 || s.Ints == nil || s.Names == nil {
+								t.Fatalf("caller holds %#v after the call, the method left %#v (equal %t, %v)", s, remote, eq, err)
+							}
 						})
 					}
 				}
@@ -108,33 +120,23 @@ func TestEmptySlicesOfTwoTypesRestore(t *testing.T) {
 	}
 }
 
-func testShelfRestore(t *testing.T, opts Options, escaped, replace, full bool) {
-	s := newShelf(t)
+// shelfCall passes s restorable — escaped: with s.Ints by copy as well —
+// to a method that sets N and, under replace, appends to Names, and returns
+// the server's shelf once the caller has applied the reply.
+func shelfCall(t *testing.T, opts Options, s *shelf, escaped, replace, full bool) *shelf {
 	args := []setArg{{s, true}}
 	if escaped {
-		// A by-copy argument the restorable one shares structure with.
-		args = []setArg{{s.Ints, false}, {s, true}}
+		args = append(args, setArg{s.Ints, false})
 	}
 	call, req := encodeArgs(t, opts, args)
-	if call.set.escaped != escaped {
-		t.Fatalf("set escaped = %t, want %t", call.set.escaped, escaped)
-	}
+	defer call.Release()
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := AcceptCallBytes(req.Bytes(), opts)
+	srv, vals := decodeArgs(t, opts, req.Bytes(), args)
 	defer srv.Release()
-	if escaped {
-		if _, err := srv.DecodeCopy(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v, err := srv.DecodeRestorable()
-	if err != nil {
-		t.Fatalf("server rejects the request: %v", err)
-	}
 	prepareReply(t, srv, full)
-	remote := v.(*shelf)
+	remote := vals[0].(*shelf)
 	remote.N = 7
 	if replace {
 		remote.Names = append(remote.Names, "x")
@@ -146,8 +148,43 @@ func testShelfRestore(t *testing.T, opts Options, escaped, replace, full bool) {
 	if _, err := call.ApplyResponseBytes(resp.Bytes()); err != nil {
 		t.Fatalf("client rejects the reply: %v", err)
 	}
-	if eq, err := graph.Equal(opts.Access, s, remote); err != nil || !eq || s.N != 7 || s.Ints == nil || s.Names == nil {
-		t.Fatalf("caller holds %#v after the call, the method left %#v (equal %t, %v)", s, remote, eq, err)
+	return remote
+}
+
+// dceRestore emulates DCE RPC's restore around call, the way internal/bench
+// reproduces Figure 9: every object reachable from root before the call and
+// not after it gets its pre-call state back.
+func dceRestore(t *testing.T, access graph.AccessMode, root any, call func()) {
+	t.Helper()
+	before, err := graph.Walk(access, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := make([]reflect.Value, before.Len())
+	for i, o := range before.Objects() {
+		switch o.Ref.Kind() {
+		case reflect.Ptr:
+			snaps[i] = reflect.New(o.Type().Elem())
+			snaps[i].Elem().Set(o.Ref.Elem())
+		case reflect.Map:
+			snaps[i] = reflect.MakeMap(o.Type())
+			for iter := o.Ref.MapRange(); iter.Next(); {
+				snaps[i].SetMapIndex(iter.Key(), iter.Value())
+			}
+		case reflect.Slice:
+			snaps[i] = reflect.MakeSlice(o.Type(), o.Ref.Len(), o.Ref.Len())
+			reflect.Copy(snaps[i], o.Ref)
+		}
+	}
+	call()
+	after, err := graph.Walk(access, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range before.Objects() {
+		if r := after.Lookup(o.Ref); r == nil || r.Type() != o.Type() {
+			commitRestore(o.Ref, snaps[i])
+		}
 	}
 }
 
@@ -157,12 +194,12 @@ func TestFirstFieldOverlapRefusedAtSender(t *testing.T) {
 			opts := overlapOptions(t, cfg)
 			p := &pairAB{A: 1, B: 2}
 			for _, restorable := range []bool{false, true} {
-				var req bytes.Buffer
-				call := NewCall(&req, opts)
-				err := call.EncodeCopy(&firstField{S: p, A: &p.A})
+				call := NewCall(new(bytes.Buffer), opts)
+				encode := call.EncodeCopy
 				if restorable {
-					err = call.EncodeRestorable(&firstField{S: p, A: &p.A})
+					encode = call.EncodeRestorable
 				}
+				err := encode(&firstField{S: p, A: &p.A})
 				if !errors.Is(err, graph.ErrObjectOverlap) {
 					t.Fatalf("restorable=%t: want ErrObjectOverlap from the encoder, got %v", restorable, err)
 				}

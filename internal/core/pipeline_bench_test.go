@@ -12,20 +12,15 @@ import (
 // request, accept, respond, apply — on scenario-III trees with no transport
 // between them: the codec hot path in isolation, for profiles. Worlds are
 // generated in blocks with the timer stopped; every call sees a fresh one.
-// The escaped case first passes the root's left subtree by copy, so the
-// restore set cannot be read off the object table and both ends walk the
-// graph (TestEscapedSetRestoresThroughCopyRun's shape): the one call shape
-// that still pays graph.Walker.
 func BenchmarkPipeline(b *testing.B) {
 	for _, size := range []int{16, 256} {
 		for _, eng := range []wire.Engine{wire.EngineV2, wire.EngineV3} {
-			benchPipeline(b, fmt.Sprintf("%s-%d", eng, size), eng, size, false)
+			benchPipeline(b, fmt.Sprintf("%s-%d", eng, size), eng, size)
 		}
 	}
-	benchPipeline(b, "v2-256-escaped", wire.EngineV2, 256, true)
 }
 
-func benchPipeline(b *testing.B, name string, eng wire.Engine, size int, escaped bool) {
+func benchPipeline(b *testing.B, name string, eng wire.Engine, size int) {
 	b.Run(name, func(b *testing.B) {
 		reg := wire.NewRegistry()
 		if err := reg.Register("Tree", Tree{}); err != nil {
@@ -48,26 +43,13 @@ func benchPipeline(b *testing.B, name string, eng wire.Engine, size int, escaped
 			req.Reset()
 			resp.Reset()
 			call := NewCall(&req, opts)
-			if escaped {
-				if err := call.EncodeCopy(root.Left); err != nil {
-					b.Fatal(err)
-				}
-			}
 			if err := call.EncodeRestorable(root); err != nil {
 				b.Fatal(err)
-			}
-			if call.set.escaped != escaped {
-				b.Fatalf("restore set escaped = %v, want %v", call.set.escaped, escaped)
 			}
 			if err := call.Finish(); err != nil {
 				b.Fatal(err)
 			}
 			srv := AcceptCallBytes(req.Bytes(), opts)
-			if escaped {
-				if _, err := srv.DecodeCopy(); err != nil {
-					b.Fatal(err)
-				}
-			}
 			sroot, err := srv.DecodeRestorable()
 			if err != nil {
 				b.Fatal(err)

@@ -217,15 +217,10 @@ func (c codecConfig) apply(o Options) Options {
 // did. The client must apply either.
 func prepareReply(t *testing.T, srv *ServerCall, full bool) {
 	t.Helper()
-	var err error
-	switch {
-	case !full:
-		err = srv.Prepare()
-	case srv.set.escaped:
-		err = srv.set.walk(srv.effectiveAccess(), srv.restorableRoots, indexByIdent(srv.dec.Objects()))
-	}
-	if err != nil {
-		t.Fatal(err)
+	if !full {
+		if err := srv.Prepare(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv.prepared = true
 }
@@ -294,12 +289,12 @@ func TestQuickDeltaShipsSubset(t *testing.T) {
 			if err := call.Finish(); err != nil {
 				t.Fatal(err)
 			}
-			srv := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
+			srv, vals := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
 			defer srv.Release()
 			if err := srv.Prepare(); err != nil {
 				t.Fatal(err)
 			}
-			applyScript(srv.restorableRoots[0].Interface().(*Tree), script)
+			applyScript(vals[0].(*Tree), script)
 			var resp bytes.Buffer
 			stats, err := srv.EncodeResponse(&resp, nil)
 			if err != nil {

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"reflect"
-	"slices"
 
 	"nrmi/internal/graph"
 	"nrmi/internal/obs"
@@ -12,8 +10,8 @@ import (
 )
 
 // ServerCall is the server half of one copy-restore invocation: it decodes
-// the arguments, fixes the pre-call object set, lets the caller invoke the
-// actual method at full speed, and encodes the restore response.
+// the arguments, shadows the pre-call object set, lets the caller invoke
+// the actual method at full speed, and encodes the restore response.
 type ServerCall struct {
 	opts Options
 	dec  *wire.Decoder
@@ -22,12 +20,10 @@ type ServerCall struct {
 	// server-side prepare phase records its span on it.
 	oc *obs.Call
 
-	restorableRoots []reflect.Value
-
-	// set is the pre-call restore set — the server's linear map subset —
-	// read off the decoder's object table as the restorable arguments are
-	// decoded and fixed by Prepare.
-	set      restoreSet
+	// end delimits the pre-call restore set — the server's linear map
+	// subset — as on the client: the decode table's objects [0, end), read
+	// off it as the restorable arguments are decoded.
+	end      int
 	prepared bool
 }
 
@@ -51,7 +47,6 @@ func (s *ServerCall) Release() {
 	wire.ReleaseDecoder(s.dec)
 	s.dec = nil
 	s.oc = nil
-	s.restorableRoots = nil
 }
 
 // DecodeCopy decodes a call-by-copy argument.
@@ -59,18 +54,20 @@ func (s *ServerCall) DecodeCopy() (any, error) {
 	return s.dec.Decode()
 }
 
-// DecodeRestorable decodes a call-by-copy-restore argument and remembers
-// its root for the restore phase.
+// DecodeRestorable decodes a call-by-copy-restore argument and extends the
+// restore set by what it added to the table. A request in which it follows
+// a by-copy argument that added objects is refused with wire.ErrBadStream:
+// no honest client sends one (Call.EncodeRestorable), and the set would not
+// be a prefix of the table.
 func (s *ServerCall) DecodeRestorable() (any, error) {
-	lo := len(s.dec.Objects())
+	if n := len(s.dec.Objects()); n != s.end {
+		return nil, fmt.Errorf("%w: restorable argument after by-copy arguments holding %d objects", wire.ErrBadStream, n-s.end)
+	}
 	v, err := s.dec.Decode()
 	if err != nil {
 		return nil, err
 	}
-	s.set.add(lo, len(s.dec.Objects()), s.dec.LowestRef())
-	if v != nil {
-		s.restorableRoots = append(s.restorableRoots, reflect.ValueOf(v))
-	}
+	s.end = len(s.dec.Objects())
 	return v, nil
 }
 
@@ -95,36 +92,20 @@ func (s *ServerCall) BytesReceived() int64 { return s.dec.BytesRead() }
 // keep it alive until after EncodeResponse.
 func (s *ServerCall) SetObs(oc *obs.Call) { s.oc = oc }
 
-// Prepare fixes the pre-call object set: every object reachable from the
-// restorable parameters right now, before the method body runs (paper,
-// Section 3: the linear map of "old" objects). Decoding already delimited
-// it, so nothing is walked unless the set escaped (see restoreSet). It must
-// be called after all arguments are decoded and before the method executes.
-// It also shadows the set — a shallow copy of each object's own state — so
-// that EncodeResponse ships only what the method changed. The srv-prepare
-// span covers the whole step.
+// Prepare shadows the pre-call object set — every object reachable from
+// the restorable parameters, the linear map of "old" objects (paper,
+// Section 3) — with a shallow copy of each object's own state, so that
+// EncodeResponse ships only what the method changed. Decoding delimited the
+// set, so nothing is walked. It must be called after all arguments are
+// decoded and before the method executes. The srv-prepare span covers it.
 func (s *ServerCall) Prepare() error {
 	if s.prepared {
 		return nil
 	}
 	sp := s.oc.Start(obs.PhaseSrvPrepare)
-	err := s.prepare()
-	sp.EndN(0, int64(s.set.len()))
-	return err
-}
-
-func (s *ServerCall) prepare() error {
-	if s.set.escaped {
-		// Only now is the whole decode table indexed by identity.
-		err := s.set.walk(s.effectiveAccess(), s.restorableRoots, indexByIdent(s.dec.Objects()))
-		if err != nil {
-			return err
-		}
-	}
-	for _, r := range s.set.runs {
-		s.dec.Shadow(s.dec.Objects()[r.lo:r.hi])
-	}
+	s.dec.Shadow(s.dec.Objects()[:s.end])
 	s.prepared = true
+	sp.EndN(0, int64(s.end))
 	return nil
 }
 
@@ -143,7 +124,7 @@ type ResponseStats struct {
 	// OldTotal is the number of pre-call objects in the restore set.
 	OldTotal int
 	// OldSent is how many of them had content records shipped: those the
-	// method changed, under PolicyDCE only the ones still reachable.
+	// method changed.
 	OldSent int
 	// BytesSent is the size of the encoded response.
 	BytesSent int64
@@ -151,16 +132,15 @@ type ResponseStats struct {
 
 // EncodeResponse writes the restore section and return values to w,
 // implementing step 3 of the algorithm: ship back the current state of every
-// old object the method changed — reachable or not; under PolicyDCE only the
-// reachable ones — with new objects inlined on first reference. An unchanged
-// object needs no record: the caller's original already holds its state.
+// old object the method changed — reachable or not — with new objects
+// inlined on first reference. An unchanged object needs no record: the
+// caller's original already holds its state.
 func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, error) {
 	if !s.prepared {
 		return nil, ErrNotPrepared
 	}
-	access := s.effectiveAccess()
 	sendOpts := s.opts
-	sendOpts.Access = access
+	sendOpts.Access = s.effectiveAccess()
 	if eng := s.dec.Engine(); eng != 0 {
 		// Reply in the engine the request arrived in, whatever this server's
 		// configured engine: the client decodes the reply in it.
@@ -170,19 +150,17 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	// on error.
 	enc := wire.AcquireEncoder(w, sendOpts.wireOptions())
 	// Seed the response encoder with the restore set's objects of the
-	// decode table, in ascending stream-ID order — the exact set and order
-	// the client's ApplyResponse seeds independently — so an old object's ID
-	// on the response stream is its position in the set. Objects outside it
+	// decode table, in stream-ID order — the exact set and order the
+	// client's ApplyResponse seeds independently — so an old object's ID on
+	// the response stream is its request-stream ID. Objects outside it
 	// (by-copy argument data referenced from return values) encode as fresh
 	// objects, preserving plain-RMI copy semantics for them.
-	for _, r := range s.set.runs {
-		for _, obj := range s.dec.Objects()[r.lo:r.hi] {
-			if _, err := enc.SeedObject(obj); err != nil {
-				return nil, err
-			}
+	n := s.end
+	for _, obj := range s.dec.Objects()[:n] {
+		if _, err := enc.SeedObject(obj); err != nil {
+			return nil, err
 		}
 	}
-	n := s.set.len()
 	if len(enc.Objects()) != n {
 		// Two decoded objects share an identity (zero-size pointees or
 		// empty slices, which no honest encoder lists twice).
@@ -191,18 +169,6 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 
 	old := enc.Objects()[:n]
 	ship := s.dec.Changed(old)
-	if s.opts.Policy == PolicyDCE {
-		// DCE RPC semantics: only objects still reachable from the
-		// parameters after the call are restored (paper, Figure 9).
-		reach, err := reachableIDs(access, s.restorableRoots, indexByIdent(old), true)
-		if err != nil {
-			return nil, err
-		}
-		ship = slices.DeleteFunc(reach, func(i int) bool {
-			_, changed := slices.BinarySearch(ship, i)
-			return !changed
-		})
-	}
 	if err := enc.EncodeUint(uint64(len(ship))); err != nil {
 		return nil, err
 	}

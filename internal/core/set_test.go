@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nrmi/internal/graph"
@@ -14,10 +15,11 @@ import (
 	"nrmi/internal/wire"
 )
 
-// The restore set is read off the codec's object table (restoreSet). These
-// tests hold it against the definition it replaces — the graph.Walker
-// closure of the restorable roots — on both endpoints, and pin when the
-// table alone is not enough and the walk still runs.
+// The restore set is the prefix [0, end) of the codec's object table that
+// the restorable arguments add, encoded first. These tests hold it against
+// the definition it replaces — the graph walk closure of the restorable
+// roots — on both endpoints, and pin that a request breaking the order is
+// refused.
 
 // hidden carries its link in an unexported field, so under AccessExported
 // it is a leaf (the field must then be nil) and under AccessUnsafe a list.
@@ -45,27 +47,33 @@ func setOptions(t *testing.T, eng wire.Engine, access graph.AccessMode) Options 
 	return Options{Registry: reg, Engine: eng, Access: access}
 }
 
-func setIDs(rs *restoreSet) []int {
-	ids := []int{}
-	for _, r := range rs.runs {
-		for id := r.lo; id < r.hi; id++ {
-			ids = append(ids, id)
+// wireOrder lists argument positions in the order the rmi layer puts them
+// on the wire: the restorable arguments, then the rest, each in parameter
+// order.
+func wireOrder(args []setArg) []int {
+	var order []int
+	for _, restorable := range []bool{true, false} {
+		for i, a := range args {
+			if a.restorable == restorable {
+				order = append(order, i)
+			}
 		}
 	}
-	return ids
+	return order
 }
 
-// encodeArgs drives the client half up to (not including) Finish.
+// encodeArgs drives the client half, in wire order, up to (not including)
+// Finish.
 func encodeArgs(t *testing.T, opts Options, args []setArg) (*Call, *bytes.Buffer) {
 	t.Helper()
 	req := new(bytes.Buffer)
 	call := NewCall(req, opts)
-	for i, a := range args {
+	for _, i := range wireOrder(args) {
 		var err error
-		if a.restorable {
-			err = call.EncodeRestorable(a.v)
+		if args[i].restorable {
+			err = call.EncodeRestorable(args[i].v)
 		} else {
-			err = call.EncodeCopy(a.v)
+			err = call.EncodeCopy(args[i].v)
 		}
 		if err != nil {
 			t.Fatalf("encode argument %d: %v", i, err)
@@ -74,39 +82,80 @@ func encodeArgs(t *testing.T, opts Options, args []setArg) (*Call, *bytes.Buffer
 	return call, req
 }
 
-// decodeArgs drives the server half up to (not including) Prepare.
-func decodeArgs(t *testing.T, opts Options, req []byte, args []setArg) *ServerCall {
+// decodeArgs drives the server half, in wire order, up to (not including)
+// Prepare, and returns the decoded arguments in parameter order.
+func decodeArgs(t *testing.T, opts Options, req []byte, args []setArg) (*ServerCall, []any) {
 	t.Helper()
 	srv := AcceptCallBytes(req, opts)
-	for i, a := range args {
+	vals := make([]any, len(args))
+	for _, i := range wireOrder(args) {
 		var err error
-		if a.restorable {
-			_, err = srv.DecodeRestorable()
+		if args[i].restorable {
+			vals[i], err = srv.DecodeRestorable()
 		} else {
-			_, err = srv.DecodeCopy()
+			vals[i], err = srv.DecodeCopy()
 		}
 		if err != nil {
 			t.Fatalf("decode argument %d: %v", i, err)
 		}
 	}
-	return srv
+	return srv, vals
 }
 
+// walkIDs is the definition the prefix replaces: the table IDs of every
+// object reachable from roots, found by a graph walk, ascending. Of two
+// table entries that share an identity (graph.Aliases) the first counts, as
+// in the encoder's own index.
+func walkIDs(t *testing.T, access graph.AccessMode, objs []reflect.Value, roots []any) []int {
+	t.Helper()
+	var index graph.IdentTable
+	for i, obj := range objs {
+		if ident, ok := graph.IdentOf(obj); ok {
+			index.GetOrPut(ident, i)
+		}
+	}
+	lm, err := graph.Walk(access, roots...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{}
+	for _, obj := range lm.Objects() {
+		ident, _ := graph.IdentOf(obj.Ref)
+		id, ok := index.Get(ident)
+		if !ok {
+			t.Fatalf("reachable %s missing from the object table", obj.Type())
+		}
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// prefix returns [0, n).
+func prefix(n int) []int {
+	ids := []int{}
+	for id := range n {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// TestRestoreSetEqualsWalk: on every argument shape — by-copy arguments
+// that share nodes with restorable ones included — the prefix the
+// restorable arguments add is exactly what a walk from them reaches, on
+// both endpoints.
 func TestRestoreSetEqualsWalk(t *testing.T) {
 	leaf := func(d int) *Tree { return &Tree{Data: d} }
 	cases := []struct {
 		name string
 		args func(access graph.AccessMode) []setArg
-		// walk says the table cannot delimit the set: an argument reaches
-		// below the restorable run it extends.
-		walk bool
 	}{
 		{"tree", func(graph.AccessMode) []setArg {
 			return []setArg{{genWorld(7, 40).Root, true}}
-		}, false},
+		}},
 		{"world-with-aliases", func(graph.AccessMode) []setArg {
 			return []setArg{{genWorld(11, 25), true}}
-		}, false},
+		}},
 		{"carrier", func(graph.AccessMode) []setArg {
 			shared := leaf(1)
 			return []setArg{{&carrier{
@@ -115,17 +164,17 @@ func TestRestoreSetEqualsWalk(t *testing.T) {
 				Items: []*Tree{shared, nil, leaf(3)},
 				Any:   &Tree{Data: 4, Right: shared},
 			}, true}}
-		}, false},
+		}},
 		{"store", func(graph.AccessMode) []setArg {
 			return []setArg{{genStore(3, 12), true}}
-		}, false},
+		}},
 		{"map-and-slice-roots", func(graph.AccessMode) []setArg {
 			shared := leaf(1)
 			return []setArg{
 				{map[string]*Tree{"k": shared}, true},
 				{[]*Tree{shared, leaf(2)}, true},
 			}
-		}, false},
+		}},
 		{"hidden", func(access graph.AccessMode) []setArg {
 			h := &hidden{Data: 1}
 			if access == graph.AccessUnsafe {
@@ -133,47 +182,44 @@ func TestRestoreSetEqualsWalk(t *testing.T) {
 				h.next.next.next = h
 			}
 			return []setArg{{h, true}}
-		}, false},
+		}},
 		{"two-restorable-sharing", func(graph.AccessMode) []setArg {
 			w := genWorld(5, 20)
 			return []setArg{{w.Root, true}, {&Tree{Data: -1, Left: w.Aliases[0], Right: leaf(9)}, true}}
-		}, false},
+		}},
 		{"same-root-twice", func(graph.AccessMode) []setArg {
 			root := genWorld(2, 8).Root
 			return []setArg{{root, true}, {root, true}}
-		}, false},
+		}},
 		{"copy-first-shares-node", func(graph.AccessMode) []setArg {
 			w := genWorld(9, 20)
 			return []setArg{{w.Root, false}, {&Tree{Data: -1, Left: w.Aliases[0]}, true}}
-		}, true},
+		}},
 		{"copy-first-same-root", func(graph.AccessMode) []setArg {
 			root := genWorld(4, 6).Root
 			return []setArg{{root, false}, {root, true}}
-		}, true},
+		}},
 		{"copy-after-points-in", func(graph.AccessMode) []setArg {
 			w := genWorld(13, 20)
 			return []setArg{{w.Root, true}, {&Tree{Data: -1, Left: w.Aliases[0], Right: leaf(5)}, false}}
-		}, false},
+		}},
 		{"copy-between-disjoint", func(graph.AccessMode) []setArg {
 			return []setArg{{genWorld(1, 6).Root, true}, {genWorld(2, 6).Root, false}, {genWorld(3, 6).Root, true}}
-		}, false},
+		}},
 		{"scalar-copy-between-sharing", func(graph.AccessMode) []setArg {
 			w := genWorld(6, 12)
 			return []setArg{{w.Root, true}, {42, false}, {&Tree{Left: w.Aliases[0]}, true}}
-		}, false},
-		// The table could delimit this one (both ends of the reference are
-		// restorable), but the codec reports only the lowest reference, so
-		// a by-copy run in between is treated as possibly reached.
+		}},
 		{"object-copy-between-sharing", func(graph.AccessMode) []setArg {
 			w := genWorld(6, 12)
 			return []setArg{{w.Root, true}, {leaf(1), false}, {&Tree{Left: w.Aliases[0]}, true}}
-		}, true},
+		}},
 		{"nil-root", func(graph.AccessMode) []setArg {
 			return []setArg{{nil, true}, {(*Tree)(nil), true}, {leaf(1), true}}
-		}, false},
+		}},
 		{"nil-only", func(graph.AccessMode) []setArg {
 			return []setArg{{leaf(1), false}, {nil, true}}
-		}, false},
+		}},
 	}
 	engines := []wire.Engine{wire.EngineV1, wire.EngineV2, wire.EngineV3}
 	for _, tc := range cases {
@@ -182,42 +228,36 @@ func TestRestoreSetEqualsWalk(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", tc.name, eng, access), func(t *testing.T) {
 					opts := setOptions(t, eng, access)
 					args := tc.args(access)
+					var roots []any
+					for _, a := range args {
+						if a.restorable {
+							roots = append(roots, a.v)
+						}
+					}
 
 					call, req := encodeArgs(t, opts, args)
 					defer call.Release()
-					if call.set.escaped != tc.walk {
-						t.Fatalf("client: escaped = %v, want %v", call.set.escaped, tc.walk)
-					}
-					fromTable := setIDs(&call.set)
 					if err := call.Finish(); err != nil {
 						t.Fatal(err)
 					}
-					client := setIDs(&call.set)
-					walked, err := reachableIDs(access, call.restorableRoots, call.enc.IDOf, false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(client, walked) {
+					client := prefix(call.end)
+					if walked := walkIDs(t, access, call.Objects(), roots); !reflect.DeepEqual(client, walked) {
 						t.Fatalf("client set %v, walk %v", client, walked)
 					}
-					if !tc.walk && !reflect.DeepEqual(fromTable, client) {
-						t.Fatalf("Finish changed a set the table had delimited: %v -> %v", fromTable, client)
-					}
 
-					srv := decodeArgs(t, opts, req.Bytes(), args)
+					srv, vals := decodeArgs(t, opts, req.Bytes(), args)
 					defer srv.Release()
-					if srv.set.escaped != tc.walk {
-						t.Fatalf("server: escaped = %v, want %v", srv.set.escaped, tc.walk)
-					}
 					if err := srv.Prepare(); err != nil {
 						t.Fatal(err)
 					}
-					server := setIDs(&srv.set)
-					walked, err = reachableIDs(srv.effectiveAccess(), srv.restorableRoots, indexByIdent(srv.dec.Objects()), false)
-					if err != nil {
-						t.Fatal(err)
+					var srvRoots []any
+					for i, a := range args {
+						if a.restorable {
+							srvRoots = append(srvRoots, vals[i])
+						}
 					}
-					if !reflect.DeepEqual(server, walked) {
+					server := prefix(srv.end)
+					if walked := walkIDs(t, srv.effectiveAccess(), srv.dec.Objects(), srvRoots); !reflect.DeepEqual(server, walked) {
 						t.Fatalf("server set %v, walk %v", server, walked)
 					}
 					if !reflect.DeepEqual(client, server) {
@@ -251,64 +291,34 @@ func TestRestoreSetEqualsWalk(t *testing.T) {
 	}
 }
 
-// TestEscapedSetRestoresThroughCopyRun: a restorable argument that reaches
-// into a by-copy argument encoded before it restores exactly what it
-// reaches there — not the rest of that argument's run.
-func TestEscapedSetRestoresThroughCopyRun(t *testing.T) {
-	for _, cfg := range codecConfigs {
-		opts := cfg.apply(setOptions(t, 0, graph.AccessExported))
-		below := &Tree{Data: 3}
-		shared := &Tree{Data: 2, Left: below}
-		byCopy := &Tree{Data: 1, Left: shared}
-		root := &Tree{Data: 10, Right: shared}
-		args := []setArg{{byCopy, false}, {root, true}}
-
-		call, req := encodeArgs(t, opts, args)
-		if err := call.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		srv := AcceptCallBytes(req.Bytes(), opts)
-		sc, err := srv.DecodeCopy()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, err := srv.DecodeRestorable()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Prepare(); err != nil {
-			t.Fatal(err)
-		}
-		sroot := sr.(*Tree)
-		sc.(*Tree).Data = 100
-		sroot.Right.Data = 200
-		sroot.Right.Left.Data = 300
-		sroot.Left = &Tree{Data: 400}
-		var resp bytes.Buffer
-		if _, err := srv.EncodeResponse(&resp, nil); err != nil {
-			t.Fatal(err)
-		}
-		res, err := call.ApplyResponseBytes(resp.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Restored != 3 || res.NewObjects != 1 {
-			t.Fatalf("%s: restored %d new %d, want 3 and 1", cfg.name, res.Restored, res.NewObjects)
-		}
-		if byCopy.Data != 1 || shared.Data != 200 || below.Data != 300 || root.Left == nil || root.Left.Data != 400 {
-			t.Fatalf("%s: byCopy %d shared %d below %d", cfg.name, byCopy.Data, shared.Data, below.Data)
-		}
-		if root.Right != shared || byCopy.Left != shared || shared.Left != below {
-			t.Fatalf("%s: identities moved", cfg.name)
-		}
-		call.Release()
-		srv.Release()
+// TestRestorableAfterCopyRefusedAtSender: a restorable argument encoded
+// after a by-copy one that added objects would make the restore set a
+// non-prefix of the table; the Call refuses it. One after a by-copy
+// argument that added none (a scalar) is fine.
+func TestRestorableAfterCopyRefusedAtSender(t *testing.T) {
+	opts := testOptions(t)
+	call := NewCall(new(bytes.Buffer), opts)
+	defer call.Release()
+	if err := call.EncodeCopy(42); err != nil {
+		t.Fatal(err)
+	}
+	if err := call.EncodeRestorable(&Tree{Data: 1}); err != nil {
+		t.Fatalf("restorable after a scalar: %v", err)
+	}
+	if err := call.EncodeCopy(&Tree{Data: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := call.EncodeRestorable(&Tree{Data: 3}); err == nil {
+		t.Fatal("restorable after an object-adding by-copy argument was encoded")
+	}
+	if call.end != 1 || call.NumRestorable() != 1 {
+		t.Fatalf("refused argument counted: end %d, %d restorable", call.end, call.NumRestorable())
 	}
 }
 
-// forgedWorld is an honest two-argument call — a by-copy tree, then a
-// restorable tree that shares nothing with it — and a pre-call snapshot of
-// the restorable tree.
+// forgedWorld is an honest two-argument call — a restorable tree, then a
+// by-copy tree that shares nothing with it — and a pre-call snapshot of the
+// restorable tree.
 func forgedWorld(t *testing.T, opts Options) (call *Call, req []byte, byCopy, root, snap *Tree) {
 	t.Helper()
 	byCopy = &Tree{Data: 1, Left: &Tree{Data: 2}, Right: &Tree{Data: 3}}
@@ -329,42 +339,37 @@ func assertUntouched(t *testing.T, root, snap *Tree, left, right *Tree) {
 }
 
 // TestForgedRequestReachesIntoCopyRun: the request the server reads is not
-// the one the client wrote — in it the restorable argument references the
-// by-copy tree. The server sees that on the stream, walks, and answers for
-// the set it found, changing an object of it the client never sent and one
-// at a position the client's set has too; the client, holding the set of
-// what it actually sent, must reject the reply and leave its graph alone.
+// the one the client wrote — in it a by-copy tree comes first and the
+// restorable argument references it. The server refuses it typed before
+// Prepare, so the method never runs and no reply reaches the client, whose
+// graph stays as it was.
 func TestForgedRequestReachesIntoCopyRun(t *testing.T) {
 	for _, eng := range []wire.Engine{wire.EngineV2, wire.EngineV3} {
 		opts := setOptions(t, eng, graph.AccessExported)
 		call, _, byCopy, root, snap := forgedWorld(t, opts)
 		left, right := root.Left, root.Right
 
-		args := []setArg{{byCopy, false}, {&Tree{Data: 10, Left: byCopy, Right: &Tree{Data: 12}}, true}}
-		forger, forged := encodeArgs(t, opts, args)
+		// Only the order tells a restorable value from a by-copy one on the
+		// wire, so the forger encodes both by copy.
+		var forged bytes.Buffer
+		forger := NewCall(&forged, opts)
+		for _, v := range []any{byCopy, &Tree{Data: 10, Left: byCopy, Right: &Tree{Data: 12}}} {
+			if err := forger.EncodeCopy(v); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := forger.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		srv := decodeArgs(t, opts, forged.Bytes(), args)
-		if !srv.set.escaped {
-			t.Fatalf("%s: server did not see the reference into the by-copy run", eng)
-		}
-		if err := srv.Prepare(); err != nil {
+		srv := AcceptCallBytes(forged.Bytes(), opts)
+		if _, err := srv.DecodeCopy(); err != nil {
 			t.Fatal(err)
 		}
-		if n := srv.set.len(); n != 5 {
-			t.Fatalf("%s: server set has %d objects, want 5", eng, n)
+		if _, err := srv.DecodeRestorable(); !errors.Is(err, wire.ErrBadStream) {
+			t.Fatalf("%s: err = %v, want wire.ErrBadStream", eng, err)
 		}
-		// Positions 0..2 are the by-copy tree, 3 and 4 the forged root and
-		// its right child; the client's set has three.
-		sroot := srv.restorableRoots[0].Interface().(*Tree)
-		sroot.Left.Data, sroot.Data = 100, 110
-		var resp bytes.Buffer
-		if stats, err := srv.EncodeResponse(&resp, nil); err != nil || stats.OldSent != 2 {
-			t.Fatalf("%s: reply %+v, %v; want two records", eng, stats, err)
-		}
-		if _, err := call.ApplyResponseBytes(resp.Bytes()); !errors.Is(err, ErrBadResponse) {
-			t.Fatalf("%s: err = %v, want ErrBadResponse", eng, err)
+		if srv.end != 0 {
+			t.Fatalf("%s: refused argument extended the restore set to %d", eng, srv.end)
 		}
 		assertUntouched(t, root, snap, left, right)
 		call.Release()
@@ -374,20 +379,20 @@ func TestForgedRequestReachesIntoCopyRun(t *testing.T) {
 }
 
 // TestForgedReplyNumbersByRequestStream: a reply whose encoder was seeded
-// with the whole request table, so its back-references are request-stream
-// IDs — by-copy ones included — and not positions in the restore set. They
-// run past what the client seeded; the client must fail typed and leave
-// its graph alone.
+// with the whole request table, so that it names a by-copy object by its
+// request-stream ID. That ID runs past what the client seeded; the client
+// must fail typed and leave its graph alone.
 func TestForgedReplyNumbersByRequestStream(t *testing.T) {
 	for _, eng := range []wire.Engine{wire.EngineV2, wire.EngineV3} {
 		opts := setOptions(t, eng, graph.AccessExported)
 		call, req, _, root, snap := forgedWorld(t, opts)
 		left, right := root.Left, root.Right
 
-		srv := decodeArgs(t, opts, req, []setArg{{nil, false}, {nil, true}})
+		srv, vals := decodeArgs(t, opts, req, []setArg{{nil, false}, {nil, true}})
 		if err := srv.Prepare(); err != nil {
 			t.Fatal(err)
 		}
+		vals[1].(*Tree).Left = vals[0].(*Tree)
 		var resp bytes.Buffer
 		enc := wire.NewEncoder(&resp, opts.wireOptions())
 		for _, obj := range srv.dec.Objects() {
@@ -395,17 +400,14 @@ func TestForgedReplyNumbersByRequestStream(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ids := setIDs(&srv.set)
-		if err := enc.EncodeUint(uint64(len(ids))); err != nil {
+		if err := enc.EncodeUint(1); err != nil {
 			t.Fatal(err)
 		}
-		for pos, id := range ids {
-			if err := enc.EncodeUint(uint64(pos)); err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.EncodeSeededContent(id); err != nil {
-				t.Fatal(err)
-			}
+		if err := enc.EncodeUint(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.EncodeSeededContent(0); err != nil {
+			t.Fatal(err)
 		}
 		if err := enc.EncodeUint(0); err != nil {
 			t.Fatal(err)
@@ -499,7 +501,7 @@ func TestStagingSlabBytes(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
+	srv, _ := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
 	if err := srv.Prepare(); err != nil {
 		t.Fatal(err)
 	}

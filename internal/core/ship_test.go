@@ -44,12 +44,12 @@ func runShipCase(t *testing.T, opts Options, tc shipCase) (remote, local any, se
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	srv := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
+	srv, vals := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
 	defer srv.Release()
 	if err := srv.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	tc.mutate(srv.restorableRoots[0].Interface())
+	tc.mutate(vals[0])
 	var resp bytes.Buffer
 	stats, err := srv.EncodeResponse(&resp, nil)
 	if err != nil {
@@ -149,12 +149,12 @@ func TestReleaseUnpinsDecodedObjects(t *testing.T) {
 		if err := call.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		srv := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
+		srv, vals := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
 		if err := srv.Prepare(); err != nil {
 			t.Fatal(err)
 		}
 		// The root's shadow holds a pointer to its left child.
-		runtime.SetFinalizer(srv.restorableRoots[0].Interface().(*Tree).Left, func(*Tree) { close(collected) })
+		runtime.SetFinalizer(vals[0].(*Tree).Left, func(*Tree) { close(collected) })
 		var resp bytes.Buffer
 		if _, err := srv.EncodeResponse(&resp, nil); err != nil {
 			t.Fatal(err)

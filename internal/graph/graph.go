@@ -215,52 +215,9 @@ func (lm *LinearMap) Add(ref reflect.Value) (obj *Object, ok bool, err error) {
 			return lm.objects[i], false, err
 		}
 	}
-	return lm.nextObject(ref), true, nil
-}
-
-// nextObject claims the next linear-map slot. On a map recycled through the
-// walker pool (pool.go) the Object structs — and, when the type matches,
-// their detached reference cells — left behind by reset are reused, so a
-// steady-state traversal allocates nothing per object.
-func (lm *LinearMap) nextObject(ref reflect.Value) *Object {
-	id := len(lm.objects)
-	if cap(lm.objects) > id {
-		lm.objects = lm.objects[:id+1]
-		if old := lm.objects[id]; old != nil {
-			old.ID = id
-			old.Ref = reuseRefCell(old.Ref, ref)
-			return old
-		}
-		obj := &Object{Ref: StableRef(ref), ID: id}
-		lm.objects[id] = obj
-		return obj
-	}
-	obj := &Object{Ref: StableRef(ref), ID: id}
+	obj = &Object{Ref: StableRef(ref), ID: len(lm.objects)}
 	lm.objects = append(lm.objects, obj)
-	return obj
-}
-
-// reuseRefCell stores ref into an existing detached reference cell when the
-// types agree, falling back to a fresh StableRef allocation otherwise.
-func reuseRefCell(cell, ref reflect.Value) reflect.Value {
-	if cell.IsValid() && cell.Type() == ref.Type() && cell.CanSet() {
-		cell.Set(ref)
-		return cell
-	}
-	return StableRef(ref)
-}
-
-// reset clears the map for reuse, dropping every reference to user objects
-// while keeping the index slots, the object slice capacity, and the Object
-// structs (with their reference cells) for the next traversal.
-func (lm *LinearMap) reset() {
-	lm.index.Reset()
-	for _, o := range lm.objects {
-		if o.Ref.IsValid() && o.Ref.CanSet() {
-			o.Ref.SetZero()
-		}
-	}
-	lm.objects = lm.objects[:0]
+	return obj, true, nil
 }
 
 // isIdentityKind reports whether a reflect kind carries object identity.

@@ -39,11 +39,6 @@ const (
 	// PhaseEncode is the client-side argument serialization (graph walk +
 	// wire encode, fused in this implementation's single encoder pass).
 	PhaseEncode Phase = iota
-	// PhaseMapWalk is the client fixing the restore set when the request is
-	// finished, inside PhaseEncode. The set is read off the request
-	// encoder's table, so this is a graph walk only when a restorable
-	// argument reaches into a by-copy argument encoded before it.
-	PhaseMapWalk
 	// PhaseTransport is the full transport round trip as observed by the
 	// client: request write, network, server processing, reply read. It
 	// includes retries and backoff pauses.
@@ -59,10 +54,8 @@ const (
 	// PhaseSrvDecode is the server-side argument decode (after the object
 	// and method name strings).
 	PhaseSrvDecode
-	// PhaseSrvPrepare fixes the server's pre-call object set: consuming a
-	// shipped linear map (ablation protocol only) and, under the condition
-	// given at PhaseMapWalk, walking the restorable roots; then shadowing
-	// the set's own state for change detection.
+	// PhaseSrvPrepare shadows the own state of the server's pre-call object
+	// set, for change detection; decoding already delimited the set.
 	PhaseSrvPrepare
 	// PhaseSrvExecute is the remote method body itself (including any
 	// interceptor wrapping it).
@@ -81,12 +74,11 @@ const (
 
 	// NumPhases is the number of Phase constants; CallStats arrays are
 	// indexed by Phase.
-	NumPhases = 11
+	NumPhases = 10
 )
 
 var phaseNames = [NumPhases]string{
 	"encode",
-	"map-walk",
 	"transport",
 	"decode-reply",
 	"restore-commit",

@@ -21,7 +21,7 @@ func TestNilCollectorIsInert(t *testing.T) {
 	sp.End()
 	sp = c.Start(PhaseTransport)
 	sp.EndBytes(10)
-	sp = c.Start(PhaseMapWalk)
+	sp = c.Start(PhaseDecodeReply)
 	sp.EndN(1, 2)
 	c.SetIO(1, 2)
 	c.Finish(errors.New("x"))

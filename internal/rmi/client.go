@@ -40,7 +40,7 @@ type Client struct {
 
 	// commitMu serializes response applies across this client's calls.
 	// With promises, several replies can be consumed concurrently, and
-	// their argument graphs may share objects: one call's restore walk
+	// their argument graphs may share objects: one call's reply decode
 	// and validation must not read what another call's commit is
 	// overwriting, so every call carrying restorable arguments applies
 	// its response under this lock (core.Call.SetCommitLock). Calls
@@ -194,8 +194,10 @@ func (st *Stub) CallStats(ctx context.Context, method string, args ...any) (*cor
 // reset and returned when its promise settles.
 var reqBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// encodeRequest writes the call header and arguments onto the request
-// stream and flushes it.
+// encodeRequest writes the call header — object, method, argument count
+// and each argument's semantics marker in parameter order — then the
+// argument values, the restorable ones first (docs/PROTOCOL.md, section 3),
+// and flushes the stream.
 func (st *Stub) encodeRequest(call *core.Call, method string, args []any) error {
 	if err := call.EncodeString(st.object); err != nil {
 		return err
@@ -206,27 +208,50 @@ func (st *Stub) encodeRequest(call *core.Call, method string, args []any) error 
 	if err := call.EncodeUint(uint64(len(args))); err != nil {
 		return err
 	}
-	for i, arg := range args {
-		if err := st.c.encodeArg(call, arg); err != nil {
-			return fmt.Errorf("rmi: argument %d of %s: %w", i, method, err)
+	for _, arg := range args {
+		if err := call.EncodeUint(uint64(semOf(arg))); err != nil {
+			return err
+		}
+	}
+	for _, restorable := range [2]bool{true, false} {
+		for i, arg := range args {
+			sem := semOf(arg)
+			if (sem == semRestore) != restorable {
+				continue
+			}
+			if err := st.c.encodeArg(call, sem, arg); err != nil {
+				return fmt.Errorf("rmi: argument %d of %s: %w", i, method, err)
+			}
 		}
 	}
 	return call.Finish()
 }
 
-// encodeArg writes one argument with its semantics marker.
-func (c *Client) encodeArg(call *core.Call, arg any) error {
+// semOf is the calling semantics of an argument, chosen by its dynamic type
+// by the rules of the package comment, in their order of precedence.
+func semOf(arg any) semantics {
+	switch arg.(type) {
+	case *RemoteRef, RefHolder, Remote:
+		return semRef
+	case Restorable:
+		return semRestore
+	default:
+		return semCopy
+	}
+}
+
+// encodeArg writes one argument's value under its semantics. A by-reference
+// argument travels as a RemoteRef: the one it is, wraps, or is exported as.
+func (c *Client) encodeArg(call *core.Call, sem semantics, arg any) error {
+	switch sem {
+	case semRestore:
+		return call.EncodeRestorable(arg)
+	case semCopy:
+		return call.EncodeCopy(arg)
+	}
 	switch x := arg.(type) {
-	case *RemoteRef:
-		if err := call.EncodeUint(uint64(semRef)); err != nil {
-			return err
-		}
-		return call.EncodeCopy(x)
 	case RefHolder:
-		if err := call.EncodeUint(uint64(semRef)); err != nil {
-			return err
-		}
-		return call.EncodeCopy(x.NRMIRef())
+		arg = x.NRMIRef()
 	case Remote:
 		if c.local == nil {
 			return ErrNoLocalServer
@@ -235,21 +260,9 @@ func (c *Client) encodeArg(call *core.Call, arg any) error {
 		if err != nil {
 			return err
 		}
-		if err := call.EncodeUint(uint64(semRef)); err != nil {
-			return err
-		}
-		return call.EncodeCopy(ref)
-	case Restorable:
-		if err := call.EncodeUint(uint64(semRestore)); err != nil {
-			return err
-		}
-		return call.EncodeRestorable(x)
-	default:
-		if err := call.EncodeUint(uint64(semCopy)); err != nil {
-			return err
-		}
-		return call.EncodeCopy(arg)
+		arg = ref
 	}
+	return call.EncodeCopy(arg)
 }
 
 // Release sends a DGC clean message for ref, dropping one count on the

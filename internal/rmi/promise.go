@@ -440,19 +440,6 @@ func All(ctx context.Context, ps ...*Promise) ([][]any, error) {
 	return results, nil
 }
 
-// oneWayArgOK mirrors encodeArg's semantics precedence: reference-passing
-// arguments are fine one-way; restorable ones are not.
-func oneWayArgOK(a any) bool {
-	switch a.(type) {
-	case *RemoteRef, RefHolder, Remote:
-		return true
-	case Restorable:
-		return false
-	default:
-		return true
-	}
-}
-
 // CallOneWay invokes method fire-and-forget: the request ships with the
 // one-way wire flag, the server executes it but writes no reply frame
 // (PROTOCOL.md section 10), and CallOneWay returns as soon as the frame
@@ -463,7 +450,7 @@ func oneWayArgOK(a any) bool {
 // the connection, so delivery is at-most-once.
 func (st *Stub) CallOneWay(ctx context.Context, method string, args ...any) error {
 	for i, a := range args {
-		if !oneWayArgOK(a) {
+		if semOf(a) == semRestore {
 			return fmt.Errorf("rmi: argument %d of %s: %w", i, method, ErrOneWayRestorable)
 		}
 	}

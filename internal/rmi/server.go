@@ -637,10 +637,10 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 		return nil, err
 	}
 	oneWay := transport.IsOneWay(ctx)
-	// Fix the pre-call object set before the method body runs (paper,
+	// Shadow the pre-call object set before the method body runs (paper,
 	// Section 3, step 1 on the server side). One-way calls skip it: with
-	// no reply frame there is no restore section to delimit (PROTOCOL.md
-	// section 10), so the pre-call walk would measure nothing.
+	// no reply frame there is no restore section to compute (PROTOCOL.md
+	// section 10), so the shadow would serve nothing.
 	if !oneWay {
 		if err := sc.Prepare(); err != nil {
 			return nil, err
@@ -673,8 +673,8 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 	return out, nil
 }
 
-// decodeArgs resolves the target and method and decodes the argument list
-// with its per-argument semantics markers.
+// decodeArgs resolves the target and method, reads the per-argument
+// semantics markers and decodes the argument list.
 func (s *Server) decodeArgs(sc *core.ServerCall, objKey, methodName string) (decodedCall, error) {
 	var dc decodedCall
 	target, err := s.resolveTarget(objKey)
@@ -704,37 +704,57 @@ func (s *Server) decodeArgs(sc *core.ServerCall, objKey, methodName string) (dec
 		return dc, fmt.Errorf("%w: %s takes %d arguments, got %d",
 			ErrBadArgument, methodName, mt.NumIn()-1-ctxOffset, nargs)
 	}
-	in := make([]reflect.Value, 0, nargs+1)
-	in = append(in, target)
+	// One semantics marker per argument, in parameter order, precedes the
+	// values: every marker is read and checked before any value decodes.
+	var buf [8]semantics
+	sems := buf[:0]
 	for i := 0; i < int(nargs); i++ {
 		sem, err := sc.DecodeUint()
 		if err != nil {
 			return dc, fmt.Errorf("rmi: reading semantics marker: %w", err)
 		}
-		var raw any
-		switch semantics(sem) {
-		case semCopy:
-			raw, err = sc.DecodeCopy()
-		case semRestore:
-			raw, err = sc.DecodeRestorable()
-		case semRef:
-			raw, err = sc.DecodeCopy()
-			if err == nil {
-				raw, err = s.inboundRef(raw)
+		if sem > uint64(semRef) {
+			return dc, fmt.Errorf("%w: unknown semantics marker %d for argument %d", ErrBadArgument, sem, i)
+		}
+		sems = append(sems, semantics(sem))
+	}
+	// The values follow the restorable arguments first, then the rest, each
+	// in parameter order; every one lands at its parameter's position.
+	in := make([]reflect.Value, nargs+1)
+	in[0] = target
+	for _, restorable := range [2]bool{true, false} {
+		for i, sem := range sems {
+			if (sem == semRestore) != restorable {
+				continue
 			}
-		default:
-			err = fmt.Errorf("rmi: unknown semantics marker %d", sem)
+			raw, err := s.decodeArg(sc, sem)
+			if err != nil {
+				return dc, fmt.Errorf("rmi: decoding argument %d: %w", i, err)
+			}
+			av, err := convertArg(raw, mt.In(i+1+ctxOffset))
+			if err != nil {
+				return dc, fmt.Errorf("rmi: argument %d of %s: %w", i, methodName, err)
+			}
+			in[i+1] = av
 		}
-		if err != nil {
-			return dc, fmt.Errorf("rmi: decoding argument %d: %w", i, err)
-		}
-		av, err := convertArg(raw, mt.In(i+1+ctxOffset))
-		if err != nil {
-			return dc, fmt.Errorf("rmi: argument %d of %s: %w", i, methodName, err)
-		}
-		in = append(in, av)
 	}
 	return decodedCall{method: method, in: in, takesCtx: takesCtx, nargs: int(nargs)}, nil
+}
+
+// decodeArg decodes one argument value under its semantics marker.
+func (s *Server) decodeArg(sc *core.ServerCall, sem semantics) (any, error) {
+	switch sem {
+	case semRestore:
+		return sc.DecodeRestorable()
+	case semRef:
+		raw, err := sc.DecodeCopy()
+		if err != nil {
+			return nil, err
+		}
+		return s.inboundRef(raw)
+	default:
+		return sc.DecodeCopy()
+	}
 }
 
 // executeMethod runs the resolved method under the interceptor chain. With

@@ -15,9 +15,9 @@ import (
 // step.
 //
 // Release never recycles handed-out memory: it only drops the arena's own
-// slab references. Objects that escaped to the caller keep their slab alive
+// slab references. Objects handed to the caller keep their slab alive
 // through normal GC reachability, so releasing an arena is always safe —
-// the cost of an escapee is that its slab neighbours stay reachable too,
+// the cost of a surviving object is that its slab neighbours stay reachable too,
 // the usual trade of batch allocation.
 //
 // Pointers and carved slices come from separate slab families so that a

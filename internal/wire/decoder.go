@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 
 	"nrmi/internal/graph"
@@ -50,10 +49,6 @@ type Decoder struct {
 	// never pin payload bytes or user objects.
 	frameFree []*flatFrame
 	fcFree    []*FlatContent
-
-	// lowRef is the lowest object ID the current top-level Decode read as a
-	// back-reference; see LowestRef.
-	lowRef int
 }
 
 // NewDecoderBytes returns a Decoder reading from an in-memory message. The
@@ -63,7 +58,7 @@ type Decoder struct {
 // decoding — including any pending FlatContent commits — has finished.
 func NewDecoderBytes(data []byte, opts Options) *Decoder {
 	o := opts.withDefaults()
-	return &Decoder{r: &reader{data: data}, opts: o, lowRef: math.MaxInt}
+	return &Decoder{r: &reader{data: data}, opts: o}
 }
 
 // Objects returns the decoder's linear map: every object materialized or
@@ -83,10 +78,6 @@ func (d *Decoder) Engine() Engine { return d.engine }
 // Access returns the field-access mode announced by the stream header;
 // valid after the first decode call.
 func (d *Decoder) Access() graph.AccessMode { return d.access }
-
-// LowestRef is Encoder.LowestRef for the most recent Decode or DecodeValue:
-// both ends of a stream report the same value for the same argument.
-func (d *Decoder) LowestRef() int { return d.lowRef }
 
 // SeedObject pre-assigns the next object ID to an existing local object.
 // References to that ID decode to this exact object rather than a fresh
@@ -162,7 +153,6 @@ func (d *Decoder) Decode() (any, error) {
 // DecodeValue reads one value as a reflect.Value. An invalid Value denotes
 // an encoded nil.
 func (d *Decoder) DecodeValue() (reflect.Value, error) {
-	d.lowRef = math.MaxInt
 	if err := d.header(); err != nil {
 		return reflect.Value{}, err
 	}
@@ -332,7 +322,6 @@ func (d *Decoder) decodeRef() (reflect.Value, error) {
 	if id >= uint64(len(d.table)) {
 		return reflect.Value{}, fmt.Errorf("%w: reference to unknown object %d", ErrBadStream, id)
 	}
-	d.lowRef = min(d.lowRef, int(id))
 	return d.table[id], nil
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 	"io"
-	"math"
 	"reflect"
 
 	"nrmi/internal/graph"
@@ -33,9 +32,6 @@ type Encoder struct {
 	// flat is the engine-V3 frame-assembly scratch state (flat.go), created
 	// lazily and retained across frames and pooled reuse.
 	flat *flatEnc
-	// lowRef is the lowest object ID the current top-level Encode named by
-	// back-reference; see LowestRef.
-	lowRef int
 }
 
 // NewEncoder returns an Encoder writing to w.
@@ -47,7 +43,6 @@ func NewEncoder(w io.Writer, opts Options) *Encoder {
 		typeTable: make(map[reflect.Type]int),
 		strTable:  make(map[string]int),
 		kernels:   o.kernelsEnabled(),
-		lowRef:    math.MaxInt,
 	}
 }
 
@@ -55,26 +50,8 @@ func NewEncoder(w io.Writer, opts Options) *Encoder {
 // serialized so far, in first-encounter order. Index == wire object ID.
 func (e *Encoder) Objects() []reflect.Value { return e.objs }
 
-// IDOf returns the object ID assigned to ref, if ref was serialized or
-// seeded by this encoder.
-func (e *Encoder) IDOf(ref reflect.Value) (int, bool) {
-	ident, ok := graph.IdentOf(ref)
-	if !ok {
-		return 0, false
-	}
-	return e.ids.Get(ident)
-}
-
-// LowestRef returns the lowest object ID that the most recent Encode or
-// EncodeValue named by reference rather than by content, or math.MaxInt if
-// it named none. Objects first met during that call have IDs at or above
-// the table length before it, so a lower value means the value shares
-// structure with something encoded earlier on this stream.
-func (e *Encoder) LowestRef() int { return e.lowRef }
-
 // writeRef emits a back-reference to object id.
 func (e *Encoder) writeRef(id int) error {
-	e.lowRef = min(e.lowRef, id)
 	return e.w.writeTagged(tagRef, uint64(id))
 }
 
@@ -114,7 +91,6 @@ func (e *Encoder) Encode(v any) error { return e.EncodeValue(reflect.ValueOf(v))
 // EncodeValue is Encode for callers holding reflect.Values; the invalid
 // Value encodes as nil.
 func (e *Encoder) EncodeValue(v reflect.Value) error {
-	e.lowRef = math.MaxInt
 	if e.opts.Engine == EngineV3 {
 		return e.flatEncodeRoot(v)
 	}

@@ -236,7 +236,6 @@ func (e *Encoder) flatValue(b []byte, v reflect.Value, depth int) ([]byte, error
 		if err != nil {
 			return b, err
 		}
-		e.lowRef = min(e.lowRef, id)
 		b = append(b, fRef)
 		return putU32(b, uint32(id)), nil
 

@@ -454,7 +454,6 @@ func (d *Decoder) flatFillValue(c *flatCur, dst reflect.Value, depth int) error 
 		if int(id) >= len(d.table) {
 			return fmt.Errorf("%w: reference to unknown object %d", ErrBadStream, id)
 		}
-		d.lowRef = min(d.lowRef, int(id))
 		obj := d.table[id]
 		if !obj.Type().AssignableTo(dst.Type()) {
 			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, obj.Type(), dst.Type())
@@ -668,7 +667,6 @@ func (d *Decoder) flatAnyValue(c *flatCur, depth int) (reflect.Value, error) {
 		if int(id) >= len(d.table) {
 			return reflect.Value{}, fmt.Errorf("%w: reference to unknown object %d", ErrBadStream, id)
 		}
-		d.lowRef = min(d.lowRef, int(id))
 		return d.table[id], nil
 	case fScalar, fStruct, fArray:
 		idx, err := c.u32()

@@ -240,7 +240,8 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range nodes {
-		if id, ok := next.IDOf(reflect.ValueOf(n)); ok {
+		ident, _ := graph.IdentOf(reflect.ValueOf(n))
+		if id, ok := next.ids.Get(ident); ok {
 			t.Errorf("next message (same encoder: %v) sees the previous message's %p as object %d", next == enc, n, id)
 		}
 	}

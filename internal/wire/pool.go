@@ -2,7 +2,6 @@ package wire
 
 import (
 	"io"
-	"math"
 	"sync"
 )
 
@@ -40,7 +39,6 @@ func AcquireEncoder(w io.Writer, opts Options) *Encoder {
 	e.opts = o
 	e.headerDone = false
 	e.kernels = o.kernelsEnabled()
-	e.lowRef = math.MaxInt
 	return e
 }
 
@@ -78,7 +76,6 @@ func (d *Decoder) reuse(o Options) {
 	d.access = 0
 	d.kernels = false
 	d.numSeeded = 0
-	d.lowRef = math.MaxInt
 }
 
 // AcquireDecoderBytes returns a pooled Decoder reading an in-memory

@@ -117,7 +117,7 @@ const (
 )
 
 // Options configures servers and clients. The zero value is the sensible
-// default: optimized engine, exported fields only, full restore.
+// default: optimized engine, exported fields only.
 type Options struct {
 	// Engine selects the codec generation (default EngineV2).
 	Engine Engine
@@ -126,10 +126,6 @@ type Options struct {
 	// Without it, types crossing the wire must keep their remote-visible
 	// state in exported fields.
 	UnsafeAccess bool
-	// DCECompat weakens restore to DCE RPC semantics — objects that
-	// became unreachable from the parameters are not restored (paper,
-	// Section 4.2). For differential experiments only.
-	DCECompat bool
 	// Registry resolves named types; nil means the process-wide default.
 	Registry *Registry
 	// WrapRef converts inbound remote references into application proxies
@@ -259,16 +255,11 @@ func (o Options) rmiOptions() rmi.Options {
 	if o.UnsafeAccess {
 		access = graph.AccessUnsafe
 	}
-	policy := core.PolicyFull
-	if o.DCECompat {
-		policy = core.PolicyDCE
-	}
 	r := rmi.Options{
 		Core: core.Options{
 			Engine:   o.Engine,
 			Access:   access,
 			Registry: o.Registry,
-			Policy:   policy,
 		},
 		WrapRef:            o.WrapRef,
 		Intercept:          o.Intercept,
