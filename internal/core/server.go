@@ -74,8 +74,9 @@ func (s *ServerCall) DecodeRestorable() (any, error) {
 // DecodeUint reads a raw protocol integer written with Call.EncodeUint.
 func (s *ServerCall) DecodeUint() (uint64, error) { return s.dec.DecodeUint() }
 
-// DecodeString reads a raw protocol string written with Call.EncodeString.
-func (s *ServerCall) DecodeString() (string, error) { return s.dec.DecodeString() }
+// DecodeBytes reads a raw protocol string written with Call.EncodeString as
+// a view of the request, valid for as long as the request's bytes are.
+func (s *ServerCall) DecodeBytes() ([]byte, error) { return s.dec.DecodeBytes() }
 
 // Access returns the field-access mode announced by the request stream.
 // Valid once at least one argument has been decoded.
@@ -149,17 +150,15 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	// Pooled codec, released on the success path; dropped (not recycled)
 	// on error.
 	enc := wire.AcquireEncoder(w, sendOpts.wireOptions())
-	// Seed the response encoder with the restore set's objects of the
-	// decode table, in stream-ID order — the exact set and order the
-	// client's ApplyResponse seeds independently — so an old object's ID on
-	// the response stream is its request-stream ID. Objects outside it
-	// (by-copy argument data referenced from return values) encode as fresh
-	// objects, preserving plain-RMI copy semantics for them.
+	// The response encoder adopts the restore set's objects of the decode
+	// table, in stream-ID order — the exact set and order the client's
+	// ApplyResponse seeds independently — so an old object's ID on the
+	// response stream is its request-stream ID. Objects outside it (by-copy
+	// argument data referenced from return values) encode as fresh objects,
+	// preserving plain-RMI copy semantics for them.
 	n := s.end
-	for _, obj := range s.dec.Objects()[:n] {
-		if _, err := enc.SeedObject(obj); err != nil {
-			return nil, err
-		}
+	if err := enc.SeedDecoded(s.dec.Objects()[:n]); err != nil {
+		return nil, err
 	}
 	if len(enc.Objects()) != n {
 		// Two decoded objects share an identity (zero-size pointees or
@@ -167,8 +166,7 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 		return nil, fmt.Errorf("%w: %d distinct objects in a restore set of %d", ErrBadResponse, len(enc.Objects()), n)
 	}
 
-	old := enc.Objects()[:n]
-	ship := s.dec.Changed(old)
+	ship := s.dec.Changed(n)
 	if err := enc.EncodeUint(uint64(len(ship))); err != nil {
 		return nil, err
 	}

@@ -395,10 +395,8 @@ func TestForgedReplyNumbersByRequestStream(t *testing.T) {
 		vals[1].(*Tree).Left = vals[0].(*Tree)
 		var resp bytes.Buffer
 		enc := wire.NewEncoder(&resp, opts.wireOptions())
-		for _, obj := range srv.dec.Objects() {
-			if _, err := enc.SeedObject(obj); err != nil {
-				t.Fatal(err)
-			}
+		if err := enc.SeedDecoded(srv.dec.Objects()); err != nil {
+			t.Fatal(err)
 		}
 		if err := enc.EncodeUint(1); err != nil {
 			t.Fatal(err)

@@ -17,43 +17,22 @@ type Copier struct {
 	copies []reflect.Value // copied references, in first-visit order
 }
 
-// NewCopier returns a Copier with an empty memo table. A single Copier may
+// Copy deep-copies v, preserving aliasing and cycles. A single Copier may
 // copy several roots; aliasing across roots is preserved.
-func NewCopier(mode AccessMode) *Copier { return &Copier{Access: mode} }
-
-// NumCopied returns how many distinct objects the copier has deep-copied
-// so far.
-func (c *Copier) NumCopied() int { return len(c.copies) }
-
-// Copied returns the copy corresponding to a source reference, if that
-// object has been copied.
-func (c *Copier) Copied(ref reflect.Value) (reflect.Value, bool) {
-	if ident, ok := IdentOf(ref); ok {
-		if i, ok := c.memo.Get(ident); ok && c.copies[i].Type() == ref.Type() {
-			return c.copies[i], true
-		}
-	}
-	return reflect.Value{}, false
-}
-
-// Copy deep-copies v, preserving aliasing and cycles.
 func (c *Copier) Copy(v any) (any, error) {
 	if v == nil {
 		return nil, nil
 	}
-	out, err := c.CopyValue(reflect.ValueOf(v))
+	out, err := c.copyValue(reflect.ValueOf(v), 0)
 	if err != nil {
 		return nil, err
 	}
 	return out.Interface(), nil
 }
 
-// CopyValue is Copy for callers holding reflect.Values.
-func (c *Copier) CopyValue(v reflect.Value) (reflect.Value, error) { return c.copyValue(v, 0) }
-
 // Copy is the one-shot convenience: an identity-preserving deep copy of v.
 func Copy(mode AccessMode, v any) (any, error) {
-	return NewCopier(mode).Copy(v)
+	return (&Copier{Access: mode}).Copy(v)
 }
 
 func (c *Copier) copyValue(v reflect.Value, depth int) (reflect.Value, error) {

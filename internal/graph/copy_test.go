@@ -2,7 +2,6 @@ package graph
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -75,7 +74,7 @@ func TestCopyAcrossRoots(t *testing.T) {
 	shared := &node{Data: 7}
 	r1 := &node{Left: shared}
 	r2 := &node{Right: shared}
-	c := NewCopier(AccessExported)
+	c := &Copier{Access: AccessExported}
 	o1, err := c.Copy(r1)
 	if err != nil {
 		t.Fatal(err)
@@ -142,28 +141,6 @@ func TestCopyArrayByValueFastPath(t *testing.T) {
 	}
 	if out.(*h).Arr != v.Arr {
 		t.Fatal("array values must be equal")
-	}
-}
-
-func TestCopierMappingAndCopied(t *testing.T) {
-	n := &node{Data: 1}
-	c := NewCopier(AccessExported)
-	out, err := c.Copy(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Copied(reflect.ValueOf(n))
-	if !ok {
-		t.Fatal("Copied must find the copied object")
-	}
-	if got.Interface().(*node) != out.(*node) {
-		t.Fatal("Copied must return the same copy")
-	}
-	if _, ok := c.Copied(reflect.ValueOf(&node{})); ok {
-		t.Fatal("Copied must miss for foreign objects")
-	}
-	if c.NumCopied() != 1 {
-		t.Fatalf("mapping size: want 1, got %d", c.NumCopied())
 	}
 }
 

@@ -11,6 +11,10 @@ func IdentOf(v reflect.Value) (Ident, bool) {
 	return Ident{}, false
 }
 
+// PtrIdent returns the identity key of the pointee at address p, non-zero:
+// IdentOf of a pointer to it, with no reflect.Value to build.
+func PtrIdent(p uintptr) Ident { return Ident{p, KindPtr} }
+
 // IsIdentityKind reports whether values of kind k carry object identity
 // (pointer, map, or slice).
 func IsIdentityKind(k reflect.Kind) bool { return isIdentityKind(k) }

@@ -139,14 +139,3 @@ func TestLinearMapAccessors(t *testing.T) {
 		t.Fatalf("Type() = %v", obj.Type())
 	}
 }
-
-func TestCopyValueDirect(t *testing.T) {
-	c := NewCopier(AccessExported)
-	out, err := c.CopyValue(reflect.ValueOf(&node{Data: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Interface().(*node).Data != 3 {
-		t.Fatal("CopyValue wrong")
-	}
-}

@@ -161,9 +161,6 @@ type LinearMap struct {
 	index   IdentTable
 }
 
-// NewLinearMap returns an empty linear map ready for Add calls.
-func NewLinearMap() *LinearMap { return &LinearMap{} }
-
 // Len returns the number of recorded objects.
 func (lm *LinearMap) Len() int { return len(lm.objects) }
 

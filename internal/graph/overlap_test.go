@@ -63,8 +63,7 @@ func TestWalkFirstFieldOverlapRejected(t *testing.T) {
 
 func TestCopyEmptySlicesOfTwoTypes(t *testing.T) {
 	v := newTwoEmpties(t)
-	c := NewCopier(AccessExported)
-	out, err := c.Copy(v) // panicked in reflect.Set before: B was handed A's copy
+	out, err := Copy(AccessExported, v) // panicked in reflect.Set before: B was handed A's copy
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +73,6 @@ func TestCopyEmptySlicesOfTwoTypes(t *testing.T) {
 	}
 	if eq, err := Equal(AccessExported, v, out); err != nil || !eq {
 		t.Fatalf("copy not graph-equal to its source: %t, %v", eq, err)
-	}
-	if snap, ok := c.Copied(reflect.ValueOf(v.B)); ok && snap.Type() != reflect.TypeOf(v.B) {
-		t.Fatalf("Copied([]string) answered with a %s", snap.Type())
 	}
 }
 

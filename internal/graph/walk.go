@@ -6,34 +6,13 @@ import (
 )
 
 // Walker performs a depth-first reachability traversal, recording every
-// identity-bearing object it encounters into a LinearMap. A Walker may be
-// driven incrementally: each Root call extends the same map.
+// identity-bearing object it encounters into a LinearMap.
 type Walker struct {
 	// Access selects the struct-field access mode.
 	Access AccessMode
 
-	lm *LinearMap
+	lm LinearMap
 }
-
-// NewWalker returns a Walker with an empty linear map.
-func NewWalker(mode AccessMode) *Walker {
-	return &Walker{Access: mode, lm: NewLinearMap()}
-}
-
-// LinearMap returns the map built so far. The map is live: further Root
-// calls extend it.
-func (w *Walker) LinearMap() *LinearMap { return w.lm }
-
-// Root traverses v, adding every reachable object to the linear map.
-func (w *Walker) Root(v any) error {
-	if v == nil {
-		return nil
-	}
-	return w.RootValue(reflect.ValueOf(v))
-}
-
-// RootValue is Root for callers that already hold a reflect.Value.
-func (w *Walker) RootValue(v reflect.Value) error { return w.visit(v, 0) }
 
 // visit dispatches on the kind of v, registering identity-bearing objects
 // and recursing into their contents exactly once per object.
@@ -139,16 +118,15 @@ func (w *Walker) visitContents(v reflect.Value, depth int) error {
 	}
 }
 
-// Walk traverses all roots and returns the resulting linear map. It is the
-// one-shot convenience over Walker.
+// Walk traverses all roots and returns the resulting linear map.
 func Walk(mode AccessMode, roots ...any) (*LinearMap, error) {
-	w := NewWalker(mode)
+	w := &Walker{Access: mode}
 	for _, r := range roots {
-		if err := w.Root(r); err != nil {
+		if err := w.visit(reflect.ValueOf(r), 0); err != nil {
 			return nil, err
 		}
 	}
-	return w.LinearMap(), nil
+	return &w.lm, nil
 }
 
 // identityCache memoizes hasIdentityBearing per type. Traversals over large

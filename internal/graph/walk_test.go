@@ -105,15 +105,12 @@ func TestWalkMultipleRootsSharedStructure(t *testing.T) {
 	shared := &node{Data: 9}
 	r1 := &node{Left: shared}
 	r2 := &node{Right: shared}
-	w := NewWalker(AccessExported)
-	if err := w.Root(r1); err != nil {
+	lm, err := Walk(AccessExported, r1, r2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Root(r2); err != nil {
-		t.Fatal(err)
-	}
-	if w.LinearMap().Len() != 3 {
-		t.Fatalf("sharing across roots must be detected: want 3, got %d", w.LinearMap().Len())
+	if lm.Len() != 3 {
+		t.Fatalf("sharing across roots must be detected: want 3, got %d", lm.Len())
 	}
 }
 
@@ -289,7 +286,7 @@ func TestKindAndModeStrings(t *testing.T) {
 func TestVisitContentsMalformedValueErrors(t *testing.T) {
 	// Driving visitContents with a non-identity kind must surface as a
 	// reportable ErrNotSerializable, not a panic.
-	w := NewWalker(AccessExported)
+	w := &Walker{Access: AccessExported}
 	err := w.visitContents(reflect.ValueOf(42), 0)
 	if err == nil {
 		t.Fatal("malformed value must be rejected, not panic")
@@ -357,8 +354,7 @@ func TestKernelConcurrentStress(t *testing.T) {
 				} else if lm.Len() == 0 {
 					t.Error("empty linear map")
 				}
-				c := NewCopier(AccessExported)
-				cp, err := c.Copy(root)
+				cp, err := Copy(AccessExported, root)
 				if err != nil {
 					t.Error(err)
 					continue

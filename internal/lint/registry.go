@@ -184,7 +184,7 @@ func (c *coverage) sampleType(e ast.Expr) (types.Type, bool) {
 	return t, true
 }
 
-// canonicalTypeName mirrors wire.canonicalName: pkgpath.Name for named
+// canonicalTypeName mirrors wire.RegisterAuto's name: pkgpath.Name for named
 // types, "" otherwise.
 func canonicalTypeName(t types.Type) string {
 	named, ok := types.Unalias(t).(*types.Named)

@@ -204,11 +204,11 @@ func TestReferenceKeysAreCanonical(t *testing.T) {
 	for _, id := range []uint64{0, 1, 12} {
 		e.server.refs[id] = &refEntry{val: reflect.ValueOf(c)}
 	}
-	if v, err := e.server.resolveTarget("#12"); err != nil || v.Interface() != any(c) {
+	if _, v, err := e.server.resolveTarget([]byte("#12")); err != nil || v.Interface() != any(c) {
 		t.Fatalf(`"#12": %v, %v; want the exported object`, v, err)
 	}
 	for _, key := range []string{"#12abc", "#12 ", "# 12", "#0x10", "#", "#-1", "#+1", "#18446744073709551616"} {
-		if v, err := e.server.resolveTarget(key); !errors.Is(err, ErrNoSuchObject) {
+		if _, v, err := e.server.resolveTarget([]byte(key)); !errors.Is(err, ErrNoSuchObject) {
 			t.Errorf("%q resolved to %v (err %v), want ErrNoSuchObject", key, v, err)
 		}
 	}

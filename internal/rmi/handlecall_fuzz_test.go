@@ -31,11 +31,11 @@ var fuzzArity = map[string]uint64{"Restore": 2, "Mixed": 3, "Zero": 0}
 func headerOK(payload []byte) bool {
 	sc := core.AcceptCallBytes(payload, core.Options{})
 	defer sc.Release()
-	if obj, err := sc.DecodeString(); err != nil || obj != "fz" {
+	if obj, err := sc.DecodeBytes(); err != nil || string(obj) != "fz" {
 		return false
 	}
-	method, err := sc.DecodeString()
-	arity, ok := fuzzArity[method]
+	method, err := sc.DecodeBytes()
+	arity, ok := fuzzArity[string(method)]
 	if err != nil || !ok {
 		return false
 	}

@@ -33,7 +33,7 @@ type Server struct {
 	addr string
 
 	mu      sync.Mutex
-	exports map[string]reflect.Value
+	exports map[string]export
 	// serialized holds per-export mutexes for ExportSerialized objects.
 	serialized map[string]*sync.Mutex
 	refs       map[uint64]*refEntry
@@ -65,6 +65,12 @@ type Server struct {
 	tsrv        *transport.Server
 }
 
+// export is one named export: the object and the name it is bound under.
+type export struct {
+	name string
+	v    reflect.Value
+}
+
 // refEntry is one anonymous export with its DGC state.
 type refEntry struct {
 	val    reflect.Value
@@ -82,7 +88,7 @@ func NewServer(addr string, opts Options) (*Server, error) {
 	s := &Server{
 		opts:       opts,
 		addr:       addr,
-		exports:    make(map[string]reflect.Value),
+		exports:    make(map[string]export),
 		serialized: make(map[string]*sync.Mutex),
 		refs:       make(map[uint64]*refEntry),
 		refIdent:   make(map[graph.Ident]uint64),
@@ -130,7 +136,7 @@ func (s *Server) Export(name string, obj any) error {
 	if s.closed {
 		return ErrServerClosed
 	}
-	s.exports[name] = v
+	s.exports[name] = export{name, v}
 	return nil
 }
 
@@ -543,32 +549,44 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 	}
 }
 
-// resolveTarget maps a dispatch key ("name" or "#id") to the target object.
-func (s *Server) resolveTarget(key string) (reflect.Value, error) {
+// resolveTarget maps a dispatch key ("name" or "#id") to the target object
+// and the key as a string: a named export's own, so resolving one copies
+// nothing out of the request.
+func (s *Server) resolveTarget(key []byte) (string, reflect.Value, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(key) > 0 && key[0] == '#' {
-		id, err := strconv.ParseUint(key[1:], 10, 64)
+	if e, ok := s.exports[string(key)]; ok {
+		return e.name, e.v, nil
+	}
+	k := string(key)
+	if len(k) > 0 && k[0] == '#' {
+		id, err := strconv.ParseUint(k[1:], 10, 64)
 		if err != nil {
-			return reflect.Value{}, fmt.Errorf("%w: bad reference key %q", ErrNoSuchObject, key)
+			return k, reflect.Value{}, fmt.Errorf("%w: bad reference key %q", ErrNoSuchObject, k)
 		}
 		e, ok := s.refs[id]
 		if !ok {
-			return reflect.Value{}, fmt.Errorf("%w: reference %s (collected?)", ErrNoSuchObject, key)
+			return k, reflect.Value{}, fmt.Errorf("%w: reference %s (collected?)", ErrNoSuchObject, k)
 		}
-		return e.val, nil
+		return k, e.val, nil
 	}
-	v, ok := s.exports[key]
-	if !ok {
-		return reflect.Value{}, fmt.Errorf("%w: %q", ErrNoSuchObject, key)
-	}
-	return v, nil
+	return k, reflect.Value{}, fmt.Errorf("%w: %q", ErrNoSuchObject, k)
+}
+
+// callHead is a request's target and method, resolved once; err says why
+// they do not resolve. For a named export's method, objKey and methodName
+// are strings the server holds.
+type callHead struct {
+	objKey, methodName string
+	target             reflect.Value
+	method             reflect.Method
+	err                error
 }
 
 // methodByName resolves an exported method on the target's type, caching
 // the per-type method table (the paper's "caching reflection information
 // aggressively", Section 5.3.1).
-func (s *Server) methodByName(t reflect.Type, name string) (reflect.Method, error) {
+func (s *Server) methodByName(t reflect.Type, name []byte) (reflect.Method, error) {
 	tbl, ok := s.methodCache.Load(t)
 	if !ok {
 		m := make(map[string]reflect.Method, t.NumMethod())
@@ -580,7 +598,7 @@ func (s *Server) methodByName(t reflect.Type, name string) (reflect.Method, erro
 		}
 		tbl, _ = s.methodCache.LoadOrStore(t, m)
 	}
-	m, ok := tbl.(map[string]reflect.Method)[name]
+	m, ok := tbl.(map[string]reflect.Method)[string(name)]
 	if !ok {
 		return reflect.Method{}, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, t, name)
 	}
@@ -603,17 +621,24 @@ func (s *Server) handleCall(ctx context.Context, payload []byte) (out []byte, er
 	// Decoded argument objects outlive the release (the pool only drops its
 	// references to them), so this is safe on every exit path.
 	defer sc.Release()
-	objKey, err := sc.DecodeString()
+	key, err := sc.DecodeBytes()
 	if err != nil {
 		return nil, fmt.Errorf("rmi: reading object key: %w", err)
 	}
-	methodName, err := sc.DecodeString()
+	name, err := sc.DecodeBytes()
 	if err != nil {
 		return nil, fmt.Errorf("rmi: reading method name: %w", err)
 	}
-	oc := obs.Begin(s.opts.Obs, objKey, methodName)
+	var h callHead
+	if h.objKey, h.target, h.err = s.resolveTarget(key); h.err == nil {
+		h.method, h.err = s.methodByName(h.target.Type(), name)
+	}
+	if h.methodName = h.method.Name; h.err != nil {
+		h.methodName = string(name)
+	}
+	oc := obs.Begin(s.opts.Obs, h.objKey, h.methodName)
 	sc.SetObs(oc)
-	out, err = s.dispatchCall(ctx, oc, sc, objKey, methodName)
+	out, err = s.dispatchCall(ctx, oc, sc, h)
 	oc.SetIO(int64(len(payload)), int64(len(out)))
 	oc.Finish(err)
 	return out, err
@@ -629,9 +654,9 @@ type decodedCall struct {
 
 // dispatchCall runs the decoded protocol under phase spans: srv-decode,
 // srv-prepare (inside sc.Prepare), srv-execute, srv-encode.
-func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.ServerCall, objKey, methodName string) ([]byte, error) {
+func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.ServerCall, h callHead) ([]byte, error) {
 	sp := oc.Start(obs.PhaseSrvDecode)
-	dc, err := s.decodeArgs(sc, objKey, methodName)
+	dc, err := s.decodeArgs(sc, h)
 	sp.EndN(sc.BytesReceived(), int64(dc.nargs))
 	if err != nil {
 		return nil, err
@@ -647,12 +672,12 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 		}
 	}
 
-	if lock := s.serializedLock(objKey); lock != nil {
+	if lock := s.serializedLock(h.objKey); lock != nil {
 		lock.Lock()
 		defer lock.Unlock()
 	}
 	sp = oc.Start(obs.PhaseSrvExecute)
-	outs, err := s.executeMethod(ctx, oc != nil, objKey, methodName, dc)
+	outs, err := s.executeMethod(ctx, oc != nil, h.objKey, h.methodName, dc)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -673,18 +698,14 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 	return out, nil
 }
 
-// decodeArgs resolves the target and method, reads the per-argument
-// semantics markers and decodes the argument list.
-func (s *Server) decodeArgs(sc *core.ServerCall, objKey, methodName string) (decodedCall, error) {
+// decodeArgs reads the per-argument semantics markers and decodes the
+// argument list of the call h resolved.
+func (s *Server) decodeArgs(sc *core.ServerCall, h callHead) (decodedCall, error) {
 	var dc decodedCall
-	target, err := s.resolveTarget(objKey)
-	if err != nil {
-		return dc, err
+	if h.err != nil {
+		return dc, h.err
 	}
-	method, err := s.methodByName(target.Type(), methodName)
-	if err != nil {
-		return dc, err
-	}
+	target, method, methodName := h.target, h.method, h.methodName
 	nargs, err := sc.DecodeUint()
 	if err != nil {
 		return dc, fmt.Errorf("rmi: reading argument count: %w", err)
@@ -863,7 +884,7 @@ func (s *Server) inboundRef(raw any) (any, error) {
 		return nil, fmt.Errorf("%w: by-reference argument is %T, not *RemoteRef", ErrBadArgument, raw)
 	}
 	if ref.Addr == s.addr {
-		target, err := s.resolveTarget(ref.objectKey())
+		_, target, err := s.resolveTarget([]byte(ref.objectKey()))
 		if err != nil {
 			return nil, err
 		}

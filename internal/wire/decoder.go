@@ -65,7 +65,7 @@ func NewDecoderBytes(data []byte, opts Options) *Decoder {
 // seeded so far, in ID order.
 func (d *Decoder) Objects() []reflect.Value { return d.table }
 
-// NumSeeded returns how many IDs were pre-assigned via SeedObject.
+// NumSeeded returns how many IDs were pre-assigned via SeedDetached.
 func (d *Decoder) NumSeeded() int { return d.numSeeded }
 
 // BytesRead returns the number of payload bytes consumed so far.
@@ -79,23 +79,12 @@ func (d *Decoder) Engine() Engine { return d.engine }
 // valid after the first decode call.
 func (d *Decoder) Access() graph.AccessMode { return d.access }
 
-// SeedObject pre-assigns the next object ID to an existing local object.
-// References to that ID decode to this exact object rather than a fresh
-// copy. The restore protocol seeds the client's original objects before
-// decoding the server's response.
-func (d *Decoder) SeedObject(ref reflect.Value) (int, error) {
-	if !graph.IsIdentityKind(ref.Kind()) || ref.IsNil() {
-		return 0, fmt.Errorf("wire: SeedObject requires a non-nil ptr, map, or slice, got %s", ref.Kind())
-	}
-	id := len(d.table)
-	d.table = append(d.table, graph.StableRef(ref))
-	d.numSeeded++
-	return id, nil
-}
-
-// SeedDetached is SeedObject for a run of reference cells that are already
-// detached (an Encoder's Objects()): they join the table as they are. The
-// cells must stay untouched until decoding has finished.
+// SeedDetached pre-assigns the next object IDs to cells, detached references
+// to existing local objects (an Encoder's Objects()), which join the table as
+// they are: a reference to one of those IDs decodes to that exact object
+// rather than a fresh copy. The restore protocol seeds the client's original
+// objects before decoding the server's response. The cells must stay
+// untouched until decoding has finished.
 func (d *Decoder) SeedDetached(cells []reflect.Value) {
 	d.table = append(d.table, cells...)
 	d.numSeeded += len(cells)
@@ -170,12 +159,13 @@ func (d *Decoder) DecodeUint() (uint64, error) {
 	return d.r.readUint()
 }
 
-// DecodeString reads a raw string written with EncodeString.
-func (d *Decoder) DecodeString() (string, error) {
+// DecodeBytes reads a raw string written with EncodeString as a view of the
+// message, copying nothing: it is valid for as long as the message is.
+func (d *Decoder) DecodeBytes() ([]byte, error) {
 	if err := d.header(); err != nil {
-		return "", err
+		return nil, err
 	}
-	return d.r.readString()
+	return d.r.readBytes()
 }
 
 // DecodeSeededContent reads a content record (written by

@@ -65,7 +65,7 @@ func (e *Encoder) encodeType(t reflect.Type) error {
 }
 
 func (e *Encoder) encodeTypeBody(t reflect.Type) error {
-	if name := canonicalName(t); name != "" {
+	if named(t) {
 		wireName, err := e.opts.Registry.NameOf(t)
 		if err != nil {
 			return err
@@ -162,7 +162,7 @@ func (d *Decoder) decodeType(depth int) (reflect.Type, error) {
 func (d *Decoder) decodeTypeBody(b byte, depth int) (reflect.Type, error) {
 	switch b {
 	case dNamed:
-		name, err := d.r.readString()
+		name, err := d.r.readBytes()
 		if err != nil {
 			return nil, err
 		}

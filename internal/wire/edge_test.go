@@ -202,21 +202,9 @@ func TestDecoderRejectsRefToFutureObject(t *testing.T) {
 	}
 }
 
-func TestSeedObjectValidation(t *testing.T) {
+func TestDecodeSeededContentValidation(t *testing.T) {
 	reg := edgeRegistry(t)
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, Options{Registry: reg})
-	if _, err := enc.SeedObject(reflect.ValueOf(42)); err == nil {
-		t.Fatal("seeding a scalar must fail")
-	}
-	var nilp *wnode
-	if _, err := enc.SeedObject(reflect.ValueOf(nilp)); err == nil {
-		t.Fatal("seeding nil must fail")
-	}
-	dec := NewDecoderBytes(buf.Bytes(), Options{Registry: reg})
-	if _, err := dec.SeedObject(reflect.ValueOf(42)); err == nil {
-		t.Fatal("decoder seeding a scalar must fail")
-	}
+	dec := NewDecoderBytes(nil, Options{Registry: reg})
 	if _, err := dec.DecodeSeededContent(0); err == nil {
 		t.Fatal("content for unseeded id must fail")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"unsafe"
 
 	"nrmi/internal/graph"
 )
@@ -17,10 +18,12 @@ import (
 // Encoders buffer under engine V2; callers must Flush when a message is
 // complete.
 type Encoder struct {
-	w          *writer
-	opts       Options
-	ids        graph.IdentTable
-	objs       []reflect.Value
+	w    *writer
+	opts Options
+	ids  graph.IdentTable
+	objs []reflect.Value
+	// objs[:adopted] are SeedDecoded's objects, not cells.
+	adopted    int
 	typeTable  map[reflect.Type]int
 	strTable   map[string]int
 	headerDone bool
@@ -129,16 +132,8 @@ func (e *Encoder) intern(v reflect.Value) (id int, seen bool, err error) {
 			return id, seen, err
 		}
 	}
-	// The table holds detached reference cells. A pooled encoder reuses the
-	// ones ReleaseEncoder zeroed when the type matches — written through, not
-	// stored again — so the steady-state table allocates nothing.
-	id = len(e.objs)
-	if id == cap(e.objs) {
-		e.objs = append(e.objs, graph.StableRef(v))
-		return id, false, nil
-	}
-	e.objs = e.objs[:id+1]
-	if cell := e.objs[id]; cell.IsValid() && cell.Type() == v.Type() && cell.CanSet() {
+	id, cell := e.next(v.Type())
+	if cell.IsValid() {
 		cell.Set(v)
 	} else {
 		e.objs[id] = graph.StableRef(v)
@@ -146,17 +141,61 @@ func (e *Encoder) intern(v reflect.Value) (id int, seen bool, err error) {
 	return id, false, nil
 }
 
-// SeedObject assigns the next object ID to ref (a pointer, map, or slice)
-// without emitting anything. Seeding an already-known object returns the
-// existing ID. The restore protocol seeds the server-side linear map into
-// the response encoder so that old objects are referenced by their original
-// IDs.
-func (e *Encoder) SeedObject(ref reflect.Value) (int, error) {
-	if !graph.IsIdentityKind(ref.Kind()) || ref.IsNil() {
-		return 0, fmt.Errorf("wire: SeedObject requires a non-nil ptr, map, or slice, got %s", ref.Kind())
+// internPtr is intern for the non-nil pointer of k's type at p, read from
+// its slot: the pointer word is the identity, and a reusable cell takes it
+// with one typed store.
+func (e *Encoder) internPtr(k *kernel, p unsafe.Pointer) (id int, seen bool, err error) {
+	q := *(*unsafe.Pointer)(p)
+	if id, seen = e.ids.GetOrPut(graph.PtrIdent(uintptr(q)), len(e.objs)); seen {
+		if seen, err = graph.Aliases(e.objs[id], k.ref(p)); seen || err != nil {
+			return id, seen, err
+		}
 	}
-	id, _, err := e.intern(ref)
-	return id, err
+	id, cell := e.next(k.t)
+	if cell.IsValid() {
+		*(*unsafe.Pointer)(unsafe.Pointer(cell.UnsafeAddr())) = q
+	} else {
+		e.objs[id] = graph.StableRef(k.ref(p))
+	}
+	return id, false, nil
+}
+
+// next adds an entry to the table and returns its ID and, if the detached
+// reference cell ReleaseEncoder zeroed and parked there has type t, that cell
+// to write through: the steady-state table allocates nothing.
+func (e *Encoder) next(t reflect.Type) (int, reflect.Value) {
+	id := len(e.objs)
+	if id == cap(e.objs) {
+		e.objs = append(e.objs, reflect.Value{})
+		return id, reflect.Value{}
+	}
+	e.objs = e.objs[:id+1]
+	if cell := e.objs[id]; cell.IsValid() && cell.Type() == t && cell.CanSet() {
+		return id, cell
+	}
+	return id, reflect.Value{}
+}
+
+// SeedDecoded enters a Decoder's objs as the next objects of the table, held
+// as they are and emitting nothing, so a reply refers to a request's object
+// by its request ID. A repeat is not entered again, which leaves the table
+// shorter than objs; an overlap is refused as intern refuses it.
+func (e *Encoder) SeedDecoded(objs []reflect.Value) error {
+	for _, v := range objs {
+		ident, _ := graph.IdentOf(v)
+		if id, seen := e.ids.GetOrPut(ident, len(e.objs)); seen {
+			same, err := graph.Aliases(e.objs[id], v)
+			if err != nil {
+				return err
+			}
+			if same {
+				continue
+			}
+		}
+		e.objs = append(e.objs, v)
+	}
+	e.adopted = len(e.objs)
+	return nil
 }
 
 // EncodeSeededContent emits a bare content record for the seeded object id:
@@ -251,12 +290,8 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int, bare bool) error {
 		if v.IsNil() {
 			return e.w.writeByte(tagNil)
 		}
-		id, seen, err := e.intern(v)
-		if err != nil {
-			return err
-		}
-		if seen {
-			return e.writeRef(id)
+		if id, seen, err := e.intern(v); err != nil || seen {
+			return e.refOr(id, err)
 		}
 		// First visit: tag, descriptor (a pointer's is its pointee's), contents.
 		if err := e.w.writeByte(tag); err != nil {

@@ -348,7 +348,7 @@ func (e *Encoder) flatTypeIdx(t reflect.Type) (uint32, error) {
 	}
 	f := e.flat
 	var def []byte
-	if name := canonicalName(t); name != "" {
+	if named(t) {
 		wireName, err := e.opts.Registry.NameOf(t)
 		if err != nil {
 			return 0, err

@@ -132,7 +132,7 @@ func seededFlatFixture(t *testing.T, reg *Registry, server []any, mutate func(),
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, opts)
 	for _, s := range server {
-		if _, err := enc.SeedObject(reflect.ValueOf(s)); err != nil {
+		if err := enc.SeedDecoded(valuesOf(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,9 +147,7 @@ func seededFlatFixture(t *testing.T, reg *Registry, server []any, mutate func(),
 	}
 	dec := NewDecoderBytes(buf.Bytes(), opts)
 	for _, c := range client {
-		if _, err := dec.SeedObject(reflect.ValueOf(c)); err != nil {
-			t.Fatal(err)
-		}
+		seed(dec, c)
 	}
 	return dec
 }

@@ -250,7 +250,7 @@ func (d *Decoder) flatTypeDef(c *flatCur) error {
 		if err != nil {
 			return err
 		}
-		t, err = d.opts.Registry.TypeByName(string(nb))
+		t, err = d.opts.Registry.TypeByName(nb)
 		if err != nil {
 			return err
 		}

@@ -349,11 +349,16 @@ func bulk(t reflect.Type) uint64 {
 }
 
 func (r *reader) readString() (string, error) {
+	// The conversion makes the one copy that escapes.
+	p, err := r.readBytes()
+	return string(p), err
+}
+
+// readBytes reads a string as a view of the message, copying nothing.
+func (r *reader) readBytes() ([]byte, error) {
 	n, err := r.readLen()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	// The conversion makes the one copy that escapes.
-	p, err := r.slice(n)
-	return string(p), err
+	return r.slice(n)
 }

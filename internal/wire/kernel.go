@@ -227,25 +227,11 @@ func (k *kernel) enc(e *Encoder, v reflect.Value, depth int, bare bool) error {
 		elem := v.Elem()
 		return e.memo.of(elem.Type(), e.opts.Access).enc(e, elem, depth+1, false)
 	}
-	id, seen, err := e.intern(v)
-	if err != nil {
+	if id, seen, err := e.intern(v); err != nil || seen {
+		return e.refOr(id, err)
+	}
+	if err := k.head(e, bare); err != nil {
 		return err
-	}
-	if seen {
-		return e.writeRef(id)
-	}
-	if err := e.w.writeByte(k.tag); err != nil {
-		return err
-	}
-	if !bare {
-		// A pointer's descriptor is its pointee's.
-		desc := k
-		if k.tag == tagPtr {
-			desc = k.elem
-		}
-		if err := e.encodeType(desc.t); err != nil {
-			return err
-		}
 	}
 	switch k.tag {
 	case tagPtr:
@@ -259,6 +245,27 @@ func (k *kernel) enc(e *Encoder, v reflect.Value, depth int, bare bool) error {
 	return k.encElems(e, v.UnsafePointer(), v.Len(), depth)
 }
 
+// refOr is what a visit to object id that intern reports as seen writes: the
+// back-reference, or intern's error.
+func (e *Encoder) refOr(id int, err error) error {
+	if err != nil {
+		return err
+	}
+	return e.writeRef(id)
+}
+
+// head writes what precedes the contents of an object's first visit: its tag
+// and, described, its descriptor — a pointer's is its pointee's.
+func (k *kernel) head(e *Encoder, bare bool) error {
+	if err := e.w.writeByte(k.tag); err != nil || bare {
+		return err
+	}
+	if k.tag == tagPtr {
+		return e.encodeType(k.elem.t)
+	}
+	return e.encodeType(k.t)
+}
+
 // encAt writes the value of k's type at p, as enc does.
 func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error {
 	if depth > maxEncodeDepth {
@@ -269,10 +276,22 @@ func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error
 		return k.enc(e, reflect.NewAt(k.t, p).Elem(), depth, bare)
 	case tagPtr, tagMap, tagSlice:
 		// The first word of each is nil exactly when the reference is.
-		if *(*unsafe.Pointer)(p) == nil {
+		q := *(*unsafe.Pointer)(p)
+		switch {
+		case q == nil:
 			return e.w.writeByte(tagNil)
+		case k.tag != tagPtr:
+			return k.enc(e, k.ref(p), depth, bare)
 		}
-		return k.enc(e, k.ref(p), depth, bare)
+		// A pointer is interned from its slot, with no reflect.Value unless
+		// its cell is new or a visit is not the first.
+		if id, seen, err := e.internPtr(k, p); err != nil || seen {
+			return e.refOr(id, err)
+		}
+		if err := k.head(e, bare); err != nil {
+			return err
+		}
+		return k.elem.encAt(e, q, depth+1, true)
 	}
 	if !bare {
 		if err := e.w.writeByte(k.tag); err != nil {
@@ -405,7 +424,12 @@ func (k *kernel) into(d *Decoder, p unsafe.Pointer, depth int) error {
 	case tag != k.tag:
 		err = fmt.Errorf("%w: value tag %d in a slot of type %s", ErrBadStream, tag, k.t)
 	case tag == tagPtr:
-		v, err = d.build(tag, k.elem, depth)
+		// A fresh *E is stored as it is: one word, whatever pointer type
+		// with element E the slot has.
+		if v, err = d.build(tag, k.elem, depth); err == nil {
+			*(*unsafe.Pointer)(p) = v.UnsafePointer()
+		}
+		return err
 	default:
 		v, err = d.build(tag, k, depth)
 	}

@@ -236,7 +236,7 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 	// this same encoder) must not find the previous message's identities
 	// among its own.
 	next := AcquireEncoder(&buf, on)
-	if _, err := next.SeedObject(reflect.ValueOf(&wnode{})); err != nil {
+	if err := next.SeedDecoded(valuesOf(&wnode{})); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range nodes {
@@ -251,7 +251,7 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 	var resp bytes.Buffer
 	renc := NewEncoder(&resp, on)
 	for _, n := range nodes {
-		if _, err := renc.SeedObject(reflect.ValueOf(n)); err != nil {
+		if err := renc.SeedDecoded(valuesOf(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,9 +265,7 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 	}
 	dec := AcquireDecoderBytes(resp.Bytes(), on)
 	for _, n := range nodes {
-		if _, err := dec.SeedObject(reflect.ValueOf(n)); err != nil {
-			t.Fatal(err)
-		}
+		seed(dec, n)
 	}
 	dec.ExpectContents(len(nodes))
 	for id := range nodes {
@@ -330,5 +328,33 @@ func TestFailedTypeDefLeavesNoUsableSlot(t *testing.T) {
 	}
 	if _, err := dec.flatTypeAt(0); !errors.Is(err, ErrBadStream) {
 		t.Errorf("V3 reference to the slot: %v, want ErrBadStream", err)
+	}
+}
+
+// TestReleaseDropsAdoptedObjects: a reply encoder holds the request
+// decoder's objects as they are (SeedDecoded), after a request encoder's
+// cells; releasing it drops the objects and zeroes the cells, so the pool
+// pins none of them.
+func TestReleaseDropsAdoptedObjects(t *testing.T) {
+	on, _ := kernelOptions(t)
+	var req bytes.Buffer
+	stream := encodeStream(t, NewEncoder(&req, on), &req, []any{&wnode{Data: 1, Left: &wnode{Data: 2}}})
+	dec := NewDecoderBytes(stream, on)
+	if _, err := dec.Decode(); err != nil {
+		t.Fatal(err)
+	}
+	enc := NewEncoder(&bytes.Buffer{}, on)
+	if err := enc.Encode(&wnode{Left: &wnode{Right: &wnode{}}}); err != nil {
+		t.Fatal(err)
+	}
+	enc.reset()
+	if err := enc.SeedDecoded(dec.Objects()); err != nil {
+		t.Fatal(err)
+	}
+	enc.reset()
+	for i, cell := range enc.objs[:cap(enc.objs)] {
+		if cell.IsValid() && !cell.IsZero() {
+			t.Errorf("released encoder's object cell %d still references %v", i, cell)
+		}
 	}
 }

@@ -447,9 +447,7 @@ func TestTruncatedContentLeavesOriginal(t *testing.T) {
 		want, wantLeaf := bits(orig), bits(orig.L)
 		for cut := 1; cut < len(record); cut++ {
 			dec := NewDecoderBytes(record[:cut], opts)
-			if _, err := dec.SeedObject(reflect.ValueOf(orig)); err != nil {
-				t.Fatal(err)
-			}
+			seed(dec, orig)
 			if _, err := dec.DecodeSeededContent(0); err == nil {
 				t.Fatalf("plan cache off = %v: record cut at %d of %d decoded", cache, cut, len(record))
 			}
@@ -494,6 +492,73 @@ func TestPointerShapedValues(t *testing.T) {
 	for _, opts := range []Options{on, off} {
 		if err := NewEncoder(&bytes.Buffer{}, opts).Encode(hidPtr{shared}); !errors.Is(err, graph.ErrUnexportedField) {
 			t.Fatalf("plan cache off = %v: got %v, want ErrUnexportedField", opts.DisablePlanCache, err)
+		}
+	}
+}
+
+// overlapPair holds a struct pointer and a pointer to the struct's first
+// field: two references of two types to one address.
+type overlapPair struct {
+	N *wnode
+	D *int
+}
+
+// TestPointerSlotInternParity: a pointer interned from its slot numbers the
+// objects the generic path numbers from reflect.Values — byte-identical
+// streams and equal object tables, for aliased and cyclic graphs and a named
+// pointer type — and refuses the same overlap with ErrObjectOverlap.
+func TestPointerSlotInternParity(t *testing.T) {
+	reg := testRegistry(t)
+	registerKindMatrix(t, reg)
+	if err := reg.Register("overlapPair", overlapPair{}); err != nil {
+		t.Fatal(err)
+	}
+	on := Options{Registry: reg, Access: graph.AccessUnsafe}
+	off := on
+	off.DisablePlanCache = true
+
+	leaf := &kmatrix{I8: 1}
+	leaf.L = kmLink(leaf) // a cycle through the named pointer type
+	named := kindMatrix(3)
+	named.L = kmLink(leaf)
+	named.Any = &kmatrix{L: kmLink(leaf)} // an alias of the same type
+	shared := &wnode{Data: 1}
+	cyc := &wnode{Data: 2, Left: shared, Right: shared}
+	shared.Right = cyc
+	for name, vs := range map[string][]any{
+		"aliased and cyclic": {cyc, &wbag{Table: map[string]*wnode{"s": shared}, Any: shared}},
+		"named pointer":      {named},
+	} {
+		fast, fobjs := encodeRoots(t, on, vs, false)
+		slow, sobjs := encodeRoots(t, off, vs, false)
+		if !bytes.Equal(fast, slow) {
+			t.Fatalf("%s: kernel stream %x\ngeneric stream %x", name, fast, slow)
+		}
+		if len(fobjs) != len(sobjs) {
+			t.Fatalf("%s: %d objects on the kernel path, %d on the generic", name, len(fobjs), len(sobjs))
+		}
+		for i := range fobjs {
+			if fobjs[i].Type() != sobjs[i].Type() || fobjs[i].UnsafePointer() != sobjs[i].UnsafePointer() {
+				t.Fatalf("%s: object %d is %v on the kernel path, %v on the generic", name, i, fobjs[i], sobjs[i])
+			}
+		}
+		dec := NewDecoderBytes(fast, on)
+		for _, v := range vs {
+			got, err := dec.Decode()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if eq, err := graph.Equal(graph.AccessUnsafe, v, got); err != nil || !eq {
+				t.Fatalf("%s: decoded %+v (%v %v)", name, got, eq, err)
+			}
+		}
+	}
+
+	n := &wnode{}
+	for _, opts := range []Options{on, off} {
+		err := NewEncoder(&bytes.Buffer{}, opts).Encode(&overlapPair{N: n, D: &n.Data})
+		if !errors.Is(err, graph.ErrObjectOverlap) {
+			t.Errorf("plan cache off = %v: got %v, want ErrObjectOverlap", opts.DisablePlanCache, err)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func (l *layout) walk(t reflect.Type, mode graph.AccessMode) {
 		l.put(uint64(dIface))
 		return
 	}
-	if canonicalName(t) != "" {
+	if named(t) {
 		if i := slices.Index(l.named, t); i >= 0 {
 			l.put(uint64(dTableRef))
 			l.put(uint64(i))

@@ -15,7 +15,8 @@ import (
 //
 //   - The encoder's object table holds *detached* reference cells
 //     (graph.StableRef); the cells are zeroed (dropping the user's graph) but
-//     kept for reuse by intern.
+//     kept for reuse by intern. A reply encoder's table starts with the
+//     request decoder's objects (SeedDecoded): those entries are dropped.
 //   - The decoder's table holds the decoded objects themselves — they belong
 //     to the caller — so the entries are dropped outright, never written to.
 //
@@ -48,21 +49,28 @@ func ReleaseEncoder(e *Encoder) {
 	if e == nil {
 		return
 	}
+	e.reset()
+	encoderPool.Put(e)
+}
+
+// reset is ReleaseEncoder short of the pool.
+func (e *Encoder) reset() {
 	e.ids.Reset()
 	clear(e.typeTable)
 	clear(e.strTable)
 	e.memo = kernelMemo{}
-	// Zero the detached reference cells — dropping the user's objects — but
-	// keep them parked in the table's capacity for intern to reuse.
-	// Cells beyond len were already zeroed by an earlier release.
-	for _, cell := range e.objs {
+	// Drop the decoded objects SeedDecoded adopted; zero the detached
+	// reference cells — dropping the user's objects — but keep them parked in
+	// the table's capacity for intern to reuse. Cells beyond len were already
+	// zeroed by an earlier release.
+	clear(e.objs[:e.adopted])
+	for _, cell := range e.objs[e.adopted:] {
 		if cell.IsValid() && cell.CanSet() {
 			cell.SetZero()
 		}
 	}
-	e.objs = e.objs[:0]
+	e.objs, e.adopted = e.objs[:0], 0
 	e.w.reset(nil, e.opts.Engine) // do not retain the caller's writer
-	encoderPool.Put(e)
 }
 
 var decoderPool = sync.Pool{New: func() any { return nil }}

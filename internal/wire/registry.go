@@ -105,29 +105,23 @@ func (r *Registry) RegisterAuto(sample any) (string, error) {
 	for t.Kind() == reflect.Ptr {
 		t = t.Elem()
 	}
-	name := canonicalName(t)
-	if name == "" {
+	if !named(t) {
 		return "", fmt.Errorf("wire: type %s has no canonical name; use Register", t)
 	}
+	name := t.PkgPath() + "." + t.Name()
 	return name, r.RegisterType(name, t)
 }
 
-// canonicalName builds "pkgpath.Name" for named types, "" otherwise.
-func canonicalName(t reflect.Type) string {
-	if t.Name() == "" {
-		return ""
-	}
-	if t.PkgPath() == "" {
-		return "" // predeclared types need no registration
-	}
-	return t.PkgPath() + "." + t.Name()
-}
+// named reports whether t travels under a registered name: a defined type
+// outside the predeclared ones, whose canonical name is "pkgpath.Name".
+func named(t reflect.Type) bool { return t.Name() != "" && t.PkgPath() != "" }
 
-// TypeByName resolves a wire name, reporting ErrTypeNotRegistered misses.
-func (r *Registry) TypeByName(name string) (reflect.Type, error) {
+// TypeByName resolves a wire name, as read off a stream, reporting
+// ErrTypeNotRegistered misses. The lookup copies nothing.
+func (r *Registry) TypeByName(name []byte) (reflect.Type, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	t, ok := r.byName[name]
+	t, ok := r.byName[string(name)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrTypeNotRegistered, name)
 	}

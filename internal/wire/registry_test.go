@@ -69,10 +69,10 @@ func TestRegisterTypeConflictDetails(t *testing.T) {
 		}
 	}
 	// The original binding must be untouched by the failed attempt.
-	if typ, err := r.TypeByName("app.Node"); err != nil || typ != reflect.TypeOf(regNode{}) {
+	if typ, err := r.TypeByName([]byte("app.Node")); err != nil || typ != reflect.TypeOf(regNode{}) {
 		t.Fatalf("original binding damaged: %v, %v", typ, err)
 	}
-	if _, err := r.TypeByName("app.Renamed"); err == nil {
+	if _, err := r.TypeByName([]byte("app.Renamed")); err == nil {
 		t.Fatal("failed registration must not bind the new name")
 	}
 	// Registering the identical pair again stays a no-op.
@@ -104,7 +104,7 @@ func TestRegisterStrictRejectsForbiddenKinds(t *testing.T) {
 		t.Errorf("error must name the offending field path: %v", err)
 	}
 	// The failed registration must leave no binding behind.
-	if _, err := r.TypeByName("app.ChanHolder"); err == nil {
+	if _, err := r.TypeByName([]byte("app.ChanHolder")); err == nil {
 		t.Fatal("rejected type must not be registered")
 	}
 

@@ -129,7 +129,7 @@ func encodeRoots(t *testing.T, opts Options, values []any, seeded bool) ([]byte,
 	for _, v := range values {
 		var err error
 		if seeded {
-			_, err = enc.SeedObject(reflect.ValueOf(v))
+			err = enc.SeedDecoded(valuesOf(v))
 		} else {
 			err = enc.Encode(v)
 		}
@@ -165,9 +165,7 @@ func decodeRoots(t *testing.T, opts Options, stream []byte, like []any, seeded b
 			default:
 				shell = reflect.MakeSlice(hv.Type(), hv.Len(), hv.Len())
 			}
-			if _, err := dec.SeedObject(shell); err != nil {
-				t.Fatal(err)
-			}
+			seed(dec, shell.Interface())
 		}
 		dec.ExpectContents(len(like))
 	}
@@ -301,11 +299,7 @@ func hostileReply(t *testing.T, opts Options, stream []byte, ids ...int) (error,
 	t.Helper()
 	root := &wnode{Data: 1, Left: &wnode{Data: 2}, Right: &wnode{Data: 3}}
 	dec := NewDecoderBytes(stream, opts)
-	for _, obj := range []any{root, root.Left, root.Right, &wbag{}} {
-		if _, err := dec.SeedObject(reflect.ValueOf(obj)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	seed(dec, root, root.Left, root.Right, &wbag{})
 	dec.ExpectContents(len(ids))
 	for _, id := range ids {
 		if _, err := dec.DecodeSeededContent(id); err != nil {
@@ -536,9 +530,7 @@ func TestFloatOverflowRefused(t *testing.T) {
 			_, errStream := dec.Decode()
 			// As the content record of a seeded *floats.
 			dec = NewDecoderBytes(join(header, []byte{contentPtr}, body), opts)
-			if _, err := dec.SeedObject(reflect.ValueOf(&floats{})); err != nil {
-				t.Fatal(err)
-			}
+			seed(dec, &floats{})
 			_, errRecord := dec.DecodeSeededContent(0)
 			for where, err := range map[string]error{"stream value": errStream, "content record": errRecord} {
 				if tc.overflowing != errors.Is(err, ErrBadStream) || !tc.overflowing && err != nil {

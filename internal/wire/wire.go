@@ -27,7 +27,7 @@
 //
 // The codec also supports the seeded-object protocol used by the restore
 // phase: an endpoint may pre-assign IDs to objects it already holds
-// (Encoder.SeedObject / Decoder.SeedObject) and then exchange bare content
+// (Encoder.SeedDecoded / Decoder.SeedDetached) and then exchange bare content
 // records for those IDs (EncodeSeededContent / DecodeSeededContent),
 // resolving references to seeded IDs against the local originals.
 package wire

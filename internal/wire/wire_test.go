@@ -396,14 +396,10 @@ func TestSeededContentProtocol(t *testing.T) {
 
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf, opts)
-		ida, err := enc.SeedObject(reflect.ValueOf(serverA))
-		if err != nil {
+		if err := enc.SeedDecoded(valuesOf(serverA, serverB)); err != nil {
 			t.Fatal(err)
 		}
-		idb, err := enc.SeedObject(reflect.ValueOf(serverB))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ida, idb := 0, 1
 		// Server mutates: A.Data=10, A.Left -> new node pointing back to B.
 		serverA.Data = 10
 		serverA.Left = &wnode{Data: 99, Right: serverB}
@@ -423,12 +419,7 @@ func TestSeededContentProtocol(t *testing.T) {
 		clientA.Left = clientB
 		dec := NewDecoderBytes(buf.Bytes(), opts)
 		defer dec.ReleaseArena()
-		if _, err := dec.SeedObject(reflect.ValueOf(clientA)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dec.SeedObject(reflect.ValueOf(clientB)); err != nil {
-			t.Fatal(err)
-		}
+		seed(dec, clientA, clientB)
 		tmpA, err := dec.DecodeSeededContent(ida)
 		if err != nil {
 			t.Fatal(err)
@@ -465,14 +456,10 @@ func TestSeededSliceAndMapContent(t *testing.T) {
 		srvMap := map[string]int{"a": 1}
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf, opts)
-		ids, err := enc.SeedObject(reflect.ValueOf(srvSlice))
-		if err != nil {
+		if err := enc.SeedDecoded(valuesOf(srvSlice, srvMap)); err != nil {
 			t.Fatal(err)
 		}
-		idm, err := enc.SeedObject(reflect.ValueOf(srvMap))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ids, idm := 0, 1
 		srvSlice[1] = 20
 		srvMap["b"] = 2
 		if err := enc.EncodeSeededContent(ids); err != nil {
@@ -489,12 +476,7 @@ func TestSeededSliceAndMapContent(t *testing.T) {
 		cliMap := map[string]int{"a": 1}
 		dec := NewDecoderBytes(buf.Bytes(), opts)
 		defer dec.ReleaseArena()
-		if _, err := dec.SeedObject(reflect.ValueOf(cliSlice)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dec.SeedObject(reflect.ValueOf(cliMap)); err != nil {
-			t.Fatal(err)
-		}
+		seed(dec, cliSlice, cliMap)
 		ts, err := dec.DecodeSeededContent(ids)
 		if err != nil {
 			t.Fatal(err)
@@ -512,20 +494,27 @@ func TestSeededSliceAndMapContent(t *testing.T) {
 	})
 }
 
+// TestSeedObjectDuplicate: SeedDecoded enters a repeated object once, keeps
+// empty slices of two types apart, and refuses a pointer to a struct's first
+// field next to the struct's.
 func TestSeedObjectDuplicate(t *testing.T) {
 	n := &wnode{}
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, Options{Registry: testRegistry(t)})
-	id1, err := enc.SeedObject(reflect.ValueOf(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, err := enc.SeedObject(reflect.ValueOf(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id1 != id2 {
-		t.Fatalf("duplicate seed must return same id: %d vs %d", id1, id2)
+	for _, tc := range []struct {
+		name string
+		objs []reflect.Value
+		want int
+		err  error
+	}{
+		{"a repeat", valuesOf(n, n), 1, nil},
+		{"empty slices of two types", valuesOf([]int{}, []string{}), 2, nil},
+		{"a struct and its first field", valuesOf(n, &n.Data), 1, graph.ErrObjectOverlap},
+	} {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf, Options{Registry: testRegistry(t)})
+		err := enc.SeedDecoded(tc.objs)
+		if !errors.Is(err, tc.err) || len(enc.Objects()) != tc.want {
+			t.Errorf("%s: %d objects, err %v; want %d, %v", tc.name, len(enc.Objects()), err, tc.want, tc.err)
+		}
 	}
 }
 
@@ -547,8 +536,8 @@ func TestRawUintAndString(t *testing.T) {
 		if err != nil || u != 12345 {
 			t.Fatalf("uint: %d, %v", u, err)
 		}
-		s, err := dec.DecodeString()
-		if err != nil || s != "framing" {
+		s, err := dec.DecodeBytes()
+		if err != nil || string(s) != "framing" {
 			t.Fatalf("string: %q, %v", s, err)
 		}
 	})
@@ -593,7 +582,7 @@ func TestRegistryConflicts(t *testing.T) {
 	if err := r.Register("b", wnode{}); err == nil {
 		t.Fatal("conflicting type rebind must fail")
 	}
-	if _, err := r.TypeByName("missing"); !errors.Is(err, ErrTypeNotRegistered) {
+	if _, err := r.TypeByName([]byte("missing")); !errors.Is(err, ErrTypeNotRegistered) {
 		t.Fatalf("want ErrTypeNotRegistered, got %v", err)
 	}
 	name, err := r.RegisterAuto(wbag{})
