@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/wire"
 )
 
 // atomicWorld builds one aliased tree and returns the encoded request's
@@ -66,51 +67,72 @@ func graphsEqual(t *testing.T, a, b *Tree) bool {
 }
 
 // TestApplyResponseAtomicUnderTruncation feeds ApplyResponse every proper
-// prefix of a valid response. Each one must fail, and each failure must
-// leave the argument graph bit-identical to its snapshot.
+// prefix of a valid response, in every codec configuration. Each one must
+// fail, each failure must leave the argument graph bit-identical to its
+// snapshot, and the arena a V3 decode acquires is released exactly once.
 func TestApplyResponseAtomicUnderTruncation(t *testing.T) {
-	opts := testOptions(t)
-	_, full, _ := atomicWorld(t, opts)
-	for cut := 0; cut < len(full); cut++ {
-		call, resp, root := atomicWorld(t, opts)
-		if !bytes.Equal(resp, full) {
-			t.Fatal("response encoding is not deterministic; sweep invalid")
-		}
-		snap := snapshotGraph(t, root)
-		_, err := call.ApplyResponseBytes(resp[:cut])
-		if err == nil {
-			t.Fatalf("truncation at %d/%d bytes: ApplyResponse succeeded", cut, len(full))
-		}
-		if !graphsEqual(t, root, snap) {
-			t.Fatalf("truncation at %d/%d bytes: failed ApplyResponse mutated the graph (err was %v)",
-				cut, len(full), err)
-		}
+	for _, cfg := range codecConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			opts := cfg.apply(testOptions(t))
+			_, full, _ := atomicWorld(t, opts)
+			for cut := 0; cut < len(full); cut++ {
+				call, resp, root := atomicWorld(t, opts)
+				if !bytes.Equal(resp, full) {
+					t.Fatal("response encoding is not deterministic; sweep invalid")
+				}
+				snap := snapshotGraph(t, root)
+				acq0, rel0 := wire.ArenaCounters()
+				_, err := call.ApplyResponseBytes(resp[:cut])
+				acq1, rel1 := wire.ArenaCounters()
+				if err == nil {
+					t.Fatalf("truncation at %d/%d bytes: ApplyResponse succeeded", cut, len(full))
+				}
+				if !graphsEqual(t, root, snap) {
+					t.Fatalf("truncation at %d/%d bytes: failed ApplyResponse mutated the graph (err was %v)",
+						cut, len(full), err)
+				}
+				if acq1-acq0 != rel1-rel0 {
+					t.Fatalf("truncation at %d/%d bytes: arena imbalance +%d/+%d (err was %v)",
+						cut, len(full), acq1-acq0, rel1-rel0, err)
+				}
+			}
+		})
 	}
 }
 
-// TestApplyResponseAtomicUnderBitFlips is the seeded corruption property:
-// flip one byte of the response at a time; whenever ApplyResponse reports
-// an error, the graph must equal its snapshot. (A flip that still decodes
-// cleanly is garbage-in-garbage-out — the protocol has no checksums — so
-// successful applies are only required not to crash.)
+// TestApplyResponseAtomicUnderBitFlips is the seeded corruption property, in
+// every codec configuration: flip one bit of the response at a time;
+// whenever ApplyResponse reports an error, the graph must equal its
+// snapshot. (A flip that still decodes cleanly is garbage-in-garbage-out —
+// the protocol has no checksums — so successful applies are only required
+// not to crash.) Either way the arena balance holds.
 func TestApplyResponseAtomicUnderBitFlips(t *testing.T) {
 	const seed = 20260805
 	const trials = 400
-	opts := testOptions(t)
-	rng := rand.New(rand.NewSource(seed))
-	for trial := 0; trial < trials; trial++ {
-		call, resp, root := atomicWorld(t, opts)
-		pos := rng.Intn(len(resp))
-		bit := byte(1) << rng.Intn(8)
-		corrupt := append([]byte(nil), resp...)
-		corrupt[pos] ^= bit
-		snap := snapshotGraph(t, root)
-		if _, err := call.ApplyResponseBytes(corrupt); err != nil {
-			if !graphsEqual(t, root, snap) {
-				t.Fatalf("seed %d trial %d (byte %d bit %#02x): failed ApplyResponse mutated the graph (err was %v)",
-					seed, trial, pos, bit, err)
+	for _, cfg := range codecConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			opts := cfg.apply(testOptions(t))
+			rng := rand.New(rand.NewSource(seed))
+			for trial := 0; trial < trials; trial++ {
+				call, resp, root := atomicWorld(t, opts)
+				pos := rng.Intn(len(resp))
+				bit := byte(1) << rng.Intn(8)
+				corrupt := append([]byte(nil), resp...)
+				corrupt[pos] ^= bit
+				snap := snapshotGraph(t, root)
+				acq0, rel0 := wire.ArenaCounters()
+				_, err := call.ApplyResponseBytes(corrupt)
+				acq1, rel1 := wire.ArenaCounters()
+				if err != nil && !graphsEqual(t, root, snap) {
+					t.Fatalf("seed %d trial %d (byte %d bit %#02x): failed ApplyResponse mutated the graph (err was %v)",
+						seed, trial, pos, bit, err)
+				}
+				if acq1-acq0 != rel1-rel0 {
+					t.Fatalf("seed %d trial %d: arena imbalance +%d/+%d (err was %v)",
+						seed, trial, acq1-acq0, rel1-rel0, err)
+				}
 			}
-		}
+		})
 	}
 }
 

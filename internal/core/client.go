@@ -146,15 +146,11 @@ type Response struct {
 	BytesReceived int64
 }
 
-// pendingRestore pairs a seeded original with its validated "modified
-// version". Under engines V1/V2 that is a decoded staging temporary (tmp);
-// under engine V3 it is a zero-copy content record (flat) still sitting in
-// the receive buffer, validated by DecodeSeededFlat and committed straight
-// into the original.
+// pendingRestore pairs a seeded original with its "modified version": the
+// staging temporary its content record decoded into.
 type pendingRestore struct {
 	orig reflect.Value
 	tmp  reflect.Value
-	flat *wire.FlatContent
 }
 
 // ApplyResponseBytes reads the server's restore section and return values
@@ -162,8 +158,7 @@ type pendingRestore struct {
 // alias of every pre-call object observes the server's mutations. It
 // implements steps 4–6 of the paper's algorithm in a single pass, recording
 // the decode and commit phases on the attached collector. Engine V3 decodes
-// by slicing — content records are validated and committed straight out of
-// data — so the caller must keep data alive and unmodified until
+// by slicing, so the caller must keep data alive and unmodified until
 // ApplyResponseBytes returns, and only then recycle the buffer. The pooled
 // decoder goes back to the pool on success only.
 func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
@@ -184,11 +179,9 @@ func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
 		sp.EndN(0, int64(len(updates)))
 	}
 	if err != nil {
-		// Abandon the response with the caller's graph untouched: drop the
-		// pending zero-copy records and the arena, each released exactly
-		// once. The decoder itself is not recycled — partially decoded
-		// state may still reference its table.
-		releaseFlats(updates)
+		// Abandon the response with the caller's graph untouched: the arena
+		// is released exactly once. The decoder itself is not recycled —
+		// partially decoded state may still reference its table.
 		dec.ReleaseArena()
 		return nil, err
 	}
@@ -201,14 +194,6 @@ func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
 	}
 	wire.ReleaseDecoder(dec)
 	return resp, nil
-}
-
-// releaseFlats drops any pending zero-copy content records (no-op for
-// entries already committed or for the V1/V2 staging path).
-func releaseFlats(updates []pendingRestore) {
-	for _, u := range updates {
-		u.flat.Release()
-	}
 }
 
 // decodeReply seeds the response decoder and consumes the restore section
@@ -238,18 +223,6 @@ func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []
 		}
 		if id >= uint64(numSeeded) {
 			return updates, nil, fmt.Errorf("%w: content record for unknown object %d", ErrBadResponse, id)
-		}
-		if dec.Engine() == wire.EngineV3 {
-			// Zero-copy restore: validate the record in place and retain it
-			// as bytes; no staging temporary is materialized. Validation
-			// completes for every record before the first commit, so the
-			// two-phase bit-identical-on-failure guarantee is unchanged.
-			fc, err := dec.DecodeSeededFlat(int(id))
-			if err != nil {
-				return updates, nil, fmt.Errorf("core: decoding content for object %d: %w", id, err)
-			}
-			updates = append(updates, pendingRestore{orig: seeded[id], flat: fc})
-			continue
 		}
 		tmp, err := dec.DecodeSeededContent(int(id))
 		if err != nil {
@@ -282,17 +255,6 @@ func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []
 // first overwrite — so a malformed reply fails with the caller's graph
 // untouched rather than half-restored.
 func commitUpdates(updates []pendingRestore) error {
-	if len(updates) > 0 && updates[0].flat != nil {
-		// Engine V3: the validate phase already ran — DecodeSeededFlat
-		// proved every record committable before this function was reached —
-		// so the commit loop just re-parses each record into its original.
-		for _, u := range updates {
-			if err := u.flat.Commit(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for _, u := range updates {
 		if err := validateRestore(u.orig, u.tmp); err != nil {
 			return err

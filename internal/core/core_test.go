@@ -463,42 +463,44 @@ func TestRestorableMapInPlace(t *testing.T) {
 		{"delete-only", func(m map[string]int) { delete(m, "a") }, map[string]int{"b": 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := testOptions(t)
-			m := map[string]int{"a": 1, "b": 2}
-			aliasOfM := m // second reference to the same map header
-			header := reflect.ValueOf(m).Pointer()
+			for _, cfg := range codecConfigs {
+				opts := cfg.apply(testOptions(t))
+				m := map[string]int{"a": 1, "b": 2}
+				aliasOfM := m // second reference to the same map header
+				header := reflect.ValueOf(m).Pointer()
 
-			var req bytes.Buffer
-			call := NewCall(&req, opts)
-			if err := call.EncodeRestorable(m); err != nil {
-				t.Fatal(err)
-			}
-			if err := call.Finish(); err != nil {
-				t.Fatal(err)
-			}
-			srv := AcceptCallBytes(req.Bytes(), opts)
-			defer srv.Release()
-			sm, err := srv.DecodeRestorable()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Prepare(); err != nil {
-				t.Fatal(err)
-			}
-			tc.mutate(sm.(map[string]int))
-			var respBuf bytes.Buffer
-			if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
-				t.Fatal(err)
-			}
-			for name, alias := range map[string]map[string]int{"m": m, "aliasOfM": aliasOfM} {
-				if !reflect.DeepEqual(alias, tc.want) {
-					t.Fatalf("%s after restore: %v, want %v", name, alias, tc.want)
+				var req bytes.Buffer
+				call := NewCall(&req, opts)
+				if err := call.EncodeRestorable(m); err != nil {
+					t.Fatal(err)
 				}
-				if reflect.ValueOf(alias).Pointer() != header {
-					t.Fatalf("%s no longer names the original map header", name)
+				if err := call.Finish(); err != nil {
+					t.Fatal(err)
+				}
+				srv := AcceptCallBytes(req.Bytes(), opts)
+				sm, err := srv.DecodeRestorable()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.Prepare(); err != nil {
+					t.Fatal(err)
+				}
+				tc.mutate(sm.(map[string]int))
+				var respBuf bytes.Buffer
+				if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
+					t.Fatal(err)
+				}
+				srv.Release()
+				if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+				for name, alias := range map[string]map[string]int{"m": m, "aliasOfM": aliasOfM} {
+					if !reflect.DeepEqual(alias, tc.want) {
+						t.Fatalf("%s: %s after restore: %v, want %v", cfg.name, name, alias, tc.want)
+					}
+					if reflect.ValueOf(alias).Pointer() != header {
+						t.Fatalf("%s: %s no longer names the original map header", cfg.name, name)
+					}
 				}
 			}
 		})

@@ -169,3 +169,40 @@ func TestReleaseUnpinsDecodedObjects(t *testing.T) {
 		t.Fatal("a decoded argument outlived ServerCall.Release")
 	}
 }
+
+// TestStagedRestorePinsNothing: a committed staging temporary still holds
+// the restored object's new state. The application keeps the reply's new
+// objects — under V3 carved from shared arena slabs — so a temporary carved
+// beside them would keep alive whatever the restored object pointed at,
+// after the application unlinks it.
+func TestStagedRestorePinsNothing(t *testing.T) {
+	for _, cfg := range codecConfigs {
+		opts := cfg.apply(testOptions(t))
+		collected := make(chan struct{})
+		var a, n *Tree
+		func() {
+			c := &Tree{Data: 3}
+			a = &Tree{Data: 1}
+			root := &Tree{Left: a, Right: c}
+			runtime.SetFinalizer(c, func(*Tree) { close(collected) })
+			runRemote(t, opts, func(r *Tree) []any {
+				// Old A now points at old C and at a new node N.
+				r.Left.Left, r.Left.Right = r.Right, &Tree{Data: 2}
+				return nil
+			}, root)
+			if a.Left != c || a.Right == nil || a.Right.Data != 2 {
+				t.Fatalf("%s: restore did not relink A: %+v", cfg.name, a)
+			}
+			// The client unlinks C and keeps A and N.
+			n, a.Left, root.Right = a.Right, nil, nil
+		}()
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: an object the client unlinked outlived the restore", cfg.name)
+		}
+		runtime.KeepAlive(a)
+		runtime.KeepAlive(n)
+	}
+}

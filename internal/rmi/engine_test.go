@@ -192,9 +192,8 @@ func TestV2ClientAgainstV3Server(t *testing.T) {
 }
 
 // TestV3PayloadOwnershipLedger re-runs the payload-ownership audit over the
-// V3 path, where the reply payload's lifetime extends through the restore
-// commit (the flat records are validated as slices of the payload itself)
-// and is released only after ApplyResponseBytes returns.
+// V3 path, whose frames are decoded as slices of the reply payload: it is
+// released only after ApplyResponseBytes returns.
 func TestV3PayloadOwnershipLedger(t *testing.T) {
 	v3 := core.Options{Engine: wire.EngineV3}
 	e := newEngineEnv(t, v3, v3)

@@ -254,7 +254,7 @@ func (p *Promise) await(ctx context.Context) ([]byte, error) {
 // mutating (a failure leaves the graph bit-identical), and the error
 // wraps as ResponseConsumedError, which Retryable refuses. The pooled
 // payload goes back only after ApplyResponseBytes has returned — engine V3
-// validates and commits content records straight out of these bytes.
+// decodes its frames as slices of these bytes.
 func (p *Promise) apply(payload []byte) (*core.Response, error) {
 	c := p.st.c
 	start := time.Now()

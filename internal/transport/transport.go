@@ -54,11 +54,7 @@ const (
 	MsgRegistry byte = 3
 	// MsgDGC is a distributed garbage collection message (dirty/clean).
 	MsgDGC byte = 4
-	// MsgFieldGet reads a field of a remotely referenced object.
-	MsgFieldGet byte = 5
-	// MsgFieldSet writes a field of a remotely referenced object.
-	MsgFieldSet byte = 6
-	// MsgPing is a liveness probe.
+	// MsgPing is a liveness probe. Types 5 and 6 are reserved.
 	MsgPing byte = 7
 )
 

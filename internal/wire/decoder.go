@@ -42,20 +42,18 @@ type Decoder struct {
 	// decoders.
 	arena *Arena
 
-	// frameFree and fcFree recycle the frame and FlatContent shells of the
-	// V3 restore path: a response restores one frame per old object, so
-	// without recycling the shells alone cost two allocations per restored
-	// object. Entries are cleared before being parked, so the freelists
-	// never pin payload bytes or user objects.
+	// frameFree recycles the frame shells of engine V3: a response restores
+	// one frame per old object, so without recycling the shells alone cost
+	// an allocation per restored object. Entries are cleared before being
+	// parked, so the freelist never pins payload bytes or user objects.
 	frameFree []*flatFrame
-	fcFree    []*FlatContent
 }
 
 // NewDecoderBytes returns a Decoder reading from an in-memory message. The
 // engine and access mode are learned from the stream header; opts supplies
-// the registry and limits. Engine V3 decodes such messages by slicing: frame regions alias data
-// instead of being copied, so data must stay valid (and unmodified) until
-// decoding — including any pending FlatContent commits — has finished.
+// the registry and limits. Engine V3 decodes such messages by slicing: frame
+// regions alias data instead of being copied, so data must stay valid (and
+// unmodified) until decoding has finished.
 func NewDecoderBytes(data []byte, opts Options) *Decoder {
 	o := opts.withDefaults()
 	return &Decoder{r: &reader{data: data}, opts: o}
@@ -233,10 +231,10 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 // maxStageSlab caps the cells of one staging slab.
 const maxStageSlab = 256
 
-// stageSlab hands out the contentPtr staging cells of one reply. The cells
-// are private to the apply and dead once it commits, so a run of records
-// of one type shares one allocation — unlike decoded objects, which escape
-// to the application one by one and so are allocated one by one. cells is
+// stageSlab hands out the staging cells of one reply's pointer records. The
+// cells are private to the apply and dead once it commits, so a run of
+// records of one type shares one allocation that no object the application
+// keeps points into — unlike decoded objects and V3's arena slabs. cells is
 // a settable []pointee whose header stays with a pooled decoder (its
 // backing array does not: drop); left is the number of cells that may still
 // be reserved: the records to come (ExpectContents) less the cells of the

@@ -34,9 +34,8 @@ import (
 //	fRecSlice u32 sliceTypeIdx u32 len    len x value
 //
 // Values are stateless expressions — nothing in a record depends on decoder
-// state accumulated while parsing another record, which is what lets the
-// restore path parse the same record twice (validate, then commit) and lets
-// fuzzed frames fail deterministically:
+// state accumulated while parsing another record, so a record parses on its
+// own and fuzzed frames fail deterministically:
 //
 //	fNil
 //	fRef    u32 nodeId

@@ -64,8 +64,8 @@ func TestV3DifferentialZoo(t *testing.T) {
 	}
 }
 
-// TestV3BytesMode runs the zoo through the zero-copy bytes-mode decoder:
-// records are validated and parsed as slices of the payload itself.
+// TestV3BytesMode runs the zoo through the bytes-mode decoder: records are
+// parsed as slices of the payload itself.
 func TestV3BytesMode(t *testing.T) {
 	reg := testRegistry(t)
 	var buf bytes.Buffer
@@ -118,178 +118,6 @@ func TestV3StringsDoNotAliasPayload(t *testing.T) {
 	}
 	if got := v.(*wbag).Name; got != "fragile" {
 		t.Fatalf("decoded string aliased the payload: %q", got)
-	}
-}
-
-// --- seeded restore: FlatContent validate / commit / release ---
-
-// seededFlatFixture encodes a seeded-content exchange under V3 and returns a
-// bytes-mode decoder with the client originals seeded, ready for
-// DecodeSeededFlat.
-func seededFlatFixture(t *testing.T, reg *Registry, server []any, mutate func(), client []any) *Decoder {
-	t.Helper()
-	opts := Options{Engine: EngineV3, Registry: reg}
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf, opts)
-	for _, s := range server {
-		if err := enc.SeedDecoded(valuesOf(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mutate()
-	for id := range server {
-		if err := enc.EncodeSeededContent(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec := NewDecoderBytes(buf.Bytes(), opts)
-	for _, c := range client {
-		seed(dec, c)
-	}
-	return dec
-}
-
-func TestV3FlatContentCommit(t *testing.T) {
-	reg := testRegistry(t)
-	srvA := &wnode{Data: 1}
-	srvB := &wnode{Data: 2}
-	srvA.Left = srvB
-	cliA := &wnode{Data: 1}
-	cliB := &wnode{Data: 2}
-	cliA.Left = cliB
-	dec := seededFlatFixture(t, reg,
-		[]any{srvA, srvB},
-		func() {
-			srvA.Data = 10
-			srvA.Left = &wnode{Data: 99, Right: srvB}
-			srvB.Data = 20
-		},
-		[]any{cliA, cliB})
-	defer dec.ReleaseArena()
-
-	fcA, err := dec.DecodeSeededFlat(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fcB, err := dec.DecodeSeededFlat(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing committed yet: originals must be untouched.
-	if cliA.Data != 1 || cliB.Data != 2 || cliA.Left != cliB {
-		t.Fatal("DecodeSeededFlat must not mutate originals before Commit")
-	}
-	if err := fcA.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fcB.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if cliA.Data != 10 || cliB.Data != 20 {
-		t.Fatalf("commit lost scalar updates: A=%d B=%d", cliA.Data, cliB.Data)
-	}
-	if cliA.Left == nil || cliA.Left.Data != 99 {
-		t.Fatal("commit lost the server's new node")
-	}
-	if cliA.Left.Right != cliB {
-		t.Fatal("restored reference must resolve to the client original")
-	}
-	// Commit is idempotent and Release after Commit is a no-op.
-	if err := fcA.Commit(); err != nil {
-		t.Fatalf("second Commit: %v", err)
-	}
-	fcA.Release()
-	if cliA.Data != 10 {
-		t.Fatal("Release after Commit must not disturb the restored graph")
-	}
-}
-
-func TestV3FlatContentMapAndSlice(t *testing.T) {
-	reg := testRegistry(t)
-	srvSlice := []int{1, 2, 3}
-	srvMap := map[string]int{"a": 1, "stale": 9}
-	cliSlice := []int{1, 2, 3}
-	cliMap := map[string]int{"a": 1, "stale": 9}
-	dec := seededFlatFixture(t, reg,
-		[]any{srvSlice, srvMap},
-		func() {
-			srvSlice[1] = 20
-			delete(srvMap, "stale")
-			srvMap["b"] = 2
-		},
-		[]any{cliSlice, cliMap})
-	defer dec.ReleaseArena()
-
-	for id := 0; id < 2; id++ {
-		fc, err := dec.DecodeSeededFlat(id)
-		if err != nil {
-			t.Fatalf("seeded %d: %v", id, err)
-		}
-		if err := fc.Commit(); err != nil {
-			t.Fatalf("commit %d: %v", id, err)
-		}
-	}
-	if cliSlice[1] != 20 {
-		t.Fatalf("slice restore: %v", cliSlice)
-	}
-	// Commit must clear stale entries, not merge over them.
-	if _, ok := cliMap["stale"]; ok {
-		t.Fatalf("map restore kept deleted key: %v", cliMap)
-	}
-	if cliMap["b"] != 2 || len(cliMap) != 2 {
-		t.Fatalf("map restore: %v", cliMap)
-	}
-}
-
-func TestV3FlatContentRelease(t *testing.T) {
-	reg := testRegistry(t)
-	srv := &wnode{Data: 1}
-	cli := &wnode{Data: 1}
-	dec := seededFlatFixture(t, reg,
-		[]any{srv},
-		func() { srv.Data = 42 },
-		[]any{cli})
-	defer dec.ReleaseArena()
-
-	fc, err := dec.DecodeSeededFlat(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc.Release()
-	if cli.Data != 1 {
-		t.Fatal("Release (abort) must leave the original untouched")
-	}
-	// Commit after Release is a no-op, not a use-after-free.
-	if err := fc.Commit(); err != nil {
-		t.Fatalf("Commit after Release: %v", err)
-	}
-	if cli.Data != 1 {
-		t.Fatal("Commit after Release must not restore")
-	}
-}
-
-// TestV3FlatContentSliceResize: call-by-copy-restore cannot change a
-// caller-held slice's length; validation must reject the frame before any
-// write.
-func TestV3FlatContentSliceResize(t *testing.T) {
-	reg := testRegistry(t)
-	srvSlice := []int{1, 2, 3}
-	cliSlice := []int{1, 2} // mismatched seed: client has a shorter slice
-	dec := seededFlatFixture(t, reg,
-		[]any{srvSlice},
-		func() {},
-		[]any{cliSlice})
-	defer dec.ReleaseArena()
-
-	_, err := dec.DecodeSeededFlat(0)
-	if err == nil {
-		t.Fatal("seeded slice length mismatch must fail validation")
-	}
-	if cliSlice[0] != 1 || cliSlice[1] != 2 {
-		t.Fatalf("failed validation mutated the original: %v", cliSlice)
 	}
 }
 

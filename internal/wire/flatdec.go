@@ -9,10 +9,9 @@ import (
 )
 
 // Engine V3 decode: frames are parsed by slicing (flat.go documents the
-// layout). New objects come out of the decoder's arena; seeded-content
-// records are not staged at all — DecodeSeededFlat validates a record
-// against the original object without writing, and FlatContent.Commit
-// re-parses it straight into the original's fields.
+// layout). New objects come out of the decoder's arena; a seeded-content
+// record is staged into a temporary, as under V1/V2, which the core layer
+// validates and commits into the original.
 
 // flatCur is a bounds-checked cursor over one frame region. Every read
 // failure is a structural stream error: the region lengths were declared by
@@ -65,7 +64,6 @@ func (c *flatCur) bytes(n int) ([]byte, error) {
 // flatFrame is one parsed frame. body aliases the reader's payload.
 type flatFrame struct {
 	body     []byte
-	released bool
 	offs     []byte // raw offset table: (newNodes+1) x u32 LE
 	recs     []byte // record region
 	tail     flatCur
@@ -91,12 +89,8 @@ func (d *Decoder) newFlatFrame(body []byte) *flatFrame {
 }
 
 // recycleFrame parks the cleared shell of a frame on the freelist.
-// Exactly-once: a frame already recycled elsewhere is left alone.
 func (d *Decoder) recycleFrame(fr *flatFrame) {
-	if fr == nil || fr.released {
-		return
-	}
-	*fr = flatFrame{released: true}
+	*fr = flatFrame{}
 	d.frameFree = append(d.frameFree, fr)
 }
 
@@ -314,61 +308,62 @@ func (d *Decoder) flatTypeAt(idx uint32) (reflect.Type, error) {
 
 func (d *Decoder) flatMin(t reflect.Type) int { return d.memo.of(t, d.access).min }
 
+// flatHead parses a record header and admits what the record holds: the
+// record kind, its type (the pointee's, for a pointer record) and, for a map
+// or slice record, its count. A record's values lie within the record.
+func (d *Decoder) flatHead(c *flatCur) (lead byte, t reflect.Type, n int, err error) {
+	if lead, err = c.u8(); err != nil {
+		return
+	}
+	idx, err := c.u32()
+	if err != nil {
+		return
+	}
+	if t, err = d.flatTypeAt(idx); err != nil {
+		return
+	}
+	var count uint32
+	switch lead {
+	case fRecPtr:
+		return lead, t, 1, d.r.admit(1, d.flatMin(t), t, c.remaining())
+	case fRecMap:
+		if t.Kind() != reflect.Map {
+			return lead, t, 0, fmt.Errorf("%w: map record with non-map type %s", ErrBadStream, t)
+		}
+		if count, err = c.u32(); err == nil {
+			err = d.r.admit(uint64(count), d.flatMin(t.Key())+d.flatMin(t.Elem()), t.Elem(), c.remaining())
+		}
+	case fRecSlice:
+		if t.Kind() != reflect.Slice {
+			return lead, t, 0, fmt.Errorf("%w: slice record with non-slice type %s", ErrBadStream, t)
+		}
+		if count, err = c.u32(); err == nil {
+			err = d.r.admit(uint64(count), d.flatMin(t.Elem()), t.Elem(), c.remaining())
+		}
+	default:
+		err = fmt.Errorf("%w: unknown record kind 0x%02x", ErrBadStream, lead)
+	}
+	return lead, t, int(count), err
+}
+
 // flatShell materializes an empty object from a record header: pointers and
 // slices come from the arena, maps from reflect.MakeMapWithSize (map
 // storage cannot be batched).
 func (d *Decoder) flatShell(c *flatCur) (reflect.Value, error) {
-	lead, err := c.u8()
-	if err != nil {
+	lead, t, n, err := d.flatHead(c)
+	switch {
+	case err != nil:
 		return reflect.Value{}, err
-	}
-	idx, err := c.u32()
-	if err != nil {
-		return reflect.Value{}, err
-	}
-	t, err := d.flatTypeAt(idx)
-	if err != nil {
-		return reflect.Value{}, err
-	}
-	// A record's values lie within the record.
-	switch lead {
-	case fRecPtr:
-		if err := d.r.admit(1, d.flatMin(t), t, c.remaining()); err != nil {
-			return reflect.Value{}, err
-		}
+	case lead == fRecPtr:
 		return d.arenaFor().NewPtr(t), nil
-	case fRecMap:
-		if t.Kind() != reflect.Map {
-			return reflect.Value{}, fmt.Errorf("%w: map record with non-map type %s", ErrBadStream, t)
-		}
-		count, err := c.u32()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if err := d.r.admit(uint64(count), d.flatMin(t.Key())+d.flatMin(t.Elem()), t.Elem(), c.remaining()); err != nil {
-			return reflect.Value{}, err
-		}
-		return reflect.MakeMapWithSize(t, int(count)), nil
-	case fRecSlice:
-		if t.Kind() != reflect.Slice {
-			return reflect.Value{}, fmt.Errorf("%w: slice record with non-slice type %s", ErrBadStream, t)
-		}
-		n, err := c.u32()
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		if err := d.r.admit(uint64(n), d.flatMin(t.Elem()), t.Elem(), c.remaining()); err != nil {
-			return reflect.Value{}, err
-		}
-		return d.arenaFor().NewSlice(t, int(n)), nil
-	default:
-		return reflect.Value{}, fmt.Errorf("%w: unknown record kind 0x%02x", ErrBadStream, lead)
+	case lead == fRecMap:
+		return reflect.MakeMapWithSize(t, n), nil
 	}
+	return d.arenaFor().NewSlice(t, n), nil
 }
 
-// flatFillRecord parses a record body into shell, which must have been
-// produced by flatShell from the same bytes (the header re-parse is cheap
-// and keeps the two passes independent).
+// flatFillRecord parses a record into shell, which flatShell made from the
+// same bytes: the header is read again, not admitted again.
 func (d *Decoder) flatFillRecord(c *flatCur, shell reflect.Value) error {
 	lead, err := c.u8()
 	if err != nil {
@@ -377,28 +372,31 @@ func (d *Decoder) flatFillRecord(c *flatCur, shell reflect.Value) error {
 	if _, err := c.u32(); err != nil { // type index, validated by the shell pass
 		return err
 	}
-	switch lead {
-	case fRecPtr:
-		return d.flatFillValue(c, shell.Elem(), 0)
-	case fRecMap:
-		count, err := c.u32()
+	n := 1
+	if lead != fRecPtr {
+		count, err := c.u32() // fixed by the shell pass
 		if err != nil {
 			return err
 		}
-		return d.flatFillMapEntries(c, shell, int(count))
-	case fRecSlice:
-		if _, err := c.u32(); err != nil { // length, fixed by the shell pass
+		n = int(count)
+	}
+	return d.flatFillBody(c, lead, shell, n)
+}
+
+// flatFillBody parses the body of a record of kind lead and count n into v.
+func (d *Decoder) flatFillBody(c *flatCur, lead byte, v reflect.Value, n int) error {
+	switch lead {
+	case fRecPtr:
+		return d.flatFillValue(c, v.Elem(), 0)
+	case fRecMap:
+		return d.flatFillMapEntries(c, v, n)
+	}
+	for i := 0; i < n; i++ {
+		if err := d.flatFillValue(c, v.Index(i), 0); err != nil {
 			return err
 		}
-		for i := 0; i < shell.Len(); i++ {
-			if err := d.flatFillValue(c, shell.Index(i), 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown record kind 0x%02x", ErrBadStream, lead)
 	}
+	return nil
 }
 
 // flatFillMapEntries parses count key/value pairs into map mv. The staging
@@ -430,9 +428,8 @@ func (d *Decoder) flatFillMapEntries(c *flatCur, mv reflect.Value, count int) er
 // flatFillValue parses one value expression into dst, validating as it
 // goes: type identity, reference bounds, assignability, and scalar overflow
 // are all checked before the corresponding write, and any error leaves dst
-// with a partially written but type-correct prefix — callers that need
-// all-or-nothing semantics (the restore path) run flatCheckValue over the
-// same bytes first.
+// with a partially written but type-correct prefix — which is why the
+// restore path fills a staged temporary, never the original.
 func (d *Decoder) flatFillValue(c *flatCur, dst reflect.Value, depth int) error {
 	if depth > maxDecodeDepth {
 		return errDecodeDepth
@@ -707,8 +704,11 @@ func (d *Decoder) flatAnyValue(c *flatCur, depth int) (reflect.Value, error) {
 }
 
 // flatSeededStaged is DecodeSeededContent's engine-V3 implementation: it
-// reads a content frame and materializes the record into a fresh temporary,
-// matching the V2 staging semantics. The zero-copy path is DecodeSeededFlat.
+// reads a content frame, whose new objects come from the arena, and stages
+// the record the way V2 stages one. The temporary is allocated apart from
+// the arena — a pointee in the staging slab, a slice or map of its own — so
+// that a new object the application keeps cannot keep the temporary, and
+// what it pointed at before the commit, alive.
 func (d *Decoder) flatSeededStaged(id int) (reflect.Value, error) {
 	orig := d.table[id]
 	fr, err := d.readFlatFrame()
@@ -716,20 +716,26 @@ func (d *Decoder) flatSeededStaged(id int) (reflect.Value, error) {
 		return reflect.Value{}, err
 	}
 	defer d.recycleFrame(fr)
-	head := fr.tail // shell pass re-reads the record header
-	tmp, err := d.flatShell(&head)
+	lead, t, n, err := d.flatHead(&fr.tail)
 	if err != nil {
 		return reflect.Value{}, err
 	}
-	if tmp.Type() != orig.Type() {
-		return reflect.Value{}, fmt.Errorf("%w: content of type %s for seeded %s object",
-			ErrBadStream, tmp.Type(), orig.Type())
-	}
-	if orig.Kind() == reflect.Slice && tmp.Len() != orig.Len() {
+	var tmp reflect.Value
+	switch {
+	case lead == fRecPtr && orig.Kind() == reflect.Ptr && t == orig.Type().Elem():
+		tmp = d.stagingCell(d.memo.of(orig.Type(), d.access), id)
+	case lead == fRecPtr || t != orig.Type():
+		return reflect.Value{}, fmt.Errorf("%w: content record 0x%02x of type %s for seeded %s object",
+			ErrBadStream, lead, t, orig.Type())
+	case lead == fRecMap:
+		tmp = reflect.MakeMapWithSize(t, n)
+	case n == orig.Len():
+		tmp = reflect.MakeSlice(t, n, n)
+	default:
 		return reflect.Value{}, fmt.Errorf("%w: slice object resized %d -> %d; slices are fixed-length array objects",
-			ErrBadStream, orig.Len(), tmp.Len())
+			ErrBadStream, orig.Len(), n)
 	}
-	if err := d.flatFillRecord(&fr.tail, tmp); err != nil {
+	if err := d.flatFillBody(&fr.tail, lead, tmp, n); err != nil {
 		return reflect.Value{}, err
 	}
 	if fr.tail.remaining() != 0 {
@@ -737,342 +743,4 @@ func (d *Decoder) flatSeededStaged(id int) (reflect.Value, error) {
 			ErrBadStream, fr.tail.remaining())
 	}
 	return tmp, nil
-}
-
-// FlatContent is a validated-but-uncommitted seeded content record: the
-// engine-V3 replacement for the staging temporary of DecodeSeededContent.
-// DecodeSeededFlat proves the record can be committed; Commit re-parses the
-// retained record bytes straight into the original object's fields. Until
-// Commit or Release the record aliases the decoder's payload, which must
-// stay alive and unmodified.
-type FlatContent struct {
-	d    *Decoder
-	orig reflect.Value
-	fr   *flatFrame
-	rec  flatCur // positioned at the start of the tail record
-	done bool
-}
-
-// DecodeSeededFlat reads a content record (written by EncodeSeededContent)
-// for seeded object id from an engine-V3 stream and validates it against
-// the original object without materializing anything: type identity,
-// reference bounds, scalar overflow, and (for slices) unchanged length are
-// all proven here, so Commit cannot fail. This is the paper's two-phase
-// restore with the staging copy deleted — the "modified version" of the old
-// object exists only as bytes in the receive buffer.
-func (d *Decoder) DecodeSeededFlat(id int) (*FlatContent, error) {
-	if err := d.header(); err != nil {
-		return nil, err
-	}
-	if d.engine != EngineV3 {
-		return nil, fmt.Errorf("wire: DecodeSeededFlat on engine %s stream", d.engine)
-	}
-	if id < 0 || id >= d.numSeeded {
-		return nil, fmt.Errorf("wire: DecodeSeededFlat(%d): not a seeded object", id)
-	}
-	orig := d.table[id]
-	fr, err := d.readFlatFrame()
-	if err != nil {
-		return nil, err
-	}
-	rec := fr.tail
-	if err := d.flatCheckRecord(&fr.tail, orig); err != nil {
-		d.recycleFrame(fr)
-		return nil, err
-	}
-	if fr.tail.remaining() != 0 {
-		n := fr.tail.remaining()
-		d.recycleFrame(fr)
-		return nil, fmt.Errorf("%w: %d stray bytes after content record", ErrBadStream, n)
-	}
-	if n := len(d.fcFree); n > 0 {
-		fc := d.fcFree[n-1]
-		d.fcFree = d.fcFree[:n-1]
-		*fc = FlatContent{d: d, orig: orig, fr: fr, rec: rec}
-		return fc, nil
-	}
-	return &FlatContent{d: d, orig: orig, fr: fr, rec: rec}, nil
-}
-
-// Commit overwrites the original object's contents from the record bytes.
-// The record passed validation in DecodeSeededFlat, so the re-parse cannot
-// fail on well-behaved memory; an error here means the retained buffer was
-// corrupted after validation and the original may be partially written.
-func (fc *FlatContent) Commit() error {
-	if fc.done {
-		return nil
-	}
-	err := fc.d.flatCommitRecord(&fc.rec, fc.orig)
-	fc.retire()
-	return err
-}
-
-// Release drops the record without committing (the abort path). Idempotent,
-// and a no-op after Commit.
-func (fc *FlatContent) Release() {
-	if fc == nil || fc.done {
-		return
-	}
-	fc.retire()
-}
-
-// retire releases the frame and parks the cleared FlatContent on its
-// decoder's freelist. The shell may be handed out again by the decoder's
-// next DecodeSeededFlat; further Commit/Release calls through a stale
-// pointer remain no-ops until then, so callers must simply not retain a
-// FlatContent past its Commit or Release.
-func (fc *FlatContent) retire() {
-	d := fc.d
-	d.recycleFrame(fc.fr)
-	*fc = FlatContent{d: d, done: true}
-	d.fcFree = append(d.fcFree, fc)
-}
-
-// flatCheckRecord validates a content record against the original object it
-// would overwrite. It consumes exactly the bytes flatCommitRecord will.
-func (d *Decoder) flatCheckRecord(c *flatCur, orig reflect.Value) error {
-	lead, err := c.u8()
-	if err != nil {
-		return err
-	}
-	idx, err := c.u32()
-	if err != nil {
-		return err
-	}
-	t, err := d.flatTypeAt(idx)
-	if err != nil {
-		return err
-	}
-	switch lead {
-	case fRecPtr:
-		if orig.Kind() != reflect.Ptr {
-			return fmt.Errorf("%w: content kind ptr for %s object", ErrBadStream, orig.Kind())
-		}
-		if t != orig.Type().Elem() {
-			return fmt.Errorf("%w: ptr content of type *%s for %s object", ErrBadStream, t, orig.Type())
-		}
-		return d.flatCheckValue(c, t, 0)
-	case fRecMap:
-		if orig.Kind() != reflect.Map {
-			return fmt.Errorf("%w: content kind map for %s object", ErrBadStream, orig.Kind())
-		}
-		if t != orig.Type() {
-			return fmt.Errorf("%w: map content of type %s for %s object", ErrBadStream, t, orig.Type())
-		}
-		count, err := c.u32()
-		if err != nil {
-			return err
-		}
-		kt, vt := t.Key(), t.Elem()
-		for i := uint32(0); i < count; i++ {
-			if err := d.flatCheckValue(c, kt, 0); err != nil {
-				return err
-			}
-			if err := d.flatCheckValue(c, vt, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	case fRecSlice:
-		if orig.Kind() != reflect.Slice {
-			return fmt.Errorf("%w: content kind slice for %s object", ErrBadStream, orig.Kind())
-		}
-		if t != orig.Type() {
-			return fmt.Errorf("%w: slice content of type %s for %s object", ErrBadStream, t, orig.Type())
-		}
-		n, err := c.u32()
-		if err != nil {
-			return err
-		}
-		if int(n) != orig.Len() {
-			return fmt.Errorf("%w: slice object resized %d -> %d; slices are fixed-length array objects",
-				ErrBadStream, orig.Len(), n)
-		}
-		et := t.Elem()
-		for i := uint32(0); i < n; i++ {
-			if err := d.flatCheckValue(c, et, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown record kind 0x%02x", ErrBadStream, lead)
-	}
-}
-
-// flatCommitRecord re-parses a validated content record, writing into orig
-// in place: pointees and slice elements are overwritten field by field, maps
-// are cleared and refilled through reused staging cells.
-func (d *Decoder) flatCommitRecord(c *flatCur, orig reflect.Value) error {
-	if _, err := c.u8(); err != nil { // record kind, validated
-		return err
-	}
-	if _, err := c.u32(); err != nil { // type index, validated
-		return err
-	}
-	switch orig.Kind() {
-	case reflect.Ptr:
-		return d.flatFillValue(c, orig.Elem(), 0)
-	case reflect.Map:
-		count, err := c.u32()
-		if err != nil {
-			return err
-		}
-		orig.Clear()
-		return d.flatFillMapEntries(c, orig, int(count))
-	case reflect.Slice:
-		if _, err := c.u32(); err != nil { // length, validated
-			return err
-		}
-		for i := 0; i < orig.Len(); i++ {
-			if err := d.flatFillValue(c, orig.Index(i), 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("%w: cannot restore kind %s", ErrBadStream, orig.Kind())
-	}
-}
-
-// flatCheckValue parses one value expression without writing anything,
-// proving that flatFillValue over the same bytes into a destination of type
-// t will succeed. The two parsers must consume identical byte spans.
-func (d *Decoder) flatCheckValue(c *flatCur, t reflect.Type, depth int) error {
-	if depth > maxDecodeDepth {
-		return errDecodeDepth
-	}
-	lead, err := c.u8()
-	if err != nil {
-		return err
-	}
-	switch lead {
-	case fNil:
-		return nil
-
-	case fRef:
-		id, err := c.u32()
-		if err != nil {
-			return err
-		}
-		if int(id) >= len(d.table) {
-			return fmt.Errorf("%w: reference to unknown object %d", ErrBadStream, id)
-		}
-		if ot := d.table[id].Type(); !ot.AssignableTo(t) {
-			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, ot, t)
-		}
-		return nil
-
-	case fScalar:
-		idx, err := c.u32()
-		if err != nil {
-			return err
-		}
-		st, err := d.flatTypeAt(idx)
-		if err != nil {
-			return err
-		}
-		if st != t && !st.AssignableTo(t) {
-			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, st, t)
-		}
-		return d.flatCheckScalar(c, st)
-
-	case fStruct:
-		idx, err := c.u32()
-		if err != nil {
-			return err
-		}
-		st, err := d.flatTypeAt(idx)
-		if err != nil {
-			return err
-		}
-		if st.Kind() != reflect.Struct {
-			return fmt.Errorf("%w: struct value with non-struct type %s", ErrBadStream, st)
-		}
-		if st != t && !st.AssignableTo(t) {
-			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, st, t)
-		}
-		k := d.memo.of(st, d.access)
-		for i := range k.fields {
-			if err := d.flatCheckValue(c, k.fields[i].k.t, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case fArray:
-		idx, err := c.u32()
-		if err != nil {
-			return err
-		}
-		at, err := d.flatTypeAt(idx)
-		if err != nil {
-			return err
-		}
-		if at.Kind() != reflect.Array {
-			return fmt.Errorf("%w: array value with non-array type %s", ErrBadStream, at)
-		}
-		if at != t && !at.AssignableTo(t) {
-			return fmt.Errorf("%w: cannot assign %s to %s", ErrBadStream, at, t)
-		}
-		et := at.Elem()
-		for i := 0; i < at.Len(); i++ {
-			if err := d.flatCheckValue(c, et, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("%w: unknown flat value lead 0x%02x", ErrBadStream, lead)
-	}
-}
-
-// flatCheckScalar validates and skips a scalar payload of type st,
-// duplicating flatScalarInto's bounds and overflow checks without a
-// destination value.
-func (d *Decoder) flatCheckScalar(c *flatCur, st reflect.Type) error {
-	switch st.Kind() {
-	case reflect.Bool:
-		_, err := c.u8()
-		return err
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		u, err := c.u64()
-		if err != nil {
-			return err
-		}
-		if bits := st.Bits(); bits < 64 {
-			if i := int64(u); i<<(64-bits)>>(64-bits) != i {
-				return fmt.Errorf("%w: %d overflows %s", ErrBadStream, int64(u), st)
-			}
-		}
-		return nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		u, err := c.u64()
-		if err != nil {
-			return err
-		}
-		if bits := st.Bits(); bits < 64 && u>>bits != 0 {
-			return fmt.Errorf("%w: %d overflows %s", ErrBadStream, u, st)
-		}
-		return nil
-	case reflect.Float32, reflect.Float64:
-		_, err := c.u64()
-		return err
-	case reflect.Complex64, reflect.Complex128:
-		if _, err := c.u64(); err != nil {
-			return err
-		}
-		_, err := c.u64()
-		return err
-	case reflect.String:
-		n, err := c.u32()
-		if err != nil {
-			return err
-		}
-		_, err = c.bytes(int(n))
-		return err
-	default:
-		return fmt.Errorf("%w: scalar value with kind %s", ErrBadStream, st.Kind())
-	}
 }

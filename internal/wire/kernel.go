@@ -47,7 +47,7 @@ type kernel struct {
 	// the sum of its parts for a struct or array: 0 if it has no encoded part.
 	min int
 	// fields is the struct field program, in plan order, shared by both
-	// directions and by engine V3's fill and check passes; zeros lists the
+	// directions and by engine V3's fill pass; zeros lists the
 	// excluded unexported fields the encoder must find zero.
 	fields []kernelField
 	zeros  []kernelZero

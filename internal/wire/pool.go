@@ -89,8 +89,8 @@ func (d *Decoder) reuse(o Options) {
 // AcquireDecoderBytes returns a pooled Decoder reading an in-memory
 // message, equivalent to NewDecoderBytes but allocation-free in the steady
 // state. Release with ReleaseDecoder once every decoded value has been
-// extracted. The zero-copy caveat of NewDecoderBytes applies: data must
-// outlive all decoding, including pending FlatContent commits.
+// extracted. The caveat of NewDecoderBytes applies: data must outlive all
+// decoding.
 func AcquireDecoderBytes(data []byte, opts Options) *Decoder {
 	d, _ := decoderPool.Get().(*Decoder)
 	if d == nil {

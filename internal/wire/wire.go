@@ -51,8 +51,8 @@ const (
 	// EngineV3 is the flat-buffer engine: every encoded graph travels as a
 	// length-prefixed frame holding an offset table and fixed-width node
 	// records, readable by slicing (flat.go / flatdec.go). Decoding
-	// constructs new objects out of a per-decoder arena, and the restore
-	// path consumes content records straight out of the receive buffer.
+	// constructs new objects out of a per-decoder arena; a content record
+	// is staged into a temporary, as under the other engines.
 	EngineV3 Engine = 3
 )
 

@@ -491,6 +491,16 @@ func TestSeededSliceAndMapContent(t *testing.T) {
 		if got := tm.Interface().(map[string]int); got["b"] != 2 || len(got) != 2 {
 			t.Fatalf("map content = %v", got)
 		}
+
+		// A slice is a fixed-length array object: a record of another
+		// length is refused before anything is staged or written.
+		short := []int{1, 2}
+		dec = NewDecoderBytes(buf.Bytes(), opts)
+		defer dec.ReleaseArena()
+		seed(dec, short, cliMap)
+		if _, err := dec.DecodeSeededContent(ids); !errors.Is(err, ErrBadStream) || short[0] != 1 || short[1] != 2 {
+			t.Fatalf("3-element record for a 2-element slice: err %v, slice %v", err, short)
+		}
 	})
 }
 

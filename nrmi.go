@@ -108,8 +108,9 @@ type Engine = wire.Engine
 
 // Codec engine generations; V2 is the default. V1 exists for the
 // paper's JDK 1.3 baseline measurements; V3 is the flat-frame format
-// with zero-copy restore (docs/PROTOCOL.md §9). A server answers in the
-// engine a request arrived in; a client sends what Options.Engine says.
+// whose new objects come from a per-call arena (docs/PROTOCOL.md §9); it
+// restores like V1 and V2. A server answers in the engine a request
+// arrived in; a client sends what Options.Engine says.
 const (
 	EngineV1 = wire.EngineV1
 	EngineV2 = wire.EngineV2
