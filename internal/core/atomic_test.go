@@ -136,6 +136,70 @@ func TestApplyResponseAtomicUnderBitFlips(t *testing.T) {
 	}
 }
 
+// TestV3ApplyResponseBytes drives the V3 reply path end to end: the
+// response is applied from a byte slice, records staged and committed into
+// the retained linear map, new objects built in the reply decoder's arena,
+// which is released exactly once.
+func TestV3ApplyResponseBytes(t *testing.T) {
+	opts := testOptions(t)
+	opts.Engine = wire.EngineV3
+	call, resp, root := atomicWorld(t, opts)
+	a1, a2 := root.Left, root.Right
+	rl, rr := root.Right.Left, root.Right.Right
+
+	acq0, rel0 := wire.ArenaCounters()
+	r, err := call.ApplyResponseBytes(resp)
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	acq1, rel1 := wire.ArenaCounters()
+
+	assertFigure2(t, root, a1, a2, rl, rr)
+	if len(r.Returns) != 1 || r.Returns[0] != 42 {
+		t.Fatalf("returns = %v", r.Returns)
+	}
+	if acq1-acq0 != rel1-rel0 {
+		t.Fatalf("arena imbalance on success: +%d acquires vs +%d releases", acq1-acq0, rel1-rel0)
+	}
+	if acq1 == acq0 {
+		t.Fatal("V3 apply must have used the arena")
+	}
+}
+
+// TestV3ServerSideRelease: the server-side decoder of a V3 request builds
+// the arguments in its arena and balances it when the ServerCall is released.
+func TestV3ServerSideRelease(t *testing.T) {
+	opts := testOptions(t)
+	opts.Engine = wire.EngineV3
+	root, _, _, _, _ := paperTree()
+	var req bytes.Buffer
+	call := NewCall(&req, opts)
+	if err := call.EncodeRestorable(root); err != nil {
+		t.Fatal(err)
+	}
+	if err := call.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	acq0, rel0 := wire.ArenaCounters()
+	srv := AcceptCallBytes(req.Bytes(), opts)
+	if _, err := srv.DecodeRestorable(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	var respBuf bytes.Buffer
+	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv.Release()
+	acq1, rel1 := wire.ArenaCounters()
+	if acq1-acq0 != 1 || rel1-rel0 != 1 {
+		t.Fatalf("server arenas: +%d acquires, +%d releases; want one of each", acq1-acq0, rel1-rel0)
+	}
+}
+
 // TestValidateRestoreRejects pins the validation phase directly: every
 // malformed (orig, tmp) pair validateRestore must refuse, plus the
 // guarantee that validation does not touch orig.

@@ -157,10 +157,9 @@ type pendingRestore struct {
 // from data and performs the in-place restore: afterwards every client-side
 // alias of every pre-call object observes the server's mutations. It
 // implements steps 4–6 of the paper's algorithm in a single pass, recording
-// the decode and commit phases on the attached collector. Engine V3 decodes
-// by slicing, so the caller must keep data alive and unmodified until
-// ApplyResponseBytes returns, and only then recycle the buffer. The pooled
-// decoder goes back to the pool on success only.
+// the decode and commit phases on the attached collector. Nothing decoded
+// aliases data, so the caller may recycle the buffer once it returns. The
+// pooled decoder goes back to the pool on success only.
 func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
 	dec := wire.AcquireDecoderBytes(data, c.opts.wireOptions())
 	if c.commitMu != nil {

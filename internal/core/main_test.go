@@ -9,7 +9,7 @@ import (
 )
 
 // This package's tests move no pooled buffers; its pooled resource is the
-// V3 arena a flat restore holds until commit.
+// arena a V3 decoder holds until it is released.
 func TestMain(m *testing.M) { leakcheck.Main(m, arenasBalanced) }
 
 func arenasBalanced() error {

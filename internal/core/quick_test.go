@@ -190,8 +190,9 @@ func checkEquivalence(t *testing.T, opts Options, full bool, seed int64, size, n
 }
 
 // codecConfig is one of the runtime's four codec configurations (DESIGN.md
-// §8a): the paper's JDK 1.3 stand-in, portable and optimized NRMI, and the
-// flat engine. Tests of a path every configuration shares range over all.
+// §8a): the paper's JDK 1.3 stand-in, portable and optimized NRMI, and
+// optimized NRMI decoding into an arena. Tests of a path every configuration
+// shares range over all.
 type codecConfig struct {
 	name     string
 	engine   wire.Engine

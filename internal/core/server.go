@@ -27,10 +27,9 @@ type ServerCall struct {
 	prepared bool
 }
 
-// AcceptCallBytes starts decoding a request held in memory. Engine V3
-// decodes it by slicing, so data must stay valid until the response has
-// been encoded; transports that pool receive buffers must not recycle the
-// payload before then.
+// AcceptCallBytes starts decoding a request held in memory. DecodeBytes
+// returns views of data, so data must stay valid for as long as they are
+// read; decoded arguments copy what they hold.
 func AcceptCallBytes(data []byte, opts Options) *ServerCall {
 	return &ServerCall{opts: opts, dec: wire.AcquireDecoderBytes(data, opts.wireOptions())}
 }

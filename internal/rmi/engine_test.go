@@ -118,8 +118,8 @@ func TestCallRunsOnce(t *testing.T) {
 }
 
 // TestParentFormatPeerIsATypedError: a peer from before the V2 format moved
-// to bare slots — here one that refuses V3 as well — answers today's format
-// ids with the rejection it has for any engine it does not know (wire's
+// to bare slots answers today's format id — which V3 sends too — with the
+// rejection it has for any engine it does not know (wire's
 // TestParentFormatStreamRefused is the same meeting the other way round).
 // The caller, whichever engine it is configured with, receives that
 // rejection, typed, after its one attempt — retries on — with its graph
@@ -136,7 +136,7 @@ func TestParentFormatPeerIsATypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := transport.Serve(ln, func(_ context.Context, _ byte, payload []byte) ([]byte, error) {
-		if format := payload[1]; format == 3 || format == 4 {
+		if format := payload[1]; format == 4 {
 			return nil, fmt.Errorf("wire: corrupted or incompatible stream: unknown engine %d", format)
 		}
 		t.Errorf("request in a format the old peer would have decoded: % x", payload[:3])
@@ -150,7 +150,7 @@ func TestParentFormatPeerIsATypedError(t *testing.T) {
 		format int
 	}{
 		{"v2 client", wire.EngineV2, 4},
-		{"v3 client", wire.EngineV3, 3},
+		{"v3 client", wire.EngineV3, 4},
 	} {
 		for _, shape := range []callShape{shapeCall, shapeAsync} {
 			t.Run(tc.name+"/"+shape.name, func(t *testing.T) {
@@ -177,8 +177,9 @@ func TestParentFormatPeerIsATypedError(t *testing.T) {
 	}
 }
 
-// TestV2ClientAgainstV3Server: the server's own default engine is V3, but
-// it must answer a V2 request in V2 — the reply engine follows the request.
+// TestV2ClientAgainstV3Server: a server configured with V3 answers a client
+// configured with V2 — the reply format follows the request, and both are
+// V2's.
 func TestV2ClientAgainstV3Server(t *testing.T) {
 	e := newEngineEnv(t,
 		core.Options{Engine: wire.EngineV3},
@@ -191,9 +192,9 @@ func TestV2ClientAgainstV3Server(t *testing.T) {
 	assertFigure2RTree(t, root, a1, a2, rl, rr)
 }
 
-// TestV3PayloadOwnershipLedger re-runs the payload-ownership audit over the
-// V3 path, whose frames are decoded as slices of the reply payload: it is
-// released only after ApplyResponseBytes returns.
+// TestV3PayloadOwnershipLedger re-runs the payload-ownership audit with V3,
+// arena-backed decoders, on both ends: every reply payload is released once
+// ApplyResponseBytes returns.
 func TestV3PayloadOwnershipLedger(t *testing.T) {
 	v3 := core.Options{Engine: wire.EngineV3}
 	e := newEngineEnv(t, v3, v3)

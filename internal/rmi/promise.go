@@ -253,8 +253,7 @@ func (p *Promise) await(ctx context.Context) ([]byte, error) {
 // call is never re-sent: ApplyResponseBytes validates fully before
 // mutating (a failure leaves the graph bit-identical), and the error
 // wraps as ResponseConsumedError, which Retryable refuses. The pooled
-// payload goes back only after ApplyResponseBytes has returned — engine V3
-// decodes its frames as slices of these bytes.
+// payload goes back once ApplyResponseBytes has returned.
 func (p *Promise) apply(payload []byte) (*core.Response, error) {
 	c := p.st.c
 	start := time.Now()

@@ -616,7 +616,8 @@ var errType = reflect.TypeOf((*error)(nil)).Elem()
 // observability collector keyed by (object, method).
 func (s *Server) handleCall(ctx context.Context, payload []byte) (out []byte, err error) {
 	// The payload stays valid for the whole handler (the transport releases
-	// it after handleCall returns), so the decoder may slice it in place.
+	// it after handleCall returns), so the key and method name DecodeBytes
+	// returns may be views of it.
 	sc := core.AcceptCallBytes(payload, s.opts.Core)
 	// Decoded argument objects outlive the release (the pool only drops its
 	// references to them), so this is safe on every exit path.

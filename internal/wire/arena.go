@@ -7,12 +7,12 @@ import (
 )
 
 // Arena is a chunked typed-slab allocator for decode-time object
-// construction. Engine V3 materializes every genuinely new object of a
-// response out of one per-decoder arena instead of calling reflect.New per
-// node: objects of the same type are handed out from a shared slab (one
-// reflect.MakeSlice per slabTarget bytes instead of one allocation per
-// object), and when the restore commits the whole arena is released in one
-// step.
+// construction. A decoder configured with engine V3 takes every new pointer
+// object and non-empty slice of a message from one per-decoder arena instead
+// of calling reflect.New or reflect.MakeSlice per object: objects of the same
+// type are handed out from a shared slab (one reflect.MakeSlice per
+// slabTarget bytes instead of one allocation per object), and when the
+// decoder is released the whole arena is released in one step.
 //
 // Release never recycles handed-out memory: it only drops the arena's own
 // slab references. Objects handed to the caller keep their slab alive
@@ -75,6 +75,27 @@ var arenaPool = sync.Pool{New: func() any {
 func acquireArena() *Arena {
 	arenaAcquires.Add(1)
 	return arenaPool.Get().(*Arena)
+}
+
+// arenaFor returns the decoder's arena, acquired on first use.
+func (d *Decoder) arenaFor() *Arena {
+	if d.arena == nil {
+		d.arena = acquireArena()
+	}
+	return d.arena
+}
+
+// ReleaseArena releases the decoder's arena and its staging slab (dropping
+// the slab references) without recycling the decoder itself. The core layer
+// calls it on failed restores, where the decoder must be abandoned but the
+// arena's lifetime contract — released exactly once per call — still holds.
+// Objects already handed out survive through ordinary GC reachability.
+func (d *Decoder) ReleaseArena() {
+	d.stage.drop()
+	if d.arena != nil {
+		d.arena.Release()
+		d.arena = nil
+	}
 }
 
 // Release drops every slab reference and returns the arena shell to the

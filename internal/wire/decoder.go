@@ -36,24 +36,17 @@ type Decoder struct {
 	stage  stageSlab
 	shadow shadow
 
-	// arena batch-allocates the objects materialized by engine-V3 frames
-	// (arena.go). Lazily created on the first V3 frame; released when the
-	// decoder is recycled, or explicitly via ReleaseArena on abandoned
-	// decoders.
+	// arena batch-allocates the new pointer objects and slices of a decoder
+	// configured with engine V3 (arena.go). Created on first use; released
+	// when the decoder is recycled, or explicitly via ReleaseArena on
+	// abandoned decoders.
 	arena *Arena
-
-	// frameFree recycles the frame shells of engine V3: a response restores
-	// one frame per old object, so without recycling the shells alone cost
-	// an allocation per restored object. Entries are cleared before being
-	// parked, so the freelist never pins payload bytes or user objects.
-	frameFree []*flatFrame
 }
 
 // NewDecoderBytes returns a Decoder reading from an in-memory message. The
-// engine and access mode are learned from the stream header; opts supplies
-// the registry and limits. Engine V3 decodes such messages by slicing: frame
-// regions alias data instead of being copied, so data must stay valid (and
-// unmodified) until decoding has finished.
+// format and access mode are learned from the stream header; opts supplies
+// the registry and, with Engine, where new objects are allocated. Nothing
+// decoded aliases data except what DecodeBytes returns.
 func NewDecoderBytes(data []byte, opts Options) *Decoder {
 	o := opts.withDefaults()
 	return &Decoder{r: &reader{data: data}, opts: o}
@@ -106,12 +99,13 @@ func (d *Decoder) header() error {
 		return err
 	}
 	// The engine byte is a format id (formatV2): the V2 format that
-	// described every value is refused like any id this decoder lacks.
+	// described every value, and the retired flat format 3, are refused like
+	// any id this decoder lacks.
 	switch eng {
 	case formatV2:
 		d.engine = EngineV2
-	case byte(EngineV1), byte(EngineV3):
-		d.engine = Engine(eng)
+	case byte(EngineV1):
+		d.engine = EngineV1
 	default:
 		return fmt.Errorf("%w: unknown engine %d", ErrBadStream, eng)
 	}
@@ -142,9 +136,6 @@ func (d *Decoder) Decode() (any, error) {
 func (d *Decoder) DecodeValue() (reflect.Value, error) {
 	if err := d.header(); err != nil {
 		return reflect.Value{}, err
-	}
-	if d.engine == EngineV3 {
-		return d.flatDecodeRoot()
 	}
 	return d.decodeValue(0)
 }
@@ -180,9 +171,6 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 		return reflect.Value{}, fmt.Errorf("wire: DecodeSeededContent(%d): not a seeded object", id)
 	}
 	orig := d.table[id]
-	if d.engine == EngineV3 {
-		return d.flatSeededStaged(id)
-	}
 	kind, err := d.r.readByte()
 	if err != nil {
 		return reflect.Value{}, err
@@ -234,12 +222,12 @@ const maxStageSlab = 256
 // stageSlab hands out the staging cells of one reply's pointer records. The
 // cells are private to the apply and dead once it commits, so a run of
 // records of one type shares one allocation that no object the application
-// keeps points into — unlike decoded objects and V3's arena slabs. cells is
-// a settable []pointee whose header stays with a pooled decoder (its
-// backing array does not: drop); left is the number of cells that may still
-// be reserved: the records to come (ExpectContents) less the cells of the
-// slabs made so far, so a reply never gets more cells than it has records,
-// however its types alternate.
+// keeps points into — unlike decoded objects and V3's arena slabs, from which
+// no temporary is ever taken. cells is a settable []pointee whose header
+// stays with a pooled decoder (its backing array does not: drop); left is
+// the number of cells that may still be reserved: the records to come
+// (ExpectContents) less the cells of the slabs made so far, so a reply never
+// gets more cells than it has records, however its types alternate.
 type stageSlab struct {
 	k     *kernel // pointer kernel whose pointees cells holds
 	cells reflect.Value
@@ -343,8 +331,11 @@ func (d *Decoder) build(tag byte, k *kernel, depth int) (reflect.Value, error) {
 
 // shell allocates that value after reader.admit — the one place a count off
 // the stream, or a type a descriptor spelled, sizes an allocation — and enters
-// an object in the table before its contents are read, so cycles resolve.
+// an object in the table before its contents are read, so cycles resolve. A
+// decoder configured with engine V3 takes a new pointee or slice from its
+// arena; the stream is the same V2 either way.
 func (d *Decoder) shell(tag byte, k *kernel) (v reflect.Value, n int, err error) {
+	arena := d.opts.Engine == EngineV3
 	switch {
 	case tag != tagPtr && tag != k.tag:
 		err = fmt.Errorf("%w: value tag %d with type %s", ErrBadStream, tag, k.t)
@@ -353,11 +344,15 @@ func (d *Decoder) shell(tag byte, k *kernel) (v reflect.Value, n int, err error)
 			v = reflect.MakeMapWithSize(k.t, n)
 		}
 	case tag == tagSlice:
-		if n, err = d.lenOf(k.elem.min, k.elem.t); err == nil {
+		if n, err = d.lenOf(k.elem.min, k.elem.t); err == nil && arena {
+			v = d.arenaFor().NewSlice(k.t, n)
+		} else if err == nil {
 			v = reflect.MakeSlice(k.t, n, n)
 		}
 	default:
-		if err = d.r.admit(1, k.min, k.t, len(d.r.data)-d.r.dpos); err == nil {
+		if err = d.r.admit(1, k.min, k.t, len(d.r.data)-d.r.dpos); err == nil && arena && tag == tagPtr {
+			v = d.arenaFor().NewPtr(k.t)
+		} else if err == nil {
 			if v = reflect.New(k.t); tag != tagPtr {
 				v = v.Elem()
 			}
@@ -504,7 +499,7 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 			if err != nil {
 				return err
 			}
-			p := planFor(st, d.access, false)
+			p := planFor(st, d.access)
 			idx, ok := p.byName[name]
 			if !ok {
 				return fmt.Errorf("%w: type %s has no field %q", ErrBadStream, st, name)
@@ -523,7 +518,7 @@ func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
 		}
 		return nil
 	}
-	p := planFor(st, d.access, !d.opts.DisablePlanCache)
+	p := planFor(st, d.access)
 	for _, pf := range p.fields {
 		dst, ok, err := graph.FieldForWrite(sv, pf.index, d.access)
 		if err != nil {

@@ -32,14 +32,11 @@ type Encoder struct {
 	kernels bool
 	// memo resolves the types this stream meets dynamically.
 	memo kernelMemo
-	// flat is the engine-V3 frame-assembly scratch state (flat.go), created
-	// lazily and retained across frames and pooled reuse.
-	flat *flatEnc
 }
 
 // NewEncoder returns an Encoder writing to w.
 func NewEncoder(w io.Writer, opts Options) *Encoder {
-	o := opts.withDefaults()
+	o := opts.encoderDefaults()
 	return &Encoder{
 		w:         newWriter(w, o.Engine),
 		opts:      o,
@@ -94,9 +91,6 @@ func (e *Encoder) Encode(v any) error { return e.EncodeValue(reflect.ValueOf(v))
 // EncodeValue is Encode for callers holding reflect.Values; the invalid
 // Value encodes as nil.
 func (e *Encoder) EncodeValue(v reflect.Value) error {
-	if e.opts.Engine == EngineV3 {
-		return e.flatEncodeRoot(v)
-	}
 	if err := e.header(); err != nil {
 		return err
 	}
@@ -204,9 +198,6 @@ func (e *Encoder) SeedDecoded(objs []reflect.Value) error {
 // ships back the state of every pre-call object, including ones that became
 // unreachable (paper, Section 3, step 3).
 func (e *Encoder) EncodeSeededContent(id int) error {
-	if e.opts.Engine == EngineV3 {
-		return e.flatEncodeSeededContent(id)
-	}
 	if err := e.header(); err != nil {
 		return err
 	}
@@ -358,10 +349,9 @@ func (e *Encoder) encodeSliceElems(v reflect.Value, depth int) error {
 
 func (e *Encoder) encodeStructFields(v reflect.Value, depth int) error {
 	sv := graph.Launder(v)
-	// V1 rebuilds the plan from raw reflection on every struct and ships
-	// field names; V2 uses the cached plan and a silent positional layout.
-	cached := e.opts.Engine == EngineV2 && !e.opts.DisablePlanCache
-	p := planFor(sv.Type(), e.opts.Access, cached)
+	// The plan is rebuilt from raw reflection on every struct (V2's cached
+	// path is its kernels); V1 ships field names, V2 a silent positional layout.
+	p := planFor(sv.Type(), e.opts.Access)
 	if err := verifyZeroFields(sv, p); err != nil {
 		return err
 	}

@@ -8,20 +8,19 @@ import (
 	"reflect"
 )
 
-// writerBufSize is the spill threshold of the buffered engines' writer.
+// writerBufSize is the spill threshold of the buffered engine's writer.
 const writerBufSize = 4096
 
 // writer is the byte-emission layer. Engine V1 uses an unbuffered,
 // fixed-width implementation (every primitive is a separate small Write to
-// the underlying stream, like the layered JDK 1.3 path); engines V2 and V3
-// append to buf — a fixed-capacity slice that stays with a pooled Encoder —
-// and spill it to the destination whenever it fills, using varints for the
-// raw protocol primitives (V3's value payloads live inside flat frames and
-// never reach writeUint). Under V1 buf is nil, so every fast path below
-// fails its room check and lands in the slow function that owns the V1 form.
+// the underlying stream, like the layered JDK 1.3 path); engine V2 appends
+// to buf — a fixed-capacity slice that stays with a pooled Encoder — and
+// spills it to the destination whenever it fills, using varints for the raw
+// protocol primitives. Under V1 buf is nil, so every fast path below fails
+// its room check and lands in the slow function that owns the V1 form.
 type writer struct {
 	raw     io.Writer
-	buf     []byte // V2/V3: pending bytes, cap writerBufSize
+	buf     []byte // V2: pending bytes, cap writerBufSize
 	engine  Engine
 	scratch [8]byte // V1 fixed-width staging
 	flushed int64   // bytes handed to raw so far
@@ -35,7 +34,7 @@ func newWriter(w io.Writer, engine Engine) *writer {
 }
 
 // reset re-arms a pooled writer onto a new destination, reusing the
-// buffered engines' buffer.
+// buffered engine's buffer.
 func (w *writer) reset(dst io.Writer, engine Engine) {
 	w.raw = dst
 	w.engine = engine
@@ -130,7 +129,7 @@ func (w *writer) writeTagged(tag byte, v uint64) error {
 	return w.writeUint(v)
 }
 
-// writeUint emits an unsigned integer: uvarint under V2/V3, fixed 8 bytes
+// writeUint emits an unsigned integer: uvarint under V2, fixed 8 bytes
 // big-endian under V1.
 func (w *writer) writeUint(v uint64) error {
 	if v < 0x80 && len(w.buf) < cap(w.buf) {
@@ -202,9 +201,9 @@ func (w *writer) writeString(s string) error {
 
 // reader is the byte-consumption layer. It parses a whole message held in
 // data — the payload the transport hands over, or a source read to its end —
-// adapting to the engine announced in the stream header, and lets slice
-// return windows of the payload without copying: the zero-copy input for
-// engine V3's flat frames. Running out of input is io.ErrUnexpectedEOF.
+// adapting to the engine announced in the stream header, and lets readBytes
+// return windows of the payload without copying. Running out of input is
+// io.ErrUnexpectedEOF.
 type reader struct {
 	data   []byte
 	dpos   int // read position == bytes consumed
@@ -223,21 +222,10 @@ func (r *reader) readByte() (byte, error) {
 	return 0, io.ErrUnexpectedEOF
 }
 
-// slice returns the next n bytes of the message: a window of the payload,
-// valid for as long as the payload is.
-func (r *reader) slice(n int) ([]byte, error) {
-	if len(r.data)-r.dpos < n {
-		return nil, io.ErrUnexpectedEOF
-	}
-	p := r.data[r.dpos : r.dpos+n : r.dpos+n]
-	r.dpos += n
-	return p, nil
-}
-
 // errVarint is the overlong-varint error.
 var errVarint = fmt.Errorf("%w: varint overflows 64 bits", ErrBadStream)
 
-// readUint reads an unsigned integer: uvarint under V2/V3, fixed 8 bytes
+// readUint reads an unsigned integer: uvarint under V2, fixed 8 bytes
 // big-endian under V1. The one-byte uvarint — nearly every tag operand,
 // index and small scalar — is answered here.
 func (r *reader) readUint() (uint64, error) {
@@ -354,11 +342,14 @@ func (r *reader) readString() (string, error) {
 	return string(p), err
 }
 
-// readBytes reads a string as a view of the message, copying nothing.
+// readBytes reads a string as a view of the message, copying nothing: a
+// window of the payload, valid for as long as the payload is.
 func (r *reader) readBytes() ([]byte, error) {
 	n, err := r.readLen()
 	if err != nil {
 		return nil, err
 	}
-	return r.slice(n)
+	p := r.data[r.dpos : r.dpos+n : r.dpos+n]
+	r.dpos += n
+	return p, nil
 }

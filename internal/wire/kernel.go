@@ -24,10 +24,10 @@ import (
 //
 // Kernels implement the V2 wire format only and are engaged exactly on a V2
 // codec with the plan cache enabled (Options.DisablePlanCache unset); every
-// other configuration codes by the generic reflective paths (V3 borrows the
-// struct field programs, and Decoder.shell a type's tag and min). The wire
-// format is byte-for-byte identical either way — edge_test.go and the
-// cross-engine tests exercise both sides of the switch against each other.
+// other configuration codes by the generic reflective paths (Decoder.shell
+// borrows a type's tag and min). The wire format is byte-for-byte identical
+// either way — edge_test.go and the cross-engine tests exercise both sides
+// of the switch against each other.
 
 // kernel is the compiled codec program for one (type, mode) pair. Kernels
 // refer to each other by pointer so recursive types resolve naturally: a
@@ -47,8 +47,8 @@ type kernel struct {
 	// the sum of its parts for a struct or array: 0 if it has no encoded part.
 	min int
 	// fields is the struct field program, in plan order, shared by both
-	// directions and by engine V3's fill pass; zeros lists the
-	// excluded unexported fields the encoder must find zero.
+	// directions; zeros lists the excluded unexported fields the encoder
+	// must find zero.
 	fields []kernelField
 	zeros  []kernelZero
 	// elem is the pointee, element or map-value kernel; key the map key's.
@@ -69,13 +69,10 @@ type kernel struct {
 	err error
 }
 
-// kernelField is one compiled struct field: its offset, and for engine V3's
-// reflective fill its index and whether it is laundered.
+// kernelField is one compiled struct field: its kernel and offset.
 type kernelField struct {
-	index   int
-	k       *kernel
-	launder bool // unexported field under AccessUnsafe
-	off     uintptr
+	k   *kernel
+	off uintptr
 }
 
 // kernelZero is one excluded unexported field whose zero-ness is enforced
@@ -92,10 +89,17 @@ type kernelKey struct {
 	mode graph.AccessMode
 }
 
-// kernelCache memoizes compiled kernels process-wide. Like planCache it is
-// keyed by type and access mode only; see the planCache comment in plan.go
-// for how these caches interact with the registry and RegisterStrict.
-// Compilation is serialized by kernelMu.
+// kernelCache memoizes compiled kernels process-wide, keyed by type and
+// access mode only (as layoutCache is). Registry bindings do not participate:
+// a kernel describes a type's structure, which is immutable, while the
+// registry only resolves names, which it does at stream time through
+// Options.Registry. Registering a type after its kernel was compiled
+// (including via RegisterStrict, whose closure validation runs independently
+// at registration time) therefore requires no invalidation, and a type
+// rejected by RegisterStrict still fails at encode/decode time with the same
+// graph-layer error whether or not a kernel was compiled for it first —
+// kernels defer forbidden-kind errors to run time exactly like the generic
+// paths. Compilation is serialized by kernelMu.
 var (
 	kernelCache sync.Map // kernelKey -> *kernel
 	kernelMu    sync.Mutex
@@ -181,7 +185,7 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 					fmt.Errorf("%w: field %s.%s", graph.ErrUnexportedField, t, sf.Name)})
 				continue
 			}
-			k.fields = append(k.fields, kernelField{i, fk, !sf.IsExported(), sf.Offset})
+			k.fields = append(k.fields, kernelField{fk, sf.Offset})
 			k.min += fk.min
 			k.exact = k.exact && fk.exact
 		}

@@ -33,8 +33,8 @@ type layout struct {
 
 var layoutCache sync.Map // kernelKey -> *layout
 
-// layoutFor returns t's layout under mode; like planFor, the portable
-// configuration (cached false) recomputes it from raw reflection.
+// layoutFor returns t's layout under mode; the portable configuration
+// (cached false) recomputes it from raw reflection, as planFor always does.
 func layoutFor(t reflect.Type, mode graph.AccessMode, cached bool) *layout {
 	key := kernelKey{t, mode}
 	if cached {
@@ -83,7 +83,7 @@ func (l *layout) walk(t reflect.Type, mode graph.AccessMode) {
 		l.walk(t.Key(), mode)
 		l.walk(t.Elem(), mode)
 	case reflect.Struct:
-		fields := buildPlan(t, mode).fields
+		fields := planFor(t, mode).fields
 		l.put(uint64(len(fields)))
 		for _, f := range fields {
 			l.walk(t.Field(f.index).Type, mode)

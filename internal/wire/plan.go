@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 	"reflect"
-	"sync"
 
 	"nrmi/internal/graph"
 )
@@ -25,49 +24,12 @@ type structPlan struct {
 	byName    map[string]int // wire name -> field index (V1 decode)
 }
 
-type planKey struct {
-	t      reflect.Type
-	access graph.AccessMode
-}
-
-// planCache memoizes plans. Engine V2 consults it on every struct; engine
-// V1 deliberately bypasses it (see planFor's caller) to model uncached
-// reflective serialization.
-//
-// Interaction with the registry: this cache — and the kernel caches built
-// on top of it (wire kernel.go, graph kernel.go) — is keyed by (type,
-// access mode) only. Registry bindings do not participate: plans and
-// kernels describe a type's structure, which is immutable, while the
-// registry only resolves names, which it does at stream time through
-// Options.Registry. Registering a type after its plan or kernel was
-// compiled (including via RegisterStrict, whose closure validation runs
-// independently at registration time) therefore requires no invalidation,
-// and a type rejected by RegisterStrict still fails at encode/decode time
-// with the same graph-layer error whether or not a kernel was compiled
-// for it first — kernels defer forbidden-kind errors to run time exactly
-// like the generic paths.
-var planCache sync.Map // planKey -> *structPlan
-
-// planFor returns the field plan for t under mode, using the cache when
-// cached is true. The cached=false path recomputes the plan from raw
-// reflection every time — the paper's "Java reflection is a very slow way
-// to examine unknown objects" behaviour that aggressive caching fixes
-// (Section 5.3.1).
-func planFor(t reflect.Type, mode graph.AccessMode, cached bool) *structPlan {
-	key := planKey{t: t, access: mode}
-	if cached {
-		if p, ok := planCache.Load(key); ok {
-			return p.(*structPlan)
-		}
-	}
-	p := buildPlan(t, mode)
-	if cached {
-		planCache.Store(key, p)
-	}
-	return p
-}
-
-func buildPlan(t reflect.Type, mode graph.AccessMode) *structPlan {
+// planFor returns the field plan for t under mode, recomputed from raw
+// reflection every time — the paper's "Java reflection is a very slow way to
+// examine unknown objects" behaviour that aggressive caching fixes (Section
+// 5.3.1): the cached path is V2's kernels (kernel.go), which compile a
+// type's plan once.
+func planFor(t reflect.Type, mode graph.AccessMode) *structPlan {
 	p := &structPlan{byName: make(map[string]int)}
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)

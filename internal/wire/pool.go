@@ -35,7 +35,7 @@ func AcquireEncoder(w io.Writer, opts Options) *Encoder {
 	if e == nil {
 		return NewEncoder(w, opts)
 	}
-	o := opts.withDefaults()
+	o := opts.encoderDefaults()
 	e.w.reset(w, o.Engine)
 	e.opts = o
 	e.headerDone = false

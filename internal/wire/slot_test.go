@@ -274,20 +274,21 @@ func TestBareSlotSizes(t *testing.T) {
 	}
 }
 
-// TestOtherEnginesUnmoved pins the V1 and V3 streams of the whole type zoo to
-// the hashes taken before the V2 format moved to bare slots: those two
-// formats are byte for byte what they were.
+// TestOtherEnginesUnmoved pins the V1 stream of the whole type zoo to the
+// hash taken before the V2 format moved to bare slots — V1 is byte for byte
+// what it was — and holds V3's stream to V2's, whose bytes it writes.
 func TestOtherEnginesUnmoved(t *testing.T) {
 	reg := testRegistry(t)
-	for eng, want := range map[Engine]string{
-		EngineV1: "1054 928185d008a633653a37608d94cfb75f46f1ad593dec1dcffbd874eb275e39b7",
-		EngineV3: "927 5c1ca280eb0a5a401eb07d97ecd190347cd6523dd1aa64b8e5e60ceb62a48c13",
-	} {
+	encode := func(eng Engine) []byte {
 		var buf bytes.Buffer
-		stream := encodeStream(t, NewEncoder(&buf, Options{Engine: eng, Registry: reg}), &buf, wireZoo())
-		if got := fmt.Sprintf("%d %x", len(stream), sha256.Sum256(stream)); got != want {
-			t.Errorf("%s zoo stream is %s, was %s", eng, got, want)
-		}
+		return encodeStream(t, NewEncoder(&buf, Options{Engine: eng, Registry: reg}), &buf, wireZoo())
+	}
+	const want = "1054 928185d008a633653a37608d94cfb75f46f1ad593dec1dcffbd874eb275e39b7"
+	if v1 := encode(EngineV1); fmt.Sprintf("%d %x", len(v1), sha256.Sum256(v1)) != want {
+		t.Errorf("v1 zoo stream is %d %x, was %s", len(v1), sha256.Sum256(v1), want)
+	}
+	if v3, v2 := encode(EngineV3), encode(EngineV2); !bytes.Equal(v3, v2) {
+		t.Errorf("v3 zoo stream (%d B) differs from v2's (%d B)", len(v3), len(v2))
 	}
 }
 
@@ -369,19 +370,23 @@ func TestHostileBareSlots(t *testing.T) {
 }
 
 // TestParentFormatStreamRefused: a stream of the V2 format that described
-// every value (engine byte 2) meets the typed unknown-engine rejection before
-// any payload byte is read.
+// every value (engine byte 2), or of the retired flat format (3), meets the
+// typed unknown-engine rejection before any payload byte is read.
 func TestParentFormatStreamRefused(t *testing.T) {
 	// int(42) as the parent wrote it: SCALAR, TABLE_DEF, kind int, zigzag 42.
 	parent := []byte{0x4E, 0x02, 0x00, 0x07, 0xCF, 0x02, 0x54}
-	for path, opts := range bothPathOptions(NewRegistry()) {
-		dec := NewDecoderBytes(parent, opts)
-		_, err := dec.Decode()
-		if !errors.Is(err, ErrBadStream) || err.Error() != "wire: corrupted or incompatible stream: unknown engine 2" {
-			t.Errorf("%s path: %v, want the unknown-engine rejection", path, err)
-		}
-		if dec.BytesRead() != 2 || len(dec.Objects()) != 0 {
-			t.Errorf("%s path: %d bytes read, %d objects: the payload was touched", path, dec.BytesRead(), len(dec.Objects()))
+	for _, format := range []byte{2, 3} {
+		stream := bytes.Clone(parent)
+		stream[1] = format
+		for path, opts := range bothPathOptions(NewRegistry()) {
+			dec := NewDecoderBytes(stream, opts)
+			_, err := dec.Decode()
+			if !errors.Is(err, ErrBadStream) || err.Error() != fmt.Sprintf("wire: corrupted or incompatible stream: unknown engine %d", format) {
+				t.Errorf("format %d, %s path: %v, want the unknown-engine rejection", format, path, err)
+			}
+			if dec.BytesRead() != 2 || len(dec.Objects()) != 0 {
+				t.Errorf("format %d, %s path: %d bytes read, %d objects: the payload was touched", format, path, dec.BytesRead(), len(dec.Objects()))
+			}
 		}
 	}
 	now := bytes.Clone(parent)

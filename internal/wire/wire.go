@@ -25,6 +25,8 @@
 //     by the layout fingerprint of the described type above it (layout.go).
 //     It stands in for JDK 1.4's flattened, Unsafe-accelerated serialization.
 //
+// EngineV3 is not a third format: it is V2's bytes, decoded into an Arena.
+//
 // The codec also supports the seeded-object protocol used by the restore
 // phase: an endpoint may pre-assign IDs to objects it already holds
 // (Encoder.SeedDecoded / Decoder.SeedDetached) and then exchange bare content
@@ -48,11 +50,14 @@ const (
 	EngineV1 Engine = 1
 	// EngineV2 is the optimized engine (the JDK 1.4 stand-in).
 	EngineV2 Engine = 2
-	// EngineV3 is the flat-buffer engine: every encoded graph travels as a
-	// length-prefixed frame holding an offset table and fixed-width node
-	// records, readable by slicing (flat.go / flatdec.go). Decoding
-	// constructs new objects out of a per-decoder arena; a content record
-	// is staged into a temporary, as under the other engines.
+	// EngineV3 is EngineV2 with an arena: an encoder writes V2's bytes, and
+	// a decoder configured with it takes each new pointer object and
+	// non-empty slice from a per-decoder Arena instead of allocating it
+	// alone. It is a local allocation policy, not a format: the stream
+	// names V2, and the peer may be configured either way. A content
+	// record's temporary never comes from the arena. An object carved from
+	// the arena shares its allocation with its neighbours, so
+	// runtime.SetFinalizer on it is a fatal error.
 	EngineV3 Engine = 3
 )
 
@@ -104,8 +109,9 @@ var (
 
 // Options configures an Encoder or Decoder.
 type Options struct {
-	// Engine selects V1, V2 or V3. Decoders learn the engine from the
-	// stream header; the field is ignored for them. Default: EngineV2.
+	// Engine selects V1, V2 or V3. Decoders learn the format from the
+	// stream header; for them the field only says whether new objects come
+	// from an arena (EngineV3). Default: EngineV2.
 	Engine Engine
 
 	// Access selects struct-field visibility. Encoders stamp the mode into
@@ -153,10 +159,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stream header bytes. The engine byte is a format id: V1 and V3 write
-// their Engine value, V2 writes formatV2 — 2 was the V2 format that described
-// every value, which a decoder now refuses as an unknown engine, the way a
-// peer that still speaks it refuses formatV2.
+// encoderDefaults is withDefaults for an Encoder: under engine V3 it writes
+// the V2 format, so it is configured as a V2 encoder.
+func (o Options) encoderDefaults() Options {
+	if o = o.withDefaults(); o.Engine == EngineV3 {
+		o.Engine = EngineV2
+	}
+	return o
+}
+
+// Stream header bytes. The engine byte is a format id: V1 writes its Engine
+// value, V2 (and V3, which writes V2's bytes) formatV2 — 2 was the V2 format
+// that described every value, which a decoder now refuses as an unknown
+// engine, the way a peer that still speaks it refuses formatV2; 3 was the
+// retired flat format, refused the same way.
 const (
 	headerMagic = 0x4E // 'N' for NRMI
 	formatV2    = 4

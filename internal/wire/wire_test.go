@@ -666,3 +666,23 @@ func TestQuickRoundTripGraphEqual(t *testing.T) {
 		}
 	}
 }
+
+func TestOptionsValidateEngine(t *testing.T) {
+	reg := testRegistry(t)
+	for _, eng := range []Engine{EngineV1, EngineV2, EngineV3} {
+		if err := (Options{Engine: eng, Registry: reg}).Validate(); err != nil {
+			t.Errorf("engine %s: %v", eng, err)
+		}
+	}
+	err := (Options{Engine: Engine(9), Registry: reg}).Validate()
+	if !errors.Is(err, ErrUnknownEngine) {
+		t.Fatalf("want ErrUnknownEngine, got %v", err)
+	}
+	// The encoder enforces the same check at first use, so a bad engine
+	// fails loudly even when Validate was skipped.
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf, Options{Engine: Engine(9), Registry: reg})
+	if err := enc.Encode(42); !errors.Is(err, ErrUnknownEngine) {
+		t.Fatalf("encode with bad engine: want ErrUnknownEngine, got %v", err)
+	}
+}

@@ -107,10 +107,12 @@ type RegistryEntry = registry.Entry
 type Engine = wire.Engine
 
 // Codec engine generations; V2 is the default. V1 exists for the
-// paper's JDK 1.3 baseline measurements; V3 is the flat-frame format
-// whose new objects come from a per-call arena (docs/PROTOCOL.md §9); it
-// restores like V1 and V2. A server answers in the engine a request
-// arrived in; a client sends what Options.Engine says.
+// paper's JDK 1.3 baseline measurements. V3 sends and receives V2's bytes
+// and decodes each new pointer object and slice into a per-call arena
+// (docs/PROTOCOL.md §9): fewer allocations, at the price that
+// runtime.SetFinalizer on a decoded object is a fatal error. A server
+// answers in the format a request arrived in; a client sends what
+// Options.Engine says.
 const (
 	EngineV1 = wire.EngineV1
 	EngineV2 = wire.EngineV2
