@@ -14,8 +14,8 @@ type Cell struct {
 	Millis float64
 	// Bytes is the mean bytes on the wire per call.
 	Bytes int64
-	// Messages is the mean network messages (frames) per call; a
-	// request/response call is 2, remote pointers are hundreds.
+	// Messages is the mean network messages (Writes) per call; a
+	// sequential request/response call is 2, remote pointers are hundreds.
 	Messages float64
 	// OK is false when the configuration blew its budget, rendered as the
 	// paper's "-" cells.

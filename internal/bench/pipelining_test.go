@@ -12,22 +12,23 @@ import (
 
 // TestPipeliningBeatsSequential owns the promise layer's latency claim: K
 // copy-restore calls (NRMIService.Nop, full restore of a 16-node tree) over
-// a link with 2 ms one-way latency finish at least 1.5x faster issued
+// a link with 2 ms one-way latency finish at least 3x faster issued
 // through CallAsync and joined with All than made one after another. Every
 // promise is consumed, so both variants pay the same restore commits and
 // only the waiting overlaps.
 //
 // netsim charges the per-message delay as link occupancy (each Write sleeps
-// the full delivery cost inline), so even perfectly pipelined requests
-// serialize on the simulated wire: sequential costs about 2K link delays,
-// pipelined bottoms out near K+1, and the observable ratio is capped at
-// 2K/(K+1) — about 1.8 at K=8. The bar sits below that cap.
+// the full delivery cost inline). Sequential calls cost about 2K link
+// delays. A Write carries every frame queued behind the one before it, so
+// a pipelined window crosses in one or two messages each way, two to four
+// delays: the ratio is capped at K, 8 here, and reads about 7.6 (4.9 under
+// -race). The bar sits well below that cap.
 func TestPipeliningBeatsSequential(t *testing.T) {
 	const (
 		calls  = 8
 		size   = 16
 		rounds = 5
-		want   = 1.5
+		want   = 3.0
 	)
 	e := newTestEnv(t, EnvConfig{Profile: netsim.Profile{Latency: 2 * time.Millisecond}, Engine: wire.EngineV2})
 	ctx := context.Background()

@@ -6,9 +6,9 @@
 //
 // The model charges two costs per message, matching what dominates
 // middleware benchmarks: a fixed one-way latency per message and a
-// serialization delay proportional to message size. The transport layer
-// writes exactly one frame per message, so per-Write charging equals
-// per-message charging.
+// serialization delay proportional to message size. A message is one Write
+// of one or more whole transport frames; the paper's Tables 1–7 make
+// sequential calls, one frame per message.
 //
 // Everything also works over real TCP; netsim exists so experiments are
 // reproducible on one machine and so the harness can report bytes-on-wire
@@ -83,7 +83,7 @@ type Stats struct {
 	// the network, per direction for a conn. Dropped frames are not
 	// counted: Messages and BytesSent describe delivered traffic.
 	BytesSent int64
-	// Messages counts Write calls (one frame per message by contract).
+	// Messages counts Write calls (one or more whole frames each).
 	Messages int64
 	// Fault-injection counters: how many frames each fault kind hit.
 	Dropped    int64
@@ -336,9 +336,9 @@ func (a simAddr) Network() string { return "netsim" }
 func (a simAddr) String() string  { return string(a) }
 
 // shapedConn delays each Write by the link's delivery cost for the message
-// size, applies the link's fault plan, and records traffic. By the
-// transport contract, one Write is one message, so per-frame faults are
-// per-message faults.
+// size, applies the link's fault plan, and records traffic. One Write is one
+// message of whole transport frames, so a fault hits the message: a sever
+// cuts the frame it lands in and every frame behind it.
 type shapedConn struct {
 	net.Conn
 	net      *Network

@@ -68,46 +68,55 @@ func TestSyncCallAllocs(t *testing.T) {
 }
 
 // TestCallAsyncFirstSendFailure: CallAsync hands out no promise without a
-// request in flight. A first send that fails — ctx already done, frame
-// severed mid-write — is returned by CallAsync itself, typed as the
-// blocking shape types it, with retries on and none spent; the caller never
-// holds a pending promise that Ready can not see through, and its ctx is
-// not outlived by a re-send under Wait's.
+// request in flight. A first send the transport refuses itself — ctx
+// already done — is returned by CallAsync, typed as the blocking shape
+// types it, with retries on and none spent; the caller never holds a
+// pending promise that Ready can not see through, and its ctx is not
+// outlived by a re-send under Wait's. A frame the Write tears after
+// CallAsync has queued it is the promise's: the unsent failure reaches
+// Wait, which re-sends once, and the server executes the call once.
 func TestCallAsyncFirstSendFailure(t *testing.T) {
 	retry := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, tc := range []struct {
-		name string
-		ctx  context.Context
-		plan *netsim.Plan
-		want error
-	}{
-		{"cancelled ctx", cancelled, nil, context.Canceled},
-		{"severed frame", context.Background(), netsim.NewPlan(7).SeverFrame(1), netsim.ErrSevered},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			env := newChaosEnv(t, tc.plan, retry, 5*time.Second)
-			stub := env.client.Stub("server", "chaos")
-			root := chaosTree()
-			snap := snapshotTree(t, root)
-			p, err := stub.CallAsync(tc.ctx, "Scale", root, 3)
-			var ce *transport.CallError
-			if p != nil || !errors.As(err, &ce) || ce.Phase != transport.PhaseSend || ce.Sent || !errors.Is(err, tc.want) {
-				t.Fatalf("CallAsync = %v, %v; want no promise and an unsent send-phase CallError wrapping %v", p, err, tc.want)
-			}
-			if cm := env.client.Metrics(); cm.Attempts != 1 || cm.Retries != 0 || cm.CallErrors != 1 || cm.AsyncIssued != 0 {
-				t.Fatalf("Attempts=%d Retries=%d CallErrors=%d AsyncIssued=%d, want 1, 0, 1, 0", cm.Attempts, cm.Retries, cm.CallErrors, cm.AsyncIssued)
-			}
-			if got := env.svc.Calls(); got != 0 || !treesEqual(t, root, snap) {
-				t.Fatalf("server executed %d times, want 0, and the graph untouched", got)
-			}
-			// The failure was that send's alone: the next call goes through.
-			if _, err := shapeAsync.call(stub, context.Background(), "Scale", root, 3); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+	t.Run("cancelled ctx", func(t *testing.T) {
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		env := newChaosEnv(t, nil, retry, 5*time.Second)
+		stub := env.client.Stub("server", "chaos")
+		root := chaosTree()
+		snap := snapshotTree(t, root)
+		p, err := stub.CallAsync(cancelled, "Scale", root, 3)
+		var ce *transport.CallError
+		if p != nil || !errors.As(err, &ce) || ce.Phase != transport.PhaseSend || ce.Sent || !errors.Is(err, context.Canceled) {
+			t.Fatalf("CallAsync = %v, %v; want no promise and an unsent send-phase CallError wrapping %v", p, err, context.Canceled)
+		}
+		if cm := env.client.Metrics(); cm.Attempts != 1 || cm.Retries != 0 || cm.CallErrors != 1 || cm.AsyncIssued != 0 {
+			t.Fatalf("Attempts=%d Retries=%d CallErrors=%d AsyncIssued=%d, want 1, 0, 1, 0", cm.Attempts, cm.Retries, cm.CallErrors, cm.AsyncIssued)
+		}
+		if got := env.svc.Calls(); got != 0 || !treesEqual(t, root, snap) {
+			t.Fatalf("server executed %d times, want 0, and the graph untouched", got)
+		}
+		// The failure was that send's alone: the next call goes through.
+		if _, err := shapeAsync.call(stub, context.Background(), "Scale", root, 3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("severed frame", func(t *testing.T) {
+		env := newChaosEnv(t, netsim.NewPlan(7).SeverFrame(1), retry, 5*time.Second)
+		stub := env.client.Stub("server", "chaos")
+		p, err := stub.CallAsync(context.Background(), "Scale", chaosTree(), 3)
+		if p == nil || err != nil {
+			t.Fatalf("CallAsync = %v, %v; want a promise for the queued frame", p, err)
+		}
+		if _, err := p.Wait(context.Background()); err != nil {
+			t.Fatalf("Wait: %v; want the torn frame re-sent", err)
+		}
+		if cm := env.client.Metrics(); cm.Attempts != 2 || cm.Retries != 1 || cm.CallErrors != 0 || cm.AsyncIssued != 1 {
+			t.Fatalf("Attempts=%d Retries=%d CallErrors=%d AsyncIssued=%d, want 2, 1, 0, 1", cm.Attempts, cm.Retries, cm.CallErrors, cm.AsyncIssued)
+		}
+		if got := env.svc.Calls(); got != 1 {
+			t.Fatalf("server executed %d times, want 1", got)
+		}
+	})
 }
 
 // TestHostChargeEveryShape: a simulated slow client (netsim.Host) is charged

@@ -138,9 +138,9 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 // argument graphs at issue time, exactly like a synchronous call's encode
 // phase — sends the request, and returns without waiting for the reply.
 // The returned promise pipelines with other in-flight calls on the same
-// connection. An encode failure or a failed first send (no connection, ctx
-// already done, frame not written) is reported here and no promise is
-// returned: a promise, once handed out, always has a request in flight.
+// connection. An encode failure or a send the transport refuses (no
+// connection, ctx done) is returned here, with no promise: a promise always
+// has a request in flight, and a Write that tears it reaches Wait to re-send.
 // ctx governs the send only; the ctx given to Wait governs the await and
 // any re-send. Client interceptors (Options.Intercept) do not wrap async
 // calls; the issue/await split has no single call body to wrap.

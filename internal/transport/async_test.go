@@ -105,13 +105,16 @@ func TestWaitCtxExpiryAbandons(t *testing.T) {
 	leakcheck.Settle(t)
 }
 
-// TestTeardownDeliversTypedCallError pins satellite 2: when the conn dies
-// with calls in flight, every pending caller gets a *CallError carrying
-// the phase and the root cause — not a bare channel close.
+// TestTeardownDeliversTypedCallError: when the conn dies with calls in
+// flight — their frames written, the handlers running — every pending
+// caller gets a *CallError carrying the phase and the root cause, not a
+// bare channel close.
 func TestTeardownDeliversTypedCallError(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
+	entered := make(chan struct{}, 4)
 	c := startPair(t, func(_ context.Context, _ byte, _ []byte) ([]byte, error) {
+		entered <- struct{}{}
 		<-block
 		return nil, nil
 	})
@@ -123,6 +126,9 @@ func TestTeardownDeliversTypedCallError(t *testing.T) {
 			t.Fatal(err)
 		}
 		pcs[i] = pc
+	}
+	for range pcs {
+		<-entered
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func frameErrClass(err error) string {
 	}
 }
 
-// frameShape is one frame as handed to writeFrame, and so (deadline rounded
+// frameShape is one frame as handed to appendFrame, and so (deadline rounded
 // to the wire's microseconds, transport-internal flags stripped) as readFrame
 // must hand it back.
 type frameShape struct {
@@ -47,9 +47,16 @@ func (s frameShape) wire(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, s.f); err != nil {
-		t.Fatalf("%s: writeFrame: %v", s.name, err)
+		t.Fatalf("%s: appendFrame: %v", s.name, err)
 	}
 	return buf.Bytes()
+}
+
+// writeFrame writes f to buf the way a sender queues it.
+func writeFrame(buf *bytes.Buffer, f frame) error {
+	wire, err := appendFrame(buf.AvailableBuffer(), f)
+	buf.Write(wire)
+	return err
 }
 
 // fill returns n bytes that differ from offset to offset, so a mis-sliced
@@ -353,6 +360,15 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(byte(1), small)
 	f.Add(byte(200), small)
+	// A Write carries whole frames back to back: a batch of three, cut
+	// anywhere.
+	var batch []byte
+	for _, s := range frameShapes()[:3] {
+		batch = append(batch, s.wire(f)...)
+	}
+	for cut := 0; cut <= len(batch); cut++ {
+		f.Add(byte(cut), batch[:cut])
+	}
 	f.Add(byte(0), []byte{})
 	f.Add(byte(7), header(0x4E53, 0, 4))
 	f.Add(byte(7), header(frameMagic, flagDeadline|flagRetired, 1<<20))

@@ -115,7 +115,9 @@ func TestCallErrorClassification(t *testing.T) {
 // each way a request can fail before its frame is whole reports the same
 // *CallError{Phase: PhaseSend, Sent: false} with the same cause, registers
 // nothing, and leaves the connection in the same state — usable, except
-// after a torn frame.
+// after a torn frame. Send returns every failure itself but one: a started
+// call's frame is queued, so the Write that tears it reports through the
+// first Wait.
 func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 	oversized := make([]byte, maxFrameSize+1)
 	cases := []struct {
@@ -174,7 +176,7 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 
 				pc, err := c.Send(ctx, MsgCall, payload, time.Time{}, oneWay)
 				if pc != nil {
-					pc.Abandon()
+					_, err = pc.Wait(context.Background())
 				}
 				var ce *CallError
 				if !errors.As(err, &ce) {
@@ -196,9 +198,10 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 
 // TestDeadlineExpiresMidWrite pins the contract for a context that dies
 // while the request frame is still being written: a netsim delay fault
-// holds the frame past the deadline, the frame completes (single-Write
-// framing is never torn by a deadline), and the failure is then reported
-// as an await-phase timeout with Sent=true.
+// holds the frame past the deadline, Wait returns at the deadline as an
+// await-phase timeout with Sent=true (the frame may yet go out), and the
+// held Write completes: a deadline never tears a frame, and the conn stays
+// healthy.
 func TestDeadlineExpiresMidWrite(t *testing.T) {
 	const hold = 120 * time.Millisecond
 	n := netsim.NewNetwork(netsim.Loopback())
@@ -232,10 +235,16 @@ func TestDeadlineExpiresMidWrite(t *testing.T) {
 	if ce.Phase != PhaseAwait || !ce.Sent || !ce.Timeout() {
 		t.Fatalf("want await-phase sent timeout, got %v", err)
 	}
-	if elapsed < hold {
-		t.Fatalf("call returned after %v; the delayed frame write must complete first (%v)", elapsed, hold)
+	if elapsed >= hold {
+		t.Fatalf("call returned after %v; the deadline must not wait for the held write (%v)", elapsed, hold)
 	}
-	// The connection survives a deadline: it is still healthy.
+	// The held frame goes out whole behind the deadline, and the connection
+	// survives it: the next call is answered on the same conn.
+	got, err := c.Call(context.Background(), MsgCall, []byte("after"))
+	if err != nil || string(got) != "after" {
+		t.Fatalf("call after the deadline: %q, %v", got, err)
+	}
+	ReleasePayload(got)
 	if c.Err() != nil {
 		t.Fatalf("deadline must not poison the conn: %v", c.Err())
 	}

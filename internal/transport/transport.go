@@ -15,8 +15,8 @@
 //	[deadline u64] remaining call budget in microseconds (flag 0x04 only)
 //	payload  []byte
 //
-// Each frame is written with a single Write call, which is the contract the
-// netsim package relies on for per-message latency accounting. Both ends
+// A Write carries one or more whole frames: all that its connection end
+// queued since the previous Write (netsim charges per Write). Both ends
 // read through one readBufSize buffer per connection, so a frame that fits
 // costs one read and frames that arrive together share one.
 //
@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -71,6 +72,8 @@ const (
 
 	// readBufSize lets a 256-node paper frame (4 035 B) arrive in one read.
 	readBufSize = 4 << 10
+	// maxSpareBatch is the largest batch buffer a sender keeps for reuse.
+	maxSpareBatch = 64 << 10
 	// maxIdleWorkers bounds the workers (and stacks) one connection parks.
 	maxIdleWorkers = 16
 )
@@ -192,9 +195,9 @@ const (
 type CallError struct {
 	// Phase is PhaseSend or PhaseAwait.
 	Phase string
-	// Sent reports whether the request frame was fully written. Frames go
-	// out in a single Write, so a failed write means the peer never saw a
-	// complete frame and cannot have dispatched the call.
+	// Sent reports whether the request frame may have been fully written.
+	// A frame ending past the bytes a failed Write got out was not: the
+	// peer never saw it complete and cannot have dispatched the call.
 	Sent bool
 	// Err is the underlying cause: a context error, an I/O error, or
 	// ErrClosed.
@@ -235,31 +238,123 @@ type frame struct {
 // is still referenced, including one echoed back as a reply.
 func ReleasePayload(p []byte) { bufpool.Put(p) }
 
-// writeFrame assembles and writes a frame with a single Write.
-func writeFrame(w io.Writer, f frame) error {
+// appendFrame appends f, header and deadline extension included, to dst.
+func appendFrame(dst []byte, f frame) ([]byte, error) {
 	if len(f.payload) > maxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.payload))
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.payload))
 	}
-	ext := 0
 	if f.deadline > 0 {
 		f.flags |= flagDeadline
-		ext = 8
 	}
-	buf := bufpool.Get(headerSize + ext + len(f.payload))
-	binary.BigEndian.PutUint16(buf[0:2], frameMagic)
-	buf[2] = f.msgType
-	buf[3] = f.flags
-	binary.BigEndian.PutUint64(buf[4:12], f.reqID)
-	binary.BigEndian.PutUint32(buf[12:16], uint32(len(f.payload)))
-	if ext > 0 {
-		binary.BigEndian.PutUint64(buf[headerSize:headerSize+8], uint64(f.deadline/time.Microsecond))
+	dst = binary.BigEndian.AppendUint16(dst, frameMagic)
+	dst = append(dst, f.msgType, f.flags)
+	dst = binary.BigEndian.AppendUint64(dst, f.reqID)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.payload)))
+	if f.deadline > 0 {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(f.deadline/time.Microsecond))
 	}
-	copy(buf[headerSize+ext:], f.payload)
-	// The single Write is synchronous: once it returns, the frame bytes have
-	// been handed off (or copied) by the conn, so the buffer can be recycled.
-	_, err := w.Write(buf)
-	bufpool.Put(buf)
-	return err
+	return append(dst, f.payload...), nil
+}
+
+// queuedFrame is a frame in a batch: its request id and where it ends.
+type queuedFrame struct {
+	id  uint64
+	end int
+}
+
+// sender is the write side of one connection end: enqueue copies whole
+// frames into the batch, and the writer goroutine (run) sends each batch
+// with one Write. Two buffers take turns, one written while one fills.
+type sender struct {
+	conn net.Conn
+	sent func(frames []queuedFrame, n int, err error) // settles a Write of n bytes, under flushMu
+	wake chan struct{}                                // capacity 1: frames wait for the writer
+
+	flushMu     sync.Mutex // one batch on the conn at a time; guards the spares
+	spare       []byte
+	spareFrames []queuedFrame
+
+	mu     sync.Mutex
+	batch  []byte
+	frames []queuedFrame
+	closed bool
+}
+
+// run is the writer goroutine, until close.
+func (s *sender) run() {
+	for range s.wake {
+		// Let the callers and workers already runnable queue their frames:
+		// under GOMAXPROCS=1 the woken writer runs next and would send each
+		// frame alone. A blocked handler is not runnable, so none is waited for.
+		runtime.Gosched()
+		s.write(nil)
+	}
+}
+
+// enqueue appends f to the batch and returns where f ends; the first frame
+// of an empty batch wakes the writer.
+func (s *sender) enqueue(f frame) (end int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return 0, ErrClosed
+	}
+	if s.batch, err = appendFrame(s.batch, f); err != nil {
+		return 0, err
+	}
+	if len(s.frames) == 0 {
+		select {
+		case s.wake <- struct{}{}:
+		default: // the writer holds a token already
+		}
+	}
+	s.frames = append(s.frames, queuedFrame{f.reqID, len(s.batch)})
+	return len(s.batch), nil
+}
+
+// write sends the batch with one Write and settles it. A frame f is queued
+// behind the batch first, and the error returned only if f did not go out
+// whole.
+func (s *sender) write(f *frame) (err error) {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	end := 0
+	if f != nil {
+		if end, err = s.enqueue(*f); err != nil {
+			return err
+		}
+	}
+	s.mu.Lock()
+	batch, frames := s.batch, s.frames
+	if len(batch) == 0 {
+		s.mu.Unlock()
+		return nil
+	}
+	s.batch, s.frames = s.spare[:0], s.spareFrames[:0]
+	s.mu.Unlock()
+	n, err := s.conn.Write(batch)
+	s.sent(frames, n, err)
+	if cap(batch) > maxSpareBatch {
+		batch, frames = nil, nil // one large frame must not pin its size
+	}
+	s.spare, s.spareFrames = batch, frames
+	if n < end {
+		return err
+	}
+	return nil
+}
+
+// close stops the writer and refuses frames from now on; it returns those
+// still queued, which no Write will carry.
+func (s *sender) close() (unsent []queuedFrame) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		close(s.wake)
+		unsent, s.batch, s.frames = s.frames, nil, nil
+	}
+	return unsent
 }
 
 // readFrame reads one frame. The returned payload comes from the shared
@@ -311,32 +406,21 @@ func inFrame(err error) error {
 // invocations are multiplexed over one net.Conn and matched to replies by
 // request id.
 type Conn struct {
-	c net.Conn
-
-	writeMu sync.Mutex
-	nextID  atomic.Uint64
+	c      net.Conn
+	s      sender
+	nextID atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]*pendingReply
-	err     error
-	closed  bool
-}
-
-// pendingReply is one in-flight request's delivery slot. Exactly one of
-// the read loop and failAll claims it (removing it from the pending map
-// under c.mu), fills f or err, and closes done. The waiter side — Wait or
-// Abandon — synchronizes on the close, so f and err are never read before
-// they are fully written.
-type pendingReply struct {
-	done chan struct{}
-	f    frame
-	err  *CallError
+	pending map[uint64]*PendingCall
+	err     error // the root cause once the conn has failed or closed
 }
 
 // NewConn wraps an established net.Conn as a client transport connection
-// and starts its read loop.
+// and starts its read loop and writer.
 func NewConn(c net.Conn) *Conn {
-	tc := &Conn{c: c, pending: make(map[uint64]*pendingReply)}
+	tc := &Conn{c: c, pending: make(map[uint64]*PendingCall)}
+	tc.s = sender{conn: c, sent: tc.sent, wake: make(chan struct{}, 1)}
+	go tc.s.run()
 	go tc.readLoop()
 	return tc
 }
@@ -346,14 +430,12 @@ func (c *Conn) readLoop() {
 	for {
 		f, err := readFrame(r)
 		if err != nil {
-			c.failAll(err)
+			c.fail(err)
 			return
 		}
 		c.mu.Lock()
 		e, ok := c.pending[f.reqID]
-		if ok {
-			delete(c.pending, f.reqID)
-		}
+		delete(c.pending, f.reqID)
 		c.mu.Unlock()
 		if ok {
 			e.f = f
@@ -366,24 +448,57 @@ func (c *Conn) readLoop() {
 	}
 }
 
-// failAll rejects every pending call with a typed *CallError carrying the
-// connection's root cause, so promise rejection and eviction-cause metrics
-// stay accurate when a conn dies mid-flight. Every failed call was already
-// fully written (registration precedes the write, and write failures
-// deregister before failing the conn), hence Sent: true.
-func (c *Conn) failAll(err error) {
+// settle fails id's pending call, if it still has one, in phase (sent
+// unless PhaseSend); the caller holds c.mu.
+func (c *Conn) settle(id uint64, phase string, err error) {
+	if e, ok := c.pending[id]; ok {
+		delete(c.pending, id)
+		e.err = &CallError{Phase: phase, Sent: phase == PhaseAwait, Err: err}
+		close(e.done)
+	}
+}
+
+// sent settles a Write: after a failed one, each frame ending past the n
+// bytes that went out is unsent. The stream may hold a partial frame, so
+// the conn is done; closing it ends the read loop, whose fail does the rest.
+func (c *Conn) sent(frames []queuedFrame, n int, err error) {
+	if err == nil {
+		return
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.err == nil {
 		c.err = err
 	}
-	root := c.err
-	for id, e := range c.pending {
-		delete(c.pending, id)
-		e.err = &CallError{Phase: PhaseAwait, Sent: true, Err: root}
-		close(e.done)
+	for _, f := range frames {
+		if f.end > n {
+			c.settle(f.id, PhaseSend, err)
+		}
 	}
-	c.closed = true
+	c.mu.Unlock()
+	_ = c.c.Close()
+}
+
+// fail ends the conn with root cause err (unless it has one) and fails every
+// pending call: closing the socket returns a Write in progress, which sent
+// settles first; then a queued frame is unsent, and the rest went out whole.
+func (c *Conn) fail(err error) error {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = err
+	}
+	c.mu.Unlock()
+	cerr := c.c.Close()
+	c.s.flushMu.Lock()
+	defer c.s.flushMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, f := range c.s.close() {
+		c.settle(f.id, PhaseSend, c.err)
+	}
+	for id := range c.pending {
+		c.settle(id, PhaseAwait, c.err)
+	}
+	return cerr
 }
 
 // IsClosed reports whether the connection has failed or been closed; a
@@ -391,7 +506,7 @@ func (c *Conn) failAll(err error) {
 func (c *Conn) IsClosed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.closed
+	return c.err != nil
 }
 
 // Err is the connection health check: it returns nil while the connection
@@ -399,13 +514,7 @@ func (c *Conn) IsClosed() bool {
 func (c *Conn) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.closed {
-		return nil
-	}
-	if c.err != nil {
-		return c.err
-	}
-	return ErrClosed
+	return c.err
 }
 
 // InFlight returns the number of calls currently awaiting a reply on this
@@ -419,29 +528,30 @@ func (c *Conn) InFlight() int {
 	return len(c.pending)
 }
 
-// PendingCall is one in-flight request started by Conn.Send: the
-// transport-level half of a promise. Its reply is consumed with Wait or
-// relinquished with Abandon — exactly one of the two must eventually run,
-// or the pooled reply payload leaks. A PendingCall is owned by a single
-// goroutine; it is not safe for concurrent use (Done is the exception and
-// may be polled from anywhere).
+// PendingCall is one in-flight request started by Conn.Send, the transport
+// half of a promise: its slot in the pending map until the read loop, a
+// failed Write or fail fills f or err and closes done. Consume it with Wait
+// or relinquish it with Abandon — exactly one, or the pooled reply payload
+// leaks. It is owned by one goroutine (Done may be polled from anywhere).
 type PendingCall struct {
 	c       *Conn
 	id      uint64
-	e       *pendingReply
+	done    chan struct{}
+	f       frame
+	err     *CallError
 	settled bool
 }
 
-// Send writes one request frame: every request this connection sends goes
+// Send queues one request frame: every request this connection sends goes
 // through here. The frame's budget is the time left until deadline or
 // until ctx's own deadline, whichever is earlier (a zero deadline leaves it
 // to ctx); ctx is not monitored after Send returns, pass it again to Wait.
-// A one-way frame registers no pending entry — the peer executes the call
-// but writes no reply frame (PROTOCOL.md section 10) — and Send returns a
-// nil PendingCall once it is written; otherwise the reply is claimed
-// through the returned PendingCall. Every failure is a *CallError with
-// Phase PhaseSend and Sent false — the frame provably never went out whole,
-// so a send is always safe to retry — and leaves nothing to abandon.
+// A one-way frame registers no pending entry (the peer writes no reply,
+// PROTOCOL.md section 10): Send writes it and returns a nil PendingCall.
+// Otherwise the reply, or the failure of the Write carrying the frame, is
+// claimed through the PendingCall. A failure Send returns itself is a
+// *CallError{Phase: PhaseSend, Sent: false} — the frame provably never went
+// out whole, so it is safe to retry — and leaves nothing to abandon.
 func (c *Conn) Send(ctx context.Context, msgType byte, payload []byte, deadline time.Time, oneWay bool) (*PendingCall, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &CallError{Phase: PhaseSend, Err: err}
@@ -458,41 +568,30 @@ func (c *Conn) Send(ctx context.Context, msgType byte, payload []byte, deadline 
 	f := frame{msgType: msgType, deadline: budget, payload: payload}
 	var pc *PendingCall
 	c.mu.Lock()
-	if c.closed {
-		err := c.err
+	if err := c.err; err != nil {
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrClosed
-		}
 		return nil, &CallError{Phase: PhaseSend, Err: err}
 	}
 	f.reqID = c.nextID.Add(1)
 	if oneWay {
 		f.flags = flagOneWay
 	} else {
-		pc = &PendingCall{c: c, id: f.reqID, e: &pendingReply{done: make(chan struct{})}}
-		c.pending[f.reqID] = pc.e
+		pc = &PendingCall{c: c, id: f.reqID, done: make(chan struct{})}
+		c.pending[f.reqID] = pc
 	}
 	c.mu.Unlock()
 
-	c.writeMu.Lock()
-	err := writeFrame(c.c, f)
-	c.writeMu.Unlock()
-	if err != nil {
+	var err error
+	if oneWay {
+		err = c.s.write(&f)
+	} else if _, err = c.s.enqueue(f); err != nil {
 		c.mu.Lock()
-		delete(c.pending, f.reqID) // nothing to delete for a one-way frame
+		delete(c.pending, f.reqID)
 		c.mu.Unlock()
-		if !errors.Is(err, ErrFrameTooLarge) {
-			// The write may have left a partial frame on the wire; the
-			// stream can no longer be trusted, so the connection is
-			// terminal (pools see IsClosed and re-dial). Oversized
-			// payloads are rejected before any byte goes out and leave
-			// the conn usable.
-			c.failAll(err)
-			_ = c.c.Close()
-		}
-		// A partial frame is indistinguishable from no frame to the peer's
-		// framing layer, so the call was provably not dispatched.
+	}
+	if err != nil {
+		// ErrFrameTooLarge is refused before any byte is queued and leaves
+		// the conn usable; anything else has already ended it.
 		return nil, &CallError{Phase: PhaseSend, Err: err}
 	}
 	return pc, nil
@@ -501,12 +600,12 @@ func (c *Conn) Send(ctx context.Context, msgType byte, payload []byte, deadline 
 // Done returns a channel closed once the reply (or the connection's
 // terminal error) has been delivered, so promise layers can poll or select
 // on readiness without consuming the reply.
-func (p *PendingCall) Done() <-chan struct{} { return p.e.done }
+func (p *PendingCall) Done() <-chan struct{} { return p.done }
 
 // Ready reports, without blocking, whether Wait would return immediately.
 func (p *PendingCall) Ready() bool {
 	select {
-	case <-p.e.done:
+	case <-p.done:
 		return true
 	default:
 		return false
@@ -522,7 +621,7 @@ func (p *PendingCall) Wait(ctx context.Context) ([]byte, error) {
 		return nil, &CallError{Phase: PhaseAwait, Sent: true, Err: ErrClosed}
 	}
 	select {
-	case <-p.e.done:
+	case <-p.done:
 		p.settled = true
 		return p.consume()
 	case <-ctx.Done():
@@ -535,11 +634,10 @@ func (p *PendingCall) Wait(ctx context.Context) ([]byte, error) {
 // passes to the caller; error replies are decoded into typed errors and
 // their payloads recycled here.
 func (p *PendingCall) consume() ([]byte, error) {
-	e := p.e
-	if e.err != nil {
-		return nil, e.err
+	if p.err != nil {
+		return nil, p.err
 	}
-	f := e.f
+	f := p.f
 	if f.flags&flagError != 0 {
 		// The error strings below copy out of the payload, so it can be
 		// recycled immediately.
@@ -563,14 +661,11 @@ func (p *PendingCall) consume() ([]byte, error) {
 //
 //   - abandon first: the entry is removed from the pending map here, so a
 //     reply landing later is unmatched and the read loop recycles it;
-//   - reply first: the read loop (or failAll) already claimed the entry
+//   - reply first: the read loop (or fail) already claimed the entry
 //     and is delivering, so Abandon waits for the imminent close of done
 //     and recycles the payload itself.
 //
-// This is the window the pre-async reply path raced in (a reply landing
-// after ctx expiry but before the pending-entry delete), widened by
-// promises: an abandoned promise has no goroutine sitting in a select to
-// drain the delivery. Abandon is idempotent on a settled call.
+// Abandon is idempotent on a settled call.
 func (p *PendingCall) Abandon() {
 	if p.settled {
 		return
@@ -579,16 +674,14 @@ func (p *PendingCall) Abandon() {
 	c := p.c
 	c.mu.Lock()
 	_, pendingStill := c.pending[p.id]
-	if pendingStill {
-		delete(c.pending, p.id)
-	}
+	delete(c.pending, p.id)
 	c.mu.Unlock()
 	if pendingStill {
 		return
 	}
-	<-p.e.done
-	if p.e.err == nil {
-		ReleasePayload(p.e.f.payload)
+	<-p.done
+	if p.err == nil {
+		ReleasePayload(p.f.payload)
 	}
 }
 
@@ -611,8 +704,7 @@ func (c *Conn) Call(ctx context.Context, msgType byte, payload []byte) ([]byte, 
 
 // Close tears the connection down; in-flight calls fail with ErrClosed.
 func (c *Conn) Close() error {
-	c.failAll(ErrClosed) // before the read loop can report the closed socket instead
-	return c.c.Close()
+	return c.fail(ErrClosed)
 }
 
 // oneWayKey marks request contexts whose frame carried the one-way flag.
@@ -638,7 +730,7 @@ func IsOneWay(ctx context.Context) bool {
 // should observe it.
 //
 // The request payload is pool-owned: it stays valid through the handler
-// call and the reply write (a reply may alias it, e.g. an echo), after
+// call and the copy of the reply into the batch (a reply may alias it), after
 // which the server recycles it. Handlers must copy anything they need to
 // keep past their return.
 type Handler func(ctx context.Context, msgType byte, payload []byte) ([]byte, error)
@@ -660,17 +752,17 @@ type Server struct {
 	lnClosed bool
 	wg       sync.WaitGroup
 
-	// reqs counts live requests, reply write included; Drain polls it so
-	// graceful shutdown can wait for replies to flush before connections
-	// are torn down.
+	// reqs counts live requests until the Write that carried the reply
+	// has returned; Drain polls it so graceful shutdown can wait for
+	// replies to flush before connections are torn down.
 	reqs            atomic.Int64
 	served, started atomic.Int64 // see Stats
 }
 
-// srvConn is one accepted connection and its workers.
+// srvConn is one accepted connection, its workers and its writer.
 type srvConn struct {
-	c       net.Conn
-	writeMu sync.Mutex
+	c net.Conn
+	s sender
 	// work is unbuffered: a send succeeds only while a worker is parked on it.
 	work    chan frame
 	idle    atomic.Int32 // workers parked on work
@@ -719,19 +811,24 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		sc := &srvConn{c: c, work: make(chan frame)}
+		sc.s = sender{conn: c, wake: make(chan struct{}, 1), sent: func(frames []queuedFrame, _ int, _ error) { s.done(len(frames)) }}
 		s.conns[sc] = struct{}{}
 		s.mu.Unlock()
-		s.wg.Add(1)
+		s.wg.Add(2)
 		go s.serveConn(sc)
+		go func() { defer s.wg.Done(); sc.s.run() }()
 	}
 }
 
 func (s *Server) serveConn(sc *srvConn) {
 	defer s.wg.Done()
 	defer func() {
-		// Parked workers exit on the close, busy ones after writing their reply.
+		// Parked workers exit on the close, busy ones after queueing their
+		// reply; the last batch goes out before the connection closes.
 		close(sc.work)
 		sc.workers.Wait()
+		sc.s.write(nil)
+		sc.s.close()
 		_ = sc.c.Close()
 		s.mu.Lock()
 		delete(s.conns, sc)
@@ -755,7 +852,7 @@ func (s *Server) serveConn(sc *srvConn) {
 }
 
 // worker serves f and then, on the same grown stack, every frame the read
-// loop hands it while parked. The reply is written before the worker parks,
+// loop hands it while parked. The reply is queued before the worker parks,
 // so the caller's next frame can overtake it and start a second worker.
 func (s *Server) worker(sc *srvConn, f frame) {
 	defer sc.workers.Done()
@@ -770,10 +867,11 @@ func (s *Server) worker(sc *srvConn, f frame) {
 	}
 }
 
+// done counts k requests served, each once the Write carrying its reply returned.
+func (s *Server) done(k int) { s.served.Add(int64(k)); s.reqs.Add(-int64(k)) }
+
 // serve runs one request; f.payload is its to release after the reply.
 func (s *Server) serve(sc *srvConn, f frame) {
-	defer s.reqs.Add(-1)
-	defer s.served.Add(1)
 	ctx := s.baseCtx
 	if f.deadline > 0 {
 		var cancel context.CancelFunc
@@ -786,6 +884,7 @@ func (s *Server) serve(sc *srvConn, f frame) {
 		// One-way contract: no reply frame, success or failure (PROTOCOL.md
 		// section 10). The handler has returned, so the request buffer is free.
 		ReleasePayload(f.payload)
+		s.done(1)
 		return
 	}
 	reply, err := s.safeHandle(ctx, f.msgType, f.payload)
@@ -801,12 +900,13 @@ func (s *Server) serve(sc *srvConn, f frame) {
 	} else {
 		out.payload = reply
 	}
-	sc.writeMu.Lock()
-	_ = writeFrame(sc.c, out)
-	sc.writeMu.Unlock()
-	// The reply (which may alias the request payload, e.g. an echo) has been
-	// fully assembled and written; the request buffer is free.
+	_, err = sc.s.enqueue(out)
+	// The batch holds a copy of the reply, which may alias the request
+	// payload (an echo), so the request buffer is free.
 	ReleasePayload(f.payload)
+	if err != nil {
+		s.done(1) // a reply too large for a frame is dropped
+	}
 }
 
 // safeHandle runs the handler, converting panics into error replies: one

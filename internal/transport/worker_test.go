@@ -57,7 +57,7 @@ func echo(_ context.Context, _ byte, p []byte) ([]byte, error) { return p, nil }
 
 // TestWorkerReuseSequential: a caller that waits for each reply keeps its
 // worker warm. A frame that finds the worker parked always reuses it; the
-// reply is written before the worker parks, so a caller that does not wait
+// reply is queued before the worker parks, so a caller that does not wait
 // for that can overtake it and start another — once or twice when the
 // scheduler holds the finished worker back, never once per call.
 func TestWorkerReuseSequential(t *testing.T) {
@@ -74,6 +74,11 @@ func TestWorkerReuseSequential(t *testing.T) {
 	for i := 0; i < calls; i++ {
 		call()
 		awaitParked(t, 1)
+	}
+	// Served is counted once the Write carrying the reply returns, which
+	// can trail the caller's return: Drain waits for it.
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	if st := srv.Stats(); st.Started != 1 || st.Served != calls {
 		t.Fatalf("stats %+v, want %d requests on 1 worker", st, calls)
@@ -119,7 +124,7 @@ func TestWorkersNeverQueue(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Served is counted after the reply is written: Drain waits for it.
+	// Served is counted after the reply's Write returns: Drain waits for it.
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
