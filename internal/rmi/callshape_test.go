@@ -34,16 +34,15 @@ var (
 )
 
 // syncCallAllocBudget is what one Stub.Call of the chaos tree costs end to
-// end (client, transport and server sides of the in-memory pipe together),
-// measured with this test at the commit before Call became issue + await +
-// apply on a Promise. A Promise that escapes to the heap, or a second
-// deadline context per attempt, lands above it.
-const syncCallAllocBudget = 51
+// end (client, transport and server sides of the in-memory pipe together):
+// it measures 33. A Promise that escapes to the heap, a context or timer per
+// attempt deadline, or a frame header on the heap lands above it.
+const syncCallAllocBudget = 36
 
-// TestSyncCallAllocs holds the blocking call shape to the allocation count
-// it had as a hand-written path of its own: the Promise it runs on lives in
-// the caller's frame, and CallTimeout (set, as the benchmark sets it) costs
-// one deadline context per attempt.
+// TestSyncCallAllocs holds the blocking call shape to its allocation count:
+// the Promise it runs on lives in the caller's frame, CallTimeout (set, as
+// the benchmark sets it) builds no context on either end, and a frame's
+// header is read into its connection's scratch.
 func TestSyncCallAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nrmi/internal/core"
+	"nrmi/internal/leakcheck"
 	"nrmi/internal/netsim"
 	"nrmi/internal/transport"
 	"nrmi/internal/wire"
@@ -500,6 +501,44 @@ func TestCallerCancelBeatsCallTimeout(t *testing.T) {
 			if !treesEqual(t, root, snap) {
 				t.Fatal("cancelled call mutated the graph")
 			}
+		})
+	}
+}
+
+// TestExpiredAttemptLeavesNoTimerBehind: an attempt's deadline is a pooled
+// timer, not a context. With no retries the first expiry is the outcome:
+// the exact await-phase timeout at CallTimeout, with nothing left pending
+// and no pooled buffer held once the server lets the call go. The timer
+// that fired goes back to the pool, and no stale tick from it or any other
+// fails one of the fast calls that follow.
+func TestExpiredAttemptLeavesNoTimerBehind(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	for _, shape := range []callShape{shapeCall, shapeAsync} {
+		t.Run(shape.name, func(t *testing.T) {
+			env := newDegradeEnv(t, nil, func(o *Options) { o.CallTimeout = timeout; o.Retry = RetryPolicy{} })
+			stub := env.client.Stub("server", "gate")
+			ctx := context.Background()
+			start := time.Now()
+			_, err := shape.call(stub, ctx, "Hold", chaosTree())
+			elapsed := time.Since(start)
+			ce, ok := err.(*transport.CallError)
+			if !ok || ce.Phase != transport.PhaseAwait || !ce.Sent || ce.Err != context.DeadlineExceeded {
+				t.Fatalf("held call: %T %v, want *CallError{await, sent, context.DeadlineExceeded}", err, err)
+			}
+			if elapsed < timeout || elapsed > timeout+2*time.Second {
+				t.Fatalf("held call failed after %v, want CallTimeout (%v)", elapsed, timeout)
+			}
+			if _, inFlight, _ := env.client.ConnState("server"); inFlight != 0 {
+				t.Fatalf("%d calls still pending after the expiry", inFlight)
+			}
+			close(env.svc.release)
+			leakcheck.Settle(t)
+			for i := 0; i < 200; i++ {
+				if _, err := shape.call(stub, ctx, "Quick", chaosTree()); err != nil {
+					t.Fatalf("fast call %d after the expiry: %v", i, err)
+				}
+			}
+			leakcheck.Settle(t)
 		})
 	}
 }

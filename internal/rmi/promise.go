@@ -40,6 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"nrmi/internal/core"
@@ -204,23 +205,35 @@ func (p *Promise) send(ctx context.Context) {
 	p.sendErr = err
 }
 
+// attemptTimers holds stopped timers that bound a reply wait by its attempt
+// deadline: under Go 1.23 timer semantics a stopped one holds no stale tick.
+var attemptTimers = sync.Pool{New: func() any { t := time.NewTimer(time.Hour); t.Stop(); return t }}
+
 // reply blocks for the current attempt's outcome under the caller's
-// context and the attempt deadline, whichever ends first. A context expiry
+// context and the attempt deadline, whichever ends first. An expiry
 // abandons the pending call, so the pooled reply payload is released
 // exactly once whichever way the race goes. A written one-way frame has no
 // pending call and no error: its outcome is "sent".
 func (p *Promise) reply(ctx context.Context) ([]byte, error) {
-	if p.pc == nil {
+	pc := p.pc
+	if pc == nil {
 		return nil, p.sendErr
 	}
-	if !p.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, p.deadline)
-		defer cancel()
-	}
-	payload, err := p.pc.Wait(ctx)
 	p.pc = nil
-	return payload, err
+	if !p.deadline.IsZero() && !pc.Ready() {
+		t := attemptTimers.Get().(*time.Timer)
+		t.Reset(time.Until(p.deadline))
+		defer attemptTimers.Put(t)
+		defer t.Stop()
+		select {
+		case <-pc.Done():
+		case <-ctx.Done(): // Wait abandons the call
+		case <-t.C:
+			pc.Abandon()
+			return nil, &transport.CallError{Phase: transport.PhaseAwait, Sent: true, Err: context.DeadlineExceeded}
+		}
+	}
+	return pc.Wait(ctx)
 }
 
 // await drives the already-sent first attempt to a reply payload, re-

@@ -374,6 +374,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(byte(7), header(frameMagic, flagDeadline|flagRetired, 1<<20))
 	f.Add(byte(9), append(header(frameMagic, flagRetired, 8), 1, 2, 3, 4, 5, 6, 7, 8))
 	f.Add(byte(0), header(frameMagic, flagRetired, 0))
+	// Budgets at both ends of the extension: a flagged zero, and one past
+	// time.Duration's range.
+	f.Add(byte(0), append(header(frameMagic, flagDeadline, 0), make([]byte, 8)...))
+	f.Add(byte(5), append(header(frameMagic, flagDeadline, 0), bytes.Repeat([]byte{0xFF}, 8)...))
 	f.Add(byte(3), append(small[:len(small):len(small)], header(frameMagic, flagRetired|flagError, 4)...))
 	f.Fuzz(func(t *testing.T, chunk byte, data []byte) {
 		plain := bytes.NewReader(data)

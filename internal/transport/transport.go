@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"runtime/pprof"
@@ -221,9 +222,9 @@ type frame struct {
 	msgType byte
 	flags   byte
 	reqID   uint64
-	// deadline is the caller's remaining call budget; zero means none.
-	// On the wire it travels as a relative duration, not an absolute
-	// time, so unsynchronized clocks cannot corrupt it.
+	// deadline is the caller's remaining call budget: zero means none, below
+	// zero spent on arrival. On the wire it travels as a relative duration,
+	// not an absolute time, so unsynchronized clocks cannot corrupt it.
 	deadline time.Duration
 	payload  []byte
 }
@@ -251,7 +252,8 @@ func appendFrame(dst []byte, f frame) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint64(dst, f.reqID)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.payload)))
 	if f.deadline > 0 {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(f.deadline/time.Microsecond))
+		// In microseconds, rounded up: a budget under 1 µs is not a zero.
+		dst = binary.BigEndian.AppendUint64(dst, (uint64(f.deadline)+999)/1000)
 	}
 	return append(dst, f.payload...), nil
 }
@@ -357,11 +359,14 @@ func (s *sender) close() (unsent []queuedFrame) {
 	return unsent
 }
 
-// readFrame reads one frame. The returned payload comes from the shared
-// buffer pool; see ReleasePayload for the ownership contract.
-func readFrame(r io.Reader) (frame, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame; see readFrameInto.
+func readFrame(r io.Reader) (frame, error) { return readFrameInto(r, new([headerSize + 8]byte)) }
+
+// readFrameInto reads one frame, its header and deadline extension into a
+// read loop's scratch. The returned payload comes from the shared buffer
+// pool; see ReleasePayload for the ownership contract.
+func readFrameInto(r io.Reader, hdr *[headerSize + 8]byte) (frame, error) {
+	if _, err := io.ReadFull(r, hdr[:headerSize]); err != nil {
 		return frame{}, err
 	}
 	if magic := binary.BigEndian.Uint16(hdr[0:2]); magic != frameMagic || hdr[3]&flagRetired != 0 {
@@ -373,11 +378,13 @@ func readFrame(r io.Reader) (frame, error) {
 	}
 	var deadline time.Duration
 	if hdr[3]&flagDeadline != 0 {
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[headerSize:]); err != nil {
 			return frame{}, inFrame(err)
 		}
-		deadline = time.Duration(binary.BigEndian.Uint64(ext[:])) * time.Microsecond
+		us := binary.BigEndian.Uint64(hdr[headerSize:]) // a flagged zero is spent, a hostile budget clamps
+		if deadline = time.Duration(min(us, math.MaxInt64/1000)) * time.Microsecond; us == 0 {
+			deadline = -1
+		}
 	}
 	payload := bufpool.Get(int(length))
 	if _, err := io.ReadFull(r, payload); err != nil {
@@ -427,8 +434,9 @@ func NewConn(c net.Conn) *Conn {
 
 func (c *Conn) readLoop() {
 	r := bufio.NewReaderSize(c.c, readBufSize)
+	hdr := new([headerSize + 8]byte)
 	for {
-		f, err := readFrame(r)
+		f, err := readFrameInto(r, hdr)
 		if err != nil {
 			c.fail(err)
 			return
@@ -722,6 +730,68 @@ func IsOneWay(ctx context.Context) bool {
 	return v
 }
 
+// reqCtx is the context of a request whose frame carried a budget: it is
+// observably context.WithDeadline(parent, deadline) ended when the handler
+// returns, but only the first Done builds that context and its timer.
+type reqCtx struct {
+	parent   context.Context
+	deadline time.Time
+	mu       sync.Mutex
+	armed    context.Context // once Done is called, or Value after c ended
+	cancel   context.CancelFunc
+	err      error // the first non-nil Err
+}
+
+func (c *reqCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+func (c *reqCtx) Done() <-chan struct{}       { return c.use(true).Done() }
+func (c *reqCtx) Value(key any) any           { return c.use(false).Value(key) }
+
+func (c *reqCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.errLocked()
+}
+
+// use returns the context to ask: the parent until c is armed, by Done or
+// by having ended (context.Cause finds the cause through Value). One armed
+// after c ended is born ended, with the error Err reported as its cause.
+func (c *reqCtx) use(arm bool) context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed == nil {
+		if !arm && c.errLocked() == nil {
+			return c.parent
+		}
+		if c.armed, c.cancel = context.WithDeadlineCause(c.parent, c.deadline, c.err); c.err != nil {
+			c.cancel()
+		}
+	}
+	return c.armed
+}
+
+// errLocked settles err from the armed context, or the parent and the clock.
+func (c *reqCtx) errLocked() error {
+	if c.err == nil {
+		if c.armed != nil {
+			c.err = c.armed.Err()
+		} else if c.err = c.parent.Err(); c.err == nil && !time.Now().Before(c.deadline) {
+			c.err = context.DeadlineExceeded
+		}
+	}
+	return c.err
+}
+
+// stop ends c once its handler has returned.
+func (c *reqCtx) stop() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.armed != nil {
+		c.cancel()
+	} else if c.errLocked() == nil {
+		c.err = context.Canceled
+	}
+}
+
 // Handler processes one inbound request and produces a reply payload.
 // Returning an error sends an error-flagged reply carrying err.Error()
 // (plus a status code for the typed refusals, see statusOf). The context
@@ -835,8 +905,9 @@ func (s *Server) serveConn(sc *srvConn) {
 		s.mu.Unlock()
 	}()
 	r := bufio.NewReaderSize(sc.c, readBufSize)
+	hdr := new([headerSize + 8]byte)
 	for {
-		f, err := readFrame(r)
+		f, err := readFrameInto(r, hdr)
 		if err != nil {
 			return
 		}
@@ -873,10 +944,10 @@ func (s *Server) done(k int) { s.served.Add(int64(k)); s.reqs.Add(-int64(k)) }
 // serve runs one request; f.payload is its to release after the reply.
 func (s *Server) serve(sc *srvConn, f frame) {
 	ctx := s.baseCtx
-	if f.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.deadline)
-		defer cancel()
+	if f.deadline != 0 {
+		rc := &reqCtx{parent: ctx, deadline: time.Now().Add(f.deadline)}
+		defer rc.stop()
+		ctx = rc
 	}
 	if f.flags&flagOneWay != 0 {
 		ctx = withOneWay(ctx)

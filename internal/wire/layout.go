@@ -95,6 +95,12 @@ func (l *layout) walk(t reflect.Type, mode graph.AccessMode) {
 // named type anywhere below t fails here — at the sender, before a byte of t
 // is written — although no bare slot would ever have spelled its name.
 func fingerprint(reg *Registry, t reflect.Type, mode graph.AccessMode, cached bool) (uint64, error) {
+	key := kernelKey{t, mode}
+	if cached {
+		if sum, ok := reg.sums.Load(key); ok {
+			return sum.(uint64), nil
+		}
+	}
 	l := layoutFor(t, mode, cached)
 	sum := l.sum
 	for _, nt := range l.named {
@@ -106,6 +112,9 @@ func fingerprint(reg *Registry, t reflect.Type, mode graph.AccessMode, cached bo
 			sum = (sum ^ uint64(name[i])) * fnvPrime
 		}
 		sum = (sum ^ 0xff) * fnvPrime // in no UTF-8 name: a terminator
+	}
+	if cached {
+		reg.sums.Store(key, sum)
 	}
 	return sum, nil
 }

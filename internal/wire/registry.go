@@ -25,6 +25,7 @@ type Registry struct {
 	mu     sync.RWMutex
 	byName map[string]reflect.Type
 	byType map[reflect.Type]string
+	sums   sync.Map // kernelKey -> uint64, successes only: a binding is never rebound
 }
 
 // NewRegistry returns an empty registry.

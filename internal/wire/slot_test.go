@@ -498,6 +498,57 @@ func TestNestedUnregisteredTypeFailsAtSender(t *testing.T) {
 	}
 }
 
+// TestFingerprintMemoCachesSuccessesOnly: the plan-cache path memoizes a
+// fingerprint in its registry once it succeeds, never a failure, so a
+// nested named type registered after a failed encode is seen by the next
+// encode under the same options. The portable path computes the same sum
+// and leaves the memo alone.
+func TestFingerprintMemoCachesSuccessesOnly(t *testing.T) {
+	memo := func(reg *Registry) map[kernelKey]uint64 {
+		m := map[kernelKey]uint64{}
+		reg.sums.Range(func(k, v any) bool { m[k.(kernelKey)] = v.(uint64); return true })
+		return m
+	}
+	reg := stateRegistry(t, map[string]any{"outerU": outerU{}})
+	opts := Options{Registry: reg}
+	v := &outerU{In: &innerU{X: 1}}
+	var buf bytes.Buffer
+	if err := NewEncoder(&buf, opts).Encode(v); !errors.Is(err, ErrTypeNotRegistered) {
+		t.Fatalf("inner type unregistered: %v, want ErrTypeNotRegistered", err)
+	}
+	if m := memo(reg); len(m) != 0 {
+		t.Fatalf("a failed fingerprint was memoized: %v", m)
+	}
+	if err := reg.Register("innerU", innerU{}); err != nil {
+		t.Fatal(err)
+	}
+	var cached bytes.Buffer
+	if err := NewEncoder(&cached, opts).Encode(v); err != nil {
+		t.Fatalf("after registering the inner type: %v", err)
+	}
+	m := memo(reg)
+	if _, ok := m[kernelKey{reflect.TypeOf(outerU{}), graph.AccessExported}]; !ok {
+		t.Fatalf("the successful fingerprint of outerU was not memoized: %v", m)
+	}
+	for k, sum := range m {
+		if want, err := fingerprint(reg, k.t, k.mode, false); err != nil || sum != want {
+			t.Errorf("memo of %s: %016x, recomputed %016x (%v)", k.t, sum, want, err)
+		}
+	}
+
+	portable := stateRegistry(t, map[string]any{"outerU": outerU{}, "innerU": innerU{}})
+	var pbuf bytes.Buffer
+	if err := NewEncoder(&pbuf, Options{Registry: portable, DisablePlanCache: true}).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pbuf.Bytes(), cached.Bytes()) {
+		t.Fatalf("portable stream differs from the memoized one:\n% x\n% x", pbuf.Bytes(), cached.Bytes())
+	}
+	if m := memo(portable); len(m) != 0 {
+		t.Fatalf("the portable path touched the memo: %v", m)
+	}
+}
+
 // TestFloatOverflowRefused: a float payload too wide for its destination is
 // a typed error like an integer's, as a stream value and in a content record;
 // NaN and the infinities still fit every width.
