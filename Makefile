@@ -26,7 +26,9 @@ race:
 # lint under a 30-second runtime budget (it gates every push), race tests
 # (every package that moves pooled buffers ends its run on the bufpool
 # ledger and goroutine checks of internal/leakcheck), the two line ratchets,
-# then benchmark/. benchmark/ is its own module, which ./... does not reach:
+# one pass of BenchmarkKernels (the per-layer numbers the docs quote; go test
+# ./... only compiles it, so a b.Fatal in it would go unnoticed), then
+# benchmark/. benchmark/ is its own module, which ./... does not reach:
 # it is built and smoke-tested here so that a core/wire signature change that
 # breaks benchmark/layers.go is caught before a benchmark run is; it comes
 # last because its TestGeneratorPinned is red until ROADMAP item 1, and a
@@ -47,6 +49,7 @@ ci: build
 	$(GO) test -race ./...
 	@$(MAKE) --no-print-directory tracked-loc
 	@$(MAKE) --no-print-directory repo-loc
+	$(GO) test -run '^$$' -bench Kernels -benchtime 1x ./internal/wire
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Chaos suite: the five fixed fault-plan seeds, plus one fresh seed derived
@@ -100,7 +103,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 8548
+TRACKED_LOC_MAX := 8583
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -114,7 +117,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 19175
+REPO_LOC_MAX := 19210
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

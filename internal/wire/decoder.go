@@ -329,39 +329,52 @@ func (d *Decoder) build(tag byte, k *kernel, depth int) (reflect.Value, error) {
 	return v, err
 }
 
-// shell allocates that value after reader.admit — the one place a count off
-// the stream, or a type a descriptor spelled, sizes an allocation — and enters
-// an object in the table before its contents are read, so cycles resolve. A
-// decoder configured with engine V3 takes a new pointee or slice from its
-// arena; the stream is the same V2 either way.
+// shell allocates that value after reader.admit and enters an object in the
+// table before its contents are read, so cycles resolve. A decoder configured
+// with engine V3 takes a new slice from its arena, and newObject a new
+// pointee; the stream is the same V2 either way.
 func (d *Decoder) shell(tag byte, k *kernel) (v reflect.Value, n int, err error) {
-	arena := d.opts.Engine == EngineV3
 	switch {
 	case tag != tagPtr && tag != k.tag:
 		err = fmt.Errorf("%w: value tag %d with type %s", ErrBadStream, tag, k.t)
+	case tag == tagPtr:
+		v, err = d.newObject(k)
 	case tag == tagMap:
 		if n, err = d.lenOf(k.key.min+k.elem.min, k.elem.t); err == nil {
 			v = reflect.MakeMapWithSize(k.t, n)
 		}
 	case tag == tagSlice:
-		if n, err = d.lenOf(k.elem.min, k.elem.t); err == nil && arena {
+		if n, err = d.lenOf(k.elem.min, k.elem.t); err == nil && d.opts.Engine == EngineV3 {
 			v = d.arenaFor().NewSlice(k.t, n)
 		} else if err == nil {
 			v = reflect.MakeSlice(k.t, n, n)
 		}
 	default:
-		if err = d.r.admit(1, k.min, k.t, len(d.r.data)-d.r.dpos); err == nil && arena && tag == tagPtr {
-			v = d.arenaFor().NewPtr(k.t)
-		} else if err == nil {
-			if v = reflect.New(k.t); tag != tagPtr {
-				v = v.Elem()
-			}
+		if err = d.r.admit(1, k.min, k.t, len(d.r.data)-d.r.dpos); err == nil {
+			v = reflect.New(k.t).Elem()
 		}
 	}
-	if err == nil && tag <= tagSlice {
+	if err == nil && (tag == tagMap || tag == tagSlice) {
 		d.table = append(d.table, v)
 	}
 	return v, n, err
+}
+
+// newObject admits one new object of k's type, allocates it — from the arena
+// under engine V3 — and enters a *k.t to it in the table before its contents
+// are read. With lenOf it is the one place where a count or a type off the
+// stream sizes an allocation.
+func (d *Decoder) newObject(k *kernel) (v reflect.Value, err error) {
+	if err = d.r.admit(1, k.min, k.t, len(d.r.data)-d.r.dpos); err != nil {
+		return v, err
+	}
+	if d.opts.Engine == EngineV3 {
+		v = d.arenaFor().NewPtr(k.t)
+	} else {
+		v = reflect.New(k.t)
+	}
+	d.table = append(d.table, v)
+	return v, nil
 }
 
 // lenOf reads the count of a slice or map of t's, at least least bytes each.

@@ -109,26 +109,40 @@ func nestedTypeStream(levels int) []byte {
 // so encoder and decoder count the same depth for it.
 type recSlice []recSlice
 
+// dlist nests through bare pointers to a struct: a node sits one level below
+// the slot that holds it and its Next slot one below the node, so a chain of
+// n nodes behind a root pointer reaches depth 2n at its nil. The chain of
+// levels/2 nodes has its deepest value at depth levels-1: its last nil or,
+// for an odd depth, its last node, refused before its Next is read.
+type dlist struct{ Next *dlist }
+
 // TestDecodeDepthBound: nesting through slices and maps counts toward
-// maxDecodeDepth like nesting through pointers, and a type descriptor nests
-// no deeper than a value. One level past the bound is
-// refused with a typed error on the kernel and the generic path, from a
-// stream and from bytes (unbounded, 15 million levels fit one frame and
-// overflow the stack, which no recover catches); at the bound the stream decodes, and so
-// does the deepest value the encoder itself accepts.
+// maxDecodeDepth like nesting through pointers, a chain of pointers to
+// structs counts the slot and the node as the generic path does, and a type
+// descriptor nests no deeper than a value. One level past the bound is
+// refused with a typed error on the kernel and the generic path (unbounded,
+// 15 million levels fit one frame and overflow the stack, which no recover
+// catches); at the bound the stream decodes. The encoder accepts the same
+// depth and refuses one level past it, and what it accepts decodes.
 func TestDecodeDepthBound(t *testing.T) {
 	reg := edgeRegistry(t)
-	if err := reg.Register("recSlice", recSlice{}); err != nil {
-		t.Fatal(err)
-	}
-	decode := func(data []byte, opts Options, fromBytes bool) error {
-		dec := NewDecoderBytes(data, opts)
-		if fromBytes {
-			dec = NewDecoderBytes(data, opts)
+	for name, sample := range map[string]any{"recSlice": recSlice{}, "dlist": dlist{}} {
+		if err := reg.Register(name, sample); err != nil {
+			t.Fatal(err)
 		}
+	}
+	decode := func(data []byte, opts Options) error {
+		dec := NewDecoderBytes(data, opts)
 		defer dec.ReleaseArena()
 		_, err := dec.Decode()
 		return err
+	}
+	// The chain's stream is the encoder's lone node with more nodes spliced
+	// in before its nil: each further node is a bare tagPtr and its Next.
+	one, _ := encodeRoots(t, Options{Registry: reg}, []any{&dlist{}}, false)
+	chainStream := func(levels int) []byte {
+		s := bytes.Clone(one[:len(one)-1])
+		return append(append(s, bytes.Repeat([]byte{tagPtr}, levels/2-1)...), tagNil)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -137,46 +151,62 @@ func TestDecodeDepthBound(t *testing.T) {
 		{"nested slices", nestedSliceStream},
 		{"nested maps", nestedMapStream},
 		{"nested descriptors", nestedTypeStream},
+		{"pointer chain", chainStream},
 	} {
 		for _, generic := range []bool{false, true} {
-			for _, fromBytes := range []bool{false, true} {
-				opts := Options{Registry: reg, DisablePlanCache: generic}
-				if err := decode(tc.build(maxDecodeDepth+1), opts, fromBytes); err != nil {
-					t.Errorf("%s at the bound (generic=%t bytes=%t): %v", tc.name, generic, fromBytes, err)
-				}
-				err := decode(tc.build(maxDecodeDepth+2), opts, fromBytes)
-				if !errors.Is(err, ErrBadStream) || !errors.Is(err, graph.ErrDepthExceeded) {
-					t.Errorf("%s one past the bound (generic=%t bytes=%t): got %v, want ErrBadStream wrapping ErrDepthExceeded",
-						tc.name, generic, fromBytes, err)
-				}
+			opts := Options{Registry: reg, DisablePlanCache: generic}
+			if err := decode(tc.build(maxDecodeDepth+1), opts); err != nil {
+				t.Errorf("%s at the bound (generic=%t): %v", tc.name, generic, err)
+			}
+			err := decode(tc.build(maxDecodeDepth+2), opts)
+			if !errors.Is(err, ErrBadStream) || !errors.Is(err, graph.ErrDepthExceeded) {
+				t.Errorf("%s one past the bound (generic=%t): got %v, want ErrBadStream wrapping ErrDepthExceeded",
+					tc.name, generic, err)
 			}
 		}
 	}
 
-	nest := func(levels int) recSlice {
+	nest := func(levels int) any {
 		v := recSlice{}
 		for i := 1; i < levels; i++ {
 			v = recSlice{v}
 		}
 		return v
 	}
-	for _, eng := range []Engine{EngineV2, EngineV3} {
-		opts := Options{Engine: eng, Registry: reg}
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf, opts)
-		if err := enc.Encode(nest(maxEncodeDepth + 1)); err != nil {
-			t.Fatalf("%s: the encoder refuses a value at its own limit: %v", eng, err)
+	chain := func(levels int) any {
+		var head *dlist
+		for i := 0; i < levels/2; i++ {
+			head = &dlist{head}
 		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if err := decode(buf.Bytes(), opts, true); err != nil {
-			t.Errorf("%s: a value the encoder accepts does not decode: %v", eng, err)
-		}
+		return head
 	}
-	var buf bytes.Buffer
-	if err := NewEncoder(&buf, Options{Registry: reg}).Encode(nest(maxEncodeDepth + 2)); !errors.Is(err, graph.ErrDepthExceeded) {
-		t.Errorf("encoder one past its limit: got %v, want ErrDepthExceeded", err)
+	for _, tc := range []struct {
+		name  string
+		value func(levels int) any
+	}{{"nested slices", nest}, {"pointer chain", chain}} {
+		for _, opts := range []Options{
+			{Engine: EngineV2, Registry: reg},
+			{Engine: EngineV3, Registry: reg},
+			{Engine: EngineV2, Registry: reg, DisablePlanCache: true},
+		} {
+			var buf bytes.Buffer
+			enc := NewEncoder(&buf, opts)
+			if err := enc.Encode(tc.value(maxEncodeDepth + 1)); err != nil {
+				t.Fatalf("%s %s generic=%t: the encoder refuses a value at its own limit: %v",
+					tc.name, opts.Engine, opts.DisablePlanCache, err)
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if err := decode(buf.Bytes(), opts); err != nil {
+				t.Errorf("%s %s: a value the encoder accepts does not decode: %v", tc.name, opts.Engine, err)
+			}
+			buf.Reset()
+			if err := NewEncoder(&buf, opts).Encode(tc.value(maxEncodeDepth + 2)); !errors.Is(err, graph.ErrDepthExceeded) {
+				t.Errorf("%s %s generic=%t: encoder one past its limit: got %v, want ErrDepthExceeded",
+					tc.name, opts.Engine, opts.DisablePlanCache, err)
+			}
+		}
 	}
 }
 

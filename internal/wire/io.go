@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
 )
 
@@ -317,7 +318,9 @@ func (r *reader) admit(n uint64, least int, t reflect.Type, left int) error {
 		r.unbacked += int(n * b)
 		return nil
 	}
-	if left = min(left, len(r.data)-r.claimed); n > uint64(left/least) {
+	// n*least > left in full, where n > left/least would divide per object.
+	left = min(left, len(r.data)-r.claimed)
+	if hi, lo := bits.Mul64(n, uint64(least)); hi != 0 || lo > uint64(left) {
 		return fmt.Errorf("%w: %d values of at least %d bytes each with %d bytes left", errShort, n, least, left)
 	}
 	r.claimed += int(n) * least

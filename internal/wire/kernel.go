@@ -295,7 +295,15 @@ func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error
 		if err := k.head(e, bare); err != nil {
 			return err
 		}
-		return k.elem.encAt(e, q, depth+1, true)
+		if k.elem.tag != tagStruct {
+			return k.elem.encAt(e, q, depth+1, true)
+		}
+		// One step per node: the pointee's field program runs in this frame,
+		// under the pointee's own depth check.
+		if depth+1 > maxEncodeDepth {
+			return graph.ErrDepthExceeded
+		}
+		k, p, depth, bare = k.elem, q, depth+1, true
 	}
 	if !bare {
 		if err := e.w.writeByte(k.tag); err != nil {
@@ -428,9 +436,20 @@ func (k *kernel) into(d *Decoder, p unsafe.Pointer, depth int) error {
 	case tag != k.tag:
 		err = fmt.Errorf("%w: value tag %d in a slot of type %s", ErrBadStream, tag, k.t)
 	case tag == tagPtr:
-		// A fresh *E is stored as it is: one word, whatever pointer type
-		// with element E the slot has.
-		if v, err = d.build(tag, k.elem, depth); err == nil {
+		// One step per node: the pointee is allocated and entered in the
+		// table, an inline one decoded by its own program in this frame, and
+		// stored as it is: one word, whatever pointer type with element E
+		// the slot has.
+		switch v, err = d.newObject(k.elem); {
+		case err != nil:
+		case k.elem.tag < tagStruct:
+			err = k.elem.into(d, v.UnsafePointer(), depth+1)
+		case depth+1 > maxDecodeDepth:
+			err = errDecodeDepth
+		default:
+			err = k.elem.body(d, v.UnsafePointer(), depth+1)
+		}
+		if err == nil {
 			*(*unsafe.Pointer)(p) = v.UnsafePointer()
 		}
 		return err

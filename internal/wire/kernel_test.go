@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -559,6 +561,123 @@ func TestPointerSlotInternParity(t *testing.T) {
 		err := NewEncoder(&bytes.Buffer{}, opts).Encode(&overlapPair{N: n, D: &n.Data})
 		if !errors.Is(err, graph.ErrObjectOverlap) {
 			t.Errorf("plan cache off = %v: got %v, want ErrObjectOverlap", opts.DisablePlanCache, err)
+		}
+	}
+}
+
+// Shapes behind a pointer slot: no fields at all, and an excluded field.
+type (
+	kempty  struct{}
+	khidden struct {
+		N   int
+		P   *hidden
+		Emp []*kempty
+	}
+)
+
+// TestOneStepPointerParity: where a pointer slot's kernel allocates, enters
+// and decodes its pointee itself, it gives what the generic path gives — the
+// same value or the same error, word for word — on the edges of that step: a
+// pointee with nothing in the message (admit's unbacked budget), an excluded
+// unexported field, a node that points at itself, a back-reference of
+// another type, and a stream cut anywhere in a node.
+func TestOneStepPointerParity(t *testing.T) {
+	reg := testRegistry(t)
+	for name, sample := range map[string]any{"kempty": kempty{}, "khidden": khidden{}} {
+		if err := reg.Register(name, sample); err != nil {
+			t.Fatal(err)
+		}
+	}
+	on := Options{Registry: reg}
+	off := on
+	off.DisablePlanCache = true
+	// decode reads every root of stream on both paths and fails the test
+	// unless they agree on the error; it returns both paths' roots.
+	decode := func(what string, stream []byte) (roots [2][]any, err error) {
+		var errs [2]error
+		for i, opts := range []Options{on, off} {
+			dec := NewDecoderBytes(stream, opts)
+			for dec.BytesRead() < int64(len(stream)) && errs[i] == nil {
+				var v any
+				v, errs[i] = dec.Decode()
+				roots[i] = append(roots[i], v)
+			}
+		}
+		if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
+			t.Fatalf("%s: kernel path %v, generic path %v", what, errs[0], errs[1])
+		}
+		return roots, errs[0]
+	}
+
+	// Each new *kempty draws one unit of the unbacked budget: the budget
+	// decodes and one more is refused.
+	empty, _ := encodeRoots(t, on, []any{&khidden{Emp: []*kempty{}}}, false)
+	for _, n := range []uint64{maxUnbacked, maxUnbacked + 1} {
+		s := binary.AppendUvarint(bytes.Clone(empty[:len(empty)-1]), n)
+		s = append(s, bytes.Repeat([]byte{tagPtr}, int(n))...)
+		roots, err := decode(fmt.Sprintf("%d empty pointees", n), s)
+		switch {
+		case n > maxUnbacked && !errors.Is(err, ErrLimit):
+			t.Fatalf("%d empty pointees: got %v, want ErrLimit", n, err)
+		case n <= maxUnbacked && (err != nil || len(roots[0][0].(*khidden).Emp) != int(n)):
+			t.Fatalf("%d empty pointees: %v", n, err)
+		}
+	}
+
+	// An excluded field is refused before any byte of its pointee, and never
+	// written by a decoder.
+	for _, opts := range []Options{on, off} {
+		enc := NewEncoder(&bytes.Buffer{}, opts)
+		if err := enc.Encode(&khidden{N: 1, P: &hidden{Public: 2}}); err != nil {
+			t.Fatal(err)
+		}
+		before := enc.BytesWritten()
+		err := enc.Encode(&khidden{N: 1, P: &hidden{Public: 2, secret: "x"}})
+		if !errors.Is(err, graph.ErrUnexportedField) {
+			t.Fatalf("plan cache off = %v: got %v, want ErrUnexportedField", opts.DisablePlanCache, err)
+		}
+		if n := enc.BytesWritten() - before; n != 5 { // tagPtr, dTableRef, 0; N; P's tagPtr
+			t.Fatalf("plan cache off = %v: %d bytes written before the refusal, want 5", opts.DisablePlanCache, n)
+		}
+	}
+	hid, _ := encodeRoots(t, on, []any{&khidden{P: &hidden{Public: 3}}}, false)
+	roots, err := decode("excluded field", hid)
+	for i := 0; err == nil && i < 2; i++ {
+		if p := roots[i][0].(*khidden).P; p.Public != 3 || p.secret != "" {
+			t.Fatalf("excluded field, path %d: decoded %+v", i, p)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A node that points at itself resolves to itself: it is in the table
+	// before its first field is read.
+	self := &wnode{Data: 1}
+	self.Left = self
+	cycle, _ := encodeRoots(t, on, []any{&wnode{Right: self}}, false)
+	if roots, err = decode("self-cycle", cycle); err != nil {
+		t.Fatal(err)
+	}
+	for i := range roots {
+		if n := roots[i][0].(*wnode).Right; n == nil || n.Left != n || n.Data != 1 {
+			t.Fatalf("self-cycle, path %d: decoded %+v", i, n)
+		}
+	}
+
+	// A back-reference to an *inner in a *wnode slot: the root's Left, which
+	// the encoder wrote as tagNil, becomes a reference to object 0.
+	two, _ := encodeRoots(t, on, []any{&inner{}, &wnode{Data: 1}}, false)
+	bad := append(append(bytes.Clone(two[:len(two)-2]), tagRef, 0), two[len(two)-1])
+	if _, err = decode("reference of another type", bad); err == nil || !strings.Contains(err.Error(), "cannot assign") {
+		t.Fatalf("reference of another type: got %v, want cannot assign", err)
+	}
+
+	// Cut anywhere in a tree, a stream fails alike on both paths.
+	tree, _ := encodeRoots(t, on, []any{&wnode{Data: 1, Left: &wnode{Data: -2, Right: &wnode{Data: 3}}, Right: self}}, false)
+	for cut := 3; cut < len(tree); cut++ {
+		if _, err = decode(fmt.Sprintf("tree cut at %d", cut), tree[:cut]); err == nil {
+			t.Fatalf("tree cut at %d of %d decoded", cut, len(tree))
 		}
 	}
 }
