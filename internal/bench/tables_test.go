@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +97,74 @@ func TestRunAllSmoke(t *testing.T) {
 		}
 		if tbl.Format() == "" || tbl.Markdown() == "" {
 			t.Errorf("%s: empty rendering", tbl.ID)
+		}
+	}
+}
+
+// TestPaperVerdict pins the paper's verdict on the tables' deterministic
+// columns, bytes and messages per call, at the smallest size and at the
+// headline one: NRMI is one request and one reply carrying no more than
+// manual restore does, remote pointers cost orders of magnitude more
+// messages, the JDK 1.3 stand-in ships an order of magnitude more bytes than
+// the JDK 1.4 one, and a restore the method leaves alone costs no more than
+// by-copy. Only the simulated network's timing is shortened; it moves no
+// byte.
+func TestPaperVerdict(t *testing.T) {
+	tables, err := RunAll(HarnessConfig{
+		Sizes:      []int{16, 256},
+		Iterations: 1,
+		Seed:       1,
+		LAN:        netsim.Profile{Latency: time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]map[string][]Cell{}
+	for _, tbl := range tables {
+		rows := map[string][]Cell{}
+		for _, r := range tbl.Rows {
+			rows[r.Label] = r.Cells
+		}
+		byID[tbl.ID] = rows
+	}
+	sizes := []int{16, 256}
+	cell := func(table, label string, i int) Cell {
+		t.Helper()
+		cells, ok := byID[table][label]
+		if !ok || !cells[i].OK {
+			t.Fatalf("%s %q at size %d: no measurement", table, label, sizes[i])
+		}
+		return cells[i]
+	}
+	for _, sc := range Scenarios {
+		for i, size := range sizes {
+			for _, eng := range []struct{ nrmi, other string }{
+				{"jdk1.3", "jdk1.3"}, {"jdk1.4 portable", "jdk1.4"}, {"jdk1.4 optimized", "jdk1.4"},
+			} {
+				nrmi := cell("Table 5", fmt.Sprintf("%s (%s)", sc, eng.nrmi), i)
+				manual := cell("Table 4", fmt.Sprintf("%s (%s)", sc, eng.other), i)
+				byRef := cell("Table 6", fmt.Sprintf("%s (%s)", sc, eng.other), i)
+				if nrmi.Messages != 2 {
+					t.Errorf("%s %s size %d: NRMI sends %g messages per call, want 2", sc, eng.nrmi, size, nrmi.Messages)
+				}
+				if nrmi.Bytes > manual.Bytes {
+					t.Errorf("%s %s size %d: NRMI sends %d bytes, manual restore %d", sc, eng.nrmi, size, nrmi.Bytes, manual.Bytes)
+				}
+				if byRef.Messages < 20*nrmi.Messages {
+					t.Errorf("%s %s size %d: by-reference sends %g messages, NRMI %g: want at least 20 times", sc, eng.other, size, byRef.Messages, nrmi.Messages)
+				}
+			}
+			v1 := cell("Table 2", fmt.Sprintf("%s (jdk1.3)", sc), i)
+			v2 := cell("Table 2", fmt.Sprintf("%s (jdk1.4)", sc), i)
+			if v1.Bytes < 10*v2.Bytes {
+				t.Errorf("%s size %d: by-copy sends %d bytes under jdk1.3, %d under jdk1.4: want at least 10 times", sc, size, v1.Bytes, v2.Bytes)
+			}
+		}
+	}
+	for i, size := range sizes {
+		nop, copied := cell("Table 7 (extension)", "nop (restore)", i), cell("Table 7 (extension)", "copy (one-way)", i)
+		if nop.Bytes > copied.Bytes {
+			t.Errorf("size %d: a no-op restore sends %d bytes, by-copy %d", size, nop.Bytes, copied.Bytes)
 		}
 	}
 }

@@ -60,9 +60,10 @@ func (c *Call) NumRestorable() int { return c.numRestorable }
 // it alive until after ApplyResponse.
 func (c *Call) SetObs(oc *obs.Call) { c.oc = oc }
 
-// NewCall starts encoding a request onto w.
+// NewCall starts encoding a request. Finish writes it to w; with a nil w
+// the request is read through Message instead.
 func NewCall(w io.Writer, opts Options) *Call {
-	return &Call{opts: opts, enc: wire.AcquireEncoder(w, opts.wireOptions())}
+	return &Call{opts: opts, enc: wire.AcquireEncoder(w, opts)}
 }
 
 // Release returns the Call's pooled codec state. Call it once the response
@@ -119,8 +120,8 @@ func (c *Call) EncodeUint(v uint64) error { return c.enc.EncodeUint(v) }
 // the request stream.
 func (c *Call) EncodeString(s string) error { return c.enc.EncodeString(s) }
 
-// Finish flushes the request stream. After Finish the Call waits for
-// ApplyResponse.
+// Finish writes the request to NewCall's writer, if any, in one Write. After
+// Finish the Call waits for ApplyResponse.
 func (c *Call) Finish() error {
 	c.finished = true
 	return c.enc.Flush()
@@ -132,6 +133,9 @@ func (c *Call) Objects() []reflect.Value { return c.enc.Objects() }
 
 // BytesSent returns the size of the encoded request.
 func (c *Call) BytesSent() int64 { return c.enc.BytesWritten() }
+
+// Message returns the encoded request, valid until Release.
+func (c *Call) Message() []byte { return c.enc.Bytes() }
 
 // Response is the decoded outcome of a restorable call.
 type Response struct {
@@ -161,7 +165,7 @@ type pendingRestore struct {
 // aliases data, so the caller may recycle the buffer once it returns. The
 // pooled decoder goes back to the pool on success only.
 func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
-	dec := wire.AcquireDecoderBytes(data, c.opts.wireOptions())
+	dec := wire.AcquireDecoderBytes(data, c.opts)
 	if c.commitMu != nil {
 		// See the commitMu field comment: validation reads objects a
 		// concurrently applying call may be committing into, so the whole

@@ -35,39 +35,13 @@ package core
 import (
 	"errors"
 
-	"nrmi/internal/graph"
 	"nrmi/internal/wire"
 )
 
-// Options configures both endpoints of a copy-restore call. The zero value
-// means: engine V2, exported-field access, default registry.
-type Options struct {
-	// Engine selects the wire codec generation.
-	Engine wire.Engine
-	// Access selects struct-field visibility.
-	Access graph.AccessMode
-	// Registry resolves named types.
-	Registry *wire.Registry
-	// DisablePlanCache selects the "portable" (uncached reflection) codec
-	// path; see wire.Options.DisablePlanCache.
-	DisablePlanCache bool
-}
-
-func (o Options) wireOptions() wire.Options {
-	return wire.Options{
-		Engine:           o.Engine,
-		Access:           o.Access,
-		Registry:         o.Registry,
-		DisablePlanCache: o.DisablePlanCache,
-	}
-}
-
-// Validate reports a typed error for option values that name no implemented
-// behaviour (currently: an unknown Engine, surfaced as
-// wire.ErrUnknownEngine). The zero value is valid.
-func (o Options) Validate() error {
-	return o.wireOptions().Validate()
-}
+// Options configures both endpoints of a copy-restore call: the codec's own
+// options. The zero value means: engine V2, exported-field access, default
+// registry.
+type Options = wire.Options
 
 // Errors reported by the copy-restore protocol.
 var (

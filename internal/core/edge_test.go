@@ -174,7 +174,7 @@ func TestApplyResponseHostileCounts(t *testing.T) {
 	}
 	// Hand-craft a response claiming more content records than objects.
 	var respBuf bytes.Buffer
-	enc := wire.NewEncoder(&respBuf, opts.wireOptions())
+	enc := wire.NewEncoder(&respBuf, opts)
 	if err := enc.EncodeUint(99999); err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +199,37 @@ func TestEncodeAfterFinishRejected(t *testing.T) {
 	}
 	if err := call.EncodeRestorable(&Tree{}); err == nil {
 		t.Fatal("EncodeRestorable after Finish must fail")
+	}
+}
+
+type failWriter struct{ err error }
+
+func (f failWriter) Write([]byte) (int, error) { return 0, f.err }
+
+// TestWriteFailure: a message is encoded in memory, so the destination's
+// error comes back from Finish and EncodeResponse, the one Write each.
+func TestWriteFailure(t *testing.T) {
+	opts := testOptions(t)
+	boom := errors.New("boom")
+	root, _, _, _, _ := paperTree()
+	call := NewCall(failWriter{boom}, opts)
+	defer call.Release()
+	if err := call.EncodeRestorable(root); err != nil {
+		t.Fatalf("encode onto a failing writer: %v", err)
+	}
+	if err := call.Finish(); !errors.Is(err, boom) {
+		t.Fatalf("Finish: %v, want %v", err, boom)
+	}
+	srv := AcceptCallBytes(call.Message(), opts)
+	defer srv.Release()
+	if _, err := srv.DecodeRestorable(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.EncodeResponse(failWriter{boom}, []any{1}); !errors.Is(err, boom) {
+		t.Fatalf("EncodeResponse: %v, want %v", err, boom)
 	}
 }
 
@@ -253,8 +284,8 @@ func TestBytesAccounting(t *testing.T) {
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if call.BytesSent() != int64(req.Len()) {
-		t.Fatalf("BytesSent = %d, buffer = %d", call.BytesSent(), req.Len())
+	if call.BytesSent() != int64(req.Len()) || !bytes.Equal(call.Message(), req.Bytes()) {
+		t.Fatalf("BytesSent = %d, Message %d bytes, buffer = %d", call.BytesSent(), len(call.Message()), req.Len())
 	}
 	if len(call.Objects()) != 5 {
 		t.Fatalf("linear map size = %d", len(call.Objects()))

@@ -58,14 +58,14 @@ func TestEmptySlicesOfTwoTypesRoundTrip(t *testing.T) {
 			opts := overlapOptions(t, cfg)
 			src := newShelf(t)
 			var buf bytes.Buffer
-			enc := wire.NewEncoder(&buf, opts.wireOptions())
+			enc := wire.NewEncoder(&buf, opts)
 			if err := enc.Encode(src); err != nil {
 				t.Fatal(err)
 			}
 			if err := enc.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			dec := wire.NewDecoderBytes(buf.Bytes(), opts.wireOptions())
+			dec := wire.NewDecoderBytes(buf.Bytes(), opts)
 			defer dec.ReleaseArena()
 			out, err := dec.Decode()
 			if err != nil {

@@ -31,7 +31,7 @@ type ServerCall struct {
 // returns views of data, so data must stay valid for as long as they are
 // read; decoded arguments copy what they hold.
 func AcceptCallBytes(data []byte, opts Options) *ServerCall {
-	return &ServerCall{opts: opts, dec: wire.AcquireDecoderBytes(data, opts.wireOptions())}
+	return &ServerCall{opts: opts, dec: wire.AcquireDecoderBytes(data, opts)}
 }
 
 // Release returns the call's pooled codec state, the pre-call shadow
@@ -148,7 +148,7 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	}
 	// Pooled codec, released on the success path; dropped (not recycled)
 	// on error.
-	enc := wire.AcquireEncoder(w, sendOpts.wireOptions())
+	enc := wire.AcquireEncoder(w, sendOpts)
 	// The response encoder adopts the restore set's objects of the decode
 	// table, in stream-ID order — the exact set and order the client's
 	// ApplyResponse seeds independently — so an old object's ID on the

@@ -394,7 +394,7 @@ func TestForgedReplyNumbersByRequestStream(t *testing.T) {
 		}
 		vals[1].(*Tree).Left = vals[0].(*Tree)
 		var resp bytes.Buffer
-		enc := wire.NewEncoder(&resp, opts.wireOptions())
+		enc := wire.NewEncoder(&resp, opts)
 		if err := enc.SeedDecoded(srv.dec.Objects()); err != nil {
 			t.Fatal(err)
 		}
@@ -512,7 +512,7 @@ func TestStagingSlabBytes(t *testing.T) {
 
 	stage := func(announce bool) func() {
 		return func() {
-			dec := wire.AcquireDecoderBytes(resp.Bytes(), opts.wireOptions())
+			dec := wire.AcquireDecoderBytes(resp.Bytes(), opts)
 			dec.SeedDetached(call.Objects())
 			n, err := dec.DecodeUint()
 			if err != nil || n != size {

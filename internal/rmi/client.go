@@ -190,14 +190,10 @@ func (st *Stub) CallStats(ctx context.Context, method string, args ...any) (*cor
 	return st.run(ctx, method, args, false)
 }
 
-// reqBufPool recycles request encode buffers across calls; a buffer is
-// reset and returned when its promise settles.
-var reqBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // encodeRequest writes the call header — object, method, argument count
 // and each argument's semantics marker in parameter order — then the
 // argument values, the restorable ones first (docs/PROTOCOL.md, section 3),
-// and flushes the stream.
+// and finishes the message.
 func (st *Stub) encodeRequest(call *core.Call, method string, args []any) error {
 	if err := call.EncodeString(st.object); err != nil {
 		return err

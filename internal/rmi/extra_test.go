@@ -195,6 +195,49 @@ func TestResolveRef(t *testing.T) {
 	}
 }
 
+type zsA struct{}
+
+func (*zsA) NRMIRemote() {}
+
+type zsB struct{}
+
+func (*zsB) NRMIRemote() {}
+
+// TestRefZeroSizeTypes: distinct zero-size objects may share an address, so
+// an export is found by address and type: each type gets its own reference,
+// resolves to itself, and cleaning one leaves the other live.
+func TestRefZeroSizeTypes(t *testing.T) {
+	e := newEnv(t)
+	a, b := new(zsA), new(zsB)
+	refA, err := e.server.Ref(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refB, err := e.server.Ref(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refA.ID == refB.ID {
+		t.Fatalf("*zsA and *zsB share reference %d", refA.ID)
+	}
+	if got, _ := e.server.ResolveRef(refA.ID); got != any(a) {
+		t.Errorf("reference to *zsA resolves to %T", got)
+	}
+	if got, _ := e.server.ResolveRef(refB.ID); got != any(b) {
+		t.Errorf("reference to *zsB resolves to %T", got)
+	}
+	e.server.clean(refA.ID)
+	if _, ok := e.server.ResolveRef(refA.ID); ok {
+		t.Error("cleaned reference to *zsA still resolves")
+	}
+	if got, ok := e.server.ResolveRef(refB.ID); !ok || got != any(b) {
+		t.Errorf("cleaning *zsA dropped *zsB: %v, %v", got, ok)
+	}
+	if again, err := e.server.Ref(b); err != nil || again.ID != refB.ID {
+		t.Errorf("*zsB re-exported as %v (%v), want reference %d", again, err, refB.ID)
+	}
+}
+
 // TestReferenceKeysAreCanonical: "#<decimal id>" and nothing looser names an
 // anonymous export. A scan that stops at the first non-digit used to resolve
 // every row below to reference 12, 0 or 1.

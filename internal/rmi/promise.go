@@ -36,7 +36,6 @@
 package rmi
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -75,7 +74,7 @@ const (
 // called repeatedly afterwards and keeps returning the settled outcome —
 // or relinquish it with Abandon so its reply payload is recycled. A
 // promise that is neither waited nor abandoned keeps its pooled request
-// buffer until garbage collected.
+// encoder until garbage collected.
 type Promise struct {
 	st     *Stub
 	method string
@@ -83,7 +82,6 @@ type Promise struct {
 
 	oneWay bool
 	call   *core.Call
-	req    *bytes.Buffer
 
 	// pc is the transport half of the current attempt (nil once a one-way
 	// frame is written), sendErr the failure when the attempt never went
@@ -118,7 +116,7 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 	st.begin(&p, method, oneWay)
 	sp := p.oc.Start(obs.PhaseEncode)
 	err := p.encode(args)
-	sp.EndBytes(int64(p.req.Len()))
+	sp.EndBytes(p.call.BytesSent())
 	var resp *core.Response
 	if err == nil {
 		sp = p.oc.Start(obs.PhaseTransport)
@@ -127,7 +125,7 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 		payload, err = p.await(ctx)
 		sp.EndBytes(int64(len(payload)))
 		if err == nil && !oneWay {
-			p.oc.SetIO(int64(len(payload)), int64(p.req.Len()))
+			p.oc.SetIO(int64(len(payload)), p.call.BytesSent())
 			resp, err = p.apply(payload)
 		}
 	}
@@ -163,14 +161,14 @@ func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Pro
 	return p, nil
 }
 
-// encode encodes the request, once, into the retained pooled buffer.
-// Retries re-send these exact bytes, so a retried call can never ship
-// different state than the original, and args are not kept past here.
+// encode encodes the request, once, into the call's message, which the
+// promise holds until it settles. Retries re-send these exact bytes, so a
+// retried call can never ship different state than the original, and args
+// are not kept past here.
 func (p *Promise) encode(args []any) error {
 	c := p.st.c
 	start := time.Now()
-	p.req = reqBufPool.Get().(*bytes.Buffer)
-	p.call = core.NewCall(p.req, c.opts.Core)
+	p.call = core.NewCall(nil, c.opts.Core)
 	p.call.SetObs(p.oc)
 	if err := p.st.encodeRequest(p.call, p.method, args); err != nil {
 		return err
@@ -182,7 +180,7 @@ func (p *Promise) encode(args []any) error {
 		p.call.SetCommitLock(&c.commitMu)
 	}
 	c.opts.Host.Charge(time.Since(start))
-	c.metrics.bytesSent.Add(int64(p.req.Len()))
+	c.metrics.bytesSent.Add(p.call.BytesSent())
 	return nil
 }
 
@@ -200,7 +198,7 @@ func (p *Promise) send(ctx context.Context) {
 	}
 	tc, err := c.conn(p.st.addr)
 	if err == nil {
-		p.pc, err = tc.Send(ctx, transport.MsgCall, p.req.Bytes(), p.deadline, p.oneWay)
+		p.pc, err = tc.Send(ctx, transport.MsgCall, p.call.Message(), p.deadline, p.oneWay)
 	}
 	p.sendErr = err
 }
@@ -370,15 +368,10 @@ func (p *Promise) settle(resp *core.Response, err error) {
 	p.releaseResources()
 }
 
-// releaseResources returns the pooled encoder state and request buffer.
+// releaseResources returns the pooled encoder state, request included.
 func (p *Promise) releaseResources() {
 	p.call.Release()
 	p.call = nil
-	if p.req != nil {
-		p.req.Reset()
-		reqBufPool.Put(p.req)
-		p.req = nil
-	}
 	p.oc = nil
 }
 

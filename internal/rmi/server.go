@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"nrmi/internal/core"
-	"nrmi/internal/graph"
 	"nrmi/internal/obs"
 	"nrmi/internal/registry"
 	"nrmi/internal/transport"
@@ -37,9 +36,12 @@ type Server struct {
 	// serialized holds per-export mutexes for ExportSerialized objects.
 	serialized map[string]*sync.Mutex
 	refs       map[uint64]*refEntry
-	refIdent   map[graph.Ident]uint64
-	nextRef    uint64
-	closed     bool
+	// refIdent finds an object's anonymous export by the object itself:
+	// its address and its type, as distinct zero-size objects may share an
+	// address.
+	refIdent map[any]uint64
+	nextRef  uint64
+	closed   bool
 	// draining is set by Shutdown and Close: new requests are refused with
 	// ErrUnavailable. The transport counts a frame before handle sees it, so
 	// a request that loads false here is one Shutdown's Drain waits for.
@@ -91,7 +93,7 @@ func NewServer(addr string, opts Options) (*Server, error) {
 		exports:    make(map[string]export),
 		serialized: make(map[string]*sync.Mutex),
 		refs:       make(map[uint64]*refEntry),
-		refIdent:   make(map[graph.Ident]uint64),
+		refIdent:   make(map[any]uint64),
 	}
 	if opts.MaxConcurrentCalls > 0 {
 		s.callSem = make(chan struct{}, opts.MaxConcurrentCalls)
@@ -180,12 +182,11 @@ func (s *Server) Ref(obj any) (*RemoteRef, error) {
 	if s.closed {
 		return nil, ErrServerClosed
 	}
-	ident, _ := graph.IdentOf(v)
-	id, ok := s.refIdent[ident]
+	id, ok := s.refIdent[obj]
 	if !ok {
 		s.nextRef++
 		id = s.nextRef
-		s.refIdent[ident] = id
+		s.refIdent[obj] = id
 		s.refs[id] = &refEntry{val: v}
 	}
 	e := s.refs[id]
@@ -246,9 +247,7 @@ func (s *Server) dirty(id uint64, lease time.Duration) {
 
 func (s *Server) dropRefLocked(id uint64, e *refEntry) {
 	delete(s.refs, id)
-	if ident, ok := graph.IdentOf(e.val); ok {
-		delete(s.refIdent, ident)
-	}
+	delete(s.refIdent, e.val.Interface())
 }
 
 // SweepLeases drops exports whose leases expired, the recovery path for

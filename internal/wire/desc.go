@@ -50,16 +50,11 @@ var emptyIfaceType = reflect.TypeOf((*any)(nil)).Elem()
 func (e *Encoder) encodeType(t reflect.Type) error {
 	if e.opts.Engine == EngineV2 {
 		if idx, ok := e.typeTable[t]; ok {
-			if err := e.w.writeByte(dTableRef); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(idx))
+			e.w.writeTagged(dTableRef, uint64(idx))
+			return nil
 		}
-		if err := e.w.writeByte(dTableDef); err != nil {
-			return err
-		}
+		e.w.writeByte(dTableDef)
 		e.typeTable[t] = len(e.typeTable)
-		return e.encodeTypeBody(t)
 	}
 	return e.encodeTypeBody(t)
 }
@@ -70,56 +65,46 @@ func (e *Encoder) encodeTypeBody(t reflect.Type) error {
 		if err != nil {
 			return err
 		}
-		if err := e.w.writeByte(dNamed); err != nil {
-			return err
-		}
-		if err := e.w.writeString(wireName); err != nil || e.opts.Engine != EngineV2 {
-			return err
+		e.w.writeByte(dNamed)
+		e.w.writeString(wireName)
+		if e.opts.Engine != EngineV2 {
+			return nil
 		}
 		sum, err := fingerprint(e.opts.Registry, t, e.opts.Access, !e.opts.DisablePlanCache)
 		if err != nil {
 			return err
 		}
-		return e.w.writeFixed(sum)
+		e.w.writeFixed(sum)
+		return nil
 	}
 	switch t.Kind() {
 	case reflect.Ptr:
-		if err := e.w.writeByte(dPtr); err != nil {
-			return err
-		}
+		e.w.writeByte(dPtr)
 		return e.encodeType(t.Elem())
 	case reflect.Slice:
-		if err := e.w.writeByte(dSlice); err != nil {
-			return err
-		}
+		e.w.writeByte(dSlice)
 		return e.encodeType(t.Elem())
 	case reflect.Map:
-		if err := e.w.writeByte(dMap); err != nil {
-			return err
-		}
+		e.w.writeByte(dMap)
 		if err := e.encodeType(t.Key()); err != nil {
 			return err
 		}
 		return e.encodeType(t.Elem())
 	case reflect.Array:
-		if err := e.w.writeByte(dArray); err != nil {
-			return err
-		}
-		if err := e.w.writeUint(uint64(t.Len())); err != nil {
-			return err
-		}
+		e.w.writeTagged(dArray, uint64(t.Len()))
 		return e.encodeType(t.Elem())
 	case reflect.Interface:
 		if t.NumMethod() != 0 {
 			return fmt.Errorf("wire: unnamed non-empty interface type %s cannot cross the wire; name and register it", t)
 		}
-		return e.w.writeByte(dIface)
+		e.w.writeByte(dIface)
 	default:
 		if _, ok := kindTypes[t.Kind()]; !ok {
 			return fmt.Errorf("wire: type %s (kind %s) cannot cross the wire", t, t.Kind())
 		}
-		return e.w.writeByte(byte(t.Kind()))
+		e.w.writeByte(byte(t.Kind()))
 	}
+	return nil
 }
 
 // decodeType reads one type descriptor, nested depth levels inside the one a

@@ -9,19 +9,21 @@ import (
 	"nrmi/internal/graph"
 )
 
-// Encoder serializes object graphs onto a stream. A single Encoder may emit
-// several values; aliasing is preserved across all of them (the paper's
+// Encoder serializes object graphs into one message. A single Encoder may
+// emit several values; aliasing is preserved across all of them (the paper's
 // answer to parameters that share structure, Section 4.1). The encoder's
 // object table, exposed via Objects, IS the linear map of the copy-restore
 // algorithm: objects in first-encounter (DFS) order.
 //
-// Encoders buffer under engine V2; callers must Flush when a message is
-// complete.
+// The message is built in memory, and Flush hands it to the destination.
 type Encoder struct {
-	w    *writer
-	opts Options
-	ids  graph.IdentTable
-	objs []reflect.Value
+	w writer
+	// dst receives the message at Flush; flushed is how much of it has.
+	dst     io.Writer
+	flushed int
+	opts    Options
+	ids     graph.IdentTable
+	objs    []reflect.Value
 	// objs[:adopted] are SeedDecoded's objects, not cells.
 	adopted    int
 	typeTable  map[reflect.Type]int
@@ -34,32 +36,48 @@ type Encoder struct {
 	memo kernelMemo
 }
 
-// NewEncoder returns an Encoder writing to w.
+// NewEncoder returns an Encoder whose Flush writes to w. A nil w leaves the
+// message to Bytes.
 func NewEncoder(w io.Writer, opts Options) *Encoder {
-	o := opts.encoderDefaults()
-	return &Encoder{
-		w:         newWriter(w, o.Engine),
-		opts:      o,
+	e := &Encoder{
 		typeTable: make(map[reflect.Type]int),
 		strTable:  make(map[string]int),
-		kernels:   o.kernelsEnabled(),
 	}
+	e.arm(w, opts)
+	return e
+}
+
+// arm points a new or reset encoder at its destination and options.
+func (e *Encoder) arm(w io.Writer, opts Options) {
+	e.opts = opts.encoderDefaults()
+	e.kernels = e.opts.kernelsEnabled()
+	e.dst, e.flushed, e.headerDone = w, 0, false
+	e.w.reset(e.opts.Engine)
 }
 
 // Objects returns the encoder's linear map: every identity-bearing object
 // serialized so far, in first-encounter order. Index == wire object ID.
 func (e *Encoder) Objects() []reflect.Value { return e.objs }
 
-// writeRef emits a back-reference to object id.
-func (e *Encoder) writeRef(id int) error {
-	return e.w.writeTagged(tagRef, uint64(id))
-}
-
 // BytesWritten returns the number of payload bytes produced so far.
-func (e *Encoder) BytesWritten() int64 { return e.w.bytesWritten() }
+func (e *Encoder) BytesWritten() int64 { return int64(len(e.w.buf)) }
 
-// Flush pushes buffered output to the underlying writer.
-func (e *Encoder) Flush() error { return e.w.spill() }
+// Bytes returns the message encoded so far. It is valid until the encoder
+// encodes more or is released.
+func (e *Encoder) Bytes() []byte { return e.w.buf }
+
+// Flush hands what was encoded since the last Flush to the destination in
+// one Write: the one place an encoder meets I/O, and so its only I/O error.
+func (e *Encoder) Flush() error {
+	if e.dst == nil || e.flushed == len(e.w.buf) {
+		return nil
+	}
+	if _, err := e.dst.Write(e.w.buf[e.flushed:]); err != nil {
+		return err
+	}
+	e.flushed = len(e.w.buf)
+	return nil
+}
 
 // header emits the stream header exactly once. Misconfigured engines fail
 // here with the typed error rather than producing a stream no decoder can
@@ -72,17 +90,12 @@ func (e *Encoder) header() error {
 		return fmt.Errorf("%w: Engine(%d)", ErrUnknownEngine, byte(e.opts.Engine))
 	}
 	e.headerDone = true
-	if err := e.w.writeByte(headerMagic); err != nil {
-		return err
-	}
 	format := byte(e.opts.Engine)
 	if e.opts.Engine == EngineV2 {
 		format = formatV2
 	}
-	if err := e.w.writeByte(format); err != nil {
-		return err
-	}
-	return e.w.writeByte(byte(e.opts.Access))
+	e.w.buf = append(e.w.buf, headerMagic, format, byte(e.opts.Access))
+	return nil
 }
 
 // Encode serializes one value (and everything reachable from it).
@@ -103,7 +116,8 @@ func (e *Encoder) EncodeUint(v uint64) error {
 	if err := e.header(); err != nil {
 		return err
 	}
-	return e.w.writeUint(v)
+	e.w.writeUint(v)
+	return nil
 }
 
 // EncodeString emits a raw string for protocol framing.
@@ -111,7 +125,8 @@ func (e *Encoder) EncodeString(s string) error {
 	if err := e.header(); err != nil {
 		return err
 	}
-	return e.w.writeString(s)
+	e.w.writeString(s)
+	return nil
 }
 
 // intern is the one place an object enters the linear map: it returns the ID
@@ -213,28 +228,20 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 	}
 	switch obj.Kind() {
 	case reflect.Ptr:
-		if err := e.w.writeByte(contentPtr); err != nil {
-			return err
-		}
+		e.w.writeByte(contentPtr)
 		if k != nil {
 			return k.elem.encAt(e, obj.UnsafePointer(), 0, true)
 		}
 		return e.encodeValue(obj.Elem(), 0, e.bareSlots())
 	case reflect.Map:
-		if err := e.w.writeByte(contentMap); err != nil {
-			return err
-		}
+		e.w.writeByte(contentMap)
 		if k != nil {
 			return k.encMap(e, obj, 0)
 		}
 		return e.encodeMapEntries(obj, 0)
 	case reflect.Slice:
-		if err := e.w.writeByte(contentSlice); err != nil {
-			return err
-		}
-		if err := e.w.writeUint(uint64(obj.Len())); err != nil {
-			return err
-		}
+		e.w.writeByte(contentSlice)
+		e.w.writeUint(uint64(obj.Len()))
 		if k != nil {
 			return k.encElems(e, obj.UnsafePointer(), obj.Len(), 0)
 		}
@@ -259,7 +266,8 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int, bare bool) error {
 		return graph.ErrDepthExceeded
 	}
 	if !v.IsValid() {
-		return e.w.writeByte(tagNil)
+		e.w.writeByte(tagNil)
+		return nil
 	}
 	if e.kernels {
 		// Compiled fast path: one memo probe for the root, straight-line
@@ -274,28 +282,26 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int, bare bool) error {
 			return fmt.Errorf("%w: %s", graph.ErrNotSerializable, t)
 		}
 		if v.IsNil() {
-			return e.w.writeByte(tagNil)
+			e.w.writeByte(tagNil)
+			return nil
 		}
 		return e.encodeValue(v.Elem(), depth+1, false)
 	case tagPtr, tagMap, tagSlice:
 		if v.IsNil() {
-			return e.w.writeByte(tagNil)
+			e.w.writeByte(tagNil)
+			return nil
 		}
 		if id, seen, err := e.intern(v); err != nil || seen {
 			return e.refOr(id, err)
 		}
 		// First visit: tag, descriptor (a pointer's is its pointee's), contents.
-		if err := e.w.writeByte(tag); err != nil {
-			return err
-		}
+		e.w.writeByte(tag)
 		if tag == tagPtr {
 			t = t.Elem()
 		}
 	default:
 		if !bare {
-			if err := e.w.writeByte(tag); err != nil {
-				return err
-			}
+			e.w.writeByte(tag)
 		}
 	}
 	if !bare {
@@ -309,9 +315,7 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int, bare bool) error {
 	case tagMap:
 		return e.encodeMapEntries(v, depth)
 	case tagSlice:
-		if err := e.w.writeUint(uint64(v.Len())); err != nil {
-			return err
-		}
+		e.w.writeUint(uint64(v.Len()))
 		return e.encodeSliceElems(v, depth)
 	case tagStruct:
 		return e.encodeStructFields(v, depth)
@@ -322,9 +326,7 @@ func (e *Encoder) encodeValue(v reflect.Value, depth int, bare bool) error {
 }
 
 func (e *Encoder) encodeMapEntries(v reflect.Value, depth int) error {
-	if err := e.w.writeUint(uint64(v.Len())); err != nil {
-		return err
-	}
+	e.w.writeUint(uint64(v.Len()))
 	kp := acquireSortedKeys(v)
 	defer releaseKeys(kp)
 	for _, k := range *kp {
@@ -356,15 +358,11 @@ func (e *Encoder) encodeStructFields(v reflect.Value, depth int) error {
 		return err
 	}
 	if e.opts.Engine == EngineV1 {
-		if err := e.w.writeUint(uint64(len(p.fields))); err != nil {
-			return err
-		}
+		e.w.writeUint(uint64(len(p.fields)))
 	}
 	for _, pf := range p.fields {
 		if e.opts.Engine == EngineV1 {
-			if err := e.w.writeString(pf.name); err != nil {
-				return err
-			}
+			e.w.writeString(pf.name)
 		}
 		f, ok, err := graph.FieldForRead(sv, pf.index, e.opts.Access)
 		if err != nil {
@@ -387,24 +385,23 @@ func (e *Encoder) encodeScalarPayload(v reflect.Value) error {
 		if v.Bool() {
 			b = 1
 		}
-		return e.w.writeByte(b)
+		e.w.writeByte(b)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return e.w.writeInt(v.Int())
+		e.w.writeInt(v.Int())
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return e.w.writeUint(v.Uint())
+		e.w.writeUint(v.Uint())
 	case reflect.Float32, reflect.Float64:
-		return e.w.writeFloat(v.Float())
+		e.w.writeFloat(v.Float())
 	case reflect.Complex64, reflect.Complex128:
 		c := v.Complex()
-		if err := e.w.writeFloat(real(c)); err != nil {
-			return err
-		}
-		return e.w.writeFloat(imag(c))
+		e.w.writeFloat(real(c))
+		e.w.writeFloat(imag(c))
 	case reflect.String:
-		return e.encodeInternedString(v.String())
+		e.encodeInternedString(v.String())
 	default:
 		return fmt.Errorf("%w: %s", graph.ErrNotSerializable, v.Type())
 	}
+	return nil
 }
 
 // encodeInternedString writes a string scalar. Engine V2 interns repeated
@@ -412,16 +409,16 @@ func (e *Encoder) encodeScalarPayload(v reflect.Value) error {
 // uvarint head of 0 introduces a literal that joins the table; n>0 is a
 // back-reference to table entry n-1. Engine V1 writes every occurrence in
 // full — one more verbosity the paper's JDK 1.3 baseline exhibits.
-func (e *Encoder) encodeInternedString(str string) error {
+func (e *Encoder) encodeInternedString(str string) {
 	if e.opts.Engine != EngineV2 {
-		return e.w.writeString(str)
+		e.w.writeString(str)
+		return
 	}
 	if idx, ok := e.strTable[str]; ok {
-		return e.w.writeUint(uint64(idx) + 1)
+		e.w.writeUint(uint64(idx) + 1)
+		return
 	}
 	e.strTable[str] = len(e.strTable)
-	if err := e.w.writeUint(0); err != nil {
-		return err
-	}
-	return e.w.writeString(str)
+	e.w.writeUint(0)
+	e.w.writeString(str)
 }

@@ -9,195 +9,71 @@ import (
 	"reflect"
 )
 
-// writerBufSize is the spill threshold of the buffered engine's writer.
-const writerBufSize = 4096
+// writerBufSize is a fresh encoder's capacity: a call's message fits it.
+// maxSpareBuf is the largest buffer ReleaseEncoder keeps, so one huge
+// message is not pinned by the pool.
+const (
+	writerBufSize = 4096
+	maxSpareBuf   = 64 << 10
+)
 
-// writer is the byte-emission layer. Engine V1 uses an unbuffered,
-// fixed-width implementation (every primitive is a separate small Write to
-// the underlying stream, like the layered JDK 1.3 path); engine V2 appends
-// to buf — a fixed-capacity slice that stays with a pooled Encoder — and
-// spills it to the destination whenever it fills, using varints for the raw
-// protocol primitives. Under V1 buf is nil, so every fast path below fails
-// its room check and lands in the slow function that owns the V1 form.
+// writer is the byte-emission layer: it appends one whole message to buf,
+// and nothing it does can fail. Engine V1 writes every integer fixed-width,
+// 8 bytes big-endian; engine V2 writes varints.
 type writer struct {
-	raw     io.Writer
-	buf     []byte // V2: pending bytes, cap writerBufSize
-	engine  Engine
-	scratch [8]byte // V1 fixed-width staging
-	flushed int64   // bytes handed to raw so far
-	err     error   // first spill failure; sticky
+	buf    []byte
+	engine Engine
 }
 
-func newWriter(w io.Writer, engine Engine) *writer {
-	wr := &writer{}
-	wr.reset(w, engine)
-	return wr
-}
-
-// reset re-arms a pooled writer onto a new destination, reusing the
-// buffered engine's buffer.
-func (w *writer) reset(dst io.Writer, engine Engine) {
-	w.raw = dst
+// reset re-arms a writer for a new message, reusing its buffer.
+func (w *writer) reset(engine Engine) {
 	w.engine = engine
-	w.flushed = 0
-	w.err = nil
-	switch {
-	case engine == EngineV1:
-		w.buf = nil
-	case w.buf == nil:
+	if w.buf == nil {
 		w.buf = make([]byte, 0, writerBufSize)
-	default:
-		w.buf = w.buf[:0]
 	}
+	w.buf = w.buf[:0]
 }
 
-// bytesWritten returns the number of payload bytes emitted so far,
-// including bytes still sitting in the buffer.
-func (w *writer) bytesWritten() int64 { return w.flushed + int64(len(w.buf)) }
-
-// spill hands the pending bytes to the destination. A failure leaves the
-// buffer full, so every later write reaches a slow path and reports the
-// same error.
-func (w *writer) spill() error {
-	if w.err == nil && len(w.buf) > 0 {
-		if _, w.err = w.raw.Write(w.buf); w.err != nil {
-			w.buf = w.buf[:cap(w.buf)]
-			return w.err
-		}
-		w.flushed += int64(len(w.buf))
-		w.buf = w.buf[:0]
-	}
-	return w.err
-}
-
-// room makes sure n more bytes (n <= writerBufSize) fit the buffer.
-func (w *writer) room(n int) error {
-	if w.err != nil || cap(w.buf)-len(w.buf) < n {
-		return w.spill()
-	}
-	return nil
-}
-
-func (w *writer) write(p []byte) error {
-	if w.engine != EngineV1 && len(p) < writerBufSize {
-		if err := w.room(len(p)); err != nil {
-			return err
-		}
-		w.buf = append(w.buf, p...)
-		return nil
-	}
-	// V1, or a block that would never fit: straight to the destination.
-	if err := w.spill(); err != nil {
-		return err
-	}
-	n, err := w.raw.Write(p)
-	w.flushed += int64(n)
-	if w.engine != EngineV1 {
-		w.err = err
-	}
-	return err
-}
-
-func (w *writer) writeByte(b byte) error {
-	if len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, b)
-		return nil
-	}
-	return w.writeByteSlow(b)
-}
-
-func (w *writer) writeByteSlow(b byte) error {
-	if w.engine == EngineV1 {
-		return w.write([]byte{b})
-	}
-	if err := w.spill(); err != nil {
-		return err
-	}
-	w.buf = append(w.buf, b)
-	return nil
-}
+func (w *writer) writeByte(b byte) { w.buf = append(w.buf, b) }
 
 // writeTagged emits a lead byte followed by an unsigned integer: the shape
 // of a back-reference and of a type-table reference.
-func (w *writer) writeTagged(tag byte, v uint64) error {
-	if v < 0x80 && cap(w.buf)-len(w.buf) >= 2 {
-		w.buf = append(w.buf, tag, byte(v))
-		return nil
-	}
-	if err := w.writeByte(tag); err != nil {
-		return err
-	}
-	return w.writeUint(v)
+func (w *writer) writeTagged(tag byte, v uint64) {
+	w.buf = append(w.buf, tag)
+	w.writeUint(v)
 }
 
 // writeUint emits an unsigned integer: uvarint under V2, fixed 8 bytes
 // big-endian under V1.
-func (w *writer) writeUint(v uint64) error {
-	if v < 0x80 && len(w.buf) < cap(w.buf) {
+func (w *writer) writeUint(v uint64) {
+	switch {
+	case w.engine == EngineV1:
+		w.writeFixed(v)
+	case v < 0x80:
 		w.buf = append(w.buf, byte(v))
-		return nil
+	default:
+		w.buf = binary.AppendUvarint(w.buf, v)
 	}
-	return w.writeUintSlow(v)
-}
-
-func (w *writer) writeUintSlow(v uint64) error {
-	if w.engine == EngineV1 {
-		binary.BigEndian.PutUint64(w.scratch[:8], v)
-		return w.write(w.scratch[:8])
-	}
-	if err := w.room(binary.MaxVarintLen64); err != nil {
-		return err
-	}
-	w.buf = binary.AppendUvarint(w.buf, v)
-	return nil
 }
 
 // writeInt emits a signed integer: zigzag varint under V2, fixed 8 bytes
 // under V1.
-func (w *writer) writeInt(v int64) error {
-	if w.engine == EngineV1 {
-		return w.writeUintSlow(uint64(v))
+func (w *writer) writeInt(v int64) {
+	u := uint64(v)
+	if w.engine != EngineV1 {
+		u = u<<1 ^ uint64(v>>63)
 	}
-	return w.writeUint(uint64(v)<<1 ^ uint64(v>>63))
+	w.writeUint(u)
 }
 
-func (w *writer) writeFloat(v float64) error { return w.writeFixed(math.Float64bits(v)) }
+func (w *writer) writeFloat(v float64) { w.writeFixed(math.Float64bits(v)) }
 
 // writeFixed emits 8 bytes, big-endian.
-func (w *writer) writeFixed(v uint64) error {
-	if w.engine == EngineV1 {
-		return w.writeUintSlow(v)
-	}
-	if err := w.room(8); err != nil {
-		return err
-	}
-	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
-	return nil
-}
+func (w *writer) writeFixed(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 
-func (w *writer) writeString(s string) error {
-	if err := w.writeUint(uint64(len(s))); err != nil {
-		return err
-	}
-	if w.engine == EngineV1 {
-		// Byte-at-a-time emission: the deliberate V1 inefficiency.
-		for i := 0; i < len(s); i++ {
-			if err := w.writeByte(s[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// V2 copies straight from the string, a buffer-full at a time.
-	for len(s) > 0 {
-		if err := w.room(1); err != nil {
-			return err
-		}
-		n := copy(w.buf[len(w.buf):cap(w.buf)], s)
-		w.buf = w.buf[:len(w.buf)+n]
-		s = s[n:]
-	}
-	return nil
+func (w *writer) writeString(s string) {
+	w.writeUint(uint64(len(s)))
+	w.buf = append(w.buf, s...)
 }
 
 // reader is the byte-consumption layer. It parses a whole message held in

@@ -226,7 +226,8 @@ func (k *kernel) enc(e *Encoder, v reflect.Value, depth int, bare bool) error {
 		c.Elem().Set(v)
 		return k.encAt(e, c.UnsafePointer(), depth, bare)
 	case v.IsNil():
-		return e.w.writeByte(tagNil)
+		e.w.writeByte(tagNil)
+		return nil
 	case k.tag == 0: // an interface: the dynamic type is only known at run time
 		elem := v.Elem()
 		return e.memo.of(elem.Type(), e.opts.Access).enc(e, elem, depth+1, false)
@@ -243,26 +244,25 @@ func (k *kernel) enc(e *Encoder, v reflect.Value, depth int, bare bool) error {
 	case tagMap:
 		return k.encMap(e, v, depth)
 	}
-	if err := e.w.writeUint(uint64(v.Len())); err != nil {
-		return err
-	}
+	e.w.writeUint(uint64(v.Len()))
 	return k.encElems(e, v.UnsafePointer(), v.Len(), depth)
 }
 
 // refOr is what a visit to object id that intern reports as seen writes: the
 // back-reference, or intern's error.
 func (e *Encoder) refOr(id int, err error) error {
-	if err != nil {
-		return err
+	if err == nil {
+		e.w.writeTagged(tagRef, uint64(id))
 	}
-	return e.writeRef(id)
+	return err
 }
 
 // head writes what precedes the contents of an object's first visit: its tag
 // and, described, its descriptor — a pointer's is its pointee's.
 func (k *kernel) head(e *Encoder, bare bool) error {
-	if err := e.w.writeByte(k.tag); err != nil || bare {
-		return err
+	e.w.writeByte(k.tag)
+	if bare {
+		return nil
 	}
 	if k.tag == tagPtr {
 		return e.encodeType(k.elem.t)
@@ -283,7 +283,8 @@ func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error
 		q := *(*unsafe.Pointer)(p)
 		switch {
 		case q == nil:
-			return e.w.writeByte(tagNil)
+			e.w.writeByte(tagNil)
+			return nil
 		case k.tag != tagPtr:
 			return k.enc(e, k.ref(p), depth, bare)
 		}
@@ -306,9 +307,7 @@ func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error
 		k, p, depth, bare = k.elem, q, depth+1, true
 	}
 	if !bare {
-		if err := e.w.writeByte(k.tag); err != nil {
-			return err
-		}
+		e.w.writeByte(k.tag)
 		if err := e.encodeType(k.t); err != nil {
 			return err
 		}
@@ -317,7 +316,8 @@ func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error
 	case tagArray:
 		return k.encElems(e, p, k.t.Len(), depth)
 	case tagScalar:
-		return k.encScalar(e, p)
+		k.encScalar(e, p)
+		return nil
 	}
 	// All zero checks run before any field bytes, mirroring the generic
 	// verifyZeroFields-then-encode order.
@@ -361,9 +361,7 @@ func (k *kernel) encElems(e *Encoder, p unsafe.Pointer, n, depth int) error {
 // encMap emits the entry count and key/value pairs of map v — what follows
 // its descriptor in its own encoding, and the whole of its content record.
 func (k *kernel) encMap(e *Encoder, v reflect.Value, depth int) error {
-	if err := e.w.writeUint(uint64(v.Len())); err != nil {
-		return err
-	}
+	e.w.writeUint(uint64(v.Len()))
 	// Canonical key order (mapkeys.go) — must match the generic encoder
 	// byte for byte.
 	kp := acquireSortedKeys(v)
@@ -381,28 +379,28 @@ func (k *kernel) encMap(e *Encoder, v reflect.Value, depth int) error {
 
 // encScalar writes the payload of the scalar of k's type at p, as
 // Encoder.encodeScalarPayload does.
-func (k *kernel) encScalar(e *Encoder, p unsafe.Pointer) error {
+func (k *kernel) encScalar(e *Encoder, p unsafe.Pointer) {
 	switch {
 	case k.kind == reflect.String:
-		return e.encodeInternedString(*(*string)(p))
+		e.encodeInternedString(*(*string)(p))
 	case k.kind == reflect.Bool:
+		b := byte(0)
 		if *(*bool)(p) {
-			return e.w.writeByte(1)
+			b = 1
 		}
-		return e.w.writeByte(0)
+		e.w.writeByte(b)
 	case k.kind <= reflect.Int64:
 		shift := 64 - 8*k.size
-		return e.w.writeInt(int64(loadBits(p, k.size)<<shift) >> shift)
+		e.w.writeInt(int64(loadBits(p, k.size)<<shift) >> shift)
 	case k.kind <= reflect.Uint64:
-		return e.w.writeUint(loadBits(p, k.size))
+		e.w.writeUint(loadBits(p, k.size))
 	case k.kind <= reflect.Float64:
-		return e.w.writeFloat(loadFloat(p, k.size))
+		e.w.writeFloat(loadFloat(p, k.size))
+	default:
+		half := k.size / 2 // a complex number's real part, then its imaginary
+		e.w.writeFloat(loadFloat(p, half))
+		e.w.writeFloat(loadFloat(unsafe.Add(p, half), half))
 	}
-	half := k.size / 2 // a complex number's real part, then its imaginary
-	if err := e.w.writeFloat(loadFloat(p, half)); err != nil {
-		return err
-	}
-	return e.w.writeFloat(loadFloat(unsafe.Add(p, half), half))
 }
 
 // The decode direction mirrors it: a slot is read by the kernel of its own

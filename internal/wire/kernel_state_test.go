@@ -216,8 +216,17 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 	enc := AcquireEncoder(&buf, on)
 	stream := encodeStream(t, enc, &buf, []any{tree, "s", namedInt(1)})
 	ReleaseEncoder(enc)
-	if enc.w.raw != nil || len(enc.w.buf) != 0 || enc.w.err != nil || enc.w.bytesWritten() != 0 {
-		t.Errorf("released encoder's writer still holds %v, %d bytes, err %v", enc.w.raw, len(enc.w.buf), enc.w.err)
+	if enc.dst != nil || len(enc.w.buf) != 0 || enc.BytesWritten() != 0 {
+		t.Errorf("released encoder still holds destination %v, %d bytes", enc.dst, len(enc.w.buf))
+	}
+	// One huge message does not pin its buffer in the pool.
+	big := AcquireEncoder(nil, on)
+	if err := big.Encode(make([]byte, maxSpareBuf)); err != nil {
+		t.Fatal(err)
+	}
+	ReleaseEncoder(big)
+	if big.w.buf != nil {
+		t.Errorf("released encoder keeps a %d-byte buffer, over the %d kept", cap(big.w.buf), maxSpareBuf)
 	}
 	if enc.ids.Len()+len(enc.typeTable)+len(enc.strTable)+len(enc.objs) != 0 || enc.memo != (kernelMemo{}) {
 		t.Errorf("released encoder keeps stream tables: %d ids, %d types, %d strings, %d objects, memo %v",

@@ -6,7 +6,7 @@ import (
 )
 
 // Codec pooling. An Encoder carries two maps, an object table with its
-// identity index, and a 4K output buffer; a Decoder carries three tables.
+// identity index, and its message buffer; a Decoder carries three tables.
 // The copy-restore protocol builds one of each per call
 // on each endpoint, which dominates the constant part of the per-call
 // allocation profile. Acquire / Release recycle fully reset codecs instead.
@@ -29,17 +29,14 @@ var encoderPool = sync.Pool{New: func() any { return nil }}
 
 // AcquireEncoder returns a pooled Encoder writing to w, equivalent to
 // NewEncoder but allocation-free in the steady state. Release with
-// ReleaseEncoder when the message is flushed.
+// ReleaseEncoder once the message is flushed, or its Bytes are no longer
+// needed.
 func AcquireEncoder(w io.Writer, opts Options) *Encoder {
 	e, _ := encoderPool.Get().(*Encoder)
 	if e == nil {
 		return NewEncoder(w, opts)
 	}
-	o := opts.encoderDefaults()
-	e.w.reset(w, o.Engine)
-	e.opts = o
-	e.headerDone = false
-	e.kernels = o.kernelsEnabled()
+	e.arm(w, opts)
 	return e
 }
 
@@ -70,7 +67,11 @@ func (e *Encoder) reset() {
 		}
 	}
 	e.objs, e.adopted = e.objs[:0], 0
-	e.w.reset(nil, e.opts.Engine) // do not retain the caller's writer
+	e.dst = nil // do not retain the caller's writer
+	if cap(e.w.buf) > maxSpareBuf {
+		e.w.buf = nil
+	}
+	e.w.buf = e.w.buf[:0]
 }
 
 var decoderPool = sync.Pool{New: func() any { return nil }}

@@ -105,10 +105,9 @@ func TestVarintSignedAndLengths(t *testing.T) {
 			t.Errorf("readInt(%d): got %d, %v after %d bytes", x, got, err, r.bytesRead())
 		}
 		// The writer must have produced the same bytes.
-		var out bytes.Buffer
-		w := newWriter(&out, EngineV2)
-		if err := w.writeInt(x); err != nil || w.spill() != nil || !bytes.Equal(out.Bytes(), buf) {
-			t.Errorf("writeInt(%d) = % x (%v), want % x", x, out.Bytes(), err, buf)
+		w := writer{engine: EngineV2}
+		if w.writeInt(x); !bytes.Equal(w.buf, buf) {
+			t.Errorf("writeInt(%d) = % x, want % x", x, w.buf, buf)
 		}
 	}
 	// Refused, a length is both over the limit and past the end of the input.
@@ -128,71 +127,113 @@ func TestVarintSignedAndLengths(t *testing.T) {
 	}
 }
 
-// TestWriterSpills: the append buffer spills at its threshold without
-// losing, reordering or miscounting a byte, whatever mix of primitives
-// crosses it, and reports a destination failure on every later write.
-func TestWriterSpills(t *testing.T) {
-	var out, want bytes.Buffer
-	w := newWriter(&out, EngineV2)
-	long := string(rep('s', 3*writerBufSize+17))
-	block := rep('b', writerBufSize+1)
-	for i := 0; want.Len() < 5*writerBufSize; i++ {
-		must := func(err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatal(err)
+// TestWriterBytes: every primitive appends exactly its bytes in each
+// engine's form, past the buffer's starting capacity as below it;
+// BytesWritten counts them all, and Flush hands them to the destination in
+// one Write.
+func TestWriterBytes(t *testing.T) {
+	long := string(rep('s', writerBufSize+17))
+	for _, engine := range []Engine{EngineV1, EngineV2} {
+		var out writeCounter
+		enc := NewEncoder(&out, Options{Engine: engine})
+		if err := enc.EncodeUint(0); err != nil { // the header, then a 0
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), enc.Bytes()...)
+		putUint := func(v uint64) {
+			if engine == EngineV1 {
+				want = binary.BigEndian.AppendUint64(want, v)
+			} else {
+				want = binary.AppendUvarint(want, v)
 			}
 		}
-		must(w.writeByte(byte(i)))
-		want.WriteByte(byte(i))
-		must(w.writeUint(uint64(i) * 0x1fff))
-		want.Write(binary.AppendUvarint(nil, uint64(i)*0x1fff))
-		must(w.writeTagged(tagRef, uint64(i)))
-		want.WriteByte(tagRef)
-		want.Write(binary.AppendUvarint(nil, uint64(i)))
-		must(w.writeFloat(float64(i)))
-		want.Write(binary.BigEndian.AppendUint64(nil, math.Float64bits(float64(i))))
-		if i%97 == 0 {
-			must(w.writeString(long))
-			want.Write(binary.AppendUvarint(nil, uint64(len(long))))
-			want.WriteString(long)
-			must(w.write(block))
-			want.Write(block)
+		w := &enc.w
+		for i := 0; len(want) < 3*writerBufSize; i++ {
+			w.writeByte(byte(i))
+			want = append(want, byte(i))
+			w.writeUint(uint64(i) * 0x1fff)
+			putUint(uint64(i) * 0x1fff)
+			w.writeInt(-int64(i))
+			if engine == EngineV1 {
+				want = binary.BigEndian.AppendUint64(want, uint64(-int64(i)))
+			} else {
+				want = binary.AppendVarint(want, -int64(i))
+			}
+			w.writeTagged(tagRef, uint64(i))
+			want = append(want, tagRef)
+			putUint(uint64(i))
+			w.writeFloat(float64(i))
+			want = binary.BigEndian.AppendUint64(want, math.Float64bits(float64(i)))
+			w.writeFixed(uint64(i))
+			want = binary.BigEndian.AppendUint64(want, uint64(i))
+			s := long[:i%7]
+			if i%97 == 0 {
+				s = long
+			}
+			w.writeString(s)
+			putUint(uint64(len(s)))
+			want = append(want, s...)
+			if got := enc.BytesWritten(); got != int64(len(want)) {
+				t.Fatalf("%s step %d: BytesWritten %d, want %d", engine, i, got, len(want))
+			}
 		}
-		if got := w.bytesWritten(); got != int64(want.Len()) {
-			t.Fatalf("step %d: bytesWritten %d, want %d", i, got, want.Len())
+		if !bytes.Equal(enc.Bytes(), want) {
+			t.Fatalf("%s: message differs from the reference (%d vs %d bytes)", engine, len(enc.Bytes()), len(want))
 		}
-		if len(w.buf) > writerBufSize || cap(w.buf) != writerBufSize {
-			t.Fatalf("step %d: buffer len %d cap %d", i, len(w.buf), cap(w.buf))
-		}
-	}
-	if err := w.spill(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), want.Bytes()) {
-		t.Fatalf("spilled stream differs from the reference (%d vs %d bytes)", out.Len(), want.Len())
-	}
-
-	boom := errors.New("boom")
-	w.reset(failingWriter{boom}, EngineV2)
-	var err error
-	for i := 0; i <= writerBufSize && err == nil; i++ {
-		err = w.writeByte(0)
-	}
-	if err != boom {
-		t.Fatalf("first spill onto a failing destination: %v", err)
-	}
-	for name, e := range map[string]error{
-		"writeByte": w.writeByte(1), "writeUint": w.writeUint(1), "writeUint wide": w.writeUint(1 << 40),
-		"writeTagged": w.writeTagged(1, 1), "writeFloat": w.writeFloat(1), "writeString": w.writeString("x"),
-		"write": w.write([]byte{1}), "flush": w.spill(),
-	} {
-		if e != boom {
-			t.Errorf("%s after a failed spill: %v, want the sticky error", name, e)
+		if err := enc.Flush(); err != nil || out.writes != 1 || !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("%s: Flush: %v after %d Writes of %d bytes, want one of %d", engine, err, out.writes, out.Len(), len(want))
 		}
 	}
 }
 
-type failingWriter struct{ err error }
+// TestFlushFailure: encoding cannot fail on I/O; the destination's error
+// comes back from Flush, once per Flush, and a later Flush sends what no
+// Flush has sent yet.
+func TestFlushFailure(t *testing.T) {
+	boom := errors.New("boom")
+	dst := &failingWriter{err: boom}
+	enc := NewEncoder(dst, Options{})
+	for i := 0; i < writerBufSize; i++ {
+		if err := enc.Encode(i); err != nil {
+			t.Fatalf("Encode onto a failing destination: %v", err)
+		}
+	}
+	if err := enc.Flush(); err != boom || dst.calls != 1 {
+		t.Fatalf("Flush: %v after %d Writes, want %v after one", err, dst.calls, boom)
+	}
+	dst.err = nil
+	for i := 0; i < 3; i++ { // each Flush sends what is new since the last
+		if err := enc.Encode(i); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil || dst.calls != 2+i || dst.n != len(enc.Bytes()) {
+			t.Fatalf("Flush %d: %v after %d Writes of %d bytes, want %d Writes of %d", i+2, err, dst.calls, dst.n, 2+i, len(enc.Bytes()))
+		}
+	}
+}
 
-func (f failingWriter) Write([]byte) (int, error) { return 0, f.err }
+// failingWriter fails every Write with err while err is set.
+type failingWriter struct {
+	err      error
+	calls, n int
+}
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	f.calls++
+	if f.err != nil {
+		return 0, f.err
+	}
+	f.n += len(p)
+	return len(p), nil
+}
+
+// writeCounter is a bytes.Buffer that counts its Writes.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}

@@ -15,17 +15,21 @@
 // Two engines are provided, mirroring the paper's JDK 1.3 / JDK 1.4 split:
 //
 //   - EngineV1 is deliberately naive: fixed-width integers, type names and
-//     struct field names written inline on every occurrence, no cached
-//     struct plans, unbuffered byte-at-a-time output. It stands in for the
-//     layered, verbose JDK 1.3 serialization the paper benchmarks against.
+//     struct field names written inline on every occurrence, no string
+//     interning, no cached struct plans. It stands in for the layered,
+//     verbose JDK 1.3 serialization the paper benchmarks against.
 //   - EngineV2 is the optimized engine: varint scalars, a per-stream type
-//     table, cached struct plans, buffered I/O, and a descriptor only where
+//     table, cached struct plans, and a descriptor only where
 //     the reader cannot know the type — at each top-level value and under
 //     interface slots; every statically typed slot travels bare, vouched for
 //     by the layout fingerprint of the described type above it (layout.go).
 //     It stands in for JDK 1.4's flattened, Unsafe-accelerated serialization.
 //
 // EngineV3 is not a third format: it is V2's bytes, decoded into an Arena.
+//
+// Either engine builds a message as one byte slice, as a decoder reads one:
+// an Encoder appends, and Flush hands the message to its destination in one
+// Write.
 //
 // The codec also supports the seeded-object protocol used by the restore
 // phase: an endpoint may pre-assign IDs to objects it already holds
