@@ -88,12 +88,13 @@ phases:
 tables:
 	$(GO) run ./cmd/nrmi-bench
 
-# Same, with the restore invariant re-verified in every cell, and the
-# static invariants re-checked first.
+# Same, with the restore invariant re-verified in every cell, the static
+# invariants re-checked first, and every bytes/messages cell of Tables 1-5
+# held to results/tables.md.
 verify-tables:
 	$(GO) vet ./...
 	$(GO) run ./cmd/nrmi-vet ./...
-	$(GO) run ./cmd/nrmi-bench -verify
+	$(GO) run ./cmd/nrmi-bench -verify -check results/tables.md
 
 # The usability lines-of-code report (paper Section 5.3.2).
 loc:
@@ -103,7 +104,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 8410
+TRACKED_LOC_MAX := 8065
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -117,7 +118,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 19037
+REPO_LOC_MAX := 18800
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

@@ -8,6 +8,11 @@
 //
 //	nrmi-bench [-sizes 16,64,256,1024] [-iters 5] [-seed 1] [-verify]
 //	           [-md] [-details] [-loc] [-cbref-budget 20s] [-quiet]
+//	           [-check results/tables.md]
+//
+// -check FILE compares every bytes/messages cell of Tables 1–5 at the run's
+// sizes with FILE (as -md -details writes it), prints each cell that differs,
+// and exits non-zero if any does.
 package main
 
 import (
@@ -37,6 +42,7 @@ func main() {
 		phases      = flag.Bool("phases", false, "run the per-phase breakdown (scenario III) and exit")
 		obsSmoke    = flag.Bool("obs-smoke", false, "run the observability smoke gate (debug endpoints + nop-overhead check) and exit")
 		obsMax      = flag.Float64("obs-max-overhead", 2, "maximum disabled-path instrumentation overhead (percent of a scenario-III call) the obs smoke tolerates")
+		check       = flag.String("check", "", "recorded tables (markdown) the bytes/messages cells of Tables 1-5 must equal")
 	)
 	flag.Parse()
 
@@ -86,6 +92,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("nrmi-bench: %v", err)
 	}
+	var recorded []byte
+	if *check != "" {
+		if recorded, err = os.ReadFile(*check); err != nil {
+			log.Fatalf("nrmi-bench: %v", err)
+		}
+	}
 	cfg := bench.HarnessConfig{
 		Sizes:       sizes,
 		Iterations:  *iters,
@@ -117,6 +129,15 @@ func main() {
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "total run time: %s\n", time.Since(start).Round(time.Millisecond))
+	}
+	if *check != "" {
+		diffs := checkTables(tables, string(recorded))
+		for _, d := range diffs {
+			fmt.Fprintln(os.Stderr, "nrmi-bench: -check:", d)
+		}
+		if len(diffs) > 0 {
+			log.Fatalf("nrmi-bench: %d cells differ from %s", len(diffs), *check)
+		}
 	}
 }
 

@@ -25,11 +25,11 @@ type Decoder struct {
 	engine Engine
 	access graph.AccessMode
 
-	// kernels routes value decoding through the compiled per-type programs
-	// (kernel.into); decided at header time, when the engine is known. memo
-	// resolves the types met outside the type table (seeded originals).
-	kernels bool
-	memo    kernelMemo
+	// bare and cached are the Encoder's, decided at header time, when the
+	// format is known. memo resolves the types met outside the type table
+	// (seeded originals).
+	bare, cached bool
+	memo         kernelMemo
 
 	// stage is the slab DecodeSeededContent carves its staging cells from;
 	// shadow holds the pre-call state of decoded objects (shadow.go).
@@ -113,9 +113,13 @@ func (d *Decoder) header() error {
 	if err != nil {
 		return err
 	}
+	if !knownAccess(graph.AccessMode(acc)) {
+		return fmt.Errorf("%w: unknown access mode %d", ErrBadStream, acc)
+	}
 	d.access = graph.AccessMode(acc)
 	d.r.engine = d.engine
-	d.kernels = d.engine == EngineV2 && !d.opts.DisablePlanCache
+	d.bare = d.engine == EngineV2
+	d.cached = d.bare && !d.opts.DisablePlanCache
 	return nil
 }
 
@@ -186,14 +190,10 @@ func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
 	if tag != k.tag {
 		return reflect.Value{}, fmt.Errorf("%w: content kind 0x%02x for %s object", ErrBadStream, kind, orig.Kind())
 	}
-	switch {
-	case kind == contentPtr && d.kernels:
+	if kind == contentPtr {
 		// As under tagPtr: the staging cell exists, decode into it.
 		tmp := d.stagingCell(k, id)
 		return tmp, k.elem.into(d, tmp.UnsafePointer(), 0)
-	case kind == contentPtr:
-		tmp := reflect.New(k.elem.t)
-		return tmp, d.decodeSlot(tmp.Elem(), 0)
 	}
 	least := k.elem.min
 	if kind == contentMap {
@@ -319,8 +319,7 @@ func (d *Decoder) decodeTagged(tag byte, depth int) (reflect.Value, error) {
 }
 
 // build materializes what tag announces as a value of k's type — for tagPtr a
-// pointer to it — whether k is from a descriptor or from a bare value's slot,
-// on either codec path.
+// pointer to it — whether k is from a descriptor or from a bare value's slot.
 func (d *Decoder) build(tag byte, k *kernel, depth int) (reflect.Value, error) {
 	v, n, err := d.shell(tag, k)
 	if err == nil {
@@ -386,96 +385,17 @@ func (d *Decoder) lenOf(least int, t reflect.Type) (int, error) {
 	return int(n), d.r.admit(n, least, t, len(d.r.data)-d.r.dpos)
 }
 
-// fill decodes the contents of shell v on the codec path the header chose.
+// fill decodes the contents of shell v.
 func (d *Decoder) fill(tag byte, k *kernel, v reflect.Value, n, depth int) error {
-	switch {
-	case !d.kernels && tag == tagPtr:
-		return d.decodeSlot(v.Elem(), depth+1)
-	case !d.kernels && tag == tagMap:
-		return d.decodeMapEntriesInto(v, n, depth)
-	case !d.kernels && tag == tagSlice:
-		return d.decodeSliceElemsInto(v, depth)
-	case !d.kernels:
-		return d.bodyInto(v, depth)
-	case tag == tagPtr:
+	switch tag {
+	case tagPtr:
 		return k.into(d, v.UnsafePointer(), depth+1)
-	case tag == tagMap:
+	case tagMap:
 		return k.fillMap(d, v, n, depth)
-	case tag == tagSlice:
+	case tagSlice:
 		return k.fillElems(d, v.UnsafePointer(), n, depth)
 	}
 	return k.body(d, v.Addr().UnsafePointer(), depth)
-}
-
-// decodeSlot decodes the next value of the stream into dst, a slot of static
-// type dst.Type(). Under V1, and wherever the slot is an interface, that is a
-// described value; otherwise it is bare: a pointer, map or slice as tagNil,
-// tagRef or its own tag and contents, anything else as its contents alone.
-func (d *Decoder) decodeSlot(dst reflect.Value, depth int) error {
-	t := dst.Type()
-	want := tagOf(t.Kind())
-	var v reflect.Value
-	var err error
-	switch {
-	case d.engine == EngineV1 || want == 0:
-		v, err = d.decodeValue(depth)
-	case depth > maxDecodeDepth:
-		return errDecodeDepth
-	case want >= tagStruct:
-		return d.bodyInto(dst, depth)
-	default:
-		var tag byte
-		if tag, err = d.r.readByte(); err != nil {
-			return err
-		}
-		switch {
-		case tag == tagNil:
-		case tag == tagRef:
-			v, err = d.decodeRef()
-		case tag != want:
-			err = fmt.Errorf("%w: value tag %d in a slot of type %s", ErrBadStream, tag, t)
-		case tag == tagPtr:
-			v, err = d.build(tag, d.memo.of(t.Elem(), d.access), depth)
-		default:
-			v, err = d.build(tag, d.memo.of(t, d.access), depth)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	return setDecoded(dst, v)
-}
-
-// bodyInto decodes the contents of an inline value — struct fields, array
-// elements, a scalar payload — into v.
-func (d *Decoder) bodyInto(v reflect.Value, depth int) error {
-	switch v.Kind() {
-	case reflect.Struct:
-		return d.decodeStructInto(v, depth)
-	case reflect.Array:
-		return d.decodeSliceElemsInto(v, depth)
-	}
-	return d.scalarPayloadInto(v)
-}
-
-// decodeMapEntriesInto and decodeSliceElemsInto count an entry one deeper
-// than its container at depth, as the encoder does: nesting through maps and
-// slices is bounded by maxDecodeDepth like nesting through pointers.
-func (d *Decoder) decodeMapEntriesInto(mv reflect.Value, n, depth int) error {
-	for i := 0; i < n; i++ {
-		key := reflect.New(mv.Type().Key()).Elem()
-		if err := d.decodeSlot(key, depth+1); err != nil {
-			return err
-		}
-		val := reflect.New(mv.Type().Elem()).Elem()
-		if err := d.decodeSlot(val, depth+1); err != nil {
-			return err
-		}
-		if err := setEntry(mv, key, val); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // setEntry is mv[key] = val, refusing what SetMapIndex would panic on: a key
@@ -485,127 +405,6 @@ func setEntry(mv, key, val reflect.Value) error {
 		return fmt.Errorf("%w: unhashable key in a %s", ErrBadStream, mv.Type())
 	}
 	mv.SetMapIndex(key, val)
-	return nil
-}
-
-func (d *Decoder) decodeSliceElemsInto(sv reflect.Value, depth int) error {
-	for i := 0; i < sv.Len(); i++ {
-		if err := d.decodeSlot(sv.Index(i), depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// decodeStructInto decodes a struct body into sv, which must be an
-// addressable value of the encoded type.
-func (d *Decoder) decodeStructInto(sv reflect.Value, depth int) error {
-	st := sv.Type()
-	if d.engine == EngineV1 {
-		// V1 ships a field count and names; resolve each by name.
-		n, err := d.r.readLen()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			name, err := d.r.readString()
-			if err != nil {
-				return err
-			}
-			p := planFor(st, d.access)
-			idx, ok := p.byName[name]
-			if !ok {
-				return fmt.Errorf("%w: type %s has no field %q", ErrBadStream, st, name)
-			}
-			dst, ok, err := graph.FieldForWrite(sv, idx, d.access)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("%w: field %s.%s not writable in %s mode",
-					ErrBadStream, st, name, d.access)
-			}
-			if err := d.decodeSlot(dst, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	p := planFor(st, d.access)
-	for _, pf := range p.fields {
-		dst, ok, err := graph.FieldForWrite(sv, pf.index, d.access)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := d.decodeSlot(dst, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scalarPayloadInto reads a scalar payload directly into v, which must be a
-// settable value of the encoded scalar type.
-func (d *Decoder) scalarPayloadInto(v reflect.Value) error {
-	switch v.Kind() {
-	case reflect.Bool:
-		b, err := d.r.readByte()
-		if err != nil {
-			return err
-		}
-		v.SetBool(b != 0)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		i, err := d.r.readInt()
-		if err != nil {
-			return err
-		}
-		if v.OverflowInt(i) {
-			return fmt.Errorf("%w: %d overflows %s", ErrBadStream, i, v.Type())
-		}
-		v.SetInt(i)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		u, err := d.r.readUint()
-		if err != nil {
-			return err
-		}
-		if v.OverflowUint(u) {
-			return fmt.Errorf("%w: %d overflows %s", ErrBadStream, u, v.Type())
-		}
-		v.SetUint(u)
-	case reflect.Float32, reflect.Float64:
-		f, err := d.r.readFloat()
-		if err != nil {
-			return err
-		}
-		if v.OverflowFloat(f) {
-			return fmt.Errorf("%w: %g overflows %s", ErrBadStream, f, v.Type())
-		}
-		v.SetFloat(f)
-	case reflect.Complex64, reflect.Complex128:
-		re, err := d.r.readFloat()
-		if err != nil {
-			return err
-		}
-		im, err := d.r.readFloat()
-		if err != nil {
-			return err
-		}
-		if v.OverflowComplex(complex(re, im)) {
-			return fmt.Errorf("%w: %g overflows %s", ErrBadStream, complex(re, im), v.Type())
-		}
-		v.SetComplex(complex(re, im))
-	case reflect.String:
-		s, err := d.decodeInternedString()
-		if err != nil {
-			return err
-		}
-		v.SetString(s)
-	default:
-		return fmt.Errorf("%w: scalar descriptor with kind %s", ErrBadStream, v.Kind())
-	}
 	return nil
 }
 

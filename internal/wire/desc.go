@@ -70,7 +70,7 @@ func (e *Encoder) encodeTypeBody(t reflect.Type) error {
 		if e.opts.Engine != EngineV2 {
 			return nil
 		}
-		sum, err := fingerprint(e.opts.Registry, t, e.opts.Access, !e.opts.DisablePlanCache)
+		sum, err := fingerprint(e.opts.Registry, t, e.opts.Access, e.cached)
 		if err != nil {
 			return err
 		}
@@ -160,7 +160,7 @@ func (d *Decoder) decodeTypeBody(b byte, depth int) (reflect.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		ours, err := fingerprint(d.opts.Registry, t, d.access, !d.opts.DisablePlanCache)
+		ours, err := fingerprint(d.opts.Registry, t, d.access, d.cached)
 		if err != nil {
 			return nil, err
 		}

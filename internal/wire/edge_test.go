@@ -118,9 +118,9 @@ type dlist struct{ Next *dlist }
 
 // TestDecodeDepthBound: nesting through slices and maps counts toward
 // maxDecodeDepth like nesting through pointers, a chain of pointers to
-// structs counts the slot and the node as the generic path does, and a type
+// structs counts the slot and the node as the generic oracle does, and a type
 // descriptor nests no deeper than a value. One level past the bound is
-// refused with a typed error on the kernel and the generic path (unbounded,
+// refused with a typed error by the kernels and the generic oracle (unbounded,
 // 15 million levels fit one frame and overflow the stack, which no recover
 // catches); at the bound the stream decodes. The encoder accepts the same
 // depth and refuses one level past it, and what it accepts decodes.
@@ -131,8 +131,8 @@ func TestDecodeDepthBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decode := func(data []byte, opts Options) error {
-		dec := NewDecoderBytes(data, opts)
+	decode := func(p codecPath, data []byte, opts Options) error {
+		dec := p.dec(data, opts)
 		defer dec.ReleaseArena()
 		_, err := dec.Decode()
 		return err
@@ -153,15 +153,15 @@ func TestDecodeDepthBound(t *testing.T) {
 		{"nested descriptors", nestedTypeStream},
 		{"pointer chain", chainStream},
 	} {
-		for _, generic := range []bool{false, true} {
-			opts := Options{Registry: reg, DisablePlanCache: generic}
-			if err := decode(tc.build(maxDecodeDepth+1), opts); err != nil {
-				t.Errorf("%s at the bound (generic=%t): %v", tc.name, generic, err)
+		for _, p := range codecPaths {
+			opts := Options{Registry: reg}
+			if err := decode(p, tc.build(maxDecodeDepth+1), opts); err != nil {
+				t.Errorf("%s at the bound (%s path): %v", tc.name, p.name, err)
 			}
-			err := decode(tc.build(maxDecodeDepth+2), opts)
+			err := decode(p, tc.build(maxDecodeDepth+2), opts)
 			if !errors.Is(err, ErrBadStream) || !errors.Is(err, graph.ErrDepthExceeded) {
-				t.Errorf("%s one past the bound (generic=%t): got %v, want ErrBadStream wrapping ErrDepthExceeded",
-					tc.name, generic, err)
+				t.Errorf("%s one past the bound (%s path): got %v, want ErrBadStream wrapping ErrDepthExceeded",
+					tc.name, p.name, err)
 			}
 		}
 	}
@@ -192,18 +192,18 @@ func TestDecodeDepthBound(t *testing.T) {
 			var buf bytes.Buffer
 			enc := NewEncoder(&buf, opts)
 			if err := enc.Encode(tc.value(maxEncodeDepth + 1)); err != nil {
-				t.Fatalf("%s %s generic=%t: the encoder refuses a value at its own limit: %v",
+				t.Fatalf("%s %s portable=%t: the encoder refuses a value at its own limit: %v",
 					tc.name, opts.Engine, opts.DisablePlanCache, err)
 			}
 			if err := enc.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			if err := decode(buf.Bytes(), opts); err != nil {
+			if err := decode(kernelPath, buf.Bytes(), opts); err != nil {
 				t.Errorf("%s %s: a value the encoder accepts does not decode: %v", tc.name, opts.Engine, err)
 			}
 			buf.Reset()
 			if err := NewEncoder(&buf, opts).Encode(tc.value(maxEncodeDepth + 2)); !errors.Is(err, graph.ErrDepthExceeded) {
-				t.Errorf("%s %s generic=%t: encoder one past its limit: got %v, want ErrDepthExceeded",
+				t.Errorf("%s %s portable=%t: encoder one past its limit: got %v, want ErrDepthExceeded",
 					tc.name, opts.Engine, opts.DisablePlanCache, err)
 			}
 		}

@@ -29,9 +29,10 @@ type Encoder struct {
 	typeTable  map[reflect.Type]int
 	strTable   map[string]int
 	headerDone bool
-	// kernels routes value encoding through the compiled per-type programs
-	// (kernel.go); derived from opts, cached here for the hot path.
-	kernels bool
+	// bare says statically typed slots travel bare (V2); under V1 every slot
+	// is described. cached says struct kernels come from kernelCache; an
+	// uncached encoder (V1, DisablePlanCache) compiles one per struct value.
+	bare, cached bool
 	// memo resolves the types this stream meets dynamically.
 	memo kernelMemo
 }
@@ -50,7 +51,8 @@ func NewEncoder(w io.Writer, opts Options) *Encoder {
 // arm points a new or reset encoder at its destination and options.
 func (e *Encoder) arm(w io.Writer, opts Options) {
 	e.opts = opts.encoderDefaults()
-	e.kernels = e.opts.kernelsEnabled()
+	e.bare = e.opts.Engine == EngineV2
+	e.cached = e.bare && !e.opts.DisablePlanCache
 	e.dst, e.flushed, e.headerDone = w, 0, false
 	e.w.reset(e.opts.Engine)
 }
@@ -79,15 +81,18 @@ func (e *Encoder) Flush() error {
 	return nil
 }
 
-// header emits the stream header exactly once. Misconfigured engines fail
-// here with the typed error rather than producing a stream no decoder can
-// name.
+// header emits the stream header exactly once. A misconfigured engine or
+// access mode fails here with its typed error rather than producing a stream
+// no decoder can name.
 func (e *Encoder) header() error {
 	if e.headerDone {
 		return nil
 	}
 	if !e.opts.Engine.valid() {
 		return fmt.Errorf("%w: Engine(%d)", ErrUnknownEngine, byte(e.opts.Engine))
+	}
+	if !knownAccess(e.opts.Access) {
+		return fmt.Errorf("%w: %s", ErrUnknownAccess, e.opts.Access)
 	}
 	e.headerDone = true
 	format := byte(e.opts.Engine)
@@ -107,7 +112,11 @@ func (e *Encoder) EncodeValue(v reflect.Value) error {
 	if err := e.header(); err != nil {
 		return err
 	}
-	return e.encodeValue(v, 0, false)
+	if !v.IsValid() {
+		e.w.writeByte(tagNil)
+		return nil
+	}
+	return e.memo.of(v.Type(), e.opts.Access).enc(e, v, 0, false)
 }
 
 // EncodeUint emits a raw unsigned integer for protocol framing (counts,
@@ -220,189 +229,26 @@ func (e *Encoder) EncodeSeededContent(id int) error {
 		return fmt.Errorf("wire: EncodeSeededContent(%d): no such object", id)
 	}
 	obj := e.objs[id]
-	var k *kernel
-	if e.kernels {
-		// The object's own kernel leads to its contents' kernels; a run of
-		// records of one type costs one lookup.
-		k = e.memo.of(obj.Type(), e.opts.Access)
-	}
+	// The object's own kernel leads to its contents' kernels; a run of
+	// records of one type costs one lookup.
+	k := e.memo.of(obj.Type(), e.opts.Access)
 	switch obj.Kind() {
 	case reflect.Ptr:
 		e.w.writeByte(contentPtr)
-		if k != nil {
-			return k.elem.encAt(e, obj.UnsafePointer(), 0, true)
-		}
-		return e.encodeValue(obj.Elem(), 0, e.bareSlots())
+		return k.elem.encAt(e, obj.UnsafePointer(), 0, e.bare)
 	case reflect.Map:
 		e.w.writeByte(contentMap)
-		if k != nil {
-			return k.encMap(e, obj, 0)
-		}
-		return e.encodeMapEntries(obj, 0)
+		return k.encMap(e, obj, 0)
 	case reflect.Slice:
 		e.w.writeByte(contentSlice)
 		e.w.writeUint(uint64(obj.Len()))
-		if k != nil {
-			return k.encElems(e, obj.UnsafePointer(), obj.Len(), 0)
-		}
-		return e.encodeSliceElems(obj, 0)
+		return k.encElems(e, obj.UnsafePointer(), obj.Len(), 0)
 	default:
 		return fmt.Errorf("wire: seeded object %d has unexpected kind %s", id, obj.Kind())
 	}
 }
 
 const maxEncodeDepth = 10000
-
-// bareSlots reports whether the stream's statically typed slots travel bare
-// (V2) or every value is described (V1).
-func (e *Encoder) bareSlots() bool { return e.opts.Engine == EngineV2 }
-
-// encodeValue writes v, described — tag, descriptor, contents — or, bare, as
-// the occupant of a slot whose static type already says what v is: a pointer,
-// map or slice without its descriptor, anything else as its contents alone.
-// An interface slot is never bare: its value describes itself.
-func (e *Encoder) encodeValue(v reflect.Value, depth int, bare bool) error {
-	if depth > maxEncodeDepth {
-		return graph.ErrDepthExceeded
-	}
-	if !v.IsValid() {
-		e.w.writeByte(tagNil)
-		return nil
-	}
-	if e.kernels {
-		// Compiled fast path: one memo probe for the root, straight-line
-		// per-field ops below it, byte-identical output. The generic switch
-		// below is the V1 / portable reference path.
-		return e.memo.of(v.Type(), e.opts.Access).enc(e, v, depth, bare)
-	}
-	tag, t := tagOf(v.Kind()), v.Type()
-	switch tag {
-	case 0:
-		if v.Kind() != reflect.Interface {
-			return fmt.Errorf("%w: %s", graph.ErrNotSerializable, t)
-		}
-		if v.IsNil() {
-			e.w.writeByte(tagNil)
-			return nil
-		}
-		return e.encodeValue(v.Elem(), depth+1, false)
-	case tagPtr, tagMap, tagSlice:
-		if v.IsNil() {
-			e.w.writeByte(tagNil)
-			return nil
-		}
-		if id, seen, err := e.intern(v); err != nil || seen {
-			return e.refOr(id, err)
-		}
-		// First visit: tag, descriptor (a pointer's is its pointee's), contents.
-		e.w.writeByte(tag)
-		if tag == tagPtr {
-			t = t.Elem()
-		}
-	default:
-		if !bare {
-			e.w.writeByte(tag)
-		}
-	}
-	if !bare {
-		if err := e.encodeType(t); err != nil {
-			return err
-		}
-	}
-	switch tag {
-	case tagPtr:
-		return e.encodeValue(v.Elem(), depth+1, e.bareSlots())
-	case tagMap:
-		return e.encodeMapEntries(v, depth)
-	case tagSlice:
-		e.w.writeUint(uint64(v.Len()))
-		return e.encodeSliceElems(v, depth)
-	case tagStruct:
-		return e.encodeStructFields(v, depth)
-	case tagArray:
-		return e.encodeSliceElems(v, depth)
-	}
-	return e.encodeScalarPayload(v)
-}
-
-func (e *Encoder) encodeMapEntries(v reflect.Value, depth int) error {
-	e.w.writeUint(uint64(v.Len()))
-	kp := acquireSortedKeys(v)
-	defer releaseKeys(kp)
-	for _, k := range *kp {
-		if err := e.encodeValue(k, depth+1, e.bareSlots()); err != nil {
-			return err
-		}
-		if err := e.encodeValue(v.MapIndex(k), depth+1, e.bareSlots()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *Encoder) encodeSliceElems(v reflect.Value, depth int) error {
-	for i := 0; i < v.Len(); i++ {
-		if err := e.encodeValue(v.Index(i), depth+1, e.bareSlots()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *Encoder) encodeStructFields(v reflect.Value, depth int) error {
-	sv := graph.Launder(v)
-	// The plan is rebuilt from raw reflection on every struct (V2's cached
-	// path is its kernels); V1 ships field names, V2 a silent positional layout.
-	p := planFor(sv.Type(), e.opts.Access)
-	if err := verifyZeroFields(sv, p); err != nil {
-		return err
-	}
-	if e.opts.Engine == EngineV1 {
-		e.w.writeUint(uint64(len(p.fields)))
-	}
-	for _, pf := range p.fields {
-		if e.opts.Engine == EngineV1 {
-			e.w.writeString(pf.name)
-		}
-		f, ok, err := graph.FieldForRead(sv, pf.index, e.opts.Access)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := e.encodeValue(f, depth+1, e.bareSlots()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *Encoder) encodeScalarPayload(v reflect.Value) error {
-	switch v.Kind() {
-	case reflect.Bool:
-		b := byte(0)
-		if v.Bool() {
-			b = 1
-		}
-		e.w.writeByte(b)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		e.w.writeInt(v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		e.w.writeUint(v.Uint())
-	case reflect.Float32, reflect.Float64:
-		e.w.writeFloat(v.Float())
-	case reflect.Complex64, reflect.Complex128:
-		c := v.Complex()
-		e.w.writeFloat(real(c))
-		e.w.writeFloat(imag(c))
-	case reflect.String:
-		e.encodeInternedString(v.String())
-	default:
-		return fmt.Errorf("%w: %s", graph.ErrNotSerializable, v.Type())
-	}
-	return nil
-}
 
 // encodeInternedString writes a string scalar. Engine V2 interns repeated
 // strings per stream (like Java serialization's string back-references): a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nrmi/internal/graph"
@@ -12,7 +13,8 @@ import (
 
 // FuzzDecode throws arbitrary bytes at the decoder: it must return errors,
 // never panic or allocate unboundedly (a length is held against the bytes left).
-// Seeds include valid streams so mutation explores near-valid inputs.
+// Seeds include valid streams of both formats so mutation explores near-valid
+// inputs under V1 headers and V2 headers alike.
 func FuzzDecode(f *testing.F) {
 	reg := lengthRegistry(f) // wnode and the types of the hostile-length table
 	if err := reg.Register("wbag", wbag{}); err != nil {
@@ -73,35 +75,53 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 
+	// A V1 and a V2 header whose access byte names no mode
+	// (TestUnknownAccessRefused).
+	for _, format := range []byte{byte(EngineV1), formatV2} {
+		s := bytes.Clone(streams[slices.IndexFunc(streams, func(s []byte) bool { return s[1] == format })])
+		s[2] = 0x07
+		f.Add(s)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The compiled kernels read a slot by its static type, in place; they
-		// must be exactly as junk-proof as the generic reflective path, and
-		// the two must agree: same outcome at every value, equal graphs. So
-		// must the kernels of a V3 decoder, which build into its arena.
-		opts := Options{Registry: reg}
-		dec := NewDecoderBytes(data, opts)
-		decA := NewDecoderBytes(data, Options{Engine: EngineV3, Registry: reg})
-		opts.DisablePlanCache = true
-		decG := NewDecoderBytes(data, opts)
-		defer dec.ReleaseArena()
-		defer decA.ReleaseArena()
+		// The kernels read a slot by its static type, in place, whatever the
+		// header names; they must be exactly as junk-proof as the generic
+		// oracle, and agree with it: same outcome at every value, equal
+		// graphs. So must kernels compiled per struct value (the portable
+		// configuration), and those of a V3 decoder, which build into its
+		// arena.
+		decG := newGenericDecoder(data, Options{Registry: reg})
+		decs := []struct {
+			name string
+			dec  *Decoder
+		}{
+			{"kernel", NewDecoderBytes(data, Options{Registry: reg})},
+			{"portable", NewDecoderBytes(data, Options{Registry: reg, DisablePlanCache: true})},
+			{"arena", NewDecoderBytes(data, Options{Engine: EngineV3, Registry: reg})},
+		}
 		defer decG.ReleaseArena()
+		for _, d := range decs {
+			defer d.dec.ReleaseArena()
+		}
 		for i := 0; i < 4; i++ {
-			v, err := dec.Decode()
-			vA, errA := decA.Decode()
 			vG, errG := decG.Decode()
-			if errClass(err) != errClass(errG) || errClass(errA) != errClass(errG) {
-				t.Fatalf("value %d: kernel path: %v; arena path: %v; generic path: %v", i, err, errA, errG)
+			for _, d := range decs {
+				v, err := d.dec.Decode()
+				if errClass(err) != errClass(errG) {
+					t.Fatalf("value %d: %s path: %v; generic path: %v", i, d.name, err, errG)
+				}
+				if err != nil {
+					continue
+				}
+				if d.dec.BytesRead() != decG.BytesRead() {
+					t.Fatalf("value %d: %s path read %d bytes, generic path %d", i, d.name, d.dec.BytesRead(), decG.BytesRead())
+				}
+				if !sameGraph(t, reg, decG.Access(), v, vG) {
+					t.Fatalf("value %d: the %s path decoded %#v, the generic path %#v", i, d.name, v, vG)
+				}
 			}
-			if err != nil {
+			if errG != nil {
 				break // errors are the expected outcome for junk
-			}
-			if dec.BytesRead() != decG.BytesRead() || decA.BytesRead() != decG.BytesRead() {
-				t.Fatalf("value %d: kernel path read %d bytes, arena path %d, generic path %d",
-					i, dec.BytesRead(), decA.BytesRead(), decG.BytesRead())
-			}
-			if !sameGraph(t, reg, dec.Access(), v, vG) || !sameGraph(t, reg, dec.Access(), vA, vG) {
-				t.Fatalf("value %d: the paths decoded different graphs: %#v, %#v vs %#v", i, v, vA, vG)
 			}
 		}
 	})
@@ -201,6 +221,10 @@ func FuzzRoundTrip(f *testing.F) {
 		eq, err := graph.Equal(graph.AccessExported, tree, out)
 		if err != nil || !eq {
 			t.Fatalf("round trip broke graph equality: eq=%v err=%v", eq, err)
+		}
+		// Oracle leg: the generic codec writes the same bytes.
+		if oracle, _ := genericPath.encodeRoots(t, opts, []any{tree}, false); !bytes.Equal(oracle, buf.Bytes()) {
+			t.Fatalf("%s kernel stream % x, generic stream % x", eng, buf.Bytes(), oracle)
 		}
 		// Differential leg: the same shape through a V3 encoder and decoder
 		// must produce an equal graph.

@@ -10,30 +10,31 @@ import (
 	"nrmi/internal/graph"
 )
 
-// This file is the codec's kernel compiler — the one place the runtime
-// compiles per-type programs (paper Section 5.3.1, "caching reflection
-// information aggressively"). Once per (reflect.Type, AccessMode) a kernel
-// is compiled that holds what both directions need to know about the type —
-// the value tag it travels under, its struct field program, its element and
-// key kernels — with the per-node kind switch, struct plan lookup, and field
-// metadata derivation all resolved at compile time. kernel.enc emits exactly
-// the bytes Encoder.encodeValue would emit; kernel.into is the decode
-// direction. Kernels are looked up only where a value is described — roots,
-// seeded objects, interface slots; a bare slot is coded by the kernel its
-// container's kernel points at.
+// This file is the codec: the one place the runtime codes a value (paper
+// Section 5.3.1, "caching reflection information aggressively"). Once per
+// (reflect.Type, AccessMode) a kernel is compiled that holds what both
+// directions need to know about the type — the value tag it travels under,
+// its struct field program, its element and key kernels — with the per-node
+// kind switch and field metadata resolved at compile time. kernel.enc and
+// kernel.encAt are the encode direction, kernel.into and kernel.body the
+// decode direction. Kernels are looked up only where a value is described —
+// roots, seeded objects, interface slots; a slot below is coded by the kernel
+// its container's kernel points at.
 //
-// Kernels implement the V2 wire format only and are engaged exactly on a V2
-// codec with the plan cache enabled (Options.DisablePlanCache unset); every
-// other configuration codes by the generic reflective paths (Decoder.shell
-// borrows a type's tag and min). The wire format is byte-for-byte identical
-// either way — edge_test.go and the cross-engine tests exercise both sides
-// of the switch against each other.
+// Every configuration runs them. The format is a mode: under V2 a
+// statically typed slot travels bare; under V1 (Encoder.bare and
+// Decoder.bare unset) every slot is described and a struct carries its field
+// count and names, resolved by name on decode. So is the portable baseline:
+// an uncached codec (V1, or Options.DisablePlanCache) compiles each struct
+// value's kernel afresh (freshKernel) where a cached one takes it from
+// kernelCache. The generic reflective codec the kernels are held to, byte for
+// byte and graph for graph, lives in oracle_test.go.
 
 // kernel is the compiled codec program for one (type, mode) pair. Kernels
 // refer to each other by pointer so recursive types resolve naturally: a
 // child compiled while its parent is in progress holds the parent's
 // *kernel, whose fields are assigned before publication. There is exactly
-// one kernel per pair, so comparing kernels compares types.
+// one cached kernel per pair, so comparing cached kernels compares types.
 type kernel struct {
 	t    reflect.Type
 	kind reflect.Kind // t's kind and size, read per scalar and element
@@ -69,10 +70,12 @@ type kernel struct {
 	err error
 }
 
-// kernelField is one compiled struct field: its kernel and offset.
+// kernelField is one compiled struct field: its kernel, offset and name,
+// which a V1 stream spells.
 type kernelField struct {
-	k   *kernel
-	off uintptr
+	k    *kernel
+	off  uintptr
+	name string
 }
 
 // kernelZero is one excluded unexported field whose zero-ness is enforced
@@ -98,8 +101,8 @@ type kernelKey struct {
 // at registration time) therefore requires no invalidation, and a type
 // rejected by RegisterStrict still fails at encode/decode time with the same
 // graph-layer error whether or not a kernel was compiled for it first —
-// kernels defer forbidden-kind errors to run time exactly like the generic
-// paths. Compilation is serialized by kernelMu.
+// kernels defer forbidden-kind errors to run time. Compilation is serialized
+// by kernelMu.
 var (
 	kernelCache sync.Map // kernelKey -> *kernel
 	kernelMu    sync.Mutex
@@ -116,11 +119,19 @@ func kernelFor(t reflect.Type, mode graph.AccessMode) *kernel {
 	// Compile with a session-local table so recursive types terminate; the
 	// whole session is published only once every kernel in it is complete.
 	session := make(map[reflect.Type]*kernel)
-	k := compileKernel(t, mode, session)
+	k := compileKernel(t, mode, session, true)
 	for st, sk := range session {
 		kernelCache.Store(kernelKey{st, mode}, sk)
 	}
 	return k
+}
+
+// freshKernel compiles t's kernel under mode, and every kernel it reaches,
+// from raw reflection, and publishes none of them: what an uncached codec
+// pays for each struct value — the paper's "Java reflection is a very slow
+// way to examine unknown objects" (Section 5.3.1).
+func freshKernel(t reflect.Type, mode graph.AccessMode) *kernel {
+	return compileKernel(t, mode, make(map[reflect.Type]*kernel), false)
 }
 
 // kernelMemo is a one-entry cache in front of kernelFor for the places a
@@ -138,9 +149,13 @@ func (m *kernelMemo) of(t reflect.Type, mode graph.AccessMode) *kernel {
 	return m.k
 }
 
-func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*kernel) *kernel {
-	if k, ok := kernelCache.Load(kernelKey{t, mode}); ok {
-		return k.(*kernel)
+// compileKernel compiles t's kernel into session, reusing what kernelCache
+// holds when cached is set.
+func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*kernel, cached bool) *kernel {
+	if cached {
+		if k, ok := kernelCache.Load(kernelKey{t, mode}); ok {
+			return k.(*kernel)
+		}
 	}
 	if k, ok := session[t]; ok {
 		return k
@@ -160,16 +175,16 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 	}
 	switch k.tag {
 	case tagPtr:
-		k.elem = compileKernel(t.Elem(), mode, session)
+		k.elem = compileKernel(t.Elem(), mode, session, cached)
 		k.cells = reflect.SliceOf(t.Elem())
 	case tagMap:
-		k.key = compileKernel(t.Key(), mode, session)
-		k.elem = compileKernel(t.Elem(), mode, session)
+		k.key = compileKernel(t.Key(), mode, session, cached)
+		k.elem = compileKernel(t.Elem(), mode, session, cached)
 	case tagSlice:
-		k.elem = compileKernel(t.Elem(), mode, session)
+		k.elem = compileKernel(t.Elem(), mode, session, cached)
 		k.cells = t
 	case tagArray: // an inline part is compiled before its container
-		k.elem = compileKernel(t.Elem(), mode, session)
+		k.elem = compileKernel(t.Elem(), mode, session, cached)
 		k.min = t.Len() * k.elem.min
 		k.exact = k.elem.exact
 		k.direct = t.Len() == 1 && k.elem.direct
@@ -178,14 +193,14 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 		k.fields = make([]kernelField, 0, t.NumField())
 		for i := 0; i < t.NumField(); i++ {
 			sf := t.Field(i)
-			fk := compileKernel(sf.Type, mode, session)
+			fk := compileKernel(sf.Type, mode, session, cached)
 			k.direct = t.NumField() == 1 && fk.direct
-			if !sf.IsExported() && mode == graph.AccessExported {
+			if excluded(sf, mode) {
 				k.zeros = append(k.zeros, kernelZero{sf.Offset, sf.Type,
 					fmt.Errorf("%w: field %s.%s", graph.ErrUnexportedField, t, sf.Name)})
 				continue
 			}
-			k.fields = append(k.fields, kernelField{fk, sf.Offset})
+			k.fields = append(k.fields, kernelField{fk, sf.Offset, sf.Name})
 			k.min += fk.min
 			k.exact = k.exact && fk.exact
 		}
@@ -197,6 +212,12 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 	return k
 }
 
+// excluded says field sf has no place in the stream under mode: an
+// unexported field under AccessExported, which must be zero instead.
+func excluded(sf reflect.StructField, mode graph.AccessMode) bool {
+	return !sf.IsExported() && mode == graph.AccessExported
+}
+
 // Both directions reach a field, element or pointee by address and move it
 // with a load or store of its own Go type (paper Section 5.3.1, the Unsafe
 // half): every store is typed, so the write barrier sees each pointer, and no
@@ -205,8 +226,9 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 // enc writes v, a value of k's type held as a reflect.Value — a root, a map
 // key or value, the dynamic value of an interface, a reference for the object
 // table: described — tag, descriptor, contents — or, bare, as the occupant of
-// a slot of type k.t. Every slot below a value is bare; an interface slot's
-// value describes itself either way.
+// a slot of type k.t. Every slot below a value is bare under V2 (Encoder.bare)
+// and described under V1; an interface slot's value describes itself either
+// way.
 func (k *kernel) enc(e *Encoder, v reflect.Value, depth int, bare bool) error {
 	switch {
 	case depth > maxEncodeDepth:
@@ -240,7 +262,7 @@ func (k *kernel) enc(e *Encoder, v reflect.Value, depth int, bare bool) error {
 	}
 	switch k.tag {
 	case tagPtr:
-		return k.elem.encAt(e, v.UnsafePointer(), depth+1, true)
+		return k.elem.encAt(e, v.UnsafePointer(), depth+1, e.bare)
 	case tagMap:
 		return k.encMap(e, v, depth)
 	}
@@ -297,14 +319,14 @@ func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error
 			return err
 		}
 		if k.elem.tag != tagStruct {
-			return k.elem.encAt(e, q, depth+1, true)
+			return k.elem.encAt(e, q, depth+1, e.bare)
 		}
 		// One step per node: the pointee's field program runs in this frame,
 		// under the pointee's own depth check.
 		if depth+1 > maxEncodeDepth {
 			return graph.ErrDepthExceeded
 		}
-		k, p, depth, bare = k.elem, q, depth+1, true
+		k, p, depth, bare = k.elem, q, depth+1, e.bare
 	}
 	if !bare {
 		e.w.writeByte(k.tag)
@@ -319,16 +341,24 @@ func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error
 		k.encScalar(e, p)
 		return nil
 	}
-	// All zero checks run before any field bytes, mirroring the generic
-	// verifyZeroFields-then-encode order.
+	if !e.cached {
+		k = freshKernel(k.t, e.opts.Access)
+	}
+	// All zero checks run before any field bytes.
 	for _, z := range k.zeros {
 		if !reflect.NewAt(z.t, unsafe.Add(p, z.off)).Elem().IsZero() {
 			return z.err
 		}
 	}
+	if !e.bare {
+		e.w.writeUint(uint64(len(k.fields)))
+	}
 	for i := range k.fields {
 		f := &k.fields[i]
-		if err := f.k.encAt(e, unsafe.Add(p, f.off), depth+1, true); err != nil {
+		if !e.bare {
+			e.w.writeString(f.name)
+		}
+		if err := f.k.encAt(e, unsafe.Add(p, f.off), depth+1, e.bare); err != nil {
 			return err
 		}
 	}
@@ -351,7 +381,7 @@ func (k *kernel) ref(p unsafe.Pointer) reflect.Value {
 // what follows a slice's length word, or the whole of an array.
 func (k *kernel) encElems(e *Encoder, p unsafe.Pointer, n, depth int) error {
 	for i := 0; i < n; i++ {
-		if err := k.elem.encAt(e, unsafe.Add(p, uintptr(i)*k.elem.size), depth+1, true); err != nil {
+		if err := k.elem.encAt(e, unsafe.Add(p, uintptr(i)*k.elem.size), depth+1, e.bare); err != nil {
 			return err
 		}
 	}
@@ -362,23 +392,21 @@ func (k *kernel) encElems(e *Encoder, p unsafe.Pointer, n, depth int) error {
 // its descriptor in its own encoding, and the whole of its content record.
 func (k *kernel) encMap(e *Encoder, v reflect.Value, depth int) error {
 	e.w.writeUint(uint64(v.Len()))
-	// Canonical key order (mapkeys.go) — must match the generic encoder
-	// byte for byte.
+	// Canonical key order (mapkeys.go): equal maps, equal bytes.
 	kp := acquireSortedKeys(v)
 	defer releaseKeys(kp)
 	for _, key := range *kp {
-		if err := k.key.enc(e, key, depth+1, true); err != nil {
+		if err := k.key.enc(e, key, depth+1, e.bare); err != nil {
 			return err
 		}
-		if err := k.elem.enc(e, v.MapIndex(key), depth+1, true); err != nil {
+		if err := k.elem.enc(e, v.MapIndex(key), depth+1, e.bare); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// encScalar writes the payload of the scalar of k's type at p, as
-// Encoder.encodeScalarPayload does.
+// encScalar writes the payload of the scalar of k's type at p.
 func (k *kernel) encScalar(e *Encoder, p unsafe.Pointer) {
 	switch {
 	case k.kind == reflect.String:
@@ -404,12 +432,13 @@ func (k *kernel) encScalar(e *Encoder, p unsafe.Pointer) {
 }
 
 // The decode direction mirrors it: a slot is read by the kernel of its own
-// static type and written in place; only an interface slot holds a described
-// value, built from its own descriptor and assigned under setDecoded.
+// static type and written in place; only an interface slot, or any slot of a
+// V1 stream, holds a described value, built from its own descriptor and
+// assigned under setDecoded.
 
 // into decodes the next value of the stream into the slot of k's type at p.
 func (k *kernel) into(d *Decoder, p unsafe.Pointer, depth int) error {
-	if k.tag == 0 {
+	if k.tag == 0 || !d.bare {
 		v, err := d.decodeValue(depth)
 		if err != nil {
 			return err
@@ -474,6 +503,12 @@ func (k *kernel) into(d *Decoder, p unsafe.Pointer, depth int) error {
 func (k *kernel) body(d *Decoder, p unsafe.Pointer, depth int) error {
 	switch k.tag {
 	case tagStruct:
+		if !d.cached {
+			k = freshKernel(k.t, d.access)
+		}
+		if !d.bare {
+			return k.fieldsByName(d, p, depth)
+		}
 		for i := range k.fields {
 			f := &k.fields[i]
 			if err := f.k.into(d, unsafe.Add(p, f.off), depth+1); err != nil {
@@ -485,6 +520,33 @@ func (k *kernel) body(d *Decoder, p unsafe.Pointer, depth int) error {
 		return k.fillElems(d, p, k.t.Len(), depth)
 	}
 	return k.scalarInto(d, p)
+}
+
+// fieldsByName decodes a V1 struct body into the struct of k's type at p: a
+// field count, then each field's name and described value. A field is found
+// by its name, wherever the sender's declaration put it.
+func (k *kernel) fieldsByName(d *Decoder, p unsafe.Pointer, depth int) error {
+	n, err := d.r.readLen()
+	if err != nil {
+		return err
+	}
+	for ; n > 0; n-- {
+		name, err := d.r.readBytes()
+		if err != nil {
+			return err
+		}
+		i := 0
+		for i < len(k.fields) && k.fields[i].name != string(name) {
+			i++
+		}
+		if i == len(k.fields) {
+			return fmt.Errorf("%w: type %s has no field %q", ErrBadStream, k.t, name)
+		}
+		if err := k.fields[i].k.into(d, unsafe.Add(p, k.fields[i].off), depth+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fillElems decodes the n elements of the slice or array at p, itself at
@@ -520,8 +582,8 @@ func (k *kernel) fillMap(d *Decoder, mv reflect.Value, n, depth int) error {
 	return nil
 }
 
-// scalarInto reads a scalar payload into the scalar of k's type at p, with
-// the refusals of Decoder.scalarPayloadInto.
+// scalarInto reads a scalar payload into the scalar of k's type at p,
+// refusing one the type cannot hold.
 func (k *kernel) scalarInto(d *Decoder, p unsafe.Pointer) error {
 	shift, half := 64-8*k.size, k.size/2
 	switch {

@@ -12,7 +12,7 @@ import (
 
 // The states the per-stream kernel caches introduce — the memo and the type
 // table of a pooled Encoder, the kernels of a Decoder's type table — against
-// the generic path as oracle.
+// the generic oracle (oracle_test.go).
 
 type otherInt int
 
@@ -41,7 +41,7 @@ func stateRegistry(t *testing.T, names map[string]any) *Registry {
 	return r
 }
 
-func encodeStream(t *testing.T, enc *Encoder, buf *bytes.Buffer, values []any) []byte {
+func encodeStream(t *testing.T, enc pathEncoder, buf *bytes.Buffer, values []any) []byte {
 	t.Helper()
 	for _, v := range values {
 		if err := enc.Encode(v); err != nil {
@@ -82,7 +82,7 @@ func TestKernelEncodeByteIdentityPooled(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, s := range streams {
 			var want bytes.Buffer
-			wantBytes := encodeStream(t, NewEncoder(&want, Options{Registry: s.reg, DisablePlanCache: true}), &want, s.values)
+			wantBytes := encodeStream(t, newGenericEncoder(&want, Options{Registry: s.reg}), &want, s.values)
 
 			ReleaseEncoder(enc)
 			var got bytes.Buffer
@@ -150,13 +150,11 @@ func TestKernelDecodeStates(t *testing.T) {
 		if want == nil {
 			want = tc.v
 		}
-		for name, opts := range map[string]Options{
-			"kernel":  {Registry: reg},
-			"generic": {Registry: reg, DisablePlanCache: true},
-		} {
-			for mode, dec := range map[string]*Decoder{
-				"stream": NewDecoderBytes(stream, opts),
-				"bytes":  NewDecoderBytes(stream, opts),
+		for _, p := range codecPaths {
+			name := p.name
+			for mode, dec := range map[string]pathDecoder{
+				"stream": p.dec(stream, Options{Registry: reg}),
+				"bytes":  p.dec(stream, Options{Registry: reg}),
 			} {
 				for i := 0; i < 2; i++ { // the second value is all back-references and table hits
 					got, err := dec.Decode()
@@ -179,7 +177,7 @@ func TestDecodeAllocsSteadyState(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
 	}
-	on, _ := kernelOptions(t)
+	on := Options{Registry: testRegistry(t)}
 	const nodes = 64
 	tree := &wnode{Data: 1}
 	for cur, i := tree, 2; i <= nodes; i++ {
@@ -210,7 +208,7 @@ func TestDecodeAllocsSteadyState(t *testing.T) {
 // pool — no user object, no reference to a payload or a destination, no
 // staging slab, no per-stream table.
 func TestPooledCodecsReleaseEverything(t *testing.T) {
-	on, _ := kernelOptions(t)
+	on := Options{Registry: testRegistry(t)}
 	tree := &wnode{Data: 1, Left: &wnode{Data: 2}, Right: &wnode{Data: 3}}
 	var buf bytes.Buffer
 	enc := AcquireEncoder(&buf, on)
@@ -342,7 +340,7 @@ func TestFailedTypeDefLeavesNoUsableSlot(t *testing.T) {
 // cells; releasing it drops the objects and zeroes the cells, so the pool
 // pins none of them.
 func TestReleaseDropsAdoptedObjects(t *testing.T) {
-	on, _ := kernelOptions(t)
+	on := Options{Registry: testRegistry(t)}
 	var req bytes.Buffer
 	stream := encodeStream(t, NewEncoder(&req, on), &req, []any{&wnode{Data: 1, Left: &wnode{Data: 2}}})
 	dec := NewDecoderBytes(stream, on)

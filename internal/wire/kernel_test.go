@@ -15,17 +15,6 @@ import (
 	"nrmi/internal/raceflag"
 )
 
-// kernelOptions returns matched option pairs: identical in every respect
-// except the plan cache, whose absence (the portable configuration) selects
-// the generic reflective codec. The wire format must be byte-for-byte
-// identical between them; only the CPU/allocation profile may differ.
-func kernelOptions(t *testing.T) (on, off Options) {
-	reg := testRegistry(t)
-	on = Options{Engine: EngineV2, Registry: reg}
-	off = Options{Engine: EngineV2, Registry: reg, DisablePlanCache: true}
-	return on, off
-}
-
 func wireZoo() []any {
 	cyc := &wnode{Data: 1}
 	cyc.Left = &wnode{Data: 2, Right: cyc}
@@ -61,66 +50,69 @@ func wireZoo() []any {
 	}
 }
 
-// TestKernelEncodeByteIdentity: a stream encoded with compiled kernels must
-// be byte-for-byte identical to the generic reflective encoder's stream —
-// the kernels are a pure performance substitution, never a format change.
-func TestKernelEncodeByteIdentity(t *testing.T) {
-	on, off := kernelOptions(t)
-	encodeAll := func(opts Options) []byte {
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf, opts)
-		for _, v := range wireZoo() {
-			if err := enc.Encode(v); err != nil {
-				t.Fatalf("encode %T: %v", v, err)
-			}
+// zooStream encodes wireZoo's values as the roots of one stream on path p.
+func zooStream(t *testing.T, p codecPath, opts Options) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := p.enc(&buf, opts)
+	for _, v := range wireZoo() {
+		if err := enc.Encode(v); err != nil {
+			t.Fatalf("%s path: encode %T: %v", p.name, v, err)
 		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
 	}
-	fast, slow := encodeAll(on), encodeAll(off)
-	if !bytes.Equal(fast, slow) {
-		n := len(fast)
-		if len(slow) < n {
-			n = len(slow)
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestKernelEncodeByteIdentity: in either format, a stream the kernels
+// encode — from cached kernels, or compiled afresh per struct value — is
+// byte-for-byte the generic oracle's: the cache is a pure performance
+// substitution, never a format change.
+func TestKernelEncodeByteIdentity(t *testing.T) {
+	reg := testRegistry(t)
+	for _, eng := range []Engine{EngineV1, EngineV2} {
+		opts := Options{Engine: eng, Registry: reg}
+		want := zooStream(t, genericPath, opts)
+		portable := opts
+		portable.DisablePlanCache = true
+		for name, opts := range map[string]Options{"cached": opts, "portable": portable} {
+			got := zooStream(t, kernelPath, opts)
+			if bytes.Equal(got, want) {
+				continue
+			}
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s %s kernel stream diverges from the generic stream at byte %d (lens %d vs %d)",
+				eng, name, i, len(got), len(want))
 		}
-		i := 0
-		for i < n && fast[i] == slow[i] {
-			i++
-		}
-		t.Fatalf("kernel stream diverges from generic stream at byte %d (lens %d vs %d)", i, len(fast), len(slow))
 	}
 }
 
-// TestKernelDecodeEquivalence: both decoder paths must reconstruct graphs
-// Equal to each other and to the original, from the same byte stream,
-// regardless of which encoder produced it.
+// TestKernelDecodeEquivalence: from the same stream, in either format, the
+// kernels — cached or compiled per struct value — and the generic oracle
+// reconstruct graphs Equal to the original.
 func TestKernelDecodeEquivalence(t *testing.T) {
-	on, off := kernelOptions(t)
-	for i, v := range wireZoo() {
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf, on)
-		if err := enc.Encode(v); err != nil {
-			t.Fatalf("zoo[%d]: encode: %v", i, err)
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		stream := buf.Bytes()
-
-		decFast, err := NewDecoderBytes(stream, on).Decode()
-		if err != nil {
-			t.Fatalf("zoo[%d]: kernel decode: %v", i, err)
-		}
-		decSlow, err := NewDecoderBytes(stream, off).Decode()
-		if err != nil {
-			t.Fatalf("zoo[%d]: generic decode: %v", i, err)
-		}
-		for name, got := range map[string]any{"kernel": decFast, "generic": decSlow} {
-			eq, err := graph.Equal(graph.AccessExported, v, got)
-			if err != nil || !eq {
-				t.Fatalf("zoo[%d]: %s decode not Equal to original (%v %v)", i, name, eq, err)
+	reg := testRegistry(t)
+	for _, eng := range []Engine{EngineV1, EngineV2} {
+		for i, v := range wireZoo() {
+			stream, _ := encodeRoots(t, Options{Engine: eng, Registry: reg}, []any{v}, false)
+			decoders := map[string]pathDecoder{
+				"cached":   NewDecoderBytes(stream, Options{Registry: reg}),
+				"portable": NewDecoderBytes(stream, Options{Registry: reg, DisablePlanCache: true}),
+				"generic":  newGenericDecoder(stream, Options{Registry: reg}),
+			}
+			for name, dec := range decoders {
+				got, err := dec.Decode()
+				if err != nil {
+					t.Fatalf("%s zoo[%d]: %s decode: %v", eng, i, name, err)
+				}
+				if eq, err := graph.Equal(graph.AccessExported, v, got); err != nil || !eq {
+					t.Fatalf("%s zoo[%d]: %s decode not Equal to original (%v %v)", eng, i, name, eq, err)
+				}
 			}
 		}
 	}
@@ -133,7 +125,7 @@ func TestEncodeAllocsSteadyState(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
 	}
-	on, _ := kernelOptions(t)
+	on := Options{Registry: testRegistry(t)}
 	tree := &wnode{Data: 1}
 	cur := tree
 	for i := 2; i <= 64; i++ {
@@ -169,7 +161,7 @@ func TestEncodeAllocsSteadyState(t *testing.T) {
 // from many goroutines sharing the compiled-kernel caches and codec pools
 // (exercised under -race by make test).
 func TestKernelCodecConcurrentStress(t *testing.T) {
-	on, _ := kernelOptions(t)
+	on := Options{Registry: testRegistry(t)}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -215,29 +207,18 @@ func TestKernelCodecConcurrentStress(t *testing.T) {
 // multi-key map inherited Go's randomized iteration order and this test
 // (and TestKernelEncodeByteIdentity) failed intermittently.
 func TestMapEncodingDeterministic(t *testing.T) {
-	on, off := kernelOptions(t)
+	opts := Options{Registry: testRegistry(t)}
 	value := map[string]any{
 		"alpha": 1, "bravo": 2, "charlie": 3, "delta": 4,
 		"echo": map[string]int{"x": 1, "y": 2, "z": 3},
 		"fox":  &wnode{Data: 9},
 		"golf": []int{3, 1, 4}, "hotel": true,
 	}
-	encodeOnce := func(opts Options) []byte {
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf, opts)
-		if err := enc.Encode(value); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := encodeOnce(on)
+	want, _ := encodeRoots(t, opts, []any{value}, false)
 	for i := 0; i < 20; i++ {
-		for name, opts := range map[string]Options{"kernel": on, "generic": off} {
-			if got := encodeOnce(opts); !bytes.Equal(got, want) {
-				t.Fatalf("iteration %d: %s stream differs from first kernel stream", i, name)
+		for _, p := range codecPaths {
+			if got, _ := p.encodeRoots(t, opts, []any{value}, false); !bytes.Equal(got, want) {
+				t.Fatalf("iteration %d: %s stream differs from first kernel stream", i, p.name)
 			}
 		}
 	}
@@ -246,9 +227,47 @@ func TestMapEncodingDeterministic(t *testing.T) {
 // kop is the shape of benchmark/'s Op: the element of a by-copy []struct.
 type kop struct{ Kind, A, B, Val, Side int }
 
-// BenchmarkKernels is the per-direction number of the compiled codec: pooled
-// encode and decode of a 256-node tree and of a 24-element []struct, each
-// one top-level value of a fresh stream.
+// balancedTree returns a balanced tree of the nodes lo … hi-1.
+func balancedTree(lo, hi int) *wnode {
+	if lo >= hi {
+		return nil
+	}
+	mid := (lo + hi) / 2
+	return &wnode{Data: mid, Left: balancedTree(lo, mid), Right: balancedTree(mid+1, hi)}
+}
+
+// codecRun returns what BenchmarkKernels and TestBaselinesPayPerObject time
+// and count under opts: a pooled encode of v as the one root of a fresh
+// stream, and a pooled decode of that stream.
+func codecRun(t testing.TB, opts Options, v any) (encode, decode func()) {
+	var buf bytes.Buffer
+	encode = func() {
+		buf.Reset()
+		enc := AcquireEncoder(&buf, opts)
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseEncoder(enc)
+	}
+	encode()
+	stream := bytes.Clone(buf.Bytes())
+	decode = func() {
+		dec := AcquireDecoderBytes(stream, opts)
+		if _, err := dec.Decode(); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseDecoder(dec)
+	}
+	return encode, decode
+}
+
+// BenchmarkKernels is the per-direction number of the codec: pooled encode
+// and decode of a 256-node tree and of a 24-element []struct, each one
+// top-level value of a fresh stream — under V2, and under the portable and
+// V1 baselines, which compile each struct value's kernel afresh.
 func BenchmarkKernels(b *testing.B) {
 	reg := NewRegistry()
 	for name, sample := range map[string]any{"wnode": wnode{}, "kop": kop{}} {
@@ -256,53 +275,63 @@ func BenchmarkKernels(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	opts := Options{Registry: reg}
-	var build func(lo, hi int) *wnode
-	build = func(lo, hi int) *wnode {
-		if lo >= hi {
-			return nil
-		}
-		mid := (lo + hi) / 2
-		return &wnode{Data: mid, Left: build(lo, mid), Right: build(mid+1, hi)}
-	}
 	ops := make([]kop, 24)
 	for i := range ops {
 		ops[i] = kop{Kind: i % 4, A: i, B: 255 - i, Val: i * 7, Side: i % 2}
 	}
-	for _, c := range []struct {
+	for _, cfg := range []struct {
 		name string
-		v    any
-	}{{"tree256", build(0, 256)}, {"ops24", ops}} {
-		var buf bytes.Buffer
-		encode := func(b *testing.B) {
-			buf.Reset()
-			enc := AcquireEncoder(&buf, opts)
-			if err := enc.Encode(c.v); err != nil {
-				b.Fatal(err)
+		opts Options
+	}{
+		{"", Options{Registry: reg}},
+		{"/portable", Options{Registry: reg, DisablePlanCache: true}},
+		{"/v1", Options{Engine: EngineV1, Registry: reg}},
+	} {
+		for _, c := range []struct {
+			name string
+			v    any
+		}{{"tree256", balancedTree(0, 256)}, {"ops24", ops}} {
+			encode, decode := codecRun(b, cfg.opts, c.v)
+			for _, run := range []struct {
+				dir string
+				f   func()
+			}{{"/encode", encode}, {"/decode", decode}} {
+				b.Run(c.name+cfg.name+run.dir, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						run.f()
+					}
+				})
 			}
-			if err := enc.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			ReleaseEncoder(enc)
 		}
-		encode(b)
-		stream := append([]byte(nil), buf.Bytes()...)
-		b.Run(c.name+"/encode", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				encode(b)
-			}
-		})
-		b.Run(c.name+"/decode", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				dec := AcquireDecoderBytes(stream, opts)
-				if _, err := dec.Decode(); err != nil {
-					b.Fatal(err)
-				}
-				ReleaseDecoder(dec)
-			}
-		})
+	}
+}
+
+// TestBaselinesPayPerObject: the portable and V1 configurations stay the
+// paper's slower baselines although they run the same kernels — each struct
+// value's kernel is compiled afresh — which Table 5's whole-millisecond cells
+// cannot show deterministically: encoding, and separately decoding, a
+// 256-node tree allocates at least one more object per node than under V2.
+func TestBaselinesPayPerObject(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.Register("wnode", wnode{}); err != nil {
+		t.Fatal(err)
+	}
+	const nodes = 256
+	tree := balancedTree(0, nodes)
+	allocs := func(opts Options) (enc, dec float64) {
+		encode, decode := codecRun(t, opts, tree)
+		return testing.AllocsPerRun(5, encode), testing.AllocsPerRun(5, decode)
+	}
+	enc2, dec2 := allocs(Options{Registry: reg})
+	for name, opts := range map[string]Options{
+		"portable": {Registry: reg, DisablePlanCache: true},
+		"v1":       {Engine: EngineV1, Registry: reg},
+	} {
+		if enc, dec := allocs(opts); enc < enc2+nodes || dec < dec2+nodes {
+			t.Errorf("%s: %.0f allocations to encode and %.0f to decode %d nodes; V2 %.0f and %.0f",
+				name, enc, dec, nodes, enc2, dec2)
+		}
 	}
 }
 
@@ -351,9 +380,9 @@ func kindMatrix(hid int64) *kmatrix {
 	}
 }
 
-// TestKindMatrixParity: for every field kind, the offset kernels write the
-// generic reflective encoder's bytes, and both decoders rebuild the value —
-// under AccessUnsafe the unexported field too.
+// TestKindMatrixParity: for every field kind, in either format, the offset
+// kernels write the generic oracle's bytes, and both decoders rebuild the
+// value — under AccessUnsafe the unexported field too.
 func TestKindMatrixParity(t *testing.T) {
 	reg := NewRegistry()
 	registerKindMatrix(t, reg)
@@ -361,21 +390,21 @@ func TestKindMatrixParity(t *testing.T) {
 		access graph.AccessMode
 		hid    int64
 	}{{graph.AccessExported, 0}, {graph.AccessUnsafe, 77}} {
-		v := kindMatrix(c.hid)
-		on := Options{Registry: reg, Access: c.access}
-		off := on
-		off.DisablePlanCache = true
-		fast, _ := encodeRoots(t, on, []any{v}, false)
-		if slow, _ := encodeRoots(t, off, []any{v}, false); !bytes.Equal(fast, slow) {
-			t.Fatalf("%s: kernel stream %x\ngeneric stream %x", c.access, fast, slow)
-		}
-		for name, opts := range map[string]Options{"kernel": on, "generic": off} {
-			got, err := NewDecoderBytes(fast, opts).Decode()
-			if err != nil {
-				t.Fatalf("%s %s decode: %v", c.access, name, err)
+		for _, eng := range []Engine{EngineV1, EngineV2} {
+			v := kindMatrix(c.hid)
+			opts := Options{Engine: eng, Registry: reg, Access: c.access}
+			fast, _ := encodeRoots(t, opts, []any{v}, false)
+			if slow, _ := genericPath.encodeRoots(t, opts, []any{v}, false); !bytes.Equal(fast, slow) {
+				t.Fatalf("%s %s: kernel stream %x\ngeneric stream %x", eng, c.access, fast, slow)
 			}
-			if eq, err := graph.Equal(graph.AccessUnsafe, v, got); err != nil || !eq {
-				t.Fatalf("%s %s decode is not the original (%v %v): %+v", c.access, name, eq, err, got)
+			for _, p := range codecPaths {
+				got, err := p.dec(fast, opts).Decode()
+				if err != nil {
+					t.Fatalf("%s %s %s decode: %v", eng, c.access, p.name, err)
+				}
+				if eq, err := graph.Equal(graph.AccessUnsafe, v, got); err != nil || !eq {
+					t.Fatalf("%s %s %s decode is not the original (%v %v): %+v", eng, c.access, p.name, eq, err, got)
+				}
 			}
 		}
 	}
@@ -400,7 +429,7 @@ func TestNarrowKindOverflowParity(t *testing.T) {
 		}
 		stream[5] = byte(c.narrow)
 		_, err := NewDecoderBytes(stream, Options{}).Decode()
-		_, errG := NewDecoderBytes(stream, Options{DisablePlanCache: true}).Decode()
+		_, errG := newGenericDecoder(stream, Options{}).Decode()
 		if !errors.Is(err, ErrBadStream) || errClass(err) != errClass(errG) {
 			t.Fatalf("%v into %s: kernel path %v, generic path %v", c.wide, c.narrow, err, errG)
 		}
@@ -413,48 +442,50 @@ func TestNarrowKindOverflowParity(t *testing.T) {
 func TestExcludedFieldRefusedFirst(t *testing.T) {
 	reg := NewRegistry()
 	registerKindMatrix(t, reg)
-	for _, opts := range []Options{{Registry: reg}, {Registry: reg, DisablePlanCache: true}} {
+	for _, p := range codecPaths {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf, opts)
+		enc := p.enc(&buf, Options{Registry: reg})
 		if err := enc.Encode(&kmatrix{}); err != nil {
 			t.Fatal(err)
 		}
 		before := enc.BytesWritten()
 		err := enc.Encode(&kmatrix{S: "x", hid: 1})
 		if !errors.Is(err, graph.ErrUnexportedField) {
-			t.Fatalf("plan cache off = %v: got %v, want ErrUnexportedField", opts.DisablePlanCache, err)
+			t.Fatalf("%s path: got %v, want ErrUnexportedField", p.name, err)
 		}
 		if n := enc.BytesWritten() - before; n != 3 { // tagPtr, dTableRef, 0
-			t.Fatalf("plan cache off = %v: %d bytes written before the refusal, want 3", opts.DisablePlanCache, n)
+			t.Fatalf("%s path: %d bytes written before the refusal, want 3", p.name, n)
 		}
 	}
 }
 
-// TestTruncatedContentLeavesOriginal: a contentPtr record cut anywhere fails
-// to decode and leaves the seeded original bit for bit as it was — the
-// record is decoded into a staging cell, never into the original.
+// TestTruncatedContentLeavesOriginal: in either format, a contentPtr record
+// cut anywhere fails to decode and leaves the seeded original bit for bit as
+// it was — the record is decoded into a staging cell, never into the
+// original.
 func TestTruncatedContentLeavesOriginal(t *testing.T) {
 	reg := NewRegistry()
 	registerKindMatrix(t, reg)
-	opts := Options{Registry: reg, Access: graph.AccessUnsafe}
 	mod := kindMatrix(9)
 	mod.I32, mod.S, mod.Arr[2] = 1, "changed", 2
-	record, _ := encodeRoots(t, opts, []any{mod}, true)
 	bits := func(m *kmatrix) string {
 		return string(unsafe.Slice((*byte)(unsafe.Pointer(m)), unsafe.Sizeof(*m)))
 	}
-	for _, cache := range []bool{false, true} {
-		opts.DisablePlanCache = cache
-		orig := kindMatrix(7)
-		want, wantLeaf := bits(orig), bits(orig.L)
-		for cut := 1; cut < len(record); cut++ {
-			dec := NewDecoderBytes(record[:cut], opts)
-			seed(dec, orig)
-			if _, err := dec.DecodeSeededContent(0); err == nil {
-				t.Fatalf("plan cache off = %v: record cut at %d of %d decoded", cache, cut, len(record))
-			}
-			if bits(orig) != want || bits(orig.L) != wantLeaf {
-				t.Fatalf("plan cache off = %v: record cut at %d changed the original", cache, cut)
+	for _, eng := range []Engine{EngineV1, EngineV2} {
+		opts := Options{Engine: eng, Registry: reg, Access: graph.AccessUnsafe}
+		record, _ := encodeRoots(t, opts, []any{mod}, true)
+		for _, p := range codecPaths {
+			orig := kindMatrix(7)
+			want, wantLeaf := bits(orig), bits(orig.L)
+			for cut := 1; cut < len(record); cut++ {
+				dec := p.dec(record[:cut], opts)
+				seed(dec, orig)
+				if _, err := dec.DecodeSeededContent(0); err == nil {
+					t.Fatalf("%s %s path: record cut at %d of %d decoded", eng, p.name, cut, len(record))
+				}
+				if bits(orig) != want || bits(orig.L) != wantLeaf {
+					t.Fatalf("%s %s path: record cut at %d changed the original", eng, p.name, cut)
+				}
 			}
 		}
 	}
@@ -475,10 +506,8 @@ func TestPointerShapedValues(t *testing.T) {
 	shared := &inner{X: 1}
 	vs := []any{onePtr{shared}, &wbag{Any: onePtr{shared}}, map[string]onePtr{"a": {shared}, "b": {}}, hidPtr{}}
 	on := Options{Registry: reg}
-	off := on
-	off.DisablePlanCache = true
 	fast, _ := encodeRoots(t, on, vs, false)
-	if slow, _ := encodeRoots(t, off, vs, false); !bytes.Equal(fast, slow) {
+	if slow, _ := genericPath.encodeRoots(t, on, vs, false); !bytes.Equal(fast, slow) {
 		t.Fatalf("kernel stream %x\ngeneric stream %x", fast, slow)
 	}
 	dec := NewDecoderBytes(fast, on)
@@ -491,9 +520,9 @@ func TestPointerShapedValues(t *testing.T) {
 			t.Fatalf("value %d decoded as %+v (%v %v)", i, got, eq, err)
 		}
 	}
-	for _, opts := range []Options{on, off} {
-		if err := NewEncoder(&bytes.Buffer{}, opts).Encode(hidPtr{shared}); !errors.Is(err, graph.ErrUnexportedField) {
-			t.Fatalf("plan cache off = %v: got %v, want ErrUnexportedField", opts.DisablePlanCache, err)
+	for _, p := range codecPaths {
+		if err := p.enc(&bytes.Buffer{}, on).Encode(hidPtr{shared}); !errors.Is(err, graph.ErrUnexportedField) {
+			t.Fatalf("%s path: got %v, want ErrUnexportedField", p.name, err)
 		}
 	}
 }
@@ -516,8 +545,6 @@ func TestPointerSlotInternParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	on := Options{Registry: reg, Access: graph.AccessUnsafe}
-	off := on
-	off.DisablePlanCache = true
 
 	leaf := &kmatrix{I8: 1}
 	leaf.L = kmLink(leaf) // a cycle through the named pointer type
@@ -532,7 +559,7 @@ func TestPointerSlotInternParity(t *testing.T) {
 		"named pointer":      {named},
 	} {
 		fast, fobjs := encodeRoots(t, on, vs, false)
-		slow, sobjs := encodeRoots(t, off, vs, false)
+		slow, sobjs := genericPath.encodeRoots(t, on, vs, false)
 		if !bytes.Equal(fast, slow) {
 			t.Fatalf("%s: kernel stream %x\ngeneric stream %x", name, fast, slow)
 		}
@@ -557,10 +584,10 @@ func TestPointerSlotInternParity(t *testing.T) {
 	}
 
 	n := &wnode{}
-	for _, opts := range []Options{on, off} {
-		err := NewEncoder(&bytes.Buffer{}, opts).Encode(&overlapPair{N: n, D: &n.Data})
+	for _, p := range codecPaths {
+		err := p.enc(&bytes.Buffer{}, on).Encode(&overlapPair{N: n, D: &n.Data})
 		if !errors.Is(err, graph.ErrObjectOverlap) {
-			t.Errorf("plan cache off = %v: got %v, want ErrObjectOverlap", opts.DisablePlanCache, err)
+			t.Errorf("%s path: got %v, want ErrObjectOverlap", p.name, err)
 		}
 	}
 }
@@ -589,14 +616,12 @@ func TestOneStepPointerParity(t *testing.T) {
 		}
 	}
 	on := Options{Registry: reg}
-	off := on
-	off.DisablePlanCache = true
 	// decode reads every root of stream on both paths and fails the test
 	// unless they agree on the error; it returns both paths' roots.
 	decode := func(what string, stream []byte) (roots [2][]any, err error) {
 		var errs [2]error
-		for i, opts := range []Options{on, off} {
-			dec := NewDecoderBytes(stream, opts)
+		for i, p := range codecPaths {
+			dec := p.dec(stream, on)
 			for dec.BytesRead() < int64(len(stream)) && errs[i] == nil {
 				var v any
 				v, errs[i] = dec.Decode()
@@ -626,18 +651,18 @@ func TestOneStepPointerParity(t *testing.T) {
 
 	// An excluded field is refused before any byte of its pointee, and never
 	// written by a decoder.
-	for _, opts := range []Options{on, off} {
-		enc := NewEncoder(&bytes.Buffer{}, opts)
+	for _, p := range codecPaths {
+		enc := p.enc(&bytes.Buffer{}, on)
 		if err := enc.Encode(&khidden{N: 1, P: &hidden{Public: 2}}); err != nil {
 			t.Fatal(err)
 		}
 		before := enc.BytesWritten()
 		err := enc.Encode(&khidden{N: 1, P: &hidden{Public: 2, secret: "x"}})
 		if !errors.Is(err, graph.ErrUnexportedField) {
-			t.Fatalf("plan cache off = %v: got %v, want ErrUnexportedField", opts.DisablePlanCache, err)
+			t.Fatalf("%s path: got %v, want ErrUnexportedField", p.name, err)
 		}
 		if n := enc.BytesWritten() - before; n != 5 { // tagPtr, dTableRef, 0; N; P's tagPtr
-			t.Fatalf("plan cache off = %v: %d bytes written before the refusal, want 5", opts.DisablePlanCache, n)
+			t.Fatalf("%s path: %d bytes written before the refusal, want 5", p.name, n)
 		}
 	}
 	hid, _ := encodeRoots(t, on, []any{&khidden{P: &hidden{Public: 3}}}, false)

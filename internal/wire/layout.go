@@ -34,7 +34,7 @@ type layout struct {
 var layoutCache sync.Map // kernelKey -> *layout
 
 // layoutFor returns t's layout under mode; the portable configuration
-// (cached false) recomputes it from raw reflection, as planFor always does.
+// (cached false) recomputes it from raw reflection, as it does kernels.
 func layoutFor(t reflect.Type, mode graph.AccessMode, cached bool) *layout {
 	key := kernelKey{t, mode}
 	if cached {
@@ -83,10 +83,15 @@ func (l *layout) walk(t reflect.Type, mode graph.AccessMode) {
 		l.walk(t.Key(), mode)
 		l.walk(t.Elem(), mode)
 	case reflect.Struct:
-		fields := planFor(t, mode).fields
+		var fields []reflect.Type
+		for i := 0; i < t.NumField(); i++ {
+			if sf := t.Field(i); !excluded(sf, mode) {
+				fields = append(fields, sf.Type)
+			}
+		}
 		l.put(uint64(len(fields)))
-		for _, f := range fields {
-			l.walk(t.Field(f.index).Type, mode)
+		for _, ft := range fields {
+			l.walk(ft, mode)
 		}
 	}
 }

@@ -2,12 +2,10 @@ package wire
 
 // Canonical map-entry order. Go randomizes map iteration, so an encoder
 // that serializes entries in iteration order emits a different byte stream
-// on every run — and the generic path and the compiled kernels, iterating
-// independently, emit streams that differ from *each other*. Both encode
-// paths (encodeMapEntries and compileEncMap) route through
-// acquireSortedKeys instead, so a given map always serializes in one
-// canonical order: streams are reproducible, and the kernels remain a pure
-// performance substitution (kernel_test.go asserts byte identity).
+// on every run, and no two encoders agree. kernel.encMap (and the test
+// oracle) route through acquireSortedKeys instead, so a given map always
+// serializes in one canonical order: streams are reproducible, and
+// comparable byte for byte (TestMapEncodingDeterministic).
 //
 // Keys order by their kind's natural order — bools false-first, integers
 // and floats numerically (NaN first, like cmp.Compare), strings and

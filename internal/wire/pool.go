@@ -83,7 +83,7 @@ func (d *Decoder) reuse(o Options) {
 	d.headerDone = false
 	d.engine = 0
 	d.access = 0
-	d.kernels = false
+	d.bare, d.cached = false, false
 	d.numSeeded = 0
 }
 

@@ -39,7 +39,7 @@ func valuesOf(objs ...any) []reflect.Value {
 
 // seed seeds objs into dec as the restore protocol seeds a call's originals:
 // each in a detached reference cell of its own.
-func seed(dec *Decoder, objs ...any) {
+func seed(dec pathDecoder, objs ...any) {
 	for _, o := range objs {
 		dec.SeedDetached([]reflect.Value{graph.StableRef(reflect.ValueOf(o))})
 	}

@@ -115,17 +115,19 @@ func slotCases(t *testing.T, reg *Registry) []slotCase {
 	}
 }
 
-func bothPathOptions(reg *Registry) map[string]Options {
-	return map[string]Options{"kernel": {Registry: reg}, "generic": {Registry: reg, DisablePlanCache: true}}
-}
-
 // encodeRoots encodes values as top-level values of one stream — or, seeded,
 // seeds them all and ships one content record each — and returns the bytes
 // and the encoder's object table.
 func encodeRoots(t *testing.T, opts Options, values []any, seeded bool) ([]byte, []reflect.Value) {
 	t.Helper()
+	return kernelPath.encodeRoots(t, opts, values, seeded)
+}
+
+// encodeRoots is encodeRoots on path p.
+func (p codecPath) encodeRoots(t *testing.T, opts Options, values []any, seeded bool) ([]byte, []reflect.Value) {
+	t.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf, opts)
+	enc := p.enc(&buf, opts)
 	for _, v := range values {
 		var err error
 		if seeded {
@@ -148,12 +150,12 @@ func encodeRoots(t *testing.T, opts Options, values []any, seeded bool) ([]byte,
 	return buf.Bytes(), enc.Objects()
 }
 
-// decodeRoots is the receiving end of encodeRoots. Seeded, the decoder's
-// originals are empty shells of the holders' types (and lengths), and the
-// result is the staged modified version of each.
-func decodeRoots(t *testing.T, opts Options, stream []byte, like []any, seeded bool) ([]any, []reflect.Value) {
+// decodeRoots is the receiving end of encodeRoots on path p. Seeded, the
+// decoder's originals are empty shells of the holders' types (and lengths),
+// and the result is the staged modified version of each.
+func (p codecPath) decodeRoots(t *testing.T, opts Options, stream []byte, like []any, seeded bool) ([]any, []reflect.Value) {
 	t.Helper()
-	dec := NewDecoderBytes(stream, opts)
+	dec := p.dec(stream, opts)
 	if seeded {
 		for _, h := range like {
 			shell, hv := reflect.Value{}, reflect.ValueOf(h)
@@ -201,14 +203,16 @@ func TestSlotRoundTrip(t *testing.T) {
 			for _, seeded := range []bool{false, true} {
 				name := fmt.Sprintf("%s of type %s, seeded=%t", kind, c.static, seeded)
 				var first []byte
-				for path, opts := range bothPathOptions(reg) {
-					stream, sent := encodeRoots(t, opts, holders, seeded)
+				opts := Options{Registry: reg}
+				for _, p := range codecPaths {
+					path := p.name
+					stream, sent := p.encodeRoots(t, opts, holders, seeded)
 					if first == nil {
 						first = stream
 					} else if !bytes.Equal(first, stream) {
 						t.Fatalf("%s: the two encoder paths disagree:\n% x\n% x", name, first, stream)
 					}
-					got, received := decodeRoots(t, opts, stream, holders, seeded)
+					got, received := p.decodeRoots(t, opts, stream, holders, seeded)
 					if !sameGraph(t, reg, graph.AccessExported, holders, got) {
 						t.Errorf("%s, %s path: decoded %#v, want %#v", name, path, got, holders)
 					}
@@ -294,12 +298,12 @@ func TestOtherEnginesUnmoved(t *testing.T) {
 
 // hostileReply decodes records as the reply to a call that seeded the three
 // nodes of a small tree (IDs 0, 1, 2) and a bag (ID 3), one content record
-// per given ID, under opts. It reports the error and how many objects the
+// per given ID, on path p. It reports the error and how many objects the
 // decoder's table holds afterwards.
-func hostileReply(t *testing.T, opts Options, stream []byte, ids ...int) (error, int) {
+func (p codecPath) hostileReply(t *testing.T, opts Options, stream []byte, ids ...int) (error, int) {
 	t.Helper()
 	root := &wnode{Data: 1, Left: &wnode{Data: 2}, Right: &wnode{Data: 3}}
-	dec := NewDecoderBytes(stream, opts)
+	dec := p.dec(stream, opts)
 	seed(dec, root, root.Left, root.Right, &wbag{})
 	dec.ExpectContents(len(ids))
 	for _, id := range ids {
@@ -348,23 +352,24 @@ func TestHostileBareSlots(t *testing.T) {
 	for cut := 0; cut < len(valid); cut++ {
 		cases = append(cases, hostile{fmt.Sprintf("truncation at %d of %d", cut, len(valid)), valid[:cut], []int{0, 1, 2}, io.ErrUnexpectedEOF})
 	}
+	opts := Options{Registry: reg}
 	for _, tc := range cases {
-		for path, opts := range bothPathOptions(reg) {
-			err, objects := hostileReply(t, opts, tc.stream, tc.ids...)
+		for _, p := range codecPaths {
+			err, objects := p.hostileReply(t, opts, tc.stream, tc.ids...)
 			if !errors.Is(err, tc.is) {
-				t.Errorf("%s, %s path: %v, want %v", tc.name, path, err, tc.is)
+				t.Errorf("%s, %s path: %v, want %v", tc.name, p.name, err, tc.is)
 			}
 			if objects != 4 {
-				t.Errorf("%s, %s path: the table holds %d objects after the failure, 4 were seeded", tc.name, path, objects)
+				t.Errorf("%s, %s path: the table holds %d objects after the failure, 4 were seeded", tc.name, p.name, objects)
 			}
 		}
 	}
-	for path, opts := range bothPathOptions(reg) {
-		if err, _ := hostileReply(t, opts, valid, 0, 1, 2); err != nil {
-			t.Errorf("the valid reply, %s path: %v", path, err)
+	for _, p := range codecPaths {
+		if err, _ := p.hostileReply(t, opts, valid, 0, 1, 2); err != nil {
+			t.Errorf("the valid reply, %s path: %v", p.name, err)
 		}
-		if err, objects := hostileReply(t, opts, bagRecord, 3); err != nil || objects != 5 {
-			t.Errorf("the bag's valid record, %s path: %v, %d objects", path, err, objects)
+		if err, objects := p.hostileReply(t, opts, bagRecord, 3); err != nil || objects != 5 {
+			t.Errorf("the bag's valid record, %s path: %v, %d objects", p.name, err, objects)
 		}
 	}
 }
@@ -378,14 +383,14 @@ func TestParentFormatStreamRefused(t *testing.T) {
 	for _, format := range []byte{2, 3} {
 		stream := bytes.Clone(parent)
 		stream[1] = format
-		for path, opts := range bothPathOptions(NewRegistry()) {
-			dec := NewDecoderBytes(stream, opts)
+		for _, p := range codecPaths {
+			dec := p.dec(stream, Options{Registry: NewRegistry()})
 			_, err := dec.Decode()
 			if !errors.Is(err, ErrBadStream) || err.Error() != fmt.Sprintf("wire: corrupted or incompatible stream: unknown engine %d", format) {
-				t.Errorf("format %d, %s path: %v, want the unknown-engine rejection", format, path, err)
+				t.Errorf("format %d, %s path: %v, want the unknown-engine rejection", format, p.name, err)
 			}
 			if dec.BytesRead() != 2 || len(dec.Objects()) != 0 {
-				t.Errorf("format %d, %s path: %d bytes read, %d objects: the payload was touched", format, path, dec.BytesRead(), len(dec.Objects()))
+				t.Errorf("format %d, %s path: %d bytes read, %d objects: the payload was touched", format, p.name, dec.BytesRead(), len(dec.Objects()))
 			}
 		}
 	}
@@ -393,6 +398,38 @@ func TestParentFormatStreamRefused(t *testing.T) {
 	now[1] = formatV2
 	if v, err := NewDecoderBytes(now, Options{}).Decode(); err != nil || v != 42 {
 		t.Errorf("the same root under today's format id: %v, %v", v, err)
+	}
+}
+
+// TestUnknownAccessRefused: a header whose access byte names no access mode
+// is refused before any payload byte is read, in either format — the reply
+// would otherwise carry it back, and a kernel set be compiled for it — and
+// an encoder configured with one writes nothing.
+func TestUnknownAccessRefused(t *testing.T) {
+	v1, _ := encodeRoots(t, Options{Engine: EngineV1}, []any{42}, false)
+	v2, _ := encodeRoots(t, Options{}, []any{42}, false)
+	for _, valid := range [][]byte{v1, v2} {
+		for _, access := range []byte{2, 7, 0xFF} {
+			stream := bytes.Clone(valid)
+			stream[2] = access
+			for _, p := range codecPaths {
+				dec := p.dec(stream, Options{})
+				_, err := dec.Decode()
+				if !errors.Is(err, ErrBadStream) || err.Error() != fmt.Sprintf("wire: corrupted or incompatible stream: unknown access mode %d", access) {
+					t.Errorf("format %d, access %d, %s path: %v, want the unknown-access rejection", stream[1], access, p.name, err)
+				}
+				if dec.BytesRead() != 3 || len(dec.Objects()) != 0 {
+					t.Errorf("format %d, access %d, %s path: %d bytes read, %d objects: the payload was touched",
+						stream[1], access, p.name, dec.BytesRead(), len(dec.Objects()))
+				}
+			}
+		}
+	}
+	for _, eng := range []Engine{EngineV1, EngineV2} {
+		enc := NewEncoder(nil, Options{Engine: eng, Access: 7})
+		if err := enc.Encode(42); !errors.Is(err, ErrUnknownAccess) || enc.BytesWritten() != 0 {
+			t.Errorf("%s encoder with access 7: %v after %d bytes, want ErrUnknownAccess and nothing written", eng, err, enc.BytesWritten())
+		}
 	}
 }
 
@@ -456,11 +493,10 @@ func TestLayoutMismatchRefused(t *testing.T) {
 			scriptA{{Kind: 300, N: 1}}, 0, true},
 	} {
 		send, recv := stateRegistry(t, tc.send), stateRegistry(t, tc.recv)
-		for path, opts := range bothPathOptions(recv) {
-			sopts := opts
-			sopts.Registry, sopts.Access = send, tc.access
-			stream, _ := encodeRoots(t, sopts, []any{tc.v}, false)
-			dec := NewDecoderBytes(stream, opts)
+		for _, p := range codecPaths {
+			path := p.name
+			stream, _ := p.encodeRoots(t, Options{Registry: send, Access: tc.access}, []any{tc.v}, false)
+			dec := p.dec(stream, Options{Registry: recv})
 			_, err := dec.Decode()
 			if tc.ok && err != nil || !tc.ok && !errors.Is(err, ErrLayout) {
 				t.Errorf("%s, %s path: %v (compatible: %t)", tc.name, path, err, tc.ok)
@@ -575,17 +611,18 @@ func TestFloatOverflowRefused(t *testing.T) {
 		{"NaN", math.NaN(), math.NaN(), 0, false},
 	} {
 		body := join(f64(tc.f), f64(tc.re), f64(tc.im))
-		for path, opts := range bothPathOptions(reg) {
+		for _, p := range codecPaths {
+			path, opts := p.name, Options{Registry: reg}
 			// As a stream value: the fields of a described floats struct.
 			desc := join([]byte{tagStruct, dTableDef, dNamed, 6}, []byte("floats"))
 			sum, err := fingerprint(reg, reflect.TypeFor[floats](), 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec := NewDecoderBytes(join(header, desc, binary.BigEndian.AppendUint64(nil, sum), body), opts)
+			dec := p.dec(join(header, desc, binary.BigEndian.AppendUint64(nil, sum), body), opts)
 			_, errStream := dec.Decode()
 			// As the content record of a seeded *floats.
-			dec = NewDecoderBytes(join(header, []byte{contentPtr}, body), opts)
+			dec = p.dec(join(header, []byte{contentPtr}, body), opts)
 			seed(dec, &floats{})
 			_, errRecord := dec.DecodeSeededContent(0)
 			for where, err := range map[string]error{"stream value": errStream, "content record": errRecord} {
@@ -597,9 +634,9 @@ func TestFloatOverflowRefused(t *testing.T) {
 	}
 	// The issue's stream, re-spelled: a described float32 holding 1e300.
 	stream := join(header, []byte{tagScalar, byte(reflect.Float32)}, f64(1e300))
-	for path, opts := range bothPathOptions(reg) {
-		if v, err := NewDecoderBytes(stream, opts).Decode(); !errors.Is(err, ErrBadStream) {
-			t.Errorf("%s path: float32 root 1e300 decoded to %v, %v", path, v, err)
+	for _, p := range codecPaths {
+		if v, err := p.dec(stream, Options{Registry: reg}).Decode(); !errors.Is(err, ErrBadStream) {
+			t.Errorf("%s path: float32 root 1e300 decoded to %v, %v", p.name, v, err)
 		}
 	}
 }

@@ -35,11 +35,11 @@ func v2Reader(buf []byte) *reader {
 // bothPaths returns a kernel-path and a generic-path decoder over a V2 stream
 // holding one described uint64 whose payload is buf, and the length of what
 // precedes the payload.
-func bothPaths(buf []byte) (map[string]*Decoder, int64) {
+func bothPaths(buf []byte) (map[string]pathDecoder, int64) {
 	stream := append([]byte{headerMagic, formatV2, 0, tagScalar, byte(reflect.Uint64)}, buf...)
-	decs := make(map[string]*Decoder)
-	for path, opts := range bothPathOptions(nil) {
-		decs[path] = NewDecoderBytes(stream, opts)
+	decs := make(map[string]pathDecoder)
+	for _, path := range codecPaths {
+		decs[path.name] = path.dec(stream, Options{})
 	}
 	return decs, int64(len(stream) - len(buf))
 }

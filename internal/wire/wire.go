@@ -16,14 +16,19 @@
 //
 //   - EngineV1 is deliberately naive: fixed-width integers, type names and
 //     struct field names written inline on every occurrence, no string
-//     interning, no cached struct plans. It stands in for the layered,
+//     interning, and every slot described. It stands in for the layered,
 //     verbose JDK 1.3 serialization the paper benchmarks against.
 //   - EngineV2 is the optimized engine: varint scalars, a per-stream type
-//     table, cached struct plans, and a descriptor only where
-//     the reader cannot know the type — at each top-level value and under
-//     interface slots; every statically typed slot travels bare, vouched for
-//     by the layout fingerprint of the described type above it (layout.go).
-//     It stands in for JDK 1.4's flattened, Unsafe-accelerated serialization.
+//     table, and a descriptor only where the reader cannot know the type —
+//     at each top-level value and under interface slots; every statically
+//     typed slot travels bare, vouched for by the layout fingerprint of the
+//     described type above it (layout.go). It stands in for JDK 1.4's
+//     flattened, Unsafe-accelerated serialization.
+//
+// Both formats are coded by one implementation, the per-type kernels of
+// kernel.go; the format is a mode of them. So is the paper's "portable"
+// baseline (Options.DisablePlanCache, and always V1): a kernel compiled
+// afresh from raw reflection for every struct value instead of once per type.
 //
 // EngineV3 is not a third format: it is V2's bytes, decoded into an Arena.
 //
@@ -85,6 +90,12 @@ func (e Engine) valid() bool {
 	return e == EngineV1 || e == EngineV2 || e == EngineV3
 }
 
+// knownAccess reports whether a names an access mode: the stream header
+// carries no other.
+func knownAccess(a graph.AccessMode) bool {
+	return a == graph.AccessExported || a == graph.AccessUnsafe
+}
+
 // Errors reported by the codec.
 var (
 	// ErrTypeNotRegistered is reported when a named type crosses the wire
@@ -105,10 +116,14 @@ var (
 	ErrLimit = errors.New("wire: stream exceeds size limits")
 
 	// ErrUnknownEngine is reported when Options.Engine names no implemented
-	// engine. It surfaces from Options.Validate and from the first encode on
-	// a misconfigured Encoder, instead of silently falling through to
-	// whatever behaviour an unknown engine value happened to produce.
+	// engine: from the first encode on a misconfigured Encoder, instead of
+	// silently falling through to whatever behaviour an unknown engine value
+	// happened to produce.
 	ErrUnknownEngine = errors.New("wire: unknown engine")
+
+	// ErrUnknownAccess is reported, the same way, when Options.Access names
+	// no access mode.
+	ErrUnknownAccess = errors.New("wire: unknown access mode")
 )
 
 // Options configures an Encoder or Decoder.
@@ -127,29 +142,14 @@ type Options struct {
 	// registry.
 	Registry *Registry
 
-	// DisablePlanCache forces struct field plans to be recomputed from raw
-	// reflection on every object, modeling the paper's "portable" NRMI
-	// implementation (plain reflection) against the "optimized" one
-	// (aggressively cached reflection metadata, Section 5.3.1). Engine V1
-	// never caches regardless of this flag. Disabling the plan cache also
-	// disables the compiled kernels (kernel.go), which are built on top of
-	// it: the codec takes the generic reflective paths and emits the same
-	// bytes, which makes this flag the differential oracle's selector too.
+	// DisablePlanCache models the paper's "portable" NRMI implementation
+	// (plain reflection) against the "optimized" one (aggressively cached
+	// reflection metadata, Section 5.3.1): the codec compiles each struct
+	// value's kernel afresh from raw reflection instead of taking the cached
+	// one, and recomputes layout fingerprints the same way. The bytes are
+	// those of the cached codec. Engine V1 never caches regardless of this
+	// flag.
 	DisablePlanCache bool
-}
-
-// Validate reports a typed error for option values that name no implemented
-// behaviour. The zero value is valid (it means "all defaults").
-func (o Options) Validate() error {
-	if o.Engine != 0 && !o.Engine.valid() {
-		return fmt.Errorf("%w: Engine(%d)", ErrUnknownEngine, byte(o.Engine))
-	}
-	return nil
-}
-
-// kernelsEnabled reports whether o selects the compiled-kernel fast paths.
-func (o Options) kernelsEnabled() bool {
-	return o.Engine == EngineV2 && !o.DisablePlanCache
 }
 
 // withDefaults returns a copy of o with zero fields replaced by defaults.

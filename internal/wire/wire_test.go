@@ -667,19 +667,10 @@ func TestQuickRoundTripGraphEqual(t *testing.T) {
 	}
 }
 
+// TestOptionsValidateEngine: an encoder refuses an engine that names no
+// format at first use, with the typed error.
 func TestOptionsValidateEngine(t *testing.T) {
 	reg := testRegistry(t)
-	for _, eng := range []Engine{EngineV1, EngineV2, EngineV3} {
-		if err := (Options{Engine: eng, Registry: reg}).Validate(); err != nil {
-			t.Errorf("engine %s: %v", eng, err)
-		}
-	}
-	err := (Options{Engine: Engine(9), Registry: reg}).Validate()
-	if !errors.Is(err, ErrUnknownEngine) {
-		t.Fatalf("want ErrUnknownEngine, got %v", err)
-	}
-	// The encoder enforces the same check at first use, so a bad engine
-	// fails loudly even when Validate was skipped.
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, Options{Engine: Engine(9), Registry: reg})
 	if err := enc.Encode(42); !errors.Is(err, ErrUnknownEngine) {
