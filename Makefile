@@ -89,7 +89,7 @@ tables:
 	$(GO) run ./cmd/nrmi-bench
 
 # Same, with the restore invariant re-verified in every cell, the static
-# invariants re-checked first, and every bytes/messages cell of Tables 1-5
+# invariants re-checked first, and every bytes/messages cell of Tables 1-7
 # held to results/tables.md.
 verify-tables:
 	$(GO) vet ./...
@@ -104,7 +104,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 8065
+TRACKED_LOC_MAX := 8028
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -118,7 +118,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 18800
+REPO_LOC_MAX := 18646
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

@@ -2,31 +2,23 @@ package main
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
 	"nrmi/internal/bench"
 )
 
-// checkedTables are the tables whose bytes and messages -check compares:
-// Tables 6 and 7 are left out, as their cells still move from run to run.
-var checkedTables = []string{"Table 1", "Table 2", "Table 3", "Table 4", "Table 5"}
-
 // detailSuffix ends the heading of a table's bytes/messages section.
 const detailSuffix = " (bytes on wire / messages per call)"
 
-// checkTables compares every bytes/messages cell of the checked tables of a
-// run, at the run's sizes, against the detail sections of recorded (markdown
-// as -md -details prints it), and returns one line per cell that differs or
-// that recorded lacks. Time cells are not compared.
+// checkTables compares every bytes/messages cell of a run, at the run's
+// sizes, against the detail sections of recorded (markdown as -md -details
+// prints it), and returns one line per cell that differs or that recorded
+// lacks. A "-" cell compares as its text; time cells are not compared.
 func checkTables(run []*bench.Table, recorded string) []string {
 	want := parseDetails(recorded)
 	var diffs []string
 	for _, t := range run {
-		if !slices.Contains(checkedTables, t.ID) {
-			continue
-		}
 		got := parseDetails(t.DetailMarkdown())[t.ID]
 		for _, r := range t.Rows {
 			for _, size := range t.Sizes {

@@ -30,9 +30,9 @@ const recordedSnippet = `### Table 2: Baseline 2 — RMI Execution, without Rest
 | III | 900B / 70 | - |
 `
 
-// TestCheckTables: -check reports exactly the bytes/messages cells of a
-// checked table that differ from the recorded file — an altered cell, and a
-// row the file lacks — and neither time cells nor Table 6.
+// TestCheckTables: -check reports exactly the bytes/messages cells that
+// differ from the recorded file — an altered cell, a row the file lacks, and
+// a Table 6 cell that blew its budget on one side only — and no time cell.
 func TestCheckTables(t *testing.T) {
 	cell := func(bytes int64, messages float64) bench.Cell {
 		return bench.Cell{OK: true, Millis: 99, Bytes: bytes, Messages: messages}
@@ -43,7 +43,7 @@ func TestCheckTables(t *testing.T) {
 			{Label: "I (jdk1.4)", Cells: []bench.Cell{cell(242, 2), cell(498, 2)}},
 		}},
 		{ID: "Table 6", Sizes: []int{16, 64}, Rows: []bench.TableRow{
-			{Label: "III", Cells: []bench.Cell{cell(955, 71), {}}},
+			{Label: "III", Cells: []bench.Cell{cell(900, 70), {}}},
 		}},
 	}
 	if diffs := checkTables(run, recordedSnippet); len(diffs) != 0 {
@@ -55,6 +55,18 @@ func TestCheckTables(t *testing.T) {
 	if diffs := checkTables(run, altered); !slices.Equal(diffs, want) {
 		t.Errorf("one altered cell: %q, want %q", diffs, want)
 	}
+
+	run[1].Rows[0].Cells[1] = cell(955, 71)
+	want = []string{"Table 6, III at 64: 955B / 71, recorded -"}
+	if diffs := checkTables(run, recordedSnippet); !slices.Equal(diffs, want) {
+		t.Errorf("a '-' cell measured: %q, want %q", diffs, want)
+	}
+	run[1].Rows[0].Cells[0] = bench.Cell{}
+	want = []string{"Table 6, III at 16: -, recorded 900B / 70", "Table 6, III at 64: 955B / 71, recorded -"}
+	if diffs := checkTables(run, recordedSnippet); !slices.Equal(diffs, want) {
+		t.Errorf("a measured cell blown: %q, want %q", diffs, want)
+	}
+	run[1].Rows[0].Cells = []bench.Cell{cell(900, 70), {}}
 
 	run[0].Rows = append(run[0].Rows, bench.TableRow{Label: "II (jdk1.4)", Cells: []bench.Cell{cell(241, 2), {}}})
 	want = []string{

@@ -10,7 +10,7 @@
 //	           [-md] [-details] [-loc] [-cbref-budget 20s] [-quiet]
 //	           [-check results/tables.md]
 //
-// -check FILE compares every bytes/messages cell of Tables 1–5 at the run's
+// -check FILE compares every bytes/messages cell of Tables 1–7 at the run's
 // sizes with FILE (as -md -details writes it), prints each cell that differs,
 // and exits non-zero if any does.
 package main
@@ -42,7 +42,7 @@ func main() {
 		phases      = flag.Bool("phases", false, "run the per-phase breakdown (scenario III) and exit")
 		obsSmoke    = flag.Bool("obs-smoke", false, "run the observability smoke gate (debug endpoints + nop-overhead check) and exit")
 		obsMax      = flag.Float64("obs-max-overhead", 2, "maximum disabled-path instrumentation overhead (percent of a scenario-III call) the obs smoke tolerates")
-		check       = flag.String("check", "", "recorded tables (markdown) the bytes/messages cells of Tables 1-5 must equal")
+		check       = flag.String("check", "", "recorded tables (markdown) the bytes/messages cells of Tables 1-7 must equal")
 	)
 	flag.Parse()
 

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"errors"
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -175,22 +175,23 @@ func TestShadowSnapshotsOriginalStructure(t *testing.T) {
 }
 
 func TestRefNodeLocalOps(t *testing.T) {
+	ctx := context.Background()
 	n := &RefNode{Data: 1}
 	c := &RefNode{Data: 2}
-	if err := n.SetLeft(c); err != nil {
+	if err := n.SetLeft(ctx, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := n.GetLeft()
+	got, err := n.GetLeft(ctx)
 	if err != nil || got.(*RefNode) != c {
 		t.Fatal("local handle ops broken")
 	}
-	if err := n.SetData(9); err != nil {
+	if err := n.SetData(ctx, 9); err != nil {
 		t.Fatal(err)
 	}
-	if d, _ := n.GetData(); d != 9 {
+	if d, _ := n.GetData(ctx); d != 9 {
 		t.Fatal("data op broken")
 	}
-	r, err := n.GetRight()
+	r, err := n.GetRight(ctx)
 	if err != nil || r != nil {
 		t.Fatal("empty right must be nil")
 	}
@@ -206,10 +207,10 @@ func TestApplyHandlesLocallyMatchesScript(t *testing.T) {
 		script.Apply(plain)
 
 		refRoot, _ := BuildRefTree(BuildTree(seed, size))
-		if err := ApplyHandles(refRoot, script); err != nil {
+		if err := ApplyHandles(context.Background(), refRoot, script); err != nil {
 			return false
 		}
-		snap, err := SnapshotHandles(refRoot)
+		snap, err := SnapshotHandles(context.Background(), refRoot)
 		if err != nil {
 			return false
 		}
@@ -320,6 +321,36 @@ func TestRunCBRefBudgetYieldsDash(t *testing.T) {
 	}
 }
 
+// TestVerifyIsNotCounted: a cell's verification runs after its clock has
+// stopped and its counters have been read, so verifying changes no bytes or
+// messages cell, not even Table 6's, whose verification reads the nodes the
+// server created over the network. The seeds are the ones the harness gives
+// size 16 under its default seed, where scenarios I and III leave such nodes
+// reachable.
+func TestVerifyIsNotCounted(t *testing.T) {
+	cbref := func(e *Env, spec RunSpec) (Cell, error) { return RunCBRef(e, spec, time.Minute) }
+	for _, r := range []struct {
+		name string
+		run  func(*Env, RunSpec) (Cell, error)
+	}{{"manual", RunManual}, {"nrmi", RunNRMI}, {"nop", RunNRMINop}, {"cbref", cbref}} {
+		for _, sc := range Scenarios {
+			var cells [2]Cell
+			for i, verify := range []bool{false, true} {
+				e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+				c, err := r.run(e, RunSpec{Scenario: sc, Size: 16, Iterations: 2, Seed: 16001 + 31*int64(sc), Verify: verify})
+				if err != nil || !c.OK {
+					t.Fatalf("%s %s verify=%v: %+v %v", r.name, sc, verify, c, err)
+				}
+				cells[i] = c
+			}
+			if cells[0].Bytes != cells[1].Bytes || cells[0].Messages != cells[1].Messages {
+				t.Errorf("%s %s: %dB / %g plain, %dB / %g verified", r.name, sc,
+					cells[0].Bytes, cells[0].Messages, cells[1].Bytes, cells[1].Messages)
+			}
+		}
+	}
+}
+
 func TestCBRefLeaksRefs(t *testing.T) {
 	// The paper: "the memory consumption of the benchmarks grew
 	// uncontrollably" under call-by-reference. Our observable: exported
@@ -382,18 +413,6 @@ func TestTreeStatsAndHelpers(t *testing.T) {
 	s := TreeStats(root)
 	if !strings.Contains(s, "10 nodes") {
 		t.Fatalf("TreeStats = %q", s)
-	}
-	if !containsStr("context deadline exceeded somewhere", "context deadline exceeded") {
-		t.Fatal("containsStr broken")
-	}
-	if containsStr("short", "longer-than-s") {
-		t.Fatal("containsStr false positive")
-	}
-	if isTimeoutText(nil) {
-		t.Fatal("nil error is not a timeout")
-	}
-	if !isTimeoutText(errors.New("remote: context deadline exceeded")) {
-		t.Fatal("remote deadline text must be recognized")
 	}
 }
 

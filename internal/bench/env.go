@@ -46,8 +46,6 @@ type Env struct {
 	// ClientSrv is the driver machine's own server (callbacks and
 	// remote-pointer exports).
 	ClientSrv *rmi.Server
-	// ClientEnv and ServerEnv are the two remote-pointer environments.
-	ClientEnv, ServerEnv *RefEnv
 	// Registry is the shared wire registry.
 	Registry *wire.Registry
 
@@ -72,23 +70,19 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	clientEnv := &RefEnv{}
 
 	serverOpts := rmi.Options{
-		Core: coreOpts,
-		Host: cfg.ServerHost,
-		Obs:  cfg.Obs,
-		WrapRef: func(ref *rmi.RemoteRef, _ *rmi.Client) (any, error) {
-			return serverEnv.Wrap(ref)
-		},
+		Core:    coreOpts,
+		Host:    cfg.ServerHost,
+		Obs:     cfg.Obs,
+		WrapRef: serverEnv.WrapRefHook,
 	}
 	clientOpts := rmi.Options{
-		Core: coreOpts,
-		Host: cfg.ClientHost,
-		Obs:  cfg.Obs,
-		WrapRef: func(ref *rmi.RemoteRef, _ *rmi.Client) (any, error) {
-			return clientEnv.Wrap(ref)
-		},
+		Core:    coreOpts,
+		Host:    cfg.ClientHost,
+		Obs:     cfg.Obs,
+		WrapRef: clientEnv.WrapRefHook,
 	}
 
-	e := &Env{Net: n, Registry: reg, ClientEnv: clientEnv, ServerEnv: serverEnv}
+	e := &Env{Net: n, Registry: reg}
 	fail := func(err error) (*Env, error) {
 		_ = n.Close()
 		return nil, err
@@ -103,7 +97,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		"copy":   &CopyService{},
 		"nrmi":   &NRMIService{},
 		"macro":  &MacroService{},
-		"refmut": &RefMutator{Env: serverEnv},
+		"refmut": &RefMutator{},
 	} {
 		if err := srv.Export(name, svc); err != nil {
 			return fail(err)

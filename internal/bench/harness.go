@@ -57,10 +57,12 @@ func (r RunSpec) iterations() int {
 	return r.Iterations
 }
 
-// measure averages the timed section over the spec's iterations. setup
-// runs untimed; call runs timed and returns an optional verification
-// function, also untimed.
-func measure(e *Env, spec RunSpec, run func(seed int64, verify bool) error) (Cell, error) {
+// measure averages the timed section over the spec's iterations. run
+// builds its world and makes its call timed, and returns an optional
+// verification function, which runs after the clock has stopped and the
+// network counters have been read: what it reads is neither timed nor
+// counted.
+func measure(e *Env, spec RunSpec, run func(seed int64) (verify func() error, err error)) (Cell, error) {
 	iters := spec.iterations()
 	var total time.Duration
 	var bytes int64
@@ -69,13 +71,19 @@ func measure(e *Env, spec RunSpec, run func(seed int64, verify bool) error) (Cel
 		seed := spec.Seed + int64(i)
 		e.ResetStats()
 		start := time.Now()
-		if err := run(seed, spec.Verify && i == 0); err != nil {
+		verify, err := run(seed)
+		if err != nil {
 			return Cell{Note: err.Error()}, err
 		}
 		total += time.Since(start)
 		st := e.Stats()
 		bytes += st.BytesSent
 		msgs += st.Messages
+		if spec.Verify && i == 0 && verify != nil {
+			if err := verify(); err != nil {
+				return Cell{Note: err.Error()}, err
+			}
+		}
 	}
 	return Cell{
 		Millis:   float64(total.Nanoseconds()) / 1e6 / float64(iters),
@@ -112,10 +120,10 @@ func RunLocal(spec RunSpec, cpuFactor float64) (Cell, error) {
 // back").
 func RunOneWay(e *Env, spec RunSpec) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "copy")
-	return measure(e, spec, func(seed int64, verify bool) error {
+	return measure(e, spec, func(seed int64) (func() error, error) {
 		w, script := NewWorld(spec.Scenario, seed, spec.Size)
 		_, err := stub.Call(context.Background(), "OneWay", w.Root, script)
-		return err
+		return nil, err
 	})
 }
 
@@ -123,38 +131,38 @@ func RunOneWay(e *Env, spec RunSpec) (Cell, error) {
 // restore strategy for the scenario.
 func RunManual(e *Env, spec RunSpec) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "copy")
-	return measure(e, spec, func(seed int64, verify bool) error {
+	return measure(e, spec, func(seed int64) (func() error, error) {
 		w, script := NewWorld(spec.Scenario, seed, spec.Size)
 		ctx := context.Background()
 		switch spec.Scenario {
 		case ScenarioI:
 			rets, err := stub.Call(ctx, "MutateReturnI", w.Root, script)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			r := rets[0].(ReturnI)
 			w.Root = r.Tree
 		case ScenarioII:
 			rets, err := stub.Call(ctx, "MutateReturnII", w.Root, script)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			r := rets[0].(ReturnII)
 			RestoreII(w, r.Tree)
 		case ScenarioIII:
 			rets, err := stub.Call(ctx, "MutateReturnIII", w.Root, script)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			r := rets[0].(ReturnIII)
 			RestoreIII(w, r.Tree, r.Shadow)
 		}
-		if verify {
+		return func() error {
 			if err := Verify(w, Expected(spec.Scenario, seed, spec.Size, script)); err != nil {
 				return fmt.Errorf("manual %s: %w", spec.Scenario, err)
 			}
-		}
-		return nil
+			return nil
+		}, nil
 	})
 }
 
@@ -162,18 +170,18 @@ func RunManual(e *Env, spec RunSpec) (Cell, error) {
 // where the client-side code is just the call itself.
 func RunNRMI(e *Env, spec RunSpec) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "nrmi")
-	return measure(e, spec, func(seed int64, verify bool) error {
+	return measure(e, spec, func(seed int64) (func() error, error) {
 		w, script := NewWorld(spec.Scenario, seed, spec.Size)
 		rw := ToRWorld(w)
 		if _, err := stub.Call(context.Background(), "Apply", rw.Root, script); err != nil {
-			return err
+			return nil, err
 		}
-		if verify {
+		return func() error {
 			if err := Verify(rw.ToWorld(), Expected(spec.Scenario, seed, spec.Size, script)); err != nil {
 				return fmt.Errorf("nrmi %s: %w", spec.Scenario, err)
 			}
-		}
-		return nil
+			return nil
+		}, nil
 	})
 }
 
@@ -183,19 +191,19 @@ func RunNRMI(e *Env, spec RunSpec) (Cell, error) {
 // the cost of passing it by-copy" (Section 5.2.4).
 func RunNRMINop(e *Env, spec RunSpec) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "nrmi")
-	return measure(e, spec, func(seed int64, verify bool) error {
+	return measure(e, spec, func(seed int64) (func() error, error) {
 		w, _ := NewWorld(spec.Scenario, seed, spec.Size)
 		rw := ToRWorld(w)
 		if _, err := stub.Call(context.Background(), "Nop", rw.Root); err != nil {
-			return err
+			return nil, err
 		}
-		if verify {
+		return func() error {
 			// A no-op call must leave the world exactly as built.
 			if err := Verify(rw.ToWorld(), mustWorld(spec.Scenario, seed, spec.Size)); err != nil {
 				return fmt.Errorf("nrmi nop %s: %w", spec.Scenario, err)
 			}
-		}
-		return nil
+			return nil
+		}, nil
 	})
 }
 
@@ -208,72 +216,43 @@ func mustWorld(sc Scenario, seed int64, size int) *World {
 // RunCBRef measures Table 6: call-by-reference through remote pointers.
 // budget bounds each call's wall-clock; exceeding it yields the paper's
 // "-" cell (their 1024-node runs exhausted the heap and never completed).
+// The server's mutator runs under its request's context, which carries the
+// budget, so a blown call's traversal stops with it.
 func RunCBRef(e *Env, spec RunSpec, budget time.Duration) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "refmut")
-	cell, err := measure(e, spec, func(seed int64, verify bool) error {
+	cell, err := measure(e, spec, func(seed int64) (func() error, error) {
 		w, script := NewWorld(spec.Scenario, seed, spec.Size)
 		root, ordered := BuildRefTree(w.Root)
-		var aliases []*RefNode
-		for _, idx := range w.AliasIdx {
-			aliases = append(aliases, ordered[idx])
-		}
 		ctx := context.Background()
 		if budget > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, budget)
 			defer cancel()
 		}
-		prevClient := e.ClientEnv.SetContext(ctx)
-		prevServer := e.ServerEnv.SetContext(ctx)
-		defer func() {
-			e.ClientEnv.SetContext(prevClient)
-			e.ServerEnv.SetContext(prevServer)
-		}()
 		if _, err := stub.Call(ctx, "Mutate", root, script); err != nil {
-			return err
+			return nil, err
 		}
-		if verify {
-			if err := verifyCBRef(w, root, aliases, spec, seed, script); err != nil {
-				return err
-			}
-		}
-		return nil
+		return func() error { return verifyCBRef(w, root, ordered, spec, seed, script) }, nil
 	})
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || isTimeoutText(err) {
-			return Cell{OK: false, Note: "budget exceeded"}, nil
-		}
-		return cell, err
+	if errors.Is(err, context.DeadlineExceeded) {
+		return Cell{OK: false, Note: "budget exceeded"}, nil
 	}
-	return cell, nil
+	return cell, err
 }
 
-// isTimeoutText catches deadline errors that crossed the wire as remote
-// error strings.
-func isTimeoutText(err error) bool {
-	return err != nil && (errors.Is(err, context.DeadlineExceeded) ||
-		containsStr(err.Error(), "context deadline exceeded"))
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-// verifyCBRef checks the remote-pointer result against local execution.
-func verifyCBRef(w *World, root *RefNode, aliases []*RefNode, spec RunSpec, seed int64, script Script) error {
+// verifyCBRef checks the remote-pointer result against local execution,
+// reading the nodes the server created through their stubs. ordered holds
+// the tree's nodes as BuildRefTree returns them.
+func verifyCBRef(w *World, root *RefNode, ordered []*RefNode, spec RunSpec, seed int64, script Script) error {
+	ctx := context.Background()
 	snap := newHandleSnapshotter()
-	gotRoot, err := snap.snapshot(root)
+	gotRoot, err := snap.snapshot(ctx, root)
 	if err != nil {
 		return err
 	}
 	got := &World{Root: gotRoot, AliasIdx: w.AliasIdx}
-	for _, a := range aliases {
-		ga, err := snap.snapshot(a)
+	for _, idx := range w.AliasIdx {
+		ga, err := snap.snapshot(ctx, ordered[idx])
 		if err != nil {
 			return err
 		}
@@ -295,7 +274,7 @@ func newHandleSnapshotter() *handleSnapshotter {
 	return &handleSnapshotter{memo: make(map[string]*Tree)}
 }
 
-func (s *handleSnapshotter) snapshot(h Handle) (*Tree, error) {
+func (s *handleSnapshotter) snapshot(ctx context.Context, h Handle) (*Tree, error) {
 	if h == nil {
 		return nil, nil
 	}
@@ -303,24 +282,24 @@ func (s *handleSnapshotter) snapshot(h Handle) (*Tree, error) {
 	if m, ok := s.memo[k]; ok {
 		return m, nil
 	}
-	d, err := h.GetData()
+	d, err := h.GetData(ctx)
 	if err != nil {
 		return nil, err
 	}
 	m := &Tree{Data: d}
 	s.memo[k] = m
-	l, err := h.GetLeft()
+	l, err := h.GetLeft(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if m.Left, err = s.snapshot(l); err != nil {
+	if m.Left, err = s.snapshot(ctx, l); err != nil {
 		return nil, err
 	}
-	r, err := h.GetRight()
+	r, err := h.GetRight(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if m.Right, err = s.snapshot(r); err != nil {
+	if m.Right, err = s.snapshot(ctx, r); err != nil {
 		return nil, err
 	}
 	return m, nil

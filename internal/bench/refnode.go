@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"nrmi/internal/rmi"
 )
@@ -17,19 +16,22 @@ import (
 // against a Remote interface.
 
 // Handle is the uniform node-access interface for the remote-pointer tree.
+// Every method takes the context its round trip runs under: a server-side
+// mutator passes on its own request's, which carries the caller's deadline
+// and ends when the call does.
 type Handle interface {
 	// GetData reads the node payload.
-	GetData() (int, error)
+	GetData(ctx context.Context) (int, error)
 	// SetData writes the node payload.
-	SetData(v int) error
+	SetData(ctx context.Context, v int) error
 	// GetLeft returns the left child handle (nil for none).
-	GetLeft() (Handle, error)
+	GetLeft(ctx context.Context) (Handle, error)
 	// SetLeft re-points the left child.
-	SetLeft(h Handle) error
+	SetLeft(ctx context.Context, h Handle) error
 	// GetRight returns the right child handle (nil for none).
-	GetRight() (Handle, error)
+	GetRight(ctx context.Context) (Handle, error)
 	// SetRight re-points the right child.
-	SetRight(h Handle) error
+	SetRight(ctx context.Context, h Handle) error
 }
 
 // RefNode is a tree node accessed by reference: the analog of a
@@ -46,57 +48,30 @@ type RefNode struct {
 func (*RefNode) NRMIRemote() {}
 
 // GetData implements Handle locally.
-func (n *RefNode) GetData() (int, error) { return n.Data, nil }
+func (n *RefNode) GetData(context.Context) (int, error) { return n.Data, nil }
 
 // SetData implements Handle locally.
-func (n *RefNode) SetData(v int) error { n.Data = v; return nil }
+func (n *RefNode) SetData(_ context.Context, v int) error { n.Data = v; return nil }
 
 // GetLeft implements Handle locally.
-func (n *RefNode) GetLeft() (Handle, error) { return n.Left, nil }
+func (n *RefNode) GetLeft(context.Context) (Handle, error) { return n.Left, nil }
 
 // SetLeft implements Handle locally.
-func (n *RefNode) SetLeft(h Handle) error { n.Left = h; return nil }
+func (n *RefNode) SetLeft(_ context.Context, h Handle) error { n.Left = h; return nil }
 
 // GetRight implements Handle locally.
-func (n *RefNode) GetRight() (Handle, error) { return n.Right, nil }
+func (n *RefNode) GetRight(context.Context) (Handle, error) { return n.Right, nil }
 
 // SetRight implements Handle locally.
-func (n *RefNode) SetRight(h Handle) error { n.Right = h; return nil }
+func (n *RefNode) SetRight(_ context.Context, h Handle) error { n.Right = h; return nil }
 
 // RefEnv is one process's view of the remote-pointer world: its client for
-// outbound calls, its own server for resolving references that come home,
-// and the context stub calls run under.
+// outbound calls and its own server for resolving references that come home.
 type RefEnv struct {
 	// Client issues the remote field accesses.
 	Client *rmi.Client
 	// Local is this process's server (may be nil for pure clients).
 	Local *rmi.Server
-
-	// ctx bounds every stub operation; the Table 6 harness swaps it to
-	// implement the round-trip budget behind the paper's "-" cells, while
-	// in-flight mutator goroutines may still be reading it — hence the
-	// lock.
-	mu  sync.Mutex
-	ctx context.Context
-}
-
-// Context returns the context stub operations run under.
-func (e *RefEnv) Context() context.Context {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ctx == nil {
-		return context.Background()
-	}
-	return e.ctx
-}
-
-// SetContext swaps the stub-operation context and returns the previous one.
-func (e *RefEnv) SetContext(ctx context.Context) context.Context {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	prev := e.ctx
-	e.ctx = ctx
-	return prev
 }
 
 // Wrap converts a wire reference into a Handle: local references resolve
@@ -136,13 +111,13 @@ type NodeStub struct {
 func (s *NodeStub) NRMIRef() *rmi.RemoteRef { return s.ref }
 
 // call invokes one accessor on the remote node.
-func (s *NodeStub) call(method string, args ...any) ([]any, error) {
-	return s.env.Client.RefStub(s.ref).Call(s.env.Context(), method, args...)
+func (s *NodeStub) call(ctx context.Context, method string, args ...any) ([]any, error) {
+	return s.env.Client.RefStub(s.ref).Call(ctx, method, args...)
 }
 
 // GetData implements Handle remotely.
-func (s *NodeStub) GetData() (int, error) {
-	rets, err := s.call("GetData")
+func (s *NodeStub) GetData(ctx context.Context) (int, error) {
+	rets, err := s.call(ctx, "GetData")
 	if err != nil {
 		return 0, err
 	}
@@ -150,19 +125,21 @@ func (s *NodeStub) GetData() (int, error) {
 }
 
 // SetData implements Handle remotely.
-func (s *NodeStub) SetData(v int) error {
-	_, err := s.call("SetData", v)
+func (s *NodeStub) SetData(ctx context.Context, v int) error {
+	_, err := s.call(ctx, "SetData", v)
 	return err
 }
 
 // GetLeft implements Handle remotely.
-func (s *NodeStub) GetLeft() (Handle, error) { return s.getChild("GetLeft") }
+func (s *NodeStub) GetLeft(ctx context.Context) (Handle, error) { return s.getChild(ctx, "GetLeft") }
 
 // GetRight implements Handle remotely.
-func (s *NodeStub) GetRight() (Handle, error) { return s.getChild("GetRight") }
+func (s *NodeStub) GetRight(ctx context.Context) (Handle, error) {
+	return s.getChild(ctx, "GetRight")
+}
 
-func (s *NodeStub) getChild(method string) (Handle, error) {
-	rets, err := s.call(method)
+func (s *NodeStub) getChild(ctx context.Context, method string) (Handle, error) {
+	rets, err := s.call(ctx, method)
 	if err != nil {
 		return nil, err
 	}
@@ -177,12 +154,16 @@ func (s *NodeStub) getChild(method string) (Handle, error) {
 }
 
 // SetLeft implements Handle remotely.
-func (s *NodeStub) SetLeft(h Handle) error { return s.setChild("SetLeft", h) }
+func (s *NodeStub) SetLeft(ctx context.Context, h Handle) error {
+	return s.setChild(ctx, "SetLeft", h)
+}
 
 // SetRight implements Handle remotely.
-func (s *NodeStub) SetRight(h Handle) error { return s.setChild("SetRight", h) }
+func (s *NodeStub) SetRight(ctx context.Context, h Handle) error {
+	return s.setChild(ctx, "SetRight", h)
+}
 
-func (s *NodeStub) setChild(method string, h Handle) error {
+func (s *NodeStub) setChild(ctx context.Context, method string, h Handle) error {
 	var arg any
 	switch x := h.(type) {
 	case nil:
@@ -194,7 +175,7 @@ func (s *NodeStub) setChild(method string, h Handle) error {
 	default:
 		return fmt.Errorf("bench: unknown handle type %T", h)
 	}
-	_, err := s.call(method, arg)
+	_, err := s.call(ctx, method, arg)
 	return err
 }
 
@@ -214,7 +195,7 @@ func handleKey(h Handle) string {
 // collectHandles gathers nodes in DFS preorder through handles; against a
 // remote root this is itself a storm of round trips, faithfully modeling
 // the paper's remote-pointer traversal costs.
-func collectHandles(root Handle) ([]Handle, error) {
+func collectHandles(ctx context.Context, root Handle) ([]Handle, error) {
 	var out []Handle
 	seen := make(map[string]bool)
 	var visit func(h Handle) error
@@ -228,14 +209,14 @@ func collectHandles(root Handle) ([]Handle, error) {
 		}
 		seen[k] = true
 		out = append(out, h)
-		l, err := h.GetLeft()
+		l, err := h.GetLeft(ctx)
 		if err != nil {
 			return err
 		}
 		if err := visit(l); err != nil {
 			return err
 		}
-		r, err := h.GetRight()
+		r, err := h.GetRight(ctx)
 		if err != nil {
 			return err
 		}
@@ -252,8 +233,8 @@ func collectHandles(root Handle) ([]Handle, error) {
 // are allocated in the executing process (the server), so structural
 // changes create exactly the cross-machine references — and potential
 // distributed cycles — the paper describes.
-func ApplyHandles(root Handle, script Script) error {
-	nodes, err := collectHandles(root)
+func ApplyHandles(ctx context.Context, root Handle, script Script) error {
+	nodes, err := collectHandles(ctx, root)
 	if err != nil {
 		return err
 	}
@@ -270,24 +251,24 @@ func ApplyHandles(root Handle, script Script) error {
 		a := nodes[op.A%len(nodes)]
 		switch op.Kind {
 		case OpSetData:
-			if err := a.SetData(op.Val); err != nil {
+			if err := a.SetData(ctx, op.Val); err != nil {
 				return err
 			}
 		case OpSetLeft:
-			if err := a.SetLeft(pick(op.B)); err != nil {
+			if err := a.SetLeft(ctx, pick(op.B)); err != nil {
 				return err
 			}
 		case OpSetRight:
-			if err := a.SetRight(pick(op.B)); err != nil {
+			if err := a.SetRight(ctx, pick(op.B)); err != nil {
 				return err
 			}
 		case OpNewNode:
 			n := &RefNode{Data: op.Val, Left: pick(op.B)}
 			var err error
 			if op.Side == 0 {
-				err = a.SetLeft(n)
+				err = a.SetLeft(ctx, n)
 			} else {
-				err = a.SetRight(n)
+				err = a.SetRight(ctx, n)
 			}
 			if err != nil {
 				return err
@@ -299,14 +280,13 @@ func ApplyHandles(root Handle, script Script) error {
 
 // RefMutator is the server-side service for Table 6: it receives a remote
 // pointer to the client's tree and mutates it through the network.
-type RefMutator struct {
-	// Env is the server process's reference environment.
-	Env *RefEnv
-}
+type RefMutator struct{}
 
-// Mutate applies the script to the remotely referenced tree.
-func (m *RefMutator) Mutate(root Handle, script Script) error {
-	return ApplyHandles(root, script)
+// Mutate applies the script to the remotely referenced tree. ctx is the
+// request's: every round trip stops when the caller's deadline passes or
+// the server closes.
+func (*RefMutator) Mutate(ctx context.Context, root Handle, script Script) error {
+	return ApplyHandles(ctx, root, script)
 }
 
 // BuildRefTree converts a plain tree into a local RefNode graph, returning
@@ -341,6 +321,6 @@ func BuildRefTree(t *Tree) (*RefNode, []*RefNode) {
 
 // SnapshotHandles reads the graph reachable from root (through the
 // network where needed) into a plain Tree for invariant checking.
-func SnapshotHandles(root Handle) (*Tree, error) {
-	return newHandleSnapshotter().snapshot(root)
+func SnapshotHandles(ctx context.Context, root Handle) (*Tree, error) {
+	return newHandleSnapshotter().snapshot(ctx, root)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -55,15 +56,6 @@ func (c HarnessConfig) withDefaults() HarnessConfig {
 	return c
 }
 
-// engines pairs the paper's JDK row labels with our codec engines.
-var engines = []struct {
-	label string
-	eng   wire.Engine
-}{
-	{"jdk1.3", wire.EngineV1},
-	{"jdk1.4", wire.EngineV2},
-}
-
 // RunAll regenerates every table of the paper's evaluation. Tables come
 // back in paper order; the final entry is the restore-vs-copy extension
 // (the paper's future work, Section 5.2.4).
@@ -72,33 +64,16 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	fast := netsim.Host{Name: "fast", CPUFactor: 1.0}
 	slow := netsim.Host{Name: "slow", CPUFactor: cfg.SlowFactor}
 
-	// Environments, keyed by what the tables need. The two-machine
-	// configuration puts the service on the slow machine, like the
-	// paper's SunBlade (client) / Ultra 10 (server) split.
-	type envKey struct {
-		name string
-		cfg  EnvConfig
+	// The two-machine configuration puts the service on the slow machine,
+	// like the paper's SunBlade (client) / Ultra 10 (server) split.
+	lan := func(eng wire.Engine) EnvConfig {
+		return EnvConfig{Profile: cfg.LAN, Engine: eng, ServerHost: slow, ClientHost: fast}
 	}
-	keys := []envKey{
-		{"lan-v1", EnvConfig{Profile: cfg.LAN, Engine: wire.EngineV1, ServerHost: slow, ClientHost: fast}},
-		{"lan-v2", EnvConfig{Profile: cfg.LAN, Engine: wire.EngineV2, ServerHost: slow, ClientHost: fast}},
-		{"lan-v2-portable", EnvConfig{Profile: cfg.LAN, Engine: wire.EngineV2, DisablePlanCache: true, ServerHost: slow, ClientHost: fast}},
-		{"loop-v1", EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV1, ServerHost: fast, ClientHost: fast}},
-		{"loop-v2", EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2, ServerHost: fast, ClientHost: fast}},
+	loop := func(eng wire.Engine) EnvConfig {
+		return EnvConfig{Profile: netsim.Loopback(), Engine: eng, ServerHost: fast, ClientHost: fast}
 	}
-	envs := make(map[string]*Env, len(keys))
-	defer func() {
-		for _, e := range envs {
-			_ = e.Close()
-		}
-	}()
-	for _, k := range keys {
-		e, err := NewEnv(k.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bench: building env %s: %w", k.name, err)
-		}
-		envs[k.name] = e
-	}
+	portable := lan(wire.EngineV2)
+	portable.DisablePlanCache = true
 
 	spec := func(sc Scenario, size int) RunSpec {
 		return RunSpec{
@@ -124,18 +99,27 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 		cfg.Log(fmt.Sprintf("%s: %s done", t.ID, label))
 		return nil
 	}
+	// netRow adds a row whose every cell runs in an environment of its own,
+	// built from ec and closed before the next cell starts: no call of one
+	// cell, such as a blown Table 6 call's server still unwinding, is ever
+	// counted in another.
+	netRow := func(t *Table, label string, ec EnvConfig, sc Scenario, run func(*Env, RunSpec) (Cell, error)) error {
+		return row(t, label, func(size int) (Cell, error) {
+			e, err := NewEnv(ec)
+			if err != nil {
+				return Cell{}, err
+			}
+			c, err := run(e, spec(sc, size))
+			return c, errors.Join(err, e.Close())
+		})
+	}
 
 	// Table 1: local execution, fast and slow host.
 	t1 := &Table{ID: "Table 1", Title: "Baseline 1 — Local Execution (processing overhead), fast / slow host", Sizes: cfg.Sizes}
 	for _, sc := range Scenarios {
-		sc := sc
-		for _, host := range []struct {
-			label  string
-			factor float64
-		}{{"fast", 1.0}, {"slow", cfg.SlowFactor}} {
-			host := host
-			if err := row(t1, fmt.Sprintf("%s (%s)", sc, host.label), func(size int) (Cell, error) {
-				return RunLocal(spec(sc, size), host.factor)
+		for _, host := range []netsim.Host{fast, slow} {
+			if err := row(t1, fmt.Sprintf("%s (%s)", sc, host.Name), func(size int) (Cell, error) {
+				return RunLocal(spec(sc, size), host.CPUFactor)
 			}); err != nil {
 				return nil, err
 			}
@@ -145,102 +129,56 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 		"modern hardware executes these mutations in microseconds; see BenchmarkTable1Local for ns/op resolution")
 	tables = append(tables, t1)
 
-	// Table 2: RMI call-by-copy, one-way traffic, no restore.
-	t2 := &Table{ID: "Table 2", Title: "Baseline 2 — RMI Execution, without Restore (one-way traffic)", Sizes: cfg.Sizes}
-	for _, en := range engines {
-		en := en
-		for _, sc := range Scenarios {
-			sc := sc
-			if err := row(t2, fmt.Sprintf("%s (%s)", sc, en.label), func(size int) (Cell, error) {
-				return RunOneWay(envs["lan-"+string(en.eng.String())], spec(sc, size))
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	tables = append(tables, t2)
-
-	// Table 3: RMI with manual restore, same machine (no network shaping).
-	t3 := &Table{ID: "Table 3", Title: "Baseline 3 — RMI Execution with Restore on local machine (no network overhead)", Sizes: cfg.Sizes}
-	for _, en := range engines {
-		en := en
-		for _, sc := range Scenarios {
-			sc := sc
-			if err := row(t3, fmt.Sprintf("%s (%s)", sc, en.label), func(size int) (Cell, error) {
-				return RunManual(envs["loop-"+en.eng.String()], spec(sc, size))
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	tables = append(tables, t3)
-
-	// Table 4: RMI with manual restore, two machines.
-	t4 := &Table{ID: "Table 4", Title: "RMI Execution with Restore (two-way traffic)", Sizes: cfg.Sizes}
-	for _, en := range engines {
-		en := en
-		for _, sc := range Scenarios {
-			sc := sc
-			if err := row(t4, fmt.Sprintf("%s (%s)", sc, en.label), func(size int) (Cell, error) {
-				return RunManual(envs["lan-"+en.eng.String()], spec(sc, size))
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	tables = append(tables, t4)
-
-	// Table 5: NRMI copy-restore; v1, then portable and optimized v2.
-	t5 := &Table{ID: "Table 5", Title: "NRMI (Call-by-copy-restore); jdk1.3, jdk1.4 portable / optimized", Sizes: cfg.Sizes}
-	t5rows := []struct {
+	// Tables 2–6: one row per scenario under each configuration the table
+	// compares, labeled by the paper's JDK stand-in.
+	type labeled struct {
 		label string
-		env   string
+		env   EnvConfig
+	}
+	lanJDK := []labeled{{"jdk1.3", lan(wire.EngineV1)}, {"jdk1.4", lan(wire.EngineV2)}}
+	cbref := func(e *Env, s RunSpec) (Cell, error) { return RunCBRef(e, s, cfg.CBRefBudget) }
+	for _, tt := range []struct {
+		t    *Table
+		envs []labeled
+		run  func(*Env, RunSpec) (Cell, error)
 	}{
-		{"jdk1.3", "lan-v1"},
-		{"jdk1.4 portable", "lan-v2-portable"},
-		{"jdk1.4 optimized", "lan-v2"},
-	}
-	for _, tr := range t5rows {
-		tr := tr
-		for _, sc := range Scenarios {
-			sc := sc
-			if err := row(t5, fmt.Sprintf("%s (%s)", sc, tr.label), func(size int) (Cell, error) {
-				return RunNRMI(envs[tr.env], spec(sc, size))
-			}); err != nil {
-				return nil, err
+		// RMI call-by-copy, one-way traffic, no restore.
+		{&Table{ID: "Table 2", Title: "Baseline 2 — RMI Execution, without Restore (one-way traffic)"},
+			lanJDK, RunOneWay},
+		// RMI with manual restore, same machine (no network shaping).
+		{&Table{ID: "Table 3", Title: "Baseline 3 — RMI Execution with Restore on local machine (no network overhead)"},
+			[]labeled{{"jdk1.3", loop(wire.EngineV1)}, {"jdk1.4", loop(wire.EngineV2)}}, RunManual},
+		// RMI with manual restore, two machines.
+		{&Table{ID: "Table 4", Title: "RMI Execution with Restore (two-way traffic)"},
+			lanJDK, RunManual},
+		// NRMI copy-restore; v1, then portable and optimized v2.
+		{&Table{ID: "Table 5", Title: "NRMI (Call-by-copy-restore); jdk1.3, jdk1.4 portable / optimized"},
+			[]labeled{{"jdk1.3", lan(wire.EngineV1)}, {"jdk1.4 portable", portable}, {"jdk1.4 optimized", lan(wire.EngineV2)}},
+			RunNRMI},
+		// Call-by-reference via remote pointers.
+		{&Table{ID: "Table 6", Title: "Call-by-Reference with Remote References (RMI)",
+			Notes: []string{fmt.Sprintf("'-' marks calls exceeding the %s budget (the paper's runs exhausted a 1GB heap)", cfg.CBRefBudget)}},
+			lanJDK, cbref},
+	} {
+		tt.t.Sizes = cfg.Sizes
+		for _, en := range tt.envs {
+			for _, sc := range Scenarios {
+				if err := netRow(tt.t, fmt.Sprintf("%s (%s)", sc, en.label), en.env, sc, tt.run); err != nil {
+					return nil, err
+				}
 			}
 		}
+		tables = append(tables, tt.t)
 	}
-	tables = append(tables, t5)
-
-	// Table 6: call-by-reference via remote pointers.
-	t6 := &Table{ID: "Table 6", Title: "Call-by-Reference with Remote References (RMI)", Sizes: cfg.Sizes,
-		Notes: []string{fmt.Sprintf("'-' marks calls exceeding the %s budget (the paper's runs exhausted a 1GB heap)", cfg.CBRefBudget)}}
-	for _, en := range engines {
-		en := en
-		for _, sc := range Scenarios {
-			sc := sc
-			if err := row(t6, fmt.Sprintf("%s (%s)", sc, en.label), func(size int) (Cell, error) {
-				return RunCBRef(envs["lan-"+en.eng.String()], spec(sc, size), cfg.CBRefBudget)
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	tables = append(tables, t6)
 
 	// Extension: a restorable call whose method changes nothing against the
 	// same tree passed by copy (both optimized v2, two machines).
 	t7 := &Table{ID: "Table 7 (extension)", Title: "NRMI no-op restore vs RMI by-copy (paper Section 5.2.4, optimization 2)", Sizes: cfg.Sizes,
 		Notes: []string{"a reply ships only what the method changed: a no-op restore costs about what by-copy does"}}
-	if err := row(t7, "nop (restore)", func(size int) (Cell, error) {
-		return RunNRMINop(envs["lan-v2"], spec(ScenarioI, size))
-	}); err != nil {
+	if err := netRow(t7, "nop (restore)", lan(wire.EngineV2), ScenarioI, RunNRMINop); err != nil {
 		return nil, err
 	}
-	if err := row(t7, "copy (one-way)", func(size int) (Cell, error) {
-		return RunOneWay(envs["lan-v2"], spec(ScenarioI, size))
-	}); err != nil {
+	if err := netRow(t7, "copy (one-way)", lan(wire.EngineV2), ScenarioI, RunOneWay); err != nil {
 		return nil, err
 	}
 	tables = append(tables, t7)

@@ -101,6 +101,43 @@ func TestRunAllSmoke(t *testing.T) {
 	}
 }
 
+// TestBlownCellsLeakNothing: a Table 6 call that blows its budget stops on
+// the server with it, and every cell runs on a network of its own, so Table
+// 7 reads the same bytes and messages whether every Table 6 cell blew or
+// none did. The simulated network and the slow host are shortened to keep
+// the two runs short.
+func TestBlownCellsLeakNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two harness runs")
+	}
+	table7 := func(budget time.Duration, blows bool) string {
+		t.Helper()
+		tables, err := RunAll(HarnessConfig{
+			Sizes:       []int{16, 64},
+			Iterations:  3,
+			Seed:        1,
+			LAN:         netsim.Profile{Latency: time.Microsecond},
+			SlowFactor:  1,
+			CBRefBudget: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range tables[5].Rows {
+			for i, c := range r.Cells {
+				if c.OK == blows {
+					t.Fatalf("budget %s: %s %s at %d: %+v", budget, tables[5].ID, r.Label, tables[5].Sizes[i], c)
+				}
+			}
+		}
+		return tables[6].DetailMarkdown()
+	}
+	blown, clean := table7(time.Millisecond, true), table7(time.Minute, false)
+	if blown != clean {
+		t.Errorf("Table 7 after blown Table 6 cells:\n%s\nafter none blew:\n%s", blown, clean)
+	}
+}
+
 // TestPaperVerdict pins the paper's verdict on the tables' deterministic
 // columns, bytes and messages per call, at the smallest size and at the
 // headline one: NRMI is one request and one reply carrying no more than

@@ -672,3 +672,50 @@ func TestUnsafeAccessThroughRestore(t *testing.T) {
 		t.Fatalf("unexported-field graph not restored: %d", second.Data)
 	}
 }
+
+// TestReplyTakesRequestModes: the reply is encoded in the access mode and
+// engine the request's header names, even when the request carries no
+// argument, so an AccessUnsafe client gets back a return value whose
+// unexported field a server configured for exported fields only would
+// refuse.
+func TestReplyTakesRequestModes(t *testing.T) {
+	type hidden struct {
+		Data   int
+		secret int
+	}
+	reg := wire.NewRegistry()
+	if err := reg.Register("hidden", hidden{}); err != nil {
+		t.Fatal(err)
+	}
+	var req bytes.Buffer
+	call := NewCall(&req, Options{Registry: reg, Access: graph.AccessUnsafe, Engine: wire.EngineV1})
+	defer call.Release()
+	if err := call.EncodeUint(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := call.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	srv := AcceptCallBytes(req.Bytes(), Options{Registry: reg})
+	defer srv.Release()
+	if n, err := srv.DecodeUint(); err != nil || n != 7 {
+		t.Fatalf("DecodeUint = %d, %v", n, err)
+	}
+	if err := srv.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	var resp bytes.Buffer
+	if _, err := srv.EncodeResponse(&resp, []any{hidden{Data: 1, secret: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if hdr := resp.Bytes()[:3]; hdr[1] != byte(wire.EngineV1) || hdr[2] != byte(graph.AccessUnsafe) {
+		t.Fatalf("reply header % x, want engine %d and access %d", hdr, wire.EngineV1, graph.AccessUnsafe)
+	}
+	got, err := call.ApplyResponseBytes(resp.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := got.Returns[0].(hidden); h != (hidden{Data: 1, secret: 2}) {
+		t.Fatalf("returned %+v", h)
+	}
+}

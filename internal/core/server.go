@@ -109,15 +109,6 @@ func (s *ServerCall) Prepare() error {
 	return nil
 }
 
-// effectiveAccess prefers the mode announced on the wire, falling back to
-// the configured one before any argument has been decoded.
-func (s *ServerCall) effectiveAccess() graph.AccessMode {
-	if len(s.dec.Objects()) > 0 || s.dec.NumSeeded() > 0 {
-		return s.dec.Access()
-	}
-	return s.opts.Access
-}
-
 // ResponseStats reports what a response encoding shipped, for metrics and
 // the experiment harness.
 type ResponseStats struct {
@@ -140,11 +131,12 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 		return nil, ErrNotPrepared
 	}
 	sendOpts := s.opts
-	sendOpts.Access = s.effectiveAccess()
 	if eng := s.dec.Engine(); eng != 0 {
-		// Reply in the engine the request arrived in, whatever this server's
-		// configured engine: the client decodes the reply in it.
+		// Reply in the engine and access mode the request's header names,
+		// whatever this server's configuration and whatever the arguments
+		// were: the client decodes the reply in them.
 		sendOpts.Engine = eng
+		sendOpts.Access = s.dec.Access()
 	}
 	// Pooled codec, released on the success path; dropped (not recycled)
 	// on error.

@@ -257,7 +257,7 @@ func TestRestoreSetEqualsWalk(t *testing.T) {
 						}
 					}
 					server := prefix(srv.end)
-					if walked := walkIDs(t, srv.effectiveAccess(), srv.dec.Objects(), srvRoots); !reflect.DeepEqual(server, walked) {
+					if walked := walkIDs(t, srv.Access(), srv.dec.Objects(), srvRoots); !reflect.DeepEqual(server, walked) {
 						t.Fatalf("server set %v, walk %v", server, walked)
 					}
 					if !reflect.DeepEqual(client, server) {

@@ -19,24 +19,6 @@ func PtrIdent(p uintptr) Ident { return Ident{p, KindPtr} }
 // (pointer, map, or slice).
 func IsIdentityKind(k reflect.Kind) bool { return isIdentityKind(k) }
 
-// Launder returns a value equivalent to v with the unexported-field
-// read-only flag cleared, enabling reads (and writes, when addressable)
-// through reflection. See the package comment for the Java Unsafe analogy.
-func Launder(v reflect.Value) reflect.Value { return launder(v) }
-
-// FieldForRead returns the i-th field of struct value sv prepared for
-// reading under mode. ok is false when the field is skipped (zero-valued
-// unexported field in AccessExported mode).
-func FieldForRead(sv reflect.Value, i int, mode AccessMode) (reflect.Value, bool, error) {
-	return fieldForRead(sv, i, mode)
-}
-
-// FieldForWrite returns the i-th field of the addressable struct value sv
-// prepared for writing under mode. ok is false when the field is skipped.
-func FieldForWrite(sv reflect.Value, i int, mode AccessMode) (reflect.Value, bool, error) {
-	return fieldForWrite(sv, i, mode)
-}
-
 // StableRef returns a copy of the reference value v that denotes the same
 // object but is detached from the memory location v was read from. A
 // reflect.Value obtained from a struct field aliases that field: if the

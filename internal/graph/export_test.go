@@ -61,7 +61,7 @@ func TestLaunderEnablesUnexportedAccess(t *testing.T) {
 	if raw.CanInterface() {
 		t.Fatal("test premise broken: field should be read-only")
 	}
-	clean := Launder(raw)
+	clean := launder(raw)
 	if !clean.CanInterface() {
 		t.Fatal("laundered value must be readable")
 	}
@@ -74,7 +74,7 @@ func TestLaunderEnablesUnexportedAccess(t *testing.T) {
 	}
 	// Already-clean values pass through.
 	pub := sv.Field(0)
-	if Launder(pub).Interface().(int) != 1 {
+	if launder(pub).Interface().(int) != 1 {
 		t.Fatal("clean value passthrough broken")
 	}
 }
@@ -83,19 +83,19 @@ func TestFieldForReadWriteContracts(t *testing.T) {
 	v := &withUnexported{Public: 1, secret: 2}
 	sv := reflect.ValueOf(v).Elem()
 
-	f, ok, err := FieldForRead(sv, 0, AccessExported)
+	f, ok, err := fieldForRead(sv, 0, AccessExported)
 	if err != nil || !ok || f.Interface().(int) != 1 {
 		t.Fatalf("exported read: %v %v", ok, err)
 	}
-	if _, _, err := FieldForRead(sv, 1, AccessExported); err == nil {
+	if _, _, err := fieldForRead(sv, 1, AccessExported); err == nil {
 		t.Fatal("non-zero unexported read in exported mode must fail")
 	}
-	f, ok, err = FieldForRead(sv, 1, AccessUnsafe)
+	f, ok, err = fieldForRead(sv, 1, AccessUnsafe)
 	if err != nil || !ok || f.Interface().(int) != 2 {
 		t.Fatalf("unsafe read: %v %v", ok, err)
 	}
 
-	w, ok, err := FieldForWrite(sv, 1, AccessUnsafe)
+	w, ok, err := fieldForWrite(sv, 1, AccessUnsafe)
 	if err != nil || !ok {
 		t.Fatalf("unsafe write access: %v %v", ok, err)
 	}
@@ -103,7 +103,7 @@ func TestFieldForReadWriteContracts(t *testing.T) {
 	if v.secret != 5 {
 		t.Fatal("unsafe write lost")
 	}
-	if _, ok, err := FieldForWrite(sv, 1, AccessExported); err != nil || ok {
+	if _, ok, err := fieldForWrite(sv, 1, AccessExported); err != nil || ok {
 		t.Fatalf("exported-mode unexported write must be skipped: %v %v", ok, err)
 	}
 }

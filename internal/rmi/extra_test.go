@@ -247,12 +247,12 @@ func TestReferenceKeysAreCanonical(t *testing.T) {
 	for _, id := range []uint64{0, 1, 12} {
 		e.server.refs[id] = &refEntry{val: reflect.ValueOf(c)}
 	}
-	if _, v, err := e.server.resolveTarget([]byte("#12")); err != nil || v.Interface() != any(c) {
-		t.Fatalf(`"#12": %v, %v; want the exported object`, v, err)
+	if x, err := e.server.resolveTarget([]byte("#12")); err != nil || x.v.Interface() != any(c) {
+		t.Fatalf(`"#12": %v, %v; want the exported object`, x.v, err)
 	}
 	for _, key := range []string{"#12abc", "#12 ", "# 12", "#0x10", "#", "#-1", "#+1", "#18446744073709551616"} {
-		if _, v, err := e.server.resolveTarget([]byte(key)); !errors.Is(err, ErrNoSuchObject) {
-			t.Errorf("%q resolved to %v (err %v), want ErrNoSuchObject", key, v, err)
+		if x, err := e.server.resolveTarget([]byte(key)); !errors.Is(err, ErrNoSuchObject) {
+			t.Errorf("%q resolved to %v (err %v), want ErrNoSuchObject", key, x.v, err)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 )
 
 // RacyCounter is deliberately NOT thread-safe: only ExportSerialized makes
@@ -54,7 +55,57 @@ func TestUnexportClearsSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.server.Unexport("counter")
-	if lock := e.server.serializedLock("counter"); lock != nil {
-		t.Fatal("unexport must drop the serialization lock")
+	if err := e.server.Export("counter", &RacyCounter{}); err != nil {
+		t.Fatal(err)
+	}
+	if x, err := e.server.resolveTarget([]byte("counter")); err != nil || x.serial != nil {
+		t.Fatalf("unexport must drop the serialization lock: %+v, %v", x, err)
+	}
+}
+
+// Gate's Enter announces itself on in and returns once release is closed.
+type Gate struct {
+	in      chan struct{}
+	release chan struct{}
+}
+
+// Enter blocks until the gate opens.
+func (g *Gate) Enter() {
+	g.in <- struct{}{}
+	<-g.release
+}
+
+// TestExportRebindDropsSerialization: a plain Export that rebinds a name
+// bound by ExportSerialized drops the old binding's mutex with it, so two
+// calls to the new object run at once.
+func TestExportRebindDropsSerialization(t *testing.T) {
+	e := newEnv(t)
+	if err := e.server.ExportSerialized("gate", &Gate{}); err != nil {
+		t.Fatal(err)
+	}
+	g := &Gate{in: make(chan struct{}, 2), release: make(chan struct{})}
+	if err := e.server.Export("gate", g); err != nil {
+		t.Fatal(err)
+	}
+	stub := e.client.Stub("server", "gate")
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := stub.Call(ctx, "Enter"); err != nil {
+				t.Errorf("Enter: %v", err)
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(g.release)
+	for i := range 2 {
+		select {
+		case <-g.in:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 2 calls entered: the other waits on the old binding's mutex", i)
+		}
 	}
 }

@@ -33,9 +33,7 @@ type Server struct {
 
 	mu      sync.Mutex
 	exports map[string]export
-	// serialized holds per-export mutexes for ExportSerialized objects.
-	serialized map[string]*sync.Mutex
-	refs       map[uint64]*refEntry
+	refs    map[uint64]*refEntry
 	// refIdent finds an object's anonymous export by the object itself:
 	// its address and its type, as distinct zero-size objects may share an
 	// address.
@@ -67,10 +65,12 @@ type Server struct {
 	tsrv        *transport.Server
 }
 
-// export is one named export: the object and the name it is bound under.
+// export is one named export: the object, the name it is bound under and,
+// for ExportSerialized, the mutex its calls run under.
 type export struct {
-	name string
-	v    reflect.Value
+	name   string
+	v      reflect.Value
+	serial *sync.Mutex
 }
 
 // refEntry is one anonymous export with its DGC state.
@@ -88,12 +88,11 @@ func NewServer(addr string, opts Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		opts:       opts,
-		addr:       addr,
-		exports:    make(map[string]export),
-		serialized: make(map[string]*sync.Mutex),
-		refs:       make(map[uint64]*refEntry),
-		refIdent:   make(map[any]uint64),
+		opts:     opts,
+		addr:     addr,
+		exports:  make(map[string]export),
+		refs:     make(map[uint64]*refEntry),
+		refIdent: make(map[any]uint64),
 	}
 	if opts.MaxConcurrentCalls > 0 {
 		s.callSem = make(chan struct{}, opts.MaxConcurrentCalls)
@@ -122,7 +121,20 @@ func (s *Server) EnableRegistry() *registry.Server {
 
 // Export publishes obj under name. Methods with exported names become
 // remotely callable. Exporting replaces any previous binding of the name.
-func (s *Server) Export(name string, obj any) error {
+func (s *Server) Export(name string, obj any) error { return s.bind(name, obj, nil) }
+
+// ExportSerialized publishes obj like Export, but additionally serializes
+// its invocations: at most one method of this export runs at a time.
+// Plain exports follow RMI's contract — the runtime makes no
+// synchronization guarantees and the object must be thread-safe itself;
+// ExportSerialized trades throughput for not having to be.
+func (s *Server) ExportSerialized(name string, obj any) error {
+	return s.bind(name, obj, new(sync.Mutex))
+}
+
+// bind publishes obj under name with the mutex its calls run under (nil
+// for none), replacing the previous binding of the name and its mutex.
+func (s *Server) bind(name string, obj any, serial *sync.Mutex) error {
 	if obj == nil {
 		return fmt.Errorf("rmi: Export(%q) with nil object", name)
 	}
@@ -138,22 +150,7 @@ func (s *Server) Export(name string, obj any) error {
 	if s.closed {
 		return ErrServerClosed
 	}
-	s.exports[name] = export{name, v}
-	return nil
-}
-
-// ExportSerialized publishes obj like Export, but additionally serializes
-// its invocations: at most one method of this export runs at a time.
-// Plain exports follow RMI's contract — the runtime makes no
-// synchronization guarantees and the object must be thread-safe itself;
-// ExportSerialized trades throughput for not having to be.
-func (s *Server) ExportSerialized(name string, obj any) error {
-	if err := s.Export(name, obj); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serialized[name] = &sync.Mutex{}
+	s.exports[name] = export{name, v, serial}
 	return nil
 }
 
@@ -162,7 +159,6 @@ func (s *Server) Unexport(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.exports, name)
-	delete(s.serialized, name)
 }
 
 // Ref exports obj anonymously (or bumps its reference count if already
@@ -551,35 +547,35 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 // resolveTarget maps a dispatch key ("name" or "#id") to the target object
 // and the key as a string: a named export's own, so resolving one copies
 // nothing out of the request.
-func (s *Server) resolveTarget(key []byte) (string, reflect.Value, error) {
+func (s *Server) resolveTarget(key []byte) (export, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.exports[string(key)]; ok {
-		return e.name, e.v, nil
+		return e, nil
 	}
 	k := string(key)
 	if len(k) > 0 && k[0] == '#' {
 		id, err := strconv.ParseUint(k[1:], 10, 64)
 		if err != nil {
-			return k, reflect.Value{}, fmt.Errorf("%w: bad reference key %q", ErrNoSuchObject, k)
+			return export{name: k}, fmt.Errorf("%w: bad reference key %q", ErrNoSuchObject, k)
 		}
 		e, ok := s.refs[id]
 		if !ok {
-			return k, reflect.Value{}, fmt.Errorf("%w: reference %s (collected?)", ErrNoSuchObject, k)
+			return export{name: k}, fmt.Errorf("%w: reference %s (collected?)", ErrNoSuchObject, k)
 		}
-		return k, e.val, nil
+		return export{name: k, v: e.val}, nil
 	}
-	return k, reflect.Value{}, fmt.Errorf("%w: %q", ErrNoSuchObject, k)
+	return export{name: k}, fmt.Errorf("%w: %q", ErrNoSuchObject, k)
 }
 
 // callHead is a request's target and method, resolved once; err says why
-// they do not resolve. For a named export's method, objKey and methodName
-// are strings the server holds.
+// they do not resolve. For a named export's method, the export's name and
+// methodName are strings the server holds.
 type callHead struct {
-	objKey, methodName string
-	target             reflect.Value
-	method             reflect.Method
-	err                error
+	export
+	methodName string
+	method     reflect.Method
+	err        error
 }
 
 // methodByName resolves an exported method on the target's type, caching
@@ -630,13 +626,13 @@ func (s *Server) handleCall(ctx context.Context, payload []byte) (out []byte, er
 		return nil, fmt.Errorf("rmi: reading method name: %w", err)
 	}
 	var h callHead
-	if h.objKey, h.target, h.err = s.resolveTarget(key); h.err == nil {
-		h.method, h.err = s.methodByName(h.target.Type(), name)
+	if h.export, h.err = s.resolveTarget(key); h.err == nil {
+		h.method, h.err = s.methodByName(h.v.Type(), name)
 	}
 	if h.methodName = h.method.Name; h.err != nil {
 		h.methodName = string(name)
 	}
-	oc := obs.Begin(s.opts.Obs, h.objKey, h.methodName)
+	oc := obs.Begin(s.opts.Obs, h.name, h.methodName)
 	sc.SetObs(oc)
 	out, err = s.dispatchCall(ctx, oc, sc, h)
 	oc.SetIO(int64(len(payload)), int64(len(out)))
@@ -672,12 +668,12 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 		}
 	}
 
-	if lock := s.serializedLock(h.objKey); lock != nil {
-		lock.Lock()
-		defer lock.Unlock()
+	if h.serial != nil {
+		h.serial.Lock()
+		defer h.serial.Unlock()
 	}
 	sp = oc.Start(obs.PhaseSrvExecute)
-	outs, err := s.executeMethod(ctx, oc != nil, h.objKey, h.methodName, dc)
+	outs, err := s.executeMethod(ctx, oc != nil, h.name, h.methodName, dc)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -705,7 +701,7 @@ func (s *Server) decodeArgs(sc *core.ServerCall, h callHead) (decodedCall, error
 	if h.err != nil {
 		return dc, h.err
 	}
-	target, method, methodName := h.target, h.method, h.methodName
+	target, method, methodName := h.v, h.method, h.methodName
 	nargs, err := sc.DecodeUint()
 	if err != nil {
 		return dc, fmt.Errorf("rmi: reading argument count: %w", err)
@@ -837,13 +833,6 @@ func (s *Server) encodeReply(sc *core.ServerCall, outs []reflect.Value) ([]byte,
 	return respBuf.Bytes(), stats.OldSent, nil
 }
 
-// serializedLock returns the per-export mutex, or nil for plain exports.
-func (s *Server) serializedLock(name string) *sync.Mutex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.serialized[name]
-}
-
 // numErrOuts counts the trailing error result (0 or 1).
 func numErrOuts(mt reflect.Type) int {
 	if n := mt.NumOut(); n > 0 && mt.Out(n-1) == errType {
@@ -884,11 +873,11 @@ func (s *Server) inboundRef(raw any) (any, error) {
 		return nil, fmt.Errorf("%w: by-reference argument is %T, not *RemoteRef", ErrBadArgument, raw)
 	}
 	if ref.Addr == s.addr {
-		_, target, err := s.resolveTarget([]byte(ref.objectKey()))
+		target, err := s.resolveTarget([]byte(ref.objectKey()))
 		if err != nil {
 			return nil, err
 		}
-		return target.Interface(), nil
+		return target.v.Interface(), nil
 	}
 	if s.opts.WrapRef != nil {
 		return s.opts.WrapRef(ref, s.boundClient)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"unsafe"
 
 	"nrmi/internal/graph"
 )
@@ -150,7 +151,7 @@ func (g genericEncoder) sliceElems(v reflect.Value, depth int) error {
 }
 
 func (g genericEncoder) structFields(v reflect.Value, depth int) error {
-	sv := graph.Launder(v)
+	sv := launder(v)
 	// V1 ships field names, V2 a silent positional layout.
 	p := planFor(sv.Type(), g.opts.Access)
 	if err := verifyZeroFields(sv, p); err != nil {
@@ -163,14 +164,7 @@ func (g genericEncoder) structFields(v reflect.Value, depth int) error {
 		if !g.bareSlots() {
 			g.w.writeString(pf.name)
 		}
-		f, ok, err := graph.FieldForRead(sv, pf.index, g.opts.Access)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if err := g.value(f, depth+1, g.bareSlots()); err != nil {
+		if err := g.value(launder(sv.Field(pf.index)), depth+1, g.bareSlots()); err != nil {
 			return err
 		}
 	}
@@ -232,6 +226,17 @@ func planFor(t reflect.Type, mode graph.AccessMode) *structPlan {
 		p.byName[f.Name] = i
 	}
 	return p
+}
+
+// launder clears the read-only flag reflection sets on an unexported field,
+// which the kernels' offset loads and stores never see. A plan lists an
+// unexported field under AccessUnsafe only, and the decoder fills
+// addressable values only.
+func launder(v reflect.Value) reflect.Value {
+	if v.CanInterface() {
+		return v
+	}
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 }
 
 // verifyZeroFields enforces the no-silent-loss rule for excluded fields.
@@ -439,14 +444,7 @@ func (g genericDecoder) structInto(sv reflect.Value, depth int) error {
 	p := planFor(st, g.access)
 	if g.engine != EngineV1 {
 		for _, pf := range p.fields {
-			dst, ok, err := graph.FieldForWrite(sv, pf.index, g.access)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := g.slot(dst, depth+1); err != nil {
+			if err := g.slot(launder(sv.Field(pf.index)), depth+1); err != nil {
 				return err
 			}
 		}
@@ -466,14 +464,7 @@ func (g genericDecoder) structInto(sv reflect.Value, depth int) error {
 		if !ok {
 			return fmt.Errorf("%w: type %s has no field %q", ErrBadStream, st, name)
 		}
-		dst, ok, err := graph.FieldForWrite(sv, idx, g.access)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%w: field %s.%s not writable in %s mode", ErrBadStream, st, name, g.access)
-		}
-		if err := g.slot(dst, depth+1); err != nil {
+		if err := g.slot(launder(sv.Field(idx)), depth+1); err != nil {
 			return err
 		}
 	}
