@@ -39,7 +39,7 @@ func testOptions(t *testing.T) Options {
 // runRemote simulates a full restorable call through in-memory buffers:
 // encode request, decode on "server", run mutate, encode response, apply on
 // "client". Returns the client-visible response and what the server shipped.
-func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *Tree) (*Response, *ResponseStats) {
+func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *Tree) (*Response, ResponseStats) {
 	t.Helper()
 	var req bytes.Buffer
 	call := NewCall(&req, opts)
@@ -65,12 +65,15 @@ func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *
 	} else {
 		rets = mutate(nil)
 	}
-	var respBuf bytes.Buffer
-	stats, err := srv.EncodeResponse(&respBuf, rets)
+	// As rmi encodes a reply: no writer, the message left to stats.Reply.
+	stats, err := srv.EncodeResponse(nil, rets)
 	if err != nil {
 		t.Fatalf("encode response: %v", err)
 	}
-	resp, err := call.ApplyResponseBytes(respBuf.Bytes())
+	if int64(len(stats.Reply)) != stats.BytesSent {
+		t.Fatalf("reply of %d bytes, %d sent", len(stats.Reply), stats.BytesSent)
+	}
+	resp, err := call.ApplyResponseBytes(stats.Reply)
 	if err != nil {
 		t.Fatalf("apply response: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
@@ -119,16 +120,19 @@ type ResponseStats struct {
 	OldSent int
 	// BytesSent is the size of the encoded response.
 	BytesSent int64
+	// Reply is a right-sized copy of the response, made for a nil writer.
+	Reply []byte
 }
 
 // EncodeResponse writes the restore section and return values to w,
 // implementing step 3 of the algorithm: ship back the current state of every
 // old object the method changed — reachable or not — with new objects
 // inlined on first reference. An unchanged object needs no record: the
-// caller's original already holds its state.
-func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, error) {
+// caller's original already holds its state. A nil w leaves the message to
+// the stats' Reply.
+func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (ResponseStats, error) {
 	if !s.prepared {
-		return nil, ErrNotPrepared
+		return ResponseStats{}, ErrNotPrepared
 	}
 	sendOpts := s.opts
 	if eng := s.dec.Engine(); eng != 0 {
@@ -149,41 +153,44 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (*ResponseStats, er
 	// preserving plain-RMI copy semantics for them.
 	n := s.end
 	if err := enc.SeedDecoded(s.dec.Objects()[:n]); err != nil {
-		return nil, err
+		return ResponseStats{}, err
 	}
 	if len(enc.Objects()) != n {
 		// Two decoded objects share an identity (zero-size pointees or
 		// empty slices, which no honest encoder lists twice).
-		return nil, fmt.Errorf("%w: %d distinct objects in a restore set of %d", ErrBadResponse, len(enc.Objects()), n)
+		return ResponseStats{}, fmt.Errorf("%w: %d distinct objects in a restore set of %d", ErrBadResponse, len(enc.Objects()), n)
 	}
 
 	ship := s.dec.Changed(n)
 	if err := enc.EncodeUint(uint64(len(ship))); err != nil {
-		return nil, err
+		return ResponseStats{}, err
 	}
 	for _, idx := range ship {
 		if err := enc.EncodeUint(uint64(idx)); err != nil {
-			return nil, err
+			return ResponseStats{}, err
 		}
 		if err := enc.EncodeSeededContent(idx); err != nil {
-			return nil, fmt.Errorf("core: encoding content for object %d: %w", idx, err)
+			return ResponseStats{}, fmt.Errorf("core: encoding content for object %d: %w", idx, err)
 		}
 	}
 	if err := enc.EncodeUint(uint64(len(rets))); err != nil {
-		return nil, err
+		return ResponseStats{}, err
 	}
 	for _, ret := range rets {
 		if err := enc.Encode(ret); err != nil {
-			return nil, fmt.Errorf("core: encoding return value: %w", err)
+			return ResponseStats{}, fmt.Errorf("core: encoding return value: %w", err)
 		}
 	}
 	if err := enc.Flush(); err != nil {
-		return nil, err
+		return ResponseStats{}, err
 	}
-	stats := &ResponseStats{
+	stats := ResponseStats{
 		OldTotal:  n,
 		OldSent:   len(ship),
 		BytesSent: enc.BytesWritten(),
+	}
+	if w == nil {
+		stats.Reply = bytes.Clone(enc.Bytes())
 	}
 	wire.ReleaseEncoder(enc)
 	return stats, nil

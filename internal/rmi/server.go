@@ -825,12 +825,8 @@ func (s *Server) encodeReply(sc *core.ServerCall, outs []reflect.Value) ([]byte,
 	if err != nil {
 		return nil, 0, err
 	}
-	var respBuf bytes.Buffer
-	stats, err := sc.EncodeResponse(&respBuf, rets)
-	if err != nil {
-		return nil, 0, err
-	}
-	return respBuf.Bytes(), stats.OldSent, nil
+	stats, err := sc.EncodeResponse(nil, rets)
+	return stats.Reply, stats.OldSent, err
 }
 
 // numErrOuts counts the trailing error result (0 or 1).

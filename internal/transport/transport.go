@@ -71,7 +71,7 @@ const (
 	flagOneWay   = 0x10
 	maxFrameSize = 64 << 20
 
-	// readBufSize lets a 256-node paper frame (4 035 B) arrive in one read.
+	// readBufSize lets a 256-node paper frame (about 1.5 KB) arrive in one read.
 	readBufSize = 4 << 10
 	// maxSpareBatch is the largest batch buffer a sender keeps for reuse.
 	maxSpareBatch = 64 << 10

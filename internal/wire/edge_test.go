@@ -116,6 +116,15 @@ type recSlice []recSlice
 // for an odd depth, its last node, refused before its Next is read.
 type dlist struct{ Next *dlist }
 
+// dpair's fields are a pointer and an int, which a cached V2 struct codes
+// without entering their kernels: at the end of a chain, a nil pointer and
+// an int one level below the last node. Behind a pointer root node j sits at
+// depth 2j+1; as a value root the first node sits at 0 and node j at 2j.
+type dpair struct {
+	Next *dpair
+	N    int
+}
+
 // TestDecodeDepthBound: nesting through slices and maps counts toward
 // maxDecodeDepth like nesting through pointers, a chain of pointers to
 // structs counts the slot and the node as the generic oracle does, and a type
@@ -123,10 +132,12 @@ type dlist struct{ Next *dlist }
 // refused with a typed error by the kernels and the generic oracle (unbounded,
 // 15 million levels fit one frame and overflow the stack, which no recover
 // catches); at the bound the stream decodes. The encoder accepts the same
-// depth and refuses one level past it, and what it accepts decodes.
+// depth and refuses one level past it, and what it accepts decodes. A
+// dpair's fields, a nil pointer and an int, are accepted at the bound and
+// refused one level past it in both directions.
 func TestDecodeDepthBound(t *testing.T) {
 	reg := edgeRegistry(t)
-	for name, sample := range map[string]any{"recSlice": recSlice{}, "dlist": dlist{}} {
+	for name, sample := range map[string]any{"recSlice": recSlice{}, "dlist": dlist{}, "dpair": dpair{}} {
 		if err := reg.Register(name, sample); err != nil {
 			t.Fatal(err)
 		}
@@ -165,6 +176,25 @@ func TestDecodeDepthBound(t *testing.T) {
 			}
 		}
 	}
+	// A dpair chain's stream is the encoder's root node with nodes more
+	// spliced in before its Next: each is a bare tagPtr, its Next, its N.
+	pairStream := func(root any, nodes int) []byte {
+		one, _ := encodeRoots(t, Options{Registry: reg}, []any{root}, false)
+		s := append(bytes.Clone(one[:len(one)-2]), bytes.Repeat([]byte{tagPtr}, nodes)...)
+		return append(append(s, tagNil), make([]byte, nodes+1)...)
+	}
+	for _, opts := range []Options{{Registry: reg}, {Registry: reg, DisablePlanCache: true}} {
+		for _, p := range codecPaths {
+			if err := decode(p, pairStream(&dpair{}, (maxDecodeDepth-2)/2), opts); err != nil {
+				t.Errorf("dpair fields at the bound (%s path, portable=%t): %v", p.name, opts.DisablePlanCache, err)
+			}
+			err := decode(p, pairStream(dpair{}, maxDecodeDepth/2), opts)
+			if !errors.Is(err, ErrBadStream) || !errors.Is(err, graph.ErrDepthExceeded) {
+				t.Errorf("dpair fields one past the bound (%s path, portable=%t): got %v, want ErrBadStream wrapping ErrDepthExceeded",
+					p.name, opts.DisablePlanCache, err)
+			}
+		}
+	}
 
 	nest := func(levels int) any {
 		v := recSlice{}
@@ -180,10 +210,29 @@ func TestDecodeDepthBound(t *testing.T) {
 		}
 		return head
 	}
+	pair := func(nodes int) *dpair {
+		head := &dpair{}
+		for i := 0; i < nodes; i++ {
+			head = &dpair{Next: head}
+		}
+		return head
+	}
 	for _, tc := range []struct {
 		name  string
 		value func(levels int) any
-	}{{"nested slices", nest}, {"pointer chain", chain}} {
+	}{
+		{"nested slices", nest},
+		{"pointer chain", chain},
+		// levels is the bound or one past it: the fields of the last node
+		// behind a pointer root sit at the bound, those of the last node of
+		// a value root one past it.
+		{"dpair fields", func(levels int) any {
+			if levels == maxEncodeDepth+1 {
+				return pair((maxEncodeDepth - 2) / 2)
+			}
+			return *pair(maxEncodeDepth / 2)
+		}},
+	} {
 		for _, opts := range []Options{
 			{Engine: EngineV2, Registry: reg},
 			{Engine: EngineV3, Registry: reg},

@@ -40,8 +40,8 @@ type kernel struct {
 	kind reflect.Kind // t's kind and size, read per scalar and element
 	size uintptr
 	// tag is the value tag t travels under (tagPtr … tagScalar), or 0 for
-	// kinds with none of their own (interfaces, unserializable kinds).
-	tag byte
+	// kinds with none (interfaces, unserializable kinds); op is its slot op.
+	tag, op byte
 	// min is a lower bound on the bytes of a slot of type t in any engine's
 	// stream, which reader.admit holds a count against: 1 for a pointer, map,
 	// slice or interface (nil) and for a scalar (a varint, a string reference),
@@ -86,6 +86,10 @@ type kernelZero struct {
 	t   reflect.Type
 	err error
 }
+
+// The slot ops, which only cached kernels have: a bare struct's field loop
+// codes a signed integer (one zigzag varint), or a pointer to a struct, itself.
+const opInt, opStructPtr = 1, 2
 
 type kernelKey struct {
 	t    reflect.Type
@@ -208,6 +212,11 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 		if k.kind != reflect.Interface {
 			k.err = fmt.Errorf("%w: %s", graph.ErrNotSerializable, t)
 		}
+	}
+	if cached && k.kind >= reflect.Int && k.kind <= reflect.Int64 {
+		k.op = opInt
+	} else if cached && k.tag == tagPtr && k.elem.tag == tagStruct {
+		k.op = opStructPtr
 	}
 	return k
 }
@@ -353,12 +362,39 @@ func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error
 	if !e.bare {
 		e.w.writeUint(uint64(len(k.fields)))
 	}
+	if len(k.fields) > 0 && depth+1 > maxEncodeDepth {
+		return graph.ErrDepthExceeded // each field's own check, hoisted
+	}
 	for i := range k.fields {
 		f := &k.fields[i]
+		q := unsafe.Add(p, f.off)
+		switch {
+		case f.k.op == opInt:
+			shift := 64 - 8*f.k.size
+			v := int64(loadBits(q, f.k.size)<<shift) >> shift
+			e.w.writeUint(uint64(v)<<1 ^ uint64(v>>63))
+			continue
+		case f.k.op == opStructPtr && *(*unsafe.Pointer)(q) == nil:
+			e.w.writeByte(tagNil)
+			continue
+		case f.k.op == opStructPtr:
+			// encAt's pointer step, entering the pointee's program directly.
+			id, seen, err := e.internPtr(f.k, q)
+			if err == nil && !seen {
+				e.w.writeByte(tagPtr)
+				err = f.k.elem.encAt(e, *(*unsafe.Pointer)(q), depth+2, true)
+			} else {
+				err = e.refOr(id, err)
+			}
+			if err != nil {
+				return err
+			}
+			continue
+		}
 		if !e.bare {
 			e.w.writeString(f.name)
 		}
-		if err := f.k.encAt(e, unsafe.Add(p, f.off), depth+1, e.bare); err != nil {
+		if err := f.k.encAt(e, q, depth+1, e.bare); err != nil {
 			return err
 		}
 	}
@@ -509,9 +545,48 @@ func (k *kernel) body(d *Decoder, p unsafe.Pointer, depth int) error {
 		if !d.bare {
 			return k.fieldsByName(d, p, depth)
 		}
+		if len(k.fields) > 0 && depth+1 > maxDecodeDepth {
+			return errDecodeDepth // each field's own check, hoisted
+		}
 		for i := range k.fields {
 			f := &k.fields[i]
-			if err := f.k.into(d, unsafe.Add(p, f.off), depth+1); err != nil {
+			q := unsafe.Add(p, f.off)
+			switch r := d.r; {
+			case f.k.op == opInt:
+				u, err := uint64(0), error(nil)
+				if r.dpos < len(r.data) && r.data[r.dpos] < 0x80 {
+					u = uint64(r.data[r.dpos])
+					r.dpos++
+				} else if u, err = r.readUintSlow(); err != nil {
+					return err
+				}
+				n := int64(u>>1) ^ -int64(u&1)
+				if shift := 64 - 8*f.k.size; n<<shift>>shift != n {
+					return fmt.Errorf("%w: %d overflows %s", ErrBadStream, n, f.k.t)
+				}
+				storeBits(q, f.k.size, uint64(n))
+				continue
+			case f.k.op != opStructPtr || r.dpos == len(r.data):
+			case r.data[r.dpos] == tagNil:
+				r.dpos++
+				*(*unsafe.Pointer)(q) = nil
+				continue
+			case r.data[r.dpos] == tagPtr:
+				// into's pointer step, in this frame; into takes the rest.
+				r.dpos++
+				v, err := d.newObject(f.k.elem)
+				if err == nil && depth+2 > maxDecodeDepth {
+					err = errDecodeDepth
+				} else if err == nil {
+					err = f.k.elem.body(d, v.UnsafePointer(), depth+2)
+				}
+				if err != nil {
+					return err
+				}
+				*(*unsafe.Pointer)(q) = v.UnsafePointer()
+				continue
+			}
+			if err := f.k.into(d, q, depth+1); err != nil {
 				return err
 			}
 		}

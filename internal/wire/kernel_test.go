@@ -227,6 +227,16 @@ func TestMapEncodingDeterministic(t *testing.T) {
 // kop is the shape of benchmark/'s Op: the element of a by-copy []struct.
 type kop struct{ Kind, A, B, Val, Side int }
 
+// kmix has no field a struct's field loop codes itself (kernel.op), so its
+// BenchmarkKernels row is the one the slot ops should leave as it was.
+type kmix struct {
+	U   uint32
+	S   string
+	F   float64
+	Ns  []int
+	Tab map[string]int
+}
+
 // balancedTree returns a balanced tree of the nodes lo … hi-1.
 func balancedTree(lo, hi int) *wnode {
 	if lo >= hi {
@@ -265,19 +275,22 @@ func codecRun(t testing.TB, opts Options, v any) (encode, decode func()) {
 }
 
 // BenchmarkKernels is the per-direction number of the codec: pooled encode
-// and decode of a 256-node tree and of a 24-element []struct, each one
-// top-level value of a fresh stream — under V2, and under the portable and
-// V1 baselines, which compile each struct value's kernel afresh.
+// and decode of a 256-node tree and of two 24-element []structs, of int
+// fields and of fields of no slot op, each one top-level value of a fresh
+// stream — under V2, and under the portable and V1 baselines, which compile
+// each struct value's kernel afresh.
 func BenchmarkKernels(b *testing.B) {
 	reg := NewRegistry()
-	for name, sample := range map[string]any{"wnode": wnode{}, "kop": kop{}} {
+	for name, sample := range map[string]any{"wnode": wnode{}, "kop": kop{}, "kmix": kmix{}} {
 		if err := reg.Register(name, sample); err != nil {
 			b.Fatal(err)
 		}
 	}
-	ops := make([]kop, 24)
+	ops, mix := make([]kop, 24), make([]kmix, 24)
 	for i := range ops {
 		ops[i] = kop{Kind: i % 4, A: i, B: 255 - i, Val: i * 7, Side: i % 2}
+		mix[i] = kmix{U: uint32(i), S: fmt.Sprint("s", i%4), F: float64(i) / 3,
+			Ns: []int{i, -i}, Tab: map[string]int{"a": i, "b": -i}}
 	}
 	for _, cfg := range []struct {
 		name string
@@ -290,7 +303,7 @@ func BenchmarkKernels(b *testing.B) {
 		for _, c := range []struct {
 			name string
 			v    any
-		}{{"tree256", balancedTree(0, 256)}, {"ops24", ops}} {
+		}{{"tree256", balancedTree(0, 256)}, {"ops24", ops}, {"mix24", mix}} {
 			encode, decode := codecRun(b, cfg.opts, c.v)
 			for _, run := range []struct {
 				dir string
@@ -432,6 +445,43 @@ func TestNarrowKindOverflowParity(t *testing.T) {
 		_, errG := newGenericDecoder(stream, Options{}).Decode()
 		if !errors.Is(err, ErrBadStream) || errClass(err) != errClass(errG) {
 			t.Fatalf("%v into %s: kernel path %v, generic path %v", c.wide, c.narrow, err, errG)
+		}
+	}
+}
+
+// narrowInts is a struct of narrow integer fields, each of which a cached V2
+// struct reads in its own field loop.
+type narrowInts struct {
+	I8  int8
+	I16 int16
+	I32 int32
+}
+
+// TestNarrowFieldOverflowParity: a narrow integer field whose bare varint
+// was widened past its kind is refused with the same error class by the
+// kernel decoder, cached and portable, and by the generic oracle.
+func TestNarrowFieldOverflowParity(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.Register("narrowInts", narrowInts{}); err != nil {
+		t.Fatal(err)
+	}
+	// The struct is a described root; its three zero fields are its last
+	// three bytes, one varint 0 each.
+	stream, _ := encodeRoots(t, Options{Registry: reg}, []any{narrowInts{}}, false)
+	at := len(stream) - 3
+	if !bytes.Equal(stream[at:], []byte{0, 0, 0}) {
+		t.Fatalf("unexpected stream %x", stream)
+	}
+	for i, wide := range []int64{-1 << 40, 1 << 40, 1 << 40} {
+		s := binary.AppendVarint(bytes.Clone(stream[:at+i]), wide)
+		s = append(s, stream[at+i+1:]...)
+		for _, opts := range []Options{{Registry: reg}, {Registry: reg, DisablePlanCache: true}} {
+			_, err := NewDecoderBytes(s, opts).Decode()
+			_, errG := newGenericDecoder(s, opts).Decode()
+			if !errors.Is(err, ErrBadStream) || errClass(err) != errClass(errG) {
+				t.Errorf("%d in field %d (portable=%t): kernel path %v, generic path %v",
+					wide, i, opts.DisablePlanCache, err, errG)
+			}
 		}
 	}
 }
