@@ -106,7 +106,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 8106
+TRACKED_LOC_MAX := 8076
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -120,7 +120,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 18724
+REPO_LOC_MAX := 18546
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \
@@ -148,9 +148,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=30s ./internal/wire/
 	$(GO) test -fuzz=FuzzIdentTable -fuzztime=30s ./internal/graph/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s -fuzzminimizetime=5s ./internal/transport/
-	$(GO) test -fuzz=FuzzHandleDGC -fuzztime=30s ./internal/rmi/
 	$(GO) test -fuzz=FuzzHandleCall -fuzztime=30s ./internal/rmi/
-	$(GO) test -fuzz=FuzzRegistryHandle -fuzztime=30s ./internal/registry/
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

@@ -1,6 +1,8 @@
 // Command nrmi-registry runs a standalone NRMI naming service, the analog
-// of Java's rmiregistry: servers bind (name → address, object) entries and
-// clients look services up by name.
+// of Java's rmiregistry: an NRMI server whose one export is the registry
+// (Server.EnableRegistry). Servers bind (name → address, object) entries
+// and clients look services up by name (Client.Registry,
+// Client.LookupStub).
 //
 // Usage:
 //
@@ -13,6 +15,8 @@ import (
 	"net"
 	"os"
 	"os/signal"
+
+	"nrmi"
 )
 
 func main() {
@@ -23,7 +27,11 @@ func main() {
 	if err != nil {
 		log.Fatalf("nrmi-registry: %v", err)
 	}
-	srv := newRegistry()
+	srv, err := nrmi.NewServer(ln.Addr().String(), nrmi.Options{})
+	if err != nil {
+		log.Fatalf("nrmi-registry: %v", err)
+	}
+	srv.EnableRegistry()
 	srv.Serve(ln)
 	log.Printf("nrmi-registry: serving on %s", ln.Addr())
 

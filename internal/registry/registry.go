@@ -1,18 +1,17 @@
 // Package registry implements NRMI's naming service, the analog of Java
-// RMI's rmiregistry: a small server mapping service names to (network
-// address, exported object) pairs, plus a client for bind/lookup/unbind
-// operations, all over the transport protocol's MsgRegistry frames.
+// RMI's rmiregistry: a table mapping service names to (network address,
+// exported object) pairs. Like java.rmi.registry.Registry it is an
+// ordinary remote object: an rmi server serves a Server as one of its
+// exports (rmi.Server.EnableRegistry), and a Client reaches it through a
+// stub's call function.
 package registry
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sort"
+	"strings"
 	"sync"
 
 	"nrmi/internal/transport"
@@ -34,202 +33,125 @@ var (
 	ErrAlreadyBound = errors.New("registry: name already bound")
 	// ErrNotBound is reported by Lookup and Unbind for unknown names.
 	ErrNotBound = errors.New("registry: name not bound")
-	// ErrBadRequest is reported for malformed registry frames.
-	ErrBadRequest = errors.New("registry: malformed request")
+	// ErrBadReply is reported by a Client for a reply that is not the one
+	// result of the type the operation returns.
+	ErrBadReply = errors.New("registry: malformed reply")
 )
 
-// Operation codes.
-const (
-	opBind byte = iota + 1
-	opRebind
-	opLookup
-	opUnbind
-	opList
-)
-
-// Server is the naming service.
+// Server is the naming service. Its zero value is an empty registry; its
+// methods are what a Client calls remotely.
 type Server struct {
 	mu      sync.RWMutex
 	entries map[string]Entry
-	tsrv    *transport.Server
 }
 
-// NewServer returns an empty naming service.
-func NewServer() *Server {
-	return &Server{entries: make(map[string]Entry)}
-}
+// Bind registers a new name; it fails with ErrAlreadyBound for duplicates.
+func (s *Server) Bind(e Entry) error { return s.put(e, false) }
 
-// Serve starts answering registry requests on ln. Call Close to stop.
-func (s *Server) Serve(ln net.Listener) {
-	s.tsrv = transport.Serve(ln, s.handle)
-}
+// Rebind registers a name, replacing any existing binding.
+func (s *Server) Rebind(e Entry) error { return s.put(e, true) }
 
-// Close stops the server if it is serving.
-func (s *Server) Close() error {
-	if s.tsrv == nil {
-		return nil
+func (s *Server) put(e Entry, replace bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, exists := s.entries[e.Name]; exists && !replace {
+		return fmt.Errorf("%w: %q", ErrAlreadyBound, e.Name)
 	}
-	return s.tsrv.Close()
-}
-
-// Handle processes one registry request payload; exported so composite
-// servers (an rmi.Server acting as its own registry) can embed the naming
-// service on their existing listener.
-func (s *Server) Handle(payload []byte) ([]byte, error) {
-	return s.handle(context.Background(), transport.MsgRegistry, payload)
-}
-
-func (s *Server) handle(_ context.Context, msgType byte, payload []byte) ([]byte, error) {
-	if msgType != transport.MsgRegistry {
-		return nil, fmt.Errorf("%w: unexpected message type %d", ErrBadRequest, msgType)
+	if s.entries == nil {
+		s.entries = make(map[string]Entry)
 	}
-	r := bytes.NewReader(payload)
-	op, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: empty payload", ErrBadRequest)
-	}
-	switch op {
-	case opBind, opRebind:
-		e, err := readEntry(r)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if _, exists := s.entries[e.Name]; exists && op == opBind {
-			return nil, fmt.Errorf("%w: %q", ErrAlreadyBound, e.Name)
-		}
-		s.entries[e.Name] = e
-		return nil, nil
-	case opLookup:
-		name, err := readStrings(r, 1)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.RLock()
-		e, ok := s.entries[name[0]]
-		s.mu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotBound, name[0])
-		}
-		var buf bytes.Buffer
-		writeEntry(&buf, e)
-		return buf.Bytes(), nil
-	case opUnbind:
-		name, err := readStrings(r, 1)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if _, ok := s.entries[name[0]]; !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNotBound, name[0])
-		}
-		delete(s.entries, name[0])
-		return nil, nil
-	case opList:
-		if _, err := readStrings(r, 0); err != nil {
-			return nil, err
-		}
-		s.mu.RLock()
-		names := make([]string, 0, len(s.entries))
-		for n := range s.entries {
-			names = append(names, n)
-		}
-		s.mu.RUnlock()
-		sort.Strings(names)
-		var buf bytes.Buffer
-		writeUvarint(&buf, uint64(len(names)))
-		for _, n := range names {
-			writeString(&buf, n)
-		}
-		return buf.Bytes(), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown op %d", ErrBadRequest, op)
-	}
+	s.entries[e.Name] = e
+	return nil
 }
 
-// Client talks to a naming service over an established transport conn.
-type Client struct {
-	conn *transport.Conn
-}
-
-// NewClient wraps an established transport connection.
-func NewClient(conn *transport.Conn) *Client { return &Client{conn: conn} }
-
-// Dial connects to a naming service over the given dialer.
-func Dial(dial func() (net.Conn, error)) (*Client, error) {
-	nc, err := dial()
-	if err != nil {
-		return nil, err
+// Lookup resolves a name to its binding.
+func (s *Server) Lookup(name string) (Entry, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.entries[name]
+	if !ok {
+		return Entry{}, fmt.Errorf("%w: %q", ErrNotBound, name)
 	}
-	return NewClient(transport.NewConn(nc)), nil
+	return e, nil
 }
 
-// Close releases the underlying connection.
-func (c *Client) Close() error { return c.conn.Close() }
+// Unbind removes a binding.
+func (s *Server) Unbind(name string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[name]; !ok {
+		return fmt.Errorf("%w: %q", ErrNotBound, name)
+	}
+	delete(s.entries, name)
+	return nil
+}
+
+// List returns all bound names, sorted.
+func (s *Server) List() []string {
+	s.mu.RLock()
+	names := make([]string, 0, len(s.entries))
+	for n := range s.entries {
+		names = append(names, n)
+	}
+	s.mu.RUnlock()
+	sort.Strings(names)
+	return names
+}
+
+// CallFunc invokes one method of a remote Server; rmi.Stub.Call has this
+// signature.
+type CallFunc func(ctx context.Context, method string, args ...any) ([]any, error)
+
+// Client calls a remote Server's methods through a CallFunc.
+type Client struct{ call CallFunc }
+
+// NewClient returns a client issuing its operations through call.
+func NewClient(call CallFunc) *Client { return &Client{call: call} }
 
 // Bind registers a new name; it fails with ErrAlreadyBound for duplicates.
 func (c *Client) Bind(ctx context.Context, e Entry) error {
-	return c.bindOp(ctx, opBind, e)
+	_, err := c.call(ctx, "Bind", e)
+	return mapRemoteError(err)
 }
 
 // Rebind registers a name, replacing any existing binding.
 func (c *Client) Rebind(ctx context.Context, e Entry) error {
-	return c.bindOp(ctx, opRebind, e)
-}
-
-func (c *Client) bindOp(ctx context.Context, op byte, e Entry) error {
-	var buf bytes.Buffer
-	buf.WriteByte(op)
-	writeEntry(&buf, e)
-	reply, err := c.conn.Call(ctx, transport.MsgRegistry, buf.Bytes())
-	transport.ReleasePayload(reply)
+	_, err := c.call(ctx, "Rebind", e)
 	return mapRemoteError(err)
 }
 
 // Lookup resolves a name to its binding.
 func (c *Client) Lookup(ctx context.Context, name string) (Entry, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(opLookup)
-	writeString(&buf, name)
-	reply, err := c.conn.Call(ctx, transport.MsgRegistry, buf.Bytes())
-	if err != nil {
-		return Entry{}, mapRemoteError(err)
-	}
-	// readEntry copies its strings out of reply.
-	defer transport.ReleasePayload(reply)
-	return readEntry(bytes.NewReader(reply))
+	rets, err := c.call(ctx, "Lookup", name)
+	return result[Entry]("Lookup", rets, err)
 }
 
 // Unbind removes a binding.
 func (c *Client) Unbind(ctx context.Context, name string) error {
-	var buf bytes.Buffer
-	buf.WriteByte(opUnbind)
-	writeString(&buf, name)
-	reply, err := c.conn.Call(ctx, transport.MsgRegistry, buf.Bytes())
-	transport.ReleasePayload(reply)
+	_, err := c.call(ctx, "Unbind", name)
 	return mapRemoteError(err)
 }
 
 // List returns all bound names, sorted.
 func (c *Client) List(ctx context.Context) ([]string, error) {
-	reply, err := c.conn.Call(ctx, transport.MsgRegistry, []byte{opList})
-	if err != nil {
-		return nil, mapRemoteError(err)
-	}
-	defer transport.ReleasePayload(reply)
-	return parseList(reply)
+	rets, err := c.call(ctx, "List")
+	return result[[]string]("List", rets, err)
 }
 
-// parseList reads a List reply: a count, then that many names, copied out.
-func parseList(reply []byte) ([]string, error) {
-	r := bytes.NewReader(reply)
-	n, err := binary.ReadUvarint(r)
+// result is a call's one result as a T.
+func result[T any](method string, rets []any, err error) (T, error) {
+	var v T
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return v, mapRemoteError(err)
 	}
-	return readStrings(r, n)
+	if len(rets) != 1 {
+		return v, fmt.Errorf("%w: %s returned %d results", ErrBadReply, method, len(rets))
+	}
+	v, ok := rets[0].(T)
+	if !ok {
+		return v, fmt.Errorf("%w: %s returned a %T", ErrBadReply, method, rets[0])
+	}
+	return v, nil
 }
 
 // mapRemoteError converts transport.RemoteError texts carrying registry
@@ -240,80 +162,10 @@ func mapRemoteError(err error) error {
 	if !errors.As(err, &re) {
 		return err
 	}
-	switch {
-	case containsSentinel(re.Msg, ErrAlreadyBound):
-		return fmt.Errorf("%w (%s)", ErrAlreadyBound, re.Msg)
-	case containsSentinel(re.Msg, ErrNotBound):
-		return fmt.Errorf("%w (%s)", ErrNotBound, re.Msg)
-	default:
-		return err
-	}
-}
-
-func containsSentinel(msg string, sentinel error) bool {
-	return bytes.Contains([]byte(msg), []byte(sentinel.Error()))
-}
-
-// Payload primitives: uvarint-prefixed strings.
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if n > uint64(r.Len()) {
-		return "", fmt.Errorf("%w: string length %d exceeds payload", ErrBadRequest, n)
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return string(p), nil
-}
-
-// readStrings reads the rest of a message as exactly n strings. Every string
-// costs at least its length byte, so a count the payload cannot hold is
-// refused before it sizes an allocation; so are bytes left over.
-func readStrings(r *bytes.Reader, n uint64) ([]string, error) {
-	if n > uint64(r.Len()) {
-		return nil, fmt.Errorf("%w: %d strings in %d bytes", ErrBadRequest, n, r.Len())
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := readString(r)
-		if err != nil {
-			return nil, err
+	for _, sentinel := range []error{ErrAlreadyBound, ErrNotBound} {
+		if strings.Contains(re.Msg, sentinel.Error()) {
+			return fmt.Errorf("%w (%s)", sentinel, re.Msg)
 		}
-		out = append(out, s)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadRequest, r.Len())
-	}
-	return out, nil
-}
-
-func writeEntry(buf *bytes.Buffer, e Entry) {
-	writeString(buf, e.Name)
-	writeString(buf, e.Addr)
-	writeString(buf, e.Object)
-}
-
-// readEntry reads a message that is one entry.
-func readEntry(r *bytes.Reader) (Entry, error) {
-	f, err := readStrings(r, 3)
-	if err != nil {
-		return Entry{}, err
-	}
-	return Entry{Name: f[0], Addr: f[1], Object: f[2]}, nil
+	return err
 }

@@ -1,41 +1,48 @@
-package registry
+package registry_test
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"net"
 	"reflect"
 	"testing"
 
+	"nrmi/internal/core"
 	"nrmi/internal/netsim"
-	"nrmi/internal/transport"
+	"nrmi/internal/registry"
+	"nrmi/internal/rmi"
+	"nrmi/internal/wire"
 )
 
-func startRegistry(t *testing.T) *Client {
+// startRegistry serves a naming service from an rmi server, the way a
+// registry is served, and returns a client of it over a netsim link.
+func startRegistry(t *testing.T) *registry.Client {
 	t.Helper()
+	opts := rmi.Options{Core: core.Options{Registry: wire.NewRegistry()}}
 	n := netsim.NewNetwork(netsim.Loopback())
 	t.Cleanup(func() { n.Close() })
 	ln, err := n.Listen("registry")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer()
-	srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	nc, err := n.Dial("registry")
+	srv, err := rmi.NewServer("registry", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(transport.NewConn(nc))
-	t.Cleanup(func() { c.Close() })
-	return c
+	srv.EnableRegistry()
+	srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	cl, err := rmi.NewClient(n.Dial, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl.Registry("registry")
 }
 
 func TestBindLookup(t *testing.T) {
 	c := startRegistry(t)
 	ctx := context.Background()
-	e := Entry{Name: "translator", Addr: "host-b", Object: "Translator"}
+	e := registry.Entry{Name: "translator", Addr: "host-b", Object: "Translator"}
 	if err := c.Bind(ctx, e); err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +58,12 @@ func TestBindLookup(t *testing.T) {
 func TestBindDuplicateFails(t *testing.T) {
 	c := startRegistry(t)
 	ctx := context.Background()
-	e := Entry{Name: "svc", Addr: "a", Object: "O"}
+	e := registry.Entry{Name: "svc", Addr: "a", Object: "O"}
 	if err := c.Bind(ctx, e); err != nil {
 		t.Fatal(err)
 	}
-	err := c.Bind(ctx, Entry{Name: "svc", Addr: "b", Object: "P"})
-	if !errors.Is(err, ErrAlreadyBound) {
+	err := c.Bind(ctx, registry.Entry{Name: "svc", Addr: "b", Object: "P"})
+	if !errors.Is(err, registry.ErrAlreadyBound) {
 		t.Fatalf("want ErrAlreadyBound across the wire, got %v", err)
 	}
 	// The original binding must be intact.
@@ -69,10 +76,10 @@ func TestBindDuplicateFails(t *testing.T) {
 func TestRebindReplaces(t *testing.T) {
 	c := startRegistry(t)
 	ctx := context.Background()
-	if err := c.Bind(ctx, Entry{Name: "svc", Addr: "a", Object: "O"}); err != nil {
+	if err := c.Bind(ctx, registry.Entry{Name: "svc", Addr: "a", Object: "O"}); err != nil {
 		t.Fatal(err)
 	}
-	e2 := Entry{Name: "svc", Addr: "b", Object: "P"}
+	e2 := registry.Entry{Name: "svc", Addr: "b", Object: "P"}
 	if err := c.Rebind(ctx, e2); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +92,7 @@ func TestRebindReplaces(t *testing.T) {
 func TestLookupMissing(t *testing.T) {
 	c := startRegistry(t)
 	_, err := c.Lookup(context.Background(), "ghost")
-	if !errors.Is(err, ErrNotBound) {
+	if !errors.Is(err, registry.ErrNotBound) {
 		t.Fatalf("want ErrNotBound, got %v", err)
 	}
 }
@@ -93,16 +100,16 @@ func TestLookupMissing(t *testing.T) {
 func TestUnbind(t *testing.T) {
 	c := startRegistry(t)
 	ctx := context.Background()
-	if err := c.Bind(ctx, Entry{Name: "svc", Addr: "a", Object: "O"}); err != nil {
+	if err := c.Bind(ctx, registry.Entry{Name: "svc", Addr: "a", Object: "O"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Unbind(ctx, "svc"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Lookup(ctx, "svc"); !errors.Is(err, ErrNotBound) {
+	if _, err := c.Lookup(ctx, "svc"); !errors.Is(err, registry.ErrNotBound) {
 		t.Fatalf("want ErrNotBound after unbind, got %v", err)
 	}
-	if err := c.Unbind(ctx, "svc"); !errors.Is(err, ErrNotBound) {
+	if err := c.Unbind(ctx, "svc"); !errors.Is(err, registry.ErrNotBound) {
 		t.Fatalf("double unbind: want ErrNotBound, got %v", err)
 	}
 }
@@ -111,7 +118,7 @@ func TestListSorted(t *testing.T) {
 	c := startRegistry(t)
 	ctx := context.Background()
 	for _, name := range []string{"zeta", "alpha", "mid"} {
-		if err := c.Bind(ctx, Entry{Name: name, Addr: "a", Object: "O"}); err != nil {
+		if err := c.Bind(ctx, registry.Entry{Name: name, Addr: "a", Object: "O"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,162 +146,42 @@ func TestListEmpty(t *testing.T) {
 func TestEmptyStringsSurvive(t *testing.T) {
 	c := startRegistry(t)
 	ctx := context.Background()
-	e := Entry{Name: "n", Addr: "", Object: ""}
+	e := registry.Entry{Name: "", Addr: "", Object: ""}
 	if err := c.Bind(ctx, e); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Lookup(ctx, "n")
+	got, err := c.Lookup(ctx, "")
 	if err != nil || got != e {
 		t.Fatalf("got %+v, %v", got, err)
 	}
-}
-
-func TestMalformedPayloadRejected(t *testing.T) {
-	s := NewServer()
-	if _, err := s.Handle(nil); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("empty payload: want ErrBadRequest, got %v", err)
-	}
-	if _, err := s.Handle([]byte{99}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("unknown op: want ErrBadRequest, got %v", err)
-	}
-	if _, err := s.Handle([]byte{opLookup, 0xFF}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("truncated string: want ErrBadRequest, got %v", err)
+	if names, err := c.List(ctx); err != nil || !reflect.DeepEqual(names, []string{""}) {
+		t.Fatalf("list = %q, %v", names, err)
 	}
 }
 
-func TestDialHelper(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback())
-	defer n.Close()
-	ln, err := n.Listen("reg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer()
-	srv.Serve(ln)
-	defer srv.Close()
-	c, err := Dial(func() (net.Conn, error) { return n.Dial("reg") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Bind(context.Background(), Entry{Name: "x", Addr: "a", Object: "o"}); err != nil {
-		t.Fatal(err)
-	}
-	// Dial failure propagates.
-	if _, err := Dial(func() (net.Conn, error) { return nil, errors.New("nope") }); err == nil {
-		t.Fatal("dial error must propagate")
-	}
-}
-
-// msg spells a registry payload: each part a raw byte, a uvarint count
-// (uint64) or a length-prefixed string.
-func msg(parts ...any) []byte {
-	var b []byte
-	for _, p := range parts {
-		switch p := p.(type) {
-		case byte:
-			b = append(b, p)
-		case uint64:
-			b = binary.AppendUvarint(b, p)
-		case string:
-			b = append(binary.AppendUvarint(b, uint64(len(p))), p...)
-		}
-	}
-	return b
-}
-
-// hostileBodies are message bodies no parser of this package may accept,
-// allocate for, or panic on: what follows a request's op byte, or a whole
-// List or Lookup reply. FuzzRegistryHandle starts from them.
-var hostileBodies = []struct {
-	name string
-	body []byte
-}{
-	{"count of 2^62 in nine bytes", msg(uint64(1) << 62)},
-	{"count of 2^30, no names", msg(uint64(1) << 30)},
-	{"count one past the names", msg(uint64(4), "a", "b", "c")},
-	{"string length past the payload", msg(uint64(3), "a", uint64(200), byte('b'))},
-	{"string length of 2^63", msg(uint64(1), uint64(1)<<63)},
-	{"truncated varint", []byte{0x80}},
-	{"overlong varint", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}},
-	{"trailing bytes after a list", msg(uint64(1), "a", byte(0))},
-	{"trailing bytes after an entry", msg("n", "addr", "obj", byte(0))},
-	{"entry cut short", msg("n", "addr")},
-}
-
-// TestHostileReplies: a registry that answers List or Lookup with any of
-// hostileBodies gets ErrBadRequest from the client — the first row used to
-// end the calling process in makeslice — and the reply payload goes back to
-// the pool (the package's leak ledger).
+// TestHostileReplies: a Client whose call returns anything but one result
+// of the operation's type refuses it with ErrBadReply, and passes a call's
+// own error through.
 func TestHostileReplies(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback())
-	t.Cleanup(func() { n.Close() })
-	ln, err := n.Listen("hostile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reply []byte
-	srv := transport.Serve(ln, func(context.Context, byte, []byte) ([]byte, error) { return reply, nil })
-	t.Cleanup(func() { srv.Close() })
-	nc, err := n.Dial("hostile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClient(transport.NewConn(nc))
-	t.Cleanup(func() { c.Close() })
-
-	for _, tc := range hostileBodies {
-		reply = tc.body
-		if names, err := c.List(context.Background()); !errors.Is(err, ErrBadRequest) || names != nil {
-			t.Errorf("List, %s: %v, %v; want ErrBadRequest", tc.name, names, err)
+	callErr := errors.New("link down")
+	for _, tc := range []struct {
+		name string
+		rets []any
+		err  error
+		want error
+	}{
+		{"no results", nil, nil, registry.ErrBadReply},
+		{"two results", []any{registry.Entry{}, []string{}}, nil, registry.ErrBadReply},
+		{"nil result", []any{nil}, nil, registry.ErrBadReply},
+		{"wrong type", []any{42}, nil, registry.ErrBadReply},
+		{"call error", nil, callErr, callErr},
+	} {
+		c := registry.NewClient(func(context.Context, string, ...any) ([]any, error) { return tc.rets, tc.err })
+		if e, err := c.Lookup(context.Background(), "n"); !errors.Is(err, tc.want) || e != (registry.Entry{}) {
+			t.Errorf("Lookup, %s: %+v, %v; want %v", tc.name, e, err, tc.want)
 		}
-		if e, err := c.Lookup(context.Background(), "n"); !errors.Is(err, ErrBadRequest) || e != (Entry{}) {
-			t.Errorf("Lookup, %s: %+v, %v; want ErrBadRequest", tc.name, e, err)
+		if names, err := c.List(context.Background()); !errors.Is(err, tc.want) || names != nil {
+			t.Errorf("List, %s: %v, %v; want %v", tc.name, names, err, tc.want)
 		}
 	}
-}
-
-// TestHostileRequests is the same table against Server.Handle, under every
-// op: refused with ErrBadRequest, nothing bound.
-func TestHostileRequests(t *testing.T) {
-	s := NewServer()
-	for _, tc := range hostileBodies {
-		for op := opBind; op <= opList; op++ {
-			if _, err := s.Handle(append([]byte{op}, tc.body...)); !errors.Is(err, ErrBadRequest) {
-				t.Errorf("op %d, %s: %v, want ErrBadRequest", op, tc.name, err)
-			}
-		}
-	}
-	if len(s.entries) != 0 {
-		t.Fatalf("hostile requests bound %v", s.entries)
-	}
-}
-
-// FuzzRegistryHandle: no request panics the naming service; a refusal is
-// one of its three sentinels, and whatever it accepts and then lists, the
-// client's List parser accepts back.
-func FuzzRegistryHandle(f *testing.F) {
-	for _, tc := range hostileBodies {
-		for op := opBind; op <= opList; op++ {
-			f.Add(append([]byte{op}, tc.body...))
-		}
-	}
-	f.Add(msg(opBind, "n", "addr", "obj"))
-	f.Add(msg(opLookup, "n"))
-	f.Add([]byte{opList})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		s := NewServer()
-		s.entries["n"] = Entry{Name: "n", Addr: "a", Object: "o"}
-		_, err := s.Handle(payload)
-		if err != nil && !errors.Is(err, ErrBadRequest) && !errors.Is(err, ErrNotBound) && !errors.Is(err, ErrAlreadyBound) {
-			t.Fatalf("% x: untyped refusal %v", payload, err)
-		}
-		listing, err := s.Handle([]byte{opList})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if names, err := parseList(listing); err != nil || len(names) != len(s.entries) {
-			t.Fatalf("after % x the listing % x parses as %v, %v", payload, listing, names, err)
-		}
-	})
 }

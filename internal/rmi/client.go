@@ -1,9 +1,7 @@
 package rmi
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -26,8 +24,9 @@ type Client struct {
 	opts   Options
 	dialer Dialer
 
-	mu    sync.Mutex
-	conns map[string]*transport.Conn
+	mu      sync.Mutex
+	conns   map[string]*transport.Conn
+	dialing map[string]chan struct{} // per address, closed when its dial ends
 
 	// retryRng draws backoff jitter; seeded by RetryPolicy.Seed so retry
 	// schedules are replayable in chaos runs.
@@ -64,6 +63,7 @@ func NewClient(dialer Dialer, opts Options) (*Client, error) {
 		opts:     opts,
 		dialer:   dialer,
 		conns:    make(map[string]*transport.Conn),
+		dialing:  make(map[string]chan struct{}),
 		retryRng: rand.New(rand.NewSource(seed)),
 	}, nil
 }
@@ -77,24 +77,49 @@ func (c *Client) BindLocalServer(s *Server) { c.local = s }
 // is sent, so transient server restarts do not permanently poison the
 // pool; calls that fail mid-flight still surface their error (retrying a
 // possibly executed call would silently break at-most-once semantics).
+// The dial runs outside c.mu, so a slow address stalls only its own
+// callers, which wait for its one dial rather than dial again.
 func (c *Client) conn(addr string) (*transport.Conn, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if tc, ok := c.conns[addr]; ok {
-		if !tc.IsClosed() {
-			return tc, nil
+	for {
+		if tc, ok := c.conns[addr]; ok {
+			if !tc.IsClosed() {
+				c.mu.Unlock()
+				return tc, nil
+			}
+			// The health check failed: record *why* the connection died
+			// before discarding it, so operators can tell a peer restart
+			// from a partition from a local close when they read Metrics().
+			c.metrics.noteEviction(evictionCause(tc.Err()))
+			_ = tc.Close()
+			delete(c.conns, addr)
+			c.metrics.reconnects.Add(1)
 		}
-		// The health check failed: record *why* the connection died before
-		// discarding it, so operators can tell a peer restart from a
-		// partition from a local close when they read Metrics().
-		c.metrics.noteEviction(evictionCause(tc.Err()))
-		_ = tc.Close()
-		delete(c.conns, addr)
-		c.metrics.reconnects.Add(1)
+		done, ok := c.dialing[addr]
+		if !ok {
+			break
+		}
+		c.mu.Unlock()
+		<-done
+		c.mu.Lock()
 	}
+	done := make(chan struct{})
+	c.dialing[addr] = done
+	c.mu.Unlock()
 	nc, err := c.dialer(addr)
-	if err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	defer close(done)
+	closed := c.dialing[addr] != done // Close ran during the dial
+	if !closed {
+		delete(c.dialing, addr)
+	}
+	switch {
+	case err != nil:
 		return nil, err
+	case closed:
+		_ = nc.Close()
+		return nil, fmt.Errorf("rmi: client closed while dialing %s", addr)
 	}
 	c.metrics.dials.Add(1)
 	tc := transport.NewConn(nc)
@@ -102,10 +127,11 @@ func (c *Client) conn(addr string) (*transport.Conn, error) {
 	return tc, nil
 }
 
-// Close releases all pooled connections.
+// Close releases all pooled connections, and those being dialed.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dialing = make(map[string]chan struct{})
 	var first error
 	for addr, tc := range c.conns {
 		if err := tc.Close(); err != nil && first == nil {
@@ -116,14 +142,11 @@ func (c *Client) Close() error {
 	return first
 }
 
-// Registry returns a naming-service client talking to addr over the pooled
-// connection.
-func (c *Client) Registry(addr string) (*registry.Client, error) {
-	tc, err := c.conn(addr)
-	if err != nil {
-		return nil, err
-	}
-	return registry.NewClient(tc), nil
+// Registry returns a client of the naming service served at addr
+// (Server.EnableRegistry); its operations are calls on the "#registry"
+// export.
+func (c *Client) Registry(addr string) *registry.Client {
+	return registry.NewClient(c.Stub(addr, registryName).Call)
 }
 
 // Stub addresses one exported object on one server.
@@ -147,11 +170,7 @@ func (c *Client) RefStub(ref *RemoteRef) *Stub {
 // LookupStub resolves name through the naming service at regAddr and
 // returns a stub for the bound object.
 func (c *Client) LookupStub(ctx context.Context, regAddr, name string) (*Stub, error) {
-	reg, err := c.Registry(regAddr)
-	if err != nil {
-		return nil, err
-	}
-	e, err := reg.Lookup(ctx, name)
+	e, err := c.Registry(regAddr).Lookup(ctx, name)
 	if err != nil {
 		return nil, err
 	}
@@ -261,20 +280,10 @@ func (c *Client) encodeArg(call *core.Call, sem semantics, arg any) error {
 	return call.EncodeCopy(arg)
 }
 
-// Release sends a DGC clean message for ref, dropping one count on the
-// exporting server. Stubs call it when the application is done with a
-// reference.
+// Release calls the exporting server's DGC Clean for ref, dropping one
+// count. Stubs call it when the application is done with a reference.
 func (c *Client) Release(ctx context.Context, ref *RemoteRef) error {
-	var buf bytes.Buffer
-	buf.WriteByte(dgcClean)
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], ref.ID)])
-	tc, err := c.conn(ref.Addr)
-	if err != nil {
-		return err
-	}
-	p, err := tc.Call(ctx, transport.MsgDGC, buf.Bytes())
-	c.releasePayload(p)
+	_, err := c.Stub(ref.Addr, dgcName).Call(ctx, "Clean", ref.ID)
 	return err
 }
 
@@ -284,17 +293,8 @@ func (c *Client) Renew(ctx context.Context, ref *RemoteRef, lease time.Duration)
 	if lease <= 0 || lease > MaxLease {
 		return fmt.Errorf("%w: lease %v outside (0, %v]", ErrBadDGC, lease, MaxLease)
 	}
-	var buf bytes.Buffer
-	buf.WriteByte(dgcDirty)
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], ref.ID)])
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64((lease+time.Second-1)/time.Second))])
-	tc, err := c.conn(ref.Addr)
-	if err != nil {
-		return err
-	}
-	p, err := tc.Call(ctx, transport.MsgDGC, buf.Bytes())
-	c.releasePayload(p)
+	secs := uint64((lease + time.Second - 1) / time.Second)
+	_, err := c.Stub(ref.Addr, dgcName).Call(ctx, "Dirty", ref.ID, secs)
 	return err
 }
 

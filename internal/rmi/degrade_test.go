@@ -17,6 +17,7 @@ import (
 	"nrmi/internal/core"
 	"nrmi/internal/leakcheck"
 	"nrmi/internal/netsim"
+	"nrmi/internal/registry"
 	"nrmi/internal/transport"
 	"nrmi/internal/wire"
 )
@@ -199,6 +200,45 @@ func TestShutdownDrainsInflightAndRejectsLate(t *testing.T) {
 	}
 	if _, err := stub.Call(ctx, "Quick", chaosTree()); err == nil {
 		t.Fatal("call after completed Shutdown succeeded")
+	}
+}
+
+// TestShutdownRefusesRegistryAndDGC: once a drain began, a naming-service
+// Lookup and a DGC Clean are refused with ErrUnavailable like any call, and
+// the Clean drops no reference.
+func TestShutdownRefusesRegistryAndDGC(t *testing.T) {
+	env := newDegradeEnv(t, nil, nil)
+	ctx := context.Background()
+	reg := env.client.Registry("server")
+	env.srv.EnableRegistry()
+	if err := reg.Bind(ctx, registry.Entry{Name: "gate", Addr: "server", Object: "gate"}); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := env.srv.Ref(&Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go env.client.Stub("server", "gate").Call(ctx, "Hold", chaosTree())
+	<-env.svc.entered
+	shutdownDone := make(chan error, 1)
+	go func() { shutdownDone <- env.srv.Shutdown(ctx) }()
+	for deadline := time.Now().Add(5 * time.Second); !env.srv.draining.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("drain never began")
+		}
+	}
+	if _, err := reg.Lookup(ctx, "gate"); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Lookup while draining = %v, want ErrUnavailable", err)
+	}
+	if err := env.client.Release(ctx, ref); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("Release while draining = %v, want ErrUnavailable", err)
+	}
+	if env.srv.LiveRefs() != 1 {
+		t.Fatal("a refused Clean dropped the reference")
+	}
+	close(env.svc.release)
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
 }
 

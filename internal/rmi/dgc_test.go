@@ -2,59 +2,24 @@ package rmi
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"time"
+
+	"nrmi/internal/registry"
 )
 
-// dgcMsg spells a DGC payload: the op byte, then each value as a uvarint.
-func dgcMsg(op byte, vs ...uint64) []byte {
-	b := []byte{op}
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
-}
-
-// overlong is an eleven-byte uvarint: more than 64 bits.
-var overlong = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
-
-// hostileDGC is every DGC payload the server must refuse with ErrBadDGC,
-// the export (id 1) and its lease left as they were. FuzzHandleDGC starts
-// from it.
-var hostileDGC = []struct {
-	name    string
-	payload []byte
+// hostileLeases are the Dirty leases the server must refuse with ErrBadDGC,
+// the export and its lease left as they were. FuzzHandleCall starts from
+// them too.
+var hostileLeases = []struct {
+	name string
+	secs uint64
 }{
-	{"empty", nil},
-	{"op only", []byte{dgcDirty}},
-	{"clean, no id", []byte{dgcClean}},
-	{"truncated id", []byte{dgcDirty, 0x80}},
-	{"overlong id", append([]byte{dgcClean}, overlong...)},
-	{"dirty, no lease", dgcMsg(dgcDirty, 1)},
-	{"truncated lease", append(dgcMsg(dgcDirty, 1), 0x80, 0x80)},
-	{"overlong lease", append(dgcMsg(dgcDirty, 1), overlong...)},
-	{"unknown op 0", dgcMsg(0, 1)},
-	{"unknown op 9", dgcMsg(9, 1, 60)},
-	{"lease one second past the maximum", dgcMsg(dgcDirty, 1, uint64(MaxLease/time.Second)+1)},
-	{"lease that wraps time.Duration negative", dgcMsg(dgcDirty, 1, 9_223_372_037)},
-	{"lease of 2^64-1 seconds", dgcMsg(dgcDirty, 1, 1<<64-1)},
-	{"dirty with a trailing byte", append(dgcMsg(dgcDirty, 1, 60), 0)},
-	{"clean with a trailing byte", append(dgcMsg(dgcClean, 1), 0)},
-}
-
-// dgcServer returns an unserved server holding one anonymous export, id 1.
-func dgcServer(t testing.TB) *Server {
-	t.Helper()
-	srv, err := NewServer("dgc", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref, err := srv.Ref(&Counter{}); err != nil || ref.ID != 1 {
-		t.Fatalf("Ref = %v, %v; want id 1", ref, err)
-	}
-	return srv
+	{"lease one second past the maximum", uint64(MaxLease/time.Second) + 1},
+	{"lease that wraps time.Duration negative", 9_223_372_037},
+	{"lease of 2^64-1 seconds", 1<<64 - 1},
 }
 
 // leaseOf reads export id's lease expiry; false once it was collected.
@@ -68,46 +33,101 @@ func leaseOf(s *Server, id uint64) (time.Time, bool) {
 	return e.expiry, true
 }
 
-// checkDGC runs one payload against a fresh export and holds handleDGC to
-// its contract: a refusal is ErrBadDGC with the export and its lease
-// untouched; an accepted message left the export collected (clean) or
-// leased for between zero and MaxLease from now — never in the past.
-func checkDGC(t *testing.T, payload []byte) error {
+// dgcCall makes one call on the "#dgc" export of a server holding one
+// anonymous export, id 1, and holds the DGC to its contract: a refusal
+// leaves the export and its lease untouched; an accepted call left the
+// export collected (Clean) or leased for between zero and MaxLease from
+// now — never in the past.
+func dgcCall(t *testing.T, method string, args ...any) error {
 	t.Helper()
-	srv := dgcServer(t)
-	before, _ := leaseOf(srv, 1)
+	e := newEnv(t)
+	if ref, err := e.clSrv.Ref(&Counter{}); err != nil || ref.ID != 1 {
+		t.Fatalf("Ref = %v, %v; want id 1", ref, err)
+	}
+	before, _ := leaseOf(e.clSrv, 1)
 	start := time.Now()
-	_, err := srv.handleDGC(payload)
-	after, live := leaseOf(srv, 1)
+	_, err := e.client.Stub("client", dgcName).Call(context.Background(), method, args...)
+	after, live := leaseOf(e.clSrv, 1)
 	switch {
 	case err != nil:
-		if !errors.Is(err, ErrBadDGC) {
-			t.Fatalf("% x: refused with %v, want ErrBadDGC", payload, err)
-		}
 		if !live || !after.Equal(before) {
-			t.Fatalf("% x: refused (%v) but the export changed: live=%v lease %v -> %v", payload, err, live, before, after)
+			t.Fatalf("%s%v: refused (%v) but the export changed: live=%v lease %v -> %v", method, args, err, live, before, after)
 		}
 	case live && (after.Before(start) || after.After(time.Now().Add(MaxLease))):
-		t.Fatalf("% x: accepted, lease now ends %v from now", payload, time.Until(after))
+		t.Fatalf("%s%v: accepted, lease now ends %v from now", method, args, time.Until(after))
 	}
 	return err
 }
 
+// TestHandleDGCHostile: the DGC refuses a lease past MaxLease with
+// ErrBadDGC, a wrong-typed or missing argument with ErrBadArgument and an
+// unknown method with ErrNoSuchMethod, changing nothing; it accepts Clean
+// and Dirty of any id, a no-op for one it does not export.
 func TestHandleDGCHostile(t *testing.T) {
-	for _, tc := range hostileDGC {
+	for _, tc := range hostileLeases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := checkDGC(t, tc.payload); err == nil {
-				t.Fatalf("% x accepted", tc.payload)
+			if err := dgcCall(t, "Dirty", uint64(1), tc.secs); err == nil || !strings.Contains(err.Error(), ErrBadDGC.Error()) {
+				t.Fatalf("Dirty(1, %d) = %v, want ErrBadDGC", tc.secs, err)
 			}
 		})
 	}
-	for _, ok := range [][]byte{
-		dgcMsg(dgcClean, 1), dgcMsg(dgcClean, 7), dgcMsg(dgcDirty, 7, 60),
-		dgcMsg(dgcDirty, 1, 1), dgcMsg(dgcDirty, 1, uint64(MaxLease/time.Second)),
+	for _, tc := range []struct {
+		method string
+		args   []any
+		want   error
+	}{
+		{"Dirty", []any{1, uint64(60)}, ErrBadArgument},
+		{"Dirty", []any{uint64(1), "60"}, ErrBadArgument},
+		{"Dirty", []any{uint64(1)}, ErrBadArgument},
+		{"Clean", []any{-1}, ErrBadArgument},
+		{"Free", []any{uint64(1)}, ErrNoSuchMethod},
 	} {
-		if err := checkDGC(t, ok); err != nil {
-			t.Fatalf("% x refused: %v", ok, err)
+		if err := dgcCall(t, tc.method, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want.Error()) {
+			t.Fatalf("%s%v = %v, want %v", tc.method, tc.args, err, tc.want)
 		}
+	}
+	for _, ok := range []struct {
+		method string
+		args   []any
+	}{
+		{"Clean", []any{uint64(1)}},
+		{"Clean", []any{uint64(7)}},
+		{"Dirty", []any{uint64(7), uint64(60)}},
+		{"Dirty", []any{uint64(1), uint64(1)}},
+		{"Dirty", []any{uint64(1), uint64(MaxLease / time.Second)}},
+	} {
+		if err := dgcCall(t, ok.method, ok.args...); err != nil {
+			t.Fatalf("%s%v refused: %v", ok.method, ok.args, err)
+		}
+	}
+}
+
+// TestReservedExportsStay: "#registry" and "#dgc" can be neither replaced
+// by Export nor removed by Unexport.
+func TestReservedExportsStay(t *testing.T) {
+	e := newEnv(t)
+	e.clSrv.EnableRegistry()
+	for _, name := range []string{registryName, dgcName} {
+		if err := e.clSrv.Export(name, &TreeService{}); err == nil {
+			t.Fatalf("Export(%q) succeeded", name)
+		}
+		e.clSrv.Unexport(name)
+	}
+	ctx := context.Background()
+	reg := e.client.Registry("client")
+	want := registry.Entry{Name: "svc", Addr: "server", Object: "trees"}
+	if err := reg.Bind(ctx, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reg.Lookup(ctx, "svc"); err != nil || got != want {
+		t.Fatalf("Lookup = %+v, %v", got, err)
+	}
+	ref, err := e.clSrv.Ref(&Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.client.Release(ctx, ref); err != nil || e.clSrv.LiveRefs() != 0 {
+		t.Fatalf("Release = %v, %d live", err, e.clSrv.LiveRefs())
 	}
 }
 
@@ -154,13 +174,24 @@ func TestRenewLeaseBounds(t *testing.T) {
 	}
 }
 
-// FuzzHandleDGC: no DGC payload panics the server, and each one meets
-// checkDGC's contract.
-func FuzzHandleDGC(f *testing.F) {
-	for _, tc := range hostileDGC {
-		f.Add(tc.payload)
+// TestLeaseSweeperNonPositiveInterval: StartLeaseSweeper(0) and (-1s)
+// return without starting a sweeper (a ticker of such an interval panics
+// in its goroutine), and SweepLeases still collects by hand.
+func TestLeaseSweeperNonPositiveInterval(t *testing.T) {
+	e := newEnv(t)
+	ref, err := e.clSrv.Ref(&Counter{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.Add(dgcMsg(dgcClean, 1))
-	f.Add(dgcMsg(dgcDirty, 1, 600))
-	f.Fuzz(func(t *testing.T, payload []byte) { checkDGC(t, payload) })
+	e.clSrv.StartLeaseSweeper(0)
+	e.clSrv.StartLeaseSweeper(-time.Second)
+	if e.clSrv.sweepStop != nil {
+		t.Fatal("a non-positive interval started a sweeper")
+	}
+	if err := (&dgc{e.clSrv}).Dirty(ref.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.clSrv.SweepLeases(time.Now().Add(time.Millisecond)); n != 1 {
+		t.Fatalf("SweepLeases collected %d, want 1", n)
+	}
 }

@@ -2,6 +2,9 @@ package rmi
 
 import (
 	"context"
+	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -76,5 +79,112 @@ func TestEvictionRecordsCause(t *testing.T) {
 	m.EvictionCauses["tampered"] = 99
 	if m2 := e.client.Metrics(); len(m2.EvictionCauses) != 1 {
 		t.Fatalf("Metrics map is shared with callers: %v", m2.EvictionCauses)
+	}
+}
+
+// TestSlowDialStallsOnlyItsAddress: a dial that hangs holds up the calls to
+// its own address only; a call to another address goes through meanwhile.
+func TestSlowDialStallsOnlyItsAddress(t *testing.T) {
+	e := newEnv(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	cl, err := NewClient(func(addr string) (net.Conn, error) {
+		if addr == "client" {
+			close(entered)
+			<-release
+		}
+		return e.net.Dial(addr)
+	}, e.serverOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	slow := make(chan error, 1)
+	go func() { slow <- cl.Ping(context.Background(), "client") }()
+	<-entered
+
+	fast := make(chan error, 1)
+	go func() {
+		_, err := cl.Stub("server", "trees").Call(context.Background(), "Calls")
+		fast <- err
+	}()
+	select {
+	case err := <-fast:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a call to another address waited on the blocked dial")
+	}
+	unblock()
+	if err := <-slow; err != nil {
+		t.Fatalf("the slow address's call: %v", err)
+	}
+}
+
+// TestRacingFirstDialsPoolOne: a first call to an address that finds a
+// dial to it in flight waits for that dial; the address is dialed once.
+func TestRacingFirstDialsPoolOne(t *testing.T) {
+	e := newEnv(t)
+	var dialed atomic.Int32
+	entered, release := make(chan struct{}), make(chan struct{})
+	cl, err := NewClient(func(addr string) (net.Conn, error) {
+		if dialed.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return e.net.Dial(addr)
+	}, e.serverOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	errs := make(chan error, 2)
+	call := func() {
+		_, err := cl.Stub("server", "trees").Call(context.Background(), "Calls")
+		errs <- err
+	}
+	go call()
+	<-entered
+	go call()
+	time.Sleep(20 * time.Millisecond) // let the second call find the dial
+	close(release)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := cl.Metrics(); dialed.Load() != 1 || m.Dials != 1 {
+		t.Fatalf("%d dials made, Dials = %d; want 1, 1", dialed.Load(), m.Dials)
+	}
+}
+
+// TestCloseDuringDial: a connection whose dial Close overtook is closed,
+// not pooled, and its callers get an error.
+func TestCloseDuringDial(t *testing.T) {
+	e := newEnv(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	cl, err := NewClient(func(addr string) (net.Conn, error) {
+		close(entered)
+		<-release
+		return e.net.Dial(addr)
+	}, e.serverOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping := make(chan error, 1)
+	go func() { ping <- cl.Ping(context.Background(), "server") }()
+	<-entered
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-ping; err == nil {
+		t.Fatal("a call whose dial Close overtook succeeded")
+	}
+	if pooled, _, _ := cl.ConnState("server"); pooled {
+		t.Fatal("Close left a connection pooled")
 	}
 }

@@ -226,7 +226,7 @@ func TestRefZeroSizeTypes(t *testing.T) {
 	if got, _ := e.server.ResolveRef(refB.ID); got != any(b) {
 		t.Errorf("reference to *zsB resolves to %T", got)
 	}
-	e.server.clean(refA.ID)
+	(&dgc{e.server}).Clean(refA.ID)
 	if _, ok := e.server.ResolveRef(refA.ID); ok {
 		t.Error("cleaned reference to *zsA still resolves")
 	}

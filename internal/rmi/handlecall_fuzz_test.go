@@ -10,6 +10,7 @@ import (
 	"nrmi/internal/core"
 	"nrmi/internal/graph"
 	"nrmi/internal/netsim"
+	"nrmi/internal/registry"
 	"nrmi/internal/transport"
 	"nrmi/internal/wire"
 )
@@ -25,15 +26,22 @@ func (s *FuzzService) Zero() int                       { s.ran = true; return 3 
 // fuzzArity is each FuzzService method's argument count.
 var fuzzArity = map[string]uint64{"Restore": 2, "Mixed": 3, "Zero": 0}
 
-// headerOK reports whether payload starts with a header the server must
-// accept before it decodes any value: the export, one of its methods, that
-// method's arity as the argument count, and a known marker per argument.
-func headerOK(payload []byte) bool {
+// header returns the object key payload starts with, and whether the
+// header is one the server must accept before it decodes any value: the
+// "fz" export, one of its methods, that method's arity as the argument
+// count, and a known marker per argument.
+func header(payload []byte) (string, bool) {
 	sc := core.AcceptCallBytes(payload, core.Options{})
 	defer sc.Release()
-	if obj, err := sc.DecodeBytes(); err != nil || string(obj) != "fz" {
-		return false
+	obj, err := sc.DecodeBytes()
+	if err != nil {
+		return "", false
 	}
+	return string(obj), string(obj) == "fz" && fzHeaderOK(sc)
+}
+
+// fzHeaderOK reads the rest of an "fz" call's header.
+func fzHeaderOK(sc *core.ServerCall) bool {
 	method, err := sc.DecodeBytes()
 	arity, ok := fuzzArity[string(method)]
 	if err != nil || !ok {
@@ -52,10 +60,11 @@ func headerOK(payload []byte) bool {
 
 // callErrors are the sentinels a refused request's error wraps.
 var callErrors = []error{
-	ErrNoSuchObject, ErrNoSuchMethod, ErrBadArgument,
+	ErrNoSuchObject, ErrNoSuchMethod, ErrBadArgument, ErrBadDGC,
 	wire.ErrBadStream, wire.ErrLimit, wire.ErrTypeNotRegistered, io.EOF, io.ErrUnexpectedEOF,
 	graph.ErrNotSerializable, graph.ErrSliceOverlap, graph.ErrObjectOverlap,
 	graph.ErrUnexportedField, graph.ErrDepthExceeded, core.ErrBadResponse,
+	registry.ErrAlreadyBound, registry.ErrNotBound,
 }
 
 func typedCallError(err error) bool {
@@ -71,6 +80,8 @@ func typedCallError(err error) bool {
 // one ends in a reply or an error wrapping a known sentinel, never a panic;
 // a method runs only behind a well-formed header; and once one has run, only
 // a restore set the reply cannot number (core.ErrBadResponse) fails the call.
+// The server also serves the reserved exports, the DGC and a naming service,
+// so their calls (the hostile leases among the seeds) meet the same rules.
 func FuzzHandleCall(f *testing.F) {
 	reg := wire.NewRegistry()
 	for name, sample := range map[string]any{"Node": Node{}, "Box": Box{}} {
@@ -88,6 +99,7 @@ func FuzzHandleCall(f *testing.F) {
 	if err := srv.Export("fz", svc); err != nil {
 		f.Fatal(err)
 	}
+	srv.EnableRegistry()
 	clSrv, err := NewServer("client", opts)
 	if err != nil {
 		f.Fatal(err)
@@ -112,8 +124,8 @@ func FuzzHandleCall(f *testing.F) {
 		}
 		return bytes.Clone(buf.Bytes())
 	}
-	request := func(method string, args ...any) []byte {
-		return encode(func(call *core.Call) error { return stub.encodeRequest(call, method, args) })
+	request := func(st *Stub, method string, args ...any) []byte {
+		return encode(func(call *core.Call) error { return st.encodeRequest(call, method, args) })
 	}
 	raw := func(method string, items ...any) []byte {
 		return encode(func(call *core.Call) error {
@@ -132,9 +144,9 @@ func FuzzHandleCall(f *testing.F) {
 	b := newBox(1)
 	c := sharing(b)
 	honest := [][]byte{
-		request("Restore", c, b), // the restorable argument travels first
-		request("Mixed", any(b), c, &Counter{}),
-		request("Zero"),
+		request(stub, "Restore", c, b), // the restorable argument travels first
+		request(stub, "Mixed", any(b), c, &Counter{}),
+		request(stub, "Zero"),
 	}
 	for _, h := range honest {
 		f.Add(h)
@@ -161,14 +173,32 @@ func FuzzHandleCall(f *testing.F) {
 		}
 		f.Add(h[:len(h)/2])
 	}
+	dgcStub, regStub := cl.Stub("server", dgcName), cl.Stub("server", registryName)
+	for _, tc := range hostileLeases {
+		f.Add(request(dgcStub, "Dirty", uint64(1), tc.secs))
+	}
+	entry := registry.Entry{Name: "n", Addr: "a", Object: "o"}
+	for _, reserved := range [][]byte{
+		request(dgcStub, "Dirty", uint64(1), uint64(600)),
+		request(dgcStub, "Dirty", 1, uint64(600)),
+		request(dgcStub, "Clean", uint64(1)),
+		request(regStub, "Bind", entry),
+		request(regStub, "Rebind", entry),
+		request(regStub, "Lookup", "n"),
+		request(regStub, "Lookup", entry),
+		request(regStub, "Unbind", "n"),
+		request(regStub, "List"),
+	} {
+		f.Add(reserved)
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		svc.ran = false
-		wellFormed := headerOK(payload)
+		obj, wellFormed := header(payload)
 		reply, err := srv.handle(context.Background(), transport.MsgCall, payload)
 		switch {
-		case err == nil && (len(reply) == 0 || !svc.ran):
-			t.Fatalf("% x: no error, a %d-byte reply, method ran %t", payload, len(reply), svc.ran)
+		case err == nil && (len(reply) == 0 || svc.ran != (obj == "fz")):
+			t.Fatalf("% x: no error, a %d-byte reply, object %q, method ran %t", payload, len(reply), obj, svc.ran)
 		case err != nil && !typedCallError(err):
 			t.Fatalf("% x: untyped error %v", payload, err)
 		case svc.ran && !wellFormed:

@@ -9,7 +9,7 @@ import (
 )
 
 // TestClientPayloadOwnershipLedger drives every client-side payload
-// release site — the call path, Ping, and both DGC messages, plus a
+// release site — the call path (DGC calls included), Ping, plus a
 // remote-error reply released inside the transport — with the buffer
 // pool's ownership ledger armed, proving that no site releases a payload
 // twice and none retains one past release. It also pins the
@@ -36,8 +36,8 @@ func TestClientPayloadOwnershipLedger(t *testing.T) {
 	if err := e.client.Ping(ctx, "server"); err != nil {
 		t.Fatal(err)
 	}
-	// DGC release sites. The id need not resolve — the reply payload
-	// ownership is what is under audit.
+	// DGC calls on the "#dgc" export. The id need not resolve — the reply
+	// payload ownership is what is under audit.
 	ref := &RemoteRef{Addr: "server", ID: 1 << 40}
 	if err := e.client.Renew(ctx, ref, time.Minute); err != nil {
 		t.Fatal(err)
@@ -47,8 +47,8 @@ func TestClientPayloadOwnershipLedger(t *testing.T) {
 	}
 
 	cm := e.client.Metrics()
-	if cm.CallsIssued != calls+1 || cm.CallErrors != 1 {
-		t.Errorf("CallsIssued/CallErrors = %d/%d, want %d/1", cm.CallsIssued, cm.CallErrors, calls+1)
+	if cm.CallsIssued != calls+3 || cm.CallErrors != 1 {
+		t.Errorf("CallsIssued/CallErrors = %d/%d, want %d/1", cm.CallsIssued, cm.CallErrors, calls+3)
 	}
 	if cm.Attempts < cm.CallsIssued {
 		t.Errorf("Attempts %d < CallsIssued %d", cm.Attempts, cm.CallsIssued)

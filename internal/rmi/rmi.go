@@ -3,7 +3,8 @@
 // and reflective dispatch (UnicastRemoteObject + skeletons), client stubs,
 // per-type calling-semantics selection, remote references with
 // reference-counting distributed garbage collection, and an embeddable
-// naming service.
+// naming service. Like java.rmi's registry and DGC, the naming service and
+// the DGC are remote objects, reserved exports dispatched like any other.
 //
 // Calling semantics are chosen per argument type, exactly as in NRMI
 // (paper, Section 5.1):
@@ -32,6 +33,7 @@ import (
 	"nrmi/internal/core"
 	"nrmi/internal/netsim"
 	"nrmi/internal/obs"
+	"nrmi/internal/registry"
 	"nrmi/internal/transport"
 	"nrmi/internal/wire"
 )
@@ -99,8 +101,9 @@ var (
 	// ErrNoLocalServer is reported when a Remote argument is passed by a
 	// client with no local server to export it from.
 	ErrNoLocalServer = errors.New("rmi: Remote argument requires a local server")
-	// ErrBadDGC is reported for a DGC message that is malformed or names a
-	// lease outside (0, MaxLease]; the export's lease is left as it was.
+	// ErrBadDGC is reported for a DGC Dirty call, or a Client.Renew, asking
+	// for a lease longer than MaxLease (or, for Renew, not positive); the
+	// export's lease is left as it was.
 	ErrBadDGC = errors.New("rmi: bad DGC message")
 	// ErrServerClosed is reported after Server.Close.
 	ErrServerClosed = errors.New("rmi: server closed")
@@ -167,7 +170,8 @@ type Options struct {
 type CallInfo struct {
 	// Addr is the remote server's address (empty on the server side).
 	Addr string
-	// Object is the dispatch key (export name or "#id").
+	// Object is the dispatch key: an export name, "#id", or a reserved
+	// export ("#registry", "#dgc").
 	Object string
 	// Method is the remote method name.
 	Method string
@@ -188,5 +192,8 @@ func (o Options) registryOf() *wire.Registry {
 
 // registerProtocolTypes installs the types the rmi protocol itself ships.
 func registerProtocolTypes(reg *wire.Registry) error {
-	return reg.Register("nrmi.RemoteRef", RemoteRef{})
+	return errors.Join(
+		reg.Register("nrmi.RemoteRef", RemoteRef{}),
+		reg.Register("nrmi.RegistryEntry", registry.Entry{}),
+	)
 }

@@ -464,10 +464,7 @@ func TestRegistryEmbedded(t *testing.T) {
 	e := newEnv(t)
 	e.server.EnableRegistry()
 	ctx := context.Background()
-	reg, err := e.client.Registry("server")
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := e.client.Registry("server")
 	if err := reg.Bind(ctx, registry.Entry{Name: "trees", Addr: "server", Object: "trees"}); err != nil {
 		t.Fatal(err)
 	}

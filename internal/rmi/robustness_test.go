@@ -61,7 +61,9 @@ func TestLeaseSweeperCollectsInBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Shrink the lease to something the sweeper will catch quickly.
-	e.clSrv.dirty(ref.ID, 0)
+	if err := (&dgc{e.clSrv}).Dirty(ref.ID, 0); err != nil {
+		t.Fatal(err)
+	}
 	e.clSrv.StartLeaseSweeper(10 * time.Millisecond)
 	e.clSrv.StartLeaseSweeper(10 * time.Millisecond) // idempotent
 

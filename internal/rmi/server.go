@@ -1,14 +1,13 @@
 package rmi
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"reflect"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +18,7 @@ import (
 	"nrmi/internal/transport"
 )
 
-// MaxLease is the longest lease a DGC dirty message may ask for.
+// MaxLease is the longest lease a DGC Dirty call may ask for.
 const MaxLease = 24 * time.Hour
 
 // defaultLease is how long an anonymous export stays alive without a
@@ -61,8 +60,7 @@ type Server struct {
 	// reference proxies can issue calls back out of this process.
 	boundClient *Client
 
-	embeddedReg *registry.Server
-	tsrv        *transport.Server
+	tsrv *transport.Server
 }
 
 // export is one named export: the object, the name it is bound under and,
@@ -80,9 +78,16 @@ type refEntry struct {
 	expiry time.Time
 }
 
+// Reserved export names: the naming service (EnableRegistry) and the DGC,
+// which every server exports. Export and Unexport refuse '#' names.
+const (
+	registryName = "#registry"
+	dgcName      = "#dgc"
+)
+
 // NewServer returns a server that will identify itself to peers under
-// addr (the address clients dial). Registering the protocol types on the
-// configured wire registry happens here.
+// addr (the address clients dial) and exports its DGC. Registering the
+// protocol types on the configured wire registry happens here.
 func NewServer(addr string, opts Options) (*Server, error) {
 	if err := registerProtocolTypes(opts.registryOf()); err != nil {
 		return nil, err
@@ -97,6 +102,7 @@ func NewServer(addr string, opts Options) (*Server, error) {
 	if opts.MaxConcurrentCalls > 0 {
 		s.callSem = make(chan struct{}, opts.MaxConcurrentCalls)
 	}
+	s.exports[dgcName] = export{name: dgcName, v: reflect.ValueOf(&dgc{s})}
 	return s, nil
 }
 
@@ -107,16 +113,18 @@ func (s *Server) Addr() string { return s.addr }
 // constructed for inbound references can call back out of this process.
 func (s *Server) BindClient(c *Client) { s.boundClient = c }
 
-// EnableRegistry embeds a naming service into this server: registry
-// operations arriving on its listener are answered locally, the way demos
-// run rmiregistry inside the server JVM.
+// EnableRegistry exports a naming service under "#registry" and returns it
+// (the same one on every call). A standalone registry is a server that
+// exports nothing else, the way rmiregistry is an RMI server.
 func (s *Server) EnableRegistry() *registry.Server {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.embeddedReg == nil {
-		s.embeddedReg = registry.NewServer()
+	if e, ok := s.exports[registryName]; ok {
+		return e.v.Interface().(*registry.Server)
 	}
-	return s.embeddedReg
+	reg := new(registry.Server)
+	s.exports[registryName] = export{name: registryName, v: reflect.ValueOf(reg)}
+	return reg
 }
 
 // Export publishes obj under name. Methods with exported names become
@@ -154,11 +162,13 @@ func (s *Server) bind(name string, obj any, serial *sync.Mutex) error {
 	return nil
 }
 
-// Unexport removes a named export.
+// Unexport removes a named export. Reserved '#' names are ignored.
 func (s *Server) Unexport(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.exports, name)
+	if !strings.HasPrefix(name, "#") {
+		delete(s.exports, name)
+	}
 }
 
 // Ref exports obj anonymously (or bumps its reference count if already
@@ -217,27 +227,35 @@ func (s *Server) LiveRefs() int {
 	return len(s.refs)
 }
 
-// clean decrements an export's reference count, dropping the export when it
-// reaches zero.
-func (s *Server) clean(id uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.refs[id]
-	if !ok {
-		return
+// dgc is the distributed GC's remote interface, the analog of
+// java.rmi.dgc.DGC, exported by every server under "#dgc". Calls naming an
+// id that is not exported are no-ops.
+type dgc struct{ s *Server }
+
+// Dirty renews export id's lease to secs seconds from now. A lease longer
+// than MaxLease is refused with ErrBadDGC and the lease left as it was:
+// an unchecked count wraps time.Duration negative and expires an export
+// other clients hold.
+func (d *dgc) Dirty(id, secs uint64) error {
+	if secs > uint64(MaxLease/time.Second) {
+		return fmt.Errorf("%w: lease of %d s exceeds %v", ErrBadDGC, secs, MaxLease)
 	}
-	e.count--
-	if e.count <= 0 {
-		s.dropRefLocked(id, e)
+	d.s.mu.Lock()
+	defer d.s.mu.Unlock()
+	if e, ok := d.s.refs[id]; ok {
+		e.expiry = time.Now().Add(time.Duration(secs) * time.Second)
 	}
+	return nil
 }
 
-// dirty refreshes an export's lease.
-func (s *Server) dirty(id uint64, lease time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.refs[id]; ok {
-		e.expiry = time.Now().Add(lease)
+// Clean drops one of export id's references, collecting it at zero.
+func (d *dgc) Clean(id uint64) {
+	d.s.mu.Lock()
+	defer d.s.mu.Unlock()
+	if e, ok := d.s.refs[id]; ok {
+		if e.count--; e.count <= 0 {
+			d.s.dropRefLocked(id, e)
+		}
 	}
 }
 
@@ -263,11 +281,12 @@ func (s *Server) SweepLeases(now time.Time) int {
 
 // StartLeaseSweeper launches a background goroutine sweeping expired
 // leases every interval, the analog of RMI's DGC daemon. It stops when the
-// server closes; starting twice is a no-op.
+// server closes; starting twice is a no-op, and so is a non-positive
+// interval (SweepLeases still collects by hand).
 func (s *Server) StartLeaseSweeper(interval time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.sweepStop != nil {
+	if interval <= 0 || s.closed || s.sweepStop != nil {
 		return
 	}
 	stop := make(chan struct{})
@@ -527,16 +546,6 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 		}
 		s.metrics.bytesOut.Add(int64(len(reply)))
 		return reply, err
-	case transport.MsgDGC:
-		return s.handleDGC(payload)
-	case transport.MsgRegistry:
-		s.mu.Lock()
-		reg := s.embeddedReg
-		s.mu.Unlock()
-		if reg == nil {
-			return nil, fmt.Errorf("rmi: server has no embedded registry")
-		}
-		return reg.Handle(payload)
 	case transport.MsgPing:
 		return payload, nil
 	default:
@@ -903,50 +912,6 @@ func (s *Server) outboundResults(outs []reflect.Value) ([]any, error) {
 	}
 	return rets, nil
 }
-
-// handleDGC processes dirty/clean messages: op byte, then uvarint id, and
-// for dirty a uvarint lease in seconds, at most MaxLease — an unchecked
-// count wraps time.Duration negative and expires an export other clients
-// hold. The whole payload is parsed before anything is applied.
-func (s *Server) handleDGC(payload []byte) ([]byte, error) {
-	r := bytes.NewReader(payload)
-	op, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: empty payload", ErrBadDGC)
-	}
-	id, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: id: %v", ErrBadDGC, err)
-	}
-	var secs uint64
-	switch op {
-	case dgcClean:
-	case dgcDirty:
-		if secs, err = binary.ReadUvarint(r); err != nil {
-			return nil, fmt.Errorf("%w: lease: %v", ErrBadDGC, err)
-		}
-		if secs > uint64(MaxLease/time.Second) {
-			return nil, fmt.Errorf("%w: lease of %d s exceeds %v", ErrBadDGC, secs, MaxLease)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown op %d", ErrBadDGC, op)
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadDGC, r.Len())
-	}
-	if op == dgcClean {
-		s.clean(id)
-	} else {
-		s.dirty(id, time.Duration(secs)*time.Second)
-	}
-	return nil, nil
-}
-
-// DGC operation bytes.
-const (
-	dgcDirty byte = 1
-	dgcClean byte = 2
-)
 
 // semantics markers on the wire.
 type semantics uint64

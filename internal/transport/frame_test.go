@@ -82,7 +82,7 @@ func frameShapes() []frameShape {
 		{name: "exactly the buffer", f: frame{msgType: MsgCall, reqID: 8, payload: fill(readBufSize - headerSize)}},
 		{name: "buffer plus one", f: frame{msgType: MsgCall, reqID: 9, payload: fill(readBufSize - headerSize + 1)}},
 		{name: "three buffers", f: frame{msgType: MsgCall, reqID: 10, payload: fill(3*readBufSize - headerSize)}},
-		{name: "max request id", f: frame{msgType: MsgDGC, reqID: ^uint64(0), payload: []byte{0}}},
+		{name: "max request id", f: frame{msgType: MsgPing, reqID: ^uint64(0), payload: []byte{0}}},
 	}
 }
 

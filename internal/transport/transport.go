@@ -52,11 +52,9 @@ const (
 	MsgCall byte = 1
 	// MsgReply is a successful invocation reply.
 	MsgReply byte = 2
-	// MsgRegistry is a naming-service operation.
-	MsgRegistry byte = 3
-	// MsgDGC is a distributed garbage collection message (dirty/clean).
-	MsgDGC byte = 4
-	// MsgPing is a liveness probe. Types 5 and 6 are reserved.
+	// MsgPing is a liveness probe. Types 3 and 4 are retired (the naming
+	// service and the DGC are calls on reserved exports); 5 and 6 are
+	// reserved.
 	MsgPing byte = 7
 )
 

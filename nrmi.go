@@ -97,7 +97,10 @@ type Registry = wire.Registry
 // carries both bindings.
 var ErrRegistryConflict = wire.ErrRegistryConflict
 
-// RegistryServer is the standalone naming service (rmiregistry analog).
+// RegistryServer is the naming service (rmiregistry analog). A server
+// serves one with Server.EnableRegistry, and clients reach it with
+// Client.Registry and Client.LookupStub; a standalone registry is a server
+// that exports nothing else.
 type RegistryServer = registry.Server
 
 // RegistryEntry is one naming-service binding.
@@ -313,11 +316,6 @@ func Register(name string, sample any) error { return wire.Register(name, sample
 // mid-call. It enforces at runtime what `nrmi-vet`'s restorable-closure
 // check reports at build time; see docs/LINT.md.
 func RegisterStrict(name string, sample any) error { return wire.RegisterStrict(name, sample) }
-
-// NewRegistryServer returns a standalone naming service. Bind it to a
-// listener with Serve, or embed one into an rmi server with
-// Server.EnableRegistry.
-func NewRegistryServer() *RegistryServer { return registry.NewServer() }
 
 // SimNetwork is an in-process shaped network for tests and experiments;
 // its Dial method is a Dialer.

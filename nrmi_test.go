@@ -121,12 +121,17 @@ func TestRegistryServerStandalone(t *testing.T) {
 	opts := nrmi.Options{Registry: reg}
 	addr := newTCPServer(t, opts)
 
-	// Standalone naming service on its own port.
+	// Standalone naming service on its own port: a server whose one
+	// export is the registry, as cmd/nrmi-registry runs it.
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := nrmi.NewRegistryServer()
+	rs, err := nrmi.NewServer(rln.Addr().String(), nrmi.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.EnableRegistry()
 	rs.Serve(rln)
 	defer rs.Close()
 
@@ -136,10 +141,7 @@ func TestRegistryServerStandalone(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	rc, err := cl.Registry(rln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := cl.Registry(rln.Addr().String())
 	if err := rc.Bind(ctx, nrmi.RegistryEntry{Name: "upcase-svc", Addr: addr, Object: "upcaser"}); err != nil {
 		t.Fatal(err)
 	}
