@@ -26,10 +26,10 @@ race:
 # lint under a 30-second runtime budget (it gates every push), race tests
 # (every package that moves pooled buffers ends its run on the bufpool
 # ledger and goroutine checks of internal/leakcheck), the two line ratchets,
-# one pass of BenchmarkKernels and of internal/core's BenchmarkPipeline (the
-# per-layer numbers the docs quote; go test ./... only compiles them, so a
-# b.Fatal in either would go unnoticed), then benchmark/. benchmark/ is its
-# own module, which ./... does not reach:
+# one pass of BenchmarkKernels, of internal/core's BenchmarkPipeline and of
+# internal/rmi's BenchmarkCall (the per-layer numbers the docs quote; go test
+# ./... only compiles them, so a b.Fatal in any would go unnoticed), then
+# benchmark/. benchmark/ is its own module, which ./... does not reach:
 # it is built and smoke-tested here so that a core/wire signature change that
 # breaks benchmark/layers.go is caught before a benchmark run is; it comes
 # last because its TestGeneratorPinned is red until ROADMAP item 1, and a
@@ -52,6 +52,7 @@ ci: build
 	@$(MAKE) --no-print-directory repo-loc
 	$(GO) test -run '^$$' -bench Kernels -benchtime 1x ./internal/wire
 	$(GO) test -run '^$$' -bench Pipeline -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^BenchmarkCall$$' -benchtime 1x ./internal/rmi
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Chaos suite: the five fixed fault-plan seeds, plus one fresh seed derived
@@ -106,7 +107,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 8076
+TRACKED_LOC_MAX := 8136
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -120,7 +121,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 18546
+REPO_LOC_MAX := 18606
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

@@ -82,10 +82,16 @@ func TestApplyResponseAtomicUnderTruncation(t *testing.T) {
 				}
 				snap := snapshotGraph(t, root)
 				acq0, rel0 := wire.ArenaCounters()
+				carved0, zeroed0, dropped0 := wire.StagingCounters()
 				_, err := call.ApplyResponseBytes(resp[:cut])
 				acq1, rel1 := wire.ArenaCounters()
+				carved1, zeroed1, dropped1 := wire.StagingCounters()
 				if err == nil {
 					t.Fatalf("truncation at %d/%d bytes: ApplyResponse succeeded", cut, len(full))
+				}
+				if zeroed1 != zeroed0 || carved1-carved0 != dropped1-dropped0 {
+					t.Fatalf("truncation at %d/%d bytes: staging slabs %+d carved, %+d zeroed, %+d dropped; a failed apply recycles none",
+						cut, len(full), carved1-carved0, zeroed1-zeroed0, dropped1-dropped0)
 				}
 				if !graphsEqual(t, root, snap) {
 					t.Fatalf("truncation at %d/%d bytes: failed ApplyResponse mutated the graph (err was %v)",
@@ -97,6 +103,39 @@ func TestApplyResponseAtomicUnderTruncation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFailedApplyRecyclesNoSlab: a reply whose records all stage and whose
+// return value is cut short fails with the caller's graph bit-identical and
+// recycles neither its decoder nor the staging slab its temporaries came
+// from: the slab is dropped with them, not zeroed for the next reply, as
+// ReleaseDecoder would. The same reply whole zeroes its slab.
+func TestFailedApplyRecyclesNoSlab(t *testing.T) {
+	for _, cfg := range codecConfigs {
+		opts := cfg.apply(testOptions(t))
+		call, resp, root := atomicWorld(t, opts)
+		snap := snapshotGraph(t, root)
+		carved0, zeroed0, dropped0 := wire.StagingCounters()
+		if _, err := call.ApplyResponseBytes(resp[:len(resp)-1]); err == nil {
+			t.Fatalf("%s: a reply cut inside its return value applied", cfg.name)
+		}
+		carved1, zeroed1, dropped1 := wire.StagingCounters()
+		if !graphsEqual(t, root, snap) {
+			t.Fatalf("%s: the failed apply mutated the graph", cfg.name)
+		}
+		if carved1-carved0 != 1 || zeroed1 != zeroed0 || dropped1-dropped0 != 1 {
+			t.Fatalf("%s: failed apply: %+d slabs carved, %+d zeroed, %+d dropped; want one carved and dropped",
+				cfg.name, carved1-carved0, zeroed1-zeroed0, dropped1-dropped0)
+		}
+		if _, err := call.ApplyResponseBytes(resp); err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
+		}
+		if carved2, zeroed2, dropped2 := wire.StagingCounters(); carved2-carved1 != 1 || zeroed2-zeroed1 != 1 || dropped2 != dropped1 {
+			t.Fatalf("%s: apply: %+d slabs carved, %+d zeroed, %+d dropped; want one carved and zeroed",
+				cfg.name, carved2-carved1, zeroed2-zeroed1, dropped2-dropped1)
+		}
+		call.Release()
 	}
 }
 

@@ -63,7 +63,15 @@ func (c *Call) SetObs(oc *obs.Call) { c.oc = oc }
 // NewCall starts encoding a request. Finish writes it to w; with a nil w
 // the request is read through Message instead.
 func NewCall(w io.Writer, opts Options) *Call {
-	return &Call{opts: opts, enc: wire.AcquireEncoder(w, opts)}
+	c := new(Call)
+	c.Begin(w, opts)
+	return c
+}
+
+// Begin is NewCall into c, a zero or released Call: one held inside a
+// longer-lived object allocates nothing of its own.
+func (c *Call) Begin(w io.Writer, opts Options) {
+	*c = Call{opts: opts, enc: wire.AcquireEncoder(w, opts)}
 }
 
 // Release returns the Call's pooled codec state. Call it once the response
@@ -150,21 +158,15 @@ type Response struct {
 	BytesReceived int64
 }
 
-// pendingRestore pairs a seeded original with its "modified version": the
-// staging temporary its content record decoded into.
-type pendingRestore struct {
-	orig reflect.Value
-	tmp  reflect.Value
-}
-
 // ApplyResponseBytes reads the server's restore section and return values
 // from data and performs the in-place restore: afterwards every client-side
 // alias of every pre-call object observes the server's mutations. It
 // implements steps 4–6 of the paper's algorithm in a single pass, recording
 // the decode and commit phases on the attached collector. Nothing decoded
 // aliases data, so the caller may recycle the buffer once it returns. The
-// pooled decoder goes back to the pool on success only.
-func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
+// pooled decoder, with the staging slab its temporaries came from, goes back
+// to the pool on success only.
+func (c *Call) ApplyResponseBytes(data []byte) (Response, error) {
 	dec := wire.AcquireDecoderBytes(data, c.opts)
 	if c.commitMu != nil {
 		// See the commitMu field comment: validation reads objects a
@@ -174,7 +176,8 @@ func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
 		defer c.commitMu.Unlock()
 	}
 	sp := c.oc.Start(obs.PhaseDecodeReply)
-	updates, rets, err := c.decodeReply(dec)
+	rets, err := c.decodeReply(dec)
+	updates := dec.Staged()
 	sp.EndN(dec.BytesRead(), int64(len(updates)))
 	if err == nil {
 		sp = c.oc.Start(obs.PhaseRestoreCommit)
@@ -186,10 +189,10 @@ func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
 		// is released exactly once. The decoder itself is not recycled —
 		// partially decoded state may still reference its table.
 		dec.ReleaseArena()
-		return nil, err
+		return Response{}, err
 	}
 
-	resp := &Response{
+	resp := Response{
 		Returns:       rets,
 		Restored:      len(updates),
 		NewObjects:    len(dec.Objects()) - dec.NumSeeded(),
@@ -199,56 +202,53 @@ func (c *Call) ApplyResponseBytes(data []byte) (*Response, error) {
 	return resp, nil
 }
 
-// decodeReply seeds the response decoder and consumes the restore section
-// and return values, leaving the commit to the caller.
-func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []any, err error) {
+// decodeReply seeds the response decoder and consumes the restore section,
+// staging each record (Decoder.Staged), and the return values, leaving the
+// commit to the caller.
+func (c *Call) decodeReply(dec *wire.Decoder) (rets []any, err error) {
 	// Seed the response decoder with the restore set's cells of the request
 	// object table: references to those IDs must resolve to the original
 	// client objects, while everything else (including returned by-copy
 	// argument data) materializes fresh.
 	dec.SeedDetached(c.enc.Objects()[:c.end])
 	numSeeded := dec.NumSeeded()
-	seeded := dec.Objects()[:numSeeded]
 
 	n, err := dec.DecodeUint()
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: reading restore count: %w", err)
+		return nil, fmt.Errorf("core: reading restore count: %w", err)
 	}
 	if n > uint64(numSeeded) {
-		return nil, nil, fmt.Errorf("%w: %d content records for %d objects", ErrBadResponse, n, numSeeded)
+		return nil, fmt.Errorf("%w: %d content records for %d objects", ErrBadResponse, n, numSeeded)
 	}
 	dec.ExpectContents(int(n))
-	updates = make([]pendingRestore, 0, n)
 	for i := uint64(0); i < n; i++ {
 		id, err := dec.DecodeUint()
 		if err != nil {
-			return updates, nil, fmt.Errorf("core: reading restore id: %w", err)
+			return nil, fmt.Errorf("core: reading restore id: %w", err)
 		}
 		if id >= uint64(numSeeded) {
-			return updates, nil, fmt.Errorf("%w: content record for unknown object %d", ErrBadResponse, id)
+			return nil, fmt.Errorf("%w: content record for unknown object %d", ErrBadResponse, id)
 		}
-		tmp, err := dec.DecodeSeededContent(int(id))
-		if err != nil {
-			return updates, nil, fmt.Errorf("core: decoding content for object %d: %w", id, err)
+		if _, err := dec.DecodeSeededContent(int(id)); err != nil {
+			return nil, fmt.Errorf("core: decoding content for object %d: %w", id, err)
 		}
-		updates = append(updates, pendingRestore{orig: seeded[id], tmp: tmp})
 	}
 
 	// Return values decode against the same table: aliasing between
 	// returned data and restored parameters is preserved.
 	nret, err := dec.DecodeUint()
 	if err != nil {
-		return updates, nil, fmt.Errorf("core: reading return count: %w", err)
+		return nil, fmt.Errorf("core: reading return count: %w", err)
 	}
 	rets = make([]any, 0, min(nret, 8)) // the count is the peer's: a hint, no more
 	for i := uint64(0); i < nret; i++ {
 		v, err := dec.Decode()
 		if err != nil {
-			return updates, nil, fmt.Errorf("core: decoding return value %d: %w", i, err)
+			return nil, fmt.Errorf("core: decoding return value %d: %w", i, err)
 		}
 		rets = append(rets, v)
 	}
-	return updates, rets, nil
+	return rets, nil
 }
 
 // commitUpdates performs step 5: overwrite each original, in place. Every
@@ -257,14 +257,14 @@ func (c *Call) decodeReply(dec *wire.Decoder) (updates []pendingRestore, rets []
 // The commit is two-phase — validate every (orig, tmp) pair before the
 // first overwrite — so a malformed reply fails with the caller's graph
 // untouched rather than half-restored.
-func commitUpdates(updates []pendingRestore) error {
+func commitUpdates(updates []wire.Staged) error {
 	for _, u := range updates {
-		if err := validateRestore(u.orig, u.tmp); err != nil {
+		if err := validateRestore(u.Orig, u.Tmp); err != nil {
 			return err
 		}
 	}
 	for _, u := range updates {
-		commitRestore(u.orig, u.tmp)
+		commitRestore(u.Orig, u.Tmp)
 	}
 	return nil
 }

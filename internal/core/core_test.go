@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nrmi/internal/bufpool"
 	"nrmi/internal/graph"
 	"nrmi/internal/wire"
 )
@@ -39,7 +40,7 @@ func testOptions(t *testing.T) Options {
 // runRemote simulates a full restorable call through in-memory buffers:
 // encode request, decode on "server", run mutate, encode response, apply on
 // "client". Returns the client-visible response and what the server shipped.
-func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *Tree) (*Response, ResponseStats) {
+func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *Tree) (Response, ResponseStats) {
 	t.Helper()
 	var req bytes.Buffer
 	call := NewCall(&req, opts)
@@ -77,6 +78,7 @@ func runRemote(t *testing.T, opts Options, mutate func(root *Tree) []any, root *
 	if err != nil {
 		t.Fatalf("apply response: %v", err)
 	}
+	bufpool.Put(stats.Reply)
 	return resp, stats
 }
 

@@ -35,7 +35,7 @@ func carrierOptions(t *testing.T) Options {
 }
 
 // runRemoteCarrier mirrors runRemote for carrier roots.
-func runRemoteCarrier(t *testing.T, opts Options, mutate func(c *carrier), root *carrier) *Response {
+func runRemoteCarrier(t *testing.T, opts Options, mutate func(c *carrier), root *carrier) Response {
 	t.Helper()
 	var req bytes.Buffer
 	call := NewCall(&req, opts)

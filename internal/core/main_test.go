@@ -8,9 +8,17 @@ import (
 	"nrmi/internal/wire"
 )
 
-// This package's tests move no pooled buffers; its pooled resource is the
-// arena a V3 decoder holds until it is released.
-func TestMain(m *testing.M) { leakcheck.Main(m, arenasBalanced) }
+// This package's tests move no pooled buffers; its pooled resources are the
+// arena a V3 decoder holds until it is released and the staging slab a
+// decoder keeps.
+func TestMain(m *testing.M) { leakcheck.Main(m, arenasBalanced, stagingBalanced) }
+
+func stagingBalanced() error {
+	if carved, zeroed, dropped := wire.StagingCounters(); carved != zeroed+dropped {
+		return fmt.Errorf("core: %d staging slabs carved, %d zeroed, %d dropped", carved, zeroed, dropped)
+	}
+	return nil
+}
 
 func arenasBalanced() error {
 	if acq, rel := wire.ArenaCounters(); acq != rel {

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
+	"nrmi/internal/bufpool"
 	"nrmi/internal/graph"
 	"nrmi/internal/obs"
 	"nrmi/internal/wire"
@@ -120,7 +120,8 @@ type ResponseStats struct {
 	OldSent int
 	// BytesSent is the size of the encoded response.
 	BytesSent int64
-	// Reply is a right-sized copy of the response, made for a nil writer.
+	// Reply is the response for a nil writer, copied into a buffer of the
+	// shared frame pool (internal/bufpool) that the caller may release.
 	Reply []byte
 }
 
@@ -190,7 +191,8 @@ func (s *ServerCall) EncodeResponse(w io.Writer, rets []any) (ResponseStats, err
 		BytesSent: enc.BytesWritten(),
 	}
 	if w == nil {
-		stats.Reply = bytes.Clone(enc.Bytes())
+		stats.Reply = bufpool.Get(len(enc.Bytes()))
+		copy(stats.Reply, enc.Bytes())
 	}
 	wire.ReleaseEncoder(enc)
 	return stats, nil

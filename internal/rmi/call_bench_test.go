@@ -1,0 +1,80 @@
+package rmi
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"testing"
+
+	"nrmi/internal/core"
+	"nrmi/internal/wire"
+)
+
+// BenchmarkCall is the rmi layer in isolation: whole calls over loopback
+// TCP, client and server in this process, per call shape and tree size.
+// Call and CallAsync+Wait restore a balanced tree (Touch); CallOneWay, which
+// cannot restore, ships the same tree by copy (Sum). The allocation count
+// is both ends' per call; the bufpool ledger of this package's TestMain is
+// on, so the time is not the benchmark module's.
+func BenchmarkCall(b *testing.B) {
+	reg := wire.NewRegistry()
+	for name, v := range map[string]any{"RTree": RTree{}, "CTree": CTree{}} {
+		if err := reg.Register(name, v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := Options{Core: core.Options{Registry: reg}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(ln.Addr().String(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := srv.Export("trees", &TreeService{}); err != nil {
+		b.Fatal(err)
+	}
+	srv.Serve(ln)
+	defer srv.Close()
+	cl, err := NewClient(func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	stub := cl.Stub(srv.Addr(), "trees")
+	ctx := context.Background()
+
+	for _, size := range []int{16, 256} {
+		var restored func(lo, hi int) *RTree
+		restored = func(lo, hi int) *RTree {
+			if lo >= hi {
+				return nil
+			}
+			mid := (lo + hi) / 2
+			return &RTree{Data: mid, Left: restored(lo, mid), Right: restored(mid+1, hi)}
+		}
+		var copied func(lo, hi int) *CTree
+		copied = func(lo, hi int) *CTree {
+			if lo >= hi {
+				return nil
+			}
+			mid := (lo + hi) / 2
+			return &CTree{Data: mid, Left: copied(lo, mid), Right: copied(mid+1, hi)}
+		}
+		for _, shape := range []callShape{shapeCall, shapeAsync, shapeOneWay} {
+			method, arg := "Touch", any(restored(0, size))
+			if shape.name == shapeOneWay.name {
+				method, arg = "Sum", copied(0, size)
+			}
+			b.Run(fmt.Sprintf("%s/%d", shape.name, size), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := shape.call(stub, ctx, method, arg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

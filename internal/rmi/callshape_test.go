@@ -33,11 +33,40 @@ var (
 	}}
 )
 
-// syncCallAllocBudget is what one Stub.Call of the chaos tree costs end to
-// end (client, transport and server sides of the in-memory pipe together):
-// it measures 33. A Promise that escapes to the heap, a context or timer per
-// attempt deadline, or a frame header on the heap lands above it.
-const syncCallAllocBudget = 36
+// The allocation ledger per call shape: what one call of the chaos tree
+// costs end to end (client, transport and server sides of the in-memory
+// pipe together). The blocking and async shapes restore the tree; a one-way
+// call, which cannot, ships it by copy. Beyond the decoded objects and the
+// method's own work, a call keeps only what outlives it (DESIGN.md §8f): a
+// Promise that escapes the blocking shape's frame, a context or timer per
+// attempt deadline, a frame header on the heap, a per-call scratch slice or
+// closure, or a reply copied out of the pool lands above its budget.
+const (
+	syncCallAllocBudget   = 20 // measures 20
+	asyncCallAllocBudget  = 21 // measures 21: the Promise CallAsync returns
+	oneWayCallAllocBudget = 11 // measures 11
+)
+
+// callAllocs is shape's allocations per call, measured after a warm-up: of
+// Scale(chaosTree, 1), or for the one-way shape of Sum on a by-copy tree.
+func callAllocs(t *testing.T, shape callShape) float64 {
+	env := newChaosEnv(t, nil, RetryPolicy{}, 5*time.Second)
+	stub := env.client.Stub("server", "chaos")
+	ctx := context.Background()
+	method, arg := "Scale", any(chaosTree())
+	if shape.name == shapeOneWay.name {
+		method, arg = "Sum", &CTree{Data: 5, Left: &CTree{Data: 1}, Right: &CTree{Data: 7, Right: &CTree{Data: 9}}}
+	}
+	call := func() {
+		if _, err := shape.call(stub, ctx, method, arg, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ { // pools, kernels, parked worker
+		call()
+	}
+	return testing.AllocsPerRun(200, call)
+}
 
 // TestSyncCallAllocs holds the blocking call shape to its allocation count:
 // the Promise it runs on lives in the caller's frame, CallTimeout (set, as
@@ -47,22 +76,29 @@ func TestSyncCallAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
 	}
-	env := newChaosEnv(t, nil, RetryPolicy{}, 5*time.Second)
-	stub := env.client.Stub("server", "chaos")
-	ctx := context.Background()
-	root := chaosTree()
-	call := func() {
-		if _, err := stub.Call(ctx, "Scale", root, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ { // pools, kernels, parked worker
-		call()
-	}
-	got := testing.AllocsPerRun(200, call)
+	got := callAllocs(t, shapeCall)
 	t.Logf("allocs per sync call: %.2f (budget %d)", got, syncCallAllocBudget)
 	if got > syncCallAllocBudget {
 		t.Fatalf("Stub.Call allocates %.2f per call, budget %d", got, syncCallAllocBudget)
+	}
+}
+
+// TestCallShapeAllocs holds the promise and one-way shapes to theirs: the
+// async shape keeps its call, transport attempt and response inside the
+// Promise it returns.
+func TestCallShapeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
+	}
+	for _, row := range []struct {
+		shape  callShape
+		budget float64
+	}{{shapeAsync, asyncCallAllocBudget}, {shapeOneWay, oneWayCallAllocBudget}} {
+		got := callAllocs(t, row.shape)
+		t.Logf("allocs per %s call: %.2f (budget %.0f)", row.shape.name, got, row.budget)
+		if got > row.budget {
+			t.Errorf("%s allocates %.2f per call, budget %.0f", row.shape.name, got, row.budget)
+		}
 	}
 }
 

@@ -41,6 +41,14 @@ func (s *ChaosService) Scale(t *RTree, k int) int {
 	return chaosMutate(t, k)
 }
 
+// Sum counts a by-copy tree's nodes, the one-way shape's call.
+func (s *ChaosService) Sum(t *CTree, _ int) int {
+	if t == nil {
+		return 0
+	}
+	return 1 + s.Sum(t.Left, 0) + s.Sum(t.Right, 0)
+}
+
 // Calls reports how many Scale executions the server saw — the oracle for
 // "retry never re-sent this call".
 func (s *ChaosService) Calls() int {
@@ -110,8 +118,10 @@ type chaosEnv struct {
 func newChaosEnv(t *testing.T, plan *netsim.Plan, retry RetryPolicy, callTimeout time.Duration) *chaosEnv {
 	t.Helper()
 	reg := wire.NewRegistry()
-	if err := reg.Register("RTree", RTree{}); err != nil {
-		t.Fatal(err)
+	for name, v := range map[string]any{"RTree": RTree{}, "CTree": CTree{}} {
+		if err := reg.Register(name, v); err != nil {
+			t.Fatal(err)
+		}
 	}
 	opts := Options{Core: core.Options{Registry: reg}}
 	n := netsim.NewNetwork(netsim.Loopback())

@@ -83,7 +83,7 @@ func (c *Client) conn(addr string) (*transport.Conn, error) {
 	c.mu.Lock()
 	for {
 		if tc, ok := c.conns[addr]; ok {
-			if !tc.IsClosed() {
+			if tc.Err() == nil {
 				c.mu.Unlock()
 				return tc, nil
 			}
@@ -180,33 +180,42 @@ func (c *Client) LookupStub(ctx context.Context, regAddr, name string) (*Stub, e
 // Call invokes method with args and returns the remote results. Calling
 // semantics per argument follow the type rules in the package comment.
 func (st *Stub) Call(ctx context.Context, method string, args ...any) ([]any, error) {
-	resp, err := st.CallStats(ctx, method, args...)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Returns, nil
+	resp, err := st.call(ctx, method, args)
+	return resp.Returns, err
 }
 
 // CallStats is Call, additionally exposing restore statistics and byte
 // counts for the experiment harness.
 func (st *Stub) CallStats(ctx context.Context, method string, args ...any) (*core.Response, error) {
-	if ic := st.c.opts.Intercept; ic != nil {
-		var resp *core.Response
-		info := CallInfo{Addr: st.addr, Object: st.object, Method: method, ArgCount: len(args)}
-		err := ic(ctx, info, func(ctx context.Context) error {
-			var err error
-			resp, err = st.run(ctx, method, args, false)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if resp == nil {
-			return nil, fmt.Errorf("rmi: interceptor for %s skipped the call without error", method)
-		}
-		return resp, nil
+	resp, err := st.call(ctx, method, args)
+	if err != nil {
+		return nil, err
 	}
-	return st.run(ctx, method, args, false)
+	return &resp, nil
+}
+
+// call is a blocking call under the client's interceptor.
+func (st *Stub) call(ctx context.Context, method string, args []any) (core.Response, error) {
+	ic := st.c.opts.Intercept
+	if ic == nil {
+		return st.run(ctx, method, args, false)
+	}
+	var resp core.Response
+	ran := false
+	info := CallInfo{Addr: st.addr, Object: st.object, Method: method, ArgCount: len(args)}
+	err := ic(ctx, info, func(ctx context.Context) error {
+		var err error
+		resp, err = st.run(ctx, method, args, false)
+		ran = err == nil
+		return err
+	})
+	if err == nil && !ran {
+		err = fmt.Errorf("rmi: interceptor for %s skipped the call without error", method)
+	}
+	if err != nil {
+		return core.Response{}, err
+	}
+	return resp, nil
 }
 
 // encodeRequest writes the call header — object, method, argument count

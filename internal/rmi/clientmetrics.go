@@ -1,6 +1,7 @@
 package rmi
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -121,12 +122,7 @@ func (c *Client) Metrics() ClientMetrics {
 		OneWays:           c.metrics.oneWays.Load(),
 	}
 	c.metrics.causeMu.Lock()
-	if len(c.metrics.evictionCauses) > 0 {
-		m.EvictionCauses = make(map[string]int64, len(c.metrics.evictionCauses))
-		for cause, n := range c.metrics.evictionCauses {
-			m.EvictionCauses[cause] = n
-		}
-	}
+	m.EvictionCauses = maps.Clone(c.metrics.evictionCauses)
 	c.metrics.causeMu.Unlock()
 	return m
 }

@@ -325,6 +325,78 @@ func TestHostChargingSlowsServer(t *testing.T) {
 	}
 }
 
+// RelayService forwards each call to another server's NapService.
+type RelayService struct{ next *Stub }
+
+// Relay makes one outbound call of next's Nap, in the given shape, under
+// the request's context.
+func (r *RelayService) Relay(ctx context.Context, async bool) error {
+	shape := shapeCall
+	if async {
+		shape = shapeAsync
+	}
+	_, err := shape.call(r.next, ctx, "Nap")
+	return err
+}
+
+// NapService takes a fixed time per call.
+type NapService struct{ d time.Duration }
+
+// Nap sleeps for the service's duration.
+func (s *NapService) Nap() { time.Sleep(s.d) }
+
+// TestSlowHostBilledForOwnWork: a factor-2 server is billed for its own
+// handler time only, not for the outbound call its method waits on. Billed
+// for the wait, a relay over a 100 ms nap would take twice the nap.
+func TestSlowHostBilledForOwnWork(t *testing.T) {
+	const nap = 100 * time.Millisecond
+	n := netsim.NewNetwork(netsim.Loopback())
+	t.Cleanup(func() { n.Close() })
+	serve := func(addr string, factor float64, name string, svc any) Options {
+		opts := Options{Host: netsim.Host{Name: addr, CPUFactor: factor}}
+		srv, err := NewServer(addr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Export(name, svc); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := n.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		return opts
+	}
+	client := func(opts Options) *Client {
+		cl, err := NewClient(n.Dial, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	serve("nap", 1, "nap", &NapService{d: nap})
+	relay := &RelayService{}
+	relay.next = client(serve("relay", 2, "relay", relay)).Stub("nap", "nap")
+	stub := client(Options{}).Stub("relay", "relay")
+	for _, async := range []bool{false, true} {
+		took := time.Duration(1<<63 - 1)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if _, err := stub.Call(context.Background(), "Relay", async); err != nil {
+				t.Fatal(err)
+			}
+			took = min(took, time.Since(start))
+		}
+		t.Logf("async %t: relay over a %v nap took %v", async, nap, took)
+		if took < nap || took > nap+nap/2 {
+			t.Errorf("async %t: relay over a %v nap took %v: the slow host was billed for its wait", async, nap, took)
+		}
+	}
+}
+
 func TestConvertArgNilHandling(t *testing.T) {
 	if _, err := convertArg(nil, reflect.TypeOf(0)); err == nil {
 		t.Fatal("nil into int must fail")

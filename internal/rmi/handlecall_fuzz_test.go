@@ -196,6 +196,7 @@ func FuzzHandleCall(f *testing.F) {
 		svc.ran = false
 		obj, wellFormed := header(payload)
 		reply, err := srv.handle(context.Background(), transport.MsgCall, payload)
+		defer transport.ReleasePayload(reply) // the reply is pool-owned
 		switch {
 		case err == nil && (len(reply) == 0 || svc.ran != (obj == "fz")):
 			t.Fatalf("% x: no error, a %d-byte reply, object %q, method ran %t", payload, len(reply), obj, svc.ran)

@@ -9,11 +9,13 @@ import (
 )
 
 // TestClientPayloadOwnershipLedger drives every client-side payload
-// release site — the call path (DGC calls included), Ping, plus a
-// remote-error reply released inside the transport — with the buffer
+// release site — the call path of each shape (DGC calls included), Ping,
+// plus a remote-error reply released inside the transport — with the buffer
 // pool's ownership ledger armed, proving that no site releases a payload
-// twice and none retains one past release. It also pins the
-// PayloadsReleased counter those sites feed.
+// twice and none retains one past release. The server's ends balance too:
+// each request buffer, and each reply the transport releases once it is
+// queued, the Ping echo (its request) once. It also pins the
+// PayloadsReleased counter the client sites feed.
 func TestClientPayloadOwnershipLedger(t *testing.T) {
 	e := newEnv(t)
 	stub := e.client.Stub("server", "trees")
@@ -21,10 +23,15 @@ func TestClientPayloadOwnershipLedger(t *testing.T) {
 
 	const calls = 25
 	for i := 0; i < calls; i++ {
+		shape := []callShape{shapeCall, shapeAsync}[i%2]
 		root, _, _, _, _ := paperRTree()
-		if _, err := stub.Call(ctx, "Foo", root); err != nil {
+		if _, err := shape.call(stub, ctx, "Foo", root); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// One-way: no reply payload on either end.
+	if err := stub.CallOneWay(ctx, "Sum", &CTree{Data: 1}); err != nil {
+		t.Fatal(err)
 	}
 	// Remote application error: the error payload is copied into the error
 	// value and recycled inside the transport, never reaching the client's
@@ -47,8 +54,8 @@ func TestClientPayloadOwnershipLedger(t *testing.T) {
 	}
 
 	cm := e.client.Metrics()
-	if cm.CallsIssued != calls+3 || cm.CallErrors != 1 {
-		t.Errorf("CallsIssued/CallErrors = %d/%d, want %d/1", cm.CallsIssued, cm.CallErrors, calls+3)
+	if cm.CallsIssued != calls+4 || cm.CallErrors != 1 {
+		t.Errorf("CallsIssued/CallErrors = %d/%d, want %d/1", cm.CallsIssued, cm.CallErrors, calls+4)
 	}
 	if cm.Attempts < cm.CallsIssued {
 		t.Errorf("Attempts %d < CallsIssued %d", cm.Attempts, cm.CallsIssued)

@@ -81,17 +81,20 @@ type Promise struct {
 	oc     *obs.Call
 
 	oneWay bool
-	call   *core.Call
+	call   core.Call
 
 	// pc is the transport half of the current attempt (nil once a one-way
-	// frame is written), sendErr the failure when the attempt never went
-	// out, deadline the attempt's expiry (zero without CallTimeout).
-	pc       *transport.PendingCall
+	// frame is written), sent from slot: a blocking call's own, or for
+	// CallAsync the promise's pending. sendErr is the failure when the
+	// attempt never went out, deadline the attempt's expiry (zero without
+	// CallTimeout).
+	pc, slot *transport.PendingCall
+	pending  transport.PendingCall
 	sendErr  error
 	deadline time.Time
 
 	state promiseState
-	resp  *core.Response
+	resp  core.Response
 	err   error
 
 	// Derived-promise fields (Then): source resolves first, cont maps its
@@ -107,17 +110,26 @@ func (st *Stub) begin(p *Promise, method string, oneWay bool) {
 		oc: obs.Begin(st.c.opts.Obs, st.object, method)}
 }
 
+// pendingCalls recycles the transport attempts of blocking calls: one is
+// settled, and free, by the time its call returns.
+var pendingCalls = sync.Pool{New: func() any { return new(transport.PendingCall) }}
+
 // run is the blocking shape, Stub.Call and Stub.CallOneWay: issue, await
 // and (unless one-way: no reply, nothing to apply) apply back to back. The
-// promise stays in this frame, so a blocking call allocates no more than
-// its codec and its transport attempt do.
-func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool) (*core.Response, error) {
+// promise stays in this frame, and its attempts go out from a pooled slot,
+// so a blocking call allocates no more than its codec does.
+func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool) (core.Response, error) {
+	defer outbound(ctx)()
 	var p Promise
 	st.begin(&p, method, oneWay)
+	if !oneWay {
+		p.slot = pendingCalls.Get().(*transport.PendingCall)
+		defer pendingCalls.Put(p.slot)
+	}
 	sp := p.oc.Start(obs.PhaseEncode)
 	err := p.encode(args)
 	sp.EndBytes(p.call.BytesSent())
-	var resp *core.Response
+	var resp core.Response
 	if err == nil {
 		sp = p.oc.Start(obs.PhaseTransport)
 		p.send(ctx)
@@ -144,8 +156,10 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 // any re-send. Client interceptors (Options.Intercept) do not wrap async
 // calls; the issue/await split has no single call body to wrap.
 func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Promise, error) {
+	defer outbound(ctx)()
 	p := new(Promise)
 	st.begin(p, method, false)
+	p.slot = &p.pending
 	sp := p.oc.Start(obs.PhaseAsyncIssue)
 	err := p.encode(args)
 	if err == nil {
@@ -154,7 +168,7 @@ func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Pro
 	}
 	sp.End()
 	if err != nil {
-		p.settle(nil, err)
+		p.settle(core.Response{}, err)
 		return nil, err
 	}
 	st.c.metrics.asyncIssued.Add(1)
@@ -168,9 +182,9 @@ func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Pro
 func (p *Promise) encode(args []any) error {
 	c := p.st.c
 	start := time.Now()
-	p.call = core.NewCall(nil, c.opts.Core)
+	p.call.Begin(nil, c.opts.Core)
 	p.call.SetObs(p.oc)
-	if err := p.st.encodeRequest(p.call, p.method, args); err != nil {
+	if err := p.st.encodeRequest(&p.call, p.method, args); err != nil {
 		return err
 	}
 	if p.call.NumRestorable() > 0 {
@@ -198,9 +212,11 @@ func (p *Promise) send(ctx context.Context) {
 	}
 	tc, err := c.conn(p.st.addr)
 	if err == nil {
-		p.pc, err = tc.Send(ctx, transport.MsgCall, p.call.Message(), p.deadline, p.oneWay)
+		err = tc.Send(ctx, p.slot, transport.MsgCall, p.call.Message(), p.deadline)
 	}
-	p.sendErr = err
+	if p.sendErr = err; err == nil {
+		p.pc = p.slot
+	}
 }
 
 // attemptTimers holds stopped timers that bound a reply wait by its attempt
@@ -265,13 +281,13 @@ func (p *Promise) await(ctx context.Context) ([]byte, error) {
 // mutating (a failure leaves the graph bit-identical), and the error
 // wraps as ResponseConsumedError, which Retryable refuses. The pooled
 // payload goes back once ApplyResponseBytes has returned.
-func (p *Promise) apply(payload []byte) (*core.Response, error) {
+func (p *Promise) apply(payload []byte) (core.Response, error) {
 	c := p.st.c
 	start := time.Now()
 	resp, err := p.call.ApplyResponseBytes(payload)
 	c.releasePayload(payload)
 	if err != nil {
-		return nil, &ResponseConsumedError{Method: p.method, Err: err}
+		return resp, &ResponseConsumedError{Method: p.method, Err: err}
 	}
 	c.opts.Host.Charge(time.Since(start))
 	return resp, nil
@@ -292,26 +308,26 @@ func (p *Promise) Wait(ctx context.Context) ([]any, error) {
 // WaitStats is Wait, additionally exposing restore statistics and byte
 // counts, the async counterpart of CallStats.
 func (p *Promise) WaitStats(ctx context.Context) (*core.Response, error) {
+	if p.state == promisePending && p.cont != nil {
+		p.waitDerived(ctx)
+	} else if p.state == promisePending {
+		defer outbound(ctx)()
+		sp := p.oc.Start(obs.PhaseAsyncAwait)
+		var resp core.Response
+		payload, err := p.await(ctx)
+		if err == nil {
+			resp, err = p.apply(payload)
+		}
+		sp.End()
+		p.settle(resp, err)
+	}
 	switch p.state {
 	case promiseResolved:
-		return p.resp, nil
+		return &p.resp, nil
 	case promiseRejected:
 		return nil, p.err
-	case promiseAbandoned:
-		return nil, ErrPromiseAbandoned
 	}
-	if p.cont != nil {
-		return p.waitDerived(ctx)
-	}
-	sp := p.oc.Start(obs.PhaseAsyncAwait)
-	var resp *core.Response
-	payload, err := p.await(ctx)
-	if err == nil {
-		resp, err = p.apply(payload)
-	}
-	sp.End()
-	p.settle(resp, err)
-	return resp, err
+	return nil, ErrPromiseAbandoned
 }
 
 // Ready reports, without blocking, whether Wait would settle without
@@ -354,16 +370,12 @@ func (p *Promise) Abandon() {
 }
 
 // settle records the outcome and returns the promise's pooled resources.
-func (p *Promise) settle(resp *core.Response, err error) {
+func (p *Promise) settle(resp core.Response, err error) {
 	p.state, p.resp, p.err = promiseResolved, resp, err
 	if err != nil {
 		p.state = promiseRejected
 	}
-	var received int64
-	if resp != nil { // a one-way call settles without one
-		received = resp.BytesReceived
-	}
-	p.st.c.noteCall(received, err)
+	p.st.c.noteCall(resp.BytesReceived, err) // a one-way call settles with none
 	p.oc.Finish(err)
 	p.releaseResources()
 }
@@ -371,7 +383,6 @@ func (p *Promise) settle(resp *core.Response, err error) {
 // releaseResources returns the pooled encoder state, request included.
 func (p *Promise) releaseResources() {
 	p.call.Release()
-	p.call = nil
 	p.oc = nil
 }
 
@@ -385,34 +396,25 @@ func (p *Promise) Then(f func(rets []any) (*Promise, error)) *Promise {
 }
 
 // waitDerived resolves a pending Then chain.
-func (p *Promise) waitDerived(ctx context.Context) (*core.Response, error) {
+func (p *Promise) waitDerived(ctx context.Context) {
 	if p.inner == nil {
 		rets, err := p.source.Wait(ctx)
-		if err != nil {
-			p.state = promiseRejected
-			p.err = err
-			return nil, err
-		}
-		next, err := p.cont(rets)
-		if err == nil && next == nil {
-			err = fmt.Errorf("rmi: Then continuation of %s returned no promise", p.method)
+		if err == nil {
+			if p.inner, err = p.cont(rets); err == nil && p.inner == nil {
+				err = fmt.Errorf("rmi: Then continuation of %s returned no promise", p.method)
+			}
 		}
 		if err != nil {
-			p.state = promiseRejected
-			p.err = err
-			return nil, err
+			p.inner = nil
+			p.state, p.err = promiseRejected, err
+			return
 		}
-		p.inner = next
 	}
-	resp, err := p.inner.WaitStats(ctx)
-	if err != nil {
-		p.state = promiseRejected
-		p.err = err
-		return nil, err
+	if resp, err := p.inner.WaitStats(ctx); err != nil {
+		p.state, p.err = promiseRejected, err
+	} else {
+		p.state, p.resp = promiseResolved, *resp
 	}
-	p.state = promiseResolved
-	p.resp = resp
-	return resp, nil
 }
 
 // All waits for every promise in order and collects their return values.

@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -392,7 +393,7 @@ func (s *Server) Serve(ln net.Listener) {
 		ln.Close()
 		return
 	}
-	s.tsrv = transport.Serve(ln, s.handle)
+	s.tsrv = transport.ServePooled(ln, s.handle)
 	s.mu.Unlock()
 }
 
@@ -507,12 +508,14 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 	if err := s.admit(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	defer func() {
+	if s.opts.Host.CPUFactor > 1 {
 		// Model this host's CPU speed: a slower machine takes
-		// proportionally longer for the same middleware processing.
-		s.opts.Host.Charge(time.Since(start))
-	}()
+		// proportionally longer for the same middleware processing — its
+		// own, not the outbound calls its method waits on.
+		w := new(atomic.Int64)
+		ctx = context.WithValue(ctx, waitsKey{}, w)
+		defer func(start time.Time) { s.opts.Host.Charge(time.Since(start) - time.Duration(w.Load())) }(time.Now())
+	}
 	switch msgType {
 	case transport.MsgCall:
 		if max := s.opts.MaxRequestBytes; max > 0 && len(payload) > max {
@@ -551,6 +554,21 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 	default:
 		return nil, fmt.Errorf("rmi: unknown message type %d", msgType)
 	}
+}
+
+// waitsKey keys a slow host's request context to the nanoseconds its
+// handler spent in outbound Stub calls, which handle does not bill.
+type waitsKey struct{}
+
+// outbound times a Stub call, or half of an async one, made under ctx: the
+// returned func adds the time since to the waits ctx carries, if any.
+func outbound(ctx context.Context) func() {
+	w, _ := ctx.Value(waitsKey{}).(*atomic.Int64)
+	if w == nil {
+		return func() {}
+	}
+	start := time.Now()
+	return func() { w.Add(int64(time.Since(start))) }
 }
 
 // resolveTarget maps a dispatch key ("name" or "#id") to the target object
@@ -652,16 +670,17 @@ func (s *Server) handleCall(ctx context.Context, payload []byte) (out []byte, er
 // decodedCall is a fully decoded, dispatch-ready invocation.
 type decodedCall struct {
 	method   reflect.Method
-	in       []reflect.Value // receiver first; ctx NOT included
 	takesCtx bool
 	nargs    int
 }
 
 // dispatchCall runs the decoded protocol under phase spans: srv-decode,
-// srv-prepare (inside sc.Prepare), srv-execute, srv-encode.
+// srv-prepare (inside sc.Prepare), srv-execute, srv-encode. The arguments
+// and the results are converted into scratch in this frame.
 func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.ServerCall, h callHead) ([]byte, error) {
 	sp := oc.Start(obs.PhaseSrvDecode)
-	dc, err := s.decodeArgs(sc, h)
+	var args [8]reflect.Value
+	dc, in, err := s.decodeArgs(sc, h, args[:0])
 	sp.EndN(sc.BytesReceived(), int64(dc.nargs))
 	if err != nil {
 		return nil, err
@@ -682,7 +701,7 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 		defer h.serial.Unlock()
 	}
 	sp = oc.Start(obs.PhaseSrvExecute)
-	outs, err := s.executeMethod(ctx, oc != nil, h.name, h.methodName, dc)
+	outs, err := s.executeMethod(ctx, oc != nil, h.name, h.methodName, dc, in)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -694,30 +713,36 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 	}
 
 	sp = oc.Start(obs.PhaseSrvEncode)
-	out, oldSent, err := s.encodeReply(sc, outs)
-	sp.EndBytes(int64(len(out)))
+	var results [4]any
+	var stats core.ResponseStats
+	rets, err := s.outboundResults(outs, results[:0])
+	if err == nil {
+		stats, err = sc.EncodeResponse(nil, rets)
+	}
+	sp.EndBytes(stats.BytesSent)
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.restored.Add(int64(oldSent))
-	return out, nil
+	s.metrics.restored.Add(int64(stats.OldSent))
+	return stats.Reply, nil
 }
 
 // decodeArgs reads the per-argument semantics markers and decodes the
-// argument list of the call h resolved.
-func (s *Server) decodeArgs(sc *core.ServerCall, h callHead) (decodedCall, error) {
+// argument list of the call h resolved into in's array, when it fits:
+// the receiver first, then ctx's slot if the method takes one.
+func (s *Server) decodeArgs(sc *core.ServerCall, h callHead, in []reflect.Value) (decodedCall, []reflect.Value, error) {
 	var dc decodedCall
 	if h.err != nil {
-		return dc, h.err
+		return dc, nil, h.err
 	}
 	target, method, methodName := h.v, h.method, h.methodName
 	nargs, err := sc.DecodeUint()
 	if err != nil {
-		return dc, fmt.Errorf("rmi: reading argument count: %w", err)
+		return dc, nil, fmt.Errorf("rmi: reading argument count: %w", err)
 	}
 	mt := method.Type // includes receiver at index 0
 	if mt.IsVariadic() {
-		return dc, fmt.Errorf("%w: %s is variadic; variadic remote methods are not supported", ErrBadArgument, methodName)
+		return dc, nil, fmt.Errorf("%w: %s is variadic; variadic remote methods are not supported", ErrBadArgument, methodName)
 	}
 	// A context.Context first parameter is server-injected, not a wire
 	// argument — the mirror of the client stub convention.
@@ -727,7 +752,7 @@ func (s *Server) decodeArgs(sc *core.ServerCall, h callHead) (decodedCall, error
 		ctxOffset = 1
 	}
 	if int(nargs) != mt.NumIn()-1-ctxOffset {
-		return dc, fmt.Errorf("%w: %s takes %d arguments, got %d",
+		return dc, nil, fmt.Errorf("%w: %s takes %d arguments, got %d",
 			ErrBadArgument, methodName, mt.NumIn()-1-ctxOffset, nargs)
 	}
 	// One semantics marker per argument, in parameter order, precedes the
@@ -737,16 +762,16 @@ func (s *Server) decodeArgs(sc *core.ServerCall, h callHead) (decodedCall, error
 	for i := 0; i < int(nargs); i++ {
 		sem, err := sc.DecodeUint()
 		if err != nil {
-			return dc, fmt.Errorf("rmi: reading semantics marker: %w", err)
+			return dc, nil, fmt.Errorf("rmi: reading semantics marker: %w", err)
 		}
 		if sem > uint64(semRef) {
-			return dc, fmt.Errorf("%w: unknown semantics marker %d for argument %d", ErrBadArgument, sem, i)
+			return dc, nil, fmt.Errorf("%w: unknown semantics marker %d for argument %d", ErrBadArgument, sem, i)
 		}
 		sems = append(sems, semantics(sem))
 	}
 	// The values follow the restorable arguments first, then the rest, each
 	// in parameter order; every one lands at its parameter's position.
-	in := make([]reflect.Value, nargs+1)
+	in = slices.Grow(in, int(nargs)+1+ctxOffset)[:int(nargs)+1+ctxOffset]
 	in[0] = target
 	for _, restorable := range [2]bool{true, false} {
 		for i, sem := range sems {
@@ -755,16 +780,16 @@ func (s *Server) decodeArgs(sc *core.ServerCall, h callHead) (decodedCall, error
 			}
 			raw, err := s.decodeArg(sc, sem)
 			if err != nil {
-				return dc, fmt.Errorf("rmi: decoding argument %d: %w", i, err)
+				return dc, nil, fmt.Errorf("rmi: decoding argument %d: %w", i, err)
 			}
 			av, err := convertArg(raw, mt.In(i+1+ctxOffset))
 			if err != nil {
-				return dc, fmt.Errorf("rmi: argument %d of %s: %w", i, methodName, err)
+				return dc, nil, fmt.Errorf("rmi: argument %d of %s: %w", i, methodName, err)
 			}
-			in[i+1] = av
+			in[i+1+ctxOffset] = av
 		}
 	}
-	return decodedCall{method: method, in: in, takesCtx: takesCtx, nargs: int(nargs)}, nil
+	return decodedCall{method: method, takesCtx: takesCtx, nargs: int(nargs)}, in, nil
 }
 
 // decodeArg decodes one argument value under its semantics marker.
@@ -786,32 +811,33 @@ func (s *Server) decodeArg(sc *core.ServerCall, sem semantics) (any, error) {
 // executeMethod runs the resolved method under the interceptor chain. With
 // labeled set (observability on), the goroutine carries pprof labels
 // nrmi_service/nrmi_method for the duration of the method body, so CPU
-// profiles attribute samples per remote method.
-func (s *Server) executeMethod(ctx context.Context, labeled bool, objKey, methodName string, dc decodedCall) ([]reflect.Value, error) {
+// profiles attribute samples per remote method. Without either, nothing is
+// built around the call.
+func (s *Server) executeMethod(ctx context.Context, labeled bool, objKey, methodName string, dc decodedCall, in []reflect.Value) ([]reflect.Value, error) {
+	ic := s.opts.Intercept
+	if ic == nil && !labeled {
+		return s.invoke(ctx, dc.method, in, dc.takesCtx)
+	}
+	// The closures escape: they hold a copy of the arguments, not in's scratch.
+	method, args, takesCtx := dc.method, slices.Clone(in), dc.takesCtx
+	info := CallInfo{Object: objKey, Method: methodName, ArgCount: dc.nargs}
 	var outs []reflect.Value
 	doInvoke := func(ctx context.Context) error {
-		callIn := dc.in
-		if dc.takesCtx {
-			callIn = make([]reflect.Value, 0, len(dc.in)+1)
-			callIn = append(callIn, dc.in[0], reflect.ValueOf(ctx))
-			callIn = append(callIn, dc.in[1:]...)
-		}
 		var err error
-		outs, err = s.invoke(dc.method, callIn)
+		outs, err = s.invoke(ctx, method, args, takesCtx)
 		return err
 	}
 	run := func(ctx context.Context) error {
-		if ic := s.opts.Intercept; ic != nil {
-			info := CallInfo{Object: objKey, Method: methodName, ArgCount: dc.nargs}
-			if err := ic(ctx, info, doInvoke); err != nil {
-				return err
-			}
-			if outs == nil && dc.method.Type.NumOut() > numErrOuts(dc.method.Type) {
-				return fmt.Errorf("rmi: interceptor for %s skipped the call without error", methodName)
-			}
-			return nil
+		if ic == nil {
+			return doInvoke(ctx)
 		}
-		return doInvoke(ctx)
+		if err := ic(ctx, info, doInvoke); err != nil {
+			return err
+		}
+		if outs == nil && method.Type.NumOut() > numErrOuts(method.Type) {
+			return fmt.Errorf("rmi: interceptor for %s skipped the call without error", methodName)
+		}
+		return nil
 	}
 	var err error
 	if labeled {
@@ -827,17 +853,6 @@ func (s *Server) executeMethod(ctx context.Context, labeled bool, objKey, method
 	return outs, nil
 }
 
-// encodeReply converts the method results and encodes the restore
-// response, returning the reply bytes and how many old objects shipped.
-func (s *Server) encodeReply(sc *core.ServerCall, outs []reflect.Value) ([]byte, int, error) {
-	rets, err := s.outboundResults(outs)
-	if err != nil {
-		return nil, 0, err
-	}
-	stats, err := sc.EncodeResponse(nil, rets)
-	return stats.Reply, stats.OldSent, err
-}
-
 // numErrOuts counts the trailing error result (0 or 1).
 func numErrOuts(mt reflect.Type) int {
 	if n := mt.NumOut(); n > 0 && mt.Out(n-1) == errType {
@@ -846,14 +861,17 @@ func numErrOuts(mt reflect.Type) int {
 	return 0
 }
 
-// invoke calls the method, converting panics and trailing error results
-// into remote errors.
-func (s *Server) invoke(method reflect.Method, in []reflect.Value) (outs []reflect.Value, err error) {
+// invoke calls the method, ctx in in[1] if it takes one, converting panics
+// and trailing error results into remote errors.
+func (s *Server) invoke(ctx context.Context, method reflect.Method, in []reflect.Value, takesCtx bool) (outs []reflect.Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("rmi: remote method panicked: %v", r)
 		}
 	}()
+	if takesCtx {
+		in[1] = reflect.ValueOf(ctx)
+	}
 	outs = method.Func.Call(in)
 	mt := method.Type
 	if n := mt.NumOut(); n > 0 && mt.Out(n-1) == errType {
@@ -890,11 +908,10 @@ func (s *Server) inboundRef(raw any) (any, error) {
 	return ref, nil
 }
 
-// outboundResults converts method results for the wire: Remote values are
-// exported and replaced by references; RefHolder proxies forward the
-// references they wrap.
-func (s *Server) outboundResults(outs []reflect.Value) ([]any, error) {
-	rets := make([]any, 0, len(outs))
+// outboundResults appends method results, converted for the wire, to rets:
+// Remote values are exported and replaced by references; RefHolder proxies
+// forward the references they wrap.
+func (s *Server) outboundResults(outs []reflect.Value, rets []any) ([]any, error) {
 	for _, o := range outs {
 		v := o.Interface()
 		switch x := v.(type) {

@@ -77,13 +77,9 @@ func makeStubFunc(stub *Stub, method string, ft reflect.Type) (reflect.Value, er
 			ctx = in[0].Interface().(context.Context)
 			args = in[1:]
 		}
-		callArgs := make([]any, 0, len(args))
-		for _, a := range args {
-			if !a.IsValid() {
-				callArgs = append(callArgs, nil)
-				continue
-			}
-			callArgs = append(callArgs, a.Interface())
+		callArgs := make([]any, len(args))
+		for i, a := range args {
+			callArgs[i] = a.Interface() // a nil interface argument is nil
 		}
 		out := make([]reflect.Value, nOut)
 		for i := 0; i < nOut-1; i++ {

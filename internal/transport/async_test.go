@@ -7,14 +7,28 @@ import (
 	"testing"
 	"time"
 
+	"nrmi/internal/bufpool"
 	"nrmi/internal/leakcheck"
+	"nrmi/internal/netsim"
 )
+
+// sendCall is Send of a request on a new PendingCall, or one-way on none.
+func sendCall(c *Conn, ctx context.Context, payload []byte, oneWay bool) (*PendingCall, error) {
+	var pc *PendingCall
+	if !oneWay {
+		pc = new(PendingCall)
+	}
+	if err := c.Send(ctx, pc, MsgCall, payload, time.Time{}); err != nil {
+		return nil, err
+	}
+	return pc, nil
+}
 
 func TestStartWaitRoundTrip(t *testing.T) {
 	c := startPair(t, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
 		return append([]byte("re:"), p...), nil
 	})
-	pc, err := c.Send(context.Background(), MsgCall, []byte("hi"), time.Time{}, false)
+	pc, err := sendCall(c, context.Background(), []byte("hi"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +54,7 @@ func TestAbandonAfterReplyDelivered(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	pc, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, false)
+	pc, err := sendCall(c, context.Background(), make([]byte, 64), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +78,7 @@ func TestAbandonBeforeReply(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	pc, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, false)
+	pc, err := sendCall(c, context.Background(), make([]byte, 64), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +101,7 @@ func TestWaitCtxExpiryAbandons(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	pc, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, false)
+	pc, err := sendCall(c, context.Background(), make([]byte, 64), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +135,7 @@ func TestTeardownDeliversTypedCallError(t *testing.T) {
 	const n = 4
 	pcs := make([]*PendingCall, n)
 	for i := range pcs {
-		pc, err := c.Send(context.Background(), MsgCall, []byte("x"), time.Time{}, false)
+		pc, err := sendCall(c, context.Background(), []byte("x"), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +184,7 @@ func TestOneWayNoReply(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	if _, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, true); err != nil {
+	if _, err := sendCall(c, context.Background(), make([]byte, 64), true); err != nil {
 		t.Fatal(err)
 	}
 	if c.InFlight() != 0 {
@@ -204,5 +218,55 @@ func TestOneWayNoReply(t *testing.T) {
 		t.Fatalf("IsOneWay misreported: %v", oneWay)
 	}
 	mu.Unlock()
+	leakcheck.Settle(t)
+}
+
+// TestServePooledReleasesReplies: a ServePooled handler's replies are
+// released once the batch holds them, each exactly once — a pooled reply, an
+// echo of the request (released once, as the request), a one-way call's, and
+// an error's — so the ledger balances with no double Put.
+func TestServePooledReleasesReplies(t *testing.T) {
+	n := netsim.NewNetwork(netsim.Loopback())
+	t.Cleanup(func() { n.Close() })
+	ln, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServePooled(ln, func(_ context.Context, msgType byte, p []byte) ([]byte, error) {
+		switch {
+		case msgType == MsgPing:
+			return p, nil
+		case string(p) == "fail":
+			return bufpool.Get(8), errors.New("refused")
+		}
+		return append(bufpool.Get(len(p) + 3)[:0], "re:"...), nil
+	})
+	t.Cleanup(func() { srv.Close() })
+	nc, err := n.Dial("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConn(nc)
+	t.Cleanup(func() { c.Close() })
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		for _, msg := range []struct {
+			typ     byte
+			payload string
+			fails   bool
+		}{{MsgCall, "call", false}, {MsgPing, "ping", false}, {MsgCall, "fail", true}} {
+			reply, err := c.Call(ctx, msg.typ, []byte(msg.payload))
+			if (err != nil) != msg.fails {
+				t.Fatalf("%s: %v", msg.payload, err)
+			}
+			ReleasePayload(reply)
+		}
+		if _, err := sendCall(c, ctx, []byte("one-way"), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 	leakcheck.Settle(t)
 }

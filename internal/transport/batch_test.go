@@ -85,7 +85,7 @@ func TestFramesQueuedDuringAWriteShareTheNext(t *testing.T) {
 			c, hc := dialHeld(t, nil, echo)
 			pcs := make([]*PendingCall, 8)
 			send := func(i int) {
-				pc, err := c.Send(context.Background(), MsgCall, []byte(fmt.Sprint("call ", i)), time.Time{}, false)
+				pc, err := sendCall(c, context.Background(), []byte(fmt.Sprint("call ", i)), false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,7 +132,7 @@ func TestBatchWriteFailureSettlesEachFrame(t *testing.T) {
 	t.Cleanup(unblock) // before srv.Close, which waits for the handler
 	send := func(p []byte) *PendingCall {
 		t.Helper()
-		pc, err := c.Send(context.Background(), MsgCall, p, time.Time{}, false)
+		pc, err := sendCall(c, context.Background(), p, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -174,7 +174,7 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 					payload = []byte("request")
 				}
 
-				pc, err := c.Send(ctx, MsgCall, payload, time.Time{}, oneWay)
+				pc, err := sendCall(c, ctx, payload, oneWay)
 				if pc != nil {
 					_, err = pc.Wait(context.Background())
 				}

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"nrmi/internal/bufpool"
 )
@@ -357,9 +358,6 @@ func (s *sender) close() (unsent []queuedFrame) {
 	return unsent
 }
 
-// readFrame reads one frame; see readFrameInto.
-func readFrame(r io.Reader) (frame, error) { return readFrameInto(r, new([headerSize + 8]byte)) }
-
 // readFrameInto reads one frame, its header and deadline extension into a
 // read loop's scratch. The returned payload comes from the shared buffer
 // pool; see ReleasePayload for the ownership contract.
@@ -507,16 +505,9 @@ func (c *Conn) fail(err error) error {
 	return cerr
 }
 
-// IsClosed reports whether the connection has failed or been closed; a
-// closed conn never recovers, so callers should discard it and dial anew.
-func (c *Conn) IsClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err != nil
-}
-
 // Err is the connection health check: it returns nil while the connection
-// is usable and the terminal error once it has failed or been closed.
+// is usable and the terminal error once it has failed or been closed. A
+// closed conn never recovers, so callers should discard it and dial anew.
 func (c *Conn) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -538,7 +529,8 @@ func (c *Conn) InFlight() int {
 // half of a promise: its slot in the pending map until the read loop, a
 // failed Write or fail fills f or err and closes done. Consume it with Wait
 // or relinquish it with Abandon — exactly one, or the pooled reply payload
-// leaks. It is owned by one goroutine (Done may be polled from anywhere).
+// leaks; after either, Send may reuse it. It is owned by one goroutine (Done
+// may be polled from anywhere).
 type PendingCall struct {
 	c       *Conn
 	id      uint64
@@ -552,15 +544,16 @@ type PendingCall struct {
 // through here. The frame's budget is the time left until deadline or
 // until ctx's own deadline, whichever is earlier (a zero deadline leaves it
 // to ctx); ctx is not monitored after Send returns, pass it again to Wait.
-// A one-way frame registers no pending entry (the peer writes no reply,
-// PROTOCOL.md section 10): Send writes it and returns a nil PendingCall.
-// Otherwise the reply, or the failure of the Write carrying the frame, is
-// claimed through the PendingCall. A failure Send returns itself is a
+// The reply, or the failure of the Write carrying the frame, is claimed
+// through pc, which Send fills: a new one, or one whose last call was
+// settled by Wait or Abandon. A nil pc sends one-way: the frame registers no
+// pending entry (the peer writes no reply, PROTOCOL.md section 10), and Send
+// writes it before returning. A failure Send returns itself is a
 // *CallError{Phase: PhaseSend, Sent: false} — the frame provably never went
 // out whole, so it is safe to retry — and leaves nothing to abandon.
-func (c *Conn) Send(ctx context.Context, msgType byte, payload []byte, deadline time.Time, oneWay bool) (*PendingCall, error) {
+func (c *Conn) Send(ctx context.Context, pc *PendingCall, msgType byte, payload []byte, deadline time.Time) error {
 	if err := ctx.Err(); err != nil {
-		return nil, &CallError{Phase: PhaseSend, Err: err}
+		return &CallError{Phase: PhaseSend, Err: err}
 	}
 	if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
 		deadline = dl
@@ -568,27 +561,26 @@ func (c *Conn) Send(ctx context.Context, msgType byte, payload []byte, deadline 
 	var budget time.Duration
 	if !deadline.IsZero() {
 		if budget = time.Until(deadline); budget <= 0 {
-			return nil, &CallError{Phase: PhaseSend, Err: context.DeadlineExceeded}
+			return &CallError{Phase: PhaseSend, Err: context.DeadlineExceeded}
 		}
 	}
 	f := frame{msgType: msgType, deadline: budget, payload: payload}
-	var pc *PendingCall
 	c.mu.Lock()
 	if err := c.err; err != nil {
 		c.mu.Unlock()
-		return nil, &CallError{Phase: PhaseSend, Err: err}
+		return &CallError{Phase: PhaseSend, Err: err}
 	}
 	f.reqID = c.nextID.Add(1)
-	if oneWay {
+	if pc == nil {
 		f.flags = flagOneWay
 	} else {
-		pc = &PendingCall{c: c, id: f.reqID, done: make(chan struct{})}
+		*pc = PendingCall{c: c, id: f.reqID, done: make(chan struct{})}
 		c.pending[f.reqID] = pc
 	}
 	c.mu.Unlock()
 
 	var err error
-	if oneWay {
+	if pc == nil {
 		err = c.s.write(&f)
 	} else if _, err = c.s.enqueue(f); err != nil {
 		c.mu.Lock()
@@ -598,9 +590,9 @@ func (c *Conn) Send(ctx context.Context, msgType byte, payload []byte, deadline 
 	if err != nil {
 		// ErrFrameTooLarge is refused before any byte is queued and leaves
 		// the conn usable; anything else has already ended it.
-		return nil, &CallError{Phase: PhaseSend, Err: err}
+		return &CallError{Phase: PhaseSend, Err: err}
 	}
-	return pc, nil
+	return nil
 }
 
 // Done returns a channel closed once the reply (or the connection's
@@ -645,16 +637,12 @@ func (p *PendingCall) consume() ([]byte, error) {
 	}
 	f := p.f
 	if f.flags&flagError != 0 {
-		// The error strings below copy out of the payload, so it can be
-		// recycled immediately.
+		// The error strings copy out of the payload, so it is recycled here.
+		defer ReleasePayload(f.payload)
 		if f.flags&flagStatus != 0 && len(f.payload) >= 1 {
-			serr := &StatusError{Code: f.payload[0], Msg: string(f.payload[1:])}
-			ReleasePayload(f.payload)
-			return nil, serr
+			return nil, &StatusError{Code: f.payload[0], Msg: string(f.payload[1:])}
 		}
-		rerr := &RemoteError{Msg: string(f.payload)}
-		ReleasePayload(f.payload)
-		return nil, rerr
+		return nil, &RemoteError{Msg: string(f.payload)}
 	}
 	// Ownership of the reply payload passes to the caller, who may hand
 	// it back via ReleasePayload once fully consumed.
@@ -701,8 +689,8 @@ func (p *PendingCall) Abandon() {
 // Send followed by Wait, so the synchronous and promise paths share one
 // reply/abandon implementation.
 func (c *Conn) Call(ctx context.Context, msgType byte, payload []byte) ([]byte, error) {
-	pc, err := c.Send(ctx, msgType, payload, time.Time{}, false)
-	if err != nil {
+	pc := new(PendingCall)
+	if err := c.Send(ctx, pc, msgType, payload, time.Time{}); err != nil {
 		return nil, err
 	}
 	return pc.Wait(ctx)
@@ -808,6 +796,7 @@ type Handler func(ctx context.Context, msgType byte, payload []byte) ([]byte, er
 type Server struct {
 	ln      net.Listener
 	handler Handler
+	pooled  bool // replies are the server's to release (ServePooled)
 
 	// baseCtx parents every request context; cancelled by Close so
 	// in-flight handlers learn the server is going away.
@@ -857,9 +846,16 @@ func (s *Server) Stats() Stats {
 
 // Serve starts accepting connections on ln. It returns immediately; use
 // Close to stop.
-func Serve(ln net.Listener, h Handler) *Server {
+func Serve(ln net.Listener, h Handler) *Server { return serve(ln, h, false) }
+
+// ServePooled is Serve for a handler whose replies are pool-owned: each is
+// released once the batch holds its copy. A reply that aliases its request
+// payload (an echo) is released once, as the request.
+func ServePooled(ln net.Listener, h Handler) *Server { return serve(ln, h, true) }
+
+func serve(ln net.Listener, h Handler, pooled bool) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{ln: ln, handler: h, conns: make(map[*srvConn]struct{}), baseCtx: ctx, baseCancel: cancel}
+	s := &Server{ln: ln, handler: h, pooled: pooled, conns: make(map[*srvConn]struct{}), baseCtx: ctx, baseCancel: cancel}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -947,34 +943,37 @@ func (s *Server) serve(sc *srvConn, f frame) {
 		defer rc.stop()
 		ctx = rc
 	}
-	if f.flags&flagOneWay != 0 {
+	// One-way contract: no reply frame, success or failure (PROTOCOL.md
+	// section 10).
+	oneWay := f.flags&flagOneWay != 0
+	if oneWay {
 		ctx = withOneWay(ctx)
-		_, _ = s.safeHandle(ctx, f.msgType, f.payload)
-		// One-way contract: no reply frame, success or failure (PROTOCOL.md
-		// section 10). The handler has returned, so the request buffer is free.
-		ReleasePayload(f.payload)
-		s.done(1)
-		return
 	}
 	reply, err := s.safeHandle(ctx, f.msgType, f.payload)
-	out := frame{msgType: MsgReply, reqID: f.reqID}
-	if err != nil {
-		out.flags = flagError
-		if code := statusOf(err); code != StatusApp {
-			out.flags |= flagStatus
-			out.payload = append([]byte{code}, err.Error()...)
-		} else {
-			out.payload = []byte(err.Error())
+	queued := false
+	if !oneWay {
+		out := frame{msgType: MsgReply, reqID: f.reqID, payload: reply}
+		if err != nil {
+			out.flags = flagError
+			if code := statusOf(err); code != StatusApp {
+				out.flags |= flagStatus
+				out.payload = append([]byte{code}, err.Error()...)
+			} else {
+				out.payload = []byte(err.Error())
+			}
 		}
-	} else {
-		out.payload = reply
+		_, err = sc.s.enqueue(out)
+		queued = err == nil
 	}
-	_, err = sc.s.enqueue(out)
-	// The batch holds a copy of the reply, which may alias the request
-	// payload (an echo), so the request buffer is free.
+	// The handler has returned and the batch holds a copy of the reply, so
+	// both buffers are free; a ServePooled reply that echoes its request is
+	// released once, as the request.
+	if s.pooled && unsafe.SliceData(reply) != unsafe.SliceData(f.payload) {
+		ReleasePayload(reply)
+	}
 	ReleasePayload(f.payload)
-	if err != nil {
-		s.done(1) // a reply too large for a frame is dropped
+	if !queued {
+		s.done(1) // one-way, or a reply too large for a frame: nothing to write
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -13,6 +14,9 @@ import (
 
 	"nrmi/internal/netsim"
 )
+
+// readFrame reads one frame; see readFrameInto.
+func readFrame(r io.Reader) (frame, error) { return readFrameInto(r, new([headerSize + 8]byte)) }
 
 // startPair spins up a server with the given handler on a loopback netsim
 // network and returns a connected client conn.

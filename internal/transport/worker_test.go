@@ -193,7 +193,7 @@ func TestWorkerCarriesNothingOver(t *testing.T) {
 	// server's own expiry come back as the reply.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	pc, err := c.Send(ctx, MsgCall, []byte("first"), time.Time{}, false)
+	pc, err := sendCall(c, ctx, []byte("first"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestWorkerOneWayParks(t *testing.T) {
 		}
 		return p, nil
 	})
-	if _, err := c.Send(context.Background(), MsgCall, make([]byte, 64), time.Time{}, true); err != nil {
+	if _, err := sendCall(c, context.Background(), make([]byte, 64), true); err != nil {
 		t.Fatal(err)
 	}
 	<-ran

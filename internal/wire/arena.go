@@ -85,17 +85,15 @@ func (d *Decoder) arenaFor() *Arena {
 	return d.arena
 }
 
-// ReleaseArena releases the decoder's arena and its staging slab (dropping
-// the slab references) without recycling the decoder itself. The core layer
+// ReleaseArena releases the decoder's arena and drops its staging slab
+// without recycling the decoder itself. The core layer
 // calls it on failed restores, where the decoder must be abandoned but the
 // arena's lifetime contract — released exactly once per call — still holds.
 // Objects already handed out survive through ordinary GC reachability.
 func (d *Decoder) ReleaseArena() {
-	d.stage.drop()
-	if d.arena != nil {
-		d.arena.Release()
-		d.arena = nil
-	}
+	d.stage.end(false)
+	d.arena.Release()
+	d.arena = nil
 }
 
 // Release drops every slab reference and returns the arena shell to the

@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 
 	"nrmi/internal/graph"
 )
@@ -31,9 +32,11 @@ type Decoder struct {
 	bare, cached bool
 	memo         kernelMemo
 
-	// stage is the slab DecodeSeededContent carves its staging cells from;
-	// shadow holds the pre-call state of decoded objects (shadow.go).
+	// stage is the slab DecodeSeededContent carves its staging cells from,
+	// staged the records it decoded; shadow holds the pre-call state of
+	// decoded objects (shadow.go).
 	stage  stageSlab
+	staged []Staged
 	shadow shadow
 
 	// arena batch-allocates the new pointer objects and slices of a decoder
@@ -161,13 +164,29 @@ func (d *Decoder) DecodeBytes() ([]byte, error) {
 	return d.r.readBytes()
 }
 
+// Staged is a content record DecodeSeededContent decoded: the seeded
+// original it restores and the temporary that holds its new state.
+type Staged struct{ Orig, Tmp reflect.Value }
+
+// Staged returns the records DecodeSeededContent decoded, in stream order.
+// The list is the decoder's: valid until ReleaseDecoder.
+func (d *Decoder) Staged() []Staged { return d.staged }
+
 // DecodeSeededContent reads a content record (written by
 // EncodeSeededContent) for seeded object id and materializes it into a
 // fresh temporary of the same shape: the "modified version" of an old
 // object in the paper's algorithm (step 4). References inside the record
 // resolve against the decoder's table, i.e. to original seeded objects or
-// to newly materialized ones.
+// to newly materialized ones. A decoded record joins Staged.
 func (d *Decoder) DecodeSeededContent(id int) (reflect.Value, error) {
+	tmp, err := d.seededContent(id)
+	if err == nil {
+		d.staged = append(d.staged, Staged{d.table[id], tmp})
+	}
+	return tmp, err
+}
+
+func (d *Decoder) seededContent(id int) (reflect.Value, error) {
 	if err := d.header(); err != nil {
 		return reflect.Value{}, err
 	}
@@ -223,11 +242,13 @@ const maxStageSlab = 256
 // cells are private to the apply and dead once it commits, so a run of
 // records of one type shares one allocation that no object the application
 // keeps points into — unlike decoded objects and V3's arena slabs, from which
-// no temporary is ever taken. cells is a settable []pointee whose header
-// stays with a pooled decoder (its backing array does not: drop); left is
-// the number of cells that may still be reserved: the records to come
+// no temporary is ever taken. cells is a settable []pointee; left is the
+// number of cells that may still be reserved: the records to come
 // (ExpectContents) less the cells of the slabs made so far, so a reply never
-// gets more cells than it has records, however its types alternate.
+// gets more cells than it has records, however its types alternate. next > 0
+// while the reply holds cells of the current slab. A pooled decoder keeps
+// the slab's array: ReleaseDecoder, which follows a commit, zeroes it for the
+// next reply of the type; a failed apply drops it (ReleaseArena).
 type stageSlab struct {
 	k     *kernel // pointer kernel whose pointees cells holds
 	cells reflect.Value
@@ -235,12 +256,27 @@ type stageSlab struct {
 	left  int
 }
 
-// drop forgets the current slab; cells already handed out keep it alive.
-func (s *stageSlab) drop() {
-	if s.k != nil {
+// Staging slab counters for tests: a slab carved is zeroed for the next
+// reply, or dropped, once.
+var stageCarved, stageZeroed, stageDropped atomic.Int64
+
+// StagingCounters reports the package-wide staging slab totals.
+func StagingCounters() (carved, zeroed, dropped int64) {
+	return stageCarved.Load(), stageZeroed.Load(), stageDropped.Load()
+}
+
+// end ends the reply's hold on the current slab: zeroed for the next reply
+// once its temporaries are committed (keep), else given up to them.
+func (s *stageSlab) end(keep bool) {
+	if s.next > 0 && keep {
+		s.cells.Clear()
+		s.cells.SetLen(0)
+		stageZeroed.Add(1)
+	} else if s.next > 0 {
 		s.cells.SetZero()
+		stageDropped.Add(1)
 	}
-	s.next, s.left = 0, 0
+	s.next = 0
 }
 
 // ExpectContents announces that n DecodeSeededContent records follow.
@@ -261,13 +297,13 @@ func (d *Decoder) stagingCell(k *kernel, id int) reflect.Value {
 		if run == 1 {
 			return reflect.New(k.elem.t)
 		}
+		s.end(false)
 		if s.k != k {
 			s.k, s.cells = k, reflect.New(k.cells).Elem()
 		}
-		s.cells.SetZero()
 		s.cells.Grow(run)
 		s.cells.SetLen(run)
-		s.next = 0
+		stageCarved.Add(1)
 	}
 	s.next++
 	return s.cells.Index(s.next - 1).Addr()

@@ -206,7 +206,8 @@ func TestDecodeAllocsSteadyState(t *testing.T) {
 
 // TestPooledCodecsReleaseEverything: nothing of one use survives into the
 // pool — no user object, no reference to a payload or a destination, no
-// staging slab, no per-stream table.
+// staged state (the staging slab's array stays, zeroed), no per-stream
+// table.
 func TestPooledCodecsReleaseEverything(t *testing.T) {
 	on := Options{Registry: testRegistry(t)}
 	tree := &wnode{Data: 1, Left: &wnode{Data: 2}, Right: &wnode{Data: 3}}
@@ -300,8 +301,15 @@ func TestPooledCodecsReleaseEverything(t *testing.T) {
 			t.Errorf("released decoder's object table slot %d still references an object", i)
 		}
 	}
-	if s := dec.stage; !s.cells.IsNil() || s.next != 0 || s.left != 0 {
-		t.Errorf("released decoder keeps its staging slab: %d cells, next %d, left %d", s.cells.Len(), s.next, s.left)
+	// The staging slab's array stays with the decoder for the next reply,
+	// every cell zeroed: it pins nothing.
+	if s := dec.stage; s.cells.Cap() < len(nodes) || s.cells.Len() != 0 || s.next != 0 || s.left != 0 {
+		t.Errorf("released decoder's staging slab: %d of %d cells in use, next %d, left %d", s.cells.Len(), s.cells.Cap(), s.next, s.left)
+	}
+	for all, i := dec.stage.cells.Slice(0, dec.stage.cells.Cap()), 0; i < all.Len(); i++ {
+		if !all.Index(i).IsZero() {
+			t.Errorf("released decoder's staging cell %d still holds a temporary's state", i)
+		}
 	}
 
 	// And a use from an io.Reader after it.

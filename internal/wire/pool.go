@@ -109,8 +109,13 @@ func ReleaseDecoder(d *Decoder) {
 	if d == nil {
 		return
 	}
+	// The staged temporaries are committed: their slab is zeroed and kept.
 	// Releasing the arena only drops the slab references: objects the caller
 	// extracted stay alive through ordinary reachability.
+	d.stage.end(true)
+	d.stage.left = 0
+	clear(d.staged)
+	d.staged = d.staged[:0]
 	d.ReleaseArena()
 	d.shadow.reset()
 	// The table entries are the decoded objects themselves (or seeded user

@@ -156,6 +156,7 @@ func (p codecPath) encodeRoots(t *testing.T, opts Options, values []any, seeded 
 func (p codecPath) decodeRoots(t *testing.T, opts Options, stream []byte, like []any, seeded bool) ([]any, []reflect.Value) {
 	t.Helper()
 	dec := p.dec(stream, opts)
+	defer dec.ReleaseArena() // the staged temporaries are the caller's
 	if seeded {
 		for _, h := range like {
 			shell, hv := reflect.Value{}, reflect.ValueOf(h)
@@ -304,6 +305,7 @@ func (p codecPath) hostileReply(t *testing.T, opts Options, stream []byte, ids .
 	t.Helper()
 	root := &wnode{Data: 1, Left: &wnode{Data: 2}, Right: &wnode{Data: 3}}
 	dec := p.dec(stream, opts)
+	defer dec.ReleaseArena()
 	seed(dec, root, root.Left, root.Right, &wbag{})
 	dec.ExpectContents(len(ids))
 	for _, id := range ids {
