@@ -22,10 +22,18 @@ lint:
 race:
 	$(GO) test -race ./...
 
+# The tests -race skips (raceflag.Enabled): allocation budgets, which the
+# detector's sync.Pool drops make meaningless, and TestHostChargeEveryShape at
+# full depth. `make ci` runs them without -race, five times, so a budget that
+# depends on scheduling fails the gate rather than one run in eight.
+ALLOC_TESTS := TestSyncCallAllocs|TestCallShapeAllocs|TestHostChargeEveryShape|TestApplyAllocsSteadyState|TestStagingSlabBytes|TestDecodeAllocsSteadyState|TestEncodeAllocsSteadyState|TestShadowAllocsNothing|TestSteadyStateAllocFree|TestWalkAllocsSteadyState|TestEngineV3DecodesIntoArena|TestKernelEncodeByteIdentityPooled
+ALLOC_PKGS := ./internal/rmi ./internal/core ./internal/wire ./internal/graph ./internal/bufpool
+
 # One-shot CI pipeline (what .github/workflows/ci.yml runs): build, vet,
 # lint under a 30-second runtime budget (it gates every push), race tests
 # (every package that moves pooled buffers ends its run on the bufpool
-# ledger and goroutine checks of internal/leakcheck), the two line ratchets,
+# ledger and goroutine checks of internal/leakcheck), the -race-skipped
+# tests above five times without -race, the two line ratchets,
 # one pass of BenchmarkKernels, of internal/core's BenchmarkPipeline and of
 # internal/rmi's BenchmarkCall (the per-layer numbers the docs quote; go test
 # ./... only compiles them, so a b.Fatal in any would go unnoticed), then
@@ -48,6 +56,7 @@ ci: build
 		echo "lint exceeded its 30s runtime budget" >&2; exit 1; \
 	fi
 	$(GO) test -race ./...
+	$(GO) test -count=5 -run '^($(ALLOC_TESTS))$$' $(ALLOC_PKGS)
 	@$(MAKE) --no-print-directory tracked-loc
 	@$(MAKE) --no-print-directory repo-loc
 	$(GO) test -run '^$$' -bench Kernels -benchtime 1x ./internal/wire
@@ -107,7 +116,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 8136
+TRACKED_LOC_MAX := 8062
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -121,7 +130,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 18606
+REPO_LOC_MAX := 18532
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

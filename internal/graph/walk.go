@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"reflect"
+	"sync"
 )
 
 // Walker performs a depth-first reachability traversal, recording every
@@ -129,19 +130,20 @@ func Walk(mode AccessMode, roots ...any) (*LinearMap, error) {
 	return &w.lm, nil
 }
 
-// identityCache memoizes hasIdentityBearing per type. Traversals over large
-// homogeneous slices (benchmark trees) query the same types repeatedly.
-var identityCache typeBoolCache
+// identityCache memoizes hasIdentityBearing per type (reflect.Type -> bool).
+// Traversals over large homogeneous slices (benchmark trees) query the same
+// types repeatedly.
+var identityCache sync.Map
 
 // hasIdentityBearing reports whether values of type t can contain (directly
 // or transitively, by value) pointers, maps, slices, or interfaces — i.e.,
 // whether element-wise traversal of a container of t can discover objects.
 func hasIdentityBearing(t reflect.Type) bool {
-	if v, ok := identityCache.load(t); ok {
-		return v
+	if v, ok := identityCache.Load(t); ok {
+		return v.(bool)
 	}
 	res := computeHasIdentity(t, make(map[reflect.Type]bool))
-	identityCache.store(t, res)
+	identityCache.Store(t, res)
 	return res
 }
 

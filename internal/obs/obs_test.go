@@ -3,8 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -277,18 +279,23 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+// publishRuns numbers TestPublish's runs: expvar names are process-wide and
+// permanent, so each run (go test -count=N) takes a name of its own.
+var publishRuns atomic.Int32
+
 // TestPublish pins expvar registration semantics: idempotent per
 // observer+name, an error (not a panic) on collisions.
 func TestPublish(t *testing.T) {
+	name := fmt.Sprintf("nrmi.test.obs.%d", publishRuns.Add(1))
 	o := New(Config{})
-	if err := o.Publish("nrmi.test.obs"); err != nil {
+	if err := o.Publish(name); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.Publish("nrmi.test.obs"); err != nil {
+	if err := o.Publish(name); err != nil {
 		t.Errorf("re-publishing the same name: %v", err)
 	}
 	o2 := New(Config{})
-	if err := o2.Publish("nrmi.test.obs"); err == nil {
+	if err := o2.Publish(name); err == nil {
 		t.Error("publishing a second observer under a taken name must fail")
 	}
 }

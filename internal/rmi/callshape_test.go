@@ -48,18 +48,26 @@ const (
 )
 
 // callAllocs is shape's allocations per call, measured after a warm-up: of
-// Scale(chaosTree, 1), or for the one-way shape of Sum on a by-copy tree.
+// Scale(chaosTree, 1), or for the one-way shape of Sum on a by-copy tree. A
+// one-way call returns once its frame is written, so each waits for the
+// server to have run Sum: the window then holds one call's work on both
+// ends, however the server's worker is scheduled.
 func callAllocs(t *testing.T, shape callShape) float64 {
 	env := newChaosEnv(t, nil, RetryPolicy{}, 5*time.Second)
 	stub := env.client.Stub("server", "chaos")
 	ctx := context.Background()
 	method, arg := "Scale", any(chaosTree())
-	if shape.name == shapeOneWay.name {
+	oneWay := shape.name == shapeOneWay.name
+	if oneWay {
 		method, arg = "Sum", &CTree{Data: 5, Left: &CTree{Data: 1}, Right: &CTree{Data: 7, Right: &CTree{Data: 9}}}
+		env.svc.summed = make(chan struct{}, 1) // Sum never blocks if the test stops waiting
 	}
 	call := func() {
 		if _, err := shape.call(stub, ctx, method, arg, 1); err != nil {
 			t.Fatal(err)
+		}
+		if oneWay {
+			<-env.svc.summed
 		}
 	}
 	for i := 0; i < 20; i++ { // pools, kernels, parked worker

@@ -31,6 +31,8 @@ import (
 type ChaosService struct {
 	mu    sync.Mutex
 	calls int
+	// summed, if set, hears from each Sum once it has counted its tree.
+	summed chan struct{}
 }
 
 // Scale applies chaosMutate and returns the node count.
@@ -43,10 +45,18 @@ func (s *ChaosService) Scale(t *RTree, k int) int {
 
 // Sum counts a by-copy tree's nodes, the one-way shape's call.
 func (s *ChaosService) Sum(t *CTree, _ int) int {
+	n := countNodes(t)
+	if s.summed != nil {
+		s.summed <- struct{}{}
+	}
+	return n
+}
+
+func countNodes(t *CTree) int {
 	if t == nil {
 		return 0
 	}
-	return 1 + s.Sum(t.Left, 0) + s.Sum(t.Right, 0)
+	return 1 + countNodes(t.Left) + countNodes(t.Right)
 }
 
 // Calls reports how many Scale executions the server saw — the oracle for

@@ -128,23 +128,14 @@ func (d *Decoder) header() error {
 
 // Decode reads one value.
 func (d *Decoder) Decode() (any, error) {
-	v, err := d.DecodeValue()
-	if err != nil {
+	if err := d.header(); err != nil {
 		return nil, err
 	}
-	if !v.IsValid() {
-		return nil, nil
+	v, err := d.decodeValue(0)
+	if err != nil || !v.IsValid() {
+		return nil, err
 	}
 	return v.Interface(), nil
-}
-
-// DecodeValue reads one value as a reflect.Value. An invalid Value denotes
-// an encoded nil.
-func (d *Decoder) DecodeValue() (reflect.Value, error) {
-	if err := d.header(); err != nil {
-		return reflect.Value{}, err
-	}
-	return d.decodeValue(0)
 }
 
 // DecodeUint reads a raw unsigned integer written with EncodeUint.

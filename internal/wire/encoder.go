@@ -104,19 +104,16 @@ func (e *Encoder) header() error {
 }
 
 // Encode serializes one value (and everything reachable from it).
-func (e *Encoder) Encode(v any) error { return e.EncodeValue(reflect.ValueOf(v)) }
-
-// EncodeValue is Encode for callers holding reflect.Values; the invalid
-// Value encodes as nil.
-func (e *Encoder) EncodeValue(v reflect.Value) error {
+func (e *Encoder) Encode(v any) error {
 	if err := e.header(); err != nil {
 		return err
 	}
-	if !v.IsValid() {
+	if v == nil {
 		e.w.writeByte(tagNil)
 		return nil
 	}
-	return e.memo.of(v.Type(), e.opts.Access).enc(e, v, 0, false)
+	rv := reflect.ValueOf(v)
+	return e.memo.of(rv.Type(), e.opts.Access).enc(e, rv, 0, false)
 }
 
 // EncodeUint emits a raw unsigned integer for protocol framing (counts,

@@ -97,16 +97,14 @@ type kernelKey struct {
 }
 
 // kernelCache memoizes compiled kernels process-wide, keyed by type and
-// access mode only (as layoutCache is). Registry bindings do not participate:
-// a kernel describes a type's structure, which is immutable, while the
-// registry only resolves names, which it does at stream time through
-// Options.Registry. Registering a type after its kernel was compiled
-// (including via RegisterStrict, whose closure validation runs independently
-// at registration time) therefore requires no invalidation, and a type
-// rejected by RegisterStrict still fails at encode/decode time with the same
-// graph-layer error whether or not a kernel was compiled for it first —
-// kernels defer forbidden-kind errors to run time. Compilation is serialized
-// by kernelMu.
+// access mode only. Registry bindings do not participate: a kernel describes
+// a type's structure, which is immutable, while the registry only resolves
+// names, which it does at stream time through Options.Registry. Registering a
+// type after its kernel was compiled therefore requires no invalidation, and
+// a type rejected by RegisterStrict (which checks a fresh kernel) still fails
+// at encode/decode time with the same graph-layer error whether or not a
+// kernel was compiled for it first — kernels defer forbidden-kind errors to
+// run time. Compilation is serialized by kernelMu.
 var (
 	kernelCache sync.Map // kernelKey -> *kernel
 	kernelMu    sync.Mutex
@@ -219,6 +217,26 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 		k.op = opStructPtr
 	}
 	return k
+}
+
+// parts yields the kernels of what travels inside a value of k's type, each
+// with the path step that reaches it: a pointee, slice or array element
+// (""), a map's "[key]" and "[value]", and each struct field of the program
+// ("."+name). The layout fingerprint and RegisterStrict's closure check read
+// a type's structure through it.
+func (k *kernel) parts(yield func(string, *kernel) bool) {
+	switch k.tag {
+	case tagPtr, tagSlice, tagArray:
+		yield("", k.elem)
+	case tagMap:
+		_ = yield("[key]", k.key) && yield("[value]", k.elem)
+	case tagStruct:
+		for _, f := range k.fields {
+			if !yield("."+f.name, f.k) {
+				return
+			}
+		}
+	}
 }
 
 // excluded says field sf has no place in the stream under mode: an

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"unsafe"
 
 	"nrmi/internal/graph"
@@ -226,6 +227,43 @@ func planFor(t reflect.Type, mode graph.AccessMode) *structPlan {
 		p.byName[f.Name] = i
 	}
 	return p
+}
+
+// reflectWalk is the layout fingerprint's reference: layout.walk over t's
+// structure as raw reflection gives it, struct fields as planFor lists them,
+// with no kernel in sight.
+func (l *layout) reflectWalk(t reflect.Type, mode graph.AccessMode) {
+	kind := t.Kind()
+	if kind == reflect.Interface {
+		l.put(uint64(dIface))
+		return
+	}
+	if named(t) {
+		if i := slices.Index(l.named, t); i >= 0 {
+			l.put(uint64(dTableRef))
+			l.put(uint64(i))
+			return
+		}
+		l.named = append(l.named, t)
+		l.put(uint64(dNamed))
+	}
+	l.put(uint64(kind))
+	switch kind {
+	case reflect.Ptr, reflect.Slice:
+		l.reflectWalk(t.Elem(), mode)
+	case reflect.Array:
+		l.put(uint64(t.Len()))
+		l.reflectWalk(t.Elem(), mode)
+	case reflect.Map:
+		l.reflectWalk(t.Key(), mode)
+		l.reflectWalk(t.Elem(), mode)
+	case reflect.Struct:
+		fields := planFor(t, mode).fields
+		l.put(uint64(len(fields)))
+		for _, f := range fields {
+			l.reflectWalk(t.Field(f.index).Type, mode)
+		}
+	}
 }
 
 // launder clears the read-only flag reflection sets on an unexported field,

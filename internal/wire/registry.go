@@ -79,21 +79,41 @@ func (r *Registry) RegisterType(name string, t reflect.Type) error {
 }
 
 // RegisterStrict is Register with eager closure validation: before
-// recording the binding it walks sample's full type closure and rejects
-// types the copy-restore graph walker cannot traverse (chan, func,
-// unsafe.Pointer, uintptr fields anywhere in the closure), using the
-// same kind rules as graph.CheckType and the nrmi-vet
-// restorable-closure check. Programs that bypass the linter thereby
-// fail at registration time — with a field path in the error — rather
-// than mid-call on whichever endpoint decodes first.
+// recording the binding it compiles sample's type afresh under AccessUnsafe
+// and rejects it if any kernel in the closure is one no value can be coded
+// by (a chan, func, unsafe.Pointer or uintptr field, element, key or
+// pointee anywhere) — the runtime twin of the nrmi-vet restorable-closure
+// check. Programs that bypass the linter thereby fail at registration time
+// — with a field path in the error, e.g. "Order.Events" — rather than
+// mid-call on whichever endpoint decodes first. An interface is opaque
+// here; its dynamic contents are checked per value.
 func (r *Registry) RegisterStrict(name string, sample any) error {
 	if sample == nil {
 		return fmt.Errorf("wire: RegisterStrict(%q) with nil sample", name)
 	}
-	if err := graph.CheckType(reflect.TypeOf(sample)); err != nil {
+	t := reflect.TypeOf(sample)
+	if err := checkClosure(freshKernel(t, graph.AccessUnsafe), t.String(), map[*kernel]bool{}); err != nil {
 		return fmt.Errorf("wire: RegisterStrict(%q): %w", name, err)
 	}
 	return r.Register(name, sample)
+}
+
+// checkClosure reports the first kernel in k's closure, depth first, whose
+// err is set, as ErrNotSerializable at its path from the root.
+func checkClosure(k *kernel, path string, seen map[*kernel]bool) error {
+	if seen[k] {
+		return nil
+	}
+	seen[k] = true
+	if k.err != nil {
+		return fmt.Errorf("%w: %s has kind %s (%s)", graph.ErrNotSerializable, path, k.kind, k.t)
+	}
+	for step, part := range k.parts {
+		if err := checkClosure(part, path+step, seen); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RegisterAuto registers sample's type under its canonical

@@ -122,21 +122,32 @@ func TestRegisterStrictRejectsForbiddenKinds(t *testing.T) {
 	}
 }
 
-func TestCheckTypeClosure(t *testing.T) {
-	// Cyclic clean types terminate and pass.
-	if err := graph.CheckType(reflect.TypeOf(&regNode{})); err != nil {
-		t.Fatalf("clean cyclic type rejected: %v", err)
-	}
-	// Map keys and values are both checked.
-	if err := graph.CheckType(reflect.TypeOf(map[string]chan int{})); err == nil {
-		t.Fatal("map value chan must be rejected")
-	}
-	if err := graph.CheckType(reflect.TypeOf(uintptr(0))); err == nil {
-		t.Fatal("uintptr must be rejected")
-	}
-	// Interfaces are opaque at type-check time.
+// TestRegisterStrictClosure: RegisterStrict rejects a chan, func,
+// unsafe.Pointer or uintptr anywhere in a type's closure, naming the path
+// from the root; a cyclic clean type terminates and passes, a map's keys and
+// values are both checked, and an interface is opaque until a value arrives.
+func TestRegisterStrictClosure(t *testing.T) {
 	type holder struct{ V any }
-	if err := graph.CheckType(reflect.TypeOf(holder{})); err != nil {
-		t.Fatalf("interface field must be opaque: %v", err)
+	type keyed struct{ M map[uintptr]int }
+	for _, tc := range []struct {
+		sample any
+		err    string // "" accepts
+	}{
+		{&regNode{}, ""},
+		{holder{}, ""},
+		{map[string]chan int{}, "map[string]chan int[value] has kind chan (chan int)"},
+		{keyed{}, "wire.keyed.M[key] has kind uintptr (uintptr)"},
+		{uintptr(0), "uintptr has kind uintptr (uintptr)"},
+		{regChanHolder{}, "wire.regChanHolder.Events has kind chan (chan int)"},
+		{&regDeepBad{}, "*wire.regDeepBad.Inner.Hooks has kind func (func())"},
+	} {
+		err := NewRegistry().RegisterStrict("app.T", tc.sample)
+		want := `wire: RegisterStrict("app.T"): graph: value is not serializable: ` + tc.err
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%T rejected: %v", tc.sample, err)
+		case tc.err != "" && (!errors.Is(err, graph.ErrNotSerializable) || err.Error() != want):
+			t.Errorf("%T: %v, want %s", tc.sample, err, want)
+		}
 	}
 }
