@@ -33,8 +33,9 @@ ALLOC_PKGS := ./internal/rmi ./internal/core ./internal/wire ./internal/graph ./
 # lint under a 30-second runtime budget (it gates every push), race tests
 # (every package that moves pooled buffers ends its run on the bufpool
 # ledger and goroutine checks of internal/leakcheck), the -race-skipped
-# tests above five times without -race, the two line ratchets,
-# one pass of BenchmarkKernels, of internal/core's BenchmarkPipeline and of
+# tests above five times without -race, the two line ratchets, the
+# observability smoke gate (the only gate on the disabled-observer path's
+# cost and on the export schema), one pass of BenchmarkKernels, of internal/core's BenchmarkPipeline and of
 # internal/rmi's BenchmarkCall (the per-layer numbers the docs quote; go test
 # ./... only compiles them, so a b.Fatal in any would go unnoticed), then
 # benchmark/. benchmark/ is its own module, which ./... does not reach:
@@ -59,6 +60,7 @@ ci: build
 	$(GO) test -count=5 -run '^($(ALLOC_TESTS))$$' $(ALLOC_PKGS)
 	@$(MAKE) --no-print-directory tracked-loc
 	@$(MAKE) --no-print-directory repo-loc
+	@$(MAKE) --no-print-directory obs-smoke
 	$(GO) test -run '^$$' -bench Kernels -benchtime 1x ./internal/wire
 	$(GO) test -run '^$$' -bench Pipeline -benchtime 1x ./internal/core
 	$(GO) test -run '^$$' -bench '^BenchmarkCall$$' -benchtime 1x ./internal/rmi
@@ -86,7 +88,7 @@ bench:
 
 # Observability smoke gate: run a scenario-III workload with a phase
 # observer on both endpoints, scrape and schema-check the debug endpoints,
-# and fail if the disabled (nil-recorder) instrumentation path costs more
+# and fail if the disabled (nil-observer) instrumentation path costs more
 # than 2% of a call.
 obs-smoke:
 	$(GO) run ./cmd/nrmi-bench -obs-smoke
@@ -116,7 +118,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 8062
+TRACKED_LOC_MAX := 8050
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -130,7 +132,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 18532
+REPO_LOC_MAX := 18288
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

@@ -18,7 +18,7 @@ import (
 // runObsSmoke is the observability smoke gate (make obs-smoke): it runs a
 // scenario-III workload with a phase observer attached to both endpoints,
 // serves the observer's debug endpoints on a real listener, scrapes and
-// validates both JSON exports, and fails if the disabled (nil-recorder)
+// validates both JSON exports, and fails if the disabled (nil-observer)
 // instrumentation path costs more than maxOverheadPct of a measured
 // scenario-III call.
 func runObsSmoke(maxOverheadPct float64) error {
@@ -202,7 +202,7 @@ func validateTraces(traces []obs.Trace) error {
 
 // measureNopPath times the disabled instrumentation path: the exact
 // per-call sequence of collector operations the client and server execute
-// when no Recorder is configured (Begin returns the nil collector). This
+// when no Observer is configured (Begin returns the nil collector). This
 // is the cost every un-observed call pays for the instrumentation being
 // compiled in.
 func measureNopPath() float64 {
@@ -217,12 +217,11 @@ func measureNopPath() float64 {
 }
 
 // nopCallOnce replays one call's worth of nil-collector operations: both
-// endpoints' Begin/SetIO/Finish plus a span per pipeline phase.
+// endpoints' Begin/SetIO/Finish plus a mark per pipeline phase.
 func nopCallOnce() {
 	oc := obs.Begin(nil, "nrmi", "Apply")
 	for p := 0; p < obs.NumPhases; p++ {
-		sp := oc.Start(obs.Phase(p))
-		sp.EndN(1, 1)
+		oc.Mark(obs.Phase(p), 1, 1)
 	}
 	oc.SetIO(1, 1)
 	oc.Finish(nil)

@@ -31,8 +31,8 @@ type EnvConfig struct {
 	ServerHost, ClientHost netsim.Host
 	// Obs, when set, receives per-call phase measurements from both
 	// machines: client and server record disjoint phases under the same
-	// (service, method) key, so one recorder sees the whole pipeline.
-	Obs obs.Recorder
+	// (service, method) key, so one observer sees the whole pipeline.
+	Obs *obs.Observer
 }
 
 // Env is a fully assembled two-machine benchmark world.

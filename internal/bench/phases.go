@@ -57,9 +57,10 @@ var phaseOrder = []obs.Phase{
 	obs.PhaseRestoreCommit,
 }
 
-// clientPhases are the phases whose means sum to (roughly) the whole call
-// as the client experiences it; PhaseTransport already contains the server
-// pipeline and the network.
+// clientPhases are a blocking call's client phases. They tile the call up
+// to its last mark, so their means sum to the whole call as the client
+// experiences it; PhaseTransport already contains the server pipeline and
+// the network.
 var clientPhases = []obs.Phase{
 	obs.PhaseEncode, obs.PhaseTransport,
 	obs.PhaseDecodeReply, obs.PhaseRestoreCommit,

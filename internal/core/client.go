@@ -20,8 +20,8 @@ type Call struct {
 	enc  *wire.Encoder
 
 	// oc is the per-call observability collector (nil when disabled); the
-	// client-side core phases — reply decode and restore commit — record
-	// their spans on it.
+	// client-side core phases — reply decode and restore commit — are
+	// marked on it.
 	oc *obs.Call
 
 	// end delimits the restore set: the request table's objects [0, end),
@@ -175,14 +175,12 @@ func (c *Call) ApplyResponseBytes(data []byte) (Response, error) {
 		c.commitMu.Lock()
 		defer c.commitMu.Unlock()
 	}
-	sp := c.oc.Start(obs.PhaseDecodeReply)
 	rets, err := c.decodeReply(dec)
 	updates := dec.Staged()
-	sp.EndN(dec.BytesRead(), int64(len(updates)))
+	c.oc.Mark(obs.PhaseDecodeReply, dec.BytesRead(), int64(len(updates)))
 	if err == nil {
-		sp = c.oc.Start(obs.PhaseRestoreCommit)
 		err = commitUpdates(updates)
-		sp.EndN(0, int64(len(updates)))
+		c.oc.Mark(obs.PhaseRestoreCommit, 0, int64(len(updates)))
 	}
 	if err != nil {
 		// Abandon the response with the caller's graph untouched: the arena

@@ -18,7 +18,7 @@ type ServerCall struct {
 	dec  *wire.Decoder
 
 	// oc is the per-call observability collector (nil when disabled); the
-	// server-side prepare phase records its span on it.
+	// server-side prepare phase is marked on it.
 	oc *obs.Call
 
 	// end delimits the pre-call restore set — the server's linear map
@@ -98,15 +98,14 @@ func (s *ServerCall) SetObs(oc *obs.Call) { s.oc = oc }
 // Section 3) — with a shallow copy of each object's own state, so that
 // EncodeResponse ships only what the method changed. Decoding delimited the
 // set, so nothing is walked. It must be called after all arguments are
-// decoded and before the method executes. The srv-prepare span covers it.
+// decoded and before the method executes. It ends the srv-prepare phase.
 func (s *ServerCall) Prepare() error {
 	if s.prepared {
 		return nil
 	}
-	sp := s.oc.Start(obs.PhaseSrvPrepare)
 	s.dec.Shadow(s.dec.Objects()[:s.end])
 	s.prepared = true
-	sp.EndN(0, int64(s.end))
+	s.oc.Mark(obs.PhaseSrvPrepare, 0, int64(s.end))
 	return nil
 }
 

@@ -104,3 +104,17 @@ func isContextType(t types.Type) bool {
 	return ok && named.Obj().Name() == "Context" &&
 		named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "context"
 }
+
+// inspectSameFunc walks body like ast.Inspect but does not descend into
+// nested function literals.
+func inspectSameFunc(body *ast.BlockStmt, visit func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			visit(n)
+		}
+		return true
+	})
+}

@@ -6,17 +6,15 @@
 // and it keeps only what a static tool alone can catch:
 //
 //   - restorable-closure: the type closure of every Restorable type must
-//     stay inside the kinds the graph walker accepts (the static mirror of
-//     checkLeafType/visitContents in internal/graph/walk.go);
+//     stay inside the kinds the wire kernels accept (the static mirror of
+//     RegisterStrict's closure check and of the kernel error an encode
+//     reports, in internal/wire);
 //   - registry-coverage: every named concrete type reachable from a
 //     remote-call signature must be registered with the wire registry;
 //   - interceptor-discipline: an Interceptor must invoke next exactly
 //     once on every path that reports success;
 //   - guarded-escape: a Guarded.With closure must not leak the root
 //     outside the critical section;
-//   - span-end: every obs phase span started must be ended before the
-//     first return statement that follows it (or deferred), so no code
-//     path silently drops a phase from the observability histograms;
 //   - ctx-propagation: a function receiving a context.Context contains no
 //     context.Background()/TODO() call.
 //
@@ -26,7 +24,7 @@
 // by sync/atomic's typed values. docs/LINT.md has the table.
 //
 // Each check has a stable ID usable with nrmi-vet's -checks flag, and a
-// testdata package under testdata/src exercising it. All six are
+// testdata package under testdata/src exercising it. All five are
 // syntactic: an AST walk plus type information.
 package lint
 
@@ -83,11 +81,6 @@ func Checks() []Check {
 			ID:  "guarded-escape",
 			Doc: "Guarded.With closures must not leak the root outside the critical section",
 			Run: checkGuardedEscape,
-		},
-		{
-			ID:  "span-end",
-			Doc: "every started obs phase span must be ended before the first following return, or deferred",
-			Run: checkSpanEnd,
 		},
 		{
 			ID:  "ctx-propagation",

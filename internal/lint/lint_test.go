@@ -114,7 +114,6 @@ func TestInterceptorDiscipline(t *testing.T) {
 	runCheckTest(t, "interceptor-discipline", "interceptor")
 }
 func TestGuardedEscape(t *testing.T)  { runCheckTest(t, "guarded-escape", "guarded") }
-func TestSpanEnd(t *testing.T)        { runCheckTest(t, "span-end", "spanend") }
 func TestCtxPropagation(t *testing.T) { runCheckTest(t, "ctx-propagation", "ctxprop") }
 
 func TestCtxPropagationClean(t *testing.T) { runCleanTest(t, "ctx-propagation", "ctxpropclean") }

@@ -17,14 +17,10 @@ import (
 func TestNilCollectorIsInert(t *testing.T) {
 	c := Begin(nil, "svc", "M")
 	if c != nil {
-		t.Fatal("Begin(nil recorder) must return the nil collector")
+		t.Fatal("Begin(nil observer) must return the nil collector")
 	}
-	sp := c.Start(PhaseEncode)
-	sp.End()
-	sp = c.Start(PhaseTransport)
-	sp.EndBytes(10)
-	sp = c.Start(PhaseDecodeReply)
-	sp.EndN(1, 2)
+	c.Mark(PhaseEncode, 0, 0)
+	c.Mark(PhaseDecodeReply, 1, 2)
 	c.SetIO(1, 2)
 	c.Finish(errors.New("x"))
 }
@@ -35,8 +31,7 @@ func TestNilCollectorAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c := Begin(nil, "svc", "M")
 		for p := Phase(0); p < NumPhases; p++ {
-			sp := c.Start(p)
-			sp.EndBytes(1)
+			c.Mark(p, 1, 1)
 		}
 		c.SetIO(1, 2)
 		c.Finish(nil)
@@ -53,10 +48,8 @@ func TestEnabledCollectorSteadyStateAllocs(t *testing.T) {
 	o := New(Config{})
 	run := func() {
 		c := Begin(o, "svc", "M")
-		sp := c.Start(PhaseEncode)
-		sp.EndBytes(64)
-		sp = c.Start(PhaseTransport)
-		sp.EndBytes(128)
+		c.Mark(PhaseEncode, 64, 0)
+		c.Mark(PhaseTransport, 128, 0)
 		c.SetIO(128, 64)
 		c.Finish(nil)
 	}
@@ -67,17 +60,15 @@ func TestEnabledCollectorSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPhaseAggregation drives known spans through an Observer and checks
+// TestPhaseAggregation drives known phases through an Observer and checks
 // the per-phase aggregates.
 func TestPhaseAggregation(t *testing.T) {
 	o := New(Config{Tag: "test"})
 	for i := 0; i < 5; i++ {
 		c := Begin(o, "svc", "M")
-		sp := c.Start(PhaseEncode)
 		time.Sleep(time.Millisecond)
-		sp.EndN(100, 7)
-		sp = c.Start(PhaseRestoreCommit)
-		sp.End()
+		c.Mark(PhaseEncode, 100, 7)
+		c.Mark(PhaseRestoreCommit, 0, 0)
 		c.SetIO(100, 200)
 		var err error
 		if i == 0 {
@@ -120,23 +111,36 @@ func TestPhaseAggregation(t *testing.T) {
 	}
 }
 
-// TestSpanEndIdempotent pins that double-End and defer-after-End add
-// nothing twice.
-func TestSpanEndIdempotent(t *testing.T) {
-	o := New(Config{})
+// TestMarksTileTheCall pins the boundary model: each Mark bills the time
+// since the previous boundary, so the phases are contiguous and exclusive,
+// add up to the call up to its last Mark, and a phase marked twice
+// accumulates both stretches.
+func TestMarksTileTheCall(t *testing.T) {
+	o := New(Config{TraceCapacity: 1})
 	c := Begin(o, "s", "m")
-	sp := c.Start(PhaseEncode)
-	sp.End()
-	sp.End()
-	sp.EndBytes(999)
+	time.Sleep(2 * time.Millisecond)
+	c.Mark(PhaseEncode, 5, 1)
+	time.Sleep(2 * time.Millisecond)
+	c.Mark(PhaseTransport, 0, 0)
+	c.Mark(PhaseEncode, 5, 1)
+	time.Sleep(time.Millisecond)
 	c.Finish(nil)
+	tr := o.Slowest(1)[0]
+	var sum int64
+	for _, ph := range tr.Phases {
+		sum += ph.Ns
+	}
+	if sum > tr.TotalNs || tr.TotalNs-sum < int64(time.Millisecond) {
+		t.Errorf("phases sum to %dns of a %dns call, want all but the 1ms after the last mark", sum, tr.TotalNs)
+	}
 	snap := o.Snapshot()
 	m := snap.Method("s", "m")
-	if m.Phases[0].Latency.Count != 1 {
-		t.Errorf("encode count = %d after double End, want 1", m.Phases[0].Latency.Count)
+	enc, tsp := m.Phases[0], m.Phases[1]
+	if enc.Latency.Count != 1 || enc.Bytes.Sum != 10 || enc.Items != 2 {
+		t.Errorf("encode = %+v, want one observation of both marks", enc)
 	}
-	if m.Phases[0].Bytes.Sum != 0 {
-		t.Errorf("bytes leaked through an ended span: %d", m.Phases[0].Bytes.Sum)
+	if enc.Latency.Sum < int64(2*time.Millisecond) || tsp.Latency.Sum < int64(2*time.Millisecond) {
+		t.Errorf("encode %dns, transport %dns: each must hold the 2ms before its mark", enc.Latency.Sum, tsp.Latency.Sum)
 	}
 }
 
@@ -182,7 +186,7 @@ func TestTraceRingBounded(t *testing.T) {
 		}
 		cs.PhaseNs[PhaseTransport] = int64(cs.Total)
 		cs.PhaseCount[PhaseTransport] = 1
-		o.RecordCall(CallKey{Service: "s", Method: "m"}, &cs)
+		o.record(CallKey{Service: "s", Method: "m"}, &cs)
 	}
 	traces := o.Slowest(0)
 	if len(traces) != 4 {
@@ -213,8 +217,7 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c := Begin(o, "svc", "M")
-				sp := c.Start(PhaseEncode)
-				sp.EndBytes(int64(i))
+				c.Mark(PhaseEncode, int64(i), 0)
 				c.Finish(nil)
 				if i%10 == 0 {
 					_ = o.Snapshot()
@@ -236,8 +239,7 @@ func TestConcurrentRecording(t *testing.T) {
 func TestHandlerEndpoints(t *testing.T) {
 	o := New(Config{Tag: "http"})
 	c := Begin(o, "svc", "M")
-	sp := c.Start(PhaseEncode)
-	sp.EndBytes(10)
+	c.Mark(PhaseEncode, 10, 0)
 	c.Finish(nil)
 
 	srv := httptest.NewServer(o.Handler())

@@ -24,10 +24,9 @@ type Config struct {
 	AllocSampling bool
 }
 
-// Observer is the standard Recorder: it aggregates finished calls into
-// per-(service, method, phase) histograms and keeps a bounded ring of
-// recent calls for slowest-N trace export. All methods are safe for
-// concurrent use.
+// Observer aggregates finished calls into per-(service, method, phase)
+// histograms and keeps a bounded ring of recent calls for slowest-N trace
+// export. All methods are safe for concurrent use.
 type Observer struct {
 	cfg     Config
 	methods sync.Map // CallKey -> *methodAgg
@@ -68,9 +67,6 @@ func New(cfg Config) *Observer {
 	return o
 }
 
-// SampleAllocs implements AllocSampler.
-func (o *Observer) SampleAllocs() bool { return o.cfg.AllocSampling }
-
 // agg returns (creating on first use) the aggregation bucket for key.
 func (o *Observer) agg(key CallKey) *methodAgg {
 	if m, ok := o.methods.Load(key); ok {
@@ -80,8 +76,8 @@ func (o *Observer) agg(key CallKey) *methodAgg {
 	return m.(*methodAgg)
 }
 
-// RecordCall implements Recorder.
-func (o *Observer) RecordCall(key CallKey, cs *CallStats) {
+// record aggregates one finished call.
+func (o *Observer) record(key CallKey, cs *CallStats) {
 	m := o.agg(key)
 	m.calls.Add(1)
 	if cs.Err {

@@ -201,17 +201,12 @@ func (st *Stub) call(ctx context.Context, method string, args []any) (core.Respo
 		return st.run(ctx, method, args, false)
 	}
 	var resp core.Response
-	ran := false
 	info := CallInfo{Addr: st.addr, Object: st.object, Method: method, ArgCount: len(args)}
-	err := ic(ctx, info, func(ctx context.Context) error {
+	err := intercept(ctx, ic, info, func(ctx context.Context) error {
 		var err error
 		resp, err = st.run(ctx, method, args, false)
-		ran = err == nil
 		return err
 	})
-	if err == nil && !ran {
-		err = fmt.Errorf("rmi: interceptor for %s skipped the call without error", method)
-	}
 	if err != nil {
 		return core.Response{}, err
 	}

@@ -103,6 +103,27 @@ func TestClientInterceptorSkipWithoutErrorIsAnError(t *testing.T) {
 	}
 }
 
+// TestServerInterceptorSkipWithoutErrorIsAnError holds the server to the
+// client's rule, for methods with no result to miss: one that returns
+// nothing (Foo) and one that returns only an error (Fail).
+func TestServerInterceptorSkipWithoutErrorIsAnError(t *testing.T) {
+	ic := func(ctx context.Context, info CallInfo, next func(context.Context) error) error {
+		return nil // buggy interceptor: neither calls next nor errors
+	}
+	cl, addr := buildInterceptEnv(t, nil, ic)
+	stub := cl.Stub(addr, "trees")
+	root, _, _, _, _ := paperRTree()
+	if _, err := stub.Call(context.Background(), "Foo", root); err == nil || !strings.Contains(err.Error(), "skipped the call") {
+		t.Fatalf("Foo: silent skip must be loud: %v", err)
+	}
+	if root.Left == nil {
+		t.Fatal("Foo: a skipped call restored a mutation it never made")
+	}
+	if _, err := stub.Call(context.Background(), "Fail"); err == nil || !strings.Contains(err.Error(), "skipped the call") {
+		t.Fatalf("Fail: silent skip must be loud: %v", err)
+	}
+}
+
 func TestServerInterceptorObservesAndVetoes(t *testing.T) {
 	var served atomic.Int64
 	ic := func(ctx context.Context, info CallInfo, next func(context.Context) error) error {

@@ -126,16 +126,14 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 		p.slot = pendingCalls.Get().(*transport.PendingCall)
 		defer pendingCalls.Put(p.slot)
 	}
-	sp := p.oc.Start(obs.PhaseEncode)
 	err := p.encode(args)
-	sp.EndBytes(p.call.BytesSent())
+	p.oc.Mark(obs.PhaseEncode, p.call.BytesSent(), 0)
 	var resp core.Response
 	if err == nil {
-		sp = p.oc.Start(obs.PhaseTransport)
 		p.send(ctx)
 		var payload []byte
 		payload, err = p.await(ctx)
-		sp.EndBytes(int64(len(payload)))
+		p.oc.Mark(obs.PhaseTransport, int64(len(payload)), 0)
 		if err == nil && !oneWay {
 			p.oc.SetIO(int64(len(payload)), p.call.BytesSent())
 			resp, err = p.apply(payload)
@@ -160,13 +158,12 @@ func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Pro
 	p := new(Promise)
 	st.begin(p, method, false)
 	p.slot = &p.pending
-	sp := p.oc.Start(obs.PhaseAsyncIssue)
 	err := p.encode(args)
 	if err == nil {
 		p.send(ctx)
 		err = p.sendErr
 	}
-	sp.End()
+	p.oc.Mark(obs.PhaseAsyncIssue, 0, 0)
 	if err != nil {
 		p.settle(core.Response{}, err)
 		return nil, err
@@ -312,13 +309,12 @@ func (p *Promise) WaitStats(ctx context.Context) (*core.Response, error) {
 		p.waitDerived(ctx)
 	} else if p.state == promisePending {
 		defer outbound(ctx)()
-		sp := p.oc.Start(obs.PhaseAsyncAwait)
 		var resp core.Response
 		payload, err := p.await(ctx)
+		p.oc.Mark(obs.PhaseAsyncAwait, 0, 0)
 		if err == nil {
 			resp, err = p.apply(payload)
 		}
-		sp.End()
 		p.settle(resp, err)
 	}
 	switch p.state {

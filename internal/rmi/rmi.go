@@ -158,12 +158,12 @@ type Options struct {
 	// MaxRequestBytes rejects call payloads larger than this before any
 	// decoding work. Zero means unlimited.
 	MaxRequestBytes int
-	// Obs receives per-call phase spans (encode, transport, decode,
+	// Obs receives per-call phases (encode, transport, decode,
 	// restore-commit on clients; decode, prepare, execute, encode-reply on
 	// servers). Nil disables phase recording entirely; the disabled path
-	// allocates nothing and costs a few nil checks per call. Typically an
-	// *obs.Observer shared by both endpoints of a process.
-	Obs obs.Recorder
+	// allocates nothing and costs a few nil checks per call. Typically one
+	// observer is shared by both endpoints of a process.
+	Obs *obs.Observer
 }
 
 // CallInfo identifies one invocation for interceptors.
@@ -181,6 +181,23 @@ type CallInfo struct {
 
 // Interceptor wraps an invocation; call next to proceed.
 type Interceptor func(ctx context.Context, info CallInfo, next func(ctx context.Context) error) error
+
+// intercept runs body under ic, on the client and the server alike. An
+// interceptor that returns nil although next did not run to success — it
+// never called next, or swallowed next's error — fails the call: it would
+// otherwise report success for a body that did not complete.
+func intercept(ctx context.Context, ic Interceptor, info CallInfo, body func(ctx context.Context) error) error {
+	ran := false
+	err := ic(ctx, info, func(ctx context.Context) error {
+		err := body(ctx)
+		ran = err == nil
+		return err
+	})
+	if err == nil && !ran {
+		err = fmt.Errorf("rmi: interceptor for %s skipped the call without error", info.Method)
+	}
+	return err
+}
 
 // registryOf returns the effective wire registry.
 func (o Options) registryOf() *wire.Registry {

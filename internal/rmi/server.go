@@ -674,14 +674,13 @@ type decodedCall struct {
 	nargs    int
 }
 
-// dispatchCall runs the decoded protocol under phase spans: srv-decode,
-// srv-prepare (inside sc.Prepare), srv-execute, srv-encode. The arguments
-// and the results are converted into scratch in this frame.
+// dispatchCall runs the decoded protocol, marking the end of each phase:
+// srv-decode, srv-prepare (inside sc.Prepare), srv-execute, srv-encode.
+// The arguments and the results are converted into scratch in this frame.
 func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.ServerCall, h callHead) ([]byte, error) {
-	sp := oc.Start(obs.PhaseSrvDecode)
 	var args [8]reflect.Value
 	dc, in, err := s.decodeArgs(sc, h, args[:0])
-	sp.EndN(sc.BytesReceived(), int64(dc.nargs))
+	oc.Mark(obs.PhaseSrvDecode, sc.BytesReceived(), int64(dc.nargs))
 	if err != nil {
 		return nil, err
 	}
@@ -700,9 +699,8 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 		h.serial.Lock()
 		defer h.serial.Unlock()
 	}
-	sp = oc.Start(obs.PhaseSrvExecute)
 	outs, err := s.executeMethod(ctx, oc != nil, h.name, h.methodName, dc, in)
-	sp.End()
+	oc.Mark(obs.PhaseSrvExecute, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -712,14 +710,13 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 		return nil, nil
 	}
 
-	sp = oc.Start(obs.PhaseSrvEncode)
 	var results [4]any
 	var stats core.ResponseStats
 	rets, err := s.outboundResults(outs, results[:0])
 	if err == nil {
 		stats, err = sc.EncodeResponse(nil, rets)
 	}
-	sp.EndBytes(stats.BytesSent)
+	oc.Mark(obs.PhaseSrvEncode, stats.BytesSent, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -831,13 +828,7 @@ func (s *Server) executeMethod(ctx context.Context, labeled bool, objKey, method
 		if ic == nil {
 			return doInvoke(ctx)
 		}
-		if err := ic(ctx, info, doInvoke); err != nil {
-			return err
-		}
-		if outs == nil && method.Type.NumOut() > numErrOuts(method.Type) {
-			return fmt.Errorf("rmi: interceptor for %s skipped the call without error", methodName)
-		}
-		return nil
+		return intercept(ctx, ic, info, doInvoke)
 	}
 	var err error
 	if labeled {
@@ -851,14 +842,6 @@ func (s *Server) executeMethod(ctx context.Context, labeled bool, objKey, method
 		return nil, err
 	}
 	return outs, nil
-}
-
-// numErrOuts counts the trailing error result (0 or 1).
-func numErrOuts(mt reflect.Type) int {
-	if n := mt.NumOut(); n > 0 && mt.Out(n-1) == errType {
-		return 1
-	}
-	return 0
 }
 
 // invoke calls the method, ctx in in[1] if it takes one, converting panics

@@ -515,10 +515,10 @@ func (c *Conn) Err() error {
 }
 
 // InFlight returns the number of calls currently awaiting a reply on this
-// connection — the per-connection load signal the fleet balancer and the
-// load harness read. A closed connection reports 0 because its pending
-// calls have all been failed, so anything treating InFlight as a load
-// score must gate on Err() first: a dead conn is not an idle one.
+// connection (rmi's Client.ConnState reports it). A closed connection
+// reports 0 because its pending calls have all been failed, so anything
+// treating InFlight as a load score must gate on Err() first: a dead conn
+// is not an idle one.
 func (c *Conn) InFlight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

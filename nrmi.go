@@ -261,7 +261,7 @@ func (o Options) rmiOptions() rmi.Options {
 	if o.UnsafeAccess {
 		access = graph.AccessUnsafe
 	}
-	r := rmi.Options{
+	return rmi.Options{
 		Core: core.Options{
 			Engine:   o.Engine,
 			Access:   access,
@@ -275,13 +275,8 @@ func (o Options) rmiOptions() rmi.Options {
 		AdmissionQueue:     o.AdmissionQueue,
 		AdmissionWait:      o.AdmissionWait,
 		MaxRequestBytes:    o.MaxRequestBytes,
+		Obs:                o.Observer,
 	}
-	// The nil check matters: assigning a nil *Observer directly would make
-	// the interface non-nil and turn on the recording path for nothing.
-	if o.Observer != nil {
-		r.Obs = o.Observer
-	}
-	return r
 }
 
 // NewServer returns a server identifying itself under addr (the address
