@@ -33,7 +33,9 @@ func LoggingInterceptor(logger *log.Logger) Interceptor {
 }
 
 // ChainInterceptors composes interceptors: the first wraps the second
-// wraps the third, and so on, with the actual call innermost.
+// wraps the third, and so on, with the actual call innermost. Installed on
+// an endpoint, a chain is held to the rule each interceptor is: however
+// its members call next, the call runs at most once.
 func ChainInterceptors(ics ...Interceptor) Interceptor {
 	return func(ctx context.Context, info CallInfo, next func(context.Context) error) error {
 		run := next

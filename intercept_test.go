@@ -125,11 +125,11 @@ func TestChainInterceptorsShortCircuitWithoutNext(t *testing.T) {
 	// An interceptor that returns without calling next short-circuits
 	// the whole chain: later interceptors and the call itself never
 	// run, and the caller sees exactly the interceptor's return value.
-	// This is the runtime behavior nrmi-vet's interceptor-discipline
-	// check formalizes: vetoing with a non-nil error is the supported
-	// pattern, while returning nil without calling next (also pinned
-	// here) silently reports success for a call that never happened —
-	// which is why the linter flags it.
+	// Vetoing with a non-nil error is the supported pattern. A chain is a
+	// plain function, so returning nil without calling next (also pinned
+	// here) reports success from the chain itself; installed on an
+	// endpoint, the same chain fails the call instead, since the runtime
+	// refuses success for a call that never ran.
 	ctx := context.Background()
 	var reached []string
 	record := func(name string) nrmi.Interceptor {
@@ -166,5 +166,43 @@ func TestChainInterceptorsShortCircuitWithoutNext(t *testing.T) {
 	}
 	if called {
 		t.Fatal("dropped call must not reach the target")
+	}
+}
+
+// TestChainInterceptorsRunTheCallOnce installs a chain whose inner
+// interceptor calls next twice on a client: the call body runs once, and
+// the second next reports the misuse instead of re-sending the call.
+func TestChainInterceptorsRunTheCallOnce(t *testing.T) {
+	reg := nrmi.NewRegistry()
+	if err := reg.Register("Vector", Vector{}); err != nil {
+		t.Fatal(err)
+	}
+	addr := newTCPServer(t, nrmi.Options{Registry: reg})
+	var second error
+	twice := func(ctx context.Context, info nrmi.CallInfo, next func(context.Context) error) error {
+		err := next(ctx)
+		second = next(ctx)
+		return err
+	}
+	pass := func(ctx context.Context, info nrmi.CallInfo, next func(context.Context) error) error {
+		return next(ctx)
+	}
+	cl, err := nrmi.NewClient(nrmi.TCPDialer(), nrmi.Options{Registry: reg, Intercept: nrmi.ChainInterceptors(pass, twice)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	v := &Vector{Words: []string{"x"}}
+	if _, err := cl.Stub(addr, "upcaser").Call(context.Background(), "Upcase", v); err != nil {
+		t.Fatal(err)
+	}
+	if m := cl.Metrics(); m.CallsIssued != 1 || m.Attempts != 1 {
+		t.Fatalf("the call body ran %d times (%d attempts), want once", m.CallsIssued, m.Attempts)
+	}
+	if second == nil || !strings.Contains(second.Error(), "more than once") {
+		t.Fatalf("second next: %v, want the more-than-once error", second)
+	}
+	if v.Words[0] != "X" {
+		t.Fatalf("restore lost: %v", v.Words)
 	}
 }

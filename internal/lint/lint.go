@@ -11,20 +11,20 @@
 //     reports, in internal/wire);
 //   - registry-coverage: every named concrete type reachable from a
 //     remote-call signature must be registered with the wire registry;
-//   - interceptor-discipline: an Interceptor must invoke next exactly
-//     once on every path that reports success;
 //   - guarded-escape: a Guarded.With closure must not leak the root
 //     outside the critical section;
 //   - ctx-propagation: a function receiving a context.Context contains no
 //     context.Background()/TODO() call.
 //
-// The runtime's own pool hygiene is not here: pooled-payload ownership is
-// asserted by the bufpool ledger every test run arms (internal/leakcheck),
-// pool resets by the released-state tests next to each pool, and atomics
-// by sync/atomic's typed values. docs/LINT.md has the table.
+// What the runtime checks itself is not here: rmi's intercept holds every
+// interceptor, chained or not, to one run of next on every call; the
+// bufpool ledger every test run arms (internal/leakcheck) asserts
+// pooled-payload ownership, the released-state tests next to each pool
+// their resets, and sync/atomic's typed values the atomics. docs/LINT.md
+// has the table.
 //
 // Each check has a stable ID usable with nrmi-vet's -checks flag, and a
-// testdata package under testdata/src exercising it. All five are
+// testdata package under testdata/src exercising it. All four are
 // syntactic: an AST walk plus type information.
 package lint
 
@@ -71,11 +71,6 @@ func Checks() []Check {
 			ID:  "registry-coverage",
 			Doc: "named types reachable from remote-call signatures must be registered; no conflicting registrations",
 			Run: checkRegistryCoverage,
-		},
-		{
-			ID:  "interceptor-discipline",
-			Doc: "interceptors must invoke next exactly once on every successful path",
-			Run: checkInterceptorDiscipline,
 		},
 		{
 			ID:  "guarded-escape",

@@ -110,11 +110,8 @@ func runCleanTest(t *testing.T, checkID, pkg string) {
 
 func TestRestorableClosure(t *testing.T) { runCheckTest(t, "restorable-closure", "restorable") }
 func TestRegistryCoverage(t *testing.T)  { runCheckTest(t, "registry-coverage", "registrycov") }
-func TestInterceptorDiscipline(t *testing.T) {
-	runCheckTest(t, "interceptor-discipline", "interceptor")
-}
-func TestGuardedEscape(t *testing.T)  { runCheckTest(t, "guarded-escape", "guarded") }
-func TestCtxPropagation(t *testing.T) { runCheckTest(t, "ctx-propagation", "ctxprop") }
+func TestGuardedEscape(t *testing.T)     { runCheckTest(t, "guarded-escape", "guarded") }
+func TestCtxPropagation(t *testing.T)    { runCheckTest(t, "ctx-propagation", "ctxprop") }
 
 func TestCtxPropagationClean(t *testing.T) { runCleanTest(t, "ctx-propagation", "ctxpropclean") }
 

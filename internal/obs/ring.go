@@ -27,19 +27,11 @@ type Trace struct {
 	Phases   []TracePhase `json:"phases"`
 }
 
-// traceEntry is the ring's compact internal form: fixed arrays, no
+// traceEntry is one held call: the collector's own fixed-size record, no
 // per-call slice allocation. The export form is built on demand.
 type traceEntry struct {
-	key     CallKey
-	start   time.Time
-	totalNs int64
-	err     bool
-	in, out int64
-	allocs  int64
-	ns      [NumPhases]int64
-	bytes   [NumPhases]int64
-	items   [NumPhases]int64
-	count   [NumPhases]uint32
+	key CallKey
+	cs  CallStats
 }
 
 // traceRing is a bounded mutex-guarded ring of recent calls. Recording
@@ -57,17 +49,7 @@ func (r *traceRing) init(capacity int) {
 
 func (r *traceRing) add(key CallKey, cs *CallStats) {
 	r.mu.Lock()
-	e := &r.buf[r.next]
-	e.key = key
-	e.start = cs.Start
-	e.totalNs = int64(cs.Total)
-	e.err = cs.Err
-	e.in, e.out = cs.BytesIn, cs.BytesOut
-	e.allocs = cs.Allocs
-	e.ns = cs.PhaseNs
-	e.bytes = cs.PhaseBytes
-	e.items = cs.PhaseItems
-	e.count = cs.PhaseCount
+	r.buf[r.next] = traceEntry{key, *cs}
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -87,33 +69,34 @@ func (r *traceRing) slowest(n int) []Trace {
 	copy(entries, live)
 	r.mu.Unlock()
 
-	sort.Slice(entries, func(i, j int) bool { return entries[i].totalNs > entries[j].totalNs })
+	sort.Slice(entries, func(i, j int) bool { return entries[i].cs.Total > entries[j].cs.Total })
 	if n > len(entries) {
 		n = len(entries)
 	}
 	out := make([]Trace, 0, n)
 	for _, e := range entries[:n] {
+		cs := &e.cs
 		t := Trace{
 			Service:  e.key.Service,
 			Method:   e.key.Method,
-			Start:    e.start,
-			TotalNs:  e.totalNs,
-			Err:      e.err,
-			BytesIn:  e.in,
-			BytesOut: e.out,
+			Start:    cs.Start,
+			TotalNs:  int64(cs.Total),
+			Err:      cs.Err,
+			BytesIn:  cs.BytesIn,
+			BytesOut: cs.BytesOut,
 		}
-		if e.allocs >= 0 {
-			t.Allocs = e.allocs
+		if cs.Allocs >= 0 {
+			t.Allocs = cs.Allocs
 		}
 		for p := 0; p < NumPhases; p++ {
-			if e.count[p] == 0 {
+			if cs.PhaseCount[p] == 0 {
 				continue
 			}
 			t.Phases = append(t.Phases, TracePhase{
 				Phase: Phase(p).String(),
-				Ns:    e.ns[p],
-				Bytes: e.bytes[p],
-				Items: e.items[p],
+				Ns:    cs.PhaseNs[p],
+				Bytes: cs.PhaseBytes[p],
+				Items: cs.PhaseItems[p],
 			})
 		}
 		out = append(out, t)

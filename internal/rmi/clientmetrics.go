@@ -136,13 +136,3 @@ func (c *Client) releasePayload(p []byte) {
 	}
 	transport.ReleasePayload(p)
 }
-
-// noteCall records the outcome of one finished invocation.
-func (c *Client) noteCall(bytesReceived int64, err error) {
-	c.metrics.calls.Add(1)
-	if err != nil {
-		c.metrics.errors.Add(1)
-	} else {
-		c.metrics.bytesReceived.Add(bytesReceived)
-	}
-}

@@ -14,9 +14,10 @@ import (
 
 // TestEveryCallShapeRecordsItsPhases runs one call of each shape with an
 // observer on each end and reads back what each end recorded: every
-// expected phase exactly once, no other, and phases that add up to no more
-// than the call. A one-way call has no reply, so its server neither
-// shadows the restore set nor encodes a response.
+// expected phase exactly once, no other, phases that add up to no more
+// than the call, and the request and reply sizes the other end saw. A
+// one-way call has no reply, so its server neither shadows the restore set
+// nor encodes a response, and neither end records reply bytes.
 func TestEveryCallShapeRecordsItsPhases(t *testing.T) {
 	server := []string{"srv-decode", "srv-prepare", "srv-execute", "srv-encode"}
 	for _, row := range []struct {
@@ -67,16 +68,23 @@ func TestEveryCallShapeRecordsItsPhases(t *testing.T) {
 			if method == "Sum" {
 				<-svc.summed // the server finishes its call after the method returns
 			}
-			checkPhases(t, "client", cliObs, method, row.client)
-			checkPhases(t, "server", srvObs, method, row.server)
+			cliTr := checkPhases(t, "client", cliObs, method, row.client)
+			srvTr := checkPhases(t, "server", srvObs, method, row.server)
+			if cliTr.BytesOut == 0 || cliTr.BytesOut != srvTr.BytesIn {
+				t.Errorf("client recorded a %d-byte request, server read %d", cliTr.BytesOut, srvTr.BytesIn)
+			}
+			if cliTr.BytesIn != srvTr.BytesOut {
+				t.Errorf("client recorded a %d-byte reply, server wrote %d", cliTr.BytesIn, srvTr.BytesOut)
+			}
 		})
 	}
 }
 
 // checkPhases waits for o to hold its endpoint's one call of method and
-// holds it to the phases want. An observer files a call's trace after its
-// aggregates, so once the trace is there the aggregates are complete.
-func checkPhases(t *testing.T, end string, o *obs.Observer, method string, want []string) {
+// holds it to the phases want, returning its trace. An observer files a
+// call's trace after its aggregates, so once the trace is there the
+// aggregates are complete.
+func checkPhases(t *testing.T, end string, o *obs.Observer, method string, want []string) obs.Trace {
 	t.Helper()
 	var traces []obs.Trace
 	for deadline := time.Now().Add(5 * time.Second); len(traces) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
@@ -105,4 +113,5 @@ func checkPhases(t *testing.T, end string, o *obs.Observer, method string, want 
 	if sum > tr.TotalNs {
 		t.Errorf("%s phases sum to %dns, more than the call's %dns", end, sum, tr.TotalNs)
 	}
+	return tr
 }

@@ -122,7 +122,9 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 	defer outbound(ctx)()
 	var p Promise
 	st.begin(&p, method, oneWay)
-	if !oneWay {
+	if oneWay {
+		st.c.metrics.oneWays.Add(1)
+	} else {
 		p.slot = pendingCalls.Get().(*transport.PendingCall)
 		defer pendingCalls.Put(p.slot)
 	}
@@ -135,7 +137,6 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 		payload, err = p.await(ctx)
 		p.oc.Mark(obs.PhaseTransport, int64(len(payload)), 0)
 		if err == nil && !oneWay {
-			p.oc.SetIO(int64(len(payload)), p.call.BytesSent())
 			resp, err = p.apply(payload)
 		}
 	}
@@ -345,8 +346,8 @@ func (p *Promise) Abandon() {
 	if p.state != promisePending {
 		return
 	}
-	p.state = promiseAbandoned
 	if p.cont != nil {
+		p.state = promiseAbandoned
 		if p.inner != nil {
 			p.inner.Abandon()
 		} else if p.source != nil {
@@ -354,30 +355,30 @@ func (p *Promise) Abandon() {
 		}
 		return
 	}
-	c := p.st.c
 	if p.pc != nil {
 		p.pc.Abandon()
 		p.pc = nil
 	}
-	c.metrics.promisesAbandoned.Add(1)
-	c.noteCall(0, ErrPromiseAbandoned)
-	p.oc.Finish(ErrPromiseAbandoned)
-	p.releaseResources()
+	p.st.c.metrics.promisesAbandoned.Add(1)
+	p.settle(core.Response{}, ErrPromiseAbandoned)
+	p.state = promiseAbandoned
 }
 
-// settle records the outcome and returns the promise's pooled resources.
+// settle records the outcome, on the client's counters and on the observer
+// with the call's request and reply sizes, and returns the pooled encoder
+// state, request included. Every call shape ends here, abandoned or not.
 func (p *Promise) settle(resp core.Response, err error) {
+	c := p.st.c
+	c.metrics.calls.Add(1)
 	p.state, p.resp, p.err = promiseResolved, resp, err
 	if err != nil {
 		p.state = promiseRejected
+		c.metrics.errors.Add(1)
+	} else {
+		c.metrics.bytesReceived.Add(resp.BytesReceived) // a one-way call settles with none
 	}
-	p.st.c.noteCall(resp.BytesReceived, err) // a one-way call settles with none
+	p.oc.SetIO(resp.BytesReceived, p.call.BytesSent())
 	p.oc.Finish(err)
-	p.releaseResources()
-}
-
-// releaseResources returns the pooled encoder state, request included.
-func (p *Promise) releaseResources() {
 	p.call.Release()
 	p.oc = nil
 }
@@ -457,7 +458,6 @@ func (st *Stub) CallOneWay(ctx context.Context, method string, args ...any) erro
 			return fmt.Errorf("rmi: argument %d of %s: %w", i, method, ErrOneWayRestorable)
 		}
 	}
-	st.c.metrics.oneWays.Add(1)
-	_, err := st.run(ctx, method, args, true)
+	_, err := st.call(ctx, method, args, true)
 	return err
 }

@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"nrmi/internal/core"
@@ -128,11 +129,13 @@ type Options struct {
 	// implementing the application's node interface). When nil, methods
 	// receive the raw *RemoteRef.
 	WrapRef func(ref *RemoteRef, c *Client) (any, error)
-	// Intercept, when set, wraps every invocation on this endpoint:
-	// outbound calls on a client, inbound dispatches on a server. The
-	// interceptor may inspect the call, enrich the context, veto the call
-	// by returning without invoking next, or wrap errors. Compose multiple
-	// concerns by nesting inside one function.
+	// Intercept, when set, wraps every invocation on this endpoint: a
+	// client's Call, CallStats and CallOneWay (registry and DGC calls
+	// included; not CallAsync, whose issue/await split has no single body
+	// to wrap), and every dispatch on a server. It may inspect the call,
+	// enrich the context, veto it by returning an error without invoking
+	// next, or wrap errors; next runs the call at most once. Compose
+	// multiple concerns by nesting inside one function.
 	Intercept Interceptor
 	// Retry configures automatic re-sends of failed outbound calls; see
 	// RetryPolicy and Retryable for what qualifies. The zero value makes
@@ -182,18 +185,29 @@ type CallInfo struct {
 // Interceptor wraps an invocation; call next to proceed.
 type Interceptor func(ctx context.Context, info CallInfo, next func(ctx context.Context) error) error
 
-// intercept runs body under ic, on the client and the server alike. An
-// interceptor that returns nil although next did not run to success — it
-// never called next, or swallowed next's error — fails the call: it would
-// otherwise report success for a body that did not complete.
+// intercept runs body under ic (directly when ic is nil), on the client and
+// the server alike: the one place the interceptor contract is enforced.
+// next runs body at most once; a second call, concurrent ones included,
+// fails and runs nothing. An interceptor that returns nil although next did
+// not run to success — it never called next, or swallowed next's error —
+// fails the call: it would otherwise report success for a body that did not
+// complete.
 func intercept(ctx context.Context, ic Interceptor, info CallInfo, body func(ctx context.Context) error) error {
-	ran := false
+	if ic == nil {
+		return body(ctx)
+	}
+	var state atomic.Int32 // 1 once next is entered, 2 once body succeeded
 	err := ic(ctx, info, func(ctx context.Context) error {
+		if !state.CompareAndSwap(0, 1) {
+			return fmt.Errorf("rmi: interceptor for %s called next more than once", info.Method)
+		}
 		err := body(ctx)
-		ran = err == nil
+		if err == nil {
+			state.Store(2)
+		}
 		return err
 	})
-	if err == nil && !ran {
+	if err == nil && state.Load() != 2 {
 		err = fmt.Errorf("rmi: interceptor for %s skipped the call without error", info.Method)
 	}
 	return err

@@ -84,7 +84,15 @@ func (s *TreeService) Div(a, b int) (int, error) {
 	return a / b, nil
 }
 
-// Calls reports how many Foo invocations the service saw.
+// Tick counts one invocation, as Foo does, with no argument to restore: a
+// one-way call can carry it.
+func (s *TreeService) Tick() {
+	s.mu.Lock()
+	s.calls++
+	s.mu.Unlock()
+}
+
+// Calls reports how many Foo and Tick invocations the service saw.
 func (s *TreeService) Calls() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -824,24 +824,15 @@ func (s *Server) executeMethod(ctx context.Context, labeled bool, objKey, method
 		outs, err = s.invoke(ctx, method, args, takesCtx)
 		return err
 	}
-	run := func(ctx context.Context) error {
-		if ic == nil {
-			return doInvoke(ctx)
-		}
-		return intercept(ctx, ic, info, doInvoke)
-	}
 	var err error
 	if labeled {
 		pprof.Do(ctx, pprof.Labels("nrmi_service", objKey, "nrmi_method", methodName), func(ctx context.Context) {
-			err = run(ctx)
+			err = intercept(ctx, ic, info, doInvoke)
 		})
 	} else {
-		err = run(ctx)
+		err = intercept(ctx, ic, info, doInvoke)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
+	return outs, err
 }
 
 // invoke calls the method, ctx in in[1] if it takes one, converting panics

@@ -137,9 +137,11 @@ type Options struct {
 	// WrapRef converts inbound remote references into application proxies
 	// before dispatch; see the rmi layer documentation.
 	WrapRef func(ref *RemoteRef, c *Client) (any, error)
-	// Intercept wraps every invocation on this endpoint (outbound on a
-	// client, inbound on a server) for logging, metrics, or policy. The
-	// interceptor may veto by returning without calling next.
+	// Intercept wraps every invocation on this endpoint for logging,
+	// metrics, or policy: on a client Call, CallStats and CallOneWay (not
+	// CallAsync, whose issue/await split has no single body to wrap), on a
+	// server every inbound dispatch. The interceptor may veto by returning
+	// an error without calling next; next runs the call at most once.
 	Intercept Interceptor
 	// Retry configures automatic re-sends of failed outbound calls; see
 	// RetryPolicy and Retryable. The zero value disables retries. A call
