@@ -14,8 +14,8 @@ test: lint soak obs-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Static copy-restore invariant checks (docs/LINT.md). Exits nonzero on
-# any finding, so CI fails before a misdeclared type fails at runtime.
+# Static checks (docs/LINT.md): guarded-escape and ctx-propagation. Exits
+# nonzero on any finding, so CI fails on one.
 lint:
 	$(GO) run ./cmd/nrmi-vet ./...
 
@@ -132,7 +132,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 17864
+REPO_LOC_MAX := 17296
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

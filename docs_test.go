@@ -273,3 +273,96 @@ func TestDocsResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocTestsListRaceGatedTests: the Makefile's ALLOC_TESTS, which
+// `make ci` runs without -race after its race pass, names exactly the tests
+// that read raceflag.Enabled, themselves or through a helper of their
+// package, and ALLOC_PKGS holds each one's package: a new allocation budget
+// that -race skips cannot drop out of the gate.
+func TestAllocTestsListRaceGatedTests(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := regexp.MustCompile(`(?m)^ALLOC_TESTS := (.*)$`).FindSubmatch(mk)
+	pkgs := regexp.MustCompile(`(?m)^ALLOC_PKGS := (.*)$`).FindSubmatch(mk)
+	if listed == nil || pkgs == nil {
+		t.Fatal("the Makefile sets no ALLOC_TESTS or ALLOC_PKGS")
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(string(listed[1]), "|") {
+		want[name] = true
+	}
+	// Per package directory: what each function calls, and which read the flag.
+	type fn struct {
+		calls []string
+		reads bool
+	}
+	byDir := map[string]map[string]*fn{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		if byDir[dir] == nil {
+			byDir[dir] = map[string]*fn{}
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || fd.Body == nil {
+				continue
+			}
+			info := &fn{}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.SelectorExpr:
+					if id, ok := x.X.(*ast.Ident); ok && id.Name == "raceflag" && x.Sel.Name == "Enabled" {
+						info.reads = true
+					}
+				case *ast.CallExpr:
+					if id, ok := x.Fun.(*ast.Ident); ok {
+						info.calls = append(info.calls, id.Name)
+					}
+				}
+				return true
+			})
+			byDir[dir][fd.Name.Name] = info
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, fns := range byDir {
+		for changed := true; changed; {
+			changed = false
+			for _, f := range fns {
+				for _, c := range f.calls {
+					if callee := fns[c]; !f.reads && callee != nil && callee.reads {
+						f.reads, changed = true, true
+					}
+				}
+			}
+		}
+		for name, f := range fns {
+			if !f.reads || !strings.HasPrefix(name, "Test") {
+				continue
+			}
+			if !want[name] {
+				t.Errorf("%s (%s) reads raceflag.Enabled but is not in ALLOC_TESTS", name, dir)
+			}
+			if !strings.Contains(" "+string(pkgs[1])+" ", " ./"+dir+" ") {
+				t.Errorf("%s's package ./%s is not in ALLOC_PKGS", name, dir)
+			}
+			delete(want, name)
+		}
+	}
+	for name := range want {
+		t.Errorf("ALLOC_TESTS lists %s, which does not read raceflag.Enabled", name)
+	}
+}

@@ -174,3 +174,35 @@ func declaredOutside(p *Package, id *ast.Ident, lit *ast.FuncLit) bool {
 	pos := obj.Pos()
 	return pos < lit.Pos() || pos > lit.End()
 }
+
+// pointerBearing reports whether values of t can contain (directly or
+// transitively, by value) pointers, maps, slices, interfaces, or other
+// reference state — the static mirror of hasIdentityBearing in
+// internal/graph/walk.go. Type parameters are treated as opaque.
+func pointerBearing(t types.Type) bool {
+	return pointerBearingRec(t, make(map[types.Type]bool))
+}
+
+func pointerBearingRec(t types.Type, seen map[types.Type]bool) bool {
+	t = types.Unalias(t)
+	if seen[t] {
+		return false
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Slice, *types.Interface,
+		*types.Chan, *types.Signature:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	case *types.Array:
+		return pointerBearingRec(u.Elem(), seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if pointerBearingRec(u.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -1,31 +1,25 @@
 // Package lint is nrmi-vet's analysis engine: a stdlib-only static
 // analyzer (go/parser, go/ast, go/types — no golang.org/x/tools) that
-// moves NRMI's copy-restore contract violations from runtime to build
-// time. The Java original leaned on javac and rmic to reject malformed
-// remote interfaces before deployment; this package is the Go analog,
-// and it keeps only what a static tool alone can catch:
+// moves NRMI contract violations from runtime to build time. It keeps
+// only what a static tool alone can catch:
 //
-//   - restorable-closure: the type closure of every Restorable type must
-//     stay inside the kinds the wire kernels accept (the static mirror of
-//     RegisterStrict's closure check and of the kernel error an encode
-//     reports, in internal/wire);
-//   - registry-coverage: every named concrete type reachable from a
-//     remote-call signature must be registered with the wire registry;
 //   - guarded-escape: a Guarded.With closure must not leak the root
 //     outside the critical section;
 //   - ctx-propagation: a function receiving a context.Context contains no
 //     context.Background()/TODO() call.
 //
-// What the runtime checks itself is not here: rmi's intercept holds every
-// interceptor, chained or not, to one run of next on every call; the
-// bufpool ledger every test run arms (internal/leakcheck) asserts
-// pooled-payload ownership, the released-state tests next to each pool
-// their resets, and sync/atomic's typed values the atomics. docs/LINT.md
-// has the table.
+// What the runtime checks itself is not here: rmi's Export and BindStruct
+// refuse a signature whose types are unregistered or hold a kind no value
+// can be coded by, as rmic rejected a malformed remote interface; rmi's
+// intercept holds every interceptor, chained or not, to one run of next
+// on every call; the bufpool ledger every test run arms
+// (internal/leakcheck) asserts pooled-payload ownership, the
+// released-state tests next to each pool their resets, and sync/atomic's
+// typed values the atomics. docs/LINT.md has the table.
 //
 // Each check has a stable ID usable with nrmi-vet's -checks flag, and a
-// testdata package under testdata/src exercising it. All four are
-// syntactic: an AST walk plus type information.
+// testdata package under testdata/src exercising it. Both are syntactic:
+// an AST walk plus type information.
 package lint
 
 import (
@@ -51,7 +45,7 @@ func (d Diagnostic) String() string {
 
 // Check is one registered analysis.
 type Check struct {
-	// ID is the stable identifier (e.g. "restorable-closure").
+	// ID is the stable identifier (e.g. "guarded-escape").
 	ID string
 	// Doc is a one-line description for -list output.
 	Doc string
@@ -62,16 +56,6 @@ type Check struct {
 // Checks returns the full catalog in reporting order.
 func Checks() []Check {
 	return []Check{
-		{
-			ID:  "restorable-closure",
-			Doc: "Restorable type closures must avoid chan/func/unsafe.Pointer/uintptr and unexported pointer-bearing state",
-			Run: checkRestorableClosure,
-		},
-		{
-			ID:  "registry-coverage",
-			Doc: "named types reachable from remote-call signatures must be registered; no conflicting registrations",
-			Run: checkRegistryCoverage,
-		},
 		{
 			ID:  "guarded-escape",
 			Doc: "Guarded.With closures must not leak the root outside the critical section",

@@ -108,10 +108,8 @@ func runCleanTest(t *testing.T, checkID, pkg string) {
 	}
 }
 
-func TestRestorableClosure(t *testing.T) { runCheckTest(t, "restorable-closure", "restorable") }
-func TestRegistryCoverage(t *testing.T)  { runCheckTest(t, "registry-coverage", "registrycov") }
-func TestGuardedEscape(t *testing.T)     { runCheckTest(t, "guarded-escape", "guarded") }
-func TestCtxPropagation(t *testing.T)    { runCheckTest(t, "ctx-propagation", "ctxprop") }
+func TestGuardedEscape(t *testing.T)  { runCheckTest(t, "guarded-escape", "guarded") }
+func TestCtxPropagation(t *testing.T) { runCheckTest(t, "ctx-propagation", "ctxprop") }
 
 func TestCtxPropagationClean(t *testing.T) { runCleanTest(t, "ctx-propagation", "ctxpropclean") }
 
@@ -206,34 +204,19 @@ func TestLintCoversAllTrees(t *testing.T) {
 	}
 }
 
-// TestMarkerDetection pins the structural marker matching on a loaded
-// testdata package.
-func TestMarkerDetection(t *testing.T) {
-	p := loadTestdata(t, "restorable")
-	scope := p.Pkg.Scope()
-	bad := scope.Lookup("Bad")
-	if bad == nil || !isRestorable(bad.Type()) {
-		t.Error("Bad must be detected as Restorable")
-	}
-	plain := scope.Lookup("Plain")
-	if plain == nil || isRestorable(plain.Type()) {
-		t.Error("Plain must not be detected as Restorable")
-	}
-}
-
 // TestDiagnosticString pins the reporting format consumed by editors.
 func TestDiagnosticString(t *testing.T) {
-	p := loadTestdata(t, "restorable")
-	diags := Run([]*Package{p}, map[string]bool{"restorable-closure": true})
+	p := loadTestdata(t, "guarded")
+	diags := Run([]*Package{p}, map[string]bool{"guarded-escape": true})
 	if len(diags) == 0 {
 		t.Fatal("no diagnostics")
 	}
 	s := diags[0].String()
-	if !strings.Contains(s, ".go:") || !strings.HasSuffix(s, "[restorable-closure]") {
+	if !strings.Contains(s, ".go:") || !strings.HasSuffix(s, "[guarded-escape]") {
 		t.Errorf("diagnostic format = %q", s)
 	}
 	var f *ast.File = p.Files[0]
-	if f.Name.Name != "restorable" {
+	if f.Name.Name != "guarded" {
 		t.Errorf("package name = %s", f.Name.Name)
 	}
 }

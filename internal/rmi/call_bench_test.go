@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"nrmi/internal/core"
-	"nrmi/internal/wire"
 )
 
 // BenchmarkCall is the rmi layer in isolation: whole calls over loopback
@@ -17,12 +16,7 @@ import (
 // is both ends' per call; the bufpool ledger of this package's TestMain is
 // on, so the time is not the benchmark module's.
 func BenchmarkCall(b *testing.B) {
-	reg := wire.NewRegistry()
-	for name, v := range map[string]any{"RTree": RTree{}, "CTree": CTree{}} {
-		if err := reg.Register(name, v); err != nil {
-			b.Fatal(err)
-		}
-	}
+	reg := treeRegistry(b)
 	opts := Options{Core: core.Options{Registry: reg}}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -127,12 +127,7 @@ type chaosEnv struct {
 
 func newChaosEnv(t *testing.T, plan *netsim.Plan, retry RetryPolicy, callTimeout time.Duration) *chaosEnv {
 	t.Helper()
-	reg := wire.NewRegistry()
-	for name, v := range map[string]any{"RTree": RTree{}, "CTree": CTree{}} {
-		if err := reg.Register(name, v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	reg := treeRegistry(t)
 	opts := Options{Core: core.Options{Registry: reg}}
 	n := netsim.NewNetwork(netsim.Loopback())
 	t.Cleanup(func() { n.Close() })

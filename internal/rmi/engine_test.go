@@ -24,14 +24,7 @@ import (
 // options, for engine-mismatch worlds.
 func newEngineEnv(t *testing.T, serverCore, clientCore core.Options) *env {
 	t.Helper()
-	reg := wire.NewRegistry()
-	for name, sample := range map[string]any{
-		"RTree": RTree{}, "CTree": CTree{},
-	} {
-		if err := reg.Register(name, sample); err != nil {
-			t.Fatal(err)
-		}
-	}
+	reg := treeRegistry(t)
 	serverCore.Registry = reg
 	clientCore.Registry = reg
 	n := netsim.NewNetwork(netsim.Loopback())

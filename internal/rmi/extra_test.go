@@ -11,7 +11,6 @@ import (
 
 	"nrmi/internal/core"
 	"nrmi/internal/netsim"
-	"nrmi/internal/wire"
 )
 
 // VariadicService has a variadic method, which the dispatcher must reject
@@ -258,10 +257,7 @@ func TestReferenceKeysAreCanonical(t *testing.T) {
 }
 
 func TestHostChargingSlowsServer(t *testing.T) {
-	reg := wire.NewRegistry()
-	if err := reg.Register("RTree", RTree{}); err != nil {
-		t.Fatal(err)
-	}
+	reg := treeRegistry(t)
 	n := netsim.NewNetwork(netsim.Loopback())
 	t.Cleanup(func() { n.Close() })
 

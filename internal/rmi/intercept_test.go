@@ -11,17 +11,13 @@ import (
 
 	"nrmi/internal/core"
 	"nrmi/internal/netsim"
-	"nrmi/internal/wire"
 )
 
 // buildInterceptEnv assembles a server/client pair with the given
 // interceptors installed, and returns the service the server exports.
 func buildInterceptEnv(t *testing.T, clientIC, serverIC Interceptor) (*Client, string, *TreeService) {
 	t.Helper()
-	reg := wire.NewRegistry()
-	if err := reg.Register("RTree", RTree{}); err != nil {
-		t.Fatal(err)
-	}
+	reg := treeRegistry(t)
 	n := netsim.NewNetwork(netsim.Loopback())
 	t.Cleanup(func() { n.Close() })
 	srv, err := NewServer("srv", Options{Core: core.Options{Registry: reg}, Intercept: serverIC})

@@ -14,10 +14,7 @@ import (
 // V2 server and vice versa (like a JDK 1.3 client talking to a JDK 1.4
 // RMI server).
 func TestMixedEngineInterop(t *testing.T) {
-	reg := wire.NewRegistry()
-	if err := reg.Register("RTree", RTree{}); err != nil {
-		t.Fatal(err)
-	}
+	reg := treeRegistry(t)
 	n := netsim.NewNetwork(netsim.Loopback())
 	t.Cleanup(func() { n.Close() })
 

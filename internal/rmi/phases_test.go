@@ -9,7 +9,6 @@ import (
 	"nrmi/internal/core"
 	"nrmi/internal/netsim"
 	"nrmi/internal/obs"
-	"nrmi/internal/wire"
 )
 
 // TestEveryCallShapeRecordsItsPhases runs one call of each shape with an
@@ -29,12 +28,7 @@ func TestEveryCallShapeRecordsItsPhases(t *testing.T) {
 		{shapeOneWay, []string{"encode", "transport"}, []string{"srv-decode", "srv-execute"}},
 	} {
 		t.Run(row.shape.name, func(t *testing.T) {
-			reg := wire.NewRegistry()
-			for name, v := range map[string]any{"RTree": RTree{}, "CTree": CTree{}} {
-				if err := reg.Register(name, v); err != nil {
-					t.Fatal(err)
-				}
-			}
+			reg := treeRegistry(t)
 			n := netsim.NewNetwork(netsim.Loopback())
 			t.Cleanup(func() { n.Close() })
 			srvObs, cliObs := obs.New(obs.Config{}), obs.New(obs.Config{})

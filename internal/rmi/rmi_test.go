@@ -139,6 +139,20 @@ func (c *Counter) Value() int {
 	return c.N
 }
 
+// treeRegistry returns a registry binding the tree types TreeService and
+// ChaosService take: an env that exports either registers both, or Export
+// refuses it.
+func treeRegistry(tb testing.TB) *wire.Registry {
+	tb.Helper()
+	reg := wire.NewRegistry()
+	for name, v := range map[string]any{"RTree": RTree{}, "CTree": CTree{}} {
+		if err := reg.Register(name, v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return reg
+}
+
 // env is a two-host test world: a server and a client joined by a netsim
 // network, each with its own rmi endpoint.
 type env struct {
@@ -151,14 +165,7 @@ type env struct {
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
-	reg := wire.NewRegistry()
-	for name, sample := range map[string]any{
-		"RTree": RTree{}, "CTree": CTree{},
-	} {
-		if err := reg.Register(name, sample); err != nil {
-			t.Fatal(err)
-		}
-	}
+	reg := treeRegistry(t)
 	opts := Options{Core: core.Options{Registry: reg}}
 	n := netsim.NewNetwork(netsim.Loopback())
 	t.Cleanup(func() { n.Close() })

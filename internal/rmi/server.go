@@ -130,6 +130,9 @@ func (s *Server) EnableRegistry() *registry.Server {
 
 // Export publishes obj under name. Methods with exported names become
 // remotely callable. Exporting replaces any previous binding of the name.
+// Register types first: Export refuses a method whose parameters or
+// results reach an unregistered type (wire.ErrTypeNotRegistered) or a
+// kind no value can be coded by (graph.ErrNotSerializable).
 func (s *Server) Export(name string, obj any) error { return s.bind(name, obj, nil) }
 
 // ExportSerialized publishes obj like Export, but additionally serializes
@@ -153,6 +156,11 @@ func (s *Server) bind(name string, obj any, serial *sync.Mutex) error {
 	v := reflect.ValueOf(obj)
 	if v.Kind() != reflect.Ptr || v.IsNil() {
 		return fmt.Errorf("rmi: exported object must be a non-nil pointer, got %T", obj)
+	}
+	for i := 0; i < v.Type().NumMethod(); i++ {
+		if err := s.opts.checkSignature(v.Method(i).Type()); err != nil {
+			return fmt.Errorf("rmi: Export(%q): method %s: %w", name, v.Type().Method(i).Name, err)
+		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

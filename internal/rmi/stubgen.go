@@ -25,6 +25,10 @@ import (
 //     background context is used otherwise);
 //   - declare an error as its last result, carrying remote failures.
 //
+// Register types first: like Server.Export, BindStruct refuses a field
+// whose parameters or results reach a type the client's registry does not
+// bind, or a kind no value can be coded by.
+//
 // Results are converted from the wire with the same strictness as server
 // dispatch: a type mismatch is an error, not a panic.
 func (c *Client) BindStruct(addr, object string, target any) error {
@@ -45,14 +49,41 @@ func (c *Client) BindStruct(addr, object string, target any) error {
 			return fmt.Errorf("rmi: BindStruct field %s.%s must be exported", st, f.Name)
 		}
 		fn, err := makeStubFunc(stub, f.Name, f.Type)
+		if err == nil {
+			err = c.opts.checkSignature(f.Type)
+		}
 		if err != nil {
-			return fmt.Errorf("rmi: BindStruct field %s.%s: %w", st, f.Name, err)
+			return fmt.Errorf("rmi: BindStruct(%q) field %s.%s: %w", object, st, f.Name, err)
 		}
 		sv.Field(i).Set(fn)
 		bound++
 	}
 	if bound == 0 {
 		return fmt.Errorf("rmi: BindStruct target %s has no func fields", st)
+	}
+	return nil
+}
+
+// checkSignature holds the parameter and result types of ft to the
+// endpoint's registry and access mode (wire.Registry.CheckType), as rmic
+// held a remote interface: before any call. Interface slots (a leading
+// context.Context, a trailing error) stay dynamic, and semOf's by-reference
+// types travel as a RemoteRef.
+func (o Options) checkSignature(ft reflect.Type) error {
+	slots := make([]reflect.Type, 0, ft.NumIn()+ft.NumOut())
+	for i := 0; i < ft.NumIn(); i++ {
+		slots = append(slots, ft.In(i))
+	}
+	for i := 0; i < ft.NumOut(); i++ {
+		slots = append(slots, ft.Out(i))
+	}
+	for _, t := range slots {
+		if t.Kind() == reflect.Interface || semOf(reflect.Zero(t).Interface()) == semRef {
+			continue
+		}
+		if err := o.registryOf().CheckType(t, o.Core.Access); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -101,10 +101,9 @@ type kernelKey struct {
 // a type's structure, which is immutable, while the registry only resolves
 // names, which it does at stream time through Options.Registry. Registering a
 // type after its kernel was compiled therefore requires no invalidation, and
-// a type rejected by RegisterStrict (which checks a fresh kernel) still fails
-// at encode/decode time with the same graph-layer error whether or not a
-// kernel was compiled for it first — kernels defer forbidden-kind errors to
-// run time. Compilation is serialized by kernelMu.
+// a kernel compiled for a type Registry.CheckType rejects still fails at
+// encode/decode time with the same graph-layer error — kernels defer
+// forbidden-kind errors to run time. Compilation is serialized by kernelMu.
 var (
 	kernelCache sync.Map // kernelKey -> *kernel
 	kernelMu    sync.Mutex
@@ -222,8 +221,8 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 // parts yields the kernels of what travels inside a value of k's type, each
 // with the path step that reaches it: a pointee, slice or array element
 // (""), a map's "[key]" and "[value]", and each struct field of the program
-// ("."+name). The layout fingerprint and RegisterStrict's closure check read
-// a type's structure through it.
+// ("."+name). The layout fingerprint and Registry.CheckType read a type's
+// structure through it.
 func (k *kernel) parts(yield func(string, *kernel) bool) {
 	switch k.tag {
 	case tagPtr, tagSlice, tagArray:

@@ -78,29 +78,16 @@ func (r *Registry) RegisterType(name string, t reflect.Type) error {
 	return nil
 }
 
-// RegisterStrict is Register with eager closure validation: before
-// recording the binding it compiles sample's type afresh under AccessUnsafe
-// and rejects it if any kernel in the closure is one no value can be coded
-// by (a chan, func, unsafe.Pointer or uintptr field, element, key or
-// pointee anywhere) — the runtime twin of the nrmi-vet restorable-closure
-// check. Programs that bypass the linter thereby fail at registration time
-// — with a field path in the error, e.g. "Order.Events" — rather than
-// mid-call on whichever endpoint decodes first. An interface is opaque
-// here; its dynamic contents are checked per value.
-func (r *Registry) RegisterStrict(name string, sample any) error {
-	if sample == nil {
-		return fmt.Errorf("wire: RegisterStrict(%q) with nil sample", name)
-	}
-	t := reflect.TypeOf(sample)
-	if err := checkClosure(freshKernel(t, graph.AccessUnsafe), t.String(), map[*kernel]bool{}); err != nil {
-		return fmt.Errorf("wire: RegisterStrict(%q): %w", name, err)
-	}
-	return r.Register(name, sample)
+// CheckType walks t's kernel closure under mode, depth first, and reports
+// the first kernel no value can be coded by (a chan, func, unsafe.Pointer
+// or uintptr) as graph.ErrNotSerializable, or the first named
+// non-interface type r does not bind as ErrTypeNotRegistered, at its path
+// from the root ("*app.Order.Events"). Interface slots stay dynamic.
+func (r *Registry) CheckType(t reflect.Type, mode graph.AccessMode) error {
+	return r.checkClosure(kernelFor(t, mode), t.String(), map[*kernel]bool{})
 }
 
-// checkClosure reports the first kernel in k's closure, depth first, whose
-// err is set, as ErrNotSerializable at its path from the root.
-func checkClosure(k *kernel, path string, seen map[*kernel]bool) error {
+func (r *Registry) checkClosure(k *kernel, path string, seen map[*kernel]bool) error {
 	if seen[k] {
 		return nil
 	}
@@ -108,29 +95,17 @@ func checkClosure(k *kernel, path string, seen map[*kernel]bool) error {
 	if k.err != nil {
 		return fmt.Errorf("%w: %s has kind %s (%s)", graph.ErrNotSerializable, path, k.kind, k.t)
 	}
+	if named(k.t) && k.kind != reflect.Interface {
+		if _, err := r.NameOf(k.t); err != nil {
+			return fmt.Errorf("%w: %s at %s (register it on both endpoints)", ErrTypeNotRegistered, k.t, path)
+		}
+	}
 	for step, part := range k.parts {
-		if err := checkClosure(part, path+step, seen); err != nil {
+		if err := r.checkClosure(part, path+step, seen); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// RegisterAuto registers sample's type under its canonical
-// "pkgpath.TypeName" name and returns that name.
-func (r *Registry) RegisterAuto(sample any) (string, error) {
-	if sample == nil {
-		return "", fmt.Errorf("wire: RegisterAuto with nil sample")
-	}
-	t := reflect.TypeOf(sample)
-	for t.Kind() == reflect.Ptr {
-		t = t.Elem()
-	}
-	if !named(t) {
-		return "", fmt.Errorf("wire: type %s has no canonical name; use Register", t)
-	}
-	name := t.PkgPath() + "." + t.Name()
-	return name, r.RegisterType(name, t)
 }
 
 // named reports whether t travels under a registered name: a defined type
@@ -163,17 +138,4 @@ func (r *Registry) NameOf(t reflect.Type) (string, error) {
 // Register records sample's type in the default registry under name.
 func Register(name string, sample any) error {
 	return defaultRegistry.Register(name, sample)
-}
-
-// RegisterAuto records sample's type in the default registry under its
-// canonical name.
-func RegisterAuto(sample any) (string, error) {
-	return defaultRegistry.RegisterAuto(sample)
-}
-
-// RegisterStrict records sample's type in the default registry under
-// name after validating its closure against the graph walker's kind
-// rules.
-func RegisterStrict(name string, sample any) error {
-	return defaultRegistry.RegisterStrict(name, sample)
 }

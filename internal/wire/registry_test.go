@@ -81,54 +81,64 @@ func TestRegisterTypeConflictDetails(t *testing.T) {
 	}
 }
 
-func TestRegisterStrictAcceptsCleanClosure(t *testing.T) {
+func TestCheckTypeAcceptsCleanClosure(t *testing.T) {
 	r := NewRegistry()
-	if err := r.RegisterStrict("app.Node", &regNode{}); err != nil {
+	if err := r.Register("app.Node", regNode{}); err != nil {
 		t.Fatal(err)
 	}
-	if name, err := r.NameOf(reflect.TypeOf(regNode{})); err != nil || name != "app.Node" {
-		t.Fatalf("strict registration must record the binding: %q, %v", name, err)
+	if err := r.CheckType(reflect.TypeOf(&regNode{}), graph.AccessUnsafe); err != nil {
+		t.Fatalf("a registered recursive type must pass: %v", err)
 	}
 }
 
-func TestRegisterStrictRejectsForbiddenKinds(t *testing.T) {
+func TestCheckTypeRejectsForbiddenKinds(t *testing.T) {
 	r := NewRegistry()
-	err := r.RegisterStrict("app.ChanHolder", regChanHolder{})
-	if err == nil {
-		t.Fatal("chan field must be rejected eagerly")
+	if err := r.Register("app.ChanHolder", regChanHolder{}); err != nil {
+		t.Fatal(err)
 	}
+	err := r.CheckType(reflect.TypeOf(regChanHolder{}), graph.AccessUnsafe)
 	if !errors.Is(err, graph.ErrNotSerializable) {
-		t.Fatalf("strict rejection must wrap graph.ErrNotSerializable: %v", err)
+		t.Fatalf("chan field must be rejected as graph.ErrNotSerializable: %v", err)
 	}
 	if !strings.Contains(err.Error(), "Events") {
 		t.Errorf("error must name the offending field path: %v", err)
 	}
-	// The failed registration must leave no binding behind.
-	if _, err := r.TypeByName([]byte("app.ChanHolder")); err == nil {
-		t.Fatal("rejected type must not be registered")
-	}
 
 	// A violation nested behind value structs and slices is still found.
-	err = r.RegisterStrict("app.DeepBad", regDeepBad{})
-	if err == nil || !errors.Is(err, graph.ErrNotSerializable) {
+	if err := r.Register("app.DeepBad", regDeepBad{}); err != nil {
+		t.Fatal(err)
+	}
+	err = r.CheckType(reflect.TypeOf(regDeepBad{}), graph.AccessUnsafe)
+	if !errors.Is(err, graph.ErrNotSerializable) {
 		t.Fatalf("nested func field must be rejected: %v", err)
 	}
 	if !strings.Contains(err.Error(), "Hooks") {
 		t.Errorf("error must name the nested path: %v", err)
 	}
 
-	if err := r.RegisterStrict("app.Nil", nil); err == nil {
-		t.Fatal("nil sample must be rejected")
+	// An unregistered named type is refused before its fields are read.
+	err = NewRegistry().CheckType(reflect.TypeOf(regChanHolder{}), graph.AccessUnsafe)
+	if !errors.Is(err, ErrTypeNotRegistered) {
+		t.Fatalf("unregistered type must be rejected as ErrTypeNotRegistered: %v", err)
 	}
 }
 
-// TestRegisterStrictClosure: RegisterStrict rejects a chan, func,
-// unsafe.Pointer or uintptr anywhere in a type's closure, naming the path
-// from the root; a cyclic clean type terminates and passes, a map's keys and
-// values are both checked, and an interface is opaque until a value arrives.
-func TestRegisterStrictClosure(t *testing.T) {
+// TestCheckTypeClosure: CheckType rejects a chan, func, unsafe.Pointer or
+// uintptr anywhere in a registered type's closure, naming the path from the
+// root; a cyclic clean type terminates and passes, a map's keys and values
+// are both checked, and an interface is opaque until a value arrives.
+func TestCheckTypeClosure(t *testing.T) {
 	type holder struct{ V any }
 	type keyed struct{ M map[uintptr]int }
+	r := NewRegistry()
+	for name, sample := range map[string]any{
+		"app.Node": regNode{}, "app.Holder": holder{}, "app.Keyed": keyed{},
+		"app.ChanHolder": regChanHolder{}, "app.DeepBad": regDeepBad{},
+	} {
+		if err := r.Register(name, sample); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		sample any
 		err    string // "" accepts
@@ -141,8 +151,8 @@ func TestRegisterStrictClosure(t *testing.T) {
 		{regChanHolder{}, "wire.regChanHolder.Events has kind chan (chan int)"},
 		{&regDeepBad{}, "*wire.regDeepBad.Inner.Hooks has kind func (func())"},
 	} {
-		err := NewRegistry().RegisterStrict("app.T", tc.sample)
-		want := `wire: RegisterStrict("app.T"): graph: value is not serializable: ` + tc.err
+		err := r.CheckType(reflect.TypeOf(tc.sample), graph.AccessUnsafe)
+		want := "graph: value is not serializable: " + tc.err
 		switch {
 		case tc.err == "" && err != nil:
 			t.Errorf("%T rejected: %v", tc.sample, err)

@@ -595,13 +595,6 @@ func TestRegistryConflicts(t *testing.T) {
 	if _, err := r.TypeByName([]byte("missing")); !errors.Is(err, ErrTypeNotRegistered) {
 		t.Fatalf("want ErrTypeNotRegistered, got %v", err)
 	}
-	name, err := r.RegisterAuto(wbag{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "nrmi/internal/wire.wbag" {
-		t.Fatalf("auto name = %q", name)
-	}
 }
 
 // buildRandomTree builds a deterministic pseudo-random tree with some

@@ -46,7 +46,9 @@
 //	stub.Call(ctx, "Translate", vec) // vec mutated in place on return
 //
 // Every named type crossing the wire must be registered under the same
-// name on both endpoints (Register / Options.Registry), like gob.Register.
+// name on both endpoints (Register / Options.Registry), like gob.Register,
+// and before Export or BindStruct: both refuse a method whose parameters
+// or results reach an unregistered type or one no value can be coded by.
 package nrmi
 
 import (
@@ -96,6 +98,17 @@ type Registry = wire.Registry
 // name to a different type or a type to a different name; the message
 // carries both bindings.
 var ErrRegistryConflict = wire.ErrRegistryConflict
+
+// Errors Server.Export and Client.BindStruct report for a signature no
+// call can carry, naming the export, the method and the type path.
+var (
+	// ErrTypeNotRegistered: a named type a parameter or result reaches is
+	// not registered on this endpoint.
+	ErrTypeNotRegistered = wire.ErrTypeNotRegistered
+	// ErrNotSerializable: a parameter or result reaches a chan, func,
+	// unsafe.Pointer or uintptr.
+	ErrNotSerializable = graph.ErrNotSerializable
+)
 
 // RegistryServer is the naming service (rmiregistry analog). A server
 // serves one with Server.EnableRegistry, and clients reach it with
@@ -305,14 +318,6 @@ func NewRegistry() *Registry { return wire.NewRegistry() }
 // Register records sample's type under name in the process-wide default
 // registry. Both endpoints must register the same name/type pairs.
 func Register(name string, sample any) error { return wire.Register(name, sample) }
-
-// RegisterStrict is Register with eager validation: it walks sample's
-// full type closure and rejects types the copy-restore walker cannot
-// traverse (chan, func, unsafe.Pointer, uintptr anywhere in the
-// closure), so misdeclared types fail at registration instead of
-// mid-call. It enforces at runtime what `nrmi-vet`'s restorable-closure
-// check reports at build time; see docs/LINT.md.
-func RegisterStrict(name string, sample any) error { return wire.RegisterStrict(name, sample) }
 
 // SimNetwork is an in-process shaped network for tests and experiments;
 // its Dial method is a Dialer.
