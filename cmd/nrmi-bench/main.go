@@ -1,8 +1,10 @@
 // Command nrmi-bench regenerates the paper's evaluation (Section 5.3):
-// Tables 1–6 plus the restore-vs-copy extension table, over the simulated
-// two-machine testbed. Absolute milliseconds depend on the host; the
-// shapes (who wins, by what factor, where the crossovers fall) are what
-// EXPERIMENTS.md compares against the paper.
+// Tables 1–6 plus the restore-vs-copy extension table, on the paper's
+// two-machine testbed: each cell's median wall time over an unshaped
+// in-process link, plus the modeled LAN's time for the cell's messages and
+// bytes and the slower server machine's extra CPU. Absolute milliseconds
+// depend on the host; the shapes (who wins, by what factor, where the
+// crossovers fall) are what EXPERIMENTS.md compares against the paper.
 //
 // Usage:
 //
@@ -30,7 +32,7 @@ import (
 func main() {
 	var (
 		sizesFlag   = flag.String("sizes", "16,64,256,1024", "comma-separated tree sizes")
-		iters       = flag.Int("iters", 5, "iterations averaged per cell")
+		iters       = flag.Int("iters", 5, "iterations per cell (a cell takes their median)")
 		seed        = flag.Int64("seed", 1, "base seed for workload generation")
 		verify      = flag.Bool("verify", false, "verify the restore invariant on each cell's first iteration")
 		md          = flag.Bool("md", false, "emit markdown instead of aligned text")

@@ -386,14 +386,20 @@ func TestRunLocal(t *testing.T) {
 }
 
 func TestCellString(t *testing.T) {
-	if (Cell{OK: true, Millis: 0.4}).String() != "<1" {
-		t.Fatal("<1 rendering")
-	}
-	if (Cell{OK: true, Millis: 12.4}).String() != "12" {
-		t.Fatal("rounding")
-	}
-	if (Cell{}).String() != "-" {
-		t.Fatal("dash")
+	for _, row := range []struct {
+		c    Cell
+		want string
+	}{
+		{Cell{OK: true, Millis: 0.012449}, "0.0124"},
+		{Cell{OK: true, Millis: 0.4}, "0.400"},
+		{Cell{OK: true, Millis: 12.44}, "12.4"},
+		{Cell{OK: true, Millis: 771.3}, "771"},
+		{Cell{OK: true, Millis: 1234.5}, "1234"},
+		{Cell{}, "-"},
+	} {
+		if got := row.c.String(); got != row.want {
+			t.Errorf("%+v renders %q, want %q", row.c, got, row.want)
+		}
 	}
 }
 

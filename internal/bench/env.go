@@ -20,18 +20,17 @@ const (
 
 // EnvConfig selects one experimental configuration.
 type EnvConfig struct {
-	// Profile shapes the link between the two machines (loopback for the
-	// paper's same-machine baselines, LAN100Mbps for the testbed).
+	// Profile shapes the link between the two machines; the table harness
+	// leaves it unshaped.
 	Profile netsim.Profile
 	// Engine selects the codec generation (the JDK 1.3 / 1.4 stand-ins).
 	Engine wire.Engine
 	// DisablePlanCache selects the "portable" NRMI implementation.
 	DisablePlanCache bool
-	// ServerHost and ClientHost model the two machines' CPU speeds.
-	ServerHost, ClientHost netsim.Host
 	// Obs, when set, receives per-call phase measurements from both
 	// machines: client and server record disjoint phases under the same
-	// (service, method) key, so one observer sees the whole pipeline.
+	// (service, method) key, so one observer sees the whole pipeline. Cells
+	// measured with it report no ServerCPU.
 	Obs *obs.Observer
 }
 
@@ -50,6 +49,9 @@ type Env struct {
 	Registry *wire.Registry
 
 	serverClient *rmi.Client
+	// hostObs observes the server machine's two endpoints, Server and
+	// serverClient, and nothing else; nil when EnvConfig.Obs is set.
+	hostObs *obs.Observer
 }
 
 // NewEnv assembles servers, clients, services and reference environments
@@ -69,20 +71,22 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	serverEnv := &RefEnv{}
 	clientEnv := &RefEnv{}
 
+	e := &Env{Net: n, Registry: reg}
 	serverOpts := rmi.Options{
 		Core:    coreOpts,
-		Host:    cfg.ServerHost,
 		Obs:     cfg.Obs,
 		WrapRef: serverEnv.WrapRefHook,
 	}
+	if cfg.Obs == nil {
+		e.hostObs = obs.New(obs.Config{})
+		serverOpts.Obs = e.hostObs
+	}
 	clientOpts := rmi.Options{
 		Core:    coreOpts,
-		Host:    cfg.ClientHost,
 		Obs:     cfg.Obs,
 		WrapRef: clientEnv.WrapRefHook,
 	}
 
-	e := &Env{Net: n, Registry: reg}
 	fail := func(err error) (*Env, error) {
 		_ = n.Close()
 		return nil, err
@@ -161,6 +165,19 @@ func (e *Env) Stats() netsim.Stats { return e.Net.Stats() }
 
 // ResetStats zeroes the network counters.
 func (e *Env) ResetStats() { e.Net.ResetStats() }
+
+// serverCPU returns the server machine's CPU so far, in milliseconds: the
+// srv-* phases its Server ran, less the transport phases of the outbound
+// calls (a Table 6 mutator's callbacks) its serverClient made from them,
+// which wait on other machines. It is 0 under EnvConfig.Obs.
+func (e *Env) serverCPU() float64 {
+	if e.hostObs == nil {
+		return 0
+	}
+	ns := e.hostObs.PhaseNs()
+	own := ns[obs.PhaseSrvDecode] + ns[obs.PhaseSrvPrepare] + ns[obs.PhaseSrvExecute] + ns[obs.PhaseSrvEncode]
+	return float64(own-ns[obs.PhaseTransport]) / 1e6
+}
 
 // String describes the configuration for table headers.
 func (c EnvConfig) String() string {

@@ -4,14 +4,29 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"time"
+
+	"nrmi/internal/netsim"
 )
 
 // Cell is one table cell: the per-call cost of a configuration.
 type Cell struct {
-	// Millis is the mean wall-clock per remote call (the unit the paper's
-	// tables use).
+	// Millis is the per-call time, the unit of the paper's tables: Wall,
+	// plus Link and Slow on the two-machine testbed.
 	Millis float64
+	// Wall is the median wall time per call, over an unshaped link.
+	Wall float64
+	// ServerCPU is the server machine's median CPU per call (serverCPU).
+	ServerCPU float64
+	// Link is the modeled link's time per call, messages × latency + bytes
+	// ÷ bandwidth: computed from the counts, so the same on every run.
+	Link float64
+	// Slow is the slow server machine's extra time per call, (factor − 1)
+	// × ServerCPU. Every time field is in milliseconds.
+	Slow float64
 	// Bytes is the mean bytes on the wire per call.
 	Bytes int64
 	// Messages is the mean network messages (Writes) per call; a
@@ -24,16 +39,34 @@ type Cell struct {
 	Note string
 }
 
-// String renders the cell as the paper does: milliseconds, "-" on budget
-// blowout, "<1" for sub-millisecond calls.
+// String renders the cell's milliseconds to three significant digits, or
+// "-" on budget blowout.
 func (c Cell) String() string {
 	if !c.OK {
 		return "-"
 	}
-	if c.Millis < 1 {
-		return "<1"
+	if c.Millis <= 0 {
+		return "0"
 	}
-	return fmt.Sprintf("%.0f", c.Millis)
+	decimals := max(0, 2-int(math.Floor(math.Log10(c.Millis))))
+	return strconv.FormatFloat(c.Millis, 'f', decimals, 64)
+}
+
+// onTestbed adds the paper's two-machine testbed to a cell measured on an
+// unshaped link with no slow host: the time link takes to carry the
+// messages and bytes the cell counted, and the extra CPU a server machine
+// slower by factor spends.
+func (c Cell) onTestbed(link netsim.Profile, factor float64) Cell {
+	if !c.OK {
+		return c
+	}
+	c.Link = c.Messages * float64(link.Latency) / 1e6
+	if link.Bandwidth > 0 {
+		c.Link += float64(c.Bytes) * 1e3 / float64(link.Bandwidth)
+	}
+	c.Slow = max(0, factor-1) * c.ServerCPU
+	c.Millis = c.Wall + c.Link + c.Slow
+	return c
 }
 
 // RunSpec identifies one cell's workload.
@@ -57,25 +90,25 @@ func (r RunSpec) iterations() int {
 	return r.Iterations
 }
 
-// measure averages the timed section over the spec's iterations. run
-// builds its world and makes its call timed, and returns an optional
-// verification function, which runs after the clock has stopped and the
-// network counters have been read: what it reads is neither timed nor
-// counted.
+// measure runs the timed section over the spec's iterations. run builds
+// its world and makes its call timed, and returns an optional verification
+// function, which runs after the clock has stopped and the network and CPU
+// counters have been read: what it reads is neither timed nor counted.
 func measure(e *Env, spec RunSpec, run func(seed int64) (verify func() error, err error)) (Cell, error) {
 	iters := spec.iterations()
-	var total time.Duration
-	var bytes int64
-	var msgs int64
+	walls, cpus := make([]float64, iters), make([]float64, iters)
+	var bytes, msgs int64
 	for i := 0; i < iters; i++ {
 		seed := spec.Seed + int64(i)
 		e.ResetStats()
+		cpu := e.serverCPU()
 		start := time.Now()
 		verify, err := run(seed)
 		if err != nil {
 			return Cell{Note: err.Error()}, err
 		}
-		total += time.Since(start)
+		walls[i] = float64(time.Since(start).Nanoseconds()) / 1e6
+		cpus[i] = e.serverCPU() - cpu
 		st := e.Stats()
 		bytes += st.BytesSent
 		msgs += st.Messages
@@ -85,12 +118,22 @@ func measure(e *Env, spec RunSpec, run func(seed int64) (verify func() error, er
 			}
 		}
 	}
+	wall := median(walls)
 	return Cell{
-		Millis:   float64(total.Nanoseconds()) / 1e6 / float64(iters),
-		Bytes:    bytes / int64(iters),
-		Messages: float64(msgs) / float64(iters),
-		OK:       true,
+		Millis:    wall,
+		Wall:      wall,
+		ServerCPU: median(cpus),
+		Bytes:     bytes / int64(iters),
+		Messages:  float64(msgs) / float64(iters),
+		OK:        true,
 	}, nil
+}
+
+// median sorts xs and returns its middle value, the upper one of an even
+// count.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // RunLocal measures Table 1's local execution: the script applied in the
@@ -98,21 +141,16 @@ func measure(e *Env, spec RunSpec, run func(seed int64) (verify func() error, er
 // slow-machine column.
 func RunLocal(spec RunSpec, cpuFactor float64) (Cell, error) {
 	iters := spec.iterations()
-	var total time.Duration
+	walls := make([]float64, iters)
 	for i := 0; i < iters; i++ {
 		seed := spec.Seed + int64(i)
 		w, script := NewWorld(spec.Scenario, seed, spec.Size)
 		start := time.Now()
 		script.Apply(w.Root)
-		total += time.Since(start)
+		walls[i] = float64(time.Since(start).Nanoseconds()) / 1e6
 	}
-	if cpuFactor < 1 {
-		cpuFactor = 1
-	}
-	return Cell{
-		Millis: float64(total.Nanoseconds()) / 1e6 / float64(iters) * cpuFactor,
-		OK:     true,
-	}, nil
+	wall := median(walls)
+	return Cell{Millis: wall * max(1, cpuFactor), Wall: wall, OK: true}, nil
 }
 
 // RunOneWay measures Table 2: plain RMI call-by-copy with no restore

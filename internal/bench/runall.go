@@ -14,7 +14,8 @@ import (
 type HarnessConfig struct {
 	// Sizes are the tree sizes (paper: 16, 64, 256, 1024).
 	Sizes []int
-	// Iterations is how many calls are averaged per cell.
+	// Iterations is how many calls each cell measures; a cell takes their
+	// median.
 	Iterations int
 	// Seed makes the whole run reproducible.
 	Seed int64
@@ -22,10 +23,11 @@ type HarnessConfig struct {
 	// iteration (the paper's "invariant maintained is that all the
 	// changes are visible to the caller").
 	Verify bool
-	// LAN shapes the two-machine links (default: 100 Mbps LAN).
+	// LAN is the modeled link between the two machines (default: 100 Mbps
+	// LAN); no cell runs over it (Cell.Link).
 	LAN netsim.Profile
-	// SlowFactor is the slow machine's CPU factor (default 1.7, the
-	// 750 MHz / 440 MHz ratio of the paper's testbed).
+	// SlowFactor is the modeled server machine's CPU factor (default 1.7,
+	// the 750 MHz / 440 MHz ratio of the paper's testbed; Cell.Slow).
 	SlowFactor float64
 	// CBRefBudget bounds each call-by-reference call; blowing it renders
 	// the paper's "-" cells (default 5s).
@@ -61,19 +63,20 @@ func (c HarnessConfig) withDefaults() HarnessConfig {
 // (the paper's future work, Section 5.2.4).
 func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	cfg = cfg.withDefaults()
-	fast := netsim.Host{Name: "fast", CPUFactor: 1.0}
-	slow := netsim.Host{Name: "slow", CPUFactor: cfg.SlowFactor}
-
-	// The two-machine configuration puts the service on the slow machine,
-	// like the paper's SunBlade (client) / Ultra 10 (server) split.
-	lan := func(eng wire.Engine) EnvConfig {
-		return EnvConfig{Profile: cfg.LAN, Engine: eng, ServerHost: slow, ClientHost: fast}
+	// Every cell runs over an unshaped link. The two-machine configuration
+	// adds the LAN and puts the service on the slow machine, like the
+	// paper's SunBlade (client) / Ultra 10 (server) split.
+	type config struct {
+		env    EnvConfig
+		link   netsim.Profile
+		factor float64
 	}
-	loop := func(eng wire.Engine) EnvConfig {
-		return EnvConfig{Profile: netsim.Loopback(), Engine: eng, ServerHost: fast, ClientHost: fast}
-	}
+	lan := func(eng wire.Engine) config { return config{EnvConfig{Engine: eng}, cfg.LAN, cfg.SlowFactor} }
+	loop := func(eng wire.Engine) config { return config{EnvConfig{Engine: eng}, netsim.Loopback(), 1} }
 	portable := lan(wire.EngineV2)
-	portable.DisablePlanCache = true
+	portable.env.DisablePlanCache = true
+	testbed := fmt.Sprintf("ms = median wall time on an unshaped link + messages × %v + bytes ÷ %d B/s + %.2g × the server machine's CPU",
+		cfg.LAN.Latency, cfg.LAN.Bandwidth, cfg.SlowFactor-1)
 
 	spec := func(sc Scenario, size int) RunSpec {
 		return RunSpec{
@@ -100,40 +103,43 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 		return nil
 	}
 	// netRow adds a row whose every cell runs in an environment of its own,
-	// built from ec and closed before the next cell starts: no call of one
+	// built from cf and closed before the next cell starts: no call of one
 	// cell, such as a blown Table 6 call's server still unwinding, is ever
 	// counted in another.
-	netRow := func(t *Table, label string, ec EnvConfig, sc Scenario, run func(*Env, RunSpec) (Cell, error)) error {
+	netRow := func(t *Table, label string, cf config, sc Scenario, run func(*Env, RunSpec) (Cell, error)) error {
 		return row(t, label, func(size int) (Cell, error) {
-			e, err := NewEnv(ec)
+			e, err := NewEnv(cf.env)
 			if err != nil {
 				return Cell{}, err
 			}
 			c, err := run(e, spec(sc, size))
-			return c, errors.Join(err, e.Close())
+			return c.onTestbed(cf.link, cf.factor), errors.Join(err, e.Close())
 		})
 	}
 
 	// Table 1: local execution, fast and slow host.
 	t1 := &Table{ID: "Table 1", Title: "Baseline 1 — Local Execution (processing overhead), fast / slow host", Sizes: cfg.Sizes}
 	for _, sc := range Scenarios {
-		for _, host := range []netsim.Host{fast, slow} {
-			if err := row(t1, fmt.Sprintf("%s (%s)", sc, host.Name), func(size int) (Cell, error) {
-				return RunLocal(spec(sc, size), host.CPUFactor)
+		for _, host := range []struct {
+			name   string
+			factor float64
+		}{{"fast", 1}, {"slow", cfg.SlowFactor}} {
+			if err := row(t1, fmt.Sprintf("%s (%s)", sc, host.name), func(size int) (Cell, error) {
+				return RunLocal(spec(sc, size), host.factor)
 			}); err != nil {
 				return nil, err
 			}
 		}
 	}
 	t1.Notes = append(t1.Notes,
-		"modern hardware executes these mutations in microseconds; see BenchmarkTable1Local for ns/op resolution")
+		fmt.Sprintf("a slow row is its median wall time on this host times %.2g", cfg.SlowFactor))
 	tables = append(tables, t1)
 
 	// Tables 2–6: one row per scenario under each configuration the table
 	// compares, labeled by the paper's JDK stand-in.
 	type labeled struct {
 		label string
-		env   EnvConfig
+		cf    config
 	}
 	lanJDK := []labeled{{"jdk1.3", lan(wire.EngineV1)}, {"jdk1.4", lan(wire.EngineV2)}}
 	cbref := func(e *Env, s RunSpec) (Cell, error) { return RunCBRef(e, s, cfg.CBRefBudget) }
@@ -143,27 +149,27 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 		run  func(*Env, RunSpec) (Cell, error)
 	}{
 		// RMI call-by-copy, one-way traffic, no restore.
-		{&Table{ID: "Table 2", Title: "Baseline 2 — RMI Execution, without Restore (one-way traffic)"},
+		{&Table{ID: "Table 2", Title: "Baseline 2 — RMI Execution, without Restore (one-way traffic)", Notes: []string{testbed}},
 			lanJDK, RunOneWay},
 		// RMI with manual restore, same machine (no network shaping).
 		{&Table{ID: "Table 3", Title: "Baseline 3 — RMI Execution with Restore on local machine (no network overhead)"},
 			[]labeled{{"jdk1.3", loop(wire.EngineV1)}, {"jdk1.4", loop(wire.EngineV2)}}, RunManual},
 		// RMI with manual restore, two machines.
-		{&Table{ID: "Table 4", Title: "RMI Execution with Restore (two-way traffic)"},
+		{&Table{ID: "Table 4", Title: "RMI Execution with Restore (two-way traffic)", Notes: []string{testbed}},
 			lanJDK, RunManual},
 		// NRMI copy-restore; v1, then portable and optimized v2.
-		{&Table{ID: "Table 5", Title: "NRMI (Call-by-copy-restore); jdk1.3, jdk1.4 portable / optimized"},
+		{&Table{ID: "Table 5", Title: "NRMI (Call-by-copy-restore); jdk1.3, jdk1.4 portable / optimized", Notes: []string{testbed}},
 			[]labeled{{"jdk1.3", lan(wire.EngineV1)}, {"jdk1.4 portable", portable}, {"jdk1.4 optimized", lan(wire.EngineV2)}},
 			RunNRMI},
 		// Call-by-reference via remote pointers.
 		{&Table{ID: "Table 6", Title: "Call-by-Reference with Remote References (RMI)",
-			Notes: []string{fmt.Sprintf("'-' marks calls exceeding the %s budget (the paper's runs exhausted a 1GB heap)", cfg.CBRefBudget)}},
+			Notes: []string{testbed, fmt.Sprintf("'-' marks calls exceeding the %s budget (the paper's runs exhausted a 1GB heap)", cfg.CBRefBudget)}},
 			lanJDK, cbref},
 	} {
 		tt.t.Sizes = cfg.Sizes
 		for _, en := range tt.envs {
 			for _, sc := range Scenarios {
-				if err := netRow(tt.t, fmt.Sprintf("%s (%s)", sc, en.label), en.env, sc, tt.run); err != nil {
+				if err := netRow(tt.t, fmt.Sprintf("%s (%s)", sc, en.label), en.cf, sc, tt.run); err != nil {
 					return nil, err
 				}
 			}
@@ -174,7 +180,7 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	// Extension: a restorable call whose method changes nothing against the
 	// same tree passed by copy (both optimized v2, two machines).
 	t7 := &Table{ID: "Table 7 (extension)", Title: "NRMI no-op restore vs RMI by-copy (paper Section 5.2.4, optimization 2)", Sizes: cfg.Sizes,
-		Notes: []string{"a reply ships only what the method changed: a no-op restore costs about what by-copy does"}}
+		Notes: []string{testbed, "a reply ships only what the method changed: a no-op restore costs about what by-copy does"}}
 	if err := netRow(t7, "nop (restore)", lan(wire.EngineV2), ScenarioI, RunNRMINop); err != nil {
 		return nil, err
 	}

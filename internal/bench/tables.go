@@ -38,7 +38,7 @@ func (t *Table) Format() string {
 			labelW = len(r.Label)
 		}
 	}
-	colW := 8
+	colW := 9
 	fmt.Fprintf(&b, "%-*s", labelW+2, "Benchmark")
 	for _, s := range t.Sizes {
 		fmt.Fprintf(&b, "%*d", colW, s)
@@ -63,27 +63,7 @@ func (t *Table) Format() string {
 // cannot capture.
 func (t *Table) Markdown() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "### %s: %s\n\n", t.ID, t.Title)
-	b.WriteString("| Benchmark |")
-	for _, s := range t.Sizes {
-		fmt.Fprintf(&b, " %d |", s)
-	}
-	b.WriteString("\n|---|")
-	for range t.Sizes {
-		b.WriteString("---|")
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s |", r.Label)
-		for _, c := range r.Cells {
-			if !c.OK {
-				b.WriteString(" - |")
-				continue
-			}
-			fmt.Fprintf(&b, " %s ms |", c.String())
-		}
-		b.WriteByte('\n')
-	}
+	t.markdown(&b, t.ID+": "+t.Title, func(c Cell) string { return c.String() + " ms" })
 	if len(t.Notes) > 0 {
 		b.WriteByte('\n')
 		for _, n := range t.Notes {
@@ -98,27 +78,30 @@ func (t *Table) Markdown() string {
 // hardware-independent observables EXPERIMENTS.md compares.
 func (t *Table) DetailMarkdown() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "### %s (bytes on wire / messages per call)\n\n", t.ID)
-	b.WriteString("| Benchmark |")
-	for _, s := range t.Sizes {
-		fmt.Fprintf(&b, " %d |", s)
-	}
-	b.WriteString("\n|---|")
-	for range t.Sizes {
-		b.WriteString("---|")
-	}
+	t.markdown(&b, t.ID+" (bytes on wire / messages per call)", func(c Cell) string {
+		return fmt.Sprintf("%dB / %.0f", c.Bytes, c.Messages)
+	})
 	b.WriteByte('\n')
+	return b.String()
+}
+
+// markdown writes the table's grid under heading, each cell as text
+// renders it and a blown one as "-".
+func (t *Table) markdown(b *strings.Builder, heading string, text func(Cell) string) {
+	fmt.Fprintf(b, "### %s\n\n| Benchmark |", heading)
+	for _, s := range t.Sizes {
+		fmt.Fprintf(b, " %d |", s)
+	}
+	b.WriteString("\n|---|" + strings.Repeat("---|", len(t.Sizes)) + "\n")
 	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "| %s |", r.Label)
+		fmt.Fprintf(b, "| %s |", r.Label)
 		for _, c := range r.Cells {
 			if !c.OK {
 				b.WriteString(" - |")
 				continue
 			}
-			fmt.Fprintf(&b, " %dB / %.0f |", c.Bytes, c.Messages)
+			fmt.Fprintf(b, " %s |", text(c))
 		}
 		b.WriteByte('\n')
 	}
-	b.WriteByte('\n')
-	return b.String()
 }

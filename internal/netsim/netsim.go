@@ -1,18 +1,13 @@
-// Package netsim provides the reproduction's stand-in for the paper's
-// physical testbed (Section 5.3.3: a SunBlade 1000 and an Ultra 10 joined
-// by a 100 Mbps network): an in-process network whose links impose
-// configurable latency and bandwidth costs, plus per-host CPU-speed factors
-// and byte/message accounting.
+// Package netsim is an in-process network: named listen points joined by
+// synchronous pipes, with byte/message accounting, seeded fault plans and
+// partitions, and optional link shaping.
 //
-// The model charges two costs per message, matching what dominates
-// middleware benchmarks: a fixed one-way latency per message and a
-// serialization delay proportional to message size. A message is one Write
-// of one or more whole transport frames; the paper's Tables 1–7 make
-// sequential calls, one frame per message.
-//
-// Everything also works over real TCP; netsim exists so experiments are
-// reproducible on one machine and so the harness can report bytes-on-wire
-// and round-trip counts, which are hardware-independent observables.
+// A message is one Write of one or more whole transport frames. The table
+// harness runs over unshaped links and computes the paper's testbed (two
+// machines on a 100 Mbps LAN, Section 5.3.3) from the bytes and messages
+// counted here, which are hardware-independent. A Profile makes each Write
+// sleep a one-way latency plus a delay proportional to its size, for
+// experiments that need the wire's time to pass, such as pipelining.
 package netsim
 
 import (
@@ -51,31 +46,6 @@ func LAN100Mbps() Profile {
 // Loopback is an unshaped link for "same machine" baselines (the paper's
 // Table 3 configuration).
 func Loopback() Profile { return Profile{} }
-
-// Host models one machine's processing speed relative to the reference
-// host. The paper's fast machine (750 MHz) is the reference; its slow
-// machine (440 MHz) corresponds to a factor of roughly 1.7.
-type Host struct {
-	// Name identifies the host in metrics.
-	Name string
-	// CPUFactor scales processing time; 1.0 is the reference host, larger
-	// is slower. Values below 1 are treated as 1.
-	CPUFactor float64
-}
-
-// Charge blocks for the extra time a workload that took elapsed on the
-// reference host would need on this host. The middleware layers call it
-// around serialization work so that "slow machine" columns exercise the
-// same code paths with honestly scaled costs.
-func (h Host) Charge(elapsed time.Duration) {
-	if h.CPUFactor <= 1 {
-		return
-	}
-	extra := time.Duration(float64(elapsed) * (h.CPUFactor - 1))
-	if extra > 0 {
-		time.Sleep(extra)
-	}
-}
 
 // Stats aggregates traffic accounting for a network or a single conn.
 type Stats struct {

@@ -151,21 +151,6 @@ func TestNetworkCloseRefusesEverything(t *testing.T) {
 	}
 }
 
-func TestHostCharge(t *testing.T) {
-	ref := Host{Name: "fast", CPUFactor: 1.0}
-	start := time.Now()
-	ref.Charge(50 * time.Millisecond)
-	if time.Since(start) > 10*time.Millisecond {
-		t.Fatal("reference host must not be charged")
-	}
-	slow := Host{Name: "slow", CPUFactor: 2.0}
-	start = time.Now()
-	slow.Charge(20 * time.Millisecond)
-	if got := time.Since(start); got < 15*time.Millisecond {
-		t.Fatalf("2x host must roughly double a 20ms workload, slept %v", got)
-	}
-}
-
 func TestShapedLatencyObserved(t *testing.T) {
 	n := NewNetwork(Profile{Latency: 20 * time.Millisecond})
 	defer n.Close()

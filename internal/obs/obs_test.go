@@ -325,3 +325,29 @@ func TestAllocSampling(t *testing.T) {
 		t.Errorf("allocs histogram = %+v, want 1 sampled call with >0 allocs", m.Allocs)
 	}
 }
+
+// TestPhaseNsSumsEveryKey: PhaseNs is the per-phase total of every key the
+// observer holds, the sum Snapshot's histograms carry.
+func TestPhaseNsSumsEveryKey(t *testing.T) {
+	o := New(Config{})
+	for _, svc := range []string{"a", "#1", "#2"} {
+		c := Begin(o, svc, "M")
+		time.Sleep(time.Microsecond)
+		c.Mark(PhaseSrvExecute, 0, 0)
+		c.Mark(PhaseSrvEncode, 0, 0)
+		c.Finish(nil)
+	}
+	var want [NumPhases]int64
+	for _, m := range o.Snapshot().Methods {
+		for _, p := range m.Phases {
+			for i := Phase(0); i < NumPhases; i++ {
+				if p.Phase == i.String() {
+					want[i] += p.Latency.Sum
+				}
+			}
+		}
+	}
+	if got := o.PhaseNs(); got != want || got[PhaseSrvExecute] < 3*int64(time.Microsecond) {
+		t.Fatalf("PhaseNs %v, want the snapshot's sums %v", got, want)
+	}
+}

@@ -31,6 +31,7 @@ type Observer struct {
 	cfg     Config
 	methods sync.Map // CallKey -> *methodAgg
 	ring    traceRing
+	phaseNs [NumPhases]atomic.Int64
 
 	pubMu     sync.Mutex
 	published string
@@ -93,12 +94,22 @@ func (o *Observer) record(key CallKey, cs *CallStats) {
 		if cs.PhaseCount[p] == 0 {
 			continue
 		}
+		o.phaseNs[p].Add(cs.PhaseNs[p])
 		pa := &m.phases[p]
 		pa.lat.Observe(cs.PhaseNs[p])
 		pa.bytes.Observe(cs.PhaseBytes[p])
 		pa.items.Add(cs.PhaseItems[p])
 	}
 	o.ring.add(key, cs)
+}
+
+// PhaseNs returns the nanoseconds the calls finished so far spent in each
+// phase, summed over every key without the walk Snapshot makes.
+func (o *Observer) PhaseNs() (ns [NumPhases]int64) {
+	for p := range ns {
+		ns[p] = o.phaseNs[p].Load()
+	}
+	return ns
 }
 
 // PhaseSnapshot is the exported aggregate of one phase of one method.

@@ -12,7 +12,7 @@ import (
 )
 
 // callShape is one way of running an invocation to completion. The retry
-// and charging tests take it as an input: the three shapes are one
+// and allocation tests take it as an input: the three shapes are one
 // state machine and must account for a call identically.
 type callShape struct {
 	name string
@@ -175,61 +175,4 @@ func TestCallAsyncFirstSendFailure(t *testing.T) {
 			t.Fatalf("server executed %d times, want 1", got)
 		}
 	})
-}
-
-// TestHostChargeEveryShape: a simulated slow client (netsim.Host) is charged
-// for marshal and unmarshal time on a promise exactly as on a blocking call.
-// The tree is large enough that the two steps take over a millisecond, each
-// cell is the minimum of several runs, and a host fifty times slower must
-// make the call at least five times longer — server, transport and
-// scheduler noise included, which only the charged sleep can explain. The
-// reference host's calls are CPU-bound and the slow host's mostly a sleep,
-// so load slows only the first: on a loaded two-CPU machine the reference
-// call takes twice its quiet time, which puts a twenty-fold host under five
-// times the reference and leaves a fifty-fold one near ten.
-func TestHostChargeEveryShape(t *testing.T) {
-	cl, _, _ := newAsyncEnv(t, nil)
-	var grow func(depth int) *RTree
-	grow = func(depth int) *RTree {
-		if depth == 0 {
-			return nil
-		}
-		return &RTree{Data: depth, Left: grow(depth - 1), Right: grow(depth - 1)}
-	}
-	depth := 12 // 4095 objects to marshal and to restore
-	if raceflag.Enabled {
-		depth = 9 // the detector slows both steps some fifteen times
-	}
-	root := grow(depth)
-	stub := func(factor float64) *Stub {
-		opts := cl.opts
-		opts.Host = netsim.Host{CPUFactor: factor}
-		c, err := NewClient(cl.dialer, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c.Stub("server", "async")
-	}
-	ref, slow := stub(1), stub(50)
-	for _, shape := range []callShape{shapeCall, shapeAsync} {
-		timed := func(st *Stub) time.Duration {
-			start := time.Now()
-			if _, err := shape.call(st, context.Background(), "Scale", root, 1); err != nil {
-				t.Fatal(err)
-			}
-			return time.Since(start)
-		}
-		// The two hosts' calls alternate, so both minimums come from one
-		// window of the machine's load.
-		fast, slowest := time.Duration(1<<63-1), time.Duration(1<<63-1)
-		for i := 0; i < 7; i++ {
-			fast = min(fast, timed(ref))
-			slowest = min(slowest, timed(slow))
-		}
-		t.Logf("%s: reference host %v, 50x slower host %v (%.1fx)", shape.name, fast, slowest, float64(slowest)/float64(fast))
-		if slowest < 5*fast {
-			t.Errorf("%s: a 50x slower host took %v against %v: marshal and unmarshal time is not charged", shape.name, slowest, fast)
-		}
-	}
 }

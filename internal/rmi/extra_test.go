@@ -7,10 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"nrmi/internal/core"
-	"nrmi/internal/netsim"
 )
 
 // VariadicService has a variadic method, which the dispatcher must reject
@@ -252,143 +248,6 @@ func TestReferenceKeysAreCanonical(t *testing.T) {
 	for _, key := range []string{"#12abc", "#12 ", "# 12", "#0x10", "#", "#-1", "#+1", "#18446744073709551616"} {
 		if x, err := e.server.resolveTarget([]byte(key)); !errors.Is(err, ErrNoSuchObject) {
 			t.Errorf("%q resolved to %v (err %v), want ErrNoSuchObject", key, x.v, err)
-		}
-	}
-}
-
-func TestHostChargingSlowsServer(t *testing.T) {
-	reg := treeRegistry(t)
-	n := netsim.NewNetwork(netsim.Loopback())
-	t.Cleanup(func() { n.Close() })
-
-	build := func(factor float64, addr string) *Client {
-		opts := Options{
-			Core: core.Options{Registry: reg},
-			Host: netsim.Host{Name: addr, CPUFactor: factor},
-		}
-		srv, err := NewServer(addr, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Export("trees", &TreeService{}); err != nil {
-			t.Fatal(err)
-		}
-		ln, err := n.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Serve(ln)
-		t.Cleanup(func() { srv.Close() })
-		cl, err := NewClient(n.Dial, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		return cl
-	}
-	mkTree := func(depth int) *RTree {
-		var rec func(d int) *RTree
-		rec = func(d int) *RTree {
-			if d == 0 {
-				return nil
-			}
-			return &RTree{Data: d, Left: rec(d - 1), Right: rec(d - 1)}
-		}
-		return rec(depth)
-	}
-	timeCall := func(cl *Client, addr string) int64 {
-		// Warm, then measure several calls.
-		ctx := context.Background()
-		stub := cl.Stub(addr, "trees")
-		if _, err := stub.Call(ctx, "Touch", mkTree(8)); err != nil {
-			t.Fatal(err)
-		}
-		var total int64
-		const iters = 5
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			if _, err := stub.Call(ctx, "Touch", mkTree(8)); err != nil {
-				t.Fatal(err)
-			}
-			total += time.Since(start).Nanoseconds()
-		}
-		return total / iters
-	}
-	fast := timeCall(build(1.0, "fast-host"), "fast-host")
-	slow := timeCall(build(8.0, "slow-host"), "slow-host")
-	if slow <= fast {
-		t.Fatalf("8x CPU factor must slow calls: fast=%dns slow=%dns", fast, slow)
-	}
-}
-
-// RelayService forwards each call to another server's NapService.
-type RelayService struct{ next *Stub }
-
-// Relay makes one outbound call of next's Nap, in the given shape, under
-// the request's context.
-func (r *RelayService) Relay(ctx context.Context, async bool) error {
-	shape := shapeCall
-	if async {
-		shape = shapeAsync
-	}
-	_, err := shape.call(r.next, ctx, "Nap")
-	return err
-}
-
-// NapService takes a fixed time per call.
-type NapService struct{ d time.Duration }
-
-// Nap sleeps for the service's duration.
-func (s *NapService) Nap() { time.Sleep(s.d) }
-
-// TestSlowHostBilledForOwnWork: a factor-2 server is billed for its own
-// handler time only, not for the outbound call its method waits on. Billed
-// for the wait, a relay over a 100 ms nap would take twice the nap.
-func TestSlowHostBilledForOwnWork(t *testing.T) {
-	const nap = 100 * time.Millisecond
-	n := netsim.NewNetwork(netsim.Loopback())
-	t.Cleanup(func() { n.Close() })
-	serve := func(addr string, factor float64, name string, svc any) Options {
-		opts := Options{Host: netsim.Host{Name: addr, CPUFactor: factor}}
-		srv, err := NewServer(addr, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Export(name, svc); err != nil {
-			t.Fatal(err)
-		}
-		ln, err := n.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Serve(ln)
-		t.Cleanup(func() { srv.Close() })
-		return opts
-	}
-	client := func(opts Options) *Client {
-		cl, err := NewClient(n.Dial, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		return cl
-	}
-	serve("nap", 1, "nap", &NapService{d: nap})
-	relay := &RelayService{}
-	relay.next = client(serve("relay", 2, "relay", relay)).Stub("nap", "nap")
-	stub := client(Options{}).Stub("relay", "relay")
-	for _, async := range []bool{false, true} {
-		took := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			if _, err := stub.Call(context.Background(), "Relay", async); err != nil {
-				t.Fatal(err)
-			}
-			took = min(took, time.Since(start))
-		}
-		t.Logf("async %t: relay over a %v nap took %v", async, nap, took)
-		if took < nap || took > nap+nap/2 {
-			t.Errorf("async %t: relay over a %v nap took %v: the slow host was billed for its wait", async, nap, took)
 		}
 	}
 }

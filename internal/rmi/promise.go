@@ -119,7 +119,6 @@ var pendingCalls = sync.Pool{New: func() any { return new(transport.PendingCall)
 // promise stays in this frame, and its attempts go out from a pooled slot,
 // so a blocking call allocates no more than its codec does.
 func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool) (core.Response, error) {
-	defer outbound(ctx)()
 	var p Promise
 	st.begin(&p, method, oneWay)
 	if oneWay {
@@ -155,7 +154,6 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 // any re-send. Client interceptors (Options.Intercept) do not wrap async
 // calls; the issue/await split has no single call body to wrap.
 func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Promise, error) {
-	defer outbound(ctx)()
 	p := new(Promise)
 	st.begin(p, method, false)
 	p.slot = &p.pending
@@ -179,7 +177,6 @@ func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Pro
 // are not kept past here.
 func (p *Promise) encode(args []any) error {
 	c := p.st.c
-	start := time.Now()
 	p.call.Begin(nil, c.opts.Core)
 	p.call.SetObs(p.oc)
 	if err := p.st.encodeRequest(&p.call, p.method, args); err != nil {
@@ -191,7 +188,6 @@ func (p *Promise) encode(args []any) error {
 		// applies its response under the client's commit lock.
 		p.call.SetCommitLock(&c.commitMu)
 	}
-	c.opts.Host.Charge(time.Since(start))
 	c.metrics.bytesSent.Add(p.call.BytesSent())
 	return nil
 }
@@ -280,14 +276,11 @@ func (p *Promise) await(ctx context.Context) ([]byte, error) {
 // wraps as ResponseConsumedError, which Retryable refuses. The pooled
 // payload goes back once ApplyResponseBytes has returned.
 func (p *Promise) apply(payload []byte) (core.Response, error) {
-	c := p.st.c
-	start := time.Now()
 	resp, err := p.call.ApplyResponseBytes(payload)
-	c.releasePayload(payload)
+	p.st.c.releasePayload(payload)
 	if err != nil {
 		return resp, &ResponseConsumedError{Method: p.method, Err: err}
 	}
-	c.opts.Host.Charge(time.Since(start))
 	return resp, nil
 }
 
@@ -309,7 +302,6 @@ func (p *Promise) WaitStats(ctx context.Context) (*core.Response, error) {
 	if p.state == promisePending && p.cont != nil {
 		p.waitDerived(ctx)
 	} else if p.state == promisePending {
-		defer outbound(ctx)()
 		var resp core.Response
 		payload, err := p.await(ctx)
 		p.oc.Mark(obs.PhaseAsyncAwait, 0, 0)

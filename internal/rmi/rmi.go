@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"nrmi/internal/core"
-	"nrmi/internal/netsim"
 	"nrmi/internal/obs"
 	"nrmi/internal/registry"
 	"nrmi/internal/transport"
@@ -122,8 +121,6 @@ var (
 type Options struct {
 	// Core configures the copy-restore engine and wire codec.
 	Core core.Options
-	// Host models this endpoint's processing speed (netsim CPU factor).
-	Host netsim.Host
 	// WrapRef, when set, converts inbound remote references into
 	// application proxies before method dispatch (e.g. a tree-node stub
 	// implementing the application's node interface). When nil, methods

@@ -132,7 +132,8 @@ func (s *Server) EnableRegistry() *registry.Server {
 // remotely callable. Exporting replaces any previous binding of the name.
 // Register types first: Export refuses a method whose parameters or
 // results reach an unregistered type (wire.ErrTypeNotRegistered) or a
-// kind no value can be coded by (graph.ErrNotSerializable).
+// kind no value can be coded by (graph.ErrNotSerializable), unexported
+// fields included: a request may announce AccessUnsafe.
 func (s *Server) Export(name string, obj any) error { return s.bind(name, obj, nil) }
 
 // ExportSerialized publishes obj like Export, but additionally serializes
@@ -516,14 +517,6 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 	if err := s.admit(); err != nil {
 		return nil, err
 	}
-	if s.opts.Host.CPUFactor > 1 {
-		// Model this host's CPU speed: a slower machine takes
-		// proportionally longer for the same middleware processing — its
-		// own, not the outbound calls its method waits on.
-		w := new(atomic.Int64)
-		ctx = context.WithValue(ctx, waitsKey{}, w)
-		defer func(start time.Time) { s.opts.Host.Charge(time.Since(start) - time.Duration(w.Load())) }(time.Now())
-	}
 	switch msgType {
 	case transport.MsgCall:
 		if max := s.opts.MaxRequestBytes; max > 0 && len(payload) > max {
@@ -562,21 +555,6 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 	default:
 		return nil, fmt.Errorf("rmi: unknown message type %d", msgType)
 	}
-}
-
-// waitsKey keys a slow host's request context to the nanoseconds its
-// handler spent in outbound Stub calls, which handle does not bill.
-type waitsKey struct{}
-
-// outbound times a Stub call, or half of an async one, made under ctx: the
-// returned func adds the time since to the waits ctx carries, if any.
-func outbound(ctx context.Context) func() {
-	w, _ := ctx.Value(waitsKey{}).(*atomic.Int64)
-	if w == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { w.Add(int64(time.Since(start))) }
 }
 
 // resolveTarget maps a dispatch key ("name" or "#id") to the target object

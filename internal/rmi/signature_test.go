@@ -28,6 +28,11 @@ type (
 		N    int
 		item *sigItem
 	}
+	// sigHiddenTree's unexported field reaches registered types only.
+	sigHiddenTree struct {
+		N    int
+		tree *RTree
+	}
 	// sigPeer travels by reference, so its chan never meets the codec.
 	sigPeer struct{ C chan int }
 )
@@ -50,6 +55,7 @@ type (
 	swapsPeer    struct{}
 	takesAny     struct{}
 	takesHidden  struct{}
+	takesTree    struct{}
 	takesRefs    struct{}
 )
 
@@ -66,13 +72,15 @@ func (*takesCtx) Take(context.Context, int) error            { return nil }
 func (*swapsPeer) Swap(p *sigPeer) (*sigPeer, error)         { return p, nil }
 func (*takesAny) Take(any) error                             { return nil }
 func (*takesHidden) Take(*sigHidden) error                   { return nil }
+func (*takesTree) Take(sigHiddenTree) error                  { return nil }
 func (*takesRefs) Take(*RemoteRef, []*CTree) (*RTree, error) { return nil, nil }
 
 // TestExportRefusesWhatNoCallCarries: Export, ExportSerialized and
 // BindStruct hold every parameter and result to the endpoint's registry and
 // access mode before any call, naming the export, the method and the type
 // path. Interface slots, a context and an error among them, and by-reference
-// types are not held; neither is an unexported field under AccessExported.
+// types are not held. An unexported field is, whatever the endpoint's access
+// mode: a server decodes a request in the mode its header announces.
 func TestExportRefusesWhatNoCallCarries(t *testing.T) {
 	for _, row := range []struct {
 		svc    any
@@ -92,13 +100,14 @@ func TestExportRefusesWhatNoCallCarries(t *testing.T) {
 		{&takesCtx{}, "Take", nil, ""},
 		{&swapsPeer{}, "Swap", nil, ""},
 		{&takesAny{}, "Take", nil, ""},
-		{&takesHidden{}, "Take", nil, ""},
+		{&takesHidden{}, "Take", wire.ErrTypeNotRegistered, "rmi.sigItem at *rmi.sigHidden.item"},
+		{&takesTree{}, "Take", nil, ""},
 		{&takesRefs{}, "Take", nil, ""},
 	} {
 		name := reflect.TypeOf(row.svc).Elem().Name()
 		t.Run(name, func(t *testing.T) {
 			reg := treeRegistry(t)
-			for wname, v := range map[string]any{"Outer": sigOuter{}, "Order": Order{}, "Keyed": sigKeyed{}, "Deep": sigDeep{}, "Hidden": sigHidden{}} {
+			for wname, v := range map[string]any{"Outer": sigOuter{}, "Order": Order{}, "Keyed": sigKeyed{}, "Deep": sigDeep{}, "Hidden": sigHidden{}, "HiddenTree": sigHiddenTree{}} {
 				if err := reg.Register(wname, v); err != nil {
 					t.Fatal(err)
 				}

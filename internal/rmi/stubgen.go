@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+
+	"nrmi/internal/graph"
 )
 
 // BindStruct fills target — a pointer to a struct of exported func fields —
@@ -27,7 +29,8 @@ import (
 //
 // Register types first: like Server.Export, BindStruct refuses a field
 // whose parameters or results reach a type the client's registry does not
-// bind, or a kind no value can be coded by.
+// bind, or a kind no value can be coded by. Unexported fields count: a
+// request may announce AccessUnsafe, whatever this endpoint's own mode.
 //
 // Results are converted from the wire with the same strictness as server
 // dispatch: a type mismatch is an error, not a panic.
@@ -65,8 +68,10 @@ func (c *Client) BindStruct(addr, object string, target any) error {
 }
 
 // checkSignature holds the parameter and result types of ft to the
-// endpoint's registry and access mode (wire.Registry.CheckType), as rmic
-// held a remote interface: before any call. Interface slots (a leading
+// endpoint's registry (wire.Registry.CheckType), as rmic held a remote
+// interface: before any call. It checks under AccessUnsafe, the widest mode
+// a request can announce and a server decodes it in, so unexported fields
+// count whatever Core.Access says. Interface slots (a leading
 // context.Context, a trailing error) stay dynamic, and semOf's by-reference
 // types travel as a RemoteRef.
 func (o Options) checkSignature(ft reflect.Type) error {
@@ -81,7 +86,7 @@ func (o Options) checkSignature(ft reflect.Type) error {
 		if t.Kind() == reflect.Interface || semOf(reflect.Zero(t).Interface()) == semRef {
 			continue
 		}
-		if err := o.registryOf().CheckType(t, o.Core.Access); err != nil {
+		if err := o.registryOf().CheckType(t, graph.AccessUnsafe); err != nil {
 			return err
 		}
 	}
