@@ -1,12 +1,15 @@
 // Benchmarks regenerating the paper's evaluation tables (Section 5.3.3),
 // one Benchmark function per table, with sub-benchmarks for the scenario ×
 // tree-size grid the paper reports. Absolute numbers are host-dependent;
-// the shapes are what EXPERIMENTS.md compares. Run everything with:
+// the shapes are what EXPERIMENTS.md compares. Every cell runs over an
+// unshaped in-process link and reports its wall time, bytes and messages
+// per call. Run everything with:
 //
 //	go test -bench=. -benchmem
 //
-// The full shaped-network table run (with the paper's layout) is
-// `go run ./cmd/nrmi-bench`.
+// The full table run, `go run ./cmd/nrmi-bench`, adds the paper's testbed
+// to those cells: the 100 Mbps LAN's time for the counted messages and
+// bytes, and the slow server machine's extra CPU.
 package nrmi_test
 
 import (
@@ -18,17 +21,12 @@ import (
 
 	"nrmi/internal/bench"
 	"nrmi/internal/graph"
-	"nrmi/internal/netsim"
 	"nrmi/internal/wire"
 )
 
 // benchSizes is the size series for the table benchmarks. The paper uses
 // 16..1024; 1024 is included only where it finishes in reasonable time.
 var benchSizes = []int{16, 64, 256}
-
-// benchProfile is a light LAN shape: enough to charge bytes, small enough
-// latency to keep b.N iterations fast.
-var benchProfile = netsim.Profile{Latency: 20 * time.Microsecond, Bandwidth: 12_500_000}
 
 func newBenchEnv(b *testing.B, cfg bench.EnvConfig) *bench.Env {
 	b.Helper()
@@ -43,7 +41,7 @@ func newBenchEnv(b *testing.B, cfg bench.EnvConfig) *bench.Env {
 // reportCell attaches the harness's per-call observables to the benchmark.
 func reportCell(b *testing.B, c bench.Cell) {
 	b.Helper()
-	b.ReportMetric(c.Millis, "ms/call")
+	b.ReportMetric(c.Wall, "wall-ms/call")
 	b.ReportMetric(float64(c.Bytes), "wirebytes/call")
 	b.ReportMetric(c.Messages, "msgs/call")
 }
@@ -83,25 +81,24 @@ func BenchmarkTable1Local(b *testing.B) {
 
 // BenchmarkTable2OneWay is Table 2: RMI call-by-copy, one-way traffic.
 func BenchmarkTable2OneWay(b *testing.B) {
-	e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2})
+	e := newBenchEnv(b, bench.EnvConfig{Engine: wire.EngineV2})
 	runCells(b, func(spec bench.RunSpec) (bench.Cell, error) {
 		return bench.RunOneWay(e, spec)
 	})
 }
 
-// BenchmarkTable3RestoreLocal is Table 3: manual restore, no network
-// shaping (same machine).
+// BenchmarkTable3RestoreLocal is Table 3: manual restore on one machine.
 func BenchmarkTable3RestoreLocal(b *testing.B) {
-	e := newBenchEnv(b, bench.EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+	e := newBenchEnv(b, bench.EnvConfig{Engine: wire.EngineV2})
 	runCells(b, func(spec bench.RunSpec) (bench.Cell, error) {
 		return bench.RunManual(e, spec)
 	})
 }
 
-// BenchmarkTable4RestoreRemote is Table 4: manual restore over the shaped
-// two-machine link.
+// BenchmarkTable4RestoreRemote is Table 4: manual restore between two
+// machines.
 func BenchmarkTable4RestoreRemote(b *testing.B) {
-	e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2})
+	e := newBenchEnv(b, bench.EnvConfig{Engine: wire.EngineV2})
 	runCells(b, func(spec bench.RunSpec) (bench.Cell, error) {
 		return bench.RunManual(e, spec)
 	})
@@ -114,9 +111,9 @@ func BenchmarkTable5NRMI(b *testing.B) {
 		name string
 		cfg  bench.EnvConfig
 	}{
-		{"jdk1.3", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV1}},
-		{"portable", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2, DisablePlanCache: true}},
-		{"optimized", bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2}},
+		{"jdk1.3", bench.EnvConfig{Engine: wire.EngineV1}},
+		{"portable", bench.EnvConfig{Engine: wire.EngineV2, DisablePlanCache: true}},
+		{"optimized", bench.EnvConfig{Engine: wire.EngineV2}},
 	}
 	for _, v := range variants {
 		v := v
@@ -133,7 +130,7 @@ func BenchmarkTable5NRMI(b *testing.B) {
 // Sizes are kept small: the whole point is that cost explodes with size
 // (the paper's 1024-node runs never finished).
 func BenchmarkTable6CBRef(b *testing.B) {
-	e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2})
+	e := newBenchEnv(b, bench.EnvConfig{Engine: wire.EngineV2})
 	for _, sc := range bench.Scenarios {
 		for _, size := range []int{16, 64} {
 			name := fmt.Sprintf("%s/size=%d", sc, size)
@@ -165,7 +162,7 @@ func BenchmarkTable6CBRef(b *testing.B) {
 // against the same tree passed by copy — the paper's Section 5.2.4
 // optimization 2.
 func BenchmarkAblationDelta(b *testing.B) {
-	e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2})
+	e := newBenchEnv(b, bench.EnvConfig{Engine: wire.EngineV2})
 	for _, v := range []struct {
 		name string
 		run  func(*bench.Env, bench.RunSpec) (bench.Cell, error)
@@ -290,7 +287,7 @@ func BenchmarkAblationLinearMap(b *testing.B) {
 // transport: one full client-encode / server-decode / mutate / respond /
 // apply cycle per iteration.
 func BenchmarkCoreRoundTrip(b *testing.B) {
-	e := newBenchEnv(b, bench.EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+	e := newBenchEnv(b, bench.EnvConfig{Engine: wire.EngineV2})
 	for _, size := range benchSizes {
 		size := size
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
@@ -384,7 +381,7 @@ func BenchmarkTopology(b *testing.B) {
 // copy-restore. Realistic graphs are map/slice/string-heavy, unlike the
 // micro trees.
 func BenchmarkMacroStore(b *testing.B) {
-	e := newBenchEnv(b, bench.EnvConfig{Profile: benchProfile, Engine: wire.EngineV2})
+	e := newBenchEnv(b, bench.EnvConfig{Engine: wire.EngineV2})
 	stub := e.Client.Stub(bench.ServerAddr, "macro")
 	const customers = 200
 	const opsPerCall = 25

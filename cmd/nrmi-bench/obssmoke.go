@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"nrmi/internal/bench"
-	"nrmi/internal/netsim"
 	"nrmi/internal/obs"
 	"nrmi/internal/wire"
 )
@@ -24,11 +23,7 @@ import (
 func runObsSmoke(maxOverheadPct float64) error {
 	const size = 256
 	o := obs.New(obs.Config{Tag: "obs-smoke"})
-	e, err := bench.NewEnv(bench.EnvConfig{
-		Profile: netsim.Loopback(),
-		Engine:  wire.EngineV2,
-		Obs:     o,
-	})
+	e, err := bench.NewEnv(bench.EnvConfig{Engine: wire.EngineV2, Obs: o})
 	if err != nil {
 		return fmt.Errorf("obs-smoke: env: %w", err)
 	}

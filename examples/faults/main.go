@@ -126,7 +126,7 @@ func main() {
 	// plan drops the first two request frames, a retry policy rides out
 	// the loss — and because dropped requests never reached the server,
 	// the deposit lands exactly once.
-	sim := nrmi.NewSimNetwork(nrmi.SimProfile{})
+	sim := nrmi.NewSimNetwork()
 	defer sim.Close()
 	simSrv, err := startSimBank(sim, "bank-host")
 	if err != nil {

@@ -234,7 +234,7 @@ func newTestEnv(t *testing.T, cfg EnvConfig) *Env {
 
 func TestRunOneWayAndManualAndNRMI(t *testing.T) {
 	for _, eng := range []wire.Engine{wire.EngineV1, wire.EngineV2} {
-		e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: eng})
+		e := newTestEnv(t, EnvConfig{Engine: eng})
 		for _, sc := range Scenarios {
 			spec := RunSpec{Scenario: sc, Size: 24, Iterations: 2, Seed: 77, Verify: true}
 			if _, err := RunOneWay(e, spec); err != nil {
@@ -262,7 +262,7 @@ func TestRunOneWayAndManualAndNRMI(t *testing.T) {
 // every scenario still verifies and a restorable call that changes nothing
 // puts no more bytes on the wire than passing the tree by copy (Table 7).
 func TestRunNRMIDelta(t *testing.T) {
-	e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
 	for _, sc := range Scenarios {
 		spec := RunSpec{Scenario: sc, Size: 24, Iterations: 1, Seed: 5, Verify: true}
 		if _, err := RunNRMI(e, spec); err != nil {
@@ -285,7 +285,7 @@ func TestRunNRMIDelta(t *testing.T) {
 }
 
 func TestRunCBRefVerifies(t *testing.T) {
-	e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
 	for _, sc := range Scenarios {
 		spec := RunSpec{Scenario: sc, Size: 12, Iterations: 1, Seed: 9, Verify: true}
 		cell, err := RunCBRef(e, spec, 30*time.Second)
@@ -303,11 +303,14 @@ func TestRunCBRefVerifies(t *testing.T) {
 	}
 }
 
+// TestRunCBRefBudgetYieldsDash: a call-by-reference cell that outlives its
+// budget renders as the paper's "-". Each machine's address holds every
+// message 5 to 10 ms, since the mutator's callbacks cross the client's.
 func TestRunCBRefBudgetYieldsDash(t *testing.T) {
-	e := newTestEnv(t, EnvConfig{
-		Profile: netsim.Profile{Latency: 5 * time.Millisecond},
-		Engine:  wire.EngineV2,
-	})
+	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
+	for _, addr := range []string{ServerAddr, ClientAddr} {
+		e.Net.SetFaults(addr, netsim.RandomPlan(1, netsim.Rates{Delay: 1, MaxDelay: 10 * time.Millisecond}))
+	}
 	spec := RunSpec{Scenario: ScenarioIII, Size: 64, Iterations: 1, Seed: 1}
 	cell, err := RunCBRef(e, spec, 50*time.Millisecond)
 	if err != nil {
@@ -336,7 +339,7 @@ func TestVerifyIsNotCounted(t *testing.T) {
 		for _, sc := range Scenarios {
 			var cells [2]Cell
 			for i, verify := range []bool{false, true} {
-				e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+				e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
 				c, err := r.run(e, RunSpec{Scenario: sc, Size: 16, Iterations: 2, Seed: 16001 + 31*int64(sc), Verify: verify})
 				if err != nil || !c.OK {
 					t.Fatalf("%s %s verify=%v: %+v %v", r.name, sc, verify, c, err)
@@ -355,7 +358,7 @@ func TestCBRefLeaksRefs(t *testing.T) {
 	// The paper: "the memory consumption of the benchmarks grew
 	// uncontrollably" under call-by-reference. Our observable: exported
 	// references pile up on the client server and are never collected.
-	e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
 	spec := RunSpec{Scenario: ScenarioIII, Size: 16, Iterations: 1, Seed: 2}
 	if _, err := RunCBRef(e, spec, 30*time.Second); err != nil {
 		t.Fatal(err)
@@ -434,7 +437,7 @@ func TestWrapRefHook(t *testing.T) {
 // therefore identical bytes on the wire (times vary; bytes must not).
 func TestCellDeterminism(t *testing.T) {
 	run := func() int64 {
-		e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+		e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
 		cell, err := RunNRMI(e, RunSpec{Scenario: ScenarioIII, Size: 64, Iterations: 3, Seed: 99})
 		if err != nil {
 			t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"nrmi/internal/netsim"
 	"nrmi/internal/rmi"
 	"nrmi/internal/wire"
 )
@@ -36,7 +35,7 @@ func paperTree() (root, alias1, alias2, rl, rr *RTree) {
 
 func paperEnv(t *testing.T) (*Env, *rmi.Stub) {
 	t.Helper()
-	e, err := NewEnv(EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+	e, err := NewEnv(EnvConfig{Engine: wire.EngineV2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,6 @@ const (
 
 // EnvConfig selects one experimental configuration.
 type EnvConfig struct {
-	// Profile shapes the link between the two machines; the table harness
-	// leaves it unshaped.
-	Profile netsim.Profile
 	// Engine selects the codec generation (the JDK 1.3 / 1.4 stand-ins).
 	Engine wire.Engine
 	// DisablePlanCache selects the "portable" NRMI implementation.
@@ -36,7 +33,8 @@ type EnvConfig struct {
 
 // Env is a fully assembled two-machine benchmark world.
 type Env struct {
-	// Net is the shaped network joining the machines.
+	// Net is the in-process network joining the machines; it counts their
+	// traffic and carries any fault plan a test attaches.
 	Net *netsim.Network
 	// Server is the service machine's endpoint.
 	Server *rmi.Server
@@ -61,7 +59,7 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	if err := RegisterTypes(reg); err != nil {
 		return nil, err
 	}
-	n := netsim.NewNetwork(cfg.Profile)
+	n := netsim.NewNetwork()
 
 	coreOpts := core.Options{
 		Engine:           cfg.Engine,

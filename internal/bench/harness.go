@@ -8,8 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"time"
-
-	"nrmi/internal/netsim"
 )
 
 // Cell is one table cell: the per-call cost of a configuration.
@@ -53,18 +51,15 @@ func (c Cell) String() string {
 }
 
 // onTestbed adds the paper's two-machine testbed to a cell measured on an
-// unshaped link with no slow host: the time link takes to carry the
-// messages and bytes the cell counted, and the extra CPU a server machine
-// slower by factor spends.
-func (c Cell) onTestbed(link netsim.Profile, factor float64) Cell {
+// unshaped link with no slow host: the time the LAN takes to carry the
+// messages and bytes the cell counted, and the extra CPU the slow server
+// machine spends.
+func (c Cell) onTestbed() Cell {
 	if !c.OK {
 		return c
 	}
-	c.Link = c.Messages * float64(link.Latency) / 1e6
-	if link.Bandwidth > 0 {
-		c.Link += float64(c.Bytes) * 1e3 / float64(link.Bandwidth)
-	}
-	c.Slow = max(0, factor-1) * c.ServerCPU
+	c.Link = c.Messages*float64(lanLatency)/1e6 + float64(c.Bytes)*1e3/lanBandwidth
+	c.Slow = (slowFactor - 1) * c.ServerCPU
 	c.Millis = c.Wall + c.Link + c.Slow
 	return c
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"nrmi/internal/graph"
-	"nrmi/internal/netsim"
 	"nrmi/internal/wire"
 )
 
@@ -27,7 +26,7 @@ func TestMacroStoreDeterministic(t *testing.T) {
 }
 
 func TestMacroRemoteEqualsLocal(t *testing.T) {
-	e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
 	stub := e.Client.Stub(ServerAddr, "macro")
 	f := func(seed int64, nRaw, opsRaw uint8) bool {
 		n := int(nRaw%30) + 2
@@ -57,7 +56,7 @@ func TestMacroRemoteEqualsLocal(t *testing.T) {
 }
 
 func TestMacroAliasesObserved(t *testing.T) {
-	e := newTestEnv(t, EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2})
+	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
 	store := NewMacroStore(9, 10)
 	// Client-side direct alias, independent of the indexes.
 	var first *MacroCustomer

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"nrmi/internal/netsim"
 	"nrmi/internal/obs"
 	"nrmi/internal/wire"
 )
@@ -104,7 +103,7 @@ func RunPhases(cfg PhasesConfig) (*PhasesReport, error) {
 	rep := &PhasesReport{Scenario: cfg.Scenario.String(), Sizes: cfg.Sizes}
 	for _, size := range cfg.Sizes {
 		o := obs.New(obs.Config{Tag: fmt.Sprintf("phases-%d", size)})
-		e, err := NewEnv(EnvConfig{Profile: netsim.Loopback(), Engine: wire.EngineV2, Obs: o})
+		e, err := NewEnv(EnvConfig{Engine: wire.EngineV2, Obs: o})
 		if err != nil {
 			return nil, fmt.Errorf("bench: phases env %d: %w", size, err)
 		}

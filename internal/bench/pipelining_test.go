@@ -12,17 +12,18 @@ import (
 
 // TestPipeliningBeatsSequential owns the promise layer's latency claim: K
 // copy-restore calls (NRMIService.Nop, full restore of a 16-node tree) over
-// a link with 2 ms one-way latency finish at least 3x faster issued
-// through CallAsync and joined with All than made one after another. Every
-// promise is consumed, so both variants pay the same restore commits and
-// only the waiting overlaps.
+// a link that holds every message 2 to 4 ms finish at least 3x faster
+// issued through CallAsync and joined with All than made one after another.
+// Every promise is consumed, so both variants pay the same restore commits
+// and only the waiting overlaps.
 //
-// netsim charges the per-message delay as link occupancy (each Write sleeps
-// the full delivery cost inline). Sequential calls cost about 2K link
-// delays. A Write carries every frame queued behind the one before it, so
-// a pipelined window crosses in one or two messages each way, two to four
-// delays: the ratio is capped at K, 8 here, and reads about 7.6 (4.9 under
-// -race). The bar sits well below that cap.
+// The hold is a fault plan's delay on the server's address, which every
+// message of these calls crosses in either direction. It is link
+// occupancy: the Write sleeps it inline. Sequential calls cost about 2K
+// holds. A Write carries every frame queued behind the one before it, so a
+// pipelined window crosses in one or two messages each way, two to four
+// holds: the ratio is capped at K, 8 here, and reads 5 to 8 (about 5
+// under -race). The bar sits well below that cap.
 func TestPipeliningBeatsSequential(t *testing.T) {
 	const (
 		calls  = 8
@@ -30,7 +31,8 @@ func TestPipeliningBeatsSequential(t *testing.T) {
 		rounds = 5
 		want   = 3.0
 	)
-	e := newTestEnv(t, EnvConfig{Profile: netsim.Profile{Latency: 2 * time.Millisecond}, Engine: wire.EngineV2})
+	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
+	e.Net.SetFaults(ServerAddr, netsim.RandomPlan(1, netsim.Rates{Delay: 1, MaxDelay: 4 * time.Millisecond}))
 	ctx := context.Background()
 	stub := e.Client.Stub(ServerAddr, "nrmi")
 
@@ -72,7 +74,7 @@ func TestPipeliningBeatsSequential(t *testing.T) {
 		}
 	}
 	ratio := float64(best[false]) / float64(best[true])
-	t.Logf("%d calls, 2ms one-way: sequential %s, pipelined %s (%.2fx)", calls, best[false], best[true], ratio)
+	t.Logf("%d calls, 2-4ms holds: sequential %s, pipelined %s (%.2fx)", calls, best[false], best[true], ratio)
 	if ratio < want {
 		t.Fatalf("pipelined calls are %.2fx faster than sequential, want at least %.1fx", ratio, want)
 	}

@@ -5,8 +5,16 @@ import (
 	"fmt"
 	"time"
 
-	"nrmi/internal/netsim"
 	"nrmi/internal/wire"
+)
+
+// The paper's testbed (Section 5.3.3), which no cell runs over: a 100 Mbps
+// LAN (Cell.Link) and a server machine slower than the client by the
+// 750 MHz / 440 MHz ratio of its SunBlade and Ultra 10 (Cell.Slow).
+const (
+	lanLatency   = 150 * time.Microsecond
+	lanBandwidth = 100_000_000 / 8 // bytes per second
+	slowFactor   = 1.7
 )
 
 // HarnessConfig drives a full reproduction of the paper's Tables 1–6 (plus
@@ -23,12 +31,6 @@ type HarnessConfig struct {
 	// iteration (the paper's "invariant maintained is that all the
 	// changes are visible to the caller").
 	Verify bool
-	// LAN is the modeled link between the two machines (default: 100 Mbps
-	// LAN); no cell runs over it (Cell.Link).
-	LAN netsim.Profile
-	// SlowFactor is the modeled server machine's CPU factor (default 1.7,
-	// the 750 MHz / 440 MHz ratio of the paper's testbed; Cell.Slow).
-	SlowFactor float64
 	// CBRefBudget bounds each call-by-reference call; blowing it renders
 	// the paper's "-" cells (default 5s).
 	CBRefBudget time.Duration
@@ -42,12 +44,6 @@ func (c HarnessConfig) withDefaults() HarnessConfig {
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 5
-	}
-	if c.LAN == (netsim.Profile{}) {
-		c.LAN = netsim.LAN100Mbps()
-	}
-	if c.SlowFactor == 0 {
-		c.SlowFactor = 1.7
 	}
 	if c.CBRefBudget == 0 {
 		c.CBRefBudget = 5 * time.Second
@@ -67,16 +63,15 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	// adds the LAN and puts the service on the slow machine, like the
 	// paper's SunBlade (client) / Ultra 10 (server) split.
 	type config struct {
-		env    EnvConfig
-		link   netsim.Profile
-		factor float64
+		env     EnvConfig
+		testbed bool
 	}
-	lan := func(eng wire.Engine) config { return config{EnvConfig{Engine: eng}, cfg.LAN, cfg.SlowFactor} }
-	loop := func(eng wire.Engine) config { return config{EnvConfig{Engine: eng}, netsim.Loopback(), 1} }
+	lan := func(eng wire.Engine) config { return config{EnvConfig{Engine: eng}, true} }
+	loop := func(eng wire.Engine) config { return config{EnvConfig{Engine: eng}, false} }
 	portable := lan(wire.EngineV2)
 	portable.env.DisablePlanCache = true
 	testbed := fmt.Sprintf("ms = median wall time on an unshaped link + messages × %v + bytes ÷ %d B/s + %.2g × the server machine's CPU",
-		cfg.LAN.Latency, cfg.LAN.Bandwidth, cfg.SlowFactor-1)
+		lanLatency, lanBandwidth, slowFactor-1)
 
 	spec := func(sc Scenario, size int) RunSpec {
 		return RunSpec{
@@ -113,7 +108,10 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 				return Cell{}, err
 			}
 			c, err := run(e, spec(sc, size))
-			return c.onTestbed(cf.link, cf.factor), errors.Join(err, e.Close())
+			if cf.testbed {
+				c = c.onTestbed()
+			}
+			return c, errors.Join(err, e.Close())
 		})
 	}
 
@@ -123,7 +121,7 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 		for _, host := range []struct {
 			name   string
 			factor float64
-		}{{"fast", 1}, {"slow", cfg.SlowFactor}} {
+		}{{"fast", 1}, {"slow", slowFactor}} {
 			if err := row(t1, fmt.Sprintf("%s (%s)", sc, host.name), func(size int) (Cell, error) {
 				return RunLocal(spec(sc, size), host.factor)
 			}); err != nil {
@@ -132,7 +130,7 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 		}
 	}
 	t1.Notes = append(t1.Notes,
-		fmt.Sprintf("a slow row is its median wall time on this host times %.2g", cfg.SlowFactor))
+		fmt.Sprintf("a slow row is its median wall time on this host times %.2g", slowFactor))
 	tables = append(tables, t1)
 
 	// Tables 2–6: one row per scenario under each configuration the table
@@ -151,7 +149,7 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 		// RMI call-by-copy, one-way traffic, no restore.
 		{&Table{ID: "Table 2", Title: "Baseline 2 — RMI Execution, without Restore (one-way traffic)", Notes: []string{testbed}},
 			lanJDK, RunOneWay},
-		// RMI with manual restore, same machine (no network shaping).
+		// RMI with manual restore, same machine (no network).
 		{&Table{ID: "Table 3", Title: "Baseline 3 — RMI Execution with Restore on local machine (no network overhead)"},
 			[]labeled{{"jdk1.3", loop(wire.EngineV1)}, {"jdk1.4", loop(wire.EngineV2)}}, RunManual},
 		// RMI with manual restore, two machines.

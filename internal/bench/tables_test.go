@@ -139,7 +139,7 @@ func TestBlownCellsLeakNothing(t *testing.T) {
 // computed from the cell's counts, so two runs agree on it exactly, and only
 // the two-machine tables have one. The slow host's term bills the server
 // machine's own CPU: on a Table 6 call, whose server mostly waits on its
-// callbacks to the client, it stays under SlowFactor − 1 times the call.
+// callbacks to the client, it stays under slowFactor − 1 times the call.
 func TestTestbedIsComputed(t *testing.T) {
 	cfg := HarnessConfig{Sizes: []int{16, 64}, Iterations: 1, Seed: 1, CBRefBudget: time.Minute}
 	first, err := RunAll(cfg)
@@ -167,10 +167,9 @@ func TestTestbedIsComputed(t *testing.T) {
 			}
 		}
 	}
-	factor := cfg.withDefaults().SlowFactor
 	for _, r := range first[5].Rows {
 		for k, c := range r.Cells {
-			if whole := (factor - 1) * c.Wall; c.Slow <= 0 || c.Slow >= whole {
+			if whole := (slowFactor - 1) * c.Wall; c.Slow <= 0 || c.Slow >= whole {
 				t.Errorf("Table 6 %s at %d: slow-host term %.3g ms, want above 0 and under %.3g ms, (factor − 1) × the call",
 					r.Label, first[5].Sizes[k], c.Slow, whole)
 			}

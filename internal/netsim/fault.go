@@ -32,10 +32,10 @@ type Op int
 
 // The fault kinds a Plan can schedule.
 const (
-	// OpDrop charges the frame's link delay, then discards it silently;
+	// OpDrop discards the frame silently;
 	// the receiver simply never sees it (message loss).
 	OpDrop Op = iota
-	// OpDelay holds the frame for an extra duration before delivery.
+	// OpDelay holds the frame for a duration before delivery.
 	OpDelay
 	// OpDuplicate delivers the frame twice back to back.
 	OpDuplicate
@@ -134,7 +134,7 @@ func (p *Plan) Frames() int64 {
 // DropFrame schedules the nth frame (1-based) on the link to be dropped.
 func (p *Plan) DropFrame(n int64) *Plan { return p.add(n, fixedFault{op: OpDrop}) }
 
-// DelayFrame schedules the nth frame to be held for an extra d.
+// DelayFrame schedules the nth frame to be held for d.
 func (p *Plan) DelayFrame(n int64, d time.Duration) *Plan {
 	return p.add(n, fixedFault{op: OpDelay, delay: d})
 }

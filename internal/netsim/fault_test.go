@@ -63,7 +63,7 @@ func TestPlanDeterminism(t *testing.T) {
 }
 
 func TestDropFrameNeverDelivered(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	n.SetFaults("s", NewPlan(1).DropFrame(1))
 	c, s := faultPair(t, n)
@@ -89,7 +89,7 @@ func TestDropFrameNeverDelivered(t *testing.T) {
 }
 
 func TestDelayFrameObserved(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	n.SetFaults("s", NewPlan(1).DelayFrame(1, 50*time.Millisecond))
 	c, s := faultPair(t, n)
@@ -113,7 +113,7 @@ func TestDelayFrameObserved(t *testing.T) {
 }
 
 func TestDuplicateFrameDeliveredTwice(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	n.SetFaults("s", NewPlan(1).DuplicateFrame(1))
 	c, s := faultPair(t, n)
@@ -144,7 +144,7 @@ func TestDuplicateFrameDeliveredTwice(t *testing.T) {
 }
 
 func TestCorruptFrameChangesBytes(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	n.SetFaults("s", NewPlan(7).CorruptFrame(1))
 	c, s := faultPair(t, n)
@@ -183,7 +183,7 @@ func TestCorruptBytesRespectsSkip(t *testing.T) {
 }
 
 func TestSeverMidFrame(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	n.SetFaults("s", NewPlan(11).SeverFrame(1))
 	c, s := faultPair(t, n)
@@ -222,7 +222,7 @@ func TestSeverMidFrame(t *testing.T) {
 }
 
 func TestPartitionAndHeal(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	c, s := faultPair(t, n)
 	defer c.Close()
@@ -259,7 +259,7 @@ func TestPartitionAndHeal(t *testing.T) {
 }
 
 func TestPartitionIsPairwise(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	ln, err := n.Listen("s")
 	if err != nil {

@@ -1,13 +1,14 @@
 // Package netsim is an in-process network: named listen points joined by
 // synchronous pipes, with byte/message accounting, seeded fault plans and
-// partitions, and optional link shaping.
+// partitions.
 //
 // A message is one Write of one or more whole transport frames. The table
-// harness runs over unshaped links and computes the paper's testbed (two
-// machines on a 100 Mbps LAN, Section 5.3.3) from the bytes and messages
-// counted here, which are hardware-independent. A Profile makes each Write
-// sleep a one-way latency plus a delay proportional to its size, for
-// experiments that need the wire's time to pass, such as pipelining.
+// harness computes the paper's testbed (two machines on a 100 Mbps LAN,
+// Section 5.3.3) from the bytes and messages counted here, which are
+// hardware-independent. A link takes time only when its fault plan delays
+// a frame, so an experiment that needs the wire's time to pass, such as
+// pipelining, attaches a plan with a Delay rate to each address its calls
+// cross.
 package netsim
 
 import (
@@ -18,34 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Profile describes one directional link's characteristics.
-type Profile struct {
-	// Latency is the one-way, per-message delivery delay.
-	Latency time.Duration
-	// Bandwidth is the link throughput in bytes per second; 0 means
-	// unlimited.
-	Bandwidth int64
-}
-
-// Delay returns the time to deliver a message of n bytes.
-func (p Profile) Delay(n int) time.Duration {
-	d := p.Latency
-	if p.Bandwidth > 0 {
-		d += time.Duration(int64(n) * int64(time.Second) / p.Bandwidth)
-	}
-	return d
-}
-
-// LAN100Mbps approximates the paper's experimental network: 100 Mbps
-// effective bandwidth with a LAN-class per-message latency.
-func LAN100Mbps() Profile {
-	return Profile{Latency: 150 * time.Microsecond, Bandwidth: 100_000_000 / 8}
-}
-
-// Loopback is an unshaped link for "same machine" baselines (the paper's
-// Table 3 configuration).
-func Loopback() Profile { return Profile{} }
 
 // Stats aggregates traffic accounting for a network or a single conn.
 type Stats struct {
@@ -63,16 +36,14 @@ type Stats struct {
 	Severed    int64
 }
 
-// Network is an in-process network: named listen points joined by shaped
-// pipes. The zero value is not usable; call NewNetwork.
+// Network is an in-process network: named listen points joined by
+// synchronous pipes. The zero value is not usable; call NewNetwork.
 type Network struct {
-	profile Profile
-
 	mu        sync.Mutex
 	listeners map[string]*listener
-	plans     map[string]*Plan         // listen addr -> fault plan for that link
-	parts     map[[2]string]struct{}   // partitioned host pairs, sorted
-	conns     map[*shapedConn]struct{} // live conn halves, for partition severing
+	plans     map[string]*Plan       // listen addr -> fault plan for that link
+	parts     map[[2]string]struct{} // partitioned host pairs, sorted
+	conns     map[*simConn]struct{}  // live conn halves, for partition severing
 	closed    bool
 
 	bytes    atomic.Int64
@@ -85,14 +56,13 @@ type Network struct {
 	severed    atomic.Int64
 }
 
-// NewNetwork returns a network whose links all use the given profile.
-func NewNetwork(profile Profile) *Network {
+// NewNetwork returns an empty network.
+func NewNetwork() *Network {
 	return &Network{
-		profile:   profile,
 		listeners: make(map[string]*listener),
 		plans:     make(map[string]*Plan),
 		parts:     make(map[[2]string]struct{}),
-		conns:     make(map[*shapedConn]struct{}),
+		conns:     make(map[*simConn]struct{}),
 	}
 }
 
@@ -153,7 +123,7 @@ func pairKey(a, b string) [2]string {
 func (n *Network) Partition(a, b string) {
 	n.mu.Lock()
 	n.parts[pairKey(a, b)] = struct{}{}
-	var victims []*shapedConn
+	var victims []*simConn
 	for c := range n.conns {
 		if pairKey(c.src, c.dst) == pairKey(a, b) {
 			victims = append(victims, c)
@@ -234,8 +204,8 @@ func (n *Network) DialFrom(src, addr string) (net.Conn, error) {
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, addr)
 	}
 	client, server := net.Pipe()
-	cc := &shapedConn{Conn: client, net: n, profile: n.profile, src: src, dst: addr}
-	sc := &shapedConn{Conn: server, net: n, profile: n.profile, src: src, dst: addr}
+	cc := &simConn{Conn: client, net: n, src: src, dst: addr}
+	sc := &simConn{Conn: server, net: n, src: src, dst: addr}
 	n.mu.Lock()
 	n.conns[cc] = struct{}{}
 	n.conns[sc] = struct{}{}
@@ -305,26 +275,25 @@ type simAddr string
 func (a simAddr) Network() string { return "netsim" }
 func (a simAddr) String() string  { return string(a) }
 
-// shapedConn delays each Write by the link's delivery cost for the message
-// size, applies the link's fault plan, and records traffic. One Write is one
-// message of whole transport frames, so a fault hits the message: a sever
-// cuts the frame it lands in and every frame behind it.
-type shapedConn struct {
+// simConn applies the link's fault plan to each Write and records
+// traffic. One Write is one message of whole transport frames, so a fault
+// hits the message: a delay holds it, and a sever cuts the frame it lands
+// in and every frame behind it.
+type simConn struct {
 	net.Conn
 	net      *Network
-	profile  Profile
 	src, dst string // link endpoints; dst is the listen address keying the plan
 }
 
 // Close deregisters the conn half and closes the underlying pipe.
-func (c *shapedConn) Close() error {
+func (c *simConn) Close() error {
 	c.net.mu.Lock()
 	delete(c.net.conns, c)
 	c.net.mu.Unlock()
 	return c.Conn.Close()
 }
 
-func (c *shapedConn) Write(p []byte) (int, error) {
+func (c *simConn) Write(p []byte) (int, error) {
 	if c.net.Partitioned(c.src, c.dst) {
 		return 0, fmt.Errorf("%w: %s <-> %s", ErrPartitioned, c.src, c.dst)
 	}
@@ -333,14 +302,12 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 	if plan != nil {
 		d = plan.next(len(p))
 	}
-	if delay := c.profile.Delay(len(p)) + d.delay; delay > 0 {
-		time.Sleep(delay)
-	}
 	if d.delay > 0 {
+		time.Sleep(d.delay)
 		c.net.delayed.Add(1)
 	}
 	if d.drop {
-		// The frame paid its transit cost and vanished; the caller sees a
+		// The frame vanished; the caller sees a
 		// successful send, the peer sees nothing — message loss.
 		c.net.dropped.Add(1)
 		return len(p), nil

@@ -7,34 +7,8 @@ import (
 	"time"
 )
 
-func TestDelayModel(t *testing.T) {
-	p := Profile{Latency: time.Millisecond, Bandwidth: 1000} // 1 KB/s
-	if got := p.Delay(0); got != time.Millisecond {
-		t.Fatalf("latency-only delay = %v", got)
-	}
-	if got := p.Delay(1000); got != time.Millisecond+time.Second {
-		t.Fatalf("1000B over 1KB/s = %v", got)
-	}
-	if got := (Profile{}).Delay(1 << 20); got != 0 {
-		t.Fatalf("loopback must be free, got %v", got)
-	}
-}
-
-func TestLAN100MbpsShape(t *testing.T) {
-	p := LAN100Mbps()
-	small := p.Delay(100)
-	large := p.Delay(100_000)
-	if large <= small {
-		t.Fatal("larger messages must take longer")
-	}
-	// 100 KB at 12.5 MB/s is 8 ms of serialization.
-	if large < 8*time.Millisecond || large > 20*time.Millisecond {
-		t.Fatalf("100KB delay out of expected range: %v", large)
-	}
-}
-
 func TestDialListenRoundTrip(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	ln, err := n.Listen("server")
 	if err != nil {
@@ -87,7 +61,7 @@ func TestDialListenRoundTrip(t *testing.T) {
 }
 
 func TestDialUnknownAddress(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	if _, err := n.Dial("nobody"); !errors.Is(err, ErrConnRefused) {
 		t.Fatalf("want ErrConnRefused, got %v", err)
@@ -95,7 +69,7 @@ func TestDialUnknownAddress(t *testing.T) {
 }
 
 func TestListenDuplicateAddress(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	if _, err := n.Listen("a"); err != nil {
 		t.Fatal(err)
@@ -106,7 +80,7 @@ func TestListenDuplicateAddress(t *testing.T) {
 }
 
 func TestListenerCloseUnblocksAccept(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	ln, err := n.Listen("a")
 	if err != nil {
@@ -136,7 +110,7 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 }
 
 func TestNetworkCloseRefusesEverything(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	if _, err := n.Listen("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -151,44 +125,8 @@ func TestNetworkCloseRefusesEverything(t *testing.T) {
 	}
 }
 
-func TestShapedLatencyObserved(t *testing.T) {
-	n := NewNetwork(Profile{Latency: 20 * time.Millisecond})
-	defer n.Close()
-	ln, err := n.Listen("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		buf := make([]byte, 1)
-		_, _ = c.Read(buf)
-		_, _ = c.Write(buf)
-	}()
-	c, err := n.Dial("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	if _, err := c.Write([]byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 1)
-	if _, err := c.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	rtt := time.Since(start)
-	if rtt < 35*time.Millisecond {
-		t.Fatalf("round trip should cost ~2x one-way latency, got %v", rtt)
-	}
-}
-
 func TestAddrReporting(t *testing.T) {
-	n := NewNetwork(Loopback())
+	n := NewNetwork()
 	defer n.Close()
 	ln, err := n.Listen("named-endpoint")
 	if err != nil {

@@ -18,7 +18,7 @@ import (
 func startRegistry(t *testing.T) *registry.Client {
 	t.Helper()
 	opts := rmi.Options{Core: core.Options{Registry: wire.NewRegistry()}}
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 	ln, err := n.Listen("registry")
 	if err != nil {

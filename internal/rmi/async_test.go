@@ -108,7 +108,7 @@ func newAsyncEnv(t *testing.T, mut func(*Options)) (*Client, *AsyncService, *Ser
 	if mut != nil {
 		mut(&opts)
 	}
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 	srv, err := NewServer("server", opts)
 	if err != nil {

@@ -129,7 +129,7 @@ func newChaosEnv(t *testing.T, plan *netsim.Plan, retry RetryPolicy, callTimeout
 	t.Helper()
 	reg := treeRegistry(t)
 	opts := Options{Core: core.Options{Registry: reg}}
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 
 	srv, err := NewServer("server", opts)
@@ -429,7 +429,7 @@ func TestChaosPartitionHealUnderRetry(t *testing.T) {
 func TestRetryNeverResendsAfterResponseConsumed(t *testing.T) {
 	for _, shape := range []callShape{shapeCall, shapeAsync} {
 		t.Run(shape.name, func(t *testing.T) {
-			n := netsim.NewNetwork(netsim.Loopback())
+			n := netsim.NewNetwork()
 			defer n.Close()
 			ln, err := n.Listen("junk")
 			if err != nil {

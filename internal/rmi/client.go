@@ -150,22 +150,29 @@ func (c *Client) Registry(addr string) *registry.Client {
 	return registry.NewClient(c.Stub(addr, registryName).Call)
 }
 
-// Stub addresses one exported object on one server.
+// Stub addresses one exported object on one server. label is the
+// observer's service key for its calls: the object's name, or for an
+// anonymous export "#" and its type's wire name, one key per type.
 type Stub struct {
 	c      *Client
 	addr   string
 	object string
+	label  string
 }
 
 // Stub returns a stub for the named export on the server at addr.
 func (c *Client) Stub(addr, object string) *Stub {
-	return &Stub{c: c, addr: addr, object: object}
+	return &Stub{c: c, addr: addr, object: object, label: object}
 }
 
 // RefStub returns a stub for a remote reference, used to invoke methods on
 // anonymously exported objects (the call-by-reference access path).
 func (c *Client) RefStub(ref *RemoteRef) *Stub {
-	return &Stub{c: c, addr: ref.Addr, object: ref.objectKey()}
+	st := c.Stub(ref.Addr, ref.objectKey())
+	if ref.Name == "" {
+		st.label = "#" + ref.TypeName
+	}
+	return st
 }
 
 // LookupStub resolves name through the naming service at regAddr and
@@ -320,20 +327,6 @@ func evictionCause(err error) string {
 		}
 		err = next
 	}
-}
-
-// ConnState reports on the pooled connection to addr: whether one is
-// pooled, how many of its calls are awaiting replies, and its health
-// (nil while usable, the terminal error once dead). A dead pooled
-// connection is reported as-is — eviction happens on the next call.
-func (c *Client) ConnState(addr string) (pooled bool, inFlight int, err error) {
-	c.mu.Lock()
-	tc, ok := c.conns[addr]
-	c.mu.Unlock()
-	if !ok {
-		return false, 0, nil
-	}
-	return true, tc.InFlight(), tc.Err()
 }
 
 // Ping round-trips a liveness probe to addr.

@@ -91,7 +91,7 @@ func newDegradeEnv(t *testing.T, srvOpt, clOpt func(*Options)) *degradeEnv {
 		t.Fatal(err)
 	}
 	base := Options{Core: core.Options{Registry: reg}}
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 
 	sopts := base
@@ -278,7 +278,7 @@ func TestCloseLifecycle(t *testing.T) {
 		}
 	})
 	t.Run("Serve after Close", func(t *testing.T) {
-		n := netsim.NewNetwork(netsim.Loopback())
+		n := netsim.NewNetwork()
 		defer n.Close()
 		srv, err := NewServer("server", Options{})
 		if err != nil {
@@ -568,7 +568,7 @@ func TestExpiredAttemptLeavesNoTimerBehind(t *testing.T) {
 			if elapsed < timeout || elapsed > timeout+2*time.Second {
 				t.Fatalf("held call failed after %v, want CallTimeout (%v)", elapsed, timeout)
 			}
-			if _, inFlight, _ := env.client.ConnState("server"); inFlight != 0 {
+			if _, inFlight, _ := connState(env.client, "server"); inFlight != 0 {
 				t.Fatalf("%d calls still pending after the expiry", inFlight)
 			}
 			close(env.svc.release)
@@ -708,7 +708,7 @@ func TestSoakGracefulDegradation(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Options{Core: core.Options{Registry: reg}}
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	defer n.Close()
 
 	sopts := base

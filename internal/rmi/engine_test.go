@@ -27,7 +27,7 @@ func newEngineEnv(t *testing.T, serverCore, clientCore core.Options) *env {
 	reg := treeRegistry(t)
 	serverCore.Registry = reg
 	clientCore.Registry = reg
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 
 	srv, err := NewServer("server", Options{Core: serverCore})
@@ -122,7 +122,7 @@ func TestParentFormatPeerIsATypedError(t *testing.T) {
 	if err := reg.Register("RTree", RTree{}); err != nil {
 		t.Fatal(err)
 	}
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 	ln, err := n.Listen("old")
 	if err != nil {

@@ -3,11 +3,29 @@ package rmi
 import (
 	"context"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// connState reports on c's pooled connection to addr: whether one is
+// pooled, how many of its calls await a reply, and its health (nil while
+// usable, the terminal error once dead). The count is the length of the
+// transport conn's pending map, which its package keeps unexported; Err
+// takes and releases the conn's lock first, so every change made under it
+// is visible.
+func connState(c *Client, addr string) (pooled bool, inFlight int, err error) {
+	c.mu.Lock()
+	tc, ok := c.conns[addr]
+	c.mu.Unlock()
+	if !ok {
+		return false, 0, nil
+	}
+	err = tc.Err()
+	return true, reflect.ValueOf(tc).Elem().FieldByName("pending").Len(), err
+}
 
 // Regression test: a pooled connection found dead by the health check
 // used to be discarded with its terminal error thrown away. Eviction
@@ -21,25 +39,25 @@ func TestEvictionRecordsCause(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if pooled, inFlight, err := e.client.ConnState("server"); !pooled || inFlight != 0 || err != nil {
-		t.Fatalf("ConnState after a call = (%t, %d, %v), want pooled, idle, healthy", pooled, inFlight, err)
+	if pooled, inFlight, err := connState(e.client, "server"); !pooled || inFlight != 0 || err != nil {
+		t.Fatalf("connState after a call = (%t, %d, %v), want pooled, idle, healthy", pooled, inFlight, err)
 	}
-	if pooled, _, _ := e.client.ConnState("nobody"); pooled {
-		t.Fatal("ConnState invented a connection to an address never dialed")
+	if pooled, _, _ := connState(e.client, "nobody"); pooled {
+		t.Fatal("connState invented a connection to an address never dialed")
 	}
 	if m := e.client.Metrics(); m.Evictions != 0 || m.EvictionCauses != nil {
 		t.Fatalf("eviction counters non-zero before any eviction: %+v", m)
 	}
 
 	// Kill the server and wait for the pooled connection's read loop to
-	// observe the failure (ConnState surfaces the same health check the
+	// observe the failure (connState surfaces the same health check the
 	// pool uses for eviction).
 	if err := e.server.Close(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, err := e.client.ConnState("server"); err != nil {
+		if _, _, err := connState(e.client, "server"); err != nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -184,7 +202,7 @@ func TestCloseDuringDial(t *testing.T) {
 	if err := <-ping; err == nil {
 		t.Fatal("a call whose dial Close overtook succeeded")
 	}
-	if pooled, _, _ := cl.ConnState("server"); pooled {
+	if pooled, _, _ := connState(cl, "server"); pooled {
 		t.Fatal("Close left a connection pooled")
 	}
 }

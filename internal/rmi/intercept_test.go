@@ -18,7 +18,7 @@ import (
 func buildInterceptEnv(t *testing.T, clientIC, serverIC Interceptor) (*Client, string, *TreeService) {
 	t.Helper()
 	reg := treeRegistry(t)
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 	srv, err := NewServer("srv", Options{Core: core.Options{Registry: reg}, Intercept: serverIC})
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // RMI server).
 func TestMixedEngineInterop(t *testing.T) {
 	reg := treeRegistry(t)
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 
 	for _, combo := range []struct {

@@ -121,7 +121,7 @@ func newOrderEnv(t *testing.T) *Stub {
 		}
 	}
 	opts := Options{Core: core.Options{Registry: reg}}
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 	srv, err := NewServer("server", opts)
 	if err != nil {

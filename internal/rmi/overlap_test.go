@@ -52,7 +52,7 @@ func newShelfEnv(t *testing.T) (*netsim.Network, *Stub) {
 		}
 	}
 	opts := Options{Core: core.Options{Registry: reg}}
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 	srv, err := NewServer("server", opts)
 	if err != nil {

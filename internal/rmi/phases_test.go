@@ -29,7 +29,7 @@ func TestEveryCallShapeRecordsItsPhases(t *testing.T) {
 	} {
 		t.Run(row.shape.name, func(t *testing.T) {
 			reg := treeRegistry(t)
-			n := netsim.NewNetwork(netsim.Loopback())
+			n := netsim.NewNetwork()
 			t.Cleanup(func() { n.Close() })
 			srvObs, cliObs := obs.New(obs.Config{}), obs.New(obs.Config{})
 			srv, err := NewServer("server", Options{Core: core.Options{Registry: reg}, Obs: srvObs})
@@ -108,4 +108,54 @@ func checkPhases(t *testing.T, end string, o *obs.Observer, method string, want 
 		t.Errorf("%s phases sum to %dns, more than the call's %dns", end, sum, tr.TotalNs)
 	}
 	return tr
+}
+
+// TestAnonymousExportsShareObserverKey: calls on anonymous exports are
+// observed under "#" and the type's wire name on both ends, so 50 objects
+// of one type make one observer entry, not 50.
+func TestAnonymousExportsShareObserverKey(t *testing.T) {
+	const objects = 50
+	reg := treeRegistry(t)
+	n := netsim.NewNetwork()
+	t.Cleanup(func() { n.Close() })
+	srvObs, cliObs := obs.New(obs.Config{}), obs.New(obs.Config{})
+	srv, err := NewServer("server", Options{Core: core.Options{Registry: reg}, Obs: srvObs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := n.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	cl, err := NewClient(n.Dial, Options{Core: core.Options{Registry: reg}, Obs: cliObs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	var label string
+	for i := 0; i < objects; i++ {
+		ref, err := srv.Ref(&Counter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label = "#" + ref.TypeName
+		if _, err := cl.RefStub(ref).Call(context.Background(), "Increment"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for end, o := range map[string]*obs.Observer{"client": cliObs, "server": srvObs} {
+		snap := o.Snapshot()
+		keys := 0
+		for _, m := range snap.Methods {
+			if m.Method == "Increment" {
+				keys++
+			}
+		}
+		if m := snap.Method(label, "Increment"); keys != 1 || m == nil || m.Calls != objects {
+			t.Errorf("%s observed Increment under %d keys (%+v under %q), want %d calls under %q alone", end, keys, m, label, objects, label)
+		}
+	}
 }

@@ -107,7 +107,7 @@ type Promise struct {
 // begin readies a promise for encode.
 func (st *Stub) begin(p *Promise, method string, oneWay bool) {
 	*p = Promise{st: st, method: method, oneWay: oneWay,
-		oc: obs.Begin(st.c.opts.Obs, st.object, method)}
+		oc: obs.Begin(st.c.opts.Obs, st.label, method)}
 }
 
 // pendingCalls recycles the transport attempts of blocking calls: one is

@@ -167,7 +167,7 @@ func newEnv(t *testing.T) *env {
 	t.Helper()
 	reg := treeRegistry(t)
 	opts := Options{Core: core.Options{Registry: reg}}
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 
 	srv, err := NewServer("server", opts)

@@ -65,16 +65,22 @@ type Server struct {
 }
 
 // export is one named export: the object, the name it is bound under and,
-// for ExportSerialized, the mutex its calls run under.
+// for ExportSerialized, the mutex its calls run under. label keys its calls
+// in the observer: the name, or a refEntry's label when resolveTarget
+// returns an anonymous export.
 type export struct {
 	name   string
+	label  string
 	v      reflect.Value
 	serial *sync.Mutex
 }
 
-// refEntry is one anonymous export with its DGC state.
+// refEntry is one anonymous export with its DGC state. Its label, "#" and
+// the type's wire name, keys its calls in the observer, which so keeps one
+// entry per type rather than one per object.
 type refEntry struct {
 	val    reflect.Value
+	label  string
 	count  int
 	expiry time.Time
 }
@@ -103,7 +109,7 @@ func NewServer(addr string, opts Options) (*Server, error) {
 	if opts.MaxConcurrentCalls > 0 {
 		s.callSem = make(chan struct{}, opts.MaxConcurrentCalls)
 	}
-	s.exports[dgcName] = export{name: dgcName, v: reflect.ValueOf(&dgc{s})}
+	s.exports[dgcName] = export{name: dgcName, label: dgcName, v: reflect.ValueOf(&dgc{s})}
 	return s, nil
 }
 
@@ -124,7 +130,7 @@ func (s *Server) EnableRegistry() *registry.Server {
 		return e.v.Interface().(*registry.Server)
 	}
 	reg := new(registry.Server)
-	s.exports[registryName] = export{name: registryName, v: reflect.ValueOf(reg)}
+	s.exports[registryName] = export{name: registryName, label: registryName, v: reflect.ValueOf(reg)}
 	return reg
 }
 
@@ -168,7 +174,7 @@ func (s *Server) bind(name string, obj any, serial *sync.Mutex) error {
 	if s.closed {
 		return ErrServerClosed
 	}
-	s.exports[name] = export{name, v, serial}
+	s.exports[name] = export{name, name, v, serial}
 	return nil
 }
 
@@ -200,19 +206,19 @@ func (s *Server) Ref(obj any) (*RemoteRef, error) {
 	}
 	id, ok := s.refIdent[obj]
 	if !ok {
+		typeName := v.Type().Elem().String()
+		if n, err := s.opts.registryOf().NameOf(v.Type().Elem()); err == nil {
+			typeName = n
+		}
 		s.nextRef++
 		id = s.nextRef
 		s.refIdent[obj] = id
-		s.refs[id] = &refEntry{val: v}
+		s.refs[id] = &refEntry{val: v, label: "#" + typeName}
 	}
 	e := s.refs[id]
 	e.count++
 	e.expiry = time.Now().Add(defaultLease)
-	typeName := v.Type().Elem().String()
-	if n, err := s.opts.registryOf().NameOf(v.Type().Elem()); err == nil {
-		typeName = n
-	}
-	return &RemoteRef{Addr: s.addr, ID: id, TypeName: typeName}, nil
+	return &RemoteRef{Addr: s.addr, ID: id, TypeName: e.label[1:]}, nil
 }
 
 // ResolveRef returns the live object behind one of this server's own
@@ -567,18 +573,19 @@ func (s *Server) resolveTarget(key []byte) (export, error) {
 		return e, nil
 	}
 	k := string(key)
+	unknown := export{name: k, label: k}
 	if len(k) > 0 && k[0] == '#' {
 		id, err := strconv.ParseUint(k[1:], 10, 64)
 		if err != nil {
-			return export{name: k}, fmt.Errorf("%w: bad reference key %q", ErrNoSuchObject, k)
+			return unknown, fmt.Errorf("%w: bad reference key %q", ErrNoSuchObject, k)
 		}
 		e, ok := s.refs[id]
 		if !ok {
-			return export{name: k}, fmt.Errorf("%w: reference %s (collected?)", ErrNoSuchObject, k)
+			return unknown, fmt.Errorf("%w: reference %s (collected?)", ErrNoSuchObject, k)
 		}
-		return export{name: k, v: e.val}, nil
+		return export{name: k, label: e.label, v: e.val}, nil
 	}
-	return export{name: k}, fmt.Errorf("%w: %q", ErrNoSuchObject, k)
+	return unknown, fmt.Errorf("%w: %q", ErrNoSuchObject, k)
 }
 
 // callHead is a request's target and method, resolved once; err says why
@@ -645,7 +652,7 @@ func (s *Server) handleCall(ctx context.Context, payload []byte) (out []byte, er
 	if h.methodName = h.method.Name; h.err != nil {
 		h.methodName = string(name)
 	}
-	oc := obs.Begin(s.opts.Obs, h.name, h.methodName)
+	oc := obs.Begin(s.opts.Obs, h.label, h.methodName)
 	sc.SetObs(oc)
 	out, err = s.dispatchCall(ctx, oc, sc, h)
 	oc.SetIO(int64(len(payload)), int64(len(out)))
@@ -685,7 +692,7 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 		h.serial.Lock()
 		defer h.serial.Unlock()
 	}
-	outs, err := s.executeMethod(ctx, oc != nil, h.name, h.methodName, dc, in)
+	outs, err := s.executeMethod(ctx, oc != nil, &h, dc, in)
 	oc.Mark(obs.PhaseSrvExecute, 0, 0)
 	if err != nil {
 		return nil, err
@@ -793,17 +800,17 @@ func (s *Server) decodeArg(sc *core.ServerCall, sem semantics) (any, error) {
 
 // executeMethod runs the resolved method under the interceptor chain. With
 // labeled set (observability on), the goroutine carries pprof labels
-// nrmi_service/nrmi_method for the duration of the method body, so CPU
-// profiles attribute samples per remote method. Without either, nothing is
-// built around the call.
-func (s *Server) executeMethod(ctx context.Context, labeled bool, objKey, methodName string, dc decodedCall, in []reflect.Value) ([]reflect.Value, error) {
+// nrmi_service (the call's observer key)/nrmi_method for the duration of
+// the method body, so CPU profiles attribute samples per remote method.
+// Without either, nothing is built around the call.
+func (s *Server) executeMethod(ctx context.Context, labeled bool, h *callHead, dc decodedCall, in []reflect.Value) ([]reflect.Value, error) {
 	ic := s.opts.Intercept
 	if ic == nil && !labeled {
 		return s.invoke(ctx, dc.method, in, dc.takesCtx)
 	}
 	// The closures escape: they hold a copy of the arguments, not in's scratch.
 	method, args, takesCtx := dc.method, slices.Clone(in), dc.takesCtx
-	info := CallInfo{Object: objKey, Method: methodName, ArgCount: dc.nargs}
+	info := CallInfo{Object: h.name, Method: h.methodName, ArgCount: dc.nargs}
 	var outs []reflect.Value
 	doInvoke := func(ctx context.Context) error {
 		var err error
@@ -812,7 +819,7 @@ func (s *Server) executeMethod(ctx context.Context, labeled bool, objKey, method
 	}
 	var err error
 	if labeled {
-		pprof.Do(ctx, pprof.Labels("nrmi_service", objKey, "nrmi_method", methodName), func(ctx context.Context) {
+		pprof.Do(ctx, pprof.Labels("nrmi_service", h.label, "nrmi_method", h.methodName), func(ctx context.Context) {
 			err = intercept(ctx, ic, info, doInvoke)
 		})
 	} else {

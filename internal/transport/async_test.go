@@ -40,8 +40,8 @@ func TestStartWaitRoundTrip(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 	ReleasePayload(got)
-	if c.InFlight() != 0 {
-		t.Fatalf("in-flight after Wait: %d", c.InFlight())
+	if inFlight(c) != 0 {
+		t.Fatalf("in-flight after Wait: %d", inFlight(c))
 	}
 }
 
@@ -83,8 +83,8 @@ func TestAbandonBeforeReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc.Abandon()
-	if c.InFlight() != 0 {
-		t.Fatalf("abandoned call still pending: %d", c.InFlight())
+	if inFlight(c) != 0 {
+		t.Fatalf("abandoned call still pending: %d", inFlight(c))
 	}
 	close(release) // late reply arrives with nobody waiting
 	leakcheck.Settle(t)
@@ -187,8 +187,8 @@ func TestOneWayNoReply(t *testing.T) {
 	if _, err := sendCall(c, context.Background(), make([]byte, 64), true); err != nil {
 		t.Fatal(err)
 	}
-	if c.InFlight() != 0 {
-		t.Fatalf("one-way call registered a pending entry: %d", c.InFlight())
+	if inFlight(c) != 0 {
+		t.Fatalf("one-way call registered a pending entry: %d", inFlight(c))
 	}
 	// The one-way send has no reply to synchronize on; a normal call after
 	// it is answered in arrival order by the same conn, so once it returns
@@ -226,7 +226,7 @@ func TestOneWayNoReply(t *testing.T) {
 // echo of the request (released once, as the request), a one-way call's, and
 // an error's — so the ledger balances with no double Put.
 func TestServePooledReleasesReplies(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 	ln, err := n.Listen("srv")
 	if err != nil {

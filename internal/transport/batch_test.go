@@ -56,7 +56,7 @@ func (l heldListener) Accept() (net.Conn, error) {
 // client conn whose first Write is held.
 func dialHeld(t *testing.T, plan *netsim.Plan, h Handler) (*Conn, *heldConn) {
 	t.Helper()
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 	n.SetFaults("srv", plan)
 	ln, err := n.Listen("srv")
@@ -157,7 +157,7 @@ func TestBatchWriteFailureSettlesEachFrame(t *testing.T) {
 			t.Errorf("frame %d was cut: got %v, want an unsent send-phase failure wrapping %v", i, err, netsim.ErrSevered)
 		}
 	}
-	if n := c.InFlight(); n != 0 {
+	if n := inFlight(c); n != 0 {
 		t.Fatalf("%d calls still pending on the dead conn", n)
 	}
 	if c.Err() == nil {
@@ -171,7 +171,7 @@ func TestBatchWriteFailureSettlesEachFrame(t *testing.T) {
 // carries its reply has returned, so Drain does not return, and Served does
 // not count the request, while that Write is held.
 func TestDrainWaitsForQueuedReplies(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	defer n.Close()
 	ln, err := n.Listen("srv")
 	if err != nil {

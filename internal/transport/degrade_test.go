@@ -131,7 +131,7 @@ func TestStatusErrorRoundTrip(t *testing.T) {
 // TestStopAcceptingKeepsServing: after StopAccepting, established
 // connections still get replies while new dials are refused.
 func TestStopAcceptingKeepsServing(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	defer n.Close()
 	ln, err := n.Listen("srv")
 	if err != nil {
@@ -175,7 +175,7 @@ func TestStopAcceptingKeepsServing(t *testing.T) {
 // goroutines have written their replies, and honors its ctx when a
 // handler wedges.
 func TestDrainWaitsForReplies(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	defer n.Close()
 	ln, err := n.Listen("drain")
 	if err != nil {

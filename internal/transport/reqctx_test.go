@@ -242,7 +242,7 @@ func TestSubMicrosecondBudgetKeepsItsDeadline(t *testing.T) {
 		err         error
 	}
 	got := make(chan seen, 1)
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	defer n.Close()
 	ln, err := n.Listen("srv")
 	if err != nil {

@@ -144,7 +144,7 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 	for _, tc := range cases {
 		for entry, oneWay := range map[string]bool{"Start": false, "CallOneWay": true} {
 			t.Run(tc.name+"/"+entry, func(t *testing.T) {
-				n := netsim.NewNetwork(netsim.Loopback())
+				n := netsim.NewNetwork()
 				defer n.Close()
 				ln, err := n.Listen("srv")
 				if err != nil {
@@ -185,8 +185,8 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 				if ce.Phase != PhaseSend || ce.Sent || !errors.Is(err, tc.wantIs) {
 					t.Fatalf("got (%s, sent=%t) %v; want (%s, sent=false) wrapping %v", ce.Phase, ce.Sent, err, PhaseSend, tc.wantIs)
 				}
-				if c.InFlight() != 0 {
-					t.Fatalf("a failed send left %d pending entries", c.InFlight())
+				if inFlight(c) != 0 {
+					t.Fatalf("a failed send left %d pending entries", inFlight(c))
 				}
 				if dead := c.Err() != nil; dead != tc.terminal {
 					t.Fatalf("conn terminal = %t (%v), want %t", dead, c.Err(), tc.terminal)
@@ -204,7 +204,7 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 // healthy.
 func TestDeadlineExpiresMidWrite(t *testing.T) {
 	const hold = 120 * time.Millisecond
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	defer n.Close()
 	// Delay both the request and the reply so the reply cannot win the
 	// race against the already-expired context.

@@ -1,6 +1,6 @@
 // Package transport implements NRMI's message layer: a framed, multiplexed
 // request/response protocol over any net.Conn (real TCP, loopback, or a
-// netsim shaped pipe). It corresponds to the connection-management layer of
+// netsim pipe). It corresponds to the connection-management layer of
 // Java RMI's JRMP.
 //
 // Frame layout (big-endian):
@@ -512,17 +512,6 @@ func (c *Conn) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.err
-}
-
-// InFlight returns the number of calls currently awaiting a reply on this
-// connection (rmi's Client.ConnState reports it). A closed connection
-// reports 0 because its pending calls have all been failed, so anything
-// treating InFlight as a load score must gate on Err() first: a dead conn
-// is not an idle one.
-func (c *Conn) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
 }
 
 // PendingCall is one in-flight request started by Conn.Send, the transport

@@ -30,7 +30,7 @@ func startPair(t *testing.T, h Handler) *Conn {
 // or shut it down themselves.
 func startServerPair(t *testing.T, h Handler) (*Server, *Conn) {
 	t.Helper()
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
 	ln, err := n.Listen("srv")
 	if err != nil {
@@ -139,6 +139,14 @@ func TestCallAfterClose(t *testing.T) {
 	}
 }
 
+// inFlight returns the number of calls awaiting a reply on c: its pending
+// map's length. A closed conn has failed them all and reports 0.
+func inFlight(c *Conn) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
+}
+
 func TestInFlightTracksPendingCalls(t *testing.T) {
 	entered := make(chan struct{}, 3)
 	release := make(chan struct{})
@@ -147,7 +155,7 @@ func TestInFlightTracksPendingCalls(t *testing.T) {
 		<-release
 		return payload, nil
 	})
-	if got := c.InFlight(); got != 0 {
+	if got := inFlight(c); got != 0 {
 		t.Fatalf("idle conn reports %d in flight", got)
 	}
 	var wg sync.WaitGroup
@@ -165,24 +173,24 @@ func TestInFlightTracksPendingCalls(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		<-entered
 	}
-	if got := c.InFlight(); got != 3 {
+	if got := inFlight(c); got != 3 {
 		t.Fatalf("in flight = %d with 3 blocked calls, want 3", got)
 	}
 	close(release)
 	wg.Wait()
-	if got := c.InFlight(); got != 0 {
+	if got := inFlight(c); got != 0 {
 		t.Fatalf("in flight = %d after all replies, want 0", got)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.InFlight(); got != 0 {
+	if got := inFlight(c); got != 0 {
 		t.Fatalf("closed conn reports %d in flight, want 0", got)
 	}
 }
 
 func TestServerCloseFailsInFlight(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback())
+	n := netsim.NewNetwork()
 	defer n.Close()
 	ln, err := n.Listen("srv")
 	if err != nil {

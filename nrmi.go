@@ -319,19 +319,13 @@ func NewRegistry() *Registry { return wire.NewRegistry() }
 // registry. Both endpoints must register the same name/type pairs.
 func Register(name string, sample any) error { return wire.Register(name, sample) }
 
-// SimNetwork is an in-process shaped network for tests and experiments;
-// its Dial method is a Dialer.
+// SimNetwork is an in-process network for tests and experiments that
+// counts bytes and messages and injects faults; its Dial method is a
+// Dialer.
 type SimNetwork = netsim.Network
 
-// SimProfile describes a simulated link.
-type SimProfile = netsim.Profile
-
-// NewSimNetwork returns an in-process network whose links impose the given
-// latency and bandwidth.
-func NewSimNetwork(p SimProfile) *SimNetwork { return netsim.NewNetwork(p) }
-
-// LAN100Mbps approximates the paper's experimental network.
-func LAN100Mbps() SimProfile { return netsim.LAN100Mbps() }
+// NewSimNetwork returns an empty in-process network.
+func NewSimNetwork() *SimNetwork { return netsim.NewNetwork() }
 
 // SimFaultPlan is a deterministic per-link fault schedule for a simulated
 // network: dropped, delayed, duplicated, corrupted, and severed frames,

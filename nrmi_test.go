@@ -164,7 +164,7 @@ func TestSimNetworkThroughPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := nrmi.Options{Registry: reg}
-	n := nrmi.NewSimNetwork(nrmi.LAN100Mbps())
+	n := nrmi.NewSimNetwork()
 	defer n.Close()
 	ln, err := n.Listen("srv")
 	if err != nil {
