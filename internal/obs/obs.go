@@ -44,7 +44,7 @@ const (
 	// PhaseTransport is the full transport round trip as observed by the
 	// client, from the end of encode until the reply is in hand: request
 	// write, network, server processing, reply read. It includes retries
-	// and backoff pauses. A one-way call's ends when its frame is written.
+	// and backoff pauses.
 	PhaseTransport
 	// PhaseDecodeReply is the client-side reply decode: waiting for the
 	// client's commit lock, seeding the restorable subset, decoding content
@@ -59,16 +59,14 @@ const (
 	// and method name strings).
 	PhaseSrvDecode
 	// PhaseSrvPrepare shadows the own state of the server's pre-call object
-	// set, for change detection; decoding already delimited the set. A
-	// one-way call has none.
+	// set, for change detection; decoding already delimited the set.
 	PhaseSrvPrepare
 	// PhaseSrvExecute is the remote method body itself, including any
 	// interceptor wrapping it and the lock wait of an ExportSerialized
 	// export.
 	PhaseSrvExecute
 	// PhaseSrvEncode is the server-side response encoding: change
-	// detection against the shadow, content records, return values. A
-	// one-way call has none.
+	// detection against the shadow, content records, return values.
 	PhaseSrvEncode
 
 	// PhaseAsyncIssue is the client-side issue half of a promise call:

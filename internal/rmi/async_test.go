@@ -1,6 +1,6 @@
 package rmi
 
-// Async promise, one-way, and batch-dispatch tests. The sharp edges under
+// Async promise and batch-dispatch tests. The sharp edges under
 // test are the restore semantics: a retried promise never double-commits,
 // concurrent promise consumptions serialize their commits, an abandoned
 // promise releases its reply payload exactly once (bufpool-ledger
@@ -312,24 +312,11 @@ func TestAsyncPipelinedSharedRootDelta(t *testing.T) {
 	}
 }
 
-// TestAsyncThenAll: Then pipelines a dependent call inside one Wait; All
-// joins in order and abandons the rest on first error.
-func TestAsyncThenAll(t *testing.T) {
+// TestAsyncAll: All joins in order and abandons the rest on first error.
+func TestAsyncAll(t *testing.T) {
 	cl, _, _ := newAsyncEnv(t, nil)
 	stub := cl.Stub("server", "async")
 	ctx := context.Background()
-
-	p, err := stub.CallAsync(ctx, "Add", 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chained := p.Then(func(rets []any) (*Promise, error) {
-		return stub.CallAsync(ctx, "Add", rets[0].(int), 10)
-	})
-	rets, err := chained.Wait(ctx)
-	if err != nil || rets[0].(int) != 15 {
-		t.Fatalf("Then chain: %v %v", rets, err)
-	}
 
 	good1, err := stub.CallAsync(ctx, "Add", 1, 1)
 	if err != nil {
@@ -457,7 +444,8 @@ func TestAsyncCommitSerialization(t *testing.T) {
 // TestAsyncAbandonLedger: an abandoned promise never mutates the graph,
 // its reply payload is recycled exactly once whichever side of the
 // delivery race wins, and the pool ledger settles with nothing
-// outstanding.
+// outstanding. CallAsync then Abandon at once is a fire-and-forget call:
+// the server runs it once, and no restore commits.
 func TestAsyncAbandonLedger(t *testing.T) {
 	cl, svc, _ := newAsyncEnv(t, nil)
 	stub := cl.Stub("server", "async")
@@ -496,47 +484,33 @@ func TestAsyncAbandonLedger(t *testing.T) {
 		t.Fatalf("PromisesAbandoned=%d CallErrors=%d, want 2/2", cm.PromisesAbandoned, cm.CallErrors)
 	}
 
-	leakcheck.Settle(t)
-}
-
-// TestOneWayCall: fire-and-forget calls execute on the server, restorable
-// arguments are rejected, and the connection stays usable for normal
-// calls afterwards — under whichever engine the client is configured with.
-func TestOneWayCall(t *testing.T) {
-	for _, eng := range []wire.Engine{wire.EngineV2, wire.EngineV3} {
-		t.Run(eng.String(), func(t *testing.T) { testOneWayCall(t, eng) })
-	}
-}
-
-func testOneWayCall(t *testing.T, eng wire.Engine) {
-	cl, svc, _ := newAsyncEnv(t, func(o *Options) { o.Core.Engine = eng })
-	stub := cl.Stub("server", "async")
-	ctx := context.Background()
-
-	if err := stub.CallOneWay(ctx, "Add", 1, 2); err != nil {
+	// Fire and forget, by copy and then restorable.
+	p3, err := stub.CallAsync(ctx, "Add", 3, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := stub.CallOneWay(ctx, "Scale", chaosTree(), 1); !errors.Is(err, ErrOneWayRestorable) {
-		t.Fatalf("restorable one-way: err=%v, want ErrOneWayRestorable", err)
+	p3.Abandon()
+	if cm := cl.Metrics(); cm.PromisesAbandoned != 3 {
+		t.Fatalf("PromisesAbandoned=%d after a by-copy fire-and-forget, want 3", cm.PromisesAbandoned)
 	}
-	// The connection stays usable for normal calls after a one-way frame.
-	rets, err := stub.Call(ctx, "Add", 10, 20)
-	if err != nil || rets[0].(int) != 30 {
-		t.Fatalf("sync after one-way: %v %v", rets, err)
+	root4 := chaosTree()
+	snap4 := snapshotTree(t, root4)
+	p4, err := stub.CallAsync(ctx, "Scale", root4, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Handlers run concurrently per frame, so the one-way execution is
-	// awaited, not assumed ordered before the sync reply.
-	deadline := time.Now().Add(5 * time.Second)
-	for svc.Calls() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("server saw %d calls, want 2 (one-way + sync)", svc.Calls())
-		}
+	p4.Abandon()
+	// GatedScale, Add, and the two fired calls: each ran once.
+	for deadline := time.Now().Add(5 * time.Second); svc.Calls() < 4 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	cm := cl.Metrics()
-	if cm.OneWays != 1 {
-		t.Fatalf("OneWays = %d, want 1 (the rejected restorable call never issued)", cm.OneWays)
+	if got := svc.Calls(); got != 4 {
+		t.Fatalf("server ran %d calls, want 4", got)
 	}
+	if !treesEqual(t, root4, snap4) {
+		t.Fatal("a fire-and-forget call restored into the caller's graph")
+	}
+
 	leakcheck.Settle(t)
 }
 

@@ -11,9 +11,8 @@ import (
 
 // BenchmarkCall is the rmi layer in isolation: whole calls over loopback
 // TCP, client and server in this process, per call shape and tree size.
-// Call and CallAsync+Wait restore a balanced tree (Touch); CallOneWay, which
-// cannot restore, ships the same tree by copy (Sum). The allocation count
-// is both ends' per call; the bufpool ledger of this package's TestMain is
+// Call and CallAsync+Wait restore a balanced tree (Touch). The allocation
+// count is both ends' per call; the bufpool ledger of this package's TestMain is
 // on, so the time is not the benchmark module's.
 func BenchmarkCall(b *testing.B) {
 	reg := treeRegistry(b)
@@ -48,23 +47,12 @@ func BenchmarkCall(b *testing.B) {
 			mid := (lo + hi) / 2
 			return &RTree{Data: mid, Left: restored(lo, mid), Right: restored(mid+1, hi)}
 		}
-		var copied func(lo, hi int) *CTree
-		copied = func(lo, hi int) *CTree {
-			if lo >= hi {
-				return nil
-			}
-			mid := (lo + hi) / 2
-			return &CTree{Data: mid, Left: copied(lo, mid), Right: copied(mid+1, hi)}
-		}
-		for _, shape := range []callShape{shapeCall, shapeAsync, shapeOneWay} {
-			method, arg := "Touch", any(restored(0, size))
-			if shape.name == shapeOneWay.name {
-				method, arg = "Sum", copied(0, size)
-			}
+		for _, shape := range []callShape{shapeCall, shapeAsync} {
+			arg := restored(0, size)
 			b.Run(fmt.Sprintf("%s/%d", shape.name, size), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := shape.call(stub, ctx, method, arg); err != nil {
+					if _, err := shape.call(stub, ctx, "Touch", arg); err != nil {
 						b.Fatal(err)
 					}
 				}

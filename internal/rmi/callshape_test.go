@@ -12,7 +12,7 @@ import (
 )
 
 // callShape is one way of running an invocation to completion. The retry
-// and allocation tests take it as an input: the three shapes are one
+// and allocation tests take it as an input: the two shapes are one
 // state machine and must account for a call identically.
 type callShape struct {
 	name string
@@ -28,61 +28,41 @@ var (
 		}
 		return p.Wait(ctx)
 	}}
-	shapeOneWay = callShape{"CallOneWay", func(st *Stub, ctx context.Context, method string, args ...any) ([]any, error) {
-		return nil, st.CallOneWay(ctx, method, args...)
-	}}
 )
 
 // The allocation ledger per call shape: what one call of the chaos tree
 // costs end to end (client, transport and server sides of the in-memory
-// pipe together). The blocking and async shapes restore the tree; a one-way
-// call, which cannot, ships it by copy. Beyond the decoded objects and the
-// method's own work, a call keeps only what outlives it (DESIGN.md §8f): a
+// pipe together). Beyond the decoded objects and the method's own work, a call keeps only what outlives it (DESIGN.md §8f): a
 // Promise that escapes the blocking shape's frame, a context or timer per
 // attempt deadline, a frame header on the heap, a per-call scratch slice or
 // closure, or a reply copied out of the pool lands above its budget.
 const (
-	syncCallAllocBudget   = 19 // measures 19
-	asyncCallAllocBudget  = 20 // measures 20: the Promise CallAsync returns
-	oneWayCallAllocBudget = 10 // measures 10
+	syncCallAllocBudget  = 19 // measures 19
+	asyncCallAllocBudget = 20 // measures 20: the Promise CallAsync returns
 )
 
-// callAllocs is shape's allocations per call, measured after a warm-up: of
-// Scale(chaosTree, 1), or for the one-way shape of Sum on a by-copy tree. A
-// one-way call returns once its frame is written, so each waits for the
-// server to have run Sum: the window then holds one call's work on both
-// ends, however the server's worker is scheduled.
+// callAllocs is shape's allocations per call of Scale(chaosTree, 1),
+// measured after a warm-up.
 func callAllocs(t *testing.T, shape callShape) float64 {
 	env := newChaosEnv(t, nil, RetryPolicy{}, 5*time.Second)
 	stub := env.client.Stub("server", "chaos")
 	ctx := context.Background()
-	method, arg := "Scale", any(chaosTree())
-	oneWay := shape.name == shapeOneWay.name
-	if oneWay {
-		method, arg = "Sum", &CTree{Data: 5, Left: &CTree{Data: 1}, Right: &CTree{Data: 7, Right: &CTree{Data: 9}}}
-		env.svc.summed = make(chan struct{}, 1) // Sum never blocks if the test stops waiting
-	}
+	arg := chaosTree()
 	// Each shape is called directly, not through shape.call: a variadic
 	// slice built for a func value always escapes, and would hide a Stub
 	// that leaks its args.
 	call := func() {
 		var err error
-		switch shape.name {
-		case shapeCall.name:
-			_, err = stub.Call(ctx, method, arg, 1)
-		case shapeAsync.name:
+		if shape.name == shapeCall.name {
+			_, err = stub.Call(ctx, "Scale", arg, 1)
+		} else {
 			var p *Promise
-			if p, err = stub.CallAsync(ctx, method, arg, 1); err == nil {
+			if p, err = stub.CallAsync(ctx, "Scale", arg, 1); err == nil {
 				_, err = p.Wait(ctx)
 			}
-		default:
-			err = stub.CallOneWay(ctx, method, arg, 1)
 		}
 		if err != nil {
 			t.Fatal(err)
-		}
-		if oneWay {
-			<-env.svc.summed
 		}
 	}
 	for i := 0; i < 20; i++ { // pools, kernels, parked worker
@@ -106,9 +86,8 @@ func TestSyncCallAllocs(t *testing.T) {
 	}
 }
 
-// TestCallShapeAllocs holds the promise and one-way shapes to theirs: the
-// async shape keeps its call, transport attempt and response inside the
-// Promise it returns.
+// TestCallShapeAllocs holds the promise shape to its own: it keeps its call,
+// transport attempt and response inside the Promise it returns.
 func TestCallShapeAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
@@ -116,7 +95,7 @@ func TestCallShapeAllocs(t *testing.T) {
 	for _, row := range []struct {
 		shape  callShape
 		budget float64
-	}{{shapeAsync, asyncCallAllocBudget}, {shapeOneWay, oneWayCallAllocBudget}} {
+	}{{shapeAsync, asyncCallAllocBudget}} {
 		got := callAllocs(t, row.shape)
 		t.Logf("allocs per %s call: %.2f (budget %.0f)", row.shape.name, got, row.budget)
 		if got > row.budget {

@@ -31,8 +31,6 @@ import (
 type ChaosService struct {
 	mu    sync.Mutex
 	calls int
-	// summed, if set, hears from each Sum once it has counted its tree.
-	summed chan struct{}
 }
 
 // Scale applies chaosMutate and returns the node count.
@@ -41,22 +39,6 @@ func (s *ChaosService) Scale(t *RTree, k int) int {
 	s.calls++
 	s.mu.Unlock()
 	return chaosMutate(t, k)
-}
-
-// Sum counts a by-copy tree's nodes, the one-way shape's call.
-func (s *ChaosService) Sum(t *CTree, _ int) int {
-	n := countNodes(t)
-	if s.summed != nil {
-		s.summed <- struct{}{}
-	}
-	return n
-}
-
-func countNodes(t *CTree) int {
-	if t == nil {
-		return 0
-	}
-	return 1 + countNodes(t.Left) + countNodes(t.Right)
 }
 
 // Calls reports how many Scale executions the server saw — the oracle for
@@ -289,17 +271,15 @@ func TestChaosCorruptedFrames(t *testing.T) {
 // lost, the third attempt goes through, and the call has executed exactly
 // once on the server, having cost the same Attempts and Retries whichever
 // shape issued it. A dropped frame is an attempt timeout at await; a frame
-// severed mid-write is a send-phase failure, which the blocking shapes
-// retry and CallAsync returns (no promise without a request in flight:
-// TestCallAsyncFirstSendFailure). A one-way sender only learns of a loss it
-// can see, so it runs the severed schedule only.
+// severed mid-write is a send-phase failure, which reaches await too (Send
+// returns once the frame is queued) and is retried there.
 func TestChaosDropThenHealRetrySucceeds(t *testing.T) {
 	for _, tc := range []struct {
 		shape callShape
 		sever bool
 	}{
 		{shapeCall, false}, {shapeAsync, false},
-		{shapeCall, true}, {shapeOneWay, true},
+		{shapeCall, true}, {shapeAsync, true},
 	} {
 		shape, name := tc.shape, tc.shape.name+"/dropped"
 		plan := netsim.NewPlan(424242).DropFrame(1).DropFrame(2)
@@ -308,45 +288,32 @@ func TestChaosDropThenHealRetrySucceeds(t *testing.T) {
 			plan = netsim.NewPlan(424242).SeverFrame(1).SeverFrame(2)
 		}
 		t.Run(name, func(t *testing.T) {
-			oneWay := shape.name == shapeOneWay.name
 			retry := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, Seed: 1}
 			env := newChaosEnv(t, plan, retry, 80*time.Millisecond)
 			stub := env.client.Stub("server", "chaos")
 			root := chaosTree()
 			snap := snapshotTree(t, root)
 
-			var arg any = root
-			if oneWay {
-				arg = nil // no reply to restore from: Scale(nil, 3) only counts the execution
-			}
-			rets, err := shape.call(stub, context.Background(), "Scale", arg, 3)
+			rets, err := shape.call(stub, context.Background(), "Scale", root, 3)
 			if err != nil {
 				t.Fatalf("retries exhausted (plan seed %d): %v", plan.Seed(), err)
 			}
 			if cm := env.client.Metrics(); cm.Attempts != 3 || cm.Retries != 2 || cm.CallErrors != 0 {
 				t.Fatalf("Attempts=%d Retries=%d CallErrors=%d, want 3, 2, 0", cm.Attempts, cm.Retries, cm.CallErrors)
 			}
-			// Frames 1 and 2 were the lost requests, 3 the delivered request,
-			// 4 the reply (none one-way): the schedule is fully accounted for.
-			wantFrames := int64(4)
-			if oneWay {
-				wantFrames = 3
-				for deadline := time.Now().Add(5 * time.Second); env.svc.Calls() == 0 && time.Now().Before(deadline); {
-					time.Sleep(time.Millisecond)
-				}
-			} else {
-				if want := chaosMutate(snap, 3); rets[0].(int) != want {
-					t.Fatalf("Scale returned %v, want %d", rets[0], want)
-				}
-				if !treesEqual(t, root, snap) {
-					t.Fatal("retried call restored the wrong graph")
-				}
+			if want := chaosMutate(snap, 3); rets[0].(int) != want {
+				t.Fatalf("Scale returned %v, want %d", rets[0], want)
+			}
+			if !treesEqual(t, root, snap) {
+				t.Fatal("retried call restored the wrong graph")
 			}
 			if got := env.svc.Calls(); got != 1 {
 				t.Fatalf("server executed %d times, want exactly 1 (lost requests never arrived)", got)
 			}
-			if got := plan.Frames(); got != wantFrames {
-				t.Fatalf("link carried %d frames, want %d", got, wantFrames)
+			// Frames 1 and 2 were the lost requests, 3 the delivered request,
+			// 4 the reply: the schedule is fully accounted for.
+			if got := plan.Frames(); got != 4 {
+				t.Fatalf("link carried %d frames, want 4", got)
 			}
 		})
 	}

@@ -188,33 +188,33 @@ func (c *Client) LookupStub(ctx context.Context, regAddr, name string) (*Stub, e
 // Call invokes method with args and returns the remote results. Calling
 // semantics per argument follow the type rules in the package comment.
 func (st *Stub) Call(ctx context.Context, method string, args ...any) ([]any, error) {
-	resp, err := st.call(ctx, method, args, false)
+	resp, err := st.call(ctx, method, args)
 	return resp.Returns, err
 }
 
 // CallStats is Call, additionally exposing restore statistics and byte
 // counts for the experiment harness.
 func (st *Stub) CallStats(ctx context.Context, method string, args ...any) (*core.Response, error) {
-	resp, err := st.call(ctx, method, args, false)
+	resp, err := st.call(ctx, method, args)
 	if err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// call is a blocking call, one-way or not, under the client's interceptor.
-// Without one it builds nothing around run.
-func (st *Stub) call(ctx context.Context, method string, args []any, oneWay bool) (core.Response, error) {
+// call is a blocking call under the client's interceptor. Without one it
+// builds nothing around run.
+func (st *Stub) call(ctx context.Context, method string, args []any) (core.Response, error) {
 	ic := st.c.opts.Intercept
 	if ic == nil {
-		return st.run(ctx, method, args, oneWay)
+		return st.run(ctx, method, args)
 	}
 	var resp core.Response
 	info := CallInfo{Addr: st.addr, Object: st.object, Method: method, ArgCount: len(args)}
 	held := slices.Clone(args) // the closure escapes with a copy, not the caller's args
 	err := intercept(ctx, ic, info, func(ctx context.Context) error {
 		var err error
-		resp, err = st.run(ctx, method, held, oneWay)
+		resp, err = st.run(ctx, method, held)
 		return err
 	})
 	if err != nil {
@@ -327,15 +327,4 @@ func evictionCause(err error) string {
 		}
 		err = next
 	}
-}
-
-// Ping round-trips a liveness probe to addr.
-func (c *Client) Ping(ctx context.Context, addr string) error {
-	tc, err := c.conn(addr)
-	if err != nil {
-		return err
-	}
-	p, err := tc.Call(ctx, transport.MsgPing, []byte("ping"))
-	c.releasePayload(p)
-	return err
 }

@@ -27,11 +27,10 @@ type clientMetrics struct {
 	// root-cause label from evictionCause.
 	evictions atomic.Int64
 
-	// Async counters: promises issued by CallAsync, promises relinquished
-	// via Abandon before consumption, and one-way (no-reply) calls.
+	// Async counters: promises issued by CallAsync, and promises
+	// relinquished via Abandon before consumption.
 	asyncIssued       atomic.Int64
 	promisesAbandoned atomic.Int64
-	oneWays           atomic.Int64
 
 	causeMu        sync.Mutex
 	evictionCauses map[string]int64
@@ -98,8 +97,6 @@ type ClientMetrics struct {
 	// PromisesAbandoned counts promises relinquished via Abandon before
 	// consumption; each contributes one CallError with ErrPromiseAbandoned.
 	PromisesAbandoned int64
-	// OneWays counts fire-and-forget invocations issued by CallOneWay.
-	OneWays int64
 }
 
 // Metrics returns a snapshot of the client's counters. Counters are read
@@ -119,7 +116,6 @@ func (c *Client) Metrics() ClientMetrics {
 		Evictions:         c.metrics.evictions.Load(),
 		AsyncIssued:       c.metrics.asyncIssued.Load(),
 		PromisesAbandoned: c.metrics.promisesAbandoned.Load(),
-		OneWays:           c.metrics.oneWays.Load(),
 	}
 	c.metrics.causeMu.Lock()
 	m.EvictionCauses = maps.Clone(c.metrics.evictionCauses)

@@ -120,7 +120,7 @@ func TestSlowDialStallsOnlyItsAddress(t *testing.T) {
 	unblock := func() { once.Do(func() { close(release) }) }
 	t.Cleanup(unblock)
 	slow := make(chan error, 1)
-	go func() { slow <- cl.Ping(context.Background(), "client") }()
+	go func() { slow <- probe(context.Background(), cl, "client") }()
 	<-entered
 
 	fast := make(chan error, 1)
@@ -193,7 +193,7 @@ func TestCloseDuringDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	ping := make(chan error, 1)
-	go func() { ping <- cl.Ping(context.Background(), "server") }()
+	go func() { ping <- probe(context.Background(), cl, "server") }()
 	<-entered
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)

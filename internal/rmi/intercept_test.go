@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"nrmi/internal/core"
 	"nrmi/internal/netsim"
@@ -162,26 +161,24 @@ func TestInterceptorsComposeWithRestore(t *testing.T) {
 }
 
 // TestInterceptorContractOnEveryShape holds interceptors to the contract
-// intercept enforces on every call: a client interceptor wraps the blocking
-// and the one-way shape once per call, vetoing a one-way call keeps its
-// frame off the wire, and an interceptor on either end that calls next
-// twice runs the method once, its second next failing.
+// intercept enforces on every call: a client interceptor wraps a blocking
+// call once, vetoing it keeps its frame off the wire and the caller's graph
+// untouched, and an interceptor on either end that calls next twice runs
+// the method once, its second next failing.
 func TestInterceptorContractOnEveryShape(t *testing.T) {
 	veto := errors.New("vetoed by policy")
 	for _, row := range []struct {
 		name     string
 		onServer bool
 		mode     string // "count", "veto", "twice" or "at once" (twice, concurrently)
-		oneWay   bool
 		wantErr  error
-		calls    int // Foo or Tick executions on the server
+		calls    int // Foo executions on the server
 	}{
-		{"client counts Call", false, "count", false, nil, 1},
-		{"client counts CallOneWay", false, "count", true, nil, 1},
-		{"client vetoes CallOneWay", false, "veto", true, veto, 0},
-		{"client calls next twice", false, "twice", false, nil, 1},
-		{"server calls next twice", true, "twice", false, nil, 1},
-		{"client calls next twice at once", false, "at once", false, nil, 1},
+		{"client counts Call", false, "count", nil, 1},
+		{"client vetoes Call", false, "veto", veto, 0},
+		{"client calls next twice", false, "twice", nil, 1},
+		{"server calls next twice", true, "twice", nil, 1},
+		{"client calls next twice at once", false, "at once", nil, 1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			var runs atomic.Int64
@@ -219,31 +216,22 @@ func TestInterceptorContractOnEveryShape(t *testing.T) {
 			}
 			stub, ctx := cl.Stub(addr, "trees"), context.Background()
 			root, _, _, _, _ := paperRTree()
-			var err error
-			if row.oneWay {
-				err = stub.CallOneWay(ctx, "Tick")
-			} else {
-				_, err = stub.Call(ctx, "Foo", root)
-			}
+			_, err := stub.Call(ctx, "Foo", root)
 			if !errors.Is(err, row.wantErr) {
 				t.Fatalf("call: err = %v, want %v", err, row.wantErr)
 			}
 			if runs.Load() != 1 {
 				t.Errorf("interceptor ran %d times, want once", runs.Load())
 			}
-			// A one-way method runs after CallOneWay returns.
-			for deadline := time.Now().Add(5 * time.Second); svc.Calls() < row.calls && time.Now().Before(deadline); {
-				time.Sleep(time.Millisecond)
-			}
 			if got := svc.Calls(); got != row.calls {
 				t.Errorf("server ran the method %d times, want %d", got, row.calls)
 			}
-			if !row.oneWay && root.Left != nil {
-				t.Error("Foo's restore did not commit")
+			if committed := root.Left == nil; committed != (row.calls > 0) {
+				t.Errorf("Foo's restore committed: %t, want %t", committed, row.calls > 0)
 			}
 			if row.calls == 0 {
-				if m := cl.Metrics(); m.Attempts != 0 || m.OneWays != 0 {
-					t.Errorf("a vetoed call went out: %d attempts, %d one-ways", m.Attempts, m.OneWays)
+				if m := cl.Metrics(); m.Attempts != 0 {
+					t.Errorf("a vetoed call went out: %d attempts", m.Attempts)
 				}
 			}
 			if row.mode == "twice" || row.mode == "at once" {

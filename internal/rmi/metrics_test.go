@@ -88,6 +88,44 @@ func TestRetiredFlagFrameRefusedUnderRequestCap(t *testing.T) {
 	}
 }
 
+// TestRetiredMessageTypesRefused: frame types 3 and 4 (the naming service
+// and the DGC before they were calls on reserved exports) and 7 (a ping)
+// are retired. The server answers each with its unknown-type error, and
+// the connection serves the next call.
+func TestRetiredMessageTypesRefused(t *testing.T) {
+	env := newDegradeEnv(t, nil, nil)
+	nc, err := env.net.Dial("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := transport.NewConn(nc)
+	defer conn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, typ := range []byte{3, 4, 7} {
+		_, err := conn.Call(ctx, typ, []byte("probe"))
+		var remote *transport.RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "unknown message type") {
+			t.Errorf("type %d answered %v; want the unknown-type error", typ, err)
+		}
+	}
+	var req bytes.Buffer
+	enc := wire.NewEncoder(&req, wire.Options{})
+	for _, err := range []error{
+		enc.EncodeString(dgcName), enc.EncodeString("Clean"), enc.EncodeUint(1),
+		enc.EncodeUint(uint64(semCopy)), enc.Encode(uint64(0)), enc.Flush(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	reply, err := conn.Call(ctx, transport.MsgCall, req.Bytes())
+	if err != nil {
+		t.Fatalf("a call after the retired types: %v", err)
+	}
+	transport.ReleasePayload(reply)
+}
+
 // TestSmallRequestCannotAllocateBig: MaxRequestBytes bounds what a request
 // makes the server allocate only if the decoder believes no length the
 // request's own bytes cannot carry. This call is a []int64 — no registered type

@@ -103,12 +103,19 @@ var statShapes = []statShape{
 		}
 		return p.WaitStats(ctx)
 	}},
+	// A dependent call: one promise is waited, then the call is issued.
 	{"Then", func(st *Stub, ctx context.Context, method string, args ...any) (*core.Response, error) {
 		p, err := st.CallAsync(ctx, "Noop")
+		if err == nil {
+			_, err = p.Wait(ctx)
+		}
+		if err == nil {
+			p, err = st.CallAsync(ctx, method, args...)
+		}
 		if err != nil {
 			return nil, err
 		}
-		return p.Then(func([]any) (*Promise, error) { return st.CallAsync(ctx, method, args...) }).WaitStats(ctx)
+		return p.WaitStats(ctx)
 	}},
 }
 

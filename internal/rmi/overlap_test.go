@@ -102,7 +102,7 @@ func TestEmptySlicesOfTwoTypesCall(t *testing.T) {
 // the server must reject.
 func TestFirstFieldOverlapRefusedBeforeSend(t *testing.T) {
 	n, stub := newShelfEnv(t)
-	if err := stub.c.Ping(context.Background(), "server"); err != nil { // dial first
+	if err := probe(context.Background(), stub.c, "server"); err != nil { // dial first
 		t.Fatal(err)
 	}
 	p := &PairAB{A: 1, B: 2}

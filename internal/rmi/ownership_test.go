@@ -9,13 +9,12 @@ import (
 )
 
 // TestClientPayloadOwnershipLedger drives every client-side payload
-// release site — the call path of each shape (DGC calls included), Ping,
-// plus a remote-error reply released inside the transport — with the buffer
-// pool's ownership ledger armed, proving that no site releases a payload
-// twice and none retains one past release. The server's ends balance too:
-// each request buffer, and each reply the transport releases once it is
-// queued, the Ping echo (its request) once. It also pins the
-// PayloadsReleased counter the client sites feed.
+// release site — the call path of each shape (DGC calls included), plus a
+// remote-error reply released inside the transport — with the buffer pool's
+// ownership ledger armed, proving that no site releases a payload twice and
+// none retains one past release. The server's ends balance too: each request
+// buffer, and each reply the transport releases once it is queued. It also
+// pins the PayloadsReleased counter the client sites feed.
 func TestClientPayloadOwnershipLedger(t *testing.T) {
 	e := newEnv(t)
 	stub := e.client.Stub("server", "trees")
@@ -29,22 +28,17 @@ func TestClientPayloadOwnershipLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One-way: no reply payload on either end.
-	if err := stub.CallOneWay(ctx, "Sum", &CTree{Data: 1}); err != nil {
-		t.Fatal(err)
-	}
 	// Remote application error: the error payload is copied into the error
 	// value and recycled inside the transport, never reaching the client's
 	// release sites.
 	if _, err := stub.Call(ctx, "Fail"); err == nil {
 		t.Fatal("Fail must surface its error")
 	}
-	// Liveness-probe release site.
-	if err := e.client.Ping(ctx, "server"); err != nil {
+	// DGC calls on the "#dgc" export, a probe among them. The id need not
+	// resolve — the reply payload ownership is what is under audit.
+	if err := probe(ctx, e.client, "server"); err != nil {
 		t.Fatal(err)
 	}
-	// DGC calls on the "#dgc" export. The id need not resolve — the reply
-	// payload ownership is what is under audit.
 	ref := &RemoteRef{Addr: "server", ID: 1 << 40}
 	if err := e.client.Renew(ctx, ref, time.Minute); err != nil {
 		t.Fatal(err)
@@ -63,8 +57,8 @@ func TestClientPayloadOwnershipLedger(t *testing.T) {
 	if cm.Dials < 1 {
 		t.Errorf("Dials = %d, want at least the first connection", cm.Dials)
 	}
-	// Successful calls, the ping, and both DGC round trips each release
-	// exactly one reply payload.
+	// Successful calls and the three DGC round trips each release exactly
+	// one reply payload.
 	if want := int64(calls + 3); cm.PayloadsReleased != want {
 		t.Errorf("PayloadsReleased = %d, want %d", cm.PayloadsReleased, want)
 	}

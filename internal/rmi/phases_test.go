@@ -2,7 +2,9 @@ package rmi
 
 import (
 	"context"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,18 +16,15 @@ import (
 // TestEveryCallShapeRecordsItsPhases runs one call of each shape with an
 // observer on each end and reads back what each end recorded: every
 // expected phase exactly once, no other, phases that add up to no more
-// than the call, and the request and reply sizes the other end saw. A
-// one-way call has no reply, so its server neither shadows the restore set
-// nor encodes a response, and neither end records reply bytes.
+// than the call, and the request and reply sizes the other end saw.
 func TestEveryCallShapeRecordsItsPhases(t *testing.T) {
 	server := []string{"srv-decode", "srv-prepare", "srv-execute", "srv-encode"}
 	for _, row := range []struct {
-		shape          callShape
-		client, server []string
+		shape  callShape
+		client []string
 	}{
-		{shapeCall, []string{"encode", "transport", "decode-reply", "restore-commit"}, server},
-		{shapeAsync, []string{"decode-reply", "restore-commit", "async-issue", "async-await"}, server},
-		{shapeOneWay, []string{"encode", "transport"}, []string{"srv-decode", "srv-execute"}},
+		{shapeCall, []string{"encode", "transport", "decode-reply", "restore-commit"}},
+		{shapeAsync, []string{"decode-reply", "restore-commit", "async-issue", "async-await"}},
 	} {
 		t.Run(row.shape.name, func(t *testing.T) {
 			reg := treeRegistry(t)
@@ -36,8 +35,7 @@ func TestEveryCallShapeRecordsItsPhases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			svc := &ChaosService{summed: make(chan struct{}, 1)}
-			if err := srv.Export("chaos", svc); err != nil {
+			if err := srv.Export("chaos", &ChaosService{}); err != nil {
 				t.Fatal(err)
 			}
 			ln, err := n.Listen("server")
@@ -52,18 +50,11 @@ func TestEveryCallShapeRecordsItsPhases(t *testing.T) {
 			}
 			t.Cleanup(func() { cl.Close() })
 
-			method, arg := "Scale", any(chaosTree())
-			if row.shape.name == shapeOneWay.name {
-				method, arg = "Sum", &CTree{Data: 5, Left: &CTree{Data: 1}}
-			}
-			if _, err := row.shape.call(cl.Stub("server", "chaos"), context.Background(), method, arg, 1); err != nil {
+			if _, err := row.shape.call(cl.Stub("server", "chaos"), context.Background(), "Scale", chaosTree(), 1); err != nil {
 				t.Fatal(err)
 			}
-			if method == "Sum" {
-				<-svc.summed // the server finishes its call after the method returns
-			}
-			cliTr := checkPhases(t, "client", cliObs, method, row.client)
-			srvTr := checkPhases(t, "server", srvObs, method, row.server)
+			cliTr := checkPhases(t, "client", cliObs, "Scale", row.client)
+			srvTr := checkPhases(t, "server", srvObs, "Scale", server)
 			if cliTr.BytesOut == 0 || cliTr.BytesOut != srvTr.BytesIn {
 				t.Errorf("client recorded a %d-byte request, server read %d", cliTr.BytesOut, srvTr.BytesIn)
 			}
@@ -158,4 +149,61 @@ func TestAnonymousExportsShareObserverKey(t *testing.T) {
 			t.Errorf("%s observed Increment under %d keys (%+v under %q), want %d calls under %q alone", end, keys, m, label, objects, label)
 		}
 	}
+}
+
+// TestUnresolvedCallsShareObserverKey: a call to a target or a method the
+// server does not hold is observed under "?", so a peer's made-up names
+// cannot grow the server's observer: 100 such calls make at most two
+// entries. The error still names what the peer asked for.
+func TestUnresolvedCallsShareObserverKey(t *testing.T) {
+	const calls = 50
+	reg := treeRegistry(t)
+	n := netsim.NewNetwork()
+	t.Cleanup(func() { n.Close() })
+	srvObs := obs.New(obs.Config{})
+	srv, err := NewServer("server", Options{Core: core.Options{Registry: reg}, Obs: srvObs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Export("chaos", &ChaosService{}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := n.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	cl, err := NewClient(n.Dial, Options{Core: core.Options{Registry: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	ctx := context.Background()
+	before := len(srvObs.Snapshot().Methods)
+	for i := 0; i < calls; i++ {
+		key, method := fmt.Sprintf("#%d", 1000+i), fmt.Sprintf("Made%d", i)
+		if _, err := cl.Stub("server", key).Call(ctx, method); !refused(err, ErrNoSuchObject, key) {
+			t.Fatalf("%s.%s: %v, want no such object naming %s", key, method, err, key)
+		}
+		if _, err := cl.Stub("server", "chaos").Call(ctx, method); !refused(err, ErrNoSuchMethod, method) {
+			t.Fatalf("chaos.%s: %v, want no such method naming %s", method, err, method)
+		}
+	}
+	snap := srvObs.Snapshot()
+	if grew := len(snap.Methods) - before; grew > 2 {
+		t.Fatalf("%d unresolved calls grew the observer by %d keys, want at most 2", 2*calls, grew)
+	}
+	for _, key := range [][2]string{{unresolved, unresolved}, {"chaos", unresolved}} {
+		if m := snap.Method(key[0], key[1]); m == nil || m.Calls != calls || m.Errors != calls {
+			t.Errorf("observer key %v holds %+v, want %d failed calls", key, m, calls)
+		}
+	}
+}
+
+// refused reports whether err is the remote refusal want, naming name.
+func refused(err, want error, name string) bool {
+	msg := fmt.Sprint(err)
+	return strings.Contains(msg, want.Error()) && strings.Contains(msg, name)
 }

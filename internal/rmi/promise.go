@@ -5,21 +5,20 @@
 //	await  the one retry loop; ends with a reply payload in hand
 //	apply  consume the payload: decode, validate, restore commit
 //
-// and the three call shapes differ only in which steps they run when.
+// and the two call shapes differ only in which steps they run when.
 // Stub.Call runs all three back to back on a Promise that never leaves
 // its stack frame. Stub.CallAsync returns after issue and leaves await and
 // apply to Wait, so several promises in flight on one connection pipeline
 // their round trips (K calls cost ~1 network latency instead of K).
-// Stub.CallOneWay issues with the one-way flag: there is no reply frame,
-// so its await ends as soon as a frame has been written and there is
-// nothing to apply.
+// Fire-and-forget is CallAsync followed by Abandon: the request goes out
+// and the server runs the method, the reply is recycled unread, and no
+// restore ever commits.
 //
 // Restore semantics are where async gets sharp, and the rules are:
 //
-//   - A promise's restore commits when the promise is consumed (Wait,
-//     or a composition that waits), never in the background: between
-//     issue and Wait the caller's graph is untouched, exactly as if the
-//     reply had not arrived yet.
+//   - A promise's restore commits when the promise is consumed (Wait or
+//     All), never in the background: between issue and Wait the caller's
+//     graph is untouched, exactly as if the reply had not arrived yet.
 //   - Restore commits of concurrently in-flight calls over the same
 //     client serialize on one commit lock (core.Call.SetCommitLock), so
 //     two promises resolving together cannot interleave their overwrite
@@ -47,17 +46,9 @@ import (
 	"nrmi/internal/transport"
 )
 
-// Errors reported by the async layer.
-var (
-	// ErrPromiseAbandoned is reported by Wait on a promise that was
-	// abandoned before consumption.
-	ErrPromiseAbandoned = errors.New("rmi: promise abandoned")
-	// ErrOneWayRestorable rejects one-way calls with restorable
-	// arguments: with no reply frame there is nothing to restore from,
-	// and silently degrading copy-restore to copy would betray the
-	// natural-semantics contract.
-	ErrOneWayRestorable = errors.New("rmi: one-way call cannot carry restorable arguments")
-)
+// ErrPromiseAbandoned is reported by Wait on a promise that was abandoned
+// before consumption.
+var ErrPromiseAbandoned = errors.New("rmi: promise abandoned")
 
 // promiseState is the settlement state of a Promise.
 type promiseState uint8
@@ -69,22 +60,20 @@ const (
 	promiseAbandoned
 )
 
-// Promise is an in-flight asynchronous invocation started by CallAsync
-// (or derived by Then). Consume it exactly once with Wait — which may be
-// called repeatedly afterwards and keeps returning the settled outcome —
-// or relinquish it with Abandon so its reply payload is recycled. A
-// promise that is neither waited nor abandoned keeps its pooled request
-// encoder until garbage collected.
+// Promise is an in-flight asynchronous invocation started by CallAsync.
+// Consume it exactly once with Wait — which may be called repeatedly
+// afterwards and keeps returning the settled outcome — or relinquish it
+// with Abandon so its reply payload is recycled. A promise that is neither
+// waited nor abandoned keeps its pooled request encoder until garbage
+// collected.
 type Promise struct {
 	st     *Stub
 	method string
 	oc     *obs.Call
-
-	oneWay bool
 	call   core.Call
 
-	// pc is the transport half of the current attempt (nil once a one-way
-	// frame is written), sent from slot: a blocking call's own, or for
+	// pc is the transport half of the current attempt (nil once it is
+	// awaited or abandoned), sent from slot: a blocking call's own, or for
 	// CallAsync the promise's pending. sendErr is the failure when the
 	// attempt never went out, deadline the attempt's expiry (zero without
 	// CallTimeout).
@@ -96,37 +85,25 @@ type Promise struct {
 	state promiseState
 	resp  core.Response
 	err   error
-
-	// Derived-promise fields (Then): source resolves first, cont maps its
-	// results to the next call, inner is that call once issued.
-	source *Promise
-	cont   func(rets []any) (*Promise, error)
-	inner  *Promise
 }
 
 // begin readies a promise for encode.
-func (st *Stub) begin(p *Promise, method string, oneWay bool) {
-	*p = Promise{st: st, method: method, oneWay: oneWay,
-		oc: obs.Begin(st.c.opts.Obs, st.label, method)}
+func (st *Stub) begin(p *Promise, method string) {
+	*p = Promise{st: st, method: method, oc: obs.Begin(st.c.opts.Obs, st.label, method)}
 }
 
 // pendingCalls recycles the transport attempts of blocking calls: one is
 // settled, and free, by the time its call returns.
 var pendingCalls = sync.Pool{New: func() any { return new(transport.PendingCall) }}
 
-// run is the blocking shape, Stub.Call and Stub.CallOneWay: issue, await
-// and (unless one-way: no reply, nothing to apply) apply back to back. The
-// promise stays in this frame, and its attempts go out from a pooled slot,
-// so a blocking call allocates no more than its codec does.
-func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool) (core.Response, error) {
+// run is the blocking shape, Stub.Call: issue, await and apply back to
+// back. The promise stays in this frame, and its attempts go out from a
+// pooled slot, so a blocking call allocates no more than its codec does.
+func (st *Stub) run(ctx context.Context, method string, args []any) (core.Response, error) {
 	var p Promise
-	st.begin(&p, method, oneWay)
-	if oneWay {
-		st.c.metrics.oneWays.Add(1)
-	} else {
-		p.slot = pendingCalls.Get().(*transport.PendingCall)
-		defer pendingCalls.Put(p.slot)
-	}
+	st.begin(&p, method)
+	p.slot = pendingCalls.Get().(*transport.PendingCall)
+	defer pendingCalls.Put(p.slot)
 	err := p.encode(args)
 	p.oc.Mark(obs.PhaseEncode, p.call.BytesSent(), 0)
 	var resp core.Response
@@ -135,7 +112,7 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 		var payload []byte
 		payload, err = p.await(ctx)
 		p.oc.Mark(obs.PhaseTransport, int64(len(payload)), 0)
-		if err == nil && !oneWay {
+		if err == nil {
 			resp, err = p.apply(payload)
 		}
 	}
@@ -155,7 +132,7 @@ func (st *Stub) run(ctx context.Context, method string, args []any, oneWay bool)
 // calls; the issue/await split has no single call body to wrap.
 func (st *Stub) CallAsync(ctx context.Context, method string, args ...any) (*Promise, error) {
 	p := new(Promise)
-	st.begin(p, method, false)
+	st.begin(p, method)
 	p.slot = &p.pending
 	err := p.encode(args)
 	if err == nil {
@@ -220,8 +197,8 @@ var attemptTimers = sync.Pool{New: func() any { t := time.NewTimer(time.Hour); t
 // reply blocks for the current attempt's outcome under the caller's
 // context and the attempt deadline, whichever ends first. An expiry
 // abandons the pending call, so the pooled reply payload is released
-// exactly once whichever way the race goes. A written one-way frame has no
-// pending call and no error: its outcome is "sent".
+// exactly once whichever way the race goes. An attempt that never went
+// out has no pending call: its outcome is the send failure.
 func (p *Promise) reply(ctx context.Context) ([]byte, error) {
 	pc := p.pc
 	if pc == nil {
@@ -299,9 +276,7 @@ func (p *Promise) Wait(ctx context.Context) ([]any, error) {
 // WaitStats is Wait, additionally exposing restore statistics and byte
 // counts, the async counterpart of CallStats.
 func (p *Promise) WaitStats(ctx context.Context) (*core.Response, error) {
-	if p.state == promisePending && p.cont != nil {
-		p.waitDerived(ctx)
-	} else if p.state == promisePending {
+	if p.state == promisePending {
 		var resp core.Response
 		payload, err := p.await(ctx)
 		p.oc.Mark(obs.PhaseAsyncAwait, 0, 0)
@@ -320,13 +295,12 @@ func (p *Promise) WaitStats(ctx context.Context) (*core.Response, error) {
 }
 
 // Ready reports, without blocking, whether Wait would settle without
-// waiting on the network (reply delivered, or already settled). Derived
-// promises are ready only once settled.
+// waiting on the network (reply delivered, or already settled).
 func (p *Promise) Ready() bool {
 	if p.state != promisePending {
 		return true
 	}
-	return p.cont == nil && p.pc != nil && p.pc.Ready()
+	return p.pc != nil && p.pc.Ready()
 }
 
 // Abandon relinquishes an unconsumed promise: the pending reply payload
@@ -336,15 +310,6 @@ func (p *Promise) Ready() bool {
 // ErrPromiseAbandoned. Abandoning a settled promise is a no-op.
 func (p *Promise) Abandon() {
 	if p.state != promisePending {
-		return
-	}
-	if p.cont != nil {
-		p.state = promiseAbandoned
-		if p.inner != nil {
-			p.inner.Abandon()
-		} else if p.source != nil {
-			p.source.Abandon()
-		}
 		return
 	}
 	if p.pc != nil {
@@ -367,43 +332,12 @@ func (p *Promise) settle(resp core.Response, err error) {
 		p.state = promiseRejected
 		c.metrics.errors.Add(1)
 	} else {
-		c.metrics.bytesReceived.Add(resp.BytesReceived) // a one-way call settles with none
+		c.metrics.bytesReceived.Add(resp.BytesReceived)
 	}
 	p.oc.SetIO(resp.BytesReceived, p.call.BytesSent())
 	p.oc.Finish(err)
 	p.call.Release()
 	p.oc = nil
-}
-
-// Then derives a promise that, when waited, waits for p and feeds its
-// results to f, which issues the dependent call (typically another
-// CallAsync). The chain pipelines inside one Wait: the dependent request
-// goes out the moment p's reply is consumed, with no control returned to
-// the caller between the hops. An error anywhere rejects the chain.
-func (p *Promise) Then(f func(rets []any) (*Promise, error)) *Promise {
-	return &Promise{st: p.st, method: p.method, source: p, cont: f}
-}
-
-// waitDerived resolves a pending Then chain.
-func (p *Promise) waitDerived(ctx context.Context) {
-	if p.inner == nil {
-		rets, err := p.source.Wait(ctx)
-		if err == nil {
-			if p.inner, err = p.cont(rets); err == nil && p.inner == nil {
-				err = fmt.Errorf("rmi: Then continuation of %s returned no promise", p.method)
-			}
-		}
-		if err != nil {
-			p.inner = nil
-			p.state, p.err = promiseRejected, err
-			return
-		}
-	}
-	if resp, err := p.inner.WaitStats(ctx); err != nil {
-		p.state, p.err = promiseRejected, err
-	} else {
-		p.state, p.resp = promiseResolved, *resp
-	}
 }
 
 // All waits for every promise in order and collects their return values.
@@ -434,22 +368,4 @@ func All(ctx context.Context, ps ...*Promise) ([][]any, error) {
 		return nil, firstErr
 	}
 	return results, nil
-}
-
-// CallOneWay invokes method fire-and-forget: the request ships with the
-// one-way wire flag, the server executes it but writes no reply frame
-// (PROTOCOL.md section 10), and CallOneWay returns as soon as the frame
-// is written. Restorable arguments are rejected — with no reply there is
-// nothing to restore from. Failures are always send-phase (the frame
-// provably never went out whole), so the retry policy may re-send without
-// any at-least-once risk; a frame that did go out may still be lost with
-// the connection, so delivery is at-most-once.
-func (st *Stub) CallOneWay(ctx context.Context, method string, args ...any) error {
-	for i, a := range args {
-		if semOf(a) == semRestore {
-			return fmt.Errorf("rmi: argument %d of %s: %w", i, method, ErrOneWayRestorable)
-		}
-	}
-	_, err := st.call(ctx, method, args, true)
-	return err
 }

@@ -127,7 +127,7 @@ type Options struct {
 	// receive the raw *RemoteRef.
 	WrapRef func(ref *RemoteRef, c *Client) (any, error)
 	// Intercept, when set, wraps every invocation on this endpoint: a
-	// client's Call, CallStats and CallOneWay (registry and DGC calls
+	// client's Call and CallStats (registry and DGC calls
 	// included; not CallAsync, whose issue/await split has no single body
 	// to wrap), and every dispatch on a server. It may inspect the call,
 	// enrich the context, veto it by returning an error without invoking

@@ -84,15 +84,7 @@ func (s *TreeService) Div(a, b int) (int, error) {
 	return a / b, nil
 }
 
-// Tick counts one invocation, as Foo does, with no argument to restore: a
-// one-way call can carry it.
-func (s *TreeService) Tick() {
-	s.mu.Lock()
-	s.calls++
-	s.mu.Unlock()
-}
-
-// Calls reports how many Foo and Tick invocations the service saw.
+// Calls reports how many Foo invocations the service saw.
 func (s *TreeService) Calls() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -494,11 +486,12 @@ func TestRegistryEmbedded(t *testing.T) {
 	}
 }
 
-func TestPing(t *testing.T) {
-	e := newEnv(t)
-	if err := e.client.Ping(context.Background(), "server"); err != nil {
-		t.Fatal(err)
-	}
+// probe is a liveness probe over the pooled connection to addr: the DGC's
+// Clean of an id no server holds, which every server answers and which
+// changes nothing.
+func probe(ctx context.Context, c *Client, addr string) error {
+	_, err := c.Stub(addr, dgcName).Call(ctx, "Clean", uint64(0))
+	return err
 }
 
 func TestConcurrentClients(t *testing.T) {

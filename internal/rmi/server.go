@@ -66,8 +66,8 @@ type Server struct {
 
 // export is one named export: the object, the name it is bound under and,
 // for ExportSerialized, the mutex its calls run under. label keys its calls
-// in the observer: the name, or a refEntry's label when resolveTarget
-// returns an anonymous export.
+// in the observer: the name, a refEntry's label when resolveTarget returns
+// an anonymous export, or unresolved for a key the server does not hold.
 type export struct {
 	name   string
 	label  string
@@ -556,8 +556,6 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 		}
 		s.metrics.bytesOut.Add(int64(len(reply)))
 		return reply, err
-	case transport.MsgPing:
-		return payload, nil
 	default:
 		return nil, fmt.Errorf("rmi: unknown message type %d", msgType)
 	}
@@ -573,7 +571,7 @@ func (s *Server) resolveTarget(key []byte) (export, error) {
 		return e, nil
 	}
 	k := string(key)
-	unknown := export{name: k, label: k}
+	unknown := export{name: k, label: unresolved}
 	if len(k) > 0 && k[0] == '#' {
 		id, err := strconv.ParseUint(k[1:], 10, 64)
 		if err != nil {
@@ -587,6 +585,11 @@ func (s *Server) resolveTarget(key []byte) (export, error) {
 	}
 	return unknown, fmt.Errorf("%w: %q", ErrNoSuchObject, k)
 }
+
+// unresolved labels, in the observer, a target or method the server does
+// not hold, so a peer's made-up names cannot grow it: the error text keeps
+// them.
+const unresolved = "?"
 
 // callHead is a request's target and method, resolved once; err says why
 // they do not resolve. For a named export's method, the export's name and
@@ -650,7 +653,7 @@ func (s *Server) handleCall(ctx context.Context, payload []byte) (out []byte, er
 		h.method, h.err = s.methodByName(h.v.Type(), name)
 	}
 	if h.methodName = h.method.Name; h.err != nil {
-		h.methodName = string(name)
+		h.methodName = unresolved
 	}
 	oc := obs.Begin(s.opts.Obs, h.label, h.methodName)
 	sc.SetObs(oc)
@@ -677,15 +680,10 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 	if err != nil {
 		return nil, err
 	}
-	oneWay := transport.IsOneWay(ctx)
 	// Shadow the pre-call object set before the method body runs (paper,
-	// Section 3, step 1 on the server side). One-way calls skip it: with
-	// no reply frame there is no restore section to compute (PROTOCOL.md
-	// section 10), so the shadow would serve nothing.
-	if !oneWay {
-		if err := sc.Prepare(); err != nil {
-			return nil, err
-		}
+	// Section 3, step 1 on the server side).
+	if err := sc.Prepare(); err != nil {
+		return nil, err
 	}
 
 	if h.serial != nil {
@@ -696,11 +694,6 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 	oc.Mark(obs.PhaseSrvExecute, 0, 0)
 	if err != nil {
 		return nil, err
-	}
-	if oneWay {
-		// Results and restore state have no consumer; the transport writes
-		// no reply frame either way.
-		return nil, nil
 	}
 
 	var results [4]any

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,12 +11,9 @@ import (
 	"nrmi/internal/netsim"
 )
 
-// sendCall is Send of a request on a new PendingCall, or one-way on none.
-func sendCall(c *Conn, ctx context.Context, payload []byte, oneWay bool) (*PendingCall, error) {
-	var pc *PendingCall
-	if !oneWay {
-		pc = new(PendingCall)
-	}
+// sendCall is Send of a request on a new PendingCall.
+func sendCall(c *Conn, ctx context.Context, payload []byte) (*PendingCall, error) {
+	pc := new(PendingCall)
 	if err := c.Send(ctx, pc, MsgCall, payload, time.Time{}); err != nil {
 		return nil, err
 	}
@@ -28,7 +24,7 @@ func TestStartWaitRoundTrip(t *testing.T) {
 	c := startPair(t, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
 		return append([]byte("re:"), p...), nil
 	})
-	pc, err := sendCall(c, context.Background(), []byte("hi"), false)
+	pc, err := sendCall(c, context.Background(), []byte("hi"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +50,7 @@ func TestAbandonAfterReplyDelivered(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	pc, err := sendCall(c, context.Background(), make([]byte, 64), false)
+	pc, err := sendCall(c, context.Background(), make([]byte, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +74,7 @@ func TestAbandonBeforeReply(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	pc, err := sendCall(c, context.Background(), make([]byte, 64), false)
+	pc, err := sendCall(c, context.Background(), make([]byte, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +97,7 @@ func TestWaitCtxExpiryAbandons(t *testing.T) {
 		copy(out, p)
 		return out, nil
 	})
-	pc, err := sendCall(c, context.Background(), make([]byte, 64), false)
+	pc, err := sendCall(c, context.Background(), make([]byte, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +131,7 @@ func TestTeardownDeliversTypedCallError(t *testing.T) {
 	const n = 4
 	pcs := make([]*PendingCall, n)
 	for i := range pcs {
-		pc, err := sendCall(c, context.Background(), []byte("x"), false)
+		pc, err := sendCall(c, context.Background(), []byte("x"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,69 +158,10 @@ func TestTeardownDeliversTypedCallError(t *testing.T) {
 	}
 }
 
-// TestOneWayNoReply exercises the one-way flag end to end: the handler
-// runs (and can see it was called one-way), no reply frame is consumed,
-// no pending entry is registered, and the stream stays usable for normal
-// calls afterwards.
-func TestOneWayNoReply(t *testing.T) {
-	var mu sync.Mutex
-	var seen []string
-	var oneWay []bool
-	c := startPair(t, func(ctx context.Context, _ byte, p []byte) ([]byte, error) {
-		mu.Lock()
-		seen = append(seen, string(p))
-		oneWay = append(oneWay, IsOneWay(ctx))
-		mu.Unlock()
-		if IsOneWay(ctx) {
-			// Whatever a handler returns on a one-way call is discarded;
-			// returning an error must not produce a reply frame either.
-			return nil, errors.New("discarded")
-		}
-		out := make([]byte, 64)
-		copy(out, p)
-		return out, nil
-	})
-	if _, err := sendCall(c, context.Background(), make([]byte, 64), true); err != nil {
-		t.Fatal(err)
-	}
-	if inFlight(c) != 0 {
-		t.Fatalf("one-way call registered a pending entry: %d", inFlight(c))
-	}
-	// The one-way send has no reply to synchronize on; a normal call after
-	// it is answered in arrival order by the same conn, so once it returns
-	// the one-way handler has been dispatched.
-	got, err := c.Call(context.Background(), MsgCall, make([]byte, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ReleasePayload(got)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(seen)
-		mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("one-way handler never ran (saw %d calls)", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Handlers run concurrently per frame: the two may have started in
-	// either order, and exactly one of them ran one-way.
-	mu.Lock()
-	if oneWay[0] == oneWay[1] {
-		t.Fatalf("IsOneWay misreported: %v", oneWay)
-	}
-	mu.Unlock()
-	leakcheck.Settle(t)
-}
-
 // TestServePooledReleasesReplies: a ServePooled handler's replies are
 // released once the batch holds them, each exactly once — a pooled reply, an
-// echo of the request (released once, as the request), a one-way call's, and
-// an error's — so the ledger balances with no double Put.
+// echo of the request (released once, as the request) and an error's — so
+// the ledger balances with no double Put.
 func TestServePooledReleasesReplies(t *testing.T) {
 	n := netsim.NewNetwork()
 	t.Cleanup(func() { n.Close() })
@@ -232,11 +169,11 @@ func TestServePooledReleasesReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServePooled(ln, func(_ context.Context, msgType byte, p []byte) ([]byte, error) {
-		switch {
-		case msgType == MsgPing:
+	srv := ServePooled(ln, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
+		switch string(p) {
+		case "echo":
 			return p, nil
-		case string(p) == "fail":
+		case "fail":
 			return bufpool.Get(8), errors.New("refused")
 		}
 		return append(bufpool.Get(len(p) + 3)[:0], "re:"...), nil
@@ -251,18 +188,14 @@ func TestServePooledReleasesReplies(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		for _, msg := range []struct {
-			typ     byte
 			payload string
 			fails   bool
-		}{{MsgCall, "call", false}, {MsgPing, "ping", false}, {MsgCall, "fail", true}} {
-			reply, err := c.Call(ctx, msg.typ, []byte(msg.payload))
+		}{{"call", false}, {"echo", false}, {"fail", true}} {
+			reply, err := c.Call(ctx, MsgCall, []byte(msg.payload))
 			if (err != nil) != msg.fails {
 				t.Fatalf("%s: %v", msg.payload, err)
 			}
 			ReleasePayload(reply)
-		}
-		if _, err := sendCall(c, ctx, []byte("one-way"), true); err != nil {
-			t.Fatal(err)
 		}
 	}
 	if err := srv.Drain(ctx); err != nil {

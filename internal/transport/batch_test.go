@@ -85,7 +85,7 @@ func TestFramesQueuedDuringAWriteShareTheNext(t *testing.T) {
 			c, hc := dialHeld(t, nil, echo)
 			pcs := make([]*PendingCall, 8)
 			send := func(i int) {
-				pc, err := sendCall(c, context.Background(), []byte(fmt.Sprint("call ", i)), false)
+				pc, err := sendCall(c, context.Background(), []byte(fmt.Sprint("call ", i)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,7 +132,7 @@ func TestBatchWriteFailureSettlesEachFrame(t *testing.T) {
 	t.Cleanup(unblock) // before srv.Close, which waits for the handler
 	send := func(p []byte) *PendingCall {
 		t.Helper()
-		pc, err := sendCall(c, context.Background(), p, false)
+		pc, err := sendCall(c, context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

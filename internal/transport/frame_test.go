@@ -76,13 +76,13 @@ func frameShapes() []frameShape {
 		{name: "plain", f: frame{msgType: MsgCall, reqID: 1, payload: []byte("hello")}},
 		{name: "deadline extension", f: frame{msgType: MsgCall, reqID: 2, deadline: 1500 * time.Microsecond, payload: []byte("budget")}},
 		{name: "error with status", f: frame{msgType: MsgReply, flags: flagError | flagStatus, reqID: 3, payload: append([]byte{StatusOverloaded}, "shed"...)}},
-		{name: "one-way with deadline", f: frame{msgType: MsgCall, flags: flagOneWay, reqID: 4, deadline: time.Second, payload: []byte("fire and forget")}},
-		{name: "zero length", f: frame{msgType: MsgPing, reqID: 6}},
-		{name: "zero length with deadline", f: frame{msgType: MsgPing, reqID: 7, deadline: time.Millisecond}},
+		{name: "error with deadline", f: frame{msgType: MsgReply, flags: flagError, reqID: 4, deadline: time.Second, payload: []byte("refused")}},
+		{name: "zero length", f: frame{msgType: MsgCall, reqID: 6}},
+		{name: "zero length with deadline", f: frame{msgType: MsgCall, reqID: 7, deadline: time.Millisecond}},
 		{name: "exactly the buffer", f: frame{msgType: MsgCall, reqID: 8, payload: fill(readBufSize - headerSize)}},
 		{name: "buffer plus one", f: frame{msgType: MsgCall, reqID: 9, payload: fill(readBufSize - headerSize + 1)}},
 		{name: "three buffers", f: frame{msgType: MsgCall, reqID: 10, payload: fill(3*readBufSize - headerSize)}},
-		{name: "max request id", f: frame{msgType: MsgPing, reqID: ^uint64(0), payload: []byte{0}}},
+		{name: "max request id", f: frame{msgType: MsgCall, reqID: ^uint64(0), payload: []byte{0}}},
 	}
 }
 
@@ -209,6 +209,10 @@ func TestFrameTruncatedAtEveryOffset(t *testing.T) {
 	leakcheck.Settle(t)
 }
 
+// The two retired header flags, each refused alone: 0x02 was DEFLATE,
+// 0x10 a request with no reply frame.
+const retiredDeflate, retiredNoReply = 0x02, 0x10
+
 // header builds a raw frame header, valid or not.
 func header(magic uint16, flags byte, length uint32) []byte {
 	h := make([]byte, headerSize)
@@ -241,10 +245,13 @@ func TestFrameHostileHeaders(t *testing.T) {
 		{"deadline flag, nothing follows", header(frameMagic, flagDeadline, 0), "truncated"},
 		{"deadline flag, half an extension", append(header(frameMagic, flagDeadline, 0), 1, 2, 3, 4), "truncated"},
 		{"length promises more than follows", append(header(frameMagic, 0, 65), junk...), "truncated"},
-		{"retired flag over junk", append(header(frameMagic, flagRetired, 64), junk...), "bad-frame"},
-		{"retired flag over nothing", header(frameMagic, flagRetired, 0), "bad-frame"},
-		{"retired flag with deadline flag", append(append(header(frameMagic, flagRetired|flagDeadline, 56), make([]byte, 8)...), junk[:56]...), "bad-frame"},
-		{"retired flag wins over oversize", append(header(frameMagic, flagRetired, ^uint32(0)), junk...), "bad-frame"},
+		{"retired flag over junk", append(header(frameMagic, retiredDeflate, 64), junk...), "bad-frame"},
+		{"retired flag over nothing", header(frameMagic, retiredDeflate, 0), "bad-frame"},
+		{"retired flag with deadline flag", append(append(header(frameMagic, retiredDeflate|flagDeadline, 56), make([]byte, 8)...), junk[:56]...), "bad-frame"},
+		{"retired flag wins over oversize", append(header(frameMagic, retiredDeflate, ^uint32(0)), junk...), "bad-frame"},
+		{"retired one-way flag over junk", append(header(frameMagic, retiredNoReply, 64), junk...), "bad-frame"},
+		{"retired one-way flag over nothing", header(frameMagic, retiredNoReply, 0), "bad-frame"},
+		{"retired one-way flag with deadline flag", append(append(header(frameMagic, retiredNoReply|flagDeadline, 56), make([]byte, 8)...), junk[:56]...), "bad-frame"},
 		{"every flag set over junk", append(append(header(frameMagic, 0xFF, 56), make([]byte, 8)...), junk[:56]...), "bad-frame"},
 	}
 	for _, tc := range cases {
@@ -277,7 +284,7 @@ func TestFrameHostileHeaders(t *testing.T) {
 // header, it costs less than its own length.
 func TestRetiredFlagFrameAllocatesNothing(t *testing.T) {
 	bomb := append([]byte{0xec, 0xc1, 0x01, 0x01, 0, 0, 0, 0x80, 0x90, 0xfe, 0xaf, 0xee, 0x08, 0x0a}, make([]byte, 65000)...)
-	wire := append(header(frameMagic, flagRetired, uint32(len(bomb))), bomb...)
+	wire := append(header(frameMagic, retiredDeflate, uint32(len(bomb))), bomb...)
 	r := bytes.NewReader(wire)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -371,14 +378,14 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add(byte(0), []byte{})
 	f.Add(byte(7), header(0x4E53, 0, 4))
-	f.Add(byte(7), header(frameMagic, flagDeadline|flagRetired, 1<<20))
-	f.Add(byte(9), append(header(frameMagic, flagRetired, 8), 1, 2, 3, 4, 5, 6, 7, 8))
-	f.Add(byte(0), header(frameMagic, flagRetired, 0))
+	f.Add(byte(7), header(frameMagic, flagDeadline|retiredDeflate, 1<<20))
+	f.Add(byte(9), append(header(frameMagic, retiredDeflate, 8), 1, 2, 3, 4, 5, 6, 7, 8))
+	f.Add(byte(0), header(frameMagic, retiredDeflate, 0))
 	// Budgets at both ends of the extension: a flagged zero, and one past
 	// time.Duration's range.
 	f.Add(byte(0), append(header(frameMagic, flagDeadline, 0), make([]byte, 8)...))
 	f.Add(byte(5), append(header(frameMagic, flagDeadline, 0), bytes.Repeat([]byte{0xFF}, 8)...))
-	f.Add(byte(3), append(small[:len(small):len(small)], header(frameMagic, flagRetired|flagError, 4)...))
+	f.Add(byte(3), append(small[:len(small):len(small)], header(frameMagic, retiredDeflate|flagError, 4)...))
 	f.Fuzz(func(t *testing.T, chunk byte, data []byte) {
 		plain := bytes.NewReader(data)
 		var chunks [][]byte

@@ -137,8 +137,8 @@ func TestRequestContextMatchesWithDeadline(t *testing.T) {
 			return fmt.Sprint(context.Cause(ctx))
 		}, "context deadline exceeded"},
 		{"Value", time.Hour, func(_ *testing.T, ctx context.Context, _, _ func(), _ time.Time) string {
-			return fmt.Sprintf("%v %v %v", ctx.Value(ctxKey{}), ctx.Value("absent"), IsOneWay(ctx))
-		}, "parent's <nil> false"},
+			return fmt.Sprintf("%v %v", ctx.Value(ctxKey{}), ctx.Value("absent"))
+		}, "parent's <nil>"},
 	}
 	for _, tc := range cases {
 		for _, rc := range requestContexts {
@@ -160,7 +160,6 @@ func TestRequestContextMatchesWithDeadline(t *testing.T) {
 		_, _ = rc.Deadline()
 		_ = rc.Err()
 		_ = rc.Value(ctxKey{})
-		_ = IsOneWay(rc)
 		if rc.armed != nil {
 			t.Fatal("Deadline, Err or Value armed the timer")
 		}

@@ -110,14 +110,13 @@ func TestCallErrorClassification(t *testing.T) {
 	}
 }
 
-// TestSendFailuresSameOnEveryEntry: a started call (a reply slot to claim)
-// and a one-way call (none) are one Send differing in its oneWay flag, so
-// each way a request can fail before its frame is whole reports the same
-// *CallError{Phase: PhaseSend, Sent: false} with the same cause, registers
-// nothing, and leaves the connection in the same state — usable, except
-// after a torn frame. Send returns every failure itself but one: a started
-// call's frame is queued, so the Write that tears it reports through the
-// first Wait.
+// TestSendFailuresSameOnEveryEntry: a started call (Send, then Wait) and
+// Conn.Call are one Send, so each way a request can fail before its frame
+// is whole reports the same *CallError{Phase: PhaseSend, Sent: false} with
+// the same cause, registers nothing, and leaves the connection in the same
+// state — usable, except after a torn frame. Send returns every failure
+// itself but one: the frame is queued, so the Write that tears it reports
+// through the first Wait.
 func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 	oversized := make([]byte, maxFrameSize+1)
 	cases := []struct {
@@ -142,7 +141,7 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 		{name: "write fails mid-frame", sever: true, wantIs: netsim.ErrSevered, terminal: true},
 	}
 	for _, tc := range cases {
-		for entry, oneWay := range map[string]bool{"Start": false, "CallOneWay": true} {
+		for _, entry := range []string{"Start", "Call"} {
 			t.Run(tc.name+"/"+entry, func(t *testing.T) {
 				n := netsim.NewNetwork()
 				defer n.Close()
@@ -174,8 +173,11 @@ func TestSendFailuresSameOnEveryEntry(t *testing.T) {
 					payload = []byte("request")
 				}
 
-				pc, err := sendCall(c, ctx, payload, oneWay)
-				if pc != nil {
+				if entry == "Call" {
+					_, err = c.Call(ctx, MsgCall, payload)
+				} else if pc, serr := sendCall(c, ctx, payload); serr != nil {
+					err = serr
+				} else {
 					_, err = pc.Wait(context.Background())
 				}
 				var ce *CallError

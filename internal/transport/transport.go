@@ -7,9 +7,8 @@
 //
 //	magic    u16  0x4E52 ("NR")
 //	type     u8   message type, caller-defined
-//	flags    u8   0x01 = error reply, 0x02 = retired (refused),
-//	              0x04 = deadline extension present, 0x08 = status byte,
-//	              0x10 = one-way request (no reply frame will follow)
+//	flags    u8   0x01 = error reply, 0x04 = deadline extension present,
+//	              0x08 = status byte; 0x02 and 0x10 are retired (refused)
 //	reqID    u64  request correlation id
 //	length   u32  payload byte count
 //	[deadline u64] remaining call budget in microseconds (flag 0x04 only)
@@ -20,11 +19,12 @@
 // read through one readBufSize buffer per connection, so a frame that fits
 // costs one read and frames that arrive together share one.
 //
-// A server connection's read loop hands each request to a parked worker
-// goroutine of that connection or, when none is parked, starts one, so no
-// request queues. A finished worker parks and keeps its grown stack; at most
-// maxIdleWorkers park per connection (one more exits instead: a counter, no
-// timer), and all exit when the read loop returns.
+// Every request gets exactly one reply frame. A server connection's read
+// loop hands each request to a parked worker goroutine of that connection
+// or, when none is parked, starts one, so no request queues. A finished
+// worker parks and keeps its grown stack; at most maxIdleWorkers park per
+// connection (one more exits instead: a counter, no timer), and all exit
+// when the read loop returns.
 package transport
 
 import (
@@ -48,26 +48,25 @@ import (
 
 // Message types used across the NRMI stack. The transport treats them as
 // opaque; they are centralized here to keep the protocol in one place.
+// Types 3 and 4 are retired (the naming service and the DGC are calls on
+// reserved exports), as is 7 (a ping: any call is one); 5 and 6 are
+// reserved.
 const (
 	// MsgCall is a remote method invocation request.
 	MsgCall byte = 1
 	// MsgReply is a successful invocation reply.
 	MsgReply byte = 2
-	// MsgPing is a liveness probe. Types 3 and 4 are retired (the naming
-	// service and the DGC are calls on reserved exports); 5 and 6 are
-	// reserved.
-	MsgPing byte = 7
 )
 
 const (
 	frameMagic = 0x4E52
 	headerSize = 2 + 1 + 1 + 8 + 4
 	flagError  = 0x01
-	// flagRetired was DEFLATE: no writer sets it, readFrame refuses it.
-	flagRetired  = 0x02
+	// flagsRetired were DEFLATE (0x02) and one-way, no reply (0x10): no
+	// writer sets them, readFrame refuses either.
+	flagsRetired = 0x02 | 0x10
 	flagDeadline = 0x04
 	flagStatus   = 0x08
-	flagOneWay   = 0x10
 	maxFrameSize = 64 << 20
 
 	// readBufSize lets a 256-node paper frame (about 1.5 KB) arrive in one read.
@@ -288,20 +287,20 @@ func (s *sender) run() {
 		// under GOMAXPROCS=1 the woken writer runs next and would send each
 		// frame alone. A blocked handler is not runnable, so none is waited for.
 		runtime.Gosched()
-		s.write(nil)
+		s.write()
 	}
 }
 
-// enqueue appends f to the batch and returns where f ends; the first frame
-// of an empty batch wakes the writer.
-func (s *sender) enqueue(f frame) (end int, err error) {
+// enqueue appends f to the batch; the first frame of an empty batch wakes
+// the writer.
+func (s *sender) enqueue(f frame) (err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, ErrClosed
+		return ErrClosed
 	}
 	if s.batch, err = appendFrame(s.batch, f); err != nil {
-		return 0, err
+		return err
 	}
 	if len(s.frames) == 0 {
 		select {
@@ -310,26 +309,18 @@ func (s *sender) enqueue(f frame) (end int, err error) {
 		}
 	}
 	s.frames = append(s.frames, queuedFrame{f.reqID, len(s.batch)})
-	return len(s.batch), nil
+	return nil
 }
 
-// write sends the batch with one Write and settles it. A frame f is queued
-// behind the batch first, and the error returned only if f did not go out
-// whole.
-func (s *sender) write(f *frame) (err error) {
+// write sends the batch with one Write and settles it.
+func (s *sender) write() {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	end := 0
-	if f != nil {
-		if end, err = s.enqueue(*f); err != nil {
-			return err
-		}
-	}
 	s.mu.Lock()
 	batch, frames := s.batch, s.frames
 	if len(batch) == 0 {
 		s.mu.Unlock()
-		return nil
+		return
 	}
 	s.batch, s.frames = s.spare[:0], s.spareFrames[:0]
 	s.mu.Unlock()
@@ -339,10 +330,6 @@ func (s *sender) write(f *frame) (err error) {
 		batch, frames = nil, nil // one large frame must not pin its size
 	}
 	s.spare, s.spareFrames = batch, frames
-	if n < end {
-		return err
-	}
-	return nil
 }
 
 // close stops the writer and refuses frames from now on; it returns those
@@ -365,7 +352,7 @@ func readFrameInto(r io.Reader, hdr *[headerSize + 8]byte) (frame, error) {
 	if _, err := io.ReadFull(r, hdr[:headerSize]); err != nil {
 		return frame{}, err
 	}
-	if magic := binary.BigEndian.Uint16(hdr[0:2]); magic != frameMagic || hdr[3]&flagRetired != 0 {
+	if magic := binary.BigEndian.Uint16(hdr[0:2]); magic != frameMagic || hdr[3]&flagsRetired != 0 {
 		return frame{}, fmt.Errorf("%w: magic %#04x, flags %#02x", ErrBadFrame, magic, hdr[3])
 	}
 	length := binary.BigEndian.Uint32(hdr[12:16])
@@ -535,9 +522,7 @@ type PendingCall struct {
 // to ctx); ctx is not monitored after Send returns, pass it again to Wait.
 // The reply, or the failure of the Write carrying the frame, is claimed
 // through pc, which Send fills: a new one, or one whose last call was
-// settled by Wait or Abandon. A nil pc sends one-way: the frame registers no
-// pending entry (the peer writes no reply, PROTOCOL.md section 10), and Send
-// writes it before returning. A failure Send returns itself is a
+// settled by Wait or Abandon. A failure Send returns itself is a
 // *CallError{Phase: PhaseSend, Sent: false} — the frame provably never went
 // out whole, so it is safe to retry — and leaves nothing to abandon.
 func (c *Conn) Send(ctx context.Context, pc *PendingCall, msgType byte, payload []byte, deadline time.Time) error {
@@ -560,23 +545,14 @@ func (c *Conn) Send(ctx context.Context, pc *PendingCall, msgType byte, payload 
 		return &CallError{Phase: PhaseSend, Err: err}
 	}
 	f.reqID = c.nextID.Add(1)
-	if pc == nil {
-		f.flags = flagOneWay
-	} else {
-		*pc = PendingCall{c: c, id: f.reqID, done: make(chan struct{})}
-		c.pending[f.reqID] = pc
-	}
+	*pc = PendingCall{c: c, id: f.reqID, done: make(chan struct{})}
+	c.pending[f.reqID] = pc
 	c.mu.Unlock()
 
-	var err error
-	if pc == nil {
-		err = c.s.write(&f)
-	} else if _, err = c.s.enqueue(f); err != nil {
+	if err := c.s.enqueue(f); err != nil {
 		c.mu.Lock()
 		delete(c.pending, f.reqID)
 		c.mu.Unlock()
-	}
-	if err != nil {
 		// ErrFrameTooLarge is refused before any byte is queued and leaves
 		// the conn usable; anything else has already ended it.
 		return &CallError{Phase: PhaseSend, Err: err}
@@ -688,21 +664,6 @@ func (c *Conn) Call(ctx context.Context, msgType byte, payload []byte) ([]byte, 
 // Close tears the connection down; in-flight calls fail with ErrClosed.
 func (c *Conn) Close() error {
 	return c.fail(ErrClosed)
-}
-
-// oneWayKey marks request contexts whose frame carried the one-way flag.
-type oneWayKey struct{}
-
-func withOneWay(ctx context.Context) context.Context {
-	return context.WithValue(ctx, oneWayKey{}, true)
-}
-
-// IsOneWay reports whether the request being handled arrived one-way: no
-// reply frame will be written, so handlers can skip assembling one (the
-// returned reply and error are discarded).
-func IsOneWay(ctx context.Context) bool {
-	v, _ := ctx.Value(oneWayKey{}).(bool)
-	return v
 }
 
 // reqCtx is the context of a request whose frame carried a budget: it is
@@ -880,7 +841,7 @@ func (s *Server) serveConn(sc *srvConn) {
 		// reply; the last batch goes out before the connection closes.
 		close(sc.work)
 		sc.workers.Wait()
-		sc.s.write(nil)
+		sc.s.write()
 		sc.s.close()
 		_ = sc.c.Close()
 		s.mu.Lock()
@@ -932,28 +893,18 @@ func (s *Server) serve(sc *srvConn, f frame) {
 		defer rc.stop()
 		ctx = rc
 	}
-	// One-way contract: no reply frame, success or failure (PROTOCOL.md
-	// section 10).
-	oneWay := f.flags&flagOneWay != 0
-	if oneWay {
-		ctx = withOneWay(ctx)
-	}
 	reply, err := s.safeHandle(ctx, f.msgType, f.payload)
-	queued := false
-	if !oneWay {
-		out := frame{msgType: MsgReply, reqID: f.reqID, payload: reply}
-		if err != nil {
-			out.flags = flagError
-			if code := statusOf(err); code != StatusApp {
-				out.flags |= flagStatus
-				out.payload = append([]byte{code}, err.Error()...)
-			} else {
-				out.payload = []byte(err.Error())
-			}
+	out := frame{msgType: MsgReply, reqID: f.reqID, payload: reply}
+	if err != nil {
+		out.flags = flagError
+		if code := statusOf(err); code != StatusApp {
+			out.flags |= flagStatus
+			out.payload = append([]byte{code}, err.Error()...)
+		} else {
+			out.payload = []byte(err.Error())
 		}
-		_, err = sc.s.enqueue(out)
-		queued = err == nil
 	}
+	err = sc.s.enqueue(out)
 	// The handler has returned and the batch holds a copy of the reply, so
 	// both buffers are free; a ServePooled reply that echoes its request is
 	// released once, as the request.
@@ -961,8 +912,8 @@ func (s *Server) serve(sc *srvConn, f frame) {
 		ReleasePayload(reply)
 	}
 	ReleasePayload(f.payload)
-	if !queued {
-		s.done(1) // one-way, or a reply too large for a frame: nothing to write
+	if err != nil {
+		s.done(1) // a reply too large for a frame: nothing to write
 	}
 }
 

@@ -229,7 +229,7 @@ func TestServerCloseFailsInFlight(t *testing.T) {
 
 func TestFrameEncodingRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := frame{msgType: MsgPing, flags: flagError, reqID: 777, payload: []byte("payload")}
+	in := frame{msgType: MsgCall, flags: flagError, reqID: 777, payload: []byte("payload")}
 	if err := writeFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}

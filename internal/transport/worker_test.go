@@ -193,7 +193,7 @@ func TestWorkerCarriesNothingOver(t *testing.T) {
 	// server's own expiry come back as the reply.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	pc, err := sendCall(c, ctx, []byte("first"), false)
+	pc, err := sendCall(c, ctx, []byte("first"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,35 +217,6 @@ func TestWorkerCarriesNothingOver(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Started != 1 {
 		t.Fatalf("started %d workers, want both requests on one", st.Started)
-	}
-}
-
-// TestWorkerOneWayParks: a one-way request writes no reply, but it releases
-// its payload and leaves its worker parked like any other.
-func TestWorkerOneWayParks(t *testing.T) {
-	ran := make(chan bool, 1)
-	srv, c := startServerPair(t, func(ctx context.Context, _ byte, p []byte) ([]byte, error) {
-		if IsOneWay(ctx) {
-			ran <- true
-		}
-		return p, nil
-	})
-	if _, err := sendCall(c, context.Background(), make([]byte, 64), true); err != nil {
-		t.Fatal(err)
-	}
-	<-ran
-	awaitParked(t, 1)
-	leakcheck.Settle(t)
-	p, err := c.Call(context.Background(), MsgCall, make([]byte, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ReleasePayload(p)
-	if err := srv.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Stats(); st.Started != 1 || st.Served != 2 {
-		t.Fatalf("stats %+v, want 2 requests on 1 worker", st)
 	}
 }
 

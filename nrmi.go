@@ -151,7 +151,7 @@ type Options struct {
 	// before dispatch; see the rmi layer documentation.
 	WrapRef func(ref *RemoteRef, c *Client) (any, error)
 	// Intercept wraps every invocation on this endpoint for logging,
-	// metrics, or policy: on a client Call, CallStats and CallOneWay (not
+	// metrics, or policy: on a client Call and CallStats (not
 	// CallAsync, whose issue/await split has no single body to wrap), on a
 	// server every inbound dispatch. The interceptor may veto by returning
 	// an error without calling next; next runs the call at most once.
@@ -208,21 +208,15 @@ type ResponseConsumedError = rmi.ResponseConsumedError
 // Stub.CallAsync. Wait consumes the response — decoding results and
 // committing the copy-restore writeback at that point, serialized
 // against the client's other commits — and every later Wait returns the
-// same outcome. Compose dependent calls with Promise.Then, join fans of
-// independent calls with All, and release a response that will never be
-// consumed with Promise.Abandon. A Promise is single-owner: methods on
-// one Promise must not race each other.
+// same outcome. Join fans of independent calls with All, and release a
+// response that will never be consumed with Promise.Abandon (CallAsync
+// then Abandon is a fire-and-forget call). A Promise is single-owner:
+// methods on one Promise must not race each other.
 type Promise = rmi.Promise
 
 // ErrPromiseAbandoned is reported by Wait on a promise released with
 // Abandon before its response was consumed.
 var ErrPromiseAbandoned = rmi.ErrPromiseAbandoned
-
-// ErrOneWayRestorable rejects Stub.CallOneWay invocations carrying a
-// Restorable argument: a one-way call has no reply frame to carry the
-// restore image, so copy-restore semantics are impossible by
-// construction (docs/PROTOCOL.md, section 10).
-var ErrOneWayRestorable = rmi.ErrOneWayRestorable
 
 // All waits for every promise in order and collects their results;
 // ps[i]'s results land in the i-th slot. On the first failure it
