@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint ci chaos soak cover bench obs-smoke phases tables verify-tables loc tracked-loc repo-loc examples fuzz clean
+.PHONY: all build test race ci chaos soak cover bench obs-smoke phases tables verify-tables loc tracked-loc repo-loc examples fuzz clean
 
 all: build test
 
@@ -10,14 +10,9 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-test: lint soak obs-smoke
+test: soak obs-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./...
-
-# Static checks (docs/LINT.md): guarded-escape and ctx-propagation. Exits
-# nonzero on any finding, so CI fails on one.
-lint:
-	$(GO) run ./cmd/nrmi-vet ./...
 
 race:
 	$(GO) test -race ./...
@@ -31,7 +26,7 @@ ALLOC_TESTS := TestSyncCallAllocs|TestCallShapeAllocs|TestPaperVerdict|TestApply
 ALLOC_PKGS := ./internal/rmi ./internal/core ./internal/wire ./internal/graph ./internal/bufpool ./internal/bench
 
 # One-shot CI pipeline (what .github/workflows/ci.yml runs): build, vet,
-# lint under a 30-second runtime budget (it gates every push), race tests
+# race tests (root TestNoFreshContextRoot among them, the one source rule)
 # (every package that moves pooled buffers ends its run on the bufpool
 # ledger and goroutine checks of internal/leakcheck), the -race-skipped
 # tests above five times without -race, the two line ratchets, the
@@ -50,13 +45,6 @@ ci: build
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:" >&2; echo "$$unformatted" >&2; exit 1; \
-	fi
-	@start=$$(date +%s); \
-	$(GO) run ./cmd/nrmi-vet ./... || exit 1; \
-	elapsed=$$(( $$(date +%s) - start )); \
-	echo "lint runtime: $${elapsed}s (budget: 30s)"; \
-	if [ $$elapsed -gt 30 ]; then \
-		echo "lint exceeded its 30s runtime budget" >&2; exit 1; \
 	fi
 	$(GO) test -race ./...
 	$(GO) test -count=5 -run '^($(ALLOC_TESTS))$$' $(ALLOC_PKGS)
@@ -105,12 +93,11 @@ phases:
 tables:
 	$(GO) run ./cmd/nrmi-bench
 
-# Same, with the restore invariant re-verified in every cell, the static
-# invariants re-checked first, and every bytes/messages cell of Tables 1-7
-# held to results/tables.md.
+# Same, with the restore invariant re-verified in every cell, go vet run
+# first, and every bytes/messages cell of Tables 1-7 held to
+# results/tables.md.
 verify-tables:
 	$(GO) vet ./...
-	$(GO) run ./cmd/nrmi-vet ./...
 	$(GO) run ./cmd/nrmi-bench -verify -check results/tables.md
 
 # The usability lines-of-code report (paper Section 5.3.2).
@@ -135,7 +122,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 17067
+REPO_LOC_MAX := 16269
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

@@ -30,7 +30,18 @@ func NewGuarded[T any](root T) *Guarded[T] {
 	return &Guarded[T]{root: root}
 }
 
-// With runs f with exclusive access to the root.
+// With runs f with exclusive access to the root. The root and anything
+// reachable from it are f's for the call only: f must not store them in a
+// variable declared outside it, send them on a channel or capture them in a
+// goroutine, or the next Call restores into a graph that code reads without
+// the lock. Mutating the graph and copying out values that carry no
+// pointer (ints, strings, bools) are fine.
+//
+//	var n int
+//	roster.With(func(r *Roster) {
+//		r.Members = r.Members[1:] // in-graph mutation: the point
+//		n = len(r.Members)        // a scalar snapshot carries no identity
+//	})
 func (g *Guarded[T]) With(f func(root T)) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

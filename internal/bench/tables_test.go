@@ -103,8 +103,10 @@ func TestRunAllSmoke(t *testing.T) {
 // the server with it, and every cell runs on a network of its own, so Table
 // 7 reads the same bytes and messages whether every Table 6 cell blew or
 // none did. The blown run's budget is under the fastest Table 6 call at 16
-// nodes (some 0.8 ms on a two-CPU box) and over the time its request takes
-// to go out, so a server is still unwinding when the next cell starts.
+// nodes (some 0.5 ms on a two-CPU box, where 500 µs let one call finish in
+// most runs) and over the time its request takes to go out (every blown
+// call's request was out at 200 µs), so a server is still unwinding when
+// the next cell starts.
 func TestBlownCellsLeakNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two harness runs")
@@ -129,7 +131,7 @@ func TestBlownCellsLeakNothing(t *testing.T) {
 		}
 		return tables[6].DetailMarkdown()
 	}
-	blown, clean := table7(500*time.Microsecond, true), table7(time.Minute, false)
+	blown, clean := table7(300*time.Microsecond, true), table7(time.Minute, false)
 	if blown != clean {
 		t.Errorf("Table 7 after blown Table 6 cells:\n%s\nafter none blew:\n%s", blown, clean)
 	}

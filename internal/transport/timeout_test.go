@@ -100,8 +100,8 @@ func TestCallErrorClassification(t *testing.T) {
 				t.Fatalf("classified (%s, sent=%t), want (%s, sent=%t): %v",
 					ce.Phase, ce.Sent, tc.wantPhase, tc.wantSent, err)
 			}
-			if ce.Timeout() != tc.wantTimeout {
-				t.Fatalf("Timeout() = %t, want %t: %v", ce.Timeout(), tc.wantTimeout, err)
+			if timeout := errors.Is(err, context.DeadlineExceeded); timeout != tc.wantTimeout {
+				t.Fatalf("deadline exceeded = %t, want %t: %v", timeout, tc.wantTimeout, err)
 			}
 			if tc.wantIs != nil && !errors.Is(err, tc.wantIs) {
 				t.Fatalf("errors.Is(%v, %v) = false", err, tc.wantIs)
@@ -234,7 +234,7 @@ func TestDeadlineExpiresMidWrite(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *CallError, got %T: %v", err, err)
 	}
-	if ce.Phase != PhaseAwait || !ce.Sent || !ce.Timeout() {
+	if ce.Phase != PhaseAwait || !ce.Sent || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want await-phase sent timeout, got %v", err)
 	}
 	if elapsed >= hold {

@@ -211,10 +211,6 @@ func (e *CallError) Error() string {
 // Unwrap exposes the cause to errors.Is / errors.As.
 func (e *CallError) Unwrap() error { return e.Err }
 
-// Timeout reports whether the call failed by deadline expiry, the typed
-// surface for per-call deadlines.
-func (e *CallError) Timeout() bool { return errors.Is(e.Err, context.DeadlineExceeded) }
-
 // frame is one decoded protocol frame.
 type frame struct {
 	msgType byte
@@ -904,7 +900,11 @@ func (s *Server) serve(sc *srvConn, f frame) {
 			out.payload = []byte(err.Error())
 		}
 	}
-	err = sc.s.enqueue(out)
+	if err = sc.s.enqueue(out); errors.Is(err, ErrFrameTooLarge) {
+		// A plain error, not a status: the handler ran, so no retry.
+		err = sc.s.enqueue(frame{msgType: MsgReply, flags: flagError, reqID: f.reqID,
+			payload: fmt.Appendf(nil, "transport: reply of %d bytes exceeds the %d-byte frame limit", len(out.payload), maxFrameSize)})
+	}
 	// The handler has returned and the batch holds a copy of the reply, so
 	// both buffers are free; a ServePooled reply that echoes its request is
 	// released once, as the request.
@@ -913,7 +913,7 @@ func (s *Server) serve(sc *srvConn, f frame) {
 	}
 	ReleasePayload(f.payload)
 	if err != nil {
-		s.done(1) // a reply too large for a frame: nothing to write
+		s.done(1) // the connection is closed: nothing to write
 	}
 }
 

@@ -269,6 +269,39 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedReplyAnswered: a handler reply too large for a frame still
+// gets its caller one reply, a plain error naming the size and the limit
+// (no status, so rmi.Retryable does not re-run a handler that has run), and
+// the connection goes on serving.
+func TestOversizedReplyAnswered(t *testing.T) {
+	c := startPair(t, func(_ context.Context, _ byte, p []byte) ([]byte, error) {
+		if string(p) == "big" {
+			return make([]byte, maxFrameSize+1), nil
+		}
+		return append([]byte("echo:"), p...), nil
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := c.Call(ctx, MsgCall, []byte("big"))
+	if elapsed := time.Since(start); elapsed >= 100*time.Millisecond {
+		t.Fatalf("oversized reply answered after %v: %v", elapsed, err)
+	}
+	var re *RemoteError
+	var se *StatusError
+	if !errors.As(err, &re) || errors.As(err, &se) {
+		t.Fatalf("want a plain *RemoteError, got %T: %v", err, err)
+	}
+	if want := fmt.Sprintf("%d bytes exceeds the %d-byte frame limit", maxFrameSize+1, maxFrameSize); !strings.Contains(re.Msg, want) {
+		t.Fatalf("error %q does not name %q", re.Msg, want)
+	}
+	reply, err := c.Call(ctx, MsgCall, []byte("small"))
+	if err != nil || string(reply) != "echo:small" {
+		t.Fatalf("next call on the same conn: %q, %v", reply, err)
+	}
+	ReleasePayload(reply)
+}
+
 func TestWorksOverRealTCP(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
