@@ -22,7 +22,7 @@ race:
 # orderings, which the detector's slowdown of every measured call upsets.
 # `make ci` runs them without -race, five times, so a budget that depends on
 # scheduling fails the gate rather than one run in eight.
-ALLOC_TESTS := TestSyncCallAllocs|TestCallShapeAllocs|TestPaperVerdict|TestApplyAllocsSteadyState|TestStagingSlabBytes|TestDecodeAllocsSteadyState|TestEncodeAllocsSteadyState|TestShadowAllocsNothing|TestSteadyStateAllocFree|TestWalkAllocsSteadyState|TestEngineV3DecodesIntoArena|TestKernelEncodeByteIdentityPooled
+ALLOC_TESTS := TestSyncCallAllocs|TestCallShapeAllocs|TestPaperVerdict|TestApplyAllocsSteadyState|TestStagingSlabBytes|TestDecodeAllocsSteadyState|TestEncodeAllocsSteadyState|TestShadowAllocsNothing|TestSteadyStateAllocFree|TestWalkAllocsSteadyState|TestEngineV3DecodesIntoArena
 ALLOC_PKGS := ./internal/rmi ./internal/core ./internal/wire ./internal/graph ./internal/bufpool ./internal/bench
 
 # One-shot CI pipeline (what .github/workflows/ci.yml runs): build, vet,
@@ -68,7 +68,7 @@ chaos:
 # Graceful-degradation soak: concurrent clients hammer a draining,
 # overloaded server under the race detector (docs/PROTOCOL.md section 8).
 soak:
-	$(GO) test -race -count=1 -run 'TestSoak|TestShutdown|TestOverload|TestAdmission' -v ./internal/rmi/
+	$(GO) test -race -count=1 -run 'TestSoak|TestShutdown|TestOverload' -v ./internal/rmi/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1
@@ -108,7 +108,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 7854
+TRACKED_LOC_MAX := 7814
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -122,7 +122,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 16269
+REPO_LOC_MAX := 16151
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

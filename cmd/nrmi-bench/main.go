@@ -9,7 +9,7 @@
 // Usage:
 //
 //	nrmi-bench [-sizes 16,64,256,1024] [-iters 5] [-seed 1] [-verify]
-//	           [-md] [-details] [-loc] [-cbref-budget 20s] [-quiet]
+//	           [-md] [-details] [-loc] [-quiet]
 //	           [-check results/tables.md]
 //
 // -check FILE compares every bytes/messages cell of Tables 1–7 at the run's
@@ -31,25 +31,23 @@ import (
 
 func main() {
 	var (
-		sizesFlag   = flag.String("sizes", "16,64,256,1024", "comma-separated tree sizes")
-		iters       = flag.Int("iters", 5, "iterations per cell (a cell takes their median)")
-		seed        = flag.Int64("seed", 1, "base seed for workload generation")
-		verify      = flag.Bool("verify", false, "verify the restore invariant on each cell's first iteration")
-		md          = flag.Bool("md", false, "emit markdown instead of aligned text")
-		details     = flag.Bool("details", false, "also emit per-cell bytes/messages (markdown)")
-		loc         = flag.Bool("loc", false, "print the manual-restore lines-of-code report and exit")
-		cbrefBudget = flag.Duration("cbref-budget", 5*time.Second, "per-call budget for the call-by-reference table ('-' cells beyond it)")
-		quiet       = flag.Bool("quiet", false, "suppress progress lines")
-		table       = flag.String("table", "", "only print tables whose id contains this substring (e.g. 5); all tables still run")
-		phases      = flag.Bool("phases", false, "run the per-phase breakdown (scenario III) and exit")
-		obsSmoke    = flag.Bool("obs-smoke", false, "run the observability smoke gate (debug endpoints + nop-overhead check) and exit")
-		obsMax      = flag.Float64("obs-max-overhead", 2, "maximum disabled-path instrumentation overhead (percent of a scenario-III call) the obs smoke tolerates")
-		check       = flag.String("check", "", "recorded tables (markdown) the bytes/messages cells of Tables 1-7 must equal")
+		sizesFlag = flag.String("sizes", "16,64,256,1024", "comma-separated tree sizes")
+		iters     = flag.Int("iters", 5, "iterations per cell (a cell takes their median)")
+		seed      = flag.Int64("seed", 1, "base seed for workload generation")
+		verify    = flag.Bool("verify", false, "verify the restore invariant on each cell's first iteration")
+		md        = flag.Bool("md", false, "emit markdown instead of aligned text")
+		details   = flag.Bool("details", false, "also emit per-cell bytes/messages (markdown)")
+		loc       = flag.Bool("loc", false, "print the manual-restore lines-of-code report and exit")
+		quiet     = flag.Bool("quiet", false, "suppress progress lines")
+		table     = flag.String("table", "", "only print tables whose id contains this substring (e.g. 5); all tables still run")
+		phases    = flag.Bool("phases", false, "run the per-phase breakdown (scenario III) and exit")
+		obsSmoke  = flag.Bool("obs-smoke", false, "run the observability smoke gate (debug endpoints + nop-overhead check) and exit")
+		check     = flag.String("check", "", "recorded tables (markdown) the bytes/messages cells of Tables 1-7 must equal")
 	)
 	flag.Parse()
 
 	if *obsSmoke {
-		if err := runObsSmoke(*obsMax); err != nil {
+		if err := runObsSmoke(); err != nil {
 			log.Fatalf("nrmi-bench: %v", err)
 		}
 		return
@@ -101,11 +99,10 @@ func main() {
 		}
 	}
 	cfg := bench.HarnessConfig{
-		Sizes:       sizes,
-		Iterations:  *iters,
-		Seed:        *seed,
-		Verify:      *verify,
-		CBRefBudget: *cbrefBudget,
+		Sizes:      sizes,
+		Iterations: *iters,
+		Seed:       *seed,
+		Verify:     *verify,
 	}
 	if !*quiet {
 		cfg.Log = func(line string) { fmt.Fprintln(os.Stderr, line) }

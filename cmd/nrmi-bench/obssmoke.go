@@ -14,13 +14,17 @@ import (
 	"nrmi/internal/wire"
 )
 
+// maxOverheadPct is the obs smoke's gate: the most the disabled-path
+// instrumentation may cost, in percent of a scenario-III call.
+const maxOverheadPct = 2.0
+
 // runObsSmoke is the observability smoke gate (make obs-smoke): it runs a
 // scenario-III workload with a phase observer attached to both endpoints,
 // serves the observer's debug endpoints on a real listener, scrapes and
 // validates both JSON exports, and fails if the disabled (nil-observer)
 // instrumentation path costs more than maxOverheadPct of a measured
 // scenario-III call.
-func runObsSmoke(maxOverheadPct float64) error {
+func runObsSmoke() error {
 	const size = 256
 	o := obs.New(obs.Config{Tag: "obs-smoke"})
 	e, err := bench.NewEnv(bench.EnvConfig{Engine: wire.EngineV2, Obs: o})

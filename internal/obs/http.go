@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
-	"fmt"
 	"net/http"
 	"strconv"
 )
@@ -47,23 +45,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// Publish registers the observer under name in the process-wide expvar
-// registry (so `GET /debug/vars` includes the snapshot). Publishing the
-// same Observer under the same name twice is a no-op; a name already
-// taken by another var is an error, since expvar registrations are
-// permanent and expvar.Publish would panic.
-func (o *Observer) Publish(name string) error {
-	o.pubMu.Lock()
-	defer o.pubMu.Unlock()
-	if o.published == name {
-		return nil
-	}
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("obs: expvar name %q already in use", name)
-	}
-	expvar.Publish(name, expvar.Func(func() any { return o.Snapshot() }))
-	o.published = name
-	return nil
 }

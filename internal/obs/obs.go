@@ -26,7 +26,6 @@
 package obs
 
 import (
-	"runtime/metrics"
 	"sync"
 	"time"
 )
@@ -126,11 +125,6 @@ type CallStats struct {
 	// endpoint's perspective (client: out = request, in = reply; the
 	// server mirrors them).
 	BytesIn, BytesOut int64
-	// Allocs is the number of heap objects allocated during the call under
-	// Config.AllocSampling; -1 when not sampled. The counter is
-	// process-global, so the number is only meaningful on measurement runs
-	// without concurrent allocation noise.
-	Allocs int64
 	// Err records whether the call finished with an error.
 	Err bool
 	// PhaseNs, PhaseBytes, and PhaseItems accumulate per-phase duration,
@@ -153,25 +147,14 @@ type Call struct {
 	key  CallKey
 	cs   CallStats
 	last time.Time // the previous phase boundary
-
-	allocSample [1]metrics.Sample
-	startAllocs uint64
 }
 
 // callPool recycles collectors so an enabled observer costs no
 // steady-state allocation per call.
-var callPool = sync.Pool{New: func() any {
-	c := new(Call)
-	c.allocSample[0].Name = allocMetric
-	return c
-}}
-
-const allocMetric = "/gc/heap/allocs:objects"
+var callPool = sync.Pool{New: func() any { return new(Call) }}
 
 // Begin opens a collector for one call. It returns nil — the free
-// collector — when o is nil. Under Config.AllocSampling it brackets the
-// call with allocation-counter reads (a cheap runtime/metrics read, no
-// stop-the-world).
+// collector — when o is nil.
 func Begin(o *Observer, service, method string) *Call {
 	if o == nil {
 		return nil
@@ -181,11 +164,6 @@ func Begin(o *Observer, service, method string) *Call {
 	c.key = CallKey{Service: service, Method: method}
 	c.cs.Start = time.Now()
 	c.last = c.cs.Start
-	c.cs.Allocs = -1
-	if o.cfg.AllocSampling {
-		metrics.Read(c.allocSample[:])
-		c.startAllocs = c.allocSample[0].Value.Uint64()
-	}
 	return c
 }
 
@@ -220,14 +198,9 @@ func (c *Call) Finish(err error) {
 	}
 	c.cs.Total = time.Since(c.cs.Start)
 	c.cs.Err = err != nil
-	if c.o.cfg.AllocSampling {
-		metrics.Read(c.allocSample[:])
-		c.cs.Allocs = int64(c.allocSample[0].Value.Uint64() - c.startAllocs)
-	}
 	c.o.record(c.key, &c.cs)
 	c.o = nil
 	c.key = CallKey{}
 	c.cs = CallStats{}
-	c.startAllocs = 0
 	callPool.Put(c)
 }

@@ -3,10 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http/httptest"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -116,7 +114,8 @@ func TestPhaseAggregation(t *testing.T) {
 // add up to the call up to its last Mark, and a phase marked twice
 // accumulates both stretches.
 func TestMarksTileTheCall(t *testing.T) {
-	o := New(Config{TraceCapacity: 1})
+	o := New(Config{})
+	o.ring.init(1)
 	c := Begin(o, "s", "m")
 	time.Sleep(2 * time.Millisecond)
 	c.Mark(PhaseEncode, 5, 1)
@@ -175,40 +174,42 @@ func TestHistBuckets(t *testing.T) {
 }
 
 // TestTraceRingBounded fills the ring past capacity and checks the export
-// is bounded and sorted slowest-first.
+// is bounded, sorted slowest-first, and slowN long by default.
 func TestTraceRingBounded(t *testing.T) {
-	o := New(Config{TraceCapacity: 8, SlowN: 4})
-	for i := 0; i < 20; i++ {
+	const capacity, calls = slowN + 8, slowN + 20
+	o := New(Config{})
+	o.ring.init(capacity)
+	for i := 0; i < calls; i++ {
 		cs := CallStats{
-			Start:  time.Now(),
-			Total:  time.Duration(i+1) * time.Millisecond, // deterministic ranking
-			Allocs: -1,
+			Start: time.Now(),
+			Total: time.Duration(i+1) * time.Millisecond, // deterministic ranking
 		}
 		cs.PhaseNs[PhaseTransport] = int64(cs.Total)
 		cs.PhaseCount[PhaseTransport] = 1
 		o.record(CallKey{Service: "s", Method: "m"}, &cs)
 	}
 	traces := o.Slowest(0)
-	if len(traces) != 4 {
-		t.Fatalf("Slowest(0) = %d traces, want SlowN=4", len(traces))
+	if len(traces) != slowN {
+		t.Fatalf("Slowest(0) = %d traces, want slowN=%d", len(traces), slowN)
 	}
 	for i := 1; i < len(traces); i++ {
 		if traces[i].TotalNs > traces[i-1].TotalNs {
 			t.Fatalf("traces not sorted slowest-first: %d after %d", traces[i].TotalNs, traces[i-1].TotalNs)
 		}
 	}
-	if traces[0].TotalNs != int64(20*time.Millisecond) {
-		t.Errorf("slowest = %dns, want the 20ms call", traces[0].TotalNs)
+	if traces[0].TotalNs != int64(calls*time.Millisecond) {
+		t.Errorf("slowest = %dns, want the %dms call", traces[0].TotalNs, calls)
 	}
-	if all := o.Slowest(100); len(all) != 8 {
-		t.Errorf("ring holds %d, want capacity 8", len(all))
+	if all := o.Slowest(100); len(all) != capacity {
+		t.Errorf("ring holds %d, want capacity %d", len(all), capacity)
 	}
 }
 
 // TestConcurrentRecording hammers one Observer from many goroutines; run
 // under -race this is the data-race proof for the aggregation paths.
 func TestConcurrentRecording(t *testing.T) {
-	o := New(Config{TraceCapacity: 16})
+	o := New(Config{})
+	o.ring.init(16)
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	for w := 0; w < workers; w++ {
@@ -278,51 +279,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	bad.Body.Close()
 	if bad.StatusCode != 400 {
 		t.Errorf("bad n parameter: status %d, want 400", bad.StatusCode)
-	}
-}
-
-// publishRuns numbers TestPublish's runs: expvar names are process-wide and
-// permanent, so each run (go test -count=N) takes a name of its own.
-var publishRuns atomic.Int32
-
-// TestPublish pins expvar registration semantics: idempotent per
-// observer+name, an error (not a panic) on collisions.
-func TestPublish(t *testing.T) {
-	name := fmt.Sprintf("nrmi.test.obs.%d", publishRuns.Add(1))
-	o := New(Config{})
-	if err := o.Publish(name); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Publish(name); err != nil {
-		t.Errorf("re-publishing the same name: %v", err)
-	}
-	o2 := New(Config{})
-	if err := o2.Publish(name); err == nil {
-		t.Error("publishing a second observer under a taken name must fail")
-	}
-}
-
-// allocSink defeats dead-code elimination in TestAllocSampling.
-var allocSink []*[64]byte
-
-// TestAllocSampling verifies Config.AllocSampling feeds the allocs
-// histogram.
-func TestAllocSampling(t *testing.T) {
-	o := New(Config{AllocSampling: true})
-	c := Begin(o, "s", "m")
-	allocSink = allocSink[:0]
-	// The runtime publishes a size class's allocation count when the
-	// allocating P swaps that class's span out (128 of these per 8 KiB
-	// span), so allocate through many spans: 100 objects can all land in
-	// one and stay invisible.
-	for i := 0; i < 4096; i++ {
-		allocSink = append(allocSink, new([64]byte))
-	}
-	c.Finish(nil)
-	snap := o.Snapshot()
-	m := snap.Method("s", "m")
-	if m.Allocs.Count != 1 || m.Allocs.Sum < 1 {
-		t.Errorf("allocs histogram = %+v, want 1 sampled call with >0 allocs", m.Allocs)
 	}
 }
 

@@ -13,16 +13,14 @@ type Config struct {
 	// configurations (e.g. "v2" vs "v2-portable") stay distinguishable
 	// after the fact.
 	Tag string
-	// TraceCapacity bounds the trace ring buffer (default 256 calls).
-	TraceCapacity int
-	// SlowN is how many slowest traces exports return by default
-	// (default 32).
-	SlowN int
-	// AllocSampling brackets every call with allocation-counter reads and
-	// feeds a per-call allocs histogram. The counter is process-global:
-	// enable it only on single-threaded measurement runs.
-	AllocSampling bool
 }
+
+// traceCapacity bounds the trace ring buffer; slowN is how many slowest
+// traces Slowest returns when asked for n ≤ 0.
+const (
+	traceCapacity = 256
+	slowN         = 32
+)
 
 // Observer aggregates finished calls into per-(service, method, phase)
 // histograms and keeps a bounded ring of recent calls for slowest-N trace
@@ -32,9 +30,6 @@ type Observer struct {
 	methods sync.Map // CallKey -> *methodAgg
 	ring    traceRing
 	phaseNs [NumPhases]atomic.Int64
-
-	pubMu     sync.Mutex
-	published string
 }
 
 // phaseAgg aggregates one phase of one method.
@@ -51,20 +46,13 @@ type methodAgg struct {
 	bytesIn  atomic.Int64
 	bytesOut atomic.Int64
 	total    Hist
-	allocs   Hist
 	phases   [NumPhases]phaseAgg
 }
 
 // New returns an Observer with the given configuration.
 func New(cfg Config) *Observer {
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 256
-	}
-	if cfg.SlowN <= 0 {
-		cfg.SlowN = 32
-	}
 	o := &Observer{cfg: cfg}
-	o.ring.init(cfg.TraceCapacity)
+	o.ring.init(traceCapacity)
 	return o
 }
 
@@ -87,9 +75,6 @@ func (o *Observer) record(key CallKey, cs *CallStats) {
 	m.bytesIn.Add(cs.BytesIn)
 	m.bytesOut.Add(cs.BytesOut)
 	m.total.Observe(int64(cs.Total))
-	if cs.Allocs >= 0 {
-		m.allocs.Observe(cs.Allocs)
-	}
 	for p := 0; p < NumPhases; p++ {
 		if cs.PhaseCount[p] == 0 {
 			continue
@@ -135,9 +120,6 @@ type MethodSnapshot struct {
 	BytesOut int64  `json:"bytes_out"`
 	// TotalNs is the whole-call latency histogram (nanoseconds).
 	TotalNs HistSnapshot `json:"total_ns"`
-	// Allocs is the per-call heap-allocation histogram; only populated
-	// under Config.AllocSampling.
-	Allocs HistSnapshot `json:"allocs,omitempty"`
 	// Phases holds one entry per phase that ran at least once.
 	Phases []PhaseSnapshot `json:"phases"`
 }
@@ -189,7 +171,6 @@ func (o *Observer) Snapshot() Snapshot {
 			BytesIn:  m.bytesIn.Load(),
 			BytesOut: m.bytesOut.Load(),
 			TotalNs:  m.total.Snapshot(),
-			Allocs:   m.allocs.Snapshot(),
 		}
 		for p := 0; p < NumPhases; p++ {
 			pa := &m.phases[p]
@@ -218,10 +199,10 @@ func (o *Observer) Snapshot() Snapshot {
 }
 
 // Slowest returns the n slowest calls currently held by the trace ring,
-// slowest first. n ≤ 0 means Config.SlowN.
+// slowest first. n ≤ 0 means 32.
 func (o *Observer) Slowest(n int) []Trace {
 	if n <= 0 {
-		n = o.cfg.SlowN
+		n = slowN
 	}
 	return o.ring.slowest(n)
 }

@@ -23,7 +23,6 @@ type Trace struct {
 	Err      bool         `json:"err,omitempty"`
 	BytesIn  int64        `json:"bytes_in"`
 	BytesOut int64        `json:"bytes_out"`
-	Allocs   int64        `json:"allocs,omitempty"`
 	Phases   []TracePhase `json:"phases"`
 }
 
@@ -84,9 +83,6 @@ func (r *traceRing) slowest(n int) []Trace {
 			Err:      cs.Err,
 			BytesIn:  cs.BytesIn,
 			BytesOut: cs.BytesOut,
-		}
-		if cs.Allocs >= 0 {
-			t.Allocs = cs.Allocs
 		}
 		for p := 0; p < NumPhases; p++ {
 			if cs.PhaseCount[p] == 0 {

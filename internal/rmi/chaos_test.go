@@ -472,15 +472,14 @@ func TestRetryableClassification(t *testing.T) {
 }
 
 // TestBackoffScheduleDeterministic checks the seeded jitter: same seed,
-// same schedule; different seed, different jitter; always within the
-// MaxDelay cap plus jitter.
+// same schedule; different seed, different jitter; each pause within
+// ±backoffJitter of BaseDelay·backoffMultiplier^(attempt-1), capped at
+// MaxDelay.
 func TestBackoffScheduleDeterministic(t *testing.T) {
 	pol := RetryPolicy{
 		MaxAttempts: 6,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    80 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.2,
 		Seed:        11,
 	}.withDefaults()
 	mk := func(seed int64) []time.Duration {
@@ -501,11 +500,15 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at attempt %d: %v vs %v", i+1, a[i], b[i])
 		}
-		if lim := time.Duration(float64(pol.MaxDelay) * (1 + pol.Jitter)); a[i] > lim {
-			t.Fatalf("attempt %d backoff %v exceeds cap %v", i+1, a[i], lim)
+		nominal := pol.BaseDelay
+		for range i {
+			nominal *= backoffMultiplier
 		}
-		if a[i] <= 0 {
-			t.Fatalf("attempt %d backoff %v not positive", i+1, a[i])
+		nominal = min(nominal, pol.MaxDelay)
+		lo := time.Duration(float64(nominal) * (1 - backoffJitter))
+		hi := time.Duration(float64(nominal) * (1 + backoffJitter))
+		if a[i] < lo || a[i] > hi {
+			t.Fatalf("attempt %d backoff %v outside [%v, %v]", i+1, a[i], lo, hi)
 		}
 	}
 	same := true
@@ -516,9 +519,5 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical jitter")
-	}
-	// Monotone growth until the cap dominates (jitter is ±20%, growth 2x).
-	if a[1] < a[0] {
-		t.Fatalf("backoff not growing: %v", a)
 	}
 }

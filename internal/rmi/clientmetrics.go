@@ -22,23 +22,20 @@ type clientMetrics struct {
 	bytesReceived    atomic.Int64
 	payloadsReleased atomic.Int64
 
-	// evictions counts pooled connections discarded because the health
-	// check found them dead; evictionCauses tallies why, keyed by the
-	// root-cause label from evictionCause.
-	evictions atomic.Int64
-
 	// Async counters: promises issued by CallAsync, and promises
 	// relinquished via Abandon before consumption.
 	asyncIssued       atomic.Int64
 	promisesAbandoned atomic.Int64
 
+	// evictionCauses tallies pooled connections discarded because the
+	// health check found them dead, keyed by the root-cause label from
+	// evictionCause.
 	causeMu        sync.Mutex
 	evictionCauses map[string]int64
 }
 
-// noteEviction records one dead-connection eviction and its cause.
+// noteEviction records the cause of one dead-connection eviction.
 func (m *clientMetrics) noteEviction(cause string) {
-	m.evictions.Add(1)
 	m.causeMu.Lock()
 	if m.evictionCauses == nil {
 		m.evictionCauses = make(map[string]int64)
@@ -80,14 +77,12 @@ type ClientMetrics struct {
 	// transport buffer pool — the ownership ledger the payload leak tests
 	// audit against.
 	PayloadsReleased int64
-	// Evictions counts pooled connections discarded because the health
-	// check found them dead. Every eviction is followed by a redial, so
-	// Evictions == Reconnects once all in-flight calls settle.
-	Evictions int64
-	// EvictionCauses tallies evictions by root cause ("EOF", "transport:
+	// EvictionCauses tallies pooled connections discarded because the
+	// health check found them dead, by root cause ("EOF", "transport:
 	// connection closed", ...), so a fleet operator can tell peer
-	// restarts from partitions without scraping logs. Nil until the
-	// first eviction; the map is a copy and safe to retain.
+	// restarts from partitions without scraping logs. Every eviction is
+	// a reconnect, so the tallies sum to Reconnects. Nil until the first
+	// eviction; the map is a copy and safe to retain.
 	EvictionCauses map[string]int64
 	// EngineFallbacks is never incremented; it stays for its readers, benchmark/workload.go and benchmark/report.go.
 	EngineFallbacks int64
@@ -113,7 +108,6 @@ func (c *Client) Metrics() ClientMetrics {
 		BytesSent:         c.metrics.bytesSent.Load(),
 		BytesReceived:     c.metrics.bytesReceived.Load(),
 		PayloadsReleased:  c.metrics.payloadsReleased.Load(),
-		Evictions:         c.metrics.evictions.Load(),
 		AsyncIssued:       c.metrics.asyncIssued.Load(),
 		PromisesAbandoned: c.metrics.promisesAbandoned.Load(),
 	}

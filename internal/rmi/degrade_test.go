@@ -17,6 +17,7 @@ import (
 	"nrmi/internal/core"
 	"nrmi/internal/leakcheck"
 	"nrmi/internal/netsim"
+	"nrmi/internal/obs"
 	"nrmi/internal/registry"
 	"nrmi/internal/transport"
 	"nrmi/internal/wire"
@@ -28,6 +29,7 @@ type GateService struct {
 	entered   chan struct{} // one token per call that reached a blocking body
 	release   chan struct{} // closed to let blocked calls finish
 	cancelled atomic.Int32  // calls that observed ctx cancellation
+	quick     atomic.Int32  // Quick calls that ran
 }
 
 func newGateService() *GateService {
@@ -38,7 +40,10 @@ func newGateService() *GateService {
 }
 
 // Quick mutates and returns immediately.
-func (g *GateService) Quick(t *RTree) int { return chaosMutate(t, 1) }
+func (g *GateService) Quick(t *RTree) int {
+	g.quick.Add(1)
+	return chaosMutate(t, 1)
+}
 
 // Hold blocks until the test releases it, then mutates.
 func (g *GateService) Hold(t *RTree) int {
@@ -381,96 +386,16 @@ func TestOverloadStormRejectsPromptly(t *testing.T) {
 	}
 }
 
-// TestAdmissionQueueBoundsAndDrains: with one slot and a one-deep queue,
-// exactly one over-cap call waits (and eventually runs); the rest reject.
-func TestAdmissionQueueBoundsAndDrains(t *testing.T) {
-	const storm = 6
-	env := newDegradeEnv(t, func(o *Options) {
-		o.MaxConcurrentCalls = 1
-		o.AdmissionQueue = 1
-		o.AdmissionWait = 5 * time.Second
-	}, nil)
-	stub := env.client.Stub("server", "gate")
-	ctx := context.Background()
-
-	blocked := make(chan callResult, 1)
-	go func() {
-		rets, err := stub.Call(ctx, "Hold", chaosTree())
-		blocked <- callResult{rets, err}
-	}()
-	<-env.svc.entered
-
-	var wg sync.WaitGroup
-	var rejected, queuedOK atomic.Int32
-	for i := 0; i < storm; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := stub.Call(ctx, "Quick", chaosTree())
-			switch {
-			case err == nil:
-				queuedOK.Add(1)
-			case errors.Is(err, ErrOverloaded):
-				rejected.Add(1)
-			default:
-				t.Errorf("unexpected storm error: %v", err)
-			}
-		}()
-	}
-	// The queue admits exactly one waiter; everyone else must bounce while
-	// the slot is still held. Release once the bounces are all in.
-	for rejected.Load() < storm-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(env.svc.release)
-	wg.Wait()
-	if res := <-blocked; res.err != nil {
-		t.Fatalf("slot-holding call failed: %v", res.err)
-	}
-	if got := queuedOK.Load(); got != 1 {
-		t.Fatalf("%d queued calls ran, want exactly 1", got)
-	}
-	if m := env.srv.Metrics(); m.CallsRejected != storm-1 {
-		t.Fatalf("CallsRejected = %d, want %d", m.CallsRejected, storm-1)
-	}
-}
-
-// TestAdmissionWaitBudget: a queued call gives up with ErrOverloaded once
-// AdmissionWait expires, instead of waiting forever.
-func TestAdmissionWaitBudget(t *testing.T) {
-	const wait = 40 * time.Millisecond
-	env := newDegradeEnv(t, func(o *Options) {
-		o.MaxConcurrentCalls = 1
-		o.AdmissionQueue = 4
-		o.AdmissionWait = wait
-	}, nil)
-	stub := env.client.Stub("server", "gate")
-	ctx := context.Background()
-
-	go stub.Call(ctx, "Hold", chaosTree())
-	<-env.svc.entered
-
-	start := time.Now()
-	_, err := stub.Call(ctx, "Quick", chaosTree())
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("queued call: %v, want ErrOverloaded after wait budget", err)
-	}
-	if elapsed := time.Since(start); elapsed < wait {
-		t.Fatalf("rejected after %v, before the %v wait budget", elapsed, wait)
-	}
-	close(env.svc.release)
-}
-
-// TestQueuedDeadlineBeatsAdmissionWait: the admission wait is bounded by the
-// call's own propagated deadline too, not by AdmissionWait alone. A call
-// whose caller gave up after 50 ms leaves the queue then — refused, never
-// run — although the server would have let it wait five seconds.
-func TestQueuedDeadlineBeatsAdmissionWait(t *testing.T) {
-	env := newDegradeEnv(t, func(o *Options) {
-		o.MaxConcurrentCalls = 1
-		o.AdmissionQueue = 1
-		o.AdmissionWait = 5 * time.Second
-	}, nil)
+// TestOverloadRetryWaitsForSlot: the server does not queue, so a client
+// that wants to wait for a slot retries. A restorable call refused with
+// ErrOverloaded while the only slot is held is re-sent under Retry until
+// the slot frees, then runs once and restores once.
+func TestOverloadRetryWaitsForSlot(t *testing.T) {
+	clientObs := obs.New(obs.Config{})
+	env := newDegradeEnv(t, func(o *Options) { o.MaxConcurrentCalls = 1 }, func(o *Options) {
+		o.Retry = RetryPolicy{MaxAttempts: 20, BaseDelay: time.Millisecond, Seed: 1}
+		o.Obs = clientObs
+	})
 	stub := env.client.Stub("server", "gate")
 
 	blocked := make(chan callResult, 1)
@@ -479,36 +404,43 @@ func TestQueuedDeadlineBeatsAdmissionWait(t *testing.T) {
 		blocked <- callResult{rets, err}
 	}()
 	<-env.svc.entered
+	time.AfterFunc(20*time.Millisecond, func() { close(env.svc.release) })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
 	root := chaosTree()
 	snap := snapshotTree(t, root)
-	start := time.Now()
-	// The server's refusal and the client's own expiry race for the caller.
-	_, err := stub.Call(ctx, "Quick", root)
-	if !errors.Is(err, ErrOverloaded) && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued call: %v, want ErrOverloaded or its own deadline", err)
+	rets, err := stub.Call(context.Background(), "Quick", root)
+	if err != nil {
+		t.Fatalf("Quick after retrying into the freed slot: %v", err)
 	}
-	if !treesEqual(t, root, snap) {
-		t.Fatal("refused call mutated the graph")
+	if want := chaosMutate(snap, 1); rets[0].(int) != want || !treesEqual(t, root, snap) {
+		t.Fatal("Quick's restore is not the one mutation it made")
 	}
-	// The slot is still held: only the deadline can have emptied the queue.
-	for env.srv.queued.Load() != 0 || env.srv.Metrics().CallsRejected != 1 {
-		if time.Since(start) > time.Second {
-			t.Errorf("a second after its caller gave up the call is still queued (queued=%d, rejected=%d)",
-				env.srv.queued.Load(), env.srv.Metrics().CallsRejected)
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if n := env.svc.quick.Load(); n != 1 {
+		t.Fatalf("Quick ran %d times, want 1", n)
 	}
-	close(env.svc.release) // on every path: the server's Close waits for Hold
+	observed := clientObs.Snapshot()
+	if m := observed.Method("gate", "Quick"); m == nil || m.Calls != 1 || restoreCommits(m) != 1 {
+		t.Fatalf("client observer = %+v, want one call with one restore-commit", m)
+	}
 	if res := <-blocked; res.err != nil {
 		t.Fatalf("slot-holding call failed: %v", res.err)
 	}
-	if m := env.srv.Metrics(); m.CallsServed != 1 || len(env.srv.callSem) != 0 {
-		t.Fatalf("CallsServed = %d with %d slots held, want 1 and 0", m.CallsServed, len(env.srv.callSem))
+	if m := env.srv.Metrics(); m.CallsRejected < 1 {
+		t.Fatalf("CallsRejected = %d, want the slot to have refused Quick at least once", m.CallsRejected)
 	}
+	if m := env.client.Metrics(); m.Retries < 1 {
+		t.Fatalf("Retries = %d, want at least one re-send", m.Retries)
+	}
+}
+
+// restoreCommits is how many times m's calls committed a restore.
+func restoreCommits(m *obs.MethodSnapshot) int64 {
+	for _, p := range m.Phases {
+		if p.Phase == obs.PhaseRestoreCommit.String() {
+			return p.Latency.Count
+		}
+	}
+	return 0
 }
 
 // TestCallerCancelBeatsCallTimeout: CallTimeout is an upper bound derived
@@ -692,9 +624,9 @@ func TestCtxAwareMethodDispatch(t *testing.T) {
 // TestSoakGracefulDegradation is the `make soak` entry point: N clients
 // firing M bursts of concurrent calls hammer a server whose admission
 // control is deliberately tighter than the offered load (12 concurrent
-// calls against 3 slots + a 2-deep queue), with retries on, while the
-// server shuts down once half the calls have landed. Every call — served,
-// rejected, queued out, or refused mid-drain — must either succeed with a
+// calls against 3 slots), with retries on, while the server shuts down
+// once half the calls have landed. Every call — served, rejected, or
+// refused mid-drain — must either succeed with a
 // correct restore or fail with its argument graph untouched.
 func TestSoakGracefulDegradation(t *testing.T) {
 	clients, rounds, burst := 4, 16, 3
@@ -713,8 +645,6 @@ func TestSoakGracefulDegradation(t *testing.T) {
 
 	sopts := base
 	sopts.MaxConcurrentCalls = 3
-	sopts.AdmissionQueue = 2
-	sopts.AdmissionWait = 5 * time.Millisecond
 	srv, err := NewServer("server", sopts)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func TestEvictionRecordsCause(t *testing.T) {
 	if pooled, _, _ := connState(e.client, "nobody"); pooled {
 		t.Fatal("connState invented a connection to an address never dialed")
 	}
-	if m := e.client.Metrics(); m.Evictions != 0 || m.EvictionCauses != nil {
+	if m := e.client.Metrics(); m.Reconnects != 0 || m.EvictionCauses != nil {
 		t.Fatalf("eviction counters non-zero before any eviction: %+v", m)
 	}
 
@@ -73,11 +73,8 @@ func TestEvictionRecordsCause(t *testing.T) {
 	}
 
 	m := e.client.Metrics()
-	if m.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", m.Evictions)
-	}
-	if m.Reconnects != m.Evictions {
-		t.Fatalf("Reconnects = %d but Evictions = %d; the pair must move together", m.Reconnects, m.Evictions)
+	if m.Reconnects != 1 {
+		t.Fatalf("Reconnects = %d, want 1", m.Reconnects)
 	}
 	if len(m.EvictionCauses) != 1 {
 		t.Fatalf("EvictionCauses = %v, want exactly one cause", m.EvictionCauses)
@@ -89,8 +86,8 @@ func TestEvictionRecordsCause(t *testing.T) {
 		}
 		total += n
 	}
-	if total != m.Evictions {
-		t.Fatalf("cause tally %d != eviction count %d", total, m.Evictions)
+	if total != m.Reconnects {
+		t.Fatalf("cause tally %d != Reconnects %d", total, m.Reconnects)
 	}
 
 	// Snapshot isolation: mutating the returned map must not leak back.

@@ -251,7 +251,7 @@ func clientCounters(m ClientMetrics) []int64 {
 // is also the data-race proof for the metrics paths.
 func TestMetricsSnapshotInvariantsUnderStress(t *testing.T) {
 	env := newDegradeEnv(t,
-		func(o *Options) { o.MaxConcurrentCalls = 4; o.AdmissionQueue = 16 },
+		func(o *Options) { o.MaxConcurrentCalls = 4 },
 		func(o *Options) {
 			o.CallTimeout = 5 * time.Millisecond
 			o.Retry = RetryPolicy{MaxAttempts: 2, Seed: 7}

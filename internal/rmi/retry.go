@@ -24,6 +24,14 @@ import (
 	"nrmi/internal/transport"
 )
 
+// The backoff doubles per attempt (backoffMultiplier) and each pause is
+// spread by ±backoffJitter of itself, decorrelating clients that fail
+// together.
+const (
+	backoffMultiplier = 2
+	backoffJitter     = 0.2
+)
+
 // RetryPolicy configures automatic re-sends of failed remote calls.
 // The zero value disables retries (every call gets exactly one attempt).
 type RetryPolicy struct {
@@ -34,11 +42,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (default 500ms).
 	MaxDelay time.Duration
-	// Multiplier grows the backoff per attempt (default 2).
-	Multiplier float64
-	// Jitter spreads each backoff by ±Jitter fraction of itself (default
-	// 0.2), decorrelating clients that fail together.
-	Jitter float64
 	// Seed seeds the jitter generator, making a client's backoff schedule
 	// replayable; 0 seeds from the clock.
 	Seed int64
@@ -54,12 +57,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 500 * time.Millisecond
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
 	}
 	return p
 }
@@ -125,18 +122,12 @@ func Retryable(err error) bool {
 // The jitter draw comes from the client's seeded generator so schedules
 // replay under a fixed RetryPolicy.Seed.
 func (c *Client) backoff(pol RetryPolicy, attempt int) time.Duration {
-	d := float64(pol.BaseDelay) * math.Pow(pol.Multiplier, float64(attempt-1))
+	d := float64(pol.BaseDelay) * math.Pow(backoffMultiplier, float64(attempt-1))
 	if lim := float64(pol.MaxDelay); d > lim {
 		d = lim
 	}
-	if pol.Jitter > 0 {
-		c.retryMu.Lock()
-		f := c.retryRng.Float64()
-		c.retryMu.Unlock()
-		d += d * pol.Jitter * (2*f - 1)
-	}
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
+	c.retryMu.Lock()
+	f := c.retryRng.Float64()
+	c.retryMu.Unlock()
+	return time.Duration(d + d*backoffJitter*(2*f-1))
 }

@@ -145,16 +145,10 @@ type Options struct {
 	// stops work the client has already abandoned.
 	CallTimeout time.Duration
 	// MaxConcurrentCalls caps method invocations executing at once on a
-	// server. Calls beyond the cap are rejected with ErrOverloaded — or
-	// queued, if AdmissionQueue is set. Zero means unlimited.
+	// server. A call beyond the cap is refused at once with ErrOverloaded,
+	// which Retryable classifies as retryable: a client that wants to wait
+	// for a slot sets Retry. Zero means unlimited.
 	MaxConcurrentCalls int
-	// AdmissionQueue bounds how many over-cap calls may wait for a free
-	// slot instead of being rejected outright. Zero disables queueing.
-	AdmissionQueue int
-	// AdmissionWait bounds how long a queued call waits for a slot before
-	// failing with ErrOverloaded. Zero waits until the caller's propagated
-	// deadline (or a free slot, whichever comes first).
-	AdmissionWait time.Duration
 	// MaxRequestBytes rejects call payloads larger than this before any
 	// decoding work. Zero means unlimited.
 	MaxRequestBytes int

@@ -46,9 +46,8 @@ type Server struct {
 	draining atomic.Bool
 
 	// callSem is the admission semaphore (nil when MaxConcurrentCalls is
-	// unset); queued counts calls waiting in the bounded admission queue.
+	// unset).
 	callSem chan struct{}
-	queued  atomic.Int32
 
 	// sweeper state for the background lease collector.
 	sweepStop chan struct{}
@@ -353,9 +352,9 @@ type Metrics struct {
 	// caller saw an error.
 	CallsCancelled int64
 	// CallsAbandoned counts admitted calls dropped before dispatch because
-	// the client's deadline had already expired (typically while queued for
-	// an admission slot). The method never ran, so these appear in neither
-	// CallsServed nor CallErrors nor CallsCancelled.
+	// the client's deadline was already spent when the request arrived, or
+	// the server is closing. The method never ran, so these appear in
+	// neither CallsServed nor CallErrors nor CallsCancelled.
 	CallsAbandoned int64
 	// BatchedCalls is never incremented; it stays for its one reader, benchmark/proc.go.
 	BatchedCalls int64
@@ -481,9 +480,9 @@ func (s *Server) admit() error {
 }
 
 // acquireSlot enforces MaxConcurrentCalls: take a semaphore slot if one is
-// free, otherwise wait in the bounded admission queue (AdmissionQueue
-// deep, AdmissionWait long) or fail with ErrOverloaded.
-func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
+// free, otherwise fail with ErrOverloaded at once. A caller that wants to
+// wait for a slot retries (Retryable classifies ErrOverloaded as retryable).
+func (s *Server) acquireSlot() (release func(), err error) {
 	if s.callSem == nil {
 		return func() {}, nil
 	}
@@ -491,26 +490,7 @@ func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
 	case s.callSem <- struct{}{}:
 		return s.releaseSlot, nil
 	default:
-	}
-	if s.opts.AdmissionQueue <= 0 {
 		return nil, fmt.Errorf("%w: %d calls in flight", transport.ErrOverloaded, cap(s.callSem))
-	}
-	if int(s.queued.Add(1)) > s.opts.AdmissionQueue {
-		s.queued.Add(-1)
-		return nil, fmt.Errorf("%w: admission queue full", transport.ErrOverloaded)
-	}
-	defer s.queued.Add(-1)
-	wctx := ctx
-	if s.opts.AdmissionWait > 0 {
-		var cancel context.CancelFunc
-		wctx, cancel = context.WithTimeout(ctx, s.opts.AdmissionWait)
-		defer cancel()
-	}
-	select {
-	case s.callSem <- struct{}{}:
-		return s.releaseSlot, nil
-	case <-wctx.Done():
-		return nil, fmt.Errorf("%w: no free slot within wait budget (%v)", transport.ErrOverloaded, wctx.Err())
 	}
 }
 
@@ -529,16 +509,17 @@ func (s *Server) handle(ctx context.Context, msgType byte, payload []byte) (out 
 			s.metrics.rejected.Add(1)
 			return nil, fmt.Errorf("rmi: %d-byte request exceeds MaxRequestBytes %d", len(payload), max)
 		}
-		slot, err := s.acquireSlot(ctx)
+		slot, err := s.acquireSlot()
 		if err != nil {
 			s.metrics.rejected.Add(1)
 			return nil, err
 		}
 		defer slot()
 		if err := ctx.Err(); err != nil {
-			// The caller's deadline expired while we queued for a slot;
-			// don't run work nobody is waiting for. The method never ran,
-			// so this is an abandonment, not a served-then-cancelled call.
+			// The caller's deadline was spent on arrival, or the server is
+			// closing; don't run work nobody is waiting for. The method
+			// never ran, so this is an abandonment, not a
+			// served-then-cancelled call.
 			s.metrics.abandoned.Add(1)
 			return nil, fmt.Errorf("rmi: call abandoned before dispatch: %w", err)
 		}

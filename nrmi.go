@@ -168,16 +168,10 @@ type Options struct {
 	// cancel work the client has already abandoned.
 	CallTimeout time.Duration
 	// MaxConcurrentCalls caps method invocations executing at once on a
-	// server; excess calls fail fast with ErrOverloaded, or wait if
-	// AdmissionQueue is set. Zero means unlimited.
+	// server; excess calls fail fast with ErrOverloaded, which is
+	// retryable, so a client that wants to wait for a slot sets Retry.
+	// Zero means unlimited.
 	MaxConcurrentCalls int
-	// AdmissionQueue bounds how many over-cap calls may wait for a free
-	// slot instead of being rejected outright. Zero disables queueing.
-	AdmissionQueue int
-	// AdmissionWait bounds how long a queued call waits for a slot before
-	// failing with ErrOverloaded. Zero waits until the caller's propagated
-	// deadline.
-	AdmissionWait time.Duration
 	// MaxRequestBytes rejects call payloads larger than this before any
 	// decoding work on the server. Zero means unlimited. The decoder
 	// believes no length the bytes after it cannot carry, so this also
@@ -236,7 +230,7 @@ var (
 	// draining (Server.Shutdown) or stopped.
 	ErrUnavailable = rmi.ErrUnavailable
 	// ErrOverloaded is returned for calls refused by admission control
-	// (Options.MaxConcurrentCalls and the admission queue).
+	// (Options.MaxConcurrentCalls).
 	ErrOverloaded = rmi.ErrOverloaded
 )
 
@@ -253,7 +247,7 @@ type ClientMetrics = rmi.ClientMetrics
 // method, phase) histograms and a bounded ring of recent call traces.
 // Attach one via Options.Observer; export its state with
 // Observer.Snapshot, Observer.Handler (the /debug/nrmi/metrics and
-// /debug/nrmi/traces JSON endpoints), or Observer.Publish (expvar).
+// /debug/nrmi/traces JSON endpoints).
 type Observer = obs.Observer
 
 // ObserverConfig tunes an Observer; the zero value is usable.
@@ -281,8 +275,6 @@ func (o Options) rmiOptions() rmi.Options {
 		Retry:              o.Retry,
 		CallTimeout:        o.CallTimeout,
 		MaxConcurrentCalls: o.MaxConcurrentCalls,
-		AdmissionQueue:     o.AdmissionQueue,
-		AdmissionWait:      o.AdmissionWait,
 		MaxRequestBytes:    o.MaxRequestBytes,
 		Obs:                o.Observer,
 	}
