@@ -40,44 +40,9 @@ func main() {
 		loc       = flag.Bool("loc", false, "print the manual-restore lines-of-code report and exit")
 		quiet     = flag.Bool("quiet", false, "suppress progress lines")
 		table     = flag.String("table", "", "only print tables whose id contains this substring (e.g. 5); all tables still run")
-		phases    = flag.Bool("phases", false, "run the per-phase breakdown (scenario III) and exit")
-		obsSmoke  = flag.Bool("obs-smoke", false, "run the observability smoke gate (debug endpoints + nop-overhead check) and exit")
 		check     = flag.String("check", "", "recorded tables (markdown) the bytes/messages cells of Tables 1-7 must equal")
 	)
 	flag.Parse()
-
-	if *obsSmoke {
-		if err := runObsSmoke(); err != nil {
-			log.Fatalf("nrmi-bench: %v", err)
-		}
-		return
-	}
-
-	if *phases {
-		sizes, err := parseSizes(*sizesFlag)
-		if err != nil {
-			log.Fatalf("nrmi-bench: %v", err)
-		}
-		pcfg := bench.PhasesConfig{Sizes: sizes, Iterations: *iters, Seed: *seed}
-		if !*quiet {
-			pcfg.Log = func(line string) { fmt.Fprintln(os.Stderr, line) }
-		}
-		// The default 5 iterations of the table runs are too thin for
-		// per-phase means; let the phases default (20) apply instead.
-		if pcfg.Iterations == 5 {
-			pcfg.Iterations = 0
-		}
-		rep, err := bench.RunPhases(pcfg)
-		if err != nil {
-			log.Fatalf("nrmi-bench: %v", err)
-		}
-		if *md {
-			fmt.Print(rep.Markdown())
-		} else {
-			fmt.Print(rep.Format())
-		}
-		return
-	}
 
 	if *loc {
 		report, err := bench.CountManualLoC()

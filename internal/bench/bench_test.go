@@ -9,6 +9,8 @@ import (
 
 	"nrmi/internal/graph"
 	"nrmi/internal/netsim"
+	"nrmi/internal/obs"
+	"nrmi/internal/raceflag"
 	"nrmi/internal/wire"
 )
 
@@ -427,7 +429,7 @@ func TestTreeStatsAndHelpers(t *testing.T) {
 
 func TestWrapRefHook(t *testing.T) {
 	env := &RefEnv{}
-	h, err := env.WrapRefHook(nil, nil)
+	h, err := env.WrapRefHook(nil)
 	if err != nil || h != nil {
 		t.Fatalf("nil ref must wrap to nil: %v %v", h, err)
 	}
@@ -448,4 +450,43 @@ func TestCellDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed, different bytes: %d vs %d", a, b)
 	}
+}
+
+// TestNilObserverUnderTwoPercent gates what the compiled-in instrumentation
+// costs a call that no observer watches: Begin, a Mark for every phase of
+// either end, SetIO and Finish on the nil collector must stay under 2% of a
+// scenario-III call at size 256.
+func TestNilObserverUnderTwoPercent(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("timings are not meaningful under -race")
+	}
+	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
+	cell, err := RunNRMI(e, RunSpec{Scenario: ScenarioIII, Size: 256, Iterations: 15, Seed: 1, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	callNs := cell.Millis * 1e6
+	const iters = 100_000
+	nilCollectorCall()
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		nilCollectorCall()
+	}
+	nilNs := float64(time.Since(start).Nanoseconds()) / iters
+	share := 100 * nilNs / callNs
+	t.Logf("scenario III @256 call %.0f µs; nil collector %.1f ns/call (%.4f%%)", callNs/1e3, nilNs, share)
+	if share > 2 {
+		t.Fatalf("the nil collector costs %.3f%% of a call, more than 2%%", share)
+	}
+}
+
+// nilCollectorCall replays one call's collector operations with no
+// observer attached.
+func nilCollectorCall() {
+	oc := obs.Begin(nil, "nrmi", "Apply")
+	for p := obs.Phase(0); p < obs.NumPhases; p++ {
+		oc.Mark(p, 1, 1)
+	}
+	oc.SetIO(1, 1)
+	oc.Finish(nil)
 }

@@ -24,11 +24,6 @@ type EnvConfig struct {
 	Engine wire.Engine
 	// DisablePlanCache selects the "portable" NRMI implementation.
 	DisablePlanCache bool
-	// Obs, when set, receives per-call phase measurements from both
-	// machines: client and server record disjoint phases under the same
-	// (service, method) key, so one observer sees the whole pipeline. Cells
-	// measured with it report no ServerCPU.
-	Obs *obs.Observer
 }
 
 // Env is a fully assembled two-machine benchmark world.
@@ -48,7 +43,7 @@ type Env struct {
 
 	serverClient *rmi.Client
 	// hostObs observes the server machine's two endpoints, Server and
-	// serverClient, and nothing else; nil when EnvConfig.Obs is set.
+	// serverClient, and nothing else.
 	hostObs *obs.Observer
 }
 
@@ -69,19 +64,14 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	serverEnv := &RefEnv{}
 	clientEnv := &RefEnv{}
 
-	e := &Env{Net: n, Registry: reg}
+	e := &Env{Net: n, Registry: reg, hostObs: obs.New()}
 	serverOpts := rmi.Options{
 		Core:    coreOpts,
-		Obs:     cfg.Obs,
+		Obs:     e.hostObs,
 		WrapRef: serverEnv.WrapRefHook,
-	}
-	if cfg.Obs == nil {
-		e.hostObs = obs.New(obs.Config{})
-		serverOpts.Obs = e.hostObs
 	}
 	clientOpts := rmi.Options{
 		Core:    coreOpts,
-		Obs:     cfg.Obs,
 		WrapRef: clientEnv.WrapRefHook,
 	}
 
@@ -137,7 +127,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	}
 	serverClient.BindLocalServer(srv)
 	e.serverClient = serverClient
-	srv.BindClient(serverClient)
 	serverEnv.Client = serverClient
 	serverEnv.Local = srv
 
@@ -167,11 +156,8 @@ func (e *Env) ResetStats() { e.Net.ResetStats() }
 // serverCPU returns the server machine's CPU so far, in milliseconds: the
 // srv-* phases its Server ran, less the transport phases of the outbound
 // calls (a Table 6 mutator's callbacks) its serverClient made from them,
-// which wait on other machines. It is 0 under EnvConfig.Obs.
+// which wait on other machines.
 func (e *Env) serverCPU() float64 {
-	if e.hostObs == nil {
-		return 0
-	}
 	ns := e.hostObs.PhaseNs()
 	own := ns[obs.PhaseSrvDecode] + ns[obs.PhaseSrvPrepare] + ns[obs.PhaseSrvExecute] + ns[obs.PhaseSrvEncode]
 	return float64(own-ns[obs.PhaseTransport]) / 1e6

@@ -95,7 +95,7 @@ func (e *RefEnv) Wrap(ref *rmi.RemoteRef) (Handle, error) {
 }
 
 // WrapRefHook adapts Wrap to the rmi.Options.WrapRef signature.
-func (e *RefEnv) WrapRefHook(ref *rmi.RemoteRef, _ *rmi.Client) (any, error) {
+func (e *RefEnv) WrapRefHook(ref *rmi.RemoteRef) (any, error) {
 	return e.Wrap(ref)
 }
 

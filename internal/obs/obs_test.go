@@ -43,7 +43,7 @@ func TestNilCollectorAllocs(t *testing.T) {
 // allocates nothing per call once warm (the ring and aggregation buckets
 // pre-exist after the first call).
 func TestEnabledCollectorSteadyStateAllocs(t *testing.T) {
-	o := New(Config{})
+	o := New()
 	run := func() {
 		c := Begin(o, "svc", "M")
 		c.Mark(PhaseEncode, 64, 0)
@@ -61,7 +61,7 @@ func TestEnabledCollectorSteadyStateAllocs(t *testing.T) {
 // TestPhaseAggregation drives known phases through an Observer and checks
 // the per-phase aggregates.
 func TestPhaseAggregation(t *testing.T) {
-	o := New(Config{Tag: "test"})
+	o := New()
 	for i := 0; i < 5; i++ {
 		c := Begin(o, "svc", "M")
 		time.Sleep(time.Millisecond)
@@ -75,9 +75,6 @@ func TestPhaseAggregation(t *testing.T) {
 		c.Finish(err)
 	}
 	s := o.Snapshot()
-	if s.Tag != "test" {
-		t.Errorf("Tag = %q", s.Tag)
-	}
 	m := s.Method("svc", "M")
 	if m == nil {
 		t.Fatal("method svc.M missing from snapshot")
@@ -114,7 +111,7 @@ func TestPhaseAggregation(t *testing.T) {
 // add up to the call up to its last Mark, and a phase marked twice
 // accumulates both stretches.
 func TestMarksTileTheCall(t *testing.T) {
-	o := New(Config{})
+	o := New()
 	o.ring.init(1)
 	c := Begin(o, "s", "m")
 	time.Sleep(2 * time.Millisecond)
@@ -177,7 +174,7 @@ func TestHistBuckets(t *testing.T) {
 // is bounded, sorted slowest-first, and slowN long by default.
 func TestTraceRingBounded(t *testing.T) {
 	const capacity, calls = slowN + 8, slowN + 20
-	o := New(Config{})
+	o := New()
 	o.ring.init(capacity)
 	for i := 0; i < calls; i++ {
 		cs := CallStats{
@@ -208,7 +205,7 @@ func TestTraceRingBounded(t *testing.T) {
 // TestConcurrentRecording hammers one Observer from many goroutines; run
 // under -race this is the data-race proof for the aggregation paths.
 func TestConcurrentRecording(t *testing.T) {
-	o := New(Config{})
+	o := New()
 	o.ring.init(16)
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
@@ -235,39 +232,41 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-// TestHandlerEndpoints scrapes the debug endpoints and decodes the JSON
-// schema the obs-smoke gate validates.
+// TestHandlerEndpoints scrapes the debug endpoints: each answers
+// application/json that decodes into its export type with no key the type
+// lacks.
 func TestHandlerEndpoints(t *testing.T) {
-	o := New(Config{Tag: "http"})
+	o := New()
 	c := Begin(o, "svc", "M")
 	c.Mark(PhaseEncode, 10, 0)
 	c.Finish(nil)
 
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
+	scrape := func(path string, v any) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != 200 || ct != "application/json" {
+			t.Fatalf("GET %s: status %d, content-type %q, want 200 application/json", path, resp.StatusCode, ct)
+		}
+		dec := json.NewDecoder(resp.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(v); err != nil {
+			t.Fatalf("GET %s does not match its export type: %v", path, err)
+		}
+	}
 
-	resp, err := srv.Client().Get(srv.URL + MetricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatalf("metrics endpoint JSON: %v", err)
-	}
-	if snap.Tag != "http" || snap.Method("svc", "M") == nil {
+	scrape(MetricsPath, &snap)
+	if snap.Method("svc", "M") == nil {
 		t.Fatalf("metrics snapshot = %+v", snap)
 	}
-
-	tresp, err := srv.Client().Get(srv.URL + TracesPath + "?n=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tresp.Body.Close()
 	var traces []Trace
-	if err := json.NewDecoder(tresp.Body).Decode(&traces); err != nil {
-		t.Fatalf("traces endpoint JSON: %v", err)
-	}
+	scrape(TracesPath+"?n=1", &traces)
 	if len(traces) != 1 || traces[0].Service != "svc" || len(traces[0].Phases) == 0 {
 		t.Fatalf("traces = %+v", traces)
 	}
@@ -285,7 +284,7 @@ func TestHandlerEndpoints(t *testing.T) {
 // TestPhaseNsSumsEveryKey: PhaseNs is the per-phase total of every key the
 // observer holds, the sum Snapshot's histograms carry.
 func TestPhaseNsSumsEveryKey(t *testing.T) {
-	o := New(Config{})
+	o := New()
 	for _, svc := range []string{"a", "#1", "#2"} {
 		c := Begin(o, svc, "M")
 		time.Sleep(time.Microsecond)

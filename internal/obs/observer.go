@@ -7,14 +7,6 @@ import (
 	"time"
 )
 
-// Config tunes an Observer. The zero value is usable.
-type Config struct {
-	// Tag labels every export from this observer, so runs of different
-	// configurations (e.g. "v2" vs "v2-portable") stay distinguishable
-	// after the fact.
-	Tag string
-}
-
 // traceCapacity bounds the trace ring buffer; slowN is how many slowest
 // traces Slowest returns when asked for n ≤ 0.
 const (
@@ -26,7 +18,6 @@ const (
 // histograms and keeps a bounded ring of recent calls for slowest-N trace
 // export. All methods are safe for concurrent use.
 type Observer struct {
-	cfg     Config
 	methods sync.Map // CallKey -> *methodAgg
 	ring    traceRing
 	phaseNs [NumPhases]atomic.Int64
@@ -49,9 +40,9 @@ type methodAgg struct {
 	phases   [NumPhases]phaseAgg
 }
 
-// New returns an Observer with the given configuration.
-func New(cfg Config) *Observer {
-	o := &Observer{cfg: cfg}
+// New returns an empty Observer.
+func New() *Observer {
+	o := &Observer{}
 	o.ring.init(traceCapacity)
 	return o
 }
@@ -137,8 +128,6 @@ func (m *MethodSnapshot) PhaseMeanNs(phase string) float64 {
 
 // Snapshot is the full metrics export of an Observer.
 type Snapshot struct {
-	// Tag is Config.Tag, identifying the run variant.
-	Tag string `json:"tag,omitempty"`
 	// TakenAt is when the snapshot was assembled.
 	TakenAt time.Time `json:"taken_at"`
 	// Methods lists every (service, method) seen, sorted by key.
@@ -159,7 +148,7 @@ func (s *Snapshot) Method(service, method string) *MethodSnapshot {
 // with concurrent recording (each counter is read atomically, the set is
 // not frozen), which is the usual monitoring contract.
 func (o *Observer) Snapshot() Snapshot {
-	s := Snapshot{Tag: o.cfg.Tag, TakenAt: time.Now()}
+	s := Snapshot{TakenAt: time.Now()}
 	o.methods.Range(func(k, v any) bool {
 		key := k.(CallKey)
 		m := v.(*methodAgg)

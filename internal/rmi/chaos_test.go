@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -468,6 +469,11 @@ func TestRetryableClassification(t *testing.T) {
 		if got := Retryable(tc.err); got != tc.want {
 			t.Errorf("Retryable(%s) = %t, want %t", tc.name, got, tc.want)
 		}
+	}
+	cause := errors.New("bad")
+	consumed := &ResponseConsumedError{Method: "Scale", Err: cause}
+	if !errors.Is(consumed, cause) || !strings.Contains(consumed.Error(), "Scale") {
+		t.Errorf("consumed response %q: want errors.Is its cause and the method named", consumed)
 	}
 }
 

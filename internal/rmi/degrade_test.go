@@ -391,7 +391,7 @@ func TestOverloadStormRejectsPromptly(t *testing.T) {
 // ErrOverloaded while the only slot is held is re-sent under Retry until
 // the slot frees, then runs once and restores once.
 func TestOverloadRetryWaitsForSlot(t *testing.T) {
-	clientObs := obs.New(obs.Config{})
+	clientObs := obs.New()
 	env := newDegradeEnv(t, func(o *Options) { o.MaxConcurrentCalls = 1 }, func(o *Options) {
 		o.Retry = RetryPolicy{MaxAttempts: 20, BaseDelay: time.Millisecond, Seed: 1}
 		o.Obs = clientObs

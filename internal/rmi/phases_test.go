@@ -17,44 +17,45 @@ import (
 // observer on each end and reads back what each end recorded: every
 // expected phase exactly once, no other, phases that add up to no more
 // than the call, and the request and reply sizes the other end saw.
+// Between them the lists name every obs.Phase, so a phase that no call
+// marks fails here; one observer shared by both ends holds the client's and
+// the server's phases under one key.
 func TestEveryCallShapeRecordsItsPhases(t *testing.T) {
 	server := []string{"srv-decode", "srv-prepare", "srv-execute", "srv-encode"}
-	for _, row := range []struct {
+	rows := []struct {
 		shape  callShape
 		client []string
 	}{
 		{shapeCall, []string{"encode", "transport", "decode-reply", "restore-commit"}},
 		{shapeAsync, []string{"decode-reply", "restore-commit", "async-issue", "async-await"}},
-	} {
+	}
+	listed := map[string]bool{}
+	for _, name := range server {
+		listed[name] = true
+	}
+	for _, row := range rows {
+		for _, name := range row.client {
+			listed[name] = true
+		}
+	}
+	for p := obs.Phase(0); p < obs.NumPhases; p++ {
+		if !listed[p.String()] {
+			t.Errorf("phase %s is on no call shape's list", p)
+		}
+		delete(listed, p.String())
+	}
+	if len(listed) > 0 {
+		t.Errorf("listed phases %v are not obs.Phase names", listed)
+	}
+	for _, row := range rows {
 		t.Run(row.shape.name, func(t *testing.T) {
-			reg := treeRegistry(t)
-			n := netsim.NewNetwork()
-			t.Cleanup(func() { n.Close() })
-			srvObs, cliObs := obs.New(obs.Config{}), obs.New(obs.Config{})
-			srv, err := NewServer("server", Options{Core: core.Options{Registry: reg}, Obs: srvObs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := srv.Export("chaos", &ChaosService{}); err != nil {
-				t.Fatal(err)
-			}
-			ln, err := n.Listen("server")
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.Serve(ln)
-			t.Cleanup(func() { srv.Close() })
-			cl, err := NewClient(n.Dial, Options{Core: core.Options{Registry: reg}, Obs: cliObs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { cl.Close() })
-
+			srvObs, cliObs := obs.New(), obs.New()
+			_, cl := observedPair(t, srvObs, cliObs)
 			if _, err := row.shape.call(cl.Stub("server", "chaos"), context.Background(), "Scale", chaosTree(), 1); err != nil {
 				t.Fatal(err)
 			}
-			cliTr := checkPhases(t, "client", cliObs, "Scale", row.client)
-			srvTr := checkPhases(t, "server", srvObs, "Scale", server)
+			cliTr := checkPhases(t, "client", cliObs, "Scale", 1, row.client)
+			srvTr := checkPhases(t, "server", srvObs, "Scale", 1, server)
 			if cliTr.BytesOut == 0 || cliTr.BytesOut != srvTr.BytesIn {
 				t.Errorf("client recorded a %d-byte request, server read %d", cliTr.BytesOut, srvTr.BytesIn)
 			}
@@ -63,22 +64,58 @@ func TestEveryCallShapeRecordsItsPhases(t *testing.T) {
 			}
 		})
 	}
+	t.Run("shared", func(t *testing.T) {
+		o := obs.New()
+		_, cl := observedPair(t, o, o)
+		if _, err := cl.Stub("server", "chaos").Call(context.Background(), "Scale", chaosTree(), 1); err != nil {
+			t.Fatal(err)
+		}
+		checkPhases(t, "shared", o, "Scale", 2, append(slices.Clone(rows[0].client), server...))
+	})
 }
 
-// checkPhases waits for o to hold its endpoint's one call of method and
-// holds it to the phases want, returning its trace. An observer files a
-// call's trace after its aggregates, so once the trace is there the
-// aggregates are complete.
-func checkPhases(t *testing.T, end string, o *obs.Observer, method string, want []string) obs.Trace {
+// observedPair starts a server exporting "chaos" and a client, observed by
+// srvObs and cliObs (either may be nil), all closed at the end of t.
+func observedPair(t *testing.T, srvObs, cliObs *obs.Observer) (*Server, *Client) {
+	t.Helper()
+	reg := treeRegistry(t)
+	n := netsim.NewNetwork()
+	t.Cleanup(func() { n.Close() })
+	srv, err := NewServer("server", Options{Core: core.Options{Registry: reg}, Obs: srvObs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Export("chaos", &ChaosService{}); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := n.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	cl, err := NewClient(n.Dial, Options{Core: core.Options{Registry: reg}, Obs: cliObs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return srv, cl
+}
+
+// checkPhases waits for o to hold calls records of method, one per
+// endpoint it observes, and holds them to the phases want, each recorded
+// once, returning the first trace. An observer files a call's trace after
+// its aggregates, so once the traces are there the aggregates are complete.
+func checkPhases(t *testing.T, end string, o *obs.Observer, method string, calls int, want []string) obs.Trace {
 	t.Helper()
 	var traces []obs.Trace
-	for deadline := time.Now().Add(5 * time.Second); len(traces) == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); len(traces) < calls && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		traces = o.Slowest(0)
 	}
 	snap := o.Snapshot()
 	m := snap.Method("chaos", method)
-	if len(traces) != 1 || m == nil || m.Calls != 1 {
-		t.Fatalf("%s recorded %+v, want one call of %s", end, m, method)
+	if len(traces) != calls || m == nil || m.Calls != int64(calls) {
+		t.Fatalf("%s recorded %+v, want %d records of %s", end, m, calls, method)
 	}
 	var got []string
 	for _, ph := range m.Phases {
@@ -106,25 +143,8 @@ func checkPhases(t *testing.T, end string, o *obs.Observer, method string, want 
 // of one type make one observer entry, not 50.
 func TestAnonymousExportsShareObserverKey(t *testing.T) {
 	const objects = 50
-	reg := treeRegistry(t)
-	n := netsim.NewNetwork()
-	t.Cleanup(func() { n.Close() })
-	srvObs, cliObs := obs.New(obs.Config{}), obs.New(obs.Config{})
-	srv, err := NewServer("server", Options{Core: core.Options{Registry: reg}, Obs: srvObs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := n.Listen("server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	cl, err := NewClient(n.Dial, Options{Core: core.Options{Registry: reg}, Obs: cliObs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	srvObs, cliObs := obs.New(), obs.New()
+	srv, cl := observedPair(t, srvObs, cliObs)
 
 	var label string
 	for i := 0; i < objects; i++ {
@@ -157,28 +177,8 @@ func TestAnonymousExportsShareObserverKey(t *testing.T) {
 // entries. The error still names what the peer asked for.
 func TestUnresolvedCallsShareObserverKey(t *testing.T) {
 	const calls = 50
-	reg := treeRegistry(t)
-	n := netsim.NewNetwork()
-	t.Cleanup(func() { n.Close() })
-	srvObs := obs.New(obs.Config{})
-	srv, err := NewServer("server", Options{Core: core.Options{Registry: reg}, Obs: srvObs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Export("chaos", &ChaosService{}); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := n.Listen("server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	cl, err := NewClient(n.Dial, Options{Core: core.Options{Registry: reg}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cl.Close() })
+	srvObs := obs.New()
+	_, cl := observedPair(t, srvObs, nil)
 
 	ctx := context.Background()
 	before := len(srvObs.Snapshot().Methods)

@@ -47,9 +47,6 @@ type RetryPolicy struct {
 	Seed int64
 }
 
-// Enabled reports whether the policy allows any re-sends.
-func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
-
 // withDefaults fills unset knobs.
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseDelay <= 0 {

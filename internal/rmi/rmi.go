@@ -125,7 +125,7 @@ type Options struct {
 	// application proxies before method dispatch (e.g. a tree-node stub
 	// implementing the application's node interface). When nil, methods
 	// receive the raw *RemoteRef.
-	WrapRef func(ref *RemoteRef, c *Client) (any, error)
+	WrapRef func(ref *RemoteRef) (any, error)
 	// Intercept, when set, wraps every invocation on this endpoint: a
 	// client's Call and CallStats (registry and DGC calls
 	// included; not CallAsync, whose issue/await split has no single body

@@ -56,10 +56,6 @@ type Server struct {
 
 	methodCache sync.Map // reflect.Type -> map[string]reflect.Method
 
-	// boundClient, when set, is handed to the WrapRef hook so inbound
-	// reference proxies can issue calls back out of this process.
-	boundClient *Client
-
 	tsrv *transport.Server
 }
 
@@ -114,10 +110,6 @@ func NewServer(addr string, opts Options) (*Server, error) {
 
 // Addr returns the address this server identifies itself under.
 func (s *Server) Addr() string { return s.addr }
-
-// BindClient attaches the client handed to the WrapRef hook, so proxies
-// constructed for inbound references can call back out of this process.
-func (s *Server) BindClient(c *Client) { s.boundClient = c }
 
 // EnableRegistry exports a naming service under "#registry" and returns it
 // (the same one on every call). A standalone registry is a server that
@@ -844,7 +836,7 @@ func (s *Server) inboundRef(raw any) (any, error) {
 		return target.v.Interface(), nil
 	}
 	if s.opts.WrapRef != nil {
-		return s.opts.WrapRef(ref, s.boundClient)
+		return s.opts.WrapRef(ref)
 	}
 	return ref, nil
 }

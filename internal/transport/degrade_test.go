@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,9 @@ func TestStatusErrorRoundTrip(t *testing.T) {
 			}
 			if !errors.Is(err, tc.sentinel) {
 				t.Fatalf("errors.Is(%v, sentinel) = false", err)
+			}
+			if want := "remote [" + tc.name + "]: "; !strings.HasPrefix(se.Error(), want) {
+				t.Fatalf("Error() = %q, want it to start %q", se.Error(), want)
 			}
 		})
 	}

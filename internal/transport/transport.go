@@ -990,6 +990,3 @@ func (s *Server) Close() error {
 	s.wg.Wait()
 	return err
 }
-
-// Addr returns the server's listen address.
-func (s *Server) Addr() net.Addr { return s.ln.Addr() }

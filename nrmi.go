@@ -149,7 +149,7 @@ type Options struct {
 	Registry *Registry
 	// WrapRef converts inbound remote references into application proxies
 	// before dispatch; see the rmi layer documentation.
-	WrapRef func(ref *RemoteRef, c *Client) (any, error)
+	WrapRef func(ref *RemoteRef) (any, error)
 	// Intercept wraps every invocation on this endpoint for logging,
 	// metrics, or policy: on a client Call and CallStats (not
 	// CallAsync, whose issue/await split has no single body to wrap), on a
@@ -250,13 +250,10 @@ type ClientMetrics = rmi.ClientMetrics
 // /debug/nrmi/traces JSON endpoints).
 type Observer = obs.Observer
 
-// ObserverConfig tunes an Observer; the zero value is usable.
-type ObserverConfig = obs.Config
-
-// NewObserver returns an Observer with the given configuration. The same
-// Observer may serve several endpoints; a client and a server sharing one
-// merge both sides of each call under its (service, method) key.
-func NewObserver(cfg ObserverConfig) *Observer { return obs.New(cfg) }
+// NewObserver returns an empty Observer. The same Observer may serve
+// several endpoints; a client and a server sharing one merge both sides of
+// each call under its (service, method) key.
+func NewObserver() *Observer { return obs.New() }
 
 // rmiOptions lowers public options onto the internal stack.
 func (o Options) rmiOptions() rmi.Options {
