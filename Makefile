@@ -95,7 +95,7 @@ loc:
 # included, as `wc -l` counts them) of the five runtime packages. It is a
 # ratchet: the target (and `make ci`, which runs it) fails above
 # TRACKED_LOC_MAX, and a PR that deletes lowers TRACKED_LOC_MAX to its total.
-TRACKED_LOC_MAX := 7800
+TRACKED_LOC_MAX := 7633
 
 tracked-loc:
 	@total=0; for p in wire core graph rmi transport; do \
@@ -109,7 +109,7 @@ tracked-loc:
 # The whole repository under the same kind of ratchet: every non-test Go
 # line outside testdata/ (benchmark/ is counted; only a [benchmark] PR edits
 # it). Test and fixture lines are printed for the record and not budgeted.
-REPO_LOC_MAX := 15627
+REPO_LOC_MAX := 15620
 
 repo-loc:
 	@count() { find . -name '*.go' -not -path './.git/*' "$$@" | xargs cat | wc -l; }; \

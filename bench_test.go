@@ -21,6 +21,7 @@ import (
 
 	"nrmi/internal/bench"
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/wire"
 )
 
@@ -48,7 +49,7 @@ func reportCell(b *testing.B, c bench.Cell) {
 
 // runCells drives one harness runner across the scenario × size grid.
 func runCells(b *testing.B, run func(spec bench.RunSpec) (bench.Cell, error)) {
-	for _, sc := range bench.Scenarios {
+	for _, sc := range model.Scenarios {
 		for _, size := range benchSizes {
 			name := fmt.Sprintf("%s/size=%d", sc, size)
 			b.Run(name, func(b *testing.B) {
@@ -131,7 +132,7 @@ func BenchmarkTable5NRMI(b *testing.B) {
 // (the paper's 1024-node runs never finished).
 func BenchmarkTable6CBRef(b *testing.B) {
 	e := newBenchEnv(b, bench.EnvConfig{Engine: wire.EngineV2})
-	for _, sc := range bench.Scenarios {
+	for _, sc := range model.Scenarios {
 		for _, size := range []int{16, 64} {
 			name := fmt.Sprintf("%s/size=%d", sc, size)
 			b.Run(name, func(b *testing.B) {
@@ -183,7 +184,7 @@ func BenchmarkAblationFieldAccess(b *testing.B) {
 	if err := bench.RegisterTypes(reg); err != nil {
 		b.Fatal(err)
 	}
-	tree := bench.BuildTree(7, 256)
+	tree := model.BuildTree(7, 256)
 	for _, v := range []struct {
 		name    string
 		nocache bool
@@ -217,7 +218,7 @@ func BenchmarkAblationEngines(b *testing.B) {
 	if err := bench.RegisterTypes(reg); err != nil {
 		b.Fatal(err)
 	}
-	tree := bench.BuildTree(7, 256)
+	tree := model.BuildTree(7, 256)
 	for _, eng := range []wire.Engine{wire.EngineV1, wire.EngineV2} {
 		eng := eng
 		b.Run(eng.String(), func(b *testing.B) {
@@ -253,7 +254,7 @@ func BenchmarkAblationLinearMap(b *testing.B) {
 	if err := bench.RegisterTypes(reg); err != nil {
 		b.Fatal(err)
 	}
-	tree := bench.BuildTree(7, 256)
+	tree := model.BuildTree(7, 256)
 	b.Run("encode-captures-map", func(b *testing.B) {
 		opts := wire.Options{Registry: reg}
 		for i := 0; i < b.N; i++ {
@@ -294,7 +295,7 @@ func BenchmarkCoreRoundTrip(b *testing.B) {
 			var last bench.Cell
 			for i := 0; i < b.N; i++ {
 				c, err := bench.RunNRMI(e, bench.RunSpec{
-					Scenario:   bench.ScenarioIII,
+					Scenario:   model.ScenarioIII,
 					Size:       size,
 					Iterations: 1,
 					Seed:       int64(i),
@@ -317,24 +318,24 @@ func BenchmarkTopology(b *testing.B) {
 	const n = 256
 	shapes := []struct {
 		name  string
-		build func() *bench.Tree
+		build func() *model.Tree
 	}{
-		{"deep-list", func() *bench.Tree {
-			root := &bench.Tree{Data: 0}
+		{"deep-list", func() *model.Tree {
+			root := &model.Tree{Data: 0}
 			cur := root
 			for i := 1; i < n; i++ {
-				cur.Left = &bench.Tree{Data: i}
+				cur.Left = &model.Tree{Data: i}
 				cur = cur.Left
 			}
 			return root
 		}},
-		{"balanced-tree", func() *bench.Tree {
-			return bench.BuildTree(7, n)
+		{"balanced-tree", func() *model.Tree {
+			return model.BuildTree(7, n)
 		}},
-		{"dense-dag", func() *bench.Tree {
-			nodes := make([]*bench.Tree, n)
+		{"dense-dag", func() *model.Tree {
+			nodes := make([]*model.Tree, n)
 			for i := range nodes {
-				nodes[i] = &bench.Tree{Data: i}
+				nodes[i] = &model.Tree{Data: i}
 			}
 			// A spine guarantees full reachability; every Right edge
 			// aliases an arbitrary node, so the wire stream is dense
@@ -353,7 +354,7 @@ func BenchmarkTopology(b *testing.B) {
 	for _, sh := range shapes {
 		sh := sh
 		b.Run(sh.name, func(b *testing.B) {
-			tree := bench.ToRTree(sh.build())
+			tree := model.ToRWorld(&model.World{Root: sh.build()}).Root
 			var buf bytes.Buffer
 			opts := wire.Options{Registry: reg}
 			b.ReportAllocs()
@@ -387,8 +388,8 @@ func BenchmarkMacroStore(b *testing.B) {
 	const opsPerCall = 25
 	var bytesLast int64
 	for i := 0; i < b.N; i++ {
-		store := bench.NewMacroStore(int64(i), customers)
-		ops := bench.GenMacroScript(int64(i), customers, opsPerCall)
+		store := model.NewMacroStore(int64(i), customers)
+		ops := model.GenMacroScript(int64(i), customers, opsPerCall)
 		e.ResetStats()
 		if _, err := stub.Call(context.Background(), "Apply", store, ops); err != nil {
 			b.Fatal(err)

@@ -15,6 +15,7 @@ import (
 
 	"nrmi"
 	"nrmi/internal/bench"
+	"nrmi/internal/model"
 )
 
 // RTree is the restorable running-example node.
@@ -153,7 +154,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer e.Close()
-	spec := bench.RunSpec{Scenario: bench.ScenarioIII, Size: 256, Iterations: 3, Seed: 7}
+	spec := bench.RunSpec{Scenario: model.ScenarioIII, Size: 256, Iterations: 3, Seed: 7}
 	manual, err := bench.RunManual(e, spec)
 	if err != nil {
 		log.Fatal(err)

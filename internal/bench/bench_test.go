@@ -2,12 +2,14 @@ package bench
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/netsim"
 	"nrmi/internal/obs"
 	"nrmi/internal/raceflag"
@@ -15,35 +17,34 @@ import (
 )
 
 func TestBuildTreeDeterministic(t *testing.T) {
-	a := BuildTree(42, 100)
-	b := BuildTree(42, 100)
-	eq, err := graph.Equal(graph.AccessExported, a, b)
+	a := model.BuildTree(42, 100)
+	b := model.BuildTree(42, 100)
+	eq, err := model.Equal(graph.AccessExported, a, b)
 	if err != nil || !eq {
 		t.Fatalf("same seed must build identical trees: %v %v", eq, err)
 	}
-	c := BuildTree(43, 100)
-	eq, _ = graph.Equal(graph.AccessExported, a, c)
+	c := model.BuildTree(43, 100)
+	eq, _ = model.Equal(graph.AccessExported, a, c)
 	if eq {
 		t.Fatal("different seeds should differ")
 	}
-	if n := len(CollectNodes(a)); n != 100 {
+	if n := len(model.CollectNodes(a)); n != 100 {
 		t.Fatalf("size = %d, want 100", n)
 	}
-	if BuildTree(1, 0) != nil {
+	if model.BuildTree(1, 0) != nil {
 		t.Fatal("size 0 must be nil")
 	}
 }
 
 func TestTreeConversionsPreserveAliasing(t *testing.T) {
 	// Build a graph with an internal alias.
-	root := BuildTree(7, 20)
-	nodes := CollectNodes(root)
+	root := model.BuildTree(7, 20)
+	nodes := model.CollectNodes(root)
 	nodes[3].Right = nodes[10] // alias
-	rt := ToRTree(root)
-	back := FromRTree(rt)
-	eq, err := graph.Equal(graph.AccessExported, root, back)
+	back := model.ToRWorld(&model.World{Root: root}).ToWorld().Root
+	eq, err := model.Equal(graph.AccessExported, root, back)
 	if err != nil || !eq {
-		t.Fatalf("round trip through RTree lost structure: %v %v", eq, err)
+		t.Fatalf("round trip through model.RTree lost structure: %v %v", eq, err)
 	}
 }
 
@@ -51,12 +52,12 @@ func TestScriptApplyEquivalence(t *testing.T) {
 	f := func(seed int64, szRaw, opsRaw uint8) bool {
 		size := int(szRaw%60) + 2
 		ops := int(opsRaw%20) + 1
-		script := GenScript(seed, size, ops, false)
-		a := BuildTree(seed, size)
-		b := ToRTree(BuildTree(seed, size))
+		script := model.GenScript(seed, size, ops, false)
+		a := model.BuildTree(seed, size)
+		b := model.ToRWorld(&model.World{Root: model.BuildTree(seed, size)})
 		script.Apply(a)
-		script.ApplyR(b)
-		eq, err := graph.Equal(graph.AccessExported, a, FromRTree(b))
+		script.ApplyR(b.Root)
+		eq, err := model.Equal(graph.AccessExported, a, b.ToWorld().Root)
 		return err == nil && eq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -65,35 +66,37 @@ func TestScriptApplyEquivalence(t *testing.T) {
 }
 
 func TestScenarioProperties(t *testing.T) {
-	wI, scriptI := NewWorld(ScenarioI, 5, 64)
+	wI, scriptI := model.NewWorld(model.ScenarioI, 5, 64)
 	if len(wI.Aliases) != 0 {
 		t.Fatal("scenario I must have no aliases")
 	}
 	_ = scriptI
 
-	wII, scriptII := NewWorld(ScenarioII, 5, 64)
+	wII, scriptII := model.NewWorld(model.ScenarioII, 5, 64)
 	if len(wII.Aliases) == 0 {
 		t.Fatal("scenario II must have aliases")
 	}
-	if !scriptII.StructurePreserving() {
-		t.Fatal("scenario II script must be data-only")
+	for _, op := range scriptII {
+		if op.Kind != model.OpSetData {
+			t.Fatal("scenario II script must be data-only")
+		}
 	}
 
-	wIII, scriptIII := NewWorld(ScenarioIII, 5, 256)
+	wIII, scriptIII := model.NewWorld(model.ScenarioIII, 5, 256)
 	if len(wIII.Aliases) == 0 {
 		t.Fatal("scenario III must have aliases")
 	}
-	if scriptIII.StructurePreserving() {
+	if !slices.ContainsFunc(scriptIII, func(op model.Op) bool { return op.Kind != model.OpSetData }) {
 		t.Fatal("scenario III script should include structural ops")
 	}
-	if ScenarioI.String() != "I" || ScenarioII.String() != "II" || ScenarioIII.String() != "III" {
+	if model.ScenarioI.String() != "I" || model.ScenarioII.String() != "II" || model.ScenarioIII.String() != "III" {
 		t.Fatal("scenario names")
 	}
 }
 
 func TestWorldConversionMapsAliases(t *testing.T) {
-	w, _ := NewWorld(ScenarioIII, 11, 32)
-	rw := ToRWorld(w)
+	w, _ := model.NewWorld(model.ScenarioIII, 11, 32)
+	rw := model.ToRWorld(w)
 	if len(rw.Aliases) != len(w.Aliases) {
 		t.Fatal("alias count mismatch")
 	}
@@ -103,36 +106,36 @@ func TestWorldConversionMapsAliases(t *testing.T) {
 	if back.Aliases[0].Data != 123456 {
 		t.Fatal("alias correspondence broken")
 	}
-	if err := Verify(back, back); err != nil {
+	if err := model.Verify(back, back); err != nil {
 		t.Fatalf("self-verify: %v", err)
 	}
 }
 
 // inProcessManual runs a manual strategy without a network: the "server
 // copy" is a clone, exactly what RMI serialization would produce.
-func inProcessManual(t *testing.T, sc Scenario, seed int64, size int) {
+func inProcessManual(t *testing.T, sc model.Scenario, seed int64, size int) {
 	t.Helper()
-	w, script := NewWorld(sc, seed, size)
+	w, script := model.NewWorld(sc, seed, size)
 	svc := &CopyService{}
-	serverCopy := CloneTree(w.Root)
+	serverCopy := model.ToRWorld(w).ToWorld().Root
 	switch sc {
-	case ScenarioI:
+	case model.ScenarioI:
 		r := svc.MutateReturnI(serverCopy, script)
 		w.Root = r.Tree
-	case ScenarioII:
+	case model.ScenarioII:
 		r := svc.MutateReturnII(serverCopy, script)
 		RestoreII(w, r.Tree)
-	case ScenarioIII:
+	case model.ScenarioIII:
 		r := svc.MutateReturnIII(serverCopy, script)
 		RestoreIII(w, r.Tree, r.Shadow)
 	}
-	if err := Verify(w, Expected(sc, seed, size, script)); err != nil {
+	if err := model.Verify(w, model.Expected(sc, seed, size, script)); err != nil {
 		t.Fatalf("scenario %s seed %d size %d: %v", sc, seed, size, err)
 	}
 }
 
 func TestManualStrategiesMatchLocalExecution(t *testing.T) {
-	for _, sc := range Scenarios {
+	for _, sc := range model.Scenarios {
 		for seed := int64(0); seed < 20; seed++ {
 			inProcessManual(t, sc, seed, 40)
 		}
@@ -140,15 +143,15 @@ func TestManualStrategiesMatchLocalExecution(t *testing.T) {
 }
 
 func TestShadowSnapshotsOriginalStructure(t *testing.T) {
-	root := BuildTree(3, 16)
-	orig := CollectNodes(root)
+	root := model.BuildTree(3, 16)
+	orig := model.CollectNodes(root)
 	sh := BuildShadow(root)
 	// Mutate after the snapshot.
-	script := GenScript(3, 16, 10, false)
+	script := model.GenScript(3, 16, 10, false)
 	script.Apply(root)
 	// The shadow still mirrors the pre-mutation structure and points at
 	// the (now mutated) node objects.
-	origSet := make(map[*Tree]bool, len(orig))
+	origSet := make(map[*model.Tree]bool, len(orig))
 	for _, n := range orig {
 		origSet[n] = true
 	}
@@ -203,20 +206,20 @@ func TestApplyHandlesLocallyMatchesScript(t *testing.T) {
 	f := func(seed int64, szRaw, opsRaw uint8) bool {
 		size := int(szRaw%40) + 2
 		ops := int(opsRaw%12) + 1
-		script := GenScript(seed, size, ops, false)
+		script := model.GenScript(seed, size, ops, false)
 
-		plain := BuildTree(seed, size)
+		plain := model.BuildTree(seed, size)
 		script.Apply(plain)
 
-		refRoot, _ := BuildRefTree(BuildTree(seed, size))
+		refRoot, _ := BuildRefTree(model.BuildTree(seed, size))
 		if err := ApplyHandles(context.Background(), refRoot, script); err != nil {
 			return false
 		}
-		snap, err := SnapshotHandles(context.Background(), refRoot)
+		snap, err := newHandleSnapshotter().snapshot(context.Background(), refRoot)
 		if err != nil {
 			return false
 		}
-		eq, err := graph.Equal(graph.AccessExported, plain, snap)
+		eq, err := model.Equal(graph.AccessExported, plain, snap)
 		return err == nil && eq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -237,7 +240,7 @@ func newTestEnv(t *testing.T, cfg EnvConfig) *Env {
 func TestRunOneWayAndManualAndNRMI(t *testing.T) {
 	for _, eng := range []wire.Engine{wire.EngineV1, wire.EngineV2} {
 		e := newTestEnv(t, EnvConfig{Engine: eng})
-		for _, sc := range Scenarios {
+		for _, sc := range model.Scenarios {
 			spec := RunSpec{Scenario: sc, Size: 24, Iterations: 2, Seed: 77, Verify: true}
 			if _, err := RunOneWay(e, spec); err != nil {
 				t.Fatalf("%s one-way %s: %v", eng, sc, err)
@@ -265,13 +268,13 @@ func TestRunOneWayAndManualAndNRMI(t *testing.T) {
 // puts no more bytes on the wire than passing the tree by copy (Table 7).
 func TestRunNRMIDelta(t *testing.T) {
 	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
-	for _, sc := range Scenarios {
+	for _, sc := range model.Scenarios {
 		spec := RunSpec{Scenario: sc, Size: 24, Iterations: 1, Seed: 5, Verify: true}
 		if _, err := RunNRMI(e, spec); err != nil {
 			t.Fatalf("nrmi %s: %v", sc, err)
 		}
 	}
-	spec := RunSpec{Scenario: ScenarioI, Size: 64, Iterations: 1, Seed: 5, Verify: true}
+	spec := RunSpec{Scenario: model.ScenarioI, Size: 64, Iterations: 1, Seed: 5, Verify: true}
 	nop, err := RunNRMINop(e, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +291,7 @@ func TestRunNRMIDelta(t *testing.T) {
 
 func TestRunCBRefVerifies(t *testing.T) {
 	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
-	for _, sc := range Scenarios {
+	for _, sc := range model.Scenarios {
 		spec := RunSpec{Scenario: sc, Size: 12, Iterations: 1, Seed: 9, Verify: true}
 		cell, err := RunCBRef(e, spec, 30*time.Second)
 		if err != nil {
@@ -313,7 +316,7 @@ func TestRunCBRefBudgetYieldsDash(t *testing.T) {
 	for _, addr := range []string{ServerAddr, ClientAddr} {
 		e.Net.SetFaults(addr, netsim.RandomPlan(1, netsim.Rates{Delay: 1, MaxDelay: 10 * time.Millisecond}))
 	}
-	spec := RunSpec{Scenario: ScenarioIII, Size: 64, Iterations: 1, Seed: 1}
+	spec := RunSpec{Scenario: model.ScenarioIII, Size: 64, Iterations: 1, Seed: 1}
 	cell, err := RunCBRef(e, spec, 50*time.Millisecond)
 	if err != nil {
 		t.Fatalf("budget blowout must not be an error: %v", err)
@@ -338,7 +341,7 @@ func TestVerifyIsNotCounted(t *testing.T) {
 		name string
 		run  func(*Env, RunSpec) (Cell, error)
 	}{{"manual", RunManual}, {"nrmi", RunNRMI}, {"nop", RunNRMINop}, {"cbref", cbref}} {
-		for _, sc := range Scenarios {
+		for _, sc := range model.Scenarios {
 			var cells [2]Cell
 			for i, verify := range []bool{false, true} {
 				e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
@@ -361,7 +364,7 @@ func TestCBRefLeaksRefs(t *testing.T) {
 	// uncontrollably" under call-by-reference. Our observable: exported
 	// references pile up on the client server and are never collected.
 	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
-	spec := RunSpec{Scenario: ScenarioIII, Size: 16, Iterations: 1, Seed: 2}
+	spec := RunSpec{Scenario: model.ScenarioIII, Size: 16, Iterations: 1, Seed: 2}
 	if _, err := RunCBRef(e, spec, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +374,7 @@ func TestCBRefLeaksRefs(t *testing.T) {
 }
 
 func TestRunLocal(t *testing.T) {
-	spec := RunSpec{Scenario: ScenarioIII, Size: 256, Iterations: 10, Seed: 4}
+	spec := RunSpec{Scenario: model.ScenarioIII, Size: 256, Iterations: 10, Seed: 4}
 	fast, err := RunLocal(spec, 1.0)
 	if err != nil || !fast.OK {
 		t.Fatalf("local: %+v %v", fast, err)
@@ -419,14 +422,6 @@ func TestEnvConfigString(t *testing.T) {
 	}
 }
 
-func TestTreeStatsAndHelpers(t *testing.T) {
-	root := BuildTree(5, 10)
-	s := TreeStats(root)
-	if !strings.Contains(s, "10 nodes") {
-		t.Fatalf("TreeStats = %q", s)
-	}
-}
-
 func TestWrapRefHook(t *testing.T) {
 	env := &RefEnv{}
 	h, err := env.WrapRefHook(nil)
@@ -440,7 +435,7 @@ func TestWrapRefHook(t *testing.T) {
 func TestCellDeterminism(t *testing.T) {
 	run := func() int64 {
 		e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
-		cell, err := RunNRMI(e, RunSpec{Scenario: ScenarioIII, Size: 64, Iterations: 3, Seed: 99})
+		cell, err := RunNRMI(e, RunSpec{Scenario: model.ScenarioIII, Size: 64, Iterations: 3, Seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +456,7 @@ func TestNilObserverUnderTwoPercent(t *testing.T) {
 		t.Skip("timings are not meaningful under -race")
 	}
 	e := newTestEnv(t, EnvConfig{Engine: wire.EngineV2})
-	cell, err := RunNRMI(e, RunSpec{Scenario: ScenarioIII, Size: 256, Iterations: 15, Seed: 1, Verify: true})
+	cell, err := RunNRMI(e, RunSpec{Scenario: model.ScenarioIII, Size: 256, Iterations: 15, Seed: 1, Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"nrmi/internal/model"
 	"nrmi/internal/rmi"
 	"nrmi/internal/wire"
 )
@@ -12,24 +13,24 @@ import (
 type paperService struct{}
 
 // Foo is the paper's function foo (Section 2), verbatim.
-func (*paperService) Foo(tree *RTree) {
+func (*paperService) Foo(tree *model.RTree) {
 	tree.Left.Data = 0
 	tree.Right.Data = 9
 	tree.Right.Right.Data = 8
 	tree.Left = nil
-	temp := &RTree{Data: 2, Left: tree.Right.Right}
+	temp := &model.RTree{Data: 2, Left: tree.Right.Right}
 	tree.Right.Right = nil
 	tree.Right = temp
 }
 
 // paperTree builds the Figure 1 structure: t, with alias1 -> t.Left and
 // alias2 -> t.Right.
-func paperTree() (root, alias1, alias2, rl, rr *RTree) {
-	rl = &RTree{Data: 3}
-	rr = &RTree{Data: 4}
-	alias1 = &RTree{Data: 1}
-	alias2 = &RTree{Data: 7, Left: rl, Right: rr}
-	root = &RTree{Data: 5, Left: alias1, Right: alias2}
+func paperTree() (root, alias1, alias2, rl, rr *model.RTree) {
+	rl = &model.RTree{Data: 3}
+	rr = &model.RTree{Data: 4}
+	alias1 = &model.RTree{Data: 1}
+	alias2 = &model.RTree{Data: 7, Left: rl, Right: rr}
+	root = &model.RTree{Data: 5, Left: alias1, Right: alias2}
 	return root, alias1, alias2, rl, rr
 }
 

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strconv"
 	"time"
+
+	"nrmi/internal/model"
 )
 
 // Cell is one table cell: the per-call cost of a configuration.
@@ -67,7 +69,7 @@ func (c Cell) onTestbed() Cell {
 // RunSpec identifies one cell's workload.
 type RunSpec struct {
 	// Scenario is the aliasing/mutation configuration.
-	Scenario Scenario
+	Scenario model.Scenario
 	// Size is the tree's node count.
 	Size int
 	// Iterations is how many calls are averaged.
@@ -139,7 +141,7 @@ func RunLocal(spec RunSpec, cpuFactor float64) (Cell, error) {
 	walls := make([]float64, iters)
 	for i := 0; i < iters; i++ {
 		seed := spec.Seed + int64(i)
-		w, script := NewWorld(spec.Scenario, seed, spec.Size)
+		w, script := model.NewWorld(spec.Scenario, seed, spec.Size)
 		start := time.Now()
 		script.Apply(w.Root)
 		walls[i] = float64(time.Since(start).Nanoseconds()) / 1e6
@@ -154,7 +156,7 @@ func RunLocal(spec RunSpec, cpuFactor float64) (Cell, error) {
 func RunOneWay(e *Env, spec RunSpec) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "copy")
 	return measure(e, spec, func(seed int64) (func() error, error) {
-		w, script := NewWorld(spec.Scenario, seed, spec.Size)
+		w, script := model.NewWorld(spec.Scenario, seed, spec.Size)
 		_, err := stub.Call(context.Background(), "OneWay", w.Root, script)
 		return nil, err
 	})
@@ -165,24 +167,24 @@ func RunOneWay(e *Env, spec RunSpec) (Cell, error) {
 func RunManual(e *Env, spec RunSpec) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "copy")
 	return measure(e, spec, func(seed int64) (func() error, error) {
-		w, script := NewWorld(spec.Scenario, seed, spec.Size)
+		w, script := model.NewWorld(spec.Scenario, seed, spec.Size)
 		ctx := context.Background()
 		switch spec.Scenario {
-		case ScenarioI:
+		case model.ScenarioI:
 			rets, err := stub.Call(ctx, "MutateReturnI", w.Root, script)
 			if err != nil {
 				return nil, err
 			}
 			r := rets[0].(ReturnI)
 			w.Root = r.Tree
-		case ScenarioII:
+		case model.ScenarioII:
 			rets, err := stub.Call(ctx, "MutateReturnII", w.Root, script)
 			if err != nil {
 				return nil, err
 			}
 			r := rets[0].(ReturnII)
 			RestoreII(w, r.Tree)
-		case ScenarioIII:
+		case model.ScenarioIII:
 			rets, err := stub.Call(ctx, "MutateReturnIII", w.Root, script)
 			if err != nil {
 				return nil, err
@@ -191,7 +193,7 @@ func RunManual(e *Env, spec RunSpec) (Cell, error) {
 			RestoreIII(w, r.Tree, r.Shadow)
 		}
 		return func() error {
-			if err := Verify(w, Expected(spec.Scenario, seed, spec.Size, script)); err != nil {
+			if err := model.Verify(w, model.Expected(spec.Scenario, seed, spec.Size, script)); err != nil {
 				return fmt.Errorf("manual %s: %w", spec.Scenario, err)
 			}
 			return nil
@@ -204,13 +206,13 @@ func RunManual(e *Env, spec RunSpec) (Cell, error) {
 func RunNRMI(e *Env, spec RunSpec) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "nrmi")
 	return measure(e, spec, func(seed int64) (func() error, error) {
-		w, script := NewWorld(spec.Scenario, seed, spec.Size)
-		rw := ToRWorld(w)
+		w, script := model.NewWorld(spec.Scenario, seed, spec.Size)
+		rw := model.ToRWorld(w)
 		if _, err := stub.Call(context.Background(), "Apply", rw.Root, script); err != nil {
 			return nil, err
 		}
 		return func() error {
-			if err := Verify(rw.ToWorld(), Expected(spec.Scenario, seed, spec.Size, script)); err != nil {
+			if err := model.Verify(rw.ToWorld(), model.Expected(spec.Scenario, seed, spec.Size, script)); err != nil {
 				return fmt.Errorf("nrmi %s: %w", spec.Scenario, err)
 			}
 			return nil
@@ -225,25 +227,19 @@ func RunNRMI(e *Env, spec RunSpec) (Cell, error) {
 func RunNRMINop(e *Env, spec RunSpec) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "nrmi")
 	return measure(e, spec, func(seed int64) (func() error, error) {
-		w, _ := NewWorld(spec.Scenario, seed, spec.Size)
-		rw := ToRWorld(w)
+		w, _ := model.NewWorld(spec.Scenario, seed, spec.Size)
+		rw := model.ToRWorld(w)
 		if _, err := stub.Call(context.Background(), "Nop", rw.Root); err != nil {
 			return nil, err
 		}
 		return func() error {
 			// A no-op call must leave the world exactly as built.
-			if err := Verify(rw.ToWorld(), mustWorld(spec.Scenario, seed, spec.Size)); err != nil {
+			if err := model.Verify(rw.ToWorld(), model.Expected(spec.Scenario, seed, spec.Size, nil)); err != nil {
 				return fmt.Errorf("nrmi nop %s: %w", spec.Scenario, err)
 			}
 			return nil
 		}, nil
 	})
-}
-
-// mustWorld rebuilds the pristine world for no-op verification.
-func mustWorld(sc Scenario, seed int64, size int) *World {
-	w, _ := NewWorld(sc, seed, size)
-	return w
 }
 
 // RunCBRef measures Table 6: call-by-reference through remote pointers.
@@ -254,7 +250,7 @@ func mustWorld(sc Scenario, seed int64, size int) *World {
 func RunCBRef(e *Env, spec RunSpec, budget time.Duration) (Cell, error) {
 	stub := e.Client.Stub(ServerAddr, "refmut")
 	cell, err := measure(e, spec, func(seed int64) (func() error, error) {
-		w, script := NewWorld(spec.Scenario, seed, spec.Size)
+		w, script := model.NewWorld(spec.Scenario, seed, spec.Size)
 		root, ordered := BuildRefTree(w.Root)
 		ctx := context.Background()
 		if budget > 0 {
@@ -276,14 +272,14 @@ func RunCBRef(e *Env, spec RunSpec, budget time.Duration) (Cell, error) {
 // verifyCBRef checks the remote-pointer result against local execution,
 // reading the nodes the server created through their stubs. ordered holds
 // the tree's nodes as BuildRefTree returns them.
-func verifyCBRef(w *World, root *RefNode, ordered []*RefNode, spec RunSpec, seed int64, script Script) error {
+func verifyCBRef(w *model.World, root *RefNode, ordered []*RefNode, spec RunSpec, seed int64, script model.Script) error {
 	ctx := context.Background()
 	snap := newHandleSnapshotter()
 	gotRoot, err := snap.snapshot(ctx, root)
 	if err != nil {
 		return err
 	}
-	got := &World{Root: gotRoot, AliasIdx: w.AliasIdx}
+	got := &model.World{Root: gotRoot, AliasIdx: w.AliasIdx}
 	for _, idx := range w.AliasIdx {
 		ga, err := snap.snapshot(ctx, ordered[idx])
 		if err != nil {
@@ -291,7 +287,7 @@ func verifyCBRef(w *World, root *RefNode, ordered []*RefNode, spec RunSpec, seed
 		}
 		got.Aliases = append(got.Aliases, ga)
 	}
-	if err := Verify(got, Expected(spec.Scenario, seed, spec.Size, script)); err != nil {
+	if err := model.Verify(got, model.Expected(spec.Scenario, seed, spec.Size, script)); err != nil {
 		return fmt.Errorf("cbref %s: %w", spec.Scenario, err)
 	}
 	return nil
@@ -300,14 +296,14 @@ func verifyCBRef(w *World, root *RefNode, ordered []*RefNode, spec RunSpec, seed
 // handleSnapshotter converts handle graphs to plain trees with a shared
 // memo, so aliasing between roots is preserved in the snapshot.
 type handleSnapshotter struct {
-	memo map[string]*Tree
+	memo map[string]*model.Tree
 }
 
 func newHandleSnapshotter() *handleSnapshotter {
-	return &handleSnapshotter{memo: make(map[string]*Tree)}
+	return &handleSnapshotter{memo: make(map[string]*model.Tree)}
 }
 
-func (s *handleSnapshotter) snapshot(ctx context.Context, h Handle) (*Tree, error) {
+func (s *handleSnapshotter) snapshot(ctx context.Context, h Handle) (*model.Tree, error) {
 	if h == nil {
 		return nil, nil
 	}
@@ -319,7 +315,7 @@ func (s *handleSnapshotter) snapshot(ctx context.Context, h Handle) (*Tree, erro
 	if err != nil {
 		return nil, err
 	}
-	m := &Tree{Data: d}
+	m := &model.Tree{Data: d}
 	s.memo[k] = m
 	l, err := h.GetLeft(ctx)
 	if err != nil {

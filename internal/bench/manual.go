@@ -1,5 +1,7 @@
 package bench
 
+import "nrmi/internal/model"
+
 // This file is the code the paper says a programmer must write to emulate
 // copy-restore with plain call-by-copy RMI (Section 5.3.2): one strategy
 // per scenario, in increasing order of difficulty. It exists both as the
@@ -16,7 +18,7 @@ package bench
 // Section 5.3.3).
 type Shadow struct {
 	// Ref is the server-side node this shadow position corresponds to.
-	Ref *Tree
+	Ref *model.Tree
 	// Left and Right mirror the original structure.
 	Left, Right *Shadow
 }
@@ -33,7 +35,7 @@ type ReturnI struct {
 	// Result is the remote method's actual return value.
 	Result int
 	// Tree is the mutated parameter, sent back whole.
-	Tree *Tree
+	Tree *model.Tree
 }
 
 // ReturnII is the widened return type for scenario II.
@@ -41,7 +43,7 @@ type ReturnII struct {
 	// Result is the remote method's actual return value.
 	Result int
 	// Tree is the mutated parameter, sent back whole.
-	Tree *Tree
+	Tree *model.Tree
 }
 
 // ReturnIII is the widened return type for scenario III: result, mutated
@@ -50,7 +52,7 @@ type ReturnIII struct {
 	// Result is the remote method's actual return value.
 	Result int
 	// Tree is the mutated parameter, sent back whole.
-	Tree *Tree
+	Tree *model.Tree
 	// Shadow snapshots the original structure over the mutated objects.
 	Shadow *Shadow
 }
@@ -59,10 +61,10 @@ type ReturnIII struct {
 
 // BuildShadow snapshots the structure of root before mutation. Server-side
 // scenario-III code must call it before touching the tree.
-func BuildShadow(root *Tree) *Shadow {
-	memo := make(map[*Tree]*Shadow)
-	var build func(*Tree) *Shadow
-	build = func(n *Tree) *Shadow {
+func BuildShadow(root *model.Tree) *Shadow {
+	memo := make(map[*model.Tree]*Shadow)
+	var build func(*model.Tree) *Shadow
+	build = func(n *model.Tree) *Shadow {
 		if n == nil {
 			return nil
 		}
@@ -86,10 +88,10 @@ func BuildShadow(root *Tree) *Shadow {
 // original and the modified trees ... can be traversed simultaneously").
 
 // RestoreII re-points w's aliases into newRoot and swaps the root.
-func RestoreII(w *World, newRoot *Tree) {
-	pairs := make(map[*Tree]*Tree)
-	var walk func(o, n *Tree)
-	walk = func(o, n *Tree) {
+func RestoreII(w *model.World, newRoot *model.Tree) {
+	pairs := make(map[*model.Tree]*model.Tree)
+	var walk func(o, n *model.Tree)
+	walk = func(o, n *model.Tree) {
 		if o == nil || n == nil {
 			return
 		}
@@ -120,10 +122,10 @@ func RestoreII(w *World, newRoot *Tree) {
 // reassigned to the returned (restructured) tree.
 
 // RestoreIII re-points w's aliases through the shadow and swaps the root.
-func RestoreIII(w *World, newRoot *Tree, shadow *Shadow) {
-	pairs := make(map[*Tree]*Tree)
-	var walk func(o *Tree, s *Shadow)
-	walk = func(o *Tree, s *Shadow) {
+func RestoreIII(w *model.World, newRoot *model.Tree, shadow *Shadow) {
+	pairs := make(map[*model.Tree]*model.Tree)
+	var walk func(o *model.Tree, s *Shadow)
+	walk = func(o *model.Tree, s *Shadow) {
 		if o == nil || s == nil {
 			return
 		}
@@ -151,7 +153,7 @@ type CopyService struct{}
 
 // OneWay mutates its copy and returns nothing: the Table 2 baseline
 // ("without caring to restore the changes to the client").
-func (s *CopyService) OneWay(root *Tree, script Script) {
+func (s *CopyService) OneWay(root *model.Tree, script model.Script) {
 	script.Apply(root)
 }
 
@@ -161,7 +163,7 @@ func (s *CopyService) OneWay(root *Tree, script Script) {
 // reassign its root reference.
 
 // MutateReturnI mutates the tree and returns it with a result value.
-func (s *CopyService) MutateReturnI(root *Tree, script Script) ReturnI {
+func (s *CopyService) MutateReturnI(root *model.Tree, script model.Script) ReturnI {
 	script.Apply(root)
 	return ReturnI{Result: len(script), Tree: root}
 }
@@ -170,7 +172,7 @@ func (s *CopyService) MutateReturnI(root *Tree, script Script) ReturnI {
 
 // MutateReturnII is the scenario-II server method (identical shape to I;
 // the extra work is on the client).
-func (s *CopyService) MutateReturnII(root *Tree, script Script) ReturnII {
+func (s *CopyService) MutateReturnII(root *model.Tree, script model.Script) ReturnII {
 	script.Apply(root)
 	return ReturnII{Result: len(script), Tree: root}
 }
@@ -183,7 +185,7 @@ func (s *CopyService) MutateReturnII(root *Tree, script Script) ReturnII {
 
 // MutateReturnIII mutates the tree and returns it plus the pre-mutation
 // shadow.
-func (s *CopyService) MutateReturnIII(root *Tree, script Script) ReturnIII {
+func (s *CopyService) MutateReturnIII(root *model.Tree, script model.Script) ReturnIII {
 	shadow := BuildShadow(root)
 	script.Apply(root)
 	return ReturnIII{Result: len(script), Tree: root, Shadow: shadow}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"nrmi/internal/model"
 	"nrmi/internal/netsim"
 	"nrmi/internal/rmi"
 	"nrmi/internal/wire"
@@ -37,9 +38,9 @@ func TestPipeliningBeatsSequential(t *testing.T) {
 	stub := e.Client.Stub(ServerAddr, "nrmi")
 
 	run := func(seed int64, pipelined bool) time.Duration {
-		trees := make([]*RTree, calls)
+		trees := make([]*model.RTree, calls)
 		for i := range trees {
-			trees[i] = ToRTree(BuildTree(seed+int64(i), size))
+			trees[i] = model.ToRWorld(&model.World{Root: model.BuildTree(seed+int64(i), size)}).Root
 		}
 		start := time.Now()
 		var ps []*rmi.Promise

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"nrmi/internal/model"
 	"nrmi/internal/rmi"
 )
 
@@ -233,7 +234,7 @@ func collectHandles(ctx context.Context, root Handle) ([]Handle, error) {
 // are allocated in the executing process (the server), so structural
 // changes create exactly the cross-machine references — and potential
 // distributed cycles — the paper describes.
-func ApplyHandles(ctx context.Context, root Handle, script Script) error {
+func ApplyHandles(ctx context.Context, root Handle, script model.Script) error {
 	nodes, err := collectHandles(ctx, root)
 	if err != nil {
 		return err
@@ -250,19 +251,19 @@ func ApplyHandles(ctx context.Context, root Handle, script Script) error {
 	for _, op := range script {
 		a := nodes[op.A%len(nodes)]
 		switch op.Kind {
-		case OpSetData:
+		case model.OpSetData:
 			if err := a.SetData(ctx, op.Val); err != nil {
 				return err
 			}
-		case OpSetLeft:
+		case model.OpSetLeft:
 			if err := a.SetLeft(ctx, pick(op.B)); err != nil {
 				return err
 			}
-		case OpSetRight:
+		case model.OpSetRight:
 			if err := a.SetRight(ctx, pick(op.B)); err != nil {
 				return err
 			}
-		case OpNewNode:
+		case model.OpNewNode:
 			n := &RefNode{Data: op.Val, Left: pick(op.B)}
 			var err error
 			if op.Side == 0 {
@@ -285,16 +286,16 @@ type RefMutator struct{}
 // Mutate applies the script to the remotely referenced tree. ctx is the
 // request's: every round trip stops when the caller's deadline passes or
 // the server closes.
-func (*RefMutator) Mutate(ctx context.Context, root Handle, script Script) error {
+func (*RefMutator) Mutate(ctx context.Context, root Handle, script model.Script) error {
 	return ApplyHandles(ctx, root, script)
 }
 
 // BuildRefTree converts a plain tree into a local RefNode graph, returning
 // the root and the nodes corresponding to CollectNodes order.
-func BuildRefTree(t *Tree) (*RefNode, []*RefNode) {
-	memo := make(map[*Tree]*RefNode)
-	var conv func(*Tree) *RefNode
-	conv = func(n *Tree) *RefNode {
+func BuildRefTree(t *model.Tree) (*RefNode, []*RefNode) {
+	memo := make(map[*model.Tree]*RefNode)
+	var conv func(*model.Tree) *RefNode
+	conv = func(n *model.Tree) *RefNode {
 		if n == nil {
 			return nil
 		}
@@ -313,14 +314,8 @@ func BuildRefTree(t *Tree) (*RefNode, []*RefNode) {
 	}
 	root := conv(t)
 	var ordered []*RefNode
-	for _, n := range CollectNodes(t) {
+	for _, n := range model.CollectNodes(t) {
 		ordered = append(ordered, memo[n])
 	}
 	return root, ordered
-}
-
-// SnapshotHandles reads the graph reachable from root (through the
-// network where needed) into a plain Tree for invariant checking.
-func SnapshotHandles(ctx context.Context, root Handle) (*Tree, error) {
-	return newHandleSnapshotter().snapshot(ctx, root)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"nrmi/internal/model"
 	"nrmi/internal/wire"
 )
 
@@ -73,7 +74,7 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	testbed := fmt.Sprintf("ms = median wall time on an unshaped link + messages × %v + bytes ÷ %d B/s + %.2g × the server machine's CPU",
 		lanLatency, lanBandwidth, slowFactor-1)
 
-	spec := func(sc Scenario, size int) RunSpec {
+	spec := func(sc model.Scenario, size int) RunSpec {
 		return RunSpec{
 			Scenario:   sc,
 			Size:       size,
@@ -101,7 +102,7 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	// built from cf and closed before the next cell starts: no call of one
 	// cell, such as a blown Table 6 call's server still unwinding, is ever
 	// counted in another.
-	netRow := func(t *Table, label string, cf config, sc Scenario, run func(*Env, RunSpec) (Cell, error)) error {
+	netRow := func(t *Table, label string, cf config, sc model.Scenario, run func(*Env, RunSpec) (Cell, error)) error {
 		return row(t, label, func(size int) (Cell, error) {
 			e, err := NewEnv(cf.env)
 			if err != nil {
@@ -117,7 +118,7 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 
 	// Table 1: local execution, fast and slow host.
 	t1 := &Table{ID: "Table 1", Title: "Baseline 1 — Local Execution (processing overhead), fast / slow host", Sizes: cfg.Sizes}
-	for _, sc := range Scenarios {
+	for _, sc := range model.Scenarios {
 		for _, host := range []struct {
 			name   string
 			factor float64
@@ -166,7 +167,7 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	} {
 		tt.t.Sizes = cfg.Sizes
 		for _, en := range tt.envs {
-			for _, sc := range Scenarios {
+			for _, sc := range model.Scenarios {
 				if err := netRow(tt.t, fmt.Sprintf("%s (%s)", sc, en.label), en.cf, sc, tt.run); err != nil {
 					return nil, err
 				}
@@ -179,10 +180,10 @@ func RunAll(cfg HarnessConfig) ([]*Table, error) {
 	// same tree passed by copy (both optimized v2, two machines).
 	t7 := &Table{ID: "Table 7 (extension)", Title: "NRMI no-op restore vs RMI by-copy (paper Section 5.2.4, optimization 2)", Sizes: cfg.Sizes,
 		Notes: []string{testbed, "a reply ships only what the method changed: a no-op restore costs about what by-copy does"}}
-	if err := netRow(t7, "nop (restore)", lan(wire.EngineV2), ScenarioI, RunNRMINop); err != nil {
+	if err := netRow(t7, "nop (restore)", lan(wire.EngineV2), model.ScenarioI, RunNRMINop); err != nil {
 		return nil, err
 	}
-	if err := netRow(t7, "copy (one-way)", lan(wire.EngineV2), ScenarioI, RunOneWay); err != nil {
+	if err := netRow(t7, "copy (one-way)", lan(wire.EngineV2), model.ScenarioI, RunOneWay); err != nil {
 		return nil, err
 	}
 	tables = append(tables, t7)

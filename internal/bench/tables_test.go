@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nrmi/internal/model"
 	"nrmi/internal/raceflag"
 )
 
@@ -218,7 +219,7 @@ func TestPaperVerdict(t *testing.T) {
 		}
 		return cells[i]
 	}
-	for _, sc := range Scenarios {
+	for _, sc := range model.Scenarios {
 		for i, size := range sizes {
 			for _, eng := range []struct{ nrmi, other string }{
 				{"jdk1.3", "jdk1.3"}, {"jdk1.4 portable", "jdk1.4"}, {"jdk1.4 optimized", "jdk1.4"},
@@ -256,7 +257,7 @@ func TestPaperVerdict(t *testing.T) {
 		what           string
 		ok             func(ratio float64) bool
 	}
-	for _, sc := range Scenarios {
+	for _, sc := range model.Scenarios {
 		for i, size := range sizes {
 			label := func(jdk string) string { return fmt.Sprintf("%s (%s)", sc, jdk) }
 			opt, v13 := cell("Table 5", label("jdk1.4 optimized"), i), cell("Table 5", label("jdk1.3"), i)
@@ -273,7 +274,7 @@ func TestPaperVerdict(t *testing.T) {
 				orders[len(orders)-1].what += ", at most 4x"
 				orders[len(orders)-1].ok = func(r float64) bool { return r <= 4 }
 			}
-			if sc == ScenarioI {
+			if sc == model.ScenarioI {
 				orders = append(orders, order{cell("Table 7 (extension)", "nop (restore)", i), cell("Table 7 (extension)", "copy (one-way)", i), "no-op restore over by-copy", nil})
 			}
 			for _, o := range orders {

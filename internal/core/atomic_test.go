@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/wire"
 )
 
@@ -59,9 +60,9 @@ func snapshotGraph(t *testing.T, root *Tree) *Tree {
 
 func graphsEqual(t *testing.T, a, b *Tree) bool {
 	t.Helper()
-	eq, err := graph.Equal(graph.AccessExported, a, b)
+	eq, err := model.Equal(graph.AccessExported, a, b)
 	if err != nil {
-		t.Fatalf("graph.Equal: %v", err)
+		t.Fatalf("model.Equal: %v", err)
 	}
 	return eq
 }

@@ -16,19 +16,11 @@ type Tree struct {
 	Left, Right *Tree
 }
 
-// world bundles a root with client-side aliases, the configuration that
-// makes copy-restore semantics observable (paper, Figure 1).
-type world struct {
-	Root    *Tree
-	Aliases []*Tree
-}
-
 func testOptions(t *testing.T) Options {
 	t.Helper()
 	reg := wire.NewRegistry()
 	for name, sample := range map[string]any{
-		"Tree":  Tree{},
-		"world": world{},
+		"Tree": Tree{},
 	} {
 		if err := reg.Register(name, sample); err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/wire"
 )
 
@@ -472,7 +473,7 @@ func TestHostileBareSlotReplies(t *testing.T) {
 			if _, err := call.ApplyResponseBytes(tc.reply); !errors.Is(err, tc.is) {
 				t.Errorf("%s (portable=%t): %v, want %v", tc.name, portable, err, tc.is)
 			}
-			if eq, err := graph.Equal(graph.AccessExported, root, snap); err != nil || !eq {
+			if eq, err := model.Equal(graph.AccessExported, root, snap); err != nil || !eq {
 				t.Errorf("%s (portable=%t): the refused reply changed the caller's graph (%v)", tc.name, portable, err)
 			}
 			call.Release()

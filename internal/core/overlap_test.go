@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/wire"
 )
 
@@ -71,7 +72,7 @@ func TestEmptySlicesOfTwoTypesRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("the peer rejects the stream: %v", err)
 			}
-			if eq, err := graph.Equal(opts.Access, src, out); err != nil || !eq {
+			if eq, err := model.Equal(opts.Access, src, out); err != nil || !eq {
 				t.Fatalf("decoded %#v from %#v (equal %t, %v)", out, src, eq, err)
 			}
 			if got := out.(*shelf); got.Ints == nil || got.Names == nil {
@@ -109,7 +110,7 @@ func TestEmptySlicesOfTwoTypesRestore(t *testing.T) {
 							} else {
 								dceRestore(t, opts.Access, s, call)
 							}
-							if eq, err := graph.Equal(opts.Access, s, remote); err != nil || !eq || s.N != 7 || s.Ints == nil || s.Names == nil {
+							if eq, err := model.Equal(opts.Access, s, remote); err != nil || !eq || s.N != 7 || s.Ints == nil || s.Names == nil {
 								t.Fatalf("caller holds %#v after the call, the method left %#v (equal %t, %v)", s, remote, eq, err)
 							}
 						})

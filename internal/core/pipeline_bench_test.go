@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nrmi/internal/model"
 	"nrmi/internal/wire"
 )
 
@@ -23,19 +24,20 @@ func BenchmarkPipeline(b *testing.B) {
 func benchPipeline(b *testing.B, name string, eng wire.Engine, size int) {
 	b.Run(name, func(b *testing.B) {
 		reg := wire.NewRegistry()
-		if err := reg.Register("Tree", Tree{}); err != nil {
+		if err := model.Register(reg); err != nil {
 			b.Fatal(err)
 		}
 		opts := Options{Engine: eng, Registry: reg}
-		script := genScript(1, size, 8+size/16)
-		roots := make([]*Tree, 256)
+		_, script := model.NewWorld(model.ScenarioIII, 1, size)
+		roots := make([]*model.RTree, 256)
 		var req, resp bytes.Buffer
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if i%len(roots) == 0 {
 				b.StopTimer()
 				for j := range roots {
-					roots[j] = genWorld(int64(j), size).Root
+					w, _ := model.NewWorld(model.ScenarioIII, int64(j), size)
+					roots[j] = model.ToRWorld(w).Root
 				}
 				b.StartTimer()
 			}
@@ -57,7 +59,7 @@ func benchPipeline(b *testing.B, name string, eng wire.Engine, size int) {
 			if err := srv.Prepare(); err != nil {
 				b.Fatal(err)
 			}
-			applyScript(sroot.(*Tree), script)
+			script.ApplyR(sroot.(*model.RTree))
 			if _, err := srv.EncodeResponse(&resp, nil); err != nil {
 				b.Fatal(err)
 			}

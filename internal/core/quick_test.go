@@ -2,192 +2,23 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/wire"
 )
 
 // This file checks the paper's central invariant (Section 5.3.2): "the
 // resulting execution semantics is as if both the caller and the callee
-// were executing within the same address space". For random object graphs
-// with random aliases and a random mutation script, running the script
-// remotely under copy-restore must leave the client's world graph-equal to
-// running the same script locally.
-
-// rng is a tiny deterministic generator so scripts replay identically on
-// isomorphic graphs.
-type rng struct{ state uint64 }
-
-func newRng(seed int64) *rng { return &rng{state: uint64(seed)*2654435761 + 0x9E3779B97F4A7C15} }
-
-func (r *rng) next(n int) int {
-	r.state = r.state*6364136223846793005 + 1442695040888963407
-	return int(r.state>>33) % n
-}
-
-// genWorld builds a pseudo-random tree of size nodes with extra aliasing
-// edges and a set of external aliases (the client-side references that make
-// restore semantics observable).
-func genWorld(seed int64, size int) *world {
-	r := newRng(seed)
-	nodes := []*Tree{{Data: r.next(1000)}}
-	for len(nodes) < size {
-		p := nodes[r.next(len(nodes))]
-		n := &Tree{Data: r.next(1000)}
-		if p.Left == nil {
-			p.Left = n
-		} else if p.Right == nil {
-			p.Right = n
-		} else {
-			continue
-		}
-		nodes = append(nodes, n)
-	}
-	// Aliasing edges inside the structure (including possible cycles).
-	for i := 0; i < size/3; i++ {
-		p := nodes[r.next(len(nodes))]
-		if p.Right == nil {
-			p.Right = nodes[r.next(len(nodes))]
-		}
-	}
-	// External aliases.
-	w := &world{Root: nodes[0]}
-	for i := 0; i < 1+size/4; i++ {
-		w.Aliases = append(w.Aliases, nodes[r.next(len(nodes))])
-	}
-	return w
-}
-
-// mutOp is one replayable mutation. Node indices refer to the pre-mutation
-// DFS preorder collection, so the script applies identically to isomorphic
-// graphs.
-type mutOp struct {
-	kind int // 0 setData, 1 setLeft, 2 setRight, 3 attach new node
-	a, b int
-	val  int
-	side int
-}
-
-func genScript(seed int64, numNodes, numOps int) []mutOp {
-	r := newRng(seed ^ 0x5DEECE66D)
-	ops := make([]mutOp, 0, numOps)
-	for i := 0; i < numOps; i++ {
-		ops = append(ops, mutOp{
-			kind: r.next(4),
-			a:    r.next(numNodes),
-			b:    r.next(numNodes + 1), // == numNodes means nil
-			val:  r.next(10000),
-			side: r.next(2),
-		})
-	}
-	return ops
-}
-
-// collectNodes gathers nodes in DFS preorder (Left before Right), visiting
-// each object once. Deterministic on isomorphic graphs.
-func collectNodes(root *Tree) []*Tree {
-	var out []*Tree
-	seen := make(map[*Tree]bool)
-	var visit func(n *Tree)
-	visit = func(n *Tree) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		out = append(out, n)
-		visit(n.Left)
-		visit(n.Right)
-	}
-	visit(root)
-	return out
-}
-
-// applyScript replays ops against the graph rooted at root. Indices out of
-// range of the collected node list wrap around.
-func applyScript(root *Tree, ops []mutOp) {
-	nodes := collectNodes(root)
-	if len(nodes) == 0 {
-		return
-	}
-	pick := func(i int) *Tree {
-		if i >= len(nodes) {
-			return nil
-		}
-		return nodes[i%len(nodes)]
-	}
-	for _, op := range ops {
-		a := nodes[op.a%len(nodes)]
-		switch op.kind {
-		case 0:
-			a.Data = op.val
-		case 1:
-			a.Left = pick(op.b)
-		case 2:
-			a.Right = pick(op.b)
-		case 3:
-			n := &Tree{Data: op.val, Left: pick(op.b)}
-			if op.side == 0 {
-				a.Left = n
-			} else {
-				a.Right = n
-			}
-		}
-	}
-}
-
-// checkEquivalence runs one seed through both paths and compares worlds;
-// full selects the reply of a server without change detection.
-func checkEquivalence(t *testing.T, opts Options, full bool, seed int64, size, numOps int) bool {
-	t.Helper()
-	remote := genWorld(seed, size)
-	local := genWorld(seed, size) // identical construction = isomorphic copy
-	script := genScript(seed, size, numOps)
-
-	// Local execution: the ground truth.
-	applyScript(local.Root, script)
-
-	// Remote execution under copy-restore.
-	var req bytes.Buffer
-	call := NewCall(&req, opts)
-	if err := call.EncodeRestorable(remote.Root); err != nil {
-		t.Logf("seed %d: encode: %v", seed, err)
-		return false
-	}
-	if err := call.Finish(); err != nil {
-		t.Logf("seed %d: finish: %v", seed, err)
-		return false
-	}
-	srv := AcceptCallBytes(req.Bytes(), opts)
-	defer srv.Release()
-	sroot, err := srv.DecodeRestorable()
-	if err != nil {
-		t.Logf("seed %d: server decode: %v", seed, err)
-		return false
-	}
-	prepareReply(t, srv, full)
-	applyScript(sroot.(*Tree), script)
-	var respBuf bytes.Buffer
-	if _, err := srv.EncodeResponse(&respBuf, nil); err != nil {
-		t.Logf("seed %d: encode response: %v", seed, err)
-		return false
-	}
-	if _, err := call.ApplyResponseBytes(respBuf.Bytes()); err != nil {
-		t.Logf("seed %d: apply: %v", seed, err)
-		return false
-	}
-
-	eq, err := graph.Equal(graph.AccessExported, remote, local)
-	if err != nil {
-		t.Logf("seed %d: equal: %v", seed, err)
-		return false
-	}
-	if !eq {
-		t.Logf("seed %d: remote world diverged from local execution", seed)
-	}
-	return eq
-}
+// were executing within the same address space". One driver runs
+// internal/model's two workloads — the tree world, with aliases, internal
+// aliasing edges and cycles, and the store, with maps, slices, strings,
+// interfaces and floats — through the four core steps of a copy-restore
+// call, on every codec configuration, with a full and a delta reply: the
+// client's graph must end Equal to the same script run locally.
 
 // codecConfig is one of the runtime's four codec configurations (DESIGN.md
 // §8a): the paper's JDK 1.3 stand-in, portable and optimized NRMI, and
@@ -226,89 +57,126 @@ func prepareReply(t *testing.T, srv *ServerCall, full bool) {
 	srv.prepared = true
 }
 
+// modelOptions returns options whose registry binds the model's types.
+func modelOptions(t *testing.T, access graph.AccessMode) Options {
+	t.Helper()
+	reg := wire.NewRegistry()
+	if err := model.Register(reg); err != nil {
+		t.Fatal(err)
+	}
+	return Options{Registry: reg, Access: access}
+}
+
+// checkCase runs c through request, accept, respond and apply, and holds
+// the client's graph, from every root it holds, to the local run's. On the
+// tree, whose cases count the objects whose own state the script changes,
+// a delta reply ships and restores exactly those, and a full one — full
+// selects it — every old object.
+func checkCase(t *testing.T, opts Options, full bool, c model.Case) error {
+	t.Helper()
+	call, req := encodeArgs(t, opts, []setArg{{c.Arg, true}})
+	defer call.Release()
+	if err := call.Finish(); err != nil {
+		return err
+	}
+	srv, vals := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
+	defer srv.Release()
+	prepareReply(t, srv, full)
+	c.Run(vals[0])
+	var resp bytes.Buffer
+	stats, err := srv.EncodeResponse(&resp, nil)
+	if err != nil {
+		return err
+	}
+	res, err := call.ApplyResponseBytes(resp.Bytes())
+	if err != nil {
+		return err
+	}
+	if eq, err := model.Equal(opts.Access, c.Held, c.Want); err != nil || !eq {
+		return fmt.Errorf("client graph diverged from local execution: equal %t, %v", eq, err)
+	}
+	want := c.Changed
+	if full {
+		want = stats.OldTotal
+	}
+	if c.Changed >= 0 && (stats.OldSent != want || res.Restored != want) {
+		return fmt.Errorf("%d of %d objects shipped and %d restored, %d changed", stats.OldSent, stats.OldTotal, res.Restored, c.Changed)
+	}
+	return nil
+}
+
+// quickCases checks count generated cases of one workload: 2 to 49 tree
+// nodes or store customers and up to 23 ops, zero-op scripts included.
+func quickCases(t *testing.T, opts Options, full bool, newCase func(seed int64, size, ops int) model.Case, count int) {
+	t.Helper()
+	f := func(seed int64, szRaw, opsRaw uint8) bool {
+		size, ops := int(szRaw%48)+2, int(opsRaw%24)
+		if err := checkCase(t, opts, full, newCase(seed, size, ops)); err != nil {
+			t.Logf("seed %d, size %d, %d ops: %v", seed, size, ops, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: count}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickRemoteEqualsLocal runs the tree on every codec configuration.
+// Shipping only the changed objects must not change semantics, only bytes:
+// the full reply is the reference.
 func TestQuickRemoteEqualsLocal(t *testing.T) {
 	for _, cfg := range codecConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			// Shipping only the changed objects must not change semantics,
-			// only bytes: the full reply is the reference.
-			for _, name := range []string{"full", "delta"} {
-				t.Run(name, func(t *testing.T) {
-					opts := cfg.apply(testOptions(t))
-					f := func(seed int64, szRaw, opsRaw uint8) bool {
-						size := int(szRaw%48) + 2
-						numOps := int(opsRaw % 24) // zero ops allowed: nothing changes
-						return checkEquivalence(t, opts, name == "full", seed, size, numOps)
-					}
-					if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-						t.Fatal(err)
-					}
+			for _, reply := range []string{"full", "delta"} {
+				t.Run(reply, func(t *testing.T) {
+					quickCases(t, cfg.apply(modelOptions(t, graph.AccessExported)), reply == "full", model.TreeCase, 50)
 				})
 			}
 		})
 	}
 }
 
-func TestQuickRemoteEqualsLocalUnsafeAccess(t *testing.T) {
-	opts := testOptions(t)
-	opts.Access = graph.AccessUnsafe
-	f := func(seed int64, szRaw, opsRaw uint8) bool {
-		size := int(szRaw%32) + 2
-		numOps := int(opsRaw%16) + 1
-		return checkEquivalence(t, opts, false, seed, size, numOps)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+// TestQuickStoreRemoteEqualsLocal applies the full reply of a server
+// without change detection; TestQuickStoreRemoteEqualsLocalDelta this
+// server's own.
+func TestQuickStoreRemoteEqualsLocal(t *testing.T) {
+	for _, cfg := range codecConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			quickCases(t, cfg.apply(modelOptions(t, graph.AccessExported)), true, model.StoreCase, 30)
+		})
 	}
 }
 
-// TestQuickDeltaShipsSubset: a reply carries a record for exactly the
-// objects whose own state the script changed — counted on a twin the script
-// runs on locally — on every codec configuration, zero-op scripts included.
+func TestQuickStoreRemoteEqualsLocalDelta(t *testing.T) {
+	for _, cfg := range codecConfigs {
+		t.Run(cfg.name, func(t *testing.T) {
+			quickCases(t, cfg.apply(modelOptions(t, graph.AccessExported)), false, model.StoreCase, 30)
+		})
+	}
+}
+
+func TestQuickRemoteEqualsLocalUnsafeAccess(t *testing.T) {
+	opts := modelOptions(t, graph.AccessUnsafe)
+	quickCases(t, opts, false, model.TreeCase, 30)
+	quickCases(t, opts, false, model.StoreCase, 30)
+}
+
+// TestQuickDeltaShipsSubset holds a delta reply to short scripts, zero to
+// seven ops, on every codec configuration: most nodes stay untouched, so
+// the reply must ship and restore only the few the script changed — none
+// for a zero-op script — and not the rest of the restore set.
 func TestQuickDeltaShipsSubset(t *testing.T) {
 	for _, cfg := range codecConfigs {
-		opts := cfg.apply(testOptions(t))
+		opts := cfg.apply(modelOptions(t, graph.AccessExported))
 		f := func(seed int64, szRaw, opsRaw uint8) bool {
-			size := int(szRaw%48) + 2
-			script := genScript(seed, size, int(opsRaw%8))
-			twin := genWorld(seed, size)
-			nodes := collectNodes(twin.Root)
-			before := make([]Tree, len(nodes))
-			for i, n := range nodes {
-				before[i] = *n
+			size, ops := int(szRaw%48)+2, int(opsRaw%8)
+			c := model.TreeCase(seed, size, ops)
+			if ops == 0 && c.Changed != 0 {
+				t.Fatalf("%s seed %d: a zero-op script counts %d changed objects", cfg.name, seed, c.Changed)
 			}
-			applyScript(twin.Root, script)
-			changed := 0
-			for i, n := range nodes {
-				if *n != before[i] {
-					changed++
-				}
-			}
-
-			root := genWorld(seed, size).Root
-			call, req := encodeArgs(t, opts, []setArg{{root, true}})
-			defer call.Release()
-			if err := call.Finish(); err != nil {
-				t.Fatal(err)
-			}
-			srv, vals := decodeArgs(t, opts, req.Bytes(), []setArg{{nil, true}})
-			defer srv.Release()
-			if err := srv.Prepare(); err != nil {
-				t.Fatal(err)
-			}
-			applyScript(vals[0].(*Tree), script)
-			var resp bytes.Buffer
-			stats, err := srv.EncodeResponse(&resp, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := call.ApplyResponseBytes(resp.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			eq, err := graph.Equal(graph.AccessExported, root, twin.Root)
-			if stats.OldTotal != len(nodes) || stats.OldSent != changed || res.Restored != changed || !eq || err != nil {
-				t.Logf("%s seed %d: %d of %d objects shipped, %d restored, %d changed (equal %t, %v)",
-					cfg.name, seed, stats.OldSent, stats.OldTotal, res.Restored, changed, eq, err)
+			if err := checkCase(t, opts, false, c); err != nil {
+				t.Logf("%s seed %d, size %d, %d ops: %v", cfg.name, seed, size, ops, err)
 				return false
 			}
 			return true

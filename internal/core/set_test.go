@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/raceflag"
 	"nrmi/internal/wire"
 )
@@ -37,12 +38,14 @@ func setOptions(t *testing.T, eng wire.Engine, access graph.AccessMode) Options 
 	t.Helper()
 	reg := wire.NewRegistry()
 	for name, sample := range map[string]any{
-		"Tree": Tree{}, "world": world{}, "carrier": carrier{},
-		"q.document": document{}, "q.store": store{}, "hidden": hidden{},
+		"Tree": Tree{}, "carrier": carrier{}, "hidden": hidden{}, "model.RWorld": model.RWorld{},
 	} {
 		if err := reg.Register(name, sample); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := model.Register(reg); err != nil {
+		t.Fatal(err)
 	}
 	return Options{Registry: reg, Engine: eng, Access: access}
 }
@@ -146,15 +149,16 @@ func prefix(n int) []int {
 // both endpoints.
 func TestRestoreSetEqualsWalk(t *testing.T) {
 	leaf := func(d int) *Tree { return &Tree{Data: d} }
+	rleaf := func(d int) *model.RTree { return &model.RTree{Data: d} }
 	cases := []struct {
 		name string
 		args func(access graph.AccessMode) []setArg
 	}{
 		{"tree", func(graph.AccessMode) []setArg {
-			return []setArg{{genWorld(7, 40).Root, true}}
+			return []setArg{{treeWorld(7, 40).Root, true}}
 		}},
 		{"world-with-aliases", func(graph.AccessMode) []setArg {
-			return []setArg{{genWorld(11, 25), true}}
+			return []setArg{{treeWorld(11, 25), true}}
 		}},
 		{"carrier", func(graph.AccessMode) []setArg {
 			shared := leaf(1)
@@ -166,7 +170,7 @@ func TestRestoreSetEqualsWalk(t *testing.T) {
 			}, true}}
 		}},
 		{"store", func(graph.AccessMode) []setArg {
-			return []setArg{{genStore(3, 12), true}}
+			return []setArg{{model.StoreCase(3, 12, 8).Want, true}}
 		}},
 		{"map-and-slice-roots", func(graph.AccessMode) []setArg {
 			shared := leaf(1)
@@ -184,35 +188,35 @@ func TestRestoreSetEqualsWalk(t *testing.T) {
 			return []setArg{{h, true}}
 		}},
 		{"two-restorable-sharing", func(graph.AccessMode) []setArg {
-			w := genWorld(5, 20)
-			return []setArg{{w.Root, true}, {&Tree{Data: -1, Left: w.Aliases[0], Right: leaf(9)}, true}}
+			w := treeWorld(5, 20)
+			return []setArg{{w.Root, true}, {&model.RTree{Data: -1, Left: w.Aliases[0], Right: rleaf(9)}, true}}
 		}},
 		{"same-root-twice", func(graph.AccessMode) []setArg {
-			root := genWorld(2, 8).Root
+			root := treeWorld(2, 8).Root
 			return []setArg{{root, true}, {root, true}}
 		}},
 		{"copy-first-shares-node", func(graph.AccessMode) []setArg {
-			w := genWorld(9, 20)
-			return []setArg{{w.Root, false}, {&Tree{Data: -1, Left: w.Aliases[0]}, true}}
+			w := treeWorld(9, 20)
+			return []setArg{{w.Root, false}, {&model.RTree{Data: -1, Left: w.Aliases[0]}, true}}
 		}},
 		{"copy-first-same-root", func(graph.AccessMode) []setArg {
-			root := genWorld(4, 6).Root
+			root := treeWorld(4, 6).Root
 			return []setArg{{root, false}, {root, true}}
 		}},
 		{"copy-after-points-in", func(graph.AccessMode) []setArg {
-			w := genWorld(13, 20)
-			return []setArg{{w.Root, true}, {&Tree{Data: -1, Left: w.Aliases[0], Right: leaf(5)}, false}}
+			w := treeWorld(13, 20)
+			return []setArg{{w.Root, true}, {&model.RTree{Data: -1, Left: w.Aliases[0], Right: rleaf(5)}, false}}
 		}},
 		{"copy-between-disjoint", func(graph.AccessMode) []setArg {
-			return []setArg{{genWorld(1, 6).Root, true}, {genWorld(2, 6).Root, false}, {genWorld(3, 6).Root, true}}
+			return []setArg{{treeWorld(1, 6).Root, true}, {treeWorld(2, 6).Root, false}, {treeWorld(3, 6).Root, true}}
 		}},
 		{"scalar-copy-between-sharing", func(graph.AccessMode) []setArg {
-			w := genWorld(6, 12)
-			return []setArg{{w.Root, true}, {42, false}, {&Tree{Left: w.Aliases[0]}, true}}
+			w := treeWorld(6, 12)
+			return []setArg{{w.Root, true}, {42, false}, {&model.RTree{Left: w.Aliases[0]}, true}}
 		}},
 		{"object-copy-between-sharing", func(graph.AccessMode) []setArg {
-			w := genWorld(6, 12)
-			return []setArg{{w.Root, true}, {leaf(1), false}, {&Tree{Left: w.Aliases[0]}, true}}
+			w := treeWorld(6, 12)
+			return []setArg{{w.Root, true}, {rleaf(1), false}, {&model.RTree{Left: w.Aliases[0]}, true}}
 		}},
 		{"nil-root", func(graph.AccessMode) []setArg {
 			return []setArg{{nil, true}, {(*Tree)(nil), true}, {leaf(1), true}}
@@ -422,11 +426,17 @@ func TestForgedReplyNumbersByRequestStream(t *testing.T) {
 	}
 }
 
-// touchAll changes every decoded *Tree of srv, so that its reply restores
-// each one.
+// treeWorld is the model's tree world for seed: a scenario-III tree of
+// size nodes with aliases, internal aliasing edges and cycles.
+func treeWorld(seed int64, size int) *model.RWorld {
+	return model.TreeCase(seed, size, 0).Held.(*model.RWorld)
+}
+
+// touchAll changes every decoded *model.RTree of srv, so that its reply
+// restores each one.
 func touchAll(srv *ServerCall) {
 	for _, obj := range srv.dec.Objects() {
-		obj.Interface().(*Tree).Data++
+		obj.Interface().(*model.RTree).Data++
 	}
 }
 
@@ -441,9 +451,9 @@ func TestApplyAllocsSteadyState(t *testing.T) {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
 	}
 	const size = 256
-	opts := testOptions(t)
-	root := genWorld(1, size).Root
-	call, req := encodeArgs(t, opts, []setArg{{root, true}})
+	opts := modelOptions(t, graph.AccessExported)
+	c := model.TreeCase(1, size, 8+size/16)
+	call, req := encodeArgs(t, opts, []setArg{{c.Arg, true}})
 	defer call.Release()
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)
@@ -457,7 +467,7 @@ func TestApplyAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	touchAll(srv)
-	applyScript(sroot.(*Tree), genScript(1, size, 8+size/16))
+	c.Run(sroot)
 	var resp bytes.Buffer
 	if _, err := srv.EncodeResponse(&resp, nil); err != nil {
 		t.Fatal(err)
@@ -494,8 +504,8 @@ func TestStagingSlabBytes(t *testing.T) {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops Puts)")
 	}
 	const size = 16
-	opts := testOptions(t)
-	call, req := encodeArgs(t, opts, []setArg{{genWorld(1, size).Root, true}})
+	opts := modelOptions(t, graph.AccessExported)
+	call, req := encodeArgs(t, opts, []setArg{{treeWorld(1, size).Root, true}})
 	defer call.Release()
 	if err := call.Finish(); err != nil {
 		t.Fatal(err)

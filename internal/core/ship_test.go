@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 )
 
 // A reply ships the objects whose own state the method changed (Prepare's
@@ -98,7 +99,7 @@ func TestReplyShipsEveryMutation(t *testing.T) {
 			opts := shipOptions(t, cfg, access)
 			for _, tc := range cases {
 				remote, local, sent := runShipCase(t, opts, tc)
-				if eq, err := graph.Equal(access, remote, local); err != nil || !eq || sent != 1 {
+				if eq, err := model.Equal(access, remote, local); err != nil || !eq || sent != 1 {
 					t.Errorf("%s/%s %s: %d records shipped, want 1; caller equals local execution: %t (%v)",
 						cfg.name, access, tc.name, sent, eq, err)
 				}

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"testing"
 
-	"nrmi/internal/bench"
 	"nrmi/internal/core"
+	"nrmi/internal/model"
 	"nrmi/internal/wire"
 )
 
 // TestScenarioIIIMessageSizes pins the bytes of the paper's headline call —
-// internal/bench's scenario III, seed 1: the restorable tree and its mutation
+// internal/model's scenario III, seed 1: the restorable tree and its mutation
 // script out, a content record per object the script changed and one int
 // back — per codec configuration, so that a drift of any wire format fails
 // here and not in a ledger run. V1 requests read what they read before the
@@ -20,7 +20,7 @@ import (
 // record.
 func TestScenarioIIIMessageSizes(t *testing.T) {
 	reg := wire.NewRegistry()
-	if err := bench.RegisterTypes(reg); err != nil {
+	if err := model.Register(reg); err != nil {
 		t.Fatal(err)
 	}
 	type sizes struct{ request, response int }
@@ -40,8 +40,8 @@ func TestScenarioIIIMessageSizes(t *testing.T) {
 	} {
 		for _, size := range []int{16, 256} {
 			opts := core.Options{Engine: tc.engine, Registry: reg, DisablePlanCache: tc.portable}
-			w, script := bench.NewWorld(bench.ScenarioIII, 1, size)
-			rw := bench.ToRWorld(w)
+			w, script := model.NewWorld(model.ScenarioIII, 1, size)
+			rw := model.ToRWorld(w)
 
 			var req, resp bytes.Buffer
 			call := core.NewCall(&req, opts)
@@ -68,8 +68,8 @@ func TestScenarioIIIMessageSizes(t *testing.T) {
 			if err := srv.Prepare(); err != nil {
 				t.Fatal(err)
 			}
-			ret := new(bench.NRMIService).Apply(sroot.(*bench.RTree), sscript.(bench.Script))
-			if _, err := srv.EncodeResponse(&resp, []any{ret}); err != nil {
+			sscript.(model.Script).ApplyR(sroot.(*model.RTree))
+			if _, err := srv.EncodeResponse(&resp, []any{len(script)}); err != nil {
 				t.Fatal(err)
 			}
 			got.response = resp.Len()
@@ -78,7 +78,7 @@ func TestScenarioIIIMessageSizes(t *testing.T) {
 				t.Fatal(err)
 			}
 			call.Release()
-			if err := bench.Verify(rw.ToWorld(), bench.Expected(bench.ScenarioIII, 1, size, script)); err != nil {
+			if err := model.Verify(rw.ToWorld(), model.Expected(model.ScenarioIII, 1, size, script)); err != nil {
 				t.Fatalf("%s size %d: %v", tc.name, size, err)
 			}
 			msg := message{req.String(), resp.String()}

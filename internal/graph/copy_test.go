@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 )
 
 func TestCopyNil(t *testing.T) {
@@ -141,96 +140,5 @@ func TestCopyArrayByValueFastPath(t *testing.T) {
 	}
 	if out.(*h).Arr != v.Arr {
 		t.Fatal("array values must be equal")
-	}
-}
-
-func TestCopyEqualsOriginal(t *testing.T) {
-	shared := &node{Data: 7}
-	root := &node{Data: 1, Left: shared, Right: &node{Data: 2, Left: shared}}
-	out, err := Copy(AccessExported, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, err := Equal(AccessExported, root, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Fatal("copy must be graph-equal to the original")
-	}
-}
-
-// genTree builds a pseudo-random tree for property tests, with internal
-// sharing controlled by the seed.
-func genTree(seed int64, size int) *node {
-	if size <= 0 {
-		return nil
-	}
-	nodes := make([]*node, 0, size)
-	state := uint64(seed)*2654435761 + 1
-	next := func(n int) int {
-		state = state*6364136223846793005 + 1442695040888963407
-		return int(state>>33) % n
-	}
-	root := &node{Data: next(1000)}
-	nodes = append(nodes, root)
-	for len(nodes) < size {
-		parent := nodes[next(len(nodes))]
-		n := &node{Data: next(1000)}
-		if parent.Left == nil {
-			parent.Left = n
-		} else if parent.Right == nil {
-			parent.Right = n
-		} else {
-			continue
-		}
-		nodes = append(nodes, n)
-	}
-	// Introduce a few aliases: point spare Right slots at existing nodes.
-	for i := 0; i < size/4; i++ {
-		from := nodes[next(len(nodes))]
-		if from.Right == nil {
-			from.Right = nodes[next(len(nodes))]
-		}
-	}
-	return root
-}
-
-func TestQuickCopyIsGraphEqual(t *testing.T) {
-	f := func(seed int64, sz uint8) bool {
-		size := int(sz%64) + 1
-		orig := genTree(seed, size)
-		cp, err := Copy(AccessExported, orig)
-		if err != nil {
-			return false
-		}
-		eq, err := Equal(AccessExported, orig, cp)
-		return err == nil && eq
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickCopyObjectCountMatches(t *testing.T) {
-	f := func(seed int64, sz uint8) bool {
-		size := int(sz%64) + 1
-		orig := genTree(seed, size)
-		cp, err := Copy(AccessExported, orig)
-		if err != nil {
-			return false
-		}
-		lm1, err := Walk(AccessExported, orig)
-		if err != nil {
-			return false
-		}
-		lm2, err := Walk(AccessExported, cp)
-		if err != nil {
-			return false
-		}
-		return lm1.Len() == lm2.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }

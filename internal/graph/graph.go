@@ -1,8 +1,9 @@
 // Package graph provides the object-graph substrate underlying NRMI's
-// call-by-copy-restore semantics: reachability traversal over arbitrary Go
-// values, stable object identity, the "linear map" of reachable objects
-// (paper, Section 3, step 1), identity-preserving deep copy, and graph-aware
-// equality.
+// call-by-copy-restore semantics: stable object identity, the "linear map"
+// of reachable objects (paper, Section 3, step 1), and, for tests and the
+// benchmark harness only, reachability traversal and identity-preserving
+// deep copy. Graph equality is internal/model's oracle, model.Equal, which
+// TestQuickRemoteEqualsLocal and TestModelRemoteEqualsLocal hold calls to.
 //
 // The package projects Java's object model onto Go. An "object" — a heap
 // entity with identity that aliases can observe — is one of:

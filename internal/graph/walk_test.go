@@ -2,10 +2,8 @@ package graph
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"nrmi/internal/raceflag"
@@ -327,43 +325,4 @@ func buildChain(n int) *node {
 		cur = cur.Left
 	}
 	return root
-}
-
-// TestKernelConcurrentStress hammers the per-type caches from many
-// goroutines (run under -race in make test): concurrent walks, copies, and
-// equality checks of the same types. (Nothing here is a kernel; the name is
-// kept because the test floor tracks tests by name.)
-func TestKernelConcurrentStress(t *testing.T) {
-	type stressT struct {
-		ID    int
-		Kids  []*stressT
-		Tags  map[string]int
-		Extra any
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				root := &stressT{ID: g, Tags: map[string]int{fmt.Sprint(i): i}}
-				root.Kids = []*stressT{{ID: i, Extra: "x"}, root}
-				lm, err := Walk(AccessExported, root)
-				if err != nil {
-					t.Error(err)
-				} else if lm.Len() == 0 {
-					t.Error("empty linear map")
-				}
-				cp, err := Copy(AccessExported, root)
-				if err != nil {
-					t.Error(err)
-					continue
-				}
-				if eq, err := Equal(AccessExported, root, cp); err != nil || !eq {
-					t.Errorf("copy not equal: %v %v", eq, err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

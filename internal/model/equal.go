@@ -1,38 +1,47 @@
-package graph
+package model
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+
+	"nrmi/internal/graph"
 )
+
+// maxDepth bounds the nesting of values within one object, as graph's
+// traversals do; cycles through references consume no depth.
+const maxDepth = 10000
 
 // Equal reports whether the object graphs rooted at a and b are isomorphic:
 // same shapes, same scalar values, and the same aliasing structure (if two
 // paths reach one object in a, the corresponding paths must reach one object
-// in b, and vice versa). This is the correctness oracle for the whole
-// system: a remote call under copy-restore must leave the client graph Equal
-// to what the same call would have produced locally.
+// in b, and vice versa). This is the correctness oracle of the whole system:
+// a remote call under copy-restore must leave the client graph Equal to what
+// the same call would have produced locally. Floats and the parts of complex
+// numbers compare by value and by sign, so a lost −0.0 shows, and two NaNs
+// are equal.
 //
 // Map keys must be free of identity-bearing values (no pointer keys); such
 // maps produce an error.
-func Equal(mode AccessMode, a, b any) (bool, error) {
+func Equal(mode graph.AccessMode, a, b any) (bool, error) {
 	av := reflect.ValueOf(a)
 	bv := reflect.ValueOf(b)
 	if !av.IsValid() || !bv.IsValid() {
 		return av.IsValid() == bv.IsValid(), nil
 	}
-	e := &equaler{access: mode, aToB: make(map[Ident]Ident), bToA: make(map[Ident]Ident)}
+	e := &equaler{access: mode, aToB: make(map[graph.Ident]graph.Ident), bToA: make(map[graph.Ident]graph.Ident)}
 	return e.equal(av, bv, 0)
 }
 
 type equaler struct {
-	access AccessMode
-	aToB   map[Ident]Ident
-	bToA   map[Ident]Ident
+	access graph.AccessMode
+	aToB   map[graph.Ident]graph.Ident
+	bToA   map[graph.Ident]graph.Ident
 }
 
 func (e *equaler) equal(a, b reflect.Value, depth int) (bool, error) {
 	if depth > maxDepth {
-		return false, ErrDepthExceeded
+		return false, graph.ErrDepthExceeded
 	}
 	if a.Kind() == reflect.Interface {
 		if a.IsNil() || b.Kind() != reflect.Interface || b.IsNil() {
@@ -48,7 +57,8 @@ func (e *equaler) equal(a, b reflect.Value, depth int) (bool, error) {
 		if a.IsNil() || b.IsNil() {
 			return a.IsNil() == b.IsNil(), nil
 		}
-		ida, idb := identOf(a), identOf(b)
+		ida, _ := graph.IdentOf(a)
+		idb, _ := graph.IdentOf(b)
 		mappedB, seenA := e.aToB[ida]
 		mappedA, seenB := e.bToA[idb]
 		if seenA || seenB {
@@ -61,20 +71,14 @@ func (e *equaler) equal(a, b reflect.Value, depth int) (bool, error) {
 		return e.equalContents(a, b, depth)
 
 	case reflect.Struct:
-		sa, sb := launder(a), launder(b)
-		for i := 0; i < sa.NumField(); i++ {
-			fa, oka, err := fieldForRead(sa, i, e.access)
-			if err != nil {
-				return false, err
-			}
-			fb, okb, err := fieldForRead(sb, i, e.access)
-			if err != nil {
-				return false, err
-			}
-			if oka != okb {
-				return false, nil
-			}
-			if !oka {
+		// Reflection reads an unexported field without laundering it:
+		// nothing here calls Interface or Set.
+		for i := 0; i < a.NumField(); i++ {
+			fa, fb := a.Field(i), b.Field(i)
+			if sf := a.Type().Field(i); !sf.IsExported() && e.access == graph.AccessExported {
+				if !fa.IsZero() || !fb.IsZero() {
+					return false, fmt.Errorf("%w: field %s.%s", graph.ErrUnexportedField, a.Type(), sf.Name)
+				}
 				continue
 			}
 			eq, err := e.equal(fa, fb, depth+1)
@@ -100,14 +104,23 @@ func (e *equaler) equal(a, b reflect.Value, depth int) (bool, error) {
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		return a.Uint() == b.Uint(), nil
 	case reflect.Float32, reflect.Float64:
-		return a.Float() == b.Float(), nil
+		return sameFloat(a.Float(), b.Float()), nil
 	case reflect.Complex64, reflect.Complex128:
-		return a.Complex() == b.Complex(), nil
+		ca, cb := a.Complex(), b.Complex()
+		return sameFloat(real(ca), real(cb)) && sameFloat(imag(ca), imag(cb)), nil
 	case reflect.String:
 		return a.String() == b.String(), nil
 	default:
-		return false, fmt.Errorf("%w: cannot compare kind %s", ErrNotSerializable, a.Kind())
+		return false, fmt.Errorf("%w: cannot compare kind %s", graph.ErrNotSerializable, a.Kind())
 	}
+}
+
+// sameFloat compares by value and by sign; NaN equals NaN.
+func sameFloat(x, y float64) bool {
+	if math.IsNaN(x) || math.IsNaN(y) {
+		return math.IsNaN(x) && math.IsNaN(y)
+	}
+	return x == y && math.Signbit(x) == math.Signbit(y)
 }
 
 func (e *equaler) equalContents(a, b reflect.Value, depth int) (bool, error) {
@@ -125,12 +138,12 @@ func (e *equaler) equalContents(a, b reflect.Value, depth int) (bool, error) {
 			}
 		}
 		return true, nil
-	case reflect.Map:
+	default: // a map
 		if a.Len() != b.Len() {
 			return false, nil
 		}
-		if hasIdentityBearing(a.Type().Key()) {
-			return false, fmt.Errorf("graph: cannot compare maps with identity-bearing key type %s", a.Type().Key())
+		if hasIdentity(a.Type().Key()) {
+			return false, fmt.Errorf("model: cannot compare maps with identity-bearing key type %s", a.Type().Key())
 		}
 		iter := a.MapRange()
 		for iter.Next() {
@@ -144,7 +157,23 @@ func (e *equaler) equalContents(a, b reflect.Value, depth int) (bool, error) {
 			}
 		}
 		return true, nil
-	default:
-		panic(fmt.Sprintf("graph: equalContents on %s", a.Kind()))
 	}
+}
+
+// hasIdentity reports whether values of the comparable type t can hold a
+// reference: a pointer, channel or interface, or an array or struct of one.
+func hasIdentity(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Ptr, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return hasIdentity(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasIdentity(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

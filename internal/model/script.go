@@ -1,4 +1,4 @@
-package bench
+package model
 
 // Mutation scripts make the paper's "remote method performs random changes
 // to its input tree" replayable: a script generated once from a seed can be
@@ -61,76 +61,41 @@ func GenScript(seed int64, numNodes, numOps int, dataOnly bool) Script {
 }
 
 // Apply replays the script against the tree rooted at root.
-func (s Script) Apply(root *Tree) {
+func (s Script) Apply(root *Tree) { apply(s, root, newTree) }
+
+// ApplyR replays the script against a restorable tree.
+func (s Script) ApplyR(root *RTree) { apply(s, root, newRTree) }
+
+func apply[N node[N]](s Script, root N, alloc func() N) {
 	nodes := CollectNodes(root)
 	if len(nodes) == 0 {
 		return
 	}
-	pick := func(i int) *Tree {
+	pick := func(i int) N {
 		if i >= len(nodes) {
-			return nil
+			var none N
+			return none
 		}
-		return nodes[i%len(nodes)]
+		return nodes[i]
 	}
 	for _, op := range s {
-		a := nodes[op.A%len(nodes)]
+		data, left, right := nodes[op.A%len(nodes)].fields()
 		switch op.Kind {
 		case OpSetData:
-			a.Data = op.Val
+			*data = op.Val
 		case OpSetLeft:
-			a.Left = pick(op.B)
+			*left = pick(op.B)
 		case OpSetRight:
-			a.Right = pick(op.B)
+			*right = pick(op.B)
 		case OpNewNode:
-			n := &Tree{Data: op.Val, Left: pick(op.B)}
+			n := alloc()
+			d, l, _ := n.fields()
+			*d, *l = op.Val, pick(op.B)
 			if op.Side == 0 {
-				a.Left = n
+				*left = n
 			} else {
-				a.Right = n
+				*right = n
 			}
 		}
 	}
-}
-
-// ApplyR replays the script against a restorable tree.
-func (s Script) ApplyR(root *RTree) {
-	nodes := CollectRNodes(root)
-	if len(nodes) == 0 {
-		return
-	}
-	pick := func(i int) *RTree {
-		if i >= len(nodes) {
-			return nil
-		}
-		return nodes[i%len(nodes)]
-	}
-	for _, op := range s {
-		a := nodes[op.A%len(nodes)]
-		switch op.Kind {
-		case OpSetData:
-			a.Data = op.Val
-		case OpSetLeft:
-			a.Left = pick(op.B)
-		case OpSetRight:
-			a.Right = pick(op.B)
-		case OpNewNode:
-			n := &RTree{Data: op.Val, Left: pick(op.B)}
-			if op.Side == 0 {
-				a.Left = n
-			} else {
-				a.Right = n
-			}
-		}
-	}
-}
-
-// StructurePreserving reports whether the script leaves tree structure
-// intact (only payload writes).
-func (s Script) StructurePreserving() bool {
-	for _, op := range s {
-		if op.Kind != OpSetData {
-			return false
-		}
-	}
-	return true
 }

@@ -1,13 +1,15 @@
-package bench
+package model
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// The micro-benchmarks (Tables 1–6) use the paper's random binary trees.
-// This file adds a macro workload shaped like the paper's motivating
-// business application (Section 4.3): customers indexed by name and by
-// zip, transactions indexed by recency and reachable from their customers
-// — a graph whose aliasing is structural, not synthetic, and which
-// exercises maps, slices, and strings on the wire.
+// The store is a workload shaped like the paper's motivating business
+// application (Section 4.3): customers indexed by name and by zip,
+// transactions indexed by recency and reachable from their customers — a
+// graph whose aliasing is structural, not synthetic, and which exercises
+// maps, slices, strings, interfaces and floats on the wire.
 
 // MacroCustomer is one customer record.
 type MacroCustomer struct {
@@ -15,6 +17,12 @@ type MacroCustomer struct {
 	Zip          string
 	Balance      int
 	Transactions []*MacroTransaction
+	// Rating starts at +0.0; a rating op may overwrite it with −0.0, which
+	// only a change detector that compares bits sees.
+	Rating float64
+	// Last is the customer's latest event: its newest *MacroTransaction, or
+	// the name it had before a rename.
+	Last any
 }
 
 // MacroTransaction is one purchase, pointing back at its customer.
@@ -37,30 +45,13 @@ func (*MacroStore) NRMIRestorable() {}
 
 // MacroOp is one scripted store mutation.
 type MacroOp struct {
-	// Kind: 0 purchase, 1 move, 2 rename.
+	// Kind: 0 purchase, 1 move, 2 rename, 3 rate.
 	Kind int
 	// Cust indexes the customer (by sorted-name position at script start).
 	Cust int
-	// Amount is the purchase amount or the new-zip discriminator.
+	// Amount is the purchase amount, the new-zip discriminator or the
+	// rating's magnitude.
 	Amount int
-}
-
-// registerMacroTypes installs the macro workload's wire types.
-func registerMacroTypes(reg interface {
-	Register(name string, sample any) error
-}) error {
-	for name, sample := range map[string]any{
-		"bench.MacroStore":       MacroStore{},
-		"bench.MacroCustomer":    MacroCustomer{},
-		"bench.MacroTransaction": MacroTransaction{},
-		"bench.MacroOp":          MacroOp{},
-		"bench.MacroOps":         []MacroOp{},
-	} {
-		if err := reg.Register(name, sample); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // NewMacroStore builds a deterministic store with nCustomers customers
@@ -88,7 +79,7 @@ func GenMacroScript(seed int64, nCustomers, nOps int) []MacroOp {
 	ops := make([]MacroOp, 0, nOps)
 	for i := 0; i < nOps; i++ {
 		ops = append(ops, MacroOp{
-			Kind:   r.intn(3),
+			Kind:   r.intn(4),
 			Cust:   r.intn(nCustomers),
 			Amount: 100 + r.intn(10000),
 		})
@@ -123,6 +114,7 @@ func ApplyMacro(s *MacroStore, ops []MacroOp) {
 			t := &MacroTransaction{ID: s.NextID, Amount: op.Amount, Customer: c}
 			c.Balance += op.Amount
 			c.Transactions = append(c.Transactions, t)
+			c.Last = t
 			s.Recent = append([]*MacroTransaction{t}, s.Recent...)
 			if len(s.Recent) > 10 {
 				s.Recent = s.Recent[:10]
@@ -145,17 +137,11 @@ func ApplyMacro(s *MacroStore, ops []MacroOp) {
 			s.ByZip[newZip] = append(s.ByZip[newZip], c)
 		case 2: // rename, reindexing by name
 			delete(s.ByName, c.Name)
+			c.Last = c.Name
 			c.Name = c.Name + "x"
 			s.ByName[c.Name] = c
+		case 3: // rate: 0, 0.5, 1 or 1.5 below zero; a zero is −0.0
+			c.Rating = math.Copysign(float64(op.Amount%4)/2, -1)
 		}
 	}
-}
-
-// MacroService is the server side of the macro workload.
-type MacroService struct{}
-
-// Apply mutates the store in place; NRMI restores everything.
-func (m *MacroService) Apply(s *MacroStore, ops []MacroOp) int {
-	ApplyMacro(s, ops)
-	return s.NextID
 }

@@ -4,7 +4,7 @@ package rmi
 // seeded netsim fault plans and assert the paper's Section 6.2 failure
 // invariant — a failed remote call surfaces as an error and leaves the
 // client's object graph bit-identical to its pre-call snapshot (verified
-// with graph.Equal), while a successful call leaves it deep-equal to the
+// with model.Equal), while a successful call leaves it deep-equal to the
 // server's result. Every schedule derives from a logged seed; a failing
 // run prints it and `CHAOS_SEED=<seed> go test -run TestChaos` replays it.
 
@@ -22,6 +22,7 @@ import (
 
 	"nrmi/internal/core"
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/netsim"
 	"nrmi/internal/transport"
 	"nrmi/internal/wire"
@@ -94,9 +95,9 @@ func snapshotTree(t *testing.T, root *RTree) *RTree {
 
 func treesEqual(t *testing.T, a, b *RTree) bool {
 	t.Helper()
-	eq, err := graph.Equal(graph.AccessExported, a, b)
+	eq, err := model.Equal(graph.AccessExported, a, b)
 	if err != nil {
-		t.Fatalf("graph.Equal: %v", err)
+		t.Fatalf("model.Equal: %v", err)
 	}
 	return eq
 }

@@ -4,23 +4,20 @@ import (
 	"maps"
 	"sync"
 	"sync/atomic"
-
-	"nrmi/internal/transport"
 )
 
 // clientMetrics is the client-side cumulative counter block; every field is
 // monotonic. It mirrors serverMetrics so operators can read both ends of a
 // path with the same vocabulary.
 type clientMetrics struct {
-	calls            atomic.Int64
-	errors           atomic.Int64
-	attempts         atomic.Int64
-	retries          atomic.Int64
-	dials            atomic.Int64
-	reconnects       atomic.Int64
-	bytesSent        atomic.Int64
-	bytesReceived    atomic.Int64
-	payloadsReleased atomic.Int64
+	calls         atomic.Int64
+	errors        atomic.Int64
+	attempts      atomic.Int64
+	retries       atomic.Int64
+	dials         atomic.Int64
+	reconnects    atomic.Int64
+	bytesSent     atomic.Int64
+	bytesReceived atomic.Int64
 
 	// Async counters: promises issued by CallAsync, and promises
 	// relinquished via Abandon before consumption.
@@ -73,10 +70,6 @@ type ClientMetrics struct {
 	// BytesReceived is the total decoded response bytes consumed by
 	// successful calls.
 	BytesReceived int64
-	// PayloadsReleased counts pooled reply payloads returned to the
-	// transport buffer pool — the ownership ledger the payload leak tests
-	// audit against.
-	PayloadsReleased int64
 	// EvictionCauses tallies pooled connections discarded because the
 	// health check found them dead, by root cause ("EOF", "transport:
 	// connection closed", ...), so a fleet operator can tell peer
@@ -107,7 +100,6 @@ func (c *Client) Metrics() ClientMetrics {
 		Reconnects:        c.metrics.reconnects.Load(),
 		BytesSent:         c.metrics.bytesSent.Load(),
 		BytesReceived:     c.metrics.bytesReceived.Load(),
-		PayloadsReleased:  c.metrics.payloadsReleased.Load(),
 		AsyncIssued:       c.metrics.asyncIssued.Load(),
 		PromisesAbandoned: c.metrics.promisesAbandoned.Load(),
 	}
@@ -115,14 +107,4 @@ func (c *Client) Metrics() ClientMetrics {
 	m.EvictionCauses = maps.Clone(c.metrics.evictionCauses)
 	c.metrics.causeMu.Unlock()
 	return m
-}
-
-// releasePayload returns a pooled reply payload to the transport pool and
-// counts it. All client-side payload releases go through here so the
-// ownership ledger (PayloadsReleased) stays complete.
-func (c *Client) releasePayload(p []byte) {
-	if p != nil {
-		c.metrics.payloadsReleased.Add(1)
-	}
-	transport.ReleasePayload(p)
 }

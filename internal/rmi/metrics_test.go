@@ -240,7 +240,7 @@ func serverCounters(m Metrics) []int64 {
 
 func clientCounters(m ClientMetrics) []int64 {
 	return []int64{m.CallsIssued, m.CallErrors, m.Attempts, m.Retries, m.Dials,
-		m.Reconnects, m.BytesSent, m.BytesReceived, m.PayloadsReleased}
+		m.Reconnects, m.BytesSent, m.BytesReceived}
 }
 
 // TestMetricsSnapshotInvariantsUnderStress hammers Server.Metrics and

@@ -7,6 +7,7 @@ import (
 
 	"nrmi/internal/core"
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/netsim"
 	"nrmi/internal/wire"
 )
@@ -238,7 +239,7 @@ func TestArgumentOrderKeepsLocalSemantics(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if eq, err := graph.Equal(graph.AccessExported, remoteHeld, localHeld); err != nil || !eq {
+				if eq, err := model.Equal(graph.AccessExported, remoteHeld, localHeld); err != nil || !eq {
 					t.Fatalf("the caller's graph differs from the local call's (%v)", err)
 				}
 				if got, want := resp.Returns[0], localRet[0].Interface(); got != want {

@@ -13,8 +13,7 @@ import (
 // remote-error reply released inside the transport — with the buffer pool's
 // ownership ledger armed, proving that no site releases a payload twice and
 // none retains one past release. The server's ends balance too: each request
-// buffer, and each reply the transport releases once it is queued. It also
-// pins the PayloadsReleased counter the client sites feed.
+// buffer, and each reply the transport releases once it is queued.
 func TestClientPayloadOwnershipLedger(t *testing.T) {
 	e := newEnv(t)
 	stub := e.client.Stub("server", "trees")
@@ -56,11 +55,6 @@ func TestClientPayloadOwnershipLedger(t *testing.T) {
 	}
 	if cm.Dials < 1 {
 		t.Errorf("Dials = %d, want at least the first connection", cm.Dials)
-	}
-	// Successful calls and the three DGC round trips each release exactly
-	// one reply payload.
-	if want := int64(calls + 3); cm.PayloadsReleased != want {
-		t.Errorf("PayloadsReleased = %d, want %d", cm.PayloadsReleased, want)
 	}
 	if cm.BytesSent == 0 || cm.BytesReceived == 0 {
 		t.Errorf("byte counters silent: sent=%d received=%d", cm.BytesSent, cm.BytesReceived)

@@ -254,7 +254,7 @@ func (p *Promise) await(ctx context.Context) ([]byte, error) {
 // payload goes back once ApplyResponseBytes has returned.
 func (p *Promise) apply(payload []byte) (core.Response, error) {
 	resp, err := p.call.ApplyResponseBytes(payload)
-	p.st.c.releasePayload(payload)
+	transport.ReleasePayload(payload)
 	if err != nil {
 		return resp, &ResponseConsumedError{Method: p.method, Err: err}
 	}

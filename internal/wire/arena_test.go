@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/raceflag"
 )
 
@@ -44,11 +45,11 @@ func TestV3DifferentialZoo(t *testing.T) {
 	v2, v3 := decode(EngineV2), decode(EngineV3)
 	zoo := wireZoo()
 	for i := range zoo {
-		eq, err := graph.Equal(graph.AccessExported, v3[i], v2[i])
+		eq, err := model.Equal(graph.AccessExported, v3[i], v2[i])
 		if err != nil || !eq {
 			t.Errorf("zoo[%d] (%T): V3 graph differs from V2: eq=%v err=%v", i, zoo[i], eq, err)
 		}
-		eq, err = graph.Equal(graph.AccessExported, v3[i], zoo[i])
+		eq, err = model.Equal(graph.AccessExported, v3[i], zoo[i])
 		if err != nil || !eq {
 			t.Errorf("zoo[%d] (%T): V3 graph differs from source: eq=%v err=%v", i, zoo[i], eq, err)
 		}

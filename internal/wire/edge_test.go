@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 )
 
 // Edge-of-format tests: hostile streams, size limits, engine mixing, and
@@ -303,7 +304,7 @@ func TestDisablePlanCacheRoundTrip(t *testing.T) {
 	opts := Options{Registry: reg, DisablePlanCache: true}
 	tree := buildRandomTree(3, 32)
 	got := roundTrip(t, opts, tree)
-	eq, err := graph.Equal(graph.AccessExported, tree, got)
+	eq, err := model.Equal(graph.AccessExported, tree, got)
 	if err != nil || !eq {
 		t.Fatalf("portable round trip: %v %v", eq, err)
 	}

@@ -3,11 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"slices"
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/netsim"
 )
 
@@ -127,13 +127,13 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// sameGraph reports whether a and b, decoded under access, are graph.Equal —
-// or, where Equal cannot say so (NaN payloads, pointer map keys), encode to
-// the same bytes. A decoder counts a container in an interface slot as one
+// sameGraph reports whether a and b, decoded under access, are model.Equal —
+// or, where Equal cannot say so (pointer map keys), encode to the same
+// bytes. A decoder counts a container in an interface slot as one
 // level and the encoder as two, so a stream can nest deeper than either
 // oracle follows: a pair both refuse for its depth is taken as equal.
 func sameGraph(t *testing.T, reg *Registry, access graph.AccessMode, a, b any) bool {
-	if eq, err := graph.Equal(access, addressed(a), addressed(b)); err == nil && eq {
+	if eq, err := model.Equal(access, a, b); err == nil && eq {
 		return true
 	}
 	encode := func(v any) ([]byte, error) {
@@ -154,17 +154,6 @@ func sameGraph(t *testing.T, reg *Registry, access graph.AccessMode, a, b any) b
 		t.Fatalf("re-encoding a decoded value: %v, %v", erra, errb)
 	}
 	return bytes.Equal(ea, eb)
-}
-
-// addressed returns a pointer to a copy of v: graph.Equal reads an unexported
-// field through its address, which a struct held by value does not have.
-func addressed(v any) any {
-	if v == nil {
-		return nil
-	}
-	p := reflect.New(reflect.TypeOf(v))
-	p.Elem().Set(reflect.ValueOf(v))
-	return p.Interface()
 }
 
 // FuzzRoundTrip mutates a tree-describing byte string into tree shapes and
@@ -218,7 +207,7 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		eq, err := graph.Equal(graph.AccessExported, tree, out)
+		eq, err := model.Equal(graph.AccessExported, tree, out)
 		if err != nil || !eq {
 			t.Fatalf("round trip broke graph equality: eq=%v err=%v", eq, err)
 		}
@@ -243,7 +232,7 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("V3 decode of own encoding failed: %v", err)
 		}
 		dec3.ReleaseArena()
-		eq, err = graph.Equal(graph.AccessExported, out3, out)
+		eq, err = model.Equal(graph.AccessExported, out3, out)
 		if err != nil || !eq {
 			t.Fatalf("V3 graph differs from %s graph: eq=%v err=%v", eng, eq, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/raceflag"
 )
 
@@ -142,7 +143,7 @@ func TestKernelDecodeStates(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %s decode, %s mode, value %d: %v", tc.name, name, mode, i, err)
 					}
-					if eq, err := graph.Equal(graph.AccessExported, want, got); err != nil || !eq {
+					if eq, err := model.Equal(graph.AccessExported, want, got); err != nil || !eq {
 						t.Fatalf("%s: %s decode, %s mode, value %d: got %#v, want %#v (%v)", tc.name, name, mode, i, got, want, err)
 					}
 				}

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 	"nrmi/internal/raceflag"
 )
 
@@ -110,7 +111,7 @@ func TestKernelDecodeEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s zoo[%d]: %s decode: %v", eng, i, name, err)
 				}
-				if eq, err := graph.Equal(graph.AccessExported, v, got); err != nil || !eq {
+				if eq, err := model.Equal(graph.AccessExported, v, got); err != nil || !eq {
 					t.Fatalf("%s zoo[%d]: %s decode not Equal to original (%v %v)", eng, i, name, eq, err)
 				}
 			}
@@ -192,7 +193,7 @@ func TestKernelCodecConcurrentStress(t *testing.T) {
 					t.Errorf("decode: %v", err)
 					continue
 				}
-				if eq, err := graph.Equal(graph.AccessExported, bag, out); err != nil || !eq {
+				if eq, err := model.Equal(graph.AccessExported, bag, out); err != nil || !eq {
 					t.Errorf("round trip not Equal (%v %v)", eq, err)
 				}
 			}
@@ -415,7 +416,7 @@ func TestKindMatrixParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %s decode: %v", eng, c.access, p.name, err)
 				}
-				if eq, err := graph.Equal(graph.AccessUnsafe, v, got); err != nil || !eq {
+				if eq, err := model.Equal(graph.AccessUnsafe, v, got); err != nil || !eq {
 					t.Fatalf("%s %s %s decode is not the original (%v %v): %+v", eng, c.access, p.name, eq, err, got)
 				}
 			}
@@ -566,7 +567,7 @@ func TestPointerShapedValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("value %d: %v", i, err)
 		}
-		if eq, err := graph.Equal(graph.AccessExported, v, got); err != nil || !eq {
+		if eq, err := model.Equal(graph.AccessExported, v, got); err != nil || !eq {
 			t.Fatalf("value %d decoded as %+v (%v %v)", i, got, eq, err)
 		}
 	}
@@ -627,7 +628,7 @@ func TestPointerSlotInternParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if eq, err := graph.Equal(graph.AccessUnsafe, v, got); err != nil || !eq {
+			if eq, err := model.Equal(graph.AccessUnsafe, v, got); err != nil || !eq {
 				t.Fatalf("%s: decoded %+v (%v %v)", name, got, eq, err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/model"
 )
 
 // Test types.
@@ -120,7 +121,7 @@ func TestRoundTripTree(t *testing.T) {
 	bothEngines(t, func(t *testing.T, opts Options) {
 		tree := &wnode{Data: 1, Left: &wnode{Data: 2}, Right: &wnode{Data: 3, Left: &wnode{Data: 4}}}
 		got := roundTrip(t, opts, tree).(*wnode)
-		eq, err := graph.Equal(graph.AccessExported, tree, got)
+		eq, err := model.Equal(graph.AccessExported, tree, got)
 		if err != nil || !eq {
 			t.Fatalf("tree not preserved: eq=%v err=%v", eq, err)
 		}
@@ -169,7 +170,7 @@ func TestRoundTripComposite(t *testing.T) {
 			U:      77,
 		}
 		got := roundTrip(t, opts, v).(*wbag)
-		eq, err := graph.Equal(graph.AccessExported, v, got)
+		eq, err := model.Equal(graph.AccessExported, v, got)
 		if err != nil || !eq {
 			t.Fatalf("composite not preserved: eq=%v err=%v", eq, err)
 		}
@@ -648,7 +649,7 @@ func TestQuickRoundTripGraphEqual(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			eq, err := graph.Equal(graph.AccessExported, tree, out)
+			eq, err := model.Equal(graph.AccessExported, tree, out)
 			if err != nil || !eq {
 				return false
 			}
