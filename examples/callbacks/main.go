@@ -24,6 +24,10 @@ import (
 type ProgressListener struct {
 	mu     sync.Mutex
 	events []string
+	// live counts the client's exports; held is that count at the last
+	// callback.
+	live func() int
+	held int
 }
 
 // NRMIRemote marks the listener for call-by-reference.
@@ -34,6 +38,7 @@ func (l *ProgressListener) OnProgress(step string, percent int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.events = append(l.events, fmt.Sprintf("%3d%% %s", percent, step))
+	l.held = l.live()
 }
 
 // Events snapshots what arrived.
@@ -51,15 +56,18 @@ type JobServer struct {
 
 // Run executes a fake three-phase job, calling back after each phase. The
 // listener arrives as a remote reference; each OnProgress is a round trip
-// into the client's address space.
-func (s *JobServer) Run(job string, listener *nrmi.RemoteRef) error {
+// into the client's address space. When the job ends the server releases
+// the reference (a DGC Clean), so the client's export is collected: nothing
+// renews a lease, and nothing sweeps one unless the client's server was
+// started with StartLeaseSweeper.
+func (s *JobServer) Run(ctx context.Context, job string, listener *nrmi.RemoteRef) error {
 	stub := s.client.RefStub(listener)
 	for i, phase := range []string{"prepare " + job, "execute " + job, "publish " + job} {
-		if _, err := stub.Call(context.Background(), "OnProgress", phase, (i+1)*33); err != nil {
+		if _, err := stub.Call(ctx, "OnProgress", phase, (i+1)*33); err != nil {
 			return fmt.Errorf("callback failed: %w", err)
 		}
 	}
-	return nil
+	return s.client.Release(ctx, listener)
 }
 
 func main() {
@@ -105,7 +113,7 @@ func main() {
 	defer client.Close()
 	client.BindLocalServer(clSrv)
 
-	listener := &ProgressListener{}
+	listener := &ProgressListener{live: clSrv.LiveRefs}
 	// Passing a Remote-marked object exports it and ships a reference;
 	// the object itself never leaves this process.
 	if _, err := client.Stub(srvLn.Addr().String(), "jobs").Call(context.Background(), "Run", "backup", listener); err != nil {
@@ -116,5 +124,6 @@ func main() {
 	for _, e := range listener.Events() {
 		fmt.Println(" ", e)
 	}
-	fmt.Printf("client still holds %d live export(s) — release or lease-expire them when done\n", clSrv.LiveRefs())
+	fmt.Printf("live exports on the client: %d during the job, %d after the server released the listener\n",
+		listener.held, clSrv.LiveRefs())
 }

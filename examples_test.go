@@ -46,6 +46,7 @@ func TestExamplesRun(t *testing.T) {
 		{"./examples/callbacks", []string{
 			"33% prepare backup",
 			"99% publish backup",
+			"live exports on the client: 1 during the job, 0 after the server released the listener",
 		}},
 	}
 	for _, c := range cases {

@@ -13,6 +13,7 @@ import (
 	"nrmi/internal/netsim"
 	"nrmi/internal/obs"
 	"nrmi/internal/raceflag"
+	"nrmi/internal/rmi"
 	"nrmi/internal/wire"
 )
 
@@ -422,11 +423,17 @@ func TestEnvConfigString(t *testing.T) {
 	}
 }
 
-func TestWrapRefHook(t *testing.T) {
+// TestWrap: the WrapRef hook makes a foreign reference a stub that
+// forwards the very reference it wraps.
+func TestWrap(t *testing.T) {
 	env := &RefEnv{}
-	h, err := env.WrapRefHook(nil)
-	if err != nil || h != nil {
-		t.Fatalf("nil ref must wrap to nil: %v %v", h, err)
+	ref := &rmi.RemoteRef{Addr: ServerAddr, ID: 7}
+	h, err := env.Wrap(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, ok := h.(*NodeStub); !ok || st.NRMIRef() != ref || st.env != env {
+		t.Fatalf("Wrap(%v) = %#v, want a stub of env holding the reference", ref, h)
 	}
 }
 

@@ -68,11 +68,11 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	serverOpts := rmi.Options{
 		Core:    coreOpts,
 		Obs:     e.hostObs,
-		WrapRef: serverEnv.WrapRefHook,
+		WrapRef: serverEnv.Wrap,
 	}
 	clientOpts := rmi.Options{
 		Core:    coreOpts,
-		WrapRef: clientEnv.WrapRefHook,
+		WrapRef: clientEnv.Wrap,
 	}
 
 	fail := func(err error) (*Env, error) {
@@ -119,7 +119,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	client.BindLocalServer(clSrv)
 	e.Client = client
 	clientEnv.Client = client
-	clientEnv.Local = clSrv
 
 	serverClient, err := rmi.NewClient(n.Dial, serverOpts)
 	if err != nil {
@@ -128,7 +127,6 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 	serverClient.BindLocalServer(srv)
 	e.serverClient = serverClient
 	serverEnv.Client = serverClient
-	serverEnv.Local = srv
 
 	return e, nil
 }

@@ -67,37 +67,16 @@ func (n *RefNode) GetRight(context.Context) (Handle, error) { return n.Right, ni
 func (n *RefNode) SetRight(_ context.Context, h Handle) error { n.Right = h; return nil }
 
 // RefEnv is one process's view of the remote-pointer world: its client for
-// outbound calls and its own server for resolving references that come home.
+// the round trips of the stubs it makes. A reference to one of the process's
+// own nodes needs no stub: rmi brings it home as the node itself.
 type RefEnv struct {
 	// Client issues the remote field accesses.
 	Client *rmi.Client
-	// Local is this process's server (may be nil for pure clients).
-	Local *rmi.Server
 }
 
-// Wrap converts a wire reference into a Handle: local references resolve
-// to the live node, foreign ones become stubs.
-func (e *RefEnv) Wrap(ref *rmi.RemoteRef) (Handle, error) {
-	if ref == nil {
-		return nil, nil
-	}
-	if e.Local != nil && ref.Addr == e.Local.Addr() {
-		obj, ok := e.Local.ResolveRef(ref.ID)
-		if !ok {
-			return nil, fmt.Errorf("bench: stale local reference #%d", ref.ID)
-		}
-		n, ok := obj.(*RefNode)
-		if !ok {
-			return nil, fmt.Errorf("bench: reference #%d is %T, not *RefNode", ref.ID, obj)
-		}
-		return n, nil
-	}
+// Wrap is the rmi.Options.WrapRef hook: a foreign reference becomes a stub.
+func (e *RefEnv) Wrap(ref *rmi.RemoteRef) (any, error) {
 	return &NodeStub{env: e, ref: ref}, nil
-}
-
-// WrapRefHook adapts Wrap to the rmi.Options.WrapRef signature.
-func (e *RefEnv) WrapRefHook(ref *rmi.RemoteRef) (any, error) {
-	return e.Wrap(ref)
 }
 
 // NodeStub is the remote-pointer proxy: each method is one network round
@@ -139,44 +118,34 @@ func (s *NodeStub) GetRight(ctx context.Context) (Handle, error) {
 	return s.getChild(ctx, "GetRight")
 }
 
+// getChild returns the child a remote getter names: nil, one of this
+// process's own nodes (which rmi brings home), or a stub for a foreign one.
 func (s *NodeStub) getChild(ctx context.Context, method string) (Handle, error) {
 	rets, err := s.call(ctx, method)
 	if err != nil {
 		return nil, err
 	}
-	if rets[0] == nil {
-		return nil, nil
-	}
-	ref, ok := rets[0].(*rmi.RemoteRef)
-	if !ok {
-		return nil, fmt.Errorf("bench: %s returned %T", method, rets[0])
-	}
-	return s.env.Wrap(ref)
-}
-
-// SetLeft implements Handle remotely.
-func (s *NodeStub) SetLeft(ctx context.Context, h Handle) error {
-	return s.setChild(ctx, "SetLeft", h)
-}
-
-// SetRight implements Handle remotely.
-func (s *NodeStub) SetRight(ctx context.Context, h Handle) error {
-	return s.setChild(ctx, "SetRight", h)
-}
-
-func (s *NodeStub) setChild(ctx context.Context, method string, h Handle) error {
-	var arg any
-	switch x := h.(type) {
+	switch x := rets[0].(type) {
 	case nil:
-		arg = nil
+		return nil, nil
 	case *RefNode:
-		arg = x // Remote: the client exports it from its local server
-	case *NodeStub:
-		arg = x // RefHolder: forwards the wrapped reference
-	default:
-		return fmt.Errorf("bench: unknown handle type %T", h)
+		return x, nil
+	case *rmi.RemoteRef:
+		return &NodeStub{env: s.env, ref: x}, nil
 	}
-	_, err := s.call(ctx, method, arg)
+	return nil, fmt.Errorf("bench: %s returned %T", method, rets[0])
+}
+
+// SetLeft implements Handle remotely: a *RefNode argument is exported by
+// this process's server, a *NodeStub forwards the reference it wraps.
+func (s *NodeStub) SetLeft(ctx context.Context, h Handle) error {
+	_, err := s.call(ctx, "SetLeft", h)
+	return err
+}
+
+// SetRight implements Handle remotely, like SetLeft.
+func (s *NodeStub) SetRight(ctx context.Context, h Handle) error {
+	_, err := s.call(ctx, "SetRight", h)
 	return err
 }
 

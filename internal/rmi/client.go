@@ -35,7 +35,8 @@ type Client struct {
 	retryRng *rand.Rand
 
 	// local is the client's own server, required for exporting Remote
-	// arguments (callbacks) and for resolving references to local objects.
+	// arguments (callbacks) and for resolving references to local objects
+	// that come home in results.
 	local *Server
 
 	// commitMu serializes response applies across this client's calls.
@@ -275,21 +276,11 @@ func (c *Client) encodeArg(call *core.Call, sem semantics, arg any) error {
 	switch sem {
 	case semRestore:
 		return call.EncodeRestorable(arg)
-	case semCopy:
-		return call.EncodeCopy(arg)
-	}
-	switch x := arg.(type) {
-	case RefHolder:
-		arg = x.NRMIRef()
-	case Remote:
-		if c.local == nil {
-			return ErrNoLocalServer
-		}
-		ref, err := c.local.Ref(x)
-		if err != nil {
+	case semRef:
+		var err error
+		if arg, err = outbound(c.local, arg); err != nil {
 			return err
 		}
-		arg = ref
 	}
 	return call.EncodeCopy(arg)
 }

@@ -174,18 +174,28 @@ func TestDGCUnknownIDIgnored(t *testing.T) {
 	}
 }
 
-func TestResolveRef(t *testing.T) {
+// resolveID resolves anonymous export id the way a dispatch or a reference
+// coming home does, reporting whether it is live.
+func resolveID(s *Server, id uint64) (any, bool) {
+	x, err := s.resolveTarget([]byte((&RemoteRef{ID: id}).objectKey()))
+	if err != nil {
+		return nil, false
+	}
+	return x.v.Interface(), true
+}
+
+func TestOwnReferenceResolves(t *testing.T) {
 	e := newEnv(t)
 	c := &Counter{N: 7}
 	ref, err := e.server.Ref(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := e.server.ResolveRef(ref.ID)
+	got, ok := resolveID(e.server, ref.ID)
 	if !ok || got.(*Counter) != c {
-		t.Fatal("ResolveRef must return the live object")
+		t.Fatal("an own reference must resolve to the live object")
 	}
-	if _, ok := e.server.ResolveRef(999); ok {
+	if _, ok := resolveID(e.server, 999); ok {
 		t.Fatal("unknown id must miss")
 	}
 }
@@ -215,17 +225,17 @@ func TestRefZeroSizeTypes(t *testing.T) {
 	if refA.ID == refB.ID {
 		t.Fatalf("*zsA and *zsB share reference %d", refA.ID)
 	}
-	if got, _ := e.server.ResolveRef(refA.ID); got != any(a) {
+	if got, _ := resolveID(e.server, refA.ID); got != any(a) {
 		t.Errorf("reference to *zsA resolves to %T", got)
 	}
-	if got, _ := e.server.ResolveRef(refB.ID); got != any(b) {
+	if got, _ := resolveID(e.server, refB.ID); got != any(b) {
 		t.Errorf("reference to *zsB resolves to %T", got)
 	}
 	(&dgc{e.server}).Clean(refA.ID)
-	if _, ok := e.server.ResolveRef(refA.ID); ok {
+	if _, ok := resolveID(e.server, refA.ID); ok {
 		t.Error("cleaned reference to *zsA still resolves")
 	}
-	if got, ok := e.server.ResolveRef(refB.ID); !ok || got != any(b) {
+	if got, ok := resolveID(e.server, refB.ID); !ok || got != any(b) {
 		t.Errorf("cleaning *zsA dropped *zsB: %v, %v", got, ok)
 	}
 	if again, err := e.server.Ref(b); err != nil || again.ID != refB.ID {

@@ -251,12 +251,22 @@ func (p *Promise) await(ctx context.Context) ([]byte, error) {
 // call is never re-sent: ApplyResponseBytes validates fully before
 // mutating (a failure leaves the graph bit-identical), and the error
 // wraps as ResponseConsumedError, which Retryable refuses. The pooled
-// payload goes back once ApplyResponseBytes has returned.
+// payload goes back once ApplyResponseBytes has returned. Then the results
+// pass through the client's own server's inbound, if it has one; a result
+// that does not resolve stays as it is, so a committed restore never
+// reports a failed call.
 func (p *Promise) apply(payload []byte) (core.Response, error) {
 	resp, err := p.call.ApplyResponseBytes(payload)
 	transport.ReleasePayload(payload)
 	if err != nil {
 		return resp, &ResponseConsumedError{Method: p.method, Err: err}
+	}
+	if home := p.st.c.local; home != nil {
+		for i, r := range resp.Returns {
+			if v, err := home.inbound(r); err == nil {
+				resp.Returns[i] = v
+			}
+		}
 	}
 	return resp, nil
 }

@@ -11,17 +11,28 @@
 //
 //   - types implementing Restorable are passed by copy-restore: everything
 //     reachable from the argument is restored on the caller after the call;
-//   - types implementing Remote (or values that already are remote
-//     references) are passed by reference: the receiver gets a RemoteRef
-//     and every subsequent access is a network round trip (the paper's
-//     Figure 3 configuration);
+//   - types implementing Remote or RefHolder (or values that already are
+//     remote references) are passed by reference: the receiver gets a
+//     RemoteRef and every subsequent access is a network round trip (the
+//     paper's Figure 3 configuration);
 //   - everything else serializable is passed by copy, like java.io.
 //     Serializable under RMI;
 //   - primitives are passed by value.
 //
-// Return values are passed by copy, except values implementing Remote
-// (exported and returned by reference) and RefHolder (forwarded as the
-// reference they wrap).
+// Return values are passed by copy, except values implementing Remote or
+// RefHolder, which are passed by reference.
+//
+// A reference follows one rule per direction, the same at both ends.
+// Leaving an endpoint (client arguments, server results), a RefHolder
+// travels as the reference it wraps and a Remote as the reference the
+// endpoint's own server exports it under; a client with no bound server
+// fails with ErrNoLocalServer. Arriving (server arguments, client
+// results), a reference to one of the endpoint's own live exports becomes
+// the object itself, so a method that returns its by-reference argument
+// gives the caller its own object back, as a local call would. A server
+// fails a call whose own reference no longer resolves before dispatch and
+// hands a foreign one to Options.WrapRef; a client keeps either as the raw
+// *RemoteRef. References nested inside by-copy values are not converted.
 package rmi
 
 import (
@@ -121,10 +132,12 @@ var (
 type Options struct {
 	// Core configures the copy-restore engine and wire codec.
 	Core core.Options
-	// WrapRef, when set, converts inbound remote references into
-	// application proxies before method dispatch (e.g. a tree-node stub
-	// implementing the application's node interface). When nil, methods
-	// receive the raw *RemoteRef.
+	// WrapRef, when set, converts the foreign remote references among a
+	// server's arguments into application proxies before method dispatch
+	// (e.g. a tree-node stub implementing the application's node
+	// interface). A reference to one of the server's own exports arrives as
+	// the object itself, and a client's results are never wrapped. When
+	// nil, methods receive the raw *RemoteRef.
 	WrapRef func(ref *RemoteRef) (any, error)
 	// Intercept, when set, wraps every invocation on this endpoint: a
 	// client's Call and CallStats (registry and DGC calls

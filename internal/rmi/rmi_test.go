@@ -343,6 +343,80 @@ func TestRemoteArgWithoutLocalServerFails(t *testing.T) {
 	}
 }
 
+// Echoer hands its by-reference argument straight back, doubling a
+// restorable tree on the way.
+type Echoer struct{}
+
+// Echo doubles tree.Data and returns x.
+func (*Echoer) Echo(tree *RTree, x any) any {
+	tree.Data *= 2
+	return x
+}
+
+// refHolder is an application proxy wrapping a reference.
+type refHolder struct{ ref *RemoteRef }
+
+func (h refHolder) NRMIRef() *RemoteRef { return h.ref }
+
+// TestReferenceComesHome: a method that returns its by-reference argument
+// gives the caller back its own object, as a local call would. A foreign
+// reference forwarded through a RefHolder comes back a *RemoteRef, and an
+// own reference that no longer resolves comes back raw, the call and its
+// committed restore standing.
+func TestReferenceComesHome(t *testing.T) {
+	e := newEnv(t)
+	if err := e.server.Export("echo", &Echoer{}); err != nil {
+		t.Fatal(err)
+	}
+	stub := e.client.Stub("server", "echo")
+	ctx := context.Background()
+	shapes := []struct {
+		name string
+		call func(args ...any) ([]any, error)
+	}{
+		{"Call", func(args ...any) ([]any, error) { return stub.Call(ctx, "Echo", args...) }},
+		{"CallAsync+Wait", func(args ...any) ([]any, error) {
+			p, err := stub.CallAsync(ctx, "Echo", args...)
+			if err != nil {
+				return nil, err
+			}
+			return p.Wait(ctx)
+		}},
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			echo := func(x any) any {
+				t.Helper()
+				tree := &RTree{Data: 3}
+				rets, err := shape.call(tree, x)
+				if err != nil {
+					t.Fatalf("Echo(%T): %v", x, err)
+				}
+				if tree.Data != 6 {
+					t.Fatalf("Echo(%T): restore not committed, Data = %d", x, tree.Data)
+				}
+				return rets[0]
+			}
+			counter := &Counter{}
+			if got := echo(counter); got != any(counter) {
+				t.Errorf("own Remote came home as %T, not the caller's object", got)
+			}
+			far := &RemoteRef{Addr: "third", ID: 5, TypeName: "Counter"}
+			if got, ok := echo(refHolder{far}).(*RemoteRef); !ok || *got != *far {
+				t.Errorf("foreign reference came home as %v, want %v", got, far)
+			}
+			stale, err := e.clSrv.Ref(&Counter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			(&dgc{e.clSrv}).Clean(stale.ID)
+			if got, ok := echo(stale).(*RemoteRef); !ok || *got != *stale {
+				t.Errorf("stale own reference came home as %v, want %v", got, stale)
+			}
+		})
+	}
+}
+
 func TestDGCReleaseCollects(t *testing.T) {
 	e := newEnv(t)
 	counter := &Counter{}

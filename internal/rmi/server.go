@@ -212,19 +212,6 @@ func (s *Server) Ref(obj any) (*RemoteRef, error) {
 	return &RemoteRef{Addr: s.addr, ID: id, TypeName: e.label[1:]}, nil
 }
 
-// ResolveRef returns the live object behind one of this server's own
-// anonymous exports, implementing RMI's local unwrapping of references that
-// come back home.
-func (s *Server) ResolveRef(id uint64) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.refs[id]
-	if !ok {
-		return nil, false
-	}
-	return e.val.Interface(), true
-}
-
 // LiveRefs returns the number of anonymously exported objects still pinned
 // by remote references — the observable the paper's distributed-cycle leak
 // grows without bound (Section 5.3.3, last bullet).
@@ -671,7 +658,14 @@ func (s *Server) dispatchCall(ctx context.Context, oc *obs.Call, sc *core.Server
 
 	var results [4]any
 	var stats core.ResponseStats
-	rets, err := s.outboundResults(outs, results[:0])
+	rets := results[:0]
+	for _, o := range outs {
+		var v any
+		if v, err = outbound(s, o.Interface()); err != nil {
+			break
+		}
+		rets = append(rets, v)
+	}
 	if err == nil {
 		stats, err = sc.EncodeResponse(nil, rets)
 	}
@@ -748,20 +742,25 @@ func (s *Server) decodeArgs(sc *core.ServerCall, h callHead, in []reflect.Value)
 	return decodedCall{method: method, takesCtx: takesCtx, nargs: int(nargs)}, in, nil
 }
 
-// decodeArg decodes one argument value under its semantics marker.
+// decodeArg decodes one argument value under its semantics marker. A
+// by-reference one is a RemoteRef (or nil): a foreign one goes through the
+// WrapRef hook when there is one, the rest through inbound.
 func (s *Server) decodeArg(sc *core.ServerCall, sem semantics) (any, error) {
-	switch sem {
-	case semRestore:
+	if sem == semRestore {
 		return sc.DecodeRestorable()
-	case semRef:
-		raw, err := sc.DecodeCopy()
-		if err != nil {
-			return nil, err
-		}
-		return s.inboundRef(raw)
-	default:
-		return sc.DecodeCopy()
 	}
+	raw, err := sc.DecodeCopy()
+	if err != nil || sem != semRef {
+		return raw, err
+	}
+	switch ref, ok := raw.(*RemoteRef); {
+	case raw == nil:
+	case !ok:
+		return nil, fmt.Errorf("%w: by-reference argument is %T, not *RemoteRef", ErrBadArgument, raw)
+	case ref.Addr != s.addr && s.opts.WrapRef != nil:
+		return s.opts.WrapRef(ref)
+	}
+	return s.inbound(raw)
 }
 
 // executeMethod runs the resolved method under the interceptor chain. With
@@ -816,51 +815,35 @@ func (s *Server) invoke(ctx context.Context, method reflect.Method, in []reflect
 	return outs, nil
 }
 
-// inboundRef converts a decoded *RemoteRef argument: references to objects
-// this server exported resolve to the live local objects (RMI's local
-// unwrapping); foreign references go through the WrapRef hook or arrive
-// raw.
-func (s *Server) inboundRef(raw any) (any, error) {
-	ref, ok := raw.(*RemoteRef)
-	if !ok {
-		if raw == nil {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("%w: by-reference argument is %T, not *RemoteRef", ErrBadArgument, raw)
+// inbound is the arriving half of the package comment's reference rule, at
+// an endpoint whose own server is s: a reference to one of s's live exports
+// becomes the object itself, and any other value stays as it is. An own
+// reference that no longer resolves is ErrNoSuchObject.
+func (s *Server) inbound(v any) (any, error) {
+	ref, ok := v.(*RemoteRef)
+	if !ok || ref.Addr != s.addr {
+		return v, nil
 	}
-	if ref.Addr == s.addr {
-		target, err := s.resolveTarget([]byte(ref.objectKey()))
-		if err != nil {
-			return nil, err
-		}
-		return target.v.Interface(), nil
+	target, err := s.resolveTarget([]byte(ref.objectKey()))
+	if err != nil {
+		return nil, err
 	}
-	if s.opts.WrapRef != nil {
-		return s.opts.WrapRef(ref)
-	}
-	return ref, nil
+	return target.v.Interface(), nil
 }
 
-// outboundResults appends method results, converted for the wire, to rets:
-// Remote values are exported and replaced by references; RefHolder proxies
-// forward the references they wrap.
-func (s *Server) outboundResults(outs []reflect.Value, rets []any) ([]any, error) {
-	for _, o := range outs {
-		v := o.Interface()
-		switch x := v.(type) {
-		case RefHolder:
-			rets = append(rets, x.NRMIRef())
-		case Remote:
-			ref, err := s.Ref(x)
-			if err != nil {
-				return nil, err
-			}
-			rets = append(rets, ref)
-		default:
-			rets = append(rets, v)
+// outbound is the leaving half of the rule, at an endpoint whose own server
+// is home (nil for a client with none bound).
+func outbound(home *Server, v any) (any, error) {
+	switch x := v.(type) {
+	case RefHolder:
+		return x.NRMIRef(), nil
+	case Remote:
+		if home == nil {
+			return nil, ErrNoLocalServer
 		}
+		return home.Ref(x)
 	}
-	return rets, nil
+	return v, nil
 }
 
 // semantics markers on the wire.

@@ -147,8 +147,10 @@ type Options struct {
 	UnsafeAccess bool
 	// Registry resolves named types; nil means the process-wide default.
 	Registry *Registry
-	// WrapRef converts inbound remote references into application proxies
-	// before dispatch; see the rmi layer documentation.
+	// WrapRef converts the foreign remote references a server's methods
+	// receive into application proxies before dispatch. A reference to one
+	// of the endpoint's own objects arrives as the object itself, on either
+	// end; see the rmi layer documentation.
 	WrapRef func(ref *RemoteRef) (any, error)
 	// Intercept wraps every invocation on this endpoint for logging,
 	// metrics, or policy: on a client Call and CallStats (not
