@@ -23,7 +23,7 @@ race:
 # orderings and TestNilObserverUnderTwoPercent's cost of an unobserved call.
 # `make ci` runs them without -race, five times, so a budget that depends on
 # scheduling fails the gate rather than one run in eight.
-ALLOC_TESTS := TestSyncCallAllocs|TestCallShapeAllocs|TestPaperVerdict|TestApplyAllocsSteadyState|TestStagingSlabBytes|TestDecodeAllocsSteadyState|TestEncodeAllocsSteadyState|TestShadowAllocsNothing|TestSteadyStateAllocFree|TestWalkAllocsSteadyState|TestEngineV3DecodesIntoArena|TestNilObserverUnderTwoPercent
+ALLOC_TESTS := TestSyncCallAllocs|TestCallShapeAllocs|TestPaperVerdict|TestApplyAllocsSteadyState|TestStagingSlabBytes|TestDecodeAllocsSteadyState|TestEncodeAllocsSteadyState|TestShadowAllocsNothing|TestSteadyStateAllocFree|TestWalkAllocsSteadyState|TestEngineV3DecodesIntoArena|TestNilObserverUnderTwoPercent|TestMintedTypesCostLinear
 ALLOC_PKGS := ./internal/rmi ./internal/core ./internal/wire ./internal/graph ./internal/bufpool ./internal/bench
 
 # One-shot CI pipeline (what .github/workflows/ci.yml runs): build, vet,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 )
 
 // Type-descriptor lead bytes. Values 1..26 are reflect.Kind numbers for
@@ -21,23 +22,13 @@ const (
 
 // kindTypes maps scalar reflect.Kind values to their predeclared types for
 // structural decoding.
-var kindTypes = map[reflect.Kind]reflect.Type{
-	reflect.Bool:       reflect.TypeOf(false),
-	reflect.Int:        reflect.TypeOf(int(0)),
-	reflect.Int8:       reflect.TypeOf(int8(0)),
-	reflect.Int16:      reflect.TypeOf(int16(0)),
-	reflect.Int32:      reflect.TypeOf(int32(0)),
-	reflect.Int64:      reflect.TypeOf(int64(0)),
-	reflect.Uint:       reflect.TypeOf(uint(0)),
-	reflect.Uint8:      reflect.TypeOf(uint8(0)),
-	reflect.Uint16:     reflect.TypeOf(uint16(0)),
-	reflect.Uint32:     reflect.TypeOf(uint32(0)),
-	reflect.Uint64:     reflect.TypeOf(uint64(0)),
-	reflect.Float32:    reflect.TypeOf(float32(0)),
-	reflect.Float64:    reflect.TypeOf(float64(0)),
-	reflect.Complex64:  reflect.TypeOf(complex64(0)),
-	reflect.Complex128: reflect.TypeOf(complex128(0)),
-	reflect.String:     reflect.TypeOf(""),
+var kindTypes = map[reflect.Kind]reflect.Type{}
+
+func init() {
+	for _, v := range []any{false, 0, int8(0), int16(0), int32(0), int64(0), uint(0), uint8(0),
+		uint16(0), uint32(0), uint64(0), float32(0), 0.0, complex64(0), 0i, ""} {
+		kindTypes[reflect.TypeOf(v).Kind()] = reflect.TypeOf(v)
+	}
 }
 
 var emptyIfaceType = reflect.TypeOf((*any)(nil)).Elem()
@@ -46,31 +37,36 @@ var emptyIfaceType = reflect.TypeOf((*any)(nil)).Elem()
 // emitted structurally once — a named type as its wire name and layout
 // fingerprint (layout.go) — and referenced by table index afterwards; under
 // V1 the full structural form (with type names spelled out) is emitted on
-// every occurrence — the paper's verbose-JDK-1.3 behaviour.
+// every occurrence — the paper's verbose-JDK-1.3 behaviour. A message names
+// few types, so the table is a slice scanned by identity.
 func (e *Encoder) encodeType(t reflect.Type) error {
 	if e.opts.Engine == EngineV2 {
-		if idx, ok := e.typeTable[t]; ok {
+		id := typeID(t)
+		if idx := slices.Index(e.typeTable, id); idx >= 0 {
 			e.w.writeTagged(dTableRef, uint64(idx))
 			return nil
 		}
 		e.w.writeByte(dTableDef)
-		e.typeTable[t] = len(e.typeTable)
+		e.typeTable = append(e.typeTable, id)
 	}
 	return e.encodeTypeBody(t)
 }
 
+// encodeTypeBody writes a bound named type from its record, any other type
+// by its structure.
 func (e *Encoder) encodeTypeBody(t reflect.Type) error {
-	if named(t) {
-		wireName, err := e.opts.Registry.NameOf(t)
-		if err != nil {
-			return err
-		}
+	rec := e.opts.Registry.record(t)
+	switch {
+	case rec == nil && named(t):
+		_, err := e.opts.Registry.NameOf(t)
+		return err
+	case rec != nil && rec.named:
 		e.w.writeByte(dNamed)
-		e.w.writeString(wireName)
+		e.w.writeString(rec.name)
 		if e.opts.Engine != EngineV2 {
 			return nil
 		}
-		sum, err := fingerprint(e.opts.Registry, t, e.opts.Access, e.cached)
+		sum, err := e.opts.Registry.sum(rec, e.opts.Access, e.cached)
 		if err != nil {
 			return err
 		}
@@ -151,23 +147,26 @@ func (d *Decoder) decodeTypeBody(b byte, depth int) (reflect.Type, error) {
 		if err != nil {
 			return nil, err
 		}
-		t, err := d.opts.Registry.TypeByName(name)
-		if err != nil || d.engine != EngineV2 {
-			return t, err
+		rec := d.opts.Registry.recordNamed(name)
+		if rec == nil {
+			return nil, fmt.Errorf("%w: %q", ErrTypeNotRegistered, name)
+		}
+		if d.engine != EngineV2 {
+			return rec.t, nil
 		}
 		// Compared before any content of the type is read.
 		theirs, err := d.r.readFixed()
 		if err != nil {
 			return nil, err
 		}
-		ours, err := fingerprint(d.opts.Registry, t, d.access, d.cached)
+		ours, err := d.opts.Registry.sum(rec, d.access, d.cached)
 		if err != nil {
 			return nil, err
 		}
 		if theirs != ours {
-			return nil, fmt.Errorf("%w: %q is %s here (%016x, peer %016x)", ErrLayout, name, t, ours, theirs)
+			return nil, fmt.Errorf("%w: %q is %s here (%016x, peer %016x)", ErrLayout, name, rec.t, ours, theirs)
 		}
-		return t, nil
+		return rec.t, nil
 	case dPtr:
 		elem, err := d.decodeType(depth + 1)
 		if err != nil {

@@ -26,7 +26,7 @@ type Encoder struct {
 	objs    []reflect.Value
 	// objs[:adopted] are SeedDecoded's objects, not cells.
 	adopted    int
-	typeTable  map[reflect.Type]int
+	typeTable  []unsafe.Pointer // typeIDs, in table order
 	strTable   map[string]int
 	headerDone bool
 	// bare says statically typed slots travel bare (V2); under V1 every slot
@@ -40,10 +40,7 @@ type Encoder struct {
 // NewEncoder returns an Encoder whose Flush writes to w. A nil w leaves the
 // message to Bytes.
 func NewEncoder(w io.Writer, opts Options) *Encoder {
-	e := &Encoder{
-		typeTable: make(map[reflect.Type]int),
-		strTable:  make(map[string]int),
-	}
+	e := &Encoder{strTable: make(map[string]int)}
 	e.arm(w, opts)
 	return e
 }

@@ -57,8 +57,6 @@ type kernel struct {
 	// cells is []elem for pointer and slice kernels: the type of a staging
 	// or shadow slab.
 	cells reflect.Type
-	// rt is t's type word in an interface, for pointer, map and slice kernels.
-	rt unsafe.Pointer
 	// exact says equal bytes and the same state (kernel.same) coincide: t
 	// holds no string or interface inline; it covers every field on
 	// AccessUnsafe kernels only. direct says an interface holds a t in its
@@ -91,28 +89,28 @@ type kernelZero struct {
 // codes a signed integer (one zigzag varint), or a pointer to a struct, itself.
 const opInt, opStructPtr = 1, 2
 
-type kernelKey struct {
-	t    reflect.Type
-	mode graph.AccessMode
-}
-
-// kernelCache memoizes compiled kernels process-wide, keyed by type and
-// access mode only. Registry bindings do not participate: a kernel describes
-// a type's structure, which is immutable, while the registry only resolves
-// names, which it does at stream time through Options.Registry. Registering a
-// type after its kernel was compiled therefore requires no invalidation, and
-// a kernel compiled for a type Registry.CheckType rejects still fails at
-// encode/decode time with the same graph-layer error — kernels defer
-// forbidden-kind errors to run time. Compilation is serialized by kernelMu.
+// kernelCache holds the compiled kernels process-wide, one table per access
+// mode keyed by type identity (typeID). A kernel describes a type's
+// structure, which is immutable, so registering a type after its kernel was
+// compiled needs no invalidation, and a forbidden kind fails when a value of
+// it is coded, not here. An insert copies nothing, so the types a peer mints
+// ([n]T for each n it sends) cost what they number. Compilation is
+// serialized by kernelMu.
 var (
-	kernelCache sync.Map // kernelKey -> *kernel
+	kernelCache [graph.AccessUnsafe + 1]sync.Map // typeID -> *kernel
 	kernelMu    sync.Mutex
 )
+
+// typeID is t's identity: the *rtype word of its reflect.Type, which is also
+// its type word in an interface.
+func typeID(t reflect.Type) unsafe.Pointer {
+	return (*[2]unsafe.Pointer)(unsafe.Pointer(&t))[1]
+}
 
 // kernelFor returns the compiled kernel for t under mode, compiling (and
 // publishing) it on first use.
 func kernelFor(t reflect.Type, mode graph.AccessMode) *kernel {
-	if k, ok := kernelCache.Load(kernelKey{t, mode}); ok {
+	if k, ok := kernelCache[mode].Load(typeID(t)); ok {
 		return k.(*kernel)
 	}
 	kernelMu.Lock()
@@ -122,7 +120,7 @@ func kernelFor(t reflect.Type, mode graph.AccessMode) *kernel {
 	session := make(map[reflect.Type]*kernel)
 	k := compileKernel(t, mode, session, true)
 	for st, sk := range session {
-		kernelCache.Store(kernelKey{st, mode}, sk)
+		kernelCache[mode].Store(typeID(st), sk)
 	}
 	return k
 }
@@ -154,7 +152,7 @@ func (m *kernelMemo) of(t reflect.Type, mode graph.AccessMode) *kernel {
 // holds when cached is set.
 func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Type]*kernel, cached bool) *kernel {
 	if cached {
-		if k, ok := kernelCache.Load(kernelKey{t, mode}); ok {
+		if k, ok := kernelCache[mode].Load(typeID(t)); ok {
 			return k.(*kernel)
 		}
 	}
@@ -170,10 +168,7 @@ func compileKernel(t reflect.Type, mode graph.AccessMode, session map[reflect.Ty
 	case reflect.Ptr, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
 		k.direct = true
 	}
-	if k.tag = tagOf(k.kind); k.tag >= tagPtr && k.tag <= tagSlice {
-		box := reflect.Zero(t).Interface()
-		k.rt = (*[2]unsafe.Pointer)(unsafe.Pointer(&box))[0]
-	}
+	k.tag = tagOf(k.kind)
 	switch k.tag {
 	case tagPtr:
 		k.elem = compileKernel(t.Elem(), mode, session, cached)
@@ -423,7 +418,7 @@ func (k *kernel) encAt(e *Encoder, p unsafe.Pointer, depth int, bare bool) error
 // as the address of its header — where reflect.NewAt would look up the type
 // of a pointer to k.t.
 func (k *kernel) ref(p unsafe.Pointer) reflect.Value {
-	box := [2]unsafe.Pointer{k.rt, p}
+	box := [2]unsafe.Pointer{typeID(k.t), p}
 	if k.direct {
 		box[1] = *(*unsafe.Pointer)(p)
 	}

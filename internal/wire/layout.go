@@ -63,28 +63,25 @@ func (l *layout) walk(k *kernel) {
 	}
 }
 
-// fingerprint completes the layout of t's kernel under mode with the names
-// reg binds. The cached configuration walks the kernel it codes with, once
-// per registry; the portable one compiles it afresh, as it does to code. An
-// unregistered named type anywhere below t fails here — at the sender,
-// before a byte of t is written — although no bare slot would ever have
-// spelled its name.
-func fingerprint(reg *Registry, t reflect.Type, mode graph.AccessMode, cached bool) (uint64, error) {
-	key := kernelKey{t, mode}
+// sum is the fingerprint of rec's type under mode: its kernel's layout
+// completed with the names r binds. Cached, it is computed once per registry
+// and kept in rec if it succeeds; portable, it is recomputed from a fresh
+// kernel on every use. An unregistered named type anywhere below fails here,
+// at the sender, although no bare slot would ever have spelled its name.
+func (r *Registry) sum(rec *typeRec, mode graph.AccessMode, cached bool) (uint64, error) {
 	var k *kernel
-	if cached {
-		if sum, ok := reg.sums.Load(key); ok {
-			return sum.(uint64), nil
-		}
-		k = kernelFor(t, mode)
+	if !cached {
+		k = freshKernel(rec.t, mode)
+	} else if kept := rec.sums[mode].Load(); kept != nil {
+		return *kept, nil
 	} else {
-		k = freshKernel(t, mode)
+		k = kernelFor(rec.t, mode)
 	}
 	l := layout{sum: fnvOffset}
 	l.walk(k)
 	sum := l.sum
 	for _, nt := range l.named {
-		name, err := reg.NameOf(nt)
+		name, err := r.NameOf(nt)
 		if err != nil {
 			return 0, err
 		}
@@ -94,7 +91,7 @@ func fingerprint(reg *Registry, t reflect.Type, mode graph.AccessMode, cached bo
 		sum = (sum ^ 0xff) * fnvPrime // in no UTF-8 name: a terminator
 	}
 	if cached {
-		reg.sums.Store(key, sum)
+		rec.sums[mode].Store(&sum)
 	}
 	return sum, nil
 }

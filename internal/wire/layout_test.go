@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -74,14 +75,25 @@ func goldenRegistry(t *testing.T) *Registry {
 	return r
 }
 
+// sumOf is the fingerprint of t under mode as the codec computes it: a bound
+// type's through its record, any other type's through a record of its own.
+func sumOf(reg *Registry, t reflect.Type, mode graph.AccessMode, cached bool) (uint64, error) {
+	rec := reg.record(t)
+	if rec == nil {
+		rec = &typeRec{t: t}
+	}
+	return reg.sum(rec, mode, cached)
+}
+
 // TestFingerprintGolden: every configuration computes the recorded sums —
-// cached twice (the second from the registry's memo) and portable.
+// cached twice (the second, for a bound type, from its record) and
+// portable.
 func TestFingerprintGolden(t *testing.T) {
 	reg := goldenRegistry(t)
 	for _, g := range goldenSums {
 		for mode, want := range map[graph.AccessMode]uint64{graph.AccessExported: g.exported, graph.AccessUnsafe: g.unsafe} {
 			for _, cached := range []bool{true, true, false} {
-				sum, err := fingerprint(reg, g.t, mode, cached)
+				sum, err := sumOf(reg, g.t, mode, cached)
 				if err != nil || sum != want {
 					t.Errorf("%s, mode %d, cached %t: %#016x (%v), want %#016x", g.t, mode, cached, sum, err, want)
 				}
@@ -138,5 +150,47 @@ func TestLayoutMatchesReflection(t *testing.T) {
 	}
 	if len(seen) < 100 {
 		t.Fatalf("only %d kernels checked", len(seen))
+	}
+}
+
+// TestNamedDescriptorGolden pins a named descriptor by bytes: a registered
+// struct described twice in one V2 stream is defined once, with its wire
+// name and fingerprint, then referenced by table index. The encoding is
+// those bytes whether the type's record is cold (no sum kept yet) or warm,
+// and from an encoder re-armed after its release; the decoder accepts them.
+func TestNamedDescriptorGolden(t *testing.T) {
+	want := []byte{headerMagic, formatV2, 0,
+		tagStruct, dTableDef, dNamed, 6, 'i', 'n', 'n', 'e', 'r', 'U',
+		0x1d, 0xe5, 0xfc, 0x3c, 0x67, 0x30, 0x11, 0x05, // fingerprint
+		6, // X: 3, zigzag
+		tagStruct, dTableRef, 0,
+		6,
+	}
+	v := innerU{X: 3}
+	opts := Options{Registry: stateRegistry(t, map[string]any{"innerU": innerU{}})}
+	encode := func(name string, enc *Encoder) {
+		t.Helper()
+		for range 2 {
+			if err := enc.Encode(v); err != nil {
+				t.Fatalf("%s encoder: %v", name, err)
+			}
+		}
+		if !bytes.Equal(enc.Bytes(), want) {
+			t.Errorf("%s encoder:\n% x, want\n% x", name, enc.Bytes(), want)
+		}
+	}
+	encode("cold", NewEncoder(nil, opts))
+	enc := AcquireEncoder(nil, opts)
+	encode("warm", enc)
+	enc.reset() // ReleaseEncoder short of the pool
+	enc.arm(nil, opts)
+	encode("re-armed", enc)
+	ReleaseEncoder(enc)
+
+	dec := NewDecoderBytes(want, opts)
+	for i := range 2 {
+		if got, err := dec.Decode(); err != nil || got != v {
+			t.Errorf("value %d decoded to %#v, %v", i, got, err)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"nrmi/internal/graph"
+	"nrmi/internal/raceflag"
 )
 
 // Types of the length tables. unit has no encoded part; opaque has none in
@@ -194,5 +195,36 @@ func TestHonestLengthsDecode(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMintedTypesCostLinear: a peer mints a new type with every array length
+// it sends, and each one is compiled into the process-wide kernel cache
+// while the stream is decoded. N streams, each an empty [][n]int for
+// n = 1…N, must allocate O(N) in all: a cache that copied itself on each
+// insert would allocate O(N²). A cold process measured 1 358 B per stream
+// (Go 1.24, amd64): the two reflect types, their kernels and the cache
+// entries; the bound is three times that.
+func TestMintedTypesCostLinear(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc totals are not meaningful under -race")
+	}
+	const n = 5000
+	stream := []byte{headerMagic, formatV2, 0, tagSlice, dTableDef, dSlice, dTableDef, dArray}
+	head := len(stream)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= n; i++ {
+		stream = binary.AppendUvarint(stream[:head], uint64(i))
+		stream = append(stream, dTableDef, byte(reflect.Int), 0)
+		dec := AcquireDecoderBytes(stream, Options{})
+		if v, err := dec.Decode(); err != nil || reflect.ValueOf(v).Len() != 0 {
+			t.Fatalf("[][%d]int: %v, %v", i, v, err)
+		}
+		ReleaseDecoder(dec)
+	}
+	runtime.ReadMemStats(&after)
+	if perStream := (after.TotalAlloc - before.TotalAlloc) / n; perStream > 4096 {
+		t.Errorf("%d minted types allocated %d B per stream, over 4096", n, perStream)
 	}
 }

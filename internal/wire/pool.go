@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Codec pooling. An Encoder carries two maps, an object table with its
+// Codec pooling. An Encoder carries a string map, an object table with its
 // identity index, and its message buffer; a Decoder carries three tables.
 // The copy-restore protocol builds one of each per call
 // on each endpoint, which dominates the constant part of the per-call
@@ -53,7 +53,7 @@ func ReleaseEncoder(e *Encoder) {
 // reset is ReleaseEncoder short of the pool.
 func (e *Encoder) reset() {
 	e.ids.Reset()
-	clear(e.typeTable)
+	e.typeTable = e.typeTable[:0]
 	clear(e.strTable)
 	e.memo = kernelMemo{}
 	// Drop the decoded objects SeedDecoded adopted; zero the detached

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"nrmi/internal/graph"
 )
@@ -23,17 +24,24 @@ var ErrRegistryConflict = errors.New("wire: registry conflict")
 // map[string]int) are described structurally and need no registration.
 type Registry struct {
 	mu     sync.RWMutex
-	byName map[string]reflect.Type
-	byType map[reflect.Type]string
-	sums   sync.Map // kernelKey -> uint64, successes only: a binding is never rebound
+	byName map[string]*typeRec
+	byType sync.Map // typeID -> *typeRec, read without the lock
+}
+
+// typeRec is one binding, found by type identity on encode and by the name a
+// stream carries on decode, and per access mode the layout fingerprint of its
+// type once computed (Registry.sum). named is named(t): an unnamed type bound
+// to a name still travels described by its structure.
+type typeRec struct {
+	t     reflect.Type
+	name  string
+	named bool
+	sums  [graph.AccessUnsafe + 1]atomic.Pointer[uint64]
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byName: make(map[string]reflect.Type),
-		byType: make(map[reflect.Type]string),
-	}
+	return &Registry{byName: make(map[string]*typeRec)}
 }
 
 var defaultRegistry = NewRegistry()
@@ -65,16 +73,18 @@ func (r *Registry) RegisterType(name string, t reflect.Type) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if prev, ok := r.byName[name]; ok && prev != t {
+	if prev, ok := r.byName[name]; ok && prev.t != t {
 		return fmt.Errorf("%w: name %q is bound to type %s, cannot rebind it to type %s",
-			ErrRegistryConflict, name, prev, t)
+			ErrRegistryConflict, name, prev.t, t)
 	}
-	if prev, ok := r.byType[t]; ok && prev != name {
+	if prev := r.record(t); prev != nil && prev.name != name {
 		return fmt.Errorf("%w: type %s is registered as %q, cannot also register it as %q",
-			ErrRegistryConflict, t, prev, name)
+			ErrRegistryConflict, t, prev.name, name)
 	}
-	r.byName[name] = t
-	r.byType[t] = name
+	if r.byName[name] == nil {
+		r.byName[name] = &typeRec{t: t, name: name, named: named(t)}
+		r.byType.Store(typeID(t), r.byName[name])
+	}
 	return nil
 }
 
@@ -96,7 +106,7 @@ func (r *Registry) checkClosure(k *kernel, path string, seen map[*kernel]bool) e
 		return fmt.Errorf("%w: %s has kind %s (%s)", graph.ErrNotSerializable, path, k.kind, k.t)
 	}
 	if named(k.t) && k.kind != reflect.Interface {
-		if _, err := r.NameOf(k.t); err != nil {
+		if r.record(k.t) == nil {
 			return fmt.Errorf("%w: %s at %s (register it on both endpoints)", ErrTypeNotRegistered, k.t, path)
 		}
 	}
@@ -112,25 +122,27 @@ func (r *Registry) checkClosure(k *kernel, path string, seen map[*kernel]bool) e
 // outside the predeclared ones, whose canonical name is "pkgpath.Name".
 func named(t reflect.Type) bool { return t.Name() != "" && t.PkgPath() != "" }
 
-// TypeByName resolves a wire name, as read off a stream, reporting
-// ErrTypeNotRegistered misses. The lookup copies nothing.
-func (r *Registry) TypeByName(name []byte) (reflect.Type, error) {
+// record returns t's record, or nil if t is not bound.
+func (r *Registry) record(t reflect.Type) *typeRec {
+	if rec, ok := r.byType.Load(typeID(t)); ok {
+		return rec.(*typeRec)
+	}
+	return nil
+}
+
+// recordNamed returns the record of a wire name, as read off a stream, or
+// nil. The lookup copies nothing.
+func (r *Registry) recordNamed(name []byte) *typeRec {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	t, ok := r.byName[string(name)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrTypeNotRegistered, name)
-	}
-	return t, nil
+	return r.byName[string(name)]
 }
 
 // NameOf resolves the wire name of a type, reporting ErrTypeNotRegistered
 // for unregistered named types.
 func (r *Registry) NameOf(t reflect.Type) (string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if n, ok := r.byType[t]; ok {
-		return n, nil
+	if rec := r.record(t); rec != nil {
+		return rec.name, nil
 	}
 	return "", fmt.Errorf("%w: %s (register it on both endpoints)", ErrTypeNotRegistered, t)
 }

@@ -69,10 +69,10 @@ func TestRegisterTypeConflictDetails(t *testing.T) {
 		}
 	}
 	// The original binding must be untouched by the failed attempt.
-	if typ, err := r.TypeByName([]byte("app.Node")); err != nil || typ != reflect.TypeOf(regNode{}) {
-		t.Fatalf("original binding damaged: %v, %v", typ, err)
+	if rec := r.recordNamed([]byte("app.Node")); rec == nil || rec.t != reflect.TypeOf(regNode{}) {
+		t.Fatalf("original binding damaged: %v", rec)
 	}
-	if _, err := r.TypeByName([]byte("app.Renamed")); err == nil {
+	if r.recordNamed([]byte("app.Renamed")) != nil {
 		t.Fatal("failed registration must not bind the new name")
 	}
 	// Registering the identical pair again stays a no-op.

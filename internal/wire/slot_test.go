@@ -536,15 +536,27 @@ func TestNestedUnregisteredTypeFailsAtSender(t *testing.T) {
 	}
 }
 
-// TestFingerprintMemoCachesSuccessesOnly: the plan-cache path memoizes a
-// fingerprint in its registry once it succeeds, never a failure, so a
-// nested named type registered after a failed encode is seen by the next
-// encode under the same options. The portable path computes the same sum
-// and leaves the memo alone.
+// TestFingerprintMemoCachesSuccessesOnly: the plan-cache path keeps a
+// fingerprint in the type's registry record once it succeeds, never a
+// failure, so a nested named type registered after a failed encode is seen
+// by the next encode under the same options — and so is a root type
+// registered after its own failed encode. The portable path computes the
+// same sum and leaves the records alone.
 func TestFingerprintMemoCachesSuccessesOnly(t *testing.T) {
-	memo := func(reg *Registry) map[kernelKey]uint64 {
-		m := map[kernelKey]uint64{}
-		reg.sums.Range(func(k, v any) bool { m[k.(kernelKey)] = v.(uint64); return true })
+	// kept lists the sums the records of reg hold, by type and mode.
+	type key struct {
+		t    reflect.Type
+		mode graph.AccessMode
+	}
+	kept := func(reg *Registry) map[key]uint64 {
+		m := map[key]uint64{}
+		for _, rec := range reg.byName {
+			for mode := range rec.sums {
+				if sum := rec.sums[mode].Load(); sum != nil {
+					m[key{rec.t, graph.AccessMode(mode)}] = *sum
+				}
+			}
+		}
 		return m
 	}
 	reg := stateRegistry(t, map[string]any{"outerU": outerU{}})
@@ -554,8 +566,8 @@ func TestFingerprintMemoCachesSuccessesOnly(t *testing.T) {
 	if err := NewEncoder(&buf, opts).Encode(v); !errors.Is(err, ErrTypeNotRegistered) {
 		t.Fatalf("inner type unregistered: %v, want ErrTypeNotRegistered", err)
 	}
-	if m := memo(reg); len(m) != 0 {
-		t.Fatalf("a failed fingerprint was memoized: %v", m)
+	if m := kept(reg); len(m) != 0 {
+		t.Fatalf("a failed fingerprint was kept: %v", m)
 	}
 	if err := reg.Register("innerU", innerU{}); err != nil {
 		t.Fatal(err)
@@ -564,14 +576,28 @@ func TestFingerprintMemoCachesSuccessesOnly(t *testing.T) {
 	if err := NewEncoder(&cached, opts).Encode(v); err != nil {
 		t.Fatalf("after registering the inner type: %v", err)
 	}
-	m := memo(reg)
-	if _, ok := m[kernelKey{reflect.TypeOf(outerU{}), graph.AccessExported}]; !ok {
-		t.Fatalf("the successful fingerprint of outerU was not memoized: %v", m)
+	m := kept(reg)
+	if _, ok := m[key{reflect.TypeOf(outerU{}), graph.AccessExported}]; !ok {
+		t.Fatalf("the successful fingerprint of outerU was not kept: %v", m)
 	}
 	for k, sum := range m {
-		if want, err := fingerprint(reg, k.t, k.mode, false); err != nil || sum != want {
-			t.Errorf("memo of %s: %016x, recomputed %016x (%v)", k.t, sum, want, err)
+		if want, err := reg.sum(&typeRec{t: k.t}, k.mode, false); err != nil || sum != want {
+			t.Errorf("kept sum of %s: %016x, recomputed %016x (%v)", k.t, sum, want, err)
 		}
+	}
+
+	// A named root: no record until Register, and the encode after it
+	// succeeds.
+	late := NewRegistry()
+	root := &innerU{X: 2}
+	if err := NewEncoder(nil, Options{Registry: late}).Encode(root); !errors.Is(err, ErrTypeNotRegistered) {
+		t.Fatalf("root type unregistered: %v, want ErrTypeNotRegistered", err)
+	}
+	if err := late.Register("innerU", innerU{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewEncoder(nil, Options{Registry: late}).Encode(root); err != nil {
+		t.Fatalf("after registering the root type: %v", err)
 	}
 
 	portable := stateRegistry(t, map[string]any{"outerU": outerU{}, "innerU": innerU{}})
@@ -580,10 +606,10 @@ func TestFingerprintMemoCachesSuccessesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pbuf.Bytes(), cached.Bytes()) {
-		t.Fatalf("portable stream differs from the memoized one:\n% x\n% x", pbuf.Bytes(), cached.Bytes())
+		t.Fatalf("portable stream differs from the cached one:\n% x\n% x", pbuf.Bytes(), cached.Bytes())
 	}
-	if m := memo(portable); len(m) != 0 {
-		t.Fatalf("the portable path touched the memo: %v", m)
+	if m := kept(portable); len(m) != 0 {
+		t.Fatalf("the portable path kept a sum: %v", m)
 	}
 }
 
@@ -617,7 +643,7 @@ func TestFloatOverflowRefused(t *testing.T) {
 			path, opts := p.name, Options{Registry: reg}
 			// As a stream value: the fields of a described floats struct.
 			desc := join([]byte{tagStruct, dTableDef, dNamed, 6}, []byte("floats"))
-			sum, err := fingerprint(reg, reflect.TypeFor[floats](), 0, true)
+			sum, err := sumOf(reg, reflect.TypeFor[floats](), 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
